@@ -20,11 +20,6 @@ import (
 	"repro/internal/store"
 )
 
-// Config sizes a pipeline run; see core.Config for field documentation.
-//
-// Deprecated: configure through Open's functional options instead.
-type Config = core.Config
-
 // Stats is the store statistics of Tables I-II.
 type Stats = store.Stats
 
@@ -106,7 +101,6 @@ type options struct {
 	cfg         core.Config
 	liveDir     string
 	liveCfg     live.Config
-	skipRun     bool
 	clusterPath string
 	clusterCfg  *cluster.Config
 	resilience  *cluster.ResilienceSpec
@@ -178,7 +172,7 @@ func WithLiveFsync() Option { return func(o *options) { o.liveCfg.Fsync = true }
 // with -data-dir that recovered state from their local WAL/checkpoints —
 // Open skips the batch ingest and only rebuilds the coordinator-local
 // derived state (schema, registry, fused view), so a coordinator restart
-// never re-applies the corpus. Checkpoints (SaveStores, live checkpoints)
+// never re-applies the corpus. Checkpoints (SaveStoresCtx, live checkpoints)
 // delegate to the nodes' data directories; nodes running without
 // -data-dir answer unavailable and the live WAL remains the recovery
 // source, as before.
@@ -197,10 +191,6 @@ func WithClusterConfig(cfg *cluster.Config) Option {
 func WithClusterResilience(r ClusterResilience) Option {
 	return func(o *options) { o.resilience = &r }
 }
-
-// withoutRun skips the batch run inside Open; the deprecated New shim uses
-// it so legacy callers keep the explicit Run step.
-func withoutRun() Option { return func(o *options) { o.skipRun = true } }
 
 // Tamer is the context-aware public handle over the fusion pipeline. All
 // query and ingestion methods accept a context and honor its cancellation;
@@ -257,8 +247,6 @@ func Open(ctx context.Context, opts ...Option) (*Tamer, error) {
 		return nil, err
 	}
 	switch {
-	case o.skipRun:
-		// Legacy New path: the caller drives Run itself.
 	case cl != nil:
 		warm, err := cl.Warm(ctx)
 		if err != nil {
@@ -285,7 +273,7 @@ func Open(ctx context.Context, opts ...Option) (*Tamer, error) {
 		if err := t.CleanAndConsolidate(ctx); err != nil {
 			return fail(err)
 		}
-	case o.liveDir != "" && live.HasCheckpoint(o.liveDir):
+	case o.liveDir != "" && store.HasCheckpoint(o.liveDir):
 		// A checkpoint will replace the stores and fused view; only the
 		// schema/registry side of the batch run is still needed.
 		if err := t.ImportFTables(ctx); err != nil {
@@ -297,7 +285,7 @@ func Open(ctx context.Context, opts ...Option) (*Tamer, error) {
 		}
 	}
 	tm := &Tamer{core: t, cl: cl}
-	if o.liveDir != "" && !o.skipRun {
+	if o.liveDir != "" {
 		cfg := o.liveCfg
 		cfg.Dir = o.liveDir
 		ing, err := live.Open(ctx, t, cfg)
@@ -309,43 +297,19 @@ func Open(ctx context.Context, opts ...Option) (*Tamer, error) {
 	return tm, nil
 }
 
-// New builds a pipeline with the given configuration without running it.
-//
-// Deprecated: use Open with functional options; it runs the batch
-// pipeline under a context and can enable live ingestion.
-func New(cfg Config) *Tamer {
-	tm, err := Open(context.Background(), func(o *options) { o.cfg = cfg }, withoutRun())
-	if err != nil {
-		// The skipRun path performs no I/O today; if Open ever grows option
-		// validation, failing loudly beats returning a half-built pipeline.
-		panic("datatamer: New: " + err.Error())
-	}
-	return tm
-}
-
-// Run executes the batch pipeline. Open already does this; Run exists for
-// pipelines built with the deprecated New.
-func (t *Tamer) Run(ctx context.Context) error { return t.core.Run(ctx) }
-
-// IngestWebText runs only the web-text ingestion stage of the batch
-// pipeline (generate, parse, load both text namespaces).
-func (t *Tamer) IngestWebText(ctx context.Context) error { return t.core.IngestWebText(ctx) }
-
-// SaveStores checkpoints both sharded text namespaces into dir.
-//
-// Deprecated: use SaveStoresCtx so cluster checkpoint RPCs honor the
-// caller's cancellation and deadline.
-func (t *Tamer) SaveStores(dir string) error { return t.core.SaveStores(dir) }
-
-// SaveStoresCtx checkpoints both sharded text namespaces into dir. In
-// cluster mode the remote shards checkpoint themselves on their hosting
-// nodes under ctx.
+// SaveStoresCtx checkpoints both sharded text namespaces into dir,
+// atomically: an earlier checkpoint in dir stays the one LoadStores reads
+// until the new one is complete. In cluster mode the remote shards
+// checkpoint themselves on their hosting nodes under ctx.
 func (t *Tamer) SaveStoresCtx(ctx context.Context, dir string) error {
 	return t.core.SaveStoresCtx(ctx, dir)
 }
 
-// LoadStores recovers both text namespaces from a SaveStores checkpoint.
-func (t *Tamer) LoadStores(dir string) error { return t.core.LoadStores(dir) }
+// LoadStores replaces both text namespaces with the checkpoint
+// SaveStoresCtx committed in dir, rebuilding their indexes under ctx.
+func (t *Tamer) LoadStores(ctx context.Context, dir string) error {
+	return t.core.LoadStores(ctx, dir)
+}
 
 // Close stops the live ingester (draining and checkpointing) when one is
 // open and disconnects from the shard cluster in cluster mode. It is safe
@@ -367,7 +331,7 @@ func (t *Tamer) Close() error {
 func (t *Tamer) Live() bool { return t.ing != nil }
 
 // Config returns the effective (defaulted) configuration.
-func (t *Tamer) Config() Config { return t.core.Config() }
+func (t *Tamer) Config() core.Config { return t.core.Config() }
 
 // ServeOptions configures the production middleware around the HTTP API:
 // metrics, response caching, rate limiting, and admission control. The
@@ -396,9 +360,9 @@ type ServeOptions struct {
 	Pprof bool
 }
 
-// Handler returns the versioned HTTP API (/v1 plus deprecated legacy
-// shims) over this pipeline, with write endpoints live iff WithLive was
-// used, default metrics, and the response cache enabled.
+// Handler returns the versioned HTTP API (/v1) over this pipeline, with
+// write endpoints live iff WithLive was used, default metrics, and the
+// response cache enabled.
 func (t *Tamer) Handler() http.Handler { return t.HandlerOptions(ServeOptions{}) }
 
 // HandlerOptions is Handler with the serving middleware configured

@@ -27,7 +27,8 @@
 // With -data-dir the node is durable: every replicated mutation is
 // appended to a per-shard CRC-framed WAL before it is acknowledged, a
 // clean shutdown (SIGINT/SIGTERM) checkpoints each shard (snapshot +
-// index manifest, WAL truncated), and startup recovers the last
+// index manifest committed by one rename, WAL truncated — the store.Log
+// protocol the live ingester shares), and startup recovers the last
 // checkpoint plus the WAL tail — so a restarted node resumes at the
 // generation it last acknowledged and the coordinator reconnects without
 // re-ingesting:

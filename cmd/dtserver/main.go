@@ -12,8 +12,7 @@
 // The HTTP surface is the versioned /v1 API (uniform envelope, pagination,
 // typed errors): GET /v1/stats /v1/types /v1/top /v1/cheapest /v1/find
 // /v1/show, POST /v1/ingest/text /v1/ingest/records /v1/flush, GET
-// /v1/live/stats. The unversioned legacy routes remain as deprecated
-// shims for one release.
+// /v1/live/stats.
 //
 // The serving tier is production-shaped by default: Prometheus-format
 // metrics at GET /metrics and a generation-keyed response cache with

@@ -25,7 +25,9 @@
 //   - live ingestion (internal/live): streaming writes after the batch
 //     run, acknowledged only once appended to a CRC-framed write-ahead
 //     log, applied by a batching worker pool, and recovered after a
-//     crash by replaying the WAL over the last checkpoint;
+//     crash by replaying the WAL over the last checkpoint — the one
+//     durable-log protocol (internal/store.Log) that also backs dtnode
+//     shards and SaveStoresCtx;
 //   - a versioned HTTP surface (internal/serve, /v1 with a uniform
 //     response envelope and pagination) and a Go client SDK for it
 //     (repro/client). Handler wraps the routes in production middleware:
@@ -87,10 +89,6 @@
 // branch with errors.Is — e.g. dterr.ErrNotFound, dterr.ErrBusy (write
 // abandoned under backpressure), dterr.ErrUnavailable (live methods on a
 // batch-only pipeline).
-//
-// The pre-v1 constructor New(Config) remains as a deprecated shim for
-// one release; note that Run and the query methods are context-aware
-// now, so pre-v1 call sites need a mechanical update when upgrading.
 //
 // Every generator is deterministic given WithSeed, and the benchmark
 // suite in bench_test.go regenerates each table and figure of the paper.

@@ -1,15 +1,16 @@
-// Checkpoint demonstrates the store persistence layer: ingest the web-text
-// corpus, checkpoint both sharded namespaces to disk, recover them into a
-// fresh pipeline, and show that queries agree — plus journal-based
-// recovery with a torn-tail write.
+// Checkpoint demonstrates the durability layer: run the pipeline,
+// checkpoint both sharded namespaces to disk, recover them into a second
+// pipeline, and show that queries agree — plus write-ahead-log recovery
+// with a torn-tail write, on the same store.Log primitive that backs the
+// checkpoint, the live ingester and the cluster nodes.
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	datatamer "repro"
 	"repro/internal/store"
@@ -24,23 +25,28 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// Ingest, then checkpoint. New builds the pipeline without running it,
-	// so only the web-text stage executes here.
+	// Run, then checkpoint: one snapshot per shard in an epoch directory,
+	// committed by renaming checkpoint.meta into place.
 	ctx := context.Background()
-	tamer := datatamer.New(datatamer.Config{Fragments: 500, FTSources: 5, Seed: 3})
-	if err := tamer.IngestWebText(ctx); err != nil {
+	tamer, err := datatamer.Open(ctx, datatamer.WithFragments(500), datatamer.WithSources(5), datatamer.WithSeed(3))
+	if err != nil {
 		log.Fatal(err)
 	}
-	if err := tamer.SaveStores(dir); err != nil {
+	snapDir := filepath.Join(dir, "stores")
+	if err := tamer.SaveStoresCtx(ctx, snapDir); err != nil {
 		log.Fatal(err)
 	}
 	before := tamer.EntityStats()
 	fmt.Printf("checkpointed %d instances / %d entities to %s\n",
-		tamer.InstanceStats().Count, before.Count, dir)
+		tamer.InstanceStats().Count, before.Count, snapDir)
 
-	// Recover into a brand-new pipeline.
-	recovered := datatamer.New(datatamer.Config{Fragments: 500, FTSources: 5, Seed: 3})
-	if err := recovered.LoadStores(dir); err != nil {
+	// Recover into a second, smaller pipeline: LoadStores replaces its
+	// stores wholesale.
+	recovered, err := datatamer.Open(ctx, datatamer.WithFragments(50), datatamer.WithSources(5), datatamer.WithSeed(4))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := recovered.LoadStores(ctx, snapDir); err != nil {
 		log.Fatal(err)
 	}
 	after := recovered.EntityStats()
@@ -56,30 +62,46 @@ func main() {
 		fmt.Printf("  %d. %s (%d mentions)\n", i+1, d.Name, d.Mentions)
 	}
 
-	// Journal recovery with a torn tail: only complete frames replay.
-	var journalBuf bytes.Buffer
-	journal, err := store.NewJournal(&journalBuf)
+	// WAL recovery with a torn tail: only complete frames replay. The owner
+	// here is a bare collection whose events are whole documents.
+	walDir := filepath.Join(dir, "log")
+	coll := store.NewCollection("journaled", 0)
+	load := func(cpDir string) error { return nil } // the demo checkpoints an empty collection
+	write := func(cpDir string) error { return nil }
+	apply := func(_ uint64, _ byte, payload []byte) error {
+		doc, err := store.DecodeDoc(payload)
+		if err == nil {
+			coll.Insert(doc)
+		}
+		return err
+	}
+	lg, err := store.OpenLog(walDir, false, load, apply, write)
 	if err != nil {
 		log.Fatal(err)
 	}
-	doc := store.NewDoc().Set("name", store.Str("Matilda")).Set("type", store.Str("Movie"))
-	if err := journal.LogInsert(1, doc); err != nil {
+	doc := store.EncodeDoc(store.NewDoc().Set("name", store.Str("Matilda")).Set("type", store.Str("Movie")))
+	for i := 0; i < 2; i++ {
+		if _, err := lg.Append(1, doc); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
 		log.Fatal(err)
 	}
-	if err := journal.LogInsert(2, doc); err != nil {
-		log.Fatal(err)
-	}
-	if err := journal.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	torn := journalBuf.Bytes()[:journalBuf.Len()-7] // simulate a crash mid-write
-
-	db := store.Open("dt", 0)
-	coll := db.Collection("journaled")
-	stats, err := coll.ReplayJournal(bytes.NewReader(torn))
+	wal := filepath.Join(walDir, store.LogWALFile)
+	st, err := os.Stat(wal)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("journal replay after torn write: %d inserts applied, truncated=%v, count=%d\n",
-		stats.Inserts, stats.Truncated, coll.Count())
+	if err := os.Truncate(wal, st.Size()-7); err != nil { // simulate a crash mid-write
+		log.Fatal(err)
+	}
+	lg, err = store.OpenLog(walDir, false, load, apply, write)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer lg.Close()
+	rep := lg.Recovered()
+	fmt.Printf("wal replay after torn write: %d events applied, truncated=%v, count=%d\n",
+		rep.Applied, rep.Truncated, coll.Count())
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/dterr"
+	"repro/internal/core"
 	"repro/internal/extract"
 	"repro/internal/record"
 )
@@ -169,11 +170,11 @@ func TestDeterministicRuns(t *testing.T) {
 // "at scale" architecture claim at laptop size).
 func TestScaleGrowth(t *testing.T) {
 	ctx := context.Background()
-	small := New(Config{Fragments: 100, FTSources: 3, Seed: 2, ExtentSize: 64 << 10})
+	small := core.New(core.Config{Fragments: 100, FTSources: 3, Seed: 2, ExtentSize: 64 << 10})
 	if err := small.IngestWebText(ctx); err != nil {
 		t.Fatal(err)
 	}
-	large := New(Config{Fragments: 400, FTSources: 3, Seed: 2, ExtentSize: 64 << 10})
+	large := core.New(core.Config{Fragments: 400, FTSources: 3, Seed: 2, ExtentSize: 64 << 10})
 	if err := large.IngestWebText(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,6 @@ var Analyzer = &analysis.Analyzer{
 // Every entry is a deliberate design decision, reviewed here instead of
 // scattered through suppression comments.
 var Allowlist = map[string]string{
-	// Deprecated pre-context facade constructor: no caller context exists.
-	"repro.New": "deprecated context-free constructor kept for one release",
-
 	// Legacy non-context store wrappers kept for the batch pipeline's
 	// internal callers; each delegates to its Ctx sibling.
 	"repro/internal/store.(*Sharded).Insert":          "legacy wrapper over InsertCtx",
@@ -53,8 +50,6 @@ var Allowlist = map[string]string{
 	// Lifecycle paths that own their work rather than serving a caller:
 	// Close/SIGTERM checkpointing and the background replication loop.
 	"repro/internal/live.(*Ingester).Close":        "Close drains on behalf of no caller; the open context governs abort",
-	"repro/internal/core.(*Tamer).SaveStores":      "legacy wrapper over SaveStoresCtx, kept for the signal path",
-	"repro/internal/core.(*Tamer).LoadStores":      "startup restore; no request context exists",
 	"repro/internal/live.Ingester.openCtx":         "documented lifecycle context: cancelling it aborts the applier",
 	"repro/internal/cluster.(*Follower).pullShard": "replication pull runs on the follower's own schedule, bounded by DefaultCallTimeout",
 }

@@ -52,6 +52,11 @@ var Allowlist = map[string]string{
 	"repro/internal/cluster.(*Node).Checkpoint":       "checkpoint under h.mu captures a consistent store+seq pair",
 	"repro/internal/cluster.(*Follower).pullShard":    "replica apply under h.mu mirrors the leader's ack ordering",
 
+	// The one durable log's ack path: l.mu serializes append, flush and
+	// (optional) fsync so the sequence number Append returns is durable
+	// before the next event can be numbered.
+	"repro/internal/store.(*Log).Append": "append+flush+fsync under l.mu IS the ack ordering contract",
+
 	// Snapshot streaming: WriteSnapshot holds c.mu.RLock across the
 	// bufio/os writes on purpose — the point-in-time consistency of the
 	// snapshot is the feature, and readers proceed under the RLock.

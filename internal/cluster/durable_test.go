@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -140,10 +139,10 @@ func TestDurableWALRecovery(t *testing.T) {
 	defer revived.Close()
 	assertDurableState(t, revived)
 
-	// Recovery re-checkpointed: the manifest now carries the recovered
-	// generation and further writes continue the same counter.
-	if _, err := os.Stat(filepath.Join(dir, shardDirName(ShardKey(NSEntities, 0)), shardManifestName)); err != nil {
-		t.Fatalf("no manifest after recovery: %v", err)
+	// Recovery re-checkpointed: a committed checkpoint now carries the
+	// recovered generation and further writes continue the same counter.
+	if !store.HasCheckpoint(filepath.Join(dir, shardDirName(ShardKey(NSEntities, 0)))) {
+		t.Fatal("no committed checkpoint after recovery")
 	}
 	ent := NewRemoteShard(NSEntities, 0, Loopback{Node: revived}, nil)
 	if _, err := ent.Insert(context.Background(), store.NewDoc().Set("name", store.Str("post"))); err != nil {
@@ -178,10 +177,13 @@ func TestCheckpointOp(t *testing.T) {
 		t.Fatalf("checkpoint with -data-dir: %v", err)
 	}
 	sdir := filepath.Join(dir, shardDirName(ShardKey(NSEntities, 0)))
-	for _, name := range []string{shardSnapName, shardManifestName, shardWALName} {
-		if _, err := os.Stat(filepath.Join(sdir, name)); err != nil {
-			t.Errorf("checkpoint left no %s: %v", name, err)
+	for _, name := range []string{shardSnapName, shardManifestName} {
+		if files, _ := filepath.Glob(filepath.Join(sdir, "*", name)); len(files) != 1 {
+			t.Errorf("checkpoint left %v for %s, want one committed copy", files, name)
 		}
+	}
+	if rd := node.Readiness().Shards[ShardKey(NSEntities, 0)]; rd.WALLag != 0 || !rd.Durable {
+		t.Errorf("readiness after checkpoint = %+v, want durable with no WAL lag", rd)
 	}
 }
 

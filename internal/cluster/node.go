@@ -37,13 +37,13 @@ type repEvent struct {
 // replication sequence number, so "follower applied seq G" and "follower
 // is current through generation G" are the same statement. When the node
 // runs with a data directory, dur mirrors every retained event to a
-// node-local WAL under the same sequence numbers.
+// node-local store.Log under the same sequence numbers.
 type hostedShard struct {
 	mu     sync.Mutex
 	coll   *store.Collection
 	gen    uint64
 	events []repEvent
-	dur    *shardStore // nil when the node runs without -data-dir
+	dur    *store.Log // nil when the node runs without -data-dir
 }
 
 // view returns the collection and generation under one lock acquisition.
@@ -53,17 +53,21 @@ func (h *hostedShard) view() (*store.Collection, uint64) {
 	return h.coll, h.gen
 }
 
-// health captures one shard's readiness view under its lock. now is
-// passed in so a batch of shards reports against one clock reading.
+// health captures one shard's readiness view. now is passed in so a
+// batch of shards reports against one clock reading.
 func (h *hostedShard) health(now time.Time) ShardHealth {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	sh := ShardHealth{Gen: h.gen}
-	if h.dur != nil {
+	gen, dur := h.gen, h.dur
+	h.mu.Unlock()
+	sh := ShardHealth{Gen: gen}
+	if dur != nil {
+		st := dur.Stats()
 		sh.Durable = true
-		sh.WALLag = h.gen - h.dur.cpGen
-		if !h.dur.cpAt.IsZero() {
-			sh.CheckpointAgeSec = now.Sub(h.dur.cpAt).Seconds()
+		if gen > st.Fence { // a checkpoint may land between the two reads
+			sh.WALLag = gen - st.Fence
+		}
+		if !st.CheckpointAt.IsZero() {
+			sh.CheckpointAgeSec = now.Sub(st.CheckpointAt).Seconds()
 		}
 	}
 	return sh
@@ -86,9 +90,28 @@ func (h *hostedShard) logRawLocked(kind byte, payload []byte) error {
 		h.events = h.events[len(h.events)-maxRepLog:]
 	}
 	if h.dur != nil {
-		return h.dur.append(h.gen, kind, payload)
+		return h.appendDurable(h.gen, kind, payload)
 	}
 	return nil
+}
+
+// appendDurable logs one mutation event at sequence seq. seq must be the
+// log's next sequence number — generations increment by one per mutation,
+// so any gap means the in-memory shard and its WAL diverged, which is
+// corruption, not a recoverable state. Must hold h.mu.
+func (h *hostedShard) appendDurable(seq uint64, kind byte, payload []byte) error {
+	if next := h.dur.NextSeq(); next != seq {
+		return fmt.Errorf("cluster: shard wal at seq %d, event has seq %d", next, seq)
+	}
+	_, err := h.dur.Append(kind, payload)
+	return err
+}
+
+// checkpointLocked persists the shard at its current generation and
+// truncates its WAL to continue from there. Must hold h.mu.
+func (h *hostedShard) checkpointLocked() error {
+	coll := h.coll
+	return h.dur.Checkpoint(h.gen, func(cpDir string) error { return writeShardCheckpoint(coll, cpDir) })
 }
 
 // Node hosts shards and serves the wire protocol over them. One process
@@ -205,7 +228,7 @@ func (n *Node) handleWrite(req *Request, h *hostedShard) *Response {
 			return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
 		}
 		var buf bytes.Buffer
-		putUvarint(&buf, uint64(id))
+		store.PutUvarint(&buf, uint64(id))
 		resp.Body = buf.Bytes()
 	case OpUpdate:
 		id, d, err := DecodeIDDoc(req.Body)
@@ -245,7 +268,7 @@ func (n *Node) handleWrite(req *Request, h *hostedShard) *Response {
 		}
 	case OpCreateTextIndex:
 		rd := bytes.NewReader(req.Body)
-		path, err := getString(rd)
+		path, err := store.GetString(rd)
 		if err != nil {
 			return errResp(req.ID, err)
 		}
@@ -278,7 +301,7 @@ func (n *Node) handleRead(req *Request, h *hostedShard) *Response {
 		resp.Body = EncodeDocList(coll.Find(filter))
 	case OpCount:
 		var buf bytes.Buffer
-		putUvarint(&buf, uint64(coll.Count()))
+		store.PutUvarint(&buf, uint64(coll.Count()))
 		resp.Body = buf.Bytes()
 	case OpCountWhere:
 		filter, err := DecodeFilter(req.Body)
@@ -286,11 +309,11 @@ func (n *Node) handleRead(req *Request, h *hostedShard) *Response {
 			return errResp(req.ID, err)
 		}
 		var buf bytes.Buffer
-		putUvarint(&buf, uint64(coll.CountWhere(filter)))
+		store.PutUvarint(&buf, uint64(coll.CountWhere(filter)))
 		resp.Body = buf.Bytes()
 	case OpDistinct:
 		rd := bytes.NewReader(req.Body)
-		path, err := getString(rd)
+		path, err := store.GetString(rd)
 		if err != nil {
 			return errResp(req.ID, err)
 		}
@@ -341,7 +364,7 @@ func (n *Node) handlePull(req *Request, h *hostedShard) *Response {
 		})
 		var buf bytes.Buffer
 		buf.WriteByte(PullSnapshot)
-		putBytes(&buf, EncodeIndexManifest(h.coll))
+		store.PutBytes(&buf, EncodeIndexManifest(h.coll))
 		buf.Write(EncodeSnapshot(ids, docs))
 		resp.Body = buf.Bytes()
 		return resp
@@ -388,7 +411,7 @@ func (n *Node) handleCheckpoint(req *Request, h *hostedShard) *Response {
 		return errResp(req.ID, dterr.Newf(dterr.CodeUnavailable,
 			"cluster: node %q has no data directory; start dtnode with -data-dir", n.name))
 	}
-	if err := h.dur.checkpoint(h.coll, h.gen); err != nil {
+	if err := h.checkpointLocked(); err != nil {
 		return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
 	}
 	return &Response{ID: req.ID, Gen: h.gen}
@@ -396,25 +419,19 @@ func (n *Node) handleCheckpoint(req *Request, h *hostedShard) *Response {
 
 // EnableDurability backs every hosted shard with a directory under root:
 // existing state is recovered (checkpoint snapshot + WAL replay), the
-// recovered state is re-checkpointed so the WAL restarts compact, and
-// every subsequent mutation is appended to the shard WAL before its
-// response is sent. Call after AddShard/BuildNode and before serving.
-// extentSize sizes recovered collections (same value BuildNode used).
+// recovered state is re-checkpointed (unless the restart was clean) so the
+// WAL restarts compact, and every subsequent mutation is appended to the
+// shard WAL before its response is sent. Call after AddShard/BuildNode and
+// before serving. extentSize sizes recovered collections (same value
+// BuildNode used).
 func (n *Node) EnableDurability(root string, extentSize int64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for key, h := range n.shards {
-		st, err := openShardStore(root, key)
-		if err != nil {
-			return err
-		}
 		h.mu.Lock()
-		coll, gen, err := st.recover(h.coll, extentSize)
+		lg, coll, err := openShardLog(root, key, h.coll, extentSize)
 		if err == nil {
-			err = st.checkpoint(coll, gen)
-		}
-		if err == nil {
-			h.coll, h.gen, h.dur = coll, gen, st
+			h.coll, h.gen, h.dur = coll, lg.NextSeq()-1, lg
 		}
 		h.mu.Unlock()
 		if err != nil {
@@ -440,7 +457,7 @@ func (n *Node) Checkpoint() error {
 		if h.dur == nil {
 			err = dterr.New(dterr.CodeUnavailable, "cluster: node has no data directory")
 		} else {
-			err = h.dur.checkpoint(h.coll, h.gen)
+			err = h.checkpointLocked()
 		}
 		h.mu.Unlock()
 		if err != nil {
@@ -454,16 +471,20 @@ func (n *Node) Checkpoint() error {
 // nodes without durability.
 func (n *Node) Close() error {
 	n.mu.RLock()
-	defer n.mu.RUnlock()
-	var first error
+	logs := make([]*store.Log, 0, len(n.shards))
 	for _, h := range n.shards {
 		h.mu.Lock()
 		if h.dur != nil {
-			if err := h.dur.close(); err != nil && first == nil {
-				first = err
-			}
+			logs = append(logs, h.dur)
 		}
 		h.mu.Unlock()
+	}
+	n.mu.RUnlock()
+	var first error
+	for _, lg := range logs {
+		if err := lg.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
 	return first
 }
@@ -712,7 +733,7 @@ func (f *Follower) pullShard(key string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultCallTimeout)
 	defer cancel()
 	var body bytes.Buffer
-	putUvarint(&body, after)
+	store.PutUvarint(&body, after)
 	resp, err := f.primary.Call(ctx, &Request{Op: OpPull, Shard: key, Body: body.Bytes()})
 	if err != nil {
 		return err
@@ -730,7 +751,7 @@ func (f *Follower) pullShard(key string) error {
 		// instead of silently serving unindexed reads until the next
 		// index-create event.
 		rd := bytes.NewReader(resp.Body[1:])
-		manifest, err := getBytes(rd)
+		manifest, err := store.GetBytes(rd)
 		if err != nil {
 			return dterr.Wrap(dterr.CodeInternal, err)
 		}
@@ -752,7 +773,7 @@ func (f *Follower) pullShard(key string) error {
 		if h.dur != nil {
 			// The resync jumped the generation; a checkpoint re-anchors the
 			// shard WAL at the new position.
-			derr = h.dur.checkpoint(fresh, resp.Gen)
+			derr = h.checkpointLocked()
 		}
 		h.mu.Unlock()
 		if derr != nil {
@@ -768,7 +789,7 @@ func (f *Follower) pullShard(key string) error {
 					return err
 				}
 				if h.dur != nil {
-					if err := h.dur.append(seq, kind, payload); err != nil {
+					if err := h.appendDurable(seq, kind, payload); err != nil {
 						return err
 					}
 				}

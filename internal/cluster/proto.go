@@ -93,10 +93,10 @@ type Request struct {
 // Encode serializes the request for framing.
 func (r *Request) Encode() []byte {
 	var buf bytes.Buffer
-	putUvarint(&buf, r.ID)
+	store.PutUvarint(&buf, r.ID)
 	buf.WriteByte(r.Op)
-	putString(&buf, r.Shard)
-	putUvarint(&buf, r.MinGen)
+	store.PutString(&buf, r.Shard)
+	store.PutUvarint(&buf, r.MinGen)
 	buf.Write(r.Body)
 	return buf.Bytes()
 }
@@ -112,7 +112,7 @@ func DecodeRequest(data []byte) (*Request, error) {
 	if err != nil {
 		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: request op")
 	}
-	shard, err := getString(rd)
+	shard, err := store.GetString(rd)
 	if err != nil {
 		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: request shard")
 	}
@@ -142,15 +142,15 @@ type Response struct {
 // errors.Is comparisons against the dterr sentinels survive the wire.
 func (r *Response) Encode() []byte {
 	var buf bytes.Buffer
-	putUvarint(&buf, r.ID)
+	store.PutUvarint(&buf, r.ID)
 	if r.Err != nil {
 		buf.WriteByte(1)
-		putString(&buf, string(r.Err.Code))
-		putString(&buf, r.Err.Message)
+		store.PutString(&buf, string(r.Err.Code))
+		store.PutString(&buf, r.Err.Message)
 		return buf.Bytes()
 	}
 	buf.WriteByte(0)
-	putUvarint(&buf, r.Gen)
+	store.PutUvarint(&buf, r.Gen)
 	buf.Write(r.Body)
 	return buf.Bytes()
 }
@@ -167,11 +167,11 @@ func DecodeResponse(data []byte) (*Response, error) {
 		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: response status")
 	}
 	if status == 1 {
-		code, err := getString(rd)
+		code, err := store.GetString(rd)
 		if err != nil {
 			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: response error code")
 		}
-		msg, err := getString(rd)
+		msg, err := store.GetString(rd)
 		if err != nil {
 			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: response error message")
 		}
@@ -347,9 +347,9 @@ func DecodeIDDoc(data []byte) (int64, *store.Doc, error) {
 // EncodeDocList packs a document list — the find response body.
 func EncodeDocList(docs []*store.Doc) []byte {
 	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(docs)))
+	store.PutUvarint(&buf, uint64(len(docs)))
 	for _, d := range docs {
-		putBytes(&buf, store.EncodeDoc(d))
+		store.PutBytes(&buf, store.EncodeDoc(d))
 	}
 	return buf.Bytes()
 }
@@ -366,7 +366,7 @@ func DecodeDocList(data []byte) ([]*store.Doc, error) {
 	}
 	docs := make([]*store.Doc, 0, n)
 	for i := uint64(0); i < n; i++ {
-		raw, err := getBytes(rd)
+		raw, err := store.GetBytes(rd)
 		if err != nil {
 			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: doc %d", i)
 		}
@@ -383,12 +383,12 @@ func DecodeDocList(data []byte) ([]*store.Doc, error) {
 // the full-resync pull payload.
 func EncodeSnapshot(ids []int64, docs []*store.Doc) []byte {
 	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(ids)))
+	store.PutUvarint(&buf, uint64(len(ids)))
 	for i, id := range ids {
 		var idb [8]byte
 		binary.LittleEndian.PutUint64(idb[:], uint64(id))
 		buf.Write(idb[:])
-		putBytes(&buf, store.EncodeDoc(docs[i]))
+		store.PutBytes(&buf, store.EncodeDoc(docs[i]))
 	}
 	return buf.Bytes()
 }
@@ -410,7 +410,7 @@ func DecodeSnapshot(data []byte) ([]int64, []*store.Doc, error) {
 		if _, err := io.ReadFull(rd, idb[:]); err != nil {
 			return nil, nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: snapshot id %d", i)
 		}
-		raw, err := getBytes(rd)
+		raw, err := store.GetBytes(rd)
 		if err != nil {
 			return nil, nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: snapshot doc %d", i)
 		}
@@ -433,10 +433,10 @@ func EncodeDistinct(m map[string]int64) []byte {
 	}
 	sort.Strings(keys)
 	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(keys)))
+	store.PutUvarint(&buf, uint64(len(keys)))
 	for _, k := range keys {
-		putString(&buf, k)
-		putUvarint(&buf, uint64(m[k]))
+		store.PutString(&buf, k)
+		store.PutUvarint(&buf, uint64(m[k]))
 	}
 	return buf.Bytes()
 }
@@ -453,7 +453,7 @@ func DecodeDistinct(data []byte) (map[string]int64, error) {
 	}
 	out := make(map[string]int64, n)
 	for i := uint64(0); i < n; i++ {
-		k, err := getString(rd)
+		k, err := store.GetString(rd)
 		if err != nil {
 			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: distinct key %d", i)
 		}
@@ -506,19 +506,19 @@ func DecodeStats(data []byte) (store.Stats, error) {
 // EncodeCreateIndex packs a create-index request body.
 func EncodeCreateIndex(name, path string, kind store.IndexKind) []byte {
 	var buf bytes.Buffer
-	putString(&buf, name)
-	putString(&buf, path)
-	putUvarint(&buf, uint64(kind))
+	store.PutString(&buf, name)
+	store.PutString(&buf, path)
+	store.PutUvarint(&buf, uint64(kind))
 	return buf.Bytes()
 }
 
 // DecodeCreateIndex unpacks EncodeCreateIndex.
 func DecodeCreateIndex(data []byte) (name, path string, kind store.IndexKind, err error) {
 	rd := bytes.NewReader(data)
-	if name, err = getString(rd); err != nil {
+	if name, err = store.GetString(rd); err != nil {
 		return "", "", 0, dterr.Wrapf(dterr.CodeInternal, err, "cluster: index name")
 	}
-	if path, err = getString(rd); err != nil {
+	if path, err = store.GetString(rd); err != nil {
 		return "", "", 0, dterr.Wrapf(dterr.CodeInternal, err, "cluster: index path")
 	}
 	k, err := binary.ReadUvarint(rd)
@@ -536,14 +536,14 @@ func DecodeCreateIndex(data []byte) (name, path string, kind store.IndexKind, er
 func EncodeIndexManifest(c *store.Collection) []byte {
 	var buf bytes.Buffer
 	ixs := c.Indexes()
-	putUvarint(&buf, uint64(len(ixs)))
+	store.PutUvarint(&buf, uint64(len(ixs)))
 	for _, ix := range ixs {
-		putBytes(&buf, EncodeCreateIndex(ix.Name, ix.Path, ix.Kind))
+		store.PutBytes(&buf, EncodeCreateIndex(ix.Name, ix.Path, ix.Kind))
 	}
 	txs := c.TextIndexes()
-	putUvarint(&buf, uint64(len(txs)))
+	store.PutUvarint(&buf, uint64(len(txs)))
 	for _, tx := range txs {
-		putString(&buf, tx.Path)
+		store.PutString(&buf, tx.Path)
 	}
 	return buf.Bytes()
 }
@@ -558,7 +558,7 @@ func ApplyIndexManifest(c *store.Collection, data []byte) error {
 		return dterr.Wrapf(dterr.CodeInternal, err, "cluster: manifest index count")
 	}
 	for i := uint64(0); i < n; i++ {
-		raw, err := getBytes(rd)
+		raw, err := store.GetBytes(rd)
 		if err != nil {
 			return dterr.Wrapf(dterr.CodeInternal, err, "cluster: manifest index %d", i)
 		}
@@ -573,7 +573,7 @@ func ApplyIndexManifest(c *store.Collection, data []byte) error {
 		return dterr.Wrapf(dterr.CodeInternal, err, "cluster: manifest text index count")
 	}
 	for i := uint64(0); i < m; i++ {
-		p, err := getString(rd)
+		p, err := store.GetString(rd)
 		if err != nil {
 			return dterr.Wrapf(dterr.CodeInternal, err, "cluster: manifest text index %d", i)
 		}
@@ -595,9 +595,9 @@ type ShardInfo struct {
 // EncodeShardInfo packs an OpInfo response body.
 func EncodeShardInfo(info ShardInfo) []byte {
 	var buf bytes.Buffer
-	putUvarint(&buf, info.Gen)
-	putUvarint(&buf, uint64(info.Count))
-	putBytes(&buf, info.Manifest)
+	store.PutUvarint(&buf, info.Gen)
+	store.PutUvarint(&buf, uint64(info.Count))
+	store.PutBytes(&buf, info.Manifest)
 	return buf.Bytes()
 }
 
@@ -612,47 +612,9 @@ func DecodeShardInfo(data []byte) (ShardInfo, error) {
 	if err != nil {
 		return ShardInfo{}, dterr.Wrapf(dterr.CodeInternal, err, "cluster: info count")
 	}
-	man, err := getBytes(rd)
+	man, err := store.GetBytes(rd)
 	if err != nil {
 		return ShardInfo{}, dterr.Wrapf(dterr.CodeInternal, err, "cluster: info manifest")
 	}
 	return ShardInfo{Gen: gen, Count: int64(count), Manifest: man}, nil
-}
-
-// --- buffer helpers ---------------------------------------------------
-
-func putUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
-func putString(buf *bytes.Buffer, s string) {
-	putUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-func putBytes(buf *bytes.Buffer, p []byte) {
-	putUvarint(buf, uint64(len(p)))
-	buf.Write(p)
-}
-
-func getString(rd *bytes.Reader) (string, error) {
-	b, err := getBytes(rd)
-	return string(b), err
-}
-
-func getBytes(rd *bytes.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(rd.Len()) {
-		return nil, fmt.Errorf("length %d exceeds remaining bytes", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(rd, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }

@@ -159,7 +159,7 @@ func (r *RemoteShard) CountWhere(ctx context.Context, filter store.Filter) (int6
 // Distinct implements store.ShardBackend.
 func (r *RemoteShard) Distinct(ctx context.Context, path string) (map[string]int64, error) {
 	var buf bytes.Buffer
-	putString(&buf, path)
+	store.PutString(&buf, path)
 	resp, err := r.callRead(ctx, OpDistinct, buf.Bytes())
 	if err != nil {
 		return nil, err
@@ -197,7 +197,7 @@ func (r *RemoteShard) CreateIndex(ctx context.Context, name, path string, kind s
 // CreateTextIndex implements store.ShardBackend.
 func (r *RemoteShard) CreateTextIndex(ctx context.Context, path string) error {
 	var buf bytes.Buffer
-	putString(&buf, path)
+	store.PutString(&buf, path)
 	_, err := r.callPrimary(ctx, OpCreateTextIndex, buf.Bytes())
 	return err
 }

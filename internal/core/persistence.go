@@ -13,7 +13,9 @@ import (
 // Store persistence: checkpoint the two text namespaces to a directory and
 // recover them later — the operational side of the "scalable architecture"
 // (the paper's deployment relied on the storage engine's own durability;
-// ours is part of the reproduction).
+// ours is part of the reproduction). The directory protocol (epoch
+// directories committed by one meta rename) is store.Log's; this file only
+// supplies the callbacks that write and read one epoch directory.
 
 // Checkpointer is implemented by shard backends that persist their own
 // state somewhere the coordinator cannot reach — a cluster RemoteShard
@@ -22,29 +24,24 @@ type Checkpointer interface {
 	Checkpoint(ctx context.Context) error
 }
 
-// SaveStores checkpoints both namespaces with no caller context.
-//
-// Deprecated: use SaveStoresCtx. In cluster mode SaveStores issues
-// checkpoint RPCs to the shard nodes, and without a context those RPCs
-// cannot be cancelled or deadlined by the caller.
-func (t *Tamer) SaveStores(dir string) error {
-	return t.SaveStoresCtx(context.Background(), dir)
+// SaveStoresCtx checkpoints both namespaces into dir, atomically: the
+// previous checkpoint in dir stays the one LoadStores reads until the new
+// one is complete. See SnapshotStores for what is written.
+func (t *Tamer) SaveStoresCtx(ctx context.Context, dir string) error {
+	return store.SaveCheckpoint(dir, func(cpDir string) error { return t.SnapshotStores(ctx, cpDir) })
 }
 
-// SaveStoresCtx writes one snapshot file per shard of both namespaces
-// into dir: instance-<i>.snap and entity-<i>.snap. Remote shards are not
-// written into dir; each is asked to checkpoint itself on its hosting
-// node under ctx (nodes running without a data directory answer
-// unavailable, which callers tolerate the way they did before node
-// durability existed).
-func (t *Tamer) SaveStoresCtx(ctx context.Context, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("core: creating snapshot dir: %w", err)
-	}
-	if err := saveSharded(ctx, dir, "instance", t.Instances); err != nil {
+// SnapshotStores writes one snapshot file per shard of both namespaces
+// into cpDir, a checkpoint directory handed out by a store.Log:
+// instance-<i>.snap and entity-<i>.snap. Remote shards are not written
+// into cpDir; each is asked to checkpoint itself on its hosting node
+// under ctx (nodes running without a data directory answer unavailable,
+// which callers tolerate the way they did before node durability existed).
+func (t *Tamer) SnapshotStores(ctx context.Context, cpDir string) error {
+	if err := saveSharded(ctx, cpDir, "instance", t.Instances); err != nil {
 		return err
 	}
-	return saveSharded(ctx, dir, "entity", t.Entities)
+	return saveSharded(ctx, cpDir, "entity", t.Entities)
 }
 
 func saveSharded(ctx context.Context, dir, prefix string, s *store.Sharded) error {
@@ -79,23 +76,29 @@ func saveSharded(ctx context.Context, dir, prefix string, s *store.Sharded) erro
 	return nil
 }
 
-// LoadStores reads snapshots written by SaveStores into fresh namespaces,
-// rebuilding the standard index sets. The shard count and extent size come
-// from the receiver's configuration and must match the saved layout's
-// shard count. In cluster mode (remote shards) there is nothing to load
-// coordinator-side: the nodes recovered their own state from their local
-// WAL/checkpoints, so LoadStores keeps the cluster routing intact and
-// only retires memoized rankings.
-func (t *Tamer) LoadStores(dir string) error {
+// LoadStores recovers both namespaces from the checkpoint SaveStoresCtx
+// committed in dir. See RestoreStores.
+func (t *Tamer) LoadStores(ctx context.Context, dir string) error {
+	return store.LoadCheckpoint(dir, func(cpDir string) error { return t.RestoreStores(ctx, cpDir) })
+}
+
+// RestoreStores reads the snapshots SnapshotStores wrote into cpDir into
+// fresh namespaces, rebuilding the standard index sets under ctx. The
+// shard count and extent size come from the receiver's configuration and
+// must match the saved layout's shard count. In cluster mode (remote
+// shards) there is nothing to load coordinator-side: the nodes recovered
+// their own state from their local WAL/checkpoints, so RestoreStores keeps
+// the cluster routing intact and only retires memoized rankings.
+func (t *Tamer) RestoreStores(ctx context.Context, cpDir string) error {
 	if t.Instances.NumShards() > 0 && t.Instances.Shard(0) == nil {
 		t.entityGen.Add(1)
 		return nil
 	}
-	inst, err := loadSharded(dir, "instance", "dt.instance", "source_url", t.cfg)
+	inst, err := loadSharded(cpDir, "instance", "dt.instance", "source_url", t.cfg)
 	if err != nil {
 		return err
 	}
-	ent, err := loadSharded(dir, "entity", "dt.entity", "name", t.cfg)
+	ent, err := loadSharded(cpDir, "entity", "dt.entity", "name", t.cfg)
 	if err != nil {
 		return err
 	}
@@ -103,7 +106,7 @@ func (t *Tamer) LoadStores(dir string) error {
 	t.Entities = ent
 	t.Query.Instances = inst
 	t.Query.Entities = ent
-	if err := t.indexStores(context.Background()); err != nil {
+	if err := t.indexStores(ctx); err != nil {
 		return err
 	}
 	// The entity store changed wholesale: retire any memoized ranking.

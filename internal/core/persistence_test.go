@@ -23,11 +23,12 @@ func TestSaveLoadStores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := tm.SaveStores(dir); err != nil {
+	if err := tm.SaveStoresCtx(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
-	// 3 shards per namespace → 6 snapshot files.
-	files, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	// 3 shards per namespace → 6 snapshot files, in the one committed
+	// checkpoint directory.
+	files, err := filepath.Glob(filepath.Join(dir, "*", "*.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,14 @@ func TestSaveLoadStores(t *testing.T) {
 
 	// Recover into a fresh pipeline.
 	fresh := New(Config{Fragments: 150, FTSources: 3, Shards: 3, Seed: 4})
-	if err := fresh.LoadStores(dir); err != nil {
+	// A cancelled caller stops the restore instead of rebuilding every
+	// index first.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := fresh.LoadStores(cancelled, dir); !errors.Is(err, context.Canceled) {
+		t.Fatalf("LoadStores under a cancelled ctx = %v, want context.Canceled", err)
+	}
+	if err := fresh.LoadStores(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	gotInst := fresh.InstanceStats()
@@ -69,13 +77,13 @@ func TestSaveLoadStores(t *testing.T) {
 
 func TestLoadStoresMissingDir(t *testing.T) {
 	tm := New(Config{Fragments: 10, FTSources: 1, Seed: 1})
-	if err := tm.LoadStores(filepath.Join(os.TempDir(), "does-not-exist-dtamer")); err == nil {
+	if err := tm.LoadStores(context.Background(), filepath.Join(os.TempDir(), "does-not-exist-dtamer")); err == nil {
 		t.Error("loading from a missing directory should fail")
 	}
 }
 
 // checkpointBackend plays a remote shard that persists itself on its
-// hosting node: Shard(i) returns nil for it, so SaveStores must delegate
+// hosting node: Shard(i) returns nil for it, so SaveStoresCtx must delegate
 // through the Checkpointer interface.
 type checkpointBackend struct {
 	store.LocalShard
@@ -90,7 +98,7 @@ func (b *checkpointBackend) Checkpoint(ctx context.Context) error {
 // TestSaveStoresCtxReachesRemoteShards is the regression test for the
 // checkpoint path silently dropping the caller's context before the
 // remote-shard checkpoint RPCs: /v1/flush?checkpoint=1 carried a request
-// context all the way to SaveStores, which then called Checkpoint under
+// context all the way to the store save, which then called Checkpoint under
 // context.Background(), making in-flight checkpoint RPCs uncancellable.
 func TestSaveStoresCtxReachesRemoteShards(t *testing.T) {
 	tm := New(Config{Fragments: 10, FTSources: 1, Seed: 1})
@@ -118,10 +126,10 @@ func TestSaveStoresCreatesDir(t *testing.T) {
 	if err := tm.IngestWebText(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := tm.SaveStores(dir); err != nil {
+	if err := tm.SaveStoresCtx(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "entity-0.snap")); err != nil {
-		t.Errorf("snapshot missing: %v", err)
+	if files, _ := filepath.Glob(filepath.Join(dir, "*", "entity-0.snap")); len(files) != 1 {
+		t.Errorf("snapshot missing: %v", files)
 	}
 }

@@ -13,13 +13,13 @@
 // inserts ride the same maintenance as batch ingest, keeping the instance
 // store's inverted text index current for serve-time substring queries.
 //
-// Durability: an acknowledged write survives a process kill. Recovery
-// replays the WAL over the last checkpoint (store snapshots + fused view),
-// fenced by sequence numbers so a crash between checkpoint and WAL
-// rotation cannot double-apply events; checkpoints are committed
-// atomically (epoch directory + meta rename), so a crash mid-checkpoint
-// falls back to the previous one. Backpressure: the apply queue is
-// bounded, so writers block once the pipeline falls behind.
+// Durability: an acknowledged write survives a process kill. The ingester
+// directory is a store.Log — the one WAL + checkpoint-by-rename protocol —
+// whose checkpoints hold the store snapshots and the fused view; recovery
+// replays the WAL over the last checkpoint, fenced by sequence numbers so
+// no event is applied twice, and a crash mid-checkpoint falls back to the
+// previous one. Backpressure: the apply queue is bounded, so writers block
+// once the pipeline falls behind.
 //
 // Known limitations: checkpoints persist the document stores and the fused
 // view but not the registry/global-schema deltas produced by live record
@@ -42,7 +42,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -115,10 +114,9 @@ type event struct {
 
 // Ingester accepts live writes against a pipeline.
 type Ingester struct {
-	cfg    Config
-	tamer  *core.Tamer
-	wal    *wal
-	replay store.EventReplayStats
+	cfg   Config
+	tamer *core.Tamer
+	log   *store.Log
 
 	// openCtx is the lifecycle context passed to Open. Cancelling it stops
 	// the applier loop: remaining queued events are released unapplied (they
@@ -126,12 +124,10 @@ type Ingester struct {
 	openCtx context.Context
 
 	// ingestMu serializes WAL append + enqueue so apply order matches log
-	// order; Checkpoint holds it to stall writers during a snapshot. epoch
-	// (the committed checkpoint generation) and replayErrors (events
-	// dropped during Open's recovery) are written only under it or before
-	// the ingester is shared.
+	// order; Checkpoint holds it to stall writers during a snapshot.
+	// replayErrors (events dropped during Open's recovery) is written only
+	// before the ingester is shared.
 	ingestMu     sync.Mutex
-	epoch        uint64
 	replayErrors int
 
 	queue   chan event
@@ -168,9 +164,6 @@ func Open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
 	if cfg.Dir == "" {
 		return nil, dterr.New(dterr.CodeInvalidArgument, "live: Config.Dir is required")
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("live: creating dir: %w", err)
-	}
 	ing := &Ingester{
 		cfg:     cfg,
 		tamer:   t,
@@ -181,57 +174,32 @@ func Open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
 	}
 	ing.cond = sync.NewCond(&ing.mu)
 
-	meta, hasCheckpoint, err := readMeta(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	if hasCheckpoint {
-		cpDir := epochDir(cfg.Dir, meta.Epoch)
-		if err := t.LoadStores(cpDir); err != nil {
-			return nil, fmt.Errorf("live: loading checkpoint: %w", err)
+	// Recovery: load the committed checkpoint, replay the WAL tail over it,
+	// and (unless nothing was replayed) re-checkpoint so the WAL restarts
+	// compact with sequence numbers continuing past everything ever logged.
+	// In cluster mode the checkpoint delegates to the nodes' own data
+	// directories; nodes running without -data-dir answer unavailable,
+	// which store.OpenLog tolerates by committing nothing.
+	load := func(cpDir string) error {
+		if err := t.RestoreStores(ctx, cpDir); err != nil {
+			return err
 		}
 		fused, err := loadFused(filepath.Join(cpDir, fusedName))
 		if err != nil {
-			return nil, fmt.Errorf("live: loading fused checkpoint: %w", err)
+			return fmt.Errorf("live: loading fused checkpoint: %w", err)
 		}
 		t.RestoreFused(fused)
-		ing.epoch = meta.Epoch
+		return nil
 	}
-
-	walPath := filepath.Join(cfg.Dir, walName)
-	ing.replay, err = replayWAL(walPath, meta.LastSeq, ing.applyReplayed)
+	apply := func(_ uint64, kind byte, payload []byte) error { return ing.applyReplayed(kind, payload) }
+	var err error
+	ing.log, err = store.OpenLog(cfg.Dir, cfg.Fsync, load, apply, ing.checkpointWriter(ctx))
 	if err != nil {
-		return nil, fmt.Errorf("live: wal replay: %w", err)
+		return nil, fmt.Errorf("live: recovering %s: %w", cfg.Dir, err)
 	}
 	if _, err := t.RefreshFused(ctx); err != nil {
+		ing.log.Close()
 		return nil, fmt.Errorf("live: refreshing fused view after replay: %w", err)
-	}
-
-	// Re-checkpoint the recovered state and start a clean WAL whose
-	// sequence numbers continue past everything ever logged. When a valid
-	// checkpoint exists and the replay changed nothing, it is already a
-	// correct fence — skip rewriting the snapshots.
-	nextSeq := meta.LastSeq + 1
-	if ing.replay.LastSeq >= nextSeq {
-		nextSeq = ing.replay.LastSeq + 1
-	}
-	cleanRestart := hasCheckpoint && ing.replay.Applied == 0 &&
-		ing.replayErrors == 0 && !ing.replay.Truncated
-	if cleanRestart {
-		// Still sweep epoch directories left by a crash mid-checkpoint.
-		dropStaleEpochs(cfg.Dir, ing.epoch)
-	} else if err := ing.checkpointState(ctx, nextSeq-1); err != nil {
-		// In cluster mode SaveStores delegates to the nodes' own data
-		// directories; nodes running without -data-dir answer unavailable,
-		// and the WAL (not truncated on this path) remains the recovery
-		// source for them.
-		if !errors.Is(err, dterr.ErrUnavailable) {
-			return nil, err
-		}
-	}
-	ing.wal, err = createWAL(walPath, nextSeq, cfg.Fsync)
-	if err != nil {
-		return nil, err
 	}
 
 	ing.wg.Add(1)
@@ -310,7 +278,7 @@ func (ing *Ingester) IngestRecords(ctx context.Context, source string, recs []*r
 	ing.ingestMu.Lock()
 	defer ing.ingestMu.Unlock()
 	// All appends hold ingestMu, so the next sequence number is stable here.
-	seq := ing.wal.nextSeq()
+	seq := ing.log.NextSeq()
 	var stamped []*record.Record
 	for i, r := range recs {
 		if r.ID == "" {
@@ -365,7 +333,7 @@ func (ing *Ingester) enqueueLocked(ctx context.Context, ev event, payload []byte
 	ing.pending++
 	ing.queuedBytes += int64(ev.size)
 	ing.mu.Unlock()
-	if _, err := ing.wal.append(ev.kind, payload); err != nil {
+	if _, err := ing.log.Append(ev.kind, payload); err != nil {
 		ing.unaccount(1, int64(ev.size))
 		return err
 	}
@@ -613,45 +581,23 @@ func (ing *Ingester) Checkpoint(ctx context.Context) error {
 	if err := ing.Flush(ctx); err != nil {
 		return err
 	}
-	if err := ing.checkpointState(ctx, ing.wal.lastSeq()); err != nil {
-		return err
-	}
-	return ing.wal.rotate()
+	return ing.log.Checkpoint(ing.log.NextSeq()-1, ing.checkpointWriter(ctx))
 }
 
-// checkpointState writes the store snapshots and fused view into a fresh
-// epoch directory, then commits it by renaming the meta file into place —
-// only after the commit does the new fence take effect, so a crash at any
-// earlier point leaves the previous checkpoint authoritative. In cluster
-// mode the snapshot step issues checkpoint RPCs to the shard nodes under
-// ctx. Must hold ingestMu (or be called before the ingester is shared).
-func (ing *Ingester) checkpointState(ctx context.Context, lastSeq uint64) error {
-	next := ing.epoch + 1
-	cpDir := epochDir(ing.cfg.Dir, next)
-	if err := ing.tamer.SaveStoresCtx(ctx, cpDir); err != nil {
-		return fmt.Errorf("live: checkpoint stores: %w", err)
-	}
-	if err := saveFused(filepath.Join(cpDir, fusedName), ing.tamer.FusedRecords()); err != nil {
-		return fmt.Errorf("live: checkpoint fused view: %w", err)
-	}
-	if ing.cfg.Fsync {
-		// The epoch must be durable before the meta commit, and the commit
-		// durable before any caller truncates the WAL it fences.
-		if err := syncTree(cpDir); err != nil {
-			return fmt.Errorf("live: syncing checkpoint: %w", err)
+// checkpointWriter is the owner callback of the ingester's store.Log: it
+// fills one checkpoint directory with the store snapshots and the fused
+// view. In cluster mode the snapshot step issues checkpoint RPCs to the
+// shard nodes under ctx.
+func (ing *Ingester) checkpointWriter(ctx context.Context) func(cpDir string) error {
+	return func(cpDir string) error {
+		if err := ing.tamer.SnapshotStores(ctx, cpDir); err != nil {
+			return fmt.Errorf("live: checkpoint stores: %w", err)
 		}
-	}
-	if err := writeMeta(ing.cfg.Dir, checkpointMeta{LastSeq: lastSeq, Epoch: next}, ing.cfg.Fsync); err != nil {
-		return err
-	}
-	if ing.cfg.Fsync {
-		if err := syncPath(ing.cfg.Dir); err != nil {
-			return fmt.Errorf("live: syncing checkpoint dir: %w", err)
+		if err := saveFused(filepath.Join(cpDir, fusedName), ing.tamer.FusedRecords()); err != nil {
+			return fmt.Errorf("live: checkpoint fused view: %w", err)
 		}
+		return nil
 	}
-	ing.epoch = next
-	dropStaleEpochs(ing.cfg.Dir, next)
-	return nil
 }
 
 // Close drains and applies every acknowledged write, checkpoints, and
@@ -674,7 +620,7 @@ func (ing *Ingester) Close() error {
 	defer ing.ingestMu.Unlock()
 	if wasAborted {
 		ing.wg.Wait()
-		return ing.wal.close()
+		return ing.log.Close()
 	}
 	err := ing.Flush(context.Background())
 	// The open context may have been cancelled while Flush waited; the
@@ -686,37 +632,29 @@ func (ing *Ingester) Close() error {
 	ing.mu.Unlock()
 	if abortedMeanwhile {
 		ing.wg.Wait()
-		if cerr := ing.wal.close(); err == nil {
+		if cerr := ing.log.Close(); err == nil {
 			err = cerr
 		}
 		return err
 	}
 	close(ing.done)
 	ing.wg.Wait()
-	// In cluster mode SaveStores delegates the shard snapshots to the
+	// In cluster mode the checkpoint delegates the shard snapshots to the
 	// hosting nodes' data directories. Nodes without -data-dir answer
 	// unavailable; the WAL then stays authoritative across restarts
 	// instead of the checkpoint, exactly as before node durability.
-	if cerr := ing.checkpointState(context.Background(), ing.wal.lastSeq()); err == nil && !errors.Is(cerr, dterr.ErrUnavailable) {
+	cerr := ing.log.Checkpoint(ing.log.NextSeq()-1, ing.checkpointWriter(context.Background()))
+	if err == nil && !errors.Is(cerr, dterr.ErrUnavailable) {
 		err = cerr
 	}
-	if cerr := ing.wal.close(); err == nil {
+	if cerr := ing.log.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
 // Replay reports what Open recovered from the WAL.
-func (ing *Ingester) Replay() store.EventReplayStats { return ing.replay }
-
-// HasCheckpoint reports whether dir holds a committed checkpoint, i.e.
-// whether Open will restore store state rather than keep the pipeline's
-// current contents. Callers can use it to skip rebuilding state that a
-// recovery would immediately replace.
-func HasCheckpoint(dir string) bool {
-	_, ok, err := readMeta(dir)
-	return err == nil && ok
-}
+func (ing *Ingester) Replay() store.EventReplayStats { return ing.log.Recovered() }
 
 // Stats is a point-in-time snapshot of the ingester, the /live/stats view.
 type Stats struct {
@@ -759,6 +697,7 @@ func (ing *Ingester) Stats() Stats {
 	closed := ing.closed
 	applyErr := ing.applyErr
 	ing.mu.Unlock()
+	wal, replay := ing.log.Stats(), ing.log.Recovered()
 	s := Stats{
 		QueueDepth:      len(ing.queue),
 		QueueCapacity:   cap(ing.queue),
@@ -774,13 +713,13 @@ func (ing *Ingester) Stats() Stats {
 		FusedRefreshes:  ing.refreshes.Load(),
 		FusedDirty:      ing.tamer.FusedDirty(),
 		ApplyErrors:     ing.applyErrors.Load(),
-		WALSizeBytes:    ing.wal.sizeBytes(),
-		WALEvents:       ing.wal.eventCount(),
-		NextSeq:         ing.wal.nextSeq(),
-		ReplayApplied:   ing.replay.Applied,
-		ReplaySkipped:   ing.replay.Skipped,
+		WALSizeBytes:    wal.WALSizeBytes,
+		WALEvents:       wal.WALEvents,
+		NextSeq:         wal.NextSeq,
+		ReplayApplied:   replay.Applied,
+		ReplaySkipped:   replay.Skipped,
 		ReplayErrors:    ing.replayErrors,
-		ReplayTruncated: ing.replay.Truncated,
+		ReplayTruncated: replay.Truncated,
 		Closed:          closed,
 	}
 	if n := s.Batches; n > 0 {

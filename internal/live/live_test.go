@@ -188,7 +188,7 @@ func TestTornWALTailRecoversCleanly(t *testing.T) {
 		}
 	}
 	// Crash mid-write: shear bytes off the last WAL frame.
-	walPath := filepath.Join(dir, walName)
+	walPath := filepath.Join(dir, store.LogWALFile)
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestCheckpointFencesDoubleApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	applied := tm1.InstanceStats().Count
-	walPath := filepath.Join(dir, walName)
+	walPath := filepath.Join(dir, store.LogWALFile)
 	preCheckpoint, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +322,7 @@ func TestPoisonWALEventDoesNotBrickRecovery(t *testing.T) {
 	// Hand-craft a WAL with good events around an unknown kind and an
 	// undecodable payload — e.g. written by a newer version or corrupted
 	// in a way CRC framing cannot see.
-	f, err := os.Create(filepath.Join(dir, walName))
+	f, err := os.Create(filepath.Join(dir, store.LogWALFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestCheckpointCommitIsAtomic(t *testing.T) {
 	count := tm.InstanceStats().Count
 	// Crash mid-next-checkpoint: an uncommitted epoch directory exists with
 	// garbage contents, but the meta file still names the committed epoch.
-	stale := epochDir(dir, 99)
+	stale := filepath.Join(dir, "checkpoint-000099")
 	if err := os.MkdirAll(stale, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -459,10 +459,19 @@ func TestCleanRestartSkipsRecheckpoint(t *testing.T) {
 	if err := ing1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	meta1, ok, err := readMeta(dir)
-	if err != nil || !ok {
-		t.Fatalf("meta after close: %v %v", ok, err)
+	// The commit record plus the epoch directory it names.
+	committed := func() string {
+		meta, err := os.ReadFile(filepath.Join(dir, "checkpoint.meta"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		epochs, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
+		return fmt.Sprintf("%x %v", meta, epochs)
 	}
+	if !store.HasCheckpoint(dir) {
+		t.Fatal("no checkpoint after close")
+	}
+	before := committed()
 	// Clean restart: nothing to replay, so the existing checkpoint must be
 	// kept as-is rather than rewritten under a new epoch.
 	tm2 := liveTamer(t)
@@ -470,12 +479,8 @@ func TestCleanRestartSkipsRecheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta2, _, err := readMeta(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta2.Epoch != meta1.Epoch || meta2.LastSeq != meta1.LastSeq {
-		t.Errorf("clean restart rewrote checkpoint: %+v -> %+v", meta1, meta2)
+	if after := committed(); after != before {
+		t.Errorf("clean restart rewrote checkpoint: %s -> %s", before, after)
 	}
 	// And the fence still works for writes made after the clean restart.
 	if err := ing2.IngestText(context.Background(), []Fragment{fragmentAt(1)}); err != nil {

@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"sync"
 
 	"repro/internal/datagen"
 	"repro/internal/record"
@@ -20,16 +17,17 @@ const (
 	evRecords byte = 2 // a batch of structured records from one source
 )
 
-// walName is the write-ahead log file inside the ingester directory.
-const walName = "live.wal"
+// fusedName is the fused-view file beside the store snapshots in a
+// checkpoint directory.
+const fusedName = "fused.snap"
 
 // encodeText serializes a fragment batch: count, then (url, text) pairs.
 func encodeText(frags []datagen.Fragment) []byte {
 	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(frags)))
+	store.PutUvarint(&buf, uint64(len(frags)))
 	for _, f := range frags {
-		putString(&buf, f.URL)
-		putString(&buf, f.Text)
+		store.PutString(&buf, f.URL)
+		store.PutString(&buf, f.Text)
 	}
 	return buf.Bytes()
 }
@@ -42,11 +40,11 @@ func decodeText(payload []byte) ([]datagen.Fragment, error) {
 	}
 	frags := make([]datagen.Fragment, 0, n)
 	for i := uint64(0); i < n; i++ {
-		url, err := getString(r)
+		url, err := store.GetString(r)
 		if err != nil {
 			return nil, fmt.Errorf("live: text event url: %w", err)
 		}
-		text, err := getString(r)
+		text, err := store.GetString(r)
 		if err != nil {
 			return nil, fmt.Errorf("live: text event body: %w", err)
 		}
@@ -59,8 +57,8 @@ func decodeText(payload []byte) ([]datagen.Fragment, error) {
 // record (source, id, doc bytes) — the doc codec carries the typed fields.
 func encodeRecords(source string, recs []*record.Record) []byte {
 	var buf bytes.Buffer
-	putString(&buf, source)
-	putUvarint(&buf, uint64(len(recs)))
+	store.PutString(&buf, source)
+	store.PutUvarint(&buf, uint64(len(recs)))
 	for _, r := range recs {
 		encodeRecordTo(&buf, r)
 	}
@@ -69,7 +67,7 @@ func encodeRecords(source string, recs []*record.Record) []byte {
 
 func decodeRecords(payload []byte) (string, []*record.Record, error) {
 	r := bytes.NewReader(payload)
-	source, err := getString(r)
+	source, err := store.GetString(r)
 	if err != nil {
 		return "", nil, fmt.Errorf("live: record event source: %w", err)
 	}
@@ -91,31 +89,22 @@ func decodeRecords(payload []byte) (string, []*record.Record, error) {
 // encodeRecordTo writes one flat record as (source, id, doc bytes), the doc
 // built from the record's scalar fields so value kinds round-trip.
 func encodeRecordTo(buf *bytes.Buffer, r *record.Record) {
-	putString(buf, r.Source)
-	putString(buf, r.ID)
-	data := store.EncodeDoc(store.FromRecord(r))
-	putUvarint(buf, uint64(len(data)))
-	buf.Write(data)
+	store.PutString(buf, r.Source)
+	store.PutString(buf, r.ID)
+	store.PutBytes(buf, store.EncodeDoc(store.FromRecord(r)))
 }
 
 func decodeRecordFrom(r *bytes.Reader) (*record.Record, error) {
-	source, err := getString(r)
+	source, err := store.GetString(r)
 	if err != nil {
 		return nil, err
 	}
-	id, err := getString(r)
+	id, err := store.GetString(r)
 	if err != nil {
 		return nil, err
 	}
-	n, err := binary.ReadUvarint(r)
+	data, err := store.GetBytes(r)
 	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("record doc length %d exceeds payload", n)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
 		return nil, err
 	}
 	d, err := store.DecodeDoc(data)
@@ -126,171 +115,6 @@ func decodeRecordFrom(r *bytes.Reader) (*record.Record, error) {
 	rec.Source = source
 	rec.ID = id
 	return rec, nil
-}
-
-func putUvarint(buf *bytes.Buffer, x uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], x)])
-}
-
-func putString(buf *bytes.Buffer, s string) {
-	putUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-func getString(r *bytes.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n == 0 {
-		// Read on a zero-length buffer at end-of-stream reports io.EOF;
-		// an empty string is a valid value, not an error.
-		return "", nil
-	}
-	if n > uint64(r.Len()) {
-		return "", fmt.Errorf("string length %d exceeds payload", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// wal owns the on-disk write-ahead log file. Appends are flushed before
-// they are acknowledged, so an acked write survives a process kill; Sync
-// additionally fsyncs each append for power-failure durability.
-type wal struct {
-	mu     sync.Mutex
-	path   string
-	f      *os.File
-	log    *store.EventLog
-	sync   bool
-	size   int64
-	events int64
-}
-
-// createWAL starts a fresh log file at path with sequence numbers
-// continuing from nextSeq, replacing any existing file.
-func createWAL(path string, nextSeq uint64, fsync bool) (*wal, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("live: creating wal: %w", err)
-	}
-	lg, err := store.NewEventLogAt(f, nextSeq)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("live: starting wal: %w", err)
-	}
-	if err := lg.Flush(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	w := &wal{path: path, f: f, log: lg, sync: fsync}
-	if fsync {
-		// The file's data is fsynced per append, but the file itself only
-		// survives a power failure once its directory entry is durable.
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := syncPath(filepath.Dir(path)); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if st, err := f.Stat(); err == nil {
-		w.size = st.Size()
-	}
-	return w, nil
-}
-
-// append writes, flushes, and (optionally) fsyncs one event; the returned
-// sequence number is durable when append returns.
-func (w *wal) append(kind byte, payload []byte) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	seq, err := w.log.Append(kind, payload)
-	if err != nil {
-		return 0, err
-	}
-	if err := w.log.Flush(); err != nil {
-		return 0, err
-	}
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return 0, err
-		}
-	}
-	w.events++
-	// Frame layout: 4-byte length + (uvarint seq + kind + payload) + 4-byte
-	// CRC. Tracked arithmetically to keep fstat off the hot write path.
-	var tmp [binary.MaxVarintLen64]byte
-	w.size += int64(8 + binary.PutUvarint(tmp[:], seq) + 1 + len(payload))
-	return seq, nil
-}
-
-// rotate truncates the log after a checkpoint, keeping the sequence
-// numbering monotonic.
-func (w *wal) rotate() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	next := w.log.NextSeq()
-	if err := w.log.Close(); err != nil {
-		return err
-	}
-	fresh, err := createWAL(w.path, next, w.sync)
-	if err != nil {
-		return err
-	}
-	w.f, w.log, w.size, w.events = fresh.f, fresh.log, fresh.size, 0
-	return nil
-}
-
-func (w *wal) sizeBytes() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
-}
-
-func (w *wal) eventCount() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.events
-}
-
-func (w *wal) nextSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.log.NextSeq()
-}
-
-// lastSeq is the highest sequence number appended so far.
-func (w *wal) lastSeq() uint64 {
-	return w.nextSeq() - 1
-}
-
-func (w *wal) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.log.Close()
-}
-
-// replayWAL streams events from path through apply, skipping events at or
-// below afterSeq. A missing file is an empty log.
-func replayWAL(path string, afterSeq uint64, apply func(kind byte, payload []byte) error) (store.EventReplayStats, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return store.EventReplayStats{}, nil
-	}
-	if err != nil {
-		return store.EventReplayStats{}, fmt.Errorf("live: opening wal: %w", err)
-	}
-	defer f.Close()
-	return store.ReplayEventLog(f, afterSeq, func(_ uint64, kind byte, payload []byte) error {
-		return apply(kind, payload)
-	})
 }
 
 // Fused-view checkpoint file: one event per consolidated record, reusing
@@ -350,124 +174,4 @@ func loadFused(path string) ([]*record.Record, error) {
 		return nil, fmt.Errorf("live: fused checkpoint %s is truncated", path)
 	}
 	return recs, nil
-}
-
-// Checkpoints are written to epoch-numbered directories
-// (checkpoint-<epoch>/ with store snapshots plus fused.snap); the meta file
-// is the atomic commit point — it is renamed into place only after the new
-// epoch directory is complete, so a crash mid-checkpoint leaves the
-// previous epoch (and its WAL fence) intact.
-const (
-	checkpointPrefix = "checkpoint-"
-	metaName         = "checkpoint.meta"
-	fusedName        = "fused.snap"
-)
-
-type checkpointMeta struct {
-	// LastSeq fences WAL replay: events at or below it are in the checkpoint.
-	LastSeq uint64
-	// Epoch names the committed checkpoint directory.
-	Epoch uint64
-}
-
-// epochDir is the checkpoint directory for one epoch, inside dir.
-func epochDir(dir string, epoch uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%06d", checkpointPrefix, epoch))
-}
-
-// dropStaleEpochs best-effort removes every checkpoint directory except the
-// committed epoch's — uncommitted epochs from crashed checkpoints and
-// superseded ones.
-func dropStaleEpochs(dir string, keep uint64) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	keepName := filepath.Base(epochDir(dir, keep))
-	for _, e := range entries {
-		if e.IsDir() && len(e.Name()) > len(checkpointPrefix) &&
-			e.Name()[:len(checkpointPrefix)] == checkpointPrefix && e.Name() != keepName {
-			os.RemoveAll(filepath.Join(dir, e.Name()))
-		}
-	}
-}
-
-// syncPath opens path read-only and fsyncs it — files and directory
-// entries of a checkpoint are hardened this way in Fsync mode, so the WAL
-// is never truncated before the checkpoint that replaces it is durable.
-func syncPath(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// syncTree fsyncs every regular file directly under dir, then dir itself
-// (checkpoint directories are flat).
-func syncTree(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			if err := syncPath(filepath.Join(dir, e.Name())); err != nil {
-				return err
-			}
-		}
-	}
-	return syncPath(dir)
-}
-
-// writeMeta commits a checkpoint by renaming the meta file into place.
-// With fsync the tmp file's data is made durable BEFORE the rename — a
-// rename whose directory entry survives a power cut while the file data
-// does not would leave a corrupt commit record that bricks every Open.
-func writeMeta(dir string, m checkpointMeta, fsync bool) error {
-	var buf bytes.Buffer
-	putUvarint(&buf, m.LastSeq)
-	putUvarint(&buf, m.Epoch)
-	tmp := filepath.Join(dir, metaName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		return err
-	}
-	if fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, metaName))
-}
-
-func readMeta(dir string) (checkpointMeta, bool, error) {
-	data, err := os.ReadFile(filepath.Join(dir, metaName))
-	if os.IsNotExist(err) {
-		return checkpointMeta{}, false, nil
-	}
-	if err != nil {
-		return checkpointMeta{}, false, err
-	}
-	seq, n := binary.Uvarint(data)
-	if n <= 0 {
-		return checkpointMeta{}, false, fmt.Errorf("live: corrupt checkpoint meta")
-	}
-	epoch, n2 := binary.Uvarint(data[n:])
-	if n2 <= 0 {
-		return checkpointMeta{}, false, fmt.Errorf("live: corrupt checkpoint meta")
-	}
-	return checkpointMeta{LastSeq: seq, Epoch: epoch}, true, nil
 }

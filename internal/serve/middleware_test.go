@@ -171,34 +171,42 @@ func TestRateLimitShedsOverRateOnly(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesThroughMiddleware is the satellite regression: the
-// deprecated unversioned shims ride the same middleware chain as /v1 —
-// they are metered and rate limited, while still carrying their
-// Deprecation header.
-func TestLegacyRoutesThroughMiddleware(t *testing.T) {
+// TestUnroutedPathsThroughMiddleware: with the unversioned shims gone,
+// their old paths — like any unknown path — answer the mux's 404, still
+// ride the middleware chain (metered, rate limited), and are labeled with
+// the bounded "other" route rather than the raw path.
+func TestUnroutedPathsThroughMiddleware(t *testing.T) {
 	tm := newTamer(t)
 	reg := obs.NewRegistry()
 	s := New(tm, WithGeneration(tm.DataGeneration), WithMetrics(reg), WithRateLimit(3, 3))
 
-	if rec := getWithHeaders(t, s, "/stats", nil); rec.Code != http.StatusOK || rec.Header().Get("Deprecation") == "" {
-		t.Fatalf("legacy /stats = %d, Deprecation %q", rec.Code, rec.Header().Get("Deprecation"))
+	for _, path := range []string{"/stats", "/ingest/text", "/no/such/route"} {
+		if rec := getWithHeaders(t, s, path, map[string]string{"X-API-Key": path}); rec.Code != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", path, rec.Code)
+		}
 	}
-	if !strings.Contains(reg.Render(), `dt_http_requests_total{route="/stats",method="GET",code="200"}`) {
-		t.Errorf("legacy route not metered:\n%s", reg.Render())
+	out := reg.Render()
+	if !strings.Contains(out, `dt_http_requests_total{route="other",method="GET",code="404"} 3`) {
+		t.Errorf("unrouted paths not metered under the bounded label:\n%s", out)
+	}
+	for _, raw := range []string{`route="/stats"`, `route="/ingest/text"`, `route="/no/such/route"`} {
+		if strings.Contains(out, raw) {
+			t.Errorf("raw path leaked into the route label: %s", raw)
+		}
 	}
 
 	shed := false
 	for i := 0; i < 10; i++ {
 		if rec := getWithHeaders(t, s, "/top", nil); rec.Code == http.StatusTooManyRequests {
 			if rec.Header().Get("Retry-After") == "" {
-				t.Fatal("legacy 429 without Retry-After")
+				t.Fatal("429 without Retry-After")
 			}
 			shed = true
 			break
 		}
 	}
 	if !shed {
-		t.Error("legacy route not rate limited")
+		t.Error("unrouted path not rate limited")
 	}
 }
 

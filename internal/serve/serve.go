@@ -33,13 +33,8 @@
 //	POST /v1/flush[?checkpoint=1]     drain apply queue / snapshot + truncate
 //	GET  /v1/live/stats               queue depth, batch latency, WAL size
 //
-// Legacy unversioned routes (/stats, /types, /top, /show, /find,
-// /cheapest, /ingest/*, /flush, /live/stats) remain as deprecated shims
-// for one release; they keep their pre-/v1 response shapes and send a
-// Deprecation header pointing at the /v1 successor.
-//
 // Production serving middleware (opt-in through ServerOptions) wraps the
-// whole route tree, legacy shims included: per-route metrics
+// whole route tree: per-route metrics
 // (internal/obs, exposed at GET /metrics), per-client token-bucket rate
 // limiting, queue-depth admission control shedding with 429 +
 // Retry-After, and a data-generation-keyed response cache with strong
@@ -65,8 +60,6 @@ import (
 
 // Querier is the read surface the server needs from a pipeline.
 type Querier interface {
-	InstanceStats() store.Stats
-	EntityStats() store.Stats
 	InstanceStatsCtx(ctx context.Context) (store.Stats, error)
 	EntityStatsCtx(ctx context.Context) (store.Stats, error)
 	EntityTypeCounts(ctx context.Context) ([]core.TypeCount, error)
@@ -141,27 +134,12 @@ func NewLive(q Querier, ing Ingestor, opts ...ServerOption) *Server {
 	s.mux.HandleFunc("POST /v1/flush", s.v1Flush)
 	s.mux.HandleFunc("GET /v1/live/stats", s.v1LiveStats)
 
-	// Deprecated legacy shims, one release of grace.
-	s.mux.HandleFunc("GET /stats", deprecated("/v1/stats", s.handleStats))
-	s.mux.HandleFunc("GET /types", deprecated("/v1/types", s.handleTypes))
-	s.mux.HandleFunc("GET /top", deprecated("/v1/top", s.handleTop))
-	s.mux.HandleFunc("GET /show", deprecated("/v1/show", s.handleShow))
-	s.mux.HandleFunc("GET /find", deprecated("/v1/find", s.handleFind))
-	s.mux.HandleFunc("GET /cheapest", deprecated("/v1/cheapest", s.handleCheapest))
-	s.mux.HandleFunc("POST /ingest/text", deprecated("/v1/ingest/text", s.handleIngestText))
-	s.mux.HandleFunc("POST /ingest/records", deprecated("/v1/ingest/records", s.handleIngestRecords))
-	s.mux.HandleFunc("POST /flush", deprecated("/v1/flush", s.handleFlush))
-	s.mux.HandleFunc("GET /live/stats", deprecated("/v1/live/stats", s.handleLiveStats))
-
 	s.routes = map[string]bool{
 		"/healthz": true, "/metrics": true,
 		"/v1/stats": true, "/v1/types": true, "/v1/top": true,
 		"/v1/cheapest": true, "/v1/find": true, "/v1/show": true,
 		"/v1/ingest/text": true, "/v1/ingest/records": true,
 		"/v1/flush": true, "/v1/live/stats": true,
-		"/stats": true, "/types": true, "/top": true, "/show": true,
-		"/find": true, "/cheapest": true, "/ingest/text": true,
-		"/ingest/records": true, "/flush": true, "/live/stats": true,
 	}
 	s.assembleChain()
 	return s
@@ -169,9 +147,7 @@ func NewLive(q Querier, ing Ingestor, opts ...ServerOption) *Server {
 
 // assembleChain wraps the mux in the configured middleware, outermost
 // last in this function: metrics → rate limit → cache → admission → mux.
-// Every route — /v1 and the deprecated legacy shims alike — passes
-// through the same chain, so metrics and admission cannot be bypassed by
-// calling an old path.
+// Every request, routed or not, passes through the same chain.
 func (s *Server) assembleChain() {
 	if s.opts.reg != nil {
 		s.mux.Handle("GET /metrics", s.opts.reg.Handler())
@@ -215,15 +191,6 @@ func (s *Server) assembleChain() {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
-
-// deprecated marks a legacy handler's responses with the successor route.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-		h(w, r)
-	}
-}
 
 // ---- envelope and helpers ---------------------------------------------
 
@@ -303,28 +270,6 @@ func writeRead(w http.ResponseWriter, pr *store.PartialReads, status int, v any)
 		return
 	}
 	writeJSON(w, status, envelope{Data: v})
-}
-
-// writeError is the legacy (pre-envelope) error shape.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// intParam leniently reads a legacy numeric query parameter, falling back
-// to def on anything unparsable.
-//
-// Deprecated: the /v1 handlers use strictIntParam, which rejects malformed
-// values instead of silently swallowing them.
-func intParam(r *http.Request, name string, def int) int {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil || n < 0 {
-		return def
-	}
-	return n
 }
 
 // strictIntParam reads a numeric query parameter, returning an
@@ -704,147 +649,4 @@ func (s *Server) v1LiveStats(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeData(w, http.StatusOK, s.ing.Stats())
-}
-
-// ---- legacy (deprecated) handlers --------------------------------------
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]store.Stats{
-		"instance": s.q.InstanceStats(),
-		"entity":   s.q.EntityStats(),
-	})
-}
-
-func (s *Server) handleTypes(w http.ResponseWriter, r *http.Request) {
-	rows, err := s.q.EntityTypeCounts(r.Context())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, rows)
-}
-
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	rows, err := s.q.TopDiscussed(r.Context(), intParam(r, "k", 10))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, rows)
-}
-
-func (s *Server) handleShow(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		writeError(w, http.StatusBadRequest, "missing name parameter")
-		return
-	}
-	web, err := s.q.QueryWebText(r.Context(), name)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	fused, err := s.q.QueryFused(r.Context(), name)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, showView{WebText: recordMap(web), Fused: recordMap(fused)})
-}
-
-func (s *Server) handleFind(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		writeError(w, http.StatusBadRequest, "missing q parameter")
-		return
-	}
-	docs, err := s.q.FindEntities(r.Context(), q)
-	if err != nil {
-		writeError(w, dterr.HTTPStatus(dterr.CodeOf(err)), err.Error())
-		return
-	}
-	limit := intParam(r, "limit", 10)
-	total := len(docs)
-	if len(docs) > limit {
-		docs = docs[:limit]
-	}
-	out := make([]map[string]string, len(docs))
-	for i, d := range docs {
-		out[i] = docMap(d)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"total": total, "entities": out})
-}
-
-func (s *Server) handleCheapest(w http.ResponseWriter, r *http.Request) {
-	rows, err := s.q.CheapestShows(r.Context(), intParam(r, "k", 5))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, rows)
-}
-
-// requireLive rejects write requests when the server runs in batch mode.
-func (s *Server) requireLive(w http.ResponseWriter) bool {
-	if s.ing == nil {
-		writeError(w, http.StatusServiceUnavailable, "live ingestion disabled; restart with --live")
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleIngestText(w http.ResponseWriter, r *http.Request) {
-	if !s.requireLive(w) {
-		return
-	}
-	frags, err := parseIngestText(w, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := s.ing.IngestText(r.Context(), frags); err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(frags)})
-}
-
-func (s *Server) handleIngestRecords(w http.ResponseWriter, r *http.Request) {
-	if !s.requireLive(w) {
-		return
-	}
-	source, recs, err := parseIngestRecords(w, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := s.ing.IngestRecords(r.Context(), source, recs); err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(recs)})
-}
-
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if !s.requireLive(w) {
-		return
-	}
-	op, err := "flush", error(nil)
-	if ck, _ := strconv.ParseBool(r.URL.Query().Get("checkpoint")); ck {
-		op, err = "checkpoint", s.ing.Checkpoint(r.Context())
-	} else {
-		err = s.ing.Flush(r.Context())
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": op + " complete"})
-}
-
-func (s *Server) handleLiveStats(w http.ResponseWriter, _ *http.Request) {
-	if !s.requireLive(w) {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.ing.Stats())
 }

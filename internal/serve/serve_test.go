@@ -50,22 +50,22 @@ func get(t *testing.T, s *Server, path string) (*httptest.ResponseRecorder, map[
 	return rec, body
 }
 
-// ---- legacy shim parity (the pre-/v1 tests, kept verbatim in behavior) --
+// ---- /v1 reads ----------------------------------------------------------
 
 func TestStatsEndpoint(t *testing.T) {
 	s := testServer(t)
-	rec, body := get(t, s, "/stats")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
+	code, data, _ := v1Get(t, s, "/v1/stats")
+	if code != http.StatusOK {
+		t.Fatalf("status = %d", code)
 	}
-	inst, ok := body["instance"].(map[string]any)
+	inst, ok := data["instance"].(map[string]any)
 	if !ok {
-		t.Fatalf("body = %v", body)
+		t.Fatalf("data = %v", data)
 	}
 	if inst["Count"].(float64) != 300 {
 		t.Errorf("instance count = %v", inst["Count"])
 	}
-	ent := body["entity"].(map[string]any)
+	ent := data["entity"].(map[string]any)
 	if ent["NIndexes"].(float64) != 8 {
 		t.Errorf("entity indexes = %v", ent["NIndexes"])
 	}
@@ -73,40 +73,23 @@ func TestStatsEndpoint(t *testing.T) {
 
 func TestTypesEndpoint(t *testing.T) {
 	s := testServer(t)
-	req := httptest.NewRequest(http.MethodGet, "/types", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	var rows []map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
-		t.Fatal(err)
+	code, data, _ := v1Get(t, s, "/v1/types")
+	if code != http.StatusOK {
+		t.Fatalf("status = %d", code)
 	}
-	if len(rows) < 10 {
+	if rows := data["items"].([]any); len(rows) < 10 {
 		t.Errorf("type rows = %d", len(rows))
-	}
-}
-
-func TestTopEndpoint(t *testing.T) {
-	s := testServer(t)
-	req := httptest.NewRequest(http.MethodGet, "/top?k=3", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	var rows []map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Errorf("top rows = %d", len(rows))
 	}
 }
 
 func TestShowEndpoint(t *testing.T) {
 	s := testServer(t)
-	rec, body := get(t, s, "/show?name=Matilda")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
+	code, data, _ := v1Get(t, s, "/v1/show?name=Matilda")
+	if code != http.StatusOK {
+		t.Fatalf("status = %d", code)
 	}
-	web := body["web_text"].(map[string]any)
-	fused := body["fused"].(map[string]any)
+	web := data["web_text"].(map[string]any)
+	fused := data["fused"].(map[string]any)
 	if web["SHOW_NAME"] != "Matilda" {
 		t.Errorf("web view = %v", web)
 	}
@@ -118,59 +101,40 @@ func TestShowEndpoint(t *testing.T) {
 	}
 }
 
-func TestShowEndpointMissingName(t *testing.T) {
-	s := testServer(t)
-	rec, body := get(t, s, "/show")
-	if rec.Code != http.StatusBadRequest || body["error"] == "" {
-		t.Errorf("status = %d body = %v", rec.Code, body)
-	}
-}
-
 func TestFindEndpoint(t *testing.T) {
 	s := testServer(t)
-	rec, body := get(t, s, "/find?q="+strings.ReplaceAll("type = Movie AND name ~ walking", " ", "%20")+"&limit=2")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
+	code, data, _ := v1Get(t, s, "/v1/find?q="+strings.ReplaceAll("type = Movie AND name ~ walking", " ", "%20")+"&limit=2")
+	if code != http.StatusOK {
+		t.Fatalf("status = %d", code)
 	}
-	total := int(body["total"].(float64))
-	entities := body["entities"].([]any)
+	total := int(data["total"].(float64))
+	entities := data["items"].([]any)
 	if total < 2 || len(entities) != 2 {
 		t.Errorf("total = %d shown = %d", total, len(entities))
 	}
-}
-
-func TestFindEndpointErrors(t *testing.T) {
-	s := testServer(t)
-	rec, _ := get(t, s, "/find")
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("missing q status = %d", rec.Code)
-	}
-	rec, _ = get(t, s, "/find?q=%3D%3D%3D")
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad expr status = %d", rec.Code)
+	if code, _, errBody := v1Get(t, s, "/v1/find"); code != http.StatusBadRequest || errBody["code"] != "invalid_argument" {
+		t.Errorf("missing q: %d %v", code, errBody)
 	}
 }
 
 func TestCheapestEndpoint(t *testing.T) {
 	s := testServer(t)
-	req := httptest.NewRequest(http.MethodGet, "/cheapest?k=2", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	var rows []map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
-		t.Fatal(err)
+	code, data, _ := v1Get(t, s, "/v1/cheapest?limit=2")
+	if code != http.StatusOK {
+		t.Fatalf("status = %d", code)
 	}
+	rows := data["items"].([]any)
 	if len(rows) != 2 {
 		t.Fatalf("cheapest rows = %d", len(rows))
 	}
-	if rows[0]["Price"].(float64) > rows[1]["Price"].(float64) {
+	if rows[0].(map[string]any)["Price"].(float64) > rows[1].(map[string]any)["Price"].(float64) {
 		t.Errorf("not sorted ascending: %v", rows)
 	}
 }
 
 func TestMethodNotAllowed(t *testing.T) {
 	s := testServer(t)
-	req := httptest.NewRequest(http.MethodPost, "/stats", nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/stats", nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
@@ -178,32 +142,19 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-func TestBadIntParamFallsBack(t *testing.T) {
+// TestUnversionedRoutesGone: the pre-/v1 paths had one release of grace;
+// they now answer like any other unknown path.
+func TestUnversionedRoutesGone(t *testing.T) {
 	s := testServer(t)
-	req := httptest.NewRequest(http.MethodGet, "/top?k=banana", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	var rows []map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"/stats", "/types", "/top", "/show?name=Matilda", "/find?q=x", "/cheapest", "/live/stats"} {
+		if rec, _ := get(t, s, path); rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, rec.Code)
+		}
 	}
-	if len(rows) == 0 || len(rows) > 10 {
-		t.Errorf("fallback k rows = %d", len(rows))
-	}
-}
-
-func TestLegacyRoutesCarryDeprecationHeader(t *testing.T) {
-	s := testServer(t)
-	rec, _ := get(t, s, "/stats")
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Error("legacy route missing Deprecation header")
-	}
-	if link := rec.Header().Get("Link"); !strings.Contains(link, "/v1/stats") {
-		t.Errorf("legacy route Link = %q", link)
-	}
-	rec, _ = get(t, s, "/v1/stats")
-	if rec.Header().Get("Deprecation") != "" {
-		t.Error("/v1 route must not be marked deprecated")
+	for _, path := range []string{"/ingest/text", "/ingest/records", "/flush"} {
+		if rec, _ := post(t, s, path, "{}"); rec.Code != http.StatusNotFound {
+			t.Errorf("POST %s = %d, want 404", path, rec.Code)
+		}
 	}
 }
 
@@ -312,8 +263,8 @@ func TestV1PaginationEdges(t *testing.T) {
 
 func TestV1StrictIntParams(t *testing.T) {
 	s := testServer(t)
-	// Regression: the legacy intParam silently swallowed malformed values;
-	// /v1 must reject them as invalid_argument.
+	// Malformed numeric parameters are rejected as invalid_argument, never
+	// silently replaced by a default.
 	for _, path := range []string{
 		"/v1/top?limit=banana",
 		"/v1/top?offset=banana",
@@ -482,66 +433,32 @@ func liveServer(t *testing.T) (*Server, *live.Ingester) {
 	return NewLive(tm, ing), ing
 }
 
-func TestWriteEndpointsUnavailableInBatchMode(t *testing.T) {
-	s := testServer(t)
-	for _, path := range []string{"/ingest/text", "/ingest/records", "/flush"} {
-		rec, _ := post(t, s, path, "{}")
-		if rec.Code != http.StatusServiceUnavailable {
-			t.Errorf("POST %s in batch mode = %d, want 503", path, rec.Code)
-		}
-	}
-	rec, _ := get(t, s, "/live/stats")
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Errorf("GET /live/stats in batch mode = %d, want 503", rec.Code)
-	}
-}
-
 func TestIngestTextEndpoint(t *testing.T) {
 	s, _ := liveServer(t)
-	rec, body := post(t, s, "/ingest/text",
+	rec, body := post(t, s, "/v1/ingest/text",
 		`{"fragments":[{"url":"http://x/1","text":"Matilda grossed 960,998 this week."},
 		               {"url":"http://x/2","text":"Once previews began on Tuesday."}]}`)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
 	}
-	if body["accepted"].(float64) != 2 {
-		t.Errorf("accepted = %v", body["accepted"])
+	if accepted := body["data"].(map[string]any)["accepted"]; accepted.(float64) != 2 {
+		t.Errorf("accepted = %v", accepted)
 	}
-	if rec, _ := post(t, s, "/flush", ""); rec.Code != http.StatusOK {
+	if rec, _ := post(t, s, "/v1/flush", ""); rec.Code != http.StatusOK {
 		t.Fatalf("flush status = %d", rec.Code)
 	}
-	rec, body = get(t, s, "/live/stats")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("live stats status = %d", rec.Code)
+	code, stats, _ := v1Get(t, s, "/v1/live/stats")
+	if code != http.StatusOK {
+		t.Fatalf("live stats status = %d", code)
 	}
-	if body["fragments_ingested"].(float64) != 2 {
-		t.Errorf("fragments_ingested = %v", body["fragments_ingested"])
+	if stats["fragments_ingested"].(float64) != 2 {
+		t.Errorf("fragments_ingested = %v", stats["fragments_ingested"])
 	}
-	if body["pending_events"].(float64) != 0 {
-		t.Errorf("pending_events = %v", body["pending_events"])
+	if stats["pending_events"].(float64) != 0 {
+		t.Errorf("pending_events = %v", stats["pending_events"])
 	}
-	if body["wal_size_bytes"].(float64) <= 0 {
-		t.Errorf("wal_size_bytes = %v", body["wal_size_bytes"])
-	}
-}
-
-func TestIngestRecordsEndpointReflectedInShowQuery(t *testing.T) {
-	s, _ := liveServer(t)
-	rec, _ := post(t, s, "/ingest/records",
-		`{"source":"api_feed","records":[{"SHOW_NAME":"Velvet Meridian","THEATER":"Orpheum","CHEAPEST_PRICE":66}]}`)
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
-	}
-	if rec, _ := post(t, s, "/flush", ""); rec.Code != http.StatusOK {
-		t.Fatalf("flush status = %d", rec.Code)
-	}
-	rec, body := get(t, s, "/show?name=Velvet+Meridian")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("show status = %d", rec.Code)
-	}
-	fused, ok := body["fused"].(map[string]any)
-	if !ok || fused["THEATER"] != "Orpheum" {
-		t.Errorf("fused view = %v", body["fused"])
+	if stats["wal_size_bytes"].(float64) <= 0 || stats["wal_events"].(float64) != 1 || stats["next_seq"].(float64) != 2 {
+		t.Errorf("wal stats = %v / %v / %v", stats["wal_size_bytes"], stats["wal_events"], stats["next_seq"])
 	}
 }
 
@@ -619,8 +536,7 @@ func TestV1IngestBadRequests(t *testing.T) {
 			t.Errorf("POST %s code = %v", c.path, errBody["code"])
 		}
 	}
-	// Malformed checkpoint parameter is invalid_argument on /v1 (the
-	// legacy shim silently treats it as false).
+	// A malformed checkpoint parameter is invalid_argument, not false.
 	rec, body := post(t, s, "/v1/flush?checkpoint=banana", "")
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("v1 flush bad checkpoint = %d", rec.Code)
@@ -629,30 +545,13 @@ func TestV1IngestBadRequests(t *testing.T) {
 	}
 }
 
-func TestIngestEndpointBadRequests(t *testing.T) {
-	s, _ := liveServer(t)
-	cases := []struct{ path, body string }{
-		{"/ingest/text", `not json`},
-		{"/ingest/text", `{"fragments":[]}`},
-		{"/ingest/text", `{"fragments":[{"url":"http://x","text":""}]}`},
-		{"/ingest/records", `{"records":[{"A":1}]}`},
-		{"/ingest/records", `{"source":"s","records":[]}`},
-		{"/ingest/records", `{"source":"s","records":[{"A":{"nested":true}}]}`},
-	}
-	for _, c := range cases {
-		if rec, _ := post(t, s, c.path, c.body); rec.Code != http.StatusBadRequest {
-			t.Errorf("POST %s %q = %d, want 400", c.path, c.body, rec.Code)
-		}
-	}
-}
-
 func TestFlushCheckpointEndpoint(t *testing.T) {
 	s, ing := liveServer(t)
-	if rec, _ := post(t, s, "/ingest/text", `{"fragments":[{"url":"http://x/1","text":"Annie opened."}]}`); rec.Code != http.StatusAccepted {
+	if rec, _ := post(t, s, "/v1/ingest/text", `{"fragments":[{"url":"http://x/1","text":"Annie opened."}]}`); rec.Code != http.StatusAccepted {
 		t.Fatalf("ingest = %d", rec.Code)
 	}
-	rec, body := post(t, s, "/flush?checkpoint=1", "")
-	if rec.Code != http.StatusOK || body["status"] != "checkpoint complete" {
+	rec, body := post(t, s, "/v1/flush?checkpoint=1", "")
+	if rec.Code != http.StatusOK || body["data"].(map[string]any)["status"] != "checkpoint complete" {
 		t.Fatalf("checkpoint flush = %d %v", rec.Code, body)
 	}
 	if size := ing.Stats().WALSizeBytes; size > 16 {

@@ -42,11 +42,10 @@ func EncodeDoc(d *Doc) []byte {
 }
 
 func writeDoc(buf *bytes.Buffer, d *Doc) {
-	writeUvarint(buf, uint64(d.Len()))
+	PutUvarint(buf, uint64(d.Len()))
 	for _, name := range d.Names() {
 		v, _ := d.Get(name)
-		writeUvarint(buf, uint64(len(name)))
-		buf.WriteString(name)
+		PutString(buf, name)
 		writeDocValue(buf, v)
 	}
 }
@@ -58,7 +57,7 @@ func writeDocValue(buf *bytes.Buffer, v DocValue) {
 		writeDoc(buf, v.Doc())
 	case v.IsList():
 		buf.WriteByte(tagList)
-		writeUvarint(buf, uint64(len(v.List())))
+		PutUvarint(buf, uint64(len(v.List())))
 		for _, e := range v.List() {
 			writeDocValue(buf, e)
 		}
@@ -74,9 +73,7 @@ func writeScalar(buf *bytes.Buffer, v record.Value) {
 		buf.WriteByte(kindNull)
 	case record.KindString:
 		buf.WriteByte(kindString)
-		s := v.Str()
-		writeUvarint(buf, uint64(len(s)))
-		buf.WriteString(s)
+		PutString(buf, v.Str())
 	case record.KindInt:
 		buf.WriteByte(kindInt)
 		i, _ := v.AsInt()
@@ -106,10 +103,22 @@ func writeScalar(buf *bytes.Buffer, v record.Value) {
 	}
 }
 
-func writeUvarint(buf *bytes.Buffer, x uint64) {
+// PutUvarint, PutString, PutBytes, GetString and GetBytes are the one
+// uvarint-length-prefixed payload encoding shared by the document codec,
+// the live WAL events and the cluster wire protocol.
+func PutUvarint(buf *bytes.Buffer, x uint64) {
 	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], x)
-	buf.Write(tmp[:n])
+	buf.Write(tmp[:binary.PutUvarint(tmp[:], x)])
+}
+
+func PutString(buf *bytes.Buffer, s string) {
+	PutUvarint(buf, uint64(len(s)))
+	buf.WriteString(s)
+}
+
+func PutBytes(buf *bytes.Buffer, p []byte) {
+	PutUvarint(buf, uint64(len(p)))
+	buf.Write(p)
 }
 
 // DecodeDoc deserializes a document encoded by EncodeDoc.
@@ -135,7 +144,7 @@ func readDoc(r *bytes.Reader) (*Doc, error) {
 	}
 	d := NewDoc()
 	for i := uint64(0); i < n; i++ {
-		name, err := readString(r)
+		name, err := GetString(r)
 		if err != nil {
 			return nil, fmt.Errorf("store: reading field name: %w", err)
 		}
@@ -197,7 +206,7 @@ func readScalar(r *bytes.Reader) (record.Value, error) {
 	case kindNull:
 		return record.Null, nil
 	case kindString:
-		s, err := readString(r)
+		s, err := GetString(r)
 		if err != nil {
 			return record.Null, err
 		}
@@ -231,17 +240,23 @@ func readScalar(r *bytes.Reader) (record.Value, error) {
 	}
 }
 
-func readString(r *bytes.Reader) (string, error) {
+func GetString(r *bytes.Reader) (string, error) {
+	b, err := GetBytes(r)
+	return string(b), err
+}
+
+// GetBytes reads one length-prefixed value. The length is checked against
+// the bytes remaining before anything is allocated; a zero length is a
+// valid empty value even at the end of the payload.
+func GetBytes(r *bytes.Reader) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(r.Len()) {
-		return "", fmt.Errorf("string length %d exceeds remaining bytes", n)
+		return nil, fmt.Errorf("length %d exceeds remaining bytes", n)
 	}
 	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	_, err = io.ReadFull(r, b)
+	return b, err
 }

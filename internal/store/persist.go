@@ -8,22 +8,15 @@ import (
 	"io"
 )
 
-// Persistence: collections can be checkpointed to a snapshot stream and kept
-// durable between checkpoints with an append-only journal; recovery loads
-// the snapshot and replays the journal. Frames are CRC-protected so a torn
-// tail write is detected and recovery stops cleanly at the last good frame.
+// Persistence formats: a collection is checkpointed to a snapshot stream,
+// and mutations between checkpoints go to an event log (see Log for the
+// directory protocol that ties the two together). Frames are CRC-protected
+// so a torn tail write is detected and replay stops cleanly at the last
+// good frame.
 
 const (
 	snapshotMagic = "DTSNAP1\n"
-	journalMagic  = "DTJRNL1\n"
 	eventMagic    = "DTEVTL1\n"
-)
-
-// Journal op codes.
-const (
-	opInsert byte = 1
-	opUpdate byte = 2
-	opDelete byte = 3
 )
 
 // WriteSnapshot serializes the collection: header, namespace, document
@@ -105,121 +98,6 @@ func ReadSnapshot(r io.Reader, extentSize int64) (*Collection, error) {
 	return c, nil
 }
 
-// Journal is an append-only operation log for one collection.
-type Journal struct {
-	w      *bufio.Writer
-	closer io.Closer
-	wrote  bool
-}
-
-// NewJournal starts a journal on w, writing the header immediately.
-func NewJournal(w io.Writer) (*Journal, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(journalMagic); err != nil {
-		return nil, err
-	}
-	j := &Journal{w: bw}
-	if c, ok := w.(io.Closer); ok {
-		j.closer = c
-	}
-	return j, nil
-}
-
-// LogInsert appends an insert frame.
-func (j *Journal) LogInsert(id int64, d *Doc) error { return j.log(opInsert, id, d) }
-
-// LogUpdate appends an update frame.
-func (j *Journal) LogUpdate(id int64, d *Doc) error { return j.log(opUpdate, id, d) }
-
-// LogDelete appends a delete frame.
-func (j *Journal) LogDelete(id int64) error { return j.log(opDelete, id, nil) }
-
-func (j *Journal) log(op byte, id int64, d *Doc) error {
-	j.wrote = true
-	payload := make([]byte, 9)
-	payload[0] = op
-	binary.LittleEndian.PutUint64(payload[1:9], uint64(id))
-	if d != nil {
-		payload = append(payload, EncodeDoc(d)...)
-	}
-	return writeFrame(j.w, payload)
-}
-
-// Flush forces buffered frames to the underlying writer.
-func (j *Journal) Flush() error { return j.w.Flush() }
-
-// Close flushes and closes the underlying writer when it is closable.
-func (j *Journal) Close() error {
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
-	if j.closer != nil {
-		return j.closer.Close()
-	}
-	return nil
-}
-
-// ReplayStats summarizes a journal replay.
-type ReplayStats struct {
-	Inserts, Updates, Deletes int
-	// Truncated is true when the journal ended mid-frame (torn write); the
-	// ops before the tear were applied.
-	Truncated bool
-}
-
-// ReplayJournal applies a journal stream to the collection. Unknown ids on
-// update/delete are skipped (idempotent replay); a corrupt or torn tail
-// stops replay and sets Truncated rather than failing recovery.
-func (c *Collection) ReplayJournal(r io.Reader) (ReplayStats, error) {
-	var stats ReplayStats
-	br := bufio.NewReader(r)
-	ok, truncated, err := readLogMagic(br, journalMagic)
-	if err != nil {
-		return stats, fmt.Errorf("store: journal: %w", err)
-	}
-	if !ok {
-		stats.Truncated = truncated
-		return stats, nil
-	}
-	for {
-		payload, err := readFrame(br)
-		if err == io.EOF {
-			return stats, nil
-		}
-		if err != nil {
-			stats.Truncated = true
-			return stats, nil
-		}
-		if len(payload) < 9 {
-			stats.Truncated = true
-			return stats, nil
-		}
-		op := payload[0]
-		id := int64(binary.LittleEndian.Uint64(payload[1:9]))
-		switch op {
-		case opInsert, opUpdate:
-			doc, err := DecodeDoc(payload[9:])
-			if err != nil {
-				stats.Truncated = true
-				return stats, nil
-			}
-			c.applyReplay(id, doc)
-			if op == opInsert {
-				stats.Inserts++
-			} else {
-				stats.Updates++
-			}
-		case opDelete:
-			if c.Delete(id) {
-				stats.Deletes++
-			}
-		default:
-			stats.Truncated = true
-			return stats, nil
-		}
-	}
-}
-
 // ApplyReplay inserts-or-replaces a document under a specific id — the
 // operation a replication follower applies for shipped insert and update
 // events, preserving the primary's id assignment so reads against either
@@ -260,32 +138,22 @@ func (c *Collection) applyReplay(id int64, doc *Doc) {
 	}
 }
 
-// readLogMagic consumes a log header. A zero-byte stream is an empty log
-// (ok=false, clean); a stream shorter than the header is a torn header
-// write (ok=false, truncated=true). Only a full-length header that does not
-// match is an error: that is a different file format, not a crash artifact.
-func readLogMagic(br *bufio.Reader, want string) (ok, truncated bool, err error) {
-	magic := make([]byte, len(want))
-	n, rerr := io.ReadFull(br, magic)
-	switch {
-	case rerr == io.EOF && n == 0:
-		return false, false, nil
-	case rerr == io.EOF || rerr == io.ErrUnexpectedEOF:
-		return false, true, nil
-	case rerr != nil:
-		return false, false, fmt.Errorf("reading magic: %w", rerr)
-	}
-	if string(magic) != want {
-		return false, false, fmt.Errorf("bad magic %q", magic)
-	}
-	return true, false, nil
+// readLogMagic consumes the event-log header. A zero-byte stream is an
+// empty log (ok=false, clean); a short or mismatching header is a torn or
+// corrupt one (ok=false, truncated=true) — the log then holds no events,
+// exactly like a tail torn at the first frame.
+func readLogMagic(br *bufio.Reader) (ok, truncated bool) {
+	magic := make([]byte, len(eventMagic))
+	n, _ := io.ReadFull(br, magic)
+	ok = string(magic) == eventMagic
+	return ok, n > 0 && !ok
 }
 
-// EventLog is an append-only log of application-defined events, sharing the
-// journal's CRC frame format so torn tails are detected the same way. Each
-// event carries a monotonically increasing sequence number, letting a
-// recovery replay skip events already covered by a checkpoint. The live
-// ingestion WAL is built on this.
+// EventLog is an append-only log of application-defined events in CRC
+// frames, so torn tails are detected. Each event carries a monotonically
+// increasing sequence number, letting a recovery replay skip events already
+// covered by a checkpoint. Log's write-ahead file and the cluster
+// replication feed are both EventLogs.
 type EventLog struct {
 	w       *bufio.Writer
 	closer  io.Closer
@@ -297,8 +165,8 @@ type EventLog struct {
 func NewEventLog(w io.Writer) (*EventLog, error) { return NewEventLogAt(w, 1) }
 
 // NewEventLogAt starts a fresh event log whose sequence numbers continue
-// from nextSeq — used when rotating a log after a checkpoint so sequence
-// numbers stay monotonic across the rotation.
+// from nextSeq — used when truncating a log after a checkpoint so sequence
+// numbers stay monotonic across the truncation.
 func NewEventLogAt(w io.Writer, nextSeq uint64) (*EventLog, error) {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(eventMagic); err != nil {
@@ -307,25 +175,11 @@ func NewEventLogAt(w io.Writer, nextSeq uint64) (*EventLog, error) {
 	if nextSeq < 1 {
 		nextSeq = 1
 	}
-	return openEventLog(w, bw, nextSeq), nil
-}
-
-// ResumeEventLog continues an existing log on w (positioned at its end, e.g.
-// a file opened O_APPEND) without rewriting the header. nextSeq must be one
-// past the last sequence number already in the log.
-func ResumeEventLog(w io.Writer, nextSeq uint64) *EventLog {
-	if nextSeq < 1 {
-		nextSeq = 1
-	}
-	return openEventLog(w, bufio.NewWriter(w), nextSeq)
-}
-
-func openEventLog(w io.Writer, bw *bufio.Writer, nextSeq uint64) *EventLog {
 	l := &EventLog{w: bw, nextSeq: nextSeq}
 	if c, ok := w.(io.Closer); ok {
 		l.closer = c
 	}
-	return l
+	return l, nil
 }
 
 // NextSeq returns the sequence number the next Append will use.
@@ -380,10 +234,7 @@ type EventReplayStats struct {
 func ReplayEventLog(r io.Reader, afterSeq uint64, fn func(seq uint64, kind byte, payload []byte) error) (EventReplayStats, error) {
 	var stats EventReplayStats
 	br := bufio.NewReader(r)
-	ok, truncated, err := readLogMagic(br, eventMagic)
-	if err != nil {
-		return stats, fmt.Errorf("store: event log: %w", err)
-	}
+	ok, truncated := readLogMagic(br)
 	if !ok {
 		stats.Truncated = truncated
 		return stats, nil
@@ -417,8 +268,8 @@ func ReplayEventLog(r io.Reader, afterSeq uint64, fn func(seq uint64, kind byte,
 }
 
 // WriteFrame writes one CRC-protected frame (len(4) payload crc32(4)) — the
-// framing shared by snapshots, journals, event logs, and the cluster wire
-// protocol.
+// framing shared by snapshots, event logs, checkpoint metas, and the
+// cluster wire protocol.
 func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payload) }
 
 // ReadFrame reads one CRC-protected frame written by WriteFrame. io.EOF at

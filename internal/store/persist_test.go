@@ -147,131 +147,6 @@ func TestSnapshotBadMagic(t *testing.T) {
 	}
 }
 
-func TestJournalReplay(t *testing.T) {
-	var buf bytes.Buffer
-	j, err := NewJournal(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1 := entityDoc("A", "Movie", 1)
-	d2 := entityDoc("B", "Movie", 2)
-	if err := j.LogInsert(1, d1); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.LogInsert(2, d2); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.LogUpdate(1, entityDoc("A2", "Movie", 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.LogDelete(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c := newCollection("dt.replay", 0)
-	c.EnsureIndex("name_1", "name", HashIndex)
-	stats, err := c.ReplayJournal(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Inserts != 2 || stats.Updates != 1 || stats.Deletes != 1 || stats.Truncated {
-		t.Errorf("stats = %+v", stats)
-	}
-	if c.Count() != 1 {
-		t.Errorf("count = %d", c.Count())
-	}
-	d, ok := c.Get(1)
-	if !ok || d.PathString("name") != "A2" {
-		t.Errorf("doc 1 = %v", d)
-	}
-	// Index stayed consistent through replay.
-	if got := len(c.Find(EqStr("name", "A2"))); got != 1 {
-		t.Errorf("indexed find = %d", got)
-	}
-	if got := len(c.Find(EqStr("name", "A"))); got != 0 {
-		t.Errorf("stale index entry: %d", got)
-	}
-}
-
-func TestJournalTornTail(t *testing.T) {
-	var buf bytes.Buffer
-	j, _ := NewJournal(&buf)
-	j.LogInsert(1, entityDoc("A", "Movie", 1))
-	j.LogInsert(2, entityDoc("B", "Movie", 2))
-	j.Flush()
-	full := buf.Bytes()
-
-	// Tear the last frame mid-way.
-	torn := full[:len(full)-5]
-	c := newCollection("dt.torn", 0)
-	stats, err := c.ReplayJournal(bytes.NewReader(torn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Truncated {
-		t.Error("torn tail not detected")
-	}
-	if stats.Inserts != 1 || c.Count() != 1 {
-		t.Errorf("pre-tear ops: %+v, count %d", stats, c.Count())
-	}
-}
-
-func TestJournalCorruptCRC(t *testing.T) {
-	var buf bytes.Buffer
-	j, _ := NewJournal(&buf)
-	j.LogInsert(1, entityDoc("A", "Movie", 1))
-	j.Flush()
-	data := buf.Bytes()
-	data[len(data)-6] ^= 0xff // flip a payload byte; CRC now mismatches
-
-	c := newCollection("dt.crc", 0)
-	stats, err := c.ReplayJournal(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Truncated || stats.Inserts != 0 {
-		t.Errorf("corrupt frame applied: %+v", stats)
-	}
-}
-
-func TestSnapshotPlusJournalRecovery(t *testing.T) {
-	// The full recovery flow: snapshot, more writes to a journal, recover.
-	c := newCollection("dt.rec", 0)
-	id1 := c.Insert(entityDoc("A", "Movie", 1))
-	var snap bytes.Buffer
-	if err := c.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var jbuf bytes.Buffer
-	j, _ := NewJournal(&jbuf)
-	id2 := c.Insert(entityDoc("B", "Movie", 2))
-	j.LogInsert(id2, entityDoc("B", "Movie", 2))
-	j.LogUpdate(id1, entityDoc("A-v2", "Movie", 1))
-	c.Update(id1, entityDoc("A-v2", "Movie", 1))
-	j.Close()
-
-	recovered, err := ReadSnapshot(&snap, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := recovered.ReplayJournal(bytes.NewReader(jbuf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if recovered.Count() != c.Count() {
-		t.Fatalf("recovered count %d vs live %d", recovered.Count(), c.Count())
-	}
-	for _, id := range []int64{id1, id2} {
-		want, _ := c.Get(id)
-		got, ok := recovered.Get(id)
-		if !ok || got.String() != want.String() {
-			t.Errorf("doc %d: %v vs %v", id, got, want)
-		}
-	}
-}
-
 func BenchmarkEncodeDoc(b *testing.B) {
 	d := richDoc()
 	b.ReportAllocs()
@@ -287,30 +162,6 @@ func BenchmarkDecodeDoc(b *testing.B) {
 		if _, err := DecodeDoc(data); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestJournalEmptyAndTornHeader(t *testing.T) {
-	// A crash can leave a journal file with zero bytes (created, header not
-	// yet flushed) or a partial header. Both must recover cleanly.
-	c := newCollection("dt.hdr", 0)
-	stats, err := c.ReplayJournal(bytes.NewReader(nil))
-	if err != nil {
-		t.Fatalf("empty journal: %v", err)
-	}
-	if stats.Truncated || stats.Inserts != 0 {
-		t.Errorf("empty journal stats = %+v", stats)
-	}
-	stats, err = c.ReplayJournal(bytes.NewReader([]byte(journalMagic[:3])))
-	if err != nil {
-		t.Fatalf("torn header: %v", err)
-	}
-	if !stats.Truncated {
-		t.Errorf("torn header not flagged: %+v", stats)
-	}
-	// A full-length header that is some other format is still an error.
-	if _, err := c.ReplayJournal(bytes.NewReader([]byte(snapshotMagic))); err == nil {
-		t.Error("foreign magic accepted")
 	}
 }
 
@@ -353,17 +204,13 @@ func TestEventLogRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEventLogSkipsCheckpointedAndResumes(t *testing.T) {
+func TestEventLogSkipsCheckpointed(t *testing.T) {
 	var buf bytes.Buffer
 	l, _ := NewEventLog(&buf)
 	l.Append(1, []byte("a"))
 	l.Append(1, []byte("b"))
+	l.Append(1, []byte("c"))
 	l.Flush()
-
-	// Resume appending as after a restart, continuing the sequence.
-	r := ResumeEventLog(&buf, l.NextSeq())
-	r.Append(1, []byte("c"))
-	r.Flush()
 
 	var applied []string
 	stats, err := ReplayEventLog(bytes.NewReader(buf.Bytes()), 2, func(_ uint64, _ byte, payload []byte) error {
@@ -407,5 +254,9 @@ func TestEventLogTornTail(t *testing.T) {
 	}
 	if stats, err := ReplayEventLog(bytes.NewReader([]byte(eventMagic[:4])), 0, nil); err != nil || !stats.Truncated {
 		t.Errorf("torn header: stats %+v, err %v", stats, err)
+	}
+	// A full-length header of another format holds no events either.
+	if stats, err := ReplayEventLog(bytes.NewReader([]byte(snapshotMagic)), 0, nil); err != nil || !stats.Truncated {
+		t.Errorf("foreign header: stats %+v, err %v", stats, err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"repro/dterr"
 )
 
 // ShardBackend is the operation set the sharded router needs from one
@@ -244,6 +246,11 @@ func (s *Sharded) EnsureIndex(name, path string, kind IndexKind) {
 // EnsureIndexCtx creates the index on every shard, propagating failures.
 func (s *Sharded) EnsureIndexCtx(ctx context.Context, name, path string, kind IndexKind) error {
 	for _, b := range s.backends {
+		// Local shards build synchronously and ignore ctx; checking between
+		// shards is what lets a cancelled restore stop mid-rebuild.
+		if err := ctx.Err(); err != nil {
+			return dterr.FromContext(err)
+		}
 		if err := b.CreateIndex(ctx, name, path, kind); err != nil {
 			return err
 		}
@@ -260,6 +267,9 @@ func (s *Sharded) EnsureTextIndex(path string) {
 // shard, propagating failures.
 func (s *Sharded) EnsureTextIndexCtx(ctx context.Context, path string) error {
 	for _, b := range s.backends {
+		if err := ctx.Err(); err != nil {
+			return dterr.FromContext(err)
+		}
 		if err := b.CreateTextIndex(ctx, path); err != nil {
 			return err
 		}
