@@ -70,7 +70,7 @@ func (m Money) String() string {
 func NormalizeDate(s string) (string, error) {
 	t, err := record.ParseTime(s)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("%w %q", err, s)
 	}
 	return t.Format("2006-01-02"), nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/extract"
 	"repro/internal/fuse"
+	"repro/internal/record"
 )
 
 // smallTamer runs the full pipeline at test scale, shared across tests.
@@ -350,5 +352,43 @@ func TestFindEntitiesInvalidQuery(t *testing.T) {
 	}
 	if _, err := tm.FindEntities(context.Background(), ""); !errors.Is(err, dterr.ErrInvalidArgument) {
 		t.Errorf("empty query = %v, want ErrInvalidArgument", err)
+	}
+}
+
+// A live server accepts a source's mappings again with every batch it
+// applies; the schema must record each once, or Mappings grows and Translate
+// slows for as long as the server is up.
+func TestApplyRecordsDoesNotGrowMappings(t *testing.T) {
+	ctx := context.Background()
+	tm := New(Config{Fragments: 50, FTSources: 3, Shards: 2, Seed: 5})
+	if err := tm.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	batch := func(i int) []*record.Record {
+		r := record.New()
+		r.Source = "live_feed"
+		r.Set("Show Name", record.String(fmt.Sprintf("Live Show %d", i)))
+		r.Set("cheapest price", record.String(fmt.Sprintf("$%d", 10+i%90)))
+		r.Set("theater", record.String("Shubert Theatre"))
+		return []*record.Record{r}
+	}
+	if _, err := tm.ApplyRecords(ctx, "live_feed", batch(0)); err != nil {
+		t.Fatal(err)
+	}
+	probe := batch(0)[0]
+	mappings, translated := len(tm.Global.Mappings()), tm.Global.Translate(probe).String()
+	if !strings.Contains(translated, "SHOW_NAME") {
+		t.Fatalf("probe did not translate onto the global schema: %s", translated)
+	}
+	for i := 1; i <= 1000; i++ {
+		if _, err := tm.ApplyRecords(ctx, "live_feed", batch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(tm.Global.Mappings()); got != mappings {
+		t.Errorf("mappings grew from %d to %d over 1000 batches of one source", mappings, got)
+	}
+	if got := tm.Global.Translate(probe).String(); got != translated {
+		t.Errorf("translation moved:\n got %s\nwant %s", got, translated)
 	}
 }

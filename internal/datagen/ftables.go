@@ -223,7 +223,7 @@ var ftConcepts = []concept{
 func isoDate(mdY string) (string, error) {
 	t, err := record.ParseTime(mdY)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("%w %q", err, mdY)
 	}
 	return t.Format("2006-01-02"), nil
 }

@@ -37,9 +37,10 @@ func (d *CorrelationDeduper) Run(records []*record.Record) []Cluster {
 		Pair
 		prob float64
 	}
+	scores := d.Matcher.over(records)
 	scored := make([]scoredPair, 0, len(pairs))
 	for _, p := range pairs {
-		prob := d.Matcher.Prob(records[p.I], records[p.J])
+		prob := scores.prob(p.I, p.J)
 		if prob >= d.Matcher.Threshold {
 			scored = append(scored, scoredPair{Pair: p, prob: prob})
 		}
@@ -65,7 +66,7 @@ func (d *CorrelationDeduper) Run(records []*record.Record) []Cluster {
 		if ca == cb {
 			continue
 		}
-		if d.avgLinkage(records, members[ca], members[cb]) < floor {
+		if avgLinkage(scores, members[ca], members[cb]) < floor {
 			continue
 		}
 		// Merge the smaller cluster into the larger.
@@ -99,14 +100,14 @@ func (d *CorrelationDeduper) Run(records []*record.Record) []Cluster {
 
 // avgLinkage is the mean pairwise match probability across the two member
 // sets.
-func (d *CorrelationDeduper) avgLinkage(records []*record.Record, a, b []int) float64 {
+func avgLinkage(scores *pairScorer, a, b []int) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
 	var total float64
 	for _, i := range a {
 		for _, j := range b {
-			total += d.Matcher.Prob(records[i], records[j])
+			total += scores.prob(i, j)
 		}
 	}
 	return total / float64(len(a)*len(b))

@@ -22,28 +22,69 @@ func TrainMatcher(pairs []LabeledPair, fz Featurizer, trainer ml.Trainer) *Match
 		trainer = ml.NaiveBayesTrainer(5)
 	}
 	examples := make([]ml.Example, len(pairs))
+	features := newScorer(fz, nil)
 	for i, p := range pairs {
-		examples[i] = ml.Example{Features: fz.Features(p.A, p.B), Label: p.Match}
+		examples[i] = ml.Example{Features: features.features(p.A, p.B), Label: p.Match}
 	}
-	return &Matcher{Model: trainer(examples), Featurizer: fz, Threshold: 0.5}
+	m := &Matcher{Model: trainer(examples), Featurizer: fz, Threshold: 0.5}
+	m.sc = newScorer(fz, m.Model)
+	return m
 }
 
-// Matcher classifies whether two records describe the same entity.
+// Matcher classifies whether two records describe the same entity. Model
+// and Featurizer are fixed once TrainMatcher returns; Threshold may be moved.
 type Matcher struct {
 	Model      ml.Classifier
 	Featurizer Featurizer
 	// Threshold is the match probability floor (default 0.5).
 	Threshold float64
+
+	sc *scorer // Featurizer bound to Model, built by TrainMatcher
+}
+
+// scorer returns the Featurizer bound to the Model. A Matcher assembled by
+// hand has none stored; it gets a fresh one per call and is never written
+// to, so Matchers stay safe for concurrent use.
+func (m *Matcher) scorer() *scorer {
+	if m.sc != nil {
+		return m.sc
+	}
+	return newScorer(m.Featurizer, m.Model)
 }
 
 // Prob returns the match probability for a pair.
 func (m *Matcher) Prob(a, b *record.Record) float64 {
-	return m.Model.PredictProb(m.Featurizer.Features(a, b))
+	sc := m.scorer()
+	pa, pb := sc.profilePair(a, b)
+	var v pairVector
+	return sc.prob(pa, pb, &v)
 }
 
 // Match reports whether the pair clears the threshold.
 func (m *Matcher) Match(a, b *record.Record) bool {
 	return m.Prob(a, b) >= m.Threshold
+}
+
+// pairScorer scores pairs of one record slice by index: every record is
+// profiled once, and every pair is scored from two profiles into one reused
+// vector. It lives for one Run and is not for concurrent use.
+type pairScorer struct {
+	sc       *scorer
+	profiles []recordProfile
+	vec      pairVector
+}
+
+func (m *Matcher) over(records []*record.Record) *pairScorer {
+	ps := &pairScorer{sc: m.scorer(), profiles: make([]recordProfile, len(records))}
+	pr := profiler{sc: ps.sc}
+	for i, r := range records {
+		ps.profiles[i] = pr.profile(r)
+	}
+	return ps
+}
+
+func (ps *pairScorer) prob(i, j int) float64 {
+	return ps.sc.prob(ps.profiles[i], ps.profiles[j], &ps.vec)
 }
 
 // Deduper runs end-to-end entity consolidation.
@@ -65,8 +106,9 @@ type Cluster struct {
 func (d *Deduper) Run(records []*record.Record) []Cluster {
 	pairs := CandidatePairs(records, d.Blocker, d.MaxBlock)
 	uf := NewUnionFind(len(records))
+	scores := d.Matcher.over(records)
 	for _, p := range pairs {
-		if d.Matcher.Match(records[p.I], records[p.J]) {
+		if scores.prob(p.I, p.J) >= d.Matcher.Threshold {
 			uf.Union(p.I, p.J)
 		}
 	}

@@ -309,3 +309,19 @@ func BenchmarkCandidatePairsBlocked(b *testing.B) {
 		CandidatePairs(records, PrefixBlocker("name", 4), 0)
 	}
 }
+
+// The allocation budget of the pair loop: once two records are profiled,
+// scoring and classifying the pair builds no string, map or slice.
+func TestPairScoreAllocatesNothing(t *testing.T) {
+	records := []*record.Record{
+		rec("s1", map[string]string{"name": "The Shubert Theatre", "city": "New York", "price": "27"}),
+		rec("s2", map[string]string{"name": "Shubert Theater", "city": "New York", "price": "29"}),
+	}
+	for _, fz := range []Featurizer{{Attrs: []string{"name", "city"}}, {}} {
+		scores := TrainMatcher(makeLabeledPairs(200, 5), fz, nil).over(records)
+		scores.prob(0, 1) // grows the reused vector
+		if n := testing.AllocsPerRun(100, func() { scores.prob(0, 1) }); n != 0 {
+			t.Errorf("Featurizer%v: scoring a profiled pair allocates %v times, want 0", fz, n)
+		}
+	}
+}

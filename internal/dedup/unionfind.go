@@ -1,6 +1,16 @@
 // Package dedup implements Data Tamer's entity-consolidation module:
 // blocking, candidate-pair generation, learned match classification over
 // similarity features, transitive clustering, and record consolidation.
+//
+// Pairs are scored from profiles, not from strings. A Run (Deduper or
+// CorrelationDeduper) profiles every record once per featurized attribute —
+// the normalized value, its runes, trigram and token sets, its numeric
+// reading and the classifier's rows for its features (features.go) — and
+// scores each candidate pair from two profiles into one reused vector.
+// Profiles live in the Run's pairScorer and die with it: nothing is cached
+// across Runs or on the records, so there is nothing to invalidate when a
+// record changes. Featurizer.Features and Matcher.Prob/Match are the same
+// scorer run over two profiles built for the one call.
 package dedup
 
 // UnionFind is a disjoint-set forest over [0, n) with union by rank and path

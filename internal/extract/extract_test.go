@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -200,5 +201,30 @@ func BenchmarkParse(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Parse(text)
+	}
+}
+
+func TestGazetteerNamesStaySorted(t *testing.T) {
+	g := NewGazetteer()
+	for _, n := range []string{"Wicked", "annie", "Matilda", "  Once ", "matilda", "Chicago"} {
+		g.Add(Movie, n)
+	}
+	g.Add(City, "Chicago") // already a Movie: first registration wins
+	g.Add(City, "Boston")
+	if got, want := g.Names(Movie), []string{"annie", "chicago", "matilda", "once", "wicked"}; !slices.Equal(got, want) {
+		t.Errorf("Names(Movie) = %q, want %q", got, want)
+	}
+	if got, want := g.Names(City), []string{"boston"}; !slices.Equal(got, want) {
+		t.Errorf("Names(City) = %q, want %q", got, want)
+	}
+	if g.Names(Person) != nil {
+		t.Error("a type with no names lists some")
+	}
+	// The list is the gazetteer's own; appending to it must not reach the
+	// name added next.
+	_ = append(g.Names(Movie), "zzz")
+	g.Add(Movie, "Zorro")
+	if got := g.Names(Movie); got[len(got)-1] != "zorro" {
+		t.Errorf("a caller's append overwrote the gazetteer's list: %q", got)
 	}
 }

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -11,8 +12,9 @@ type Gazetteer struct {
 	entries map[string]Type // normalized phrase -> type
 	// firstTok indexes phrases by their first token for fast scanning.
 	firstTok map[string][]string
-	awards   map[string]bool // normalized movie/show names that are award winners
-	maxLen   int             // longest phrase, in tokens
+	byType   map[Type][]string // phrases per type, kept sorted
+	awards   map[string]bool   // normalized movie/show names that are award winners
+	maxLen   int               // longest phrase, in tokens
 }
 
 // NewGazetteer returns an empty gazetteer.
@@ -20,6 +22,7 @@ func NewGazetteer() *Gazetteer {
 	return &Gazetteer{
 		entries:  make(map[string]Type),
 		firstTok: make(map[string][]string),
+		byType:   make(map[Type][]string),
 		awards:   make(map[string]bool),
 	}
 }
@@ -36,6 +39,9 @@ func (g *Gazetteer) Add(typ Type, name string) {
 		return
 	}
 	g.entries[key] = typ
+	names := g.byType[typ]
+	at, _ := slices.BinarySearch(names, key)
+	g.byType[typ] = slices.Insert(names, at, key)
 	toks := strings.Fields(key)
 	g.firstTok[toks[0]] = append(g.firstTok[toks[0]], key)
 	if len(toks) > g.maxLen {
@@ -58,16 +64,12 @@ func (g *Gazetteer) TypeOf(name string) (Type, bool) {
 // Len reports the number of registered phrases.
 func (g *Gazetteer) Len() int { return len(g.entries) }
 
-// Names returns all registered surface forms of a type, sorted.
+// Names returns all registered surface forms of a type, sorted. The slice
+// is the gazetteer's own, kept in order as names are added: callers must not
+// change its elements.
 func (g *Gazetteer) Names(typ Type) []string {
-	var out []string
-	for name, t := range g.entries {
-		if t == typ {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
+	names := g.byType[typ]
+	return names[:len(names):len(names)]
 }
 
 // AwardWinners returns the flagged award-winning names, sorted.

@@ -148,12 +148,12 @@ func (p *Parser) entitiesOf(text string, mentions []Mention) []Entity {
 // document: the text fragment plus the nested list of entity references.
 // sourceURL identifies where the fragment was crawled from.
 func (r *Result) InstanceDoc(sourceURL string) *store.Doc {
-	d := store.NewDoc().
+	d := store.NewDocCap(3).
 		Set("source_url", store.Str(sourceURL)).
 		Set("text", store.Str(r.Text))
 	ents := make([]store.DocValue, 0, len(r.Entities))
 	for _, e := range r.Entities {
-		ed := store.NewDoc().
+		ed := store.NewDocCap(2).
 			Set("type", store.Str(string(e.Type))).
 			Set("name", store.Str(e.Name))
 		ents = append(ents, store.Nested(ed))
@@ -167,12 +167,12 @@ func (r *Result) InstanceDoc(sourceURL string) *store.Doc {
 func (r *Result) EntityDocs(sourceURL string) []*store.Doc {
 	out := make([]*store.Doc, 0, len(r.Entities))
 	for _, e := range r.Entities {
-		d := store.NewDoc().
+		d := store.NewDocCap(4).
 			Set("type", store.Str(string(e.Type))).
 			Set("name", store.Str(e.Name)).
 			Set("source_url", store.Str(sourceURL))
 		if len(e.Attributes) > 0 {
-			ad := store.NewDoc()
+			ad := store.NewDocCap(len(e.Attributes))
 			keys := make([]string, 0, len(e.Attributes))
 			for k := range e.Attributes {
 				keys = append(keys, k)

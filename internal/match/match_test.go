@@ -1,11 +1,16 @@
 package match
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/record"
 	"repro/internal/schema"
+	"repro/internal/similarity"
+	"repro/internal/textutil"
 )
 
 func attr(name string, kind record.Kind, samples ...string) *schema.Attribute {
@@ -290,5 +295,96 @@ func TestMatrixShapeAndConsistency(t *testing.T) {
 	}
 	if best.Score != maxRow {
 		t.Errorf("matrix max %f vs best %f", maxRow, best.Score)
+	}
+}
+
+// referenceValueScore is ValueMatcher.Score as it stood before attributes
+// memoized their value signature: both sample lists normalized into sets and
+// every sample parsed, again for every attribute pair.
+func referenceValueScore(src, dst *schema.Attribute) float64 {
+	if len(src.Samples) == 0 || len(dst.Samples) == 0 {
+		return 0
+	}
+	normalizeAll := func(vals []string) []string {
+		out := make([]string, len(vals))
+		for i, v := range vals {
+			out[i] = textutil.Normalize(v)
+		}
+		return out
+	}
+	numericRange := func(vals []string) (lo, hi float64, ok bool) {
+		n := 0
+		for _, s := range vals {
+			s = strings.TrimSpace(s)
+			var f float64
+			if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+				f = float64(i)
+			} else if f, err = strconv.ParseFloat(s, 64); err != nil {
+				continue
+			}
+			if n == 0 || f < lo {
+				lo = f
+			}
+			if n == 0 || f > hi {
+				hi = f
+			}
+			n++
+		}
+		return lo, hi, n > 0 && n*2 >= len(vals)
+	}
+	set := similarity.JaccardStrings(normalizeAll(src.Samples), normalizeAll(dst.Samples))
+	amin, amax, aok := numericRange(src.Samples)
+	bmin, bmax, bok := numericRange(dst.Samples)
+	if !aok || !bok {
+		return set
+	}
+	lo, hi := math.Max(amin, bmin), math.Min(amax, bmax)
+	rng := 0.0
+	if hi >= lo {
+		rng = 1
+		if span := math.Max(amax-amin, bmax-bmin); span != 0 {
+			rng = (hi - lo) / span
+		}
+	}
+	return math.Max(rng, set)
+}
+
+// Every source attribute against every global attribute while twenty
+// generated sources integrate, signatures going stale as samples merge in.
+func TestValueMatcherMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		engine, global := NewEngine(), schema.NewGlobal()
+		scored := 0
+		for _, src := range datagen.GenerateFTables(datagen.FTablesConfig{Sources: 20, Seed: seed}) {
+			ss := schema.FromSource(src)
+			for _, a := range ss.Attrs {
+				for _, g := range global.Attributes() {
+					got, want := ValueMatcher{}.Score(a, g), referenceValueScore(a, g)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("seed %d: %s.%s against %s = %v, reference %v", seed, src.Name, a.Name, g.Name, got, want)
+					}
+					scored++
+				}
+			}
+			review, err := engine.Integrate(engine.MatchSource(ss, global), global)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range review {
+				global.AddAttribute(m.Attr, src.Name)
+			}
+		}
+		if scored < 1000 {
+			t.Fatalf("seed %d: only %d attribute pairs scored", seed, scored)
+		}
+	}
+}
+
+func TestValueMatcherWarmScoreAllocatesNothing(t *testing.T) {
+	a := attr("price", record.KindInt, "27", "45", "89", "120", "n/a")
+	b := attr("cost", record.KindInt, "30", "45", "99", "110")
+	ValueMatcher{}.Score(a, b) // derives both signatures
+	if n := testing.AllocsPerRun(100, func() { ValueMatcher{}.Score(a, b) }); n != 0 {
+		t.Errorf("Score over warm signatures allocates %v times, want 0", n)
 	}
 }

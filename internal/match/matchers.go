@@ -3,6 +3,13 @@
 // a weighted composite, and an engine that produces ranked suggestions,
 // accept/review/new decisions, and "no counterpart in the global schema"
 // alerts.
+//
+// The value matchers read an attribute's samples through its value signature
+// (schema.Attribute.Signature: normalized sample set, numeric range, value
+// tokens), which the attribute memoizes and derives again only once its
+// Samples have grown. Scoring a source attribute against the global schema
+// therefore parses and normalizes each side once, not once per pair; this
+// package keeps no cache of its own.
 package match
 
 import (
@@ -98,15 +105,15 @@ type ValueMatcher struct{}
 // Name implements Matcher.
 func (ValueMatcher) Name() string { return "value" }
 
-// Score implements Matcher.
+// Score implements Matcher. It reads both attributes' memoized value
+// signatures, so a warm pair costs two merges and no allocation.
 func (ValueMatcher) Score(src, dst *schema.Attribute) float64 {
 	if len(src.Samples) == 0 || len(dst.Samples) == 0 {
 		return 0
 	}
-	a := normalizeAll(src.Samples)
-	b := normalizeAll(dst.Samples)
-	set := similarity.JaccardStrings(a, b)
-	if rng, ok := numericRangeOverlap(src.Samples, dst.Samples); ok {
+	a, b := src.Signature(), dst.Signature()
+	set := similarity.JaccardSorted(a.Norm, b.Norm)
+	if rng, ok := numericRangeOverlap(a, b); ok {
 		if rng > set {
 			return rng
 		}
@@ -114,64 +121,31 @@ func (ValueMatcher) Score(src, dst *schema.Attribute) float64 {
 	return set
 }
 
-func normalizeAll(vals []string) []string {
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = textutil.Normalize(v)
-	}
-	return out
-}
-
 // numericRangeOverlap computes the overlap coefficient of the two value
 // ranges when both sides are predominantly numeric.
-func numericRangeOverlap(a, b []string) (float64, bool) {
-	amin, amax, aok := numericRange(a)
-	bmin, bmax, bok := numericRange(b)
-	if !aok || !bok {
+func numericRangeOverlap(a, b *schema.ValueSignature) (float64, bool) {
+	if !a.Numeric || !b.Numeric {
 		return 0, false
 	}
-	lo := amin
-	if bmin > lo {
-		lo = bmin
+	lo := a.Lo
+	if b.Lo > lo {
+		lo = b.Lo
 	}
-	hi := amax
-	if bmax < hi {
-		hi = bmax
+	hi := a.Hi
+	if b.Hi < hi {
+		hi = b.Hi
 	}
 	if hi < lo {
 		return 0, true
 	}
-	span := amax - amin
-	if bmax-bmin > span {
-		span = bmax - bmin
+	span := a.Hi - a.Lo
+	if b.Hi-b.Lo > span {
+		span = b.Hi - b.Lo
 	}
 	if span == 0 {
 		return 1, true
 	}
 	return (hi - lo) / span, true
-}
-
-func numericRange(vals []string) (lo, hi float64, ok bool) {
-	n := 0
-	for _, s := range vals {
-		v := record.Infer(s)
-		f, isNum := v.AsFloat()
-		if v.Kind() != record.KindInt && v.Kind() != record.KindFloat {
-			continue
-		}
-		if !isNum {
-			continue
-		}
-		if n == 0 || f < lo {
-			lo = f
-		}
-		if n == 0 || f > hi {
-			hi = f
-		}
-		n++
-	}
-	// Require a numeric majority to treat the attribute as numeric.
-	return lo, hi, n > 0 && n*2 >= len(vals)
 }
 
 // TFIDFMatcher compares the token distributions of sample values under a
@@ -188,7 +162,7 @@ func NewTFIDFMatcher() *TFIDFMatcher {
 
 // Observe registers an attribute's value tokens in the corpus.
 func (m *TFIDFMatcher) Observe(a *schema.Attribute) {
-	m.corpus.AddDoc(valueTokens(a))
+	m.corpus.AddDoc(a.Signature().Tokens())
 }
 
 // Name implements Matcher.
@@ -196,15 +170,7 @@ func (*TFIDFMatcher) Name() string { return "tfidf" }
 
 // Score implements Matcher.
 func (m *TFIDFMatcher) Score(src, dst *schema.Attribute) float64 {
-	return m.corpus.TFIDFCosine(valueTokens(src), valueTokens(dst))
-}
-
-func valueTokens(a *schema.Attribute) []string {
-	var out []string
-	for _, s := range a.Samples {
-		out = append(out, textutil.ContentWords(s)...)
-	}
-	return out
+	return m.corpus.TFIDFCosine(src.Signature().Tokens(), dst.Signature().Tokens())
 }
 
 // Weighted pairs a matcher with its weight in a composite.

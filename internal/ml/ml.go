@@ -28,6 +28,19 @@ func Predict(c Classifier, f Features) bool { return c.PredictProb(f) >= 0.5 }
 // Trainer builds a classifier from examples.
 type Trainer func(examples []Example) Classifier
 
+// Indexed is a Classifier that can also score a vector whose feature names
+// were resolved to model rows ahead of time, so that a caller scoring many
+// vectors over a fixed feature set builds no map and no name per vector.
+type Indexed interface {
+	Classifier
+	// Row returns the model's row for a feature name, or -1 for a feature
+	// the model never saw.
+	Row(name string) int32
+	// PredictRows is PredictProb over the features rows[i] with values
+	// vals[i], summed in the order given.
+	PredictRows(rows []int32, vals []float64) float64
+}
+
 // featureNames returns the sorted feature names present in the examples,
 // for deterministic iteration.
 func featureNames(examples []Example) []string {
@@ -65,19 +78,21 @@ func Discretize(f Features, bins int) Features {
 	}
 	out := make(Features, len(f))
 	for name, v := range f {
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		b := int(v * float64(bins))
-		if b == bins {
-			b = bins - 1
-		}
-		out[binName(name, b, bins)] = 1
+		out[binName(name, binOf(v, bins), bins)] = 1
 	}
 	return out
+}
+
+// binOf is the bin of v among bins equal bins over [0,1]; values outside,
+// and NaN, clamp.
+func binOf(v float64, bins int) int {
+	if !(v > 0) {
+		return 0
+	}
+	if b := int(v * float64(bins)); b < bins {
+		return b
+	}
+	return bins - 1
 }
 
 func binName(name string, b, bins int) string {

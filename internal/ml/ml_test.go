@@ -296,3 +296,45 @@ func BenchmarkNaiveBayesPredict(b *testing.B) {
 		nb.PredictProb(f)
 	}
 }
+
+// The discretizing naive Bayes resolved into a table must score what the
+// model it is compiled from scores over Discretize'd features, by name and by
+// pre-resolved row alike.
+func TestBinnedNaiveBayesMatchesDiscretizedModel(t *testing.T) {
+	examples := syntheticLinear(300, 0.05, 7)
+	const bins = 5
+	prepared := make([]Example, len(examples))
+	for i, ex := range examples {
+		prepared[i] = Example{Features: Discretize(ex.Features, bins), Label: ex.Label}
+	}
+	reference := TrainNaiveBayes(prepared)
+	model, ok := NaiveBayesTrainer(bins)(examples).(Indexed)
+	if !ok {
+		t.Fatal("NaiveBayesTrainer(5) is not Indexed")
+	}
+	if model.Row("never seen") != -1 {
+		t.Error("an unseen feature has a row")
+	}
+	for _, ex := range examples[:100] {
+		f := Features{"never seen": 0.5, "out of range": 7, "negative": -1, "nan": math.NaN()}
+		for name, v := range ex.Features {
+			f[name] = v
+		}
+		var rows []int32
+		var vals []float64
+		for name, v := range f {
+			rows = append(rows, model.Row(name))
+			vals = append(vals, v)
+		}
+		want := reference.PredictProb(Discretize(f, bins))
+		if got := model.PredictProb(f); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("PredictProb = %v, discretized model %v", got, want)
+		}
+		if got := model.PredictRows(rows, vals); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("PredictRows = %v, discretized model %v", got, want)
+		}
+		if a, b := model.PredictProb(f), model.PredictProb(f); a != b {
+			t.Fatalf("PredictProb is not repeatable: %v then %v", a, b)
+		}
+	}
+}

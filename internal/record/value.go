@@ -5,6 +5,7 @@
 package record
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -107,7 +108,11 @@ func (v Value) AsInt() (int64, bool) {
 		}
 		return 0, true
 	case KindString:
-		i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
+		s := strings.TrimSpace(v.s)
+		if integer, _ := numberShape(s); !integer {
+			return 0, false
+		}
+		i, err := strconv.ParseInt(s, 10, 64)
 		return i, err == nil
 	default:
 		return 0, false
@@ -127,7 +132,11 @@ func (v Value) AsFloat() (float64, bool) {
 		}
 		return 0, true
 	case KindString:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+		s := strings.TrimSpace(v.s)
+		if _, float := numberShape(s); !float {
+			return 0, false
+		}
+		f, err := strconv.ParseFloat(s, 64)
 		return f, err == nil
 	default:
 		return 0, false
@@ -256,15 +265,118 @@ var timeLayouts = []string{
 	"2 Jan 2006",
 }
 
+// ErrUnrecognizedTime is what ParseTime returns for a string none of its
+// layouts parse. It is returned bare so that the failure, which is the common
+// case when inferring types over text, allocates nothing; callers that report
+// it add the string.
+var ErrUnrecognizedTime = errors.New("record: unrecognized time")
+
 // ParseTime parses s against the supported layouts.
 func ParseTime(s string) (time.Time, error) {
 	s = strings.TrimSpace(s)
+	if !timeShape(s) {
+		return time.Time{}, ErrUnrecognizedTime
+	}
 	for _, layout := range timeLayouts {
 		if t, err := time.Parse(layout, s); err == nil {
 			return t, nil
 		}
 	}
-	return time.Time{}, fmt.Errorf("record: unrecognized time %q", s)
+	return time.Time{}, ErrUnrecognizedTime
+}
+
+// timeShape reports whether s could match one of timeLayouts, judging by its
+// first bytes only: a four-digit year and '-', a one- or two-digit number
+// and '/' or ' ', or a month name. It holds for every string a layout
+// parses; a string it refuses is spared eight time.Parse errors.
+func timeShape(s string) bool {
+	if len(s) < 8 { // "1/2/2006"
+		return false
+	}
+	if isDigit(s[0]) {
+		return s[1] == '/' || s[2] == '/' || s[1] == ' ' || s[2] == ' ' || s[4] == '-'
+	}
+	const months = "janfebmaraprmayjunjulaugsepoctnovdec"
+	for i := 0; i < len(months); i += 3 {
+		if equalFoldASCII(s[:3], months[i:i+3]) {
+			return true
+		}
+	}
+	return false
+}
+
+// numberShape reports, from the bytes of the trimmed string s alone, whether
+// s is written as a base-10 integer (an optional sign and digits) and whether
+// it could be a float strconv.ParseFloat accepts: every string ParseInt or
+// ParseFloat parses has the shape, and text that does not is refused before
+// strconv builds an error for it.
+func numberShape(s string) (integer, float bool) {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false, false
+	}
+	if !isDigit(s[0]) && s[0] != '.' {
+		return false, equalFoldASCII(s, "inf") || equalFoldASCII(s, "infinity") || equalFoldASCII(s, "nan")
+	}
+	integer = s[0] != '.'
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case isDigit(c):
+		case c == '+' || c == '-':
+			// Only an exponent is signed: 1e-3, 0x1p-2.
+			if prev := s[i-1] | 0x20; prev != 'e' && prev != 'p' {
+				return false, false
+			}
+			integer = false
+		case c == '.' || c == '_' || c|0x20 == 'x' || c|0x20 == 'p' || 'a' <= c|0x20 && c|0x20 <= 'f':
+			integer = false
+		default:
+			return false, false
+		}
+	}
+	return integer, true
+}
+
+// ParseNumber reads s as a number: it succeeds exactly when Infer(s) is an
+// Int or a Float, with that value. Text that is not a number costs no
+// allocation.
+func ParseNumber(s string) (float64, bool) {
+	s = strings.TrimSpace(s)
+	integer, float := numberShape(s)
+	if integer {
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return float64(i), true
+		}
+	}
+	if !float {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// equalFoldASCII reports whether s equals lower, an all-lower-case ASCII
+// word, up to the case of its ASCII letters. No other rune lower-cases to an
+// ASCII letter of "true", "false", "inf", "nan" or a month name, so for these
+// words it agrees with comparing strings.ToLower(s).
+func equalFoldASCII(s, lower string) bool {
+	if len(s) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Infer parses s into the most specific Value: empty → Null, then int,
@@ -274,16 +386,22 @@ func Infer(s string) Value {
 	if trimmed == "" {
 		return Null
 	}
-	if i, err := strconv.ParseInt(trimmed, 10, 64); err == nil {
-		return Int(i)
+	integer, float := numberShape(trimmed)
+	if integer {
+		if i, err := strconv.ParseInt(trimmed, 10, 64); err == nil {
+			return Int(i)
+		}
 	}
-	if f, err := strconv.ParseFloat(trimmed, 64); err == nil {
-		return Float(f)
+	if float {
+		if f, err := strconv.ParseFloat(trimmed, 64); err == nil {
+			return Float(f)
+		}
 	}
-	switch strings.ToLower(trimmed) {
-	case "true", "false":
-		b, _ := strconv.ParseBool(strings.ToLower(trimmed))
-		return Bool(b)
+	switch {
+	case equalFoldASCII(trimmed, "true"):
+		return Bool(true)
+	case equalFoldASCII(trimmed, "false"):
+		return Bool(false)
 	}
 	if t, err := ParseTime(trimmed); err == nil {
 		return Time(t)

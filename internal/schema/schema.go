@@ -5,11 +5,14 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/ingest"
 	"repro/internal/record"
+	"repro/internal/similarity"
+	"repro/internal/textutil"
 )
 
 // Attribute is one attribute of a schema, with the value evidence the
@@ -19,9 +22,70 @@ type Attribute struct {
 	Kind    record.Kind
 	Samples []string // up to sampleCap distinct sample values
 	Sources []string // sources that mapped into this attribute
+
+	sig *ValueSignature // memo of Signature, valid while Samples has not grown
 }
 
 const sampleCap = 64
+
+// ValueSignature is what the value matchers read from an attribute's
+// Samples, derived once per attribute instead of once per attribute pair.
+type ValueSignature struct {
+	samples []string // the Samples the signature was derived from
+
+	// Norm is the set of textutil.Normalize'd samples: distinct, sorted.
+	Norm []string
+	// Lo and Hi span the samples that read as numbers; Numeric reports
+	// whether those are at least half of the samples.
+	Lo, Hi  float64
+	Numeric bool
+
+	tokens     []string
+	haveTokens bool
+}
+
+// Signature returns the attribute's value signature, deriving it on first
+// use and again only after Samples has grown (samples are only ever
+// appended). The memo lives on the attribute and nowhere else; like every
+// write to a schema, a call must not run beside another use of the same
+// attribute.
+func (a *Attribute) Signature() *ValueSignature {
+	if a.sig != nil && len(a.sig.samples) == len(a.Samples) {
+		return a.sig
+	}
+	sig := &ValueSignature{samples: a.Samples, Norm: make([]string, len(a.Samples))}
+	numeric := 0
+	for i, s := range a.Samples {
+		sig.Norm[i] = textutil.Normalize(s)
+		f, ok := record.ParseNumber(s)
+		if !ok {
+			continue
+		}
+		if numeric == 0 || f < sig.Lo {
+			sig.Lo = f
+		}
+		if numeric == 0 || f > sig.Hi {
+			sig.Hi = f
+		}
+		numeric++
+	}
+	sig.Norm = similarity.SortedSet(sig.Norm)
+	sig.Numeric = numeric > 0 && numeric*2 >= len(a.Samples)
+	a.sig = sig
+	return sig
+}
+
+// Tokens are the content words of every sample, in sample order. Only the
+// TF-IDF matcher reads them, so they are derived when first asked for.
+func (s *ValueSignature) Tokens() []string {
+	if !s.haveTokens {
+		for _, v := range s.samples {
+			s.tokens = append(s.tokens, textutil.ContentWords(v)...)
+		}
+		s.haveTokens = true
+	}
+	return s.tokens
+}
 
 // SourceSchema is the attribute profile of one incoming source.
 type SourceSchema struct {
@@ -59,8 +123,14 @@ type Global struct {
 	attrs    []*Attribute
 	byName   map[string]*Attribute // normalized name -> attribute
 	mappings []Mapping
-	ignored  map[string]bool // normalized "source\x00attr" pairs marked ignore
+	// mapped holds, per source attribute, the global attributes of its
+	// recorded mappings in acceptance order: the first is the one in force.
+	mapped  map[sourceAttr][]string
+	ignored map[sourceAttr]bool
 }
+
+// sourceAttr keys a source's attribute by its normalized name.
+type sourceAttr struct{ source, attr string }
 
 // Mapping records that a source attribute maps onto a global attribute.
 type Mapping struct {
@@ -72,7 +142,11 @@ type Mapping struct {
 
 // NewGlobal returns an empty global schema.
 func NewGlobal() *Global {
-	return &Global{byName: make(map[string]*Attribute), ignored: make(map[string]bool)}
+	return &Global{
+		byName:  make(map[string]*Attribute),
+		mapped:  make(map[sourceAttr][]string),
+		ignored: make(map[sourceAttr]bool),
+	}
 }
 
 // Len reports the number of global attributes.
@@ -104,9 +178,7 @@ func (g *Global) AddAttribute(src *Attribute, source string) *Attribute {
 	}
 	g.byName[key] = a
 	g.attrs = append(g.attrs, a)
-	g.mappings = append(g.mappings, Mapping{
-		Source: source, SourceAttr: src.Name, GlobalAttr: a.Name, Score: 1,
-	})
+	g.recordMapping(Mapping{Source: source, SourceAttr: src.Name, GlobalAttr: a.Name, Score: 1})
 	return a
 }
 
@@ -117,21 +189,31 @@ func (g *Global) MapAttribute(src *Attribute, source string, global *Attribute, 
 		return fmt.Errorf("schema: global attribute %q not in schema", global.Name)
 	}
 	g.mergeInto(global, src, source)
-	g.mappings = append(g.mappings, Mapping{
-		Source: source, SourceAttr: src.Name, GlobalAttr: global.Name, Score: score,
-	})
+	g.recordMapping(Mapping{Source: source, SourceAttr: src.Name, GlobalAttr: global.Name, Score: score})
 	return nil
+}
+
+// recordMapping appends m unless its source attribute is already recorded
+// as mapping to the same global attribute: a live server accepts the same
+// mapping again with every batch, and the first acceptance is the record.
+func (g *Global) recordMapping(m Mapping) {
+	key := sourceAttr{m.Source, record.NormalizeName(m.SourceAttr)}
+	if slices.Contains(g.mapped[key], m.GlobalAttr) {
+		return
+	}
+	g.mapped[key] = append(g.mapped[key], m.GlobalAttr)
+	g.mappings = append(g.mappings, m)
 }
 
 // Ignore marks a source attribute as deliberately unmapped — Fig. 2's
 // "ignore" action.
 func (g *Global) Ignore(source, attr string) {
-	g.ignored[source+"\x00"+record.NormalizeName(attr)] = true
+	g.ignored[sourceAttr{source, record.NormalizeName(attr)}] = true
 }
 
 // IsIgnored reports whether the source attribute was marked ignore.
 func (g *Global) IsIgnored(source, attr string) bool {
-	return g.ignored[source+"\x00"+record.NormalizeName(attr)]
+	return g.ignored[sourceAttr{source, record.NormalizeName(attr)}]
 }
 
 func (g *Global) mergeInto(dst, src *Attribute, source string) {
@@ -158,11 +240,12 @@ func (g *Global) Mappings() []Mapping { return g.mappings }
 
 // MappingFor returns the global attribute a source attribute maps to.
 func (g *Global) MappingFor(source, attr string) (string, bool) {
-	norm := record.NormalizeName(attr)
-	for _, m := range g.mappings {
-		if m.Source == source && record.NormalizeName(m.SourceAttr) == norm {
-			return m.GlobalAttr, true
-		}
+	return g.mappingFor(sourceAttr{source, record.NormalizeName(attr)})
+}
+
+func (g *Global) mappingFor(key sourceAttr) (string, bool) {
+	if targets := g.mapped[key]; len(targets) > 0 {
+		return targets[0], true
 	}
 	return "", false
 }
@@ -175,10 +258,11 @@ func (g *Global) Translate(r *record.Record) *record.Record {
 	out.Source = r.Source
 	out.ID = r.ID
 	for _, f := range r.Fields() {
-		if g.IsIgnored(r.Source, f.Name) {
+		key := sourceAttr{r.Source, record.NormalizeName(f.Name)}
+		if g.ignored[key] {
 			continue
 		}
-		if global, ok := g.MappingFor(r.Source, f.Name); ok {
+		if global, ok := g.mappingFor(key); ok {
 			out.Set(global, f.Value)
 			continue
 		}

@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,5 +140,67 @@ func TestSampleCapRespected(t *testing.T) {
 	g.mergeInto(a, big, "s2")
 	if len(a.Samples) > 64 {
 		t.Errorf("samples = %d, want <= 64", len(a.Samples))
+	}
+}
+
+func TestMappingRecordedOnce(t *testing.T) {
+	g := NewGlobal()
+	price := g.AddAttribute(&Attribute{Name: "PRICE", Kind: record.KindInt}, "seed")
+	cost := g.AddAttribute(&Attribute{Name: "COST", Kind: record.KindInt}, "seed")
+	src := &Attribute{Name: "Ticket Price", Kind: record.KindInt, Samples: []string{"27"}}
+	before := len(g.Mappings())
+	// The same acceptance arriving with every batch, under any spelling of
+	// the attribute and whatever the score, is one mapping.
+	for i, name := range []string{"Ticket Price", "ticket_price", "TICKET-PRICE"} {
+		src.Name = name
+		if err := g.MapAttribute(src, "ft1", price, 0.8+float64(i)/100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(g.Mappings()) - before; got != 1 {
+		t.Errorf("recorded %d mappings for one source attribute and target, want 1", got)
+	}
+	// A second target is recorded, and the first stays in force.
+	if err := g.MapAttribute(src, "ft1", cost, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(g.Mappings()) - before; got != 2 {
+		t.Errorf("recorded %d mappings for two targets, want 2", got)
+	}
+	if got, ok := g.MappingFor("ft1", "ticket price"); !ok || got != "PRICE" {
+		t.Errorf("MappingFor = %q, %v; the first accepted mapping wins", got, ok)
+	}
+	// Another source's attribute of the same name is its own mapping.
+	if err := g.MapAttribute(src, "ft2", cost, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := g.MappingFor("ft2", "Ticket Price"); got != "COST" {
+		t.Errorf("ft2 maps to %q", got)
+	}
+}
+
+func TestSignatureFollowsSamples(t *testing.T) {
+	g := NewGlobal()
+	a := g.AddAttribute(&Attribute{Name: "Price", Samples: []string{"27", " 27 ", "n/a"}}, "ft1")
+	sig := a.Signature()
+	if want := []string{"27", "n a"}; !slices.Equal(sig.Norm, want) {
+		t.Errorf("Norm = %q, want %q", sig.Norm, want)
+	}
+	if !sig.Numeric || sig.Lo != 27 || sig.Hi != 27 {
+		t.Errorf("range = [%v, %v] numeric %v", sig.Lo, sig.Hi, sig.Numeric)
+	}
+	if a.Signature() != sig {
+		t.Error("signature derived again though Samples did not change")
+	}
+	g.AddAttribute(&Attribute{Name: "price", Samples: []string{"89.5", "call", "sold out", "tba"}}, "ft2")
+	grown := a.Signature()
+	if grown == sig || !slices.Contains(grown.Norm, "sold out") || grown.Hi != 89.5 {
+		t.Errorf("signature did not follow the merged samples: %+v", grown)
+	}
+	if grown.Numeric {
+		t.Error("3 numbers of 7 samples is not a numeric majority")
+	}
+	if want := []string{"27", "27", "89.5", "call", "sold", "out", "tba"}; !slices.Equal(grown.Tokens(), want) {
+		t.Errorf("Tokens = %q, want %q", grown.Tokens(), want)
 	}
 }

@@ -6,23 +6,36 @@
 // All similarity functions return values in [0, 1] where 1 means identical.
 package similarity
 
-import (
-	"strings"
-	"unicode/utf8"
-)
+import "strings"
+
+// Scratch is the working memory of the rune-slice measures, so a caller
+// scoring many pairs allocates it once. The zero value is ready to use; a
+// Scratch must not be shared between goroutines. The string functions of
+// this package are wrappers that convert once and use a Scratch of their own.
+type Scratch struct {
+	flags []bool // Jaro match flags of both sides
+	rows  []int  // the two Levenshtein rows
+}
 
 // Levenshtein returns the edit distance between a and b (insertions,
 // deletions, substitutions).
 func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
+	var s Scratch
+	return s.Levenshtein([]rune(a), []rune(b))
+}
+
+// Levenshtein is the edit distance of two rune slices.
+func (s *Scratch) Levenshtein(ra, rb []rune) int {
 	if len(ra) == 0 {
 		return len(rb)
 	}
 	if len(rb) == 0 {
 		return len(ra)
 	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
+	if n := 2 * (len(rb) + 1); cap(s.rows) < n {
+		s.rows = make([]int, n)
+	}
+	prev, cur := s.rows[:len(rb)+1], s.rows[len(rb)+1:2*(len(rb)+1)]
 	for j := range prev {
 		prev[j] = j
 	}
@@ -79,20 +92,27 @@ func DamerauLevenshtein(a, b string) int {
 // LevenshteinSim normalizes Levenshtein distance into a similarity:
 // 1 - dist/max(len). Two empty strings are identical (1).
 func LevenshteinSim(a, b string) float64 {
-	la, lb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
-	if la == 0 && lb == 0 {
+	var s Scratch
+	return s.LevenshteinSim([]rune(a), []rune(b))
+}
+
+// LevenshteinSim is the normalized edit similarity of two rune slices.
+func (s *Scratch) LevenshteinSim(ra, rb []rune) float64 {
+	maxLen := max2(len(ra), len(rb))
+	if maxLen == 0 {
 		return 1
 	}
-	maxLen := la
-	if lb > maxLen {
-		maxLen = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(maxLen)
+	return 1 - float64(s.Levenshtein(ra, rb))/float64(maxLen)
 }
 
 // Jaro returns the Jaro similarity of a and b.
 func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+	var s Scratch
+	return s.Jaro([]rune(a), []rune(b))
+}
+
+// Jaro is the Jaro similarity of two rune slices.
+func (s *Scratch) Jaro(ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
 		return 1
@@ -104,8 +124,12 @@ func Jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
+	if cap(s.flags) < la+lb {
+		s.flags = make([]bool, la+lb)
+	}
+	flags := s.flags[:la+lb]
+	clear(flags)
+	matchA, matchB := flags[:la], flags[la:]
 	matches := 0
 	for i := 0; i < la; i++ {
 		lo := max2(0, i-window)
@@ -144,9 +168,14 @@ func Jaro(a, b string) float64 {
 // JaroWinkler boosts Jaro similarity for strings sharing a common prefix of
 // up to 4 runes, with the standard scaling factor 0.1.
 func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
+	var s Scratch
+	return s.JaroWinkler([]rune(a), []rune(b))
+}
+
+// JaroWinkler is the Jaro-Winkler similarity of two rune slices.
+func (s *Scratch) JaroWinkler(ra, rb []rune) float64 {
+	j := s.Jaro(ra, rb)
 	prefix := 0
-	ra, rb := []rune(a), []rune(b)
 	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
 		prefix++
 	}
@@ -154,22 +183,33 @@ func JaroWinkler(a, b string) float64 {
 }
 
 // TrigramSim is the Jaccard coefficient over character trigrams of the
-// normalized inputs; short strings fall back to LevenshteinSim.
+// lower-cased inputs; short strings fall back to LevenshteinSim.
 func TrigramSim(a, b string) float64 {
-	if utf8.RuneCountInString(a) < 3 || utf8.RuneCountInString(b) < 3 {
-		return LevenshteinSim(strings.ToLower(a), strings.ToLower(b))
-	}
-	return JaccardStrings(charTrigrams(a), charTrigrams(b))
+	ra, rb := []rune(strings.ToLower(a)), []rune(strings.ToLower(b))
+	var s Scratch
+	return s.TrigramSim(ra, rb, Trigrams(ra), Trigrams(rb))
 }
 
-func charTrigrams(s string) []string {
-	s = strings.ToLower(s)
-	runes := []rune(s)
-	out := make([]string, 0, len(runes))
-	for i := 0; i+3 <= len(runes); i++ {
-		out = append(out, string(runes[i:i+3]))
+// TrigramSim is TrigramSim over rune slices the caller has already
+// lower-cased, with ta and tb their Trigrams.
+func (s *Scratch) TrigramSim(ra, rb []rune, ta, tb []uint64) float64 {
+	if len(ra) < 3 || len(rb) < 3 {
+		return s.LevenshteinSim(ra, rb)
 	}
-	return out
+	return JaccardSorted(ta, tb)
+}
+
+// Trigrams returns the distinct character trigrams of runes, sorted, each
+// packed into one word (a rune needs 21 bits). It returns nil below 3 runes.
+func Trigrams(runes []rune) []uint64 {
+	if len(runes) < 3 {
+		return nil
+	}
+	out := make([]uint64, 0, len(runes)-2)
+	for i := 0; i+3 <= len(runes); i++ {
+		out = append(out, uint64(runes[i])<<42|uint64(runes[i+1])<<21|uint64(runes[i+2]))
+	}
+	return SortedSet(out)
 }
 
 func min3(a, b, c int) int { return min2(min2(a, b), c) }

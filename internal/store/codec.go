@@ -142,7 +142,9 @@ func readDoc(r *bytes.Reader) (*Doc, error) {
 	if n > uint64(r.Len()) {
 		return nil, fmt.Errorf("store: field count %d exceeds remaining bytes", n)
 	}
-	d := NewDoc()
+	// The count is not yet backed by fields read, so it sizes the document
+	// only up to a bound.
+	d := NewDocCap(min(int(n), 64))
 	for i := uint64(0); i < n; i++ {
 		name, err := GetString(r)
 		if err != nil {

@@ -116,10 +116,11 @@ func (v DocValue) sizeBytes() int64 {
 	}
 }
 
-// Doc is an ordered semi-structured document.
+// Doc is an ordered semi-structured document. Documents hold a handful of
+// fields, so lookup is a scan of the field list and there is no index to
+// build, copy or keep in step.
 type Doc struct {
 	fields []docField
-	index  map[string]int
 }
 
 type docField struct {
@@ -128,32 +129,38 @@ type docField struct {
 }
 
 // NewDoc returns an empty document.
-func NewDoc() *Doc { return &Doc{index: make(map[string]int)} }
+func NewDoc() *Doc { return &Doc{} }
 
-// Set stores value under name, replacing any existing field.
+// NewDocCap returns an empty document with room for n fields.
+func NewDocCap(n int) *Doc { return &Doc{fields: make([]docField, 0, n)} }
+
+// Set stores value under name, replacing any existing field in place.
 func (d *Doc) Set(name string, value DocValue) *Doc {
-	if d.index == nil {
-		d.index = make(map[string]int)
+	for i := range d.fields {
+		if d.fields[i].name == name {
+			d.fields[i].value = value
+			return d
+		}
 	}
-	if i, ok := d.index[name]; ok {
-		d.fields[i] = docField{name: name, value: value}
-		return d
+	if d.fields == nil {
+		// Most documents hold three or four fields; skip the 1-2-4 growth.
+		d.fields = make([]docField, 0, 4)
 	}
-	d.index[name] = len(d.fields)
 	d.fields = append(d.fields, docField{name: name, value: value})
 	return d
 }
 
 // Get returns the value under name and whether it exists.
 func (d *Doc) Get(name string) (DocValue, bool) {
-	if d == nil || d.index == nil {
+	if d == nil {
 		return DocValue{}, false
 	}
-	i, ok := d.index[name]
-	if !ok {
-		return DocValue{}, false
+	for i := range d.fields {
+		if d.fields[i].name == name {
+			return d.fields[i].value, true
+		}
 	}
-	return d.fields[i].value, true
+	return DocValue{}, false
 }
 
 // Len reports the number of top-level fields.
@@ -216,9 +223,9 @@ func (d *Doc) SizeBytes() int64 {
 
 // Clone returns a deep copy of the document.
 func (d *Doc) Clone() *Doc {
-	c := NewDoc()
-	for _, f := range d.fields {
-		c.Set(f.name, f.value.clone())
+	c := &Doc{fields: make([]docField, len(d.fields))}
+	for i, f := range d.fields {
+		c.fields[i] = docField{name: f.name, value: f.value.clone()}
 	}
 	return c
 }
@@ -254,7 +261,7 @@ func (d *Doc) String() string {
 
 // FromRecord converts a flat record into a one-level document.
 func FromRecord(r *record.Record) *Doc {
-	d := NewDoc()
+	d := NewDocCap(r.Len())
 	for _, f := range r.Fields() {
 		d.Set(f.Name, Scalar(f.Value))
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -98,5 +99,107 @@ func TestDocString(t *testing.T) {
 	d := NewDoc().Set("a", Num(1)).Set("b", List(Str("x")))
 	if got := d.String(); got != "{a: 1, b: [x]}" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// docModel is what a Doc must behave as: a map for lookup beside a slice for
+// order. A Doc holds neither; it scans its field list.
+type docModel struct {
+	order  []string
+	values map[string]DocValue
+}
+
+func (m *docModel) set(name string, v DocValue) {
+	if _, ok := m.values[name]; !ok {
+		m.order = append(m.order, name)
+	}
+	m.values[name] = v
+}
+
+func checkDocAgainstModel(t *testing.T, d *Doc, m *docModel, names []string) {
+	t.Helper()
+	if got := d.Names(); len(got) != len(m.order) {
+		t.Fatalf("names = %v, model %v", got, m.order)
+	}
+	for i, name := range d.Names() {
+		if name != m.order[i] {
+			t.Fatalf("names = %v, model %v", d.Names(), m.order)
+		}
+	}
+	for _, name := range names {
+		got, ok := d.Get(name)
+		want, wantOK := m.values[name]
+		if ok != wantOK || got.String() != want.String() {
+			t.Fatalf("Get(%q) = %v, %v; model %v, %v", name, got, ok, want, wantOK)
+		}
+		if p, pok := d.Path(name); pok != wantOK || p.String() != want.String() {
+			t.Fatalf("Path(%q) = %v, %v; model %v, %v", name, p, pok, want, wantOK)
+		}
+	}
+}
+
+func TestDocMatchesMapAndOrderModel(t *testing.T) {
+	names := []string{"type", "name", "source_url", "attributes", "text", "entities", "price", ""}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d, m := NewDoc(), &docModel{values: map[string]DocValue{}}
+		if seed%2 == 0 {
+			d = NewDocCap(rng.Intn(6))
+		}
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6: // set: a new field goes last, a known one keeps its place
+				name, v := names[rng.Intn(len(names))], Num(int64(step))
+				if rng.Intn(4) == 0 {
+					v = Nested(NewDoc().Set("k", Num(int64(step))))
+				}
+				d.Set(name, v)
+				m.set(name, v)
+			case op < 8: // clone: equal now, and unaffected by what follows
+				c := d.Clone()
+				checkDocAgainstModel(t, c, m, names)
+				before := c.String()
+				name := names[rng.Intn(len(names))]
+				d.Set(name, Str("after the clone"))
+				m.set(name, Str("after the clone"))
+				if nested, ok := d.Get("attributes"); ok && nested.IsDoc() {
+					nested.Doc().Set("k", Str("deep write")) // the model shares the nested document
+				}
+				if got := c.String(); got != before {
+					t.Fatalf("clone moved with its original: %s, was %s", got, before)
+				}
+			default: // nested path
+				if v, ok := m.values["attributes"]; ok && v.IsDoc() {
+					if got := d.PathString("attributes.k"); got != v.Doc().PathString("k") {
+						t.Fatalf("PathString(attributes.k) = %q", got)
+					}
+				}
+			}
+			checkDocAgainstModel(t, d, m, names)
+		}
+		round, err := DecodeDoc(EncodeDoc(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDocAgainstModel(t, round, m, names)
+	}
+	var none *Doc
+	if _, ok := none.Get("name"); ok || none.Len() != 0 {
+		t.Error("a nil document holds nothing")
+	}
+	if _, ok := none.Path("a.b"); ok {
+		t.Error("a path into a nil document resolves nothing")
+	}
+}
+
+// The allocation budget of building a document: the Doc, and its field list
+// grown twice. The map a Doc used to carry cost three more.
+func TestDocSetAllocations(t *testing.T) {
+	n := testing.AllocsPerRun(100, func() {
+		NewDoc().Set("type", Str("Movie")).Set("name", Str("Matilda")).Set("source_url", Str("u")).
+			Set("text", Str("t")).Set("price", Num(27))
+	})
+	if n > 4 {
+		t.Errorf("NewDoc and five Sets allocate %v times, want at most 4", n)
 	}
 }

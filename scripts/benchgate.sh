@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# The allocation gate: runs the repository benchmark on the merge base and on
+# the working tree, at fixed seeds and fixed op counts, and fails when
+# alloc_kb_per_op (a count that repeats to 0.15 % at one seed) of any workload
+# is more than 10 % above the base, or when any op of the head failed. The
+# other end-to-end metrics are timings and memory of a shared runner; they are
+# printed as advisory, to the job summary when there is one.
+#
+#	bash scripts/benchgate.sh [base-ref]        # default origin/main
+#
+# It edits nothing under benchmark/ and runs benchmark/run.sh of each side
+# as it is, so each side is measured by its own copy of the harness.
+set -euo pipefail
+
+base_ref=${1:-origin/main}
+limit=1.10
+# workload:ops — whole rounds (1 pass, 10 views, 10 cycles, 10 views), small
+# enough that both sides finish in a few minutes.
+runs="batch_fuse:4 read_local:30 live_mixed:30 cluster_read:20"
+
+root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
+base_sha=$(git -C "$root" merge-base HEAD "$base_ref")
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+# The base as a plain tree: nothing to register in .git and nothing to
+# unregister when the run is interrupted.
+mkdir "$work/base"
+git -C "$root" archive "$base_sha" | tar -x -C "$work/base"
+
+# last_json <checkout> <workload> <ops>: the run's closing JSON line.
+last_json() {
+	(cd "$1" && bash benchmark/run.sh --workload "$2" --seed 1 --ops "$3" --trace 0) | tail -n 1
+}
+# metric <json> <name>
+metric() {
+	sed -n "s/.*\"$2\":{\"value\":\([0-9.eE+-]*\).*/\1/p" <<<"$1" | awk '{ printf "%.3f", $1 }'
+}
+
+summary=${GITHUB_STEP_SUMMARY:-/dev/stdout}
+{
+	echo "### bench gate: HEAD against $base_ref (${base_sha:0:12})"
+	echo
+	echo "| workload | ops | alloc_kb_per_op base | head | ratio | setup_s base | head | peak_rss_mb base | head | failed ops |"
+	echo "|---|---|---|---|---|---|---|---|---|---|"
+} >>"$summary"
+
+status=0
+for run in $runs; do
+	workload=${run%%:*} ops=${run##*:}
+	base_json=$(last_json "$work/base" "$workload" "$ops")
+	head_json=$(last_json "$root" "$workload" "$ops")
+	base_alloc=$(metric "$base_json" alloc_kb_per_op)
+	head_alloc=$(metric "$head_json" alloc_kb_per_op)
+	failed=$(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' <<<"$head_json")
+	if [ -z "$base_alloc" ] || [ -z "$head_alloc" ] || [ -z "$failed" ]; then
+		echo "benchgate: $workload printed no result" >&2
+		exit 1
+	fi
+	ratio=$(awk -v h="$head_alloc" -v b="$base_alloc" 'BEGIN { printf "%.3f", h / b }')
+	echo "| $workload | $ops | $base_alloc | $head_alloc | $ratio | $(metric "$base_json" setup_s) | $(metric "$head_json" setup_s) | $(metric "$base_json" peak_rss_mb) | $(metric "$head_json" peak_rss_mb) | $failed |" >>"$summary"
+	if awk -v r="$ratio" -v l="$limit" 'BEGIN { exit !(r > l) }'; then
+		echo "benchgate: $workload alloc_kb_per_op $head_alloc KB is $ratio of the base's $base_alloc KB (limit $limit)" >&2
+		status=1
+	fi
+	if [ "$failed" != 0 ]; then
+		echo "benchgate: $workload had $failed failed ops" >&2
+		status=1
+	fi
+done
+exit $status
