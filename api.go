@@ -446,19 +446,12 @@ func (t *Tamer) Find(ctx context.Context, query string) ([]*Doc, error) {
 	return t.core.FindEntities(ctx, query)
 }
 
-// ExplainFind reports the access path the store would choose for query.
-func (t *Tamer) ExplainFind(query string) (Explain, error) {
-	filter, err := store.ParseFilter(query)
-	if err != nil {
-		return Explain{}, err
-	}
-	// All shards share the index layout; explain against shard 0. Remote
-	// shards expose no planner internals, so cluster mode cannot explain.
-	coll := t.core.Entities.Shard(0)
-	if coll == nil {
-		return Explain{}, dterr.New(dterr.CodeUnavailable, "datatamer: explain unavailable in cluster mode")
-	}
-	return coll.ExplainFilter(filter), nil
+// ExplainFind reports the access path the store would choose for query. All
+// shards share the index layout, so the first shard answers — over the
+// wire in cluster mode, as an explain-mode query.
+func (t *Tamer) ExplainFind(ctx context.Context, query string) (Explain, error) {
+	res, err := t.core.QueryEntities(ctx, query, store.Query{Explain: true})
+	return res.Plan, err
 }
 
 // FusionCoverage reports per-attribute fill rates of the fused table.

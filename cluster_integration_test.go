@@ -345,6 +345,9 @@ func TestClusterTwoNodeEndToEnd(t *testing.T) {
 		"/v1/top?limit=5",
 		"/v1/cheapest?limit=5&offset=2",
 		"/v1/find?q=type%20%3D%20Movie&limit=3",
+		"/v1/find?q=type%20%3D%20Movie&limit=3&offset=7",
+		"/v1/find?q=type%20%3D%20Movie&limit=0",
+		"/v1/find?q=name%20~%20the&limit=5&offset=100000",
 		showPath,
 	}
 	for _, path := range paths {
@@ -356,6 +359,15 @@ func TestClusterTwoNodeEndToEnd(t *testing.T) {
 		}
 		if lb != cb {
 			t.Errorf("%s: body differs\nlocal:   %s\ncluster: %s", path, lb, cb)
+		}
+	}
+	// The plan crosses the wire as an explain-mode query: cluster mode
+	// explains what local mode explains.
+	for _, q := range []string{"type = Movie", "name ~ walking", "name ^ The AND type = Person"} {
+		lp, lerr := local.ExplainFind(ctx, q)
+		cp, cerr := clustered.ExplainFind(ctx, q)
+		if lerr != nil || cerr != nil || lp != cp || lp.AccessPath == "" {
+			t.Errorf("explain %q: local %+v (%v), cluster %+v (%v)", q, lp, lerr, cp, cerr)
 		}
 	}
 	if t.Failed() {

@@ -128,7 +128,7 @@ func main() {
 		fs := flag.NewFlagSet("explain", flag.ExitOnError)
 		q := fs.String("q", "", "filter expression")
 		parseOrDie(fs, args[1:])
-		ex, err := tm.ExplainFind(*q)
+		ex, err := tm.ExplainFind(ctx, *q)
 		if err != nil {
 			log.Fatal(err)
 		}

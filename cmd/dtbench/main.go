@@ -350,11 +350,11 @@ func runBench(ctx context.Context, tm *datatamer.Tamer, n int, outPath string, c
 		s := buildScanStore(shards)
 		op := fmt.Sprintf("store/scan_%02dshard", shards)
 		res, err := measure(op, n, func() (int, error) {
-			got := s.CountWhere(store.Contains("text", "needle"))
-			if got == 0 {
-				return 0, fmt.Errorf("%s: no matches", op)
+			got, err := s.CountWhereCtx(ctx, store.Contains("text", "needle"))
+			if err == nil && got == 0 {
+				err = fmt.Errorf("%s: no matches", op)
 			}
-			return int(got), nil
+			return int(got), err
 		})
 		if err != nil {
 			return err
@@ -369,11 +369,11 @@ func runBench(ctx context.Context, tm *datatamer.Tamer, n int, outPath string, c
 		s := buildScanStore(4)
 		s.EnsureTextIndex("text")
 		res, err := measure("store/text_indexed_04shard", n, func() (int, error) {
-			got := s.CountWhere(store.Contains("text", "needle"))
-			if got == 0 {
-				return 0, fmt.Errorf("text_indexed: no matches")
+			got, err := s.CountWhereCtx(ctx, store.Contains("text", "needle"))
+			if err == nil && got == 0 {
+				err = fmt.Errorf("text_indexed: no matches")
 			}
-			return int(got), nil
+			return int(got), err
 		})
 		if err != nil {
 			return err

@@ -41,7 +41,6 @@ var Allowlist = map[string]string{
 	"repro/internal/store.(*Sharded).EnsureTextIndex": "legacy wrapper over EnsureTextIndexCtx",
 	"repro/internal/store.(*Sharded).Find":            "legacy wrapper over FindCtx",
 	"repro/internal/store.(*Sharded).Count":           "legacy wrapper over CountCtx",
-	"repro/internal/store.(*Sharded).CountWhere":      "legacy wrapper over CountWhereCtx",
 	"repro/internal/store.(*Sharded).Scan":            "legacy wrapper over ScanCtx",
 	"repro/internal/store.(*Sharded).Distinct":        "legacy wrapper over DistinctCtx",
 	"repro/internal/store.(*Sharded).Stats":           "legacy wrapper over StatsCtx",

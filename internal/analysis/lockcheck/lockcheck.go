@@ -86,9 +86,11 @@ var safePkgs = map[string]bool{
 }
 
 // safeModulePkgs are this module's own pure in-memory packages: value
-// constructors and typed errors, no I/O and no locks of their own.
+// constructors, typed errors and the index tree the store walks under its
+// own lock — no I/O and no locks of their own.
 var safeModulePkgs = map[string]bool{
 	"repro/dterr":           true,
+	"repro/internal/btree":  true,
 	"repro/internal/record": true,
 }
 

@@ -209,7 +209,7 @@ func TestFollowerReplication(t *testing.T) {
 	// The follower must now answer reads identically to the primary.
 	fShard := NewRemoteShard(NSEntities, 0, Loopback{Node: follower}, nil)
 	for name, want := range map[string]int64{"a": 10, "b": -1, "c": 3} {
-		docs, err := fShard.Find(ctx, store.EqStr("name", name))
+		docs, err := findAll(ctx, fShard, store.EqStr("name", name))
 		if err != nil {
 			t.Fatalf("find %s: %v", name, err)
 		}
@@ -278,11 +278,11 @@ func TestFollowerIndexReplication(t *testing.T) {
 	// same docs in the same order.
 	fShard := NewRemoteShard(NSEntities, 0, Loopback{Node: follower}, nil)
 	filter := store.In("name", record.String("zeta"), record.String("alpha"), record.String("mid"))
-	pd, err := shard.Find(ctx, filter)
+	pd, err := findAll(ctx, shard, filter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := fShard.Find(ctx, filter)
+	fd, err := findAll(ctx, fShard, filter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestReadYourWrites(t *testing.T) {
 	if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("fresh"))); err != nil {
 		t.Fatal(err)
 	}
-	docs, err := shard.Find(ctx, store.EqStr("name", "fresh"))
+	docs, err := findAll(ctx, shard, store.EqStr("name", "fresh"))
 	if err != nil {
 		t.Fatalf("find after write: %v", err)
 	}
@@ -351,15 +351,21 @@ func TestReadYourWrites(t *testing.T) {
 		t.Fatalf("stale read: %d docs, want 1 (fence must route to primary)", len(docs))
 	}
 	// The lagging replica itself must answer Busy when fenced.
-	resp := follower.Handle(&Request{Op: OpFind, Shard: ShardKey(NSEntities, 0), MinGen: 1, Body: mustFilter(t, nil)})
+	resp := follower.Handle(&Request{Op: OpQuery, Shard: ShardKey(NSEntities, 0), MinGen: 1, Body: mustQuery(t, store.Query{Limit: store.NoLimit})})
 	if resp.Err == nil || !errors.Is(resp.Err, dterr.ErrBusy) {
 		t.Fatalf("fenced read on lagging replica = %v, want busy", resp.Err)
 	}
 }
 
-func mustFilter(t *testing.T, f store.Filter) []byte {
+// findAll is the unbounded query against one shard backend.
+func findAll(ctx context.Context, b store.ShardBackend, f store.Filter) ([]*store.Doc, error) {
+	res, err := b.Query(ctx, store.Query{Filter: f, Limit: store.NoLimit})
+	return res.Docs, err
+}
+
+func mustQuery(t *testing.T, q store.Query) []byte {
 	t.Helper()
-	b, err := EncodeFilter(f)
+	b, err := EncodeQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +419,7 @@ func TestTCPTransport(t *testing.T) {
 	if n, err := shard.Count(ctx); err != nil || n != 20 {
 		t.Fatalf("count over tcp = %d, %v", n, err)
 	}
-	docs, err := shard.Find(ctx, store.Contains("name", "sock-1"))
+	docs, err := findAll(ctx, shard, store.Contains("name", "sock-1"))
 	if err != nil {
 		t.Fatalf("find over tcp: %v", err)
 	}

@@ -76,7 +76,7 @@ func assertDurableState(t *testing.T, node *Node) {
 		t.Fatalf("recovered %d indexes, %d text indexes; want 1 and 1",
 			len(ec.Indexes()), len(ec.TextIndexes()))
 	}
-	docs, err := ent.Find(ctx, store.EqStr("name", "e1"))
+	docs, err := findAll(ctx, ent, store.EqStr("name", "e1"))
 	if err != nil || len(docs) != 1 {
 		t.Fatalf("find e1: %d docs, %v", len(docs), err)
 	}
@@ -85,7 +85,7 @@ func assertDurableState(t *testing.T, node *Node) {
 			t.Fatalf("e1 n = %d, want 100 (update lost)", n)
 		}
 	}
-	if docs, err := ent.Find(ctx, store.EqStr("name", "e4")); err != nil || len(docs) != 0 {
+	if docs, err := findAll(ctx, ent, store.EqStr("name", "e4")); err != nil || len(docs) != 0 {
 		t.Fatalf("deleted e4 came back: %d docs, %v", len(docs), err)
 	}
 }

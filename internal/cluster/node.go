@@ -293,23 +293,15 @@ func (n *Node) handleRead(req *Request, h *hostedShard) *Response {
 	}
 	resp := &Response{ID: req.ID, Gen: gen}
 	switch req.Op {
-	case OpFind:
-		filter, err := DecodeFilter(req.Body)
+	case OpQuery:
+		q, err := DecodeQuery(req.Body)
 		if err != nil {
 			return errResp(req.ID, err)
 		}
-		resp.Body = EncodeDocList(coll.Find(filter))
+		resp.Body = EncodeResult(coll.Query(q), q.Explain)
 	case OpCount:
 		var buf bytes.Buffer
 		store.PutUvarint(&buf, uint64(coll.Count()))
-		resp.Body = buf.Bytes()
-	case OpCountWhere:
-		filter, err := DecodeFilter(req.Body)
-		if err != nil {
-			return errResp(req.ID, err)
-		}
-		var buf bytes.Buffer
-		store.PutUvarint(&buf, uint64(coll.CountWhere(filter)))
 		resp.Body = buf.Bytes()
 	case OpDistinct:
 		rd := bytes.NewReader(req.Body)

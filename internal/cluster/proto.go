@@ -6,6 +6,12 @@
 // for replicated snapshot reads with a read-your-writes generation check.
 // An in-process loopback transport exercises the full codec without
 // sockets, which is how most of the test suite runs.
+//
+// A filtered read is one frame each way, OpQuery: the request carries the
+// filter with an offset and a limit, the response the window's documents
+// and the shard's exact match total — or only the total (limit 0), or the
+// shard's plan for the filter (explain). The router asks every shard for
+// its first offset+limit matches, so a page view moves pages, not shards.
 package cluster
 
 import (
@@ -13,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/dterr"
@@ -26,9 +33,11 @@ const (
 	OpInsert
 	OpUpdate
 	OpDelete
-	OpFind
+	// OpQuery is the one filtered read: a window of the matching documents
+	// plus their exact total, the total alone (limit 0), or the shard's
+	// plan for the filter (explain). See EncodeQuery and EncodeResult.
+	OpQuery
 	OpCount
-	OpCountWhere
 	OpDistinct
 	OpStats
 	OpSnapshot
@@ -93,6 +102,7 @@ type Request struct {
 // Encode serializes the request for framing.
 func (r *Request) Encode() []byte {
 	var buf bytes.Buffer
+	buf.Grow(len(r.Shard) + len(r.Body) + 3*binary.MaxVarintLen64)
 	store.PutUvarint(&buf, r.ID)
 	buf.WriteByte(r.Op)
 	store.PutString(&buf, r.Shard)
@@ -101,7 +111,7 @@ func (r *Request) Encode() []byte {
 	return buf.Bytes()
 }
 
-// DecodeRequest parses a request frame.
+// DecodeRequest parses a request frame. Body aliases data.
 func DecodeRequest(data []byte) (*Request, error) {
 	rd := bytes.NewReader(data)
 	id, err := binary.ReadUvarint(rd)
@@ -120,11 +130,7 @@ func DecodeRequest(data []byte) (*Request, error) {
 	if err != nil {
 		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: request mingen")
 	}
-	body := make([]byte, rd.Len())
-	if _, err := io.ReadFull(rd, body); err != nil {
-		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: request body")
-	}
-	return &Request{ID: id, Op: op, Shard: shard, MinGen: minGen, Body: body}, nil
+	return &Request{ID: id, Op: op, Shard: shard, MinGen: minGen, Body: data[len(data)-rd.Len():]}, nil
 }
 
 // Response is one wire response. Exactly one of Err and Body is
@@ -149,13 +155,14 @@ func (r *Response) Encode() []byte {
 		store.PutString(&buf, r.Err.Message)
 		return buf.Bytes()
 	}
+	buf.Grow(len(r.Body) + 2*binary.MaxVarintLen64)
 	buf.WriteByte(0)
 	store.PutUvarint(&buf, r.Gen)
 	buf.Write(r.Body)
 	return buf.Bytes()
 }
 
-// DecodeResponse parses a response frame.
+// DecodeResponse parses a response frame. Body aliases data.
 func DecodeResponse(data []byte) (*Response, error) {
 	rd := bytes.NewReader(data)
 	id, err := binary.ReadUvarint(rd)
@@ -181,11 +188,7 @@ func DecodeResponse(data []byte) (*Response, error) {
 	if err != nil {
 		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: response gen")
 	}
-	body := make([]byte, rd.Len())
-	if _, err := io.ReadFull(rd, body); err != nil {
-		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: response body")
-	}
-	return &Response{ID: id, Gen: gen, Body: body}, nil
+	return &Response{ID: id, Gen: gen, Body: data[len(data)-rd.Len():]}, nil
 }
 
 // ShardKey names one hosted shard on the wire.
@@ -344,37 +347,154 @@ func DecodeIDDoc(data []byte) (int64, *store.Doc, error) {
 	return id, d, nil
 }
 
-// EncodeDocList packs a document list — the find response body.
-func EncodeDocList(docs []*store.Doc) []byte {
-	var buf bytes.Buffer
-	store.PutUvarint(&buf, uint64(len(docs)))
-	for _, d := range docs {
-		store.PutBytes(&buf, store.EncodeDoc(d))
+// Query frame flags.
+const queryExplain byte = 1
+
+// EncodeQuery packs a query request body: a flags byte (queryExplain),
+// offset and limit as signed varints (a negative limit is store.NoLimit),
+// then the filter document.
+func EncodeQuery(q store.Query) ([]byte, error) {
+	fd, err := filterDoc(q.Filter)
+	if err != nil {
+		return nil, err
 	}
+	var buf bytes.Buffer
+	var flags byte
+	if q.Explain {
+		flags |= queryExplain
+	}
+	buf.WriteByte(flags)
+	putVarint(&buf, int64(q.Offset))
+	putVarint(&buf, int64(q.Limit))
+	buf.Write(store.EncodeDoc(fd))
+	return buf.Bytes(), nil
+}
+
+// DecodeQuery unpacks EncodeQuery. A negative offset is refused; a limit
+// beyond the platform's int is clamped to it.
+func DecodeQuery(data []byte) (store.Query, error) {
+	rd := bytes.NewReader(data)
+	flags, err := rd.ReadByte()
+	if err != nil {
+		return store.Query{}, dterr.Wrapf(dterr.CodeInvalidArgument, err, "cluster: query flags")
+	}
+	if flags&^queryExplain != 0 {
+		return store.Query{}, dterr.Newf(dterr.CodeInvalidArgument, "cluster: unknown query flags %#x", flags)
+	}
+	offset, err := binary.ReadVarint(rd)
+	if err != nil {
+		return store.Query{}, dterr.Wrapf(dterr.CodeInvalidArgument, err, "cluster: query offset")
+	}
+	if offset < 0 {
+		return store.Query{}, dterr.Newf(dterr.CodeInvalidArgument, "cluster: negative query offset %d", offset)
+	}
+	limit, err := binary.ReadVarint(rd)
+	if err != nil {
+		return store.Query{}, dterr.Wrapf(dterr.CodeInvalidArgument, err, "cluster: query limit")
+	}
+	filter, err := DecodeFilter(data[len(data)-rd.Len():])
+	if err != nil {
+		return store.Query{}, err
+	}
+	return store.Query{
+		Filter:  filter,
+		Offset:  int(min(offset, math.MaxInt)),
+		Limit:   int(max(min(limit, math.MaxInt), store.NoLimit)),
+		Explain: flags&queryExplain != 0,
+	}, nil
+}
+
+func putVarint(buf *bytes.Buffer, x int64) {
+	var tmp [binary.MaxVarintLen64]byte
+	buf.Write(tmp[:binary.PutVarint(tmp[:], x)])
+}
+
+// EncodeResult packs a query response body: the match total, then the plan
+// (four strings) for an explain query or the window's documents otherwise.
+func EncodeResult(res store.Result, explain bool) []byte {
+	var buf bytes.Buffer
+	store.PutUvarint(&buf, uint64(res.Total))
+	if explain {
+		store.PutString(&buf, res.Plan.AccessPath)
+		store.PutString(&buf, res.Plan.IndexName)
+		store.PutString(&buf, res.Plan.IndexKind)
+		store.PutString(&buf, res.Plan.Reason)
+		return buf.Bytes()
+	}
+	putDocList(&buf, res.Docs)
 	return buf.Bytes()
 }
 
-// DecodeDocList unpacks EncodeDocList.
-func DecodeDocList(data []byte) ([]*store.Doc, error) {
+// DecodeResult unpacks EncodeResult; explain says which body was asked for.
+func DecodeResult(data []byte, explain bool) (store.Result, error) {
 	rd := bytes.NewReader(data)
-	n, err := binary.ReadUvarint(rd)
+	total, err := binary.ReadUvarint(rd)
 	if err != nil {
-		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: doc list count")
+		return store.Result{}, dterr.Wrapf(dterr.CodeInternal, err, "cluster: query result total")
 	}
-	if n > uint64(rd.Len()) {
+	if total > math.MaxInt64 {
+		return store.Result{}, dterr.Newf(dterr.CodeInternal, "cluster: query result total %d overflows", total)
+	}
+	res := store.Result{Total: int64(total)}
+	if explain {
+		for _, field := range []*string{&res.Plan.AccessPath, &res.Plan.IndexName, &res.Plan.IndexKind, &res.Plan.Reason} {
+			if *field, err = store.GetString(rd); err != nil {
+				return store.Result{}, dterr.Wrapf(dterr.CodeInternal, err, "cluster: query plan")
+			}
+		}
+		return res, nil
+	}
+	res.Docs, err = DecodeDocList(data[len(data)-rd.Len():])
+	return res, err
+}
+
+// EncodeDocList packs a document list — the tail of a query response body.
+func EncodeDocList(docs []*store.Doc) []byte {
+	var buf bytes.Buffer
+	putDocList(&buf, docs)
+	return buf.Bytes()
+}
+
+// putDocList appends the count and each document, length-prefixed. Every
+// document is encoded through one scratch buffer, and buf grows once, by
+// the documents' own footprint estimate (measured cheaper than doubling).
+func putDocList(buf *bytes.Buffer, docs []*store.Doc) {
+	store.PutUvarint(buf, uint64(len(docs)))
+	var size int64
+	for _, d := range docs {
+		size += d.SizeBytes()
+	}
+	buf.Grow(int(size))
+	var one bytes.Buffer
+	for _, d := range docs {
+		one.Reset()
+		store.PutDoc(&one, d)
+		store.PutBytes(buf, one.Bytes())
+	}
+}
+
+// DecodeDocList unpacks EncodeDocList, decoding each document in place.
+func DecodeDocList(data []byte) ([]*store.Doc, error) {
+	n, w := binary.Uvarint(data)
+	if w <= 0 {
+		return nil, dterr.New(dterr.CodeInternal, "cluster: doc list count")
+	}
+	data = data[w:]
+	if n > uint64(len(data)) {
 		return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc list count %d exceeds remaining bytes", n)
 	}
 	docs := make([]*store.Doc, 0, n)
 	for i := uint64(0); i < n; i++ {
-		raw, err := store.GetBytes(rd)
-		if err != nil {
-			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: doc %d", i)
+		size, w := binary.Uvarint(data)
+		if w <= 0 || size > uint64(len(data)-w) {
+			return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc %d length", i)
 		}
-		d, err := store.DecodeDoc(raw)
+		d, err := store.DecodeDoc(data[w : w+int(size)])
 		if err != nil {
 			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: doc %d", i)
 		}
 		docs = append(docs, d)
+		data = data[w+int(size):]
 	}
 	return docs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 )
 
 func TestRequestRoundTrip(t *testing.T) {
-	in := &Request{ID: 42, Op: OpFind, Shard: "dt.entity/3", MinGen: 17, Body: []byte("payload")}
+	in := &Request{ID: 42, Op: OpQuery, Shard: "dt.entity/3", MinGen: 17, Body: []byte("payload")}
 	out, err := DecodeRequest(in.Encode())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -205,7 +206,7 @@ func TestCreateIndexRoundTrip(t *testing.T) {
 // reader reports an error rather than panicking or inventing data.
 func TestTornFrame(t *testing.T) {
 	var full bytes.Buffer
-	req := &Request{ID: 3, Op: OpFind, Shard: "dt.entity/0", Body: []byte("0123456789")}
+	req := &Request{ID: 3, Op: OpQuery, Shard: "dt.entity/0", Body: []byte("0123456789")}
 	w := bufio.NewWriter(&full)
 	if err := store.WriteFrame(w, req.Encode()); err != nil {
 		t.Fatal(err)
@@ -248,7 +249,7 @@ func TestFrameLenBound(t *testing.T) {
 }
 
 func FuzzDecodeRequest(f *testing.F) {
-	f.Add((&Request{ID: 1, Op: OpFind, Shard: "dt.entity/0", Body: []byte("x")}).Encode())
+	f.Add((&Request{ID: 1, Op: OpQuery, Shard: "dt.entity/0", Body: []byte("x")}).Encode())
 	f.Add([]byte{})
 	f.Add([]byte{0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -281,6 +282,131 @@ func FuzzDecodeResponse(f *testing.F) {
 				t.Fatalf("unstable round trip: %+v != %+v", back, resp)
 			}
 		}
+	})
+}
+
+// queryFrameSeeds are the query request bodies the round-trip test and the
+// fuzz target start from: every mode, the window at its extremes.
+func queryFrameSeeds(t testing.TB) [][]byte {
+	var seeds [][]byte
+	for _, q := range []store.Query{
+		{Limit: store.NoLimit},
+		{Filter: store.EqStr("type", "Movie"), Offset: 40, Limit: 10},
+		{Filter: store.And{store.EqStr("type", "Movie"), store.Not{Inner: store.Contains("name", "x")}}},
+		{Filter: store.In("type", record.String("a"), record.Int(3)), Offset: math.MaxInt, Limit: math.MaxInt},
+		{Filter: store.Prefix("name", "The "), Explain: true},
+	} {
+		b, err := EncodeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, b)
+	}
+	return seeds
+}
+
+func TestQueryFrameRoundTrip(t *testing.T) {
+	for _, body := range queryFrameSeeds(t) {
+		q, err := DecodeQuery(body)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		again, err := EncodeQuery(q)
+		if err != nil || !bytes.Equal(again, body) {
+			t.Fatalf("query %+v re-encodes differently (%v)", q, err)
+		}
+		for cut := 0; cut < len(body); cut++ {
+			if _, err := DecodeQuery(body[:cut]); err == nil {
+				t.Fatalf("query %+v truncated to %d of %d bytes decoded", q, cut, len(body))
+			}
+		}
+	}
+	// A negative limit is "no limit" whatever its size; a negative offset
+	// is refused.
+	var neg bytes.Buffer
+	neg.WriteByte(0)
+	putVarint(&neg, 0)
+	putVarint(&neg, math.MinInt64)
+	neg.Write(mustFilter(t, nil))
+	if q, err := DecodeQuery(neg.Bytes()); err != nil || q.Limit != store.NoLimit {
+		t.Fatalf("limit MinInt64 decoded as %+v, %v", q, err)
+	}
+	neg.Reset()
+	neg.WriteByte(0)
+	putVarint(&neg, -1)
+	putVarint(&neg, 10)
+	neg.Write(mustFilter(t, nil))
+	if _, err := DecodeQuery(neg.Bytes()); !errors.Is(err, dterr.ErrInvalidArgument) {
+		t.Fatalf("negative offset: %v, want invalid argument", err)
+	}
+
+	docs := []*store.Doc{
+		store.NewDoc().Set("name", store.Str("Matilda")).Set("tags", store.List(store.Str("a"), store.Num(2))),
+		store.NewDoc().Set("attributes", store.Nested(store.NewDoc().Set("award_winning", store.Str("true")))),
+	}
+	res, err := DecodeResult(EncodeResult(store.Result{Docs: docs, Total: 6137}, false), false)
+	if err != nil || res.Total != 6137 || len(res.Docs) != 2 || res.Docs[1].PathString("attributes.award_winning") != "true" {
+		t.Fatalf("result round trip: %+v, %v", res, err)
+	}
+	plan := store.Explain{AccessPath: "index", IndexName: "type_1", IndexKind: "hash", Reason: "point lookup on type"}
+	res, err = DecodeResult(EncodeResult(store.Result{Plan: plan}, true), true)
+	if err != nil || res.Plan != plan || res.Docs != nil {
+		t.Fatalf("plan round trip: %+v, %v", res, err)
+	}
+}
+
+func mustFilter(t testing.TB, f store.Filter) []byte {
+	t.Helper()
+	b, err := EncodeFilter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzDecodeQuery: a query request body either fails to decode or decodes
+// to a query the shard can run — offset not negative, limit not below
+// NoLimit — that re-encodes to itself.
+func FuzzDecodeQuery(f *testing.F) {
+	for _, seed := range queryFrameSeeds(f) {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x02, 0x00, 0x00}) // unknown flag
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := DecodeQuery(data)
+		if err != nil {
+			return
+		}
+		if q.Offset < 0 || q.Limit < store.NoLimit {
+			t.Fatalf("decoded an unrunnable window: %+v", q)
+		}
+		body, err := EncodeQuery(q)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		back, err := DecodeQuery(body)
+		if err != nil || !reflect.DeepEqual(q, back) {
+			t.Fatalf("unstable round trip: %+v != %+v (%v)", back, q, err)
+		}
+	})
+}
+
+// FuzzDecodeResult: a query response body never panics either decoder nor
+// yields more documents than it has bytes.
+func FuzzDecodeResult(f *testing.F) {
+	docs := []*store.Doc{store.NewDoc().Set("name", store.Str("Matilda")), store.NewDoc()}
+	full := EncodeResult(store.Result{Docs: docs, Total: math.MaxInt64}, false)
+	plan := EncodeResult(store.Result{Plan: store.Explain{AccessPath: "scan", Reason: "no index on name"}}, true)
+	for _, seed := range [][]byte{full, full[:len(full)-3], plan, plan[:4], {}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0xff}} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if res, err := DecodeResult(data, false); err == nil && (len(res.Docs) > len(data) || res.Total < 0) {
+			t.Fatalf("%d docs, total %d from %d bytes", len(res.Docs), res.Total, len(data))
+		}
+		_, _ = DecodeResult(data, true)
 	})
 }
 

@@ -113,39 +113,23 @@ func (r *RemoteShard) Delete(ctx context.Context, id int64) (bool, error) {
 	return boolFromBody(resp.Body)
 }
 
-// Find implements store.ShardBackend.
-func (r *RemoteShard) Find(ctx context.Context, filter store.Filter) ([]*store.Doc, error) {
-	body, err := EncodeFilter(filter)
+// Query implements store.ShardBackend: one frame out, one back, carrying at
+// most the window's documents.
+func (r *RemoteShard) Query(ctx context.Context, q store.Query) (store.Result, error) {
+	body, err := EncodeQuery(q)
 	if err != nil {
-		return nil, err
+		return store.Result{}, err
 	}
-	resp, err := r.callRead(ctx, OpFind, body)
+	resp, err := r.callRead(ctx, OpQuery, body)
 	if err != nil {
-		return nil, err
+		return store.Result{}, err
 	}
-	return DecodeDocList(resp.Body)
+	return DecodeResult(resp.Body, q.Explain)
 }
 
 // Count implements store.ShardBackend.
 func (r *RemoteShard) Count(ctx context.Context) (int64, error) {
 	resp, err := r.callRead(ctx, OpCount, nil)
-	if err != nil {
-		return 0, err
-	}
-	n, w := binary.Uvarint(resp.Body)
-	if w <= 0 {
-		return 0, dterr.New(dterr.CodeInternal, "cluster: malformed count response")
-	}
-	return int64(n), nil
-}
-
-// CountWhere implements store.ShardBackend.
-func (r *RemoteShard) CountWhere(ctx context.Context, filter store.Filter) (int64, error) {
-	body, err := EncodeFilter(filter)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := r.callRead(ctx, OpCountWhere, body)
 	if err != nil {
 		return 0, err
 	}

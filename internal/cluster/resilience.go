@@ -101,7 +101,7 @@ func attemptCtx(ctx context.Context, attemptsLeft int) (context.Context, context
 // retried — a duplicated insert is data corruption, not resilience.
 func IdempotentOp(op byte) bool {
 	switch op {
-	case OpPing, OpFind, OpCount, OpCountWhere, OpDistinct, OpStats,
+	case OpPing, OpQuery, OpCount, OpDistinct, OpStats,
 		OpSnapshot, OpPull, OpInfo, OpCheckpoint:
 		return true
 	}

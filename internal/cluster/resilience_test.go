@@ -84,13 +84,13 @@ func TestRetryTable(t *testing.T) {
 		wantCalls int
 		wantOK    bool
 	}{
-		{"read recovers on retry", OpFind, 2, dterr.CodeBusy, 3, true},
-		{"read exhausts attempts", OpFind, 99, dterr.CodeBusy, 3, false},
+		{"read recovers on retry", OpQuery, 2, dterr.CodeBusy, 3, true},
+		{"read exhausts attempts", OpQuery, 99, dterr.CodeBusy, 3, false},
 		{"unavailable is retryable", OpStats, 1, dterr.CodeUnavailable, 2, true},
 		{"write never retried", OpInsert, 99, dterr.CodeBusy, 1, false},
 		{"update never retried", OpUpdate, 99, dterr.CodeBusy, 1, false},
-		{"invalid argument is terminal", OpFind, 99, dterr.CodeInvalidArgument, 1, false},
-		{"internal is terminal", OpFind, 99, dterr.CodeInternal, 1, false},
+		{"invalid argument is terminal", OpQuery, 99, dterr.CodeInvalidArgument, 1, false},
+		{"internal is terminal", OpQuery, 99, dterr.CodeInternal, 1, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -128,7 +128,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	tr := NewResilientTransport("test", inner, RetryPolicy{
 		MaxAttempts: 50, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 10 * time.Millisecond,
 	}, NewBreaker("test", 1000, time.Minute), 1)
-	_, err := tr.Call(ctx, &Request{Op: OpFind})
+	_, err := tr.Call(ctx, &Request{Op: OpQuery})
 	if code := dterr.CodeOf(err); code != dterr.CodeDeadlineExceeded {
 		t.Fatalf("error code = %s, want %s (err=%v)", code, dterr.CodeDeadlineExceeded, err)
 	}
@@ -226,12 +226,12 @@ func TestBreakerFailsFast(t *testing.T) {
 	tr := newTestTransport(inner, RetryPolicy{MaxAttempts: 1}, br)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, err := tr.Call(ctx, &Request{Op: OpFind}); err == nil {
+		if _, err := tr.Call(ctx, &Request{Op: OpQuery}); err == nil {
 			t.Fatal("scripted failure returned nil error")
 		}
 	}
 	before := inner.calls()
-	if _, err := tr.Call(ctx, &Request{Op: OpFind}); dterr.CodeOf(err) != dterr.CodeBusy {
+	if _, err := tr.Call(ctx, &Request{Op: OpQuery}); dterr.CodeOf(err) != dterr.CodeBusy {
 		t.Fatalf("open-circuit error = %v, want busy", err)
 	}
 	if inner.calls() != before {

@@ -607,21 +607,30 @@ func (t *Tamer) ShowInFused(ctx context.Context, show string) (bool, error) {
 	return len(t.fusedSnapshot().lookup(show)) > 0, nil
 }
 
-// FindEntities parses the filter-language query and runs it over the
-// entity store, so callers need no access to the store internals. A
-// malformed query is an invalid-argument error.
-func (t *Tamer) FindEntities(ctx context.Context, query string) ([]*store.Doc, error) {
+// QueryEntities parses the filter-language query and answers it over the
+// entity store as q describes — a window (Offset, Limit) with the match
+// total, or the plan (Explain); q.Filter is replaced by the parsed query.
+// Callers need no access to the store internals. A malformed query is an
+// invalid-argument error.
+func (t *Tamer) QueryEntities(ctx context.Context, query string, q store.Query) (store.Result, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, dterr.FromContext(err)
+		return store.Result{}, dterr.FromContext(err)
 	}
 	if query == "" {
-		return nil, dterr.New(dterr.CodeInvalidArgument, "empty query")
+		return store.Result{}, dterr.New(dterr.CodeInvalidArgument, "empty query")
 	}
 	filter, err := store.ParseFilter(query)
 	if err != nil {
-		return nil, dterr.Wrap(dterr.CodeInvalidArgument, err)
+		return store.Result{}, dterr.Wrap(dterr.CodeInvalidArgument, err)
 	}
-	return t.Entities.FindCtx(ctx, filter)
+	q.Filter = filter
+	return t.Entities.QueryCtx(ctx, q)
+}
+
+// FindEntities is the unbounded QueryEntities: every matching document.
+func (t *Tamer) FindEntities(ctx context.Context, query string) ([]*store.Doc, error) {
+	res, err := t.QueryEntities(ctx, query, store.Query{Limit: store.NoLimit})
+	return res.Docs, err
 }
 
 // CheapestShows ranks consolidated shows by price ascending — the "best

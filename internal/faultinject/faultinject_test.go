@@ -72,7 +72,7 @@ func TestRuleEvery(t *testing.T) {
 	tr := in.Wrap("n", &okTransport{})
 	ctx := context.Background()
 	for i := 1; i <= 9; i++ {
-		_, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpFind})
+		_, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpQuery})
 		if wantFail := i%3 == 0; (err != nil) != wantFail {
 			t.Fatalf("call %d: err=%v, want failure=%v", i, err, wantFail)
 		}
@@ -89,7 +89,7 @@ func TestDeterministicSchedule(t *testing.T) {
 		ctx := context.Background()
 		var outcomes []bool
 		for i := 0; i < 50; i++ {
-			_, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpFind})
+			_, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpQuery})
 			outcomes = append(outcomes, err != nil)
 		}
 		return outcomes
@@ -112,7 +112,7 @@ func TestPartitionHeal(t *testing.T) {
 	ctx := context.Background()
 
 	in.Partition("n")
-	_, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpFind})
+	_, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpQuery})
 	if dterr.CodeOf(err) != dterr.CodeBusy {
 		t.Fatalf("partitioned call error = %v, want busy", err)
 	}
@@ -120,7 +120,7 @@ func TestPartitionHeal(t *testing.T) {
 		t.Fatal("partitioned call reached the inner transport")
 	}
 	in.Heal("n")
-	if _, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpFind}); err != nil {
+	if _, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpQuery}); err != nil {
 		t.Fatalf("healed call failed: %v", err)
 	}
 }
@@ -134,7 +134,7 @@ func TestDropAndDuplicate(t *testing.T) {
 	ctx := context.Background()
 
 	in.SetRules(Rule{From: 1, To: 1, Fault: Fault{Drop: true}})
-	_, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpFind})
+	_, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpQuery})
 	if dterr.CodeOf(err) != dterr.CodeBusy {
 		t.Fatalf("dropped call error = %v, want busy", err)
 	}
@@ -143,7 +143,7 @@ func TestDropAndDuplicate(t *testing.T) {
 	}
 
 	in.SetRules(Rule{From: 2, To: 2, Fault: Fault{Duplicate: true}})
-	if _, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpFind}); err != nil {
+	if _, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpQuery}); err != nil {
 		t.Fatalf("duplicated call failed: %v", err)
 	}
 	if inner.calls() != 3 {
@@ -160,7 +160,7 @@ func TestInjectorLatencyHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpFind})
+	_, err := tr.Call(ctx, &cluster.Request{Op: cluster.OpQuery})
 	if dterr.CodeOf(err) != dterr.CodeDeadlineExceeded {
 		t.Fatalf("latency-faulted call error = %v, want deadline_exceeded", err)
 	}

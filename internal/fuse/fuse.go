@@ -29,58 +29,39 @@ type Engine struct {
 	Entities *store.Sharded
 }
 
+// awardWinningMovies selects what Table IV ranks. The entity store's type_1
+// index serves the first conjunct; the second is checked per candidate.
+var awardWinningMovies = store.And{
+	store.EqStr("type", "Movie"),
+	store.EqStr("attributes.award_winning", "true"),
+}
+
 // TopDiscussed ranks award-winning movies/shows by mention count in the
-// entity store — the Table IV query. Ties break lexicographically. The
-// aggregation runs shard-local maps in parallel and merges them, so the
-// scan cost is bounded by the largest shard; with remote shards it is
-// bounded by the slowest shard's round trip.
+// entity store — the Table IV query. Ties break lexicographically. Each
+// shard answers the filtered query from its index, so only the matching
+// mentions leave it; a name is displayed as its first mention spells it,
+// in shard order.
 func (e *Engine) TopDiscussed(ctx context.Context, k int) ([]Discussed, error) {
-	parts := make([]map[string]*Discussed, e.Entities.NumShards())
-	err := e.Entities.ForEachShard(func(shard int, b store.ShardBackend) error {
-		_, docs, err := b.Snapshot(ctx)
-		if store.AbsorbShardError(ctx, e.Entities.NS(), shard, err) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		counts := map[string]*Discussed{}
-		for _, d := range docs {
-			if d.PathString("type") != "Movie" {
-				continue
-			}
-			if d.PathString("attributes.award_winning") != "true" {
-				continue
-			}
-			name := textutil.Normalize(d.PathString("name"))
-			if name == "" {
-				continue
-			}
-			dd, ok := counts[name]
-			if !ok {
-				dd = &Discussed{Name: displayName(d.PathString("name"))}
-				counts[name] = dd
-			}
-			dd.Mentions++
-		}
-		parts[shard] = counts
-		return nil
-	})
+	docs, err := e.Entities.FindCtx(ctx, awardWinningMovies)
 	if err != nil {
 		return nil, err
 	}
-	merged := map[string]*Discussed{}
-	for _, counts := range parts {
-		for name, d := range counts {
-			if got, ok := merged[name]; ok {
-				got.Mentions += d.Mentions
-			} else {
-				merged[name] = d
-			}
+	counts := map[string]*Discussed{}
+	for _, d := range docs {
+		raw := d.PathString("name")
+		name := textutil.Normalize(raw)
+		if name == "" {
+			continue
 		}
+		dd, ok := counts[name]
+		if !ok {
+			dd = &Discussed{Name: displayName(raw)}
+			counts[name] = dd
+		}
+		dd.Mentions++
 	}
-	out := make([]Discussed, 0, len(merged))
-	for _, d := range merged {
+	out := make([]Discussed, 0, len(counts))
+	for _, d := range counts {
 		out = append(out, *d)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -119,24 +100,23 @@ func (e *Engine) TextFeeds(ctx context.Context, show string, limit int) ([]strin
 	if err != nil {
 		return nil, err
 	}
-	lowShow := strings.ToLower(show)
 	// Relevance is the best single sentence about the queried show:
 	// "grossed" amounts co-occurring with the show name dominate, then
 	// mention count and award context. Scoring per-sentence (max, not sum)
 	// keeps a fragment that merely mentions many shows from outranking a
 	// dense box-office statement about this one. Scores are computed once
 	// per feed, not once per comparison — sentence splitting is the
-	// expensive part.
+	// expensive part — and fold case as they search, without lowered copies.
 	score := func(s string) int {
 		best := 0
 		for _, sent := range textutil.Sentences(s) {
-			low := strings.ToLower(sent)
-			if !strings.Contains(low, lowShow) {
+			mentions := textutil.CountFold(sent, show)
+			if mentions == 0 {
 				continue
 			}
-			v := 4*strings.Count(low, "grossed") +
-				2*strings.Count(low, lowShow) +
-				strings.Count(low, "award-winning")
+			v := 4*textutil.CountFold(sent, "grossed") +
+				2*mentions +
+				textutil.CountFold(sent, "award-winning")
 			if v > best {
 				best = v
 			}

@@ -69,7 +69,7 @@ type Querier interface {
 	QueryShow(ctx context.Context, show string) (web, fused *record.Record, err error)
 	ShowInFused(ctx context.Context, show string) (bool, error)
 	CheapestShows(ctx context.Context, k int) ([]fuse.PricedShow, error)
-	FindEntities(ctx context.Context, query string) ([]*store.Doc, error)
+	QueryEntities(ctx context.Context, query string, q store.Query) (store.Result, error)
 }
 
 // Ingestor is the write surface the server needs in live mode.
@@ -454,16 +454,19 @@ func (s *Server) v1Find(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	docs, err := s.q.FindEntities(ctx, q)
+	res, err := s.q.QueryEntities(ctx, q, store.Query{Offset: offset, Limit: limit})
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	out := make([]map[string]string, len(docs))
-	for i, d := range docs {
-		out[i] = docMap(d)
+	// Only the window is rendered; the total and the echoed offset are what
+	// paginate reports over the whole match list.
+	items := make([]map[string]string, len(res.Docs))
+	for i, d := range res.Docs {
+		items[i] = docMap(d)
 	}
-	writeRead(w, pr, http.StatusOK, paginate(out, limit, offset))
+	total := int(res.Total)
+	writeRead(w, pr, http.StatusOK, pageList{Items: items, Total: total, Limit: limit, Offset: min(offset, total)})
 }
 
 // showView is the JSON rendering of the Table V / Table VI records.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fuse"
 	"repro/internal/live"
+	"repro/internal/store"
 )
 
 var (
@@ -320,6 +322,29 @@ func TestV1FindPaginatesWithTotal(t *testing.T) {
 	code, _, errBody := v1Get(t, s, "/v1/find?q=%3D%3D%3D")
 	if code != http.StatusBadRequest || errBody["code"] != "invalid_argument" {
 		t.Errorf("malformed filter: %d %v", code, errBody)
+	}
+
+	// The handler renders only the window the store returned; the body must
+	// be byte for byte what rendering every match and paginating gave.
+	all, err := s.q.QueryEntities(context.Background(), "type = Movie", store.Query{Limit: store.NoLimit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendered := make([]map[string]string, len(all.Docs))
+	for i, d := range all.Docs {
+		rendered[i] = docMap(d)
+	}
+	n := len(rendered)
+	for _, c := range [][2]int{{2, 0}, {3, 5}, {0, 0}, {0, 4}, {10, n - 2}, {5, n}, {5, n + 7}, {1000, 0}} {
+		limit, offset := c[0], c[1]
+		want := httptest.NewRecorder()
+		writeRead(want, nil, http.StatusOK, paginate(rendered, limit, offset))
+		got := httptest.NewRecorder()
+		s.ServeHTTP(got, httptest.NewRequest(http.MethodGet,
+			fmt.Sprintf("/v1/find?q=type%%20%%3D%%20Movie&limit=%d&offset=%d", limit, offset), nil))
+		if got.Body.String() != want.Body.String() {
+			t.Errorf("limit %d offset %d: body\n%s\nwant\n%s", limit, offset, got.Body, want.Body)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -32,7 +33,7 @@ func BenchmarkShardedScanFanOut(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := s.CountWhere(filter); got != 200 {
+				if got, _ := s.CountWhereCtx(context.Background(), filter); got != 200 {
 					b.Fatalf("matches = %d", got)
 				}
 			}
@@ -49,7 +50,7 @@ func BenchmarkTextSearch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got := s.CountWhere(filter); got != 200 {
+			if got, _ := s.CountWhereCtx(context.Background(), filter); got != 200 {
 				b.Fatalf("matches = %d", got)
 			}
 		}

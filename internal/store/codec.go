@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/record"
@@ -37,16 +38,17 @@ const (
 // EncodeDoc serializes a document.
 func EncodeDoc(d *Doc) []byte {
 	var buf bytes.Buffer
-	writeDoc(&buf, d)
+	PutDoc(&buf, d)
 	return buf.Bytes()
 }
 
-func writeDoc(buf *bytes.Buffer, d *Doc) {
-	PutUvarint(buf, uint64(d.Len()))
-	for _, name := range d.Names() {
-		v, _ := d.Get(name)
-		PutString(buf, name)
-		writeDocValue(buf, v)
+// PutDoc appends the document's encoding to buf — EncodeDoc for a caller
+// packing many documents into one buffer.
+func PutDoc(buf *bytes.Buffer, d *Doc) {
+	PutUvarint(buf, uint64(len(d.fields)))
+	for _, f := range d.fields {
+		PutString(buf, f.name)
+		writeDocValue(buf, f.value)
 	}
 }
 
@@ -54,7 +56,7 @@ func writeDocValue(buf *bytes.Buffer, v DocValue) {
 	switch {
 	case v.IsDoc():
 		buf.WriteByte(tagNested)
-		writeDoc(buf, v.Doc())
+		PutDoc(buf, v.Doc())
 	case v.IsList():
 		buf.WriteByte(tagList)
 		PutUvarint(buf, uint64(len(v.List())))
@@ -242,21 +244,43 @@ func readScalar(r *bytes.Reader) (record.Value, error) {
 	}
 }
 
-func GetString(r *bytes.Reader) (string, error) {
-	b, err := GetBytes(r)
-	return string(b), err
-}
-
-// GetBytes reads one length-prefixed value. The length is checked against
-// the bytes remaining before anything is allocated; a zero length is a
-// valid empty value even at the end of the payload.
-func GetBytes(r *bytes.Reader) ([]byte, error) {
+// getLen reads a value's length prefix and checks it against the bytes
+// remaining, before anything is allocated for the value.
+func getLen(r *bytes.Reader) (int, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("length %d exceeds remaining bytes", n)
+		return 0, fmt.Errorf("length %d exceeds remaining bytes", n)
+	}
+	return int(n), nil
+}
+
+// GetString reads one length-prefixed string, copying it once: through a
+// small buffer into the string's own storage.
+func GetString(r *bytes.Reader) (string, error) {
+	n, err := getLen(r)
+	if err != nil {
+		return "", err
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	var chunk [256]byte
+	for n > 0 {
+		k, _ := r.Read(chunk[:min(n, len(chunk))])
+		sb.Write(chunk[:k])
+		n -= k
+	}
+	return sb.String(), nil
+}
+
+// GetBytes reads one length-prefixed value; a zero length is a valid empty
+// value even at the end of the payload.
+func GetBytes(r *bytes.Reader) ([]byte, error) {
+	n, err := getLen(r)
+	if err != nil {
+		return nil, err
 	}
 	b := make([]byte, n)
 	_, err = io.ReadFull(r, b)

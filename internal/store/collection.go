@@ -34,7 +34,11 @@ type Collection struct {
 	dead    int
 	nextID  int64
 	extents []extent
-	indexes map[string]*Index
+	// dataSize is the sum of SizeBytes over the stored documents, kept in
+	// step by every mutation so Stats need not visit them. Documents must
+	// not be modified once stored.
+	dataSize int64
+	indexes  map[string]*Index
 	// text holds inverted text indexes by path. They accelerate OpContains
 	// filters but are not part of the secondary-index set reported in Stats
 	// (nindexes keeps the paper's Table I/II shape).
@@ -110,7 +114,7 @@ func (c *Collection) Insert(doc *Doc) int64 {
 	c.nextID++
 	c.docs[id] = doc
 	c.appendOrderLocked(id)
-	c.allocate(doc.SizeBytes())
+	c.charge(doc.SizeBytes())
 	for _, ix := range c.indexes {
 		ix.insert(id, doc)
 	}
@@ -129,9 +133,12 @@ func (c *Collection) InsertMany(docs []*Doc) []int64 {
 	return ids
 }
 
-// allocate charges n bytes against the extent chain, opening new extents as
-// the current one fills. Must hold c.mu.
-func (c *Collection) allocate(n int64) {
+// charge records that the stored documents grew (or shrank) by n bytes.
+// Growth is taken from the extent chain, opening new extents as the current
+// one fills; extent space is never handed back, matching extent-based
+// engines. Must hold c.mu.
+func (c *Collection) charge(n int64) {
+	c.dataSize += n
 	for n > 0 {
 		if len(c.extents) == 0 || c.extents[len(c.extents)-1].used >= c.extents[len(c.extents)-1].capacity {
 			c.extents = append(c.extents, extent{capacity: c.extentSize})
@@ -170,10 +177,7 @@ func (c *Collection) Update(id int64, doc *Doc) bool {
 		tx.remove(id, old)
 	}
 	c.docs[id] = doc
-	delta := doc.SizeBytes() - old.SizeBytes()
-	if delta > 0 {
-		c.allocate(delta)
-	}
+	c.charge(doc.SizeBytes() - old.SizeBytes())
 	for _, ix := range c.indexes {
 		ix.insert(id, doc)
 	}
@@ -184,7 +188,7 @@ func (c *Collection) Update(id int64, doc *Doc) bool {
 }
 
 // Delete removes the document with the given id, reporting whether it
-// existed. Extent space is not reclaimed (matching extent-based engines).
+// existed.
 func (c *Collection) Delete(id int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -200,6 +204,7 @@ func (c *Collection) Delete(id int64) bool {
 	}
 	delete(c.docs, id)
 	c.removeOrderLocked(id)
+	c.charge(-doc.SizeBytes())
 	return true
 }
 
@@ -268,154 +273,6 @@ func (c *Collection) Indexes() []*Index {
 	return out
 }
 
-// indexFor returns an index covering the given path, preferring B-tree when
-// rangeScan is required. Must hold c.mu (read).
-func (c *Collection) indexFor(path string, rangeScan bool) *Index {
-	var fallback *Index
-	for _, ix := range c.indexes {
-		if ix.Path != path {
-			continue
-		}
-		if ix.Kind == BTreeIndex {
-			return ix
-		}
-		if !rangeScan {
-			fallback = ix
-		}
-	}
-	return fallback
-}
-
-// Find returns the documents matching filter, using an index for the
-// top-level condition when one covers it and falling back to a full scan
-// otherwise. Results are in insertion (id) order for scans and index order
-// for indexed lookups.
-func (c *Collection) Find(filter Filter) []*Doc {
-	ids := c.FindIDs(filter)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	docs := make([]*Doc, 0, len(ids))
-	for _, id := range ids {
-		if d, ok := c.docs[id]; ok {
-			docs = append(docs, d)
-		}
-	}
-	return docs
-}
-
-// FindIDs is Find returning document ids instead of documents.
-func (c *Collection) FindIDs(filter Filter) []int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if ids, ok := c.tryIndexedLookup(filter); ok {
-		return ids
-	}
-	var ids []int64
-	for _, id := range c.order {
-		if id == 0 {
-			continue
-		}
-		if filter == nil || filter.Matches(c.docs[id]) {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-// tryIndexedLookup serves Eq / Prefix / In conditions (and And filters whose
-// first indexable condition narrows the candidate set) from an index, and
-// Contains conditions from an inverted text index when one covers the path.
-func (c *Collection) tryIndexedLookup(filter Filter) ([]int64, bool) {
-	switch f := filter.(type) {
-	case Cond:
-		ids, verified, ok := c.condFromIndex(f)
-		if !ok {
-			return nil, false
-		}
-		if verified {
-			return ids, true
-		}
-		// Candidate superset (text index): confirm each against the filter.
-		out := ids[:0]
-		for _, id := range ids {
-			if f.Matches(c.docs[id]) {
-				out = append(out, id)
-			}
-		}
-		return out, true
-	case And:
-		for _, child := range f {
-			cond, ok := child.(Cond)
-			if !ok {
-				continue
-			}
-			ids, _, ok := c.condFromIndex(cond)
-			if !ok {
-				continue
-			}
-			var out []int64
-			for _, id := range ids {
-				if f.Matches(c.docs[id]) {
-					out = append(out, id)
-				}
-			}
-			return out, true
-		}
-	}
-	return nil, false
-}
-
-// condFromIndex resolves cond from an index. verified reports whether the
-// returned ids match exactly (false for text-index candidate supersets,
-// which callers must confirm with Matches).
-func (c *Collection) condFromIndex(cond Cond) (ids []int64, verified, ok bool) {
-	switch cond.Op {
-	case OpEq:
-		ix := c.indexFor(cond.Path, false)
-		if ix == nil {
-			return nil, false, false
-		}
-		return ix.Lookup(cond.Value.Str()), true, true
-	case OpPrefix:
-		ix := c.indexFor(cond.Path, true)
-		if ix == nil || ix.Kind != BTreeIndex {
-			return nil, false, false
-		}
-		return ix.LookupPrefix(cond.Value.Str()), true, true
-	case OpIn:
-		ix := c.indexFor(cond.Path, false)
-		if ix == nil {
-			return nil, false, false
-		}
-		for _, v := range cond.Set {
-			ids = append(ids, ix.Lookup(v.Str())...)
-		}
-		return ids, true, true
-	case OpContains:
-		tx := c.text[cond.Path]
-		if tx == nil {
-			return nil, false, false
-		}
-		cands, ok := tx.Candidates(cond.Value.Str())
-		if !ok {
-			return nil, false, false
-		}
-		return cands, false, true
-	default:
-		return nil, false, false
-	}
-}
-
-// FindOne returns the first matching document, or nil.
-func (c *Collection) FindOne(filter Filter) *Doc {
-	cur := c.FindCursor(filter, 1)
-	docs := cur.Next()
-	if len(docs) == 0 {
-		return nil
-	}
-	return docs[0]
-}
-
 // Scan calls fn for every document in insertion order until fn returns
 // false. It snapshots the membership under one read lock and iterates
 // lock-free, so fn observes a consistent point-in-time view: mutations that
@@ -449,22 +306,33 @@ func (c *Collection) snapshot() ([]int64, []*Doc) {
 	return ids, docs
 }
 
-// CountWhere reports the number of documents matching filter.
-func (c *Collection) CountWhere(filter Filter) int64 {
-	return int64(len(c.FindIDs(filter)))
-}
-
 // Distinct returns the distinct scalar string values at path with their
-// frequencies.
+// frequencies. A hash index over path answers from its posting-list lengths
+// as long as it holds no list-element keys (a list is not a scalar value,
+// but its elements are indexed); otherwise every document is visited.
 func (c *Collection) Distinct(path string) map[string]int64 {
-	out := make(map[string]int64)
-	c.Scan(func(_ int64, d *Doc) bool {
-		v, ok := d.Path(path)
-		if ok && v.IsScalar() && !v.Scalar().IsNull() {
-			out[v.Scalar().Str()]++
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, ix := range c.indexes {
+		if ix.Kind == HashIndex && ix.Path == path && ix.listEntries == 0 {
+			out := make(map[string]int64, len(ix.hash))
+			for key, ids := range ix.hash {
+				out[key] = int64(len(ids))
+			}
+			return out
 		}
-		return true
-	})
+	}
+	out := make(map[string]int64)
+	for _, id := range c.order {
+		if id == 0 {
+			continue
+		}
+		if v, ok := c.docs[id].Path(path); ok {
+			if key, ok := indexKey(v); ok {
+				out[key]++
+			}
+		}
+	}
 	return out
 }
 
@@ -473,10 +341,6 @@ func (c *Collection) Distinct(path string) map[string]int64 {
 func (c *Collection) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var dataSize int64
-	for _, d := range c.docs {
-		dataSize += d.SizeBytes()
-	}
 	var indexSize int64
 	for _, ix := range c.indexes {
 		indexSize += ix.SizeBytes()
@@ -487,7 +351,7 @@ func (c *Collection) Stats() Stats {
 	}
 	avg := int64(0)
 	if len(c.docs) > 0 {
-		avg = dataSize / int64(len(c.docs))
+		avg = c.dataSize / int64(len(c.docs))
 	}
 	return Stats{
 		NS:             c.ns,
@@ -496,7 +360,7 @@ func (c *Collection) Stats() Stats {
 		NIndexes:       len(c.indexes),
 		LastExtentSize: last,
 		TotalIndexSize: indexSize,
-		DataSize:       dataSize,
+		DataSize:       c.dataSize,
 		AvgObjSize:     avg,
 	}
 }

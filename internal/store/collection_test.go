@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -94,20 +95,11 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		c.Insert(entityDoc(fmt.Sprintf("E%03d", i%50), fmt.Sprintf("T%d", i%5), int64(i)))
 	}
-	scan := c.FindIDs(EqStr("name", "E007"))
+	scan := c.Find(EqStr("name", "E007"))
 	c.EnsureIndex("name_1", "name", HashIndex)
-	indexed := c.FindIDs(EqStr("name", "E007"))
-	if len(scan) != len(indexed) {
-		t.Fatalf("scan %d vs indexed %d", len(scan), len(indexed))
-	}
-	got := map[int64]bool{}
-	for _, id := range indexed {
-		got[id] = true
-	}
-	for _, id := range scan {
-		if !got[id] {
-			t.Fatalf("indexed lookup missing id %d", id)
-		}
+	indexed := c.Find(EqStr("name", "E007"))
+	if len(scan) == 0 || !slices.Equal(scan, indexed) {
+		t.Fatalf("scan found %d docs, the index %d, or in another order", len(scan), len(indexed))
 	}
 	// And-filter should also use the index then refine.
 	and := And{EqStr("name", "E007"), EqStr("type", "T2")}
@@ -128,9 +120,8 @@ func TestBTreeIndexPrefixAndList(t *testing.T) {
 	c.Insert(entityDoc("The Walking Dead", "Movie", 1))
 	c.Insert(entityDoc("The Wolverine", "Movie", 2))
 	c.Insert(entityDoc("Goodfellas", "Movie", 3))
-	ids := c.FindIDs(Prefix("name", "The "))
-	if len(ids) != 2 {
-		t.Errorf("prefix ids = %v", ids)
+	if docs := c.Find(Prefix("name", "The ")); len(docs) != 2 {
+		t.Errorf("prefix docs = %v", docs)
 	}
 
 	// Index over list elements.
@@ -188,25 +179,6 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
-}
-
-func TestCursorBatches(t *testing.T) {
-	c := Open("dt", 0).Collection("entity")
-	for i := 0; i < 25; i++ {
-		c.Insert(entityDoc(fmt.Sprintf("E%d", i), "Movie", int64(i)))
-	}
-	cur := c.FindCursor(All{}, 10)
-	sizes := []int{}
-	for batch := cur.Next(); batch != nil; batch = cur.Next() {
-		sizes = append(sizes, len(batch))
-	}
-	if len(sizes) != 3 || sizes[0] != 10 || sizes[2] != 5 {
-		t.Errorf("batch sizes = %v", sizes)
-	}
-	cur2 := c.FindCursor(All{}, 7)
-	if got := len(cur2.All()); got != 25 {
-		t.Errorf("All() = %d", got)
-	}
 }
 
 func TestDistinct(t *testing.T) {

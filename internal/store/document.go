@@ -1,8 +1,25 @@
 // Package store implements the sharded semi-structured document store the
 // paper's text pipeline lands in (a MongoDB deployment in the original
-// system): namespaced collections, fixed-size extents, hash and B-tree
-// secondary indexes, filter queries with index selection, cursors, and
-// stats() output in the shape of the paper's Tables I and II.
+// system): namespaced collections, fixed-size extents, hash, B-tree and
+// inverted-text indexes, and stats() output in the shape of the paper's
+// Tables I and II.
+//
+// Everything that reads by filter is one op, Query: a filter, an offset, a
+// limit, and the exact match total. A Collection answers it with at most
+// the window's documents — from an index's posting lists when one covers
+// the filter's condition, else by testing every document without collecting
+// the ones outside the window — and a Sharded router asks each shard for
+// its first offset+limit matches and cuts the window from their
+// concatenation. Limit 0 is the count, NoLimit the whole list, Explain the
+// plan; Find, FindOne and CountWhere are those spellings. Matching a
+// document allocates nothing.
+//
+// The two aggregates do not scan either. Stats reads a data-size counter
+// every mutation keeps. Distinct(path) reads posting-list lengths off a
+// hash index over path, as long as that index holds no list-element keys
+// (a list is no scalar value, yet its elements are indexed, so the lengths
+// would over-count); otherwise it visits the documents under the read
+// lock.
 package store
 
 import (
@@ -185,21 +202,17 @@ func (d *Doc) Names() []string {
 // not addressable by path; a path ending at a list returns the list value.
 func (d *Doc) Path(path string) (DocValue, bool) {
 	cur := d
-	parts := strings.Split(path, ".")
-	for i, part := range parts {
+	for {
+		part, rest, nested := strings.Cut(path, ".")
 		v, ok := cur.Get(part)
-		if !ok {
-			return DocValue{}, false
-		}
-		if i == len(parts)-1 {
-			return v, true
+		if !ok || !nested {
+			return v, ok
 		}
 		if !v.IsDoc() {
 			return DocValue{}, false
 		}
-		cur = v.Doc()
+		cur, path = v.Doc(), rest
 	}
-	return DocValue{}, false
 }
 
 // PathString resolves path and returns the scalar string rendering ("" when

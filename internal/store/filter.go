@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/record"
+	"repro/internal/textutil"
 )
 
 // Op enumerates comparison operators usable in filters.
@@ -106,7 +107,7 @@ func (c Cond) matchesValue(v DocValue) bool {
 	case OpLe:
 		return record.Compare(s, c.Value) <= 0
 	case OpContains:
-		return strings.Contains(strings.ToLower(s.Str()), strings.ToLower(c.Value.Str()))
+		return textutil.ContainsFold(s.Str(), c.Value.Str())
 	case OpPrefix:
 		return strings.HasPrefix(s.Str(), c.Value.Str())
 	case OpIn:

@@ -90,7 +90,7 @@ func ReadSnapshot(r io.Reader, extentSize int64) (*Collection, error) {
 		}
 		c.docs[id] = doc
 		c.appendOrderLocked(id)
-		c.allocate(doc.SizeBytes())
+		c.charge(doc.SizeBytes())
 		if id >= c.nextID {
 			c.nextID = id + 1
 		}
@@ -116,6 +116,7 @@ func (c *Collection) applyReplay(id int64, doc *Doc) {
 			tx.remove(id, old)
 		}
 		c.docs[id] = doc
+		c.charge(doc.SizeBytes() - old.SizeBytes())
 		for _, ix := range c.indexes {
 			ix.insert(id, doc)
 		}
@@ -126,7 +127,7 @@ func (c *Collection) applyReplay(id int64, doc *Doc) {
 	}
 	c.docs[id] = doc
 	c.appendOrderLocked(id)
-	c.allocate(doc.SizeBytes())
+	c.charge(doc.SizeBytes())
 	if id >= c.nextID {
 		c.nextID = id + 1
 	}

@@ -1,0 +1,296 @@
+package store
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/btree"
+)
+
+// Query is the one read a shard answers: the documents matching Filter, in
+// the shard's order, from the Offset'th on and at most Limit of them, plus
+// the exact number that match. Everything that reads by filter — a page of
+// /v1/find, an unbounded Find, a count, a plan — is this op with different
+// fields set, locally and on the cluster wire.
+type Query struct {
+	// Filter selects documents; nil matches all.
+	Filter Filter
+	// Offset is the number of leading matches to skip; a negative one
+	// skips none.
+	Offset int
+	// Limit bounds the documents returned. Zero asks for the total alone;
+	// NoLimit (any negative value) returns every match from Offset on.
+	Limit int
+	// Explain asks for the access path instead of the answer: Plan is set,
+	// nothing is matched.
+	Explain bool
+}
+
+// NoLimit is the Query.Limit of an unbounded query.
+const NoLimit = -1
+
+// Result answers a Query.
+type Result struct {
+	// Docs is the requested window of the matches.
+	Docs []*Doc
+	// Total is how many documents match, whatever the window.
+	Total int64
+	// Plan is the access path, set in Explain mode only.
+	Plan Explain
+}
+
+// end returns how many leading matches the query's window reaches —
+// Offset+Limit clamped to MaxInt, nothing for an empty window — or NoLimit
+// for an unbounded query.
+func (q Query) end() int {
+	switch {
+	case q.Limit <= 0:
+		return max(q.Limit, NoLimit)
+	case q.Offset > math.MaxInt-q.Limit:
+		return math.MaxInt
+	}
+	return q.Offset + q.Limit
+}
+
+// Explain describes how a filter executes against the collection: the
+// chosen access path and the index serving it, if any.
+type Explain struct {
+	// AccessPath is "index" or "scan".
+	AccessPath string
+	// IndexName and IndexKind identify the serving index ("" for scans).
+	IndexName string
+	IndexKind string
+	// Reason explains the decision.
+	Reason string
+}
+
+// access is the path a filter's candidates come by: the condition an index
+// serves and that index. The zero access is a scan.
+type access struct {
+	cond Cond
+	ix   *Index     // holds exactly the ids matching cond (Eq, In, Prefix)
+	tx   *TextIndex // holds a superset of the ids matching cond (Contains)
+	// residual says the filter asks for more than cond, so every candidate
+	// is checked against the whole filter.
+	residual bool
+}
+
+func (a access) indexed() bool { return a.ix != nil || a.tx != nil }
+
+// plan picks the access path: an index covering the filter's condition, or
+// covering the first conjunct of an And that has one. Must hold c.mu.
+func (c *Collection) plan(f Filter) access {
+	switch f := f.(type) {
+	case Cond:
+		return c.condAccess(f)
+	case And:
+		for _, child := range f {
+			if cond, ok := child.(Cond); ok {
+				if a := c.condAccess(cond); a.indexed() {
+					a.residual = true
+					return a
+				}
+			}
+		}
+	}
+	return access{}
+}
+
+// condAccess finds the index serving one condition: hash or B-tree for Eq
+// and In, B-tree for Prefix, the inverted text index for a Contains whose
+// needle it can bound.
+func (c *Collection) condAccess(cond Cond) access {
+	switch cond.Op {
+	case OpEq, OpIn:
+		if ix := c.indexFor(cond.Path, false); ix != nil {
+			return access{cond: cond, ix: ix}
+		}
+	case OpPrefix:
+		if ix := c.indexFor(cond.Path, true); ix != nil {
+			return access{cond: cond, ix: ix}
+		}
+	case OpContains:
+		if tx := c.text[cond.Path]; tx != nil && tx.CanBound(cond.Value.Str()) {
+			return access{cond: cond, tx: tx}
+		}
+	}
+	return access{}
+}
+
+// indexFor returns an index covering the given path: any kind for point
+// lookups, preferring B-tree; B-tree only when rangeScan is required. Must
+// hold c.mu.
+func (c *Collection) indexFor(path string, rangeScan bool) *Index {
+	var fallback *Index
+	for _, ix := range c.indexes {
+		if ix.Path != path {
+			continue
+		}
+		if ix.Kind == BTreeIndex {
+			return ix
+		}
+		if !rangeScan {
+			fallback = ix
+		}
+	}
+	return fallback
+}
+
+// page collects one query's window while counting every match.
+type page struct {
+	docs map[int64]*Doc
+	// verify is what a candidate must still satisfy; nil when the index has
+	// already proved the match.
+	verify        Filter
+	offset, limit int
+	total         int64
+	out           []*Doc
+}
+
+// add counts one matching document and keeps it if the window covers it.
+func (p *page) add(d *Doc) {
+	if p.total >= int64(p.offset) && (p.limit < 0 || len(p.out) < p.limit) {
+		p.out = append(p.out, d)
+	}
+	p.total++
+}
+
+// addID takes one candidate id.
+func (p *page) addID(id int64) {
+	if d := p.docs[id]; p.verify == nil || p.verify.Matches(d) {
+		p.add(d)
+	}
+}
+
+// addIDs takes a run of candidate ids. Proven matches are counted by the
+// run's length and only the part of it the window covers is touched.
+func (p *page) addIDs(ids []int64) {
+	if p.verify != nil {
+		for _, id := range ids {
+			p.addID(id)
+		}
+		return
+	}
+	lo := min(max(int64(p.offset)-p.total, 0), int64(len(ids)))
+	n := int64(len(ids)) - lo
+	if p.limit >= 0 {
+		n = min(n, int64(p.limit-len(p.out)))
+	}
+	if n > 0 && p.out == nil {
+		p.out = make([]*Doc, 0, n)
+	}
+	for _, id := range ids[lo : lo+n] {
+		p.out = append(p.out, p.docs[id])
+	}
+	p.total += int64(len(ids))
+}
+
+// Query answers q. An index serves the filter's condition when one covers
+// it (see plan): the total then comes from posting-list lengths and only
+// the window's documents are touched, unless residual conditions or a text
+// index's candidate superset need each candidate checked. Otherwise every
+// document is tested in insertion order; matches outside the window are
+// counted, not collected. Results are in ascending id order — insertion
+// order — except a prefix scan's, which follow the B-tree's keys.
+func (c *Collection) Query(q Query) Result {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	a := c.plan(q.Filter)
+	if q.Explain {
+		return Result{Plan: c.explain(q.Filter, a)}
+	}
+	p := page{docs: c.docs, offset: q.Offset, limit: q.Limit}
+	if a.ix == nil || a.residual {
+		p.verify = q.Filter
+	}
+	switch {
+	case a.tx != nil:
+		ids, _ := a.tx.Candidates(a.cond.Value.Str())
+		p.addIDs(ids)
+	case a.ix == nil:
+		for _, id := range c.order {
+			if id != 0 {
+				p.addID(id)
+			}
+		}
+	case a.cond.Op == OpPrefix:
+		a.ix.tree.AscendPrefix(a.cond.Value.Str(), func(e btree.Entry) bool {
+			p.addID(e.ID)
+			return true
+		})
+	case a.cond.Op == OpIn:
+		p.addIDs(a.ix.idsIn(a.cond.Set))
+	default:
+		p.addIDs(a.ix.ids(a.cond.Value.Str()))
+	}
+	return Result{Docs: p.out, Total: p.total}
+}
+
+// Find returns every document matching filter.
+func (c *Collection) Find(filter Filter) []*Doc {
+	return c.Query(Query{Filter: filter, Limit: NoLimit}).Docs
+}
+
+// FindOne returns the first matching document, or nil.
+func (c *Collection) FindOne(filter Filter) *Doc {
+	if docs := c.Query(Query{Filter: filter, Limit: 1}).Docs; len(docs) > 0 {
+		return docs[0]
+	}
+	return nil
+}
+
+// CountWhere reports the number of documents matching filter.
+func (c *Collection) CountWhere(filter Filter) int64 {
+	return c.Query(Query{Filter: filter}).Total
+}
+
+// ExplainFilter reports the plan Query uses for the filter.
+func (c *Collection) ExplainFilter(f Filter) Explain {
+	return c.Query(Query{Filter: f, Explain: true}).Plan
+}
+
+// explain words the access path plan chose for f.
+func (c *Collection) explain(f Filter, a access) Explain {
+	var ex Explain
+	switch {
+	case a.tx != nil:
+		ex = Explain{
+			AccessPath: "index", IndexName: a.tx.Name(), IndexKind: "text",
+			Reason: fmt.Sprintf("inverted-text candidates on %s, verified by substring match", a.cond.Path),
+		}
+	case a.ix != nil:
+		reason := "point lookup on " + a.cond.Path
+		if a.cond.Op == OpPrefix {
+			reason = "prefix scan on " + a.cond.Path
+		}
+		ex = Explain{AccessPath: "index", IndexName: a.ix.Name, IndexKind: a.ix.Kind.String(), Reason: reason}
+	default:
+		return Explain{AccessPath: "scan", Reason: c.scanReason(f)}
+	}
+	if a.residual {
+		ex.Reason += "; residual conditions filtered after lookup"
+	}
+	return ex
+}
+
+// scanReason says why no index serves f.
+func (c *Collection) scanReason(f Filter) string {
+	switch f := f.(type) {
+	case Cond:
+		switch f.Op {
+		case OpEq, OpIn:
+			return "no index on " + f.Path
+		case OpPrefix:
+			return "prefix scan needs a btree index on " + f.Path
+		case OpContains:
+			if c.text[f.Path] != nil {
+				return "substring has characters the text index cannot bound"
+			}
+			return "substring match needs a text index on " + f.Path
+		}
+		return "operator is not indexable"
+	case And:
+		return "no conjunct is served by an index"
+	}
+	return "filter shape is not indexable"
+}

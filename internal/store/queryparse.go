@@ -206,83 +206,3 @@ func lexFilter(input string) []string {
 	}
 	return tokens
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Explain describes how a filter would execute against the collection:
-// the chosen access path and the index serving it, if any.
-type Explain struct {
-	// AccessPath is "index" or "scan".
-	AccessPath string
-	// IndexName and IndexKind identify the serving index ("" for scans).
-	IndexName string
-	IndexKind string
-	// Reason explains the decision.
-	Reason string
-}
-
-// ExplainFilter reports the plan Find would use for the filter.
-func (c *Collection) ExplainFilter(f Filter) Explain {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	switch ff := f.(type) {
-	case Cond:
-		if ff.Op == OpContains {
-			if tx := c.text[ff.Path]; tx != nil {
-				if tx.CanBound(ff.Value.Str()) {
-					return Explain{
-						AccessPath: "index",
-						IndexName:  tx.Name(),
-						IndexKind:  "text",
-						Reason:     fmt.Sprintf("inverted-text candidates on %s, verified by substring match", ff.Path),
-					}
-				}
-				return Explain{AccessPath: "scan", Reason: "substring has characters the text index cannot bound"}
-			}
-		}
-		if ix, reason := c.explainCond(ff); ix != nil {
-			return Explain{AccessPath: "index", IndexName: ix.Name, IndexKind: ix.Kind.String(), Reason: reason}
-		} else if reason != "" {
-			return Explain{AccessPath: "scan", Reason: reason}
-		}
-	case And:
-		for _, child := range ff {
-			if cond, ok := child.(Cond); ok {
-				if ix, reason := c.explainCond(cond); ix != nil {
-					return Explain{
-						AccessPath: "index",
-						IndexName:  ix.Name,
-						IndexKind:  ix.Kind.String(),
-						Reason:     reason + "; residual conditions filtered after lookup",
-					}
-				}
-			}
-		}
-		return Explain{AccessPath: "scan", Reason: "no conjunct is served by an index"}
-	}
-	return Explain{AccessPath: "scan", Reason: "filter shape is not indexable"}
-}
-
-func (c *Collection) explainCond(cond Cond) (*Index, string) {
-	switch cond.Op {
-	case OpEq, OpIn:
-		if ix := c.indexFor(cond.Path, false); ix != nil {
-			return ix, fmt.Sprintf("point lookup on %s", cond.Path)
-		}
-		return nil, fmt.Sprintf("no index on %s", cond.Path)
-	case OpPrefix:
-		if ix := c.indexFor(cond.Path, true); ix != nil && ix.Kind == BTreeIndex {
-			return ix, fmt.Sprintf("prefix scan on %s", cond.Path)
-		}
-		return nil, fmt.Sprintf("prefix scan needs a btree index on %s", cond.Path)
-	case OpContains:
-		return nil, fmt.Sprintf("substring match needs a text index on %s", cond.Path)
-	default:
-		return nil, "operator is not indexable"
-	}
-}

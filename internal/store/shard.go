@@ -25,18 +25,18 @@ type ShardBackend interface {
 	Update(ctx context.Context, id int64, d *Doc) (bool, error)
 	// Delete removes the document under id, reporting whether it existed.
 	Delete(ctx context.Context, id int64) (bool, error)
-	// Find returns the documents matching filter in the shard's order.
-	Find(ctx context.Context, filter Filter) ([]*Doc, error)
+	// Query answers q against the shard: a window of the matching
+	// documents in the shard's order, their exact total, or the plan.
+	Query(ctx context.Context, q Query) (Result, error)
 	// Count reports the shard's document count.
 	Count(ctx context.Context) (int64, error)
-	// CountWhere reports the count of documents matching filter.
-	CountWhere(ctx context.Context, filter Filter) (int64, error)
 	// Distinct returns distinct scalar values at path with frequencies.
 	Distinct(ctx context.Context, path string) (map[string]int64, error)
 	// Stats returns the shard's storage statistics.
 	Stats(ctx context.Context) (Stats, error)
 	// Snapshot returns the live (id, doc) pairs in insertion order — the
-	// point-in-time view scans iterate without holding shard locks.
+	// point-in-time view a whole-shard scan iterates without holding shard
+	// locks. It ships the shard; no read route calls it.
 	Snapshot(ctx context.Context) (ids []int64, docs []*Doc, err error)
 	// CreateIndex ensures a secondary index named name over path.
 	CreateIndex(ctx context.Context, name, path string, kind IndexKind) error
@@ -67,18 +67,13 @@ func (l LocalShard) Delete(_ context.Context, id int64) (bool, error) {
 	return l.Coll.Delete(id), nil
 }
 
-// Find implements ShardBackend.
-func (l LocalShard) Find(_ context.Context, filter Filter) ([]*Doc, error) {
-	return l.Coll.Find(filter), nil
+// Query implements ShardBackend.
+func (l LocalShard) Query(_ context.Context, q Query) (Result, error) {
+	return l.Coll.Query(q), nil
 }
 
 // Count implements ShardBackend.
 func (l LocalShard) Count(_ context.Context) (int64, error) { return l.Coll.Count(), nil }
-
-// CountWhere implements ShardBackend.
-func (l LocalShard) CountWhere(_ context.Context, filter Filter) (int64, error) {
-	return l.Coll.CountWhere(filter), nil
-}
 
 // Distinct implements ShardBackend.
 func (l LocalShard) Distinct(_ context.Context, path string) (map[string]int64, error) {
@@ -308,49 +303,67 @@ func (s *Sharded) fanOut(fn func(i int, b ShardBackend) error) error {
 	return nil
 }
 
-// ForEachShard visits every shard backend concurrently. fn runs in one
-// goroutine per shard and must be safe for concurrent use across shards;
-// per-shard aggregation with a merge afterwards is the intended pattern.
-// The first error in shard order is returned after every shard finished.
-func (s *Sharded) ForEachShard(fn func(shard int, b ShardBackend) error) error {
-	return s.fanOut(fn)
+// QueryCtx answers q over every shard concurrently. The sharded order is
+// shard 0's matches, then shard 1's, and so on, so each shard is asked for
+// its first Offset+Limit matches and its total — one call per shard, never
+// more than that many documents each — and the window is cut from their
+// concatenation. Under WithPartialReads, unreachable shards are recorded
+// and count as empty instead of failing the query. Explain asks shard 0,
+// since all shards share one index layout.
+func (s *Sharded) QueryCtx(ctx context.Context, q Query) (Result, error) {
+	if q.Explain {
+		return s.backends[0].Query(ctx, q)
+	}
+	q.Offset = max(q.Offset, 0)
+	perShard := Query{Filter: q.Filter, Limit: q.end()}
+	parts := make([]Result, len(s.backends))
+	err := s.fanOut(func(i int, b ShardBackend) error {
+		res, err := b.Query(ctx, perShard)
+		if AbsorbShardError(ctx, s.ns, i, err) {
+			return nil
+		}
+		parts[i] = res
+		return err
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	var out Result
+	held := 0
+	for _, p := range parts {
+		out.Total += p.Total
+		held += len(p.Docs)
+	}
+	room := held
+	if q.Limit >= 0 {
+		room = min(q.Limit, held)
+	}
+	out.Docs = make([]*Doc, 0, room)
+	skip := int64(q.Offset)
+	for _, p := range parts {
+		if skip >= p.Total {
+			skip -= p.Total
+			continue
+		}
+		// A shard holds at least skip documents unless it broke the
+		// contract; trust its slice, not its total.
+		docs := p.Docs[min(skip, int64(len(p.Docs))):]
+		skip = 0
+		out.Docs = append(out.Docs, docs[:min(len(docs), room-len(out.Docs))]...)
+	}
+	return out, nil
 }
 
-// Find fans the filter out to every shard concurrently and concatenates
-// results in shard order.
+// Find returns every document matching filter, shard by shard.
 func (s *Sharded) Find(filter Filter) []*Doc {
 	docs, _ := s.FindCtx(context.Background(), filter)
 	return docs
 }
 
-// FindCtx is Find with context propagation and remote-failure reporting.
-// Under WithPartialReads, unreachable shards are recorded and skipped
-// instead of failing the query.
+// FindCtx is the unbounded query: every document matching filter.
 func (s *Sharded) FindCtx(ctx context.Context, filter Filter) ([]*Doc, error) {
-	parts := make([][]*Doc, len(s.backends))
-	err := s.fanOut(func(i int, b ShardBackend) error {
-		docs, err := b.Find(ctx, filter)
-		if AbsorbShardError(ctx, s.ns, i, err) {
-			return nil
-		}
-		parts[i] = docs
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	var total int
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]*Doc, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
+	res, err := s.QueryCtx(ctx, Query{Filter: filter, Limit: NoLimit})
+	return res.Docs, err
 }
 
 // Count reports the total document count across shards.
@@ -380,33 +393,10 @@ func (s *Sharded) CountCtx(ctx context.Context) (int64, error) {
 	return n, nil
 }
 
-// CountWhere reports the matching document count across shards, counting
-// every shard concurrently.
-func (s *Sharded) CountWhere(filter Filter) int64 {
-	n, _ := s.CountWhereCtx(context.Background(), filter)
-	return n
-}
-
-// CountWhereCtx is CountWhere with context propagation and remote-failure
-// reporting.
+// CountWhereCtx is the count-only query: how many documents match filter.
 func (s *Sharded) CountWhereCtx(ctx context.Context, filter Filter) (int64, error) {
-	counts := make([]int64, len(s.backends))
-	err := s.fanOut(func(i int, b ShardBackend) error {
-		c, err := b.CountWhere(ctx, filter)
-		if AbsorbShardError(ctx, s.ns, i, err) {
-			return nil
-		}
-		counts[i] = c
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	return n, nil
+	res, err := s.QueryCtx(ctx, Query{Filter: filter})
+	return res.Total, err
 }
 
 // Scan visits every document in shard order until fn returns false. The

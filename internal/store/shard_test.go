@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -54,7 +55,7 @@ func TestShardedConcurrentInsert(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				s.Count()
-				s.CountWhere(EqStr("type", "Movie"))
+				s.CountWhereCtx(context.Background(), EqStr("type", "Movie"))
 				s.Balance()
 				s.Stats()
 			}
@@ -139,7 +140,7 @@ func TestShardedFanOutEquivalence(t *testing.T) {
 			t.Fatalf("Find doc %d differs from serial walk", i)
 		}
 	}
-	if got := s.CountWhere(filter); got != serialCount {
+	if got, _ := s.CountWhereCtx(context.Background(), filter); got != serialCount {
 		t.Errorf("CountWhere = %d, want %d", got, serialCount)
 	}
 	if got := s.Distinct("type"); !reflect.DeepEqual(got, serialDistinct) {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -14,7 +15,8 @@ import (
 // deployment precomputes inverted structures for serve-time fusion queries:
 // the index yields a candidate superset cheaply, and the caller verifies
 // each candidate with the real substring predicate, so indexed and scanned
-// query paths return identical results.
+// query paths return identical results. Posting lists are kept in ascending
+// id order.
 //
 // Synchronization rides on the owning Collection's lock: mutations happen
 // under the write lock, Candidates under the read lock.
@@ -65,25 +67,25 @@ func (tx *TextIndex) docTokens(d *Doc) []string {
 
 func (tx *TextIndex) insert(id int64, d *Doc) {
 	for _, tok := range tx.docTokens(d) {
-		tx.postings[tok] = append(tx.postings[tok], id)
-		tx.entries++
-		tx.keyBytes += int64(len(tok))
+		ids, added := insertSorted(tx.postings[tok], id)
+		if tx.postings[tok] = ids; added {
+			tx.entries++
+			tx.keyBytes += int64(len(tok))
+		}
 	}
 }
 
 func (tx *TextIndex) remove(id int64, d *Doc) {
 	for _, tok := range tx.docTokens(d) {
-		ids := tx.postings[tok]
-		for i, got := range ids {
-			if got == id {
-				tx.postings[tok] = append(ids[:i], ids[i+1:]...)
-				tx.entries--
-				tx.keyBytes -= int64(len(tok))
-				break
-			}
+		ids, ok := removeSorted(tx.postings[tok], id)
+		if ok {
+			tx.entries--
+			tx.keyBytes -= int64(len(tok))
 		}
-		if len(tx.postings[tok]) == 0 {
+		if len(ids) == 0 {
 			delete(tx.postings, tok)
+		} else {
+			tx.postings[tok] = ids
 		}
 	}
 }
@@ -104,6 +106,8 @@ func (tx *TextIndex) remove(id int64, d *Doc) {
 // sit inside longer tokens and are served by a substring sweep over the
 // token dictionary (which is vocabulary-sized, not corpus-sized). The
 // per-term sets are intersected; the result still covers every match.
+// Ids are assigned in insertion order, so the ascending result matches the
+// scan path's result order exactly.
 func (tx *TextIndex) Candidates(substr string) ([]int64, bool) {
 	low := strings.ToLower(substr)
 	if !canBound(low) {
@@ -111,44 +115,104 @@ func (tx *TextIndex) Candidates(substr string) ([]int64, bool) {
 	}
 	terms := strings.Fields(low)
 
-	var result map[int64]bool
-	for i, term := range terms {
-		interior := i > 0 && i < len(terms)-1
-		set := make(map[int64]bool)
-		if interior {
-			for _, id := range tx.postings[term] {
-				set[id] = true
-			}
-		} else {
-			for tok, ids := range tx.postings {
-				if strings.Contains(tok, term) {
-					for _, id := range ids {
-						set[id] = true
-					}
-				}
-			}
+	// Interior terms are exact posting lists, so they narrow first; an edge
+	// term then only has to confirm the survivors instead of merging every
+	// token that contains it. Posting lists are ascending, so lists
+	// intersect in one pass. A list may be returned as it is: the caller
+	// holds the collection lock and must not modify it.
+	last := len(terms) - 1
+	var result []int64
+	for i := 1; i < last; i++ {
+		ids := tx.postings[terms[i]]
+		if i > 1 {
+			ids = intersectSorted(result, ids)
 		}
+		if result = ids; len(result) == 0 {
+			return nil, true
+		}
+	}
+	// The longer edge term, likely the rarer, goes first: with no interior
+	// term it is the one whose tokens get merged.
+	edges := []int{0, last}
+	if last == 0 {
+		edges = edges[:1]
+	} else if len(terms[last]) > len(terms[0]) {
+		edges[0], edges[1] = last, 0
+	}
+	for _, i := range edges {
 		if result == nil {
-			result = set
+			result = tx.sweep(terms[i])
 		} else {
-			for id := range result {
-				if !set[id] {
-					delete(result, id)
-				}
-			}
+			result = tx.confirm(result, terms[i])
 		}
 		if len(result) == 0 {
 			return nil, true
 		}
 	}
-	ids := make([]int64, 0, len(result))
-	for id := range result {
-		ids = append(ids, id)
+	return result, true
+}
+
+// sweep returns the ascending ids of documents holding a token that
+// contains term: the one matching token's own list, or a sorted merge.
+func (tx *TextIndex) sweep(term string) []int64 {
+	var first, merged []int64
+	for tok, list := range tx.postings {
+		switch {
+		case !strings.Contains(tok, term):
+		case first == nil:
+			first = list
+		default:
+			if merged == nil {
+				merged = append(merged, first...)
+			}
+			merged = append(merged, list...)
+		}
 	}
-	// Ids are assigned in insertion order, so ascending id order matches the
-	// scan path's result order exactly.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, true
+	if merged == nil {
+		return first
+	}
+	slices.Sort(merged)
+	return slices.Compact(merged)
+}
+
+// confirm returns, in a new slice, those of the ascending ids that some
+// token containing term lists.
+func (tx *TextIndex) confirm(ids []int64, term string) []int64 {
+	keep := make([]bool, len(ids))
+	for tok, list := range tx.postings {
+		if !strings.Contains(tok, term) {
+			continue
+		}
+		for i, id := range ids {
+			if !keep[i] {
+				_, keep[i] = slices.BinarySearch(list, id)
+			}
+		}
+	}
+	out := make([]int64, 0, len(ids))
+	for i, id := range ids {
+		if keep[i] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// intersectSorted returns the ids present in both ascending lists, in a new
+// slice.
+func intersectSorted(a, b []int64) []int64 {
+	var out []int64
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return out
 }
 
 // CanBound reports whether the index can serve substr at all — the purely

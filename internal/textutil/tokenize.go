@@ -6,6 +6,7 @@ package textutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single token with its byte offset in the original text.
@@ -59,46 +60,40 @@ func Words(text string) []string {
 // an upper-case letter, digit, or quote — a pragmatic splitter that survives
 // abbreviations like "W. 44th St" better than naive splitting.
 func Sentences(text string) []string {
-	var out []string
+	// A fragment is a few sentences; room for four skips the 1-2-4 growth.
+	out := make([]string, 0, 4)
 	start := 0
-	runes := []rune(text)
-	byteAt := make([]int, len(runes)+1)
-	{
-		b := 0
-		for i, r := range runes {
-			byteAt[i] = b
-			b += len(string(r))
+	var prev, prev2 rune // the two runes before text[i:], once seen says they exist
+	seen := 0
+	for i := 0; i < len(text); seen++ {
+		r, w := utf8.DecodeRuneInString(text[i:])
+		end := i + w
+		if r == '.' || r == '!' || r == '?' {
+			// Look ahead: whitespace then sentence-initial character.
+			j := end
+			var next rune
+			for j < len(text) {
+				var nw int
+				if next, nw = utf8.DecodeRuneInString(text[j:]); !unicode.IsSpace(next) {
+					break
+				}
+				j += nw
+			}
+			initial := j > end && j < len(text) &&
+				(unicode.IsUpper(next) || unicode.IsDigit(next) || next == '"' || next == '\'')
+			// Avoid splitting single-letter abbreviations like "W. 44th".
+			abbrev := r == '.' && seen >= 1 && unicode.IsUpper(prev) && (seen < 2 || !unicode.IsLetter(prev2))
+			if initial && !abbrev {
+				if sent := strings.TrimSpace(text[start:end]); sent != "" {
+					out = append(out, sent)
+				}
+				start = j
+			}
 		}
-		byteAt[len(runes)] = b
+		prev2, prev = prev, r
+		i = end
 	}
-	for i := 0; i < len(runes); i++ {
-		r := runes[i]
-		if r != '.' && r != '!' && r != '?' {
-			continue
-		}
-		// Look ahead: whitespace then sentence-initial character.
-		j := i + 1
-		for j < len(runes) && unicode.IsSpace(runes[j]) {
-			j++
-		}
-		if j == i+1 || j >= len(runes) {
-			continue
-		}
-		next := runes[j]
-		if !unicode.IsUpper(next) && !unicode.IsDigit(next) && next != '"' && next != '\'' {
-			continue
-		}
-		// Avoid splitting single-letter abbreviations like "W. 44th".
-		if r == '.' && i >= 1 && unicode.IsUpper(runes[i-1]) && (i < 2 || !unicode.IsLetter(runes[i-2])) {
-			continue
-		}
-		sent := strings.TrimSpace(text[byteAt[start]:byteAt[i+1]])
-		if sent != "" {
-			out = append(out, sent)
-		}
-		start = j
-	}
-	if rest := strings.TrimSpace(text[byteAt[start]:]); rest != "" {
+	if rest := strings.TrimSpace(text[start:]); rest != "" {
 		out = append(out, rest)
 	}
 	return out

@@ -4,7 +4,10 @@
 # alloc_kb_per_op (a count that repeats to 0.15 % at one seed) of any workload
 # is more than 10 % above the base, or when any op of the head failed. The
 # other end-to-end metrics are timings and memory of a shared runner; they are
-# printed as advisory, to the job summary when there is one.
+# printed as advisory, to the job summary when there is one. One traced
+# cluster_read run per side adds two counts: cluster.calls_per_op, which
+# repeats exactly at a fixed seed and op count and fails the gate when it
+# rises more than 10 %, and harness.allocs_per_op, advisory.
 #
 #	bash scripts/benchgate.sh [base-ref]        # default origin/main
 #
@@ -27,9 +30,9 @@ trap 'rm -rf "$work"' EXIT
 mkdir "$work/base"
 git -C "$root" archive "$base_sha" | tar -x -C "$work/base"
 
-# last_json <checkout> <workload> <ops>: the run's closing JSON line.
+# last_json <checkout> <workload> <ops> [trace]: the run's closing JSON line.
 last_json() {
-	(cd "$1" && bash benchmark/run.sh --workload "$2" --seed 1 --ops "$3" --trace 0) | tail -n 1
+	(cd "$1" && bash benchmark/run.sh --workload "$2" --seed 1 --ops "$3" --trace "${4:-0}") | tail -n 1
 }
 # metric <json> <name>
 metric() {
@@ -67,4 +70,26 @@ for run in $runs; do
 		status=1
 	fi
 done
+
+# The wire calls a page view makes: a shard op that turns into two, or a
+# route that starts calling per document, shows here before it shows in bytes.
+base_json=$(last_json "$work/base" cluster_read 20 1)
+head_json=$(last_json "$root" cluster_read 20 1)
+base_calls=$(metric "$base_json" cluster.calls_per_op)
+head_calls=$(metric "$head_json" cluster.calls_per_op)
+if [ -z "$base_calls" ] || [ -z "$head_calls" ]; then
+	echo "benchgate: traced cluster_read printed no cluster.calls_per_op" >&2
+	exit 1
+fi
+{
+	echo
+	echo "| cluster_read --trace 1 --ops 20 | base | head |"
+	echo "|---|---|---|"
+	echo "| cluster.calls_per_op | $base_calls | $head_calls |"
+	echo "| harness.allocs_per_op | $(metric "$base_json" harness.allocs_per_op) | $(metric "$head_json" harness.allocs_per_op) |"
+} >>"$summary"
+if awk -v h="$head_calls" -v b="$base_calls" -v l="$limit" 'BEGIN { exit !(h > b * l) }'; then
+	echo "benchgate: cluster_read cluster.calls_per_op $head_calls is more than $limit of the base's $base_calls" >&2
+	status=1
+fi
 exit $status
