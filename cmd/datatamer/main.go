@@ -1,17 +1,15 @@
 // Command datatamer is the interactive CLI over the fusion pipeline:
 //
-//	datatamer run                  # run the full pipeline, print a summary
-//	datatamer stats                # print Tables I-II store statistics
-//	datatamer types                # print the Table III type distribution
-//	datatamer top [-k 10]          # print the Table IV discussion ranking
-//	datatamer query -show Matilda  # print Table V then Table VI for a show
+//	datatamer tables [-exp all]    # print the paper's Tables I-VI, Figs 1-3, classifier CV
 //	datatamer cheapest [-k 5]      # rank shows by fused CHEAPEST_PRICE
 //	datatamer find -q 'type = Movie AND name ~ walking'   # filter entities
 //	datatamer explain -q 'name = Matilda'                 # show the plan
 //	datatamer schema               # print the integrated global schema
 //
-// Global flags (before the subcommand): -fragments, -sources, -seed.
-// Ctrl-C cancels the pipeline run mid-stage.
+// Global flags (before the subcommand): -fragments, -sources, -seed. The
+// default scale (2000 fragments) is 1/1000 of the paper's deployment with
+// proportionally scaled (2 MB) extents. tables -exp takes table1..table6,
+// fig1..fig3 or classifier. Ctrl-C cancels the pipeline run mid-stage.
 package main
 
 import (
@@ -24,7 +22,6 @@ import (
 	"syscall"
 
 	datatamer "repro"
-	"repro/internal/fuse"
 )
 
 func main() {
@@ -55,47 +52,13 @@ func main() {
 	}
 
 	switch args[0] {
-	case "run":
-		cmdRun(tm)
-	case "stats":
-		fmt.Println(tm.InstanceStats().FormatShell())
-		fmt.Println()
-		fmt.Println(tm.EntityStats().FormatShell())
-	case "types":
-		rows, err := tm.TypeCounts(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, row := range rows {
-			fmt.Printf("%-18s %8d\n", row.Type, row.Count)
-		}
-	case "top":
-		fs := flag.NewFlagSet("top", flag.ExitOnError)
-		k := fs.Int("k", 10, "ranking size")
+	case "tables":
+		fs := flag.NewFlagSet("tables", flag.ExitOnError)
+		exp := fs.String("exp", "all", "experiment to print (table1..table6, fig1, fig2, fig3, classifier, all)")
 		parseOrDie(fs, args[1:])
-		rows, err := tm.TopDiscussed(ctx, *k)
-		if err != nil {
+		if err := printTables(ctx, os.Stdout, tm, tm.Stages(), *exp); err != nil {
 			log.Fatal(err)
 		}
-		for i, d := range rows {
-			fmt.Printf("%2d. %-28s %6d mentions\n", i+1, d.Name, d.Mentions)
-		}
-	case "query":
-		fs := flag.NewFlagSet("query", flag.ExitOnError)
-		show := fs.String("show", "Matilda", "show to look up")
-		parseOrDie(fs, args[1:])
-		web, err := tm.QueryWebText(ctx, *show)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fused, err := tm.QueryFused(ctx, *show)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("-- from web text only --")
-		fmt.Print(datatamer.FormatKV(web, []string{"SHOW_NAME", "TEXT_FEED"}))
-		fmt.Println("\n-- fused with structured sources --")
-		fmt.Print(datatamer.FormatKV(fused, fuse.TableVIOrder))
 	case "cheapest":
 		fs := flag.NewFlagSet("cheapest", flag.ExitOnError)
 		k := fs.Int("k", 5, "ranking size")
@@ -148,18 +111,6 @@ func main() {
 	}
 }
 
-func cmdRun(tm *datatamer.Tamer) {
-	fmt.Println("pipeline complete")
-	for _, s := range tm.Stages() {
-		fmt.Printf("  %-20s %8d items  %12s\n", s.Stage, s.Items, s.Duration.Round(1000))
-	}
-	inst, ent := tm.InstanceStats(), tm.EntityStats()
-	fmt.Printf("instances: %d (%d extents, %d index)\n", inst.Count, inst.NumExtents, inst.NIndexes)
-	fmt.Printf("entities:  %d (%d extents, %d indexes)\n", ent.Count, ent.NumExtents, ent.NIndexes)
-	fmt.Printf("global schema: %d attributes; consolidated records: %d\n",
-		tm.SchemaLen(), len(tm.FusedRecords()))
-}
-
 func parseOrDie(fs *flag.FlagSet, args []string) {
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
@@ -167,6 +118,6 @@ func parseOrDie(fs *flag.FlagSet, args []string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: datatamer [flags] <run|stats|types|top|query|cheapest|find|explain|schema> [subcommand flags]`)
+	fmt.Fprintln(os.Stderr, `usage: datatamer [flags] <tables|cheapest|find|explain|schema> [subcommand flags]`)
 	flag.PrintDefaults()
 }

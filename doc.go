@@ -90,6 +90,7 @@
 // abandoned under backpressure), dterr.ErrUnavailable (live methods on a
 // batch-only pipeline).
 //
-// Every generator is deterministic given WithSeed, and the benchmark
-// suite in bench_test.go regenerates each table and figure of the paper.
+// Every generator is deterministic given WithSeed; cmd/datatamer's tables
+// subcommand prints each table and figure of the paper, and its golden test
+// pins them at the default seed.
 package datatamer

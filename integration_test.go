@@ -87,6 +87,9 @@ func TestEndToEndTableShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !web.Has("TEXT_FEED") {
+		t.Error("web-text record has no text feed")
+	}
 	fused, err := tm.QueryFused(context.Background(), "Matilda")
 	if err != nil {
 		t.Fatal(err)

@@ -39,12 +39,7 @@ var Allowlist = map[string]string{
 	"repro/internal/store.(*Sharded).Insert":          "legacy wrapper over InsertCtx",
 	"repro/internal/store.(*Sharded).EnsureIndex":     "legacy wrapper over EnsureIndexCtx",
 	"repro/internal/store.(*Sharded).EnsureTextIndex": "legacy wrapper over EnsureTextIndexCtx",
-	"repro/internal/store.(*Sharded).Find":            "legacy wrapper over FindCtx",
-	"repro/internal/store.(*Sharded).Count":           "legacy wrapper over CountCtx",
-	"repro/internal/store.(*Sharded).Scan":            "legacy wrapper over ScanCtx",
-	"repro/internal/store.(*Sharded).Distinct":        "legacy wrapper over DistinctCtx",
 	"repro/internal/store.(*Sharded).Stats":           "legacy wrapper over StatsCtx",
-	"repro/internal/store.(*Sharded).Balance":         "local-shard diagnostics; remote counts are never fetched here",
 
 	// Lifecycle paths that own their work rather than serving a caller:
 	// Close/SIGTERM checkpointing and the background replication loop.

@@ -153,7 +153,7 @@ func TestLoopbackConcurrentReads(t *testing.T) {
 					t.Errorf("insert: %v", err)
 					return
 				}
-				if _, err := entities.CountWhereCtx(ctx, store.EqStr("type", "Movie")); err != nil {
+				if _, err := entities.QueryCtx(ctx, store.Query{Filter: store.EqStr("type", "Movie")}); err != nil {
 					t.Errorf("countwhere: %v", err)
 					return
 				}
@@ -165,8 +165,8 @@ func TestLoopbackConcurrentReads(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n, err := entities.CountCtx(ctx); err != nil || n != 200 {
-		t.Fatalf("final count = %d, %v; want 200", n, err)
+	if st, err := entities.StatsCtx(ctx); err != nil || st.Count != 200 {
+		t.Fatalf("final count = %d, %v; want 200", st.Count, err)
 	}
 }
 
@@ -228,7 +228,7 @@ func TestFollowerReplication(t *testing.T) {
 			}
 		}
 	}
-	if n, err := fShard.Count(ctx); err != nil || n != 2 {
+	if n, err := countAll(ctx, fShard); err != nil || n != 2 {
 		t.Fatalf("follower count = %d, %v; want 2", n, err)
 	}
 }
@@ -321,7 +321,7 @@ func TestFollowerSnapshotResync(t *testing.T) {
 		t.Fatalf("resync pull: %v", err)
 	}
 	fShard := NewRemoteShard(NSEntities, 0, Loopback{Node: follower}, nil)
-	if n, err := fShard.Count(ctx); err != nil || n != 10 {
+	if n, err := countAll(ctx, fShard); err != nil || n != 10 {
 		t.Fatalf("follower count after resync = %d, %v; want 10", n, err)
 	}
 	fh := follower.shard(ShardKey(NSEntities, 0))
@@ -363,6 +363,12 @@ func findAll(ctx context.Context, b store.ShardBackend, f store.Filter) ([]*stor
 	return res.Docs, err
 }
 
+// countAll is the count-only query against one shard backend.
+func countAll(ctx context.Context, b store.ShardBackend) (int64, error) {
+	res, err := b.Query(ctx, store.Query{})
+	return res.Total, err
+}
+
 func mustQuery(t *testing.T, q store.Query) []byte {
 	t.Helper()
 	b, err := EncodeQuery(q)
@@ -387,7 +393,7 @@ func TestFollowerWriteRejected(t *testing.T) {
 func TestUnknownShard(t *testing.T) {
 	node := NewNode("n")
 	shard := NewRemoteShard(NSEntities, 7, Loopback{Node: node}, nil)
-	_, err := shard.Count(context.Background())
+	_, err := countAll(context.Background(), shard)
 	if !errors.Is(err, dterr.ErrNotFound) {
 		t.Fatalf("unhosted shard read = %v, want not found", err)
 	}
@@ -416,7 +422,7 @@ func TestTCPTransport(t *testing.T) {
 			t.Fatalf("insert over tcp: %v", err)
 		}
 	}
-	if n, err := shard.Count(ctx); err != nil || n != 20 {
+	if n, err := countAll(ctx, shard); err != nil || n != 20 {
 		t.Fatalf("count over tcp = %d, %v", n, err)
 	}
 	docs, err := findAll(ctx, shard, store.Contains("name", "sock-1"))
@@ -433,13 +439,13 @@ func TestTCPTransport(t *testing.T) {
 	// Cancelled context surfaces as the context's typed error.
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := shard.Count(cctx); !errors.Is(err, dterr.ErrCanceled) {
+	if _, err := countAll(cctx, shard); !errors.Is(err, dterr.ErrCanceled) {
 		t.Fatalf("cancelled call = %v, want canceled", err)
 	}
 
 	// A closed transport refuses further calls.
 	tr.Close()
-	if _, err := shard.Count(ctx); !errors.Is(err, dterr.ErrClosed) {
+	if _, err := countAll(ctx, shard); !errors.Is(err, dterr.ErrClosed) {
 		t.Fatalf("closed transport call = %v, want closed", err)
 	}
 
@@ -447,7 +453,7 @@ func TestTCPTransport(t *testing.T) {
 	dead := Dial("127.0.0.1:1", 200*time.Millisecond)
 	defer dead.Close()
 	deadShard := NewRemoteShard(NSEntities, 0, dead, nil)
-	if _, err := deadShard.Count(ctx); !errors.Is(err, dterr.ErrBusy) {
+	if _, err := countAll(ctx, deadShard); !errors.Is(err, dterr.ErrBusy) {
 		t.Fatalf("unreachable node call = %v, want busy", err)
 	}
 }
@@ -464,7 +470,7 @@ func TestFollowerDownFallsBack(t *testing.T) {
 	if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("x"))); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := shard.Count(ctx); err != nil || n != 1 {
+	if n, err := countAll(ctx, shard); err != nil || n != 1 {
 		t.Fatalf("read with dead follower = %d, %v; want primary fallback", n, err)
 	}
 }
@@ -560,8 +566,8 @@ func TestRingRoutedSharded(t *testing.T) {
 			t.Fatalf("doc %q routed to %d, ring says %d", name, shard, want)
 		}
 	}
-	if n, err := entities.CountCtx(ctx); err != nil || n != 60 {
-		t.Fatalf("count = %d, %v", n, err)
+	if st, err := entities.StatsCtx(ctx); err != nil || st.Count != 60 {
+		t.Fatalf("count = %d, %v", st.Count, err)
 	}
 }
 

@@ -60,10 +60,10 @@ func assertDurableState(t *testing.T, node *Node) {
 	ctx := context.Background()
 	ent := NewRemoteShard(NSEntities, 0, Loopback{Node: node}, nil)
 	inst := NewRemoteShard(NSInstances, 0, Loopback{Node: node}, nil)
-	if n, err := ent.Count(ctx); err != nil || n != 4 {
+	if n, err := countAll(ctx, ent); err != nil || n != 4 {
 		t.Fatalf("entity count = %d, %v; want 4", n, err)
 	}
-	if n, err := inst.Count(ctx); err != nil || n != 3 {
+	if n, err := countAll(ctx, inst); err != nil || n != 3 {
 		t.Fatalf("instance count = %d, %v; want 3", n, err)
 	}
 	// 5 inserts + update + delete + 2 index creates = generation 9.
@@ -365,7 +365,7 @@ func TestStalePoolRetryAfterRestart(t *testing.T) {
 	// Every call through the stale pool must succeed — the retry absorbs
 	// the dead connection instead of surfacing busy.
 	for i := 0; i < 5; i++ {
-		if n, err := shard.Count(ctx); err != nil || n != 0 {
+		if n, err := countAll(ctx, shard); err != nil || n != 0 {
 			t.Fatalf("call %d after restart: count=%d err=%v (stale pooled conn leaked through)", i, n, err)
 		}
 	}

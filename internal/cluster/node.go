@@ -299,10 +299,6 @@ func (n *Node) handleRead(req *Request, h *hostedShard) *Response {
 			return errResp(req.ID, err)
 		}
 		resp.Body = EncodeResult(coll.Query(q), q.Explain)
-	case OpCount:
-		var buf bytes.Buffer
-		store.PutUvarint(&buf, uint64(coll.Count()))
-		resp.Body = buf.Bytes()
 	case OpDistinct:
 		rd := bytes.NewReader(req.Body)
 		path, err := store.GetString(rd)
@@ -312,15 +308,6 @@ func (n *Node) handleRead(req *Request, h *hostedShard) *Response {
 		resp.Body = EncodeDistinct(coll.Distinct(path))
 	case OpStats:
 		resp.Body = EncodeStats(coll.Stats())
-	case OpSnapshot:
-		var ids []int64
-		var docs []*store.Doc
-		coll.Scan(func(id int64, d *store.Doc) bool {
-			ids = append(ids, id)
-			docs = append(docs, d)
-			return true
-		})
-		resp.Body = EncodeSnapshot(ids, docs)
 	default:
 		return errResp(req.ID, dterr.Newf(dterr.CodeInvalidArgument, "cluster: unknown op %d", req.Op))
 	}

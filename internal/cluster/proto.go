@@ -37,10 +37,8 @@ const (
 	// plus their exact total, the total alone (limit 0), or the shard's
 	// plan for the filter (explain). See EncodeQuery and EncodeResult.
 	OpQuery
-	OpCount
 	OpDistinct
 	OpStats
-	OpSnapshot
 	OpCreateIndex
 	OpCreateTextIndex
 	OpPull
@@ -56,9 +54,9 @@ const (
 )
 
 // MaxFrameLen bounds a wire frame so a corrupt or hostile length header
-// cannot make the reader allocate an arbitrary buffer. Snapshot transfers
-// of a full shard are the largest frames; 64 MB is ~30x the scaled-down
-// deployment's whole corpus.
+// cannot make the reader allocate an arbitrary buffer. The largest frame is
+// an OpPull resync, which ships a follower the whole shard; 64 MB is ~30x
+// the scaled-down deployment's whole corpus.
 const MaxFrameLen uint32 = 64 << 20
 
 // Replication event kinds, carried as the store.EventLog kind byte when a
@@ -499,8 +497,8 @@ func DecodeDocList(data []byte) ([]*store.Doc, error) {
 	return docs, nil
 }
 
-// EncodeSnapshot packs (id, doc) pairs — the snapshot response body and
-// the full-resync pull payload.
+// EncodeSnapshot packs (id, doc) pairs — the document part of the
+// full-resync pull payload.
 func EncodeSnapshot(ids []int64, docs []*store.Doc) []byte {
 	var buf bytes.Buffer
 	store.PutUvarint(&buf, uint64(len(ids)))

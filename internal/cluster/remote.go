@@ -127,19 +127,6 @@ func (r *RemoteShard) Query(ctx context.Context, q store.Query) (store.Result, e
 	return DecodeResult(resp.Body, q.Explain)
 }
 
-// Count implements store.ShardBackend.
-func (r *RemoteShard) Count(ctx context.Context) (int64, error) {
-	resp, err := r.callRead(ctx, OpCount, nil)
-	if err != nil {
-		return 0, err
-	}
-	n, w := binary.Uvarint(resp.Body)
-	if w <= 0 {
-		return 0, dterr.New(dterr.CodeInternal, "cluster: malformed count response")
-	}
-	return int64(n), nil
-}
-
 // Distinct implements store.ShardBackend.
 func (r *RemoteShard) Distinct(ctx context.Context, path string) (map[string]int64, error) {
 	var buf bytes.Buffer
@@ -161,15 +148,6 @@ func (r *RemoteShard) Stats(ctx context.Context) (store.Stats, error) {
 		return store.Stats{}, err
 	}
 	return DecodeStats(resp.Body)
-}
-
-// Snapshot implements store.ShardBackend.
-func (r *RemoteShard) Snapshot(ctx context.Context) ([]int64, []*store.Doc, error) {
-	resp, err := r.callRead(ctx, OpSnapshot, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return DecodeSnapshot(resp.Body)
 }
 
 // CreateIndex implements store.ShardBackend.

@@ -29,9 +29,8 @@ var (
 // opNames maps wire op codes to their metric labels.
 var opNames = map[byte]string{
 	OpPing: "ping", OpInsert: "insert", OpUpdate: "update",
-	OpDelete: "delete", OpQuery: "query", OpCount: "count",
-	OpDistinct: "distinct", OpStats: "stats",
-	OpSnapshot: "snapshot", OpCreateIndex: "create_index",
+	OpDelete: "delete", OpQuery: "query",
+	OpDistinct: "distinct", OpStats: "stats", OpCreateIndex: "create_index",
 	OpCreateTextIndex: "create_text_index", OpPull: "pull",
 	OpInfo: "info", OpCheckpoint: "checkpoint",
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -17,8 +18,7 @@ func entityDoc(name, typ string, mentions int64) *Doc {
 }
 
 func TestInsertGetDelete(t *testing.T) {
-	db := Open("dt", 0)
-	c := db.Collection("entity")
+	c := NewCollection("dt.entity", 0)
 	id := c.Insert(entityDoc("Matilda", "Movie", 10))
 	if d, ok := c.Get(id); !ok || d.PathString("name") != "Matilda" {
 		t.Fatalf("Get(%d) = %v, %v", id, d, ok)
@@ -35,7 +35,7 @@ func TestInsertGetDelete(t *testing.T) {
 }
 
 func TestUpdateReindexes(t *testing.T) {
-	c := Open("dt", 0).Collection("entity")
+	c := NewCollection("dt.entity", 0)
 	c.EnsureIndex("name_1", "name", HashIndex)
 	id := c.Insert(entityDoc("Old", "Movie", 1))
 	if !c.Update(id, entityDoc("New", "Movie", 2)) {
@@ -53,7 +53,7 @@ func TestUpdateReindexes(t *testing.T) {
 }
 
 func TestFindFullScanAndFilters(t *testing.T) {
-	c := Open("dt", 0).Collection("entity")
+	c := NewCollection("dt.entity", 0)
 	c.Insert(entityDoc("Matilda", "Movie", 30))
 	c.Insert(entityDoc("Wicked", "Movie", 20))
 	c.Insert(entityDoc("IBM", "Company", 50))
@@ -91,17 +91,30 @@ func TestFindFullScanAndFilters(t *testing.T) {
 }
 
 func TestIndexedLookupMatchesScan(t *testing.T) {
-	c := Open("dt", 0).Collection("entity")
-	for i := 0; i < 200; i++ {
-		c.Insert(entityDoc(fmt.Sprintf("E%03d", i%50), fmt.Sprintf("T%d", i%5), int64(i)))
+	build := func() *Collection {
+		c := NewCollection("dt.entity", 0)
+		for i := 0; i < 200; i++ {
+			c.Insert(entityDoc(fmt.Sprintf("E%03d", i%50), fmt.Sprintf("T%d", i%5), int64(i)))
+		}
+		return c
 	}
-	scan := c.Find(EqStr("name", "E007"))
-	c.EnsureIndex("name_1", "name", HashIndex)
-	indexed := c.Find(EqStr("name", "E007"))
-	if len(scan) == 0 || !slices.Equal(scan, indexed) {
-		t.Fatalf("scan found %d docs, the index %d, or in another order", len(scan), len(indexed))
+	// A point lookup finds the same four documents by scan, by hash index
+	// and by B-tree index.
+	for _, kind := range []IndexKind{HashIndex, BTreeIndex} {
+		c := build()
+		scan := c.Find(EqStr("name", "E007"))
+		c.EnsureIndex("name_1", "name", kind)
+		if ex := c.ExplainFilter(EqStr("name", "E007")); ex.IndexKind != kind.String() {
+			t.Fatalf("plan with a %s index = %+v", kind, ex)
+		}
+		indexed := c.Find(EqStr("name", "E007"))
+		if len(scan) != 4 || !slices.Equal(scan, indexed) {
+			t.Fatalf("scan found %d docs, the %s index %d, or in another order", len(scan), kind, len(indexed))
+		}
 	}
 	// And-filter should also use the index then refine.
+	c := build()
+	c.EnsureIndex("name_1", "name", HashIndex)
 	and := And{EqStr("name", "E007"), EqStr("type", "T2")}
 	want := 0
 	for _, d := range c.Find(All{}) {
@@ -115,7 +128,7 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 }
 
 func TestBTreeIndexPrefixAndList(t *testing.T) {
-	c := Open("dt", 0).Collection("entity")
+	c := NewCollection("dt.entity", 0)
 	c.EnsureIndex("name_btree", "name", BTreeIndex)
 	c.Insert(entityDoc("The Walking Dead", "Movie", 1))
 	c.Insert(entityDoc("The Wolverine", "Movie", 2))
@@ -125,7 +138,7 @@ func TestBTreeIndexPrefixAndList(t *testing.T) {
 	}
 
 	// Index over list elements.
-	c2 := Open("dt", 0).Collection("tagged")
+	c2 := NewCollection("dt.tagged", 0)
 	c2.EnsureIndex("tags_1", "tags", HashIndex)
 	c2.Insert(NewDoc().Set("tags", List(Str("a"), Str("b"))))
 	c2.Insert(NewDoc().Set("tags", List(Str("b"))))
@@ -158,7 +171,7 @@ func TestExtentAccounting(t *testing.T) {
 }
 
 func TestStatsShellFormat(t *testing.T) {
-	c := Open("dt", 0).Collection("instance")
+	c := NewCollection("dt.instance", 0)
 	c.Insert(entityDoc("a", "b", 1))
 	out := c.Stats().FormatShell()
 	for _, want := range []string{`> db.instance.stats();`, `"ns" : "dt.instance"`, `"count" : 1`, `"numExtents"`, `"nindexes"`, `"lastExtentSize"`, `"totalIndexSize"`} {
@@ -182,7 +195,7 @@ func indexOf(s, sub string) int {
 }
 
 func TestDistinct(t *testing.T) {
-	c := Open("dt", 0).Collection("entity")
+	c := NewCollection("dt.entity", 0)
 	c.Insert(entityDoc("A", "Movie", 1))
 	c.Insert(entityDoc("B", "Movie", 1))
 	c.Insert(entityDoc("C", "Person", 1))
@@ -193,7 +206,7 @@ func TestDistinct(t *testing.T) {
 }
 
 func TestConcurrentInsertAndRead(t *testing.T) {
-	c := Open("dt", 0).Collection("entity")
+	c := NewCollection("dt.entity", 0)
 	c.EnsureIndex("name_1", "name", HashIndex)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -217,19 +230,17 @@ func TestShardedRoutingAndStats(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		s.Insert(entityDoc(fmt.Sprintf("entity-%04d", i), "Person", int64(i)))
 	}
-	if s.Count() != 400 {
-		t.Fatalf("count = %d", s.Count())
-	}
 	// Hash routing should spread docs across all shards.
-	for i, n := range s.Balance() {
-		if n == 0 {
+	for i := 0; i < s.NumShards(); i++ {
+		if s.Shard(i).Count() == 0 {
 			t.Errorf("shard %d empty", i)
 		}
 	}
 	s.EnsureIndex("name_1", "name", HashIndex)
-	got := s.Find(EqStr("name", "entity-0123"))
-	if len(got) != 1 {
-		t.Fatalf("sharded find = %d docs", len(got))
+	ctx := context.Background()
+	got, err := s.FindCtx(ctx, EqStr("name", "entity-0123"))
+	if err != nil || len(got) != 1 {
+		t.Fatalf("sharded find = %d docs, %v", len(got), err)
 	}
 	st := s.Stats()
 	if st.Count != 400 || st.NS != "dt.entity" {
@@ -241,41 +252,8 @@ func TestShardedRoutingAndStats(t *testing.T) {
 	if st.NumExtents < s.NumShards() {
 		t.Errorf("numExtents = %d", st.NumExtents)
 	}
-	counts := s.Distinct("type")
-	if counts["Person"] != 400 {
-		t.Errorf("sharded distinct = %v", counts)
-	}
-}
-
-func TestShardedScanEarlyStop(t *testing.T) {
-	s := NewSharded("dt.x", "name", 3, 0)
-	for i := 0; i < 30; i++ {
-		s.Insert(entityDoc(fmt.Sprintf("n%d", i), "T", 0))
-	}
-	seen := 0
-	s.Scan(func(_ int, _ int64, _ *Doc) bool {
-		seen++
-		return seen < 7
-	})
-	if seen != 7 {
-		t.Errorf("scan visited %d", seen)
-	}
-}
-
-func TestDBCollections(t *testing.T) {
-	db := Open("dt", 0)
-	c1 := db.Collection("a")
-	c2 := db.Collection("a")
-	if c1 != c2 {
-		t.Error("Collection should be idempotent")
-	}
-	db.Collection("b")
-	names := db.CollectionNames()
-	if len(names) != 2 || names[0] != "a" {
-		t.Errorf("names = %v", names)
-	}
-	db.Drop("a")
-	if len(db.CollectionNames()) != 1 {
-		t.Error("drop failed")
+	counts, err := s.DistinctCtx(ctx, "type")
+	if err != nil || counts["Person"] != 400 {
+		t.Errorf("sharded distinct = %v, %v", counts, err)
 	}
 }

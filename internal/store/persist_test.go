@@ -74,6 +74,29 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
+// FuzzDecodeDoc: bytes from disk or the wire never panic the decoder, and
+// whatever decodes re-encodes to bytes that decode to the same encoding.
+func FuzzDecodeDoc(f *testing.F) {
+	rich := EncodeDoc(richDoc())
+	for _, seed := range [][]byte{rich, rich[:len(rich)/2], EncodeDoc(NewDoc()), {1, 1, 'a', 2, 0}, {2, 1, 'a', 0, 0, 1, 'a', 0, 4, 7}} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := DecodeDoc(data)
+		if err != nil {
+			return
+		}
+		enc := EncodeDoc(d)
+		back, err := DecodeDoc(enc)
+		if err != nil {
+			t.Fatalf("re-decode of %x: %v", enc, err)
+		}
+		if again := EncodeDoc(back); !bytes.Equal(again, enc) {
+			t.Fatalf("unstable round trip: %x then %x", enc, again)
+		}
+	})
+}
+
 // Property: encode/decode round-trips documents with arbitrary string
 // fields.
 func TestQuickCodecRoundTrip(t *testing.T) {

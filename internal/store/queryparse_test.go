@@ -119,7 +119,7 @@ func TestQuickParseFilterRobust(t *testing.T) {
 }
 
 func TestParseFilterAgainstCollection(t *testing.T) {
-	c := Open("dt", 0).Collection("entity")
+	c := NewCollection("dt.entity", 0)
 	c.Insert(entityDoc("The Walking Dead", "Movie", 100))
 	c.Insert(entityDoc("Matilda", "Movie", 50))
 	c.Insert(entityDoc("IBM", "Company", 80))
@@ -130,7 +130,7 @@ func TestParseFilterAgainstCollection(t *testing.T) {
 }
 
 func TestExplainFilter(t *testing.T) {
-	c := Open("dt", 0).Collection("entity")
+	c := NewCollection("dt.entity", 0)
 	c.EnsureIndex("type_1", "type", HashIndex)
 	c.EnsureIndex("name_1", "name", BTreeIndex)
 	c.Insert(entityDoc("A", "Movie", 1))
@@ -159,4 +159,28 @@ func TestExplainFilter(t *testing.T) {
 	if ex.AccessPath != "scan" {
 		t.Errorf("or explain = %+v", ex)
 	}
+}
+
+// FuzzParseFilter: no expression panics the parser, and one that parses can
+// be planned and matched against a document. The seed expressions are the
+// files under testdata/fuzz/FuzzParseFilter.
+func FuzzParseFilter(f *testing.F) {
+	c := NewCollection("dt.entity", 0)
+	c.EnsureIndex("type_1", "type", HashIndex)
+	c.EnsureIndex("name_1", "name", BTreeIndex)
+	c.EnsureTextIndex("name")
+	d := entityDoc("The Walking Dead", "Movie", 42)
+	c.Insert(d)
+	f.Fuzz(func(t *testing.T, expr string) {
+		filter, err := ParseFilter(expr)
+		if err != nil {
+			return
+		}
+		if filter == nil {
+			t.Fatalf("ParseFilter(%q) returned neither a filter nor an error", expr)
+		}
+		if got := c.Query(Query{Filter: filter}).Total; (got == 1) != filter.Matches(d) {
+			t.Fatalf("%q: the collection counts %d, Matches says %v", expr, got, filter.Matches(d))
+		}
+	})
 }

@@ -15,7 +15,7 @@ import (
 // the router treats them uniformly, which is what lets one Sharded hold a
 // mix of local and remote shards. Every method takes a context and may
 // fail — for local shards the context is ignored and the error is always
-// nil, so the legacy no-error router methods below remain exact.
+// nil.
 type ShardBackend interface {
 	// NS returns the backend's namespace, which must match the router's.
 	NS() string
@@ -28,16 +28,10 @@ type ShardBackend interface {
 	// Query answers q against the shard: a window of the matching
 	// documents in the shard's order, their exact total, or the plan.
 	Query(ctx context.Context, q Query) (Result, error)
-	// Count reports the shard's document count.
-	Count(ctx context.Context) (int64, error)
 	// Distinct returns distinct scalar values at path with frequencies.
 	Distinct(ctx context.Context, path string) (map[string]int64, error)
 	// Stats returns the shard's storage statistics.
 	Stats(ctx context.Context) (Stats, error)
-	// Snapshot returns the live (id, doc) pairs in insertion order — the
-	// point-in-time view a whole-shard scan iterates without holding shard
-	// locks. It ships the shard; no read route calls it.
-	Snapshot(ctx context.Context) (ids []int64, docs []*Doc, err error)
 	// CreateIndex ensures a secondary index named name over path.
 	CreateIndex(ctx context.Context, name, path string, kind IndexKind) error
 	// CreateTextIndex ensures an inverted text index over path.
@@ -72,9 +66,6 @@ func (l LocalShard) Query(_ context.Context, q Query) (Result, error) {
 	return l.Coll.Query(q), nil
 }
 
-// Count implements ShardBackend.
-func (l LocalShard) Count(_ context.Context) (int64, error) { return l.Coll.Count(), nil }
-
 // Distinct implements ShardBackend.
 func (l LocalShard) Distinct(_ context.Context, path string) (map[string]int64, error) {
 	return l.Coll.Distinct(path), nil
@@ -82,12 +73,6 @@ func (l LocalShard) Distinct(_ context.Context, path string) (map[string]int64, 
 
 // Stats implements ShardBackend.
 func (l LocalShard) Stats(_ context.Context) (Stats, error) { return l.Coll.Stats(), nil }
-
-// Snapshot implements ShardBackend.
-func (l LocalShard) Snapshot(_ context.Context) ([]int64, []*Doc, error) {
-	ids, docs := l.Coll.snapshot()
-	return ids, docs, nil
-}
 
 // CreateIndex implements ShardBackend.
 func (l LocalShard) CreateIndex(_ context.Context, name, path string, kind IndexKind) error {
@@ -160,7 +145,7 @@ func (s *Sharded) Backend(i int) ShardBackend { return s.backends[i] }
 
 // Shard returns the i'th shard's in-process collection, for shard-local
 // operations. It returns nil when the shard is remote — callers needing
-// direct collection access (snapshot persistence, explain) must handle
+// direct collection access (checkpoint write and restore) must handle
 // that, typically by reporting the operation unavailable in cluster mode.
 func (s *Sharded) Shard(i int) *Collection {
 	if l, ok := s.backends[i].(LocalShard); ok {
@@ -214,12 +199,9 @@ func (s *Sharded) shardFor(d *Doc) int {
 }
 
 // Insert routes doc to its shard and returns (shard, local id). Safe for
-// concurrent use: the shard's own lock serializes the insert. (An earlier
-// revision also bumped an unsynchronized per-shard assignment counter here
-// — the router now reports balance from the shards' own lock-protected
-// counts, so routed inserts touch no router state at all.) Remote-shard
-// failures are not reportable through this signature; cluster callers use
-// InsertCtx.
+// concurrent use: the shard's own lock serializes the insert and routed
+// inserts touch no router state. Remote-shard failures are not reportable
+// through this signature; cluster callers use InsertCtx.
 func (s *Sharded) Insert(d *Doc) (shard int, id int64) {
 	shard, id, _ = s.InsertCtx(context.Background(), d)
 	return shard, id
@@ -354,96 +336,14 @@ func (s *Sharded) QueryCtx(ctx context.Context, q Query) (Result, error) {
 	return out, nil
 }
 
-// Find returns every document matching filter, shard by shard.
-func (s *Sharded) Find(filter Filter) []*Doc {
-	docs, _ := s.FindCtx(context.Background(), filter)
-	return docs
-}
-
 // FindCtx is the unbounded query: every document matching filter.
 func (s *Sharded) FindCtx(ctx context.Context, filter Filter) ([]*Doc, error) {
 	res, err := s.QueryCtx(ctx, Query{Filter: filter, Limit: NoLimit})
 	return res.Docs, err
 }
 
-// Count reports the total document count across shards.
-func (s *Sharded) Count() int64 {
-	n, _ := s.CountCtx(context.Background())
-	return n
-}
-
-// CountCtx is Count with context propagation and remote-failure reporting.
-func (s *Sharded) CountCtx(ctx context.Context) (int64, error) {
-	counts := make([]int64, len(s.backends))
-	err := s.fanOut(func(i int, b ShardBackend) error {
-		c, err := b.Count(ctx)
-		if AbsorbShardError(ctx, s.ns, i, err) {
-			return nil
-		}
-		counts[i] = c
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	return n, nil
-}
-
-// CountWhereCtx is the count-only query: how many documents match filter.
-func (s *Sharded) CountWhereCtx(ctx context.Context, filter Filter) (int64, error) {
-	res, err := s.QueryCtx(ctx, Query{Filter: filter})
-	return res.Total, err
-}
-
-// Scan visits every document in shard order until fn returns false. The
-// per-shard membership snapshots are taken concurrently, then fn is called
-// serially — the callback needs no synchronization of its own and observes
-// a consistent point-in-time view of each shard.
-func (s *Sharded) Scan(fn func(shard int, id int64, d *Doc) bool) {
-	_ = s.ScanCtx(context.Background(), fn)
-}
-
-// ScanCtx is Scan with context propagation and remote-failure reporting.
-func (s *Sharded) ScanCtx(ctx context.Context, fn func(shard int, id int64, d *Doc) bool) error {
-	type snap struct {
-		ids  []int64
-		docs []*Doc
-	}
-	snaps := make([]snap, len(s.backends))
-	err := s.fanOut(func(i int, b ShardBackend) error {
-		ids, docs, err := b.Snapshot(ctx)
-		if AbsorbShardError(ctx, s.ns, i, err) {
-			return nil
-		}
-		snaps[i] = snap{ids: ids, docs: docs}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	for i := range snaps {
-		for j, id := range snaps[i].ids {
-			if !fn(i, id, snaps[i].docs[j]) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// Distinct merges per-shard distinct-value counts, scanning shards
+// DistinctCtx merges per-shard distinct-value counts, asking the shards
 // concurrently.
-func (s *Sharded) Distinct(path string) map[string]int64 {
-	m, _ := s.DistinctCtx(context.Background(), path)
-	return m
-}
-
-// DistinctCtx is Distinct with context propagation and remote-failure
-// reporting.
 func (s *Sharded) DistinctCtx(ctx context.Context, path string) (map[string]int64, error) {
 	parts := make([]map[string]int64, len(s.backends))
 	err := s.fanOut(func(i int, b ShardBackend) error {
@@ -491,17 +391,4 @@ func (s *Sharded) StatsCtx(ctx context.Context) (Stats, error) {
 		return Stats{}, err
 	}
 	return Merge(s.ns, parts), nil
-}
-
-// Balance reports the per-shard document counts, for skew diagnostics.
-// Counts come from the shards' own lock-protected state, so the report is
-// exact even when shards were mutated directly (deletes, journal replay).
-func (s *Sharded) Balance() []int64 {
-	out := make([]int64, len(s.backends))
-	_ = s.fanOut(func(i int, b ShardBackend) error {
-		c, err := b.Count(context.Background())
-		out[i] = c
-		return err
-	})
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -33,9 +34,10 @@ func TestShardForStability(t *testing.T) {
 }
 
 // TestShardedConcurrentInsert exercises the documented concurrency contract
-// of the router under -race: concurrent inserts must not race on the
-// per-shard assignment counters, and every document must land exactly once.
+// of the router under -race: concurrent inserts overlap the read fan-out,
+// and every document must land exactly once.
 func TestShardedConcurrentInsert(t *testing.T) {
+	ctx := context.Background()
 	s := NewSharded("dt.conc", "name", 4, 0)
 	const writers, perWriter = 8, 200
 	var wg sync.WaitGroup
@@ -54,30 +56,30 @@ func TestShardedConcurrentInsert(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				s.Count()
-				s.CountWhereCtx(context.Background(), EqStr("type", "Movie"))
-				s.Balance()
-				s.Stats()
+				s.QueryCtx(ctx, Query{Filter: EqStr("type", "Movie")})
+				s.DistinctCtx(ctx, "type")
+				s.StatsCtx(ctx)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := s.Count(); got != writers*perWriter {
-		t.Fatalf("count = %d, want %d", got, writers*perWriter)
+	if st, err := s.StatsCtx(ctx); err != nil || st.Count != writers*perWriter {
+		t.Fatalf("count = %d, %v, want %d", st.Count, err, writers*perWriter)
 	}
 	var assigned int64
-	for _, n := range s.Balance() {
-		assigned += n
+	for i := 0; i < s.NumShards(); i++ {
+		assigned += s.Shard(i).Count()
 	}
 	if assigned != writers*perWriter {
-		t.Errorf("balance sums to %d, want %d", assigned, writers*perWriter)
+		t.Errorf("shard counts sum to %d, want %d", assigned, writers*perWriter)
 	}
 }
 
-// TestShardedBalanceAfterDirectDelete pins Balance to live shard state:
-// documents deleted through a shard handle (not the router) must drop out
-// of the balance report.
-func TestShardedBalanceAfterDirectDelete(t *testing.T) {
+// TestShardedCountsAfterDirectDelete pins the router's counts to live shard
+// state: documents deleted through a shard handle (not the router) must
+// drop out of the merged stats and of a count-only query.
+func TestShardedCountsAfterDirectDelete(t *testing.T) {
+	ctx := context.Background()
 	s := NewSharded("dt.bal", "name", 3, 0)
 	type loc struct {
 		shard int
@@ -93,15 +95,11 @@ func TestShardedBalanceAfterDirectDelete(t *testing.T) {
 			t.Fatalf("delete %v failed", l)
 		}
 	}
-	var total int64
-	for _, n := range s.Balance() {
-		total += n
+	if st, err := s.StatsCtx(ctx); err != nil || st.Count != 50 {
+		t.Errorf("stats count = %d, %v after deletes, want 50", st.Count, err)
 	}
-	if total != 50 {
-		t.Errorf("balance sums to %d after deletes, want 50", total)
-	}
-	if got := s.Count(); got != 50 {
-		t.Errorf("count = %d, want 50", got)
+	if res, err := s.QueryCtx(ctx, Query{}); err != nil || res.Total != 50 || len(res.Docs) != 0 {
+		t.Errorf("count-only query = %d (%d docs), %v, want 50", res.Total, len(res.Docs), err)
 	}
 }
 
@@ -109,6 +107,7 @@ func TestShardedBalanceAfterDirectDelete(t *testing.T) {
 // exactly what a serial per-shard walk would: same documents, same shard
 // order, same counts and distinct tallies.
 func TestShardedFanOutEquivalence(t *testing.T) {
+	ctx := context.Background()
 	s := NewSharded("dt.fan", "name", 5, 0)
 	for i := 0; i < 300; i++ {
 		typ := "Movie"
@@ -119,46 +118,38 @@ func TestShardedFanOutEquivalence(t *testing.T) {
 	}
 
 	filter := EqStr("type", "Movie")
-	var serialDocs []*Doc
-	var serialCount int64
+	var serialDocs, serialAll []*Doc
 	serialDistinct := map[string]int64{}
 	for i := 0; i < s.NumShards(); i++ {
 		sh := s.Shard(i)
 		serialDocs = append(serialDocs, sh.Find(filter)...)
-		serialCount += sh.CountWhere(filter)
+		serialAll = append(serialAll, sh.Find(nil)...)
 		for k, v := range sh.Distinct("type") {
 			serialDistinct[k] += v
 		}
 	}
 
-	gotDocs := s.Find(filter)
-	if len(gotDocs) != len(serialDocs) {
-		t.Fatalf("Find returned %d docs, serial %d", len(gotDocs), len(serialDocs))
-	}
-	for i := range gotDocs {
-		if gotDocs[i] != serialDocs[i] {
-			t.Fatalf("Find doc %d differs from serial walk", i)
+	// The filtered list, then the whole namespace: shard by shard, each
+	// shard in its own order.
+	for _, tc := range []struct {
+		filter Filter
+		want   []*Doc
+	}{{filter, serialDocs}, {nil, serialAll}} {
+		res, err := s.QueryCtx(ctx, Query{Filter: tc.filter, Limit: NoLimit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Docs, tc.want) || res.Total != int64(len(tc.want)) {
+			t.Fatalf("filter %v: %d docs, total %d; serial walk has %d", tc.filter, len(res.Docs), res.Total, len(tc.want))
+		}
+		if res, err := s.QueryCtx(ctx, Query{Filter: tc.filter}); err != nil || res.Total != int64(len(tc.want)) {
+			t.Errorf("filter %v: count-only total = %d, %v, want %d", tc.filter, res.Total, err, len(tc.want))
 		}
 	}
-	if got, _ := s.CountWhereCtx(context.Background(), filter); got != serialCount {
-		t.Errorf("CountWhere = %d, want %d", got, serialCount)
+	if len(serialAll) != 300 {
+		t.Errorf("whole-namespace walk has %d docs, want 300", len(serialAll))
 	}
-	if got := s.Distinct("type"); !reflect.DeepEqual(got, serialDistinct) {
-		t.Errorf("Distinct = %v, want %v", got, serialDistinct)
-	}
-
-	// Scan delivers shard-by-shard in shard order.
-	lastShard := -1
-	visited := 0
-	s.Scan(func(shard int, _ int64, _ *Doc) bool {
-		if shard < lastShard {
-			t.Fatalf("scan left shard %d for earlier shard %d", lastShard, shard)
-		}
-		lastShard = shard
-		visited++
-		return true
-	})
-	if int64(visited) != s.Count() {
-		t.Errorf("scan visited %d of %d", visited, s.Count())
+	if got, err := s.DistinctCtx(ctx, "type"); err != nil || !reflect.DeepEqual(got, serialDistinct) {
+		t.Errorf("Distinct = %v, %v, want %v", got, err, serialDistinct)
 	}
 }

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -27,8 +29,8 @@ var textCorpus = []string{
 // buildTextCollections returns two collections with identical contents, one
 // carrying the inverted text index — the subjects of the equivalence tests.
 func buildTextCollections() (indexed, plain *Collection) {
-	indexed = Open("dt", 0).Collection("withidx")
-	plain = Open("dt", 0).Collection("scanonly")
+	indexed = NewCollection("dt.withidx", 0)
+	plain = NewCollection("dt.scanonly", 0)
 	for i, text := range textCorpus {
 		d := textDoc(fmt.Sprintf("k%02d", i), text)
 		indexed.Insert(d)
@@ -80,7 +82,7 @@ func TestTextIndexScanEquivalence(t *testing.T) {
 // TestTextIndexMaintenance checks Update and Delete keep postings in step
 // with the documents.
 func TestTextIndexMaintenance(t *testing.T) {
-	c := Open("dt", 0).Collection("maint")
+	c := NewCollection("dt.maint", 0)
 	c.EnsureTextIndex("text")
 	id := c.Insert(textDoc("a", "original needle text"))
 	if n := c.CountWhere(Contains("text", "needle")); n != 1 {
@@ -119,26 +121,27 @@ func TestTextIndexExplain(t *testing.T) {
 }
 
 // TestTextIndexSharded checks the router-level EnsureTextIndex serves the
-// same results as scanning across shards.
+// same results as scanning across shards, at one shard and at more shards
+// than some hold documents, and that both find the two "needle" fragments.
 func TestTextIndexSharded(t *testing.T) {
-	withIdx := NewSharded("dt.txt", "key", 4, 0)
-	scanOnly := NewSharded("dt.txt", "key", 4, 0)
-	for i, text := range textCorpus {
-		d := textDoc(fmt.Sprintf("k%02d", i), text)
-		withIdx.Insert(d)
-		scanOnly.Insert(d)
-	}
-	withIdx.EnsureTextIndex("text")
-	for _, q := range textQueries {
-		got := withIdx.Find(Contains("text", q))
-		want := scanOnly.Find(Contains("text", q))
-		if len(got) != len(want) {
-			t.Errorf("query %q: indexed %d docs, scan %d", q, len(got), len(want))
-			continue
+	ctx := context.Background()
+	for _, shards := range []int{1, 4, 16} {
+		withIdx := NewSharded("dt.txt", "key", shards, 0)
+		scanOnly := NewSharded("dt.txt", "key", shards, 0)
+		for i, text := range textCorpus {
+			d := textDoc(fmt.Sprintf("k%02d", i), text)
+			withIdx.Insert(d)
+			scanOnly.Insert(d)
 		}
-		for i := range got {
-			if got[i].PathString("key") != want[i].PathString("key") {
-				t.Errorf("query %q: doc %d mismatch", q, i)
+		withIdx.EnsureTextIndex("text")
+		for _, q := range textQueries {
+			got, _ := withIdx.FindCtx(ctx, Contains("text", q))
+			want, _ := scanOnly.FindCtx(ctx, Contains("text", q))
+			if !slices.Equal(got, want) {
+				t.Errorf("%d shards, query %q: indexed %d docs, scan %d, or in another order", shards, q, len(got), len(want))
+			}
+			if q == "needle" && len(want) != 2 {
+				t.Errorf("%d shards: scan found %d needle fragments, want 2", shards, len(want))
 			}
 		}
 	}

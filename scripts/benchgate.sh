@@ -7,7 +7,10 @@
 # printed as advisory, to the job summary when there is one. One traced
 # cluster_read run per side adds two counts: cluster.calls_per_op, which
 # repeats exactly at a fixed seed and op count and fails the gate when it
-# rises more than 10 %, and harness.allocs_per_op, advisory.
+# rises more than 10 %, and harness.allocs_per_op, advisory. One traced
+# live_mixed run of the head holds the serving tier's contract under mixed
+# traffic: with no failed op above, at least one view must have come from the
+# response cache (serve.cache_hit_ratio > 0).
 #
 #	bash scripts/benchgate.sh [base-ref]        # default origin/main
 #
@@ -90,6 +93,21 @@ fi
 } >>"$summary"
 if awk -v h="$head_calls" -v b="$base_calls" -v l="$limit" 'BEGIN { exit !(h > b * l) }'; then
 	echo "benchgate: cluster_read cluster.calls_per_op $head_calls is more than $limit of the base's $base_calls" >&2
+	status=1
+fi
+
+# Writes beside reads with the default caches on: every cycle repeats a view
+# at an unchanged generation, so a ratio of 0 (or none printed) means the
+# response cache served nothing.
+hit_ratio=$(metric "$(last_json "$root" live_mixed 30 1)" serve.cache_hit_ratio)
+{
+	echo
+	echo "| live_mixed --trace 1 --ops 30 | head |"
+	echo "|---|---|"
+	echo "| serve.cache_hit_ratio | ${hit_ratio:-absent} |"
+} >>"$summary"
+if ! awk -v r="${hit_ratio:-0}" 'BEGIN { exit !(r > 0) }'; then
+	echo "benchgate: live_mixed serve.cache_hit_ratio is ${hit_ratio:-absent}; the response cache served no view" >&2
 	status=1
 fi
 exit $status
