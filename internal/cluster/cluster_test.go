@@ -181,14 +181,14 @@ func TestFollowerReplication(t *testing.T) {
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, nil)
 	ctx := context.Background()
 
-	id1, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("a")).Set("n", store.Num(1)))
-	if err != nil {
-		t.Fatal(err)
+	// One frame carries both documents; the follower still sees two events.
+	ids, err := shard.Insert(ctx,
+		store.NewDoc().Set("name", store.Str("a")).Set("n", store.Num(1)),
+		store.NewDoc().Set("name", store.Str("b")).Set("n", store.Num(2)))
+	if err != nil || len(ids) != 2 {
+		t.Fatalf("insert: ids %v, %v", ids, err)
 	}
-	id2, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("b")).Set("n", store.Num(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	id1, id2 := ids[0], ids[1]
 	if err := fol.PullOnce(); err != nil {
 		t.Fatalf("pull: %v", err)
 	}

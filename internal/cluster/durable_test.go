@@ -30,7 +30,7 @@ func seedDurableNode(t *testing.T, node *Node) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		ids = append(ids, id...)
 	}
 	if ok, err := ent.Update(ctx, ids[1], store.NewDoc().Set("name", store.Str("e1")).Set("n", store.Num(100))); err != nil || !ok {
 		t.Fatalf("update: %v %v", ok, err)

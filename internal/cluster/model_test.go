@@ -24,6 +24,14 @@ import (
 // four routers: one local shard (a Collection behind the router), four
 // local shards, one RemoteShard over a loopback node, and four of them.
 // After every op each router must agree with the reference.
+//
+// Both halves of what the wire carries are drawn at random too. Some
+// inserts reach the routers as one batch of several documents, which must
+// land where one insert per document puts them: a twin router per shard
+// count takes exactly those serial inserts and names the shard and id every
+// later update and delete is aimed at. And one query per step lists the
+// fields it reads, which must come back equal to the reference's whether a
+// shard shipped whole documents or only those fields.
 
 // refStore is the reference: documents in insertion order, keyed by the
 // "uid" every generated document carries.
@@ -162,6 +170,10 @@ type modelTarget struct {
 	loc  map[int64][2]int64 // uid -> (shard, id)
 	// single says the router has one shard, so its order is insertion order.
 	single bool
+	// remote says results cross the wire codec, which ships listed fields only.
+	remote bool
+	// twin has the target's shard count and takes one insert per document.
+	twin *store.Sharded
 }
 
 func modelTargets(t *testing.T) []*modelTarget {
@@ -182,11 +194,12 @@ func modelTargets(t *testing.T) []*modelTarget {
 	targets := []*modelTarget{
 		{name: "collection", s: store.NewSharded(NSEntities, "name", 1, 0), single: true},
 		{name: "sharded/4", s: store.NewSharded(NSEntities, "name", 4, 0)},
-		{name: "remote/1", s: remote(1), single: true},
-		{name: "remote/4", s: remote(4)},
+		{name: "remote/1", s: remote(1), single: true, remote: true},
+		{name: "remote/4", s: remote(4), remote: true},
 	}
 	for _, tg := range targets {
 		tg.loc = map[int64][2]int64{}
+		tg.twin = store.NewSharded(NSEntities, "name", tg.s.NumShards(), 0)
 	}
 	return targets
 }
@@ -343,6 +356,40 @@ func topDiscussedByRescan(ctx context.Context, entities *store.Sharded) ([]fuse.
 	return out, nil
 }
 
+// checkProjection runs q, which lists fields, and holds its answer against
+// the whole-document page of the same window: the same documents, every
+// listed field equal to the reference's, and off a remote shard no field
+// that was not listed.
+func checkProjection(t *testing.T, at string, tg *modelTarget, ref *refStore, q store.Query, page store.Result) {
+	t.Helper()
+	got, err := tg.s.QueryCtx(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uids := uidsOf(t, got.Docs)
+	if got.Total != page.Total || !slices.Equal(uids, uidsOf(t, page.Docs)) {
+		t.Fatalf("%s fields %v: %v of %d, without the field list %v of %d", at, q.Fields, uids, got.Total, uidsOf(t, page.Docs), page.Total)
+	}
+	for i, d := range got.Docs {
+		want := ref.docs[uids[i]]
+		listed := 0
+		for _, name := range want.Names() {
+			if !slices.Contains(q.Fields, name) {
+				continue
+			}
+			listed++
+			gv, _ := d.Get(name)
+			wv, _ := want.Get(name)
+			if !reflect.DeepEqual(store.NewDoc().Set(name, gv), store.NewDoc().Set(name, wv)) {
+				t.Fatalf("%s fields %v: uid %d has %s = %v, the reference %v", at, q.Fields, uids[i], name, gv, wv)
+			}
+		}
+		if d.Len() < listed || tg.remote && d.Len() != listed {
+			t.Fatalf("%s fields %v: uid %d came back as %v; %d listed fields exist", at, q.Fields, uids[i], d, listed)
+		}
+	}
+}
+
 func TestReadPathAgainstModel(t *testing.T) {
 	steps := 250
 	if testing.Short() {
@@ -369,14 +416,33 @@ func runModel(t *testing.T, seed int64, steps int) {
 		// One mutation, applied to the reference and to every router.
 		switch op := rng.Intn(20); {
 		case op < 11 || len(ref.uids) == 0:
-			uid := nextUID
-			nextUID++
-			d := modelDoc(rng, uid)
-			ref.put(uid, d)
+			// One document by the single insert, or a batch of up to twelve.
+			batch := make([]*store.Doc, 1)
+			if rng.Intn(3) == 0 {
+				batch = make([]*store.Doc, 1+rng.Intn(12))
+			}
+			first := nextUID
+			for i := range batch {
+				batch[i] = modelDoc(rng, nextUID)
+				ref.put(nextUID, batch[i])
+				nextUID++
+			}
 			for _, tg := range targets {
-				shard, id, err := tg.s.InsertCtx(ctx, d.Clone())
-				must(err)
-				tg.loc[uid] = [2]int64{int64(shard), id}
+				copies := make([]*store.Doc, len(batch))
+				for i, d := range batch {
+					copies[i] = d.Clone()
+					shard, id, err := tg.twin.InsertCtx(ctx, d.Clone())
+					must(err)
+					tg.loc[first+int64(i)] = [2]int64{int64(shard), id}
+				}
+				if len(batch) > 1 {
+					must(tg.s.InsertManyCtx(ctx, copies))
+					continue
+				}
+				shard, id, err := tg.s.InsertCtx(ctx, copies[0])
+				if want := tg.loc[first]; err != nil || [2]int64{int64(shard), id} != want {
+					t.Fatalf("step %d %s: single insert landed at shard %d id %d (%v), the twin's at %v", step, tg.name, shard, id, err, want)
+				}
 			}
 		case op < 14:
 			uid := ref.uids[rng.Intn(len(ref.uids))]
@@ -413,6 +479,12 @@ func runModel(t *testing.T, seed int64, steps int) {
 		want := ref.find(f)
 		offset := []int{0, 1, rng.Intn(len(want) + 2), len(want), len(want) + 3, math.MaxInt}[rng.Intn(6)]
 		limit := []int{0, 1, 3, 10, rng.Intn(len(want) + 2), math.MaxInt, store.NoLimit}[rng.Intn(7)]
+		// The field list always reads uid, which names the reference document;
+		// beyond it: fields every document has, some have, none has, repeats.
+		fields := []string{"uid"}
+		for range rng.Intn(4) {
+			fields = append(fields, []string{"name", "type", "text", "tags", "attributes", "gone", "uid"}[rng.Intn(7)])
+		}
 		wantSize, wantCount := ref.dataSize(), int64(len(ref.docs))
 		var plans []store.Explain
 		for _, tg := range targets {
@@ -450,6 +522,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 				t.Fatalf("%s offset %d limit %d: page %v of %d, want %v of %d",
 					at, offset, limit, uidsOf(t, page.Docs), page.Total, uidsOf(t, whole.Docs[lo:hi]), whole.Total)
 			}
+			checkProjection(t, at, tg, ref, store.Query{Filter: f, Offset: offset, Limit: limit, Fields: fields}, page)
 			count, err := tg.s.QueryCtx(ctx, store.Query{Filter: f})
 			if must(err); count.Total != whole.Total || len(count.Docs) != 0 {
 				t.Fatalf("%s: count-only %d (%d docs), total %d", at, count.Total, len(count.Docs), whole.Total)

@@ -218,18 +218,24 @@ func (n *Node) handleWrite(req *Request, h *hostedShard) *Response {
 	resp := &Response{ID: req.ID}
 	switch req.Op {
 	case OpInsert:
-		d, err := store.DecodeDoc(req.Body)
+		// The list is decoded whole first: a malformed one stores nothing.
+		docs, err := DecodeDocList(req.Body)
 		if err != nil {
-			return errResp(req.ID, err)
+			return errResp(req.ID, dterr.Wrap(dterr.CodeInvalidArgument, err))
 		}
-		id := h.coll.Insert(d)
-		h.gen++
-		if err := h.logLocked(EvInsert, id, d); err != nil {
-			return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+		// Replication and the shard WAL keep one event, and one generation,
+		// per document, and a document is logged before the next is stored:
+		// a failing WAL leaves at most one document applied but not durable,
+		// as it does for any other write.
+		ids := make([]int64, len(docs))
+		for i, d := range docs {
+			ids[i] = h.coll.Insert(d)
+			h.gen++
+			if err := h.logLocked(EvInsert, ids[i], d); err != nil {
+				return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+			}
 		}
-		var buf bytes.Buffer
-		store.PutUvarint(&buf, uint64(id))
-		resp.Body = buf.Bytes()
+		resp.Body = EncodeIDs(ids)
 	case OpUpdate:
 		id, d, err := DecodeIDDoc(req.Body)
 		if err != nil || d == nil {
@@ -298,7 +304,7 @@ func (n *Node) handleRead(req *Request, h *hostedShard) *Response {
 		if err != nil {
 			return errResp(req.ID, err)
 		}
-		resp.Body = EncodeResult(coll.Query(q), q.Explain)
+		resp.Body = EncodeResult(coll.Query(q), q)
 	case OpDistinct:
 		rd := bytes.NewReader(req.Body)
 		path, err := store.GetString(rd)

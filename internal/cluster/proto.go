@@ -12,6 +12,14 @@
 // and the shard's exact match total — or only the total (limit 0), or the
 // shard's plan for the filter (explain). The router asks every shard for
 // its first offset+limit matches, so a page view moves pages, not shards.
+// A query may also list the top-level fields its caller reads; the node
+// then encodes only those, straight from the stored documents, so a page
+// moves fields, not documents.
+//
+// An insert is a frame per shard, not per document: OpInsert's body is a
+// document list in the codec query responses use, cut into chunks of about
+// InsertChunkBytes, and a node decodes the whole list before it stores the
+// first document.
 package cluster
 
 import (
@@ -30,6 +38,8 @@ import (
 // against one hosted shard; responses reuse the same CRC framing.
 const (
 	OpPing byte = iota + 1
+	// OpInsert stores a document list (EncodeDocList) in order and answers
+	// with the ids (EncodeIDs).
 	OpInsert
 	OpUpdate
 	OpDelete
@@ -58,6 +68,13 @@ const (
 // an OpPull resync, which ships a follower the whole shard; 64 MB is ~30x
 // the scaled-down deployment's whole corpus.
 const MaxFrameLen uint32 = 64 << 20
+
+// InsertChunkBytes is the footprint (Doc.SizeBytes, which overstates the
+// encoding) at which RemoteShard.Insert closes an OpInsert frame: a chunk
+// takes documents until it reaches this, so a frame runs at most one
+// document over — far under MaxFrameLen — and a load of B bytes to one shard
+// is at most B/InsertChunkBytes + 1 calls.
+const InsertChunkBytes = 1 << 20
 
 // Replication event kinds, carried as the store.EventLog kind byte when a
 // primary ships its mutation log to a follower. Payload: 8-byte little-
@@ -324,7 +341,7 @@ func EncodeIDDoc(id int64, d *store.Doc) []byte {
 	binary.LittleEndian.PutUint64(idb[:], uint64(id))
 	buf.Write(idb[:])
 	if d != nil {
-		buf.Write(store.EncodeDoc(d))
+		store.PutDoc(&buf, d)
 	}
 	return buf.Bytes()
 }
@@ -350,7 +367,8 @@ const queryExplain byte = 1
 
 // EncodeQuery packs a query request body: a flags byte (queryExplain),
 // offset and limit as signed varints (a negative limit is store.NoLimit),
-// then the filter document.
+// the field list (a count, then the names; none is every field), then the
+// filter document.
 func EncodeQuery(q store.Query) ([]byte, error) {
 	fd, err := filterDoc(q.Filter)
 	if err != nil {
@@ -364,7 +382,11 @@ func EncodeQuery(q store.Query) ([]byte, error) {
 	buf.WriteByte(flags)
 	putVarint(&buf, int64(q.Offset))
 	putVarint(&buf, int64(q.Limit))
-	buf.Write(store.EncodeDoc(fd))
+	store.PutUvarint(&buf, uint64(len(q.Fields)))
+	for _, name := range q.Fields {
+		store.PutString(&buf, name)
+	}
+	store.PutDoc(&buf, fd)
 	return buf.Bytes(), nil
 }
 
@@ -390,6 +412,18 @@ func DecodeQuery(data []byte) (store.Query, error) {
 	if err != nil {
 		return store.Query{}, dterr.Wrapf(dterr.CodeInvalidArgument, err, "cluster: query limit")
 	}
+	nfields, err := binary.ReadUvarint(rd)
+	if err != nil || nfields > uint64(rd.Len()) {
+		return store.Query{}, dterr.Newf(dterr.CodeInvalidArgument, "cluster: query field count %d (%v)", nfields, err)
+	}
+	var fields []string
+	for i := uint64(0); i < nfields; i++ {
+		name, err := store.GetString(rd)
+		if err != nil {
+			return store.Query{}, dterr.Wrapf(dterr.CodeInvalidArgument, err, "cluster: query field %d", i)
+		}
+		fields = append(fields, name)
+	}
 	filter, err := DecodeFilter(data[len(data)-rd.Len():])
 	if err != nil {
 		return store.Query{}, err
@@ -399,6 +433,7 @@ func DecodeQuery(data []byte) (store.Query, error) {
 		Offset:  int(min(offset, math.MaxInt)),
 		Limit:   int(max(min(limit, math.MaxInt), store.NoLimit)),
 		Explain: flags&queryExplain != 0,
+		Fields:  fields,
 	}, nil
 }
 
@@ -407,19 +442,20 @@ func putVarint(buf *bytes.Buffer, x int64) {
 	buf.Write(tmp[:binary.PutVarint(tmp[:], x)])
 }
 
-// EncodeResult packs a query response body: the match total, then the plan
-// (four strings) for an explain query or the window's documents otherwise.
-func EncodeResult(res store.Result, explain bool) []byte {
+// EncodeResult packs the response body to q: the match total, then the plan
+// (four strings) for an explain query or otherwise the window's documents,
+// each cut down to q.Fields.
+func EncodeResult(res store.Result, q store.Query) []byte {
 	var buf bytes.Buffer
 	store.PutUvarint(&buf, uint64(res.Total))
-	if explain {
+	if q.Explain {
 		store.PutString(&buf, res.Plan.AccessPath)
 		store.PutString(&buf, res.Plan.IndexName)
 		store.PutString(&buf, res.Plan.IndexKind)
 		store.PutString(&buf, res.Plan.Reason)
 		return buf.Bytes()
 	}
-	putDocList(&buf, res.Docs)
+	putDocList(&buf, res.Docs, q.Fields)
 	return buf.Bytes()
 }
 
@@ -446,67 +482,110 @@ func DecodeResult(data []byte, explain bool) (store.Result, error) {
 	return res, err
 }
 
-// EncodeDocList packs a document list — the tail of a query response body.
+// EncodeDocList packs a document list — the tail of a query response body
+// and the whole of an insert request body.
 func EncodeDocList(docs []*store.Doc) []byte {
 	var buf bytes.Buffer
-	putDocList(&buf, docs)
+	putDocList(&buf, docs, nil)
 	return buf.Bytes()
 }
 
-// putDocList appends the count and each document, length-prefixed. Every
-// document is encoded through one scratch buffer, and buf grows once, by
-// the documents' own footprint estimate (measured cheaper than doubling).
-func putDocList(buf *bytes.Buffer, docs []*store.Doc) {
+// putDocList appends the count and each document cut down to fields (none
+// is every field), length-prefixed. Every document is encoded through one
+// scratch buffer, straight from the stored document, and buf grows once, by
+// the footprint estimate of what is written (measured cheaper than
+// doubling).
+func putDocList(buf *bytes.Buffer, docs []*store.Doc, fields []string) {
 	store.PutUvarint(buf, uint64(len(docs)))
 	var size int64
 	for _, d := range docs {
-		size += d.SizeBytes()
+		size += d.SizeBytesOf(fields)
 	}
 	buf.Grow(int(size))
 	var one bytes.Buffer
 	for _, d := range docs {
 		one.Reset()
-		store.PutDoc(&one, d)
+		store.PutDocFields(&one, d, fields)
 		store.PutBytes(buf, one.Bytes())
 	}
 }
 
-// DecodeDocList unpacks EncodeDocList, decoding each document in place.
+// DecodeDocList unpacks EncodeDocList through one reader. Nothing past the
+// list may remain, and no document may run over or short of its length.
 func DecodeDocList(data []byte) ([]*store.Doc, error) {
-	n, w := binary.Uvarint(data)
-	if w <= 0 {
-		return nil, dterr.New(dterr.CodeInternal, "cluster: doc list count")
+	rd := bytes.NewReader(data)
+	n, err := binary.ReadUvarint(rd)
+	if err != nil {
+		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: doc list count")
 	}
-	data = data[w:]
-	if n > uint64(len(data)) {
+	if n > uint64(rd.Len()) {
 		return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc list count %d exceeds remaining bytes", n)
 	}
 	docs := make([]*store.Doc, 0, n)
+	var prev *store.Doc
 	for i := uint64(0); i < n; i++ {
-		size, w := binary.Uvarint(data)
-		if w <= 0 || size > uint64(len(data)-w) {
+		size, err := binary.ReadUvarint(rd)
+		if err != nil || size > uint64(rd.Len()) {
 			return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc %d length", i)
 		}
-		d, err := store.DecodeDoc(data[w : w+int(size)])
+		end := rd.Len() - int(size)
+		d, err := store.GetDoc(rd, prev)
 		if err != nil {
 			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: doc %d", i)
 		}
+		if rd.Len() != end {
+			return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc %d is not the %d bytes its length says", i, size)
+		}
 		docs = append(docs, d)
-		data = data[w+int(size):]
+		prev = d
+	}
+	if rd.Len() != 0 {
+		return nil, dterr.Newf(dterr.CodeInternal, "cluster: %d bytes after the doc list", rd.Len())
 	}
 	return docs, nil
+}
+
+// EncodeIDs packs an insert response body: a count, then each id.
+func EncodeIDs(ids []int64) []byte {
+	var buf bytes.Buffer
+	buf.Grow((len(ids) + 1) * binary.MaxVarintLen32)
+	store.PutUvarint(&buf, uint64(len(ids)))
+	for _, id := range ids {
+		store.PutUvarint(&buf, uint64(id))
+	}
+	return buf.Bytes()
+}
+
+// DecodeIDs unpacks EncodeIDs.
+func DecodeIDs(data []byte) ([]int64, error) {
+	rd := bytes.NewReader(data)
+	n, err := binary.ReadUvarint(rd)
+	if err != nil || n > uint64(rd.Len()) {
+		return nil, dterr.Newf(dterr.CodeInternal, "cluster: id list count %d (%v)", n, err)
+	}
+	ids := make([]int64, n)
+	for i := range ids {
+		id, err := binary.ReadUvarint(rd)
+		if err != nil {
+			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: id %d", i)
+		}
+		ids[i] = int64(id)
+	}
+	return ids, nil
 }
 
 // EncodeSnapshot packs (id, doc) pairs — the document part of the
 // full-resync pull payload.
 func EncodeSnapshot(ids []int64, docs []*store.Doc) []byte {
-	var buf bytes.Buffer
+	var buf, one bytes.Buffer
 	store.PutUvarint(&buf, uint64(len(ids)))
 	for i, id := range ids {
 		var idb [8]byte
 		binary.LittleEndian.PutUint64(idb[:], uint64(id))
 		buf.Write(idb[:])
-		store.PutBytes(&buf, store.EncodeDoc(docs[i]))
+		one.Reset()
+		store.PutDoc(&one, docs[i])
+		store.PutBytes(&buf, one.Bytes())
 	}
 	return buf.Bytes()
 }

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/dterr"
@@ -295,6 +298,8 @@ func queryFrameSeeds(t testing.TB) [][]byte {
 		{Filter: store.And{store.EqStr("type", "Movie"), store.Not{Inner: store.Contains("name", "x")}}},
 		{Filter: store.In("type", record.String("a"), record.Int(3)), Offset: math.MaxInt, Limit: math.MaxInt},
 		{Filter: store.Prefix("name", "The "), Explain: true},
+		{Filter: store.Contains("text", "Matilda"), Limit: store.NoLimit, Fields: []string{"text"}},
+		{Limit: 3, Fields: []string{"name", "", "attributes", "name"}},
 	} {
 		b, err := EncodeQuery(q)
 		if err != nil {
@@ -327,6 +332,7 @@ func TestQueryFrameRoundTrip(t *testing.T) {
 	neg.WriteByte(0)
 	putVarint(&neg, 0)
 	putVarint(&neg, math.MinInt64)
+	neg.WriteByte(0) // no field list
 	neg.Write(mustFilter(t, nil))
 	if q, err := DecodeQuery(neg.Bytes()); err != nil || q.Limit != store.NoLimit {
 		t.Fatalf("limit MinInt64 decoded as %+v, %v", q, err)
@@ -335,6 +341,7 @@ func TestQueryFrameRoundTrip(t *testing.T) {
 	neg.WriteByte(0)
 	putVarint(&neg, -1)
 	putVarint(&neg, 10)
+	neg.WriteByte(0)
 	neg.Write(mustFilter(t, nil))
 	if _, err := DecodeQuery(neg.Bytes()); !errors.Is(err, dterr.ErrInvalidArgument) {
 		t.Fatalf("negative offset: %v, want invalid argument", err)
@@ -344,14 +351,84 @@ func TestQueryFrameRoundTrip(t *testing.T) {
 		store.NewDoc().Set("name", store.Str("Matilda")).Set("tags", store.List(store.Str("a"), store.Num(2))),
 		store.NewDoc().Set("attributes", store.Nested(store.NewDoc().Set("award_winning", store.Str("true")))),
 	}
-	res, err := DecodeResult(EncodeResult(store.Result{Docs: docs, Total: 6137}, false), false)
+	res, err := DecodeResult(EncodeResult(store.Result{Docs: docs, Total: 6137}, store.Query{}), false)
 	if err != nil || res.Total != 6137 || len(res.Docs) != 2 || res.Docs[1].PathString("attributes.award_winning") != "true" {
 		t.Fatalf("result round trip: %+v, %v", res, err)
 	}
+	// A field list cuts every document down to the listed fields it has, in
+	// its own order, and leaves the stored documents alone.
+	res, err = DecodeResult(EncodeResult(store.Result{Docs: docs, Total: 2}, store.Query{Fields: []string{"tags", "gone", "name", "tags"}}), false)
+	if err != nil || len(res.Docs) != 2 || !slices.Equal(res.Docs[0].Names(), []string{"name", "tags"}) || res.Docs[1].Len() != 0 {
+		t.Fatalf("projected round trip: %v, %v", res.Docs, err)
+	}
+	if tags, _ := res.Docs[0].Get("tags"); len(tags.List()) != 2 || docs[0].Len() != 2 || docs[1].Len() != 1 {
+		t.Fatalf("projected list field %v; stored documents now %v", tags, docs)
+	}
 	plan := store.Explain{AccessPath: "index", IndexName: "type_1", IndexKind: "hash", Reason: "point lookup on type"}
-	res, err = DecodeResult(EncodeResult(store.Result{Plan: plan}, true), true)
+	res, err = DecodeResult(EncodeResult(store.Result{Plan: plan}, store.Query{Explain: true}), true)
 	if err != nil || res.Plan != plan || res.Docs != nil {
 		t.Fatalf("plan round trip: %+v, %v", res, err)
+	}
+}
+
+// TestProjectedDecodeBudget pins what a one-field projected result costs its
+// reader: the document, its field list and the value's bytes — not a reader
+// or a scratch buffer per document.
+func TestProjectedDecodeBudget(t *testing.T) {
+	const n = 200
+	docs := make([]*store.Doc, n)
+	for i := range docs {
+		docs[i] = store.NewDoc().
+			Set("source_url", store.Str(fmt.Sprintf("http://feeds.example/%d", i))).
+			Set("text", store.Str(strings.Repeat("Matilda grossed 960,998 this week. ", 8))).
+			Set("entities", store.List(store.Str("Matilda"), store.Str("London")))
+	}
+	body := EncodeResult(store.Result{Docs: docs, Total: n}, store.Query{Fields: []string{"text"}})
+	if whole := EncodeResult(store.Result{Docs: docs, Total: n}, store.Query{}); len(body) >= len(whole)*9/10 {
+		t.Fatalf("projected body is %d bytes of the whole documents' %d", len(body), len(whole))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if res, err := DecodeResult(body, false); err != nil || len(res.Docs) != n || res.Docs[n-1].Len() != 1 {
+			t.Fatalf("decode: %d docs, %v", len(res.Docs), err)
+		}
+	})
+	if perDoc := allocs / n; perDoc > 3.05 { // the list itself and its reader are the .05
+		t.Fatalf("decoding a one-field result allocates %.2f objects per document, budget 3", perDoc)
+	}
+}
+
+// TestInsertListAllOrNothing: an insert frame is decoded whole before the
+// first document is stored, so a list torn anywhere, or with bytes after it,
+// stores nothing and moves no generation.
+func TestInsertListAllOrNothing(t *testing.T) {
+	node := NewNode("n")
+	hostAll(node, 1)
+	key := ShardKey(NSEntities, 0)
+	good := EncodeDocList([]*store.Doc{
+		store.NewDoc().Set("name", store.Str("a")),
+		store.NewDoc().Set("name", store.Str("b")).Set("tags", store.List(store.Str("x"))),
+		store.NewDoc().Set("name", store.Str("c")),
+	})
+	bad := [][]byte{append(slices.Clone(good), 0)}
+	for cut := 0; cut < len(good); cut++ {
+		bad = append(bad, good[:cut])
+	}
+	lied := slices.Clone(good)
+	lied[1]++ // the first document's length runs into the second
+	bad = append(bad, lied)
+	for i, body := range bad {
+		resp := node.Handle(&Request{Op: OpInsert, Shard: key, Body: body})
+		if resp.Err == nil || !errors.Is(resp.Err, dterr.ErrInvalidArgument) {
+			t.Fatalf("malformed list %d: response %+v, want invalid argument", i, resp)
+		}
+		if coll, gen := node.shard(key).view(); coll.Count() != 0 || gen != 0 {
+			t.Fatalf("malformed list %d stored %d documents, generation %d", i, coll.Count(), gen)
+		}
+	}
+	resp := node.Handle(&Request{Op: OpInsert, Shard: key, Body: good})
+	ids, err := DecodeIDs(resp.Body)
+	if resp.Err != nil || err != nil || !slices.Equal(ids, []int64{1, 2, 3}) || resp.Gen != 3 {
+		t.Fatalf("good list: ids %v, generation %d, %v %v", ids, resp.Gen, resp.Err, err)
 	}
 }
 
@@ -396,10 +473,7 @@ func FuzzDecodeQuery(f *testing.F) {
 // FuzzDecodeResult: a query response body never panics either decoder nor
 // yields more documents than it has bytes.
 func FuzzDecodeResult(f *testing.F) {
-	docs := []*store.Doc{store.NewDoc().Set("name", store.Str("Matilda")), store.NewDoc()}
-	full := EncodeResult(store.Result{Docs: docs, Total: math.MaxInt64}, false)
-	plan := EncodeResult(store.Result{Plan: store.Explain{AccessPath: "scan", Reason: "no index on name"}}, true)
-	for _, seed := range [][]byte{full, full[:len(full)-3], plan, plan[:4], {}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0xff}} {
+	for _, seed := range resultFrameSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -407,7 +481,33 @@ func FuzzDecodeResult(f *testing.F) {
 			t.Fatalf("%d docs, total %d from %d bytes", len(res.Docs), res.Total, len(data))
 		}
 		_, _ = DecodeResult(data, true)
+		// The same bytes as an insert body: a list either decodes whole and
+		// re-encodes to itself, or stores nothing.
+		if docs, err := DecodeDocList(data); err == nil {
+			if back, err := DecodeDocList(EncodeDocList(docs)); err != nil || len(back) != len(docs) {
+				t.Fatalf("doc list of %d does not survive a round trip: %d, %v", len(docs), len(back), err)
+			}
+		}
 	})
+}
+
+// resultFrameSeeds are the response bodies FuzzDecodeResult starts from: a
+// whole-document window, a projected one, a plan, a bare document list (an
+// insert body), and torn or lying variants.
+func resultFrameSeeds() [][]byte {
+	docs := []*store.Doc{
+		store.NewDoc().Set("name", store.Str("Matilda")).Set("tags", store.List(store.Str("a"), store.Num(2))),
+		store.NewDoc(),
+	}
+	full := EncodeResult(store.Result{Docs: docs, Total: math.MaxInt64}, store.Query{})
+	projected := EncodeResult(store.Result{Docs: docs, Total: 2}, store.Query{Fields: []string{"name"}})
+	plan := EncodeResult(store.Result{Plan: store.Explain{AccessPath: "scan", Reason: "no index on name"}}, store.Query{Explain: true})
+	list := EncodeDocList(docs)
+	return [][]byte{
+		full, full[:len(full)-3], projected, projected[:len(projected)-1], plan, plan[:4],
+		list, list[:len(list)/2], append(slices.Clone(list), 0),
+		{}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0xff},
+	}
 }
 
 func FuzzDecodeFilter(f *testing.F) {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -82,17 +81,27 @@ func (r *RemoteShard) callRead(ctx context.Context, op byte, body []byte) (*Resp
 	return r.callPrimary(ctx, op, body)
 }
 
-// Insert implements store.ShardBackend.
-func (r *RemoteShard) Insert(ctx context.Context, d *store.Doc) (int64, error) {
-	resp, err := r.callPrimary(ctx, OpInsert, store.EncodeDoc(d))
-	if err != nil {
-		return 0, err
+// Insert implements store.ShardBackend: one frame per InsertChunkBytes of
+// documents, each stored by the node whole or not at all.
+func (r *RemoteShard) Insert(ctx context.Context, docs ...*store.Doc) ([]int64, error) {
+	ids := make([]int64, 0, len(docs))
+	for len(docs) > 0 {
+		n, size := 0, int64(0)
+		for n < len(docs) && size < InsertChunkBytes {
+			size += docs[n].SizeBytes()
+			n++
+		}
+		resp, err := r.callPrimary(ctx, OpInsert, EncodeDocList(docs[:n]))
+		if err != nil {
+			return ids, err
+		}
+		got, err := DecodeIDs(resp.Body)
+		if err != nil || len(got) != n {
+			return ids, dterr.Newf(dterr.CodeInternal, "cluster: insert response holds %d ids for %d documents (%v)", len(got), n, err)
+		}
+		ids, docs = append(ids, got...), docs[n:]
 	}
-	id, n := binary.Uvarint(resp.Body)
-	if n <= 0 {
-		return 0, dterr.New(dterr.CodeInternal, "cluster: malformed insert response")
-	}
-	return int64(id), nil
+	return ids, nil
 }
 
 // Update implements store.ShardBackend.

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/fuse"
 	"repro/internal/store"
 )
 
@@ -96,5 +98,98 @@ func TestPagedFindMovesThePageOverTheWire(t *testing.T) {
 	_, countBytes := reply(store.Query{Filter: movies})
 	if countBytes > 64*shards {
 		t.Errorf("a count-only query's replies were %d B", countBytes)
+	}
+}
+
+// countingTransport counts the calls through it and the bytes of their
+// encoded requests and responses.
+type countingTransport struct {
+	Transport
+	calls, bytes atomic.Int64
+}
+
+func (c *countingTransport) Call(ctx context.Context, req *Request) (*Response, error) {
+	resp, err := c.Transport.Call(ctx, req)
+	c.calls.Add(1)
+	c.bytes.Add(int64(len(req.Encode())))
+	if resp != nil {
+		c.bytes.Add(int64(len(resp.Encode())))
+	}
+	return resp, err
+}
+
+// TestWireCarriesBatchesAndFields pins both directions of the wire by count.
+// Loading N documents through the router is a call per InsertChunkBytes of
+// them and shard, not a call per document; and TextFeeds, which reads only
+// the text of the fragments naming a show, moves little more than those
+// texts — not the entity lists stored beside them.
+func TestWireCarriesBatchesAndFields(t *testing.T) {
+	const shards, n = 4, 3000
+	node := NewNode("wire")
+	tr := &countingTransport{Transport: Loopback{Node: node}}
+	backends := make([]store.ShardBackend, shards)
+	for i := range backends {
+		coll := store.NewCollection(NSInstances, 0)
+		coll.EnsureTextIndex("text")
+		node.AddShard(ShardKey(NSInstances, i), coll)
+		backends[i] = NewRemoteShard(NSInstances, i, tr, nil)
+	}
+	instances, err := store.NewShardedBackends(NSInstances, "source_url", backends, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Fragments the shape the parser stores: a text, and a list of entity
+	// references several times its size.
+	docs := make([]*store.Doc, n)
+	var footprint, matches, matchedText int64
+	for i := range docs {
+		text := fmt.Sprintf("Fragment %d: Wicked had a fine week on Broadway. ", i)
+		if i%15 == 0 {
+			text += strings.Repeat("Matilda grossed 960,998 this week. ", 1+i%4)
+			matches++
+			matchedText += int64(len(text))
+		}
+		refs := make([]store.DocValue, 12)
+		for j := range refs {
+			refs[j] = store.Nested(store.NewDoc().
+				Set("type", store.Str("Movie")).
+				Set("name", store.Str(fmt.Sprintf("entity %d of fragment %d", j, i))).
+				Set("offset", store.Num(int64(j))))
+		}
+		docs[i] = store.NewDoc().
+			Set("source_url", store.Str(fmt.Sprintf("http://feeds.example/%d", i))).
+			Set("text", store.Str(text)).
+			Set("entities", store.List(refs...))
+		footprint += docs[i].SizeBytes()
+	}
+	ctx := context.Background()
+	if err := instances.InsertManyCtx(ctx, docs); err != nil {
+		t.Fatal(err)
+	}
+	budget := (footprint+InsertChunkBytes-1)/InsertChunkBytes + shards
+	if calls := tr.calls.Load(); calls > budget || budget >= n/10 {
+		t.Fatalf("loading %d documents (%d B) took %d calls; the budget is %d, a call per chunk and shard", n, footprint, calls, budget)
+	}
+	if res, err := instances.QueryCtx(ctx, store.Query{}); err != nil || res.Total != n {
+		t.Fatalf("after the load the shards hold %d documents (%v), want %d", res.Total, err, n)
+	}
+
+	const perDoc, perCall = 16, 256 // length prefixes and the field's name; the frames around the list
+	before := tr.bytes.Load()
+	feeds, err := (&fuse.Engine{Instances: instances}).TextFeeds(ctx, "Matilda", 1)
+	moved := tr.bytes.Load() - before
+	if err != nil || len(feeds) != 1 || !strings.Contains(feeds[0], "Matilda") {
+		t.Fatalf("TextFeeds: %q, %v", feeds, err)
+	}
+	if budget := matchedText + perDoc*matches + perCall*shards; moved >= budget {
+		t.Errorf("TextFeeds moved %d B for %d matching texts of %d B in all; the budget is %d", moved, matches, matchedText, budget)
+	}
+	before = tr.bytes.Load()
+	if whole, err := instances.FindCtx(ctx, store.Contains("text", "Matilda")); err != nil || int64(len(whole)) != matches {
+		t.Fatalf("FindCtx: %d documents, %v", len(whole), err)
+	}
+	if unprojected := tr.bytes.Load() - before; unprojected < 3*moved {
+		t.Errorf("the same matches as whole documents are %d B, the texts alone %d B: want a third or less", unprojected, moved)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/record"
 	"repro/internal/schema"
+	"repro/internal/store"
 )
 
 // Incremental apply: the hooks the live ingestion subsystem
@@ -38,15 +39,21 @@ func (t *Tamer) ApplyFragments(ctx context.Context, frags []datagen.Fragment, wo
 		return 0, 0, err
 	}
 	for _, r := range results {
-		if _, _, err := t.Instances.InsertCtx(ctx, r.instance); err != nil {
-			return 0, entities, err
-		}
-		for _, d := range r.entities {
-			if _, _, err := t.Entities.InsertCtx(ctx, d); err != nil {
-				return 0, entities, err
-			}
-			entities++
-		}
+		entities += len(r.entities)
+	}
+	// Each store takes its documents as one batch, in fragment order, which
+	// gives every document the id serial inserts would.
+	instanceDocs := make([]*store.Doc, 0, len(results))
+	entityDocs := make([]*store.Doc, 0, entities)
+	for _, r := range results {
+		instanceDocs = append(instanceDocs, r.instance)
+		entityDocs = append(entityDocs, r.entities...)
+	}
+	if err := t.Instances.InsertManyCtx(ctx, instanceDocs); err != nil {
+		return 0, 0, err
+	}
+	if err := t.Entities.InsertManyCtx(ctx, entityDocs); err != nil {
+		return 0, 0, err
 	}
 	// Bump the generations only after every insert landed, so a ranking or
 	// HTTP response cached during the batch is keyed to the pre-batch

@@ -36,18 +36,25 @@ var awardWinningMovies = store.And{
 	store.EqStr("attributes.award_winning", "true"),
 }
 
+// The one field each query below reads off its matches, which is all a
+// remote shard ships of them.
+var (
+	nameField = []string{"name"}
+	textField = []string{"text"}
+)
+
 // TopDiscussed ranks award-winning movies/shows by mention count in the
 // entity store — the Table IV query. Ties break lexicographically. Each
 // shard answers the filtered query from its index, so only the matching
-// mentions leave it; a name is displayed as its first mention spells it,
-// in shard order.
+// mentions' names leave it; a name is displayed as its first mention spells
+// it, in shard order.
 func (e *Engine) TopDiscussed(ctx context.Context, k int) ([]Discussed, error) {
-	docs, err := e.Entities.FindCtx(ctx, awardWinningMovies)
+	res, err := e.Entities.QueryCtx(ctx, store.Query{Filter: awardWinningMovies, Limit: store.NoLimit, Fields: nameField})
 	if err != nil {
 		return nil, err
 	}
 	counts := map[string]*Discussed{}
-	for _, d := range docs {
+	for _, d := range res.Docs {
 		raw := d.PathString("name")
 		name := textutil.Normalize(raw)
 		if name == "" {
@@ -92,11 +99,12 @@ func displayName(s string) string {
 // informative first — the demo surfaces the feed richest in box-office
 // detail. Relevance counts "grossed" spans, show mentions, and award
 // context; ties break toward longer, then lexicographically smaller feeds.
+// limit <= 0 returns every feed.
 func (e *Engine) TextFeeds(ctx context.Context, show string, limit int) ([]string, error) {
 	// The Contains filter is served by the instance store's inverted text
 	// index when one exists, so this touches only candidate fragments
 	// instead of the whole corpus.
-	docs, err := e.Instances.FindCtx(ctx, store.Contains("text", show))
+	res, err := e.Instances.QueryCtx(ctx, store.Query{Filter: store.Contains("text", show), Limit: store.NoLimit, Fields: textField})
 	if err != nil {
 		return nil, err
 	}
@@ -123,32 +131,69 @@ func (e *Engine) TextFeeds(ctx context.Context, show string, limit int) ([]strin
 		}
 		return best
 	}
-	type scoredFeed struct {
-		feed  string
-		score int
+	// One pass keeps the best limit feeds in a heap whose root is the worst
+	// of them, the one the next better feed evicts; only the kept are sorted.
+	if limit <= 0 || limit > len(res.Docs) {
+		limit = len(res.Docs)
 	}
-	scored := make([]scoredFeed, 0, len(docs))
-	for _, d := range docs {
+	best := make([]scoredFeed, 0, limit)
+	for _, d := range res.Docs {
 		text := d.PathString("text")
-		scored = append(scored, scoredFeed{feed: text, score: score(text)})
-	}
-	sort.Slice(scored, func(i, j int) bool {
-		if scored[i].score != scored[j].score {
-			return scored[i].score > scored[j].score
+		f := scoredFeed{feed: text, score: score(text)}
+		switch {
+		case len(best) < limit:
+			best = append(best, f)
+			if len(best) == limit {
+				// Worst first is a heap already.
+				sort.Slice(best, func(i, j int) bool { return best[j].before(best[i]) })
+			}
+		case f.before(best[0]):
+			best[0] = f
+			sinkRoot(best)
 		}
-		if len(scored[i].feed) != len(scored[j].feed) {
-			return len(scored[i].feed) > len(scored[j].feed)
-		}
-		return scored[i].feed < scored[j].feed
-	})
-	if limit > 0 && len(scored) > limit {
-		scored = scored[:limit]
 	}
-	feeds := make([]string, 0, len(scored))
-	for _, s := range scored {
-		feeds = append(feeds, s.feed)
+	sort.Slice(best, func(i, j int) bool { return best[i].before(best[j]) })
+	feeds := make([]string, len(best))
+	for i, f := range best {
+		feeds[i] = f.feed
 	}
 	return feeds, nil
+}
+
+// scoredFeed is one candidate of TextFeeds with its relevance.
+type scoredFeed struct {
+	feed  string
+	score int
+}
+
+// before reports whether f ranks ahead of g: by score, then length, then
+// lexicographically.
+func (f scoredFeed) before(g scoredFeed) bool {
+	if f.score != g.score {
+		return f.score > g.score
+	}
+	if len(f.feed) != len(g.feed) {
+		return len(f.feed) > len(g.feed)
+	}
+	return f.feed < g.feed
+}
+
+// sinkRoot restores heap order — no feed ranks ahead of its children, so
+// h[0] is the worst — after h[0] was replaced.
+func sinkRoot(h []scoredFeed) {
+	for i := 0; ; {
+		worst := i
+		for kid := 2*i + 1; kid <= 2*i+2 && kid < len(h); kid++ {
+			if h[worst].before(h[kid]) {
+				worst = kid
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // WebTextRecord builds the Table V view: what the system knows about a show

@@ -2,6 +2,8 @@ package fuse
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -80,6 +82,47 @@ func TestTextFeedsLongestFirst(t *testing.T) {
 	}
 	if got, err := e.TextFeeds(ctx, "Nonexistent", 0); err != nil || len(got) != 0 {
 		t.Errorf("missing show feeds = %v (err %v)", got, err)
+	}
+}
+
+// TestTextFeedsKeepsTheBestOfASort: whatever the limit, the feeds kept in
+// one pass are the head of all feeds sorted by score, then length, then
+// text — including across ties and repeated texts.
+func TestTextFeedsKeepsTheBestOfASort(t *testing.T) {
+	instances := store.NewSharded("dt.instance", "source_url", 3, 0)
+	var texts []string
+	for i := 0; i < 40; i++ {
+		// One sentence each, so a text's score is a count over the whole of it.
+		text := "Matilda" + strings.Repeat(" grossed", i%3) + strings.Repeat(" and Matilda", i%2) +
+			strings.Repeat(" filler", i%5) + []string{"", " a", " b"}[i%7%3]
+		texts = append(texts, text)
+		instances.Insert(store.NewDoc().Set("source_url", store.Str(strings.Repeat("u", i+1))).Set("text", store.Str(text)))
+	}
+	e := &Engine{Instances: instances}
+	ctx := context.Background()
+	all, err := e.TextFeeds(ctx, "matilda", 0)
+	if err != nil || len(all) != len(texts) {
+		t.Fatalf("unlimited: %d feeds of %d, %v", len(all), len(texts), err)
+	}
+	score := func(feed string) int { return 4*strings.Count(feed, "grossed") + 2*strings.Count(feed, "Matilda") }
+	sort.SliceStable(texts, func(i, j int) bool {
+		a, b := texts[i], texts[j]
+		if score(a) != score(b) {
+			return score(a) > score(b)
+		}
+		if len(a) != len(b) {
+			return len(a) > len(b)
+		}
+		return a < b
+	})
+	if !slices.Equal(all, texts) {
+		t.Fatalf("unlimited feeds are not the reference sort:\n%q\n%q", all, texts)
+	}
+	for _, limit := range []int{1, 2, 3, 7, 39, 40, 41, 1000} {
+		got, err := e.TextFeeds(ctx, "matilda", limit)
+		if err != nil || !slices.Equal(got, texts[:min(limit, len(texts))]) {
+			t.Errorf("limit %d: %q (%v), want the first of %q", limit, got, err, texts)
+		}
 	}
 }
 

@@ -56,11 +56,11 @@ func decodeText(payload []byte) ([]datagen.Fragment, error) {
 // encodeRecords serializes a record batch: source name, count, then per
 // record (source, id, doc bytes) — the doc codec carries the typed fields.
 func encodeRecords(source string, recs []*record.Record) []byte {
-	var buf bytes.Buffer
+	var buf, doc bytes.Buffer
 	store.PutString(&buf, source)
 	store.PutUvarint(&buf, uint64(len(recs)))
 	for _, r := range recs {
-		encodeRecordTo(&buf, r)
+		encodeRecordTo(&buf, &doc, r)
 	}
 	return buf.Bytes()
 }
@@ -87,11 +87,14 @@ func decodeRecords(payload []byte) (string, []*record.Record, error) {
 }
 
 // encodeRecordTo writes one flat record as (source, id, doc bytes), the doc
-// built from the record's scalar fields so value kinds round-trip.
-func encodeRecordTo(buf *bytes.Buffer, r *record.Record) {
+// built from the record's scalar fields so value kinds round-trip. doc is
+// the caller's scratch buffer, reused from record to record.
+func encodeRecordTo(buf, doc *bytes.Buffer, r *record.Record) {
 	store.PutString(buf, r.Source)
 	store.PutString(buf, r.ID)
-	store.PutBytes(buf, store.EncodeDoc(store.FromRecord(r)))
+	doc.Reset()
+	store.PutDoc(doc, store.FromRecord(r))
+	store.PutBytes(buf, doc.Bytes())
 }
 
 func decodeRecordFrom(r *bytes.Reader) (*record.Record, error) {
@@ -130,9 +133,10 @@ func saveFused(path string, recs []*record.Record) error {
 		f.Close()
 		return err
 	}
+	var buf, doc bytes.Buffer
 	for _, r := range recs {
-		var buf bytes.Buffer
-		encodeRecordTo(&buf, r)
+		buf.Reset() // Append copies the payload into its frame
+		encodeRecordTo(&buf, &doc, r)
 		if _, err := lg.Append(evRecords, buf.Bytes()); err != nil {
 			f.Close()
 			return err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -49,6 +50,30 @@ func PutDoc(buf *bytes.Buffer, d *Doc) {
 	for _, f := range d.fields {
 		PutString(buf, f.name)
 		writeDocValue(buf, f.value)
+	}
+}
+
+// PutDocFields appends the encoding of d cut down to the top-level fields
+// named in fields, in d's order — what PutDoc writes for the projected
+// document, without building it. Listed fields d lacks are skipped; an empty
+// list is every field.
+func PutDocFields(buf *bytes.Buffer, d *Doc, fields []string) {
+	if len(fields) == 0 {
+		PutDoc(buf, d)
+		return
+	}
+	n := 0
+	for _, f := range d.fields {
+		if slices.Contains(fields, f.name) {
+			n++
+		}
+	}
+	PutUvarint(buf, uint64(n))
+	for _, f := range d.fields {
+		if slices.Contains(fields, f.name) {
+			PutString(buf, f.name)
+			writeDocValue(buf, f.value)
+		}
 	}
 }
 
@@ -126,7 +151,7 @@ func PutBytes(buf *bytes.Buffer, p []byte) {
 // DecodeDoc deserializes a document encoded by EncodeDoc.
 func DecodeDoc(data []byte) (*Doc, error) {
 	r := bytes.NewReader(data)
-	d, err := readDoc(r)
+	d, err := GetDoc(r, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +161,11 @@ func DecodeDoc(data []byte) (*Doc, error) {
 	return d, nil
 }
 
-func readDoc(r *bytes.Reader) (*Doc, error) {
+// GetDoc reads one document off r — DecodeDoc for a caller unpacking many
+// documents from one buffer through one reader. The documents of a list
+// tend to repeat their field names, so a field named as like's field at the
+// same position shares that name's string; like may be nil.
+func GetDoc(r *bytes.Reader, like *Doc) (*Doc, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading field count: %w", err)
@@ -148,7 +177,11 @@ func readDoc(r *bytes.Reader) (*Doc, error) {
 	// only up to a bound.
 	d := NewDocCap(min(int(n), 64))
 	for i := uint64(0); i < n; i++ {
-		name, err := GetString(r)
+		hint := ""
+		if like != nil && i < uint64(len(like.fields)) {
+			hint = like.fields[i].name
+		}
+		name, err := getName(r, hint)
 		if err != nil {
 			return nil, fmt.Errorf("store: reading field name: %w", err)
 		}
@@ -174,7 +207,7 @@ func readDocValue(r *bytes.Reader) (DocValue, error) {
 		}
 		return Scalar(v), nil
 	case tagNested:
-		d, err := readDoc(r)
+		d, err := GetDoc(r, nil)
 		if err != nil {
 			return DocValue{}, err
 		}
@@ -264,6 +297,11 @@ func GetString(r *bytes.Reader) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return readString(r, n), nil
+}
+
+// readString reads the next n bytes, which r is known to hold.
+func readString(r *bytes.Reader, n int) string {
 	var sb strings.Builder
 	sb.Grow(n)
 	var chunk [256]byte
@@ -272,7 +310,25 @@ func GetString(r *bytes.Reader) (string, error) {
 		sb.Write(chunk[:k])
 		n -= k
 	}
-	return sb.String(), nil
+	return sb.String()
+}
+
+// getName is GetString for a field name expected to equal hint: when it
+// does, hint is returned and nothing is copied.
+func getName(r *bytes.Reader, hint string) (string, error) {
+	n, err := getLen(r)
+	if err != nil {
+		return "", err
+	}
+	var peek [64]byte
+	if n == len(hint) && 0 < n && n <= len(peek) {
+		_, _ = r.ReadAt(peek[:n], r.Size()-int64(r.Len())) // getLen saw n bytes remain
+		if string(peek[:n]) == hint {
+			_, _ = r.Seek(int64(n), io.SeekCurrent)
+			return hint, nil
+		}
+	}
+	return readString(r, n), nil
 }
 
 // GetBytes reads one length-prefixed value; a zero length is a valid empty

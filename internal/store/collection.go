@@ -110,6 +110,23 @@ func (c *Collection) Count() int64 {
 func (c *Collection) Insert(doc *Doc) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.insertLocked(doc)
+}
+
+// InsertMany stores docs in order under one lock acquisition and returns
+// their ids.
+func (c *Collection) InsertMany(docs []*Doc) []int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ids := make([]int64, len(docs))
+	for i, d := range docs {
+		ids[i] = c.insertLocked(d)
+	}
+	return ids
+}
+
+// insertLocked stores doc under the next id. Must hold c.mu.
+func (c *Collection) insertLocked(doc *Doc) int64 {
 	id := c.nextID
 	c.nextID++
 	c.docs[id] = doc
@@ -122,15 +139,6 @@ func (c *Collection) Insert(doc *Doc) int64 {
 		tx.insert(id, doc)
 	}
 	return id
-}
-
-// InsertMany stores docs in order and returns their ids.
-func (c *Collection) InsertMany(docs []*Doc) []int64 {
-	ids := make([]int64, len(docs))
-	for i, d := range docs {
-		ids[i] = c.Insert(d)
-	}
-	return ids
 }
 
 // charge records that the stored documents grew (or shrank) by n bytes.

@@ -24,6 +24,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -226,10 +227,16 @@ func (d *Doc) PathString(path string) string {
 }
 
 // SizeBytes estimates the encoded footprint of the document.
-func (d *Doc) SizeBytes() int64 {
+func (d *Doc) SizeBytes() int64 { return d.SizeBytesOf(nil) }
+
+// SizeBytesOf is SizeBytes over the projection PutDocFields writes: the
+// top-level fields named in fields, every field when the list is empty.
+func (d *Doc) SizeBytesOf(fields []string) int64 {
 	var n int64 = 16 // header
 	for _, f := range d.fields {
-		n += int64(len(f.name)) + 2 + f.value.sizeBytes()
+		if len(fields) == 0 || slices.Contains(fields, f.name) {
+			n += int64(len(f.name)) + 2 + f.value.sizeBytes()
+		}
 	}
 	return n
 }

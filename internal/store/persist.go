@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -20,7 +21,9 @@ const (
 )
 
 // WriteSnapshot serializes the collection: header, namespace, document
-// count, then (id, doc) frames, each CRC-protected.
+// count, then (id, doc) frames, each CRC-protected. Every entry — id, frame
+// header, document, CRC — is assembled in one reused buffer, so a checkpoint
+// allocates the same few buffers whatever the collection holds.
 func (c *Collection) WriteSnapshot(w io.Writer) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -36,16 +39,18 @@ func (c *Collection) WriteSnapshot(w io.Writer) error {
 	if _, err := bw.Write(count[:]); err != nil {
 		return err
 	}
+	var entry bytes.Buffer
 	for _, id := range c.order {
 		if id == 0 { // tombstoned slot
 			continue
 		}
-		var idb [8]byte
-		binary.LittleEndian.PutUint64(idb[:], uint64(id))
-		if _, err := bw.Write(idb[:]); err != nil {
-			return err
-		}
-		if err := writeFrame(bw, EncodeDoc(c.docs[id])); err != nil {
+		entry.Reset()
+		var idLen [8 + 4]byte // the frame's length is filled in by sealFrame
+		binary.LittleEndian.PutUint64(idLen[:8], uint64(id))
+		entry.Write(idLen[:])
+		PutDoc(&entry, c.docs[id])
+		sealFrame(&entry, 8)
+		if _, err := bw.Write(entry.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -294,6 +299,18 @@ func writeFrame(w io.Writer, payload []byte) error {
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
 	_, err := w.Write(crc[:])
 	return err
+}
+
+// sealFrame makes a frame, as writeFrame writes one, of what buf holds from
+// start on: the four bytes there, reserved by the caller, take the length of
+// the payload behind them, and the payload's CRC is appended. It lets a
+// payload be encoded straight into the buffer it is framed in.
+func sealFrame(buf *bytes.Buffer, start int) {
+	payload := buf.Bytes()[start+4:]
+	binary.LittleEndian.PutUint32(buf.Bytes()[start:], uint32(len(payload)))
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
+	buf.Write(crc[:])
 }
 
 // readFrame reads one frame, validating length and CRC. io.EOF at a frame

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -158,6 +160,49 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	loaded.EnsureIndex("name_1", "name", HashIndex)
 	if got := len(loaded.Find(EqStr("name", "E020"))); got != 1 {
 		t.Errorf("indexed find after load = %d", got)
+	}
+}
+
+// TestWriteSnapshotAllocBudget pins the checkpoint's mechanism: entries go
+// through one reused buffer, so what a snapshot allocates does not grow with
+// the documents it holds.
+func TestWriteSnapshotAllocBudget(t *testing.T) {
+	for _, n := range []int{1000, 4000} {
+		c := newCollection("dt.test", 0)
+		for i := 0; i < n; i++ {
+			c.Insert(entityDoc(fmt.Sprintf("E%04d", i), "Movie", int64(i)))
+		}
+		c.Insert(richDoc())
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := c.WriteSnapshot(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 16 {
+			t.Errorf("WriteSnapshot of %d documents allocates %.0f objects, budget 16", n, allocs)
+		}
+	}
+}
+
+// TestPutDocFields: the projected encoding is the encoding of the projected
+// document, sized by SizeBytesOf, and an empty list is the whole document.
+func TestPutDocFields(t *testing.T) {
+	d := richDoc()
+	for _, fields := range [][]string{nil, {}, {"name"}, {"list", "name", "gone", "name"}, {"gone"}, {"nested", "missing"}} {
+		want := NewDoc()
+		for _, name := range d.Names() {
+			if v, _ := d.Get(name); len(fields) == 0 || slices.Contains(fields, name) {
+				want.Set(name, v)
+			}
+		}
+		var got bytes.Buffer
+		PutDocFields(&got, d, fields)
+		if !bytes.Equal(got.Bytes(), EncodeDoc(want)) {
+			t.Errorf("fields %v: encoded %q, the projected document encodes %q", fields, got.Bytes(), EncodeDoc(want))
+		}
+		if d.SizeBytesOf(fields) != want.SizeBytes() {
+			t.Errorf("fields %v: SizeBytesOf %d, the projected document's SizeBytes %d", fields, d.SizeBytesOf(fields), want.SizeBytes())
+		}
 	}
 }
 

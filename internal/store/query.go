@@ -24,6 +24,12 @@ type Query struct {
 	// Explain asks for the access path instead of the answer: Plan is set,
 	// nothing is matched.
 	Explain bool
+	// Fields names the top-level fields the caller will read; empty means
+	// all of them. A backend that must copy documents to answer — one across
+	// a wire — copies only these, so a result document is sure to hold just
+	// the listed fields the stored one has. A Collection returns its stored
+	// documents whole and never looks at the list.
+	Fields []string
 }
 
 // NoLimit is the Query.Limit of an unbounded query.

@@ -19,8 +19,10 @@ import (
 type ShardBackend interface {
 	// NS returns the backend's namespace, which must match the router's.
 	NS() string
-	// Insert stores doc and returns its shard-local id.
-	Insert(ctx context.Context, d *Doc) (int64, error)
+	// Insert stores docs in order and returns their shard-local ids — the
+	// ids one call per document would have assigned. A failed call may have
+	// stored a leading part of the list.
+	Insert(ctx context.Context, docs ...*Doc) ([]int64, error)
 	// Update replaces the document under id, reporting whether it existed.
 	Update(ctx context.Context, id int64, d *Doc) (bool, error)
 	// Delete removes the document under id, reporting whether it existed.
@@ -47,8 +49,8 @@ type LocalShard struct{ Coll *Collection }
 func (l LocalShard) NS() string { return l.Coll.NS() }
 
 // Insert implements ShardBackend.
-func (l LocalShard) Insert(_ context.Context, d *Doc) (int64, error) {
-	return l.Coll.Insert(d), nil
+func (l LocalShard) Insert(_ context.Context, docs ...*Doc) ([]int64, error) {
+	return l.Coll.InsertMany(docs), nil
 }
 
 // Update implements ShardBackend.
@@ -211,8 +213,47 @@ func (s *Sharded) Insert(d *Doc) (shard int, id int64) {
 // propagating the context and any remote failure.
 func (s *Sharded) InsertCtx(ctx context.Context, d *Doc) (shard int, id int64, err error) {
 	shard = s.shardFor(d)
-	id, err = s.backends[shard].Insert(ctx, d)
-	return shard, id, err
+	ids, err := s.backends[shard].Insert(ctx, d)
+	if err != nil {
+		return shard, 0, err
+	}
+	return shard, ids[0], nil
+}
+
+// InsertManyCtx routes docs to their shards and hands each shard its share
+// in one backend call, shard by shard. A shard sees its documents in the
+// order they have in docs, so every document gets the id InsertCtx calls in
+// that order would have given it. An error stops the load: shards before
+// the failing one hold their share, later ones none of theirs.
+func (s *Sharded) InsertManyCtx(ctx context.Context, docs []*Doc) error {
+	if len(s.backends) == 1 {
+		_, err := s.backends[0].Insert(ctx, docs...)
+		return err
+	}
+	// Routing twice — once to size the shares, once to fill them — carves
+	// them from one array and keeps no per-document routing table.
+	sizes := make([]int, len(s.backends))
+	for _, d := range docs {
+		sizes[s.shardFor(d)]++
+	}
+	backing := make([]*Doc, len(docs))
+	shares := make([][]*Doc, len(s.backends))
+	for i, n := range sizes {
+		shares[i], backing = backing[:0:n], backing[n:]
+	}
+	for _, d := range docs {
+		i := s.shardFor(d)
+		shares[i] = append(shares[i], d)
+	}
+	for i, share := range shares {
+		if len(share) == 0 {
+			continue
+		}
+		if _, err := s.backends[i].Insert(ctx, share...); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EnsureIndex creates the index on every shard.
@@ -297,7 +338,7 @@ func (s *Sharded) QueryCtx(ctx context.Context, q Query) (Result, error) {
 		return s.backends[0].Query(ctx, q)
 	}
 	q.Offset = max(q.Offset, 0)
-	perShard := Query{Filter: q.Filter, Limit: q.end()}
+	perShard := Query{Filter: q.Filter, Limit: q.end(), Fields: q.Fields}
 	parts := make([]Result, len(s.backends))
 	err := s.fanOut(func(i int, b ShardBackend) error {
 		res, err := b.Query(ctx, perShard)

@@ -103,6 +103,36 @@ func TestShardedCountsAfterDirectDelete(t *testing.T) {
 	}
 }
 
+// TestInsertManyEqualsSerialInserts: a batch lands every document on the
+// shard, under the id and in the order that one InsertCtx per document gives
+// it, whatever the shard count, and an empty batch is nothing.
+func TestInsertManyEqualsSerialInserts(t *testing.T) {
+	ctx := context.Background()
+	for _, shards := range []int{1, 4} {
+		serial := NewSharded("dt.batch", "name", shards, 0)
+		batched := NewSharded("dt.batch", "name", shards, 0)
+		next := 0
+		for _, size := range []int{0, 1, 7, 60, 2} {
+			docs := make([]*Doc, size)
+			for i := range docs {
+				docs[i] = entityDoc(fmt.Sprintf("doc-%02d", next%40), "T", int64(next)) // names repeat: shards take runs
+				next++
+				serial.Insert(docs[i])
+			}
+			if err := batched.InsertManyCtx(ctx, docs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < shards; i++ {
+			wantIDs, wantDocs := serial.Shard(i).snapshot()
+			gotIDs, gotDocs := batched.Shard(i).snapshot()
+			if !slices.Equal(gotIDs, wantIDs) || !slices.Equal(gotDocs, wantDocs) {
+				t.Fatalf("%d shards, shard %d: batched ids %v, serial %v (or other documents under them)", shards, i, gotIDs, wantIDs)
+			}
+		}
+	}
+}
+
 // TestShardedFanOutEquivalence checks that the concurrent fan-out returns
 // exactly what a serial per-shard walk would: same documents, same shard
 // order, same counts and distinct tallies.

@@ -5,9 +5,10 @@
 # is more than 10 % above the base, or when any op of the head failed. The
 # other end-to-end metrics are timings and memory of a shared runner; they are
 # printed as advisory, to the job summary when there is one. One traced
-# cluster_read run per side adds two counts: cluster.calls_per_op, which
-# repeats exactly at a fixed seed and op count and fails the gate when it
-# rises more than 10 %, and harness.allocs_per_op, advisory. One traced
+# cluster_read run per side adds three counts: cluster.calls_per_op and
+# cluster.kb_per_op — the wire calls and wire bytes of a page view, which
+# repeat (to 0.001 %) at a fixed seed and op count and each fail the gate
+# when they rise more than 10 % — and harness.allocs_per_op, advisory. One traced
 # live_mixed run of the head holds the serving tier's contract under mixed
 # traffic: with no failed op above, at least one view must have come from the
 # response cache (serve.cache_hit_ratio > 0).
@@ -74,27 +75,31 @@ for run in $runs; do
 	fi
 done
 
-# The wire calls a page view makes: a shard op that turns into two, or a
-# route that starts calling per document, shows here before it shows in bytes.
+# The wire calls a page view makes and the bytes they carry: a shard op that
+# turns into two, or a route that starts calling per document, shows in the
+# first; a query that goes back to shipping whole documents for one field,
+# in the second.
 base_json=$(last_json "$work/base" cluster_read 20 1)
 head_json=$(last_json "$root" cluster_read 20 1)
-base_calls=$(metric "$base_json" cluster.calls_per_op)
-head_calls=$(metric "$head_json" cluster.calls_per_op)
-if [ -z "$base_calls" ] || [ -z "$head_calls" ]; then
-	echo "benchgate: traced cluster_read printed no cluster.calls_per_op" >&2
-	exit 1
-fi
 {
 	echo
 	echo "| cluster_read --trace 1 --ops 20 | base | head |"
 	echo "|---|---|---|"
-	echo "| cluster.calls_per_op | $base_calls | $head_calls |"
-	echo "| harness.allocs_per_op | $(metric "$base_json" harness.allocs_per_op) | $(metric "$head_json" harness.allocs_per_op) |"
 } >>"$summary"
-if awk -v h="$head_calls" -v b="$base_calls" -v l="$limit" 'BEGIN { exit !(h > b * l) }'; then
-	echo "benchgate: cluster_read cluster.calls_per_op $head_calls is more than $limit of the base's $base_calls" >&2
-	status=1
-fi
+for count in cluster.calls_per_op cluster.kb_per_op; do
+	base_count=$(metric "$base_json" "$count")
+	head_count=$(metric "$head_json" "$count")
+	if [ -z "$base_count" ] || [ -z "$head_count" ]; then
+		echo "benchgate: traced cluster_read printed no $count" >&2
+		exit 1
+	fi
+	echo "| $count | $base_count | $head_count |" >>"$summary"
+	if awk -v h="$head_count" -v b="$base_count" -v l="$limit" 'BEGIN { exit !(h > b * l) }'; then
+		echo "benchgate: cluster_read $count $head_count is more than $limit of the base's $base_count" >&2
+		status=1
+	fi
+done
+echo "| harness.allocs_per_op | $(metric "$base_json" harness.allocs_per_op) | $(metric "$head_json" harness.allocs_per_op) |" >>"$summary"
 
 # Writes beside reads with the default caches on: every cycle repeats a view
 # at an unchanged generation, so a ratio of 0 (or none printed) means the
