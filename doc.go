@@ -9,9 +9,8 @@
 //     secondary indexes, an inverted text index for substring queries,
 //     and concurrent fan-out reads across shards (internal/store) — the
 //     Tables I-II substrate;
-//   - a domain-specific parser extracting typed entities from text
-//     (internal/extract) with flattening into flat records
-//     (internal/flatten);
+//   - a domain-specific parser extracting typed entities from text into
+//     WEBINSTANCE and WEBENTITIES documents (internal/extract);
 //   - bottom-up schema integration with heuristic matchers, thresholds and
 //     alerts (internal/schema, internal/match) — the Figs. 2-3 workflow;
 //   - ML-driven entity consolidation and cleaning (internal/dedup,

@@ -11,17 +11,23 @@ import (
 type Gazetteer struct {
 	entries map[string]Type // normalized phrase -> type
 	// firstTok indexes phrases by their first token for fast scanning.
-	firstTok map[string][]string
+	firstTok map[string][]gazPhrase
 	byType   map[Type][]string // phrases per type, kept sorted
 	awards   map[string]bool   // normalized movie/show names that are award winners
 	maxLen   int               // longest phrase, in tokens
+}
+
+// gazPhrase is a registered phrase split into its tokens once, when added.
+type gazPhrase struct {
+	toks []string
+	typ  Type
 }
 
 // NewGazetteer returns an empty gazetteer.
 func NewGazetteer() *Gazetteer {
 	return &Gazetteer{
 		entries:  make(map[string]Type),
-		firstTok: make(map[string][]string),
+		firstTok: make(map[string][]gazPhrase),
 		byType:   make(map[Type][]string),
 		awards:   make(map[string]bool),
 	}
@@ -43,7 +49,7 @@ func (g *Gazetteer) Add(typ Type, name string) {
 	at, _ := slices.BinarySearch(names, key)
 	g.byType[typ] = slices.Insert(names, at, key)
 	toks := strings.Fields(key)
-	g.firstTok[toks[0]] = append(g.firstTok[toks[0]], key)
+	g.firstTok[toks[0]] = append(g.firstTok[toks[0]], gazPhrase{toks: toks, typ: typ})
 	if len(toks) > g.maxLen {
 		g.maxLen = len(toks)
 	}

@@ -10,7 +10,7 @@ import (
 
 // Parser is the domain-specific parser: gazetteer phrase matching plus
 // surface patterns. It is the user-defined module of Figure 1; its output is
-// hierarchical data the flattener turns into flat records.
+// the hierarchical WEBINSTANCE and WEBENTITIES documents the store holds.
 type Parser struct {
 	gaz      *Gazetteer
 	patterns []Pattern
@@ -61,7 +61,7 @@ func (p *Parser) matchGazetteer(text string) []Mention {
 		var matchType Type
 		var matchName string
 		for _, phrase := range p.gaz.firstTok[lower[i]] {
-			ptoks := strings.Fields(phrase)
+			ptoks := phrase.toks
 			if len(ptoks) <= matched || i+len(ptoks) > len(tokens) {
 				continue
 			}
@@ -74,7 +74,7 @@ func (p *Parser) matchGazetteer(text string) []Mention {
 			}
 			if ok {
 				matched = len(ptoks)
-				matchType = p.gaz.entries[phrase]
+				matchType = phrase.typ
 				matchName = text[tokens[i].Start:tokens[i+matched-1].End]
 			}
 		}

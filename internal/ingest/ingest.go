@@ -121,7 +121,7 @@ func ReadCSV(name string, r io.Reader) (*Source, error) {
 }
 
 // ReadJSON parses a JSON array of flat objects. Nested objects and arrays
-// are rejected; semi-structured input belongs to the store + flatten path.
+// are rejected; semi-structured input belongs in the document store.
 func ReadJSON(name string, r io.Reader) (*Source, error) {
 	var rows []map[string]any
 	dec := json.NewDecoder(r)

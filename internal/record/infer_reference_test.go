@@ -46,11 +46,8 @@ func referenceInfer(s string) Value {
 	return String(s)
 }
 
-// identical compares two values field by field, NaN equal to NaN.
-func identical(a, b Value) bool {
-	return a.kind == b.kind && a.s == b.s && a.i == b.i && a.b == b.b &&
-		math.Float64bits(a.f) == math.Float64bits(b.f) && a.t.Equal(b.t)
-}
+// identical compares two values through their accessors, NaN equal to NaN.
+func identical(a, b Value) bool { return sameReading(a, b) == "" }
 
 func checkAgainstReference(t *testing.T, s string) {
 	t.Helper()

@@ -5,6 +5,8 @@
 package record
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -49,12 +51,13 @@ func (k Kind) String() string {
 
 // Value is an immutable typed scalar. The zero Value is Null.
 type Value struct {
+	// A value holds its payload and nothing more. A KindTime keeps its Unix
+	// seconds in n and, in s, the nanoseconds and zone offset timeExtra
+	// packs: "" for a whole second in UTC, which is every time the codec
+	// and the date layouts produce.
+	s    string // KindString: the string
+	n    uint64 // KindInt: the int64; KindFloat: its bits; KindBool: 1 for true
 	kind Kind
-	s    string
-	i    int64
-	f    float64
-	b    bool
-	t    time.Time
 }
 
 // Null is the null value.
@@ -64,16 +67,56 @@ var Null = Value{}
 func String(s string) Value { return Value{kind: KindString, s: s} }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
-// Time returns a timestamp value.
-func Time(t time.Time) Value { return Value{kind: KindTime, t: t} }
+// Time returns a timestamp value. AsTime gives back its instant and zone
+// offset; the zone's name is not kept.
+func Time(t time.Time) Value {
+	_, offset := t.Zone()
+	return Value{kind: KindTime, n: uint64(t.Unix()), s: timeExtra(t.Nanosecond(), offset)}
+}
+
+// timeExtra packs a time's nanoseconds and zone offset in seconds into eight
+// little-endian bytes, or "" when both are zero.
+func timeExtra(nsec, offset int) string {
+	if nsec == 0 && offset == 0 {
+		return ""
+	}
+	var b [8]byte
+	binary.LittleEndian.PutUint32(b[:4], uint32(nsec))
+	binary.LittleEndian.PutUint32(b[4:], uint32(int32(offset)))
+	return string(b[:])
+}
+
+// unpackTimeExtra undoes timeExtra.
+func unpackTimeExtra(s string) (nsec, offset int) {
+	if s == "" {
+		return 0, 0
+	}
+	b := []byte(s)
+	return int(binary.LittleEndian.Uint32(b[:4])), int(int32(binary.LittleEndian.Uint32(b[4:])))
+}
+
+// time rebuilds the time.Time of a KindTime value.
+func (v Value) time() time.Time {
+	nsec, offset := unpackTimeExtra(v.s)
+	t := time.Unix(int64(v.n), int64(nsec))
+	if offset == 0 {
+		return t.UTC()
+	}
+	return t.In(time.FixedZone("", offset))
+}
 
 // Kind reports the kind of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -96,17 +139,14 @@ func (v Value) Str() string {
 func (v Value) AsInt() (int64, bool) {
 	switch v.kind {
 	case KindInt:
-		return v.i, true
+		return int64(v.n), true
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) {
-			return int64(v.f), true
+		if f := math.Float64frombits(v.n); f == math.Trunc(f) && !math.IsInf(f, 0) {
+			return int64(f), true
 		}
 		return 0, false
 	case KindBool:
-		if v.b {
-			return 1, true
-		}
-		return 0, true
+		return int64(v.n), true
 	case KindString:
 		s := strings.TrimSpace(v.s)
 		if integer, _ := numberShape(s); !integer {
@@ -123,14 +163,11 @@ func (v Value) AsInt() (int64, bool) {
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindFloat:
-		return v.f, true
+		return math.Float64frombits(v.n), true
 	case KindInt:
-		return float64(v.i), true
+		return float64(int64(v.n)), true
 	case KindBool:
-		if v.b {
-			return 1, true
-		}
-		return 0, true
+		return float64(v.n), true
 	case KindString:
 		s := strings.TrimSpace(v.s)
 		if _, float := numberShape(s); !float {
@@ -146,13 +183,19 @@ func (v Value) AsFloat() (float64, bool) {
 // AsBool returns the value as a bool and whether a boolean reading exists.
 func (v Value) AsBool() (bool, bool) {
 	switch v.kind {
-	case KindBool:
-		return v.b, true
-	case KindInt:
-		return v.i != 0, true
+	case KindBool, KindInt:
+		return v.n != 0, true
 	case KindString:
-		b, err := strconv.ParseBool(strings.TrimSpace(strings.ToLower(v.s)))
-		return b, err == nil
+		// strconv.ParseBool of the lower-cased text, without the copy or the
+		// error: equalFoldASCII agrees with strings.ToLower on these words.
+		s := strings.TrimSpace(v.s)
+		switch {
+		case s == "1" || equalFoldASCII(s, "t") || equalFoldASCII(s, "true"):
+			return true, true
+		case s == "0" || equalFoldASCII(s, "f") || equalFoldASCII(s, "false"):
+			return false, true
+		}
+		return false, false
 	default:
 		return false, false
 	}
@@ -163,7 +206,7 @@ func (v Value) AsBool() (bool, bool) {
 func (v Value) AsTime() (time.Time, bool) {
 	switch v.kind {
 	case KindTime:
-		return v.t, true
+		return v.time(), true
 	case KindString:
 		t, err := ParseTime(v.s)
 		return t, err == nil
@@ -181,16 +224,17 @@ func (v Value) String() string {
 	case KindString:
 		return v.s
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.n != 0)
 	case KindTime:
-		if v.t.Hour() == 0 && v.t.Minute() == 0 && v.t.Second() == 0 {
-			return v.t.Format("2006-01-02")
+		t := v.time()
+		if t.Hour() == 0 && t.Minute() == 0 && t.Second() == 0 {
+			return t.Format("2006-01-02")
 		}
-		return v.t.Format(time.RFC3339)
+		return t.Format(time.RFC3339)
 	default:
 		return ""
 	}
@@ -228,23 +272,15 @@ func Compare(a, b Value) int {
 	case KindString:
 		return strings.Compare(a.s, b.s)
 	case KindBool:
-		switch {
-		case a.b == b.b:
-			return 0
-		case !a.b:
-			return -1
-		default:
-			return 1
-		}
+		return cmp.Compare(a.n, b.n)
 	case KindTime:
-		switch {
-		case a.t.Before(b.t):
-			return -1
-		case a.t.After(b.t):
-			return 1
-		default:
-			return 0
+		// Unix seconds, then the nanoseconds within the second.
+		if c := cmp.Compare(int64(a.n), int64(b.n)); c != 0 {
+			return c
 		}
+		an, _ := unpackTimeExtra(a.s)
+		bn, _ := unpackTimeExtra(b.s)
+		return cmp.Compare(an, bn)
 	default:
 		return 0
 	}

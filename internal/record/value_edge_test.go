@@ -1,6 +1,7 @@
 package record
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -169,5 +170,32 @@ func TestRecordDeleteMissing(t *testing.T) {
 	r.Delete("missing") // no-op must not panic or disturb
 	if r.Len() != 1 {
 		t.Errorf("Len = %d", r.Len())
+	}
+}
+
+// A value reads its payload in place: the accessors that return no text
+// allocate nothing, and neither does Compare, times included.
+func TestValueAccessorsAllocateNothing(t *testing.T) {
+	vals := []Value{
+		Null, String("Matilda"), String(" 42 "), String("2.5"), String("TRUE"), String("f"),
+		Int(-7), Float(math.NaN()), Float(99.5), Bool(true), Bool(false),
+		Time(time.Date(2013, 3, 4, 0, 0, 0, 0, time.UTC)),
+		Time(time.Date(2013, 3, 4, 19, 30, 0, 5, time.FixedZone("", -5*3600))),
+	}
+	n := testing.AllocsPerRun(100, func() {
+		for _, v := range vals {
+			v.AsInt()
+			v.AsFloat()
+			v.AsBool()
+			for _, w := range vals {
+				Compare(v, w)
+			}
+			if k := v.Kind(); k == KindString || k == KindNull || k == KindBool {
+				_ = v.Str()
+			}
+		}
+	})
+	if n != 0 {
+		t.Errorf("accessors allocate %v times per pass, want 0", n)
 	}
 }

@@ -34,22 +34,18 @@ import (
 // DocValue is a node in a semi-structured document tree: a scalar, a nested
 // document, or a list of values. The zero DocValue is the null scalar.
 type DocValue struct {
-	kind   docKind
+	// Which pointer is set tells the three apart; neither is a scalar.
 	scalar record.Value
-	doc    *Doc
-	list   []DocValue
+	doc    *Doc        // a nested document; nilDoc for Nested(nil)
+	list   *[]DocValue // a list, never nil for one
 }
 
-type docKind int
-
-const (
-	docScalar docKind = iota
-	docNested
-	docList
-)
+// nilDoc stands in for the nil document Nested(nil) wraps, so that the
+// value still reads as nested.
+var nilDoc = &Doc{}
 
 // Scalar wraps a record.Value as a document value.
-func Scalar(v record.Value) DocValue { return DocValue{kind: docScalar, scalar: v} }
+func Scalar(v record.Value) DocValue { return DocValue{scalar: v} }
 
 // Str is shorthand for a string scalar.
 func Str(s string) DocValue { return Scalar(record.String(s)) }
@@ -58,31 +54,31 @@ func Str(s string) DocValue { return Scalar(record.String(s)) }
 func Num(i int64) DocValue { return Scalar(record.Int(i)) }
 
 // Nested wraps a sub-document.
-func Nested(d *Doc) DocValue { return DocValue{kind: docNested, doc: d} }
+func Nested(d *Doc) DocValue {
+	if d == nil {
+		d = nilDoc
+	}
+	return DocValue{doc: d}
+}
 
 // List wraps a list of values.
-func List(vs ...DocValue) DocValue { return DocValue{kind: docList, list: vs} }
+func List(vs ...DocValue) DocValue { return DocValue{list: &vs} }
 
 // IsScalar reports whether v is a scalar.
-func (v DocValue) IsScalar() bool { return v.kind == docScalar }
+func (v DocValue) IsScalar() bool { return v.doc == nil && v.list == nil }
 
 // IsDoc reports whether v is a nested document.
-func (v DocValue) IsDoc() bool { return v.kind == docNested }
+func (v DocValue) IsDoc() bool { return v.doc != nil }
 
 // IsList reports whether v is a list.
-func (v DocValue) IsList() bool { return v.kind == docList }
+func (v DocValue) IsList() bool { return v.list != nil }
 
 // Scalar returns the scalar payload (Null for non-scalars).
-func (v DocValue) Scalar() record.Value {
-	if v.kind != docScalar {
-		return record.Null
-	}
-	return v.scalar
-}
+func (v DocValue) Scalar() record.Value { return v.scalar }
 
 // Doc returns the nested document payload, or nil.
 func (v DocValue) Doc() *Doc {
-	if v.kind != docNested {
+	if v.doc == nilDoc {
 		return nil
 	}
 	return v.doc
@@ -90,27 +86,25 @@ func (v DocValue) Doc() *Doc {
 
 // List returns the list payload, or nil.
 func (v DocValue) List() []DocValue {
-	if v.kind != docList {
+	if v.list == nil {
 		return nil
 	}
-	return v.list
+	return *v.list
 }
 
 // String renders the value compactly for debugging.
 func (v DocValue) String() string {
-	switch v.kind {
-	case docScalar:
-		return v.scalar.String()
-	case docNested:
-		return v.doc.String()
-	case docList:
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
+	switch {
+	case v.IsDoc():
+		return v.Doc().String()
+	case v.IsList():
+		parts := make([]string, len(v.List()))
+		for i, e := range v.List() {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	default:
-		return ""
+		return v.scalar.String()
 	}
 }
 
@@ -118,19 +112,17 @@ func (v DocValue) String() string {
 // accounting. The constants approximate a BSON-like encoding overhead.
 func (v DocValue) sizeBytes() int64 {
 	const scalarOverhead = 16
-	switch v.kind {
-	case docScalar:
-		return scalarOverhead + int64(len(v.scalar.Str()))
-	case docNested:
-		return v.doc.SizeBytes()
-	case docList:
+	switch {
+	case v.IsDoc():
+		return v.Doc().SizeBytes()
+	case v.IsList():
 		var n int64 = 8
-		for _, e := range v.list {
+		for _, e := range v.List() {
 			n += e.sizeBytes()
 		}
 		return n
 	default:
-		return scalarOverhead
+		return scalarOverhead + int64(len(v.scalar.Str()))
 	}
 }
 
@@ -251,15 +243,15 @@ func (d *Doc) Clone() *Doc {
 }
 
 func (v DocValue) clone() DocValue {
-	switch v.kind {
-	case docNested:
-		return Nested(v.doc.Clone())
-	case docList:
-		list := make([]DocValue, len(v.list))
-		for i, e := range v.list {
+	switch {
+	case v.IsDoc():
+		return Nested(v.Doc().Clone())
+	case v.IsList():
+		list := make([]DocValue, len(v.List()))
+		for i, e := range v.List() {
 			list[i] = e.clone()
 		}
-		return DocValue{kind: docList, list: list}
+		return List(list...)
 	default:
 		return v
 	}

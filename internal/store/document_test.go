@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/record"
 )
@@ -201,5 +202,39 @@ func TestDocSetAllocations(t *testing.T) {
 	})
 	if n > 4 {
 		t.Errorf("NewDoc and five Sets allocate %v times, want at most 4", n)
+	}
+}
+
+// A field is its name and a DocValue: one 64-byte slot in a document.
+func TestDocFieldSize(t *testing.T) {
+	if n := unsafe.Sizeof(docField{}); n > 64 {
+		t.Errorf("docField is %d bytes, budget 64", n)
+	}
+}
+
+// The pointer that is set decides the kind, so the nil nested document and
+// the empty list still read as what they were built as.
+func TestDocValueKindFromPointers(t *testing.T) {
+	cases := []struct {
+		v                DocValue
+		scalar, doc, lst bool
+	}{
+		{DocValue{}, true, false, false},
+		{Str("x"), true, false, false},
+		{Nested(nil), false, true, false},
+		{Nested(NewDoc()), false, true, false},
+		{List(), false, false, true},
+		{List(Num(1)), false, false, true},
+	}
+	for _, c := range cases {
+		if c.v.IsScalar() != c.scalar || c.v.IsDoc() != c.doc || c.v.IsList() != c.lst {
+			t.Errorf("%#v: IsScalar %v IsDoc %v IsList %v", c.v, c.v.IsScalar(), c.v.IsDoc(), c.v.IsList())
+		}
+	}
+	if Nested(nil).Doc() != nil {
+		t.Error("Nested(nil).Doc() is not nil")
+	}
+	if !(DocValue{}).Scalar().IsNull() || !Nested(NewDoc()).Scalar().IsNull() {
+		t.Error("the zero value and a nested document must read as the null scalar")
 	}
 }

@@ -80,7 +80,8 @@ func TestCodecRejectsGarbage(t *testing.T) {
 // whatever decodes re-encodes to bytes that decode to the same encoding.
 func FuzzDecodeDoc(f *testing.F) {
 	rich := EncodeDoc(richDoc())
-	for _, seed := range [][]byte{rich, rich[:len(rich)/2], EncodeDoc(NewDoc()), {1, 1, 'a', 2, 0}, {2, 1, 'a', 0, 0, 1, 'a', 0, 4, 7}} {
+	golden := EncodeDoc(codecFixture())
+	for _, seed := range [][]byte{rich, rich[:len(rich)/2], EncodeDoc(NewDoc()), {1, 1, 'a', 2, 0}, {2, 1, 'a', 0, 0, 1, 'a', 0, 4, 7}, golden} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"slices"
-	"sort"
 	"strings"
 	"unicode"
 
@@ -36,16 +35,18 @@ func newTextIndex(path string) *TextIndex {
 func (tx *TextIndex) Name() string { return tx.Path + "_text" }
 
 // docTokens extracts the sorted unique lowercased tokens of the document's
-// indexed path (list paths index each element's tokens).
+// indexed path (list paths index each element's tokens). strings.ToLower
+// hands back a token with no upper-case letter as it is, so only the others
+// are copied.
 func (tx *TextIndex) docTokens(d *Doc) []string {
 	v, ok := d.Path(tx.Path)
 	if !ok {
 		return nil
 	}
-	seen := map[string]bool{}
+	var toks []string
 	collect := func(s string) {
 		for _, t := range textutil.Tokenize(s) {
-			seen[strings.ToLower(t.Text)] = true
+			toks = append(toks, strings.ToLower(t.Text))
 		}
 	}
 	if v.IsList() {
@@ -57,12 +58,8 @@ func (tx *TextIndex) docTokens(d *Doc) []string {
 	} else if v.IsScalar() && !v.Scalar().IsNull() {
 		collect(v.Scalar().Str())
 	}
-	toks := make([]string, 0, len(seen))
-	for t := range seen {
-		toks = append(toks, t)
-	}
-	sort.Strings(toks)
-	return toks
+	slices.Sort(toks)
+	return slices.Compact(toks)
 }
 
 func (tx *TextIndex) insert(id int64, d *Doc) {

@@ -3,8 +3,12 @@ package store
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/textutil"
 )
 
 func textDoc(key, text string) *Doc {
@@ -143,6 +147,36 @@ func TestTextIndexSharded(t *testing.T) {
 			if q == "needle" && len(want) != 2 {
 				t.Errorf("%d shards: scan found %d needle fragments, want 2", shards, len(want))
 			}
+		}
+	}
+}
+
+// TestDocTokensMatchSetReference checks the sort-and-compact token list
+// against the set it replaced: every token lowercased, each once, sorted.
+func TestDocTokensMatchSetReference(t *testing.T) {
+	tx := newTextIndex("text")
+	texts := append(slices.Clone(textCorpus), "Ærø ÆRØ ærø", "İstanbul ISTANBUL", "")
+	docs := []*Doc{NewDoc(), NewDoc().Set("text", Num(42)), NewDoc().Set("text", List(Str("Wicked WICKED"), Num(7), Str("wicked once")))}
+	for _, text := range texts {
+		docs = append(docs, textDoc("k", text))
+	}
+	for _, d := range docs {
+		// The path's scalar, or its list's scalar elements.
+		var vals []DocValue
+		if v, ok := d.Path("text"); ok {
+			vals = append([]DocValue{v}, v.List()...)
+		}
+		seen := map[string]bool{}
+		for _, v := range vals {
+			if v.IsScalar() && !v.Scalar().IsNull() {
+				for _, tok := range textutil.Tokenize(v.Scalar().Str()) {
+					seen[strings.ToLower(tok.Text)] = true
+				}
+			}
+		}
+		want := slices.Sorted(maps.Keys(seen))
+		if got := tx.docTokens(d); !slices.Equal(got, want) {
+			t.Errorf("docTokens(%v) = %q, want %q", d, got, want)
 		}
 	}
 }
