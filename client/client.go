@@ -7,9 +7,9 @@
 //
 // The client cooperates with the server's serving tier: a 429 carrying a
 // Retry-After header reschedules the retry at the server's hint (capped,
-// idempotent GETs only), and a small per-client ETag cache replays
-// If-None-Match validators so an unchanged resource costs a 304 with no
-// body instead of a full response.
+// idempotent GETs only). It keeps no response cache of its own; the server
+// caches each /v1 read once, by data generation, and still answers
+// If-None-Match for any HTTP client that sends one.
 //
 // Cluster-mode degraded reads surface through WithDegraded: a read served
 // from a cluster with unreachable shards still succeeds, and the
@@ -23,7 +23,6 @@ package client
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -32,7 +31,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/dterr"
@@ -46,7 +44,6 @@ type Client struct {
 	retries       int
 	backoff       time.Duration
 	maxRetryAfter time.Duration
-	etags         *etagCache // nil when disabled
 	apiKey        string
 	strictReads   bool
 }
@@ -71,18 +68,6 @@ func WithBackoff(d time.Duration) Option { return func(c *Client) { c.backoff = 
 // cap; a non-positive cap disables 429 retries entirely.
 func WithRetryAfterCap(d time.Duration) Option { return func(c *Client) { c.maxRetryAfter = d } }
 
-// WithETagCache sizes the per-client ETag cache (default 128 entries;
-// 0 or negative disables conditional requests).
-func WithETagCache(entries int) Option {
-	return func(c *Client) {
-		if entries <= 0 {
-			c.etags = nil
-			return
-		}
-		c.etags = newETagCache(entries)
-	}
-}
-
 // WithAPIKey sends key as X-API-Key on every request — the identity the
 // server's per-client rate limiter buckets by.
 func WithAPIKey(key string) Option { return func(c *Client) { c.apiKey = key } }
@@ -102,61 +87,11 @@ func New(baseURL string, opts ...Option) *Client {
 		retries:       2,
 		backoff:       100 * time.Millisecond,
 		maxRetryAfter: 5 * time.Second,
-		etags:         newETagCache(128),
 	}
 	for _, opt := range opts {
 		opt(c)
 	}
 	return c
-}
-
-// ---- ETag cache --------------------------------------------------------
-
-// etagEntry pairs a validator with the envelope body it validates.
-type etagEntry struct {
-	url  string
-	etag string
-	body []byte
-}
-
-// etagCache is a small LRU of url → (etag, body) used to issue
-// conditional GETs and reconstruct responses from 304s.
-type etagCache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List
-	entries map[string]*list.Element
-}
-
-func newETagCache(capacity int) *etagCache {
-	return &etagCache{cap: capacity, ll: list.New(), entries: make(map[string]*list.Element)}
-}
-
-func (c *etagCache) get(url string) (etagEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[url]
-	if !ok {
-		return etagEntry{}, false
-	}
-	c.ll.MoveToFront(el)
-	return *el.Value.(*etagEntry), true
-}
-
-func (c *etagCache) put(url, etag string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[url]; ok {
-		*el.Value.(*etagEntry) = etagEntry{url: url, etag: etag, body: body}
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[url] = c.ll.PushFront(&etagEntry{url: url, etag: etag, body: body})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.entries, back.Value.(*etagEntry).url)
-	}
 }
 
 // Page selects a window of a list endpoint. Limit <= 0 leaves the
@@ -402,16 +337,6 @@ func (c *Client) once(ctx context.Context, method, u string, body []byte, out an
 	if c.apiKey != "" {
 		req.Header.Set("X-API-Key", c.apiKey)
 	}
-	// Conditional GET: replay the validator we hold for this URL; a 304
-	// below reconstructs the response from the cached envelope body.
-	var cached etagEntry
-	useETags := c.etags != nil && method == http.MethodGet
-	if useETags {
-		var ok bool
-		if cached, ok = c.etags.get(u); ok {
-			req.Header.Set("If-None-Match", cached.etag)
-		}
-	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -423,13 +348,6 @@ func (c *Client) once(ctx context.Context, method, u string, body []byte, out an
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
 		return true, 0, dterr.Wrap(dterr.CodeUnavailable, err)
-	}
-	if resp.StatusCode == http.StatusNotModified && useETags && cached.etag != "" {
-		raw = cached.body
-	} else if useETags && resp.StatusCode == http.StatusOK {
-		if etag := resp.Header.Get("ETag"); etag != "" {
-			c.etags.put(u, etag, raw)
-		}
 	}
 	var env envelope
 	decodeErr := json.Unmarshal(raw, &env)
@@ -454,10 +372,8 @@ func (c *Client) once(ctx context.Context, method, u string, body []byte, out an
 		code := dterr.FromHTTPStatus(resp.StatusCode)
 		return resp.StatusCode >= 500, 0, dterr.Newf(code, "%s %s: HTTP %d", method, u, resp.StatusCode)
 	}
-	// Surface degradation to a WithDegraded collector. A 304 replayed a
-	// cached body, which is by construction a complete (non-degraded)
-	// response — the server strips ETags from partial bodies — so the
-	// collector correctly resets to zero there.
+	// Surface degradation to a WithDegraded collector; a complete response
+	// resets it to zero.
 	if d, ok := ctx.Value(degradedKey).(*Degraded); ok && decodeErr == nil {
 		if env.Degraded != nil {
 			*d = *env.Degraded

@@ -281,7 +281,7 @@ func TestRetriesStopOn4xx(t *testing.T) {
 	}
 }
 
-// ---- serving-tier cooperation: Retry-After and ETag replay -------------
+// ---- serving-tier cooperation: Retry-After ---------------------------
 
 func TestRetryAfterHonoredOn429(t *testing.T) {
 	var calls atomic.Int32
@@ -380,93 +380,6 @@ func TestWritesNotRetriedOn429(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("POST retried on 429: %d calls", got)
-	}
-}
-
-func TestETagCacheSendsIfNoneMatchAndDecodes304(t *testing.T) {
-	const tag = `"abc-7"`
-	var calls, conditional atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		if r.Header.Get("If-None-Match") == tag {
-			conditional.Add(1)
-			w.Header().Set("ETag", tag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("ETag", tag)
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"data": map[string]any{"instance": map[string]any{"Count": 42}},
-		})
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL)
-	first, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatalf("first Stats: %v", err)
-	}
-	second, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatalf("second Stats: %v", err)
-	}
-	if first.Instance.Count != 42 || second.Instance.Count != 42 {
-		t.Errorf("counts = %d, %d; want 42 from both full and 304 replies", first.Instance.Count, second.Instance.Count)
-	}
-	if got := conditional.Load(); got != 1 {
-		t.Errorf("conditional requests = %d, want 1 (second call must send If-None-Match)", got)
-	}
-}
-
-func TestETagCacheDisabled(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("If-None-Match") != "" {
-			t.Error("If-None-Match sent with ETag cache disabled")
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("ETag", `"x-1"`)
-		_ = json.NewEncoder(w).Encode(map[string]any{"data": map[string]any{"instance": map[string]any{"Count": 1}}})
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL, WithETagCache(0))
-	for i := 0; i < 2; i++ {
-		if _, err := c.Stats(context.Background()); err != nil {
-			t.Fatalf("Stats: %v", err)
-		}
-	}
-}
-
-func TestETagCacheEvictsPastCap(t *testing.T) {
-	var conditional atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("If-None-Match") != "" {
-			conditional.Add(1)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("ETag", `"t-`+r.URL.Path+`"`)
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"data": map[string]any{"items": []any{}, "total": 0, "offset": 0, "limit": 0},
-		})
-	}))
-	defer ts.Close()
-
-	// Capacity one: fetching /v1/types then /v1/top evicts the types
-	// validator, so refetching types is unconditional again.
-	c := New(ts.URL, WithETagCache(1))
-	ctx := context.Background()
-	if _, err := c.Types(ctx, Page{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Top(ctx, Page{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Types(ctx, Page{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := conditional.Load(); got != 0 {
-		t.Errorf("conditional requests = %d, want 0 after eviction", got)
 	}
 }
 

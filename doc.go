@@ -7,8 +7,9 @@
 //
 //   - a sharded semi-structured document store with extent accounting,
 //     secondary indexes, an inverted text index for substring queries,
-//     and concurrent fan-out reads across shards (internal/store) — the
-//     Tables I-II substrate;
+//     and one read op — a filtered window, count, group count or plan —
+//     fanned out across shards concurrently (internal/store) — the
+//     Tables I-II substrate and the group counts of Tables III-IV;
 //   - a domain-specific parser extracting typed entities from text into
 //     WEBINSTANCE and WEBENTITIES documents (internal/extract);
 //   - bottom-up schema integration with heuristic matchers, thresholds and
@@ -31,7 +32,8 @@
 //     response envelope and pagination) and a Go client SDK for it
 //     (repro/client). Handler wraps the routes in production middleware:
 //     a response cache keyed to the pipeline's data generation (strong
-//     ETags, If-None-Match revalidation) plus opt-in per-client rate
+//     ETags, If-None-Match revalidation for any HTTP client; the one
+//     place a /v1 response is cached) plus opt-in per-client rate
 //     limiting and admission control (ServeOptions/HandlerOptions), both
 //     shedding with 429 + Retry-After that the SDK honors;
 //   - dependency-free observability (internal/obs): a Prometheus-text

@@ -2,7 +2,10 @@ package datatamer
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -295,5 +298,55 @@ func TestOpenWithLiveRoundTrip(t *testing.T) {
 	}
 	if st.Fragments != 1 || st.Records != 1 {
 		t.Errorf("live stats = %+v", st)
+	}
+}
+
+// TestLoadStoresInvalidatesResponseCache: restoring a checkpoint replaces
+// the stores under a running handler, so the next read must be recomputed
+// from them — neither a cached body nor a 304 for the pre-restore ETag.
+func TestLoadStoresInvalidatesResponseCache(t *testing.T) {
+	ctx := context.Background()
+	saved, err := Open(ctx, WithFragments(120), WithSources(3), WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := saved.SaveStoresCtx(ctx, dir); err != nil {
+		t.Fatal(err)
+	}
+	tm, err := Open(ctx, WithFragments(200), WithSources(3), WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tm.Handler()
+	stats := func(hdr map[string]string) (*httptest.ResponseRecorder, int64) {
+		req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+		for k, v := range hdr {
+			req.Header.Set(k, v)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var body struct {
+			Data map[string]Stats `json:"data"`
+		}
+		_ = json.Unmarshal(rec.Body.Bytes(), &body)
+		return rec, body.Data["instance"].Count
+	}
+	if _, n := stats(nil); n != 200 {
+		t.Fatalf("before the restore /v1/stats counts %d instances, want 200", n)
+	}
+	before, _ := stats(nil)
+	if before.Header().Get("X-Cache") != "HIT" {
+		t.Fatalf("second GET X-Cache = %q, want HIT", before.Header().Get("X-Cache"))
+	}
+	if err := tm.LoadStores(ctx, dir); err != nil {
+		t.Fatal(err)
+	}
+	after, n := stats(nil)
+	if after.Header().Get("X-Cache") == "HIT" || n != 120 {
+		t.Errorf("after the restore: X-Cache %q, %d instances; want a fresh body counting 120", after.Header().Get("X-Cache"), n)
+	}
+	if rec, _ := stats(map[string]string{"If-None-Match": before.Header().Get("ETag")}); rec.Code == http.StatusNotModified {
+		t.Error("the pre-restore ETag still revalidates")
 	}
 }

@@ -31,7 +31,10 @@ import (
 // count takes exactly those serial inserts and names the shard and id every
 // later update and delete is aimed at. And one query per step lists the
 // fields it reads, which must come back equal to the reference's whether a
-// shard shipped whole documents or only those fields.
+// shard shipped whole documents or only those fields. A third query per
+// step groups the matches by one of the paths Distinct reads, the
+// list-valued tags among them, and must count what the reference counts,
+// key by key in the order of first matches.
 
 // refStore is the reference: documents in insertion order, keyed by the
 // "uid" every generated document carries.
@@ -156,6 +159,26 @@ func (r *refStore) distinct(path string) map[string]int64 {
 	return out
 }
 
+// groups folds the documents named by uids, in that order, by their scalar
+// value at path: a key's place is its first document's.
+func (r *refStore) groups(uids []int64, path string) []store.Group {
+	var out []store.Group
+	for _, uid := range uids {
+		v, ok := refPath(r.docs[uid], path)
+		if !ok || !v.IsScalar() || v.Scalar().IsNull() {
+			continue
+		}
+		key := v.Scalar().Str()
+		i := slices.IndexFunc(out, func(g store.Group) bool { return g.Key == key })
+		if i < 0 {
+			i = len(out)
+			out = append(out, store.Group{Key: key})
+		}
+		out[i].Count++
+	}
+	return out
+}
+
 func (r *refStore) dataSize() (size int64) {
 	for _, d := range r.docs {
 		size += d.SizeBytes()
@@ -213,6 +236,7 @@ var (
 	}
 	modelWords   = []string{"grossed", "award-winning", "walking", "dead", "the", "Matilda", "O'Brien", "Boys", "musical", "WALKING"}
 	modelTags    = []string{"a", "b", "c"}
+	groupPaths   = []string{"type", "tags", "attributes.award_winning", "name"}
 	modelIndexes = []struct {
 		name, path string
 		kind       store.IndexKind
@@ -238,7 +262,8 @@ func modelDoc(rng *rand.Rand, uid int64) *store.Doc {
 		}
 		d.Set("attributes", store.Nested(attrs))
 	}
-	// tags is absent, a scalar, or a list: a list keeps Distinct off tags_1.
+	// tags is absent, a scalar, or a list: a list keeps an unfiltered group
+	// count off tags_1.
 	switch rng.Intn(4) {
 	case 1:
 		d.Set("tags", store.Str(modelTags[rng.Intn(len(modelTags))]))
@@ -413,6 +438,13 @@ func runModel(t *testing.T, seed int64, steps int) {
 		}
 	}
 	for step := 0; step < steps; step++ {
+		if step == steps/2 {
+			// From half way on tags_1 exists whatever the draws, so the
+			// list-valued tags path is grouped both with and without it.
+			for _, tg := range targets {
+				must(tg.s.EnsureIndexCtx(ctx, "tags_1", "tags", store.HashIndex))
+			}
+		}
 		// One mutation, applied to the reference and to every router.
 		switch op := rng.Intn(20); {
 		case op < 11 || len(ref.uids) == 0:
@@ -527,6 +559,12 @@ func runModel(t *testing.T, seed int64, steps int) {
 			if must(err); count.Total != whole.Total || len(count.Docs) != 0 {
 				t.Fatalf("%s: count-only %d (%d docs), total %d", at, count.Total, len(count.Docs), whole.Total)
 			}
+			groupBy := groupPaths[step%len(groupPaths)]
+			grouped, err := tg.s.QueryCtx(ctx, store.Query{Filter: f, GroupBy: groupBy})
+			wantGroups := ref.groups(uidsOf(t, whole.Docs), groupBy)
+			if must(err); grouped.Total != whole.Total || len(grouped.Docs) != 0 || !slices.Equal(grouped.Groups, wantGroups) {
+				t.Fatalf("%s grouped by %s: %v, total %d; the reference folds %v of %d", at, groupBy, grouped.Groups, grouped.Total, wantGroups, whole.Total)
+			}
 
 			st, err := tg.s.StatsCtx(ctx)
 			must(err)
@@ -543,7 +581,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 				t.Fatalf("step %d %s: stats size %d avg %d; a rescan gives %d, %d",
 					step, tg.name, st.DataSize, st.AvgObjSize, wantSize, wantAvg)
 			}
-			for _, path := range []string{"type", "tags", "attributes.award_winning", "name"} {
+			for _, path := range groupPaths {
 				got, err := tg.s.DistinctCtx(ctx, path)
 				if must(err); !reflect.DeepEqual(got, ref.distinct(path)) {
 					t.Fatalf("step %d %s: Distinct(%s) = %v; a rescan gives %v", step, tg.name, path, got, ref.distinct(path))

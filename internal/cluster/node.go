@@ -305,13 +305,6 @@ func (n *Node) handleRead(req *Request, h *hostedShard) *Response {
 			return errResp(req.ID, err)
 		}
 		resp.Body = EncodeResult(coll.Query(q), q)
-	case OpDistinct:
-		rd := bytes.NewReader(req.Body)
-		path, err := store.GetString(rd)
-		if err != nil {
-			return errResp(req.ID, err)
-		}
-		resp.Body = EncodeDistinct(coll.Distinct(path))
 	case OpStats:
 		resp.Body = EncodeStats(coll.Stats())
 	default:

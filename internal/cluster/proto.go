@@ -14,7 +14,9 @@
 // its first offset+limit matches, so a page view moves pages, not shards.
 // A query may also list the top-level fields its caller reads; the node
 // then encodes only those, straight from the stored documents, so a page
-// moves fields, not documents.
+// moves fields, not documents. And it may name a group-by path; the
+// response then carries each key at that path with its count, so a ranking
+// moves keys, not matches.
 //
 // An insert is a frame per shard, not per document: OpInsert's body is a
 // document list in the codec query responses use, cut into chunks of about
@@ -28,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/dterr"
 	"repro/internal/store"
@@ -44,10 +45,10 @@ const (
 	OpUpdate
 	OpDelete
 	// OpQuery is the one filtered read: a window of the matching documents
-	// plus their exact total, the total alone (limit 0), or the shard's
-	// plan for the filter (explain). See EncodeQuery and EncodeResult.
+	// plus their exact total and group counts, the total alone (limit 0), or
+	// the shard's plan for the filter (explain). See EncodeQuery and
+	// EncodeResult.
 	OpQuery
-	OpDistinct
 	OpStats
 	OpCreateIndex
 	OpCreateTextIndex
@@ -363,12 +364,16 @@ func DecodeIDDoc(data []byte) (int64, *store.Doc, error) {
 }
 
 // Query frame flags.
-const queryExplain byte = 1
+const (
+	queryExplain byte = 1 << iota
+	queryGroup
+)
 
-// EncodeQuery packs a query request body: a flags byte (queryExplain),
-// offset and limit as signed varints (a negative limit is store.NoLimit),
-// the field list (a count, then the names; none is every field), then the
-// filter document.
+// EncodeQuery packs a query request body: a flags byte (queryExplain,
+// queryGroup), offset and limit as signed varints (a negative limit is
+// store.NoLimit), the field list (a count, then the names; none is every
+// field), the group-by path when queryGroup is set, then the filter
+// document.
 func EncodeQuery(q store.Query) ([]byte, error) {
 	fd, err := filterDoc(q.Filter)
 	if err != nil {
@@ -379,6 +384,9 @@ func EncodeQuery(q store.Query) ([]byte, error) {
 	if q.Explain {
 		flags |= queryExplain
 	}
+	if q.GroupBy != "" {
+		flags |= queryGroup
+	}
 	buf.WriteByte(flags)
 	putVarint(&buf, int64(q.Offset))
 	putVarint(&buf, int64(q.Limit))
@@ -386,19 +394,22 @@ func EncodeQuery(q store.Query) ([]byte, error) {
 	for _, name := range q.Fields {
 		store.PutString(&buf, name)
 	}
+	if q.GroupBy != "" {
+		store.PutString(&buf, q.GroupBy)
+	}
 	store.PutDoc(&buf, fd)
 	return buf.Bytes(), nil
 }
 
-// DecodeQuery unpacks EncodeQuery. A negative offset is refused; a limit
-// beyond the platform's int is clamped to it.
+// DecodeQuery unpacks EncodeQuery. A negative offset and an empty group-by
+// path are refused; a limit beyond the platform's int is clamped to it.
 func DecodeQuery(data []byte) (store.Query, error) {
 	rd := bytes.NewReader(data)
 	flags, err := rd.ReadByte()
 	if err != nil {
 		return store.Query{}, dterr.Wrapf(dterr.CodeInvalidArgument, err, "cluster: query flags")
 	}
-	if flags&^queryExplain != 0 {
+	if flags&^(queryExplain|queryGroup) != 0 {
 		return store.Query{}, dterr.Newf(dterr.CodeInvalidArgument, "cluster: unknown query flags %#x", flags)
 	}
 	offset, err := binary.ReadVarint(rd)
@@ -424,6 +435,12 @@ func DecodeQuery(data []byte) (store.Query, error) {
 		}
 		fields = append(fields, name)
 	}
+	var groupBy string
+	if flags&queryGroup != 0 {
+		if groupBy, err = store.GetString(rd); err != nil || groupBy == "" {
+			return store.Query{}, dterr.Newf(dterr.CodeInvalidArgument, "cluster: query group-by path %q (%v)", groupBy, err)
+		}
+	}
 	filter, err := DecodeFilter(data[len(data)-rd.Len():])
 	if err != nil {
 		return store.Query{}, err
@@ -434,6 +451,7 @@ func DecodeQuery(data []byte) (store.Query, error) {
 		Limit:   int(max(min(limit, math.MaxInt), store.NoLimit)),
 		Explain: flags&queryExplain != 0,
 		Fields:  fields,
+		GroupBy: groupBy,
 	}, nil
 }
 
@@ -443,7 +461,8 @@ func putVarint(buf *bytes.Buffer, x int64) {
 }
 
 // EncodeResult packs the response body to q: the match total, then the plan
-// (four strings) for an explain query or otherwise the window's documents,
+// (four strings) for an explain query, or otherwise the groups of a grouped
+// query (a count, then each key and its count) and the window's documents,
 // each cut down to q.Fields.
 func EncodeResult(res store.Result, q store.Query) []byte {
 	var buf bytes.Buffer
@@ -455,12 +474,19 @@ func EncodeResult(res store.Result, q store.Query) []byte {
 		store.PutString(&buf, res.Plan.Reason)
 		return buf.Bytes()
 	}
+	if q.GroupBy != "" {
+		store.PutUvarint(&buf, uint64(len(res.Groups)))
+		for _, g := range res.Groups {
+			store.PutString(&buf, g.Key)
+			store.PutUvarint(&buf, uint64(g.Count))
+		}
+	}
 	putDocList(&buf, res.Docs, q.Fields)
 	return buf.Bytes()
 }
 
-// DecodeResult unpacks EncodeResult; explain says which body was asked for.
-func DecodeResult(data []byte, explain bool) (store.Result, error) {
+// DecodeResult unpacks the EncodeResult of a reply to q.
+func DecodeResult(data []byte, q store.Query) (store.Result, error) {
 	rd := bytes.NewReader(data)
 	total, err := binary.ReadUvarint(rd)
 	if err != nil {
@@ -470,7 +496,7 @@ func DecodeResult(data []byte, explain bool) (store.Result, error) {
 		return store.Result{}, dterr.Newf(dterr.CodeInternal, "cluster: query result total %d overflows", total)
 	}
 	res := store.Result{Total: int64(total)}
-	if explain {
+	if q.Explain {
 		for _, field := range []*string{&res.Plan.AccessPath, &res.Plan.IndexName, &res.Plan.IndexKind, &res.Plan.Reason} {
 			if *field, err = store.GetString(rd); err != nil {
 				return store.Result{}, dterr.Wrapf(dterr.CodeInternal, err, "cluster: query plan")
@@ -478,8 +504,34 @@ func DecodeResult(data []byte, explain bool) (store.Result, error) {
 		}
 		return res, nil
 	}
+	if q.GroupBy != "" {
+		if res.Groups, err = getGroups(rd); err != nil {
+			return store.Result{}, err
+		}
+	}
 	res.Docs, err = DecodeDocList(data[len(data)-rd.Len():])
 	return res, err
+}
+
+// getGroups reads the group section of a query result.
+func getGroups(rd *bytes.Reader) ([]store.Group, error) {
+	n, err := binary.ReadUvarint(rd)
+	if err != nil || n > uint64(rd.Len()) {
+		return nil, dterr.Newf(dterr.CodeInternal, "cluster: group count %d (%v)", n, err)
+	}
+	groups := make([]store.Group, n)
+	for i := range groups {
+		key, err := store.GetString(rd)
+		if err != nil {
+			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: group %d key", i)
+		}
+		count, err := binary.ReadUvarint(rd)
+		if err != nil || count > math.MaxInt64 {
+			return nil, dterr.Newf(dterr.CodeInternal, "cluster: group %d count %d (%v)", i, count, err)
+		}
+		groups[i] = store.Group{Key: key, Count: int64(count)}
+	}
+	return groups, nil
 }
 
 // EncodeDocList packs a document list — the tail of a query response body
@@ -619,48 +671,6 @@ func DecodeSnapshot(data []byte) ([]int64, []*store.Doc, error) {
 		docs = append(docs, d)
 	}
 	return ids, docs, nil
-}
-
-// EncodeDistinct packs a distinct-count map in sorted key order, so the
-// encoding is deterministic.
-func EncodeDistinct(m map[string]int64) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var buf bytes.Buffer
-	store.PutUvarint(&buf, uint64(len(keys)))
-	for _, k := range keys {
-		store.PutString(&buf, k)
-		store.PutUvarint(&buf, uint64(m[k]))
-	}
-	return buf.Bytes()
-}
-
-// DecodeDistinct unpacks EncodeDistinct.
-func DecodeDistinct(data []byte) (map[string]int64, error) {
-	rd := bytes.NewReader(data)
-	n, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: distinct count")
-	}
-	if n > uint64(rd.Len()) {
-		return nil, dterr.Newf(dterr.CodeInternal, "cluster: distinct count %d exceeds remaining bytes", n)
-	}
-	out := make(map[string]int64, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := store.GetString(rd)
-		if err != nil {
-			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: distinct key %d", i)
-		}
-		v, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: distinct value %d", i)
-		}
-		out[k] = int64(v)
-	}
-	return out, nil
 }
 
 // EncodeStats packs shard stats as a document through the store codec.

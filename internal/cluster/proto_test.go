@@ -172,17 +172,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDistinctRoundTrip(t *testing.T) {
-	in := map[string]int64{"Movie": 3, "Actor": 12, "Show": 1}
-	out, err := DecodeDistinct(EncodeDistinct(in))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip mismatch: %v != %v", out, in)
-	}
-}
-
 func TestStatsRoundTrip(t *testing.T) {
 	in := store.Stats{NS: "dt.entity", Count: 1200, NumExtents: 3, NIndexes: 8,
 		LastExtentSize: 1 << 20, TotalIndexSize: 4096, DataSize: 99999, AvgObjSize: 83}
@@ -300,6 +289,9 @@ func queryFrameSeeds(t testing.TB) [][]byte {
 		{Filter: store.Prefix("name", "The "), Explain: true},
 		{Filter: store.Contains("text", "Matilda"), Limit: store.NoLimit, Fields: []string{"text"}},
 		{Limit: 3, Fields: []string{"name", "", "attributes", "name"}},
+		{Filter: store.And{store.EqStr("type", "Movie"), store.EqStr("attributes.award_winning", "true")}, GroupBy: "name"},
+		{Offset: 2, Limit: 5, Fields: []string{"uid"}, GroupBy: "attributes.award_winning"},
+		{Filter: store.Prefix("name", "M"), GroupBy: "tags", Explain: true},
 	} {
 		b, err := EncodeQuery(q)
 		if err != nil {
@@ -351,22 +343,31 @@ func TestQueryFrameRoundTrip(t *testing.T) {
 		store.NewDoc().Set("name", store.Str("Matilda")).Set("tags", store.List(store.Str("a"), store.Num(2))),
 		store.NewDoc().Set("attributes", store.Nested(store.NewDoc().Set("award_winning", store.Str("true")))),
 	}
-	res, err := DecodeResult(EncodeResult(store.Result{Docs: docs, Total: 6137}, store.Query{}), false)
+	res, err := DecodeResult(EncodeResult(store.Result{Docs: docs, Total: 6137}, store.Query{}), store.Query{})
 	if err != nil || res.Total != 6137 || len(res.Docs) != 2 || res.Docs[1].PathString("attributes.award_winning") != "true" {
 		t.Fatalf("result round trip: %+v, %v", res, err)
 	}
 	// A field list cuts every document down to the listed fields it has, in
 	// its own order, and leaves the stored documents alone.
-	res, err = DecodeResult(EncodeResult(store.Result{Docs: docs, Total: 2}, store.Query{Fields: []string{"tags", "gone", "name", "tags"}}), false)
+	projected := store.Query{Fields: []string{"tags", "gone", "name", "tags"}}
+	res, err = DecodeResult(EncodeResult(store.Result{Docs: docs, Total: 2}, projected), projected)
 	if err != nil || len(res.Docs) != 2 || !slices.Equal(res.Docs[0].Names(), []string{"name", "tags"}) || res.Docs[1].Len() != 0 {
 		t.Fatalf("projected round trip: %v, %v", res.Docs, err)
 	}
 	if tags, _ := res.Docs[0].Get("tags"); len(tags.List()) != 2 || docs[0].Len() != 2 || docs[1].Len() != 1 {
 		t.Fatalf("projected list field %v; stored documents now %v", tags, docs)
 	}
+	// A grouped reply carries its groups in order before the window.
+	grouped := store.Query{GroupBy: "name", Limit: 1}
+	groups := []store.Group{{Key: "Matilda", Count: 4}, {Key: "", Count: 1}, {Key: "7", Count: math.MaxInt64}}
+	res, err = DecodeResult(EncodeResult(store.Result{Docs: docs[:1], Total: 9, Groups: groups}, grouped), grouped)
+	if err != nil || res.Total != 9 || !slices.Equal(res.Groups, groups) || len(res.Docs) != 1 {
+		t.Fatalf("grouped round trip: %+v, %v", res, err)
+	}
 	plan := store.Explain{AccessPath: "index", IndexName: "type_1", IndexKind: "hash", Reason: "point lookup on type"}
-	res, err = DecodeResult(EncodeResult(store.Result{Plan: plan}, store.Query{Explain: true}), true)
-	if err != nil || res.Plan != plan || res.Docs != nil {
+	explain := store.Query{Explain: true, GroupBy: "name"}
+	res, err = DecodeResult(EncodeResult(store.Result{Plan: plan, Groups: groups}, explain), explain)
+	if err != nil || res.Plan != plan || res.Docs != nil || res.Groups != nil {
 		t.Fatalf("plan round trip: %+v, %v", res, err)
 	}
 }
@@ -388,7 +389,7 @@ func TestProjectedDecodeBudget(t *testing.T) {
 		t.Fatalf("projected body is %d bytes of the whole documents' %d", len(body), len(whole))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if res, err := DecodeResult(body, false); err != nil || len(res.Docs) != n || res.Docs[n-1].Len() != 1 {
+		if res, err := DecodeResult(body, store.Query{}); err != nil || len(res.Docs) != n || res.Docs[n-1].Len() != 1 {
 			t.Fatalf("decode: %d docs, %v", len(res.Docs), err)
 		}
 	})
@@ -450,7 +451,8 @@ func FuzzDecodeQuery(f *testing.F) {
 		f.Add(seed[:len(seed)/2])
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0x02, 0x00, 0x00}) // unknown flag
+	f.Add([]byte{0x04, 0x00, 0x00})                   // unknown flag
+	f.Add([]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}) // group-by flag, empty path
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodeQuery(data)
 		if err != nil {
@@ -470,17 +472,29 @@ func FuzzDecodeQuery(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResult: a query response body never panics either decoder nor
-// yields more documents than it has bytes.
+// FuzzDecodeResult: a query response body never panics the decoder of any
+// reply shape nor yields more documents or groups than it has bytes, or a
+// negative count.
 func FuzzDecodeResult(f *testing.F) {
 	for _, seed := range resultFrameSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if res, err := DecodeResult(data, false); err == nil && (len(res.Docs) > len(data) || res.Total < 0) {
-			t.Fatalf("%d docs, total %d from %d bytes", len(res.Docs), res.Total, len(data))
+		for _, q := range []store.Query{{}, {GroupBy: "name"}} {
+			res, err := DecodeResult(data, q)
+			if err != nil {
+				continue
+			}
+			if len(res.Docs)+len(res.Groups) > len(data) || res.Total < 0 {
+				t.Fatalf("%d docs, %d groups, total %d from %d bytes", len(res.Docs), len(res.Groups), res.Total, len(data))
+			}
+			for _, g := range res.Groups {
+				if g.Count < 0 {
+					t.Fatalf("group %q counts %d", g.Key, g.Count)
+				}
+			}
 		}
-		_, _ = DecodeResult(data, true)
+		_, _ = DecodeResult(data, store.Query{Explain: true})
 		// The same bytes as an insert body: a list either decodes whole and
 		// re-encodes to itself, or stores nothing.
 		if docs, err := DecodeDocList(data); err == nil {
@@ -503,10 +517,15 @@ func resultFrameSeeds() [][]byte {
 	projected := EncodeResult(store.Result{Docs: docs, Total: 2}, store.Query{Fields: []string{"name"}})
 	plan := EncodeResult(store.Result{Plan: store.Explain{AccessPath: "scan", Reason: "no index on name"}}, store.Query{Explain: true})
 	list := EncodeDocList(docs)
+	groups := []store.Group{{Key: "Matilda", Count: 3}, {Key: "The Walking Dead", Count: math.MaxInt64}}
+	counted := EncodeResult(store.Result{Total: 3, Groups: groups}, store.Query{GroupBy: "name"})
+	grouped := EncodeResult(store.Result{Docs: docs, Total: 9, Groups: groups}, store.Query{GroupBy: "name", Fields: []string{"name"}})
 	return [][]byte{
 		full, full[:len(full)-3], projected, projected[:len(projected)-1], plan, plan[:4],
 		list, list[:len(list)/2], append(slices.Clone(list), 0),
 		{}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0xff},
+		counted, counted[:len(counted)-2], grouped, grouped[:len(grouped)/2],
+		{0x01, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00}, // a count past MaxInt64
 	}
 }
 

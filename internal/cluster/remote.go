@@ -123,7 +123,7 @@ func (r *RemoteShard) Delete(ctx context.Context, id int64) (bool, error) {
 }
 
 // Query implements store.ShardBackend: one frame out, one back, carrying at
-// most the window's documents.
+// most the window's documents and the shard's groups.
 func (r *RemoteShard) Query(ctx context.Context, q store.Query) (store.Result, error) {
 	body, err := EncodeQuery(q)
 	if err != nil {
@@ -133,18 +133,7 @@ func (r *RemoteShard) Query(ctx context.Context, q store.Query) (store.Result, e
 	if err != nil {
 		return store.Result{}, err
 	}
-	return DecodeResult(resp.Body, q.Explain)
-}
-
-// Distinct implements store.ShardBackend.
-func (r *RemoteShard) Distinct(ctx context.Context, path string) (map[string]int64, error) {
-	var buf bytes.Buffer
-	store.PutString(&buf, path)
-	resp, err := r.callRead(ctx, OpDistinct, buf.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	return DecodeDistinct(resp.Body)
+	return DecodeResult(resp.Body, q)
 }
 
 // Stats implements store.ShardBackend. Stats go to the primary: a

@@ -101,7 +101,7 @@ func attemptCtx(ctx context.Context, attemptsLeft int) (context.Context, context
 // retried — a duplicated insert is data corruption, not resilience.
 func IdempotentOp(op byte) bool {
 	switch op {
-	case OpPing, OpQuery, OpDistinct, OpStats, OpPull, OpInfo, OpCheckpoint:
+	case OpPing, OpQuery, OpStats, OpPull, OpInfo, OpCheckpoint:
 		return true
 	}
 	return false

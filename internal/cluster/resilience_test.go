@@ -238,3 +238,26 @@ func TestBreakerFailsFast(t *testing.T) {
 		t.Fatal("open breaker still forwarded the call")
 	}
 }
+
+// TestOpCodesNamedAndClassified guards the op numbering: every code from
+// OpPing to OpCheckpoint has a metric label of its own, nothing outside
+// that range has one, and exactly the reads, probes and checkpoint are
+// retried.
+func TestOpCodesNamedAndClassified(t *testing.T) {
+	idempotent := map[string]bool{"ping": true, "query": true, "stats": true, "pull": true, "info": true, "checkpoint": true}
+	seen := map[string]bool{}
+	for op := 0; op <= 255; op++ {
+		name := opName(byte(op))
+		known := byte(op) >= OpPing && byte(op) <= OpCheckpoint
+		if known == (name == "unknown") || known && seen[name] {
+			t.Errorf("op %d is labelled %q", op, name)
+		}
+		seen[name] = true
+		if IdempotentOp(byte(op)) != idempotent[name] {
+			t.Errorf("op %d (%s): IdempotentOp = %v", op, name, IdempotentOp(byte(op)))
+		}
+	}
+	if len(opNames) != int(OpCheckpoint) {
+		t.Errorf("%d op labels for op codes 1..%d", len(opNames), OpCheckpoint)
+	}
+}

@@ -29,10 +29,9 @@ var (
 // opNames maps wire op codes to their metric labels.
 var opNames = map[byte]string{
 	OpPing: "ping", OpInsert: "insert", OpUpdate: "update",
-	OpDelete: "delete", OpQuery: "query",
-	OpDistinct: "distinct", OpStats: "stats", OpCreateIndex: "create_index",
-	OpCreateTextIndex: "create_text_index", OpPull: "pull",
-	OpInfo: "info", OpCheckpoint: "checkpoint",
+	OpDelete: "delete", OpQuery: "query", OpStats: "stats",
+	OpCreateIndex: "create_index", OpCreateTextIndex: "create_text_index",
+	OpPull: "pull", OpInfo: "info", OpCheckpoint: "checkpoint",
 }
 
 func opName(op byte) string {

@@ -193,3 +193,43 @@ func TestWireCarriesBatchesAndFields(t *testing.T) {
 		t.Errorf("the same matches as whole documents are %d B, the texts alone %d B: want a third or less", unprojected, moved)
 	}
 }
+
+// TestTopDiscussedMovesKeysNotMatches: Table IV over a two-node cluster is
+// a group count on the wire. Each shard answers with its ten names and
+// their counts — under 1 KB a call, request included — however many of
+// its 1 000 mentions match.
+func TestTopDiscussedMovesKeysNotMatches(t *testing.T) {
+	const shards, perShard = 4, 1000
+	nodes := []*countingTransport{{Transport: Loopback{Node: NewNode("a")}}, {Transport: Loopback{Node: NewNode("b")}}}
+	backends := make([]store.ShardBackend, shards)
+	award := store.Nested(store.NewDoc().Set("award_winning", store.Str("true")))
+	for i := range backends {
+		coll := store.NewCollection(NSEntities, 0)
+		coll.EnsureIndex("type_1", "type", store.HashIndex)
+		for j := 0; j < perShard; j++ {
+			coll.Insert(store.NewDoc().
+				Set("type", store.Str("Movie")).
+				Set("name", store.Str(fmt.Sprintf("The Walking Dead, season %d", j%10))).
+				Set("attributes", award))
+		}
+		tr := nodes[i%len(nodes)]
+		tr.Transport.(Loopback).Node.AddShard(ShardKey(NSEntities, i), coll)
+		backends[i] = NewRemoteShard(NSEntities, i, tr, nil)
+	}
+	entities, err := store.NewShardedBackends(NSEntities, "name", backends, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := (&fuse.Engine{Entities: entities}).TopDiscussed(context.Background(), 0)
+	if err != nil || len(top) != 10 || top[0].Mentions != shards*perShard/10 {
+		t.Fatalf("TopDiscussed = %v, %v", top, err)
+	}
+	var calls, moved int64
+	for _, tr := range nodes {
+		calls += tr.calls.Load()
+		moved += tr.bytes.Load()
+	}
+	if calls != shards || moved >= 1024*calls {
+		t.Errorf("TopDiscussed took %d calls moving %d B; want one call per shard under 1 KB each", calls, moved)
+	}
+}

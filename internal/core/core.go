@@ -105,12 +105,6 @@ type Tamer struct {
 	matchReports []*match.Report
 	stages       []StageReport
 
-	// entityGen counts completed fragment applies; top memoizes the full
-	// Table IV ranking against it, so the ranking is recomputed only after
-	// the entity store actually changed.
-	entityGen atomic.Uint64
-	top       topCache
-
 	// dataGen counts every mutation that can change a read result —
 	// fragment applies, record applies, consolidation, store swaps,
 	// checkpoint restores. The serve tier keys its response cache (and the
@@ -165,7 +159,6 @@ func (t *Tamer) SetStores(instances, entities *store.Sharded) {
 	t.Entities = entities
 	t.Query.Instances = instances
 	t.Query.Entities = entities
-	t.entityGen.Add(1)
 	t.dataGen.Add(1)
 }
 
@@ -534,31 +527,13 @@ func (t *Tamer) EntityStatsCtx(ctx context.Context) (store.Stats, error) {
 }
 
 // TopDiscussed runs the Table IV query; k <= 0 returns the full ranking.
-// The full ranking is cached against the entity-store generation, so
-// repeated queries between fragment applies cost one map copy; the
-// generation is read before computing, so a ranking that raced an apply is
-// never served after that apply completed.
+// The store counts the award-winning mentions by name, so every call
+// reads the stores as they are: there is no ranking to keep fresh.
 func (t *Tamer) TopDiscussed(ctx context.Context, k int) ([]fuse.Discussed, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, dterr.FromContext(err)
 	}
-	gen := t.entityGen.Load()
-	rows, err := t.top.get(gen, func() ([]fuse.Discussed, bool, error) {
-		// A ranking computed while partial reads absorbed a missing
-		// shard is a degraded answer: serve it, but do not memoize it
-		// under this generation.
-		pr := store.PartialFromContext(ctx)
-		before := pr.Missing()
-		rows, err := t.Query.TopDiscussed(ctx, 0)
-		return rows, pr.Missing() == before, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if k > 0 && len(rows) > k {
-		rows = rows[:k]
-	}
-	return rows, nil
+	return t.Query.TopDiscussed(ctx, k)
 }
 
 // QueryWebText runs the Table V query: the show as seen from web text only.

@@ -55,10 +55,9 @@ func (t *Tamer) ApplyFragments(ctx context.Context, frags []datagen.Fragment, wo
 	if err := t.Entities.InsertManyCtx(ctx, entityDocs); err != nil {
 		return 0, 0, err
 	}
-	// Bump the generations only after every insert landed, so a ranking or
-	// HTTP response cached during the batch is keyed to the pre-batch
-	// generation and the first query after this return recomputes.
-	t.entityGen.Add(1)
+	// Bump the generation only after every insert landed, so an HTTP
+	// response cached during the batch is keyed to the pre-batch generation
+	// and the first query after this return recomputes.
 	t.dataGen.Add(1)
 	return len(results), entities, nil
 }

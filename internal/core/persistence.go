@@ -88,10 +88,11 @@ func (t *Tamer) LoadStores(ctx context.Context, dir string) error {
 // must match the saved layout's shard count. In cluster mode (remote
 // shards) there is nothing to load coordinator-side: the nodes recovered
 // their own state from their local WAL/checkpoints, so RestoreStores keeps
-// the cluster routing intact and only retires memoized rankings.
+// the cluster routing intact. Either way the data generation moves, so no
+// response cached before the restore is served after it.
 func (t *Tamer) RestoreStores(ctx context.Context, cpDir string) error {
 	if t.Instances.NumShards() > 0 && t.Instances.Shard(0) == nil {
-		t.entityGen.Add(1)
+		t.dataGen.Add(1)
 		return nil
 	}
 	inst, err := loadSharded(cpDir, "instance", "dt.instance", "source_url", t.cfg)
@@ -106,12 +107,9 @@ func (t *Tamer) RestoreStores(ctx context.Context, cpDir string) error {
 	t.Entities = ent
 	t.Query.Instances = inst
 	t.Query.Entities = ent
-	if err := t.indexStores(ctx); err != nil {
-		return err
-	}
-	// The entity store changed wholesale: retire any memoized ranking.
-	t.entityGen.Add(1)
-	return nil
+	// Both stores changed wholesale; reads from here on see the new ones.
+	t.dataGen.Add(1)
+	return t.indexStores(ctx)
 }
 
 func loadSharded(dir, prefix, ns, key string, cfg Config) (*store.Sharded, error) {

@@ -65,39 +65,3 @@ func (v *fusedView) coverageRows() []fuse.Coverage {
 	})
 	return append([]fuse.Coverage(nil), v.coverage...)
 }
-
-// topCache memoizes the full Table IV ranking against an entity-store
-// generation. The entity store is append-only through ApplyFragments, which
-// bumps the generation after its inserts land; a reader that raced a batch
-// may cache a partial ranking, but it caches it under the pre-batch
-// generation, so the first query after the apply recomputes.
-type topCache struct {
-	mu   sync.Mutex
-	gen  uint64
-	rows []fuse.Discussed // full ranking; TopDiscussed slices per k
-	ok   bool
-}
-
-// get returns the cached full ranking for gen, or computes and caches it.
-// A compute error is returned without caching, so a transient remote-shard
-// failure never poisons the ranking for later queries. compute also
-// reports whether its result is cacheable: a degraded ranking (partial
-// reads absorbed a dead shard) is served but never memoized, else the
-// post-heal query at the same generation would keep replaying the hole.
-func (tc *topCache) get(gen uint64, compute func() (rows []fuse.Discussed, cacheable bool, err error)) ([]fuse.Discussed, error) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if !tc.ok || tc.gen != gen {
-		rows, cacheable, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		if !cacheable {
-			return rows, nil
-		}
-		tc.rows = rows
-		tc.gen = gen
-		tc.ok = true
-	}
-	return append([]fuse.Discussed(nil), tc.rows...), nil
-}

@@ -36,36 +36,33 @@ var awardWinningMovies = store.And{
 	store.EqStr("attributes.award_winning", "true"),
 }
 
-// The one field each query below reads off its matches, which is all a
-// remote shard ships of them.
-var (
-	nameField = []string{"name"}
-	textField = []string{"text"}
-)
+// textField is the one field TextFeeds reads off its matches, which is all
+// a remote shard ships of them.
+var textField = []string{"text"}
 
 // TopDiscussed ranks award-winning movies/shows by mention count in the
-// entity store — the Table IV query. Ties break lexicographically. Each
-// shard answers the filtered query from its index, so only the matching
-// mentions' names leave it; a name is displayed as its first mention spells
-// it, in shard order.
+// entity store — the Table IV query. Ties break lexicographically. The
+// store counts the matches by name, each shard from its index, so only the
+// few distinct spellings and their counts leave it; spellings that
+// normalize alike are one show, displayed as its first mention spells it
+// in shard order, which is why the groups come in first-match order.
 func (e *Engine) TopDiscussed(ctx context.Context, k int) ([]Discussed, error) {
-	res, err := e.Entities.QueryCtx(ctx, store.Query{Filter: awardWinningMovies, Limit: store.NoLimit, Fields: nameField})
+	res, err := e.Entities.QueryCtx(ctx, store.Query{Filter: awardWinningMovies, GroupBy: "name"})
 	if err != nil {
 		return nil, err
 	}
 	counts := map[string]*Discussed{}
-	for _, d := range res.Docs {
-		raw := d.PathString("name")
-		name := textutil.Normalize(raw)
+	for _, g := range res.Groups {
+		name := textutil.Normalize(g.Key)
 		if name == "" {
 			continue
 		}
 		dd, ok := counts[name]
 		if !ok {
-			dd = &Discussed{Name: displayName(raw)}
+			dd = &Discussed{Name: displayName(g.Key)}
 			counts[name] = dd
 		}
-		dd.Mentions++
+		dd.Mentions += g.Count
 	}
 	out := make([]Discussed, 0, len(counts))
 	for _, d := range counts {

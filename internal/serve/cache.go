@@ -221,15 +221,10 @@ func (s *Server) cacheMiddleware(next http.Handler) http.Handler {
 		w.Header().Set("X-Cache", "MISS")
 		rw := &recordingWriter{ResponseWriter: w}
 		next.ServeHTTP(rw, r)
-		// Degraded (partial fan-out) bodies are under-counts from a
-		// cluster mid-outage; caching one would keep serving the hole
-		// after the shards heal, because the generation key does not
-		// change when a node comes back. The handler deletes the ETag on
-		// those responses for the same reason.
-		if rw.Header().Get(degradedHeader) != "" {
-			return
-		}
-		if rw.status == http.StatusOK && !rw.tooBig {
+		// A no-store body (a degraded read, see markDegraded) is an answer
+		// for this request only: the generation key does not change when a
+		// node comes back, so caching it would serve the hole after a heal.
+		if rw.status == http.StatusOK && !rw.tooBig && !strings.Contains(rw.Header().Get("Cache-Control"), "no-store") {
 			s.cache.put(&cacheEntry{
 				key:   key,
 				ctype: rw.Header().Get("Content-Type"),

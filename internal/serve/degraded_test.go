@@ -8,6 +8,7 @@ import (
 
 	"repro/dterr"
 	"repro/internal/fuse"
+	"repro/internal/record"
 	"repro/internal/store"
 )
 
@@ -27,17 +28,37 @@ func (p *partialQuerier) setMissing(n int) {
 	p.missing = n
 }
 
-func (p *partialQuerier) TopDiscussed(ctx context.Context, _ int) ([]fuse.Discussed, error) {
+// fanOut fails the missing shards, absorbed or not.
+func (p *partialQuerier) fanOut(ctx context.Context) error {
 	p.mu.Lock()
 	n := p.missing
 	p.mu.Unlock()
 	for i := 0; i < n; i++ {
 		if !store.AbsorbShardError(ctx, "dt.entity", i, dterr.ErrBusy) {
-			return nil, dterr.ErrBusy
+			return dterr.ErrBusy
 		}
+	}
+	return nil
+}
+
+func (p *partialQuerier) TopDiscussed(ctx context.Context, _ int) ([]fuse.Discussed, error) {
+	if err := p.fanOut(ctx); err != nil {
+		return nil, err
 	}
 	return []fuse.Discussed{{Name: "Matilda", Mentions: 7}}, nil
 }
+
+// QueryShow finds no text about any show on the shards it reaches.
+func (p *partialQuerier) QueryShow(ctx context.Context, show string) (web, fused *record.Record, err error) {
+	if err := p.fanOut(ctx); err != nil {
+		return nil, nil, err
+	}
+	web = record.New()
+	web.Set("SHOW_NAME", record.String(show))
+	return web, web, nil
+}
+
+func (p *partialQuerier) ShowInFused(context.Context, string) (bool, error) { return false, nil }
 
 func TestV1DegradedRead(t *testing.T) {
 	q := &partialQuerier{missing: 2}
@@ -137,5 +158,28 @@ func TestDegradedResponseNotCached(t *testing.T) {
 	rec3, _ := get(t, s, "/v1/top")
 	if rec3.Header().Get("X-Cache") != "HIT" {
 		t.Fatalf("complete response not cached (X-Cache = %q)", rec3.Header().Get("X-Cache"))
+	}
+}
+
+// TestDegradedNotFound: a 404 computed while shards were unreachable may be
+// wrong once they are back, so it is marked like a degraded read — the
+// header, no ETag, no-store — and a complete 404 is not.
+func TestDegradedNotFound(t *testing.T) {
+	q := &partialQuerier{missing: 1}
+	s := New(q, WithGeneration(func() uint64 { return 1 }), WithCacheBytes(1<<20))
+	rec, body := get(t, s, "/v1/show?name=Nowhere")
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("degraded miss = %d, want 404: %v", rec.Code, body)
+	}
+	if got := rec.Header().Get("X-DT-Degraded"); got != "shards_missing=1" {
+		t.Fatalf("X-DT-Degraded = %q, want shards_missing=1", got)
+	}
+	if cc, etag := rec.Header().Get("Cache-Control"), rec.Header().Get("ETag"); cc != "no-store" || etag != "" {
+		t.Fatalf("degraded 404 has Cache-Control %q, ETag %q; want no-store and none", cc, etag)
+	}
+	q.setMissing(0)
+	rec, _ = get(t, s, "/v1/show?name=Nowhere")
+	if rec.Code != http.StatusNotFound || rec.Header().Get("X-DT-Degraded") != "" || rec.Header().Get("Cache-Control") != "" {
+		t.Fatalf("complete 404: status %d, headers %v", rec.Code, rec.Header())
 	}
 }

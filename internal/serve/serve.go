@@ -64,8 +64,6 @@ type Querier interface {
 	EntityStatsCtx(ctx context.Context) (store.Stats, error)
 	EntityTypeCounts(ctx context.Context) ([]core.TypeCount, error)
 	TopDiscussed(ctx context.Context, k int) ([]fuse.Discussed, error)
-	QueryWebText(ctx context.Context, show string) (*record.Record, error)
-	QueryFused(ctx context.Context, show string) (*record.Record, error)
 	QueryShow(ctx context.Context, show string) (web, fused *record.Record, err error)
 	ShowInFused(ctx context.Context, show string) (bool, error)
 	CheapestShows(ctx context.Context, k int) ([]fuse.PricedShow, error)
@@ -256,16 +254,24 @@ func readCtx(r *http.Request) (context.Context, *store.PartialReads, error) {
 	return ctx, pr, nil
 }
 
+// markDegraded flags a response assembled while n shards were unreachable:
+// the X-DT-Degraded header, no ETag and Cache-Control: no-store. It is the
+// one rule that keeps a partial answer out of every cache — the response
+// cache refuses no-store bodies, and a client holding no validator cannot
+// revalidate one — so a healed cluster is never answered with the hole.
+func markDegraded(w http.ResponseWriter, n int) {
+	h := w.Header()
+	h.Set(degradedHeader, "shards_missing="+strconv.Itoa(n))
+	h.Del("ETag")
+	h.Set("Cache-Control", "no-store")
+}
+
 // writeRead writes a /v1 read response, surfacing degradation: when the
-// tracker recorded missing shards the envelope carries the degraded
-// field, the response carries the X-DT-Degraded header, and cache
-// validators are stripped (no ETag, no-store) so a partial body is never
-// cached or replayed as the authoritative answer.
+// tracker recorded missing shards the envelope carries the degraded field
+// and the response is marked degraded.
 func writeRead(w http.ResponseWriter, pr *store.PartialReads, status int, v any) {
 	if n := pr.Missing(); n > 0 {
-		w.Header().Set(degradedHeader, "shards_missing="+strconv.Itoa(n))
-		w.Header().Del("ETag")
-		w.Header().Set("Cache-Control", "no-store")
+		markDegraded(w, n)
 		writeJSON(w, status, envelope{Data: v, Degraded: &degradedInfo{ShardsMissing: n}})
 		return
 	}
@@ -507,8 +513,7 @@ func (s *Server) v1Show(w http.ResponseWriter, r *http.Request) {
 			// advisory, not authoritative: flag it so callers can retry
 			// rather than conclude the show does not exist.
 			if n := pr.Missing(); n > 0 {
-				w.Header().Set(degradedHeader, "shards_missing="+strconv.Itoa(n))
-				w.Header().Set("Cache-Control", "no-store")
+				markDegraded(w, n)
 			}
 			writeErr(w, dterr.Newf(dterr.CodeNotFound, "show %q not found in web text or fused sources", name))
 			return

@@ -314,36 +314,6 @@ func (c *Collection) snapshot() ([]int64, []*Doc) {
 	return ids, docs
 }
 
-// Distinct returns the distinct scalar string values at path with their
-// frequencies. A hash index over path answers from its posting-list lengths
-// as long as it holds no list-element keys (a list is not a scalar value,
-// but its elements are indexed); otherwise every document is visited.
-func (c *Collection) Distinct(path string) map[string]int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, ix := range c.indexes {
-		if ix.Kind == HashIndex && ix.Path == path && ix.listEntries == 0 {
-			out := make(map[string]int64, len(ix.hash))
-			for key, ids := range ix.hash {
-				out[key] = int64(len(ids))
-			}
-			return out
-		}
-	}
-	out := make(map[string]int64)
-	for _, id := range c.order {
-		if id == 0 {
-			continue
-		}
-		if v, ok := c.docs[id].Path(path); ok {
-			if key, ok := indexKey(v); ok {
-				out[key]++
-			}
-		}
-	}
-	return out
-}
-
 // Stats returns the storage statistics of the collection in the shape of the
 // paper's Tables I and II.
 func (c *Collection) Stats() Stats {

@@ -199,9 +199,9 @@ func TestDistinct(t *testing.T) {
 	c.Insert(entityDoc("A", "Movie", 1))
 	c.Insert(entityDoc("B", "Movie", 1))
 	c.Insert(entityDoc("C", "Person", 1))
-	counts := c.Distinct("type")
-	if counts["Movie"] != 2 || counts["Person"] != 1 {
-		t.Errorf("Distinct = %v", counts)
+	groups := c.Query(Query{GroupBy: "type"}).Groups
+	if want := []Group{{"Movie", 2}, {"Person", 1}}; !slices.Equal(groups, want) {
+		t.Errorf("group count by type = %v, want %v", groups, want)
 	}
 }
 

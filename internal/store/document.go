@@ -14,12 +14,15 @@
 // plan; Find, FindOne and CountWhere are those spellings. Matching a
 // document allocates nothing.
 //
-// The two aggregates do not scan either. Stats reads a data-size counter
-// every mutation keeps. Distinct(path) reads posting-list lengths off a
-// hash index over path, as long as that index holds no list-element keys
-// (a list is no scalar value, yet its elements are indexed, so the lengths
-// would over-count); otherwise it visits the documents under the read
-// lock.
+// GroupBy makes the same op a group count: every match counted by its
+// scalar value at a path, keys in the order of their first match, merged
+// across shards in shard order — Table III's type distribution (Distinct)
+// and Table IV's mention ranking. Unfiltered, it reads posting-list lengths
+// off a hash index over the path, as long as that index holds no
+// list-element keys (a list is no scalar value, yet its elements are
+// indexed, so the lengths would over-count); otherwise it visits the
+// matches under the read lock. Stats reads a data-size counter every
+// mutation keeps.
 package store
 
 import (

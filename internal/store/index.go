@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -49,7 +50,7 @@ type Index struct {
 	keyBytes int64
 	// listEntries counts the entries that came from list elements. While it
 	// is zero every entry is one document's scalar value, which is what
-	// lets Distinct read its counts off the posting lists.
+	// lets an unfiltered group count read its counts off the posting lists.
 	listEntries int64
 }
 
@@ -175,6 +176,19 @@ func (ix *Index) idsIn(set []record.Value) []int64 {
 	}
 	slices.Sort(all)
 	return slices.Compact(all)
+}
+
+// groups counts the documents by key off a hash index's posting-list
+// lengths, each key in the place of its first id — where a scan grouping by
+// the path meets it first. Only an index without list entries counts
+// documents this way.
+func (ix *Index) groups() []Group {
+	out := make([]Group, 0, len(ix.hash))
+	for key, ids := range ix.hash {
+		out = append(out, Group{Key: key, Count: int64(len(ids))})
+	}
+	slices.SortFunc(out, func(a, b Group) int { return cmp.Compare(ix.hash[a.Key][0], ix.hash[b.Key][0]) })
+	return out
 }
 
 // Lookup returns the ids of documents whose indexed value equals key.

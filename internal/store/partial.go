@@ -35,13 +35,6 @@ func WithPartialReads(ctx context.Context) (context.Context, *PartialReads) {
 	return context.WithValue(ctx, partialKey, pr), pr
 }
 
-// PartialFromContext returns the request's tracker, or nil when the
-// caller wants strict all-shards-or-error reads.
-func PartialFromContext(ctx context.Context) *PartialReads {
-	pr, _ := ctx.Value(partialKey).(*PartialReads)
-	return pr
-}
-
 // record notes one unreachable shard.
 func (p *PartialReads) record(ns string, shard int) {
 	p.mu.Lock()
@@ -71,7 +64,8 @@ func AbsorbShardError(ctx context.Context, ns string, shard int, err error) bool
 	if err == nil {
 		return false
 	}
-	pr := PartialFromContext(ctx)
+	// No tracker: the caller wants strict all-shards-or-error reads.
+	pr, _ := ctx.Value(partialKey).(*PartialReads)
 	if pr == nil {
 		return false
 	}

@@ -9,8 +9,9 @@ import (
 
 // Query is the one read a shard answers: the documents matching Filter, in
 // the shard's order, from the Offset'th on and at most Limit of them, plus
-// the exact number that match. Everything that reads by filter — a page of
-// /v1/find, an unbounded Find, a count, a plan — is this op with different
+// the exact number that match and, when grouped, how many of them hold each
+// value at a path. Everything that reads by filter — a page of /v1/find, an
+// unbounded Find, a count, a group count, a plan — is this op with different
 // fields set, locally and on the cluster wire.
 type Query struct {
 	// Filter selects documents; nil matches all.
@@ -30,6 +31,9 @@ type Query struct {
 	// the listed fields the stored one has. A Collection returns its stored
 	// documents whole and never looks at the list.
 	Fields []string
+	// GroupBy, when set, is a dotted path: Result.Groups then counts every
+	// match, whatever the window, by its scalar value there.
+	GroupBy string
 }
 
 // NoLimit is the Query.Limit of an unbounded query.
@@ -43,6 +47,16 @@ type Result struct {
 	Total int64
 	// Plan is the access path, set in Explain mode only.
 	Plan Explain
+	// Groups counts the matches by their value at Query.GroupBy, each key in
+	// the place of its first match in the shard's order. A match whose value
+	// there is absent, null, a list or a document counts under no key.
+	Groups []Group
+}
+
+// Group is one key of a grouped query and the number of matches holding it.
+type Group struct {
+	Key   string
+	Count int64
 }
 
 // end returns how many leading matches the query's window reaches —
@@ -151,6 +165,11 @@ type page struct {
 	offset, limit int
 	total         int64
 	out           []*Doc
+	// groupBy is the path each match is counted by; "" when the query is not
+	// grouped or an index has already counted the groups.
+	groupBy string
+	groups  []Group
+	slot    map[string]int // key -> its place in groups
 }
 
 // add counts one matching document and keeps it if the window covers it.
@@ -159,6 +178,31 @@ func (p *page) add(d *Doc) {
 		p.out = append(p.out, d)
 	}
 	p.total++
+	if p.groupBy != "" {
+		p.group(d)
+	}
+}
+
+// group counts d under its index key at groupBy, a key new to the page
+// going last.
+func (p *page) group(d *Doc) {
+	v, ok := d.Path(p.groupBy)
+	if !ok {
+		return
+	}
+	key, ok := indexKey(v)
+	if !ok {
+		return
+	}
+	if i, ok := p.slot[key]; ok {
+		p.groups[i].Count++
+		return
+	}
+	if p.slot == nil {
+		p.slot = make(map[string]int)
+	}
+	p.slot[key] = len(p.groups)
+	p.groups = append(p.groups, Group{Key: key, Count: 1})
 }
 
 // addID takes one candidate id.
@@ -169,9 +213,10 @@ func (p *page) addID(id int64) {
 }
 
 // addIDs takes a run of candidate ids. Proven matches are counted by the
-// run's length and only the part of it the window covers is touched.
+// run's length and only the part of it the window covers is touched, unless
+// each must be grouped.
 func (p *page) addIDs(ids []int64) {
-	if p.verify != nil {
+	if p.verify != nil || p.groupBy != "" {
 		for _, id := range ids {
 			p.addID(id)
 		}
@@ -193,11 +238,13 @@ func (p *page) addIDs(ids []int64) {
 
 // Query answers q. An index serves the filter's condition when one covers
 // it (see plan): the total then comes from posting-list lengths and only
-// the window's documents are touched, unless residual conditions or a text
-// index's candidate superset need each candidate checked. Otherwise every
-// document is tested in insertion order; matches outside the window are
-// counted, not collected. Results are in ascending id order — insertion
-// order — except a prefix scan's, which follow the B-tree's keys.
+// the window's documents are touched, unless residual conditions, a text
+// index's candidate superset or a group count need each candidate visited.
+// Otherwise every document is tested in insertion order; matches outside
+// the window are counted, not collected. Results are in ascending id order
+// — insertion order — except a prefix scan's, which follow the B-tree's
+// keys. An unfiltered group count reads its groups off a hash index over
+// the path when one holds a single entry per document (see countingIndex).
 func (c *Collection) Query(q Query) Result {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -205,14 +252,23 @@ func (c *Collection) Query(q Query) Result {
 	if q.Explain {
 		return Result{Plan: c.explain(q.Filter, a)}
 	}
-	p := page{docs: c.docs, offset: q.Offset, limit: q.Limit}
+	p := page{docs: c.docs, offset: q.Offset, limit: q.Limit, groupBy: q.GroupBy}
 	if a.ix == nil || a.residual {
 		p.verify = q.Filter
+	}
+	if q.GroupBy != "" && q.Filter == nil {
+		if ix := c.countingIndex(q.GroupBy); ix != nil {
+			p.groupBy, p.groups = "", ix.groups()
+		}
 	}
 	switch {
 	case a.tx != nil:
 		ids, _ := a.tx.Candidates(a.cond.Value.Str())
 		p.addIDs(ids)
+	case a.ix == nil && p.verify == nil && c.dead == 0:
+		// Every document matches and the order has no tombstones: a run of
+		// proven ids.
+		p.addIDs(c.order)
 	case a.ix == nil:
 		for _, id := range c.order {
 			if id != 0 {
@@ -229,7 +285,18 @@ func (c *Collection) Query(q Query) Result {
 	default:
 		p.addIDs(a.ix.ids(a.cond.Value.Str()))
 	}
-	return Result{Docs: p.out, Total: p.total}
+	return Result{Docs: p.out, Total: p.total, Groups: p.groups}
+}
+
+// countingIndex returns a hash index over path whose posting-list lengths
+// count the documents by their value there, or nil. Must hold c.mu.
+func (c *Collection) countingIndex(path string) *Index {
+	for _, ix := range c.indexes {
+		if ix.Kind == HashIndex && ix.Path == path && ix.listEntries == 0 {
+			return ix
+		}
+	}
+	return nil
 }
 
 // Find returns every document matching filter.

@@ -153,8 +153,9 @@ func TestHashPostingsStayInIDOrder(t *testing.T) {
 	}
 }
 
-// TestDistinctIndexAndFallback pins when Distinct may read an index: never
-// while a list element is filed in it.
+// TestDistinctIndexAndFallback pins when an unfiltered group count may read
+// an index: never while a list element is filed in it. Either way the keys
+// come in the order of their first document.
 func TestDistinctIndexAndFallback(t *testing.T) {
 	c := NewCollection("dt.entity", 0)
 	c.EnsureIndex("tags_1", "tags", HashIndex)
@@ -162,22 +163,22 @@ func TestDistinctIndexAndFallback(t *testing.T) {
 	c.Insert(NewDoc().Set("tags", Str("a")))
 	c.Insert(NewDoc().Set("tags", Num(7)))
 	c.Insert(NewDoc().Set("other", Str("x")))
-	want := map[string]int64{"a": 2, "7": 1}
-	if got := c.Distinct("tags"); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("index-served Distinct = %v, want %v", got, want)
+	want := []Group{{"a", 2}, {"7", 1}}
+	if got := c.Query(Query{GroupBy: "tags"}).Groups; !slices.Equal(got, want) {
+		t.Fatalf("index-served group count = %v, want %v", got, want)
 	}
-	// A list is not a scalar value, so Distinct skips it, but its elements
+	// A list is not a scalar value, so the count skips it, but its elements
 	// are index keys: the index now over-counts "a" and must not be read.
 	listed := c.Insert(NewDoc().Set("tags", List(Str("a"), Str("b"))))
-	if got := c.Distinct("tags"); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("Distinct with a list-valued doc = %v, want %v", got, want)
+	if got := c.Query(Query{GroupBy: "tags"}).Groups; !slices.Equal(got, want) {
+		t.Fatalf("group count with a list-valued doc = %v, want %v", got, want)
 	}
 	c.Delete(listed)
 	if ix := c.Indexes()[0]; ix.listEntries != 0 {
 		t.Fatalf("listEntries = %d after the list-valued doc left", ix.listEntries)
 	}
-	if got := c.Distinct("tags"); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("Distinct after delete = %v, want %v", got, want)
+	if got := c.Query(Query{GroupBy: "tags"}).Groups; !slices.Equal(got, want) {
+		t.Fatalf("group count after delete = %v, want %v", got, want)
 	}
 }
 
@@ -241,10 +242,46 @@ func TestAggregateAllocBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { st = c.Stats() }); n != 0 || st.Count != 40 {
 		t.Errorf("Stats: %.0f allocs (budget 0), count %d", n, st.Count)
 	}
-	// The result map of four keys is one allocation; nothing else is.
-	var types map[string]int64
-	if n := testing.AllocsPerRun(100, func() { types = c.Distinct("type") }); n > 2 || types["Movie"] != 10 {
-		t.Errorf("Distinct(type) with type_1: %.0f allocs (budget: the map + 1), %v", n, types)
+	// Counting by type off type_1 allocates the four groups' slice and
+	// nothing else.
+	var res Result
+	q := Query{GroupBy: "type"}
+	if n := testing.AllocsPerRun(100, func() { res = c.Query(q) }); n > 1 || len(res.Groups) != 4 || res.Groups[0] != (Group{"Movie", 10}) {
+		t.Errorf("group count by type with type_1: %.0f allocs (budget: the groups), %v", n, res.Groups)
+	}
+}
+
+// TestGroupCountAllocatesForTheGroups: a filtered group count costs its
+// groups, whatever the number of matches it counts into them.
+func TestGroupCountAllocatesForTheGroups(t *testing.T) {
+	filters := []Filter{
+		EqStr("type", "Movie"), // proven by type_1, each match still grouped
+		And{EqStr("type", "Movie"), Cond{Path: "mentions", Op: OpGe, Value: Num(0).Scalar()}},
+		Cond{Path: "mentions", Op: OpGe, Value: Num(0).Scalar()}, // a scan
+	}
+	allocs := func(matches int, f Filter) float64 {
+		c := NewCollection("dt.entity", 0)
+		c.EnsureIndex("type_1", "type", HashIndex)
+		for i := 0; i < 2*matches; i++ {
+			typ := []string{"Movie", "Person"}[i%2]
+			if _, scan := f.(Cond); scan && typ == "Person" {
+				continue
+			}
+			c.Insert(entityDoc(fmt.Sprintf("Show %d", i%20), typ, int64(i)))
+		}
+		q := Query{Filter: f, GroupBy: "name"}
+		var res Result
+		n := testing.AllocsPerRun(20, func() { res = c.Query(q) })
+		if res.Total != int64(matches) || len(res.Groups) != 10 || res.Groups[0] != (Group{"Show 0", int64(matches / 10)}) {
+			t.Fatalf("%v grouped by name: total %d, groups %v", f, res.Total, res.Groups)
+		}
+		return n
+	}
+	for _, f := range filters {
+		small, large := allocs(1000, f), allocs(8000, f)
+		if small != large || large > 12 {
+			t.Errorf("%v grouped by name into 10 keys: %.0f allocs over 1 000 matches, %.0f over 8 000 (budget 12: the groups and their slots)", f, small, large)
+		}
 	}
 }
 

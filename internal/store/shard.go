@@ -28,10 +28,9 @@ type ShardBackend interface {
 	// Delete removes the document under id, reporting whether it existed.
 	Delete(ctx context.Context, id int64) (bool, error)
 	// Query answers q against the shard: a window of the matching
-	// documents in the shard's order, their exact total, or the plan.
+	// documents in the shard's order, their exact total and group counts,
+	// or the plan.
 	Query(ctx context.Context, q Query) (Result, error)
-	// Distinct returns distinct scalar values at path with frequencies.
-	Distinct(ctx context.Context, path string) (map[string]int64, error)
 	// Stats returns the shard's storage statistics.
 	Stats(ctx context.Context) (Stats, error)
 	// CreateIndex ensures a secondary index named name over path.
@@ -66,11 +65,6 @@ func (l LocalShard) Delete(_ context.Context, id int64) (bool, error) {
 // Query implements ShardBackend.
 func (l LocalShard) Query(_ context.Context, q Query) (Result, error) {
 	return l.Coll.Query(q), nil
-}
-
-// Distinct implements ShardBackend.
-func (l LocalShard) Distinct(_ context.Context, path string) (map[string]int64, error) {
-	return l.Coll.Distinct(path), nil
 }
 
 // Stats implements ShardBackend.
@@ -330,15 +324,16 @@ func (s *Sharded) fanOut(fn func(i int, b ShardBackend) error) error {
 // shard 0's matches, then shard 1's, and so on, so each shard is asked for
 // its first Offset+Limit matches and its total — one call per shard, never
 // more than that many documents each — and the window is cut from their
-// concatenation. Under WithPartialReads, unreachable shards are recorded
-// and count as empty instead of failing the query. Explain asks shard 0,
-// since all shards share one index layout.
+// concatenation; groups are added up in the same order. Under
+// WithPartialReads, unreachable shards are recorded and count as empty
+// instead of failing the query. Explain asks shard 0, since all shards
+// share one index layout.
 func (s *Sharded) QueryCtx(ctx context.Context, q Query) (Result, error) {
 	if q.Explain {
 		return s.backends[0].Query(ctx, q)
 	}
 	q.Offset = max(q.Offset, 0)
-	perShard := Query{Filter: q.Filter, Limit: q.end(), Fields: q.Fields}
+	perShard := Query{Filter: q.Filter, Limit: q.end(), Fields: q.Fields, GroupBy: q.GroupBy}
 	parts := make([]Result, len(s.backends))
 	err := s.fanOut(func(i int, b ShardBackend) error {
 		res, err := b.Query(ctx, perShard)
@@ -374,7 +369,31 @@ func (s *Sharded) QueryCtx(ctx context.Context, q Query) (Result, error) {
 		skip = 0
 		out.Docs = append(out.Docs, docs[:min(len(docs), room-len(out.Docs))]...)
 	}
+	if q.GroupBy != "" {
+		out.Groups = mergeGroups(parts)
+	}
 	return out, nil
+}
+
+// mergeGroups adds up the shards' groups in shard order, so a key keeps the
+// place of its first match in the sharded order.
+func mergeGroups(parts []Result) []Group {
+	if len(parts) == 1 {
+		return parts[0].Groups
+	}
+	var out []Group
+	slot := make(map[string]int)
+	for _, p := range parts {
+		for _, g := range p.Groups {
+			if i, ok := slot[g.Key]; ok {
+				out[i].Count += g.Count
+				continue
+			}
+			slot[g.Key] = len(out)
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // FindCtx is the unbounded query: every document matching filter.
@@ -383,29 +402,16 @@ func (s *Sharded) FindCtx(ctx context.Context, filter Filter) ([]*Doc, error) {
 	return res.Docs, err
 }
 
-// DistinctCtx merges per-shard distinct-value counts, asking the shards
-// concurrently.
+// DistinctCtx returns the distinct scalar values at path with their
+// frequencies: the unfiltered group count as a map.
 func (s *Sharded) DistinctCtx(ctx context.Context, path string) (map[string]int64, error) {
-	parts := make([]map[string]int64, len(s.backends))
-	err := s.fanOut(func(i int, b ShardBackend) error {
-		m, err := b.Distinct(ctx, path)
-		if AbsorbShardError(ctx, s.ns, i, err) {
-			return nil
-		}
-		parts[i] = m
-		return err
-	})
+	res, err := s.QueryCtx(ctx, Query{GroupBy: path})
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	out := make(map[string]int64)
-	for _, part := range parts {
-		for k, v := range part {
-			out[k] += v
-		}
+	out := make(map[string]int64, len(res.Groups))
+	for _, g := range res.Groups {
+		out[g.Key] = g.Count
 	}
 	return out, nil
 }

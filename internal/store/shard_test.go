@@ -154,8 +154,8 @@ func TestShardedFanOutEquivalence(t *testing.T) {
 		sh := s.Shard(i)
 		serialDocs = append(serialDocs, sh.Find(filter)...)
 		serialAll = append(serialAll, sh.Find(nil)...)
-		for k, v := range sh.Distinct("type") {
-			serialDistinct[k] += v
+		for _, d := range sh.Find(nil) {
+			serialDistinct[d.PathString("type")]++
 		}
 	}
 
