@@ -3,7 +3,6 @@ package datatamer
 import (
 	"context"
 	"net/http"
-	"time"
 
 	"repro/dterr"
 	"repro/internal/cluster"
@@ -65,10 +64,6 @@ type Fragment = live.Fragment
 // LiveStats is a point-in-time snapshot of the live ingester.
 type LiveStats = live.Stats
 
-// ClusterResilience tunes the cluster transport's retry/breaker layer
-// (see cluster.ResilienceSpec); pass it through WithClusterResilience.
-type ClusterResilience = cluster.ResilienceSpec
-
 // PartialReads tracks the shards a degraded fan-out read could not
 // reach; obtain one with WithPartialReads.
 type PartialReads = store.PartialReads
@@ -103,7 +98,6 @@ type options struct {
 	liveCfg     live.Config
 	clusterPath string
 	clusterCfg  *cluster.Config
-	resilience  *cluster.ResilienceSpec
 }
 
 // Option configures Open.
@@ -120,45 +114,13 @@ func WithSources(n int) Option { return func(o *options) { o.cfg.FTSources = n }
 // WithShards sets the shard count of the two text namespaces (default 4).
 func WithShards(n int) Option { return func(o *options) { o.cfg.Shards = n } }
 
-// WithExtentSize sets the store extent size in bytes (default 2 MB,
-// 1/1000 of the paper's 2 GB extents).
-func WithExtentSize(bytes int64) Option { return func(o *options) { o.cfg.ExtentSize = bytes } }
-
 // WithSeed drives all generators and simulated experts (default 1).
 func WithSeed(seed int64) Option { return func(o *options) { o.cfg.Seed = seed } }
-
-// WithAcceptThreshold overrides the schema-matching accept threshold.
-func WithAcceptThreshold(t float64) Option { return func(o *options) { o.cfg.AcceptThreshold = t } }
-
-// WithEuroRate sets the EUR->USD transformation rate (default 1.30).
-func WithEuroRate(rate float64) Option { return func(o *options) { o.cfg.EuroRate = rate } }
 
 // WithLive enables streaming writes after the batch run, with the WAL and
 // checkpoints stored under dir. When dir already holds a checkpoint, Open
 // recovers from it instead of re-ingesting the batch web text.
 func WithLive(dir string) Option { return func(o *options) { o.liveDir = dir } }
-
-// WithLiveBatch tunes the live apply batching: at most size events per
-// batch, with a partial batch applied every interval.
-func WithLiveBatch(size int, interval time.Duration) Option {
-	return func(o *options) {
-		o.liveCfg.BatchSize = size
-		o.liveCfg.FlushInterval = interval
-	}
-}
-
-// WithLiveQueue bounds the acknowledged-but-unapplied backlog: depth
-// events and maxBytes payload bytes; writers block beyond either.
-func WithLiveQueue(depth int, maxBytes int64) Option {
-	return func(o *options) {
-		o.liveCfg.QueueDepth = depth
-		o.liveCfg.MaxQueueBytes = maxBytes
-	}
-}
-
-// WithLiveWorkers sets the parse worker count per live batch (default one
-// per CPU).
-func WithLiveWorkers(n int) Option { return func(o *options) { o.liveCfg.Workers = n } }
 
 // WithLiveFsync fsyncs the WAL on every append (power-failure durability;
 // default off: flushed to the OS, surviving process kill).
@@ -182,14 +144,6 @@ func WithCluster(path string) Option { return func(o *options) { o.clusterPath =
 // the programmatic entry point used by tests and embedding processes.
 func WithClusterConfig(cfg *cluster.Config) Option {
 	return func(o *options) { o.clusterCfg = cfg }
-}
-
-// WithClusterResilience overrides the cluster config's resilience
-// settings — retry attempts/backoff and circuit-breaker thresholds on
-// the coordinator's node transports. It only takes effect together with
-// WithCluster/WithClusterConfig.
-func WithClusterResilience(r ClusterResilience) Option {
-	return func(o *options) { o.resilience = &r }
 }
 
 // Tamer is the context-aware public handle over the fusion pipeline. All
@@ -221,13 +175,6 @@ func Open(ctx context.Context, opts ...Option) (*Tamer, error) {
 	}
 	var cl *cluster.Cluster
 	if ccfg != nil {
-		if o.resilience != nil {
-			// Copy before overriding so a caller-owned config (passed via
-			// WithClusterConfig) is not mutated behind their back.
-			override := *ccfg
-			override.Resilience = *o.resilience
-			ccfg = &override
-		}
 		// The cluster's shard count is authoritative: routing must agree
 		// with the node layout, whatever WithShards said.
 		o.cfg.Shards = ccfg.Shards
@@ -306,7 +253,8 @@ func (t *Tamer) SaveStoresCtx(ctx context.Context, dir string) error {
 }
 
 // LoadStores replaces both text namespaces with the checkpoint
-// SaveStoresCtx committed in dir, rebuilding their indexes under ctx.
+// SaveStoresCtx committed in dir, under ctx; each shard's snapshot brings
+// its extent size and indexes.
 func (t *Tamer) LoadStores(ctx context.Context, dir string) error {
 	return t.core.LoadStores(ctx, dir)
 }

@@ -26,12 +26,12 @@
 //
 // With -data-dir the node is durable: every replicated mutation is
 // appended to a per-shard CRC-framed WAL before it is acknowledged, a
-// clean shutdown (SIGINT/SIGTERM) checkpoints each shard (snapshot +
-// index manifest committed by one rename, WAL truncated — the store.Log
-// protocol the live ingester shares), and startup recovers the last
-// checkpoint plus the WAL tail — so a restarted node resumes at the
-// generation it last acknowledged and the coordinator reconnects without
-// re-ingesting:
+// clean shutdown (SIGINT/SIGTERM) checkpoints each shard (one snapshot
+// file — documents, extent size and index layout — committed by one
+// rename, WAL truncated: the store.Log protocol the live ingester shares),
+// and startup recovers the last checkpoint plus the WAL tail — so a
+// restarted node resumes at the generation it last acknowledged and the
+// coordinator reconnects without re-ingesting:
 //
 //	dtnode -config cluster.json -name node-a -data-dir /var/lib/dtnode-a
 package main
@@ -90,7 +90,7 @@ func main() {
 		// Recovery must precede serving (and the first replication pull):
 		// checkpoint snapshot + WAL tail restore each shard to the
 		// generation it last acknowledged.
-		if err := node.EnableDurability(*dataDir, cfg.ExtentSize); err != nil {
+		if err := node.EnableDurability(*dataDir); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("recovered shards from %s", *dataDir)

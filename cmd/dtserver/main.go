@@ -3,9 +3,13 @@
 //	dtserver -addr :8080 -fragments 2000 -sources 20 -seed 1
 //
 // With -live the server also accepts streaming writes, durably logged to a
-// write-ahead log under -wal-dir and applied by a batching worker pool;
-// state left in -wal-dir from a previous run is recovered on startup, and
-// shutdown (SIGINT/SIGTERM) drains the queue and flushes the WAL:
+// write-ahead log under -wal-dir and applied by a batching worker pool at
+// the live package's default batch size, queue depth and worker count
+// (-fsync adds an fsync per append). A checkpoint in -wal-dir holds one
+// snapshot per shard, each carrying its extent size and index layout, so a
+// restart reloads the stores without rebuilding an index list. State left
+// in -wal-dir by a previous run is recovered on startup, and shutdown
+// (SIGINT/SIGTERM) drains the queue and checkpoints:
 //
 //	dtserver -addr :8080 -live -wal-dir ./dtlive
 //
@@ -44,10 +48,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	liveMode := flag.Bool("live", false, "accept streaming writes (POST /v1/ingest/*)")
 	walDir := flag.String("wal-dir", "dtlive", "live mode: WAL and checkpoint directory")
-	batchSize := flag.Int("batch", 64, "live mode: max events per apply batch")
-	workers := flag.Int("workers", 0, "live mode: parse workers per batch (0 = NumCPU)")
-	queueDepth := flag.Int("queue", 1024, "live mode: apply queue depth (backpressure bound)")
-	flushEvery := flag.Duration("flush-interval", 200*time.Millisecond, "live mode: partial-batch apply interval")
 	fsync := flag.Bool("fsync", false, "live mode: fsync the WAL on every append")
 	clusterPath := flag.String("cluster", "", "cluster mode: cluster.json membership file; shards are served by dtnode processes")
 	cacheBytes := flag.Int64("cache-bytes", 0, "response cache budget in bytes (0 = 32 MB default, negative disables)")
@@ -73,12 +73,7 @@ func main() {
 		opts = append(opts, datatamer.WithCluster(*clusterPath))
 	}
 	if *liveMode {
-		opts = append(opts,
-			datatamer.WithLive(*walDir),
-			datatamer.WithLiveBatch(*batchSize, *flushEvery),
-			datatamer.WithLiveQueue(*queueDepth, 0),
-			datatamer.WithLiveWorkers(*workers),
-		)
+		opts = append(opts, datatamer.WithLive(*walDir))
 		if *fsync {
 			opts = append(opts, datatamer.WithLiveFsync())
 		}

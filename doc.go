@@ -42,19 +42,21 @@
 //     and the cluster transport, served at GET /metrics (see
 //     MetricsHandler for embedders);
 //   - cluster mode (internal/cluster, cmd/dtnode): shards served by
-//     separate node processes over a CRC-framed binary protocol, with
-//     placement-compatible routing, optional read replicas behind a
-//     read-your-writes generation fence, and dterr codes preserved
-//     across the wire. Nodes started with -data-dir persist each shard
-//     to a node-local WAL and checkpoint and recover it on restart;
-//     Open probes shard generations and skips batch ingest against a
-//     warm cluster. Enabled with WithCluster or WithClusterConfig.
-//     Remote-shard calls run behind a resilience layer: idempotent
-//     reads retry transient failures with budget-aware exponential
-//     backoff, per-node circuit breakers fail fast while a node is
-//     down (tunable via the cluster config's resilience block or
-//     WithClusterResilience), and fan-out reads degrade to partial
-//     results when shards stay unreachable — HTTP 200 plus a
+//     separate node processes over a CRC-framed binary protocol, placed
+//     by the same FNV-1a mod-N routing a single process uses, with
+//     optional read replicas behind a read-your-writes generation fence,
+//     and dterr codes preserved across the wire; cluster.json is the
+//     membership and nothing else. A shard has one image, its snapshot
+//     (documents, extent size, index layout): nodes started with
+//     -data-dir checkpoint it beside a node-local WAL and recover it on
+//     restart, a primary ships it to a follower that fell out of its
+//     replication window, and a core restore reads it; Open probes shard
+//     generations and skips batch ingest against a warm cluster. Enabled
+//     with WithCluster or WithClusterConfig. Remote-shard calls run
+//     behind a resilience layer: idempotent reads retry transient
+//     failures with budget-aware exponential backoff, per-node circuit
+//     breakers fail fast while a node is down, and fan-out reads degrade
+//     to partial results when shards stay unreachable — HTTP 200 plus a
 //     degraded envelope marker and X-DT-Degraded header, with
 //     ?partial=0 restoring whole-or-nothing semantics. The
 //     internal/faultinject package injects deterministic, seeded

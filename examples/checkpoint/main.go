@@ -25,8 +25,9 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// Run, then checkpoint: one snapshot per shard in an epoch directory,
-	// committed by renaming checkpoint.meta into place.
+	// Run, then checkpoint: one snapshot per shard — documents, extent size
+	// and index layout — in an epoch directory, committed by renaming
+	// checkpoint.meta into place.
 	ctx := context.Background()
 	tamer, err := datatamer.Open(ctx, datatamer.WithFragments(500), datatamer.WithSources(5), datatamer.WithSeed(3))
 	if err != nil {
@@ -50,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	after := recovered.EntityStats()
-	fmt.Printf("recovered  %d instances / %d entities (indexes rebuilt: %d)\n",
+	fmt.Printf("recovered  %d instances / %d entities (indexes from the snapshots: %d)\n",
 		recovered.InstanceStats().Count, after.Count, after.NIndexes)
 
 	top, err := recovered.TopDiscussed(ctx, 3)

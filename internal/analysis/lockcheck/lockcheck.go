@@ -46,7 +46,7 @@ var Allowlist = map[string]string{
 	// Replication and recovery paths that replay or stream the WAL while
 	// holding h.mu for the same reason: the events handed out (or applied)
 	// must be a prefix of the acknowledged history, never an interleaving.
-	"repro/internal/cluster.(*Node).handlePull":       "WAL replay under h.mu must see a consistent prefix",
+	"repro/internal/cluster.(*Node).handlePull":       "events or shard image handed out under h.mu must match h.gen",
 	"repro/internal/cluster.(*Node).handleInfo":       "seq/kind snapshot under h.mu pairs with the WAL state it describes",
 	"repro/internal/cluster.(*Node).EnableDurability": "recovery replay under h.mu precedes any concurrent write",
 	"repro/internal/cluster.(*Node).Checkpoint":       "checkpoint under h.mu captures a consistent store+seq pair",

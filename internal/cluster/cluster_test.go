@@ -51,11 +51,11 @@ func newClusterTamer(t *testing.T, cfg core.Config) *core.Tamer {
 	node := NewNode("loop")
 	hostAll(node, cfg.Shards)
 	instB, entB := loopbackBackends(cfg.Shards, node, nil)
-	instances, err := store.NewShardedBackends(NSInstances, "source_url", instB, nil)
+	instances, err := store.NewShardedBackends(NSInstances, "source_url", instB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entities, err := store.NewShardedBackends(NSEntities, "name", entB, nil)
+	entities, err := store.NewShardedBackends(NSEntities, "name", entB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestLoopbackConcurrentReads(t *testing.T) {
 	defer fol.Stop()
 
 	_, entB := loopbackBackends(shards, primary, follower)
-	entities, err := store.NewShardedBackends(NSEntities, "name", entB, nil)
+	entities, err := store.NewShardedBackends(NSEntities, "name", entB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,85 +489,22 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("owner lookup wrong")
 	}
 	bad := map[string]string{
-		"no nodes":        `{"shards": 1, "nodes": []}`,
-		"orphan shard":    `{"shards": 2, "nodes": [{"name": "a", "addr": "x", "shards": [0]}]}`,
-		"double owner":    `{"shards": 1, "nodes": [{"name": "a", "addr": "x", "shards": [0]}, {"name": "b", "addr": "y", "shards": [0]}]}`,
-		"range":           `{"shards": 1, "nodes": [{"name": "a", "addr": "x", "shards": [1]}]}`,
-		"dup name":        `{"shards": 2, "nodes": [{"name": "a", "addr": "x", "shards": [0]}, {"name": "a", "addr": "y", "shards": [1]}]}`,
-		"no addr":         `{"shards": 1, "nodes": [{"name": "a", "shards": [0]}]}`,
-		"negative vnodes": `{"shards": 1, "vnodes": -1, "nodes": [{"name": "a", "addr": "x", "shards": [0]}]}`,
+		"no nodes":     `{"shards": 1, "nodes": []}`,
+		"orphan shard": `{"shards": 2, "nodes": [{"name": "a", "addr": "x", "shards": [0]}]}`,
+		"double owner": `{"shards": 1, "nodes": [{"name": "a", "addr": "x", "shards": [0]}, {"name": "b", "addr": "y", "shards": [0]}]}`,
+		"range":        `{"shards": 1, "nodes": [{"name": "a", "addr": "x", "shards": [1]}]}`,
+		"dup name":     `{"shards": 2, "nodes": [{"name": "a", "addr": "x", "shards": [0]}, {"name": "a", "addr": "y", "shards": [1]}]}`,
+		"no addr":      `{"shards": 1, "nodes": [{"name": "a", "shards": [0]}]}`,
+		// cluster.json is membership only: any other key — ring routing,
+		// resilience tuning, a misspelt field — is refused, not ignored.
+		"vnodes":     `{"shards": 1, "vnodes": 16, "nodes": [{"name": "a", "addr": "x", "shards": [0]}]}`,
+		"resilience": `{"shards": 1, "resilience": {"disable": true}, "nodes": [{"name": "a", "addr": "x", "shards": [0]}]}`,
+		"node typo":  `{"shards": 1, "nodes": [{"name": "a", "adr": "x", "addr": "x", "shards": [0]}]}`,
 	}
 	for name, raw := range bad {
 		if _, err := ParseConfig([]byte(raw)); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
 		}
-	}
-}
-
-// TestRing checks determinism, coverage, and bounded movement of the
-// consistent-hash ring.
-func TestRing(t *testing.T) {
-	ring := NewRing(4, 64)
-	seen := make(map[int]int)
-	for i := 0; i < 4000; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		s := ring.Route(key)
-		if s2 := ring.Route(key); s2 != s {
-			t.Fatalf("nondeterministic route for %q: %d then %d", key, s, s2)
-		}
-		if s < 0 || s >= 4 {
-			t.Fatalf("route out of range: %d", s)
-		}
-		seen[s]++
-	}
-	for s := 0; s < 4; s++ {
-		if seen[s] == 0 {
-			t.Errorf("shard %d received no keys", s)
-		}
-	}
-	// Growing 4 -> 5 shards must move well under half the keys (mod-N
-	// would move ~80%).
-	bigger := NewRing(5, 64)
-	moved := 0
-	for i := 0; i < 4000; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		if ring.Route(key) != bigger.Route(key) {
-			moved++
-		}
-	}
-	if moved > 2000 {
-		t.Fatalf("adding a shard moved %d/4000 keys — not consistent hashing", moved)
-	}
-}
-
-// TestRingRoutedSharded checks vnodes>0 wires ring routing into the
-// coordinator router.
-func TestRingRoutedSharded(t *testing.T) {
-	const shards = 3
-	node := NewNode("r")
-	hostAll(node, shards)
-	entB := make([]store.ShardBackend, shards)
-	for i := 0; i < shards; i++ {
-		entB[i] = NewRemoteShard(NSEntities, i, Loopback{Node: node}, nil)
-	}
-	ring := NewRing(shards, 32)
-	entities, err := store.NewShardedBackends(NSEntities, "name", entB, ring.Route)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 60; i++ {
-		name := fmt.Sprintf("e-%d", i)
-		shard, _, err := entities.InsertCtx(ctx, store.NewDoc().Set("name", store.Str(name)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := ring.Route(name); shard != want {
-			t.Fatalf("doc %q routed to %d, ring says %d", name, shard, want)
-		}
-	}
-	if st, err := entities.StatsCtx(ctx); err != nil || st.Count != 60 {
-		t.Fatalf("count = %d, %v", st.Count, err)
 	}
 }
 

@@ -1,11 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"repro/dterr"
@@ -41,25 +40,16 @@ type NodeSpec struct {
 
 // Config is the static cluster membership, loaded from cluster.json. The
 // paper's deployment assumes a fixed machine pool per ingest round, so
-// membership is configuration, not consensus.
+// membership is configuration, not consensus — and membership is all the
+// file holds: documents are placed by FNV-1a mod-N, exactly where a
+// single-process deployment puts them, and every node transport runs the
+// default retry policy and circuit breaker.
 type Config struct {
 	// Shards is the total shard count across the cluster.
 	Shards int `json:"shards"`
-	// VNodes selects routing: 0 (default) keeps FNV-1a mod-N routing —
-	// placing every document exactly where a single-process deployment
-	// would — while any positive value routes through a consistent-hash
-	// ring with that many virtual nodes per shard, trading placement
-	// compatibility for bounded movement when the shard count changes.
-	VNodes int `json:"vnodes,omitempty"`
-	// ExtentSize overrides the collection extent size on nodes (bytes).
-	ExtentSize int64 `json:"extent_size,omitempty"`
 	// Nodes is the member list. Every shard index in [0,Shards) must be
 	// owned by exactly one node.
 	Nodes []NodeSpec `json:"nodes"`
-	// Resilience tunes the retry/breaker layer wrapped around every node
-	// transport. The zero value selects the defaults; Disable restores
-	// the raw single-attempt transport.
-	Resilience ResilienceSpec `json:"resilience,omitempty"`
 }
 
 // LoadConfig reads and validates a cluster.json file.
@@ -71,10 +61,14 @@ func LoadConfig(path string) (*Config, error) {
 	return ParseConfig(data)
 }
 
-// ParseConfig decodes and validates cluster.json bytes.
+// ParseConfig decodes and validates cluster.json bytes. A key the file
+// format does not have is refused, so a misspelt or retired setting fails
+// loudly instead of being ignored.
 func ParseConfig(data []byte) (*Config, error) {
 	var cfg Config
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return nil, dterr.Wrapf(dterr.CodeInvalidArgument, err, "cluster: config")
 	}
 	if err := cfg.Validate(); err != nil {
@@ -89,9 +83,6 @@ func ParseConfig(data []byte) (*Config, error) {
 func (c *Config) Validate() error {
 	if c.Shards < 1 {
 		return dterr.Newf(dterr.CodeInvalidArgument, "cluster: config: shards must be >= 1, got %d", c.Shards)
-	}
-	if c.VNodes < 0 {
-		return dterr.Newf(dterr.CodeInvalidArgument, "cluster: config: vnodes must be >= 0, got %d", c.VNodes)
 	}
 	if len(c.Nodes) == 0 {
 		return dterr.New(dterr.CodeInvalidArgument, "cluster: config: no nodes")
@@ -124,11 +115,6 @@ func (c *Config) Validate() error {
 			return dterr.Newf(dterr.CodeInvalidArgument, "cluster: config: shard %d has no owner", s)
 		}
 	}
-	r := c.Resilience
-	if r.RetryAttempts < 0 || r.RetryBackoffMS < 0 || r.RetryMaxBackoffMS < 0 ||
-		r.BreakerFailures < 0 || r.BreakerCooldownMS < 0 {
-		return dterr.New(dterr.CodeInvalidArgument, "cluster: config: resilience values must be >= 0")
-	}
 	return nil
 }
 
@@ -142,64 +128,6 @@ func (c *Config) Owner(idx int) *NodeSpec {
 		}
 	}
 	return nil
-}
-
-// ringPoint is one virtual node on the consistent-hash ring.
-type ringPoint struct {
-	hash  uint32
-	shard int
-}
-
-// Ring is a consistent-hash ring over shard indexes. Each shard owns
-// VNodes points placed by FNV-1a; a key routes to the first point at or
-// clockwise after its own hash. Compared to mod-N, adding a shard moves
-// only ~1/N of the keys — but placement no longer matches the
-// single-process router, so the ring is opt-in via the vnodes setting.
-type Ring struct {
-	points []ringPoint
-}
-
-// NewRing builds a ring of shards*vnodes points.
-func NewRing(shards, vnodes int) *Ring {
-	points := make([]ringPoint, 0, shards*vnodes)
-	for s := 0; s < shards; s++ {
-		for v := 0; v < vnodes; v++ {
-			points = append(points, ringPoint{
-				hash:  Hash32(fmt.Sprintf("shard-%d/vnode-%d", s, v)),
-				shard: s,
-			})
-		}
-	}
-	sort.Slice(points, func(i, j int) bool {
-		if points[i].hash != points[j].hash {
-			return points[i].hash < points[j].hash
-		}
-		return points[i].shard < points[j].shard
-	})
-	return &Ring{points: points}
-}
-
-// Route returns the shard owning key.
-func (r *Ring) Route(key string) int {
-	h := Hash32(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0 // wrap around the ring
-	}
-	return r.points[i].shard
-}
-
-// Hash32 is the FNV-1a hash used for ring placement — the same function
-// the in-process router uses for mod-N, so the two routing modes differ
-// only in how the hash is mapped to a shard.
-func Hash32(s string) uint32 {
-	const offset, prime = 2166136261, 16777619
-	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime
-	}
-	return h
 }
 
 // Cluster is a connected client view of the cluster: one sharded router
@@ -243,11 +171,7 @@ func Connect(cfg *Config, timeout time.Duration) (*Cluster, error) {
 		if t, ok := byAddr[addr]; ok {
 			return t
 		}
-		var t Transport = Dial(addr, timeout)
-		if !cfg.Resilience.Disable {
-			spec := cfg.Resilience
-			t = NewResilientTransport(nameOf[addr], t, spec.Policy(), spec.Breaker(nameOf[addr]), 0)
-		}
+		t := NewResilientTransport(nameOf[addr], Dial(addr, timeout), DefaultRetryPolicy(), NewBreaker(nameOf[addr], 0, 0), 0)
 		byAddr[addr] = t
 		cl.transports = append(cl.transports, t)
 		return t
@@ -262,17 +186,11 @@ func Connect(cfg *Config, timeout time.Duration) (*Cluster, error) {
 		instances[idx] = NewRemoteShard(NSInstances, idx, primary, follower)
 		entities[idx] = NewRemoteShard(NSEntities, idx, primary, follower)
 	}
-
-	var route func(string) int
-	if cfg.VNodes > 0 {
-		ring := NewRing(cfg.Shards, cfg.VNodes)
-		route = ring.Route
-	}
 	var err error
-	if cl.Instances, err = store.NewShardedBackends(NSInstances, instanceKeyPath, instances, route); err != nil {
+	if cl.Instances, err = store.NewShardedBackends(NSInstances, instanceKeyPath, instances); err != nil {
 		return nil, err
 	}
-	if cl.Entities, err = store.NewShardedBackends(NSEntities, entityKeyPath, entities, route); err != nil {
+	if cl.Entities, err = store.NewShardedBackends(NSEntities, entityKeyPath, entities); err != nil {
 		return nil, err
 	}
 	return cl, nil
@@ -326,16 +244,17 @@ func (c *Cluster) Close() error {
 	return first
 }
 
-// BuildNode constructs the hosting Node for spec under cfg: one
-// collection per (namespace, shard index) pair, keyed for the wire
-// protocol. readOnly builds a follower node (same shard set, mutated only
-// by replication).
-func BuildNode(cfg *Config, spec *NodeSpec, readOnly bool) *Node {
+// BuildNode constructs the hosting Node for spec, one member of a cluster
+// config (which holds nothing else a node needs): one collection per
+// (namespace, shard index) pair at the default extent size, keyed for the
+// wire protocol. readOnly builds a follower node (same shard set, mutated
+// only by replication).
+func BuildNode(_ *Config, spec *NodeSpec, readOnly bool) *Node {
 	n := NewNode(spec.Name)
 	n.readOnly = readOnly
 	for _, idx := range spec.Shards {
-		n.AddShard(ShardKey(NSInstances, idx), store.NewCollection(NSInstances, cfg.ExtentSize))
-		n.AddShard(ShardKey(NSEntities, idx), store.NewCollection(NSEntities, cfg.ExtentSize))
+		n.AddShard(ShardKey(NSInstances, idx), store.NewCollection(NSInstances, 0))
+		n.AddShard(ShardKey(NSEntities, idx), store.NewCollection(NSEntities, 0))
 	}
 	return n
 }

@@ -12,19 +12,16 @@ import (
 
 // Node-local durability: each hosted shard can be backed by a store.Log
 // directory — the same WAL + checkpoint-by-rename protocol the live
-// ingester uses — whose checkpoints hold the document snapshot and the
-// index manifest and whose WAL holds every replicated mutation since. WAL
-// sequence numbers ARE shard generations, so "the WAL replayed through seq
-// G" and "the shard is at generation G" are the same statement — the
-// replication feed, the read-your-writes fence, and on-disk recovery all
-// count the same counter, and the checkpoint fence is the generation the
-// checkpoint captured. Appends are flushed, not fsynced: state survives a
+// ingester uses — whose checkpoints hold the shard's snapshot (documents,
+// extent size and index layout in one image) and whose WAL holds every
+// replicated mutation since. WAL sequence numbers ARE shard generations, so
+// "the WAL replayed through seq G" and "the shard is at generation G" are
+// the same statement — the replication feed, the read-your-writes fence,
+// and on-disk recovery all count the same counter, and the checkpoint fence
+// is the generation the checkpoint captured. Appends are flushed, not fsynced: state survives a
 // process kill, matching the live WAL's default durability.
 
-const (
-	shardSnapName     = "shard.snap"
-	shardManifestName = "shard.manifest"
-)
+const shardSnapName = "shard.snap"
 
 // shardDirName maps a shard key ("dt.entity/2") to a directory name.
 func shardDirName(key string) string {
@@ -32,29 +29,21 @@ func shardDirName(key string) string {
 }
 
 // openShardLog recovers one shard from its directory under root:
-// checkpoint snapshot (when one committed) with its index manifest
-// applied, then the WAL tail replayed over it. Without a checkpoint,
-// fallback (the node's freshly built empty collection) receives the
-// replay. Returns the log, open for appends, with the recovered collection;
-// the recovered generation is the log's NextSeq()-1.
-func openShardLog(root, key string, fallback *store.Collection, extentSize int64) (*store.Log, *store.Collection, error) {
+// checkpoint snapshot (when one committed), then the WAL tail replayed
+// over it. Without a checkpoint, fallback (the node's freshly built empty
+// collection) receives the replay. Returns the log, open for appends, with
+// the recovered collection; the recovered generation is the log's
+// NextSeq()-1.
+func openShardLog(root, key string, fallback *store.Collection) (*store.Log, *store.Collection, error) {
 	coll := fallback
 	load := func(cpDir string) error {
 		f, err := os.Open(filepath.Join(cpDir, shardSnapName))
 		if err != nil {
 			return err
 		}
-		loaded, err := store.ReadSnapshot(f, extentSize)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		manifest, err := os.ReadFile(filepath.Join(cpDir, shardManifestName))
-		if err != nil {
-			return err
-		}
-		coll = loaded
-		return ApplyIndexManifest(coll, manifest)
+		defer f.Close()
+		coll, err = store.ReadSnapshot(f)
+		return err
 	}
 	apply := func(_ uint64, kind byte, payload []byte) error { return applyEvent(coll, kind, payload) }
 	write := func(cpDir string) error { return writeShardCheckpoint(coll, cpDir) }
@@ -66,7 +55,7 @@ func openShardLog(root, key string, fallback *store.Collection, extentSize int64
 }
 
 // writeShardCheckpoint fills one checkpoint directory of a shard log: the
-// document snapshot and the index manifest.
+// shard's snapshot.
 func writeShardCheckpoint(c *store.Collection, cpDir string) error {
 	f, err := os.Create(filepath.Join(cpDir, shardSnapName))
 	if err != nil {
@@ -79,7 +68,7 @@ func writeShardCheckpoint(c *store.Collection, cpDir string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: shard snapshot: %w", err)
 	}
-	return os.WriteFile(filepath.Join(cpDir, shardManifestName), EncodeIndexManifest(c), 0o644)
+	return nil
 }
 
 // applyEvent applies one replication event to a collection — the shared

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -97,7 +98,7 @@ func TestDurableCheckpointRecovery(t *testing.T) {
 	dir := t.TempDir()
 	node := NewNode("d1")
 	hostAll(node, 1)
-	if err := node.EnableDurability(dir, 0); err != nil {
+	if err := node.EnableDurability(dir); err != nil {
 		t.Fatal(err)
 	}
 	seedDurableNode(t, node)
@@ -110,7 +111,7 @@ func TestDurableCheckpointRecovery(t *testing.T) {
 
 	revived := NewNode("d2")
 	hostAll(revived, 1)
-	if err := revived.EnableDurability(dir, 0); err != nil {
+	if err := revived.EnableDurability(dir); err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer revived.Close()
@@ -125,7 +126,7 @@ func TestDurableWALRecovery(t *testing.T) {
 	dir := t.TempDir()
 	node := NewNode("k1")
 	hostAll(node, 1)
-	if err := node.EnableDurability(dir, 0); err != nil {
+	if err := node.EnableDurability(dir); err != nil {
 		t.Fatal(err)
 	}
 	seedDurableNode(t, node)
@@ -133,7 +134,7 @@ func TestDurableWALRecovery(t *testing.T) {
 
 	revived := NewNode("k2")
 	hostAll(revived, 1)
-	if err := revived.EnableDurability(dir, 0); err != nil {
+	if err := revived.EnableDurability(dir); err != nil {
 		t.Fatalf("recovery from WAL: %v", err)
 	}
 	defer revived.Close()
@@ -166,7 +167,7 @@ func TestCheckpointOp(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := node.EnableDurability(dir, 0); err != nil {
+	if err := node.EnableDurability(dir); err != nil {
 		t.Fatal(err)
 	}
 	defer node.Close()
@@ -177,10 +178,8 @@ func TestCheckpointOp(t *testing.T) {
 		t.Fatalf("checkpoint with -data-dir: %v", err)
 	}
 	sdir := filepath.Join(dir, shardDirName(ShardKey(NSEntities, 0)))
-	for _, name := range []string{shardSnapName, shardManifestName} {
-		if files, _ := filepath.Glob(filepath.Join(sdir, "*", name)); len(files) != 1 {
-			t.Errorf("checkpoint left %v for %s, want one committed copy", files, name)
-		}
+	if files, _ := filepath.Glob(filepath.Join(sdir, "*", "*")); len(files) != 1 || filepath.Base(files[0]) != shardSnapName {
+		t.Errorf("checkpoint left %v, want one committed %s", files, shardSnapName)
 	}
 	if rd := node.Readiness().Shards[ShardKey(NSEntities, 0)]; rd.WALLag != 0 || !rd.Durable {
 		t.Errorf("readiness after checkpoint = %+v, want durable with no WAL lag", rd)
@@ -192,11 +191,11 @@ func TestWarmProbe(t *testing.T) {
 	const shards = 2
 	buildCluster := func(node *Node) *Cluster {
 		instB, entB := loopbackBackends(shards, node, nil)
-		instances, err := store.NewShardedBackends(NSInstances, "source_url", instB, nil)
+		instances, err := store.NewShardedBackends(NSInstances, "source_url", instB)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entities, err := store.NewShardedBackends(NSEntities, "name", entB, nil)
+		entities, err := store.NewShardedBackends(NSEntities, "name", entB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,11 +238,12 @@ func TestWarmProbe(t *testing.T) {
 
 // TestFollowerResyncPreservesIndexes forces a snapshot resync (the
 // retained event window no longer reaches the follower) and checks the
-// rebuilt replica carries the primary's secondary and text indexes — the
-// manifest now ships inside the snapshot response.
+// rebuilt replica is its primary's shard: the same secondary and text
+// indexes and the same extent size, because the resync ships the shard's
+// image.
 func TestFollowerResyncPreservesIndexes(t *testing.T) {
 	primary := NewNode("p")
-	primary.AddShard(ShardKey(NSEntities, 0), store.NewCollection(NSEntities, 0))
+	primary.AddShard(ShardKey(NSEntities, 0), store.NewCollection(NSEntities, 64))
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, nil)
 	ctx := context.Background()
 	if err := shard.CreateIndex(ctx, "by_name", "name", store.BTreeIndex); err != nil {
@@ -277,15 +277,33 @@ func TestFollowerResyncPreservesIndexes(t *testing.T) {
 	if gen != pGen {
 		t.Fatalf("follower gen %d != primary gen %d", gen, pGen)
 	}
-	if got, want := fc.Stats().NIndexes, pc.Stats().NIndexes; got != want {
-		t.Fatalf("follower NIndexes = %d, primary = %d (resync dropped indexes)", got, want)
+	if got, want := fc.Stats(), pc.Stats(); got != want {
+		t.Fatalf("follower stats %+v, primary %+v (resync dropped indexes or extents)", got, want)
 	}
-	if got, want := len(fc.TextIndexes()), len(pc.TextIndexes()); got != want {
-		t.Fatalf("follower text indexes = %d, primary = %d", got, want)
+	if pc.Stats().NumExtents < 2 {
+		t.Fatalf("primary spans %d extents; the test needs several", pc.Stats().NumExtents)
+	}
+	if got, want := layout(fc), layout(pc); !slices.Equal(got, want) {
+		t.Fatalf("follower layout %q, primary %q", got, want)
 	}
 	if n := fc.Count(); n != 8 {
 		t.Fatalf("follower count after resync = %d, want 8", n)
 	}
+	if got, want := fc.ExplainFilter(store.Prefix("name", "e")), pc.ExplainFilter(store.Prefix("name", "e")); got != want {
+		t.Fatalf("follower plans %+v, primary %+v", got, want)
+	}
+}
+
+// layout renders a collection's index layout.
+func layout(c *store.Collection) []string {
+	var out []string
+	for _, ix := range c.Indexes() {
+		out = append(out, fmt.Sprintf("%s %s %s %d", ix.Name, ix.Path, ix.Kind, ix.Entries()))
+	}
+	for _, tx := range c.TextIndexes() {
+		out = append(out, "text "+tx.Path)
+	}
+	return out
 }
 
 // trackingListener records accepted connections so a test can kill a node

@@ -208,7 +208,7 @@ func modelTargets(t *testing.T) []*modelTarget {
 			node.AddShard(ShardKey(NSEntities, i), store.NewCollection(NSEntities, 0))
 			backends[i] = NewRemoteShard(NSEntities, i, Loopback{Node: node}, nil)
 		}
-		s, err := store.NewShardedBackends(NSEntities, "name", backends, nil)
+		s, err := store.NewShardedBackends(NSEntities, "name", backends)
 		if err != nil {
 			t.Fatal(err)
 		}

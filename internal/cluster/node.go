@@ -330,20 +330,15 @@ func (n *Node) handlePull(req *Request, h *hostedShard) *Response {
 		oldest = h.events[0].seq
 	}
 	if afterSeq+1 < oldest {
-		// The follower is behind the retained window: full resync. The
-		// index manifest ships with the documents so the rebuilt replica
-		// serves reads through the same access paths as its primary.
-		var ids []int64
-		var docs []*store.Doc
-		h.coll.Scan(func(id int64, d *store.Doc) bool {
-			ids = append(ids, id)
-			docs = append(docs, d)
-			return true
-		})
+		// The follower is behind the retained window: full resync with the
+		// shard's image, which carries its extent size and index layout, so
+		// the rebuilt replica serves reads through the same access paths as
+		// its primary.
 		var buf bytes.Buffer
 		buf.WriteByte(PullSnapshot)
-		store.PutBytes(&buf, EncodeIndexManifest(h.coll))
-		buf.Write(EncodeSnapshot(ids, docs))
+		if err := h.coll.WriteSnapshot(&buf); err != nil {
+			return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+		}
 		resp.Body = buf.Bytes()
 		return resp
 	}
@@ -368,12 +363,12 @@ func (n *Node) handlePull(req *Request, h *hostedShard) *Response {
 	return resp
 }
 
-// handleInfo serves the warm-probe: generation, document count, and
-// index manifest, with no read fence applied.
+// handleInfo serves the warm-probe: generation and document count, with no
+// read fence applied.
 func (n *Node) handleInfo(req *Request, h *hostedShard) *Response {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	info := ShardInfo{Gen: h.gen, Count: h.coll.Count(), Manifest: EncodeIndexManifest(h.coll)}
+	info := ShardInfo{Gen: h.gen, Count: h.coll.Count()}
 	return &Response{ID: req.ID, Gen: h.gen, Body: EncodeShardInfo(info)}
 }
 
@@ -400,14 +395,14 @@ func (n *Node) handleCheckpoint(req *Request, h *hostedShard) *Response {
 // recovered state is re-checkpointed (unless the restart was clean) so the
 // WAL restarts compact, and every subsequent mutation is appended to the
 // shard WAL before its response is sent. Call after AddShard/BuildNode and
-// before serving. extentSize sizes recovered collections (same value
-// BuildNode used).
-func (n *Node) EnableDurability(root string, extentSize int64) error {
+// before serving. A recovered shard takes its extent size and indexes from
+// its checkpoint image.
+func (n *Node) EnableDurability(root string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for key, h := range n.shards {
 		h.mu.Lock()
-		lg, coll, err := openShardLog(root, key, h.coll, extentSize)
+		lg, coll, err := openShardLog(root, key, h.coll)
 		if err == nil {
 			h.coll, h.gen, h.dur = coll, lg.NextSeq()-1, lg
 		}
@@ -419,9 +414,9 @@ func (n *Node) EnableDurability(root string, extentSize int64) error {
 	return nil
 }
 
-// Checkpoint persists every hosted shard (snapshot + manifest, WAL
-// truncated) — the shutdown path of a durable dtnode. Unavailable when
-// the node runs without a data directory.
+// Checkpoint persists every hosted shard (its snapshot, WAL truncated) —
+// the shutdown path of a durable dtnode. Unavailable when the node runs
+// without a data directory.
 func (n *Node) Checkpoint() error {
 	n.mu.RLock()
 	shards := make(map[string]*hostedShard, len(n.shards))
@@ -724,25 +719,12 @@ func (f *Follower) pullShard(key string) error {
 	}
 	switch resp.Body[0] {
 	case PullSnapshot:
-		// The primary ships its index manifest ahead of the documents, so
-		// the rebuilt collection re-creates every secondary and text index
-		// instead of silently serving unindexed reads until the next
-		// index-create event.
-		rd := bytes.NewReader(resp.Body[1:])
-		manifest, err := store.GetBytes(rd)
+		// The image carries the primary's extent size and index layout, so
+		// the rebuilt collection serves reads through every secondary and
+		// text index its primary has.
+		fresh, err := store.ReadSnapshot(bytes.NewReader(resp.Body[1:]))
 		if err != nil {
 			return dterr.Wrap(dterr.CodeInternal, err)
-		}
-		ids, docs, err := DecodeSnapshot(resp.Body[len(resp.Body)-rd.Len():])
-		if err != nil {
-			return dterr.Wrap(dterr.CodeInternal, err)
-		}
-		fresh := store.NewCollection(nsOf(key), 0)
-		if err := ApplyIndexManifest(fresh, manifest); err != nil {
-			return dterr.Wrap(dterr.CodeInternal, err)
-		}
-		for i, id := range ids {
-			fresh.ApplyReplay(id, docs[i])
 		}
 		h.mu.Lock()
 		h.coll = fresh
@@ -784,15 +766,4 @@ func (f *Follower) pullShard(key string) error {
 	default:
 		return dterr.Newf(dterr.CodeInternal, "cluster: unknown pull flag %d", resp.Body[0])
 	}
-}
-
-// nsOf extracts the namespace from a shard key ("dt.entity/2" →
-// "dt.entity").
-func nsOf(key string) string {
-	for i := len(key) - 1; i >= 0; i-- {
-		if key[i] == '/' {
-			return key[:i]
-		}
-	}
-	return key
 }

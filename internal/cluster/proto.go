@@ -28,7 +28,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/dterr"
@@ -54,12 +53,12 @@ const (
 	OpCreateTextIndex
 	OpPull
 	// OpInfo probes a shard without the read fence: the response carries
-	// the shard's generation, document count, and index manifest, letting a
-	// coordinator decide whether nodes are warm (recovered from their local
+	// the shard's generation and document count, letting a coordinator
+	// decide whether nodes are warm (recovered from their local
 	// WAL/checkpoint) before re-running batch ingest.
 	OpInfo
 	// OpCheckpoint asks the hosting node to persist the shard to its local
-	// data directory (snapshot + manifest, WAL truncated). Unavailable on
+	// data directory (the shard's snapshot, WAL truncated). Unavailable on
 	// nodes running without -data-dir.
 	OpCheckpoint
 )
@@ -94,10 +93,10 @@ const (
 // Pull response flags: the first body byte of an OpPull response says
 // whether the rest is an incremental event log or a full shard snapshot
 // (the resync path when the primary has trimmed past the follower's
-// position). A snapshot body is the flag, then the primary's index
-// manifest (length-prefixed, EncodeIndexManifest format), then the
-// EncodeSnapshot document pairs — the follower rebuilds indexes before
-// replaying documents into them.
+// position). A snapshot body is the flag, then the primary collection's
+// image as Collection.WriteSnapshot writes it — the same image a
+// checkpoint holds, carrying the extent size and index layout — which the
+// follower loads with store.ReadSnapshot.
 const (
 	PullEvents   byte = 0
 	PullSnapshot byte = 1
@@ -626,53 +625,6 @@ func DecodeIDs(data []byte) ([]int64, error) {
 	return ids, nil
 }
 
-// EncodeSnapshot packs (id, doc) pairs — the document part of the
-// full-resync pull payload.
-func EncodeSnapshot(ids []int64, docs []*store.Doc) []byte {
-	var buf, one bytes.Buffer
-	store.PutUvarint(&buf, uint64(len(ids)))
-	for i, id := range ids {
-		var idb [8]byte
-		binary.LittleEndian.PutUint64(idb[:], uint64(id))
-		buf.Write(idb[:])
-		one.Reset()
-		store.PutDoc(&one, docs[i])
-		store.PutBytes(&buf, one.Bytes())
-	}
-	return buf.Bytes()
-}
-
-// DecodeSnapshot unpacks EncodeSnapshot.
-func DecodeSnapshot(data []byte) ([]int64, []*store.Doc, error) {
-	rd := bytes.NewReader(data)
-	n, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: snapshot count")
-	}
-	if n > uint64(rd.Len()) {
-		return nil, nil, dterr.Newf(dterr.CodeInternal, "cluster: snapshot count %d exceeds remaining bytes", n)
-	}
-	ids := make([]int64, 0, n)
-	docs := make([]*store.Doc, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var idb [8]byte
-		if _, err := io.ReadFull(rd, idb[:]); err != nil {
-			return nil, nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: snapshot id %d", i)
-		}
-		raw, err := store.GetBytes(rd)
-		if err != nil {
-			return nil, nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: snapshot doc %d", i)
-		}
-		d, err := store.DecodeDoc(raw)
-		if err != nil {
-			return nil, nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: snapshot doc %d", i)
-		}
-		ids = append(ids, int64(binary.LittleEndian.Uint64(idb[:])))
-		docs = append(docs, d)
-	}
-	return ids, docs, nil
-}
-
 // EncodeStats packs shard stats as a document through the store codec.
 func EncodeStats(st store.Stats) []byte {
 	d := store.NewDoc().
@@ -735,68 +687,12 @@ func DecodeCreateIndex(data []byte) (name, path string, kind store.IndexKind, er
 	return name, path, store.IndexKind(k), nil
 }
 
-// EncodeIndexManifest packs a collection's index layout — secondary
-// indexes as create-index payloads, then text index paths. It travels in
-// snapshot resync responses (so an out-of-window follower rebuilds its
-// access paths, not just its documents), in OpInfo probe responses, and
-// in the node-local checkpoint manifest on disk.
-func EncodeIndexManifest(c *store.Collection) []byte {
-	var buf bytes.Buffer
-	ixs := c.Indexes()
-	store.PutUvarint(&buf, uint64(len(ixs)))
-	for _, ix := range ixs {
-		store.PutBytes(&buf, EncodeCreateIndex(ix.Name, ix.Path, ix.Kind))
-	}
-	txs := c.TextIndexes()
-	store.PutUvarint(&buf, uint64(len(txs)))
-	for _, tx := range txs {
-		store.PutString(&buf, tx.Path)
-	}
-	return buf.Bytes()
-}
-
-// ApplyIndexManifest re-creates every index named in a manifest on c,
-// backfilling from the documents already present. Idempotent: existing
-// indexes are left alone.
-func ApplyIndexManifest(c *store.Collection, data []byte) error {
-	rd := bytes.NewReader(data)
-	n, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return dterr.Wrapf(dterr.CodeInternal, err, "cluster: manifest index count")
-	}
-	for i := uint64(0); i < n; i++ {
-		raw, err := store.GetBytes(rd)
-		if err != nil {
-			return dterr.Wrapf(dterr.CodeInternal, err, "cluster: manifest index %d", i)
-		}
-		name, path, kind, err := DecodeCreateIndex(raw)
-		if err != nil {
-			return dterr.Wrapf(dterr.CodeInternal, err, "cluster: manifest index %d", i)
-		}
-		c.EnsureIndex(name, path, kind)
-	}
-	m, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return dterr.Wrapf(dterr.CodeInternal, err, "cluster: manifest text index count")
-	}
-	for i := uint64(0); i < m; i++ {
-		p, err := store.GetString(rd)
-		if err != nil {
-			return dterr.Wrapf(dterr.CodeInternal, err, "cluster: manifest text index %d", i)
-		}
-		c.EnsureTextIndex(p)
-	}
-	return nil
-}
-
 // ShardInfo is the decoded OpInfo response body.
 type ShardInfo struct {
 	// Gen is the shard's mutation generation (also in Response.Gen).
 	Gen uint64
 	// Count is the live document count.
 	Count int64
-	// Manifest is the shard's index layout (EncodeIndexManifest format).
-	Manifest []byte
 }
 
 // EncodeShardInfo packs an OpInfo response body.
@@ -804,7 +700,6 @@ func EncodeShardInfo(info ShardInfo) []byte {
 	var buf bytes.Buffer
 	store.PutUvarint(&buf, info.Gen)
 	store.PutUvarint(&buf, uint64(info.Count))
-	store.PutBytes(&buf, info.Manifest)
 	return buf.Bytes()
 }
 
@@ -819,9 +714,5 @@ func DecodeShardInfo(data []byte) (ShardInfo, error) {
 	if err != nil {
 		return ShardInfo{}, dterr.Wrapf(dterr.CodeInternal, err, "cluster: info count")
 	}
-	man, err := store.GetBytes(rd)
-	if err != nil {
-		return ShardInfo{}, dterr.Wrapf(dterr.CodeInternal, err, "cluster: info manifest")
-	}
-	return ShardInfo{Gen: gen, Count: int64(count), Manifest: man}, nil
+	return ShardInfo{Gen: gen, Count: int64(count)}, nil
 }

@@ -156,22 +156,6 @@ func TestIDDocRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	ids := []int64{1, 5, 9}
-	docs := []*store.Doc{
-		store.NewDoc().Set("a", store.Num(1)),
-		store.NewDoc().Set("b", store.Str("x")),
-		store.NewDoc().Set("c", store.Scalar(record.Bool(true))),
-	}
-	gotIDs, gotDocs, err := DecodeSnapshot(EncodeSnapshot(ids, docs))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(gotIDs, ids) || len(gotDocs) != len(docs) {
-		t.Fatalf("round trip mismatch: %v %d docs", gotIDs, len(gotDocs))
-	}
-}
-
 func TestStatsRoundTrip(t *testing.T) {
 	in := store.Stats{NS: "dt.entity", Count: 1200, NumExtents: 3, NIndexes: 8,
 		LastExtentSize: 1 << 20, TotalIndexSize: 4096, DataSize: 99999, AvgObjSize: 83}

@@ -18,7 +18,7 @@ import (
 func TestReadiness(t *testing.T) {
 	node := NewNode("rd")
 	hostAll(node, 1)
-	if err := node.EnableDurability(t.TempDir(), 0); err != nil {
+	if err := node.EnableDurability(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	defer node.Close()

@@ -240,38 +240,6 @@ func (b *Breaker) StateName() string {
 	}
 }
 
-// ResilienceSpec configures the resilience layer from cluster.json. The
-// zero value selects every default; Disable turns the wrapper off and
-// restores the raw transport behavior (one attempt, no breaker).
-type ResilienceSpec struct {
-	Disable           bool `json:"disable,omitempty"`
-	RetryAttempts     int  `json:"retry_attempts,omitempty"`
-	RetryBackoffMS    int  `json:"retry_backoff_ms,omitempty"`
-	RetryMaxBackoffMS int  `json:"retry_max_backoff_ms,omitempty"`
-	BreakerFailures   int  `json:"breaker_failures,omitempty"`
-	BreakerCooldownMS int  `json:"breaker_cooldown_ms,omitempty"`
-}
-
-// Policy derives the retry policy, defaulting unset fields.
-func (s ResilienceSpec) Policy() RetryPolicy {
-	p := DefaultRetryPolicy()
-	if s.RetryAttempts > 0 {
-		p.MaxAttempts = s.RetryAttempts
-	}
-	if s.RetryBackoffMS > 0 {
-		p.BaseBackoff = time.Duration(s.RetryBackoffMS) * time.Millisecond
-	}
-	if s.RetryMaxBackoffMS > 0 {
-		p.MaxBackoff = time.Duration(s.RetryMaxBackoffMS) * time.Millisecond
-	}
-	return p
-}
-
-// Breaker builds the per-node breaker the spec describes.
-func (s ResilienceSpec) Breaker(node string) *Breaker {
-	return NewBreaker(node, s.BreakerFailures, time.Duration(s.BreakerCooldownMS)*time.Millisecond)
-}
-
 // ResilientTransport wraps an inner Transport with the retry policy and
 // a per-node circuit breaker. Reads (IdempotentOp) are retried with
 // jittered exponential backoff inside the caller's deadline; writes get

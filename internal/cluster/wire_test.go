@@ -72,7 +72,7 @@ func TestPagedFindMovesThePageOverTheWire(t *testing.T) {
 		node.AddShard(ShardKey(NSEntities, i), coll)
 		backends[i] = NewRemoteShard(NSEntities, i, tr, nil)
 	}
-	entities, err := store.NewShardedBackends(NSEntities, "name", backends, nil)
+	entities, err := store.NewShardedBackends(NSEntities, "name", backends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestWireCarriesBatchesAndFields(t *testing.T) {
 		node.AddShard(ShardKey(NSInstances, i), coll)
 		backends[i] = NewRemoteShard(NSInstances, i, tr, nil)
 	}
-	instances, err := store.NewShardedBackends(NSInstances, "source_url", backends, nil)
+	instances, err := store.NewShardedBackends(NSInstances, "source_url", backends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestTopDiscussedMovesKeysNotMatches(t *testing.T) {
 		tr.Transport.(Loopback).Node.AddShard(ShardKey(NSEntities, i), coll)
 		backends[i] = NewRemoteShard(NSEntities, i, tr, nil)
 	}
-	entities, err := store.NewShardedBackends(NSEntities, "name", backends, nil)
+	entities, err := store.NewShardedBackends(NSEntities, "name", backends)
 	if err != nil {
 		t.Fatal(err)
 	}

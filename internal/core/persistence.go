@@ -83,23 +83,23 @@ func (t *Tamer) LoadStores(ctx context.Context, dir string) error {
 }
 
 // RestoreStores reads the snapshots SnapshotStores wrote into cpDir into
-// fresh namespaces, rebuilding the standard index sets under ctx. The
-// shard count and extent size come from the receiver's configuration and
-// must match the saved layout's shard count. In cluster mode (remote
-// shards) there is nothing to load coordinator-side: the nodes recovered
-// their own state from their local WAL/checkpoints, so RestoreStores keeps
-// the cluster routing intact. Either way the data generation moves, so no
-// response cached before the restore is served after it.
+// fresh namespaces under ctx. Each snapshot brings its shard's extent size
+// and index layout; the receiver's shard count must match the saved one. In
+// cluster mode (remote shards) there is nothing to load coordinator-side:
+// the nodes recovered their own state from their local WAL/checkpoints, so
+// RestoreStores keeps the cluster routing intact. Either way the data
+// generation moves, so no response cached before the restore is served
+// after it.
 func (t *Tamer) RestoreStores(ctx context.Context, cpDir string) error {
 	if t.Instances.NumShards() > 0 && t.Instances.Shard(0) == nil {
 		t.dataGen.Add(1)
 		return nil
 	}
-	inst, err := loadSharded(cpDir, "instance", "dt.instance", "source_url", t.cfg)
+	inst, err := loadSharded(ctx, cpDir, "instance", "dt.instance", "source_url", t.cfg.Shards)
 	if err != nil {
 		return err
 	}
-	ent, err := loadSharded(cpDir, "entity", "dt.entity", "name", t.cfg)
+	ent, err := loadSharded(ctx, cpDir, "entity", "dt.entity", "name", t.cfg.Shards)
 	if err != nil {
 		return err
 	}
@@ -109,25 +109,28 @@ func (t *Tamer) RestoreStores(ctx context.Context, cpDir string) error {
 	t.Query.Entities = ent
 	// Both stores changed wholesale; reads from here on see the new ones.
 	t.dataGen.Add(1)
-	return t.indexStores(ctx)
+	return nil
 }
 
-func loadSharded(dir, prefix, ns, key string, cfg Config) (*store.Sharded, error) {
-	s := store.NewSharded(ns, key, cfg.Shards, cfg.ExtentSize)
-	for i := 0; i < s.NumShards(); i++ {
+// loadSharded reads one namespace's shard snapshots, stopping between shard
+// files once ctx is done.
+func loadSharded(ctx context.Context, dir, prefix, ns, key string, shards int) (*store.Sharded, error) {
+	backends := make([]store.ShardBackend, shards)
+	for i := range backends {
+		if err := ctx.Err(); err != nil {
+			return nil, dterr.FromContext(err)
+		}
 		path := filepath.Join(dir, fmt.Sprintf("%s-%d.snap", prefix, i))
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("core: opening %s: %w", path, err)
 		}
-		loaded, err := store.ReadSnapshot(f, cfg.ExtentSize)
+		loaded, err := store.ReadSnapshot(f)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("core: reading %s: %w", path, err)
 		}
-		if err := s.ReplaceShard(i, loaded); err != nil {
-			return nil, err
-		}
+		backends[i] = store.LocalShard{Coll: loaded}
 	}
-	return s, nil
+	return store.NewShardedBackends(ns, key, backends)
 }

@@ -103,7 +103,7 @@ func (b *checkpointBackend) Checkpoint(ctx context.Context) error {
 func TestSaveStoresCtxReachesRemoteShards(t *testing.T) {
 	tm := New(Config{Fragments: 10, FTSources: 1, Seed: 1})
 	be := &checkpointBackend{LocalShard: store.LocalShard{Coll: store.NewCollection("dt.instance", 0)}}
-	sharded, err := store.NewShardedBackends("dt.instance", "source_url", []store.ShardBackend{be}, nil)
+	sharded, err := store.NewShardedBackends("dt.instance", "source_url", []store.ShardBackend{be})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,11 +72,11 @@ func newChaosCluster(t *testing.T, seed int64) *chaosCluster {
 		instB = append(instB, cluster.NewRemoteShard(cluster.NSInstances, idx, trFor(idx), nil))
 		entB = append(entB, cluster.NewRemoteShard(cluster.NSEntities, idx, trFor(idx), nil))
 	}
-	instances, err := store.NewShardedBackends(cluster.NSInstances, "source_url", instB, nil)
+	instances, err := store.NewShardedBackends(cluster.NSInstances, "source_url", instB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entities, err := store.NewShardedBackends(cluster.NSEntities, "name", entB, nil)
+	entities, err := store.NewShardedBackends(cluster.NSEntities, "name", entB)
 	if err != nil {
 		t.Fatal(err)
 	}

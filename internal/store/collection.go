@@ -11,12 +11,6 @@ import (
 // stats() keeps the same shape.
 const DefaultExtentSize int64 = 2 << 30
 
-// extent tracks one allocation unit of collection storage.
-type extent struct {
-	capacity int64
-	used     int64
-}
-
 // Collection is a single namespace of documents with secondary indexes and
 // extent-based storage accounting. It is safe for concurrent use.
 type Collection struct {
@@ -29,11 +23,14 @@ type Collection struct {
 	// order holds ids in insertion order for full scans. Deletes tombstone
 	// the slot (id 0) instead of splicing, so Delete is O(1); pos maps each
 	// live id to its slot and dead counts tombstones until compaction.
-	order   []int64
-	pos     map[int64]int
-	dead    int
-	nextID  int64
-	extents []extent
+	order  []int64
+	pos    map[int64]int
+	dead   int
+	nextID int64
+	// allocated is the storage taken from extents. Extents fill one after
+	// another and space is never handed back, so it alone says how many
+	// extents there are and how full the last one is.
+	allocated int64
 	// dataSize is the sum of SizeBytes over the stored documents, kept in
 	// step by every mutation so Stats need not visit them. Documents must
 	// not be modified once stored.
@@ -62,6 +59,7 @@ func newCollection(ns string, extentSize int64) *Collection {
 		docs:       make(map[int64]*Doc),
 		pos:        make(map[int64]int),
 		indexes:    make(map[string]*Index),
+		text:       make(map[string]*TextIndex),
 		nextID:     1,
 	}
 }
@@ -129,6 +127,13 @@ func (c *Collection) InsertMany(docs []*Doc) []int64 {
 func (c *Collection) insertLocked(doc *Doc) int64 {
 	id := c.nextID
 	c.nextID++
+	c.addLocked(id, doc)
+	return id
+}
+
+// addLocked stores doc under id, which holds no document, and indexes it.
+// Must hold c.mu.
+func (c *Collection) addLocked(id int64, doc *Doc) {
 	c.docs[id] = doc
 	c.appendOrderLocked(id)
 	c.charge(doc.SizeBytes())
@@ -138,7 +143,25 @@ func (c *Collection) insertLocked(doc *Doc) int64 {
 	for _, tx := range c.text {
 		tx.insert(id, doc)
 	}
-	return id
+}
+
+// replaceLocked stores doc under id in place of old, reindexing it. Must
+// hold c.mu.
+func (c *Collection) replaceLocked(id int64, old, doc *Doc) {
+	for _, ix := range c.indexes {
+		ix.remove(id, old)
+	}
+	for _, tx := range c.text {
+		tx.remove(id, old)
+	}
+	c.docs[id] = doc
+	c.charge(doc.SizeBytes() - old.SizeBytes())
+	for _, ix := range c.indexes {
+		ix.insert(id, doc)
+	}
+	for _, tx := range c.text {
+		tx.insert(id, doc)
+	}
 }
 
 // charge records that the stored documents grew (or shrank) by n bytes.
@@ -147,17 +170,8 @@ func (c *Collection) insertLocked(doc *Doc) int64 {
 // engines. Must hold c.mu.
 func (c *Collection) charge(n int64) {
 	c.dataSize += n
-	for n > 0 {
-		if len(c.extents) == 0 || c.extents[len(c.extents)-1].used >= c.extents[len(c.extents)-1].capacity {
-			c.extents = append(c.extents, extent{capacity: c.extentSize})
-		}
-		cur := &c.extents[len(c.extents)-1]
-		take := cur.capacity - cur.used
-		if take > n {
-			take = n
-		}
-		cur.used += take
-		n -= take
+	if n > 0 {
+		c.allocated += n
 	}
 }
 
@@ -175,24 +189,10 @@ func (c *Collection) Update(id int64, doc *Doc) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	old, ok := c.docs[id]
-	if !ok {
-		return false
+	if ok {
+		c.replaceLocked(id, old, doc)
 	}
-	for _, ix := range c.indexes {
-		ix.remove(id, old)
-	}
-	for _, tx := range c.text {
-		tx.remove(id, old)
-	}
-	c.docs[id] = doc
-	c.charge(doc.SizeBytes() - old.SizeBytes())
-	for _, ix := range c.indexes {
-		ix.insert(id, doc)
-	}
-	for _, tx := range c.text {
-		tx.insert(id, doc)
-	}
-	return true
+	return ok
 }
 
 // Delete removes the document with the given id, reporting whether it
@@ -241,9 +241,6 @@ func (c *Collection) EnsureIndex(name, path string, kind IndexKind) *Index {
 func (c *Collection) EnsureTextIndex(path string) *TextIndex {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.text == nil {
-		c.text = make(map[string]*TextIndex)
-	}
 	if tx, ok := c.text[path]; ok {
 		return tx
 	}
@@ -323,9 +320,11 @@ func (c *Collection) Stats() Stats {
 	for _, ix := range c.indexes {
 		indexSize += ix.SizeBytes()
 	}
-	var last int64
-	if len(c.extents) > 0 {
-		last = c.extents[len(c.extents)-1].used
+	extents, last := c.allocated/c.extentSize, c.allocated%c.extentSize
+	if last > 0 {
+		extents++
+	} else if extents > 0 {
+		last = c.extentSize // the last extent is exactly full
 	}
 	avg := int64(0)
 	if len(c.docs) > 0 {
@@ -334,7 +333,7 @@ func (c *Collection) Stats() Stats {
 	return Stats{
 		NS:             c.ns,
 		Count:          int64(len(c.docs)),
-		NumExtents:     len(c.extents),
+		NumExtents:     int(extents),
 		NIndexes:       len(c.indexes),
 		LastExtentSize: last,
 		TotalIndexSize: indexSize,

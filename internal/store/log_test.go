@@ -390,11 +390,10 @@ func TestLogCollectionOwner(t *testing.T) {
 				return err
 			}
 			defer f.Close()
-			c, err = ReadSnapshot(f, 0)
+			c, err = ReadSnapshot(f)
 			return err
 		}
 		apply := func(seq uint64, kind byte, payload []byte) error {
-			c.EnsureIndex("name_1", "name", HashIndex) // idempotent; snapshots carry no indexes
 			d, err := DecodeDoc(payload)
 			if err != nil {
 				return err

@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
+	"math"
+	"slices"
 )
 
 // Persistence formats: a collection is checkpointed to a snapshot stream,
@@ -16,14 +20,27 @@ import (
 // good frame.
 
 const (
-	snapshotMagic = "DTSNAP1\n"
+	snapshotMagic = "DTSNAP2\n"
 	eventMagic    = "DTEVTL1\n"
 )
 
-// WriteSnapshot serializes the collection: header, namespace, document
-// count, then (id, doc) frames, each CRC-protected. Every entry — id, frame
-// header, document, CRC — is assembled in one reused buffer, so a checkpoint
-// allocates the same few buffers whatever the collection holds.
+// A snapshot is the one image of a collection: what a checkpoint writes,
+// what a restore and a dtnode recovery read, and what a primary ships to a
+// follower that fell out of its replication window.
+//
+//	magic   "DTSNAP2\n"
+//	header  one frame: namespace, extent size, bytes taken from extents,
+//	        next id, document count, then the index layout — each secondary
+//	        index's name, path and kind, then each text index's path
+//	docs    one frame per document, in insertion order: its 8-byte id, then
+//	        its encoding
+//
+// Indexes travel as layout, not contents: the reader rebuilds them over the
+// documents it loads.
+
+// WriteSnapshot serializes the collection. Every frame — header, then each
+// document — is assembled in one reused buffer, so a checkpoint allocates
+// the same few buffers whatever the collection holds.
 func (c *Collection) WriteSnapshot(w io.Writer) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -31,36 +48,59 @@ func (c *Collection) WriteSnapshot(w io.Writer) error {
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
 	}
-	if err := writeFrame(bw, []byte(c.ns)); err != nil {
+	var frame bytes.Buffer
+	var reserved [4 + 8]byte // a frame's length, filled in by sealFrame, and a document's id
+	frame.Write(reserved[:4])
+	c.putHeaderLocked(&frame)
+	sealFrame(&frame, 0)
+	if _, err := bw.Write(frame.Bytes()); err != nil {
 		return err
 	}
-	var count [8]byte
-	binary.LittleEndian.PutUint64(count[:], uint64(len(c.docs)))
-	if _, err := bw.Write(count[:]); err != nil {
-		return err
-	}
-	var entry bytes.Buffer
 	for _, id := range c.order {
 		if id == 0 { // tombstoned slot
 			continue
 		}
-		entry.Reset()
-		var idLen [8 + 4]byte // the frame's length is filled in by sealFrame
-		binary.LittleEndian.PutUint64(idLen[:8], uint64(id))
-		entry.Write(idLen[:])
-		PutDoc(&entry, c.docs[id])
-		sealFrame(&entry, 8)
-		if _, err := bw.Write(entry.Bytes()); err != nil {
+		frame.Reset()
+		binary.LittleEndian.PutUint64(reserved[4:], uint64(id))
+		frame.Write(reserved[:])
+		PutDoc(&frame, c.docs[id])
+		sealFrame(&frame, 0)
+		if _, err := bw.Write(frame.Bytes()); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadSnapshot loads a snapshot into a fresh collection with the given
-// extent size. Indexes are not part of the snapshot; re-create them with
-// EnsureIndex after loading.
-func ReadSnapshot(r io.Reader, extentSize int64) (*Collection, error) {
+// putHeaderLocked appends the snapshot header's payload. Must hold c.mu.
+func (c *Collection) putHeaderLocked(buf *bytes.Buffer) {
+	PutString(buf, c.ns)
+	PutUvarint(buf, uint64(c.extentSize))
+	PutUvarint(buf, uint64(c.allocated))
+	PutUvarint(buf, uint64(c.nextID))
+	PutUvarint(buf, uint64(len(c.docs)))
+	names := slices.Sorted(maps.Keys(c.indexes))
+	PutUvarint(buf, uint64(len(names)))
+	for _, name := range names {
+		ix := c.indexes[name]
+		PutString(buf, ix.Name)
+		PutString(buf, ix.Path)
+		PutUvarint(buf, uint64(ix.Kind))
+	}
+	paths := slices.Sorted(maps.Keys(c.text))
+	PutUvarint(buf, uint64(len(paths)))
+	for _, path := range paths {
+		PutString(buf, path)
+	}
+}
+
+// ReadSnapshot loads a snapshot into a fresh collection with the extent
+// size, extent usage, id space and indexes of the one that wrote it. It
+// reads bytes from disk and from the network alike, so it trusts no length
+// or count before the bytes behind it have arrived, and it refuses a
+// malformed layout, an unknown index kind, a document id outside the
+// header's id space or held twice, and anything after the last document.
+func ReadSnapshot(r io.Reader) (*Collection, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -69,79 +109,113 @@ func ReadSnapshot(r io.Reader, extentSize int64) (*Collection, error) {
 	if string(magic) != snapshotMagic {
 		return nil, fmt.Errorf("store: bad snapshot magic %q", magic)
 	}
-	nsBytes, err := readFrame(br)
+	hdr, err := readFrame(br)
 	if err != nil {
-		return nil, fmt.Errorf("store: reading namespace: %w", err)
+		return nil, fmt.Errorf("store: reading snapshot header: %w", err)
 	}
-	c := newCollection(string(nsBytes), extentSize)
-	var count [8]byte
-	if _, err := io.ReadFull(br, count[:]); err != nil {
-		return nil, fmt.Errorf("store: reading count: %w", err)
+	c, allocated, count, err := decodeSnapshotHeader(hdr)
+	if err != nil {
+		return nil, fmt.Errorf("store: snapshot header: %w", err)
 	}
-	n := binary.LittleEndian.Uint64(count[:])
-	for i := uint64(0); i < n; i++ {
-		var idb [8]byte
-		if _, err := io.ReadFull(br, idb[:]); err != nil {
-			return nil, fmt.Errorf("store: reading doc %d id: %w", i, err)
-		}
-		id := int64(binary.LittleEndian.Uint64(idb[:]))
+	for i := uint64(0); i < count; i++ {
 		frame, err := readFrame(br)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		if err != nil {
 			return nil, fmt.Errorf("store: reading doc %d: %w", i, err)
 		}
-		doc, err := DecodeDoc(frame)
+		if len(frame) < 8 {
+			return nil, fmt.Errorf("store: doc %d: frame of %d bytes holds no id", i, len(frame))
+		}
+		id := int64(binary.LittleEndian.Uint64(frame))
+		if _, dup := c.docs[id]; dup || id <= 0 || id >= c.nextID {
+			return nil, fmt.Errorf("store: doc %d: id %d is outside [1, %d) or repeated", i, id, c.nextID)
+		}
+		doc, err := DecodeDoc(frame[8:])
 		if err != nil {
 			return nil, fmt.Errorf("store: decoding doc %d: %w", i, err)
 		}
-		c.docs[id] = doc
-		c.appendOrderLocked(id)
-		c.charge(doc.SizeBytes())
-		if id >= c.nextID {
-			c.nextID = id + 1
-		}
+		c.addLocked(id, doc)
 	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("store: snapshot continues past its %d documents (%v)", count, err)
+	}
+	c.allocated = allocated // what the writer's extents held, deleted documents' space included
 	return c, nil
 }
 
-// ApplyReplay inserts-or-replaces a document under a specific id — the
-// operation a replication follower applies for shipped insert and update
-// events, preserving the primary's id assignment so reads against either
-// replica return the same documents.
-func (c *Collection) ApplyReplay(id int64, doc *Doc) { c.applyReplay(id, doc) }
+// decodeSnapshotHeader builds the empty collection a snapshot header
+// describes, its indexes created and empty, and returns it with the bytes
+// its extents held and the count of documents to follow.
+func decodeSnapshotHeader(data []byte) (c *Collection, allocated int64, count uint64, err error) {
+	rd := bytes.NewReader(data)
+	ns, err := GetString(rd)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("namespace: %w", err)
+	}
+	var extentSize, used, nextID uint64
+	for _, field := range []*uint64{&extentSize, &used, &nextID, &count} {
+		if *field, err = binary.ReadUvarint(rd); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	if extentSize == 0 || extentSize > math.MaxInt64 || used > math.MaxInt64 || nextID == 0 || nextID > math.MaxInt64 {
+		return nil, 0, 0, fmt.Errorf("extent size %d, allocated %d, next id %d out of range", extentSize, used, nextID)
+	}
+	c = newCollection(ns, int64(extentSize))
+	c.nextID = int64(nextID)
+	n, err := binary.ReadUvarint(rd)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("index count: %w", err)
+	}
+	for i := uint64(0); i < n; i++ {
+		name, err1 := GetString(rd)
+		path, err2 := GetString(rd)
+		kind, err3 := binary.ReadUvarint(rd)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			return nil, 0, 0, fmt.Errorf("index %d: %w", i, err)
+		}
+		if kind != uint64(HashIndex) && kind != uint64(BTreeIndex) {
+			return nil, 0, 0, fmt.Errorf("index %q: unknown kind %d", name, kind)
+		}
+		if _, dup := c.indexes[name]; dup {
+			return nil, 0, 0, fmt.Errorf("index %q listed twice", name)
+		}
+		c.indexes[name] = newIndex(name, path, IndexKind(kind))
+	}
+	if n, err = binary.ReadUvarint(rd); err != nil {
+		return nil, 0, 0, fmt.Errorf("text index count: %w", err)
+	}
+	for i := uint64(0); i < n; i++ {
+		path, err := GetString(rd)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("text index %d: %w", i, err)
+		}
+		if _, dup := c.text[path]; dup {
+			return nil, 0, 0, fmt.Errorf("text index %q listed twice", path)
+		}
+		c.text[path] = newTextIndex(path)
+	}
+	if rd.Len() != 0 {
+		return nil, 0, 0, fmt.Errorf("%d bytes after the index layout", rd.Len())
+	}
+	return c, int64(used), count, nil
+}
 
-// applyReplay inserts-or-replaces a document under a specific id.
-func (c *Collection) applyReplay(id int64, doc *Doc) {
+// ApplyReplay inserts-or-replaces a document under a specific id — the
+// operation a replication follower and a shard's WAL recovery apply for
+// insert and update events, preserving the primary's id assignment so reads
+// against either replica return the same documents.
+func (c *Collection) ApplyReplay(id int64, doc *Doc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.docs[id]; ok {
-		for _, ix := range c.indexes {
-			ix.remove(id, old)
-		}
-		for _, tx := range c.text {
-			tx.remove(id, old)
-		}
-		c.docs[id] = doc
-		c.charge(doc.SizeBytes() - old.SizeBytes())
-		for _, ix := range c.indexes {
-			ix.insert(id, doc)
-		}
-		for _, tx := range c.text {
-			tx.insert(id, doc)
-		}
+		c.replaceLocked(id, old, doc)
 		return
 	}
-	c.docs[id] = doc
-	c.appendOrderLocked(id)
-	c.charge(doc.SizeBytes())
-	if id >= c.nextID {
-		c.nextID = id + 1
-	}
-	for _, ix := range c.indexes {
-		ix.insert(id, doc)
-	}
-	for _, tx := range c.text {
-		tx.insert(id, doc)
-	}
+	c.addLocked(id, doc)
+	c.nextID = max(c.nextID, id+1)
 }
 
 // readLogMagic consumes the event-log header. A zero-byte stream is an
@@ -337,8 +411,8 @@ func readFrameMax(br *bufio.Reader, maxLen uint32) ([]byte, error) {
 	if n > maxLen {
 		return nil, fmt.Errorf("store: implausible frame length %d", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	payload, err := readPayload(br, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("store: reading frame payload: %w", err)
 	}
 	var crcb [4]byte
@@ -349,4 +423,28 @@ func readFrameMax(br *bufio.Reader, maxLen uint32) ([]byte, error) {
 		return nil, fmt.Errorf("store: frame crc mismatch")
 	}
 	return payload, nil
+}
+
+// frameChunk is how much of a frame's payload is allocated before its bytes
+// arrive. A frame up to this size is read into one buffer of its exact
+// length; a longer one into a buffer that doubles as its bytes arrive, so a
+// length header claiming more than the input holds costs this much, or a
+// small multiple of the bytes that did arrive, never the claim.
+const frameChunk = 256 << 10
+
+// readPayload reads the n bytes of a frame's payload.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, frameChunk))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	for len(buf) < n {
+		grown := make([]byte, min(n, 2*len(buf)))
+		copy(grown, buf)
+		if _, err := io.ReadFull(r, grown[len(buf):]); err != nil {
+			return nil, err
+		}
+		buf = grown
+	}
+	return buf, nil
 }

@@ -135,7 +135,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := c.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadSnapshot(&buf, 4096)
+	loaded, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if newID <= ids[len(ids)-1] {
 		t.Errorf("nextID not restored: %d", newID)
 	}
-	// Indexes can be rebuilt after load.
+	// Indexes can still be added after load.
 	loaded.EnsureIndex("name_1", "name", HashIndex)
 	if got := len(loaded.Find(EqStr("name", "E020"))); got != 1 {
 		t.Errorf("indexed find after load = %d", got)
@@ -208,10 +208,10 @@ func TestPutDocFields(t *testing.T) {
 }
 
 func TestSnapshotBadMagic(t *testing.T) {
-	if _, err := ReadSnapshot(bytes.NewReader([]byte("NOTASNAP")), 0); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader([]byte("NOTASNAP"))); err == nil {
 		t.Error("bad magic should fail")
 	}
-	if _, err := ReadSnapshot(bytes.NewReader(nil), 0); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream should fail")
 	}
 }

@@ -121,7 +121,7 @@ func TestShardedQueryTrustsDocsNotTotals(t *testing.T) {
 		}
 		backends[i] = shortShard{LocalShard{Coll: c}}
 	}
-	s, err := NewShardedBackends("dt.entity", "name", backends, nil)
+	s, err := NewShardedBackends("dt.entity", "name", backends)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,9 +92,6 @@ type Sharded struct {
 	ns       string
 	keyPath  string
 	backends []ShardBackend
-	// route overrides the default FNV-1a mod-N key routing (nil keeps the
-	// default). Cluster deployments inject a consistent-hash ring here.
-	route func(key string) int
 }
 
 // NewSharded creates a sharded namespace with n in-process shards, hashing
@@ -112,10 +109,10 @@ func NewSharded(ns, keyPath string, n int, extentSize int64) *Sharded {
 }
 
 // NewShardedBackends assembles a router over pre-built shard backends —
-// the cluster coordinator's entry point, where backends are remote proxies.
-// route overrides key routing when non-nil; every backend's namespace must
-// equal ns.
-func NewShardedBackends(ns, keyPath string, backends []ShardBackend, route func(key string) int) (*Sharded, error) {
+// the cluster coordinator's entry point, where backends are remote proxies,
+// and a restore's, where they are loaded snapshots. Every backend's
+// namespace must equal ns.
+func NewShardedBackends(ns, keyPath string, backends []ShardBackend) (*Sharded, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("store: sharded %q needs at least one backend", ns)
 	}
@@ -124,7 +121,7 @@ func NewShardedBackends(ns, keyPath string, backends []ShardBackend, route func(
 			return nil, fmt.Errorf("store: backend %d namespace %q does not match %q", i, b.NS(), ns)
 		}
 	}
-	return &Sharded{ns: ns, keyPath: keyPath, backends: backends, route: route}, nil
+	return &Sharded{ns: ns, keyPath: keyPath, backends: backends}, nil
 }
 
 // NS returns the sharded namespace.
@@ -147,20 +144,6 @@ func (s *Sharded) Shard(i int) *Collection {
 	if l, ok := s.backends[i].(LocalShard); ok {
 		return l.Coll
 	}
-	return nil
-}
-
-// ReplaceShard swaps in a new backing collection for shard i — the recovery
-// path after loading a snapshot. The collection's namespace must match.
-// Not safe to run concurrently with routed operations.
-func (s *Sharded) ReplaceShard(i int, c *Collection) error {
-	if i < 0 || i >= len(s.backends) {
-		return fmt.Errorf("store: shard %d out of range [0,%d)", i, len(s.backends))
-	}
-	if c.NS() != s.ns {
-		return fmt.Errorf("store: shard namespace %q does not match %q", c.NS(), s.ns)
-	}
-	s.backends[i] = LocalShard{Coll: c}
 	return nil
 }
 
@@ -187,9 +170,6 @@ func (s *Sharded) shardFor(d *Doc) int {
 	key := d.PathString(s.keyPath)
 	if key == "" {
 		return 0
-	}
-	if s.route != nil {
-		return s.route(key)
 	}
 	return int(fnv32a(key)) % len(s.backends)
 }
