@@ -154,6 +154,37 @@ func TestDurableWALRecovery(t *testing.T) {
 	}
 }
 
+// TestCreateIndexTwiceIsNoWrite: asking for an index the shard already has
+// is not a write. The generation, the replication log and the WAL stay
+// where the first request left them, so a coordinator that ensures its
+// indexes again pushes no real event out of the retained window.
+func TestCreateIndexTwiceIsNoWrite(t *testing.T) {
+	node := NewNode("ix")
+	hostAll(node, 1)
+	if err := node.EnableDurability(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: node}, nil)
+	h := node.shard(ShardKey(NSEntities, 0))
+	ctx := context.Background()
+	var after [2][3]uint64 // per round: generation, retained events, next WAL sequence
+	for round := range after {
+		if err := shard.CreateIndex(ctx, "type_1", "type", store.HashIndex); err != nil {
+			t.Fatal(err)
+		}
+		if err := shard.CreateTextIndex(ctx, "name"); err != nil {
+			t.Fatal(err)
+		}
+		h.mu.Lock()
+		after[round] = [3]uint64{h.gen, uint64(len(h.events)), h.dur.NextSeq()}
+		h.mu.Unlock()
+	}
+	if after[0] != [3]uint64{2, 2, 3} || after[1] != after[0] {
+		t.Errorf("generation, events, next WAL seq: %v after the first ensure, %v after the second; want [2 2 3] both times", after[0], after[1])
+	}
+}
+
 // TestCheckpointOp covers the wire-level checkpoint: unavailable on a
 // node without a data directory (the coordinator tolerates that), and
 // a committed on-disk checkpoint once durability is enabled.

@@ -267,10 +267,13 @@ func (n *Node) handleWrite(req *Request, h *hostedShard) *Response {
 		if err != nil {
 			return errResp(req.ID, err)
 		}
-		h.coll.EnsureIndex(name, path, kind)
-		h.gen++
-		if err := h.logRawLocked(EvCreateIndex, req.Body); err != nil {
-			return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+		// An index that already exists is not a write: it takes no
+		// generation, no replication slot and no WAL event.
+		if h.coll.EnsureIndex(name, path, kind) {
+			h.gen++
+			if err := h.logRawLocked(EvCreateIndex, req.Body); err != nil {
+				return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+			}
 		}
 	case OpCreateTextIndex:
 		rd := bytes.NewReader(req.Body)
@@ -278,10 +281,11 @@ func (n *Node) handleWrite(req *Request, h *hostedShard) *Response {
 		if err != nil {
 			return errResp(req.ID, err)
 		}
-		h.coll.EnsureTextIndex(path)
-		h.gen++
-		if err := h.logRawLocked(EvCreateTextIndex, req.Body); err != nil {
-			return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+		if h.coll.EnsureTextIndex(path) {
+			h.gen++
+			if err := h.logRawLocked(EvCreateTextIndex, req.Body); err != nil {
+				return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+			}
 		}
 	}
 	resp.Gen = h.gen

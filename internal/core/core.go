@@ -112,6 +112,9 @@ type Tamer struct {
 	// invalidation: it must happen on every write path, including the
 	// batch-mode ApplyRecords path that bypasses the live ingester.
 	dataGen atomic.Uint64
+	// storesIndexed says indexStores has run on the current Instances and
+	// Entities; replacing them clears it.
+	storesIndexed atomic.Bool
 }
 
 // New builds a pipeline with the given configuration.
@@ -119,7 +122,7 @@ func New(cfg Config) *Tamer {
 	cfg = cfg.withDefaults()
 	t := &Tamer{
 		cfg:       cfg,
-		Parser:    extract.NewParser(nil, nil),
+		Parser:    extract.NewParser(),
 		Instances: store.NewSharded("dt.instance", "source_url", cfg.Shards, cfg.ExtentSize),
 		Entities:  store.NewSharded("dt.entity", "name", cfg.Shards, cfg.ExtentSize),
 		Registry:  ingest.NewRegistry(),
@@ -159,6 +162,7 @@ func (t *Tamer) SetStores(instances, entities *store.Sharded) {
 	t.Entities = entities
 	t.Query.Instances = instances
 	t.Query.Entities = entities
+	t.storesIndexed.Store(false)
 	t.dataGen.Add(1)
 }
 

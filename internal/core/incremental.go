@@ -31,8 +31,13 @@ func (t *Tamer) ApplyFragments(ctx context.Context, frags []datagen.Fragment, wo
 	if len(frags) == 0 {
 		return 0, 0, nil
 	}
-	if err := t.indexStores(ctx); err != nil { // idempotent; covers live use on a never-Run pipeline
-		return 0, 0, err
+	// Once per store set, not per batch: on remote shards every ensure is a
+	// wire call per shard and index.
+	if !t.storesIndexed.Load() {
+		if err := t.indexStores(ctx); err != nil {
+			return 0, 0, err
+		}
+		t.storesIndexed.Store(true)
 	}
 	results, err := t.parseFragments(ctx, frags, workers)
 	if err != nil {

@@ -108,6 +108,7 @@ func (t *Tamer) RestoreStores(ctx context.Context, cpDir string) error {
 	t.Query.Instances = inst
 	t.Query.Entities = ent
 	// Both stores changed wholesale; reads from here on see the new ones.
+	t.storesIndexed.Store(false)
 	t.dataGen.Add(1)
 	return nil
 }

@@ -45,7 +45,7 @@ func TestWebTextFirstFragmentIsMatilda(t *testing.T) {
 
 func TestWebTextMentionsParseable(t *testing.T) {
 	frags := GenerateWebText(WebTextConfig{Fragments: 200, Seed: 3})
-	p := extract.NewParser(nil, nil)
+	p := extract.NewParser()
 	totalMentions := 0
 	for _, f := range frags {
 		totalMentions += len(p.Parse(f.Text).Mentions)

@@ -68,7 +68,7 @@ func TestPaperTypeCountsComplete(t *testing.T) {
 }
 
 func TestParseMentionsLongestMatch(t *testing.T) {
-	p := NewParser(nil, nil)
+	p := NewParser()
 	res := p.Parse("The Walking Dead opened while Matilda an award-winning import from London grossed 960,998.")
 	var names []string
 	for _, m := range res.Mentions {
@@ -87,7 +87,7 @@ func TestParseMentionsLongestMatch(t *testing.T) {
 }
 
 func TestParseOffsetsValid(t *testing.T) {
-	p := NewParser(nil, nil)
+	p := NewParser()
 	text := "Hugh Jackman stars in The Wolverine at the Shubert Theatre in New York."
 	res := p.Parse(text)
 	if len(res.Mentions) < 4 {
@@ -105,7 +105,7 @@ func TestParseOffsetsValid(t *testing.T) {
 }
 
 func TestParsePatterns(t *testing.T) {
-	p := NewParser(nil, nil)
+	p := NewParser()
 	text := `Tickets from $27 at http://broadway.example.com start 3/4/2013, Tues at 7pm, grossed 960,998 or 93 percent.`
 	res := p.Parse(text)
 	var urls int
@@ -123,19 +123,29 @@ func TestParsePatterns(t *testing.T) {
 		t.Fatal("no entities")
 	}
 	ent := res2.Entities[0]
-	if ent.Attributes["price"] != "$27" {
-		t.Errorf("price attr = %q", ent.Attributes["price"])
+	if attr(ent, "price") != "$27" {
+		t.Errorf("price attr = %q", attr(ent, "price"))
 	}
-	if ent.Attributes["date"] != "3/4/2013" {
-		t.Errorf("date attr = %q", ent.Attributes["date"])
+	if attr(ent, "date") != "3/4/2013" {
+		t.Errorf("date attr = %q", attr(ent, "date"))
 	}
-	if !strings.Contains(strings.ToLower(ent.Attributes["schedule"]), "tues at 7pm") {
-		t.Errorf("schedule attr = %q", ent.Attributes["schedule"])
+	if !strings.Contains(strings.ToLower(attr(ent, "schedule")), "tues at 7pm") {
+		t.Errorf("schedule attr = %q", attr(ent, "schedule"))
 	}
 }
 
+// attr returns the value of e's attribute key, or "".
+func attr(e Entity, key string) string {
+	for _, a := range e.Attributes {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
 func TestEntitiesDedupAndAwardFlag(t *testing.T) {
-	p := NewParser(nil, nil)
+	p := NewParser()
 	res := p.Parse("Matilda was great. Matilda again! And Wicked too.")
 	count := map[string]int{}
 	for _, e := range res.Entities {
@@ -147,11 +157,11 @@ func TestEntitiesDedupAndAwardFlag(t *testing.T) {
 	for _, e := range res.Entities {
 		switch strings.ToLower(e.Name) {
 		case "matilda":
-			if e.Attributes["award_winning"] != "true" {
+			if attr(e, "award_winning") != "true" {
 				t.Error("matilda should be award_winning")
 			}
 		case "wicked":
-			if e.Attributes["award_winning"] == "true" {
+			if attr(e, "award_winning") == "true" {
 				t.Error("wicked should not be award_winning")
 			}
 		}
@@ -159,7 +169,7 @@ func TestEntitiesDedupAndAwardFlag(t *testing.T) {
 }
 
 func TestInstanceAndEntityDocs(t *testing.T) {
-	p := NewParser(nil, nil)
+	p := NewParser()
 	res := p.Parse("Matilda grossed 960,998 at the Shubert Theatre.")
 	inst := res.InstanceDoc("http://example.com/1")
 	if inst.PathString("source_url") != "http://example.com/1" {
@@ -188,7 +198,7 @@ func TestInstanceAndEntityDocs(t *testing.T) {
 }
 
 func TestParseEmptyText(t *testing.T) {
-	p := NewParser(nil, nil)
+	p := NewParser()
 	res := p.Parse("")
 	if len(res.Mentions) != 0 || len(res.Entities) != 0 {
 		t.Errorf("empty parse = %+v", res)
@@ -196,7 +206,7 @@ func TestParseEmptyText(t *testing.T) {
 }
 
 func BenchmarkParse(b *testing.B) {
-	p := NewParser(nil, nil)
+	p := NewParser()
 	text := "Matilda an award-winning import from London grossed 960,998 or 93 percent at the Shubert Theatre; tickets from $27 starting 3/4/2013."
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

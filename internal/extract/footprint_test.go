@@ -48,7 +48,7 @@ func TestDocumentHeapFootprint(t *testing.T) {
 	const url = "http://matildathemusical.example.com"
 	entity := &Result{Entities: []Entity{{
 		Type: Movie, Name: "Matilda",
-		Attributes: map[string]string{"price": "$27", "schedule": "Tues at 7pm"},
+		Attributes: []Attr{{Key: "price", Value: "$27"}, {Key: "schedule", Value: "Tues at 7pm"}},
 	}}}
 	instance := &Result{
 		Text: "Matilda at the Shubert Theatre in New York: Tim Minchin, Roald Dahl and the Broadway League.",

@@ -81,9 +81,16 @@ type Mention struct {
 // Entity is a typed entity extracted from text, with the attributes the
 // parser could attach.
 type Entity struct {
-	Type       Type
-	Name       string
-	Attributes map[string]string
+	Type Type
+	Name string
+	// Attributes are sorted by key, each key at most once. Parse hands all
+	// of a fragment's entities one list, so callers must not modify it.
+	Attributes []Attr
+}
+
+// Attr is one attribute of an entity.
+type Attr struct {
+	Key, Value string
 }
 
 // Result is the parser output for one text fragment: the mentions found and

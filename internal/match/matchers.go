@@ -64,13 +64,15 @@ func (m *NameMatcher) Score(src, dst *schema.Attribute) float64 {
 
 // nameTokens splits an attribute name into canonicalized tokens.
 func nameTokens(name string, dict *synonym.Dict) []string {
-	words := textutil.Words(name)
-	out := make([]string, 0, len(words))
-	for _, w := range words {
+	var buf [8]textutil.Token
+	tokens := textutil.AppendTokens(buf[:0], name)
+	out := make([]string, len(tokens))
+	for i, t := range tokens {
+		w := t.Text
 		if dict != nil {
 			w = dict.Canonical(w)
 		}
-		out = append(out, w)
+		out[i] = w
 	}
 	return out
 }

@@ -217,12 +217,13 @@ func (c *Collection) Delete(id int64) bool {
 }
 
 // EnsureIndex creates a secondary index named name over path if it does not
-// already exist, backfilling existing documents.
-func (c *Collection) EnsureIndex(name, path string, kind IndexKind) *Index {
+// already exist, backfilling existing documents. It reports whether it
+// created one: false means the collection is unchanged.
+func (c *Collection) EnsureIndex(name, path string, kind IndexKind) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ix, ok := c.indexes[name]; ok {
-		return ix
+	if _, ok := c.indexes[name]; ok {
+		return false
 	}
 	ix := newIndex(name, path, kind)
 	for _, id := range c.order {
@@ -231,18 +232,19 @@ func (c *Collection) EnsureIndex(name, path string, kind IndexKind) *Index {
 		}
 	}
 	c.indexes[name] = ix
-	return ix
+	return true
 }
 
-// EnsureTextIndex creates (or returns) the inverted text index over path,
-// backfilling existing documents. The index accelerates case-insensitive
-// substring (OpContains) filters on that path; queries it cannot prove
-// equivalent to a scan fall back to scanning, so results never change.
-func (c *Collection) EnsureTextIndex(path string) *TextIndex {
+// EnsureTextIndex creates the inverted text index over path if it does not
+// already exist, backfilling existing documents, and reports whether it
+// created one. The index accelerates case-insensitive substring
+// (OpContains) filters on that path; queries it cannot prove equivalent to
+// a scan fall back to scanning, so results never change.
+func (c *Collection) EnsureTextIndex(path string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if tx, ok := c.text[path]; ok {
-		return tx
+	if _, ok := c.text[path]; ok {
+		return false
 	}
 	tx := newTextIndex(path)
 	for _, id := range c.order {
@@ -251,7 +253,7 @@ func (c *Collection) EnsureTextIndex(path string) *TextIndex {
 		}
 	}
 	c.text[path] = tx
-	return tx
+	return true
 }
 
 // TextIndexes returns the collection's inverted text indexes sorted by path.

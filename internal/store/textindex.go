@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"unicode"
@@ -22,50 +23,76 @@ import (
 type TextIndex struct {
 	Path string
 
-	postings map[string][]int64 // token -> ids, each id at most once per token
+	// postings maps a token to its ids, each id at most once. The list sits
+	// behind a pointer so that adding an id to a known token is a lookup,
+	// which converts the token bytes without copying them, not a store,
+	// which would copy them into a new key.
+	postings map[string]*[]int64
 	entries  int64
 	keyBytes int64
+
+	// Scratch docTokens reuses, guarded like postings: the tokens of one
+	// value, the lowered bytes of all of them, and one span of lower per
+	// token.
+	toks  []textutil.Token
+	lower []byte
+	spans []span
 }
 
+// span is the byte range [lo, hi) of one token in TextIndex.lower.
+type span struct{ lo, hi int }
+
 func newTextIndex(path string) *TextIndex {
-	return &TextIndex{Path: path, postings: make(map[string][]int64)}
+	return &TextIndex{Path: path, postings: make(map[string]*[]int64)}
 }
 
 // Name identifies the index in plans and diagnostics.
 func (tx *TextIndex) Name() string { return tx.Path + "_text" }
 
 // docTokens extracts the sorted unique lowercased tokens of the document's
-// indexed path (list paths index each element's tokens). strings.ToLower
-// hands back a token with no upper-case letter as it is, so only the others
-// are copied.
-func (tx *TextIndex) docTokens(d *Doc) []string {
+// indexed path (list paths index each element's tokens) as spans of
+// tx.lower. Both are the index's scratch, valid until the next call.
+func (tx *TextIndex) docTokens(d *Doc) []span {
+	tx.lower, tx.spans = tx.lower[:0], tx.spans[:0]
 	v, ok := d.Path(tx.Path)
 	if !ok {
 		return nil
 	}
-	var toks []string
-	collect := func(s string) {
-		for _, t := range textutil.Tokenize(s) {
-			toks = append(toks, strings.ToLower(t.Text))
-		}
-	}
 	if v.IsList() {
 		for _, e := range v.List() {
 			if e.IsScalar() && !e.Scalar().IsNull() {
-				collect(e.Scalar().Str())
+				tx.collect(e.Scalar().Str())
 			}
 		}
 	} else if v.IsScalar() && !v.Scalar().IsNull() {
-		collect(v.Scalar().Str())
+		tx.collect(v.Scalar().Str())
 	}
-	slices.Sort(toks)
-	return slices.Compact(toks)
+	low := tx.lower
+	slices.SortFunc(tx.spans, func(a, b span) int { return bytes.Compare(low[a.lo:a.hi], low[b.lo:b.hi]) })
+	tx.spans = slices.CompactFunc(tx.spans, func(a, b span) bool { return bytes.Equal(low[a.lo:a.hi], low[b.lo:b.hi]) })
+	return tx.spans
+}
+
+// collect appends the lowered tokens of s to the scratch.
+func (tx *TextIndex) collect(s string) {
+	tx.toks = textutil.AppendTokens(tx.toks[:0], s)
+	for _, t := range tx.toks {
+		lo := len(tx.lower)
+		tx.lower = textutil.AppendLower(tx.lower, t.Text)
+		tx.spans = append(tx.spans, span{lo, len(tx.lower)})
+	}
 }
 
 func (tx *TextIndex) insert(id int64, d *Doc) {
-	for _, tok := range tx.docTokens(d) {
-		ids, added := insertSorted(tx.postings[tok], id)
-		if tx.postings[tok] = ids; added {
+	for _, sp := range tx.docTokens(d) {
+		tok := tx.lower[sp.lo:sp.hi]
+		ids := tx.postings[string(tok)]
+		if ids == nil {
+			ids = new([]int64)
+			tx.postings[string(tok)] = ids
+		}
+		var added bool
+		if *ids, added = insertSorted(*ids, id); added {
 			tx.entries++
 			tx.keyBytes += int64(len(tok))
 		}
@@ -73,16 +100,19 @@ func (tx *TextIndex) insert(id int64, d *Doc) {
 }
 
 func (tx *TextIndex) remove(id int64, d *Doc) {
-	for _, tok := range tx.docTokens(d) {
-		ids, ok := removeSorted(tx.postings[tok], id)
-		if ok {
+	for _, sp := range tx.docTokens(d) {
+		tok := tx.lower[sp.lo:sp.hi]
+		ids := tx.postings[string(tok)]
+		if ids == nil {
+			continue
+		}
+		var ok bool
+		if *ids, ok = removeSorted(*ids, id); ok {
 			tx.entries--
 			tx.keyBytes -= int64(len(tok))
 		}
-		if len(ids) == 0 {
-			delete(tx.postings, tok)
-		} else {
-			tx.postings[tok] = ids
+		if len(*ids) == 0 {
+			delete(tx.postings, string(tok))
 		}
 	}
 }
@@ -120,7 +150,10 @@ func (tx *TextIndex) Candidates(substr string) ([]int64, bool) {
 	last := len(terms) - 1
 	var result []int64
 	for i := 1; i < last; i++ {
-		ids := tx.postings[terms[i]]
+		var ids []int64
+		if list := tx.postings[terms[i]]; list != nil {
+			ids = *list
+		}
 		if i > 1 {
 			ids = intersectSorted(result, ids)
 		}
@@ -157,12 +190,12 @@ func (tx *TextIndex) sweep(term string) []int64 {
 		switch {
 		case !strings.Contains(tok, term):
 		case first == nil:
-			first = list
+			first = *list
 		default:
 			if merged == nil {
 				merged = append(merged, first...)
 			}
-			merged = append(merged, list...)
+			merged = append(merged, *list...)
 		}
 	}
 	if merged == nil {
@@ -182,7 +215,7 @@ func (tx *TextIndex) confirm(ids []int64, term string) []int64 {
 		}
 		for i, id := range ids {
 			if !keep[i] {
-				_, keep[i] = slices.BinarySearch(list, id)
+				_, keep[i] = slices.BinarySearch(*list, id)
 			}
 		}
 	}

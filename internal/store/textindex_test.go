@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -151,8 +150,48 @@ func TestTextIndexSharded(t *testing.T) {
 	}
 }
 
-// TestDocTokensMatchSetReference checks the sort-and-compact token list
-// against the set it replaced: every token lowercased, each once, sorted.
+// docTokensReference is the body docTokens had before it tokenized into
+// the index's scratch: Tokenize, ToLower, sort, compact.
+func docTokensReference(d *Doc, path string) []string {
+	v, ok := d.Path(path)
+	if !ok {
+		return nil
+	}
+	var toks []string
+	collect := func(s string) {
+		for _, t := range textutil.Tokenize(s) {
+			toks = append(toks, strings.ToLower(t.Text))
+		}
+	}
+	if v.IsList() {
+		for _, e := range v.List() {
+			if e.IsScalar() && !e.Scalar().IsNull() {
+				collect(e.Scalar().Str())
+			}
+		}
+	} else if v.IsScalar() && !v.Scalar().IsNull() {
+		collect(v.Scalar().Str())
+	}
+	slices.Sort(toks)
+	return slices.Compact(toks)
+}
+
+// checkDocTokens compares tx.docTokens(d) with the reference.
+func checkDocTokens(t *testing.T, tx *TextIndex, d *Doc) {
+	t.Helper()
+	var got []string
+	for _, sp := range tx.docTokens(d) {
+		got = append(got, string(tx.lower[sp.lo:sp.hi]))
+	}
+	if want := docTokensReference(d, tx.Path); !slices.Equal(got, want) {
+		t.Fatalf("docTokens(%v) = %q, reference %q", d, got, want)
+	}
+}
+
+// TestDocTokensMatchSetReference checks the sorted, compacted token spans
+// against the reference: every token lowercased, each once, sorted. One
+// index serves every document, so each call also reuses the last one's
+// scratch.
 func TestDocTokensMatchSetReference(t *testing.T) {
 	tx := newTextIndex("text")
 	texts := append(slices.Clone(textCorpus), "Ærø ÆRØ ærø", "İstanbul ISTANBUL", "")
@@ -161,22 +200,36 @@ func TestDocTokensMatchSetReference(t *testing.T) {
 		docs = append(docs, textDoc("k", text))
 	}
 	for _, d := range docs {
-		// The path's scalar, or its list's scalar elements.
-		var vals []DocValue
-		if v, ok := d.Path("text"); ok {
-			vals = append([]DocValue{v}, v.List()...)
-		}
-		seen := map[string]bool{}
-		for _, v := range vals {
-			if v.IsScalar() && !v.Scalar().IsNull() {
-				for _, tok := range textutil.Tokenize(v.Scalar().Str()) {
-					seen[strings.ToLower(tok.Text)] = true
-				}
-			}
-		}
-		want := slices.Sorted(maps.Keys(seen))
-		if got := tx.docTokens(d); !slices.Equal(got, want) {
-			t.Errorf("docTokens(%v) = %q, want %q", d, got, want)
-		}
+		checkDocTokens(t, tx, d)
+	}
+}
+
+// FuzzDocTokensMatchesReference runs a list of two values and then the
+// first alone through one index.
+func FuzzDocTokensMatchesReference(f *testing.F) {
+	for _, text := range textCorpus {
+		f.Add(text, "")
+	}
+	f.Add("Ærø ÆRØ ærø", "İstanbul ISTANBUL")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		tx := newTextIndex("text")
+		checkDocTokens(t, tx, NewDoc().Set("text", List(Str(a), Str(b))))
+		checkDocTokens(t, tx, textDoc("k", a))
+	})
+}
+
+// TestTextIndexReindexAllocs: re-indexing a document whose tokens another
+// document still holds — an update that keeps its text — is lookups into
+// known tokens and appends within the lists' capacity.
+func TestTextIndexReindexAllocs(t *testing.T) {
+	tx := newTextIndex("text")
+	d := textDoc("k", textCorpus[0]+" "+textCorpus[7])
+	tx.insert(1, d)
+	tx.insert(2, d)
+	if n := testing.AllocsPerRun(100, func() { tx.remove(2, d); tx.insert(2, d) }); n != 0 {
+		t.Errorf("remove then insert allocates %.0f times, budget 0", n)
+	}
+	if tx.Entries() != 2*int64(tx.Tokens()) {
+		t.Errorf("%d entries over %d tokens, want two ids per token", tx.Entries(), tx.Tokens())
 	}
 }

@@ -50,6 +50,18 @@ func indexFold(s, substr string) (start, end int) {
 	return -1, -1
 }
 
+// AppendLower appends strings.ToLower(s) to dst, byte for byte, and returns
+// the extended slice: ASCII is lowered a byte at a time and the rest rune by
+// rune, as strings.ToLower maps it.
+func AppendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); {
+		r, w := foldRune(s[i:])
+		dst = utf8.AppendRune(dst, r)
+		i += w
+	}
+	return dst
+}
+
 // ContainsFold reports whether s contains substr ignoring case:
 // strings.Contains(strings.ToLower(s), strings.ToLower(substr)) with no
 // allocation.

@@ -157,6 +157,11 @@ func checkFold(t *testing.T, s, substr string) {
 	if got := CountFold(s, substr); got != wantN {
 		t.Fatalf("CountFold(%q, %q) = %d, reference %d", s, substr, got, wantN)
 	}
+	for _, x := range [2]string{s, substr} {
+		if got, want := string(AppendLower([]byte("pre"), x)), "pre"+strings.ToLower(x); got != want {
+			t.Fatalf("AppendLower(%q) = %q, strings.ToLower %q", x, got, want)
+		}
+	}
 }
 
 func TestContainsFoldMatchesReference(t *testing.T) {

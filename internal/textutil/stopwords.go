@@ -22,13 +22,21 @@ func IsStopword(w string) bool { return stopwords[strings.ToLower(w)] }
 // ContentWords tokenizes text, lower-cases, and drops stopwords and
 // single-character tokens.
 func ContentWords(text string) []string {
-	var out []string
-	for _, w := range Words(text) {
-		lw := strings.ToLower(w)
-		if len(lw) <= 1 || stopwords[lw] {
-			continue
+	var buf [smallTokens]Token
+	tokens := AppendTokens(buf[:0], text)
+	n := 0 // the kept words, lower-cased, move to the front of tokens
+	for _, t := range tokens {
+		if lw := strings.ToLower(t.Text); len(lw) > 1 && !stopwords[lw] {
+			tokens[n].Text = lw
+			n++
 		}
-		out = append(out, lw)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = tokens[i].Text
 	}
 	return out
 }

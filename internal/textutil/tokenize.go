@@ -19,20 +19,13 @@ type Token struct {
 // Tokenize splits text into word tokens. A token is a maximal run of
 // letters, digits, or the intra-word punctuation ' . - & (so "O'Brien",
 // "U.S." and "AT&T" stay whole); trailing punctuation is stripped.
-func Tokenize(text string) []Token {
-	var tokens []Token
+func Tokenize(text string) []Token { return AppendTokens(nil, text) }
+
+// AppendTokens appends the tokens of text, as Tokenize splits it, to dst
+// and returns the extended slice. A token's Text is a substring of text, so
+// a caller that reuses dst allocates nothing once it is large enough.
+func AppendTokens(dst []Token, text string) []Token {
 	start := -1
-	flush := func(end int) {
-		if start < 0 {
-			return
-		}
-		raw := text[start:end]
-		trimmed := strings.TrimRight(raw, "'.-&")
-		if trimmed != "" {
-			tokens = append(tokens, Token{Text: trimmed, Start: start, End: start + len(trimmed)})
-		}
-		start = -1
-	}
 	for i, r := range text {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) || ((r == '\'' || r == '.' || r == '-' || r == '&') && start >= 0) {
 			if start < 0 {
@@ -40,15 +33,33 @@ func Tokenize(text string) []Token {
 			}
 			continue
 		}
-		flush(i)
+		if start >= 0 {
+			dst = appendToken(dst, text, start, i)
+			start = -1
+		}
 	}
-	flush(len(text))
-	return tokens
+	if start >= 0 {
+		dst = appendToken(dst, text, start, len(text))
+	}
+	return dst
 }
+
+// appendToken appends text[start:end] without its trailing punctuation.
+// The run starts with a letter or digit, so something is always left.
+func appendToken(dst []Token, text string, start, end int) []Token {
+	trimmed := strings.TrimRight(text[start:end], "'.-&")
+	return append(dst, Token{Text: trimmed, Start: start, End: start + len(trimmed)})
+}
+
+// smallTokens is how many tokens Words and ContentWords collect on the
+// stack before AppendTokens moves them to the heap: an attribute name or a
+// short value fits.
+const smallTokens = 16
 
 // Words returns just the token texts of Tokenize(text).
 func Words(text string) []string {
-	tokens := Tokenize(text)
+	var buf [smallTokens]Token
+	tokens := AppendTokens(buf[:0], text)
 	words := make([]string, len(tokens))
 	for i, t := range tokens {
 		words[i] = t.Text
