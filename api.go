@@ -221,8 +221,8 @@ func Open(ctx context.Context, opts ...Option) (*Tamer, error) {
 			return fail(err)
 		}
 	case o.liveDir != "" && store.HasCheckpoint(o.liveDir):
-		// A checkpoint will replace the stores and fused view; only the
-		// schema/registry side of the batch run is still needed.
+		// A checkpoint will replace the stores and the fused view's members;
+		// only the schema/registry side of the batch run is still needed.
 		if err := t.ImportFTables(ctx); err != nil {
 			return fail(err)
 		}

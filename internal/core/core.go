@@ -98,10 +98,10 @@ type Tamer struct {
 	Query     *fuse.Engine
 
 	mu           sync.RWMutex
-	view         *fusedView       // immutable fused-table snapshot, swapped on refresh
-	pending      []*record.Record // translated+cleaned, awaiting consolidation
-	fusedDirty   bool             // pending records not yet folded into fused
-	dedupMatcher *dedup.Matcher   // Section IV classifier, trained once
+	view         *fusedView     // immutable fused-table snapshot, swapped on refresh
+	pending      []member       // translated+cleaned, awaiting consolidation
+	arrivals     map[string]int // per source, the position of its next member
+	dedupMatcher *dedup.Matcher // Section IV classifier, trained once
 	matchReports []*match.Report
 	stages       []StageReport
 
@@ -147,6 +147,7 @@ func New(cfg Config) *Tamer {
 	)
 	t.Query = &fuse.Engine{Instances: t.Instances, Entities: t.Entities}
 	t.view = newFusedView(nil)
+	t.arrivals = map[string]int{}
 	return t
 }
 
@@ -204,10 +205,7 @@ func (t *Tamer) Run(ctx context.Context) error {
 	if err := t.ImportFTables(ctx); err != nil {
 		return err
 	}
-	if err := t.CleanAndConsolidate(ctx); err != nil {
-		return err
-	}
-	return nil
+	return t.CleanAndConsolidate(ctx)
 }
 
 // IngestWebText generates the corpus, runs the domain-specific parser, and
@@ -321,30 +319,18 @@ func (t *Tamer) indexStores(ctx context.Context) error {
 	return nil
 }
 
-// ImportFTables generates the structured sources and integrates each into
-// the global schema bottom-up: match, route uncertain matches to the expert
-// pool, apply decisions.
+// ImportFTables generates the structured sources and applies each, in
+// generation order, as one ApplyRecords batch: integration into the global
+// schema bottom-up (match, route uncertain matches to the expert pool,
+// apply decisions), then translation and cleaning.
 func (t *Tamer) ImportFTables(ctx context.Context) error {
 	start := time.Now()
 	sources := datagen.GenerateFTables(datagen.FTablesConfig{
 		Sources: t.cfg.FTSources,
 		Seed:    t.cfg.Seed,
 	})
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, src := range sources {
-		if err := ctx.Err(); err != nil {
-			return dterr.FromContext(err)
-		}
-		t.Registry.Register(src)
-		ss := schema.FromSource(src)
-		rep := t.Matcher.MatchSource(ss, t.Global)
-		t.matchReports = append(t.matchReports, rep)
-		review, err := t.Matcher.Integrate(rep, t.Global)
-		if err != nil {
-			return fmt.Errorf("core: integrating %s: %w", src.Name, err)
-		}
-		if err := t.resolveWithExperts(ctx, src.Name, review); err != nil {
+		if _, err := t.ApplyRecords(ctx, src.Name, src.Records); err != nil {
 			return err
 		}
 	}
@@ -399,58 +385,21 @@ func simulatedTruth(m match.AttrMatch, e *match.Engine, newAttr string) string {
 	return newAttr
 }
 
-// CleanAndConsolidate translates every structured record into global
-// attribute names, cleans them, and consolidates duplicates (same show from
-// different sources) into one record per entity.
+// CleanAndConsolidate consolidates duplicates (same show from different
+// sources) into one record per entity: the RefreshFused that folds the
+// records ImportFTables applied into the fused view.
 func (t *Tamer) CleanAndConsolidate(ctx context.Context) error {
 	start := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return dterr.FromContext(err)
+	if _, err := t.RefreshFused(ctx); err != nil {
+		return err
 	}
-	var translated []*record.Record
-	for _, src := range t.Registry.Sources() {
-		for _, r := range src.Records {
-			translated = append(translated, t.Global.Translate(r))
-		}
-	}
-	t.Cleaner.ApplyAll(translated)
-	t.view = newFusedView(consolidate(translated, t.matcherLocked()))
-	t.pending = nil
-	t.fusedDirty = false
-	t.dataGen.Add(1)
-	t.stage("clean-consolidate", len(t.view.records), start)
+	t.stage("clean-consolidate", len(t.fusedSnapshot().records), start)
 	return nil
 }
 
-// sortFused orders the fused view by show name, in place.
-func sortFused(recs []*record.Record) []*record.Record {
-	sort.Slice(recs, func(i, j int) bool {
-		return recs[i].GetString("SHOW_NAME") < recs[j].GetString("SHOW_NAME")
-	})
-	return recs
-}
-
-// fusedBlocker is the blocking scheme of the fused view, shared by full
-// consolidation and the block-scoped incremental refresh.
+// fusedBlocker is the blocking scheme of the fused view: it both blocks the
+// consolidation and picks the clusters a refresh re-consolidates.
 var fusedBlocker = dedup.PrefixBlocker("SHOW_NAME", 4)
-
-// consolidate runs entity consolidation over records and returns the
-// merged records, unordered — callers sort once via sortFused, so the
-// incremental path does not pay for an ordering it immediately discards.
-func consolidate(records []*record.Record, matcher *dedup.Matcher) []*record.Record {
-	deduper := &dedup.Deduper{
-		Blocker: fusedBlocker,
-		Matcher: matcher,
-	}
-	clusters := deduper.Run(records)
-	fused := make([]*record.Record, 0, len(clusters))
-	for _, c := range clusters {
-		fused = append(fused, c.Record)
-	}
-	return fused
-}
 
 // matcherLocked returns the cached dedup matcher, training it on first use.
 // Must hold t.mu.

@@ -3,24 +3,23 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/dterr"
 	"repro/internal/datagen"
+	"repro/internal/dedup"
 	"repro/internal/ingest"
 	"repro/internal/record"
 	"repro/internal/schema"
 	"repro/internal/store"
 )
 
-// Incremental apply: the hooks the live ingestion subsystem
-// (internal/live) drives after the initial Run. New web-text fragments and
-// structured records are folded into the running pipeline without a
-// rebuild-from-scratch — fragments go straight through the parser into the
-// sharded stores (index maintenance rides on Collection.Insert), records go
-// through schema integration, translation, and cleaning immediately, and
-// entity consolidation is deferred: new records invalidate the fused view,
-// which is re-consolidated incrementally (existing fused records + pending
-// ones, not every source record) on the next refresh or fused query.
+// Incremental apply: the one way data enters the pipeline, driven by the
+// batch Run and afterwards by the live ingestion subsystem (internal/live).
+// Fragments go straight through the parser into the sharded stores (index
+// maintenance rides on Collection.Insert). Records are integrated,
+// translated and cleaned at once into members of the fused view, which is
+// re-consolidated on the next refresh or fused query.
 
 // ApplyFragments parses frags with a pool of workers (0 = one per CPU) and
 // inserts the results into both text namespaces. It returns the instance
@@ -70,8 +69,8 @@ func (t *Tamer) ApplyFragments(ctx context.Context, frags []datagen.Fragment, wo
 // ApplyRecords folds a batch of structured records from the named source
 // into the pipeline: registers them (appending when the source already
 // exists), integrates any new attributes into the global schema with the
-// expert pool resolving uncertain matches, translates and cleans the
-// records, and marks the fused view dirty. Consolidation itself is
+// expert pool resolving uncertain matches, and translates and cleans the
+// records into pending members of the fused view. Consolidation itself is
 // deferred to RefreshFused.
 func (t *Tamer) ApplyRecords(ctx context.Context, source string, recs []*record.Record) (int, error) {
 	if source == "" {
@@ -106,33 +105,40 @@ func (t *Tamer) ApplyRecords(ctx context.Context, source string, recs []*record.
 		t.Registry.Register(ingest.NewSource(source, recs))
 	}
 	t.matchReports = append(t.matchReports, rep)
-	// A long-lived live pipeline sees one report per record batch; keep
-	// only the most recent window so memory stays bounded.
+	// A long-lived live pipeline sees one report per record batch; keep the
+	// first, Fig. 2's, and the most recent window, so memory stays bounded.
 	const maxMatchReports = 1024
 	if len(t.matchReports) > maxMatchReports {
-		t.matchReports = append(t.matchReports[:0:0], t.matchReports[len(t.matchReports)-maxMatchReports:]...)
+		t.matchReports = append(t.matchReports[:1:1], t.matchReports[len(t.matchReports)-maxMatchReports+1:]...)
 	}
-	translated := make([]*record.Record, len(recs))
-	for i, r := range recs {
-		translated[i] = t.Global.Translate(r)
+	for _, r := range recs {
+		m := t.Global.Translate(r)
+		t.Cleaner.Apply(m)
+		t.addMemberLocked(source, m)
 	}
-	t.Cleaner.ApplyAll(translated)
-	t.pending = append(t.pending, translated...)
-	t.fusedDirty = true
 	// Invalidate serve-tier caches immediately — fused queries refresh
-	// lazily from the dirty flag, so results change as of this return, not
-	// at the eventual RefreshFused. This path runs with or without the
-	// live ingester (batch-mode ApplyRecords included), which is what
-	// keeps a conditional GET from revalidating a stale 304 after a write.
+	// lazily from the pending members, so results change as of this return,
+	// not at the eventual RefreshFused. This path runs with or without the
+	// live ingester (the batch Run included), which is what keeps a
+	// conditional GET from revalidating a stale 304 after a write.
 	t.dataGen.Add(1)
 	return len(recs), nil
 }
 
-// RefreshFused folds pending incremental records into the fused view by
-// consolidating them against the existing fused records (not the full
-// source history). It returns the number of pending records folded in;
-// zero means the view was already current. A context cancelled before the
-// refresh starts leaves the view dirty for the next caller.
+// addMemberLocked queues r, from source, as a pending member. Must hold t.mu.
+func (t *Tamer) addMemberLocked(source string, r *record.Record) {
+	pos, ok := t.arrivals[source]
+	if !ok {
+		pos = len(t.arrivals) << 32
+	}
+	t.pending = append(t.pending, member{rec: r, keys: fusedBlocker(r), pos: pos})
+	t.arrivals[source] = pos + 1
+}
+
+// RefreshFused folds pending members into the fused view. It returns the
+// number of pending members folded in; zero means the view was already
+// current. A context cancelled before the refresh starts leaves the members
+// pending for the next caller.
 func (t *Tamer) RefreshFused(ctx context.Context) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -142,65 +148,68 @@ func (t *Tamer) RefreshFused(ctx context.Context) (int, error) {
 	return t.refreshFusedLocked(), nil
 }
 
+// refreshFusedLocked re-consolidates the pending members together with
+// every cluster one of them shares a blocking key with, in position order.
+// That is exact: whether two members match depends on the two alone, so no
+// other cluster can gain or lose a member. Must hold t.mu.
 func (t *Tamer) refreshFusedLocked() int {
-	if !t.fusedDirty {
+	n := len(t.pending)
+	if n == 0 {
 		return 0
 	}
-	n := len(t.pending)
-	// Only fused records sharing a blocking key with a pending record can
-	// gain a new cluster member; everything else passes through untouched,
-	// keeping refresh cost proportional to the affected blocks rather than
-	// the whole fused view.
-	dirtyKeys := make(map[string]bool, n)
-	for _, r := range t.pending {
-		for _, k := range fusedBlocker(r) {
-			dirtyKeys[k] = true
+	dirty := make(map[string]bool, n)
+	for _, m := range t.pending {
+		for _, k := range m.keys {
+			dirty[k] = true
 		}
 	}
-	fused := t.view.records
-	affected := make([]*record.Record, 0, 2*n)
-	untouched := make([]*record.Record, 0, len(fused))
-	for _, r := range fused {
-		hit := false
-		for _, k := range fusedBlocker(r) {
-			if dirtyKeys[k] {
-				hit = true
-				break
-			}
-		}
-		if hit {
-			affected = append(affected, r)
+	pool := t.pending
+	clusters := make([]fusedCluster, 0, len(t.view.clusters)+n)
+	for _, c := range t.view.clusters {
+		if c.sharesKey(dirty) {
+			pool = append(pool, c.members...)
 		} else {
-			untouched = append(untouched, r)
+			clusters = append(clusters, c)
 		}
 	}
-	affected = append(affected, t.pending...)
-	merged := append(untouched, consolidate(affected, t.matcherLocked())...)
+	slices.SortFunc(pool, byPosition)
+	recs := make([]*record.Record, len(pool))
+	keys := make([][]string, len(pool))
+	for i, m := range pool {
+		recs[i], keys[i] = m.rec, m.keys
+	}
+	deduper := dedup.Deduper{Blocker: fusedBlocker, Matcher: t.matcherLocked()}
+	for _, c := range deduper.RunKeyed(recs, keys) {
+		members := make([]member, len(c.Members))
+		for i, idx := range c.Members {
+			members[i] = pool[idx]
+		}
+		clusters = append(clusters, fusedCluster{members: members, record: c.Record, show: c.Record.GetString("SHOW_NAME")})
+	}
 	// Install a whole new snapshot: readers holding the previous view keep
 	// a consistent table, and the new view starts with cold (correct)
 	// aggregate caches.
-	t.view = newFusedView(merged)
+	t.view = newFusedView(clusters)
 	t.pending = nil
-	t.fusedDirty = false
 	return n
 }
 
-// FusedDirty reports whether incremental records are awaiting
-// consolidation into the fused view.
+// FusedDirty reports whether members are awaiting consolidation into the
+// fused view.
 func (t *Tamer) FusedDirty() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.fusedDirty
+	return len(t.pending) > 0
 }
 
 // fusedSnapshot returns the current fused-view snapshot, refreshing it
-// first when incremental records are pending. The snapshot is immutable —
-// refreshes install a whole new view — so callers may query it without
-// holding the lock, and its cached aggregates stay consistent with its
-// records by construction.
+// first when members are pending. The snapshot is immutable — refreshes
+// install a whole new view — so callers may query it without holding the
+// lock, and its cached aggregates stay consistent with its records by
+// construction.
 func (t *Tamer) fusedSnapshot() *fusedView {
 	t.mu.RLock()
-	dirty := t.fusedDirty
+	dirty := len(t.pending) > 0
 	view := t.view
 	t.mu.RUnlock()
 	if !dirty {
@@ -212,13 +221,34 @@ func (t *Tamer) fusedSnapshot() *fusedView {
 	return t.view
 }
 
-// RestoreFused installs a previously consolidated fused view, the recovery
-// path after loading a checkpoint. Pending incremental state is discarded.
+// FusedMembers returns the fused view's members, pending ones included, in
+// position order: what RestoreFused takes back. Callers must not modify them.
+func (t *Tamer) FusedMembers() []*record.Record {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	all := slices.Clone(t.pending)
+	for _, c := range t.view.clusters {
+		all = append(all, c.members...)
+	}
+	slices.SortFunc(all, byPosition)
+	recs := make([]*record.Record, len(all))
+	for i, m := range all {
+		recs[i] = m.rec
+	}
+	return recs
+}
+
+// RestoreFused replaces the fused view's members with recs, as FusedMembers
+// returned them (each Source names its source, as ApplyRecords stamps it):
+// the recovery path after loading a checkpoint.
 func (t *Tamer) RestoreFused(recs []*record.Record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.view = newFusedView(recs)
+	t.view = newFusedView(nil)
 	t.pending = nil
-	t.fusedDirty = false
+	clear(t.arrivals)
+	for _, r := range recs {
+		t.addMemberLocked(r.Source, r)
+	}
 	t.dataGen.Add(1)
 }

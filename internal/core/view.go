@@ -1,25 +1,61 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/fuse"
 	"repro/internal/record"
 )
 
+// member is one structured record the fused view is consolidated from:
+// translated onto the global schema and cleaned, with its blocking keys,
+// computed once, and its position in the order a batch pass reads the
+// registry — its source's first-arrival rank in the high 32 bits, its
+// arrival index within the source in the low ones.
+type member struct {
+	rec  *record.Record
+	keys []string // fusedBlocker(rec)
+	pos  int
+}
+
+func byPosition(a, b member) int { return cmp.Compare(a.pos, b.pos) }
+
+// fusedCluster is one consolidated entity: its members in position order
+// and the record they consolidate to, with that record's SHOW_NAME.
+type fusedCluster struct {
+	members []member
+	record  *record.Record
+	show    string
+}
+
+// sharesKey reports whether a member of c has one of keys.
+func (c *fusedCluster) sharesKey(keys map[string]bool) bool {
+	for _, m := range c.members {
+		for _, k := range m.keys {
+			if keys[k] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // fusedView is an immutable snapshot of the consolidated fused table. Each
 // refresh builds a whole new view and installs it atomically under t.mu, so
 // readers either see the previous complete view or the next one — never a
-// half-built state. Alongside the sorted records the view carries a
-// normalized-SHOW_NAME hash index (built eagerly: every fused query needs
-// it) and the serve-time aggregates (cheapest ranking, attribute coverage),
-// computed lazily on first use and cached for the view's lifetime. Because
-// caches live on the view, installing a new view is also the cache
-// invalidation — a stale aggregate cannot outlive the records it was
-// computed from.
+// half-built state. Alongside the sorted clusters and their records the view
+// carries a normalized-SHOW_NAME hash index (built eagerly: every fused query
+// needs it) and the serve-time aggregates (cheapest ranking, attribute
+// coverage), computed lazily on first use and cached for the view's
+// lifetime. Because caches live on the view, installing a new view is also
+// the cache invalidation — a stale aggregate cannot outlive the records it
+// was computed from.
 type fusedView struct {
-	records []*record.Record // sorted by SHOW_NAME
-	byShow  *fuse.ShowIndex
+	clusters []fusedCluster   // by SHOW_NAME, then by first member's position
+	records  []*record.Record // the clusters' records, in the same order
+	byShow   *fuse.ShowIndex
 
 	cheapOnce sync.Once
 	cheapAll  []fuse.PricedShow // full ranking; Cheapest slices per k
@@ -28,13 +64,23 @@ type fusedView struct {
 	coverage []fuse.Coverage // for the Table VI reporting attributes
 }
 
-// newFusedView sorts recs in place and builds the snapshot over them. The
-// caller must not retain or mutate recs afterwards.
-func newFusedView(recs []*record.Record) *fusedView {
-	sortFused(recs)
+// newFusedView sorts clusters in place and builds the snapshot over them.
+// The caller must not retain or mutate clusters afterwards.
+func newFusedView(clusters []fusedCluster) *fusedView {
+	slices.SortFunc(clusters, func(a, b fusedCluster) int {
+		if c := cmp.Compare(a.show, b.show); c != 0 {
+			return c
+		}
+		return byPosition(a.members[0], b.members[0])
+	})
+	recs := make([]*record.Record, len(clusters))
+	for i, c := range clusters {
+		recs[i] = c.record
+	}
 	return &fusedView{
-		records: recs,
-		byShow:  fuse.NewShowIndex(recs, "SHOW_NAME"),
+		clusters: clusters,
+		records:  recs,
+		byShow:   fuse.NewShowIndex(recs, "SHOW_NAME"),
 	}
 }
 

@@ -32,14 +32,13 @@ func (d *CorrelationDeduper) Run(records []*record.Record) []Cluster {
 	if floor == 0 {
 		floor = d.Matcher.Threshold
 	}
-	pairs := CandidatePairs(records, d.Blocker, d.MaxBlock)
 	type scoredPair struct {
 		Pair
 		prob float64
 	}
 	scores := d.Matcher.over(records)
-	scored := make([]scoredPair, 0, len(pairs))
-	for _, p := range pairs {
+	var scored []scoredPair
+	for p := range candidatePairs(blockKeys(records, d.Blocker), d.MaxBlock) {
 		prob := scores.prob(p.I, p.J)
 		if prob >= d.Matcher.Threshold {
 			scored = append(scored, scoredPair{Pair: p, prob: prob})

@@ -104,10 +104,15 @@ type Cluster struct {
 // Run blocks, classifies candidate pairs, clusters transitively, and
 // consolidates each cluster into one record.
 func (d *Deduper) Run(records []*record.Record) []Cluster {
-	pairs := CandidatePairs(records, d.Blocker, d.MaxBlock)
+	return d.RunKeyed(records, blockKeys(records, d.Blocker))
+}
+
+// RunKeyed is Run for a caller that already holds the records' blocking
+// keys: keys[i] must be what d.Blocker returns for records[i].
+func (d *Deduper) RunKeyed(records []*record.Record, keys [][]string) []Cluster {
 	uf := NewUnionFind(len(records))
 	scores := d.Matcher.over(records)
-	for _, p := range pairs {
+	for p := range candidatePairs(keys, d.MaxBlock) {
 		if scores.prob(p.I, p.J) >= d.Matcher.Threshold {
 			uf.Union(p.I, p.J)
 		}

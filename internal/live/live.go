@@ -15,27 +15,30 @@
 //
 // Durability: an acknowledged write survives a process kill. The ingester
 // directory is a store.Log — the one WAL + checkpoint-by-rename protocol —
-// whose checkpoints hold the store snapshots and the fused view; recovery
-// replays the WAL over the last checkpoint, fenced by sequence numbers so
-// no event is applied twice, and a crash mid-checkpoint falls back to the
-// previous one. Backpressure: the apply queue is bounded, so writers block
-// once the pipeline falls behind.
+// whose checkpoints hold the store snapshots and the fused view's members
+// (core.Tamer.FusedMembers); recovery replays the WAL over the last
+// checkpoint, fenced by sequence numbers so no event is applied twice, and
+// a crash mid-checkpoint falls back to the previous one. Backpressure: the
+// apply queue is bounded, so writers block once the pipeline falls behind.
 //
 // Known limitations: checkpoints persist the document stores and the fused
-// view but not the registry/global-schema deltas produced by live record
-// sources — after a recovery those sources re-integrate their attributes
-// on the next write. Threshold-based match decisions are deterministic and
-// re-derive identically; decisions that went to the simulated expert pool
-// may resolve differently. Record identity is unaffected: live record IDs
-// are stamped from WAL sequence numbers, which stay monotonic across
-// restarts. Poison events — acknowledged writes whose apply fails
-// deterministically — are dropped and counted (Stats.ApplyErrors during
-// operation, Stats.ReplayErrors during recovery) rather than wedging the
-// queue, and are fenced away by the next checkpoint. In cluster mode the
-// checkpoint fence delegates shard snapshots to the nodes' own data
-// directories; a coordinator crash (no clean Close) can then leave a WAL
-// tail whose events some nodes already applied and persisted, making the
-// replay at-least-once — a clean shutdown checkpoints first and is exact.
+// view's members — every translated, cleaned record in arrival order — so
+// a restored view consolidates new records exactly as the uninterrupted one
+// would. They do not persist the registry or the global-schema deltas
+// produced by live record sources: after a recovery those sources
+// re-integrate their attributes on the next write. Threshold-based match
+// decisions are deterministic and re-derive identically; decisions that
+// went to the simulated expert pool may resolve differently. Record
+// identity is unaffected: live record IDs are stamped from WAL sequence
+// numbers, which stay monotonic across restarts. Poison events —
+// acknowledged writes whose apply fails deterministically — are dropped and
+// counted (Stats.ApplyErrors during operation, Stats.ReplayErrors during
+// recovery) rather than wedging the queue, and are fenced away by the next
+// checkpoint. In cluster mode the checkpoint fence delegates shard
+// snapshots to the nodes' own data directories; a coordinator crash (no
+// clean Close) can then leave a WAL tail whose events some nodes already
+// applied and persisted, making the replay at-least-once — a clean shutdown
+// checkpoints first and is exact.
 package live
 
 import (
@@ -184,11 +187,11 @@ func Open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
 		if err := t.RestoreStores(ctx, cpDir); err != nil {
 			return err
 		}
-		fused, err := loadFused(filepath.Join(cpDir, fusedName))
+		members, err := loadMembers(filepath.Join(cpDir, membersName))
 		if err != nil {
-			return fmt.Errorf("live: loading fused checkpoint: %w", err)
+			return fmt.Errorf("live: loading members checkpoint: %w", err)
 		}
-		t.RestoreFused(fused)
+		t.RestoreFused(members)
 		return nil
 	}
 	apply := func(_ uint64, kind byte, payload []byte) error { return ing.applyReplayed(kind, payload) }
@@ -586,15 +589,15 @@ func (ing *Ingester) Checkpoint(ctx context.Context) error {
 
 // checkpointWriter is the owner callback of the ingester's store.Log: it
 // fills one checkpoint directory with the store snapshots and the fused
-// view. In cluster mode the snapshot step issues checkpoint RPCs to the
-// shard nodes under ctx.
+// view's members. In cluster mode the snapshot step issues checkpoint RPCs
+// to the shard nodes under ctx.
 func (ing *Ingester) checkpointWriter(ctx context.Context) func(cpDir string) error {
 	return func(cpDir string) error {
 		if err := ing.tamer.SnapshotStores(ctx, cpDir); err != nil {
 			return fmt.Errorf("live: checkpoint stores: %w", err)
 		}
-		if err := saveFused(filepath.Join(cpDir, fusedName), ing.tamer.FusedRecords()); err != nil {
-			return fmt.Errorf("live: checkpoint fused view: %w", err)
+		if err := saveMembers(filepath.Join(cpDir, membersName), ing.tamer.FusedMembers()); err != nil {
+			return fmt.Errorf("live: checkpoint fused members: %w", err)
 		}
 		return nil
 	}

@@ -17,9 +17,11 @@ const (
 	evRecords byte = 2 // a batch of structured records from one source
 )
 
-// fusedName is the fused-view file beside the store snapshots in a
-// checkpoint directory.
-const fusedName = "fused.snap"
+// membersName is the file of the fused view's members beside the store
+// snapshots in a checkpoint directory. A checkpoint written before members
+// were saved holds fused.snap instead, consolidated records that must not be
+// read as members; it has no members.snap, so Open refuses it.
+const membersName = "members.snap"
 
 // encodeText serializes a fragment batch: count, then (url, text) pairs.
 func encodeText(frags []datagen.Fragment) []byte {
@@ -38,7 +40,9 @@ func decodeText(payload []byte) ([]datagen.Fragment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: text event count: %w", err)
 	}
-	frags := make([]datagen.Fragment, 0, n)
+	// Each fragment takes at least two bytes, so the count sizes the slice
+	// only as far as the payload backs it.
+	frags := make([]datagen.Fragment, 0, min(n, uint64(r.Len())/2))
 	for i := uint64(0); i < n; i++ {
 		url, err := store.GetString(r)
 		if err != nil {
@@ -75,7 +79,8 @@ func decodeRecords(payload []byte) (string, []*record.Record, error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("live: record event count: %w", err)
 	}
-	recs := make([]*record.Record, 0, n)
+	// Each record takes at least three bytes.
+	recs := make([]*record.Record, 0, min(n, uint64(r.Len())/3))
 	for i := uint64(0); i < n; i++ {
 		rec, err := decodeRecordFrom(r)
 		if err != nil {
@@ -87,13 +92,13 @@ func decodeRecords(payload []byte) (string, []*record.Record, error) {
 }
 
 // encodeRecordTo writes one flat record as (source, id, doc bytes), the doc
-// built from the record's scalar fields so value kinds round-trip. doc is
-// the caller's scratch buffer, reused from record to record.
+// the encoding of the record's scalar fields so value kinds round-trip. doc
+// is the caller's scratch buffer, reused from record to record.
 func encodeRecordTo(buf, doc *bytes.Buffer, r *record.Record) {
 	store.PutString(buf, r.Source)
 	store.PutString(buf, r.ID)
 	doc.Reset()
-	store.PutDoc(doc, store.FromRecord(r))
+	store.PutRecord(doc, r)
 	store.PutBytes(buf, doc.Bytes())
 }
 
@@ -120,13 +125,13 @@ func decodeRecordFrom(r *bytes.Reader) (*record.Record, error) {
 	return rec, nil
 }
 
-// Fused-view checkpoint file: one event per consolidated record, reusing
-// the event-log CRC framing.
+// Members checkpoint file: one event per member of the fused view, in
+// position order, reusing the event-log CRC framing.
 
-func saveFused(path string, recs []*record.Record) error {
+func saveMembers(path string, recs []*record.Record) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("live: creating fused checkpoint: %w", err)
+		return fmt.Errorf("live: creating members checkpoint: %w", err)
 	}
 	lg, err := store.NewEventLog(f)
 	if err != nil {
@@ -135,7 +140,7 @@ func saveFused(path string, recs []*record.Record) error {
 	}
 	var buf, doc bytes.Buffer
 	for _, r := range recs {
-		buf.Reset() // Append copies the payload into its frame
+		buf.Reset() // Append has written the payload when it returns
 		encodeRecordTo(&buf, &doc, r)
 		if _, err := lg.Append(evRecords, buf.Bytes()); err != nil {
 			f.Close()
@@ -153,7 +158,7 @@ func saveFused(path string, recs []*record.Record) error {
 	return f.Close()
 }
 
-func loadFused(path string) ([]*record.Record, error) {
+func loadMembers(path string) ([]*record.Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -175,7 +180,7 @@ func loadFused(path string) ([]*record.Record, error) {
 		// A committed checkpoint is written and fsynced in full, so a torn
 		// frame here is real corruption — fail loudly rather than serving
 		// a silently shrunken fused view.
-		return nil, fmt.Errorf("live: fused checkpoint %s is truncated", path)
+		return nil, fmt.Errorf("live: members checkpoint %s is truncated", path)
 	}
 	return recs, nil
 }

@@ -53,6 +53,17 @@ func PutDoc(buf *bytes.Buffer, d *Doc) {
 	}
 }
 
+// PutRecord appends what PutDoc writes for FromRecord(r), without building
+// the document.
+func PutRecord(buf *bytes.Buffer, r *record.Record) {
+	PutUvarint(buf, uint64(r.Len()))
+	for _, f := range r.Fields() {
+		PutString(buf, f.Name)
+		buf.WriteByte(tagScalar)
+		writeScalar(buf, f.Value)
+	}
+}
+
 // PutDocFields appends the encoding of d cut down to the top-level fields
 // named in fields, in d's order — what PutDoc writes for the projected
 // document, without building it. Listed fields d lacks are skipped; an empty

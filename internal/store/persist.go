@@ -238,6 +238,9 @@ type EventLog struct {
 	w       *bufio.Writer
 	closer  io.Closer
 	nextSeq uint64
+	// head holds a frame's length, sequence number and kind, then its CRC:
+	// the bytes Append writes around the payload.
+	head [4 + binary.MaxVarintLen64 + 1]byte
 }
 
 // NewEventLog starts a fresh event log on w, writing the header immediately.
@@ -266,16 +269,22 @@ func NewEventLogAt(w io.Writer, nextSeq uint64) (*EventLog, error) {
 func (l *EventLog) NextSeq() uint64 { return l.nextSeq }
 
 // Append writes one event frame (seq, kind, payload) and returns its
-// sequence number. The event is durable only after Flush.
+// sequence number. The event is durable only after Flush. The frame is the
+// one writeFrame makes of seq, kind and payload, written in place: the
+// payload is neither copied nor framed in a buffer of its own.
 func (l *EventLog) Append(kind byte, payload []byte) (uint64, error) {
 	seq := l.nextSeq
-	var seqb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(seqb[:], seq)
-	frame := make([]byte, 0, n+1+len(payload))
-	frame = append(frame, seqb[:n]...)
-	frame = append(frame, kind)
-	frame = append(frame, payload...)
-	if err := writeFrame(l.w, frame); err != nil {
+	head := binary.AppendUvarint(l.head[:4], seq)
+	head = append(head, kind)
+	binary.LittleEndian.PutUint32(head, uint32(len(head)-4+len(payload)))
+	crc := crc32.Update(crc32.ChecksumIEEE(head[4:]), crc32.IEEETable, payload)
+	if _, err := l.w.Write(head); err != nil {
+		return 0, err
+	}
+	if _, err := l.w.Write(payload); err != nil {
+		return 0, err
+	}
+	if _, err := l.w.Write(binary.LittleEndian.AppendUint32(l.head[:0], crc)); err != nil {
 		return 0, err
 	}
 	l.nextSeq++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -204,6 +205,67 @@ func TestPutDocFields(t *testing.T) {
 		if d.SizeBytesOf(fields) != want.SizeBytes() {
 			t.Errorf("fields %v: SizeBytesOf %d, the projected document's SizeBytes %d", fields, d.SizeBytesOf(fields), want.SizeBytes())
 		}
+	}
+}
+
+// TestPutRecordMatchesPutDoc: over every value kind, PutRecord writes the
+// bytes of the document FromRecord builds.
+func TestPutRecordMatchesPutDoc(t *testing.T) {
+	r := record.New()
+	r.Set("SHOW_NAME", record.String("Matilda"))
+	r.Set("EMPTY", record.String(""))
+	r.Set("SEATS", record.Int(-1450))
+	r.Set("RATING", record.Float(4.5))
+	r.Set("OPEN", record.Bool(true))
+	r.Set("CLOSED", record.Bool(false))
+	r.Set("FIRST", record.Time(time.Date(2013, 3, 4, 19, 0, 0, 0, time.UTC)))
+	r.Set("NOTES", record.Null)
+	for n := 0; n <= r.Len(); n++ {
+		part := record.New()
+		for _, f := range r.Fields()[:n] {
+			part.Set(f.Name, f.Value)
+		}
+		var got bytes.Buffer
+		PutRecord(&got, part)
+		if want := EncodeDoc(FromRecord(part)); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%v: PutRecord wrote %q, PutDoc(FromRecord) %q", part, got.Bytes(), want)
+		}
+	}
+}
+
+// TestEventLogAppendFrames: Append writes the frame writeFrame makes of the
+// sequence number, kind and payload, and allocates nothing once its writer's
+// buffer is in place.
+func TestEventLogAppendFrames(t *testing.T) {
+	var buf bytes.Buffer
+	l, err := NewEventLogAt(&buf, 127)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.NewBufferString(eventMagic)
+	for i, payload := range []string{"", "a", strings.Repeat("payload ", 600)} {
+		if _, err := l.Append(byte(i+1), []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		var frame bytes.Buffer
+		PutUvarint(&frame, uint64(127+i))
+		frame.WriteByte(byte(i + 1))
+		frame.WriteString(payload)
+		if err := writeFrame(want, frame.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Errorf("log bytes %q, want %q", buf.Bytes(), want.Bytes())
+	}
+
+	l, _ = NewEventLog(io.Discard)
+	payload := bytes.Repeat([]byte{7}, 300)
+	if allocs := testing.AllocsPerRun(100, func() { l.Append(2, payload) }); allocs != 0 {
+		t.Errorf("Append allocates %.1f objects, want 0", allocs)
 	}
 }
 
