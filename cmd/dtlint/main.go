@@ -3,12 +3,17 @@
 //
 //	go run ./cmd/dtlint ./...
 //
+// The pattern ./... also loads every module nested below the directory
+// (benchmark/), so one run lints both modules. deadcheck runs only for
+// ./... at a module root; a narrower load lints without it.
+//
 // Analyzers (see internal/analysis for the full invariant statements):
 //
 //	dterrcheck   boundary errors must carry dterr codes; no string matching
 //	ctxcheck     contexts must be threaded, never minted or stored mid-path
 //	metriccheck  constant dt_-prefixed metric names, bounded label values
 //	lockcheck    no I/O, sends, or cross-package calls under store/cluster locks
+//	deadcheck    nothing under internal/ that no non-test code reaches
 //
 // A finding is suppressed by a directive on its line or the line above:
 //
@@ -25,10 +30,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/ctxcheck"
+	"repro/internal/analysis/deadcheck"
 	"repro/internal/analysis/dterrcheck"
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/lockcheck"
@@ -41,6 +49,7 @@ var All = []*analysis.Analyzer{
 	ctxcheck.Analyzer,
 	metriccheck.Analyzer,
 	lockcheck.Analyzer,
+	deadcheck.Analyzer,
 }
 
 func main() {
@@ -84,6 +93,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
+	}
+	// deadcheck's roots are the code outside internal/, so only ./... at a
+	// module root loads enough of the program to tell what is dead.
+	if _, err := os.Stat(filepath.Join(*dir, "go.mod")); err != nil || !slices.Equal(patterns, []string{"./..."}) {
+		if *only != "" && slices.Contains(analyzers, deadcheck.Analyzer) {
+			fmt.Fprintln(stderr, "dtlint: deadcheck needs the whole program: run it on ./... at a module root")
+			return 2
+		}
+		analyzers = slices.DeleteFunc(slices.Clone(analyzers), func(a *analysis.Analyzer) bool { return a == deadcheck.Analyzer })
 	}
 	pkgs, err := load.Load(*dir, patterns...)
 	if err != nil {

@@ -15,7 +15,10 @@
 //   - bottom-up schema integration with heuristic matchers, thresholds and
 //     alerts (internal/schema, internal/match) — the Figs. 2-3 workflow;
 //   - ML-driven entity consolidation and cleaning (internal/dedup,
-//     internal/ml, internal/clean) — the Section IV classifier;
+//     internal/ml, internal/clean) — the Section IV classifier: prefix
+//     blocking, a binned naive Bayes match classifier under k-fold
+//     cross-validation, union-find clusters, and currency, date,
+//     whitespace and missing-value cleaning rules;
 //   - expert sourcing for uncertain decisions (internal/expert);
 //   - fusion queries that enrich text results with structured fields
 //     (internal/fuse) — Tables IV-VI — served from immutable fused-view

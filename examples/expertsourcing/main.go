@@ -65,7 +65,7 @@ func main() {
 		fmt.Printf("expert decision: %-20s -> %-20s (confidence %.2f, %d votes)\n",
 			m.Attr.Name, d.Answer, d.Confidence, len(d.Responses))
 		if target, ok := global.Attribute(d.Answer); ok {
-			if err := global.MapAttribute(m.Attr, sources[1].Name, target, m.Best().Score); err != nil {
+			if err := global.MapAttribute(m.Attr, sources[1].Name, target); err != nil {
 				log.Fatal(err)
 			}
 		} else {

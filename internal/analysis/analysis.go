@@ -4,7 +4,7 @@
 // type-checked packages and applies suppression directives. It exists
 // because this repository's correctness rests on conventions no generic
 // tool checks, and the build environment is hermetic — x/tools cannot be
-// fetched — so the four project analyzers are written against this
+// fetched — so the five project analyzers are written against this
 // API-compatible shim instead. Porting them to the real go/analysis is a
 // mechanical import swap.
 //
@@ -36,6 +36,14 @@
 //     internal/store and internal/cluster, no I/O, channel send, or
 //     cross-package call while holding a sync.Mutex/RWMutex, unless the
 //     function is on the documented allowlist.
+//
+//   - deadcheck (added with the deletion of the library nothing ran):
+//     every top-level declaration under internal/ is reachable from
+//     non-test code outside internal/ (the facade, client, commands,
+//     examples and the benchmark harness), an init, a package-level var
+//     whose initializer calls a function, or an allowlisted test-support
+//     package. It is the one whole-program analyzer: it reports from
+//     Analyzer.Finish.
 //
 // Findings are suppressed with a directive on the flagged line or the
 // line above it:
@@ -69,8 +77,13 @@ type Analyzer struct {
 	Doc string
 
 	// Run applies the analyzer to one package, reporting findings through
-	// pass.Report/Reportf.
+	// pass.Reportf.
 	Run func(pass *Pass) error
+
+	// Finish, if set, runs once after Run has seen every package. Its Pass
+	// carries the run's shared State and FileSet and no package, so a
+	// whole-program check reports from here.
+	Finish func(pass *Pass) error
 }
 
 // A Package is one type-checked package ready for analysis.
@@ -83,7 +96,7 @@ type Package struct {
 }
 
 // A Pass connects an Analyzer to one Package during a run. Analyzers
-// read the syntax and type information and call Report for each finding.
+// read the syntax and type information and call Reportf for each finding.
 type Pass struct {
 	Analyzer  *Analyzer
 	PkgPath   string
@@ -105,9 +118,6 @@ type Diagnostic struct {
 	Pos     token.Pos
 	Message string
 }
-
-// Report records one finding.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
 
 // Reportf records one formatted finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
@@ -198,6 +208,15 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 			return nil, fmt.Errorf("analysis: invalid analyzer %+v", a)
 		}
 		state := make(map[string]any)
+		report := func(fset *token.FileSet) func(Diagnostic) {
+			return func(d Diagnostic) {
+				pos := fset.Position(d.Pos)
+				if suppressed(a.Name, pos) {
+					return
+				}
+				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+			}
+		}
 		for _, pkg := range pkgs {
 			pass := &Pass{
 				Analyzer:  a,
@@ -207,16 +226,18 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
 				State:     state,
-			}
-			pass.report = func(d Diagnostic) {
-				pos := pkg.Fset.Position(d.Pos)
-				if suppressed(a.Name, pos) {
-					return
-				}
-				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+				report:    report(pkg.Fset),
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.PkgPath, err)
+			}
+		}
+		if a.Finish != nil && len(pkgs) > 0 {
+			// The loaders put every package of a run in one FileSet.
+			fset := pkgs[0].Fset
+			pass := &Pass{Analyzer: a, Fset: fset, State: state, report: report(fset)}
+			if err := a.Finish(pass); err != nil {
+				return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
 			}
 		}
 	}

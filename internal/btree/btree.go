@@ -243,46 +243,6 @@ func (n *node) max() Entry {
 	return n.items[len(n.items)-1]
 }
 
-// Has reports whether the exact (key, id) pair is present.
-func (t *Tree) Has(key string, id int64) bool {
-	e := Entry{Key: key, ID: id}
-	n := t.root
-	for n != nil {
-		i, found := find(n.items, e)
-		if found {
-			return true
-		}
-		if len(n.children) == 0 {
-			return false
-		}
-		n = n.children[i]
-	}
-	return false
-}
-
-// Ascend visits every entry in order until fn returns false.
-func (t *Tree) Ascend(fn func(Entry) bool) {
-	t.root.ascend(fn)
-}
-
-func (n *node) ascend(fn func(Entry) bool) bool {
-	if n == nil {
-		return true
-	}
-	for i, item := range n.items {
-		if len(n.children) > 0 && !n.children[i].ascend(fn) {
-			return false
-		}
-		if !fn(item) {
-			return false
-		}
-	}
-	if len(n.children) > 0 {
-		return n.children[len(n.children)-1].ascend(fn)
-	}
-	return true
-}
-
 // AscendRange visits entries with ge <= key < lt in order until fn returns
 // false. An empty lt means no upper bound.
 func (t *Tree) AscendRange(ge, lt string, fn func(Entry) bool) {
@@ -338,6 +298,8 @@ func (t *Tree) AscendPrefix(prefix string, fn func(Entry) bool) {
 }
 
 // Height reports the height of the tree (0 when empty).
+//
+//lint:dtlint-allow deadcheck TestMinMaxHeight: invariant
 func (t *Tree) Height() int {
 	h := 0
 	for n := t.root; n != nil; {
@@ -348,24 +310,4 @@ func (t *Tree) Height() int {
 		n = n.children[0]
 	}
 	return h
-}
-
-// Min returns the smallest entry and whether the tree is non-empty.
-func (t *Tree) Min() (Entry, bool) {
-	n := t.root
-	if n == nil {
-		return Entry{}, false
-	}
-	for len(n.children) > 0 {
-		n = n.children[0]
-	}
-	return n.items[0], true
-}
-
-// Max returns the largest entry and whether the tree is non-empty.
-func (t *Tree) Max() (Entry, bool) {
-	if t.root == nil {
-		return Entry{}, false
-	}
-	return t.root.max(), true
 }

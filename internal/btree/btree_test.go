@@ -3,6 +3,7 @@ package btree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -58,8 +59,8 @@ func TestDelete(t *testing.T) {
 		if !tr.Delete(key, int64(i)) {
 			t.Fatalf("Delete(%s) = false", key)
 		}
-		if tr.Has(key, int64(i)) {
-			t.Fatalf("Has(%s) after delete", key)
+		if slices.Contains(tr.Lookup(key), int64(i)) {
+			t.Fatalf("Lookup(%s) has %d after delete", key, i)
 		}
 	}
 	if tr.Len() != 0 {
@@ -77,7 +78,7 @@ func TestAscendOrdered(t *testing.T) {
 		tr.Insert(k, int64(i))
 	}
 	var got []string
-	tr.Ascend(func(e Entry) bool {
+	tr.AscendRange("", "", func(e Entry) bool {
 		got = append(got, e.Key)
 		return true
 	})
@@ -96,7 +97,7 @@ func TestAscendEarlyStop(t *testing.T) {
 		tr.Insert(fmt.Sprintf("k%03d", i), int64(i))
 	}
 	count := 0
-	tr.Ascend(func(e Entry) bool {
+	tr.AscendRange("", "", func(e Entry) bool {
 		count++
 		return count < 5
 	})
@@ -143,22 +144,22 @@ func TestAscendPrefix(t *testing.T) {
 
 func TestMinMaxHeight(t *testing.T) {
 	tr := NewDegree(2)
-	if _, ok := tr.Min(); ok {
-		t.Error("Min on empty should report false")
-	}
-	if _, ok := tr.Max(); ok {
-		t.Error("Max on empty should report false")
-	}
 	if tr.Height() != 0 {
 		t.Error("Height of empty tree should be 0")
 	}
 	for i := 0; i < 1000; i++ {
 		tr.Insert(fmt.Sprintf("k%04d", i), int64(i))
 	}
-	mn, _ := tr.Min()
-	mx, _ := tr.Max()
+	var mn, mx Entry
+	tr.AscendRange("", "", func(e Entry) bool {
+		if mn.Key == "" {
+			mn = e
+		}
+		mx = e
+		return true
+	})
 	if mn.Key != "k0000" || mx.Key != "k0999" {
-		t.Errorf("Min/Max = %v/%v", mn, mx)
+		t.Errorf("first/last = %v/%v", mn, mx)
 	}
 	// Degree-2 B-tree of 1000 entries must stay logarithmic (< 12 levels).
 	if h := tr.Height(); h < 3 || h > 12 {
@@ -171,7 +172,7 @@ func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
 	var prev *Entry
 	count := 0
-	tr.Ascend(func(e Entry) bool {
+	tr.AscendRange("", "", func(e Entry) bool {
 		if prev != nil && !less(*prev, e) {
 			t.Fatalf("order violation: %v then %v", *prev, e)
 		}
@@ -231,7 +232,7 @@ func TestQuickSortedTraversal(t *testing.T) {
 		}
 		sort.Strings(want)
 		var got []string
-		tr.Ascend(func(e Entry) bool {
+		tr.AscendRange("", "", func(e Entry) bool {
 			got = append(got, e.Key)
 			return true
 		})

@@ -68,59 +68,6 @@ func TestNormalizeDate(t *testing.T) {
 	}
 }
 
-func TestNormalizePhone(t *testing.T) {
-	got, err := NormalizePhone("(212) 555-1234")
-	if err != nil || got != "2125551234" {
-		t.Errorf("phone = %q, %v", got, err)
-	}
-	got, err = NormalizePhone("+1 212 555 1234")
-	if err != nil || got != "+12125551234" {
-		t.Errorf("intl phone = %q, %v", got, err)
-	}
-	if _, err := NormalizePhone("12345"); err == nil {
-		t.Error("short phone should fail")
-	}
-}
-
-func TestTitleCaseAndWhitespace(t *testing.T) {
-	if got := TitleCase("the  WALKING dead"); got != "The Walking Dead" {
-		t.Errorf("TitleCase = %q", got)
-	}
-	if got := NormalizeWhitespace("  a \t b\n c "); got != "a b c" {
-		t.Errorf("whitespace = %q", got)
-	}
-}
-
-func TestOutliersMAD(t *testing.T) {
-	values := []float64{27, 29, 30, 28, 31, 500}
-	flags := Outliers(values, 3.5)
-	if !flags[5] {
-		t.Error("500 should be an outlier")
-	}
-	for i := 0; i < 5; i++ {
-		if flags[i] {
-			t.Errorf("value %f wrongly flagged", values[i])
-		}
-	}
-}
-
-func TestOutliersDegenerate(t *testing.T) {
-	if flags := Outliers([]float64{1, 2}, 3.5); flags[0] || flags[1] {
-		t.Error("tiny input should not flag")
-	}
-	same := Outliers([]float64{5, 5, 5, 5}, 3.5)
-	for _, f := range same {
-		if f {
-			t.Error("identical values should not flag")
-		}
-	}
-	// MAD=0 but outlier exists: fallback to mean deviation catches it.
-	flags := Outliers([]float64{5, 5, 5, 5, 5, 5, 100}, 3.5)
-	if !flags[6] {
-		t.Error("fallback should flag 100")
-	}
-}
-
 func TestCurrencyConvert(t *testing.T) {
 	c := CurrencyConvert{From: "EUR", To: "USD", Rate: 1.30}
 	v, err := c.Apply(record.String("€100"))
@@ -150,39 +97,16 @@ func TestDateTransform(t *testing.T) {
 	}
 }
 
-func TestDictionaryRepair(t *testing.T) {
-	d := DictionaryRepair{Domain: []string{"New York", "Boston", "Chicago"}}
-	v, err := d.Apply(record.String("New Yrok"))
-	if err != nil || v.Str() != "New York" {
-		t.Errorf("repair = %q, %v", v.Str(), err)
-	}
-	// Exact match untouched (keeps original casing).
-	v, _ = d.Apply(record.String("boston"))
-	if v.Str() != "boston" {
-		t.Errorf("canonical value rewritten: %q", v.Str())
-	}
-	// Far value untouched.
-	v, _ = d.Apply(record.String("Tokyo"))
-	if v.Str() != "Tokyo" {
-		t.Errorf("far value rewritten: %q", v.Str())
-	}
-	// Non-string untouched.
-	v, _ = d.Apply(record.Int(5))
-	if v.Kind() != record.KindInt {
-		t.Error("non-string rewritten")
-	}
-}
-
 func TestCleanerApply(t *testing.T) {
 	c := &Cleaner{Rules: []Rule{
 		{Attr: "price", Transform: CurrencyConvert{From: "EUR", To: "USD", Rate: 1.3}},
 		{Attr: "first", Transform: DateTransform{}},
-		{Attr: "city", Transform: DictionaryRepair{Domain: []string{"New York"}}},
+		{Attr: "city", Transform: WhitespaceTransform{}},
 	}}
 	r := record.New()
 	r.Set("price", record.String("€10"))
 	r.Set("first", record.String("3/4/2013"))
-	r.Set("city", record.String("New Yrk"))
+	r.Set("city", record.String(" New  York"))
 	r.Set("untouched", record.String("x"))
 	rep := c.Apply(r)
 	if rep.Applied != 3 {
@@ -227,10 +151,6 @@ func TestCleanerApplyAll(t *testing.T) {
 	if rep.ByRule["date-iso"] != 2 {
 		t.Errorf("byrule = %v", rep.ByRule)
 	}
-	names := c.RuleNames()
-	if len(names) != 1 || names[0] != "date-iso" {
-		t.Errorf("names = %v", names)
-	}
 }
 
 func TestTransformNames(t *testing.T) {
@@ -238,7 +158,7 @@ func TestTransformNames(t *testing.T) {
 		CurrencyConvert{From: "EUR", To: "USD"},
 		DateTransform{},
 		WhitespaceTransform{},
-		DictionaryRepair{},
+		NullStandardize{},
 	} {
 		if strings.TrimSpace(tr.Name()) == "" {
 			t.Errorf("%T has empty name", tr)
@@ -255,5 +175,26 @@ func TestWhitespaceTransform(t *testing.T) {
 	v, _ = w.Apply(record.Int(3))
 	if v.Kind() != record.KindInt {
 		t.Error("non-string rewritten")
+	}
+	if got := NormalizeWhitespace("  a \t b\n c "); got != "a b c" {
+		t.Errorf("whitespace = %q", got)
+	}
+}
+
+func TestNullStandardize(t *testing.T) {
+	n := NullStandardize{}
+	for _, s := range []string{"n/a", "N/A", " none ", "-", "?", "TBD"} {
+		v, err := n.Apply(record.String(s))
+		if err != nil || !v.IsNull() {
+			t.Errorf("NullStandardize(%q) = %v, %v", s, v, err)
+		}
+	}
+	v, _ := n.Apply(record.String("Matilda"))
+	if v.IsNull() {
+		t.Error("real value nulled")
+	}
+	v, _ = n.Apply(record.Int(0))
+	if v.IsNull() {
+		t.Error("non-string nulled")
 	}
 }

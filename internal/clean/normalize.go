@@ -1,7 +1,7 @@
 // Package clean implements Data Tamer's data-cleaning and transformation
-// modules: format normalizers, dictionary repair of near-miss values,
-// numeric outlier detection, and a rule-driven transformation engine (the
-// paper's example: translating euros into dollars).
+// modules: money, date and whitespace normalizers, missing-value
+// standardization, and a rule-driven transformation engine (the paper's
+// example: translating euros into dollars).
 package clean
 
 import (
@@ -13,10 +13,7 @@ import (
 	"repro/internal/record"
 )
 
-var (
-	moneyRe = regexp.MustCompile(`^\s*([$€£])?\s*(\d{1,3}(?:,\d{3})*|\d+)(\.\d+)?\s*(USD|EUR|GBP|dollars?|euros?|pounds?)?\s*$`)
-	phoneRe = regexp.MustCompile(`\d`)
-)
+var moneyRe = regexp.MustCompile(`^\s*([$€£])?\s*(\d{1,3}(?:,\d{3})*|\d+)(\.\d+)?\s*(USD|EUR|GBP|dollars?|euros?|pounds?)?\s*$`)
 
 // Money is a parsed monetary value.
 type Money struct {
@@ -75,34 +72,7 @@ func NormalizeDate(s string) (string, error) {
 	return t.Format("2006-01-02"), nil
 }
 
-// NormalizePhone reduces a phone number to its digit string, keeping a
-// leading +. It errors when fewer than 7 digits remain.
-func NormalizePhone(s string) (string, error) {
-	digits := strings.Join(phoneRe.FindAllString(s, -1), "")
-	if len(digits) < 7 {
-		return "", fmt.Errorf("clean: unparseable phone %q", s)
-	}
-	if strings.HasPrefix(strings.TrimSpace(s), "+") {
-		return "+" + digits, nil
-	}
-	return digits, nil
-}
-
 // NormalizeWhitespace collapses runs of whitespace and trims.
 func NormalizeWhitespace(s string) string {
 	return strings.Join(strings.Fields(s), " ")
-}
-
-// TitleCase renders s in simple title case (first letter of each word
-// upper, rest lower), used when consolidating display names.
-func TitleCase(s string) string {
-	words := strings.Fields(strings.ToLower(s))
-	for i, w := range words {
-		r := []rune(w)
-		if len(r) > 0 {
-			r[0] = []rune(strings.ToUpper(string(r[0])))[0]
-			words[i] = string(r)
-		}
-	}
-	return strings.Join(words, " ")
 }

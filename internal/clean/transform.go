@@ -2,11 +2,9 @@ package clean
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"repro/internal/record"
-	"repro/internal/similarity"
-	"repro/internal/textutil"
 )
 
 // Transform rewrites one value; returning the input unchanged is valid.
@@ -60,6 +58,31 @@ func (DateTransform) Apply(v record.Value) (record.Value, error) {
 	return record.String(iso), nil
 }
 
+// NullStandardize maps the common "missing" spellings (n/a, none, unknown,
+// -, ?) to the null value so downstream consolidation treats them as
+// absent.
+type NullStandardize struct{}
+
+// Name implements Transform.
+func (NullStandardize) Name() string { return "null-standardize" }
+
+var nullSpellings = map[string]bool{
+	"n/a": true, "na": true, "none": true, "null": true, "nil": true,
+	"unknown": true, "-": true, "--": true, "?": true, "tbd": true,
+	"missing": true,
+}
+
+// Apply implements Transform.
+func (NullStandardize) Apply(v record.Value) (record.Value, error) {
+	if v.Kind() != record.KindString {
+		return v, nil
+	}
+	if nullSpellings[strings.ToLower(strings.TrimSpace(v.Str()))] {
+		return record.Null, nil
+	}
+	return v, nil
+}
+
 // WhitespaceTransform collapses whitespace in string values.
 type WhitespaceTransform struct{}
 
@@ -72,42 +95,6 @@ func (WhitespaceTransform) Apply(v record.Value) (record.Value, error) {
 		return v, nil
 	}
 	return record.String(NormalizeWhitespace(v.Str())), nil
-}
-
-// DictionaryRepair fixes near-miss values in a closed domain (e.g. city
-// names) by snapping them to the nearest dictionary entry above MinSim.
-type DictionaryRepair struct {
-	Domain []string
-	MinSim float64 // Jaro-Winkler floor (default 0.88 when 0)
-}
-
-// Name implements Transform.
-func (DictionaryRepair) Name() string { return "dictionary-repair" }
-
-// Apply implements Transform.
-func (d DictionaryRepair) Apply(v record.Value) (record.Value, error) {
-	if v.Kind() != record.KindString {
-		return v, nil
-	}
-	minSim := d.MinSim
-	if minSim == 0 {
-		minSim = 0.88
-	}
-	raw := textutil.Normalize(v.Str())
-	best, bestSim := "", 0.0
-	for _, entry := range d.Domain {
-		ne := textutil.Normalize(entry)
-		if ne == raw {
-			return v, nil // already canonical
-		}
-		if s := similarity.JaroWinkler(raw, ne); s > bestSim {
-			best, bestSim = entry, s
-		}
-	}
-	if bestSim >= minSim {
-		return record.String(best), nil
-	}
-	return v, nil
 }
 
 // Rule binds a transform to an attribute.
@@ -163,18 +150,4 @@ func (c *Cleaner) ApplyAll(records []*record.Record) Report {
 		}
 	}
 	return total
-}
-
-// RuleNames lists the cleaner's transform names, sorted, for reports.
-func (c *Cleaner) RuleNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range c.Rules {
-		if !seen[r.Transform.Name()] {
-			seen[r.Transform.Name()] = true
-			out = append(out, r.Transform.Name())
-		}
-	}
-	sort.Strings(out)
-	return out
 }

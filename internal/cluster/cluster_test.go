@@ -23,6 +23,14 @@ import (
 // loopbackBackends builds RemoteShard backends for both namespaces over a
 // single in-process node (optionally mirrored by a follower), exercising
 // the full wire codec on every call.
+// newFollowerNode creates an empty read-only node, as BuildNode does for a
+// follower: replication apply is the only mutation path.
+func newFollowerNode(name string) *Node {
+	n := NewNode(name)
+	n.readOnly = true
+	return n
+}
+
 func loopbackBackends(shards int, primary, follower *Node) (inst, ent []store.ShardBackend) {
 	pt := Loopback{Node: primary}
 	var ft Transport
@@ -128,7 +136,7 @@ func TestLoopbackConcurrentReads(t *testing.T) {
 	const shards = 4
 	primary := NewNode("p")
 	hostAll(primary, shards)
-	follower := NewFollowerNode("f")
+	follower := newFollowerNode("f")
 	hostAll(follower, shards)
 	fol := NewFollower(follower, Loopback{Node: primary}, time.Millisecond)
 	fol.Start()
@@ -157,7 +165,7 @@ func TestLoopbackConcurrentReads(t *testing.T) {
 					t.Errorf("countwhere: %v", err)
 					return
 				}
-				if _, err := entities.FindCtx(ctx, store.Prefix("name", fmt.Sprintf("ent-%d-", w))); err != nil {
+				if _, err := entities.FindCtx(ctx, prefixCond("name", fmt.Sprintf("ent-%d-", w))); err != nil {
 					t.Errorf("find: %v", err)
 					return
 				}
@@ -175,7 +183,7 @@ func TestLoopbackConcurrentReads(t *testing.T) {
 func TestFollowerReplication(t *testing.T) {
 	primary := NewNode("p")
 	hostAll(primary, 1)
-	follower := NewFollowerNode("f")
+	follower := newFollowerNode("f")
 	hostAll(follower, 1)
 	fol := NewFollower(follower, Loopback{Node: primary}, time.Hour) // manual pulls only
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, nil)
@@ -239,7 +247,7 @@ func TestFollowerReplication(t *testing.T) {
 func TestFollowerIndexReplication(t *testing.T) {
 	primary := NewNode("p")
 	hostAll(primary, 1)
-	follower := NewFollowerNode("f")
+	follower := newFollowerNode("f")
 	hostAll(follower, 1)
 	fol := NewFollower(follower, Loopback{Node: primary}, time.Hour) // manual pulls only
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, nil)
@@ -265,9 +273,8 @@ func TestFollowerIndexReplication(t *testing.T) {
 
 	fh := follower.shard(ShardKey(NSEntities, 0))
 	fc, fGen := fh.view()
-	if len(fc.Indexes()) != 1 || len(fc.TextIndexes()) != 1 {
-		t.Fatalf("follower has %d indexes, %d text indexes; want 1 and 1",
-			len(fc.Indexes()), len(fc.TextIndexes()))
+	if n, text := indexes(fc, "body"); n != 1 || !text {
+		t.Fatalf("follower has %d indexes and text index %v; want 1 and one on body", n, text)
 	}
 	ph := primary.shard(ShardKey(NSEntities, 0))
 	if _, pGen := ph.view(); fGen != pGen {
@@ -277,7 +284,7 @@ func TestFollowerIndexReplication(t *testing.T) {
 	// An In filter is served from the index; both sides must return the
 	// same docs in the same order.
 	fShard := NewRemoteShard(NSEntities, 0, Loopback{Node: follower}, nil)
-	filter := store.In("name", record.String("zeta"), record.String("alpha"), record.String("mid"))
+	filter := inCond("name", record.String("zeta"), record.String("alpha"), record.String("mid"))
 	pd, err := findAll(ctx, shard, filter)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +321,7 @@ func TestFollowerSnapshotResync(t *testing.T) {
 	h.events = h.events[8:] // pretend events 1..8 were trimmed
 	h.mu.Unlock()
 
-	follower := NewFollowerNode("f")
+	follower := newFollowerNode("f")
 	follower.AddShard(ShardKey(NSEntities, 0), store.NewCollection(NSEntities, 0))
 	fol := NewFollower(follower, Loopback{Node: primary}, time.Hour)
 	if err := fol.PullOnce(); err != nil {
@@ -336,7 +343,7 @@ func TestFollowerSnapshotResync(t *testing.T) {
 func TestReadYourWrites(t *testing.T) {
 	primary := NewNode("p")
 	hostAll(primary, 1)
-	follower := NewFollowerNode("f")
+	follower := newFollowerNode("f")
 	hostAll(follower, 1) // never pulled: permanently at generation 0
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, Loopback{Node: follower})
 	ctx := context.Background()
@@ -380,7 +387,7 @@ func mustQuery(t *testing.T, q store.Query) []byte {
 
 // TestFollowerWriteRejected checks a read-only replica refuses writes.
 func TestFollowerWriteRejected(t *testing.T) {
-	follower := NewFollowerNode("f")
+	follower := newFollowerNode("f")
 	hostAll(follower, 1)
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: follower}, nil)
 	_, err := shard.Insert(context.Background(), store.NewDoc().Set("name", store.Str("x")))
@@ -432,8 +439,8 @@ func TestTCPTransport(t *testing.T) {
 	if len(docs) != 11 { // sock-1, sock-10..sock-19
 		t.Fatalf("find over tcp: %d docs, want 11", len(docs))
 	}
-	if err := shard.Ping(ctx); err != nil {
-		t.Fatalf("ping: %v", err)
+	if resp, err := shard.primary.Call(ctx, &Request{Op: OpPing, Shard: shard.key}); err != nil || resp.Err != nil {
+		t.Fatalf("ping: %v, %v", err, resp)
 	}
 
 	// Cancelled context surfaces as the context's typed error.

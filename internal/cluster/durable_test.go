@@ -1,12 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -73,9 +73,8 @@ func assertDurableState(t *testing.T, node *Node) {
 	if gen != 9 {
 		t.Fatalf("entity generation = %d, want 9", gen)
 	}
-	if len(ec.Indexes()) != 1 || len(ec.TextIndexes()) != 1 {
-		t.Fatalf("recovered %d indexes, %d text indexes; want 1 and 1",
-			len(ec.Indexes()), len(ec.TextIndexes()))
+	if n, text := indexes(ec, "name"); n != 1 || !text {
+		t.Fatalf("recovered %d indexes and text index %v; want 1 and one on name", n, text)
 	}
 	docs, err := findAll(ctx, ent, store.EqStr("name", "e1"))
 	if err != nil || len(docs) != 1 {
@@ -295,7 +294,7 @@ func TestFollowerResyncPreservesIndexes(t *testing.T) {
 	h.events = h.events[8:] // trim past the index-create events
 	h.mu.Unlock()
 
-	follower := NewFollowerNode("f")
+	follower := newFollowerNode("f")
 	follower.AddShard(ShardKey(NSEntities, 0), store.NewCollection(NSEntities, 0))
 	fol := NewFollower(follower, Loopback{Node: primary}, time.Hour)
 	if err := fol.PullOnce(); err != nil {
@@ -314,27 +313,38 @@ func TestFollowerResyncPreservesIndexes(t *testing.T) {
 	if pc.Stats().NumExtents < 2 {
 		t.Fatalf("primary spans %d extents; the test needs several", pc.Stats().NumExtents)
 	}
-	if got, want := layout(fc), layout(pc); !slices.Equal(got, want) {
-		t.Fatalf("follower layout %q, primary %q", got, want)
+	if !bytes.Equal(snapshotOf(t, fc), snapshotOf(t, pc)) {
+		t.Fatal("follower image differs from the primary's: documents, extents or index layout")
 	}
 	if n := fc.Count(); n != 8 {
 		t.Fatalf("follower count after resync = %d, want 8", n)
 	}
-	if got, want := fc.ExplainFilter(store.Prefix("name", "e")), pc.ExplainFilter(store.Prefix("name", "e")); got != want {
+	if got, want := explainFilter(fc, prefixCond("name", "e")), explainFilter(pc, prefixCond("name", "e")); got != want {
 		t.Fatalf("follower plans %+v, primary %+v", got, want)
 	}
 }
 
-// layout renders a collection's index layout.
-func layout(c *store.Collection) []string {
-	var out []string
-	for _, ix := range c.Indexes() {
-		out = append(out, fmt.Sprintf("%s %s %s %d", ix.Name, ix.Path, ix.Kind, ix.Entries()))
+// snapshotOf is the shard image of c: its documents, extents and index
+// layout.
+func snapshotOf(t *testing.T, c *store.Collection) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for _, tx := range c.TextIndexes() {
-		out = append(out, "text "+tx.Path)
-	}
-	return out
+	return buf.Bytes()
+}
+
+// indexes is how many hash and B-tree indexes c has, and whether a text
+// index serves substring filters on path.
+func indexes(c *store.Collection, path string) (int, bool) {
+	plan := explainFilter(c, store.Contains(path, "word"))
+	return c.Stats().NIndexes, plan.IndexKind == "text"
+}
+
+// explainFilter is the plan a collection's Query uses for f.
+func explainFilter(c *store.Collection, f store.Filter) store.Explain {
+	return c.Query(store.Query{Filter: f, Explain: true}).Plan
 }
 
 // trackingListener records accepted connections so a test can kill a node

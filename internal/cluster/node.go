@@ -131,14 +131,6 @@ func NewNode(name string) *Node {
 	return &Node{name: name, shards: make(map[string]*hostedShard)}
 }
 
-// NewFollowerNode creates an empty read-only node: replication apply is
-// the only mutation path, and write ops over the wire are rejected.
-func NewFollowerNode(name string) *Node {
-	n := NewNode(name)
-	n.readOnly = true
-	return n
-}
-
 // Name returns the node name.
 func (n *Node) Name() string { return n.name }
 

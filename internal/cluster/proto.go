@@ -215,16 +215,7 @@ func ShardKey(ns string, index int) string { return fmt.Sprintf("%s/%d", ns, ind
 // wire protocol adds no second serialization format: a Cond becomes
 // {t: "cond", op, path, value, set}, combinators nest recursively.
 
-// EncodeFilter serializes a filter; nil (match-all) is encodable.
-func EncodeFilter(f store.Filter) ([]byte, error) {
-	d, err := filterDoc(f)
-	if err != nil {
-		return nil, err
-	}
-	return store.EncodeDoc(d), nil
-}
-
-// DecodeFilter reverses EncodeFilter.
+// DecodeFilter decodes a filter document as filterDoc builds it.
 func DecodeFilter(data []byte) (store.Filter, error) {
 	d, err := store.DecodeDoc(data)
 	if err != nil {

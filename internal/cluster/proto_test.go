@@ -110,17 +110,17 @@ func TestFilterRoundTrip(t *testing.T) {
 		"eq":       store.EqStr("type", "Movie"),
 		"num":      store.Eq("n", record.Int(7)),
 		"contains": store.Contains("name", "pha"),
-		"prefix":   store.Prefix("name", "alpha"),
+		"prefix":   prefixCond("name", "alpha"),
 		"exists":   store.Exists("type"),
-		"in":       store.In("type", record.String("Movie"), record.String("Show")),
-		"range":    store.Range("n", record.Int(2), record.Int(8)),
+		"in":       inCond("type", record.String("Movie"), record.String("Show")),
+		"range":    store.And{store.Cond{Path: "n", Op: store.OpGe, Value: record.Int(2)}, store.Cond{Path: "n", Op: store.OpLt, Value: record.Int(8)}},
 		"and":      store.And{store.EqStr("type", "Movie"), store.Contains("name", "a")},
 		"or":       store.Or{store.EqStr("type", "Show"), store.EqStr("type", "Actor")},
 		"not":      store.Not{Inner: store.EqStr("type", "Movie")},
-		"nested":   store.And{store.Not{Inner: store.EqStr("type", "Actor")}, store.Or{store.Prefix("name", "al"), store.Eq("n", record.Int(9))}},
+		"nested":   store.And{store.Not{Inner: store.EqStr("type", "Actor")}, store.Or{prefixCond("name", "al"), store.Eq("n", record.Int(9))}},
 	}
 	for name, f := range filters {
-		data, err := EncodeFilter(f)
+		data, err := encodeFilter(f)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
 		}
@@ -128,8 +128,8 @@ func TestFilterRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
-		want := c.Find(f)
-		got := c.Find(back)
+		want := c.Query(store.Query{Filter: f, Limit: store.NoLimit}).Docs
+		got := c.Query(store.Query{Filter: back, Limit: store.NoLimit}).Docs
 		if len(want) != len(got) {
 			t.Fatalf("%s: original matched %d docs, decoded matched %d", name, len(want), len(got))
 		}
@@ -269,13 +269,13 @@ func queryFrameSeeds(t testing.TB) [][]byte {
 		{Limit: store.NoLimit},
 		{Filter: store.EqStr("type", "Movie"), Offset: 40, Limit: 10},
 		{Filter: store.And{store.EqStr("type", "Movie"), store.Not{Inner: store.Contains("name", "x")}}},
-		{Filter: store.In("type", record.String("a"), record.Int(3)), Offset: math.MaxInt, Limit: math.MaxInt},
-		{Filter: store.Prefix("name", "The "), Explain: true},
+		{Filter: inCond("type", record.String("a"), record.Int(3)), Offset: math.MaxInt, Limit: math.MaxInt},
+		{Filter: prefixCond("name", "The "), Explain: true},
 		{Filter: store.Contains("text", "Matilda"), Limit: store.NoLimit, Fields: []string{"text"}},
 		{Limit: 3, Fields: []string{"name", "", "attributes", "name"}},
 		{Filter: store.And{store.EqStr("type", "Movie"), store.EqStr("attributes.award_winning", "true")}, GroupBy: "name"},
 		{Offset: 2, Limit: 5, Fields: []string{"uid"}, GroupBy: "attributes.award_winning"},
-		{Filter: store.Prefix("name", "M"), GroupBy: "tags", Explain: true},
+		{Filter: prefixCond("name", "M"), GroupBy: "tags", Explain: true},
 	} {
 		b, err := EncodeQuery(q)
 		if err != nil {
@@ -417,9 +417,29 @@ func TestInsertListAllOrNothing(t *testing.T) {
 	}
 }
 
+// prefixCond and inCond build the conditions the query language writes
+// as ^ and IN.
+func prefixCond(path, p string) store.Cond {
+	return store.Cond{Path: path, Op: store.OpPrefix, Value: record.String(p)}
+}
+
+func inCond(path string, vs ...record.Value) store.Cond {
+	return store.Cond{Path: path, Op: store.OpIn, Set: vs}
+}
+
+// encodeFilter serializes a filter as a query frame carries it; nil
+// (match-all) is encodable.
+func encodeFilter(f store.Filter) ([]byte, error) {
+	d, err := filterDoc(f)
+	if err != nil {
+		return nil, err
+	}
+	return store.EncodeDoc(d), nil
+}
+
 func mustFilter(t testing.TB, f store.Filter) []byte {
 	t.Helper()
-	b, err := EncodeFilter(f)
+	b, err := encodeFilter(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +534,7 @@ func resultFrameSeeds() [][]byte {
 }
 
 func FuzzDecodeFilter(f *testing.F) {
-	seed, _ := EncodeFilter(store.And{store.EqStr("type", "Movie"), store.Not{Inner: store.Exists("gone")}})
+	seed, _ := encodeFilter(store.And{store.EqStr("type", "Movie"), store.Not{Inner: store.Exists("gone")}})
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

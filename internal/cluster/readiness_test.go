@@ -61,7 +61,7 @@ func TestReadiness(t *testing.T) {
 // document to degraded and the endpoint to 503, with the breaker state
 // visible in the body.
 func TestHealthHandlerDegradedReplica(t *testing.T) {
-	node := NewFollowerNode("hzf")
+	node := newFollowerNode("hzf")
 	hostAll(node, 1)
 	node.SetReplicaProbe(func() ReplicaStatus {
 		return ReplicaStatus{Healthy: false, LastError: "pull: connection refused", Breaker: "open"}
@@ -93,7 +93,7 @@ func TestHealthHandlerDegradedReplica(t *testing.T) {
 func TestFollowerStatus(t *testing.T) {
 	primary := NewNode("p")
 	hostAll(primary, 1)
-	follower := NewFollowerNode("f")
+	follower := newFollowerNode("f")
 	hostAll(follower, 1)
 
 	fol := NewFollower(follower, Loopback{Node: primary}, time.Hour)

@@ -193,18 +193,6 @@ func (r *RemoteShard) Checkpoint(ctx context.Context) error {
 	return nil
 }
 
-// Ping round-trips an OpPing through the primary transport.
-func (r *RemoteShard) Ping(ctx context.Context) error {
-	resp, err := r.primary.Call(ctx, &Request{Op: OpPing, Shard: r.key})
-	if err != nil {
-		return err
-	}
-	if resp.Err != nil {
-		return resp.Err
-	}
-	return nil
-}
-
 func boolFromBody(body []byte) (bool, error) {
 	if len(body) != 1 {
 		return false, fmt.Errorf("cluster: malformed bool response (%d bytes)", len(body))

@@ -140,9 +140,6 @@ func Dial(addr string, timeout time.Duration) *TCPTransport {
 	return &TCPTransport{addr: addr, timeout: timeout, sem: make(chan struct{}, maxConns)}
 }
 
-// Addr returns the node address this transport dials.
-func (t *TCPTransport) Addr() string { return t.addr }
-
 // Call implements Transport. The context deadline (or the transport's
 // default timeout) becomes the socket deadline for the whole exchange.
 // Every call records its latency and failure code into the transport
@@ -338,6 +335,8 @@ func (t *TCPTransport) Close() error {
 // Loopback is an in-process transport that still round-trips every
 // request and response through the wire codec, so tests exercise the full
 // protocol stack — encoding, dispatch, error mapping — without sockets.
+//
+//lint:dtlint-allow deadcheck TestClusterChaosSoak and the cluster unit tests: fake
 type Loopback struct {
 	Node *Node
 }

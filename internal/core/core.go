@@ -43,11 +43,6 @@ type Config struct {
 	ExtentSize int64
 	// Seed drives all generators and simulated experts.
 	Seed int64
-	// AcceptThreshold overrides the schema-matching accept threshold
-	// (0 keeps the engine default).
-	AcceptThreshold float64
-	// EuroRate is the EUR->USD transformation rate (default 1.30).
-	EuroRate float64
 }
 
 func (c Config) withDefaults() Config {
@@ -65,9 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.EuroRate == 0 {
-		c.EuroRate = 1.30
 	}
 	return c
 }
@@ -129,16 +121,13 @@ func New(cfg Config) *Tamer {
 		Global:    schema.NewGlobal(),
 		Matcher:   match.NewEngine(),
 		Cleaner: &clean.Cleaner{Rules: []clean.Rule{
-			{Attr: "CHEAPEST_PRICE", Transform: clean.CurrencyConvert{From: "EUR", To: "USD", Rate: cfg.EuroRate}},
+			{Attr: "CHEAPEST_PRICE", Transform: clean.CurrencyConvert{From: "EUR", To: "USD", Rate: 1.30}},
 			{Attr: "FIRST", Transform: clean.DateTransform{}},
 			{Attr: "THEATER", Transform: clean.WhitespaceTransform{}},
 			{Attr: "PERFORMANCE", Transform: clean.WhitespaceTransform{}},
 			{Attr: "NOTES", Transform: clean.NullStandardize{}},
 			{Attr: "DISCOUNT", Transform: clean.NullStandardize{}},
 		}},
-	}
-	if cfg.AcceptThreshold > 0 {
-		t.Matcher.AcceptThreshold = cfg.AcceptThreshold
 	}
 	t.Experts = expert.NewPool(
 		expert.NewSimulated("curator", 0.95, map[string]float64{"schema": 0.97}, cfg.Seed+101),
@@ -370,7 +359,7 @@ func (t *Tamer) resolveWithExperts(ctx context.Context, source string, review []
 			t.Global.AddAttribute(m.Attr, source)
 			continue
 		}
-		if err := t.Global.MapAttribute(m.Attr, source, target, m.Best().Score); err != nil {
+		if err := t.Global.MapAttribute(m.Attr, source, target); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/extract"
 	"repro/internal/fuse"
+	"repro/internal/match"
 	"repro/internal/record"
 )
 
@@ -223,7 +224,7 @@ func TestFusedRecordsConsolidated(t *testing.T) {
 		t.Errorf("no consolidation: %d fused vs %d raw", len(fusedRecs), raw)
 	}
 	// Matilda present exactly once.
-	matildas := fuse.Lookup(fusedRecs, "SHOW_NAME", "Matilda")
+	matildas := fuse.NewShowIndex(fusedRecs, "SHOW_NAME").Lookup("Matilda")
 	if len(matildas) != 1 {
 		t.Errorf("matilda consolidated records = %d", len(matildas))
 	}
@@ -286,8 +287,26 @@ func TestExpertPoolExercised(t *testing.T) {
 	if total == 0 {
 		t.Skip("no review-band matches at this scale; expert path covered in expert tests")
 	}
-	if len(tm.Experts.Decisions()) == 0 {
-		t.Error("expert decisions missing despite questions asked")
+	// Every attribute the experts were asked about now translates onto a
+	// global attribute, either the one they confirmed or one they added.
+	reviewed := 0
+	for _, rep := range tm.matchReports {
+		for _, m := range rep.Matches {
+			if m.Decision != match.DecisionReview {
+				continue
+			}
+			reviewed++
+			probe := record.New()
+			probe.Source = rep.Source
+			probe.Set(m.Attr.Name, record.String("x"))
+			name := tm.Global.Translate(probe).Fields()[0].Name
+			if _, ok := tm.Global.Attribute(name); !ok {
+				t.Errorf("%s.%s translates to %q, not a global attribute", rep.Source, m.Attr.Name, name)
+			}
+		}
+	}
+	if reviewed == 0 {
+		t.Error("experts were asked, but no match report holds a review-band match")
 	}
 }
 
@@ -356,8 +375,8 @@ func TestFindEntitiesInvalidQuery(t *testing.T) {
 }
 
 // A live server accepts a source's mappings again with every batch it
-// applies; the schema must record each once, or Mappings grows and Translate
-// slows for as long as the server is up.
+// applies; the schema must take each as the mapping it already holds, not
+// grow, and Translate must not move.
 func TestApplyRecordsDoesNotGrowMappings(t *testing.T) {
 	ctx := context.Background()
 	tm := New(Config{Fragments: 50, FTSources: 3, Shards: 2, Seed: 5})
@@ -376,7 +395,7 @@ func TestApplyRecordsDoesNotGrowMappings(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := batch(0)[0]
-	mappings, translated := len(tm.Global.Mappings()), tm.Global.Translate(probe).String()
+	attrs, translated := tm.Global.Len(), tm.Global.Translate(probe).String()
 	if !strings.Contains(translated, "SHOW_NAME") {
 		t.Fatalf("probe did not translate onto the global schema: %s", translated)
 	}
@@ -385,8 +404,8 @@ func TestApplyRecordsDoesNotGrowMappings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(tm.Global.Mappings()); got != mappings {
-		t.Errorf("mappings grew from %d to %d over 1000 batches of one source", mappings, got)
+	if got := tm.Global.Len(); got != attrs {
+		t.Errorf("global schema grew from %d to %d attributes over 1000 batches of one source", attrs, got)
 	}
 	if got := tm.Global.Translate(probe).String(); got != translated {
 		t.Errorf("translation moved:\n got %s\nwant %s", got, translated)

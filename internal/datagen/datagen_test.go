@@ -161,9 +161,6 @@ func TestGeneratePairsBalanced(t *testing.T) {
 	if pos != 100 {
 		t.Errorf("positives = %d", pos)
 	}
-	if !strings.Contains(DescribePairs(pairs), "100 positive") {
-		t.Errorf("describe = %s", DescribePairs(pairs))
-	}
 }
 
 func TestGeneratePairsClassifierInPaperBand(t *testing.T) {

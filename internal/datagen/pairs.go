@@ -1,7 +1,6 @@
 package datagen
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 
@@ -192,14 +191,3 @@ func blendNames(a, b string) string {
 // PairTypes lists the entity types the classifier experiment evaluates —
 // the "several different types of entities" of Section IV.
 var PairTypes = []extract.Type{extract.Person, extract.Company, extract.Movie, extract.Facility}
-
-// DescribePairs summarizes a generated pair set for reports.
-func DescribePairs(pairs []dedup.LabeledPair) string {
-	pos := 0
-	for _, p := range pairs {
-		if p.Match {
-			pos++
-		}
-	}
-	return fmt.Sprintf("%d pairs (%d positive, %d negative)", len(pairs), pos, len(pairs)-pos)
-}

@@ -41,33 +41,6 @@ func PrefixBlocker(attr string, n int) BlockKeyFunc {
 	}
 }
 
-// TokenBlocker blocks on each content token of attr — higher recall, bigger
-// blocks.
-func TokenBlocker(attr string) BlockKeyFunc {
-	return func(r *record.Record) []string {
-		words := textutil.ContentWords(r.GetString(attr))
-		keys := make([]string, len(words))
-		for i, w := range words {
-			keys[i] = "t:" + w
-		}
-		return keys
-	}
-}
-
-// TypedBlocker prefixes another blocker's keys with the value of a type
-// attribute, so only same-typed records pair (e.g. Movie with Movie).
-func TypedBlocker(typeAttr string, inner BlockKeyFunc) BlockKeyFunc {
-	return func(r *record.Record) []string {
-		typ := strings.ToLower(r.GetString(typeAttr))
-		keys := inner(r)
-		out := make([]string, len(keys))
-		for i, k := range keys {
-			out[i] = typ + "|" + k
-		}
-		return out
-	}
-}
-
 // Pair is a candidate record pair, by index, with I < J.
 type Pair struct{ I, J int }
 
@@ -161,16 +134,4 @@ func firstShared(a, b []int) int {
 			j++
 		}
 	}
-}
-
-// AllPairs enumerates every record pair — the no-blocking baseline the
-// ablation bench compares against.
-func AllPairs(n int) []Pair {
-	var pairs []Pair
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, Pair{I: i, J: j})
-		}
-	}
-	return pairs
 }

@@ -10,6 +10,7 @@ package dedup_test
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -43,7 +44,7 @@ func oracleFeatures(attrs []string, a, b *record.Record) ml.Features {
 		}
 		key := record.NormalizeName(attr)
 		out["jw:"+key] = similarity.JaroWinkler(sa, sb)
-		out["tri:"+key] = similarity.TrigramSim(sa, sb)
+		out["tri:"+key] = oracleTrigramSim(sa, sb)
 		out["tok:"+key] = similarity.JaccardStrings(textutil.ContentWords(sa), textutil.ContentWords(sb))
 		if fa, aok := va.AsFloat(); aok {
 			if fb, bok := vb.AsFloat(); bok {
@@ -56,6 +57,14 @@ func oracleFeatures(attrs []string, a, b *record.Record) ml.Features {
 		out["exactFrac"] = float64(exact) / float64(shared)
 	}
 	return out
+}
+
+// oracleTrigramSim is trigram similarity on the strings, converting and
+// lower-casing both for every pair.
+func oracleTrigramSim(a, b string) float64 {
+	ra, rb := []rune(strings.ToLower(a)), []rune(strings.ToLower(b))
+	var s similarity.Scratch
+	return s.TrigramSim(ra, rb, similarity.Trigrams(ra), similarity.Trigrams(rb))
 }
 
 func oracleCloseness(a, b float64) float64 {

@@ -2,8 +2,8 @@
 // blocking, candidate-pair generation, learned match classification over
 // similarity features, transitive clustering, and record consolidation.
 //
-// Pairs are scored from profiles, not from strings. A Run (Deduper or
-// CorrelationDeduper) profiles every record once per featurized attribute —
+// Pairs are scored from profiles, not from strings. A Deduper's Run
+// profiles every record once per featurized attribute —
 // the normalized value, its runes, trigram and token sets, its numeric
 // reading and the classifier's rows for its features (features.go) — and
 // scores each candidate pair from two profiles into one reused vector.
@@ -18,12 +18,11 @@ package dedup
 type UnionFind struct {
 	parent []int
 	rank   []int
-	sets   int
 }
 
 // NewUnionFind returns n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n), sets: n}
+	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n)}
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}
@@ -56,15 +55,8 @@ func (uf *UnionFind) Union(x, y int) bool {
 	if uf.rank[rx] == uf.rank[ry] {
 		uf.rank[rx]++
 	}
-	uf.sets--
 	return true
 }
-
-// Connected reports whether x and y share a set.
-func (uf *UnionFind) Connected(x, y int) bool { return uf.Find(x) == uf.Find(y) }
-
-// Sets reports the number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
 
 // Clusters returns the sets as sorted index slices, ordered by smallest
 // member.

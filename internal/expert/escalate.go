@@ -71,6 +71,5 @@ func (p *Pool) ProcessWithEscalation(t Task, policy EscalationPolicy) (Escalatio
 			k = policy.EscalatedK
 		}
 	}
-	p.done = append(p.done, res.Decision)
 	return res, nil
 }

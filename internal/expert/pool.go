@@ -11,7 +11,6 @@ type Pool struct {
 	experts []Expert
 	nextID  int
 	pending []Task
-	done    []Decision
 	asked   map[string]int // questions per expert
 	// RedundancyK is how many experts answer each task (default 3).
 	RedundancyK int
@@ -32,9 +31,6 @@ func (p *Pool) Submit(t Task) int {
 	p.pending = append(p.pending, t)
 	return t.ID
 }
-
-// Pending reports the queue length.
-func (p *Pool) Pending() int { return len(p.pending) }
 
 // route returns the k most skilled experts for a domain, breaking ties by
 // current workload (least-loaded first) then name.
@@ -79,13 +75,9 @@ func (p *Pool) ProcessAll() ([]Decision, error) {
 		}
 		out = append(out, Aggregate(responses, weights))
 	}
-	p.done = append(p.done, out...)
 	p.pending = nil
 	return out, nil
 }
 
 // Asked reports how many questions the named expert has answered.
 func (p *Pool) Asked(name string) int { return p.asked[name] }
-
-// Decisions returns every completed decision.
-func (p *Pool) Decisions() []Decision { return p.done }

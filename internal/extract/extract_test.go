@@ -6,17 +6,23 @@ import (
 	"testing"
 )
 
+// typeOf is the registered type of the exact phrase.
+func typeOf(g *Gazetteer, name string) (Type, bool) {
+	t, ok := g.entries[gazNorm(name)]
+	return t, ok
+}
+
 func TestGazetteerAddLookup(t *testing.T) {
 	g := NewGazetteer()
 	g.Add(Movie, "Matilda")
 	g.Add(Facility, "Shubert Theatre")
-	if typ, ok := g.TypeOf("matilda"); !ok || typ != Movie {
-		t.Errorf("TypeOf(matilda) = %v, %v", typ, ok)
+	if typ, ok := typeOf(g, "matilda"); !ok || typ != Movie {
+		t.Errorf("typeOf(matilda) = %v, %v", typ, ok)
 	}
-	if typ, ok := g.TypeOf("SHUBERT THEATRE"); !ok || typ != Facility {
-		t.Errorf("TypeOf(shubert theatre) = %v, %v", typ, ok)
+	if typ, ok := typeOf(g, "SHUBERT THEATRE"); !ok || typ != Facility {
+		t.Errorf("typeOf(shubert theatre) = %v, %v", typ, ok)
 	}
-	if _, ok := g.TypeOf("nope"); ok {
+	if _, ok := typeOf(g, "nope"); ok {
 		t.Error("unknown phrase matched")
 	}
 	g.Add(Movie, "Matilda") // duplicate no-op
@@ -28,18 +34,18 @@ func TestGazetteerAddLookup(t *testing.T) {
 func TestDefaultGazetteerAwards(t *testing.T) {
 	g := DefaultGazetteer()
 	for _, show := range TableIVShows {
-		if typ, ok := g.TypeOf(show); !ok || typ != Movie {
+		if typ, ok := typeOf(g, show); !ok || typ != Movie {
 			t.Errorf("Table IV show %q not registered as Movie", show)
 		}
-		if !g.IsAward(show) {
+		if !g.awards[gazNorm(show)] {
 			t.Errorf("Table IV show %q not award-flagged", show)
 		}
 	}
-	if g.IsAward("Wicked") {
+	if g.awards[gazNorm("Wicked")] {
 		t.Error("Wicked should not be award-flagged")
 	}
-	if len(g.AwardWinners()) != len(TableIVShows) {
-		t.Errorf("award winners = %d", len(g.AwardWinners()))
+	if len(g.awards) != len(TableIVShows) {
+		t.Errorf("award winners = %d", len(g.awards))
 	}
 }
 
@@ -54,15 +60,6 @@ func TestPaperTypeCountsComplete(t *testing.T) {
 		if typ != URL && len(DefaultNames[typ]) == 0 {
 			// URL is extracted by pattern, not gazetteer.
 			t.Errorf("no gazetteer names for %s", typ)
-		}
-	}
-	order := TypesByCount()
-	if order[0] != Person || order[len(order)-1] != ProvinceOrState {
-		t.Errorf("TypesByCount order wrong: first=%s last=%s", order[0], order[len(order)-1])
-	}
-	for i := 1; i < len(order); i++ {
-		if PaperTypeCounts[order[i-1]] < PaperTypeCounts[order[i]] {
-			t.Errorf("order not descending at %d", i)
 		}
 	}
 }

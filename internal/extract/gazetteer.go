@@ -2,7 +2,6 @@ package extract
 
 import (
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -58,15 +57,6 @@ func (g *Gazetteer) Add(typ Type, name string) {
 // MarkAward flags a name as award-winning (used by the Table IV query).
 func (g *Gazetteer) MarkAward(name string) { g.awards[gazNorm(name)] = true }
 
-// IsAward reports whether name is flagged award-winning.
-func (g *Gazetteer) IsAward(name string) bool { return g.awards[gazNorm(name)] }
-
-// TypeOf returns the registered type of the exact phrase.
-func (g *Gazetteer) TypeOf(name string) (Type, bool) {
-	t, ok := g.entries[gazNorm(name)]
-	return t, ok
-}
-
 // Len reports the number of registered phrases.
 func (g *Gazetteer) Len() int { return len(g.entries) }
 
@@ -76,16 +66,6 @@ func (g *Gazetteer) Len() int { return len(g.entries) }
 func (g *Gazetteer) Names(typ Type) []string {
 	names := g.byType[typ]
 	return names[:len(names):len(names)]
-}
-
-// AwardWinners returns the flagged award-winning names, sorted.
-func (g *Gazetteer) AwardWinners() []string {
-	out := make([]string, 0, len(g.awards))
-	for n := range g.awards {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // TableIVShows lists the paper's Table IV "top 10 most discussed

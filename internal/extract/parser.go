@@ -177,8 +177,9 @@ func (p *Parser) entitiesOf(s *scratch, text string, mentions []Mention) []Entit
 			continue
 		}
 		ent := Entity{Type: m.Type, Name: m.Name, Attributes: plain}
-		// IsAward(m.Name) without its copy: a gazetteer mention starts and
-		// ends with a letter or digit, so trimming it changes nothing.
+		// The award set keyed by the lowered mention, without gazNorm's
+		// copy: a gazetteer mention starts and ends with a letter or digit,
+		// so trimming it changes nothing.
 		if m.Type == Movie && p.gaz.awards[string(s.low(i))] {
 			ent.Attributes = award
 		}

@@ -67,7 +67,7 @@ func (p *refParser) Parse(text string) *refResult {
 }
 
 func (p *refParser) matchGazetteer(text string) []Mention {
-	tokens := textutil.Tokenize(text)
+	tokens := textutil.AppendTokens(nil, text)
 	lower := make([]string, len(tokens))
 	for i, t := range tokens {
 		lower[i] = strings.ToLower(t.Text)
@@ -151,7 +151,7 @@ func (p *refParser) entitiesOf(text string, mentions []Mention) []refEntity {
 		for k, v := range attrs {
 			ent.Attributes[k] = v
 		}
-		if m.Type == Movie && p.gaz.IsAward(m.Name) {
+		if m.Type == Movie && p.gaz.awards[gazNorm(m.Name)] {
 			ent.Attributes["award_winning"] = "true"
 		}
 		entities = append(entities, ent)

@@ -4,8 +4,6 @@
 // patterns, and emits hierarchical entity/instance documents for the store.
 package extract
 
-import "sort"
-
 // Type names an entity type. The constants below are the 15 types of the
 // paper's Table III.
 type Type string
@@ -55,19 +53,6 @@ var PaperTypeCounts = map[Type]int64{
 	Technology:       940349,
 	Movie:            260230,
 	ProvinceOrState:  223243,
-}
-
-// TypesByCount returns AllTypes sorted by descending paper count, the order
-// Table III prints.
-func TypesByCount() []Type {
-	out := append([]Type(nil), AllTypes...)
-	sort.Slice(out, func(i, j int) bool {
-		if PaperTypeCounts[out[i]] != PaperTypeCounts[out[j]] {
-			return PaperTypeCounts[out[i]] > PaperTypeCounts[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
 }
 
 // Mention is one occurrence of an entity in a text fragment.

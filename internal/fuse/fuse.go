@@ -236,22 +236,9 @@ func Enrich(webText *record.Record, structured *record.Record) *record.Record {
 	return out
 }
 
-// Lookup finds records whose attr value normalizes equal to value.
-func Lookup(records []*record.Record, attr, value string) []*record.Record {
-	want := textutil.Normalize(value)
-	var out []*record.Record
-	for _, r := range records {
-		if textutil.Normalize(r.GetString(attr)) == want {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // ShowIndex is a hash index over one attribute of a record set, keyed by
-// the normalized attribute value — the precomputed form of Lookup. Built
-// once per fused-view snapshot, it turns the per-query O(n) renormalizing
-// scan into a single map probe. A ShowIndex is immutable after NewShowIndex
+// the normalized attribute value. Built once per fused-view snapshot, it
+// turns a per-query O(n) renormalizing scan into a single map probe. A ShowIndex is immutable after NewShowIndex
 // and safe for concurrent readers.
 type ShowIndex struct {
 	attr  string
@@ -270,8 +257,7 @@ func NewShowIndex(records []*record.Record, attr string) *ShowIndex {
 }
 
 // Lookup returns the records whose indexed attribute normalizes equal to
-// value, in the order they were indexed — identical to Lookup over the
-// same records.
+// value, in the order they were indexed.
 func (ix *ShowIndex) Lookup(value string) []*record.Record {
 	return ix.byKey[textutil.Normalize(value)]
 }

@@ -183,7 +183,7 @@ func TestEnrichNilStructured(t *testing.T) {
 	r := record.New()
 	r.Set("A", record.Int(1))
 	out := Enrich(r, nil)
-	if !out.Equal(r) {
+	if !slices.Equal(out.Fields(), r.Fields()) {
 		t.Errorf("nil enrich = %v", out)
 	}
 }
@@ -195,7 +195,7 @@ func TestLookupNormalized(t *testing.T) {
 	r2.Set("SHOW_NAME", record.String("The  MATILDA")) // normalization is lower+space collapse
 	r3 := record.New()
 	r3.Set("SHOW_NAME", record.String("Wicked"))
-	got := Lookup([]*record.Record{r1, r2, r3}, "SHOW_NAME", "matilda")
+	got := NewShowIndex([]*record.Record{r1, r2, r3}, "SHOW_NAME").Lookup("matilda")
 	if len(got) != 1 || got[0] != r1 {
 		t.Errorf("lookup = %d records", len(got))
 	}

@@ -2,11 +2,9 @@ package fuse
 
 import (
 	"sort"
-	"strings"
 
 	"repro/internal/clean"
 	"repro/internal/record"
-	"repro/internal/textutil"
 )
 
 // Additional fused-view queries: the "best price possible" side of the
@@ -49,25 +47,6 @@ func CheapestShows(records []*record.Record, k int) []PricedShow {
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
-	return out
-}
-
-// ShowsAt returns the shows whose THEATER mentions the given venue
-// (normalized substring match), sorted by name.
-func ShowsAt(records []*record.Record, theater string) []string {
-	want := textutil.Normalize(theater)
-	if want == "" {
-		return nil
-	}
-	var out []string
-	for _, r := range records {
-		if strings.Contains(textutil.Normalize(r.GetString("THEATER")), want) {
-			if show := r.GetString("SHOW_NAME"); show != "" {
-				out = append(out, show)
-			}
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -53,24 +53,6 @@ func TestCheapestShowsTieBreak(t *testing.T) {
 	}
 }
 
-func TestShowsAt(t *testing.T) {
-	records := []*record.Record{
-		showRec("Matilda", "Shubert 225 W. 44th St", "$27"),
-		showRec("Wicked", "Gershwin Theatre", "$89"),
-		showRec("Ghost", "", ""),
-	}
-	got := ShowsAt(records, "shubert")
-	if len(got) != 1 || got[0] != "Matilda" {
-		t.Errorf("ShowsAt = %v", got)
-	}
-	if got := ShowsAt(records, ""); got != nil {
-		t.Errorf("empty theater = %v", got)
-	}
-	if got := ShowsAt(records, "nonexistent"); len(got) != 0 {
-		t.Errorf("missing theater = %v", got)
-	}
-}
-
 func TestAttributeCoverage(t *testing.T) {
 	records := []*record.Record{
 		showRec("A", "T1", "$10"),

@@ -1,13 +1,10 @@
-// Package ingest implements the data-ingest module of Figure 1: reading
-// structured sources (CSV, JSON), inferring column types, and registering
-// sources with the curation pipeline.
+// Package ingest implements the data-ingest module of Figure 1: building
+// structured sources from records and decoded JSON objects, inferring
+// column types, and registering sources with the curation pipeline.
 package ingest
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/record"
@@ -90,58 +87,10 @@ func (s *Source) Values(name string) []record.Value {
 	return out
 }
 
-// ReadCSV parses CSV input whose first row is the header, inferring value
-// types per cell.
-func ReadCSV(name string, r io.Reader) (*Source, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("ingest: reading %s header: %w", name, err)
-	}
-	var recs []*record.Record
-	for {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("ingest: reading %s: %w", name, err)
-		}
-		rec := record.New()
-		for i, cell := range row {
-			if i >= len(header) {
-				break
-			}
-			rec.Set(header[i], record.Infer(cell))
-		}
-		recs = append(recs, rec)
-	}
-	return NewSource(name, recs), nil
-}
-
-// ReadJSON parses a JSON array of flat objects. Nested objects and arrays
-// are rejected; semi-structured input belongs in the document store.
-func ReadJSON(name string, r io.Reader) (*Source, error) {
-	var rows []map[string]any
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rows); err != nil {
-		return nil, fmt.Errorf("ingest: decoding %s: %w", name, err)
-	}
-	var recs []*record.Record
-	for i, row := range rows {
-		rec, err := RecordFromMap(row)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: %s row %d: %w", name, i, err)
-		}
-		recs = append(recs, rec)
-	}
-	return NewSource(name, recs), nil
-}
-
-// RecordFromMap builds a flat record from one decoded JSON object, applying
-// the same per-value conversion ReadJSON uses. Keys are set in sorted order
-// so record shape is deterministic.
+// RecordFromMap builds a flat record from one decoded JSON object. Nested
+// objects and arrays are rejected; semi-structured input belongs in the
+// document store. Keys are set in sorted order so record shape is
+// deterministic.
 func RecordFromMap(row map[string]any) (*record.Record, error) {
 	rec := record.New()
 	keys := make([]string, 0, len(row))
@@ -212,12 +161,3 @@ func (g *Registry) Get(name string) (*Source, bool) {
 
 // Sources returns all sources in registration order.
 func (g *Registry) Sources() []*Source { return g.sources }
-
-// TotalRecords sums the record counts of all sources.
-func (g *Registry) TotalRecords() int {
-	n := 0
-	for _, s := range g.sources {
-		n += len(s.Records)
-	}
-	return n
-}

@@ -46,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,8 +72,6 @@ type Config struct {
 	BatchSize int
 	// FlushInterval bounds how long a partial batch may wait (default 200ms).
 	FlushInterval time.Duration
-	// Workers is the parse worker count per batch (default: one per CPU).
-	Workers int
 	// QueueDepth bounds acknowledged-but-unapplied events; writers block
 	// beyond it (default 1024).
 	QueueDepth int
@@ -93,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = 200 * time.Millisecond
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -223,7 +217,7 @@ func (ing *Ingester) applyReplayed(kind byte, payload []byte) error {
 			ing.replayErrors++
 			return nil
 		}
-		ni, ne, err := ing.tamer.ApplyFragments(ing.openCtx, frags, ing.cfg.Workers)
+		ni, ne, err := ing.tamer.ApplyFragments(ing.openCtx, frags, 0)
 		if err != nil {
 			// Cancellation mid-recovery aborts Open itself; surface it.
 			return err
@@ -491,7 +485,7 @@ func (ing *Ingester) applyBatch(batch []event) []event {
 		}
 	}
 	if len(frags) > 0 {
-		ni, ne, err := ing.tamer.ApplyFragments(ing.openCtx, frags, ing.cfg.Workers)
+		ni, ne, err := ing.tamer.ApplyFragments(ing.openCtx, frags, 0)
 		if err != nil {
 			// Only cancellation reaches here; the events stay in the WAL and
 			// the loop's next select observes openCtx.Done and aborts. Mark
@@ -655,9 +649,6 @@ func (ing *Ingester) Close() error {
 	}
 	return err
 }
-
-// Replay reports what Open recovered from the WAL.
-func (ing *Ingester) Replay() store.EventReplayStats { return ing.log.Recovered() }
 
 // Stats is a point-in-time snapshot of the ingester, the /live/stats view.
 type Stats struct {

@@ -151,7 +151,7 @@ func (e *Engine) Integrate(rep *Report, g *schema.Global) (review []AttrMatch, e
 			if !ok {
 				return nil, fmt.Errorf("match: accepted target %q missing from global schema", m.Best().Target)
 			}
-			if mapErr := g.MapAttribute(m.Attr, rep.Source, target, m.Best().Score); mapErr != nil {
+			if mapErr := g.MapAttribute(m.Attr, rep.Source, target); mapErr != nil {
 				return nil, mapErr
 			}
 		case DecisionNew:
@@ -161,37 +161,6 @@ func (e *Engine) Integrate(rep *Report, g *schema.Global) (review []AttrMatch, e
 		}
 	}
 	return review, nil
-}
-
-// MatchMatrix is the full source-attribute × global-attribute score matrix
-// — the complete table behind Fig. 3's per-pair scores.
-type MatchMatrix struct {
-	SourceAttrs []string
-	GlobalAttrs []string
-	// Scores[i][j] is the score of SourceAttrs[i] against GlobalAttrs[j].
-	Scores [][]float64
-}
-
-// Matrix computes the full score matrix for a source against the global
-// schema.
-func (e *Engine) Matrix(ss *schema.SourceSchema, g *schema.Global) MatchMatrix {
-	m := e.matcher()
-	out := MatchMatrix{}
-	for _, a := range ss.Attrs {
-		out.SourceAttrs = append(out.SourceAttrs, a.Name)
-	}
-	for _, a := range g.Attributes() {
-		out.GlobalAttrs = append(out.GlobalAttrs, a.Name)
-	}
-	out.Scores = make([][]float64, len(ss.Attrs))
-	for i, src := range ss.Attrs {
-		row := make([]float64, len(g.Attributes()))
-		for j, dst := range g.Attributes() {
-			row[j] = m.Score(src, dst)
-		}
-		out.Scores[i] = row
-	}
-	return out
 }
 
 // FormatReport renders the report in the style of Fig. 3: source attributes

@@ -81,19 +81,6 @@ func TestValueMatcherNumericRange(t *testing.T) {
 	}
 }
 
-func TestTFIDFMatcher(t *testing.T) {
-	m := NewTFIDFMatcher()
-	a := attr("desc", record.KindString, "broadway show matilda", "award winning import")
-	b := attr("text", record.KindString, "matilda broadway production", "award winner")
-	c := attr("address", record.KindString, "225 west 44th street", "7th avenue")
-	for _, x := range []*schema.Attribute{a, b, c} {
-		m.Observe(x)
-	}
-	if m.Score(a, b) <= m.Score(a, c) {
-		t.Errorf("tfidf ordering: ab=%f ac=%f", m.Score(a, b), m.Score(a, c))
-	}
-}
-
 func TestCompositeBounds(t *testing.T) {
 	c := DefaultComposite()
 	a := attr("show name", record.KindString, "Matilda")
@@ -191,8 +178,11 @@ func TestIntegrate(t *testing.T) {
 	if g.Len() != 2 {
 		t.Errorf("global len = %d, want 2 (new attr added)", g.Len())
 	}
-	if got, ok := g.MappingFor("ft2", "Show Name"); !ok || got != "SHOW_NAME" {
-		t.Errorf("mapping = %q, %v", got, ok)
+	r := record.New()
+	r.Source = "ft2"
+	r.Set("Show Name", record.String("Wicked"))
+	if got := g.Translate(r).GetString("SHOW_NAME"); got != "Wicked" {
+		t.Errorf("Show Name not mapped onto SHOW_NAME: %v", g.Translate(r))
 	}
 }
 
@@ -256,45 +246,6 @@ func TestEmptySourceAttrBest(t *testing.T) {
 	var m AttrMatch
 	if b := m.Best(); b.Target != "" || b.Score != 0 {
 		t.Errorf("zero Best = %+v", b)
-	}
-}
-
-func TestMatrixShapeAndConsistency(t *testing.T) {
-	g := globalWith(t,
-		attr("SHOW_NAME", record.KindString, "Matilda"),
-		attr("PRICE", record.KindInt, "27"),
-	)
-	ss := &schema.SourceSchema{Source: "s", Attrs: []*schema.Attribute{
-		attr("Show Name", record.KindString, "Matilda"),
-		attr("Cost", record.KindInt, "30"),
-		attr("Junk", record.KindString, "zzz"),
-	}}
-	e := NewEngine()
-	m := e.Matrix(ss, g)
-	if len(m.SourceAttrs) != 3 || len(m.GlobalAttrs) != 2 {
-		t.Fatalf("matrix dims = %dx%d", len(m.SourceAttrs), len(m.GlobalAttrs))
-	}
-	for i, row := range m.Scores {
-		if len(row) != 2 {
-			t.Fatalf("row %d len = %d", i, len(row))
-		}
-		for j, s := range row {
-			if s < 0 || s > 1 {
-				t.Errorf("score[%d][%d] = %f", i, j, s)
-			}
-		}
-	}
-	// The matrix agrees with MatchSource's best suggestion.
-	rep := e.MatchSource(ss, g)
-	best := rep.Matches[0].Best()
-	maxRow := 0.0
-	for _, s := range m.Scores[0] {
-		if s > maxRow {
-			maxRow = s
-		}
-	}
-	if best.Score != maxRow {
-		t.Errorf("matrix max %f vs best %f", maxRow, best.Score)
 	}
 }
 

@@ -5,8 +5,8 @@
 // alerts.
 //
 // The value matchers read an attribute's samples through its value signature
-// (schema.Attribute.Signature: normalized sample set, numeric range, value
-// tokens), which the attribute memoizes and derives again only once its
+// (schema.Attribute.Signature: normalized sample set and numeric range),
+// which the attribute memoizes and derives again only once its
 // Samples have grown. Scoring a source attribute against the global schema
 // therefore parses and normalizes each side once, not once per pair; this
 // package keeps no cache of its own.
@@ -148,31 +148,6 @@ func numericRangeOverlap(a, b *schema.ValueSignature) (float64, bool) {
 		return 1, true
 	}
 	return (hi - lo) / span, true
-}
-
-// TFIDFMatcher compares the token distributions of sample values under a
-// TF-IDF weighting built from every attribute registered with it.
-type TFIDFMatcher struct {
-	corpus *similarity.Corpus
-}
-
-// NewTFIDFMatcher returns an empty TF-IDF matcher; call Observe for every
-// attribute before scoring.
-func NewTFIDFMatcher() *TFIDFMatcher {
-	return &TFIDFMatcher{corpus: similarity.NewCorpus()}
-}
-
-// Observe registers an attribute's value tokens in the corpus.
-func (m *TFIDFMatcher) Observe(a *schema.Attribute) {
-	m.corpus.AddDoc(a.Signature().Tokens())
-}
-
-// Name implements Matcher.
-func (*TFIDFMatcher) Name() string { return "tfidf" }
-
-// Score implements Matcher.
-func (m *TFIDFMatcher) Score(src, dst *schema.Attribute) float64 {
-	return m.corpus.TFIDFCosine(src.Signature().Tokens(), dst.Signature().Tokens())
 }
 
 // Weighted pairs a matcher with its weight in a composite.

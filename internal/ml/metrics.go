@@ -54,15 +54,6 @@ func (c Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// Accuracy is the fraction of correct predictions.
-func (c Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.TN + c.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
-}
-
 // String renders the matrix with derived metrics.
 func (c Confusion) String() string {
 	return fmt.Sprintf("tp=%d fp=%d tn=%d fn=%d precision=%.3f recall=%.3f f1=%.3f",

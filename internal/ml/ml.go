@@ -1,7 +1,7 @@
 // Package ml implements the from-scratch machine-learning substrate the
 // paper's dedup/cleaning classifier is built on: sparse feature vectors,
-// naive Bayes, logistic regression, an averaged perceptron, k-fold
-// cross-validation, and precision/recall metrics.
+// binned naive Bayes, k-fold cross-validation, and precision/recall
+// metrics.
 package ml
 
 import "sort"
@@ -56,17 +56,6 @@ func featureNames(examples []Example) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Binarize maps every non-zero feature to 1, for presence-based models.
-func Binarize(f Features) Features {
-	out := make(Features, len(f))
-	for name, v := range f {
-		if v != 0 {
-			out[name] = 1
-		}
-	}
-	return out
 }
 
 // Discretize buckets each feature value into bins over [0,1], emitting

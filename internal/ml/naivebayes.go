@@ -3,8 +3,8 @@ package ml
 import "math"
 
 // NaiveBayes is a multinomial naive Bayes binary classifier with Laplace
-// smoothing. Feature values act as occurrence counts; use Binarize or
-// Discretize to feed it presence features.
+// smoothing. Feature values act as occurrence counts; use Discretize to
+// feed it presence features.
 type NaiveBayes struct {
 	logPriorPos, logPriorNeg float64
 	likePos, likeNeg         map[string]float64 // log P(feature|class)

@@ -128,12 +128,6 @@ type Counter struct{ v atomic.Uint64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
 func (c *Counter) write(b *strings.Builder, name, labelBlock string) {
 	fmt.Fprintf(b, "%s%s %d\n", name, labelBlock, c.v.Load())
 }
@@ -161,17 +155,11 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 func (g *Gauge) write(b *strings.Builder, name, labelBlock string) {
 	fmt.Fprintf(b, "%s%s %d\n", name, labelBlock, g.v.Load())
@@ -218,9 +206,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }

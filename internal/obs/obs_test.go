@@ -12,7 +12,9 @@ import (
 func TestCounterExposition(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("dt_test_total", "A test counter.", "route", "code")
-	c.With("/v1/show", "200").Add(3)
+	for range 3 {
+		c.With("/v1/show", "200").Inc()
+	}
 	c.With("/v1/show", "404").Inc()
 	c.With("/v1/top", "200").Inc()
 
@@ -36,8 +38,8 @@ func TestGauge(t *testing.T) {
 	g.Inc()
 	g.Inc()
 	g.Dec()
-	if g.Value() != 1 {
-		t.Fatalf("gauge = %d, want 1", g.Value())
+	if g.v.Load() != 1 {
+		t.Fatalf("gauge = %d, want 1", g.v.Load())
 	}
 	g.Set(42)
 	if !strings.Contains(reg.Render(), "dt_depth 42\n") {
@@ -51,8 +53,8 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	for _, v := range []float64{0.0005, 0.002, 0.05, 5} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
+	if h.count.Load() != 4 {
+		t.Fatalf("count = %d, want 4", h.count.Load())
 	}
 	if got, want := h.Sum(), 0.0005+0.002+0.05+5; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("sum = %v, want %v", got, want)
@@ -89,7 +91,7 @@ func TestRedeclareSharesFamily(t *testing.T) {
 	b := reg.Counter("dt_shared_total", "Shared.", "k")
 	a.With("x").Inc()
 	b.With("x").Inc()
-	if got := a.With("x").Value(); got != 2 {
+	if got := a.With("x").v.Load(); got != 2 {
 		t.Fatalf("shared counter = %d, want 2", got)
 	}
 }
@@ -130,8 +132,8 @@ func TestConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.With("x").Count() != 8000 || c.With("x").Value() != 8000 {
-		t.Fatalf("lost updates: hist=%d counter=%d", h.With("x").Count(), c.With("x").Value())
+	if h.With("x").count.Load() != 8000 || c.With("x").v.Load() != 8000 {
+		t.Fatalf("lost updates: hist=%d counter=%d", h.With("x").count.Load(), c.With("x").v.Load())
 	}
 }
 

@@ -2,7 +2,6 @@ package record
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -48,36 +47,12 @@ func New() *Record {
 	return &Record{index: make(map[string]int)}
 }
 
-// FromMap builds a record with fields in sorted-name order, which keeps
-// construction deterministic when the caller starts from a Go map.
-func FromMap(m map[string]Value) *Record {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	r := New()
-	for _, name := range names {
-		r.Set(name, m[name])
-	}
-	return r
-}
-
 // Len reports the number of fields.
 func (r *Record) Len() int { return len(r.fields) }
 
 // Fields returns the fields in insertion order. The slice is shared; callers
 // must not mutate it.
 func (r *Record) Fields() []Field { return r.fields }
-
-// Names returns the field names in insertion order.
-func (r *Record) Names() []string {
-	names := make([]string, len(r.fields))
-	for i, f := range r.fields {
-		names[i] = f.Name
-	}
-	return names
-}
 
 // Set stores value under name, replacing any existing field whose normalized
 // name matches.
@@ -164,21 +139,6 @@ func (r *Record) Clone() *Record {
 		c.index[k] = v
 	}
 	return c
-}
-
-// Equal reports whether two records contain the same normalized fields with
-// equal values, regardless of field order, source, or id.
-func (r *Record) Equal(o *Record) bool {
-	if r.Len() != o.Len() {
-		return false
-	}
-	for _, f := range r.fields {
-		ov, ok := o.Get(f.Name)
-		if !ok || !f.Value.Equal(ov) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the record as {name=value, ...} in field order.

@@ -1,6 +1,6 @@
 // Package schema models Data Tamer's bottom-up global schema: the integrated
 // attribute set built from incoming source metadata, the per-source
-// attribute mappings, and the add/ignore actions of the Fig. 2 workflow.
+// attribute mappings, and the map/add actions of the Fig. 2 workflow.
 package schema
 
 import (
@@ -39,9 +39,6 @@ type ValueSignature struct {
 	// whether those are at least half of the samples.
 	Lo, Hi  float64
 	Numeric bool
-
-	tokens     []string
-	haveTokens bool
 }
 
 // Signature returns the attribute's value signature, deriving it on first
@@ -73,18 +70,6 @@ func (a *Attribute) Signature() *ValueSignature {
 	sig.Numeric = numeric > 0 && numeric*2 >= len(a.Samples)
 	a.sig = sig
 	return sig
-}
-
-// Tokens are the content words of every sample, in sample order. Only the
-// TF-IDF matcher reads them, so they are derived when first asked for.
-func (s *ValueSignature) Tokens() []string {
-	if !s.haveTokens {
-		for _, v := range s.samples {
-			s.tokens = append(s.tokens, textutil.ContentWords(v)...)
-		}
-		s.haveTokens = true
-	}
-	return s.tokens
 }
 
 // SourceSchema is the attribute profile of one incoming source.
@@ -120,32 +105,21 @@ func FromSource(s *ingest.Source) *SourceSchema {
 // metadata as the paper describes. The zero value is not usable; call
 // NewGlobal.
 type Global struct {
-	attrs    []*Attribute
-	byName   map[string]*Attribute // normalized name -> attribute
-	mappings []Mapping
+	attrs  []*Attribute
+	byName map[string]*Attribute // normalized name -> attribute
 	// mapped holds, per source attribute, the global attributes of its
 	// recorded mappings in acceptance order: the first is the one in force.
-	mapped  map[sourceAttr][]string
-	ignored map[sourceAttr]bool
+	mapped map[sourceAttr][]string
 }
 
 // sourceAttr keys a source's attribute by its normalized name.
 type sourceAttr struct{ source, attr string }
 
-// Mapping records that a source attribute maps onto a global attribute.
-type Mapping struct {
-	Source     string
-	SourceAttr string
-	GlobalAttr string
-	Score      float64 // the match score accepted (1.0 for manual adds)
-}
-
 // NewGlobal returns an empty global schema.
 func NewGlobal() *Global {
 	return &Global{
-		byName:  make(map[string]*Attribute),
-		mapped:  make(map[sourceAttr][]string),
-		ignored: make(map[sourceAttr]bool),
+		byName: make(map[string]*Attribute),
+		mapped: make(map[sourceAttr][]string),
 	}
 }
 
@@ -178,42 +152,30 @@ func (g *Global) AddAttribute(src *Attribute, source string) *Attribute {
 	}
 	g.byName[key] = a
 	g.attrs = append(g.attrs, a)
-	g.recordMapping(Mapping{Source: source, SourceAttr: src.Name, GlobalAttr: a.Name, Score: 1})
+	g.recordMapping(source, src.Name, a.Name)
 	return a
 }
 
 // MapAttribute records that a source attribute matches an existing global
-// attribute with the given score, merging its value evidence.
-func (g *Global) MapAttribute(src *Attribute, source string, global *Attribute, score float64) error {
+// attribute, merging its value evidence.
+func (g *Global) MapAttribute(src *Attribute, source string, global *Attribute) error {
 	if _, ok := g.byName[record.NormalizeName(global.Name)]; !ok {
 		return fmt.Errorf("schema: global attribute %q not in schema", global.Name)
 	}
 	g.mergeInto(global, src, source)
-	g.recordMapping(Mapping{Source: source, SourceAttr: src.Name, GlobalAttr: global.Name, Score: score})
+	g.recordMapping(source, src.Name, global.Name)
 	return nil
 }
 
-// recordMapping appends m unless its source attribute is already recorded
-// as mapping to the same global attribute: a live server accepts the same
-// mapping again with every batch, and the first acceptance is the record.
-func (g *Global) recordMapping(m Mapping) {
-	key := sourceAttr{m.Source, record.NormalizeName(m.SourceAttr)}
-	if slices.Contains(g.mapped[key], m.GlobalAttr) {
-		return
+// recordMapping records that the source's attribute attr maps onto the
+// global attribute global, unless it already does: a live server accepts
+// the same mapping again with every batch, and the first acceptance is the
+// record.
+func (g *Global) recordMapping(source, attr, global string) {
+	key := sourceAttr{source, record.NormalizeName(attr)}
+	if !slices.Contains(g.mapped[key], global) {
+		g.mapped[key] = append(g.mapped[key], global)
 	}
-	g.mapped[key] = append(g.mapped[key], m.GlobalAttr)
-	g.mappings = append(g.mappings, m)
-}
-
-// Ignore marks a source attribute as deliberately unmapped — Fig. 2's
-// "ignore" action.
-func (g *Global) Ignore(source, attr string) {
-	g.ignored[sourceAttr{source, record.NormalizeName(attr)}] = true
-}
-
-// IsIgnored reports whether the source attribute was marked ignore.
-func (g *Global) IsIgnored(source, attr string) bool {
-	return g.ignored[sourceAttr{source, record.NormalizeName(attr)}]
 }
 
 func (g *Global) mergeInto(dst, src *Attribute, source string) {
@@ -235,14 +197,6 @@ func (g *Global) mergeInto(dst, src *Attribute, source string) {
 	dst.Sources = append(dst.Sources, source)
 }
 
-// Mappings returns all recorded mappings in acceptance order.
-func (g *Global) Mappings() []Mapping { return g.mappings }
-
-// MappingFor returns the global attribute a source attribute maps to.
-func (g *Global) MappingFor(source, attr string) (string, bool) {
-	return g.mappingFor(sourceAttr{source, record.NormalizeName(attr)})
-}
-
 func (g *Global) mappingFor(key sourceAttr) (string, bool) {
 	if targets := g.mapped[key]; len(targets) > 0 {
 		return targets[0], true
@@ -251,17 +205,14 @@ func (g *Global) mappingFor(key sourceAttr) (string, bool) {
 }
 
 // Translate rewrites a record's field names into global attribute names
-// using the recorded mappings for its source. Unmapped, un-ignored fields
-// keep their original names.
+// using the recorded mappings for its source. Unmapped fields keep their
+// original names.
 func (g *Global) Translate(r *record.Record) *record.Record {
 	out := record.New()
 	out.Source = r.Source
 	out.ID = r.ID
 	for _, f := range r.Fields() {
 		key := sourceAttr{r.Source, record.NormalizeName(f.Name)}
-		if g.ignored[key] {
-			continue
-		}
 		if global, ok := g.mappingFor(key); ok {
 			out.Set(global, f.Value)
 			continue

@@ -576,7 +576,7 @@ func (s *Server) v1IngestText(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestRecordsRequest is the POST /ingest/records body: flat JSON objects,
-// the same row shape ingest.ReadJSON accepts.
+// each one ingest.RecordFromMap row.
 type ingestRecordsRequest struct {
 	Source  string           `json:"source"`
 	Records []map[string]any `json:"records"`

@@ -25,10 +25,10 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		if got, want := s.JaroWinkler(ra, rb), JaroWinkler(a, b); got != want {
 			t.Fatalf("JaroWinkler(%q, %q) = %v reused, %v fresh", a, b, got, want)
 		}
-		if got, want := s.Levenshtein(ra, rb), Levenshtein(a, b); got != want {
+		if got, want := s.Levenshtein(ra, rb), levenshtein(a, b); got != want {
 			t.Fatalf("Levenshtein(%q, %q) = %v reused, %v fresh", a, b, got, want)
 		}
-		if got, want := s.TrigramSim(ra, rb, Trigrams(ra), Trigrams(rb)), TrigramSim(a, b); got != want {
+		if got, want := s.TrigramSim(ra, rb, Trigrams(ra), Trigrams(rb)), trigramSim(a, b); got != want {
 			t.Fatalf("TrigramSim(%q, %q) = %v reused, %v fresh", a, b, got, want)
 		}
 	}

@@ -7,6 +7,28 @@ import (
 	"testing/quick"
 )
 
+// The string forms of the Scratch measures, each on a fresh Scratch.
+func levenshtein(a, b string) int {
+	var s Scratch
+	return s.Levenshtein([]rune(a), []rune(b))
+}
+
+func levenshteinSim(a, b string) float64 {
+	var s Scratch
+	return s.LevenshteinSim([]rune(a), []rune(b))
+}
+
+func jaro(a, b string) float64 {
+	var s Scratch
+	return s.Jaro([]rune(a), []rune(b))
+}
+
+func trigramSim(a, b string) float64 {
+	ra, rb := []rune(strings.ToLower(a)), []rune(strings.ToLower(b))
+	var s Scratch
+	return s.TrigramSim(ra, rb, Trigrams(ra), Trigrams(rb))
+}
+
 func TestLevenshtein(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -21,38 +43,26 @@ func TestLevenshtein(t *testing.T) {
 		{"theater", "theatre", 2},
 	}
 	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
+		if got := levenshtein(c.a, c.b); got != c.want {
 			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
 
-func TestDamerauTransposition(t *testing.T) {
-	if got := DamerauLevenshtein("theater", "theatre"); got != 1 {
-		t.Errorf("Damerau(theater,theatre) = %d, want 1", got)
-	}
-	if got := DamerauLevenshtein("ca", "ac"); got != 1 {
-		t.Errorf("Damerau(ca,ac) = %d, want 1", got)
-	}
-	if got := DamerauLevenshtein("abc", "abc"); got != 0 {
-		t.Errorf("Damerau identical = %d", got)
-	}
-}
-
 func TestJaro(t *testing.T) {
-	if got := Jaro("martha", "marhta"); math.Abs(got-0.9444) > 0.001 {
+	if got := jaro("martha", "marhta"); math.Abs(got-0.9444) > 0.001 {
 		t.Errorf("Jaro(martha,marhta) = %f", got)
 	}
-	if got := Jaro("dixon", "dicksonx"); math.Abs(got-0.7667) > 0.001 {
+	if got := jaro("dixon", "dicksonx"); math.Abs(got-0.7667) > 0.001 {
 		t.Errorf("Jaro(dixon,dicksonx) = %f", got)
 	}
-	if Jaro("", "") != 1 {
+	if jaro("", "") != 1 {
 		t.Error("Jaro empty/empty should be 1")
 	}
-	if Jaro("a", "") != 0 {
+	if jaro("a", "") != 0 {
 		t.Error("Jaro a/empty should be 0")
 	}
-	if Jaro("abc", "xyz") != 0 {
+	if jaro("abc", "xyz") != 0 {
 		t.Error("disjoint should be 0")
 	}
 }
@@ -64,7 +74,7 @@ func TestJaroWinkler(t *testing.T) {
 	// Prefix boost: JW >= Jaro always.
 	pairs := [][2]string{{"show", "show_name"}, {"price", "prices"}, {"theater", "theatre"}}
 	for _, p := range pairs {
-		if JaroWinkler(p[0], p[1]) < Jaro(p[0], p[1]) {
+		if JaroWinkler(p[0], p[1]) < jaro(p[0], p[1]) {
 			t.Errorf("JW < Jaro for %v", p)
 		}
 	}
@@ -76,103 +86,34 @@ func TestSetCoefficients(t *testing.T) {
 	if got := JaccardStrings(a, b); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("Jaccard = %f", got)
 	}
-	if got := Dice(a, b); math.Abs(got-2.0/3.0) > 1e-9 {
-		t.Errorf("Dice = %f", got)
-	}
-	if got := Overlap(a, b); math.Abs(got-2.0/3.0) > 1e-9 {
-		t.Errorf("Overlap = %f", got)
-	}
-	if JaccardStrings(nil, nil) != 1 || Dice(nil, nil) != 1 {
+	if JaccardStrings(nil, nil) != 1 {
 		t.Error("empty/empty should be 1")
 	}
-	if Overlap([]string{"a"}, nil) != 0 {
-		t.Error("overlap with empty should be 0")
+	if JaccardStrings([]string{"a"}, nil) != 0 {
+		t.Error("jaccard with empty should be 0")
 	}
 }
 
 func TestTrigramSim(t *testing.T) {
-	if got := TrigramSim("matilda", "matilda"); got != 1 {
+	if got := trigramSim("matilda", "matilda"); got != 1 {
 		t.Errorf("identical trigram sim = %f", got)
 	}
-	if got := TrigramSim("ab", "ab"); got != 1 {
+	if got := trigramSim("ab", "ab"); got != 1 {
 		t.Errorf("short identical = %f", got)
 	}
-	close := TrigramSim("schedule", "schedules")
-	far := TrigramSim("schedule", "location")
+	close := trigramSim("schedule", "schedules")
+	far := trigramSim("schedule", "location")
 	if close <= far {
 		t.Errorf("trigram ordering wrong: close=%f far=%f", close, far)
 	}
 }
 
-func TestMongeElkan(t *testing.T) {
-	inner := JaroWinkler
-	a := []string{"shubert", "theatre"}
-	b := []string{"shubert", "theater"}
-	if got := MongeElkanSym(a, b, inner); got < 0.9 {
-		t.Errorf("MongeElkanSym = %f, want high", got)
-	}
-	if MongeElkan(nil, nil, inner) != 1 {
-		t.Error("empty/empty = 1")
-	}
-	if MongeElkan([]string{"x"}, nil, inner) != 0 {
-		t.Error("a/empty = 0")
-	}
-	if MongeElkan(nil, []string{"x"}, inner) != 0 {
-		t.Error("empty/b = 0")
-	}
-}
-
-func TestCorpusTFIDF(t *testing.T) {
-	c := NewCorpus()
-	c.AddDoc([]string{"broadway", "show", "matilda"})
-	c.AddDoc([]string{"broadway", "show", "wicked"})
-	c.AddDoc([]string{"company", "earnings"})
-	if c.DocCount() != 3 {
-		t.Fatalf("DocCount = %d", c.DocCount())
-	}
-	// Rare term should out-weigh common term.
-	if c.IDF("matilda") <= c.IDF("broadway") {
-		t.Errorf("IDF(matilda)=%f <= IDF(broadway)=%f", c.IDF("matilda"), c.IDF("broadway"))
-	}
-	sim := c.TFIDFCosine([]string{"broadway", "show"}, []string{"broadway", "show"})
-	if math.Abs(sim-1) > 1e-9 {
-		t.Errorf("identical cosine = %f", sim)
-	}
-	dis := c.TFIDFCosine([]string{"matilda"}, []string{"earnings"})
-	if dis != 0 {
-		t.Errorf("disjoint cosine = %f", dis)
-	}
-}
-
-func TestCosineEdge(t *testing.T) {
-	if Cosine(nil, nil) != 1 {
-		t.Error("empty/empty cosine = 1")
-	}
-	if Cosine(map[string]float64{"a": 1}, nil) != 0 {
-		t.Error("vec/empty cosine = 0")
-	}
-}
-
-func TestSoftTFIDF(t *testing.T) {
-	c := NewCorpus()
-	c.AddDoc([]string{"shubert", "theatre"})
-	c.AddDoc([]string{"broadhurst", "theatre"})
-	hard := c.TFIDFCosine([]string{"shubert", "theatre"}, []string{"shubert", "theater"})
-	soft := c.SoftTFIDF([]string{"shubert", "theatre"}, []string{"shubert", "theater"}, JaroWinkler, 0.9)
-	if soft <= hard {
-		t.Errorf("soft (%f) should exceed hard (%f) on near-miss tokens", soft, hard)
-	}
-	if got := c.SoftTFIDF(nil, nil, JaroWinkler, 0.9); got != 1 {
-		t.Errorf("empty/empty soft = %f", got)
-	}
-}
-
 // sims under test for shared property checks.
 var simFuncs = map[string]func(a, b string) float64{
-	"LevenshteinSim": LevenshteinSim,
-	"Jaro":           Jaro,
+	"LevenshteinSim": levenshteinSim,
+	"Jaro":           jaro,
 	"JaroWinkler":    JaroWinkler,
-	"TrigramSim":     TrigramSim,
+	"TrigramSim":     trigramSim,
 }
 
 // Property: every similarity is within [0,1], symmetric, and 1 on identity.
@@ -214,25 +155,9 @@ func TestQuickLevenshteinTriangle(t *testing.T) {
 		if len(c) > 20 {
 			c = c[:20]
 		}
-		return Levenshtein(a, c) <= Levenshtein(a, b)+Levenshtein(b, c)
+		return levenshtein(a, c) <= levenshtein(a, b)+levenshtein(b, c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Damerau distance never exceeds Levenshtein distance.
-func TestQuickDamerauLeqLevenshtein(t *testing.T) {
-	f := func(a, b string) bool {
-		if len(a) > 20 {
-			a = a[:20]
-		}
-		if len(b) > 20 {
-			b = b[:20]
-		}
-		return DamerauLevenshtein(a, b) <= Levenshtein(a, b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
 }
@@ -249,6 +174,6 @@ func BenchmarkLevenshtein(b *testing.B) {
 	c := strings.Repeat("broadway shows ", 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Levenshtein(a, c)
+		levenshtein(a, c)
 	}
 }

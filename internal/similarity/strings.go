@@ -1,27 +1,17 @@
 // Package similarity implements the string- and set-similarity measures the
-// schema matcher and entity consolidator score with: edit distances, Jaro /
-// Jaro-Winkler, token-set coefficients, character n-gram similarity, TF-IDF
-// cosine, and the Monge-Elkan hybrid.
+// schema matcher and entity consolidator score with: edit distance, Jaro /
+// Jaro-Winkler, token-set Jaccard and character-trigram similarity.
 //
 // All similarity functions return values in [0, 1] where 1 means identical.
 package similarity
 
-import "strings"
-
 // Scratch is the working memory of the rune-slice measures, so a caller
 // scoring many pairs allocates it once. The zero value is ready to use; a
-// Scratch must not be shared between goroutines. The string functions of
-// this package are wrappers that convert once and use a Scratch of their own.
+// Scratch must not be shared between goroutines. JaroWinkler is the one
+// string wrapper: it converts once and uses a Scratch of its own.
 type Scratch struct {
 	flags []bool // Jaro match flags of both sides
 	rows  []int  // the two Levenshtein rows
-}
-
-// Levenshtein returns the edit distance between a and b (insertions,
-// deletions, substitutions).
-func Levenshtein(a, b string) int {
-	var s Scratch
-	return s.Levenshtein([]rune(a), []rune(b))
 }
 
 // Levenshtein is the edit distance of two rune slices.
@@ -53,49 +43,6 @@ func (s *Scratch) Levenshtein(ra, rb []rune) int {
 	return prev[len(rb)]
 }
 
-// DamerauLevenshtein returns the edit distance allowing adjacent
-// transposition as a single operation (restricted Damerau-Levenshtein).
-func DamerauLevenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	d := make([][]int, la+1)
-	for i := range d {
-		d[i] = make([]int, lb+1)
-		d[i][0] = i
-	}
-	for j := 0; j <= lb; j++ {
-		d[0][j] = j
-	}
-	for i := 1; i <= la; i++ {
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			d[i][j] = min3(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if t := d[i-2][j-2] + 1; t < d[i][j] {
-					d[i][j] = t
-				}
-			}
-		}
-	}
-	return d[la][lb]
-}
-
-// LevenshteinSim normalizes Levenshtein distance into a similarity:
-// 1 - dist/max(len). Two empty strings are identical (1).
-func LevenshteinSim(a, b string) float64 {
-	var s Scratch
-	return s.LevenshteinSim([]rune(a), []rune(b))
-}
-
 // LevenshteinSim is the normalized edit similarity of two rune slices.
 func (s *Scratch) LevenshteinSim(ra, rb []rune) float64 {
 	maxLen := max2(len(ra), len(rb))
@@ -103,12 +50,6 @@ func (s *Scratch) LevenshteinSim(ra, rb []rune) float64 {
 		return 1
 	}
 	return 1 - float64(s.Levenshtein(ra, rb))/float64(maxLen)
-}
-
-// Jaro returns the Jaro similarity of a and b.
-func Jaro(a, b string) float64 {
-	var s Scratch
-	return s.Jaro([]rune(a), []rune(b))
 }
 
 // Jaro is the Jaro similarity of two rune slices.
@@ -182,16 +123,9 @@ func (s *Scratch) JaroWinkler(ra, rb []rune) float64 {
 	return j + float64(prefix)*0.1*(1-j)
 }
 
-// TrigramSim is the Jaccard coefficient over character trigrams of the
-// lower-cased inputs; short strings fall back to LevenshteinSim.
-func TrigramSim(a, b string) float64 {
-	ra, rb := []rune(strings.ToLower(a)), []rune(strings.ToLower(b))
-	var s Scratch
-	return s.TrigramSim(ra, rb, Trigrams(ra), Trigrams(rb))
-}
-
-// TrigramSim is TrigramSim over rune slices the caller has already
-// lower-cased, with ta and tb their Trigrams.
+// TrigramSim is the Jaccard coefficient over the character trigrams of
+// rune slices the caller has already lower-cased, with ta and tb their
+// Trigrams; short slices fall back to LevenshteinSim.
 func (s *Scratch) TrigramSim(ra, rb []rune, ta, tb []uint64) float64 {
 	if len(ra) < 3 || len(rb) < 3 {
 		return s.LevenshteinSim(ra, rb)

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -175,14 +174,6 @@ func (c *Collection) charge(n int64) {
 	}
 }
 
-// Get returns the document with the given id.
-func (c *Collection) Get(id int64) (*Doc, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d, ok := c.docs[id]
-	return d, ok
-}
-
 // Update replaces the document stored under id, reindexing it. It reports
 // whether the id existed.
 func (c *Collection) Update(id int64, doc *Doc) bool {
@@ -254,63 +245,6 @@ func (c *Collection) EnsureTextIndex(path string) bool {
 	}
 	c.text[path] = tx
 	return true
-}
-
-// TextIndexes returns the collection's inverted text indexes sorted by path.
-func (c *Collection) TextIndexes() []*TextIndex {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*TextIndex, 0, len(c.text))
-	for _, tx := range c.text {
-		out = append(out, tx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
-// Indexes returns the collection's indexes sorted by name.
-func (c *Collection) Indexes() []*Index {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*Index, 0, len(c.indexes))
-	for _, ix := range c.indexes {
-		out = append(out, ix)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Scan calls fn for every document in insertion order until fn returns
-// false. It snapshots the membership under one read lock and iterates
-// lock-free, so fn observes a consistent point-in-time view: mutations that
-// land during the scan are not visible to it, and fn may itself call back
-// into the collection. The callback must not retain the document across
-// mutations.
-func (c *Collection) Scan(fn func(id int64, d *Doc) bool) {
-	ids, docs := c.snapshot()
-	for i, id := range ids {
-		if !fn(id, docs[i]) {
-			return
-		}
-	}
-}
-
-// snapshot returns the live (id, doc) pairs in insertion order under a
-// single read lock — the point-in-time view Scan and the sharded router's
-// parallel fan-out iterate without holding locks.
-func (c *Collection) snapshot() ([]int64, []*Doc) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ids := make([]int64, 0, len(c.docs))
-	docs := make([]*Doc, 0, len(c.docs))
-	for _, id := range c.order {
-		if id == 0 {
-			continue
-		}
-		ids = append(ids, id)
-		docs = append(docs, c.docs[id])
-	}
-	return ids, docs
 }
 
 // Stats returns the storage statistics of the collection in the shape of the

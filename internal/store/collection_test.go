@@ -17,16 +17,46 @@ func entityDoc(name, typ string, mentions int64) *Doc {
 		Set("mentions", Num(mentions))
 }
 
+// Tests read a collection through its one read op, Query, or its fields.
+
+// find is every document matching f.
+func find(c *Collection, f Filter) []*Doc { return c.Query(Query{Filter: f, Limit: NoLimit}).Docs }
+
+// count is how many documents match f.
+func count(c *Collection, f Filter) int64 { return c.Query(Query{Filter: f}).Total }
+
+// explain is the plan Query uses for f.
+func explain(c *Collection, f Filter) Explain { return c.Query(Query{Filter: f, Explain: true}).Plan }
+
+// get is the document stored under id.
+func get(c *Collection, id int64) (*Doc, bool) {
+	d, ok := c.docs[id]
+	return d, ok
+}
+
+// members are the live ids and their documents in insertion order.
+func members(c *Collection) ([]int64, []*Doc) {
+	var ids []int64
+	var docs []*Doc
+	for _, id := range c.order {
+		if id != 0 {
+			ids = append(ids, id)
+			docs = append(docs, c.docs[id])
+		}
+	}
+	return ids, docs
+}
+
 func TestInsertGetDelete(t *testing.T) {
 	c := NewCollection("dt.entity", 0)
 	id := c.Insert(entityDoc("Matilda", "Movie", 10))
-	if d, ok := c.Get(id); !ok || d.PathString("name") != "Matilda" {
+	if d, ok := get(c, id); !ok || d.PathString("name") != "Matilda" {
 		t.Fatalf("Get(%d) = %v, %v", id, d, ok)
 	}
 	if !c.Delete(id) {
 		t.Fatal("Delete returned false")
 	}
-	if _, ok := c.Get(id); ok {
+	if _, ok := get(c, id); ok {
 		t.Fatal("document survived delete")
 	}
 	if c.Delete(id) {
@@ -41,10 +71,10 @@ func TestUpdateReindexes(t *testing.T) {
 	if !c.Update(id, entityDoc("New", "Movie", 2)) {
 		t.Fatal("Update returned false")
 	}
-	if ids := c.Indexes()[0].Lookup("Old"); len(ids) != 0 {
+	if ids := c.indexes["name_1"].ids("Old"); len(ids) != 0 {
 		t.Errorf("stale index entry: %v", ids)
 	}
-	if ids := c.Indexes()[0].Lookup("New"); len(ids) != 1 || ids[0] != id {
+	if ids := c.indexes["name_1"].ids("New"); len(ids) != 1 || ids[0] != id {
 		t.Errorf("missing index entry: %v", ids)
 	}
 	if c.Update(999, entityDoc("X", "Y", 0)) {
@@ -58,34 +88,34 @@ func TestFindFullScanAndFilters(t *testing.T) {
 	c.Insert(entityDoc("Wicked", "Movie", 20))
 	c.Insert(entityDoc("IBM", "Company", 50))
 
-	if got := len(c.Find(EqStr("type", "Movie"))); got != 2 {
+	if got := len(find(c, EqStr("type", "Movie"))); got != 2 {
 		t.Errorf("Eq movie count = %d", got)
 	}
-	if got := len(c.Find(Contains("name", "ick"))); got != 1 {
+	if got := len(find(c, Contains("name", "ick"))); got != 1 {
 		t.Errorf("Contains = %d", got)
 	}
-	if got := len(c.Find(And{EqStr("type", "Movie"), Cond{Path: "mentions", Op: OpGt, Value: record.Int(25)}})); got != 1 {
+	if got := len(find(c, And{EqStr("type", "Movie"), Cond{Path: "mentions", Op: OpGt, Value: record.Int(25)}})); got != 1 {
 		t.Errorf("And = %d", got)
 	}
-	if got := len(c.Find(Or{EqStr("name", "IBM"), EqStr("name", "Wicked")})); got != 2 {
+	if got := len(find(c, Or{EqStr("name", "IBM"), EqStr("name", "Wicked")})); got != 2 {
 		t.Errorf("Or = %d", got)
 	}
-	if got := len(c.Find(Not{EqStr("type", "Movie")})); got != 1 {
+	if got := len(find(c, Not{EqStr("type", "Movie")})); got != 1 {
 		t.Errorf("Not = %d", got)
 	}
-	if got := len(c.Find(All{})); got != 3 {
+	if got := len(find(c, All{})); got != 3 {
 		t.Errorf("All = %d", got)
 	}
-	if got := len(c.Find(nil)); got != 3 {
+	if got := len(find(c, nil)); got != 3 {
 		t.Errorf("nil filter = %d", got)
 	}
-	if got := len(c.Find(Exists("mentions"))); got != 3 {
+	if got := len(find(c, Exists("mentions"))); got != 3 {
 		t.Errorf("Exists = %d", got)
 	}
-	if got := len(c.Find(In("name", record.String("IBM"), record.String("Nope")))); got != 1 {
+	if got := len(find(c, Cond{Path: "name", Op: OpIn, Set: []record.Value{record.String("IBM"), record.String("Nope")}})); got != 1 {
 		t.Errorf("In = %d", got)
 	}
-	if got := len(c.Find(Range("mentions", record.Int(20), record.Int(50)))); got != 2 {
+	if got := len(find(c, And{Cond{Path: "mentions", Op: OpGe, Value: record.Int(20)}, Cond{Path: "mentions", Op: OpLt, Value: record.Int(50)}})); got != 2 {
 		t.Errorf("Range = %d", got)
 	}
 }
@@ -102,12 +132,12 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 	// and by B-tree index.
 	for _, kind := range []IndexKind{HashIndex, BTreeIndex} {
 		c := build()
-		scan := c.Find(EqStr("name", "E007"))
+		scan := find(c, EqStr("name", "E007"))
 		c.EnsureIndex("name_1", "name", kind)
-		if ex := c.ExplainFilter(EqStr("name", "E007")); ex.IndexKind != kind.String() {
+		if ex := explain(c, EqStr("name", "E007")); ex.IndexKind != kind.String() {
 			t.Fatalf("plan with a %s index = %+v", kind, ex)
 		}
-		indexed := c.Find(EqStr("name", "E007"))
+		indexed := find(c, EqStr("name", "E007"))
 		if len(scan) != 4 || !slices.Equal(scan, indexed) {
 			t.Fatalf("scan found %d docs, the %s index %d, or in another order", len(scan), kind, len(indexed))
 		}
@@ -117,12 +147,12 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 	c.EnsureIndex("name_1", "name", HashIndex)
 	and := And{EqStr("name", "E007"), EqStr("type", "T2")}
 	want := 0
-	for _, d := range c.Find(All{}) {
+	for _, d := range find(c, All{}) {
 		if and.Matches(d) {
 			want++
 		}
 	}
-	if got := len(c.Find(and)); got != want {
+	if got := len(find(c, and)); got != want {
 		t.Errorf("And indexed = %d, want %d", got, want)
 	}
 }
@@ -133,7 +163,7 @@ func TestBTreeIndexPrefixAndList(t *testing.T) {
 	c.Insert(entityDoc("The Walking Dead", "Movie", 1))
 	c.Insert(entityDoc("The Wolverine", "Movie", 2))
 	c.Insert(entityDoc("Goodfellas", "Movie", 3))
-	if docs := c.Find(Prefix("name", "The ")); len(docs) != 2 {
+	if docs := find(c, Cond{Path: "name", Op: OpPrefix, Value: record.String("The ")}); len(docs) != 2 {
 		t.Errorf("prefix docs = %v", docs)
 	}
 
@@ -142,10 +172,10 @@ func TestBTreeIndexPrefixAndList(t *testing.T) {
 	c2.EnsureIndex("tags_1", "tags", HashIndex)
 	c2.Insert(NewDoc().Set("tags", List(Str("a"), Str("b"))))
 	c2.Insert(NewDoc().Set("tags", List(Str("b"))))
-	if got := len(c2.Find(EqStr("tags", "b"))); got != 2 {
+	if got := len(find(c2, EqStr("tags", "b"))); got != 2 {
 		t.Errorf("list index lookup = %d", got)
 	}
-	if got := len(c2.Find(EqStr("tags", "a"))); got != 1 {
+	if got := len(find(c2, EqStr("tags", "a"))); got != 1 {
 		t.Errorf("list index lookup a = %d", got)
 	}
 }
@@ -215,7 +245,7 @@ func TestConcurrentInsertAndRead(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				c.Insert(entityDoc(fmt.Sprintf("w%d-%d", w, i), "Movie", int64(i)))
-				c.Find(EqStr("type", "Movie"))
+				find(c, EqStr("type", "Movie"))
 			}
 		}(w)
 	}

@@ -11,8 +11,7 @@
 // the ones outside the window — and a Sharded router asks each shard for
 // its first offset+limit matches and cuts the window from their
 // concatenation. Limit 0 is the count, NoLimit the whole list, Explain the
-// plan; Find, FindOne and CountWhere are those spellings. Matching a
-// document allocates nothing.
+// plan. Matching a document allocates nothing.
 //
 // GroupBy makes the same op a group count: every match counted by its
 // scalar value at a path, keys in the order of their first match, merged
@@ -28,7 +27,6 @@ package store
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/record"
@@ -236,30 +234,6 @@ func (d *Doc) SizeBytesOf(fields []string) int64 {
 	return n
 }
 
-// Clone returns a deep copy of the document.
-func (d *Doc) Clone() *Doc {
-	c := &Doc{fields: make([]docField, len(d.fields))}
-	for i, f := range d.fields {
-		c.fields[i] = docField{name: f.name, value: f.value.clone()}
-	}
-	return c
-}
-
-func (v DocValue) clone() DocValue {
-	switch {
-	case v.IsDoc():
-		return Nested(v.Doc().Clone())
-	case v.IsList():
-		list := make([]DocValue, len(v.List()))
-		for i, e := range v.List() {
-			list[i] = e.clone()
-		}
-		return List(list...)
-	default:
-		return v
-	}
-}
-
 // String renders the document as {name: value, ...}.
 func (d *Doc) String() string {
 	var b strings.Builder
@@ -275,6 +249,8 @@ func (d *Doc) String() string {
 }
 
 // FromRecord converts a flat record into a one-level document.
+//
+//lint:dtlint-allow deadcheck TestPutRecordMatchesPutDoc: reference
 func FromRecord(r *record.Record) *Doc {
 	d := NewDocCap(r.Len())
 	for _, f := range r.Fields() {
@@ -293,12 +269,4 @@ func (d *Doc) ToRecord() *record.Record {
 		}
 	}
 	return r
-}
-
-// SortedFieldNames returns the document's top-level field names sorted, for
-// deterministic reporting.
-func (d *Doc) SortedFieldNames() []string {
-	names := d.Names()
-	sort.Strings(names)
-	return names
 }

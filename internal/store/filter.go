@@ -49,23 +49,8 @@ func Contains(path, substr string) Cond {
 	return Cond{Path: path, Op: OpContains, Value: record.String(substr)}
 }
 
-// Prefix builds a string-prefix condition.
-func Prefix(path, p string) Cond {
-	return Cond{Path: path, Op: OpPrefix, Value: record.String(p)}
-}
-
 // Exists builds a field-presence condition.
 func Exists(path string) Cond { return Cond{Path: path, Op: OpExists} }
-
-// In builds a set-membership condition.
-func In(path string, vs ...record.Value) Cond {
-	return Cond{Path: path, Op: OpIn, Set: vs}
-}
-
-// Range builds ge <= path < lt as an And of two conditions.
-func Range(path string, ge, lt record.Value) Filter {
-	return And{Cond{Path: path, Op: OpGe, Value: ge}, Cond{Path: path, Op: OpLt, Value: lt}}
-}
 
 // Matches implements Filter.
 func (c Cond) Matches(d *Doc) bool {

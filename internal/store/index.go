@@ -191,14 +191,6 @@ func (ix *Index) groups() []Group {
 	return out
 }
 
-// Lookup returns the ids of documents whose indexed value equals key.
-func (ix *Index) Lookup(key string) []int64 {
-	return append([]int64(nil), ix.ids(key)...)
-}
-
-// Entries reports the number of (key, id) pairs stored.
-func (ix *Index) Entries() int64 { return ix.entries }
-
 // SizeBytes estimates the index footprint: key bytes plus per-entry
 // structural overhead, matching how totalIndexSize is reported in stats.
 func (ix *Index) SizeBytes() int64 {

@@ -1,10 +1,13 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -445,18 +448,18 @@ func TestLogCollectionOwner(t *testing.T) {
 		t.Fatalf("recovered count %d vs live %d", rc.Count(), c.Count())
 	}
 	for _, id := range []int64{1, 2} {
-		want, _ := c.Get(id)
-		got, ok := rc.Get(id)
+		want, _ := get(c, id)
+		got, ok := get(rc, id)
 		if !ok || got.String() != want.String() {
 			t.Errorf("doc %d: %v vs %v", id, got, want)
 		}
 	}
 	// The index stayed consistent through the replayed update and delete.
-	if got := len(rc.Find(EqStr("name", "A2"))); got != 1 {
+	if got := len(find(rc, EqStr("name", "A2"))); got != 1 {
 		t.Errorf("indexed find = %d", got)
 	}
 	for _, stale := range []string{"A", "C"} {
-		if got := len(rc.Find(EqStr("name", stale))); got != 0 {
+		if got := len(find(rc, EqStr("name", stale))); got != 0 {
 			t.Errorf("stale index entry for %q: %d", stale, got)
 		}
 	}
@@ -531,4 +534,73 @@ func TestLogReadersDuringWrites(t *testing.T) {
 	if st := l.Stats(); st.NextSeq != 101 || st.Fence != 100 || st.WALEvents != 0 {
 		t.Errorf("final stats %+v", st)
 	}
+}
+
+// referenceMeta decodes a checkpoint.meta by hand: one frame (4-byte
+// little-endian length, payload, 4-byte IEEE CRC of the payload) whose
+// payload starts with the fence and the epoch as uvarints. A frame longer
+// than two maximal uvarints is refused.
+func referenceMeta(data []byte) (fence, epoch uint64, ok bool) {
+	if len(data) < 4 {
+		return 0, 0, false
+	}
+	n := binary.LittleEndian.Uint32(data)
+	if n > 2*binary.MaxVarintLen64 || uint64(len(data)) < 8+uint64(n) {
+		return 0, 0, false
+	}
+	payload := data[4 : 4+n]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4+n:]) {
+		return 0, 0, false
+	}
+	fence, k := binary.Uvarint(payload)
+	if k <= 0 {
+		return 0, 0, false
+	}
+	epoch, k = binary.Uvarint(payload[k:])
+	return fence, epoch, k > 0
+}
+
+// FuzzReadMeta: OpenLog over a directory whose checkpoint.meta holds any
+// bytes. Reading the meta never panics and allocates a bounded amount
+// whatever length its frame header claims; a meta referenceMeta refuses
+// fails the open as corrupt, and one it accepts opens the log at its
+// fence after loading its epoch. The seeds are the files under
+// testdata/fuzz/FuzzReadMeta.
+func FuzzReadMeta(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logMetaName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = (&Log{dir: dir}).readMeta()
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Fatalf("reading a %d-byte meta allocated %d bytes", len(data), grew)
+		}
+
+		var loaded string
+		l, err := OpenLog(dir, false,
+			func(cpDir string) error { loaded = cpDir; return nil },
+			func(uint64, byte, []byte) error { return nil },
+			func(string) error { return nil })
+		fence, epoch, ok := referenceMeta(data)
+		if !ok {
+			if err == nil || !strings.Contains(err.Error(), "corrupt") {
+				t.Fatalf("meta %x: open error %v, want a corrupt meta", data, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("meta %x (fence %d, epoch %d): %v", data, fence, epoch, err)
+		}
+		defer l.Close()
+		if want := filepath.Join(dir, fmt.Sprintf("checkpoint-%06d", epoch)); loaded != want {
+			t.Errorf("loaded %q, want %q", loaded, want)
+		}
+		if got := l.Stats().Fence; got != fence {
+			t.Errorf("fence %d, want %d", got, fence)
+		}
+	})
 }

@@ -146,10 +146,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if loaded.Count() != 49 {
 		t.Errorf("count = %d", loaded.Count())
 	}
-	if _, ok := loaded.Get(ids[10]); ok {
+	if _, ok := get(loaded, ids[10]); ok {
 		t.Error("deleted doc resurrected")
 	}
-	d, ok := loaded.Get(ids[20])
+	d, ok := get(loaded, ids[20])
 	if !ok || d.PathString("name") != "E020" {
 		t.Errorf("doc 20 = %v, %v", d, ok)
 	}
@@ -160,7 +160,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// Indexes can still be added after load.
 	loaded.EnsureIndex("name_1", "name", HashIndex)
-	if got := len(loaded.Find(EqStr("name", "E020"))); got != 1 {
+	if got := len(find(loaded, EqStr("name", "E020"))); got != 1 {
 		t.Errorf("indexed find after load = %d", got)
 	}
 }

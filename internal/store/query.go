@@ -299,29 +299,6 @@ func (c *Collection) countingIndex(path string) *Index {
 	return nil
 }
 
-// Find returns every document matching filter.
-func (c *Collection) Find(filter Filter) []*Doc {
-	return c.Query(Query{Filter: filter, Limit: NoLimit}).Docs
-}
-
-// FindOne returns the first matching document, or nil.
-func (c *Collection) FindOne(filter Filter) *Doc {
-	if docs := c.Query(Query{Filter: filter, Limit: 1}).Docs; len(docs) > 0 {
-		return docs[0]
-	}
-	return nil
-}
-
-// CountWhere reports the number of documents matching filter.
-func (c *Collection) CountWhere(filter Filter) int64 {
-	return c.Query(Query{Filter: filter}).Total
-}
-
-// ExplainFilter reports the plan Query uses for the filter.
-func (c *Collection) ExplainFilter(f Filter) Explain {
-	return c.Query(Query{Filter: f, Explain: true}).Plan
-}
-
 // explain words the access path plan chose for f.
 func (c *Collection) explain(f Filter, a access) Explain {
 	var ex Explain

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/record"
 )
 
 // paginate is what a caller did before the store paged: slice the window
@@ -42,8 +44,8 @@ func TestQueryWindowEqualsPaginate(t *testing.T) {
 	filters := map[string]Filter{
 		"hash eq":    EqStr("type", "Movie"),
 		"btree eq":   EqStr("name", "The Walking Show 07"),
-		"prefix":     Prefix("name", "The Walking Show 1"),
-		"in":         In("type", Str("Movie").Scalar(), Str("City").Scalar()),
+		"prefix":     Cond{Path: "name", Op: OpPrefix, Value: record.String("The Walking Show 1")},
+		"in":         Cond{Path: "type", Op: OpIn, Set: []record.Value{Str("Movie").Scalar(), Str("City").Scalar()}},
 		"text":       Contains("name", "walking show 2"),
 		"and":        And{EqStr("type", "Person"), Contains("name", "3")},
 		"scan":       Cond{Path: "mentions", Op: OpGe, Value: Num(25).Scalar()},
@@ -145,7 +147,7 @@ func TestHashPostingsStayInIDOrder(t *testing.T) {
 		c.Update(ids[i], entityDoc(fmt.Sprintf("E%d", i), "Movie", 0))
 	}
 	var got []string
-	for _, d := range c.Find(EqStr("type", "Movie")) {
+	for _, d := range find(c, EqStr("type", "Movie")) {
 		got = append(got, d.PathString("name"))
 	}
 	if want := []string{"E1", "E3", "E4"}; !slices.Equal(got, want) {
@@ -174,7 +176,7 @@ func TestDistinctIndexAndFallback(t *testing.T) {
 		t.Fatalf("group count with a list-valued doc = %v, want %v", got, want)
 	}
 	c.Delete(listed)
-	if ix := c.Indexes()[0]; ix.listEntries != 0 {
+	if ix := c.indexes["tags_1"]; ix.listEntries != 0 {
 		t.Fatalf("listEntries = %d after the list-valued doc left", ix.listEntries)
 	}
 	if got := c.Query(Query{GroupBy: "tags"}).Groups; !slices.Equal(got, want) {

@@ -124,7 +124,7 @@ func TestParseFilterAgainstCollection(t *testing.T) {
 	c.Insert(entityDoc("Matilda", "Movie", 50))
 	c.Insert(entityDoc("IBM", "Company", 80))
 	f := parseOrFail(t, `type = Movie AND mentions >= 50`)
-	if got := len(c.Find(f)); got != 2 {
+	if got := len(find(c, f)); got != 2 {
 		t.Errorf("find = %d", got)
 	}
 }
@@ -135,27 +135,27 @@ func TestExplainFilter(t *testing.T) {
 	c.EnsureIndex("name_1", "name", BTreeIndex)
 	c.Insert(entityDoc("A", "Movie", 1))
 
-	ex := c.ExplainFilter(parseOrFail(t, `type = Movie`))
+	ex := explain(c, parseOrFail(t, `type = Movie`))
 	if ex.AccessPath != "index" || ex.IndexName != "type_1" || ex.IndexKind != "hash" {
 		t.Errorf("eq explain = %+v", ex)
 	}
-	ex = c.ExplainFilter(parseOrFail(t, `name ^ Th`))
+	ex = explain(c, parseOrFail(t, `name ^ Th`))
 	if ex.AccessPath != "index" || ex.IndexKind != "btree" {
 		t.Errorf("prefix explain = %+v", ex)
 	}
-	ex = c.ExplainFilter(parseOrFail(t, `mentions > 3`))
+	ex = explain(c, parseOrFail(t, `mentions > 3`))
 	if ex.AccessPath != "scan" {
 		t.Errorf("range explain = %+v", ex)
 	}
-	ex = c.ExplainFilter(parseOrFail(t, `type = Movie AND mentions > 3`))
+	ex = explain(c, parseOrFail(t, `type = Movie AND mentions > 3`))
 	if ex.AccessPath != "index" {
 		t.Errorf("and explain = %+v", ex)
 	}
-	ex = c.ExplainFilter(parseOrFail(t, `mentions > 3 AND missing = x`))
+	ex = explain(c, parseOrFail(t, `mentions > 3 AND missing = x`))
 	if ex.AccessPath != "scan" {
 		t.Errorf("unindexed and explain = %+v", ex)
 	}
-	ex = c.ExplainFilter(parseOrFail(t, `type = Movie OR name = A`))
+	ex = explain(c, parseOrFail(t, `type = Movie OR name = A`))
 	if ex.AccessPath != "scan" {
 		t.Errorf("or explain = %+v", ex)
 	}

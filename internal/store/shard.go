@@ -127,9 +127,6 @@ func NewShardedBackends(ns, keyPath string, backends []ShardBackend) (*Sharded, 
 // NS returns the sharded namespace.
 func (s *Sharded) NS() string { return s.ns }
 
-// KeyPath returns the dotted path whose value routes documents to shards.
-func (s *Sharded) KeyPath() string { return s.keyPath }
-
 // NumShards reports the shard count.
 func (s *Sharded) NumShards() int { return len(s.backends) }
 

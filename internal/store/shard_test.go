@@ -124,8 +124,8 @@ func TestInsertManyEqualsSerialInserts(t *testing.T) {
 			}
 		}
 		for i := 0; i < shards; i++ {
-			wantIDs, wantDocs := serial.Shard(i).snapshot()
-			gotIDs, gotDocs := batched.Shard(i).snapshot()
+			wantIDs, wantDocs := members(serial.Shard(i))
+			gotIDs, gotDocs := members(batched.Shard(i))
 			if !slices.Equal(gotIDs, wantIDs) || !slices.Equal(gotDocs, wantDocs) {
 				t.Fatalf("%d shards, shard %d: batched ids %v, serial %v (or other documents under them)", shards, i, gotIDs, wantIDs)
 			}
@@ -152,9 +152,9 @@ func TestShardedFanOutEquivalence(t *testing.T) {
 	serialDistinct := map[string]int64{}
 	for i := 0; i < s.NumShards(); i++ {
 		sh := s.Shard(i)
-		serialDocs = append(serialDocs, sh.Find(filter)...)
-		serialAll = append(serialAll, sh.Find(nil)...)
-		for _, d := range sh.Find(nil) {
+		serialDocs = append(serialDocs, find(sh, filter)...)
+		serialAll = append(serialAll, find(sh, nil)...)
+		for _, d := range find(sh, nil) {
 			serialDistinct[d.PathString("type")]++
 		}
 	}

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"repro/internal/record"
 )
 
 // layoutFixture is a collection with a non-default extent size, a hash, a
@@ -45,12 +47,13 @@ func snapshotBytes(t testing.TB, c *Collection) []byte {
 // layoutOf renders a collection's index layout.
 func layoutOf(c *Collection) []string {
 	var out []string
-	for _, ix := range c.Indexes() {
-		out = append(out, fmt.Sprintf("%s %s %s %d", ix.Name, ix.Path, ix.Kind, ix.Entries()))
+	for _, ix := range c.indexes {
+		out = append(out, fmt.Sprintf("%s %s %s %d", ix.Name, ix.Path, ix.Kind, ix.entries))
 	}
-	for _, tx := range c.TextIndexes() {
+	for _, tx := range c.text {
 		out = append(out, "text "+tx.Path)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -74,18 +77,17 @@ func TestSnapshotCarriesLayout(t *testing.T) {
 	if st := back.Stats(); st.NumExtents < 2 {
 		t.Errorf("fixture spans %d extents; it should span several", st.NumExtents)
 	}
-	for _, f := range []Filter{EqStr("type", "Movie"), Prefix("name", "Show 1"), Contains("name", "walking")} {
-		if got, want := back.ExplainFilter(f), c.ExplainFilter(f); got != want {
+	for _, f := range []Filter{EqStr("type", "Movie"), Cond{Path: "name", Op: OpPrefix, Value: record.String("Show 1")}, Contains("name", "walking")} {
+		if got, want := explain(back, f), explain(c, f); got != want {
 			t.Errorf("plan of %v = %+v, want %+v", f, got, want)
 		}
 		if got, want := back.Query(Query{Filter: f}).Total, c.Query(Query{Filter: f}).Total; got != want {
 			t.Errorf("%v matches %d, want %d", f, got, want)
 		}
 	}
-	var want, got []string
-	c.Scan(func(id int64, d *Doc) bool { want = append(want, fmt.Sprint(id, d)); return true })
-	back.Scan(func(id int64, d *Doc) bool { got = append(got, fmt.Sprint(id, d)); return true })
-	if !slices.Equal(got, want) {
+	wantIDs, wantDocs := members(c)
+	gotIDs, gotDocs := members(back)
+	if got, want := fmt.Sprint(gotIDs, gotDocs), fmt.Sprint(wantIDs, wantDocs); got != want {
 		t.Errorf("documents %q, want %q", got, want)
 	}
 	if again := snapshotBytes(t, back); !bytes.Equal(again, data) {

@@ -28,8 +28,6 @@ type TextIndex struct {
 	// which converts the token bytes without copying them, not a store,
 	// which would copy them into a new key.
 	postings map[string]*[]int64
-	entries  int64
-	keyBytes int64
 
 	// Scratch docTokens reuses, guarded like postings: the tokens of one
 	// value, the lowered bytes of all of them, and one span of lower per
@@ -91,11 +89,7 @@ func (tx *TextIndex) insert(id int64, d *Doc) {
 			ids = new([]int64)
 			tx.postings[string(tok)] = ids
 		}
-		var added bool
-		if *ids, added = insertSorted(*ids, id); added {
-			tx.entries++
-			tx.keyBytes += int64(len(tok))
-		}
+		*ids, _ = insertSorted(*ids, id)
 	}
 }
 
@@ -106,12 +100,7 @@ func (tx *TextIndex) remove(id int64, d *Doc) {
 		if ids == nil {
 			continue
 		}
-		var ok bool
-		if *ids, ok = removeSorted(*ids, id); ok {
-			tx.entries--
-			tx.keyBytes -= int64(len(tok))
-		}
-		if len(*ids) == 0 {
+		if *ids, _ = removeSorted(*ids, id); len(*ids) == 0 {
 			delete(tx.postings, string(tok))
 		}
 	}
@@ -263,15 +252,4 @@ func canBound(low string) bool {
 		}
 	}
 	return true
-}
-
-// Tokens reports the dictionary size (distinct tokens).
-func (tx *TextIndex) Tokens() int { return len(tx.postings) }
-
-// Entries reports the number of (token, id) pairs stored.
-func (tx *TextIndex) Entries() int64 { return tx.entries }
-
-// SizeBytes estimates the index footprint, mirroring Index.SizeBytes.
-func (tx *TextIndex) SizeBytes() int64 {
-	return tx.keyBytes + tx.entries*24
 }

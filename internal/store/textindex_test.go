@@ -67,8 +67,8 @@ var textQueries = []string{
 func TestTextIndexScanEquivalence(t *testing.T) {
 	indexed, plain := buildTextCollections()
 	for _, q := range textQueries {
-		got := indexed.Find(Contains("text", q))
-		want := plain.Find(Contains("text", q))
+		got := find(indexed, Contains("text", q))
+		want := find(plain, Contains("text", q))
 		if len(got) != len(want) {
 			t.Errorf("query %q: indexed %d docs, scan %d", q, len(got), len(want))
 			continue
@@ -88,23 +88,22 @@ func TestTextIndexMaintenance(t *testing.T) {
 	c := NewCollection("dt.maint", 0)
 	c.EnsureTextIndex("text")
 	id := c.Insert(textDoc("a", "original needle text"))
-	if n := c.CountWhere(Contains("text", "needle")); n != 1 {
+	if n := count(c, Contains("text", "needle")); n != 1 {
 		t.Fatalf("after insert: %d matches", n)
 	}
 	c.Update(id, textDoc("a", "replacement haystack text"))
-	if n := c.CountWhere(Contains("text", "needle")); n != 0 {
+	if n := count(c, Contains("text", "needle")); n != 0 {
 		t.Errorf("after update: stale match count %d", n)
 	}
-	if n := c.CountWhere(Contains("text", "haystack")); n != 1 {
+	if n := count(c, Contains("text", "haystack")); n != 1 {
 		t.Errorf("after update: %d haystack matches", n)
 	}
 	c.Delete(id)
-	if n := c.CountWhere(Contains("text", "haystack")); n != 0 {
+	if n := count(c, Contains("text", "haystack")); n != 0 {
 		t.Errorf("after delete: %d matches", n)
 	}
-	tx := c.TextIndexes()[0]
-	if tx.Entries() != 0 || tx.Tokens() != 0 {
-		t.Errorf("postings not empty after delete: %d entries, %d tokens", tx.Entries(), tx.Tokens())
+	if n := len(c.text["text"].postings); n != 0 {
+		t.Errorf("postings not empty after delete: %d tokens", n)
 	}
 }
 
@@ -112,13 +111,13 @@ func TestTextIndexMaintenance(t *testing.T) {
 // clean substring queries and a scan for queries it cannot bound.
 func TestTextIndexExplain(t *testing.T) {
 	indexed, plain := buildTextCollections()
-	if ex := indexed.ExplainFilter(Contains("text", "matilda")); ex.AccessPath != "index" || ex.IndexKind != "text" {
+	if ex := explain(indexed, Contains("text", "matilda")); ex.AccessPath != "index" || ex.IndexKind != "text" {
 		t.Errorf("clean query plan = %+v", ex)
 	}
-	if ex := indexed.ExplainFilter(Contains("text", "o'brien")); ex.AccessPath != "scan" {
+	if ex := explain(indexed, Contains("text", "o'brien")); ex.AccessPath != "scan" {
 		t.Errorf("punctuated query plan = %+v", ex)
 	}
-	if ex := plain.ExplainFilter(Contains("text", "matilda")); ex.AccessPath != "scan" {
+	if ex := explain(plain, Contains("text", "matilda")); ex.AccessPath != "scan" {
 		t.Errorf("unindexed plan = %+v", ex)
 	}
 }
@@ -151,7 +150,7 @@ func TestTextIndexSharded(t *testing.T) {
 }
 
 // docTokensReference is the body docTokens had before it tokenized into
-// the index's scratch: Tokenize, ToLower, sort, compact.
+// the index's scratch: AppendTokens, ToLower, sort, compact.
 func docTokensReference(d *Doc, path string) []string {
 	v, ok := d.Path(path)
 	if !ok {
@@ -159,7 +158,7 @@ func docTokensReference(d *Doc, path string) []string {
 	}
 	var toks []string
 	collect := func(s string) {
-		for _, t := range textutil.Tokenize(s) {
+		for _, t := range textutil.AppendTokens(nil, s) {
 			toks = append(toks, strings.ToLower(t.Text))
 		}
 	}
@@ -229,7 +228,9 @@ func TestTextIndexReindexAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { tx.remove(2, d); tx.insert(2, d) }); n != 0 {
 		t.Errorf("remove then insert allocates %.0f times, budget 0", n)
 	}
-	if tx.Entries() != 2*int64(tx.Tokens()) {
-		t.Errorf("%d entries over %d tokens, want two ids per token", tx.Entries(), tx.Tokens())
+	for tok, ids := range tx.postings {
+		if !slices.Equal(*ids, []int64{1, 2}) {
+			t.Errorf("token %q lists ids %v, want [1 2]", tok, *ids)
+		}
 	}
 }

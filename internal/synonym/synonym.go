@@ -1,16 +1,9 @@
 // Package synonym implements the synonym machinery the schema matcher leans
 // on: a union-find synonym dictionary with a seed vocabulary for the
-// curation domain, plus a distributional bootstrapper in the spirit of
-// "Bootstrapping synonym resolution at web scale" (ref [6] of the paper)
-// that proposes new synonym pairs from co-occurrence contexts.
+// curation domain.
 package synonym
 
-import (
-	"sort"
-	"strings"
-
-	"repro/internal/similarity"
-)
+import "strings"
 
 // Dict groups terms into synonym sets. The zero value is not usable; call
 // NewDict or Default.
@@ -89,24 +82,6 @@ func (d *Dict) Canonical(t string) string {
 	return d.find(nt)
 }
 
-// Expand returns the sorted members of the term's synonym set, including the
-// term itself.
-func (d *Dict) Expand(t string) []string {
-	nt := norm(t)
-	if _, ok := d.parent[nt]; !ok {
-		return []string{nt}
-	}
-	root := d.find(nt)
-	var out []string
-	for term := range d.parent {
-		if d.find(term) == root {
-			out = append(out, term)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len reports the number of known terms.
 func (d *Dict) Len() int { return len(d.parent) }
 
@@ -133,96 +108,4 @@ func Default() *Dict {
 	d.AddGroup("matinee", "matinee_day")
 	d.AddGroup("state", "province", "provinceorstate")
 	return d
-}
-
-// Candidate is a proposed synonym pair with its evidence score.
-type Candidate struct {
-	A, B  string
-	Score float64
-}
-
-// Bootstrapper proposes synonym pairs from distributional evidence: terms
-// that occur in similar textual contexts and clear a string-similarity
-// floor. This mirrors the web-scale bootstrap of ref [6] at library scale.
-type Bootstrapper struct {
-	// MinContextSim is the cosine floor on context vectors (default 0.6).
-	MinContextSim float64
-	// MinStringSim is the Jaro-Winkler floor that guards against merging
-	// unrelated terms with similar contexts (default 0.75).
-	MinStringSim float64
-
-	contexts map[string]map[string]float64
-}
-
-// NewBootstrapper returns a bootstrapper with default thresholds.
-func NewBootstrapper() *Bootstrapper {
-	return &Bootstrapper{
-		MinContextSim: 0.6,
-		MinStringSim:  0.75,
-		contexts:      make(map[string]map[string]float64),
-	}
-}
-
-// Observe records that term appeared surrounded by the given context tokens.
-func (b *Bootstrapper) Observe(term string, context []string) {
-	nt := norm(term)
-	vec, ok := b.contexts[nt]
-	if !ok {
-		vec = make(map[string]float64)
-		b.contexts[nt] = vec
-	}
-	for _, c := range context {
-		vec[norm(c)]++
-	}
-}
-
-// Terms returns the observed terms, sorted.
-func (b *Bootstrapper) Terms() []string {
-	out := make([]string, 0, len(b.contexts))
-	for t := range b.contexts {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Propose returns candidate synonym pairs above both thresholds, sorted by
-// descending score (context cosine weighted by string similarity).
-func (b *Bootstrapper) Propose() []Candidate {
-	terms := b.Terms()
-	var out []Candidate
-	for i := 0; i < len(terms); i++ {
-		for j := i + 1; j < len(terms); j++ {
-			a, c := terms[i], terms[j]
-			ctxSim := similarity.Cosine(b.contexts[a], b.contexts[c])
-			if ctxSim < b.MinContextSim {
-				continue
-			}
-			strSim := similarity.JaroWinkler(a, c)
-			if strSim < b.MinStringSim {
-				continue
-			}
-			out = append(out, Candidate{A: a, B: c, Score: ctxSim * strSim})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// Apply adds every proposed candidate to the dictionary and returns how many
-// pairs were added.
-func (b *Bootstrapper) Apply(d *Dict) int {
-	cands := b.Propose()
-	for _, c := range cands {
-		d.Add(c.A, c.B)
-	}
-	return len(cands)
 }

@@ -34,10 +34,6 @@ func TestDictUnknownTermsNoMutation(t *testing.T) {
 func TestExpandCanonical(t *testing.T) {
 	d := NewDict()
 	d.AddGroup("price", "cost", "fare")
-	exp := d.Expand("cost")
-	if len(exp) != 3 {
-		t.Fatalf("Expand = %v", exp)
-	}
 	canon := d.Canonical("price")
 	for _, term := range []string{"price", "cost", "fare"} {
 		if d.Canonical(term) != canon {
@@ -47,8 +43,8 @@ func TestExpandCanonical(t *testing.T) {
 	if got := d.Canonical("unseen"); got != "unseen" {
 		t.Errorf("Canonical(unseen) = %q", got)
 	}
-	if got := d.Expand("unseen"); len(got) != 1 || got[0] != "unseen" {
-		t.Errorf("Expand(unseen) = %v", got)
+	if d.Canonical("cost") == d.Canonical("unseen") {
+		t.Error("an unseen term joined the price set")
 	}
 }
 
@@ -68,56 +64,6 @@ func TestDefaultDomainVocabulary(t *testing.T) {
 	}
 	if d.AreSynonyms("show", "price") {
 		t.Error("show and price must not be synonyms")
-	}
-}
-
-func TestBootstrapperProposes(t *testing.T) {
-	b := NewBootstrapper()
-	// theatre/theater share contexts; price does not.
-	for i := 0; i < 5; i++ {
-		b.Observe("theatre", []string{"broadway", "seats", "stage", "curtain"})
-		b.Observe("theater", []string{"broadway", "seats", "stage", "tickets"})
-		b.Observe("price", []string{"dollars", "cheap", "discount"})
-	}
-	cands := b.Propose()
-	if len(cands) == 0 {
-		t.Fatal("no candidates proposed")
-	}
-	top := cands[0]
-	if !(top.A == "theater" && top.B == "theatre") {
-		t.Errorf("top candidate = %+v", top)
-	}
-	for _, c := range cands {
-		if c.A == "price" || c.B == "price" {
-			t.Errorf("price wrongly proposed: %+v", c)
-		}
-	}
-}
-
-func TestBootstrapperApply(t *testing.T) {
-	b := NewBootstrapper()
-	for i := 0; i < 3; i++ {
-		b.Observe("showtimes", []string{"pm", "evening", "matinee"})
-		b.Observe("showtime", []string{"pm", "evening", "matinee"})
-	}
-	d := NewDict()
-	added := b.Apply(d)
-	if added == 0 || !d.AreSynonyms("showtime", "showtimes") {
-		t.Errorf("Apply added %d; synonyms=%v", added, d.AreSynonyms("showtime", "showtimes"))
-	}
-}
-
-func TestBootstrapperStringGuard(t *testing.T) {
-	b := NewBootstrapper()
-	// Same contexts but dissimilar strings: must not propose.
-	for i := 0; i < 5; i++ {
-		b.Observe("venue", []string{"broadway", "stage"})
-		b.Observe("zzqx", []string{"broadway", "stage"})
-	}
-	for _, c := range b.Propose() {
-		if (c.A == "venue" && c.B == "zzqx") || (c.A == "zzqx" && c.B == "venue") {
-			t.Errorf("string guard failed: %+v", c)
-		}
 	}
 }
 

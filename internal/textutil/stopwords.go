@@ -16,9 +16,6 @@ func init() {
 	}
 }
 
-// IsStopword reports whether the lower-cased word is an English stopword.
-func IsStopword(w string) bool { return stopwords[strings.ToLower(w)] }
-
 // ContentWords tokenizes text, lower-cases, and drops stopwords and
 // single-character tokens.
 func ContentWords(text string) []string {

@@ -1,6 +1,6 @@
 // Package textutil provides the text-processing primitives the fusion
 // pipeline builds on: tokenization, sentence splitting, normalization,
-// stopword filtering, Porter stemming and n-gram extraction.
+// stopword filtering and case-insensitive substring search.
 package textutil
 
 import (
@@ -16,14 +16,12 @@ type Token struct {
 	End   int // byte offset one past the last byte
 }
 
-// Tokenize splits text into word tokens. A token is a maximal run of
-// letters, digits, or the intra-word punctuation ' . - & (so "O'Brien",
-// "U.S." and "AT&T" stay whole); trailing punctuation is stripped.
-func Tokenize(text string) []Token { return AppendTokens(nil, text) }
-
-// AppendTokens appends the tokens of text, as Tokenize splits it, to dst
-// and returns the extended slice. A token's Text is a substring of text, so
-// a caller that reuses dst allocates nothing once it is large enough.
+// AppendTokens splits text into word tokens, appends them to dst and
+// returns the extended slice. A token is a maximal run of letters, digits,
+// or the intra-word punctuation ' . - & (so "O'Brien", "U.S." and "AT&T"
+// stay whole); trailing punctuation is stripped. A token's Text is a
+// substring of text, so a caller that reuses dst allocates nothing once it
+// is large enough.
 func AppendTokens(dst []Token, text string) []Token {
 	start := -1
 	for i, r := range text {
@@ -51,21 +49,10 @@ func appendToken(dst []Token, text string, start, end int) []Token {
 	return append(dst, Token{Text: trimmed, Start: start, End: start + len(trimmed)})
 }
 
-// smallTokens is how many tokens Words and ContentWords collect on the
+// smallTokens is how many tokens ContentWords collects on the
 // stack before AppendTokens moves them to the heap: an attribute name or a
 // short value fits.
 const smallTokens = 16
-
-// Words returns just the token texts of Tokenize(text).
-func Words(text string) []string {
-	var buf [smallTokens]Token
-	tokens := AppendTokens(buf[:0], text)
-	words := make([]string, len(tokens))
-	for i, t := range tokens {
-		words[i] = t.Text
-	}
-	return words
-}
 
 // Sentences splits text into sentences on ., !, ? followed by whitespace and
 // an upper-case letter, digit, or quote — a pragmatic splitter that survives
@@ -127,31 +114,4 @@ func Normalize(s string) string {
 		}
 	}
 	return strings.TrimSpace(b.String())
-}
-
-// NGrams returns the n-grams of the word sequence joined by spaces.
-// It returns nil when len(words) < n or n <= 0.
-func NGrams(words []string, n int) []string {
-	if n <= 0 || len(words) < n {
-		return nil
-	}
-	out := make([]string, 0, len(words)-n+1)
-	for i := 0; i+n <= len(words); i++ {
-		out = append(out, strings.Join(words[i:i+n], " "))
-	}
-	return out
-}
-
-// CharNGrams returns the character n-grams of s (runes, not bytes), padding
-// with no sentinels. It returns nil when the rune length is below n.
-func CharNGrams(s string, n int) []string {
-	runes := []rune(s)
-	if n <= 0 || len(runes) < n {
-		return nil
-	}
-	out := make([]string, 0, len(runes)-n+1)
-	for i := 0; i+n <= len(runes); i++ {
-		out = append(out, string(runes[i:i+n]))
-	}
-	return out
 }
