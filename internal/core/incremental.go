@@ -111,8 +111,7 @@ func (t *Tamer) ApplyRecords(ctx context.Context, source string, recs []*record.
 	if len(t.matchReports) > maxMatchReports {
 		t.matchReports = append(t.matchReports[:1:1], t.matchReports[len(t.matchReports)-maxMatchReports+1:]...)
 	}
-	for _, r := range recs {
-		m := t.Global.Translate(r)
+	for _, m := range t.Global.TranslateAll(recs) {
 		t.Cleaner.Apply(m)
 		t.addMemberLocked(source, m)
 	}

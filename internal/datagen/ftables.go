@@ -274,7 +274,7 @@ func GenerateFTables(cfg FTablesConfig) []*ingest.Source {
 		}
 		for len(recs) < rows {
 			f := facts[srcRng.Intn(len(facts))]
-			r := record.New()
+			r := record.NewCap(len(concepts))
 			for i, ci := range concepts {
 				r.Set(attrNames[i], ftConcepts[ci].render(f, srcRng))
 			}

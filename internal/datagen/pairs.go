@@ -47,7 +47,7 @@ func GeneratePairs(cfg PairsConfig) []dedup.LabeledPair {
 	cities := []string{"new york", "boston", "chicago", "london", "toronto"}
 
 	makeRec := func(name, city, src string) *record.Record {
-		r := record.New()
+		r := record.NewCap(3)
 		r.Source = src
 		r.Set("name", record.String(name))
 		r.Set("type", record.String(string(cfg.Type)))

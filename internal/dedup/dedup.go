@@ -160,7 +160,7 @@ func Consolidate(records []*record.Record) *record.Record {
 			}
 		}
 	}
-	out := record.New()
+	out := record.NewCap(len(order))
 	sources := map[string]bool{}
 	for _, r := range records {
 		if r.Source != "" {

@@ -123,11 +123,17 @@ type attrProfile struct {
 type recordProfile []attrProfile
 
 // profiler builds the profiles of one Run or one wrapper call. It is not for
-// concurrent use: with no Featurizer.Attrs it remembers the model rows of
-// the attribute keys it has met.
+// concurrent use: with no Featurizer.Attrs it remembers the key and model
+// rows of each field name it has met, as spelled.
 type profiler struct {
-	sc   *scorer
-	rows map[string]attrRows
+	sc    *scorer
+	names map[string]profiledName
+}
+
+// profiledName is what a profiler resolves once per field name.
+type profiledName struct {
+	key  string // record.NormalizeName of the name
+	rows attrRows
 }
 
 func (pr *profiler) profile(r *record.Record) recordProfile {
@@ -144,16 +150,16 @@ func (pr *profiler) profile(r *record.Record) recordProfile {
 	}
 	p := make(recordProfile, 0, r.Len())
 	for _, f := range r.Fields() {
-		key := record.NormalizeName(f.Name)
-		rows, ok := pr.rows[key]
+		n, ok := pr.names[f.Name]
 		if !ok {
-			if pr.rows == nil {
-				pr.rows = map[string]attrRows{}
+			if pr.names == nil {
+				pr.names = map[string]profiledName{}
 			}
-			rows = sc.rowsOf(key)
-			pr.rows[key] = rows
+			n.key = record.NormalizeName(f.Name)
+			n.rows = sc.rowsOf(n.key)
+			pr.names[f.Name] = n
 		}
-		ap := attrProfile{key: key, rows: rows}
+		ap := attrProfile{key: n.key, rows: n.rows}
 		if !f.Value.IsNull() {
 			ap.set, ap.valueProfile = true, profileValue(f.Value)
 		}

@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/dterr"
 	"repro/internal/record"
 )
 
-// Source is one registered data source: a name, its records, and the
-// inferred per-attribute types.
+// Source is one registered data source: a name and its records.
 type Source struct {
 	Name    string
 	Records []*record.Record
@@ -54,45 +54,20 @@ func (s *Source) Attributes() []string {
 	return out
 }
 
-// AttributeType infers the dominant value kind of an attribute: the kind of
-// the majority of its non-null values (string when empty or tied toward
-// strings).
-func (s *Source) AttributeType(name string) record.Kind {
-	counts := map[record.Kind]int{}
-	for _, r := range s.Records {
-		v, ok := r.Get(name)
-		if !ok || v.IsNull() {
-			continue
-		}
-		counts[v.Kind()]++
-	}
-	best, bestN := record.KindString, 0
-	// Deterministic tie-break: iterate kinds in fixed order.
-	for _, k := range []record.Kind{record.KindString, record.KindInt, record.KindFloat, record.KindBool, record.KindTime} {
-		if counts[k] > bestN {
-			best, bestN = k, counts[k]
-		}
-	}
-	return best
-}
-
-// Values returns the non-null values of an attribute across records.
-func (s *Source) Values(name string) []record.Value {
-	var out []record.Value
-	for _, r := range s.Records {
-		if v, ok := r.Get(name); ok && !v.IsNull() {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+// MaxRecordFields bounds the fields of one ingested row. A record finds a
+// field by a linear scan, so an unbounded row would cost quadratic time to
+// build; real source rows have 5-20 attributes.
+const MaxRecordFields = 1024
 
 // RecordFromMap builds a flat record from one decoded JSON object. Nested
-// objects and arrays are rejected; semi-structured input belongs in the
-// document store. Keys are set in sorted order so record shape is
-// deterministic.
+// objects and arrays are rejected, and so is a row of more than
+// MaxRecordFields fields; semi-structured input belongs in the document
+// store. Keys are set in sorted order so record shape is deterministic.
 func RecordFromMap(row map[string]any) (*record.Record, error) {
-	rec := record.New()
+	if len(row) > MaxRecordFields {
+		return nil, dterr.Newf(dterr.CodeInvalidArgument, "record has %d fields, more than %d", len(row), MaxRecordFields)
+	}
+	rec := record.NewCap(len(row))
 	keys := make([]string, 0, len(row))
 	for k := range row {
 		keys = append(keys, k)

@@ -1,8 +1,11 @@
 package ingest
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"repro/dterr"
 	"repro/internal/record"
 )
 
@@ -41,7 +44,7 @@ func TestReadJSONRejectsNested(t *testing.T) {
 	}
 }
 
-func TestAttributesAndTypes(t *testing.T) {
+func TestAttributes(t *testing.T) {
 	var recs []*record.Record
 	for _, row := range [][2]string{{"A", "1"}, {"B", "2"}, {"C", "not-a-number"}} {
 		r := record.New()
@@ -49,22 +52,28 @@ func TestAttributesAndTypes(t *testing.T) {
 		r.Set("price", record.Infer(row[1]))
 		recs = append(recs, r)
 	}
-	src := NewSource("s", recs)
-	attrs := src.Attributes()
-	if len(attrs) != 2 {
-		t.Fatalf("attributes = %v", attrs)
+	recs[2].Set("Show Name", record.String("C"))
+	recs[1].Set("show_name", record.String("B"))
+	attrs := NewSource("s", recs).Attributes()
+	if want := []string{"name", "price", "show_name"}; !slices.Equal(attrs, want) {
+		t.Fatalf("attributes = %q, want %q: first-seen order, one per normalized name", attrs, want)
 	}
-	if k := src.AttributeType("price"); k != record.KindInt {
-		t.Errorf("price dominant kind = %v", k)
+}
+
+// A row may carry MaxRecordFields fields and no more: the bound keeps
+// building a record linear in its size.
+func TestRecordFromMapFieldCap(t *testing.T) {
+	row := map[string]any{}
+	for i := 0; i < MaxRecordFields; i++ {
+		row[fmt.Sprintf("f%04d", i)] = float64(i)
 	}
-	if k := src.AttributeType("name"); k != record.KindString {
-		t.Errorf("name kind = %v", k)
+	r, err := RecordFromMap(row)
+	if err != nil || r.Len() != MaxRecordFields {
+		t.Fatalf("row of %d fields: %v, %v", MaxRecordFields, r, err)
 	}
-	if k := src.AttributeType("missing"); k != record.KindString {
-		t.Errorf("missing attr kind = %v", k)
-	}
-	if vals := src.Values("price"); len(vals) != 3 {
-		t.Errorf("values = %v", vals)
+	row["one_more"] = "x"
+	if _, err := RecordFromMap(row); dterr.CodeOf(err) != dterr.CodeInvalidArgument {
+		t.Errorf("row of %d fields: err = %v, want invalid_argument", len(row), err)
 	}
 }
 

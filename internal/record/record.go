@@ -3,16 +3,23 @@ package record
 import (
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Record is a flat tuple: an ordered list of (field, value) pairs with
 // case-preserving field names and case-insensitive lookup. Records carry
 // provenance (the source they came from) so consolidation can explain merges.
+//
+// A record is its field list and nothing more. Set, Get and Delete find a
+// field by a linear scan that compares names under NormalizeName's rules
+// without building the normalized names; records are small (a source row has
+// 5-20 attributes, and ingest refuses a row of more than
+// ingest.MaxRecordFields), so a scan costs less than an index per record.
 type Record struct {
 	fields []Field
-	index  map[string]int // normalized name -> position
-	Source string         // originating source name, if known
-	ID     string         // stable identifier within the source, if known
+	Source string // originating source name, if known
+	ID     string // stable identifier within the source, if known
 }
 
 // Field is a single named value inside a Record.
@@ -22,30 +29,118 @@ type Field struct {
 }
 
 // NormalizeName canonicalizes a field name for lookup and matching:
-// lower-case, trimmed, with separators collapsed to single underscores.
+// lower-case, trimmed, with separators collapsed to single underscores. A
+// name that is already normal is returned as it is.
 func NormalizeName(name string) string {
+	if isNormalName(name) {
+		return name
+	}
 	var b strings.Builder
 	b.Grow(len(name))
-	lastUnderscore := true // swallow leading separators
-	for _, r := range strings.TrimSpace(strings.ToLower(name)) {
-		switch {
-		case r == ' ' || r == '-' || r == '_' || r == '.' || r == '/':
-			if !lastUnderscore {
-				b.WriteByte('_')
-				lastUnderscore = true
+	sc := newNameScanner(name)
+	for r := sc.next(); r >= 0; r = sc.next() {
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+// isNameSep reports whether r is one of the separators NormalizeName
+// collapses to an underscore.
+func isNameSep(r rune) bool {
+	return r == ' ' || r == '-' || r == '_' || r == '.' || r == '/'
+}
+
+// isNormalName reports whether NormalizeName(name) == name, byte for byte,
+// without building the normalized name.
+func isNormalName(name string) bool {
+	sc, i := newNameScanner(name), 0
+	for r := sc.next(); r >= 0; r = sc.next() {
+		if r < utf8.RuneSelf {
+			if i == len(name) || name[i] != byte(r) {
+				return false
 			}
-		default:
-			b.WriteRune(r)
-			lastUnderscore = false
+			i++
+			continue
+		}
+		// An invalid byte reads as utf8.RuneError but is not its encoding.
+		got, w := utf8.DecodeRuneInString(name[i:])
+		if got != r || w != utf8.RuneLen(r) {
+			return false
+		}
+		i += w
+	}
+	return i == len(name)
+}
+
+// nameScanner yields the runes of NormalizeName(name) one at a time without
+// building the string: the runes of the trimmed name lower-cased (an invalid
+// byte reads as utf8.RuneError), leading and trailing separators dropped and
+// each inner run of separators read as one '_'.
+type nameScanner struct {
+	s       string // the name with surrounding white space trimmed
+	i       int    // next byte of s to read
+	started bool   // a non-separator rune has been returned
+	held    rune   // rune read past a separator run, returned after its '_'; -1 if none
+}
+
+func newNameScanner(name string) nameScanner {
+	return nameScanner{s: strings.TrimSpace(name), held: -1}
+}
+
+// next returns the next rune of the normalized name, or -1 at its end.
+func (sc *nameScanner) next() rune {
+	if r := sc.held; r >= 0 {
+		sc.held = -1
+		return r
+	}
+	sep := false
+	for sc.i < len(sc.s) {
+		r, w := rune(sc.s[sc.i]), 1
+		switch {
+		case r >= utf8.RuneSelf:
+			r, w = utf8.DecodeRuneInString(sc.s[sc.i:])
+			r = unicode.ToLower(r)
+		case 'A' <= r && r <= 'Z':
+			r += 'a' - 'A'
+		}
+		sc.i += w
+		if isNameSep(r) {
+			sep = true
+			continue
+		}
+		if sep && sc.started {
+			sc.held = r
+			return '_'
+		}
+		sc.started = true
+		return r
+	}
+	return -1
+}
+
+// nameEqual reports whether NormalizeName(a) == NormalizeName(b), without
+// allocating.
+func nameEqual(a, b string) bool {
+	if a == b {
+		return true
+	}
+	sa, sb := newNameScanner(a), newNameScanner(b)
+	for {
+		ra, rb := sa.next(), sb.next()
+		if ra != rb {
+			return false
+		}
+		if ra < 0 {
+			return true
 		}
 	}
-	return strings.TrimSuffix(b.String(), "_")
 }
 
 // New returns an empty record.
-func New() *Record {
-	return &Record{index: make(map[string]int)}
-}
+func New() *Record { return &Record{} }
+
+// NewCap returns an empty record with room for n fields.
+func NewCap(n int) *Record { return &Record{fields: make([]Field, 0, n)} }
 
 // Len reports the number of fields.
 func (r *Record) Len() int { return len(r.fields) }
@@ -54,32 +149,34 @@ func (r *Record) Len() int { return len(r.fields) }
 // must not mutate it.
 func (r *Record) Fields() []Field { return r.fields }
 
+// find returns the position of the field whose name normalizes like name, or
+// -1.
+func (r *Record) find(name string) int {
+	for i := range r.fields {
+		if nameEqual(r.fields[i].Name, name) {
+			return i
+		}
+	}
+	return -1
+}
+
 // Set stores value under name, replacing any existing field whose normalized
 // name matches.
 func (r *Record) Set(name string, value Value) {
-	key := NormalizeName(name)
-	if r.index == nil {
-		r.index = make(map[string]int)
-	}
-	if i, ok := r.index[key]; ok {
+	if i := r.find(name); i >= 0 {
 		r.fields[i] = Field{Name: name, Value: value}
 		return
 	}
-	r.index[key] = len(r.fields)
 	r.fields = append(r.fields, Field{Name: name, Value: value})
 }
 
 // Get returns the value stored under name (case-insensitive) and whether it
 // exists.
 func (r *Record) Get(name string) (Value, bool) {
-	if r.index == nil {
-		return Null, false
+	if i := r.find(name); i >= 0 {
+		return r.fields[i].Value, true
 	}
-	i, ok := r.index[NormalizeName(name)]
-	if !ok {
-		return Null, false
-	}
-	return r.fields[i].Value, true
+	return Null, false
 }
 
 // GetString returns the string rendering of the value under name, or "" if
@@ -94,24 +191,14 @@ func (r *Record) GetString(name string) string {
 
 // Has reports whether a field with the given (normalized) name exists.
 func (r *Record) Has(name string) bool {
-	_, ok := r.Get(name)
-	return ok
+	return r.find(name) >= 0
 }
 
 // Delete removes the field with the given name, if present, preserving the
 // order of the remaining fields.
 func (r *Record) Delete(name string) {
-	key := NormalizeName(name)
-	i, ok := r.index[key]
-	if !ok {
-		return
-	}
-	r.fields = append(r.fields[:i], r.fields[i+1:]...)
-	delete(r.index, key)
-	for k, j := range r.index {
-		if j > i {
-			r.index[k] = j - 1
-		}
+	if i := r.find(name); i >= 0 {
+		r.fields = append(r.fields[:i], r.fields[i+1:]...)
 	}
 }
 
@@ -128,17 +215,11 @@ func (r *Record) Rename(from, to string) {
 
 // Clone returns a deep copy of the record.
 func (r *Record) Clone() *Record {
-	c := &Record{
-		fields: make([]Field, len(r.fields)),
-		index:  make(map[string]int, len(r.index)),
+	return &Record{
+		fields: append([]Field(nil), r.fields...),
 		Source: r.Source,
 		ID:     r.ID,
 	}
-	copy(c.fields, r.fields)
-	for k, v := range r.index {
-		c.index[k] = v
-	}
-	return c
 }
 
 // String renders the record as {name=value, ...} in field order.

@@ -157,7 +157,7 @@ func TestRecordDeleteRename(t *testing.T) {
 		t.Fatalf("after delete: %v", r)
 	}
 	if v, _ := r.Get("c"); v.Str() != "3" {
-		t.Errorf("index remap broken: c = %v", v)
+		t.Errorf("field after the deleted one lost: c = %v", v)
 	}
 	r.Rename("c", "z")
 	if !r.Has("z") || r.Has("c") {

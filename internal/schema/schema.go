@@ -78,25 +78,53 @@ type SourceSchema struct {
 	Attrs  []*Attribute
 }
 
-// FromSource profiles a registered source into a SourceSchema.
+// FromSource profiles a registered source into a SourceSchema: one attribute
+// per normalized field name, in first-seen order under its first spelling,
+// with the kind of the majority of its non-null values (string when it has
+// none or on a tie with strings) and up to sampleCap distinct samples in
+// record order. It reads each field of each record once.
 func FromSource(s *ingest.Source) *SourceSchema {
+	type profile struct {
+		kinds [record.KindTime + 1]int
+		seen  map[string]bool
+	}
 	ss := &SourceSchema{Source: s.Name}
-	for _, name := range s.Attributes() {
-		attr := &Attribute{
-			Name:    name,
-			Kind:    s.AttributeType(name),
-			Sources: []string{s.Name},
-		}
-		seen := map[string]bool{}
-		for _, v := range s.Values(name) {
-			sv := v.Str()
-			if seen[sv] || len(attr.Samples) >= sampleCap {
+	var profiles []profile     // parallel to ss.Attrs
+	byKey := map[string]int{}  // normalized name -> attribute
+	byName := map[string]int{} // field name as spelled -> attribute
+	for _, r := range s.Records {
+		for _, f := range r.Fields() {
+			i, ok := byName[f.Name]
+			if !ok {
+				key := record.NormalizeName(f.Name)
+				if i, ok = byKey[key]; !ok {
+					i = len(ss.Attrs)
+					byKey[key] = i
+					ss.Attrs = append(ss.Attrs, &Attribute{Name: f.Name, Sources: []string{s.Name}})
+					profiles = append(profiles, profile{seen: map[string]bool{}})
+				}
+				byName[f.Name] = i
+			}
+			if f.Value.IsNull() {
 				continue
 			}
-			seen[sv] = true
-			attr.Samples = append(attr.Samples, sv)
+			p, attr := &profiles[i], ss.Attrs[i]
+			p.kinds[f.Value.Kind()]++
+			if len(attr.Samples) < sampleCap {
+				if sv := f.Value.Str(); !p.seen[sv] {
+					p.seen[sv] = true
+					attr.Samples = append(attr.Samples, sv)
+				}
+			}
 		}
-		ss.Attrs = append(ss.Attrs, attr)
+	}
+	for i, attr := range ss.Attrs {
+		attr.Kind = record.KindString
+		for k, best := record.KindString, 0; k <= record.KindTime; k++ {
+			if n := profiles[i].kinds[k]; n > best {
+				attr.Kind, best = k, n
+			}
+		}
 	}
 	return ss
 }
@@ -208,16 +236,39 @@ func (g *Global) mappingFor(key sourceAttr) (string, bool) {
 // using the recorded mappings for its source. Unmapped fields keep their
 // original names.
 func (g *Global) Translate(r *record.Record) *record.Record {
-	out := record.New()
+	return g.translate(r, nil)
+}
+
+// TranslateAll is Translate over a batch of records. It resolves each
+// distinct field name of a source once for the whole batch.
+func (g *Global) TranslateAll(recs []*record.Record) []*record.Record {
+	resolved := map[sourceAttr]string{}
+	out := make([]*record.Record, len(recs))
+	for i, r := range recs {
+		out[i] = g.translate(r, resolved)
+	}
+	return out
+}
+
+// translate is Translate remembering, in resolved when it is not nil, the
+// target of each field name as spelled (not normalized) under its source.
+func (g *Global) translate(r *record.Record, resolved map[sourceAttr]string) *record.Record {
+	out := record.NewCap(r.Len())
 	out.Source = r.Source
 	out.ID = r.ID
 	for _, f := range r.Fields() {
-		key := sourceAttr{r.Source, record.NormalizeName(f.Name)}
-		if global, ok := g.mappingFor(key); ok {
-			out.Set(global, f.Value)
-			continue
+		raw := sourceAttr{r.Source, f.Name}
+		name, ok := resolved[raw]
+		if !ok {
+			name = f.Name
+			if global, ok := g.mappingFor(sourceAttr{r.Source, record.NormalizeName(f.Name)}); ok {
+				name = global
+			}
+			if resolved != nil {
+				resolved[raw] = name
+			}
 		}
-		out.Set(f.Name, f.Value)
+		out.Set(name, f.Value)
 	}
 	return out
 }

@@ -43,6 +43,81 @@ func TestFromSourceProfiles(t *testing.T) {
 	}
 }
 
+// FromSource's profile of a column: the majority kind of its non-null values
+// with ties going to string and then in kind order, distinct samples in
+// record order up to the cap, one attribute per normalized name under its
+// first spelling, and a column of nulls still listed.
+func TestFromSourceKindsAndSamples(t *testing.T) {
+	const rows = 100
+	var recs []*record.Record
+	for i := 0; i < rows; i++ {
+		r := record.New()
+		show := "Show"
+		if i%2 == 1 {
+			show = "SHOW"
+		}
+		r.Set(show, record.String([]string{"Wicked", "Matilda", "Wicked", "Annie"}[i%4]))
+		// Price: as many strings as ints, so string.
+		if i%2 == 0 {
+			r.Set("Price", record.Int(int64(i)))
+		} else {
+			r.Set("Price", record.String("tba"))
+		}
+		// Rating: ints, floats and nulls in turn; nulls count for nothing.
+		switch i % 3 {
+		case 0:
+			r.Set("rating", record.Int(4))
+		case 1:
+			r.Set("rating", record.Float(4.5))
+		default:
+			r.Set("rating", record.Null)
+		}
+		r.Set("row", record.Int(int64(i)))
+		r.Set("notes", record.Null)
+		recs = append(recs, r)
+	}
+	// 34 ints against 33 floats, and one null turned float ties them.
+	recs[rows-2].Set("rating", record.Float(3.5))
+	ss := FromSource(ingest.NewSource("ft1", recs))
+
+	var names []string
+	attrs := map[string]*Attribute{}
+	for _, a := range ss.Attrs {
+		names = append(names, a.Name)
+		attrs[a.Name] = a
+	}
+	if want := []string{"Show", "Price", "rating", "row", "notes"}; !slices.Equal(names, want) {
+		t.Fatalf("attributes = %q, want %q", names, want)
+	}
+	kinds := map[string]record.Kind{
+		"Show": record.KindString, "Price": record.KindString, "rating": record.KindInt,
+		"row": record.KindInt, "notes": record.KindString,
+	}
+	for name, want := range kinds {
+		if got := attrs[name].Kind; got != want {
+			t.Errorf("%s kind = %v, want %v", name, got, want)
+		}
+	}
+	if got, want := attrs["Show"].Samples, []string{"Wicked", "Matilda", "Annie"}; !slices.Equal(got, want) {
+		t.Errorf("Show samples = %q, want %q", got, want)
+	}
+	if got, want := attrs["Price"].Samples[:3], []string{"0", "tba", "2"}; !slices.Equal(got, want) {
+		t.Errorf("Price samples start %q, want %q", got, want)
+	}
+	row := attrs["row"].Samples
+	if len(row) != sampleCap || row[0] != "0" || row[sampleCap-1] != "63" {
+		t.Errorf("row samples = %d from %q to %q, want the first %d", len(row), row[0], row[len(row)-1], sampleCap)
+	}
+	if n := len(attrs["notes"].Samples); n != 0 {
+		t.Errorf("null column has %d samples", n)
+	}
+	for _, a := range ss.Attrs {
+		if !slices.Equal(a.Sources, []string{"ft1"}) {
+			t.Errorf("%s sources = %q", a.Name, a.Sources)
+		}
+	}
+}
+
 func TestAddAttributeBottomUp(t *testing.T) {
 	g := NewGlobal()
 	s := ingest.NewSource("ft1", []*record.Record{show("Show Name", "Matilda", "Price", 27)})
@@ -106,6 +181,31 @@ func TestTranslate(t *testing.T) {
 	}
 	if out.Source != "ft1" {
 		t.Error("provenance lost")
+	}
+}
+
+// TranslateAll resolves each spelling once for a batch; what it returns must
+// be what Translate returns record by record, across sources.
+func TestTranslateAllMatchesTranslate(t *testing.T) {
+	g := NewGlobal()
+	price := g.AddAttribute(&Attribute{Name: "PRICE"}, "seed")
+	if err := g.MapAttribute(&Attribute{Name: "Cost"}, "ft1", price); err != nil {
+		t.Fatal(err)
+	}
+	var recs []*record.Record
+	for i, spelling := range []string{"Cost", "COST", "cost ", "Price", "Cost"} {
+		r := show("Show", "Matilda", spelling, int64(i))
+		r.Source = []string{"ft1", "ft2"}[i%2]
+		recs = append(recs, r)
+	}
+	for i, got := range g.TranslateAll(recs) {
+		want := g.Translate(recs[i])
+		if !slices.Equal(got.Fields(), want.Fields()) || got.Source != want.Source {
+			t.Errorf("record %d: TranslateAll %v, Translate %v", i, got, want)
+		}
+	}
+	if got := g.TranslateAll(recs)[2].Fields()[1].Name; got != "PRICE" {
+		t.Errorf("ft1's \"cost \" translated to %q, want PRICE", got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/dterr"
 	"repro/internal/core"
@@ -567,6 +568,37 @@ func TestV1IngestBadRequests(t *testing.T) {
 		t.Errorf("v1 flush bad checkpoint = %d", rec.Code)
 	} else if body["error"].(map[string]any)["code"] != "invalid_argument" {
 		t.Errorf("v1 flush bad checkpoint body = %v", body)
+	}
+}
+
+// A record finds its fields by a linear scan, so ingest bounds a row's
+// fields: a row of 100 000 keys is refused at once instead of costing
+// quadratic time, and an ordinary wide row still goes through.
+func TestV1IngestRecordFieldCap(t *testing.T) {
+	s, _ := liveServer(t)
+	row := func(n int) string {
+		var b strings.Builder
+		b.WriteString(`{"source":"wide_feed","records":[{"SHOW_NAME":"Wide Load"`)
+		for i := 1; i < n; i++ {
+			fmt.Fprintf(&b, `,"attr_%d":%d`, i, i)
+		}
+		b.WriteString(`}]}`)
+		return b.String()
+	}
+	body := row(100_000)
+	start := time.Now()
+	rec, out := post(t, s, "/v1/ingest/records", body)
+	if took := time.Since(start); took > raceSlowdown*time.Second {
+		t.Errorf("a row of 100000 fields took %v to refuse", took)
+	}
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("row of 100000 fields = %d, want 400", rec.Code)
+	}
+	if code := out["error"].(map[string]any)["code"]; code != "invalid_argument" {
+		t.Errorf("row of 100000 fields code = %v", code)
+	}
+	if rec, _ := post(t, s, "/v1/ingest/records", row(20)); rec.Code != http.StatusAccepted {
+		t.Errorf("row of 20 fields = %d, want 202 (%s)", rec.Code, rec.Body)
 	}
 }
 

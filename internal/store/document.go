@@ -262,7 +262,7 @@ func FromRecord(r *record.Record) *Doc {
 // ToRecord converts the document's scalar top-level fields into a flat
 // record, skipping nested documents and lists.
 func (d *Doc) ToRecord() *record.Record {
-	r := record.New()
+	r := record.NewCap(len(d.fields))
 	for _, f := range d.fields {
 		if f.value.IsScalar() {
 			r.Set(f.name, f.value.Scalar())
