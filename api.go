@@ -159,7 +159,7 @@ type Tamer struct {
 // Open builds the pipeline, executes the batch run under ctx, and — when
 // WithLive is given — starts the streaming ingester (recovering WAL state
 // left by a previous process first). Cancelling ctx during Open aborts the
-// batch stages; cancelling it afterwards stops the live apply workers.
+// batch stages; cancelling it afterwards stops the live applier.
 func Open(ctx context.Context, opts ...Option) (*Tamer, error) {
 	var o options
 	for _, opt := range opts {

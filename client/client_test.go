@@ -38,7 +38,7 @@ func sdkServer(t *testing.T) *httptest.Server {
 			sdkErr = err
 			return
 		}
-		ing, err := live.Open(context.Background(), tm, live.Config{Dir: dir, BatchSize: 4})
+		ing, err := live.Open(context.Background(), tm, live.Config{Dir: dir})
 		if err != nil {
 			sdkErr = err
 			return

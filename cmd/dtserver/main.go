@@ -3,13 +3,13 @@
 //	dtserver -addr :8080 -fragments 2000 -sources 20 -seed 1
 //
 // With -live the server also accepts streaming writes, durably logged to a
-// write-ahead log under -wal-dir and applied by a batching worker pool at
-// the live package's default batch size, queue depth and worker count
-// (-fsync adds an fsync per append). A checkpoint in -wal-dir holds one
-// snapshot per shard, each carrying its extent size and index layout, so a
-// restart reloads the stores without rebuilding an index list. State left
-// in -wal-dir by a previous run is recovered on startup, and shutdown
-// (SIGINT/SIGTERM) drains the queue and checkpoints:
+// write-ahead log under -wal-dir and applied by one applier that takes
+// everything queued as one batch; the queue's two bounds are constants of
+// the live package (-fsync adds an fsync per append). A checkpoint in
+// -wal-dir holds one snapshot per shard, each carrying its extent size and
+// index layout, so a restart reloads the stores without rebuilding an
+// index list. State left in -wal-dir by a previous run is recovered on
+// startup, and shutdown (SIGINT/SIGTERM) drains the queue and checkpoints:
 //
 //	dtserver -addr :8080 -live -wal-dir ./dtlive
 //
@@ -60,8 +60,8 @@ func main() {
 	flag.Parse()
 
 	// The pipeline's lifecycle context stays uncancelled: cancelling it
-	// would abort the live apply workers (WAL-safe, but the next start
-	// pays a replay), while the signal path below drains and checkpoints.
+	// would abort the live applier (WAL-safe, but the next start pays a
+	// replay), while the signal path below drains and checkpoints.
 	ctx := context.Background()
 
 	opts := []datatamer.Option{

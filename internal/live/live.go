@@ -2,24 +2,28 @@
 // pipeline continuously updatable after the initial batch Run. Writers hand
 // the Ingester new web-text fragments and structured records at runtime;
 // each write is appended to a CRC-framed write-ahead log and flushed before
-// it is acknowledged, then applied asynchronously by a batching worker that
-// drives the incremental hooks in internal/core (extract -> shard insert ->
-// index maintenance -> incremental consolidation -> fused-view refresh).
+// it is acknowledged, then queued for one applier goroutine. The applier
+// takes everything queued as one batch — whatever arrived while the
+// previous batch applied (group commit) — and drives the incremental hooks
+// in internal/core (extract -> shard insert -> index maintenance ->
+// incremental consolidation -> fused-view refresh).
 //
 // Queries stay fully available while batches apply: the fused view is an
 // immutable snapshot swapped atomically on refresh, so readers observe the
 // pre-batch or post-batch table — never an intermediate one — and the
-// apply worker, not the serving path, pays the consolidation cost. Text
-// inserts ride the same maintenance as batch ingest, keeping the instance
-// store's inverted text index current for serve-time substring queries.
+// applier, not the serving path, pays the consolidation cost. Text inserts
+// ride the same maintenance as batch ingest, keeping the instance store's
+// inverted text index current for serve-time substring queries.
 //
 // Durability: an acknowledged write survives a process kill. The ingester
 // directory is a store.Log — the one WAL + checkpoint-by-rename protocol —
 // whose checkpoints hold the store snapshots and the fused view's members
 // (core.Tamer.FusedMembers); recovery replays the WAL over the last
 // checkpoint, fenced by sequence numbers so no event is applied twice, and
-// a crash mid-checkpoint falls back to the previous one. Backpressure: the
-// apply queue is bounded, so writers block once the pipeline falls behind.
+// a crash mid-checkpoint falls back to the previous one. Backpressure: two
+// constant bounds, 1024 events and 64 MiB of payload, cap the acknowledged
+// but unapplied writes. A writer past either bound waits before anything
+// is logged, and gets a dterr.ErrBusy if its context ends first.
 //
 // Known limitations: checkpoints persist the document stores and the fused
 // view's members — every translated, cleaned record in arrival order — so
@@ -64,46 +68,31 @@ type Fragment = datagen.Fragment
 // the public taxonomy: errors.Is(err, dterr.ErrClosed) holds too.
 var ErrClosed error = dterr.New(dterr.CodeClosed, "live: ingester closed")
 
-// Config sizes the ingester.
+// Config names the ingester's directory and its durability: Dir and Fsync
+// are its only fields. The queue's two bounds are the constants
+// maxQueueEvents and maxQueueBytes.
 type Config struct {
 	// Dir holds the WAL and checkpoints. Required.
 	Dir string
-	// BatchSize caps events per apply batch (default 64).
-	BatchSize int
-	// FlushInterval bounds how long a partial batch may wait (default 200ms).
-	FlushInterval time.Duration
-	// QueueDepth bounds acknowledged-but-unapplied events; writers block
-	// beyond it (default 1024).
-	QueueDepth int
-	// MaxQueueBytes bounds the total payload bytes of acknowledged-but-
-	// unapplied events, so many large bodies cannot collectively exhaust
-	// memory within the event-count bound (default 64 MB).
-	MaxQueueBytes int64
 	// Fsync fsyncs the WAL on every append (power-failure durability;
 	// default off: flushed to the OS, surviving process kill).
 	Fsync bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.BatchSize <= 0 {
-		c.BatchSize = 64
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 200 * time.Millisecond
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.MaxQueueBytes <= 0 {
-		c.MaxQueueBytes = 64 << 20
-	}
-	return c
-}
+// The queue's bounds. Both count acknowledged-but-unapplied events: the
+// queued ones and the batch being applied.
+const (
+	// maxQueueEvents bounds the number of such events.
+	maxQueueEvents = 1024
+	// maxQueueBytes bounds their total payload bytes, so many large bodies
+	// cannot collectively exhaust memory within the event-count bound.
+	maxQueueBytes = 64 << 20
+)
 
 // event is one acknowledged write awaiting apply.
 type event struct {
 	kind   byte
-	size   int // encoded payload bytes, charged against MaxQueueBytes
+	size   int // encoded payload bytes, charged against maxQueueBytes
 	frags  []Fragment
 	source string
 	recs   []*record.Record
@@ -111,34 +100,36 @@ type event struct {
 
 // Ingester accepts live writes against a pipeline.
 type Ingester struct {
-	cfg   Config
 	tamer *core.Tamer
 	log   *store.Log
 
-	// openCtx is the lifecycle context passed to Open. Cancelling it stops
-	// the applier loop: remaining queued events are released unapplied (they
-	// stay in the WAL for the next Open's replay) and further writes fail.
-	openCtx context.Context
+	// openCtx is the lifecycle context passed to Open. Cancelling it aborts
+	// the ingester (see abortLocked); stopAbort unregisters that hook.
+	openCtx   context.Context
+	stopAbort func() bool
 
 	// ingestMu serializes WAL append + enqueue so apply order matches log
 	// order; Checkpoint holds it to stall writers during a snapshot.
 	// replayErrors (events dropped during Open's recovery) is written only
-	// before the ingester is shared.
+	// before the ingester is shared; released (Close has run) only under
+	// ingestMu.
 	ingestMu     sync.Mutex
 	replayErrors int
+	released     bool
 
-	queue   chan event
-	flushCh chan struct{}
-	done    chan struct{}
-	wg      sync.WaitGroup
+	// applier is the one apply goroutine; Close waits for it.
+	applier sync.WaitGroup
 
+	// mu guards the queue and the state below; cond is broadcast whenever
+	// any of it changes.
 	mu          sync.Mutex
 	cond        *sync.Cond
-	pending     int   // acked events not yet applied
-	queuedBytes int64 // payload bytes of those events
-	closed      bool
-	aborted     bool  // openCtx cancelled with events still queued; skip the close checkpoint
-	applyErr    error // most recent apply failure, surfaced in Stats
+	queue       []event // acknowledged, not yet taken by the applier
+	pending     int     // queued plus in-flight events
+	queuedBytes int64   // payload bytes of those events
+	closed      bool    // writes are refused
+	abortErr    error   // why the ingester aborted; nil while it has not
+	applyErr    error   // most recent apply failure, surfaced in Stats
 
 	textEvents, recordEvents   atomic.Int64
 	fragments, records         atomic.Int64
@@ -154,21 +145,24 @@ type Ingester struct {
 // t should have completed its batch Run (or LoadStores) first.
 //
 // ctx bounds both the recovery work and the ingester's lifetime: cancelling
-// it after Open returns stops the apply workers — events already queued are
-// released unapplied and recovered from the WAL on the next Open.
+// it after Open returns stops the applier — events already queued are left
+// unapplied and recovered from the WAL on the next Open.
 func Open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
-	cfg = cfg.withDefaults()
+	ing, err := open(ctx, t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	ing.start()
+	return ing, nil
+}
+
+// open recovers the ingester's state without starting its applier: writes
+// are logged and queued, and stay queued until start.
+func open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
 	if cfg.Dir == "" {
 		return nil, dterr.New(dterr.CodeInvalidArgument, "live: Config.Dir is required")
 	}
-	ing := &Ingester{
-		cfg:     cfg,
-		tamer:   t,
-		openCtx: ctx,
-		queue:   make(chan event, cfg.QueueDepth),
-		flushCh: make(chan struct{}, 1),
-		done:    make(chan struct{}),
-	}
+	ing := &Ingester{tamer: t, openCtx: ctx}
 	ing.cond = sync.NewCond(&ing.mu)
 
 	// Recovery: load the committed checkpoint, replay the WAL tail over it,
@@ -198,10 +192,18 @@ func Open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
 		ing.log.Close()
 		return nil, fmt.Errorf("live: refreshing fused view after replay: %w", err)
 	}
-
-	ing.wg.Add(1)
-	go ing.applierLoop()
+	ing.stopAbort = context.AfterFunc(ctx, func() {
+		ing.mu.Lock()
+		ing.abortLocked(dterr.FromContext(ctx.Err()))
+		ing.mu.Unlock()
+	})
 	return ing, nil
+}
+
+// start runs the applier.
+func (ing *Ingester) start() {
+	ing.applier.Add(1)
+	go ing.applyLoop()
 }
 
 // applyReplayed applies one recovered WAL event synchronously during Open.
@@ -254,7 +256,9 @@ func (ing *Ingester) IngestText(ctx context.Context, frags []Fragment) error {
 	if len(frags) == 0 {
 		return nil
 	}
-	if err := ing.enqueue(ctx, event{kind: evText, frags: frags}, encodeText(frags)); err != nil {
+	ing.ingestMu.Lock()
+	defer ing.ingestMu.Unlock()
+	if err := ing.enqueueLocked(ctx, event{kind: evText, frags: frags}, encodeText(frags)); err != nil {
 		return err
 	}
 	ing.textEvents.Add(1)
@@ -295,188 +299,98 @@ func (ing *Ingester) IngestRecords(ctx context.Context, source string, recs []*r
 	return nil
 }
 
-func (ing *Ingester) enqueue(ctx context.Context, ev event, payload []byte) error {
-	ing.ingestMu.Lock()
-	defer ing.ingestMu.Unlock()
-	return ing.enqueueLocked(ctx, ev, payload)
-}
-
-// enqueueLocked appends to the WAL (the acknowledgment point) and hands the
-// event to the applier. Must hold ingestMu.
+// enqueueLocked waits for room under both bounds, appends to the WAL (the
+// acknowledgment point) and queues the event. The wait comes before the
+// append, so a caller whose context ends while waiting has logged nothing
+// and the busy classification is accurate. Waiting cannot stall forever:
+// the bounds only fill while events are pending, and the applier, running
+// until Close (which needs ingestMu, held here), drains them. Must hold
+// ingestMu.
 func (ing *Ingester) enqueueLocked(ctx context.Context, ev event, payload []byte) error {
 	ev.size = len(payload)
 	ing.mu.Lock()
-	if ing.closed {
-		ing.mu.Unlock()
-		return ErrClosed
-	}
-	// Byte-budget backpressure on top of the event-count bound. Waiting
-	// cannot stall forever: the budget only fills while events are
-	// pending, and the applier (alive until Close, which needs ingestMu —
-	// held here) drains them and broadcasts. A caller whose context ends
-	// while waiting gives up before the write is logged, so nothing is
-	// acknowledged and the busy classification is accurate.
-	for ing.queuedBytes >= ing.cfg.MaxQueueBytes && ing.pending > 0 {
+	for !ing.closed && ing.pending > 0 && (ing.pending >= maxQueueEvents || ing.queuedBytes >= maxQueueBytes) {
 		if err := ctx.Err(); err != nil {
 			ing.mu.Unlock()
 			return dterr.Wrapf(dterr.CodeBusy, dterr.FromContext(err), "live: write abandoned under backpressure")
 		}
-		if ing.closed {
-			ing.mu.Unlock()
-			return ErrClosed
-		}
 		ing.waitLocked(ctx)
 	}
-	ing.pending++
-	ing.queuedBytes += int64(ev.size)
+	closed := ing.closed
 	ing.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
 	if _, err := ing.log.Append(ev.kind, payload); err != nil {
-		ing.unaccount(1, int64(ev.size))
 		return err
 	}
-	// A plain blocking send cannot deadlock, for the same reason waiting
-	// on the byte budget cannot; the write is already durable at this
-	// point, so it is handed to the applier regardless of ctx.
-	ing.queue <- ev
+	ing.mu.Lock()
+	ing.queue = append(ing.queue, ev)
+	ing.pending++
+	ing.queuedBytes += int64(ev.size)
+	ing.cond.Broadcast()
+	ing.mu.Unlock()
 	return nil
 }
 
-// markAborted records that the open context ended with work still queued:
-// writes are rejected from here on, and Flush reports failure instead of
-// a clean drain. Idempotent.
-func (ing *Ingester) markAborted() {
-	ing.mu.Lock()
-	ing.closed = true
-	ing.aborted = true
-	if ing.applyErr == nil {
-		ing.applyErr = dterr.FromContext(ing.openCtx.Err())
-	}
-	ing.mu.Unlock()
-}
-
-// waitLocked is cond.Wait with a context wake-up: a helper goroutine
-// broadcasts when ctx ends so the waiter can observe the cancellation.
-// Must hold ing.mu.
+// waitLocked is cond.Wait that also returns when ctx ends. Must hold ing.mu.
 func (ing *Ingester) waitLocked(ctx context.Context) {
-	done := ctx.Done()
-	if done == nil {
-		ing.cond.Wait()
-		return
-	}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-			ing.mu.Lock()
-			ing.cond.Broadcast()
-			ing.mu.Unlock()
-		case <-stop:
-		}
-	}()
-	ing.cond.Wait()
-	close(stop)
-}
-
-// unaccount releases n events and b payload bytes from the pending
-// accounting and wakes Flush and backpressure waiters.
-func (ing *Ingester) unaccount(n int, b int64) {
-	ing.mu.Lock()
-	ing.pending -= n
-	ing.queuedBytes -= b
-	ing.cond.Broadcast()
-	ing.mu.Unlock()
-}
-
-// applierLoop drains the queue into batches and applies them. Cancelling
-// the open context stops the loop: the queue is drained without applying
-// (released events stay durable in the WAL for the next Open's replay) and
-// further writes observe the closed state.
-func (ing *Ingester) applierLoop() {
-	defer ing.wg.Done()
-	timer := time.NewTimer(ing.cfg.FlushInterval)
-	defer timer.Stop()
-	var batch []event
-	for {
-		// Priority check: select picks ready cases at random, so without
-		// this a concurrent flush signal could win over the cancellation
-		// and apply one more batch.
-		if ing.openCtx.Err() != nil {
-			ing.abort(ing.drain(batch))
-			return
-		}
-		select {
-		case ev := <-ing.queue:
-			batch = append(batch, ev)
-			if len(batch) >= ing.cfg.BatchSize {
-				batch = ing.applyBatch(batch)
-			}
-		case <-timer.C:
-			batch = ing.applyBatch(ing.drain(batch))
-			timer.Reset(ing.cfg.FlushInterval)
-		case <-ing.flushCh:
-			batch = ing.applyBatch(ing.drain(batch))
-		case <-ing.openCtx.Done():
-			ing.abort(ing.drain(batch))
-			return
-		case <-ing.done:
-			ing.applyBatch(ing.drain(batch))
-			return
-		}
-	}
-}
-
-// abort releases batch and everything else queued without applying it,
-// marks the ingester closed/aborted, and wakes every waiter. The released
-// events were acknowledged, so they must survive: they are still in the
-// WAL, and because the abort path never checkpoints past them, the next
-// Open replays them. It keeps receiving until the pending accounting
-// drains, so a writer already committed to its queue send cannot block
-// forever against a departed applier.
-func (ing *Ingester) abort(batch []event) {
-	ing.markAborted()
-	ing.mu.Lock()
-	pending := ing.pending
-	ing.mu.Unlock()
-	var bytes int64
-	for _, ev := range batch {
-		bytes += int64(ev.size)
-	}
-	ing.unaccount(len(batch), bytes)
-	pending -= len(batch)
-	for pending > 0 {
-		select {
-		case ev := <-ing.queue:
-			ing.unaccount(1, int64(ev.size))
-		case <-time.After(10 * time.Millisecond):
-			// A writer that failed its WAL append unaccounts itself without
-			// ever sending; re-read instead of waiting for a send.
-		}
+	stop := context.AfterFunc(ctx, func() {
 		ing.mu.Lock()
-		pending = ing.pending
+		ing.cond.Broadcast()
 		ing.mu.Unlock()
-	}
+	})
+	ing.cond.Wait()
+	stop()
 }
 
-// drain appends every immediately available queued event to batch.
-func (ing *Ingester) drain(batch []event) []event {
+// abortLocked stops the ingester for good, after its open context ended or
+// a batch failed to apply: writes are refused, Flush fails closed, the
+// applier returns, and Close skips its checkpoint, so the events left
+// unapplied stay in the WAL for the next Open's replay. Must hold ing.mu.
+func (ing *Ingester) abortLocked(cause error) {
+	if ing.abortErr == nil {
+		ing.abortErr = cause
+	}
+	if ing.applyErr == nil {
+		ing.applyErr = cause
+	}
+	ing.closed = true
+	ing.cond.Broadcast()
+}
+
+// applyLoop is the applier. It waits for a non-empty queue and applies all
+// of it as one batch, so a batch is whatever arrived while the previous one
+// applied (group commit). It returns once the ingester is closed and the
+// queue is empty, or at once when the ingester aborts.
+func (ing *Ingester) applyLoop() {
+	defer ing.applier.Done()
+	ing.mu.Lock()
+	defer ing.mu.Unlock()
 	for {
-		select {
-		case ev := <-ing.queue:
-			batch = append(batch, ev)
-		default:
-			return batch
+		for len(ing.queue) == 0 && !ing.closed {
+			ing.cond.Wait()
 		}
+		// The open context may have ended before the hook that aborts on it
+		// ran; a batch taken now would apply after the cancellation.
+		if err := ing.openCtx.Err(); err != nil {
+			ing.abortLocked(dterr.FromContext(err))
+		}
+		if ing.abortErr != nil || len(ing.queue) == 0 {
+			return
+		}
+		batch := ing.queue
+		ing.queue = nil
+		ing.mu.Unlock()
+		ing.applyBatch(batch)
+		ing.mu.Lock()
 	}
 }
 
 // applyBatch pushes one batch through the incremental pipeline: all text
 // fragments in one parse-pool pass, record batches in log order, then one
-// fused-view refresh. Returns a nil batch for reuse.
-func (ing *Ingester) applyBatch(batch []event) []event {
-	if len(batch) == 0 {
-		ing.cond.Broadcast() // wake Flush waiters even on empty flushes
-		return nil
-	}
+// fused-view refresh.
+func (ing *Ingester) applyBatch(batch []event) {
 	start := time.Now()
 	var frags []Fragment
 	for _, ev := range batch {
@@ -487,13 +401,11 @@ func (ing *Ingester) applyBatch(batch []event) []event {
 	if len(frags) > 0 {
 		ni, ne, err := ing.tamer.ApplyFragments(ing.openCtx, frags, 0)
 		if err != nil {
-			// Only cancellation reaches here; the events stay in the WAL and
-			// the loop's next select observes openCtx.Done and aborts. Mark
-			// the abort before this batch is unaccounted below, so a Flush
-			// waiter woken by the unaccount cannot read pending==0 with
-			// aborted still false and report a clean flush for writes that
-			// were never applied.
-			ing.markAborted()
+			// The events stay in the WAL for the next Open. Abort before this
+			// batch is unaccounted below, so a Flush waiter woken by that
+			// cannot read pending==0 and report a clean flush for writes
+			// that were never applied.
+			ing.abort(dterr.FromContext(err))
 		} else {
 			ing.instances.Add(int64(ni))
 			ing.entities.Add(int64(ne))
@@ -506,8 +418,8 @@ func (ing *Ingester) applyBatch(batch []event) []event {
 			continue
 		}
 		if _, err := ing.tamer.ApplyRecords(ing.openCtx, ev.source, ev.recs); err != nil {
-			if ing.openCtx.Err() != nil {
-				ing.markAborted()
+			if cerr := ing.openCtx.Err(); cerr != nil {
+				ing.abort(dterr.FromContext(cerr))
 				continue
 			}
 			// Poison event: it would fail identically on every retry and on
@@ -534,39 +446,35 @@ func (ing *Ingester) applyBatch(batch []event) []event {
 	for _, ev := range batch {
 		bytes += int64(ev.size)
 	}
-	ing.unaccount(len(batch), bytes)
-	return nil
+	ing.mu.Lock()
+	ing.pending -= len(batch)
+	ing.queuedBytes -= bytes
+	ing.cond.Broadcast()
+	ing.mu.Unlock()
+}
+
+// abort is abortLocked for a caller not holding ing.mu.
+func (ing *Ingester) abort(cause error) {
+	ing.mu.Lock()
+	ing.abortLocked(cause)
+	ing.mu.Unlock()
 }
 
 // Flush blocks until every acknowledged write has been applied (or dropped
 // as poison — see Stats.ApplyErrors), so queries issued after it returns
 // observe all prior ingests. Cancelling ctx abandons the wait — the queued
-// writes still apply in the background.
+// writes still apply in the background. Once the ingester has aborted,
+// Flush fails closed.
 func (ing *Ingester) Flush(ctx context.Context) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	if ing.aborted {
-		return dterr.Wrap(dterr.CodeClosed, dterr.FromContext(ing.openCtx.Err()))
-	}
-	for ing.pending > 0 {
+	for ing.pending > 0 && ing.abortErr == nil {
 		if err := ctx.Err(); err != nil {
 			return dterr.FromContext(err)
 		}
-		if ing.aborted {
-			return dterr.Wrap(dterr.CodeClosed, dterr.FromContext(ing.openCtx.Err()))
-		}
-		select {
-		case ing.flushCh <- struct{}{}:
-		default:
-		}
 		ing.waitLocked(ctx)
 	}
-	// The queue may have drained because the applier aborted (releasing
-	// events unapplied) rather than applying; that is not a clean flush.
-	if ing.aborted {
-		return dterr.Wrap(dterr.CodeClosed, dterr.FromContext(ing.openCtx.Err()))
-	}
-	return nil
+	return dterr.Wrap(dterr.CodeClosed, ing.abortErr)
 }
 
 // Checkpoint stalls writers, drains the queue, snapshots the stores and
@@ -597,52 +505,39 @@ func (ing *Ingester) checkpointWriter(ctx context.Context) func(cpDir string) er
 	}
 }
 
-// Close drains and applies every acknowledged write, checkpoints, and
-// releases the WAL. Further writes return ErrClosed. If the open context
-// was cancelled first, Close skips the checkpoint so the WAL (still
-// holding the unapplied acknowledged writes) stays authoritative for the
-// next Open.
+// Close applies every acknowledged write, checkpoints, and releases the
+// WAL. Further writes return ErrClosed, and a second Close returns nil. If
+// the ingester aborted first (or aborts meanwhile), Close skips the
+// checkpoint so the WAL, still holding the unapplied acknowledged writes,
+// stays authoritative for the next Open.
 func (ing *Ingester) Close() error {
-	ing.mu.Lock()
-	if ing.closed && !ing.aborted {
-		ing.mu.Unlock()
-		return nil
-	}
-	wasAborted := ing.aborted
-	ing.closed = true
-	ing.aborted = false // second Close becomes a no-op
-	ing.mu.Unlock()
-
 	ing.ingestMu.Lock()
 	defer ing.ingestMu.Unlock()
-	if wasAborted {
-		ing.wg.Wait()
+	if ing.released {
+		return nil
+	}
+	ing.released = true
+	ing.mu.Lock()
+	ing.closed = true
+	ing.cond.Broadcast()
+	ing.mu.Unlock()
+	ing.applier.Wait()
+	ing.stopAbort()
+	// Checkpointing past an unapplied event would fence it away: an abort
+	// leaves events queued, and so does an ingester whose applier never ran.
+	ing.mu.Lock()
+	unapplied := ing.abortErr != nil || ing.pending > 0
+	ing.mu.Unlock()
+	if unapplied {
 		return ing.log.Close()
 	}
-	err := ing.Flush(context.Background())
-	// The open context may have been cancelled while Flush waited; the
-	// applier then aborted instead of applying, and checkpointing now
-	// would fence acknowledged-but-unapplied WAL events away.
-	ing.mu.Lock()
-	abortedMeanwhile := ing.aborted
-	ing.aborted = false
-	ing.mu.Unlock()
-	if abortedMeanwhile {
-		ing.wg.Wait()
-		if cerr := ing.log.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-	close(ing.done)
-	ing.wg.Wait()
 	// In cluster mode the checkpoint delegates the shard snapshots to the
 	// hosting nodes' data directories. Nodes without -data-dir answer
 	// unavailable; the WAL then stays authoritative across restarts
 	// instead of the checkpoint, exactly as before node durability.
-	cerr := ing.log.Checkpoint(ing.log.NextSeq()-1, ing.checkpointWriter(context.Background()))
-	if err == nil && !errors.Is(cerr, dterr.ErrUnavailable) {
-		err = cerr
+	err := ing.log.Checkpoint(ing.log.NextSeq()-1, ing.checkpointWriter(context.Background()))
+	if errors.Is(err, dterr.ErrUnavailable) {
+		err = nil
 	}
 	if cerr := ing.log.Close(); err == nil {
 		err = cerr
@@ -652,10 +547,10 @@ func (ing *Ingester) Close() error {
 
 // Stats is a point-in-time snapshot of the ingester, the /live/stats view.
 type Stats struct {
-	QueueDepth    int   `json:"queue_depth"`
-	QueueCapacity int   `json:"queue_capacity"`
-	Pending       int   `json:"pending_events"`
-	QueuedBytes   int64 `json:"queued_bytes"`
+	QueueDepth    int   `json:"queue_depth"`    // events queued, not yet taken by the applier
+	QueueCapacity int   `json:"queue_capacity"` // the event-count bound
+	Pending       int   `json:"pending_events"` // queued plus in-flight events
+	QueuedBytes   int64 `json:"queued_bytes"`   // payload bytes of the pending events
 
 	TextEvents   int64 `json:"text_events"`
 	RecordEvents int64 `json:"record_events"`
@@ -686,15 +581,15 @@ type Stats struct {
 // Stats snapshots the ingester's counters.
 func (ing *Ingester) Stats() Stats {
 	ing.mu.Lock()
-	pending := ing.pending
+	depth, pending := len(ing.queue), ing.pending
 	queuedBytes := ing.queuedBytes
 	closed := ing.closed
 	applyErr := ing.applyErr
 	ing.mu.Unlock()
 	wal, replay := ing.log.Stats(), ing.log.Recovered()
 	s := Stats{
-		QueueDepth:      len(ing.queue),
-		QueueCapacity:   cap(ing.queue),
+		QueueDepth:      depth,
+		QueueCapacity:   maxQueueEvents,
 		QueuedBytes:     queuedBytes,
 		Pending:         pending,
 		TextEvents:      ing.textEvents.Load(),

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -49,7 +51,7 @@ func showRecord(show string, price int64) *record.Record {
 func TestIngestTextAndRecordsReflectedInQueries(t *testing.T) {
 	tm := liveTamer(t)
 	base := tm.InstanceStats().Count
-	ing, err := Open(context.Background(), tm, Config{Dir: t.TempDir(), BatchSize: 4})
+	ing, err := Open(context.Background(), tm, Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestIngestTextAndRecordsReflectedInQueries(t *testing.T) {
 func TestConcurrentIngestUnderRace(t *testing.T) {
 	tm := liveTamer(t)
 	base := tm.InstanceStats().Count
-	ing, err := Open(context.Background(), tm, Config{Dir: t.TempDir(), BatchSize: 8, QueueDepth: 16})
+	ing, err := Open(context.Background(), tm, Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,9 +513,9 @@ func TestOpenContextCancelStopsApplyWorkers(t *testing.T) {
 	dir := t.TempDir()
 	tm := liveTamer(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	// A long flush interval keeps writes queued until we cancel, so the
-	// abort path (not a normal batch apply) releases them.
-	ing, err := Open(ctx, tm, Config{Dir: dir, BatchSize: 1 << 20, FlushInterval: time.Hour})
+	// No applier runs before start, so the writes are still queued when the
+	// open context ends: the abort path, not a batch, handles them.
+	ing, err := open(ctx, tm, Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +526,8 @@ func TestOpenContextCancelStopsApplyWorkers(t *testing.T) {
 		}
 	}
 	cancel()
-	// Flush must not hang: the aborted applier releases the queued events.
+	ing.start()
+	// Flush must not hang: the aborted ingester fails it closed.
 	if err := ing.Flush(context.Background()); err == nil {
 		t.Error("flush after open-ctx cancel should fail")
 	} else if !errors.Is(err, dterr.ErrClosed) && !errors.Is(err, context.Canceled) {
@@ -533,18 +536,9 @@ func TestOpenContextCancelStopsApplyWorkers(t *testing.T) {
 	if got := tm.InstanceStats().Count; got != base {
 		t.Errorf("aborted applier still applied writes: %d vs base %d", got, base)
 	}
-	// New writes are rejected once the worker is stopped. The abort races
-	// with the write path, so poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		err := ing.IngestText(context.Background(), []Fragment{fragmentAt(99)})
-		if errors.Is(err, ErrClosed) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("write after cancel = %v, want ErrClosed", err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The abort that failed the flush also refuses new writes.
+	if err := ing.IngestText(context.Background(), []Fragment{fragmentAt(99)}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("write after cancel = %v, want ErrClosed", err)
 	}
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
@@ -562,29 +556,215 @@ func TestOpenContextCancelStopsApplyWorkers(t *testing.T) {
 	}
 }
 
-func TestIngestContextCancelUnderBackpressure(t *testing.T) {
+// failingInsert is a shard whose inserts fail, as a remote shard's do while
+// its node is down.
+type failingInsert struct{ store.ShardBackend }
+
+func (failingInsert) Insert(context.Context, ...*store.Doc) ([]int64, error) {
+	return nil, dterr.New(dterr.CodeUnavailable, "shard down")
+}
+
+// TestFailedApplyFailsFlushClosed: a batch whose fragments fail to apply
+// for a reason other than cancellation aborts the ingester. Flush reports
+// the cause instead of a clean flush, and the WAL keeps the write for the
+// next Open.
+func TestFailedApplyFailsFlushClosed(t *testing.T) {
+	dir := t.TempDir()
 	tm := liveTamer(t)
-	// A tiny byte budget forces the second write to wait on backpressure,
-	// and a huge flush interval keeps the applier from draining it.
-	ing, err := Open(context.Background(), tm, Config{
-		Dir: t.TempDir(), BatchSize: 1 << 20, FlushInterval: time.Hour, MaxQueueBytes: 1,
-	})
+	backends := make([]store.ShardBackend, tm.Instances.NumShards())
+	for i := range backends {
+		backends[i] = failingInsert{tm.Instances.Backend(i)}
+	}
+	down, err := store.NewShardedBackends(tm.Instances.NS(), "source_url", backends)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Close's flush signal unblocks the applier, so this drains cleanly.
-	defer ing.Close()
+	tm.SetStores(down, tm.Entities)
+	ing, err := Open(context.Background(), tm, Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ing.IngestText(context.Background(), []Fragment{fragmentAt(0)}); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	err = ing.IngestText(ctx, []Fragment{fragmentAt(1)})
-	if !errors.Is(err, dterr.ErrBusy) {
-		t.Errorf("backpressured write with expiring ctx = %v, want ErrBusy", err)
+	if err := ing.Flush(context.Background()); !errors.Is(err, dterr.ErrClosed) || !errors.Is(err, dterr.ErrUnavailable) {
+		t.Errorf("flush after a failed apply = %v, want closed with the unavailable cause", err)
 	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("cause not preserved: %v", err)
+	if err := ing.IngestText(context.Background(), []Fragment{fragmentAt(1)}); !errors.Is(err, ErrClosed) {
+		t.Errorf("write after a failed apply = %v, want ErrClosed", err)
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ing2, err := Open(context.Background(), liveTamer(t), Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing2.Close()
+	if rep := ing2.log.Recovered(); rep.Applied != 1 {
+		t.Errorf("replay after a failed apply = %+v, want 1 applied", rep)
+	}
+}
+
+// TestIngestContextCancelUnderBackpressure fills each of the queue's two
+// bounds with no applier running, so the next write has to wait: when its
+// context ends it gets a busy error that keeps the cause, and it has logged
+// nothing.
+func TestIngestContextCancelUnderBackpressure(t *testing.T) {
+	tm := liveTamer(t)
+	for _, tc := range []struct {
+		name string
+		fill [][]Fragment // the writes that reach the bound
+	}{
+		{"events", func() [][]Fragment {
+			fill := make([][]Fragment, maxQueueEvents)
+			for i := range fill {
+				fill[i] = []Fragment{{URL: fmt.Sprint(i)}}
+			}
+			return fill
+		}()},
+		{"bytes", [][]Fragment{{{Text: strings.Repeat("x", maxQueueBytes)}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ing, err := open(context.Background(), tm, Config{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// With writes still queued, Close keeps the WAL and skips the
+			// checkpoint.
+			defer ing.Close()
+			for _, frags := range tc.fill {
+				if err := ing.IngestText(context.Background(), frags); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seq := ing.log.NextSeq()
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			err = ing.IngestText(ctx, []Fragment{fragmentAt(1)})
+			if !errors.Is(err, dterr.ErrBusy) {
+				t.Errorf("backpressured write with expiring ctx = %v, want ErrBusy", err)
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("cause not preserved: %v", err)
+			}
+			if got := ing.log.NextSeq(); got != seq {
+				t.Errorf("abandoned write was logged: next seq %d, want %d", got, seq)
+			}
+		})
+	}
+}
+
+// TestBlockedWritersResumeWhenApplierDrains: writers waiting on a full
+// queue, with no deadline, are let through once the applier drains it, and
+// every write applies.
+func TestBlockedWritersResumeWhenApplierDrains(t *testing.T) {
+	const writers, perWriter = 4, 5
+	tm := liveTamer(t)
+	base := tm.InstanceStats().Count
+	ing, err := open(context.Background(), tm, Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	for i := 0; i < maxQueueEvents; i++ {
+		if err := ing.IngestText(context.Background(), []Fragment{fragmentAt(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := ing.IngestText(context.Background(), []Fragment{fragmentAt(10000 + w*100 + i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	ing.start()
+	wg.Wait()
+	if err := ing.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	const total = maxQueueEvents + writers*perWriter
+	if st := ing.Stats(); st.TextEvents != total || st.Fragments != total {
+		t.Errorf("stats = %+v, want %d events applied", st, total)
+	}
+	if got := tm.InstanceStats().Count; got != base+total {
+		t.Errorf("instance count = %d, want %d", got, base+total)
+	}
+}
+
+// TestBatchTakesEverythingQueued: the applier takes the whole queue as one
+// batch, so writes queued before it starts apply together.
+func TestBatchTakesEverythingQueued(t *testing.T) {
+	const n = 20
+	tm := liveTamer(t)
+	base := tm.InstanceStats().Count
+	ing, err := open(context.Background(), tm, Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	for i := 0; i < n; i++ {
+		if err := ing.IngestText(context.Background(), []Fragment{fragmentAt(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ing.IngestRecords(context.Background(), "live_src", []*record.Record{showRecord("Zanzibar Nights", 59)}); err != nil {
+		t.Fatal(err)
+	}
+	if st := ing.Stats(); st.QueueDepth != n+1 || st.Pending != n+1 || st.QueueCapacity != maxQueueEvents {
+		t.Errorf("queued stats = %+v", st)
+	}
+	ing.start()
+	if err := ing.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := ing.Stats()
+	if st.Batches != 1 || st.FusedRefreshes != 1 {
+		t.Errorf("batches = %d, refreshes = %d, want 1 and 1", st.Batches, st.FusedRefreshes)
+	}
+	if st.Fragments != n || st.Records != 1 || st.QueueDepth != 0 || st.Pending != 0 || st.QueuedBytes != 0 {
+		t.Errorf("stats after flush = %+v", st)
+	}
+	if got := tm.InstanceStats().Count; got != base+n {
+		t.Errorf("instance count = %d, want %d", got, base+n)
+	}
+}
+
+// TestCloseLeavesNoGoroutine: Close stops the applier and the open
+// context's hook, after a clean run and after an abort alike.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	tm := liveTamer(t)
+	for _, abort := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		ing, err := Open(ctx, tm, Config{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ing.IngestText(context.Background(), []Fragment{fragmentAt(0)}); err != nil {
+			t.Fatal(err)
+		}
+		if abort {
+			cancel()
+		}
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		// A goroutine that has finished its work may still be exiting.
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("abort=%v: %d goroutines after Close, %d before Open", abort, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }
 

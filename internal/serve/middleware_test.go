@@ -330,7 +330,7 @@ func TestCachedReadsDuringIngest(t *testing.T) {
 	if err := tm.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ing, err := live.Open(context.Background(), tm, live.Config{Dir: t.TempDir(), BatchSize: 4})
+	ing, err := live.Open(context.Background(), tm, live.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

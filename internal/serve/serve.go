@@ -527,8 +527,10 @@ func (s *Server) v1Show(w http.ResponseWriter, r *http.Request) {
 // errLiveDisabled is the batch-mode rejection for write endpoints.
 var errLiveDisabled = dterr.New(dterr.CodeUnavailable, "live ingestion disabled; restart with --live")
 
-// maxIngestBody bounds one write request (8 MB) so a single oversized body
-// cannot bypass the event-count backpressure of the apply queue.
+// maxIngestBody bounds one write request (8 MB). The apply queue bounds
+// both the count and the payload bytes of unapplied events, but it admits
+// an event whenever its bytes are below the bound, so one event can
+// overshoot it; this cap bounds the overshoot.
 const maxIngestBody = 8 << 20
 
 // ingestTextRequest is the POST /ingest/text body.

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -451,7 +453,7 @@ func liveServer(t *testing.T) (*Server, *live.Ingester) {
 	if err := tm.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ing, err := live.Open(context.Background(), tm, live.Config{Dir: t.TempDir(), BatchSize: 4})
+	ing, err := live.Open(context.Background(), tm, live.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,6 +487,25 @@ func TestIngestTextEndpoint(t *testing.T) {
 	}
 	if stats["wal_size_bytes"].(float64) <= 0 || stats["wal_events"].(float64) != 1 || stats["next_seq"].(float64) != 2 {
 		t.Errorf("wal stats = %v / %v / %v", stats["wal_size_bytes"], stats["wal_events"], stats["next_seq"])
+	}
+	// The full key set of /v1/live/stats, so that no rewrite of the
+	// ingester drops one silently. last_error is omitted while no apply
+	// has failed.
+	want := []string{
+		"queue_depth", "queue_capacity", "pending_events", "queued_bytes",
+		"text_events", "record_events", "fragments_ingested", "records_ingested",
+		"instances_inserted", "entities_inserted",
+		"batches", "avg_batch_ms", "last_batch_ms", "fused_refreshes", "fused_dirty", "apply_errors",
+		"wal_size_bytes", "wal_events", "next_seq",
+		"replay_applied", "replay_skipped", "replay_errors", "replay_truncated",
+		"closed",
+	}
+	got := slices.Sorted(maps.Keys(stats))
+	if slices.Sort(want); !slices.Equal(got, want) {
+		t.Errorf("live stats keys = %v, want %v", got, want)
+	}
+	if stats["queue_capacity"].(float64) != 1024 || stats["queue_depth"].(float64) != 0 {
+		t.Errorf("queue capacity / depth = %v / %v, want 1024 / 0", stats["queue_capacity"], stats["queue_depth"])
 	}
 }
 
