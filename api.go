@@ -134,10 +134,10 @@ func WithLiveFsync() Option { return func(o *options) { o.liveCfg.Fsync = true }
 // with -data-dir that recovered state from their local WAL/checkpoints —
 // Open skips the batch ingest and only rebuilds the coordinator-local
 // derived state (schema, registry, fused view), so a coordinator restart
-// never re-applies the corpus. Checkpoints (SaveStoresCtx, live checkpoints)
-// delegate to the nodes' data directories; nodes running without
-// -data-dir answer unavailable and the live WAL remains the recovery
-// source, as before.
+// never re-applies the corpus. The nodes own their durability: checkpoints
+// (SaveStoresCtx, live checkpoints) hold only the coordinator's own state
+// and ask the nodes for nothing, and a memory-only node that restarts
+// comes back empty.
 func WithCluster(path string) Option { return func(o *options) { o.clusterPath = path } }
 
 // WithClusterConfig is WithCluster for an already-parsed configuration —
@@ -246,8 +246,9 @@ func Open(ctx context.Context, opts ...Option) (*Tamer, error) {
 
 // SaveStoresCtx checkpoints both sharded text namespaces into dir,
 // atomically: an earlier checkpoint in dir stays the one LoadStores reads
-// until the new one is complete. In cluster mode the remote shards
-// checkpoint themselves on their hosting nodes under ctx.
+// until the new one is complete. It stops between shard files once ctx is
+// done. In cluster mode the remote shards are not written: their nodes
+// own them.
 func (t *Tamer) SaveStoresCtx(ctx context.Context, dir string) error {
 	return t.core.SaveStoresCtx(ctx, dir)
 }

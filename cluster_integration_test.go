@@ -1,7 +1,7 @@
-// Cluster-mode integration tests: real dtnode processes on ephemeral
-// ports, a coordinator connected via cluster.json, and the /v1 surface
-// compared byte-for-byte against a single-process pipeline. Named
-// TestCluster* so CI can select them with -run TestCluster.
+// Cluster-mode integration tests: real dtnode processes (or an in-process
+// node) on ephemeral ports, a coordinator connected via cluster.json, and
+// the /v1 surface compared byte-for-byte against a single-process
+// pipeline. Named TestCluster* so CI can select them with -run TestCluster.
 package datatamer
 
 import (
@@ -17,6 +17,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/record"
 )
 
 // buildDTNode compiles cmd/dtnode once into dir and returns the binary path.
@@ -223,10 +226,10 @@ func TestClusterWarmRestart(t *testing.T) {
 		}
 	}
 
-	// The checkpoint API must now succeed in cluster mode: every shard
-	// delegates to its node's data directory.
+	// The checkpoint API succeeds in cluster mode: the coordinator commits
+	// what it owns and leaves the shards to their nodes.
 	if code, body := httpPost(t, ch, "/v1/flush?checkpoint=1", ""); code != http.StatusOK {
-		t.Fatalf("cluster checkpoint = %d (want 200 now that nodes have -data-dir): %s", code, body)
+		t.Fatalf("cluster checkpoint = %d, want 200: %s", code, body)
 	}
 
 	// Live ingest after the checkpoint, so the record rides the shard WAL
@@ -243,7 +246,7 @@ func TestClusterWarmRestart(t *testing.T) {
 		_, afterIngest[path] = httpGet(t, ch, path)
 	}
 
-	// Clean coordinator shutdown checkpoints the nodes, then a reopen
+	// Clean coordinator shutdown checkpoints the coordinator, then a reopen
 	// against the warm cluster must skip batch ingest — re-running it
 	// would double every count — and serve identical responses.
 	if err := clustered.Close(); err != nil {
@@ -427,5 +430,82 @@ func TestClusterTwoNodeEndToEnd(t *testing.T) {
 			t.Fatalf("/v1/stats?partial=0 after primary death = %d (want 429 busy): %s", code, body)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestClusterLiveOverMemoryOnlyNodes restarts a live coordinator twice over
+// one in-process memory-only node, which keeps its documents across the
+// restarts. The coordinator's checkpoint holds only what it owns (the fused
+// view's members), so it commits even though the node persists nothing, and
+// every reopen must find the live writes exactly once: neither re-applied
+// from the coordinator WAL nor dropped from the fused view.
+func TestClusterLiveOverMemoryOnlyNodes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &cluster.Config{Shards: 2, Nodes: []cluster.NodeSpec{
+		{Name: "node-a", Addr: ln.Addr().String(), Shards: []int{0, 1}},
+	}}
+	node := cluster.BuildNode(cfg, &cfg.Nodes[0], false)
+	served := make(chan error, 1)
+	go func() { served <- node.Serve(ln) }()
+	t.Cleanup(func() {
+		ln.Close()
+		if err := <-served; err != nil {
+			t.Errorf("node serve: %v", err)
+		}
+		node.Close()
+	})
+
+	ctx := context.Background()
+	opts := []Option{WithClusterConfig(cfg), WithLive(t.TempDir()),
+		WithFragments(100), WithSources(3), WithSeed(2)}
+	tm, err := Open(ctx, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const show = "Quillmoor Lantern"
+	base := tm.InstanceStats().Count
+	if err := tm.IngestText(ctx, []Fragment{
+		{URL: "http://live/1", Text: show + " an award-winning revival, grossed 300,000 this week."},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rec := record.New()
+	rec.Set("SHOW_NAME", record.String(show))
+	rec.Set("THEATER", record.String("Imperial"))
+	rec.Set("CHEAPEST_PRICE", record.Int(41))
+	if err := tm.IngestRecords(ctx, "live_feed", []*Record{rec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.Checkpoint(ctx); err != nil {
+		t.Errorf("checkpoint over a memory-only node = %v, want nil", err)
+	}
+	want := tm.InstanceStats().Count
+	if want != base+1 {
+		t.Fatalf("%d instances after one live fragment, want %d", want, base+1)
+	}
+	if err := tm.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for reopen := 1; reopen <= 2; reopen++ {
+		tm, err := Open(ctx, opts...)
+		if err != nil {
+			t.Fatalf("reopen %d: %v", reopen, err)
+		}
+		if got := tm.InstanceStats().Count; got != want {
+			t.Errorf("reopen %d: %d instances, want %d (live fragment re-applied?)", reopen, got, want)
+		}
+		if ok, err := tm.ShowInFused(ctx, show); err != nil || !ok {
+			t.Errorf("reopen %d: ShowInFused(%q) = %v, %v; want the live record", reopen, show, ok, err)
+		}
+		if err := tm.Close(); err != nil {
+			t.Fatalf("close after reopen %d: %v", reopen, err)
+		}
 	}
 }

@@ -31,9 +31,15 @@
 // rename, WAL truncated: the store.Log protocol the live ingester shares),
 // and startup recovers the last checkpoint plus the WAL tail — so a
 // restarted node resumes at the generation it last acknowledged and the
-// coordinator reconnects without re-ingesting:
+// coordinator reconnects without re-ingesting. The node compacts a shard's
+// WAL only at its own checkpoints: the clean-shutdown one, and the one
+// startup recovery takes when the WAL held events past the last
+// checkpoint. A coordinator never asks a node to checkpoint.
 //
 //	dtnode -config cluster.json -name node-a -data-dir /var/lib/dtnode-a
+//
+// Without -data-dir the node persists nothing: its documents live only as
+// long as the process.
 package main
 
 import (

@@ -8,8 +8,10 @@
 // the live package (-fsync adds an fsync per append). A checkpoint in
 // -wal-dir holds one snapshot per shard, each carrying its extent size and
 // index layout, so a restart reloads the stores without rebuilding an
-// index list. State left in -wal-dir by a previous run is recovered on
-// startup, and shutdown (SIGINT/SIGTERM) drains the queue and checkpoints:
+// index list, plus the fused view's members; with -cluster the nodes own
+// the shards and it holds the members alone. State left in -wal-dir by a
+// previous run is recovered on startup, and shutdown (SIGINT/SIGTERM)
+// drains the queue and checkpoints:
 //
 //	dtserver -addr :8080 -live -wal-dir ./dtlive
 //

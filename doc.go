@@ -53,8 +53,11 @@
 //     (documents, extent size, index layout): nodes started with
 //     -data-dir checkpoint it beside a node-local WAL and recover it on
 //     restart, a primary ships it to a follower that fell out of its
-//     replication window, and a core restore reads it; Open probes shard
-//     generations and skips batch ingest against a warm cluster. Enabled
+//     replication window, and a core restore reads it. Nodes own their
+//     durability: a coordinator checkpoint holds only the coordinator's
+//     state and sends nothing to the nodes, so a memory-only node that
+//     restarts comes back empty. Open probes shard generations and skips
+//     batch ingest against a warm cluster. Enabled
 //     with WithCluster or WithClusterConfig. Remote-shard calls run
 //     behind a resilience layer: idempotent reads retry transient
 //     failures with budget-aware exponential backoff, per-node circuit

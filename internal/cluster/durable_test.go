@@ -184,15 +184,15 @@ func TestCreateIndexTwiceIsNoWrite(t *testing.T) {
 	}
 }
 
-// TestCheckpointOp covers the wire-level checkpoint: unavailable on a
-// node without a data directory (the coordinator tolerates that), and
-// a committed on-disk checkpoint once durability is enabled.
+// TestCheckpointOp covers a node's own checkpoint, the one dtnode takes at
+// shutdown: unavailable on a node without a data directory, and a
+// committed on-disk checkpoint once durability is enabled.
 func TestCheckpointOp(t *testing.T) {
 	node := NewNode("cp")
 	hostAll(node, 1)
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: node}, nil)
 	ctx := context.Background()
-	if err := shard.Checkpoint(ctx); !errors.Is(err, dterr.ErrUnavailable) {
+	if err := node.Checkpoint(); !errors.Is(err, dterr.ErrUnavailable) {
 		t.Fatalf("checkpoint without -data-dir = %v, want unavailable", err)
 	}
 
@@ -204,7 +204,7 @@ func TestCheckpointOp(t *testing.T) {
 	if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("x"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := shard.Checkpoint(ctx); err != nil {
+	if err := node.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint with -data-dir: %v", err)
 	}
 	sdir := filepath.Join(dir, shardDirName(ShardKey(NSEntities, 0)))

@@ -195,10 +195,6 @@ func (n *Node) Handle(req *Request) *Response {
 		// Probes bypass the read fence: a coordinator asks "how warm are
 		// you" before deciding whether any generation exists to fence on.
 		return n.handleInfo(req, h)
-	case OpCheckpoint:
-		// Checkpointing is local persistence, not a data mutation, so it is
-		// allowed on followers too.
-		return n.handleCheckpoint(req, h)
 	default:
 		return n.handleRead(req, h)
 	}
@@ -366,24 +362,6 @@ func (n *Node) handleInfo(req *Request, h *hostedShard) *Response {
 	defer h.mu.Unlock()
 	info := ShardInfo{Gen: h.gen, Count: h.coll.Count()}
 	return &Response{ID: req.ID, Gen: h.gen, Body: EncodeShardInfo(info)}
-}
-
-// handleCheckpoint persists one shard to the node's data directory on
-// demand — the remote side of coordinator-driven checkpoints (SaveStores,
-// live checkpoints). Unavailable without -data-dir, which the coordinator
-// tolerates the same way it tolerated checkpoints before durability
-// existed.
-func (n *Node) handleCheckpoint(req *Request, h *hostedShard) *Response {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.dur == nil {
-		return errResp(req.ID, dterr.Newf(dterr.CodeUnavailable,
-			"cluster: node %q has no data directory; start dtnode with -data-dir", n.name))
-	}
-	if err := h.checkpointLocked(); err != nil {
-		return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
-	}
-	return &Response{ID: req.ID, Gen: h.gen}
 }
 
 // EnableDurability backs every hosted shard with a directory under root:

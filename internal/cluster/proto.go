@@ -57,10 +57,6 @@ const (
 	// decide whether nodes are warm (recovered from their local
 	// WAL/checkpoint) before re-running batch ingest.
 	OpInfo
-	// OpCheckpoint asks the hosting node to persist the shard to its local
-	// data directory (the shard's snapshot, WAL truncated). Unavailable on
-	// nodes running without -data-dir.
-	OpCheckpoint
 )
 
 // MaxFrameLen bounds a wire frame so a corrupt or hostile length header

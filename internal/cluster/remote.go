@@ -167,30 +167,11 @@ func (r *RemoteShard) CreateTextIndex(ctx context.Context, path string) error {
 // warm nodes (recovered from their node-local WAL/checkpoint) before
 // deciding whether to re-run batch ingest.
 func (r *RemoteShard) Info(ctx context.Context) (ShardInfo, error) {
-	resp, err := r.primary.Call(ctx, &Request{Op: OpInfo, Shard: r.key})
+	resp, err := r.callPrimary(ctx, OpInfo, nil)
 	if err != nil {
 		return ShardInfo{}, err
 	}
-	if resp.Err != nil {
-		return ShardInfo{}, resp.Err
-	}
-	r.observe(resp.Gen)
 	return DecodeShardInfo(resp.Body)
-}
-
-// Checkpoint asks the hosting node to persist this shard to its local
-// data directory. Nodes running without -data-dir answer unavailable
-// (errors.Is(err, dterr.ErrUnavailable)).
-func (r *RemoteShard) Checkpoint(ctx context.Context) error {
-	resp, err := r.primary.Call(ctx, &Request{Op: OpCheckpoint, Shard: r.key})
-	if err != nil {
-		return err
-	}
-	if resp.Err != nil {
-		return resp.Err
-	}
-	r.observe(resp.Gen)
-	return nil
 }
 
 func boolFromBody(body []byte) (bool, error) {

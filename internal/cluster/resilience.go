@@ -96,12 +96,11 @@ func attemptCtx(ctx context.Context, attemptsLeft int) (context.Context, context
 }
 
 // IdempotentOp reports whether a wire op is safe to re-send when the
-// first attempt may have been applied: reads, probes, and checkpoint
-// (persisting the same state twice is a no-op). Mutations are never
-// retried — a duplicated insert is data corruption, not resilience.
+// first attempt may have been applied: reads and probes. Mutations are
+// never retried — a duplicated insert is data corruption, not resilience.
 func IdempotentOp(op byte) bool {
 	switch op {
-	case OpPing, OpQuery, OpStats, OpPull, OpInfo, OpCheckpoint:
+	case OpPing, OpQuery, OpStats, OpPull, OpInfo:
 		return true
 	}
 	return false

@@ -240,15 +240,14 @@ func TestBreakerFailsFast(t *testing.T) {
 }
 
 // TestOpCodesNamedAndClassified guards the op numbering: every code from
-// OpPing to OpCheckpoint has a metric label of its own, nothing outside
-// that range has one, and exactly the reads, probes and checkpoint are
-// retried.
+// OpPing to OpInfo has a metric label of its own, nothing outside that
+// range has one, and exactly the reads and probes are retried.
 func TestOpCodesNamedAndClassified(t *testing.T) {
-	idempotent := map[string]bool{"ping": true, "query": true, "stats": true, "pull": true, "info": true, "checkpoint": true}
+	idempotent := map[string]bool{"ping": true, "query": true, "stats": true, "pull": true, "info": true}
 	seen := map[string]bool{}
 	for op := 0; op <= 255; op++ {
 		name := opName(byte(op))
-		known := byte(op) >= OpPing && byte(op) <= OpCheckpoint
+		known := byte(op) >= OpPing && byte(op) <= OpInfo
 		if known == (name == "unknown") || known && seen[name] {
 			t.Errorf("op %d is labelled %q", op, name)
 		}
@@ -257,7 +256,7 @@ func TestOpCodesNamedAndClassified(t *testing.T) {
 			t.Errorf("op %d (%s): IdempotentOp = %v", op, name, IdempotentOp(byte(op)))
 		}
 	}
-	if len(opNames) != int(OpCheckpoint) {
-		t.Errorf("%d op labels for op codes 1..%d", len(opNames), OpCheckpoint)
+	if len(opNames) != int(OpInfo) {
+		t.Errorf("%d op labels for op codes 1..%d", len(opNames), OpInfo)
 	}
 }

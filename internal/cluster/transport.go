@@ -31,7 +31,7 @@ var opNames = map[byte]string{
 	OpPing: "ping", OpInsert: "insert", OpUpdate: "update",
 	OpDelete: "delete", OpQuery: "query", OpStats: "stats",
 	OpCreateIndex: "create_index", OpCreateTextIndex: "create_text_index",
-	OpPull: "pull", OpInfo: "info", OpCheckpoint: "checkpoint",
+	OpPull: "pull", OpInfo: "info",
 }
 
 func opName(op byte) string {

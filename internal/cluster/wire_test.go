@@ -32,10 +32,12 @@ type countingConn struct {
 	sent *atomic.Int64
 }
 
+// Write counts p before sending it, so a client holding the bytes also
+// sees them counted: counted after the send, a reply could land in the
+// next query's measurement.
 func (c countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.sent.Add(int64(n))
-	return n, err
+	c.sent.Add(int64(len(p)))
+	return c.Conn.Write(p)
 }
 
 // TestPagedFindMovesThePageOverTheWire: with 1 200 matches on each of two

@@ -15,14 +15,10 @@ import (
 // (the paper's deployment relied on the storage engine's own durability;
 // ours is part of the reproduction). The directory protocol (epoch
 // directories committed by one meta rename) is store.Log's; this file only
-// supplies the callbacks that write and read one epoch directory.
-
-// Checkpointer is implemented by shard backends that persist their own
-// state somewhere the coordinator cannot reach — a cluster RemoteShard
-// delegates the checkpoint to its hosting node's local data directory.
-type Checkpointer interface {
-	Checkpoint(ctx context.Context) error
-}
+// supplies the callbacks that write and read one epoch directory. Only the
+// shards this process holds are written: a remote shard belongs to its
+// node, which persists it or not on its own (dtnode -data-dir), so a
+// checkpoint neither writes nor asks anything for it.
 
 // SaveStoresCtx checkpoints both namespaces into dir, atomically: the
 // previous checkpoint in dir stays the one LoadStores reads until the new
@@ -33,10 +29,8 @@ func (t *Tamer) SaveStoresCtx(ctx context.Context, dir string) error {
 
 // SnapshotStores writes one snapshot file per shard of both namespaces
 // into cpDir, a checkpoint directory handed out by a store.Log:
-// instance-<i>.snap and entity-<i>.snap. Remote shards are not written
-// into cpDir; each is asked to checkpoint itself on its hosting node
-// under ctx (nodes running without a data directory answer unavailable,
-// which callers tolerate the way they did before node durability existed).
+// instance-<i>.snap and entity-<i>.snap, stopping between shard files
+// once ctx is done. Remote shards are skipped: their nodes own them.
 func (t *Tamer) SnapshotStores(ctx context.Context, cpDir string) error {
 	if err := saveSharded(ctx, cpDir, "instance", t.Instances); err != nil {
 		return err
@@ -46,19 +40,12 @@ func (t *Tamer) SnapshotStores(ctx context.Context, cpDir string) error {
 
 func saveSharded(ctx context.Context, dir, prefix string, s *store.Sharded) error {
 	for i := 0; i < s.NumShards(); i++ {
+		if err := ctx.Err(); err != nil {
+			return dterr.FromContext(err)
+		}
 		coll := s.Shard(i)
 		if coll == nil {
-			// Remote shards own their documents; their node is the place to
-			// snapshot them. Delegate when the backend can, otherwise report
-			// the checkpoint unavailable as before.
-			if cp, ok := s.Backend(i).(Checkpointer); ok {
-				if err := cp.Checkpoint(ctx); err != nil {
-					return fmt.Errorf("core: checkpointing %s shard %d: %w", s.NS(), i, err)
-				}
-				continue
-			}
-			return dterr.Newf(dterr.CodeUnavailable,
-				"core: store snapshots unavailable: %s shard %d is remote", s.NS(), i)
+			continue
 		}
 		path := filepath.Join(dir, fmt.Sprintf("%s-%d.snap", prefix, i))
 		f, err := os.Create(path)
@@ -86,10 +73,9 @@ func (t *Tamer) LoadStores(ctx context.Context, dir string) error {
 // fresh namespaces under ctx. Each snapshot brings its shard's extent size
 // and index layout; the receiver's shard count must match the saved one. In
 // cluster mode (remote shards) there is nothing to load coordinator-side:
-// the nodes recovered their own state from their local WAL/checkpoints, so
-// RestoreStores keeps the cluster routing intact. Either way the data
-// generation moves, so no response cached before the restore is served
-// after it.
+// the nodes hold their own documents, so RestoreStores keeps the cluster
+// routing intact. Either way the data generation moves, so no response
+// cached before the restore is served after it.
 func (t *Tamer) RestoreStores(ctx context.Context, cpDir string) error {
 	if t.Instances.NumShards() > 0 && t.Instances.Shard(0) == nil {
 		t.dataGen.Add(1)

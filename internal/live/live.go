@@ -38,16 +38,15 @@
 // acknowledged writes whose apply fails deterministically — are dropped and
 // counted (Stats.ApplyErrors during operation, Stats.ReplayErrors during
 // recovery) rather than wedging the queue, and are fenced away by the next
-// checkpoint. In cluster mode the checkpoint fence delegates shard
-// snapshots to the nodes' own data directories; a coordinator crash (no
-// clean Close) can then leave a WAL tail whose events some nodes already
-// applied and persisted, making the replay at-least-once — a clean shutdown
-// checkpoints first and is exact.
+// checkpoint. In cluster mode a checkpoint holds the fused view's members
+// only: the nodes keep the remote shards' documents, durably or not. A
+// coordinator crash (no clean Close) can then leave a WAL tail whose
+// events some nodes already applied, making the replay at-least-once — a
+// clean shutdown checkpoints first and is exact.
 package live
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -168,9 +167,6 @@ func open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
 	// Recovery: load the committed checkpoint, replay the WAL tail over it,
 	// and (unless nothing was replayed) re-checkpoint so the WAL restarts
 	// compact with sequence numbers continuing past everything ever logged.
-	// In cluster mode the checkpoint delegates to the nodes' own data
-	// directories; nodes running without -data-dir answer unavailable,
-	// which store.OpenLog tolerates by committing nothing.
 	load := func(cpDir string) error {
 		if err := t.RestoreStores(ctx, cpDir); err != nil {
 			return err
@@ -491,8 +487,8 @@ func (ing *Ingester) Checkpoint(ctx context.Context) error {
 
 // checkpointWriter is the owner callback of the ingester's store.Log: it
 // fills one checkpoint directory with the store snapshots and the fused
-// view's members. In cluster mode the snapshot step issues checkpoint RPCs
-// to the shard nodes under ctx.
+// view's members. In cluster mode it writes the members alone: the nodes
+// own the shards.
 func (ing *Ingester) checkpointWriter(ctx context.Context) func(cpDir string) error {
 	return func(cpDir string) error {
 		if err := ing.tamer.SnapshotStores(ctx, cpDir); err != nil {
@@ -531,14 +527,7 @@ func (ing *Ingester) Close() error {
 	if unapplied {
 		return ing.log.Close()
 	}
-	// In cluster mode the checkpoint delegates the shard snapshots to the
-	// hosting nodes' data directories. Nodes without -data-dir answer
-	// unavailable; the WAL then stays authoritative across restarts
-	// instead of the checkpoint, exactly as before node durability.
 	err := ing.log.Checkpoint(ing.log.NextSeq()-1, ing.checkpointWriter(context.Background()))
-	if errors.Is(err, dterr.ErrUnavailable) {
-		err = nil
-	}
 	if cerr := ing.log.Close(); err == nil {
 		err = cerr
 	}

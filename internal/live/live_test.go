@@ -579,11 +579,13 @@ func TestFailedApplyFailsFlushClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm.SetStores(down, tm.Entities)
+	// The shards go down after Open, whose recovery checkpoint has to
+	// commit so that the next Open can load it.
 	ing, err := Open(context.Background(), tm, Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tm.SetStores(down, tm.Entities)
 	if err := ing.IngestText(context.Background(), []Fragment{fragmentAt(0)}); err != nil {
 		t.Fatal(err)
 	}

@@ -4,15 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"time"
-
-	"repro/dterr"
 )
 
 // Log is the one durable-log primitive: a directory with one file layout
@@ -79,10 +76,7 @@ type LogStats struct {
 // write re-checkpoints the recovered state unless the restart was clean (a
 // checkpoint exists and the WAL held nothing new). An error from load,
 // apply or write fails the open with the committed checkpoint and the WAL
-// untouched. One exception: an owner whose state lives out of reach answers
-// write with dterr.ErrUnavailable (a cluster coordinator over memory-only
-// nodes); the replayed events are applied there, nothing is committed, and
-// the WAL starts over.
+// untouched.
 func OpenLog(dir string, fsync bool, load func(cpDir string) error,
 	apply func(seq uint64, kind byte, payload []byte) error, write func(cpDir string) error) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -108,13 +102,13 @@ func OpenLog(dir string, fsync bool, load func(cpDir string) error,
 		return nil, fmt.Errorf("store: opening wal: %w", err)
 	}
 	last := max(l.fence, l.recovered.LastSeq)
-	if hasCheckpoint && l.recovered.Applied == 0 && !l.recovered.Truncated {
-		l.sweep() // a clean restart still clears what a crashed checkpoint left
-	} else if err := l.Checkpoint(last, write); err == nil {
+	if !hasCheckpoint || l.recovered.Applied > 0 || l.recovered.Truncated {
+		if err := l.Checkpoint(last, write); err != nil {
+			return nil, err
+		}
 		return l, nil // the checkpoint restarted the WAL itself
-	} else if !errors.Is(err, dterr.ErrUnavailable) {
-		return nil, err
 	}
+	l.sweep() // a clean restart still clears what a crashed checkpoint left
 	if err := l.truncateWAL(last + 1); err != nil {
 		return nil, err
 	}

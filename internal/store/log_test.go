@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/dterr"
 )
 
 // The crash suite for the one durable log. Its owner, seqOwner, is the
@@ -322,6 +324,65 @@ func TestLogCheckpointCrashAtEveryStep(t *testing.T) {
 			t.Fatalf("recovered %q (replay %+v), want %q", r.events, rl.Recovered(), o.events)
 		}
 	})
+}
+
+// TestOpenLogFailedRecheckpoint pins OpenLog's failure contract: when the
+// re-checkpoint after a replay fails, whatever the error — unavailable
+// included — the open fails, the commit record and the WAL stay
+// byte-identical, and a later open with a working write recovers every
+// acknowledged event.
+func TestOpenLogFailedRecheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"plain", errors.New("disk full")},
+		{"unavailable", dterr.New(dterr.CodeUnavailable, "node down")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			o := &seqOwner{t: t}
+			l, err := o.open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.appendN(l, 3)
+			o.checkpoint(l)
+			o.appendN(l, 2)
+			crash(l)
+			files := []string{logMetaName, LogWALFile}
+			before := make([][]byte, len(files))
+			for i, name := range files {
+				if before[i], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			r := &seqOwner{t: t}
+			failing := func(string) error { return tc.err }
+			if rl, err := OpenLog(dir, false, r.load, r.apply, failing); !errors.Is(err, tc.err) {
+				if err == nil {
+					rl.Close()
+				}
+				t.Fatalf("open with a failing re-checkpoint = %v, want %v", err, tc.err)
+			}
+			for i, name := range files {
+				if after, _ := os.ReadFile(filepath.Join(dir, name)); !slices.Equal(after, before[i]) {
+					t.Errorf("%s changed under a failed open: %d bytes, was %d", name, len(after), len(before[i]))
+				}
+			}
+
+			r = &seqOwner{t: t}
+			rl, err := r.open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rl.Close()
+			if !slices.Equal(r.events, o.events) || rl.Recovered().Applied != 2 {
+				t.Fatalf("recovered %q (replay %+v), want %q", r.events, rl.Recovered(), o.events)
+			}
+		})
+	}
 }
 
 // TestLogCorruptMetaIsLoud: a damaged commit record must fail the open —
