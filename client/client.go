@@ -31,9 +31,11 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/dterr"
+	"repro/internal/store"
 )
 
 // Client talks to one data-tamer server. The zero value is not usable;
@@ -201,14 +203,42 @@ type LiveStats struct {
 
 // ---- transport ---------------------------------------------------------
 
-// envelope mirrors the server's uniform response shape.
-type envelope struct {
-	Data     json.RawMessage `json:"data"`
-	Degraded *Degraded       `json:"degraded"`
-	Error    *struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
+// envelope mirrors the server's uniform response shape. Data is decoded
+// in the same pass as the rest, into storage of the caller's type, and is
+// nil when the member is absent.
+type envelope[T any] struct {
+	Data     *T         `json:"data"`
+	Degraded *Degraded  `json:"degraded"`
+	Error    *errMember `json:"error"`
+}
+
+// errMember is the envelope's error member.
+type errMember struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
+}
+
+// bodies pools the buffers response bodies are read into. The decoded
+// values copy what they keep, so a buffer is reused as soon as its body is
+// decoded; one that grew past store.FrameChunk for a large body is dropped
+// rather than pooled.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readEnvelope reads a response body into a pooled buffer and decodes it
+// into env in one pass. err is a failure to read the body, decodeErr a
+// body that does not decode.
+func readEnvelope[T any](body io.Reader, env *envelope[T]) (decodeErr, err error) {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= store.FrameChunk {
+			bodies.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(body, 64<<20)); err != nil {
+		return nil, err
+	}
+	return json.Unmarshal(buf.Bytes(), env), nil
 }
 
 // Degraded reports a partial fan-out read: the response succeeded but
@@ -238,10 +268,10 @@ func WithDegraded(ctx context.Context) (context.Context, *Degraded) {
 	return context.WithValue(ctx, degradedKey, d), d
 }
 
-// do issues one request and decodes the envelope into out (which may be
-// nil for calls that only need success/failure). GETs are retried on
-// transport errors and 5xx responses; writes are never retried.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, body any, out any) error {
+// do issues one request and decodes the envelope's data into out (which
+// may be nil for calls that only need success/failure). GETs are retried
+// on transport errors and 5xx responses; writes are never retried.
+func do[T any](ctx context.Context, c *Client, method, path string, query url.Values, body any, out *T) error {
 	var encoded []byte
 	if body != nil {
 		var err error
@@ -282,7 +312,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 			case <-time.After(wait):
 			}
 		}
-		retry, hint, err := c.once(ctx, method, u, encoded, out)
+		retry, hint, err := once(ctx, c, method, u, encoded, out)
 		if err == nil {
 			return nil
 		}
@@ -322,7 +352,7 @@ func (c *Client) retryAfterHint(resp *http.Response) time.Duration {
 // 429 with a Retry-After hint); wait is the server-suggested delay for
 // that retry (0: use exponential backoff). The caller has already decided
 // the method is idempotent.
-func (c *Client) once(ctx context.Context, method, u string, body []byte, out any) (retry bool, wait time.Duration, err error) {
+func once[T any](ctx context.Context, c *Client, method, u string, body []byte, out *T) (retry bool, wait time.Duration, err error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -345,19 +375,18 @@ func (c *Client) once(ctx context.Context, method, u string, body []byte, out an
 		return true, 0, dterr.Wrapf(dterr.CodeUnavailable, err, "request %s %s", method, u)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	var env envelope[T]
+	decodeErr, err := readEnvelope(resp.Body, &env)
 	if err != nil {
 		return true, 0, dterr.Wrap(dterr.CodeUnavailable, err)
 	}
-	var env envelope
-	decodeErr := json.Unmarshal(raw, &env)
 	if resp.StatusCode >= 400 {
 		if resp.StatusCode == http.StatusTooManyRequests && method == http.MethodGet {
 			// Honor the server's shed hint: retry the idempotent read at
 			// the suggested (capped) delay. No hint, no retry — hammering
 			// an overloaded server would make the overload worse.
 			if hint := c.retryAfterHint(resp); hint > 0 {
-				return true, hint, busyError(u, &env, decodeErr)
+				return true, hint, busyError(u, env.Error, decodeErr)
 			}
 		}
 		if decodeErr == nil && env.Error != nil {
@@ -390,16 +419,14 @@ func (c *Client) once(ctx context.Context, method, u string, body []byte, out an
 	if env.Data == nil {
 		return false, 0, dterr.Newf(dterr.CodeInternal, "%s %s: response envelope has no data", method, u)
 	}
-	if err := json.Unmarshal(env.Data, out); err != nil {
-		return false, 0, dterr.Wrapf(dterr.CodeInternal, err, "decoding data of %s %s", method, u)
-	}
+	*out = *env.Data
 	return false, 0, nil
 }
 
 // busyError renders the typed error for a 429 that will be retried.
-func busyError(u string, env *envelope, decodeErr error) error {
-	if decodeErr == nil && env.Error != nil {
-		return dterr.New(dterr.Code(env.Error.Code), env.Error.Message)
+func busyError(u string, envErr *errMember, decodeErr error) error {
+	if decodeErr == nil && envErr != nil {
+		return dterr.New(dterr.Code(envErr.Code), envErr.Message)
 	}
 	return dterr.Newf(dterr.CodeBusy, "GET %s: HTTP 429", u)
 }
@@ -407,7 +434,7 @@ func busyError(u string, env *envelope, decodeErr error) error {
 // getList fetches one page of a /v1 list endpoint.
 func getList[T any](ctx context.Context, c *Client, path string, q url.Values) (List[T], error) {
 	var out List[T]
-	if err := c.do(ctx, http.MethodGet, path, q, nil, &out); err != nil {
+	if err := do(ctx, c, http.MethodGet, path, q, nil, &out); err != nil {
 		return List[T]{}, err
 	}
 	return out, nil
@@ -418,7 +445,7 @@ func getList[T any](ctx context.Context, c *Client, path string, q url.Values) (
 // Stats fetches the Tables I-II store statistics.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	var out Stats
-	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, nil, &out)
+	err := do(ctx, c, http.MethodGet, "/v1/stats", nil, nil, &out)
 	return out, err
 }
 
@@ -451,7 +478,7 @@ func (c *Client) Show(ctx context.Context, name string) (ShowView, error) {
 	q := url.Values{}
 	q.Set("name", name)
 	var out ShowView
-	err := c.do(ctx, http.MethodGet, "/v1/show", q, nil, &out)
+	err := do(ctx, c, http.MethodGet, "/v1/show", q, nil, &out)
 	return out, err
 }
 
@@ -459,7 +486,7 @@ func (c *Client) Show(ctx context.Context, name string) (ShowView, error) {
 // the error matches dterr.ErrUnavailable.
 func (c *Client) LiveStats(ctx context.Context) (LiveStats, error) {
 	var out LiveStats
-	err := c.do(ctx, http.MethodGet, "/v1/live/stats", nil, nil, &out)
+	err := do(ctx, c, http.MethodGet, "/v1/live/stats", nil, nil, &out)
 	return out, err
 }
 
@@ -477,7 +504,7 @@ func (c *Client) IngestText(ctx context.Context, frags []Fragment) (int, error) 
 		return 0, nil
 	}
 	var out accepted
-	err := c.do(ctx, http.MethodPost, "/v1/ingest/text", nil,
+	err := do(ctx, c, http.MethodPost, "/v1/ingest/text", nil,
 		map[string]any{"fragments": frags}, &out)
 	return out.Accepted, err
 }
@@ -488,14 +515,14 @@ func (c *Client) IngestRecords(ctx context.Context, source string, records []map
 		return 0, nil
 	}
 	var out accepted
-	err := c.do(ctx, http.MethodPost, "/v1/ingest/records", nil,
+	err := do(ctx, c, http.MethodPost, "/v1/ingest/records", nil,
 		map[string]any{"source": source, "records": records}, &out)
 	return out.Accepted, err
 }
 
 // Flush blocks until every acknowledged write has been applied.
 func (c *Client) Flush(ctx context.Context) error {
-	return c.do(ctx, http.MethodPost, "/v1/flush", nil, nil, nil)
+	return do[struct{}](ctx, c, http.MethodPost, "/v1/flush", nil, nil, nil)
 }
 
 // Checkpoint drains the apply queue, snapshots state, and truncates the
@@ -503,7 +530,7 @@ func (c *Client) Flush(ctx context.Context) error {
 func (c *Client) Checkpoint(ctx context.Context) error {
 	q := url.Values{}
 	q.Set("checkpoint", "1")
-	return c.do(ctx, http.MethodPost, "/v1/flush", q, nil, nil)
+	return do[struct{}](ctx, c, http.MethodPost, "/v1/flush", q, nil, nil)
 }
 
 // String implements fmt.Stringer for diagnostics.

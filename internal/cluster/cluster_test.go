@@ -358,7 +358,7 @@ func TestReadYourWrites(t *testing.T) {
 		t.Fatalf("stale read: %d docs, want 1 (fence must route to primary)", len(docs))
 	}
 	// The lagging replica itself must answer Busy when fenced.
-	resp := follower.Handle(&Request{Op: OpQuery, Shard: ShardKey(NSEntities, 0), MinGen: 1, Body: mustQuery(t, store.Query{Limit: store.NoLimit})})
+	resp := loopbackCall(t, follower, &Request{Op: OpQuery, Shard: ShardKey(NSEntities, 0), MinGen: 1, Body: mustQuery(t, store.Query{Limit: store.NoLimit})})
 	if resp.Err == nil || !errors.Is(resp.Err, dterr.ErrBusy) {
 		t.Fatalf("fenced read on lagging replica = %v, want busy", resp.Err)
 	}

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -159,57 +160,57 @@ func (n *Node) shard(key string) *hostedShard {
 	return n.shards[key]
 }
 
-// errResp builds an error response, classifying non-dterr errors as
-// invalid argument (they come from decoding a malformed body).
-func errResp(id uint64, err error) *Response {
+// wireErr classifies err for the wire, as invalid argument when it is not
+// a dterr error (it comes from decoding a malformed body).
+func wireErr(err error) *dterr.Error {
 	var de *dterr.Error
 	if !errors.As(err, &de) {
-		de = dterr.New(dterr.CodeInvalidArgument, err.Error())
-	} else {
-		de = dterr.FromCode(de.Code, err.Error())
+		return dterr.New(dterr.CodeInvalidArgument, err.Error())
 	}
-	return &Response{ID: id, Err: de}
+	return dterr.FromCode(de.Code, err.Error())
 }
 
-// Handle dispatches one decoded request and returns its response. It
-// never panics on malformed bodies — decode failures become
-// invalid-argument responses, which round-trip to typed errors on the
-// client.
-func (n *Node) Handle(req *Request) *Response {
+// handle dispatches one decoded request. On success the handler has
+// written the response into out; on error the caller replaces whatever it
+// wrote with the error. It never panics on malformed bodies — decode
+// failures become invalid-argument responses, which round-trip to typed
+// errors on the client.
+func (n *Node) handle(req *Request, out respFrame) error {
 	if req.Op == OpPing {
-		return &Response{ID: req.ID}
+		out.ok(0)
+		return nil
 	}
 	h := n.shard(req.Shard)
 	if h == nil {
-		return errResp(req.ID, dterr.Newf(dterr.CodeNotFound, "cluster: node %q does not host shard %q", n.name, req.Shard))
+		return dterr.Newf(dterr.CodeNotFound, "cluster: node %q does not host shard %q", n.name, req.Shard)
 	}
 	switch req.Op {
 	case OpInsert, OpUpdate, OpDelete, OpCreateIndex, OpCreateTextIndex:
 		if n.readOnly {
-			return errResp(req.ID, dterr.Newf(dterr.CodeUnavailable, "cluster: node %q is a read-only follower", n.name))
+			return dterr.Newf(dterr.CodeUnavailable, "cluster: node %q is a read-only follower", n.name)
 		}
-		return n.handleWrite(req, h)
+		return n.handleWrite(req, h, out)
 	case OpPull:
-		return n.handlePull(req, h)
+		return n.handlePull(req, h, out)
 	case OpInfo:
 		// Probes bypass the read fence: a coordinator asks "how warm are
 		// you" before deciding whether any generation exists to fence on.
-		return n.handleInfo(req, h)
+		return n.handleInfo(h, out)
 	default:
-		return n.handleRead(req, h)
+		return n.handleRead(req, h, out)
 	}
 }
 
-func (n *Node) handleWrite(req *Request, h *hostedShard) *Response {
+func (n *Node) handleWrite(req *Request, h *hostedShard, out respFrame) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	resp := &Response{ID: req.ID}
+	var body []byte
 	switch req.Op {
 	case OpInsert:
 		// The list is decoded whole first: a malformed one stores nothing.
 		docs, err := DecodeDocList(req.Body)
 		if err != nil {
-			return errResp(req.ID, dterr.Wrap(dterr.CodeInvalidArgument, err))
+			return dterr.Wrap(dterr.CodeInvalidArgument, err)
 		}
 		// Replication and the shard WAL keep one event, and one generation,
 		// per document, and a document is logged before the next is stored:
@@ -220,103 +221,104 @@ func (n *Node) handleWrite(req *Request, h *hostedShard) *Response {
 			ids[i] = h.coll.Insert(d)
 			h.gen++
 			if err := h.logLocked(EvInsert, ids[i], d); err != nil {
-				return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+				return dterr.Wrap(dterr.CodeInternal, err)
 			}
 		}
-		resp.Body = EncodeIDs(ids)
+		body = EncodeIDs(ids)
 	case OpUpdate:
 		id, d, err := DecodeIDDoc(req.Body)
 		if err != nil || d == nil {
-			return errResp(req.ID, fmt.Errorf("cluster: update body: %v", err))
+			return fmt.Errorf("cluster: update body: %v", err)
 		}
 		ok := h.coll.Update(id, d)
 		if ok {
 			h.gen++
 			if err := h.logLocked(EvUpdate, id, d); err != nil {
-				return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+				return dterr.Wrap(dterr.CodeInternal, err)
 			}
 		}
-		resp.Body = boolBody(ok)
+		body = boolBody(ok)
 	case OpDelete:
 		id, _, err := DecodeIDDoc(req.Body)
 		if err != nil {
-			return errResp(req.ID, err)
+			return err
 		}
 		ok := h.coll.Delete(id)
 		if ok {
 			h.gen++
 			if err := h.logLocked(EvDelete, id, nil); err != nil {
-				return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+				return dterr.Wrap(dterr.CodeInternal, err)
 			}
 		}
-		resp.Body = boolBody(ok)
+		body = boolBody(ok)
 	case OpCreateIndex:
 		name, path, kind, err := DecodeCreateIndex(req.Body)
 		if err != nil {
-			return errResp(req.ID, err)
+			return err
 		}
 		// An index that already exists is not a write: it takes no
-		// generation, no replication slot and no WAL event.
+		// generation, no replication slot and no WAL event. The event keeps
+		// its own copy of the body, which lies in the connection's request
+		// buffer.
 		if h.coll.EnsureIndex(name, path, kind) {
 			h.gen++
-			if err := h.logRawLocked(EvCreateIndex, req.Body); err != nil {
-				return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+			if err := h.logRawLocked(EvCreateIndex, bytes.Clone(req.Body)); err != nil {
+				return dterr.Wrap(dterr.CodeInternal, err)
 			}
 		}
 	case OpCreateTextIndex:
 		rd := bytes.NewReader(req.Body)
 		path, err := store.GetString(rd)
 		if err != nil {
-			return errResp(req.ID, err)
+			return err
 		}
 		if h.coll.EnsureTextIndex(path) {
 			h.gen++
-			if err := h.logRawLocked(EvCreateTextIndex, req.Body); err != nil {
-				return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+			if err := h.logRawLocked(EvCreateTextIndex, bytes.Clone(req.Body)); err != nil {
+				return dterr.Wrap(dterr.CodeInternal, err)
 			}
 		}
 	}
-	resp.Gen = h.gen
-	return resp
+	out.ok(h.gen).Write(body)
+	return nil
 }
 
-func (n *Node) handleRead(req *Request, h *hostedShard) *Response {
+func (n *Node) handleRead(req *Request, h *hostedShard, out respFrame) error {
 	coll, gen := h.view()
 	if req.MinGen > gen {
 		// Read-your-writes fence: this replica has not yet applied the
 		// generation the caller observed on its write path. Busy tells the
 		// client to fall back to the primary.
-		return errResp(req.ID, dterr.Newf(dterr.CodeBusy,
-			"cluster: node %q shard %q at generation %d, read requires %d", n.name, req.Shard, gen, req.MinGen))
+		return dterr.Newf(dterr.CodeBusy,
+			"cluster: node %q shard %q at generation %d, read requires %d", n.name, req.Shard, gen, req.MinGen)
 	}
-	resp := &Response{ID: req.ID, Gen: gen}
 	switch req.Op {
 	case OpQuery:
 		q, err := DecodeQuery(req.Body)
 		if err != nil {
-			return errResp(req.ID, err)
+			return err
 		}
-		resp.Body = EncodeResult(coll.Query(q), q)
+		putResult(out.ok(gen), coll.Query(q), q)
 	case OpStats:
-		resp.Body = EncodeStats(coll.Stats())
+		out.ok(gen).Write(EncodeStats(coll.Stats()))
 	default:
-		return errResp(req.ID, dterr.Newf(dterr.CodeInvalidArgument, "cluster: unknown op %d", req.Op))
+		return dterr.Newf(dterr.CodeInvalidArgument, "cluster: unknown op %d", req.Op)
 	}
-	return resp
+	return nil
 }
 
 // handlePull serves the replication feed: events after the follower's
 // sequence number, or a full snapshot when the retained log no longer
 // reaches back that far.
-func (n *Node) handlePull(req *Request, h *hostedShard) *Response {
+func (n *Node) handlePull(req *Request, h *hostedShard, out respFrame) error {
 	rd := bytes.NewReader(req.Body)
 	afterSeq, err := binary.ReadUvarint(rd)
 	if err != nil {
-		return errResp(req.ID, err)
+		return err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	resp := &Response{ID: req.ID, Gen: h.gen}
+	buf := out.ok(h.gen)
 	oldest := h.gen + 1
 	if len(h.events) > 0 {
 		oldest = h.events[0].seq
@@ -326,42 +328,38 @@ func (n *Node) handlePull(req *Request, h *hostedShard) *Response {
 		// shard's image, which carries its extent size and index layout, so
 		// the rebuilt replica serves reads through the same access paths as
 		// its primary.
-		var buf bytes.Buffer
 		buf.WriteByte(PullSnapshot)
-		if err := h.coll.WriteSnapshot(&buf); err != nil {
-			return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+		if err := h.coll.WriteSnapshot(buf); err != nil {
+			return dterr.Wrap(dterr.CodeInternal, err)
 		}
-		resp.Body = buf.Bytes()
-		return resp
+		return nil
 	}
-	var buf bytes.Buffer
 	buf.WriteByte(PullEvents)
-	log, err := store.NewEventLogAt(&buf, afterSeq+1)
+	log, err := store.NewEventLogAt(buf, afterSeq+1)
 	if err != nil {
-		return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+		return dterr.Wrap(dterr.CodeInternal, err)
 	}
 	for _, ev := range h.events {
 		if ev.seq <= afterSeq {
 			continue
 		}
 		if _, err := log.Append(ev.kind, ev.payload); err != nil {
-			return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+			return dterr.Wrap(dterr.CodeInternal, err)
 		}
 	}
 	if err := log.Flush(); err != nil {
-		return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+		return dterr.Wrap(dterr.CodeInternal, err)
 	}
-	resp.Body = buf.Bytes()
-	return resp
+	return nil
 }
 
 // handleInfo serves the warm-probe: generation and document count, with no
 // read fence applied.
-func (n *Node) handleInfo(req *Request, h *hostedShard) *Response {
+func (n *Node) handleInfo(h *hostedShard, out respFrame) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	info := ShardInfo{Gen: h.gen, Count: h.coll.Count()}
-	return &Response{ID: req.ID, Gen: h.gen, Body: EncodeShardInfo(info)}
+	out.ok(h.gen).Write(EncodeShardInfo(ShardInfo{Gen: h.gen, Count: h.coll.Count()}))
+	return nil
 }
 
 // EnableDurability backs every hosted shard with a directory under root:
@@ -462,24 +460,34 @@ func (n *Node) Serve(ln net.Listener) error {
 func (n *Node) serveConn(c net.Conn) {
 	defer c.Close()
 	r := bufio.NewReader(c)
-	w := bufio.NewWriter(c)
+	var fb store.FrameBuf
 	for {
-		frame, err := store.ReadFrame(r, MaxFrameLen)
-		if err != nil {
-			return // clean EOF or torn frame: drop the connection either way
-		}
-		req, err := DecodeRequest(frame)
-		if err != nil {
-			return // cannot trust the stream past an undecodable request
-		}
-		resp := n.Handle(req)
-		if err := store.WriteFrame(w, resp.Encode()); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
+		if err := n.serveFrame(r, c, &fb); err != nil {
 			return
 		}
 	}
+}
+
+// serveFrame answers one request frame off r with one response frame to w,
+// both through the connection's fb: the request is read into its request
+// buffer, and the response encoded into its response buffer and written
+// whole. An error — clean EOF, a torn frame, a request that cannot be
+// decoded, a failed write — means the stream cannot be trusted past it, and
+// the caller drops the connection.
+func (n *Node) serveFrame(r *bufio.Reader, w io.Writer, fb *store.FrameBuf) error {
+	frame, err := fb.Read(r, MaxFrameLen)
+	if err != nil {
+		return err
+	}
+	req, err := DecodeRequest(frame)
+	if err != nil {
+		return err
+	}
+	out := respFrame{fb: fb, id: req.ID}
+	if err := n.handle(req, out); err != nil {
+		out.fail(wireErr(err))
+	}
+	return fb.Send(w)
 }
 
 // ShardHealth is one hosted shard's readiness view: the applied

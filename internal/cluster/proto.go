@@ -22,9 +22,23 @@
 // document list in the codec query responses use, cut into chunks of about
 // InsertChunkBytes, and a node decodes the whole list before it stores the
 // first document.
+//
+// A read's bytes are buffered once on each side of the wire. A node reads
+// each request frame into its connection's request buffer and encodes the
+// response — header, then the result straight from the stored documents —
+// into its connection's response buffer, which it writes whole under one
+// CRC. A request's body aliases the request buffer, so a handler that keeps
+// it past the request copies it. The coordinator writes a request's header
+// and its already-encoded body under one CRC without joining them, and
+// reads each response into storage of its exact size, because the decoded
+// Response outlives the pooled connection. Both node buffers are
+// store.FrameBuf storage: one that grew past store.FrameChunk (256 KiB) for
+// a large frame is dropped after it, so an idle connection holds at most
+// that much each way.
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -46,7 +60,7 @@ const (
 	// OpQuery is the one filtered read: a window of the matching documents
 	// plus their exact total and group counts, the total alone (limit 0), or
 	// the shard's plan for the filter (explain). See EncodeQuery and
-	// EncodeResult.
+	// putResult.
 	OpQuery
 	OpStats
 	OpCreateIndex
@@ -110,19 +124,19 @@ type Request struct {
 	Body   []byte
 }
 
-// Encode serializes the request for framing.
-func (r *Request) Encode() []byte {
-	var buf bytes.Buffer
-	buf.Grow(len(r.Shard) + len(r.Body) + 3*binary.MaxVarintLen64)
-	store.PutUvarint(&buf, r.ID)
-	buf.WriteByte(r.Op)
-	store.PutString(&buf, r.Shard)
-	store.PutUvarint(&buf, r.MinGen)
-	buf.Write(r.Body)
-	return buf.Bytes()
+// writeRequest writes req's frame to w: its header (id, op, shard, fence),
+// encoded into head, and its body, under one CRC, without copying the body.
+func writeRequest(w *bufio.Writer, head *bytes.Buffer, req *Request) error {
+	head.Reset()
+	store.PutUvarint(head, req.ID)
+	head.WriteByte(req.Op)
+	store.PutString(head, req.Shard)
+	store.PutUvarint(head, req.MinGen)
+	return store.WriteFrameParts(w, head.Bytes(), req.Body)
 }
 
-// DecodeRequest parses a request frame. Body aliases data.
+// DecodeRequest parses a request frame. Body aliases data, so it is valid
+// only as long as data is.
 func DecodeRequest(data []byte) (*Request, error) {
 	rd := bytes.NewReader(data)
 	id, err := binary.ReadUvarint(rd)
@@ -154,23 +168,50 @@ type Response struct {
 	Err  *dterr.Error
 }
 
-// Encode serializes the response for framing. Errors travel as
-// (code, message) and are rebuilt with dterr.FromCode on the client, so
-// errors.Is comparisons against the dterr sentinels survive the wire.
-func (r *Response) Encode() []byte {
-	var buf bytes.Buffer
-	store.PutUvarint(&buf, r.ID)
-	if r.Err != nil {
-		buf.WriteByte(1)
-		store.PutString(&buf, string(r.Err.Code))
-		store.PutString(&buf, r.Err.Message)
-		return buf.Bytes()
-	}
-	buf.Grow(len(r.Body) + 2*binary.MaxVarintLen64)
+// respFrame builds one response to request id straight into the frame
+// fb sends: the header (id, status, generation), then the body.
+type respFrame struct {
+	fb *store.FrameBuf
+	id uint64
+}
+
+// ok begins a success response at generation gen and returns the buffer
+// its body is encoded into.
+func (r respFrame) ok(gen uint64) *bytes.Buffer {
+	buf := r.fb.Begin()
+	store.PutUvarint(buf, r.id)
 	buf.WriteByte(0)
-	store.PutUvarint(&buf, r.Gen)
-	buf.Write(r.Body)
-	return buf.Bytes()
+	store.PutUvarint(buf, gen)
+	return buf
+}
+
+// fail makes the response the error e, discarding any body begun. Errors
+// travel as (code, message) and are rebuilt with dterr.FromCode on the
+// client, so errors.Is comparisons against the dterr sentinels survive the
+// wire.
+func (r respFrame) fail(e *dterr.Error) {
+	buf := r.fb.Begin()
+	store.PutUvarint(buf, r.id)
+	buf.WriteByte(1)
+	store.PutString(buf, string(e.Code))
+	store.PutString(buf, e.Message)
+}
+
+// readResponse reads one response frame off r into storage of its own and
+// checks that it answers request id.
+func readResponse(r *bufio.Reader, id uint64) (*Response, error) {
+	frame, err := store.ReadFrame(r, MaxFrameLen)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := DecodeResponse(frame)
+	if err != nil {
+		return nil, err
+	}
+	if resp.ID != id {
+		return nil, dterr.Newf(dterr.CodeInternal, "cluster: response id %d for request %d", resp.ID, id)
+	}
+	return resp, nil
 }
 
 // DecodeResponse parses a response frame. Body aliases data.
@@ -183,6 +224,9 @@ func DecodeResponse(data []byte) (*Response, error) {
 	status, err := rd.ReadByte()
 	if err != nil {
 		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: response status")
+	}
+	if status > 1 {
+		return nil, dterr.Newf(dterr.CodeInternal, "cluster: response status %d", status)
 	}
 	if status == 1 {
 		code, err := store.GetString(rd)
@@ -446,32 +490,30 @@ func putVarint(buf *bytes.Buffer, x int64) {
 	buf.Write(tmp[:binary.PutVarint(tmp[:], x)])
 }
 
-// EncodeResult packs the response body to q: the match total, then the plan
+// putResult appends the response body to q: the match total, then the plan
 // (four strings) for an explain query, or otherwise the groups of a grouped
 // query (a count, then each key and its count) and the window's documents,
 // each cut down to q.Fields.
-func EncodeResult(res store.Result, q store.Query) []byte {
-	var buf bytes.Buffer
-	store.PutUvarint(&buf, uint64(res.Total))
+func putResult(buf *bytes.Buffer, res store.Result, q store.Query) {
+	store.PutUvarint(buf, uint64(res.Total))
 	if q.Explain {
-		store.PutString(&buf, res.Plan.AccessPath)
-		store.PutString(&buf, res.Plan.IndexName)
-		store.PutString(&buf, res.Plan.IndexKind)
-		store.PutString(&buf, res.Plan.Reason)
-		return buf.Bytes()
+		store.PutString(buf, res.Plan.AccessPath)
+		store.PutString(buf, res.Plan.IndexName)
+		store.PutString(buf, res.Plan.IndexKind)
+		store.PutString(buf, res.Plan.Reason)
+		return
 	}
 	if q.GroupBy != "" {
-		store.PutUvarint(&buf, uint64(len(res.Groups)))
+		store.PutUvarint(buf, uint64(len(res.Groups)))
 		for _, g := range res.Groups {
-			store.PutString(&buf, g.Key)
-			store.PutUvarint(&buf, uint64(g.Count))
+			store.PutString(buf, g.Key)
+			store.PutUvarint(buf, uint64(g.Count))
 		}
 	}
-	putDocList(&buf, res.Docs, q.Fields)
-	return buf.Bytes()
+	putDocList(buf, res.Docs, q.Fields)
 }
 
-// DecodeResult unpacks the EncodeResult of a reply to q.
+// DecodeResult unpacks the putResult body of a reply to q.
 func DecodeResult(data []byte, q store.Query) (store.Result, error) {
 	rd := bytes.NewReader(data)
 	total, err := binary.ReadUvarint(rd)

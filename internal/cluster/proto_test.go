@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -18,7 +19,7 @@ import (
 
 func TestRequestRoundTrip(t *testing.T) {
 	in := &Request{ID: 42, Op: OpQuery, Shard: "dt.entity/3", MinGen: 17, Body: []byte("payload")}
-	out, err := DecodeRequest(in.Encode())
+	out, err := DecodeRequest(requestPayload(t, in))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -29,7 +30,7 @@ func TestRequestRoundTrip(t *testing.T) {
 
 func TestResponseRoundTrip(t *testing.T) {
 	in := &Response{ID: 7, Gen: 99, Body: []byte{1, 2, 3}}
-	out, err := DecodeResponse(in.Encode())
+	out, err := DecodeResponse(responsePayload(t, in))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -58,7 +59,7 @@ func TestErrorWireRoundTrip(t *testing.T) {
 	}
 	for _, code := range codes {
 		in := &Response{ID: 1, Err: dterr.FromCode(code, "boom: "+string(code))}
-		out, err := DecodeResponse(in.Encode())
+		out, err := DecodeResponse(responsePayload(t, in))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", code, err)
 		}
@@ -79,7 +80,7 @@ func TestErrorWireRoundTrip(t *testing.T) {
 
 func TestErrorWireUnknownCode(t *testing.T) {
 	in := &Response{Err: &dterr.Error{Code: "from_the_future", Message: "??"}}
-	out, err := DecodeResponse(in.Encode())
+	out, err := DecodeResponse(responsePayload(t, in))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -184,7 +185,7 @@ func TestTornFrame(t *testing.T) {
 	var full bytes.Buffer
 	req := &Request{ID: 3, Op: OpQuery, Shard: "dt.entity/0", Body: []byte("0123456789")}
 	w := bufio.NewWriter(&full)
-	if err := store.WriteFrame(w, req.Encode()); err != nil {
+	if err := writeRequest(w, &bytes.Buffer{}, req); err != nil {
 		t.Fatal(err)
 	}
 	w.Flush()
@@ -225,14 +226,14 @@ func TestFrameLenBound(t *testing.T) {
 }
 
 func FuzzDecodeRequest(f *testing.F) {
-	f.Add((&Request{ID: 1, Op: OpQuery, Shard: "dt.entity/0", Body: []byte("x")}).Encode())
+	f.Add(requestPayload(f, &Request{ID: 1, Op: OpQuery, Shard: "dt.entity/0", Body: []byte("x")}))
 	f.Add([]byte{})
 	f.Add([]byte{0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(data)
 		if err == nil {
 			// Whatever decoded must re-encode and decode to the same value.
-			back, err := DecodeRequest(req.Encode())
+			back, err := DecodeRequest(requestPayload(t, req))
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
@@ -244,13 +245,17 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 func FuzzDecodeResponse(f *testing.F) {
-	f.Add((&Response{ID: 1, Gen: 2, Body: []byte("x")}).Encode())
-	f.Add((&Response{ID: 1, Err: dterr.New(dterr.CodeBusy, "b")}).Encode())
+	f.Add(responsePayload(f, &Response{ID: 1, Gen: 2, Body: []byte("x")}))
+	f.Add(responsePayload(f, &Response{ID: 1, Err: dterr.New(dterr.CodeBusy, "b")}))
 	f.Add([]byte{})
+	f.Add([]byte{1, 2, 0, 'x'}) // status 2 is neither success nor error
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := DecodeResponse(data)
 		if err == nil {
-			back, err := DecodeResponse(resp.Encode())
+			if _, n := binary.Uvarint(data); data[n] > 1 {
+				t.Fatalf("status %d decoded as %+v", data[n], resp)
+			}
+			back, err := DecodeResponse(responsePayload(t, resp))
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
@@ -327,14 +332,14 @@ func TestQueryFrameRoundTrip(t *testing.T) {
 		store.NewDoc().Set("name", store.Str("Matilda")).Set("tags", store.List(store.Str("a"), store.Num(2))),
 		store.NewDoc().Set("attributes", store.Nested(store.NewDoc().Set("award_winning", store.Str("true")))),
 	}
-	res, err := DecodeResult(EncodeResult(store.Result{Docs: docs, Total: 6137}, store.Query{}), store.Query{})
+	res, err := DecodeResult(encodeResult(store.Result{Docs: docs, Total: 6137}, store.Query{}), store.Query{})
 	if err != nil || res.Total != 6137 || len(res.Docs) != 2 || res.Docs[1].PathString("attributes.award_winning") != "true" {
 		t.Fatalf("result round trip: %+v, %v", res, err)
 	}
 	// A field list cuts every document down to the listed fields it has, in
 	// its own order, and leaves the stored documents alone.
 	projected := store.Query{Fields: []string{"tags", "gone", "name", "tags"}}
-	res, err = DecodeResult(EncodeResult(store.Result{Docs: docs, Total: 2}, projected), projected)
+	res, err = DecodeResult(encodeResult(store.Result{Docs: docs, Total: 2}, projected), projected)
 	if err != nil || len(res.Docs) != 2 || !slices.Equal(res.Docs[0].Names(), []string{"name", "tags"}) || res.Docs[1].Len() != 0 {
 		t.Fatalf("projected round trip: %v, %v", res.Docs, err)
 	}
@@ -344,13 +349,13 @@ func TestQueryFrameRoundTrip(t *testing.T) {
 	// A grouped reply carries its groups in order before the window.
 	grouped := store.Query{GroupBy: "name", Limit: 1}
 	groups := []store.Group{{Key: "Matilda", Count: 4}, {Key: "", Count: 1}, {Key: "7", Count: math.MaxInt64}}
-	res, err = DecodeResult(EncodeResult(store.Result{Docs: docs[:1], Total: 9, Groups: groups}, grouped), grouped)
+	res, err = DecodeResult(encodeResult(store.Result{Docs: docs[:1], Total: 9, Groups: groups}, grouped), grouped)
 	if err != nil || res.Total != 9 || !slices.Equal(res.Groups, groups) || len(res.Docs) != 1 {
 		t.Fatalf("grouped round trip: %+v, %v", res, err)
 	}
 	plan := store.Explain{AccessPath: "index", IndexName: "type_1", IndexKind: "hash", Reason: "point lookup on type"}
 	explain := store.Query{Explain: true, GroupBy: "name"}
-	res, err = DecodeResult(EncodeResult(store.Result{Plan: plan, Groups: groups}, explain), explain)
+	res, err = DecodeResult(encodeResult(store.Result{Plan: plan, Groups: groups}, explain), explain)
 	if err != nil || res.Plan != plan || res.Docs != nil || res.Groups != nil {
 		t.Fatalf("plan round trip: %+v, %v", res, err)
 	}
@@ -368,8 +373,8 @@ func TestProjectedDecodeBudget(t *testing.T) {
 			Set("text", store.Str(strings.Repeat("Matilda grossed 960,998 this week. ", 8))).
 			Set("entities", store.List(store.Str("Matilda"), store.Str("London")))
 	}
-	body := EncodeResult(store.Result{Docs: docs, Total: n}, store.Query{Fields: []string{"text"}})
-	if whole := EncodeResult(store.Result{Docs: docs, Total: n}, store.Query{}); len(body) >= len(whole)*9/10 {
+	body := encodeResult(store.Result{Docs: docs, Total: n}, store.Query{Fields: []string{"text"}})
+	if whole := encodeResult(store.Result{Docs: docs, Total: n}, store.Query{}); len(body) >= len(whole)*9/10 {
 		t.Fatalf("projected body is %d bytes of the whole documents' %d", len(body), len(whole))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
@@ -402,7 +407,7 @@ func TestInsertListAllOrNothing(t *testing.T) {
 	lied[1]++ // the first document's length runs into the second
 	bad = append(bad, lied)
 	for i, body := range bad {
-		resp := node.Handle(&Request{Op: OpInsert, Shard: key, Body: body})
+		resp := loopbackCall(t, node, &Request{Op: OpInsert, Shard: key, Body: body})
 		if resp.Err == nil || !errors.Is(resp.Err, dterr.ErrInvalidArgument) {
 			t.Fatalf("malformed list %d: response %+v, want invalid argument", i, resp)
 		}
@@ -410,7 +415,7 @@ func TestInsertListAllOrNothing(t *testing.T) {
 			t.Fatalf("malformed list %d stored %d documents, generation %d", i, coll.Count(), gen)
 		}
 	}
-	resp := node.Handle(&Request{Op: OpInsert, Shard: key, Body: good})
+	resp := loopbackCall(t, node, &Request{Op: OpInsert, Shard: key, Body: good})
 	ids, err := DecodeIDs(resp.Body)
 	if resp.Err != nil || err != nil || !slices.Equal(ids, []int64{1, 2, 3}) || resp.Gen != 3 {
 		t.Fatalf("good list: ids %v, generation %d, %v %v", ids, resp.Gen, resp.Err, err)
@@ -517,13 +522,13 @@ func resultFrameSeeds() [][]byte {
 		store.NewDoc().Set("name", store.Str("Matilda")).Set("tags", store.List(store.Str("a"), store.Num(2))),
 		store.NewDoc(),
 	}
-	full := EncodeResult(store.Result{Docs: docs, Total: math.MaxInt64}, store.Query{})
-	projected := EncodeResult(store.Result{Docs: docs, Total: 2}, store.Query{Fields: []string{"name"}})
-	plan := EncodeResult(store.Result{Plan: store.Explain{AccessPath: "scan", Reason: "no index on name"}}, store.Query{Explain: true})
+	full := encodeResult(store.Result{Docs: docs, Total: math.MaxInt64}, store.Query{})
+	projected := encodeResult(store.Result{Docs: docs, Total: 2}, store.Query{Fields: []string{"name"}})
+	plan := encodeResult(store.Result{Plan: store.Explain{AccessPath: "scan", Reason: "no index on name"}}, store.Query{Explain: true})
 	list := EncodeDocList(docs)
 	groups := []store.Group{{Key: "Matilda", Count: 3}, {Key: "The Walking Dead", Count: math.MaxInt64}}
-	counted := EncodeResult(store.Result{Total: 3, Groups: groups}, store.Query{GroupBy: "name"})
-	grouped := EncodeResult(store.Result{Docs: docs, Total: 9, Groups: groups}, store.Query{GroupBy: "name", Fields: []string{"name"}})
+	counted := encodeResult(store.Result{Total: 3, Groups: groups}, store.Query{GroupBy: "name"})
+	grouped := encodeResult(store.Result{Docs: docs, Total: 9, Groups: groups}, store.Query{GroupBy: "name", Fields: []string{"name"}})
 	return [][]byte{
 		full, full[:len(full)-3], projected, projected[:len(projected)-1], plan, plan[:4],
 		list, list[:len(list)/2], append(slices.Clone(list), 0),

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"io"
 	"net"
@@ -85,15 +86,17 @@ const idleConnTimeout = 60 * time.Second
 // frame.
 const frameHeaderLen = 4
 
-// tcpConn is one pooled connection with its buffered endpoints. nread
-// counts response bytes off the socket, so a failed exchange can tell "the
-// peer never answered" (safe to retry on a fresh connection) from "the
-// response died mid-stream".
+// tcpConn is one pooled connection with its buffered endpoints and the
+// buffer its request headers are encoded in. nread counts response bytes
+// off the socket, so a failed exchange can tell "the peer never answered"
+// (safe to retry on a fresh connection) from "the response died
+// mid-stream".
 type tcpConn struct {
 	c     net.Conn
 	nread *countingReader
 	r     *bufio.Reader
 	w     *bufio.Writer
+	head  bytes.Buffer
 	// lastUsed is when the conn went back to the idle pool, for
 	// idleConnTimeout eviction.
 	lastUsed time.Time
@@ -219,24 +222,13 @@ func (t *TCPTransport) exchange(conn *tcpConn, req *Request, deadline time.Time)
 	if err := conn.c.SetDeadline(deadline); err != nil {
 		return nil, err
 	}
-	if err := store.WriteFrame(conn.w, req.Encode()); err != nil {
+	if err := writeRequest(conn.w, &conn.head, req); err != nil {
 		return nil, err
 	}
 	if err := conn.w.Flush(); err != nil {
 		return nil, err
 	}
-	frame, err := store.ReadFrame(conn.r, MaxFrameLen)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := DecodeResponse(frame)
-	if err != nil {
-		return nil, err
-	}
-	if resp.ID != req.ID {
-		return nil, dterr.Newf(dterr.CodeInternal, "cluster: response id %d for request %d", resp.ID, req.ID)
-	}
-	return resp, nil
+	return readResponse(conn.r, req.ID)
 }
 
 // acquire returns an idle pooled connection (pooled=true) or dials a
@@ -333,8 +325,9 @@ func (t *TCPTransport) Close() error {
 }
 
 // Loopback is an in-process transport that still round-trips every
-// request and response through the wire codec, so tests exercise the full
-// protocol stack — encoding, dispatch, error mapping — without sockets.
+// request and response through the wire frames a TCP exchange writes and a
+// node serves, so tests exercise the full protocol stack — encoding,
+// framing, dispatch, error mapping — without sockets.
 //
 //lint:dtlint-allow deadcheck TestClusterChaosSoak and the cluster unit tests: fake
 type Loopback struct {
@@ -346,11 +339,19 @@ func (l Loopback) Call(ctx context.Context, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, dterr.FromContext(err)
 	}
-	decoded, err := DecodeRequest(req.Encode())
-	if err != nil {
+	var sent, answered, head bytes.Buffer
+	w := bufio.NewWriter(&sent)
+	if err := writeRequest(w, &head, req); err != nil {
 		return nil, dterr.Wrap(dterr.CodeInternal, err)
 	}
-	resp, err := DecodeResponse(l.Node.Handle(decoded).Encode())
+	if err := w.Flush(); err != nil {
+		return nil, dterr.Wrap(dterr.CodeInternal, err)
+	}
+	var fb store.FrameBuf
+	if err := l.Node.serveFrame(bufio.NewReader(&sent), &answered, &fb); err != nil {
+		return nil, dterr.Wrap(dterr.CodeInternal, err)
+	}
+	resp, err := readResponse(bufio.NewReader(&answered), req.ID)
 	if err != nil {
 		return nil, dterr.Wrap(dterr.CodeInternal, err)
 	}

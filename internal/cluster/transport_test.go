@@ -80,20 +80,9 @@ func TestTCPTransportConnBound(t *testing.T) {
 // frameServe answers one full wire exchange on an accepted connection.
 func frameServe(t *testing.T, c net.Conn, node *Node) {
 	t.Helper()
-	r := bufio.NewReader(c)
-	frame, err := store.ReadFrame(r, MaxFrameLen)
-	if err != nil {
-		t.Errorf("server read: %v", err)
-		return
-	}
-	req, err := DecodeRequest(frame)
-	if err != nil {
-		t.Errorf("server decode: %v", err)
-		return
-	}
-	w := bufio.NewWriter(c)
-	if err := store.WriteFrame(w, node.Handle(req).Encode()); err == nil {
-		w.Flush()
+	var fb store.FrameBuf
+	if err := node.serveFrame(bufio.NewReader(c), c, &fb); err != nil {
+		t.Errorf("server exchange: %v", err)
 	}
 }
 

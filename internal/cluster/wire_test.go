@@ -113,9 +113,9 @@ type countingTransport struct {
 func (c *countingTransport) Call(ctx context.Context, req *Request) (*Response, error) {
 	resp, err := c.Transport.Call(ctx, req)
 	c.calls.Add(1)
-	c.bytes.Add(int64(len(req.Encode())))
+	c.bytes.Add(int64(len(refEncodeRequest(req))))
 	if resp != nil {
-		c.bytes.Add(int64(len(resp.Encode())))
+		c.bytes.Add(int64(len(refEncodeResponse(resp))))
 	}
 	return resp, err
 }

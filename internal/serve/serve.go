@@ -43,10 +43,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"strconv"
+	"sync"
 
 	"repro/dterr"
 	"repro/internal/core"
@@ -211,12 +214,41 @@ type errBody struct {
 	Message string `json:"message"`
 }
 
+// jsonBuf is a response body's encoding storage: a buffer and an indenting
+// encoder writing into it, which keeps its own indent buffer.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	b := new(jsonBuf)
+	b.enc = json.NewEncoder(&b.buf)
+	b.enc.SetIndent("", "  ")
+	return b
+}}
+
+// writeJSON writes v, indented, as the body of a status response. The body
+// is encoded whole into a pooled jsonBuf before the header is written, so a
+// value that fails to encode is answered with a 500 and an internal error
+// envelope, never with the status meant for it over an empty body. The
+// response writer copies the body out, and a jsonBuf that grew past
+// store.FrameChunk for a large body is dropped rather than pooled, so the
+// pool keeps at most that much per buffer between requests.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b := jsonBufs.Get().(*jsonBuf)
+	b.buf.Reset()
+	if err := b.enc.Encode(v); err != nil {
+		b.buf.Reset()
+		status = http.StatusInternalServerError
+		_ = b.enc.Encode(envelope{Error: &errBody{Code: string(dterr.CodeInternal), Message: "encoding response: " + err.Error()}})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(b.buf.Bytes())
+	if b.buf.Cap() <= store.FrameChunk {
+		jsonBufs.Put(b)
+	}
 }
 
 // writeData wraps v in the success envelope.
@@ -235,13 +267,12 @@ func writeErr(w http.ResponseWriter, err error) {
 // degradation without parsing the body.
 const degradedHeader = "X-DT-Degraded"
 
-// readCtx prepares a /v1 read handler's context. By default fan-out reads
-// tolerate unreachable shards (degraded partial results); ?partial=0
-// opts back into strict all-shards-or-error semantics, in which case the
-// returned tracker is nil.
-func readCtx(r *http.Request) (context.Context, *store.PartialReads, error) {
-	ctx := r.Context()
-	if raw := r.URL.Query().Get("partial"); raw != "" {
+// readCtx derives a /v1 read handler's context from the request's and its
+// query. By default fan-out reads tolerate unreachable shards (degraded
+// partial results); ?partial=0 opts back into strict all-shards-or-error
+// semantics, in which case the returned tracker is nil.
+func readCtx(ctx context.Context, query url.Values) (context.Context, *store.PartialReads, error) {
+	if raw := query.Get("partial"); raw != "" {
 		ok, err := strconv.ParseBool(raw)
 		if err != nil {
 			return ctx, nil, dterr.Newf(dterr.CodeInvalidArgument, "parameter \"partial\": %q is not a boolean", raw)
@@ -280,8 +311,8 @@ func writeRead(w http.ResponseWriter, pr *store.PartialReads, status int, v any)
 
 // strictIntParam reads a numeric query parameter, returning an
 // invalid-argument error on malformed or negative values.
-func strictIntParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func strictIntParam(query url.Values, name string, def int) (int, error) {
+	raw := query.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -309,15 +340,15 @@ type pageList struct {
 
 // pageParams reads limit/offset with strict parsing. An absent limit uses
 // defLimit; limit=0 is an explicit empty page (total still reported).
-func pageParams(r *http.Request, defLimit int) (limit, offset int, err error) {
-	limit, err = strictIntParam(r, "limit", defLimit)
+func pageParams(query url.Values, defLimit int) (limit, offset int, err error) {
+	limit, err = strictIntParam(query, "limit", defLimit)
 	if err != nil {
 		return 0, 0, err
 	}
 	if limit > maxPageLimit {
 		return 0, 0, dterr.Newf(dterr.CodeInvalidArgument, "parameter \"limit\": must be <= %d, got %d", maxPageLimit, limit)
 	}
-	offset, err = strictIntParam(r, "offset", 0)
+	offset, err = strictIntParam(query, "offset", 0)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -366,7 +397,7 @@ func docMap(d *store.Doc) map[string]string {
 // ---- /v1 read handlers -------------------------------------------------
 
 func (s *Server) v1Stats(w http.ResponseWriter, r *http.Request) {
-	ctx, pr, err := readCtx(r)
+	ctx, pr, err := readCtx(r.Context(), r.URL.Query())
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -388,12 +419,13 @@ func (s *Server) v1Stats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) v1Types(w http.ResponseWriter, r *http.Request) {
-	limit, offset, err := pageParams(r, 50)
+	query := r.URL.Query()
+	limit, offset, err := pageParams(query, 50)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	ctx, pr, err := readCtx(r)
+	ctx, pr, err := readCtx(r.Context(), query)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -407,12 +439,13 @@ func (s *Server) v1Types(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) v1Top(w http.ResponseWriter, r *http.Request) {
-	limit, offset, err := pageParams(r, 10)
+	query := r.URL.Query()
+	limit, offset, err := pageParams(query, 10)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	ctx, pr, err := readCtx(r)
+	ctx, pr, err := readCtx(r.Context(), query)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -426,12 +459,13 @@ func (s *Server) v1Top(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) v1Cheapest(w http.ResponseWriter, r *http.Request) {
-	limit, offset, err := pageParams(r, 10)
+	query := r.URL.Query()
+	limit, offset, err := pageParams(query, 10)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	ctx, pr, err := readCtx(r)
+	ctx, pr, err := readCtx(r.Context(), query)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -445,17 +479,18 @@ func (s *Server) v1Cheapest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) v1Find(w http.ResponseWriter, r *http.Request) {
-	limit, offset, err := pageParams(r, 10)
+	query := r.URL.Query()
+	limit, offset, err := pageParams(query, 10)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	q := r.URL.Query().Get("q")
+	q := query.Get("q")
 	if q == "" {
 		writeErr(w, dterr.New(dterr.CodeInvalidArgument, "missing q parameter"))
 		return
 	}
-	ctx, pr, err := readCtx(r)
+	ctx, pr, err := readCtx(r.Context(), query)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -482,12 +517,13 @@ type showView struct {
 }
 
 func (s *Server) v1Show(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
+	query := r.URL.Query()
+	name := query.Get("name")
 	if name == "" {
 		writeErr(w, dterr.New(dterr.CodeInvalidArgument, "missing name parameter"))
 		return
 	}
-	ctx, pr, err := readCtx(r)
+	ctx, pr, err := readCtx(r.Context(), query)
 	if err != nil {
 		writeErr(w, err)
 		return

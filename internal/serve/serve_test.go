@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -206,6 +207,19 @@ func TestV1EnvelopeShape(t *testing.T) {
 	errBody := body["error"].(map[string]any)
 	if errBody["code"] != "invalid_argument" || errBody["message"] == "" {
 		t.Errorf("error body = %v", errBody)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value that cannot be encoded is answered
+// with a 500 and an internal error envelope, not the status meant for it
+// over an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeData(rec, http.StatusOK, map[string]float64{"price": math.Inf(1)})
+	var body struct{ Error *errBody }
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError ||
+		body.Error == nil || body.Error.Code != string(dterr.CodeInternal) {
+		t.Fatalf("unencodable value answered %d %q (%v)", rec.Code, rec.Body.Bytes(), err)
 	}
 }
 

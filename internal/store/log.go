@@ -255,7 +255,7 @@ func (l *Log) readMeta() (ok bool, err error) {
 		return false, err
 	}
 	defer f.Close()
-	frame, err := readFrameMax(bufio.NewReader(f), logMetaMax)
+	frame, err := readFrameMax(bufio.NewReader(f), logMetaMax, nil)
 	if err != nil {
 		return false, fmt.Errorf("store: corrupt %s: %v", path, err)
 	}

@@ -358,14 +358,78 @@ func ReplayEventLog(r io.Reader, afterSeq uint64, fn func(seq uint64, kind byte,
 
 // WriteFrame writes one CRC-protected frame (len(4) payload crc32(4)) — the
 // framing shared by snapshots, event logs, checkpoint metas, and the
-// cluster wire protocol.
+// cluster wire protocol — from a whole payload: the frame the in-place
+// writers, FrameBuf and WriteFrameParts, must equal.
+//
+//lint:dtlint-allow deadcheck TestFrameWritersMatchWriteFrame and the cluster frame tests: reference
 func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payload) }
+
+// WriteFrameParts writes the frame WriteFrame writes for head followed by
+// body, without joining them: body is written where it lies, under the one
+// CRC of the two.
+func WriteFrameParts(w *bufio.Writer, head, body []byte) error {
+	b := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(len(head)+len(body)))
+	b = append(b, head...)
+	if _, err := w.Write(b); err != nil {
+		return err
+	}
+	if _, err := w.Write(body); err != nil {
+		return err
+	}
+	crc := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, body)
+	_, err := w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), crc))
+	return err
+}
 
 // ReadFrame reads one CRC-protected frame written by WriteFrame. io.EOF at
 // a frame boundary is returned as io.EOF; a torn frame or CRC mismatch is
 // an error.
 func ReadFrame(br *bufio.Reader, maxLen uint32) ([]byte, error) {
-	return readFrameMax(br, maxLen)
+	return readFrameMax(br, maxLen, nil)
+}
+
+// FrameBuf is the storage one stream reuses from frame to frame: Read
+// fills it with the next frame received, Begin and Send build and write
+// the next frame sent. Either side's storage that grew past FrameChunk for
+// one large frame is dropped after it, so a stream between frames holds at
+// most FrameChunk each way. The zero value is ready to use.
+type FrameBuf struct {
+	in  []byte
+	out bytes.Buffer
+}
+
+// Read reads the next frame as ReadFrame does. The payload lies in the
+// buffer: it is valid until the next Read.
+func (f *FrameBuf) Read(br *bufio.Reader, maxLen uint32) ([]byte, error) {
+	payload, err := readFrameMax(br, maxLen, f.in)
+	if err == nil {
+		f.in = payload[:0]
+		if cap(payload) > FrameChunk {
+			f.in = nil
+		}
+	}
+	return payload, err
+}
+
+// Begin starts the next frame to send and returns the buffer its payload
+// is encoded into, behind the four bytes Send fills with its length. A
+// second Begin before Send discards what the first one began.
+func (f *FrameBuf) Begin() *bytes.Buffer {
+	f.out.Reset()
+	var length [4]byte
+	f.out.Write(length[:])
+	return &f.out
+}
+
+// Send seals the frame Begin started, with its length and CRC as
+// WriteFrame writes them, and writes it to w in one Write.
+func (f *FrameBuf) Send(w io.Writer) error {
+	sealFrame(&f.out, 0)
+	_, err := w.Write(f.out.Bytes())
+	if f.out.Cap() > FrameChunk {
+		f.out = bytes.Buffer{}
+	}
+	return err
 }
 
 // writeFrame writes len(4) payload crc32(4).
@@ -399,13 +463,14 @@ func sealFrame(buf *bytes.Buffer, start int) {
 // readFrame reads one frame, validating length and CRC. io.EOF at a frame
 // boundary is returned as io.EOF; mid-frame EOF or CRC mismatch is an error.
 func readFrame(br *bufio.Reader) ([]byte, error) {
-	return readFrameMax(br, 1<<30)
+	return readFrameMax(br, 1<<30, nil)
 }
 
 // readFrameMax is readFrame with a caller-chosen payload ceiling, so a wire
 // peer cannot make the reader allocate an arbitrary buffer from a bogus
-// length header. maxLen <= 0 selects the persistence default.
-func readFrameMax(br *bufio.Reader, maxLen uint32) ([]byte, error) {
+// length header, reading the payload into buf's storage when it fits
+// there. maxLen <= 0 selects the persistence default.
+func readFrameMax(br *bufio.Reader, maxLen uint32, buf []byte) ([]byte, error) {
 	if maxLen == 0 {
 		maxLen = 1 << 30
 	}
@@ -420,7 +485,7 @@ func readFrameMax(br *bufio.Reader, maxLen uint32) ([]byte, error) {
 	if n > maxLen {
 		return nil, fmt.Errorf("store: implausible frame length %d", n)
 	}
-	payload, err := readPayload(br, int(n))
+	payload, err := readPayload(br, int(n), buf)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading frame payload: %w", err)
 	}
@@ -434,16 +499,25 @@ func readFrameMax(br *bufio.Reader, maxLen uint32) ([]byte, error) {
 	return payload, nil
 }
 
-// frameChunk is how much of a frame's payload is allocated before its bytes
+// FrameChunk is how much of a frame's payload is allocated before its bytes
 // arrive. A frame up to this size is read into one buffer of its exact
 // length; a longer one into a buffer that doubles as its bytes arrive, so a
 // length header claiming more than the input holds costs this much, or a
-// small multiple of the bytes that did arrive, never the claim.
-const frameChunk = 256 << 10
+// small multiple of the bytes that did arrive, never the claim. It is also
+// the most a reused buffer — a FrameBuf, a pooled response body — keeps
+// between uses: storage that grew past it for one large frame or body is
+// dropped after it.
+const FrameChunk = 256 << 10
 
-// readPayload reads the n bytes of a frame's payload.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, min(n, frameChunk))
+// readPayload reads the n bytes of a frame's payload: into buf when it has
+// room for them, otherwise into fresh storage.
+func readPayload(r io.Reader, n int, buf []byte) ([]byte, error) {
+	if n <= cap(buf) {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf = make([]byte, min(n, FrameChunk))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}

@@ -222,7 +222,7 @@ func TestFrameClaimCostsItsBytes(t *testing.T) {
 // TestLongFrameRoundTrip: a frame longer than the first chunk of its
 // payload still reads back whole.
 func TestLongFrameRoundTrip(t *testing.T) {
-	for _, n := range []int{frameChunk - 1, frameChunk, frameChunk + 1, 3*frameChunk + 7} {
+	for _, n := range []int{FrameChunk - 1, FrameChunk, FrameChunk + 1, 3*FrameChunk + 7} {
 		payload := bytes.Repeat([]byte{byte(n)}, n)
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, payload); err != nil {
@@ -322,4 +322,4 @@ func FuzzReplayEventLog(f *testing.F) {
 // slack for the runtime, and a fixed multiple of the input — decoded
 // documents and rebuilt indexes outweigh their encoding, never a length a
 // header merely claims.
-func allocBound(n int) uint64 { return frameChunk + 1<<20 + 4096*uint64(n) }
+func allocBound(n int) uint64 { return FrameChunk + 1<<20 + 4096*uint64(n) }
