@@ -66,6 +66,44 @@ func refEncodeResult(res store.Result, q store.Query) []byte {
 	return buf.Bytes()
 }
 
+// refEncodeQuery is the query request body encoder as it was before a query
+// could be ranked: an unranked query's body must still be what it returns.
+func refEncodeQuery(t testing.TB, q store.Query) []byte {
+	var buf bytes.Buffer
+	var flags byte
+	if q.Explain {
+		flags |= queryExplain
+	}
+	if q.GroupBy != "" {
+		flags |= queryGroup
+	}
+	buf.WriteByte(flags)
+	putVarint(&buf, int64(q.Offset))
+	putVarint(&buf, int64(q.Limit))
+	store.PutUvarint(&buf, uint64(len(q.Fields)))
+	for _, name := range q.Fields {
+		store.PutString(&buf, name)
+	}
+	if q.GroupBy != "" {
+		store.PutString(&buf, q.GroupBy)
+	}
+	buf.Write(mustFilter(t, q.Filter))
+	return buf.Bytes()
+}
+
+// TestUnrankedQueryBodiesMatchReference: the rank section leaves every
+// unranked query's body as it was, byte for byte.
+func TestUnrankedQueryBodiesMatchReference(t *testing.T) {
+	for _, q := range queryFrameCases() {
+		if q.Rank != nil {
+			continue
+		}
+		if got, want := mustQuery(t, q), refEncodeQuery(t, q); !bytes.Equal(got, want) {
+			t.Errorf("%+v: body %x, reference %x", q, got, want)
+		}
+	}
+}
+
 // refFrame is store.WriteFrame of payload.
 func refFrame(t testing.TB, payload []byte) []byte {
 	t.Helper()

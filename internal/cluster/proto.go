@@ -57,10 +57,10 @@ const (
 	OpInsert
 	OpUpdate
 	OpDelete
-	// OpQuery is the one filtered read: a window of the matching documents
-	// plus their exact total and group counts, the total alone (limit 0), or
-	// the shard's plan for the filter (explain). See EncodeQuery and
-	// putResult.
+	// OpQuery is the one filtered read: a window of the matching documents,
+	// in the shard's order or best first by a rank, plus their exact total
+	// and group counts, the total alone (limit 0), or the shard's plan for
+	// the filter (explain). See EncodeQuery and putResult.
 	OpQuery
 	OpStats
 	OpCreateIndex
@@ -397,13 +397,19 @@ func DecodeIDDoc(data []byte) (int64, *store.Doc, error) {
 const (
 	queryExplain byte = 1 << iota
 	queryGroup
+	// queryRank says a rank section follows the group-by path: the rank's
+	// path, a term count, then each term's text and its weight as a signed
+	// varint. The reply is the same document list, best first; no score
+	// crosses the wire, since the coordinator scores what it merges itself.
+	queryRank
 )
 
 // EncodeQuery packs a query request body: a flags byte (queryExplain,
-// queryGroup), offset and limit as signed varints (a negative limit is
-// store.NoLimit), the field list (a count, then the names; none is every
-// field), the group-by path when queryGroup is set, then the filter
-// document.
+// queryGroup, queryRank), offset and limit as signed varints (a negative
+// limit is store.NoLimit), the field list (a count, then the names; none is
+// every field), the group-by path when queryGroup is set, the rank section
+// when queryRank is set, then the filter document. An unranked query's
+// body has no trace of the rank.
 func EncodeQuery(q store.Query) ([]byte, error) {
 	fd, err := filterDoc(q.Filter)
 	if err != nil {
@@ -417,6 +423,9 @@ func EncodeQuery(q store.Query) ([]byte, error) {
 	if q.GroupBy != "" {
 		flags |= queryGroup
 	}
+	if q.Rank != nil {
+		flags |= queryRank
+	}
 	buf.WriteByte(flags)
 	putVarint(&buf, int64(q.Offset))
 	putVarint(&buf, int64(q.Limit))
@@ -427,19 +436,29 @@ func EncodeQuery(q store.Query) ([]byte, error) {
 	if q.GroupBy != "" {
 		store.PutString(&buf, q.GroupBy)
 	}
+	if q.Rank != nil {
+		store.PutString(&buf, q.Rank.Path)
+		store.PutUvarint(&buf, uint64(len(q.Rank.Terms)))
+		for _, t := range q.Rank.Terms {
+			store.PutString(&buf, t.Text)
+			putVarint(&buf, int64(t.Weight))
+		}
+	}
 	store.PutDoc(&buf, fd)
 	return buf.Bytes(), nil
 }
 
 // DecodeQuery unpacks EncodeQuery. A negative offset and an empty group-by
-// path are refused; a limit beyond the platform's int is clamped to it.
+// path are refused, and so is a rank without a path or a first term or
+// with a weight beyond the platform's int; a limit beyond it is clamped to
+// it.
 func DecodeQuery(data []byte) (store.Query, error) {
 	rd := bytes.NewReader(data)
 	flags, err := rd.ReadByte()
 	if err != nil {
 		return store.Query{}, dterr.Wrapf(dterr.CodeInvalidArgument, err, "cluster: query flags")
 	}
-	if flags&^(queryExplain|queryGroup) != 0 {
+	if flags&^(queryExplain|queryGroup|queryRank) != 0 {
 		return store.Query{}, dterr.Newf(dterr.CodeInvalidArgument, "cluster: unknown query flags %#x", flags)
 	}
 	offset, err := binary.ReadVarint(rd)
@@ -471,6 +490,12 @@ func DecodeQuery(data []byte) (store.Query, error) {
 			return store.Query{}, dterr.Newf(dterr.CodeInvalidArgument, "cluster: query group-by path %q (%v)", groupBy, err)
 		}
 	}
+	var rank *store.Rank
+	if flags&queryRank != 0 {
+		if rank, err = getRank(rd); err != nil {
+			return store.Query{}, err
+		}
+	}
 	filter, err := DecodeFilter(data[len(data)-rd.Len():])
 	if err != nil {
 		return store.Query{}, err
@@ -482,7 +507,33 @@ func DecodeQuery(data []byte) (store.Query, error) {
 		Explain: flags&queryExplain != 0,
 		Fields:  fields,
 		GroupBy: groupBy,
+		Rank:    rank,
 	}, nil
+}
+
+// getRank reads the rank section of a query request.
+func getRank(rd *bytes.Reader) (*store.Rank, error) {
+	path, err := store.GetString(rd)
+	if err != nil || path == "" {
+		return nil, dterr.Newf(dterr.CodeInvalidArgument, "cluster: query rank path %q (%v)", path, err)
+	}
+	n, err := binary.ReadUvarint(rd)
+	if err != nil || n == 0 || n > uint64(rd.Len()) {
+		return nil, dterr.Newf(dterr.CodeInvalidArgument, "cluster: query rank term count %d (%v)", n, err)
+	}
+	rank := &store.Rank{Path: path, Terms: make([]store.Term, n)}
+	for i := range rank.Terms {
+		text, err := store.GetString(rd)
+		if err != nil || (i == 0 && text == "") {
+			return nil, dterr.Newf(dterr.CodeInvalidArgument, "cluster: query rank term %d %q (%v)", i, text, err)
+		}
+		weight, err := binary.ReadVarint(rd)
+		if err != nil || weight != int64(int(weight)) {
+			return nil, dterr.Newf(dterr.CodeInvalidArgument, "cluster: query rank term %d weight %d (%v)", i, weight, err)
+		}
+		rank.Terms[i] = store.Term{Text: text, Weight: int(weight)}
+	}
+	return rank, nil
 }
 
 func putVarint(buf *bytes.Buffer, x int64) {

@@ -266,11 +266,11 @@ func FuzzDecodeResponse(f *testing.F) {
 	})
 }
 
-// queryFrameSeeds are the query request bodies the round-trip test and the
-// fuzz target start from: every mode, the window at its extremes.
-func queryFrameSeeds(t testing.TB) [][]byte {
-	var seeds [][]byte
-	for _, q := range []store.Query{
+// queryFrameCases are the queries whose bodies the round-trip test and the
+// fuzz target start from: every mode, the window at its extremes, ranks
+// with weights of either sign.
+func queryFrameCases() []store.Query {
+	return []store.Query{
 		{Limit: store.NoLimit},
 		{Filter: store.EqStr("type", "Movie"), Offset: 40, Limit: 10},
 		{Filter: store.And{store.EqStr("type", "Movie"), store.Not{Inner: store.Contains("name", "x")}}},
@@ -281,7 +281,15 @@ func queryFrameSeeds(t testing.TB) [][]byte {
 		{Filter: store.And{store.EqStr("type", "Movie"), store.EqStr("attributes.award_winning", "true")}, GroupBy: "name"},
 		{Offset: 2, Limit: 5, Fields: []string{"uid"}, GroupBy: "attributes.award_winning"},
 		{Filter: prefixCond("name", "M"), GroupBy: "tags", Explain: true},
-	} {
+		{Filter: store.Contains("text", "Matilda"), Limit: 1, Fields: []string{"text"}, Rank: &store.Rank{Path: "text", Terms: []store.Term{{Text: "Matilda", Weight: 2}, {Text: "grossed", Weight: 4}, {Text: "award-winning", Weight: 1}}}},
+		{Offset: 7, Limit: store.NoLimit, GroupBy: "name", Rank: &store.Rank{Path: "attributes.blurb", Terms: []store.Term{{Text: "é", Weight: math.MinInt}, {Text: "", Weight: math.MaxInt}}}},
+	}
+}
+
+// queryFrameSeeds are the bodies of queryFrameCases.
+func queryFrameSeeds(t testing.TB) [][]byte {
+	var seeds [][]byte
+	for _, q := range queryFrameCases() {
 		b, err := EncodeQuery(q)
 		if err != nil {
 			t.Fatal(err)
@@ -358,6 +366,86 @@ func TestQueryFrameRoundTrip(t *testing.T) {
 	res, err = DecodeResult(encodeResult(store.Result{Plan: plan, Groups: groups}, explain), explain)
 	if err != nil || res.Plan != plan || res.Docs != nil || res.Groups != nil {
 		t.Fatalf("plan round trip: %+v, %v", res, err)
+	}
+}
+
+// rankBody is a ranked query body with a nil filter whose rank section is
+// section, written raw.
+func rankBody(t testing.TB, section func(*bytes.Buffer)) []byte {
+	var buf bytes.Buffer
+	buf.WriteByte(queryRank)
+	putVarint(&buf, 0)
+	putVarint(&buf, 1)
+	buf.WriteByte(0) // no field list
+	section(&buf)
+	buf.Write(mustFilter(t, nil))
+	return buf.Bytes()
+}
+
+// badRankBodies are query bodies whose rank section is malformed, one way
+// each, in the order TestDecodeQueryRefusesBadRank names them.
+func badRankBodies(t testing.TB) [][]byte {
+	term := func(buf *bytes.Buffer, text string, weight int64) {
+		store.PutString(buf, text)
+		putVarint(buf, weight)
+	}
+	return [][]byte{
+		rankBody(t, func(buf *bytes.Buffer) { // empty path
+			store.PutString(buf, "")
+			store.PutUvarint(buf, 1)
+			term(buf, "Matilda", 2)
+		}),
+		rankBody(t, func(buf *bytes.Buffer) { // zero terms
+			store.PutString(buf, "text")
+			store.PutUvarint(buf, 0)
+		}),
+		rankBody(t, func(buf *bytes.Buffer) { // empty first term
+			store.PutString(buf, "text")
+			store.PutUvarint(buf, 2)
+			term(buf, "", 2)
+			term(buf, "grossed", 4)
+		}),
+		rankBody(t, func(buf *bytes.Buffer) { // a term count beyond the bytes left
+			store.PutString(buf, "text")
+			store.PutUvarint(buf, 1<<40)
+			term(buf, "Matilda", 2)
+		}),
+		rankBody(t, func(buf *bytes.Buffer) { // a weight that overflows
+			store.PutString(buf, "text")
+			store.PutUvarint(buf, 1)
+			store.PutString(buf, "Matilda")
+			buf.Write(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64))
+			buf.WriteByte(0x01)
+		}),
+		rankBody(t, func(buf *bytes.Buffer) { // torn inside the first term
+			store.PutString(buf, "text")
+			store.PutUvarint(buf, 1)
+			term(buf, "Matilda", 2)
+		})[:12],
+	}
+}
+
+// TestDecodeQueryRefusesBadRank: a rank section without a path or a first
+// term, with more terms than bytes, with a weight no int holds or torn is
+// an invalid argument; the same body with a well-formed section decodes.
+func TestDecodeQueryRefusesBadRank(t *testing.T) {
+	names := []string{"empty path", "zero terms", "empty first term", "term count beyond the bytes", "weight overflow", "torn section"}
+	for i, body := range badRankBodies(t) {
+		if q, err := DecodeQuery(body); !errors.Is(err, dterr.ErrInvalidArgument) {
+			t.Errorf("%s: decoded %+v, %v; want invalid argument", names[i], q, err)
+		}
+	}
+	good := rankBody(t, func(buf *bytes.Buffer) {
+		store.PutString(buf, "text")
+		store.PutUvarint(buf, 2)
+		store.PutString(buf, "Matilda")
+		putVarint(buf, 2)
+		store.PutString(buf, "")
+		putVarint(buf, -4)
+	})
+	want := &store.Rank{Path: "text", Terms: []store.Term{{Text: "Matilda", Weight: 2}, {Text: "", Weight: -4}}}
+	if q, err := DecodeQuery(good); err != nil || !reflect.DeepEqual(q.Rank, want) || q.Limit != 1 {
+		t.Fatalf("well-formed rank decoded as %+v, %v", q, err)
 	}
 }
 
@@ -460,8 +548,11 @@ func FuzzDecodeQuery(f *testing.F) {
 		f.Add(seed[:len(seed)/2])
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0x04, 0x00, 0x00})                   // unknown flag
+	f.Add([]byte{0x08, 0x00, 0x00})                   // unknown flag
 	f.Add([]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}) // group-by flag, empty path
+	for _, body := range badRankBodies(f) {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodeQuery(data)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -122,9 +123,10 @@ func (c *countingTransport) Call(ctx context.Context, req *Request) (*Response, 
 
 // TestWireCarriesBatchesAndFields pins both directions of the wire by count.
 // Loading N documents through the router is a call per InsertChunkBytes of
-// them and shard, not a call per document; and TextFeeds, which reads only
-// the text of the fragments naming a show, moves little more than those
-// texts — not the entity lists stored beside them.
+// them and shard, not a call per document; and TextFeeds of the best feed,
+// which each shard ranks next to its text, moves at most one text per shard
+// — not every fragment naming the show, nor the entity lists stored beside
+// them.
 func TestWireCarriesBatchesAndFields(t *testing.T) {
 	const shards, n = 4, 3000
 	node := NewNode("wire")
@@ -144,13 +146,14 @@ func TestWireCarriesBatchesAndFields(t *testing.T) {
 	// Fragments the shape the parser stores: a text, and a list of entity
 	// references several times its size.
 	docs := make([]*store.Doc, n)
-	var footprint, matches, matchedText int64
+	var footprint, matches int64
+	var matchedLens []int
 	for i := range docs {
 		text := fmt.Sprintf("Fragment %d: Wicked had a fine week on Broadway. ", i)
 		if i%15 == 0 {
 			text += strings.Repeat("Matilda grossed 960,998 this week. ", 1+i%4)
 			matches++
-			matchedText += int64(len(text))
+			matchedLens = append(matchedLens, len(text))
 		}
 		refs := make([]store.DocValue, 12)
 		for j := range refs {
@@ -184,8 +187,13 @@ func TestWireCarriesBatchesAndFields(t *testing.T) {
 	if err != nil || len(feeds) != 1 || !strings.Contains(feeds[0], "Matilda") {
 		t.Fatalf("TextFeeds: %q, %v", feeds, err)
 	}
-	if budget := matchedText + perDoc*matches + perCall*shards; moved >= budget {
-		t.Errorf("TextFeeds moved %d B for %d matching texts of %d B in all; the budget is %d", moved, matches, matchedText, budget)
+	slices.Sort(matchedLens)
+	var longest int64 // the most any shard's best text can be
+	for _, n := range matchedLens[len(matchedLens)-shards:] {
+		longest += int64(n)
+	}
+	if budget := longest + (perDoc+perCall)*shards; moved >= budget {
+		t.Errorf("TextFeeds moved %d B for the best of %d matching texts; the budget is %d, one text per shard", moved, matches, budget)
 	}
 	before = tr.bytes.Load()
 	if whole, err := instances.FindCtx(ctx, store.Contains("text", "Matilda")); err != nil || int64(len(whole)) != matches {

@@ -94,103 +94,40 @@ func displayName(s string) string {
 
 // TextFeeds returns the text fragments mentioning the show, most
 // informative first — the demo surfaces the feed richest in box-office
-// detail. Relevance counts "grossed" spans, show mentions, and award
-// context; ties break toward longer, then lexicographically smaller feeds.
-// limit <= 0 returns every feed.
+// detail. limit <= 0 returns every feed; an empty show is an invalid
+// argument.
+//
+// The ranking runs in the store, next to the text: one ranked query whose
+// Contains filter the instance store's inverted text index serves, each
+// shard scoring its candidates and returning only its best limit texts,
+// which the router ranks again and cuts. Relevance is the best single
+// sentence about the queried show: "grossed" amounts co-occurring with the
+// show name dominate, then mention count and award context. Scoring
+// per-sentence (max, not sum) keeps a fragment that merely mentions many
+// shows from outranking a dense box-office statement about this one. Ties
+// break toward longer, then lexicographically smaller feeds.
 func (e *Engine) TextFeeds(ctx context.Context, show string, limit int) ([]string, error) {
-	// The Contains filter is served by the instance store's inverted text
-	// index when one exists, so this touches only candidate fragments
-	// instead of the whole corpus.
-	res, err := e.Instances.QueryCtx(ctx, store.Query{Filter: store.Contains("text", show), Limit: store.NoLimit, Fields: textField})
+	if limit <= 0 {
+		limit = store.NoLimit
+	}
+	res, err := e.Instances.QueryCtx(ctx, store.Query{
+		Filter: store.Contains("text", show),
+		Limit:  limit,
+		Fields: textField,
+		Rank: &store.Rank{Path: "text", Terms: []store.Term{
+			{Text: show, Weight: 2},
+			{Text: "grossed", Weight: 4},
+			{Text: "award-winning", Weight: 1},
+		}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Relevance is the best single sentence about the queried show:
-	// "grossed" amounts co-occurring with the show name dominate, then
-	// mention count and award context. Scoring per-sentence (max, not sum)
-	// keeps a fragment that merely mentions many shows from outranking a
-	// dense box-office statement about this one. Scores are computed once
-	// per feed, not once per comparison — sentence splitting is the
-	// expensive part — and fold case as they search, without lowered copies.
-	score := func(s string) int {
-		best := 0
-		for _, sent := range textutil.Sentences(s) {
-			mentions := textutil.CountFold(sent, show)
-			if mentions == 0 {
-				continue
-			}
-			v := 4*textutil.CountFold(sent, "grossed") +
-				2*mentions +
-				textutil.CountFold(sent, "award-winning")
-			if v > best {
-				best = v
-			}
-		}
-		return best
-	}
-	// One pass keeps the best limit feeds in a heap whose root is the worst
-	// of them, the one the next better feed evicts; only the kept are sorted.
-	if limit <= 0 || limit > len(res.Docs) {
-		limit = len(res.Docs)
-	}
-	best := make([]scoredFeed, 0, limit)
-	for _, d := range res.Docs {
-		text := d.PathString("text")
-		f := scoredFeed{feed: text, score: score(text)}
-		switch {
-		case len(best) < limit:
-			best = append(best, f)
-			if len(best) == limit {
-				// Worst first is a heap already.
-				sort.Slice(best, func(i, j int) bool { return best[j].before(best[i]) })
-			}
-		case f.before(best[0]):
-			best[0] = f
-			sinkRoot(best)
-		}
-	}
-	sort.Slice(best, func(i, j int) bool { return best[i].before(best[j]) })
-	feeds := make([]string, len(best))
-	for i, f := range best {
-		feeds[i] = f.feed
+	feeds := make([]string, len(res.Docs))
+	for i, d := range res.Docs {
+		feeds[i] = d.PathString("text")
 	}
 	return feeds, nil
-}
-
-// scoredFeed is one candidate of TextFeeds with its relevance.
-type scoredFeed struct {
-	feed  string
-	score int
-}
-
-// before reports whether f ranks ahead of g: by score, then length, then
-// lexicographically.
-func (f scoredFeed) before(g scoredFeed) bool {
-	if f.score != g.score {
-		return f.score > g.score
-	}
-	if len(f.feed) != len(g.feed) {
-		return len(f.feed) > len(g.feed)
-	}
-	return f.feed < g.feed
-}
-
-// sinkRoot restores heap order — no feed ranks ahead of its children, so
-// h[0] is the worst — after h[0] was replaced.
-func sinkRoot(h []scoredFeed) {
-	for i := 0; ; {
-		worst := i
-		for kid := 2*i + 1; kid <= 2*i+2 && kid < len(h); kid++ {
-			if h[worst].before(h[kid]) {
-				worst = kid
-			}
-		}
-		if worst == i {
-			return
-		}
-		h[i], h[worst] = h[worst], h[i]
-		i = worst
-	}
 }
 
 // WebTextRecord builds the Table V view: what the system knows about a show

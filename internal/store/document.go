@@ -13,6 +13,16 @@
 // concatenation. Limit 0 is the count, NoLimit the whole list, Explain the
 // plan. Matching a document allocates nothing.
 //
+// A Rank makes the same op a relevance ranking — a show's text feed, the
+// paper's Table V. The window then comes best first: a collection scores
+// every match by its best sentence at the rank's path, keeps the best
+// offset+limit in a bounded heap and cuts the offset, counting every match
+// for the total and groups as ever; a router asks each shard for its best
+// offset+limit, scores the at most shards × (offset+limit) returned
+// documents again and cuts the window from their merge. Ties break by
+// length, text and then the sharded order, so that merge is the ranking of
+// all matches, and no shard ships more than offset+limit documents.
+//
 // GroupBy makes the same op a group count: every match counted by its
 // scalar value at a path, keys in the order of their first match, merged
 // across shards in shard order — Table III's type distribution (Distinct)

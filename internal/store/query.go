@@ -8,11 +8,12 @@ import (
 )
 
 // Query is the one read a shard answers: the documents matching Filter, in
-// the shard's order, from the Offset'th on and at most Limit of them, plus
-// the exact number that match and, when grouped, how many of them hold each
-// value at a path. Everything that reads by filter — a page of /v1/find, an
-// unbounded Find, a count, a group count, a plan — is this op with different
-// fields set, locally and on the cluster wire.
+// the shard's order or, when ranked, best first, from the Offset'th on and
+// at most Limit of them, plus the exact number that match and, when
+// grouped, how many of them hold each value at a path. Everything that
+// reads by filter — a page of /v1/find, an unbounded Find, a show's text
+// feed, a count, a group count, a plan — is this op with different fields
+// set, locally and on the cluster wire.
 type Query struct {
 	// Filter selects documents; nil matches all.
 	Filter Filter
@@ -34,6 +35,13 @@ type Query struct {
 	// GroupBy, when set, is a dotted path: Result.Groups then counts every
 	// match, whatever the window, by its scalar value there.
 	GroupBy string
+	// Rank, when set, orders the window best first by relevance (see Rank)
+	// instead of the shard's order; Total and Groups still count every
+	// match, and Explain ignores it. A collection scores every match and
+	// keeps the best Offset+Limit; a router asks each shard for its best
+	// Offset+Limit, scores the returned documents again and cuts the window
+	// from their merge, so it refuses a rank whose path Fields leaves out.
+	Rank *Rank
 }
 
 // NoLimit is the Query.Limit of an unbounded query.
@@ -170,11 +178,17 @@ type page struct {
 	groupBy string
 	groups  []Group
 	slot    map[string]int // key -> its place in groups
+	// top keeps the best matches of a ranked query; its rank is nil when
+	// the window is in the shard's order or empty.
+	top topK
 }
 
 // add counts one matching document and keeps it if the window covers it.
 func (p *page) add(d *Doc) {
-	if p.total >= int64(p.offset) && (p.limit < 0 || len(p.out) < p.limit) {
+	switch {
+	case p.top.rank != nil:
+		p.top.add(d)
+	case p.total >= int64(p.offset) && (p.limit < 0 || len(p.out) < p.limit):
 		p.out = append(p.out, d)
 	}
 	p.total++
@@ -214,9 +228,9 @@ func (p *page) addID(id int64) {
 
 // addIDs takes a run of candidate ids. Proven matches are counted by the
 // run's length and only the part of it the window covers is touched, unless
-// each must be grouped.
+// each must be grouped or ranked.
 func (p *page) addIDs(ids []int64) {
-	if p.verify != nil || p.groupBy != "" {
+	if p.verify != nil || p.groupBy != "" || p.top.rank != nil {
 		for _, id := range ids {
 			p.addID(id)
 		}
@@ -243,8 +257,10 @@ func (p *page) addIDs(ids []int64) {
 // Otherwise every document is tested in insertion order; matches outside
 // the window are counted, not collected. Results are in ascending id order
 // — insertion order — except a prefix scan's, which follow the B-tree's
-// keys. An unfiltered group count reads its groups off a hash index over
-// the path when one holds a single entry per document (see countingIndex).
+// keys. A ranked query scores every match and returns the best of the
+// window in rank order (see Rank). An unfiltered group count reads its
+// groups off a hash index over the path when one holds a single entry per
+// document (see countingIndex).
 func (c *Collection) Query(q Query) Result {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -253,6 +269,9 @@ func (c *Collection) Query(q Query) Result {
 		return Result{Plan: c.explain(q.Filter, a)}
 	}
 	p := page{docs: c.docs, offset: q.Offset, limit: q.Limit, groupBy: q.GroupBy}
+	if q.Rank != nil && q.Limit != 0 {
+		p.top = topK{rank: q.Rank, k: q.end()}
+	}
 	if a.ix == nil || a.residual {
 		p.verify = q.Filter
 	}
@@ -284,6 +303,9 @@ func (c *Collection) Query(q Query) Result {
 		p.addIDs(a.ix.idsIn(a.cond.Set))
 	default:
 		p.addIDs(a.ix.ids(a.cond.Value.Str()))
+	}
+	if p.top.rank != nil {
+		p.out = p.top.window(q.Offset)
 	}
 	return Result{Docs: p.out, Total: p.total, Groups: p.groups}
 }

@@ -301,16 +301,24 @@ func (s *Sharded) fanOut(fn func(i int, b ShardBackend) error) error {
 // shard 0's matches, then shard 1's, and so on, so each shard is asked for
 // its first Offset+Limit matches and its total — one call per shard, never
 // more than that many documents each — and the window is cut from their
-// concatenation; groups are added up in the same order. Under
+// concatenation; groups are added up in the same order. A ranked query asks
+// each shard for its best Offset+Limit instead, and the window is cut from
+// them ranked again, which a shard's documents can be only if they hold the
+// rank's path: a ranked query whose Fields leave it out is refused. Under
 // WithPartialReads, unreachable shards are recorded and count as empty
 // instead of failing the query. Explain asks shard 0, since all shards
 // share one index layout.
 func (s *Sharded) QueryCtx(ctx context.Context, q Query) (Result, error) {
+	if q.Rank != nil {
+		if err := q.Rank.check(q.Fields); err != nil {
+			return Result{}, err
+		}
+	}
 	if q.Explain {
 		return s.backends[0].Query(ctx, q)
 	}
 	q.Offset = max(q.Offset, 0)
-	perShard := Query{Filter: q.Filter, Limit: q.end(), Fields: q.Fields, GroupBy: q.GroupBy}
+	perShard := Query{Filter: q.Filter, Limit: q.end(), Fields: q.Fields, GroupBy: q.GroupBy, Rank: q.Rank}
 	parts := make([]Result, len(s.backends))
 	err := s.fanOut(func(i int, b ShardBackend) error {
 		res, err := b.Query(ctx, perShard)
@@ -329,6 +337,21 @@ func (s *Sharded) QueryCtx(ctx context.Context, q Query) (Result, error) {
 		out.Total += p.Total
 		held += len(p.Docs)
 	}
+	if q.GroupBy != "" {
+		out.Groups = mergeGroups(parts)
+	}
+	if q.Rank != nil && q.Limit != 0 {
+		// The shards' lists come in shard order, each best first, so a tie
+		// in score, length and text keeps the sharded order.
+		top := topK{rank: q.Rank, k: q.end()}
+		for _, p := range parts {
+			for _, d := range p.Docs {
+				top.add(d)
+			}
+		}
+		out.Docs = top.window(q.Offset)
+		return out, nil
+	}
 	room := held
 	if q.Limit >= 0 {
 		room = min(q.Limit, held)
@@ -345,9 +368,6 @@ func (s *Sharded) QueryCtx(ctx context.Context, q Query) (Result, error) {
 		docs := p.Docs[min(skip, int64(len(p.Docs))):]
 		skip = 0
 		out.Docs = append(out.Docs, docs[:min(len(docs), room-len(out.Docs))]...)
-	}
-	if q.GroupBy != "" {
-		out.Groups = mergeGroups(parts)
 	}
 	return out, nil
 }

@@ -7,8 +7,17 @@ import (
 	"unicode/utf8"
 )
 
-// sentencesReference is the body Sentences had before it stopped building
-// rune and byte-offset tables. It is only right for valid UTF-8: an invalid
+// sentences collects what NextSentence walks.
+func sentences(text string) []string {
+	var out []string
+	for sent, rest := NextSentence(text); sent != ""; sent, rest = NextSentence(rest) {
+		out = append(out, sent)
+	}
+	return out
+}
+
+// sentencesReference is the body the slice-returning sentence splitter had
+// before it stopped building rune and byte-offset tables. It is only right for valid UTF-8: an invalid
 // byte is one rune but was charged three bytes, so its offsets drift (and
 // can run off the end of text).
 func sentencesReference(text string) []string {
@@ -76,7 +85,7 @@ func TestSentencesMatchesReference(t *testing.T) {
 
 func checkSentences(t *testing.T, text string) {
 	t.Helper()
-	got := Sentences(text)
+	got := sentences(text)
 	if !utf8.ValidString(text) {
 		// No reference; the pieces must still be trimmed, non-empty
 		// substrings of text in order.
@@ -84,7 +93,7 @@ func checkSentences(t *testing.T, text string) {
 		for _, s := range got {
 			i := strings.Index(rest, s)
 			if s == "" || s != strings.TrimSpace(s) || i < 0 {
-				t.Fatalf("Sentences(%q) = %q: %q is not a trimmed piece of the remaining text", text, got, s)
+				t.Fatalf("sentences(%q) = %q: %q is not a trimmed piece of the remaining text", text, got, s)
 			}
 			rest = rest[i+len(s):]
 		}
@@ -92,11 +101,11 @@ func checkSentences(t *testing.T, text string) {
 	}
 	want := sentencesReference(text)
 	if len(got) != len(want) {
-		t.Fatalf("Sentences(%q) = %q, reference %q", text, got, want)
+		t.Fatalf("sentences(%q) = %q, reference %q", text, got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Sentences(%q)[%d] = %q, reference %q", text, i, got[i], want[i])
+			t.Fatalf("sentences(%q)[%d] = %q, reference %q", text, i, got[i], want[i])
 		}
 	}
 }
@@ -109,14 +118,21 @@ func FuzzSentencesMatchesReference(f *testing.F) {
 	f.Fuzz(checkSentences)
 }
 
-// A three-sentence fragment costs the result slice and nothing else.
+// Walking a three-sentence fragment allocates nothing: every sentence is a
+// substring of it.
 func TestSentencesAllocBudget(t *testing.T) {
 	text := sentenceSeeds[2]
-	var sink []string
-	if n := testing.AllocsPerRun(100, func() { sink = Sentences(text) }); n > 2 {
-		t.Errorf("Sentences allocates %.0f times, budget is the result slice + 1", n)
+	var n, bytes int
+	allocs := testing.AllocsPerRun(100, func() {
+		n, bytes = 0, 0
+		for sent, rest := NextSentence(text); sent != ""; sent, rest = NextSentence(rest) {
+			n++
+			bytes += len(sent)
+		}
+	})
+	if allocs != 0 || n != 3 || bytes == 0 {
+		t.Errorf("walking %d sentences (%d B) allocates %.0f times, budget 0", n, bytes, allocs)
 	}
-	_ = sink
 }
 
 func foldReference(s, substr string) (bool, int) {

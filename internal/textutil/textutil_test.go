@@ -52,7 +52,7 @@ func TestTokenizeEmpty(t *testing.T) {
 
 func TestSentences(t *testing.T) {
 	text := "Matilda grossed 960,998. The show runs at the Shubert on W. 44th St. Tickets start at $27!"
-	sents := Sentences(text)
+	sents := sentences(text)
 	if len(sents) != 3 {
 		t.Fatalf("sentences = %d: %q", len(sents), sents)
 	}
@@ -66,7 +66,7 @@ func TestSentences(t *testing.T) {
 }
 
 func TestSentencesNoTerminator(t *testing.T) {
-	sents := Sentences("no terminal punctuation here")
+	sents := sentences("no terminal punctuation here")
 	if len(sents) != 1 {
 		t.Errorf("sentences = %v", sents)
 	}

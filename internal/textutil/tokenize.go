@@ -54,13 +54,18 @@ func appendToken(dst []Token, text string, start, end int) []Token {
 // short value fits.
 const smallTokens = 16
 
-// Sentences splits text into sentences on ., !, ? followed by whitespace and
-// an upper-case letter, digit, or quote — a pragmatic splitter that survives
-// abbreviations like "W. 44th St" better than naive splitting.
-func Sentences(text string) []string {
-	// A fragment is a few sentences; room for four skips the 1-2-4 growth.
-	out := make([]string, 0, 4)
-	start := 0
+// NextSentence returns the first sentence of text, trimmed, and the text
+// after it, so a loop that feeds rest back in walks every sentence without
+// allocating:
+//
+//	for sent, rest := NextSentence(text); sent != ""; sent, rest = NextSentence(rest) {
+//
+// A sentence ends at ., ! or ? followed by whitespace and an upper-case
+// letter, digit, or quote — a pragmatic splitter that survives
+// abbreviations like "W. 44th St" better than naive splitting. Sentences
+// are never empty, so sent is "" only once text holds nothing but
+// whitespace.
+func NextSentence(text string) (sent, rest string) {
 	var prev, prev2 rune // the two runes before text[i:], once seen says they exist
 	seen := 0
 	for i := 0; i < len(text); seen++ {
@@ -82,19 +87,18 @@ func Sentences(text string) []string {
 			// Avoid splitting single-letter abbreviations like "W. 44th".
 			abbrev := r == '.' && seen >= 1 && unicode.IsUpper(prev) && (seen < 2 || !unicode.IsLetter(prev2))
 			if initial && !abbrev {
-				if sent := strings.TrimSpace(text[start:end]); sent != "" {
-					out = append(out, sent)
-				}
-				start = j
+				// text[:end] holds the terminator, so it trims to something.
+				// Scanning text[j:] afresh splits it as scanning on would:
+				// its first rune is no terminator, and the rune two before
+				// its second is whitespace, which passes the abbreviation
+				// test just as having no such rune does.
+				return strings.TrimSpace(text[:end]), text[j:]
 			}
 		}
 		prev2, prev = prev, r
 		i = end
 	}
-	if rest := strings.TrimSpace(text[start:]); rest != "" {
-		out = append(out, rest)
-	}
-	return out
+	return strings.TrimSpace(text), ""
 }
 
 // Normalize lower-cases s, strips diacritic-free punctuation and collapses
