@@ -80,7 +80,7 @@ func applyEvent(c *store.Collection, kind byte, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		c.ApplyReplay(id, d)
+		return c.ApplyReplay(id, d)
 	case EvDelete:
 		id, _, err := DecodeIDDoc(payload)
 		if err != nil {

@@ -153,6 +153,28 @@ func TestDurableWALRecovery(t *testing.T) {
 	}
 }
 
+// TestApplyEventRefusesReplayBelowHighest: WAL recovery and replication
+// stop at an insert event for an id neither held nor above every id held,
+// rather than apply it out of order; in-order events still apply.
+func TestApplyEventRefusesReplayBelowHighest(t *testing.T) {
+	c := store.NewCollection(NSEntities, 0)
+	d := store.NewDoc().Set("name", store.Str("e"))
+	for _, ev := range []struct {
+		kind byte
+		id   int64
+	}{{EvInsert, 1}, {EvInsert, 3}, {EvUpdate, 1}, {EvDelete, 3}, {EvInsert, 3}} {
+		if err := applyEvent(c, ev.kind, EncodeIDDoc(ev.id, d)); err != nil {
+			t.Fatalf("event %d on id %d: %v", ev.kind, ev.id, err)
+		}
+	}
+	if err := applyEvent(c, EvInsert, EncodeIDDoc(2, d)); err == nil {
+		t.Error("an insert event for id 2 below the highest id held was applied")
+	}
+	if n := c.Count(); n != 2 {
+		t.Errorf("the collection holds %d documents, want 2", n)
+	}
+}
+
 // TestCreateIndexTwiceIsNoWrite: asking for an index the shard already has
 // is not a write. The generation, the replication log and the WAL stay
 // where the first request left them, so a coordinator that ensures its

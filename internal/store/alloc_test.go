@@ -32,3 +32,33 @@ func TestRankedQueryAllocBudget(t *testing.T) {
 		t.Errorf("the best of 1 000 matches allocates %.0f times, budget 6", allocs)
 	}
 }
+
+// TestInsertManyAllocBudget: a batch of 1 000 documents into an empty,
+// unindexed collection costs three allocations — the returned ids and one
+// growth of each of the collection's two slices — whatever the batch's
+// length. Bookkeeping per document, such as a map entry, would pay per
+// document. The documents hold strings only: SizeBytes measures a number by
+// rendering it, which allocates per number and is no cost of the
+// collection's.
+func TestInsertManyAllocBudget(t *testing.T) {
+	docs := make([]*Doc, 1000)
+	for i := range docs {
+		docs[i] = NewDoc().Set("name", Str(fmt.Sprintf("Show %d", i))).Set("type", Str("Movie"))
+	}
+	const runs = 20
+	colls := make([]*Collection, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range colls {
+		colls[i] = NewCollection("dt.instance", 0)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		colls[next].InsertMany(docs)
+		next++
+	})
+	if n := colls[runs].Count(); n != 1000 {
+		t.Fatalf("the last collection holds %d documents", n)
+	}
+	if allocs > 3 {
+		t.Errorf("inserting 1 000 documents allocates %.0f times, budget 3", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -11,20 +12,20 @@ import (
 const DefaultExtentSize int64 = 2 << 30
 
 // Collection is a single namespace of documents with secondary indexes and
-// extent-based storage accounting. It is safe for concurrent use.
+// extent-based storage accounting. It is safe for concurrent use. It is its
+// documents in ascending id order — insertion order — so a scan, the index
+// and text postings, a snapshot and a replay share one order by
+// construction (see the package comment).
 type Collection struct {
 	mu sync.RWMutex
 
 	ns         string
 	extentSize int64
 
-	docs map[int64]*Doc
-	// order holds ids in insertion order for full scans. Deletes tombstone
-	// the slot (id 0) instead of splicing, so Delete is O(1); pos maps each
-	// live id to its slot and dead counts tombstones until compaction.
-	order  []int64
-	pos    map[int64]int
-	dead   int
+	// ids and docs are the stored documents and their ids, position by
+	// position, ids strictly ascending. nextID is above every id held.
+	ids    []int64
+	docs   []*Doc
 	nextID int64
 	// allocated is the storage taken from extents. Extents fill one after
 	// another and space is never handed back, so it alone says how many
@@ -45,52 +46,43 @@ type Collection struct {
 // extent size (0 selects DefaultExtentSize). Most callers go through DB or
 // NewSharded; dtnode shard hosts build collections directly.
 func NewCollection(ns string, extentSize int64) *Collection {
-	return newCollection(ns, extentSize)
-}
-
-func newCollection(ns string, extentSize int64) *Collection {
 	if extentSize <= 0 {
 		extentSize = DefaultExtentSize
 	}
 	return &Collection{
 		ns:         ns,
 		extentSize: extentSize,
-		docs:       make(map[int64]*Doc),
-		pos:        make(map[int64]int),
 		indexes:    make(map[string]*Index),
 		text:       make(map[string]*TextIndex),
 		nextID:     1,
 	}
 }
 
-// appendOrderLocked records id at the end of the insertion order. Must hold
-// c.mu.
-func (c *Collection) appendOrderLocked(id int64) {
-	c.pos[id] = len(c.order)
-	c.order = append(c.order, id)
+// find returns the position of id in the collection and whether it is held
+// there; for an absent id, the position it would take. Ids ascend strictly,
+// so id can sit no higher than id-ids[0] and no lower than that less the
+// ids missing between the first and the last: with none missing the
+// position is known outright, else a binary search covers the gap. Must
+// hold c.mu.
+func (c *Collection) find(id int64) (int, bool) {
+	n := len(c.ids)
+	switch {
+	case n == 0 || id < c.ids[0]:
+		return 0, false
+	case id > c.ids[n-1]:
+		return n, false
+	}
+	missing := c.ids[n-1] - c.ids[0] - int64(n-1)
+	lo, hi := max(id-c.ids[0]-missing, 0), min(id-c.ids[0], int64(n-1))
+	i, ok := slices.BinarySearch(c.ids[lo:hi+1], id)
+	return int(lo) + i, ok
 }
 
-// removeOrderLocked tombstones id's insertion-order slot in O(1), compacting
-// the order slice once tombstones outnumber live entries. Must hold c.mu.
-func (c *Collection) removeOrderLocked(id int64) {
-	i, ok := c.pos[id]
-	if !ok {
-		return
-	}
-	c.order[i] = 0
-	delete(c.pos, id)
-	c.dead++
-	if c.dead > 64 && c.dead > len(c.order)/2 {
-		live := c.order[:0]
-		for _, got := range c.order {
-			if got != 0 {
-				c.pos[got] = len(live)
-				live = append(live, got)
-			}
-		}
-		c.order = live
-		c.dead = 0
-	}
+// doc returns the document stored under id, which an index listed, so it
+// is held. Must hold c.mu.
+func (c *Collection) doc(id int64) *Doc {
+	i, _ := c.find(id)
+	return c.docs[i]
 }
 
 // NS returns the collection's namespace ("db.collection").
@@ -116,6 +108,8 @@ func (c *Collection) InsertMany(docs []*Doc) []int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ids := make([]int64, len(docs))
+	c.ids = slices.Grow(c.ids, len(docs))
+	c.docs = slices.Grow(c.docs, len(docs))
 	for i, d := range docs {
 		ids[i] = c.insertLocked(d)
 	}
@@ -130,11 +124,11 @@ func (c *Collection) insertLocked(doc *Doc) int64 {
 	return id
 }
 
-// addLocked stores doc under id, which holds no document, and indexes it.
-// Must hold c.mu.
+// addLocked stores doc under id, which is above every id held, and indexes
+// it. Must hold c.mu.
 func (c *Collection) addLocked(id int64, doc *Doc) {
-	c.docs[id] = doc
-	c.appendOrderLocked(id)
+	c.ids = append(c.ids, id)
+	c.docs = append(c.docs, doc)
 	c.charge(doc.SizeBytes())
 	for _, ix := range c.indexes {
 		ix.insert(id, doc)
@@ -144,16 +138,17 @@ func (c *Collection) addLocked(id int64, doc *Doc) {
 	}
 }
 
-// replaceLocked stores doc under id in place of old, reindexing it. Must
-// hold c.mu.
-func (c *Collection) replaceLocked(id int64, old, doc *Doc) {
+// replaceLocked stores doc in place of the document at position i,
+// reindexing it. Must hold c.mu.
+func (c *Collection) replaceLocked(i int, doc *Doc) {
+	id, old := c.ids[i], c.docs[i]
 	for _, ix := range c.indexes {
 		ix.remove(id, old)
 	}
 	for _, tx := range c.text {
 		tx.remove(id, old)
 	}
-	c.docs[id] = doc
+	c.docs[i] = doc
 	c.charge(doc.SizeBytes() - old.SizeBytes())
 	for _, ix := range c.indexes {
 		ix.insert(id, doc)
@@ -179,30 +174,31 @@ func (c *Collection) charge(n int64) {
 func (c *Collection) Update(id int64, doc *Doc) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old, ok := c.docs[id]
+	i, ok := c.find(id)
 	if ok {
-		c.replaceLocked(id, old, doc)
+		c.replaceLocked(i, doc)
 	}
 	return ok
 }
 
 // Delete removes the document with the given id, reporting whether it
-// existed.
+// existed. The documents after it move down one place: O(n).
 func (c *Collection) Delete(id int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	doc, ok := c.docs[id]
+	i, ok := c.find(id)
 	if !ok {
 		return false
 	}
+	doc := c.docs[i]
 	for _, ix := range c.indexes {
 		ix.remove(id, doc)
 	}
 	for _, tx := range c.text {
 		tx.remove(id, doc)
 	}
-	delete(c.docs, id)
-	c.removeOrderLocked(id)
+	c.ids = slices.Delete(c.ids, i, i+1)
+	c.docs = slices.Delete(c.docs, i, i+1)
 	c.charge(-doc.SizeBytes())
 	return true
 }
@@ -217,10 +213,8 @@ func (c *Collection) EnsureIndex(name, path string, kind IndexKind) bool {
 		return false
 	}
 	ix := newIndex(name, path, kind)
-	for _, id := range c.order {
-		if id != 0 {
-			ix.insert(id, c.docs[id])
-		}
+	for i, d := range c.docs {
+		ix.insert(c.ids[i], d)
 	}
 	c.indexes[name] = ix
 	return true
@@ -238,10 +232,8 @@ func (c *Collection) EnsureTextIndex(path string) bool {
 		return false
 	}
 	tx := newTextIndex(path)
-	for _, id := range c.order {
-		if id != 0 {
-			tx.insert(id, c.docs[id])
-		}
+	for i, d := range c.docs {
+		tx.insert(c.ids[i], d)
 	}
 	c.text[path] = tx
 	return true

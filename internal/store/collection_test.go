@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,21 +31,15 @@ func explain(c *Collection, f Filter) Explain { return c.Query(Query{Filter: f, 
 
 // get is the document stored under id.
 func get(c *Collection, id int64) (*Doc, bool) {
-	d, ok := c.docs[id]
-	return d, ok
+	if i, ok := c.find(id); ok {
+		return c.docs[i], true
+	}
+	return nil, false
 }
 
-// members are the live ids and their documents in insertion order.
+// members are the ids and their documents in id order.
 func members(c *Collection) ([]int64, []*Doc) {
-	var ids []int64
-	var docs []*Doc
-	for _, id := range c.order {
-		if id != 0 {
-			ids = append(ids, id)
-			docs = append(docs, c.docs[id])
-		}
-	}
-	return ids, docs
+	return slices.Clone(c.ids), slices.Clone(c.docs)
 }
 
 func TestInsertGetDelete(t *testing.T) {
@@ -61,6 +56,48 @@ func TestInsertGetDelete(t *testing.T) {
 	}
 	if c.Delete(id) {
 		t.Fatal("double delete returned true")
+	}
+}
+
+// TestReplayBelowHighestRefused: a replayed id that is neither held nor
+// above every id held is refused and changes nothing, so a scan and an
+// index still list the documents in one order; a replay that replaces a
+// held id or goes above the highest still applies.
+func TestReplayBelowHighestRefused(t *testing.T) {
+	doc := func(n int64) *Doc { return NewDoc().Set("k", Str("x")).Set("n", Num(n)) }
+	c := NewCollection("dt.x", 0)
+	c.EnsureIndex("k_1", "k", HashIndex)
+	for n := int64(1); n <= 6; n++ {
+		c.Insert(doc(n))
+	}
+	c.Delete(3)
+	for _, id := range []int64{3, 0, -1} {
+		if err := c.ApplyReplay(id, doc(id)); err == nil {
+			t.Errorf("replaying id %d, neither held nor above the highest held, was accepted", id)
+		}
+	}
+	if err := c.ApplyReplay(5, doc(50)); err != nil {
+		t.Errorf("replacing held id 5: %v", err)
+	}
+	if err := c.ApplyReplay(9, doc(9)); err != nil {
+		t.Errorf("replaying id 9 above the highest: %v", err)
+	}
+	if id := c.Insert(doc(10)); id != 10 {
+		t.Errorf("the insert after replaying id 9 got id %d", id)
+	}
+	numbers := func(docs []*Doc) string {
+		var out []string
+		for _, d := range docs {
+			out = append(out, d.PathString("n"))
+		}
+		return strings.Join(out, " ")
+	}
+	if ex := explain(c, EqStr("k", "x")); ex.IndexName != "k_1" {
+		t.Fatalf("plan %+v, want the hash index", ex)
+	}
+	scan, indexed := numbers(find(c, Exists("k"))), numbers(find(c, EqStr("k", "x")))
+	if want := "1 2 4 50 6 9 10"; scan != want || indexed != want {
+		t.Errorf("scan lists %q, the index %q, want %q for both", scan, indexed, want)
 	}
 }
 
@@ -181,7 +218,7 @@ func TestBTreeIndexPrefixAndList(t *testing.T) {
 }
 
 func TestExtentAccounting(t *testing.T) {
-	c := newCollection("dt.x", 1024) // 1 KB extents force growth
+	c := NewCollection("dt.x", 1024) // 1 KB extents force growth
 	for i := 0; i < 100; i++ {
 		c.Insert(entityDoc(fmt.Sprintf("name-%04d with some padding text", i), "Movie", int64(i)))
 	}

@@ -4,6 +4,16 @@
 // inverted-text indexes, and stats() output in the shape of the paper's
 // Tables I and II.
 //
+// A collection is its documents in ascending id order, two slices side by
+// side: ids and documents. Ids are handed out ascending, so an insert
+// appends and a delete splices; a replayed document — a follower's or a WAL
+// recovery's — replaces one held or goes above every id held, and a
+// snapshot lists its documents ascending, which its reader checks. A scan,
+// every hash and B-tree posting list, the text postings and a snapshot
+// therefore list documents in one order by construction. A document is
+// found by id at its offset from the first id, searching back over as many
+// places as ids are missing.
+//
 // Everything that reads by filter is one op, Query: a filter, an offset, a
 // limit, and the exact match total. A Collection answers it with at most
 // the window's documents — from an index's posting lists when one covers

@@ -447,7 +447,7 @@ func TestLogCollectionOwner(t *testing.T) {
 		}
 	}
 	open := func() (*Log, *Collection) {
-		c := newCollection("dt.rec", 0)
+		c := NewCollection("dt.rec", 0)
 		load := func(cpDir string) error {
 			f, err := os.Open(filepath.Join(cpDir, "snap"))
 			if err != nil {
@@ -466,10 +466,9 @@ func TestLogCollectionOwner(t *testing.T) {
 			n, _ := id.Scalar().AsInt()
 			if kind == evDel {
 				c.Delete(n)
-			} else {
-				c.ApplyReplay(n, d)
+				return nil
 			}
-			return nil
+			return c.ApplyReplay(n, d)
 		}
 		l, err := OpenLog(dir, false, load, apply, func(cpDir string) error { return snap(c)(cpDir) })
 		if err != nil {
@@ -480,7 +479,9 @@ func TestLogCollectionOwner(t *testing.T) {
 	}
 	put := func(l *Log, c *Collection, id int64, name string) {
 		d := entityDoc(name, "Movie", id).Set("id", Num(id))
-		c.ApplyReplay(id, d)
+		if err := c.ApplyReplay(id, d); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := l.Append(evPut, EncodeDoc(d)); err != nil {
 			t.Fatal(err)
 		}

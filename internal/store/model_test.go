@@ -1,0 +1,243 @@
+package store
+
+import (
+	"bytes"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/record"
+)
+
+// collectionModel is a collection as a plain list: ids ascending and their
+// documents, appended on insert, cut out on delete, found by walking, with
+// no index. Its queries test every document with Filter.Matches.
+type collectionModel struct {
+	ids  []int64
+	docs []*Doc
+	next int64
+	// btree says a B-tree index over name exists, so a prefix query on name
+	// lists its matches in key order.
+	btree bool
+}
+
+func (m *collectionModel) find(id int64) (int, bool) {
+	for i, held := range m.ids {
+		if held == id {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+func (m *collectionModel) add(id int64, d *Doc) {
+	m.ids = append(m.ids, id)
+	m.docs = append(m.docs, d)
+	m.next = max(m.next, id+1)
+}
+
+// pick maps a byte to an id in [0, next+1]: held ids, deleted ones, zero
+// and ids above every one handed out.
+func (m *collectionModel) pick(b byte) int64 { return int64(b) % (m.next + 2) }
+
+func (m *collectionModel) query(q Query) Result {
+	var matches []*Doc
+	for _, d := range m.docs {
+		if q.Filter == nil || q.Filter.Matches(d) {
+			matches = append(matches, d)
+		}
+	}
+	if c, ok := q.Filter.(Cond); ok && c.Op == OpPrefix && m.btree {
+		slices.SortStableFunc(matches, func(a, b *Doc) int { return strings.Compare(a.PathString(c.Path), b.PathString(c.Path)) })
+	}
+	res := Result{Total: int64(len(matches))}
+	for _, d := range matches {
+		v, ok := d.Path(q.GroupBy)
+		if q.GroupBy == "" || !ok {
+			continue
+		}
+		key, ok := indexKey(v)
+		if !ok {
+			continue
+		}
+		if i := slices.IndexFunc(res.Groups, func(g Group) bool { return g.Key == key }); i >= 0 {
+			res.Groups[i].Count++
+		} else {
+			res.Groups = append(res.Groups, Group{Key: key, Count: 1})
+		}
+	}
+	window := matches[min(max(q.Offset, 0), len(matches)):]
+	if q.Limit >= 0 {
+		window = window[:min(q.Limit, len(window))]
+	}
+	res.Docs = window
+	return res
+}
+
+// modelDoc is a small document drawn from two bytes: a name (two of them
+// share the prefix "Ma"), a type that is a string, absent or a list, a text
+// that may mention Matilda, and a number.
+func modelDoc(a, b byte) *Doc {
+	names := []string{"Matilda", "Wicked", "Once", "Mamma Mia", "Annie"}
+	types := []string{"Movie", "Person", "Company"}
+	texts := []string{"Matilda grossed a million.", "The award-winning show runs. Matilda!", "A walk in the park", ""}
+	name := names[a%5]
+	if a/5%2 == 1 {
+		name += " II"
+	}
+	d := NewDoc().Set("name", Str(name))
+	switch b % 5 {
+	case 3:
+	case 4:
+		d.Set("type", List(Str(types[a%3]), Str(types[(a+1)%3])))
+	default:
+		d.Set("type", Str(types[b%5]))
+	}
+	if text := texts[b/5%4]; text != "" {
+		d.Set("text", Str(text))
+	}
+	return d.Set("mentions", Num(int64(a)))
+}
+
+// FuzzCollectionMatchesModel: any sequence of Insert, InsertMany, Update,
+// Delete, ApplyReplay and index creation leaves a collection that answers
+// every query — by scan, hash index, B-tree prefix and text index, in any
+// window, grouped or not — as a plain id-sorted list filtered by
+// Filter.Matches does, with the same Count and data size, and whose
+// snapshot loads back to the same documents under the same ids. A replay
+// is refused exactly when its id is neither held nor above every id held.
+// Each three input bytes are one operation.
+func FuzzCollectionMatchesModel(f *testing.F) {
+	var cycle, build []byte
+	for i := 0; i < 60; i++ {
+		cycle = append(cycle, byte(i%6), byte(7*i), byte(11*i+3))
+	}
+	for i := 0; i < 20; i++ {
+		build = append(build, 1, byte(i), byte(3*i))
+	}
+	build = append(build, 5, 0, 0, 5, 0, 1, 5, 0, 2, 3, 4, 0, 2, 9, 9, 4, 5, 20, 4, 200, 1, 3, 90, 0, 0, 1, 2)
+	f.Add(cycle)
+	f.Add(build)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), 600)]
+		c := NewCollection("dt.x", 256)
+		m := &collectionModel{next: 1}
+		for ; len(data) >= 3; data = data[3:] {
+			op, a, b := data[0], data[1], data[2]
+			switch op % 6 {
+			case 0:
+				d := modelDoc(a, b)
+				if id := c.Insert(d); id != m.next {
+					t.Fatalf("Insert gave id %d, want %d", id, m.next)
+				}
+				m.add(m.next, d)
+			case 1:
+				docs := make([]*Doc, 1+b%4)
+				for i := range docs {
+					docs[i] = modelDoc(a+byte(i), b/4+byte(i))
+				}
+				for i, id := range c.InsertMany(docs) {
+					if id != m.next {
+						t.Fatalf("InsertMany gave id %d, want %d", id, m.next)
+					}
+					m.add(id, docs[i])
+				}
+			case 2:
+				id, d := m.pick(a), modelDoc(b, a)
+				i, held := m.find(id)
+				if c.Update(id, d) != held {
+					t.Fatalf("Update(%d) reports %v", id, !held)
+				}
+				if held {
+					m.docs[i] = d
+				}
+			case 3:
+				id := m.pick(a)
+				i, held := m.find(id)
+				if c.Delete(id) != held {
+					t.Fatalf("Delete(%d) reports %v", id, !held)
+				}
+				if held {
+					m.ids = slices.Delete(m.ids, i, i+1)
+					m.docs = slices.Delete(m.docs, i, i+1)
+				}
+			case 4:
+				id, d := m.pick(a), modelDoc(b, a+1)
+				i, held := m.find(id)
+				fresh := id > 0 && (len(m.ids) == 0 || id > m.ids[len(m.ids)-1])
+				err := c.ApplyReplay(id, d)
+				switch {
+				case (held || fresh) != (err == nil):
+					t.Fatalf("ApplyReplay(%d) = %v; held %v, above every id held %v", id, err, held, fresh)
+				case held:
+					m.docs[i] = d
+				case fresh:
+					m.add(id, d)
+				}
+			case 5:
+				switch b % 3 {
+				case 0:
+					c.EnsureIndex("type_1", "type", HashIndex)
+				case 1:
+					c.EnsureIndex("name_1", "name", BTreeIndex)
+					m.btree = true
+				case 2:
+					c.EnsureTextIndex("text")
+				}
+			}
+		}
+		checkAgainstModel(t, c, m)
+	})
+}
+
+// checkAgainstModel compares c with m on every access path and window, and
+// c's snapshot with m's documents.
+func checkAgainstModel(t *testing.T, c *Collection, m *collectionModel) {
+	t.Helper()
+	filters := []Filter{
+		nil,
+		EqStr("type", "Movie"),
+		Cond{Path: "type", Op: OpIn, Set: []record.Value{record.String("Company"), record.String("Movie")}},
+		Cond{Path: "name", Op: OpPrefix, Value: record.String("Ma")},
+		Contains("text", "matilda"),
+		Contains("text", "show runs"),
+		And{EqStr("type", "Person"), Cond{Path: "mentions", Op: OpGt, Value: record.Int(100)}},
+	}
+	windows := [][2]int{{0, NoLimit}, {0, 0}, {0, 1}, {1, 2}, {2, 3}, {3, NoLimit}}
+	for _, f := range filters {
+		for _, w := range windows {
+			for _, groupBy := range []string{"", "type"} {
+				q := Query{Filter: f, Offset: w[0], Limit: w[1], GroupBy: groupBy}
+				got, want := c.Query(q), m.query(q)
+				if got.Total != want.Total || !slices.Equal(got.Docs, want.Docs) || !slices.Equal(got.Groups, want.Groups) {
+					t.Fatalf("%+v by %s: %d matches %v groups %v\nwant %d matches %v groups %v",
+						q, explain(c, f).AccessPath, got.Total, got.Docs, got.Groups, want.Total, want.Docs, want.Groups)
+				}
+			}
+		}
+	}
+	var size int64
+	for _, d := range m.docs {
+		size += d.SizeBytes()
+	}
+	if st := c.Stats(); c.Count() != int64(len(m.docs)) || st.Count != c.Count() || st.DataSize != size {
+		t.Fatalf("Count %d, stats %+v; want %d documents of %d bytes", c.Count(), st, len(m.docs), size)
+	}
+	image := snapshotBytes(t, c)
+	back, err := ReadSnapshot(bytes.NewReader(image))
+	if err != nil {
+		t.Fatalf("reading the collection's snapshot: %v", err)
+	}
+	ids, docs := members(back)
+	if !slices.Equal(ids, m.ids) {
+		t.Fatalf("the snapshot holds ids %v, want %v", ids, m.ids)
+	}
+	for i, d := range docs {
+		if !bytes.Equal(EncodeDoc(d), EncodeDoc(m.docs[i])) {
+			t.Fatalf("the snapshot holds %v under id %d, want %v", d, ids[i], m.docs[i])
+		}
+	}
+	if back.Stats() != c.Stats() || !bytes.Equal(snapshotBytes(t, back), image) {
+		t.Fatalf("the loaded snapshot has stats %+v and writes another image; want %+v", back.Stats(), c.Stats())
+	}
+}

@@ -32,8 +32,8 @@ const (
 //	header  one frame: namespace, extent size, bytes taken from extents,
 //	        next id, document count, then the index layout — each secondary
 //	        index's name, path and kind, then each text index's path
-//	docs    one frame per document, in insertion order: its 8-byte id, then
-//	        its encoding
+//	docs    one frame per document, in ascending id order: its 8-byte id,
+//	        then its encoding
 //
 // Indexes travel as layout, not contents: the reader rebuilds them over the
 // documents it loads.
@@ -56,14 +56,11 @@ func (c *Collection) WriteSnapshot(w io.Writer) error {
 	if _, err := bw.Write(frame.Bytes()); err != nil {
 		return err
 	}
-	for _, id := range c.order {
-		if id == 0 { // tombstoned slot
-			continue
-		}
+	for i, d := range c.docs {
 		frame.Reset()
-		binary.LittleEndian.PutUint64(reserved[4:], uint64(id))
+		binary.LittleEndian.PutUint64(reserved[4:], uint64(c.ids[i]))
 		frame.Write(reserved[:])
-		PutDoc(&frame, c.docs[id])
+		PutDoc(&frame, d)
 		sealFrame(&frame, 0)
 		if _, err := bw.Write(frame.Bytes()); err != nil {
 			return err
@@ -99,7 +96,8 @@ func (c *Collection) putHeaderLocked(buf *bytes.Buffer) {
 // reads bytes from disk and from the network alike, so it trusts no length
 // or count before the bytes behind it have arrived, and it refuses a
 // malformed layout, an unknown index kind, a document id outside the
-// header's id space or held twice, and anything after the last document.
+// header's id space or not above the one before it, and anything after the
+// last document.
 func ReadSnapshot(r io.Reader) (*Collection, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
@@ -129,8 +127,8 @@ func ReadSnapshot(r io.Reader) (*Collection, error) {
 			return nil, fmt.Errorf("store: doc %d: frame of %d bytes holds no id", i, len(frame))
 		}
 		id := int64(binary.LittleEndian.Uint64(frame))
-		if _, dup := c.docs[id]; dup || id <= 0 || id >= c.nextID {
-			return nil, fmt.Errorf("store: doc %d: id %d is outside [1, %d) or repeated", i, id, c.nextID)
+		if n := len(c.ids); id <= 0 || id >= c.nextID || n > 0 && id <= c.ids[n-1] {
+			return nil, fmt.Errorf("store: doc %d: id %d is outside [1, %d) or not above the one before it", i, id, c.nextID)
 		}
 		doc, err := DecodeDoc(frame[8:])
 		if err != nil {
@@ -163,7 +161,7 @@ func decodeSnapshotHeader(data []byte) (c *Collection, allocated int64, count ui
 	if extentSize == 0 || extentSize > math.MaxInt64 || used > math.MaxInt64 || nextID == 0 || nextID > math.MaxInt64 {
 		return nil, 0, 0, fmt.Errorf("extent size %d, allocated %d, next id %d out of range", extentSize, used, nextID)
 	}
-	c = newCollection(ns, int64(extentSize))
+	c = NewCollection(ns, int64(extentSize))
 	c.nextID = int64(nextID)
 	n, err := binary.ReadUvarint(rd)
 	if err != nil {
@@ -206,16 +204,24 @@ func decodeSnapshotHeader(data []byte) (c *Collection, allocated int64, count ui
 // ApplyReplay inserts-or-replaces a document under a specific id — the
 // operation a replication follower and a shard's WAL recovery apply for
 // insert and update events, preserving the primary's id assignment so reads
-// against either replica return the same documents.
-func (c *Collection) ApplyReplay(id int64, doc *Doc) {
+// against either replica return the same documents. A new id must be above
+// every id held, as the primary handed it out: an absent id below the
+// highest is refused, which keeps the collection in id order and a crafted
+// log from paying a splice per event.
+func (c *Collection) ApplyReplay(id int64, doc *Doc) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.docs[id]; ok {
-		c.replaceLocked(id, old, doc)
-		return
+	i, ok := c.find(id)
+	switch {
+	case ok:
+		c.replaceLocked(i, doc)
+	case id <= 0 || i < len(c.ids):
+		return fmt.Errorf("store: replayed id %d is neither held nor positive and above every id held", id)
+	default:
+		c.addLocked(id, doc)
+		c.nextID = max(c.nextID, id+1)
 	}
-	c.addLocked(id, doc)
-	c.nextID = max(c.nextID, id+1)
+	return nil
 }
 
 // readLogMagic consumes the event-log header. A zero-byte stream is an

@@ -125,7 +125,7 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	c := newCollection("dt.test", 4096)
+	c := NewCollection("dt.test", 4096)
 	var ids []int64
 	for i := 0; i < 50; i++ {
 		ids = append(ids, c.Insert(entityDoc(fmt.Sprintf("E%03d", i), "Movie", int64(i))))
@@ -170,7 +170,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // the documents it holds.
 func TestWriteSnapshotAllocBudget(t *testing.T) {
 	for _, n := range []int{1000, 4000} {
-		c := newCollection("dt.test", 0)
+		c := NewCollection("dt.test", 0)
 		for i := 0; i < n; i++ {
 			c.Insert(entityDoc(fmt.Sprintf("E%04d", i), "Movie", int64(i)))
 		}

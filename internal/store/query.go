@@ -166,7 +166,6 @@ func (c *Collection) indexFor(path string, rangeScan bool) *Index {
 
 // page collects one query's window while counting every match.
 type page struct {
-	docs map[int64]*Doc
 	// verify is what a candidate must still satisfy; nil when the index has
 	// already proved the match.
 	verify        Filter
@@ -183,8 +182,12 @@ type page struct {
 	top topK
 }
 
-// add counts one matching document and keeps it if the window covers it.
+// add takes one candidate document: if it matches, it is counted, and kept
+// if the window covers it.
 func (p *page) add(d *Doc) {
+	if p.verify != nil && !p.verify.Matches(d) {
+		return
+	}
 	switch {
 	case p.top.rank != nil:
 		p.top.add(d)
@@ -219,48 +222,44 @@ func (p *page) group(d *Doc) {
 	p.groups = append(p.groups, Group{Key: key, Count: 1})
 }
 
-// addID takes one candidate id.
-func (p *page) addID(id int64) {
-	if d := p.docs[id]; p.verify == nil || p.verify.Matches(d) {
-		p.add(d)
-	}
-}
+// same is a scan's lookup: its candidates are the documents themselves.
+func same(d *Doc) *Doc { return d }
 
-// addIDs takes a run of candidate ids. Proven matches are counted by the
-// run's length and only the part of it the window covers is touched, unless
-// each must be grouped or ranked.
-func (p *page) addIDs(ids []int64) {
+// addRun takes a run of candidates, doc giving each one's document. Unless
+// each must be checked, grouped or ranked, the run is proven: it is counted
+// by its length and only the part the window covers is looked up.
+func addRun[T any](p *page, run []T, doc func(T) *Doc) {
 	if p.verify != nil || p.groupBy != "" || p.top.rank != nil {
-		for _, id := range ids {
-			p.addID(id)
+		for _, x := range run {
+			p.add(doc(x))
 		}
 		return
 	}
-	lo := min(max(int64(p.offset)-p.total, 0), int64(len(ids)))
-	n := int64(len(ids)) - lo
+	lo := int(min(max(int64(p.offset)-p.total, 0), int64(len(run))))
+	hi := len(run)
 	if p.limit >= 0 {
-		n = min(n, int64(p.limit-len(p.out)))
+		hi = lo + min(hi-lo, p.limit-len(p.out))
 	}
-	if n > 0 && p.out == nil {
-		p.out = make([]*Doc, 0, n)
+	if hi > lo {
+		p.out = make([]*Doc, 0, hi-lo)
 	}
-	for _, id := range ids[lo : lo+n] {
-		p.out = append(p.out, p.docs[id])
+	for _, x := range run[lo:hi] {
+		p.out = append(p.out, doc(x))
 	}
-	p.total += int64(len(ids))
+	p.total += int64(len(run))
 }
 
 // Query answers q. An index serves the filter's condition when one covers
 // it (see plan): the total then comes from posting-list lengths and only
 // the window's documents are touched, unless residual conditions, a text
 // index's candidate superset or a group count need each candidate visited.
-// Otherwise every document is tested in insertion order; matches outside
-// the window are counted, not collected. Results are in ascending id order
-// — insertion order — except a prefix scan's, which follow the B-tree's
-// keys. A ranked query scores every match and returns the best of the
-// window in rank order (see Rank). An unfiltered group count reads its
-// groups off a hash index over the path when one holds a single entry per
-// document (see countingIndex).
+// Otherwise every document is tested in the collection's order; matches
+// outside the window are counted, not collected. Results are in ascending
+// id order — the collection's order, insertion order — except a prefix
+// scan's, which follow the B-tree's keys. A ranked query scores every match
+// and returns the best of the window in rank order (see Rank). An
+// unfiltered group count reads its groups off a hash index over the path
+// when one holds a single entry per document (see countingIndex).
 func (c *Collection) Query(q Query) Result {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -268,7 +267,7 @@ func (c *Collection) Query(q Query) Result {
 	if q.Explain {
 		return Result{Plan: c.explain(q.Filter, a)}
 	}
-	p := page{docs: c.docs, offset: q.Offset, limit: q.Limit, groupBy: q.GroupBy}
+	p := page{offset: q.Offset, limit: q.Limit, groupBy: q.GroupBy}
 	if q.Rank != nil && q.Limit != 0 {
 		p.top = topK{rank: q.Rank, k: q.end()}
 	}
@@ -283,26 +282,18 @@ func (c *Collection) Query(q Query) Result {
 	switch {
 	case a.tx != nil:
 		ids, _ := a.tx.Candidates(a.cond.Value.Str())
-		p.addIDs(ids)
-	case a.ix == nil && p.verify == nil && c.dead == 0:
-		// Every document matches and the order has no tombstones: a run of
-		// proven ids.
-		p.addIDs(c.order)
+		addRun(&p, ids, c.doc)
 	case a.ix == nil:
-		for _, id := range c.order {
-			if id != 0 {
-				p.addID(id)
-			}
-		}
+		addRun(&p, c.docs, same)
 	case a.cond.Op == OpPrefix:
 		a.ix.tree.AscendPrefix(a.cond.Value.Str(), func(e btree.Entry) bool {
-			p.addID(e.ID)
+			p.add(c.doc(e.ID))
 			return true
 		})
 	case a.cond.Op == OpIn:
-		p.addIDs(a.ix.idsIn(a.cond.Set))
+		addRun(&p, a.ix.idsIn(a.cond.Set), c.doc)
 	default:
-		p.addIDs(a.ix.ids(a.cond.Value.Str()))
+		addRun(&p, a.ix.ids(a.cond.Value.Str()), c.doc)
 	}
 	if p.top.rank != nil {
 		p.out = p.top.window(q.Offset)

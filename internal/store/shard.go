@@ -103,7 +103,7 @@ func NewSharded(ns, keyPath string, n int, extentSize int64) *Sharded {
 	}
 	backends := make([]ShardBackend, 0, n)
 	for i := 0; i < n; i++ {
-		backends = append(backends, LocalShard{Coll: newCollection(ns, extentSize)})
+		backends = append(backends, LocalShard{Coll: NewCollection(ns, extentSize)})
 	}
 	return &Sharded{ns: ns, keyPath: keyPath, backends: backends}
 }

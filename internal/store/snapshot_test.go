@@ -14,7 +14,7 @@ import (
 )
 
 // layoutFixture is a collection with a non-default extent size, a hash, a
-// B-tree and a text index, tombstoned ids (the last one among them) and an
+// B-tree and a text index, deleted ids (the highest among them) and an
 // updated document — everything a snapshot must carry besides documents.
 func layoutFixture() *Collection {
 	c := NewCollection("dt.entity", 4096)
@@ -99,8 +99,8 @@ func TestSnapshotCarriesLayout(t *testing.T) {
 }
 
 // TestSnapshotRefusesMalformed: a bad layout, an id outside the header's id
-// space, an old format and bytes past the last document are errors, never a
-// silently different collection.
+// space or not above the one before it, an old format and bytes past the
+// last document are errors, never a silently different collection.
 func TestSnapshotRefusesMalformed(t *testing.T) {
 	base := NewCollection("dt.x", 0)
 	base.EnsureIndex("a_1", "a", HashIndex)
@@ -156,8 +156,9 @@ func TestSnapshotRefusesMalformed(t *testing.T) {
 		"short layout":       header(func(b *bytes.Buffer) { layout(1, 0)(b); b.Truncate(b.Len() - 1) }),
 		"trailing layout":    header(func(b *bytes.Buffer) { layout(1, 0)(b); b.WriteByte(0) }),
 		"id past next id":    append(header(layout(3, 1)), docFrame(3)...),
-		"tombstone id":       append(header(layout(3, 1)), docFrame(0)...),
+		"zero id":            append(header(layout(3, 1)), docFrame(0)...),
 		"id twice":           append(header(layout(3, 2)), append(docFrame(1), docFrame(1)...)...),
+		"descending ids":     append(header(layout(3, 2)), append(docFrame(2), docFrame(1)...)...),
 		"missing document":   header(layout(3, 1)),
 		"after the last":     append(slices.Clone(good), 0),
 		"document cut":       good[:len(good)-1],
@@ -242,7 +243,7 @@ func TestLongFrameRoundTrip(t *testing.T) {
 // multiple of its size, and whatever loads writes an image that loads to a
 // collection writing the same image with the same Stats. The seeds are the
 // files under testdata/fuzz/FuzzReadSnapshot, one of them the image of
-// layoutFixture.
+// layoutFixture and seed-08 a two-document image with its ids descending.
 func FuzzReadSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c *Collection
