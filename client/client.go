@@ -33,6 +33,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/dterr"
 	"repro/internal/store"
@@ -150,6 +151,94 @@ type ShowView struct {
 
 // Entity is one /v1/find result row: scalar fields of a matching document.
 type Entity map[string]string
+
+// UnmarshalJSON decodes a row as encoding/json decodes a map[string]string.
+// An object whose keys and values are all plain strings — no backslash, no
+// control byte, valid UTF-8 — is what a server writes for nearly every row,
+// and it is read straight into a map sized for its members, each string
+// copied once. Anything else, escapes and null included, goes to
+// encoding/json, so its values and errors are encoding/json's.
+func (e *Entity) UnmarshalJSON(data []byte) error {
+	n, ok := plainObject(data, nil)
+	if !ok {
+		return json.Unmarshal(data, (*map[string]string)(e))
+	}
+	if *e == nil {
+		*e = make(Entity, n)
+	}
+	plainObject(data, *e)
+	return nil
+}
+
+// plainObject reports whether data is a JSON object of plain string members
+// only, and how many members it has; given a map, it also stores them.
+func plainObject(data []byte, m Entity) (int, bool) {
+	i := skipSpace(data, 0)
+	if i == len(data) || data[i] != '{' {
+		return 0, false
+	}
+	i = skipSpace(data, i+1)
+	if i < len(data) && data[i] == '}' {
+		return 0, skipSpace(data, i+1) == len(data)
+	}
+	for n := 1; ; n++ {
+		k, j, ok := plainString(data, i)
+		if !ok {
+			return 0, false
+		}
+		if i = skipSpace(data, j); i == len(data) || data[i] != ':' {
+			return 0, false
+		}
+		v, j, ok := plainString(data, skipSpace(data, i+1))
+		if !ok {
+			return 0, false
+		}
+		if m != nil {
+			m[string(k)] = string(v)
+		}
+		if i = skipSpace(data, j); i == len(data) {
+			return 0, false
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case '}':
+			return n, skipSpace(data, i+1) == len(data)
+		default:
+			return 0, false
+		}
+	}
+}
+
+// plainString reads the JSON string that opens at data[i] when it is plain,
+// returning its contents and the index past its closing quote.
+func plainString(data []byte, i int) (s []byte, end int, ok bool) {
+	if i == len(data) || data[i] != '"' {
+		return nil, 0, false
+	}
+	ascii := true
+	for j := i + 1; j < len(data); j++ {
+		switch c := data[j]; {
+		case c == '"':
+			s = data[i+1 : j]
+			return s, j + 1, ascii || utf8.Valid(s)
+		case c == '\\' || c < 0x20:
+			return nil, 0, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, 0, false
+}
+
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\n' || data[i] == '\t' || data[i] == '\r') {
+		i++
+	}
+	return i
+}
 
 // StoreStats mirrors the Tables I-II statistics the server reports per
 // namespace (the store.Stats shape).
@@ -477,9 +566,16 @@ func (c *Client) Find(ctx context.Context, query string, p Page) (List[Entity], 
 func (c *Client) Show(ctx context.Context, name string) (ShowView, error) {
 	q := url.Values{}
 	q.Set("name", name)
-	var out ShowView
+	var out showWire
 	err := do(ctx, c, http.MethodGet, "/v1/show", q, nil, &out)
-	return out, err
+	return ShowView{WebText: out.WebText, Fused: out.Fused}, err
+}
+
+// showWire is ShowView as it is decoded: the same members, each read
+// through Entity's decoder.
+type showWire struct {
+	WebText Entity `json:"web_text"`
+	Fused   Entity `json:"fused"`
 }
 
 // LiveStats fetches the live ingester's counters; on a batch-mode server

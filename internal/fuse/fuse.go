@@ -151,10 +151,10 @@ func (e *Engine) WebTextRecord(ctx context.Context, show string) (*record.Record
 // record — the Table VI enrichment join. Fields already present win (text
 // evidence is what the user searched); structured fields fill the gaps.
 func Enrich(webText *record.Record, structured *record.Record) *record.Record {
-	out := webText.Clone()
 	if structured == nil {
-		return out
+		return webText.Clone()
 	}
+	out := webText.CloneCap(webText.Len() + structured.Len())
 	for _, f := range structured.Fields() {
 		if f.Value.IsNull() {
 			continue

@@ -214,12 +214,14 @@ func (r *Record) Rename(from, to string) {
 }
 
 // Clone returns a deep copy of the record.
-func (r *Record) Clone() *Record {
-	return &Record{
-		fields: append([]Field(nil), r.fields...),
-		Source: r.Source,
-		ID:     r.ID,
-	}
+func (r *Record) Clone() *Record { return r.CloneCap(len(r.fields)) }
+
+// CloneCap returns a deep copy of the record with room for n fields, so
+// that a caller adding fields to the copy grows it once, here.
+func (r *Record) CloneCap(n int) *Record {
+	fields := make([]Field, len(r.fields), max(n, len(r.fields)))
+	copy(fields, r.fields)
+	return &Record{fields: fields, Source: r.Source, ID: r.ID}
 }
 
 // String renders the record as {name=value, ...} in field order.

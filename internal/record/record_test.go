@@ -243,3 +243,20 @@ func TestCompareFloatEdge(t *testing.T) {
 		t.Error("-Inf should be least")
 	}
 }
+
+// TestAppendStrAllocatesNothing: a scalar of every kind renders into a
+// buffer with room without allocating, a time in a zone other than UTC
+// included.
+func TestAppendStrAllocatesNothing(t *testing.T) {
+	vals := []Value{
+		String("Matilda"), Int(-1251), Int(7), Float(2.5e-7), Float(27), Bool(true),
+		Time(time.Date(2013, 3, 4, 0, 0, 0, 0, time.UTC)),
+		Time(time.Date(2013, 3, 4, 19, 30, 0, 0, time.FixedZone("EST", -5*3600))),
+	}
+	buf := make([]byte, 0, 64)
+	for _, v := range vals {
+		if n := testing.AllocsPerRun(100, func() { buf = v.AppendStr(buf[:0]) }); n != 0 {
+			t.Errorf("AppendStr of %v %q allocates %v times, want 0", v.Kind(), v.Str(), n)
+		}
+	}
+}

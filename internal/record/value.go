@@ -135,6 +135,58 @@ func (v Value) Str() string {
 	}
 }
 
+// AppendStr appends the bytes Str returns to dst and returns the extended
+// slice, without allocating when dst has room.
+func (v Value) AppendStr(dst []byte) []byte {
+	switch v.kind {
+	case KindString:
+		return append(dst, v.s...)
+	case KindInt:
+		return strconv.AppendInt(dst, int64(v.n), 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, math.Float64frombits(v.n), 'g', -1, 64)
+	case KindBool:
+		return strconv.AppendBool(dst, v.n != 0)
+	case KindTime:
+		return v.appendTime(dst)
+	default:
+		return dst
+	}
+}
+
+// appendTime appends a KindTime value's rendering: the RFC 3339 date at
+// midnight, the RFC 3339 date and time otherwise. It reads the wall clock of
+// the value's zone off the instant shifted by the zone's offset, in UTC, and
+// writes the offset itself as time.RFC3339 does, so that no time.Location
+// is built.
+func (v Value) appendTime(dst []byte) []byte {
+	nsec, offset := unpackTimeExtra(v.s)
+	t := time.Unix(int64(v.n)+int64(offset), int64(nsec)).UTC()
+	if t.Hour() == 0 && t.Minute() == 0 && t.Second() == 0 {
+		return t.AppendFormat(dst, "2006-01-02")
+	}
+	dst = t.AppendFormat(dst, "2006-01-02T15:04:05")
+	if offset == 0 {
+		return append(dst, 'Z')
+	}
+	// time.Format's zone: minutes truncated toward zero, hours and minutes
+	// at least two digits each.
+	zone, sign := offset/60, byte('+')
+	if zone < 0 {
+		zone, sign = -zone, '-'
+	}
+	dst = appendTwoDigits(append(dst, sign), zone/60)
+	return appendTwoDigits(append(dst, ':'), zone%60)
+}
+
+// appendTwoDigits appends n >= 0 in decimal, zero-padded to two digits.
+func appendTwoDigits(dst []byte, n int) []byte {
+	if n < 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(n), 10)
+}
+
 // AsInt returns the value as an int64 and whether the conversion is exact.
 func (v Value) AsInt() (int64, bool) {
 	switch v.kind {
@@ -230,11 +282,8 @@ func (v Value) String() string {
 	case KindBool:
 		return strconv.FormatBool(v.n != 0)
 	case KindTime:
-		t := v.time()
-		if t.Hour() == 0 && t.Minute() == 0 && t.Second() == 0 {
-			return t.Format("2006-01-02")
-		}
-		return t.Format(time.RFC3339)
+		var b [32]byte
+		return string(v.appendTime(b[:0]))
 	default:
 		return ""
 	}

@@ -344,6 +344,12 @@ func checkValueAgainstReference(t *testing.T, s string, i int64, f float64, b bo
 		if diff := sameReading(p.v, p.ref); diff != "" {
 			t.Errorf("%s differs: %v %q, reference %v %q", diff, p.v.Kind(), p.v, p.ref.Kind(), p.ref)
 		}
+		if got := string(p.v.AppendStr(nil)); got != p.v.Str() {
+			t.Errorf("AppendStr of %v %q appends %q", p.v.Kind(), p.v.Str(), got)
+		}
+		if got := string(p.v.AppendStr([]byte("x"))); got != "x"+p.v.Str() {
+			t.Errorf("AppendStr of %v %q after \"x\" gives %q", p.v.Kind(), p.v.Str(), got)
+		}
 	}
 	for _, p := range pairs {
 		for _, q := range pairs {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
 	"fmt"
 	"hash/fnv"
@@ -148,12 +147,15 @@ func (c *respCache) put(e *cacheEntry) {
 }
 
 // recordingWriter tees a response into memory while streaming it to the
-// client, so a miss can populate the cache without double-rendering.
-// Buffering stops past maxCacheEntryBytes; the response still streams.
+// client, so a miss can populate the cache without double-rendering. The
+// copy it keeps is the cache entry's body: a handler writes its body in
+// one Write, which the copy is sized for, and the caller's buffer — a
+// pooled one, reused by the next request — is never kept. Buffering stops
+// past maxCacheEntryBytes; the response still streams.
 type recordingWriter struct {
 	http.ResponseWriter
 	status int
-	buf    bytes.Buffer
+	body   []byte
 	tooBig bool
 }
 
@@ -169,11 +171,11 @@ func (w *recordingWriter) Write(p []byte) (int, error) {
 		w.status = http.StatusOK
 	}
 	if !w.tooBig {
-		if w.buf.Len()+len(p) > maxCacheEntryBytes {
+		if len(w.body)+len(p) > maxCacheEntryBytes {
 			w.tooBig = true
-			w.buf.Reset()
+			w.body = nil
 		} else {
-			w.buf.Write(p)
+			w.body = append(w.body, p...)
 		}
 	}
 	return w.ResponseWriter.Write(p)
@@ -229,7 +231,7 @@ func (s *Server) cacheMiddleware(next http.Handler) http.Handler {
 				key:   key,
 				ctype: rw.Header().Get("Content-Type"),
 				etag:  etag,
-				body:  append([]byte(nil), rw.buf.Bytes()...),
+				body:  rw.body,
 			})
 		}
 	})

@@ -402,3 +402,30 @@ func TestCachedReadsDuringIngest(t *testing.T) {
 		t.Error("ingested records missing from cached read after quiesce")
 	}
 }
+
+// TestCachedBodyOutlivesPooledBuffer: the body the cache keeps on a miss is
+// its own copy, not the pooled buffer the handler wrote it in. After the
+// next requests reuse — and overwrite — the pooled buffers, a hit still
+// serves the bytes the miss served.
+func TestCachedBodyOutlivesPooledBuffer(t *testing.T) {
+	s := New(stubQuerierFull(), WithGeneration(func() uint64 { return 1 }), WithCacheBytes(1<<20))
+	miss := getWithHeaders(t, s, "/v1/show?name=x", nil)
+	if miss.Code != http.StatusOK || miss.Header().Get("X-Cache") != "MISS" {
+		t.Fatalf("first GET = %d X-Cache=%q, want 200 MISS", miss.Code, miss.Header().Get("X-Cache"))
+	}
+	for _, path := range []string{"/v1/stats", "/v1/top", "/v1/cheapest", "/v1/types"} {
+		getWithHeaders(t, s, path, nil)
+	}
+	b := newBody()
+	b.b = append(b.b[:0], bytes.Repeat([]byte{'#'}, cap(b.b))...)
+	jsonBufs.Put(b)
+	getWithHeaders(t, s, "/v1/find?q=x", nil)
+
+	hit := getWithHeaders(t, s, "/v1/show?name=x", nil)
+	if hit.Header().Get("X-Cache") != "HIT" {
+		t.Fatalf("second GET X-Cache=%q, want HIT", hit.Header().Get("X-Cache"))
+	}
+	if !bytes.Equal(hit.Body.Bytes(), miss.Body.Bytes()) {
+		t.Errorf("cached body changed after the pooled buffers were reused:\n%s\nwant:\n%s", hit.Body, miss.Body)
+	}
+}

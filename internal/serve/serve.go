@@ -33,6 +33,20 @@
 //	POST /v1/flush[?checkpoint=1]     drain apply queue / snapshot + truncate
 //	GET  /v1/live/stats               queue depth, batch latency, WAL size
 //
+// Bodies (encode.go): every response body is appended straight from the
+// values it answers — a show's two records, a find page's documents, the
+// typed rows and stats — into a pooled buffer, byte for byte as
+// encoding/json indents and HTML-escapes the same value, with no map built
+// to be encoded and no reflection. String maps are sorted in pooled
+// scratch, a scalar is rendered by record.Value.AppendStr, and a float
+// JSON cannot hold (NaN, ±Inf) turns the response into a 500 with
+// encoding/json's error text. The goldens under testdata pin the bytes
+// encoding/json wrote, and the encode tests compare with it directly.
+// The two ingest request bodies are still decoded by encoding/json: they
+// are arbitrary client JSON — nested records of any value type, escapes,
+// malformed input — whose validation and error messages encoding/json
+// already defines, and they are not on the read path.
+//
 // Production serving middleware (opt-in through ServerOptions) wraps the
 // whole route tree: per-route metrics
 // (internal/obs, exposed at GET /metrics), per-client token-bucket rate
@@ -43,13 +57,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 
 	"repro/dterr"
 	"repro/internal/core"
@@ -120,7 +132,11 @@ func NewLive(q Querier, ing Ingestor, opts ...ServerOption) *Server {
 	// Liveness probe: process is up and serving. Unversioned by convention
 	// (load balancers and the cluster's dtnode expose the same path).
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		b := newBody()
+		b.open('{')
+		b.key("status").str("ok")
+		b.close('}')
+		b.send(w, http.StatusOK)
 	})
 
 	// Versioned surface.
@@ -195,71 +211,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 
 // ---- envelope and helpers ---------------------------------------------
 
-// envelope is the uniform /v1 response shape. Degraded appears only on
-// partial fan-out reads: some shards were unreachable and the data field
-// is an explicit under-count, not the full answer.
-type envelope struct {
-	Data     any           `json:"data,omitempty"`
-	Degraded *degradedInfo `json:"degraded,omitempty"`
-	Error    *errBody      `json:"error,omitempty"`
-}
-
-// degradedInfo quantifies a partial read.
-type degradedInfo struct {
-	ShardsMissing int `json:"shards_missing"`
-}
-
-type errBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// jsonBuf is a response body's encoding storage: a buffer and an indenting
-// encoder writing into it, which keeps its own indent buffer.
-type jsonBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonBufs = sync.Pool{New: func() any {
-	b := new(jsonBuf)
-	b.enc = json.NewEncoder(&b.buf)
-	b.enc.SetIndent("", "  ")
-	return b
-}}
-
-// writeJSON writes v, indented, as the body of a status response. The body
-// is encoded whole into a pooled jsonBuf before the header is written, so a
-// value that fails to encode is answered with a 500 and an internal error
-// envelope, never with the status meant for it over an empty body. The
-// response writer copies the body out, and a jsonBuf that grew past
-// store.FrameChunk for a large body is dropped rather than pooled, so the
-// pool keeps at most that much per buffer between requests.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	b := jsonBufs.Get().(*jsonBuf)
-	b.buf.Reset()
-	if err := b.enc.Encode(v); err != nil {
-		b.buf.Reset()
-		status = http.StatusInternalServerError
-		_ = b.enc.Encode(envelope{Error: &errBody{Code: string(dterr.CodeInternal), Message: "encoding response: " + err.Error()}})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(b.buf.Bytes())
-	if b.buf.Cap() <= store.FrameChunk {
-		jsonBufs.Put(b)
-	}
-}
-
-// writeData wraps v in the success envelope.
-func writeData(w http.ResponseWriter, status int, v any) {
-	writeJSON(w, status, envelope{Data: v})
-}
-
 // writeErr maps a typed error to its status and the error envelope.
 func writeErr(w http.ResponseWriter, err error) {
 	code := dterr.CodeOf(err)
-	writeJSON(w, dterr.HTTPStatus(code), envelope{Error: &errBody{Code: string(code), Message: err.Error()}})
+	b := newBody()
+	b.errorEnvelope(code, err.Error())
+	b.send(w, dterr.HTTPStatus(code))
 }
 
 // degradedHeader is set (value "shards_missing=N") on any response
@@ -297,18 +254,6 @@ func markDegraded(w http.ResponseWriter, n int) {
 	h.Set("Cache-Control", "no-store")
 }
 
-// writeRead writes a /v1 read response, surfacing degradation: when the
-// tracker recorded missing shards the envelope carries the degraded field
-// and the response is marked degraded.
-func writeRead(w http.ResponseWriter, pr *store.PartialReads, status int, v any) {
-	if n := pr.Missing(); n > 0 {
-		markDegraded(w, n)
-		writeJSON(w, status, envelope{Data: v, Degraded: &degradedInfo{ShardsMissing: n}})
-		return
-	}
-	writeJSON(w, status, envelope{Data: v})
-}
-
 // strictIntParam reads a numeric query parameter, returning an
 // invalid-argument error on malformed or negative values.
 func strictIntParam(query url.Values, name string, def int) (int, error) {
@@ -330,14 +275,6 @@ func strictIntParam(query url.Values, name string, def int) (int, error) {
 // unbounded result set.
 const maxPageLimit = 1000
 
-// pageList is the data payload of every /v1 list endpoint.
-type pageList struct {
-	Items  any `json:"items"`
-	Total  int `json:"total"`
-	Limit  int `json:"limit"`
-	Offset int `json:"offset"`
-}
-
 // pageParams reads limit/offset with strict parsing. An absent limit uses
 // defLimit; limit=0 is an explicit empty page (total still reported).
 func pageParams(query url.Values, defLimit int) (limit, offset int, err error) {
@@ -353,45 +290,6 @@ func pageParams(query url.Values, defLimit int) (limit, offset int, err error) {
 		return 0, 0, err
 	}
 	return limit, offset, nil
-}
-
-// paginate slices items to the requested window. Offsets past the end
-// yield an empty page with the true total.
-func paginate[T any](items []T, limit, offset int) pageList {
-	total := len(items)
-	if offset > total {
-		offset = total
-	}
-	end := offset + limit
-	if end > total {
-		end = total
-	}
-	window := items[offset:end]
-	if window == nil {
-		window = []T{}
-	}
-	return pageList{Items: window, Total: total, Limit: limit, Offset: offset}
-}
-
-func recordMap(rec *record.Record) map[string]string {
-	out := make(map[string]string, rec.Len())
-	for _, f := range rec.Fields() {
-		if !f.Value.IsNull() {
-			out[f.Name] = f.Value.Str()
-		}
-	}
-	return out
-}
-
-func docMap(d *store.Doc) map[string]string {
-	m := map[string]string{}
-	for _, fieldName := range d.Names() {
-		v, _ := d.Get(fieldName)
-		if v.IsScalar() {
-			m[fieldName] = v.Scalar().Str()
-		}
-	}
-	return m
 }
 
 // ---- /v1 read handlers -------------------------------------------------
@@ -412,10 +310,12 @@ func (s *Server) v1Stats(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeRead(w, pr, http.StatusOK, map[string]store.Stats{
-		"instance": inst,
-		"entity":   ent,
-	})
+	b := dataBody()
+	b.open('{')
+	b.key("entity").storeStats(ent)
+	b.key("instance").storeStats(inst)
+	b.close('}')
+	b.sendRead(w, pr)
 }
 
 func (s *Server) v1Types(w http.ResponseWriter, r *http.Request) {
@@ -435,7 +335,10 @@ func (s *Server) v1Types(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeRead(w, pr, http.StatusOK, paginate(rows, limit, offset))
+	items, offset := window(rows, limit, offset)
+	b := dataBody()
+	page(b, items, len(rows), limit, offset, (*jsonBuf).typeCount)
+	b.sendRead(w, pr)
 }
 
 func (s *Server) v1Top(w http.ResponseWriter, r *http.Request) {
@@ -455,7 +358,10 @@ func (s *Server) v1Top(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeRead(w, pr, http.StatusOK, paginate(rows, limit, offset))
+	items, offset := window(rows, limit, offset)
+	b := dataBody()
+	page(b, items, len(rows), limit, offset, (*jsonBuf).discussed)
+	b.sendRead(w, pr)
 }
 
 func (s *Server) v1Cheapest(w http.ResponseWriter, r *http.Request) {
@@ -475,7 +381,10 @@ func (s *Server) v1Cheapest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeRead(w, pr, http.StatusOK, paginate(rows, limit, offset))
+	items, offset := window(rows, limit, offset)
+	b := dataBody()
+	page(b, items, len(rows), limit, offset, (*jsonBuf).pricedShow)
+	b.sendRead(w, pr)
 }
 
 func (s *Server) v1Find(w http.ResponseWriter, r *http.Request) {
@@ -500,20 +409,12 @@ func (s *Server) v1Find(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	// Only the window is rendered; the total and the echoed offset are what
-	// paginate reports over the whole match list.
-	items := make([]map[string]string, len(res.Docs))
-	for i, d := range res.Docs {
-		items[i] = docMap(d)
-	}
+	// The store returned only the window; the total and the echoed offset
+	// are those of the whole match list.
 	total := int(res.Total)
-	writeRead(w, pr, http.StatusOK, pageList{Items: items, Total: total, Limit: limit, Offset: min(offset, total)})
-}
-
-// showView is the JSON rendering of the Table V / Table VI records.
-type showView struct {
-	WebText map[string]string `json:"web_text"`
-	Fused   map[string]string `json:"fused"`
+	b := dataBody()
+	page(b, res.Docs, total, limit, min(offset, total), (*jsonBuf).doc)
+	b.sendRead(w, pr)
 }
 
 func (s *Server) v1Show(w http.ResponseWriter, r *http.Request) {
@@ -555,7 +456,9 @@ func (s *Server) v1Show(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeRead(w, pr, http.StatusOK, showView{WebText: recordMap(web), Fused: recordMap(fused)})
+	b := dataBody()
+	b.show(web, fused)
+	b.sendRead(w, pr)
 }
 
 // ---- /v1 write handlers ------------------------------------------------
@@ -610,7 +513,7 @@ func (s *Server) v1IngestText(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeData(w, http.StatusAccepted, map[string]int{"accepted": len(frags)})
+	writeAccepted(w, len(frags))
 }
 
 // ingestRecordsRequest is the POST /ingest/records body: flat JSON objects,
@@ -657,7 +560,16 @@ func (s *Server) v1IngestRecords(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeData(w, http.StatusAccepted, map[string]int{"accepted": len(recs)})
+	writeAccepted(w, len(recs))
+}
+
+// writeAccepted acknowledges n durably logged writes with a 202.
+func writeAccepted(w http.ResponseWriter, n int) {
+	b := dataBody()
+	b.open('{')
+	b.key("accepted").integer(int64(n))
+	b.close('}')
+	b.sendData(w, http.StatusAccepted)
 }
 
 func (s *Server) v1Flush(w http.ResponseWriter, r *http.Request) {
@@ -686,7 +598,11 @@ func (s *Server) v1Flush(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeData(w, http.StatusOK, map[string]string{"status": op + " complete"})
+	b := dataBody()
+	b.open('{')
+	b.key("status").str(op + " complete")
+	b.close('}')
+	b.sendData(w, http.StatusOK)
 }
 
 func (s *Server) v1LiveStats(w http.ResponseWriter, _ *http.Request) {
@@ -694,5 +610,7 @@ func (s *Server) v1LiveStats(w http.ResponseWriter, _ *http.Request) {
 		writeErr(w, errLiveDisabled)
 		return
 	}
-	writeData(w, http.StatusOK, s.ing.Stats())
+	b := dataBody()
+	b.liveStats(s.ing.Stats())
+	b.sendData(w, http.StatusOK)
 }

@@ -215,10 +215,15 @@ func TestV1EnvelopeShape(t *testing.T) {
 // over an empty body.
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeData(rec, http.StatusOK, map[string]float64{"price": math.Inf(1)})
-	var body struct{ Error *errBody }
+	b := dataBody()
+	b.float(math.Inf(1))
+	b.sendData(rec, http.StatusOK)
+	var body struct {
+		Error *struct{ Code, Message string }
+	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError ||
-		body.Error == nil || body.Error.Code != string(dterr.CodeInternal) {
+		body.Error == nil || body.Error.Code != string(dterr.CodeInternal) ||
+		body.Error.Message != "encoding response: json: unsupported value: +Inf" {
 		t.Fatalf("unencodable value answered %d %q (%v)", rec.Code, rec.Body.Bytes(), err)
 	}
 }
@@ -349,18 +354,20 @@ func TestV1FindPaginatesWithTotal(t *testing.T) {
 	}
 	rendered := make([]map[string]string, len(all.Docs))
 	for i, d := range all.Docs {
-		rendered[i] = docMap(d)
+		rendered[i] = refDocMap(d)
 	}
 	n := len(rendered)
 	for _, c := range [][2]int{{2, 0}, {3, 5}, {0, 0}, {0, 4}, {10, n - 2}, {5, n}, {5, n + 7}, {1000, 0}} {
 		limit, offset := c[0], c[1]
-		want := httptest.NewRecorder()
-		writeRead(want, nil, http.StatusOK, paginate(rendered, limit, offset))
+		want, err := refBody(map[string]any{"data": refPage(rendered, limit, offset)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := httptest.NewRecorder()
 		s.ServeHTTP(got, httptest.NewRequest(http.MethodGet,
 			fmt.Sprintf("/v1/find?q=type%%20%%3D%%20Movie&limit=%d&offset=%d", limit, offset), nil))
-		if got.Body.String() != want.Body.String() {
-			t.Errorf("limit %d offset %d: body\n%s\nwant\n%s", limit, offset, got.Body, want.Body)
+		if got.Body.String() != want {
+			t.Errorf("limit %d offset %d: body\n%s\nwant\n%s", limit, offset, got.Body, want)
 		}
 	}
 }

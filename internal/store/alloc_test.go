@@ -8,6 +8,8 @@ package store
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/record"
 )
 
 // TestRankedQueryAllocBudget: the best of 1 000 matching fragments costs
@@ -37,28 +39,35 @@ func TestRankedQueryAllocBudget(t *testing.T) {
 // unindexed collection costs three allocations — the returned ids and one
 // growth of each of the collection's two slices — whatever the batch's
 // length. Bookkeeping per document, such as a map entry, would pay per
-// document. The documents hold strings only: SizeBytes measures a number by
-// rendering it, which allocates per number and is no cost of the
-// collection's.
+// document; so would measuring a number's size by rendering it to a string,
+// which the numbers variant pins.
 func TestInsertManyAllocBudget(t *testing.T) {
-	docs := make([]*Doc, 1000)
-	for i := range docs {
-		docs[i] = NewDoc().Set("name", Str(fmt.Sprintf("Show %d", i))).Set("type", Str("Movie"))
+	strs := make([]*Doc, 1000)
+	nums := make([]*Doc, 1000)
+	for i := range strs {
+		strs[i] = NewDoc().Set("name", Str(fmt.Sprintf("Show %d", i))).Set("type", Str("Movie"))
+		nums[i] = NewDoc().Set("name", Str(fmt.Sprintf("Show %d", i))).
+			Set("seats", Num(int64(1000+i))).Set("stars", Scalar(record.Float(float64(i)/7)))
 	}
-	const runs = 20
-	colls := make([]*Collection, runs+1) // AllocsPerRun runs once more to warm up
-	for i := range colls {
-		colls[i] = NewCollection("dt.instance", 0)
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		colls[next].InsertMany(docs)
-		next++
-	})
-	if n := colls[runs].Count(); n != 1000 {
-		t.Fatalf("the last collection holds %d documents", n)
-	}
-	if allocs > 3 {
-		t.Errorf("inserting 1 000 documents allocates %.0f times, budget 3", allocs)
+	for _, c := range []struct {
+		name string
+		docs []*Doc
+	}{{"strings", strs}, {"numbers", nums}} {
+		const runs = 20
+		colls := make([]*Collection, runs+1) // AllocsPerRun runs once more to warm up
+		for i := range colls {
+			colls[i] = NewCollection("dt.instance", 0)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			colls[next].InsertMany(c.docs)
+			next++
+		})
+		if n := colls[runs].Count(); n != 1000 {
+			t.Fatalf("%s: the last collection holds %d documents", c.name, n)
+		}
+		if allocs > 3 {
+			t.Errorf("%s: inserting 1 000 documents allocates %.0f times, budget 3", c.name, allocs)
+		}
 	}
 }

@@ -142,8 +142,11 @@ func (v DocValue) sizeBytes() int64 {
 			n += e.sizeBytes()
 		}
 		return n
-	default:
+	case v.scalar.Kind() == record.KindString:
 		return scalarOverhead + int64(len(v.scalar.Str()))
+	default:
+		var buf [64]byte // a rendering of any other kind fits
+		return scalarOverhead + int64(len(v.scalar.AppendStr(buf[:0])))
 	}
 }
 
@@ -202,13 +205,11 @@ func (d *Doc) Len() int {
 	return len(d.fields)
 }
 
-// Names returns field names in insertion order.
-func (d *Doc) Names() []string {
-	names := make([]string, len(d.fields))
-	for i, f := range d.fields {
-		names[i] = f.name
-	}
-	return names
+// Field returns the name and value of the i-th top-level field, in
+// insertion order; 0 <= i < Len().
+func (d *Doc) Field(i int) (string, DocValue) {
+	f := &d.fields[i]
+	return f.name, f.value
 }
 
 // Path resolves a dotted path like "entity.name" into the document tree,

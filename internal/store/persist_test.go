@@ -192,7 +192,7 @@ func TestPutDocFields(t *testing.T) {
 	d := richDoc()
 	for _, fields := range [][]string{nil, {}, {"name"}, {"list", "name", "gone", "name"}, {"gone"}, {"nested", "missing"}} {
 		want := NewDoc()
-		for _, name := range d.Names() {
+		for _, name := range docNames(d) {
 			if v, _ := d.Get(name); len(fields) == 0 || slices.Contains(fields, name) {
 				want.Set(name, v)
 			}
