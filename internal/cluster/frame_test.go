@@ -165,7 +165,7 @@ func TestRequestFramesMatchReference(t *testing.T) {
 	reqs := []*Request{
 		{ID: 1, Op: OpPing},
 		{ID: 2, Op: OpQuery, Shard: "dt.entity/3", MinGen: 17, Body: query},
-		{ID: 1 << 40, Op: OpInsert, Shard: "dt.instance/0", Body: EncodeDocList(walkingDocs(3000))},
+		{ID: 1 << 40, Op: OpInsert, Shard: "dt.instance/0", Body: encodeDocList(walkingDocs(3000))},
 		{ID: 4, Op: OpStats, Shard: strings.Repeat("s", 300)},
 		{ID: 5, Op: OpPull, Shard: "dt.entity/0", MinGen: 1<<64 - 1, Body: []byte{0}},
 	}
@@ -256,7 +256,7 @@ func TestResponseFramesMatchReference(t *testing.T) {
 	busy := `cluster: node "n" shard "dt.entity/0" at generation 9, read requires 10 (busy)`
 	steps := []exchange{
 		{&Request{Op: OpPing}, &Response{}},
-		{&Request{Op: OpInsert, Shard: key, Body: EncodeDocList(docs)}, &Response{Gen: 5, Body: EncodeIDs(ids)}},
+		{&Request{Op: OpInsert, Shard: key, Body: encodeDocList(docs)}, &Response{Gen: 5, Body: EncodeIDs(ids)}},
 		{&Request{Op: OpUpdate, Shard: key, Body: EncodeIDDoc(ids[0], changed)}, &Response{Gen: 6, Body: []byte{1}}},
 		{&Request{Op: OpDelete, Shard: key, Body: EncodeIDDoc(ids[1], nil)}, &Response{Gen: 7, Body: []byte{1}}},
 		{&Request{Op: OpDelete, Shard: key, Body: EncodeIDDoc(99, nil)}, &Response{Gen: 7, Body: []byte{0}}},

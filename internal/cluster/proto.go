@@ -20,8 +20,10 @@
 //
 // An insert is a frame per shard, not per document: OpInsert's body is a
 // document list in the codec query responses use, cut into chunks of about
-// InsertChunkBytes, and a node decodes the whole list before it stores the
-// first document.
+// store.FrameChunk (256 KiB), and a node decodes the whole list before it
+// stores the first document. A chunk is that size so that an insert frame
+// fits the node's reused request buffer, like a read's, and so that a
+// coordinator loading four shards at once holds about 1 MiB of frames.
 //
 // A read's bytes are buffered once on each side of the wire. A node reads
 // each request frame into its connection's request buffer and encodes the
@@ -52,7 +54,7 @@ import (
 // against one hosted shard; responses reuse the same CRC framing.
 const (
 	OpPing byte = iota + 1
-	// OpInsert stores a document list (EncodeDocList) in order and answers
+	// OpInsert stores a document list (putDocList) in order and answers
 	// with the ids (EncodeIDs).
 	OpInsert
 	OpUpdate
@@ -78,13 +80,6 @@ const (
 // an OpPull resync, which ships a follower the whole shard; 64 MB is ~30x
 // the scaled-down deployment's whole corpus.
 const MaxFrameLen uint32 = 64 << 20
-
-// InsertChunkBytes is the footprint (Doc.SizeBytes, which overstates the
-// encoding) at which RemoteShard.Insert closes an OpInsert frame: a chunk
-// takes documents until it reaches this, so a frame runs at most one
-// document over — far under MaxFrameLen — and a load of B bytes to one shard
-// is at most B/InsertChunkBytes + 1 calls.
-const InsertChunkBytes = 1 << 20
 
 // Replication event kinds, carried as the store.EventLog kind byte when a
 // primary ships its mutation log to a follower. Payload: 8-byte little-
@@ -613,19 +608,12 @@ func getGroups(rd *bytes.Reader) ([]store.Group, error) {
 	return groups, nil
 }
 
-// EncodeDocList packs a document list — the tail of a query response body
-// and the whole of an insert request body.
-func EncodeDocList(docs []*store.Doc) []byte {
-	var buf bytes.Buffer
-	putDocList(&buf, docs, nil)
-	return buf.Bytes()
-}
-
-// putDocList appends the count and each document cut down to fields (none
-// is every field), length-prefixed. Every document is encoded through one
-// scratch buffer, straight from the stored document, and buf grows once, by
-// the footprint estimate of what is written (measured cheaper than
-// doubling).
+// putDocList appends a document list — the tail of a query response body
+// and the whole of an insert request body: the count and each document cut
+// down to fields (none is every field), length-prefixed. Every document is
+// encoded through one scratch buffer, straight from the stored document,
+// and buf grows once, by the footprint estimate of what is written
+// (measured cheaper than doubling).
 func putDocList(buf *bytes.Buffer, docs []*store.Doc, fields []string) {
 	store.PutUvarint(buf, uint64(len(docs)))
 	var size int64
@@ -641,8 +629,8 @@ func putDocList(buf *bytes.Buffer, docs []*store.Doc, fields []string) {
 	}
 }
 
-// DecodeDocList unpacks EncodeDocList through one reader. Nothing past the
-// list may remain, and no document may run over or short of its length.
+// DecodeDocList unpacks putDocList's list through one reader. Nothing past
+// the list may remain, and no document may run over or short of its length.
 func DecodeDocList(data []byte) ([]*store.Doc, error) {
 	rd := bytes.NewReader(data)
 	n, err := binary.ReadUvarint(rd)

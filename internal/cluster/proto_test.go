@@ -17,6 +17,13 @@ import (
 	"repro/internal/store"
 )
 
+// encodeDocList packs docs as an insert request body.
+func encodeDocList(docs []*store.Doc) []byte {
+	var buf bytes.Buffer
+	putDocList(&buf, docs, nil)
+	return buf.Bytes()
+}
+
 func TestRequestRoundTrip(t *testing.T) {
 	in := &Request{ID: 42, Op: OpQuery, Shard: "dt.entity/3", MinGen: 17, Body: []byte("payload")}
 	out, err := DecodeRequest(requestPayload(t, in))
@@ -482,7 +489,7 @@ func TestInsertListAllOrNothing(t *testing.T) {
 	node := NewNode("n")
 	hostAll(node, 1)
 	key := ShardKey(NSEntities, 0)
-	good := EncodeDocList([]*store.Doc{
+	good := encodeDocList([]*store.Doc{
 		store.NewDoc().Set("name", store.Str("a")),
 		store.NewDoc().Set("name", store.Str("b")).Set("tags", store.List(store.Str("x"))),
 		store.NewDoc().Set("name", store.Str("c")),
@@ -598,7 +605,7 @@ func FuzzDecodeResult(f *testing.F) {
 		// The same bytes as an insert body: a list either decodes whole and
 		// re-encodes to itself, or stores nothing.
 		if docs, err := DecodeDocList(data); err == nil {
-			if back, err := DecodeDocList(EncodeDocList(docs)); err != nil || len(back) != len(docs) {
+			if back, err := DecodeDocList(encodeDocList(docs)); err != nil || len(back) != len(docs) {
 				t.Fatalf("doc list of %d does not survive a round trip: %d, %v", len(docs), len(back), err)
 			}
 		}
@@ -616,7 +623,7 @@ func resultFrameSeeds() [][]byte {
 	full := encodeResult(store.Result{Docs: docs, Total: math.MaxInt64}, store.Query{})
 	projected := encodeResult(store.Result{Docs: docs, Total: 2}, store.Query{Fields: []string{"name"}})
 	plan := encodeResult(store.Result{Plan: store.Explain{AccessPath: "scan", Reason: "no index on name"}}, store.Query{Explain: true})
-	list := EncodeDocList(docs)
+	list := encodeDocList(docs)
 	groups := []store.Group{{Key: "Matilda", Count: 3}, {Key: "The Walking Dead", Count: math.MaxInt64}}
 	counted := encodeResult(store.Result{Total: 3, Groups: groups}, store.Query{GroupBy: "name"})
 	grouped := encodeResult(store.Result{Docs: docs, Total: 9, Groups: groups}, store.Query{GroupBy: "name", Fields: []string{"name"}})

@@ -81,17 +81,29 @@ func (r *RemoteShard) callRead(ctx context.Context, op byte, body []byte) (*Resp
 	return r.callPrimary(ctx, op, body)
 }
 
-// Insert implements store.ShardBackend: one frame per InsertChunkBytes of
-// documents, each stored by the node whole or not at all.
+// Insert implements store.ShardBackend: one frame per store.FrameChunk of
+// documents, each stored by the node whole or not at all. A frame closes
+// before the document whose footprint (Doc.SizeBytes, which overstates the
+// encoding) would take it past the chunk, unless that document is its
+// first, so a frame fits the node's reused request buffer. Every frame is
+// encoded into the same buffer, which the transport is done with when its
+// call returns.
 func (r *RemoteShard) Insert(ctx context.Context, docs ...*store.Doc) ([]int64, error) {
 	ids := make([]int64, 0, len(docs))
+	var body bytes.Buffer
 	for len(docs) > 0 {
 		n, size := 0, int64(0)
-		for n < len(docs) && size < InsertChunkBytes {
-			size += docs[n].SizeBytes()
+		for n < len(docs) {
+			sz := docs[n].SizeBytes()
+			if n > 0 && size+sz > store.FrameChunk {
+				break
+			}
+			size += sz
 			n++
 		}
-		resp, err := r.callPrimary(ctx, OpInsert, EncodeDocList(docs[:n]))
+		body.Reset()
+		putDocList(&body, docs[:n], nil)
+		resp, err := r.callPrimary(ctx, OpInsert, body.Bytes())
 		if err != nil {
 			return ids, err
 		}

@@ -105,24 +105,57 @@ func TestPagedFindMovesThePageOverTheWire(t *testing.T) {
 }
 
 // countingTransport counts the calls through it and the bytes of their
-// encoded requests and responses.
+// encoded requests and responses, and keeps the largest insert request.
 type countingTransport struct {
 	Transport
-	calls, bytes atomic.Int64
+	calls, bytes, maxInsert atomic.Int64
 }
 
 func (c *countingTransport) Call(ctx context.Context, req *Request) (*Response, error) {
 	resp, err := c.Transport.Call(ctx, req)
 	c.calls.Add(1)
-	c.bytes.Add(int64(len(refEncodeRequest(req))))
+	n := int64(len(refEncodeRequest(req)))
+	c.bytes.Add(n)
+	for req.Op == OpInsert {
+		if m := c.maxInsert.Load(); n <= m || c.maxInsert.CompareAndSwap(m, n) {
+			break
+		}
+	}
 	if resp != nil {
 		c.bytes.Add(int64(len(refEncodeResponse(resp))))
 	}
 	return resp, err
 }
 
+// TestInsertFramesFitTheChunk loads documents of about 100 KB each, where a
+// frame taking documents until it reached store.FrameChunk would run a
+// document over it: every insert frame must fit the node's reused request
+// buffer, and hold as many documents as fit.
+func TestInsertFramesFitTheChunk(t *testing.T) {
+	node := NewNode("frames")
+	node.AddShard(ShardKey(NSInstances, 0), store.NewCollection(NSInstances, 0))
+	tr := &countingTransport{Transport: Loopback{Node: node}}
+	docs := make([]*store.Doc, 10)
+	for i := range docs {
+		docs[i] = store.NewDoc().
+			Set("source_url", store.Str(fmt.Sprintf("http://feeds.example/%d", i))).
+			Set("text", store.Str(strings.Repeat("Matilda grossed 960,998 this week. ", 3000)))
+	}
+	perFrame := int(store.FrameChunk / docs[0].SizeBytes())
+	ids, err := NewRemoteShard(NSInstances, 0, tr, nil).Insert(context.Background(), docs...)
+	if err != nil || len(ids) != len(docs) {
+		t.Fatalf("Insert = %d ids (%v), want %d", len(ids), err, len(docs))
+	}
+	if m := tr.maxInsert.Load(); m > store.FrameChunk {
+		t.Errorf("the largest insert frame is %d B, over the %d B chunk", m, store.FrameChunk)
+	}
+	if want := int64((len(docs) + perFrame - 1) / perFrame); tr.calls.Load() != want {
+		t.Errorf("%d documents, %d to a frame, took %d calls, want %d", len(docs), perFrame, tr.calls.Load(), want)
+	}
+}
+
 // TestWireCarriesBatchesAndFields pins both directions of the wire by count.
-// Loading N documents through the router is a call per InsertChunkBytes of
+// Loading N documents through the router is a call per store.FrameChunk of
 // them and shard, not a call per document; and TextFeeds of the best feed,
 // which each shard ranks next to its text, moves at most one text per shard
 // — not every fragment naming the show, nor the entity lists stored beside
@@ -172,7 +205,7 @@ func TestWireCarriesBatchesAndFields(t *testing.T) {
 	if err := instances.InsertManyCtx(ctx, docs); err != nil {
 		t.Fatal(err)
 	}
-	budget := (footprint+InsertChunkBytes-1)/InsertChunkBytes + shards
+	budget := (footprint+store.FrameChunk-1)/store.FrameChunk + shards
 	if calls := tr.calls.Load(); calls > budget || budget >= n/10 {
 		t.Fatalf("loading %d documents (%d B) took %d calls; the budget is %d, a call per chunk and shard", n, footprint, calls, budget)
 	}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,10 +73,12 @@ type StageReport struct {
 }
 
 // Tamer is a configured pipeline instance. The batch entry points
-// (Run and its stages) are single-threaded; after a Run the incremental
-// hooks in incremental.go and all query methods are safe for concurrent
-// use — mu guards the mutable curation state (registry, global schema,
-// fused view), while the document stores carry their own locks.
+// (Run and its stages) are not safe to call concurrently with one another,
+// though Run itself builds the text and structured sides at once; after a
+// Run the incremental hooks in incremental.go and all query methods are
+// safe for concurrent use — mu guards the mutable curation state
+// (registry, global schema, fused view), while the document stores carry
+// their own locks.
 type Tamer struct {
 	cfg Config
 
@@ -95,7 +98,9 @@ type Tamer struct {
 	arrivals     map[string]int // per source, the position of its next member
 	dedupMatcher *dedup.Matcher // Section IV classifier, trained once
 	matchReports []*match.Report
-	stages       []StageReport
+
+	stagesMu sync.Mutex
+	stages   []StageReport // in stageOrder
 
 	// dataGen counts every mutation that can change a read result —
 	// fragment applies, record applies, consolidation, store swaps,
@@ -165,8 +170,14 @@ func (t *Tamer) SetStores(instances, entities *store.Sharded) {
 // conservatively.
 func (t *Tamer) DataGeneration() uint64 { return t.dataGen.Load() }
 
-// Stages returns the per-stage reports of the last Run.
-func (t *Tamer) Stages() []StageReport { return t.stages }
+// Stages returns the per-stage reports of the last Run, in pipeline order
+// (Fig. 1): ingest-webtext, parse-entities, import-ftables,
+// clean-consolidate.
+func (t *Tamer) Stages() []StageReport {
+	t.stagesMu.Lock()
+	defer t.stagesMu.Unlock()
+	return slices.Clone(t.stages)
+}
 
 // MatchReports returns the schema-matching reports, in integration order
 // (the Fig. 2 early-stage report is first).
@@ -181,20 +192,41 @@ func (t *Tamer) MatchReports() []*match.Report {
 // returned slice is an immutable snapshot; callers must not modify it.
 func (t *Tamer) FusedRecords() []*record.Record { return t.fusedSnapshot().records }
 
+// stageOrder is the pipeline order of the stages, in which Stages lists
+// them whichever finished first.
+var stageOrder = []string{"ingest-webtext", "parse-entities", "import-ftables", "clean-consolidate"}
+
+// stage records one stage's report. Run's two sides call it at once.
 func (t *Tamer) stage(name string, items int, start time.Time) {
+	t.stagesMu.Lock()
+	defer t.stagesMu.Unlock()
 	t.stages = append(t.stages, StageReport{Stage: name, Items: items, Duration: time.Since(start)})
+	slices.SortStableFunc(t.stages, func(a, b StageReport) int {
+		return slices.Index(stageOrder, a.Stage) - slices.Index(stageOrder, b.Stage)
+	})
 }
 
-// Run executes the full pipeline. Cancelling ctx stops the run between
-// and, for the parse pool, inside stages.
+// Run executes the full pipeline. Web text and the structured sources reach
+// the fused view by separate routes that meet only when a query fuses them,
+// so Run builds the two at once: IngestWebText on one goroutine,
+// ImportFTables then CleanAndConsolidate on another. It returns after both,
+// with the text side's error first. Cancelling ctx stops both sides between
+// and, for the parse pool and the expert rounds, inside stages.
 func (t *Tamer) Run(ctx context.Context) error {
-	if err := t.IngestWebText(ctx); err != nil {
-		return err
+	var structured error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if structured = t.ImportFTables(ctx); structured == nil {
+			structured = t.CleanAndConsolidate(ctx)
+		}
+	}()
+	text := t.IngestWebText(ctx)
+	<-done
+	if text != nil {
+		return text
 	}
-	if err := t.ImportFTables(ctx); err != nil {
-		return err
-	}
-	return t.CleanAndConsolidate(ctx)
+	return structured
 }
 
 // IngestWebText generates the corpus, runs the domain-specific parser, and
@@ -223,16 +255,17 @@ type parsed struct {
 	entities []*store.Doc
 }
 
-// parseFragments runs the domain-specific parser over frags with a worker
-// pool (the parser is read-only and safe for concurrent use). workers <= 0
-// uses one worker per CPU. Results keep fragment order so the subsequent
-// serial inserts stay deterministic. Cancelling ctx stops every worker at
-// its next fragment boundary and the call returns the context error.
-func (t *Tamer) parseFragments(ctx context.Context, frags []datagen.Fragment, workers int) ([]parsed, error) {
-	results := make([]parsed, len(frags))
+// parseFragments runs the domain-specific parser over frags into results,
+// which has their length, with a worker pool (the parser is read-only and
+// safe for concurrent use). workers <= 0 uses one worker per schedulable
+// CPU, as the shard fan-out does, so under GOMAXPROCS=1 the load is serial.
+// Results keep fragment order so the inserts that follow stay
+// deterministic. Cancelling ctx stops every worker at its next fragment
+// boundary and the call returns the context error.
+func (t *Tamer) parseFragments(ctx context.Context, frags []datagen.Fragment, results []parsed, workers int) error {
 	var wg sync.WaitGroup
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(frags) {
 		workers = len(frags)
@@ -270,9 +303,9 @@ func (t *Tamer) parseFragments(ctx context.Context, frags []datagen.Fragment, wo
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, dterr.FromContext(err)
+		return dterr.FromContext(err)
 	}
-	return results, nil
+	return nil
 }
 
 // indexStores creates the standard index sets: 1 index on dt.instance and

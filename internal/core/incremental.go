@@ -21,11 +21,25 @@ import (
 // translated and cleaned at once into members of the fused view, which is
 // re-consolidated on the next refresh or fused query.
 
-// ApplyFragments parses frags with a pool of workers (0 = one per CPU) and
-// inserts the results into both text namespaces. It returns the instance
-// and entity counts inserted. Safe for concurrent use with queries; calls
-// are internally serialized per store shard. Cancelling ctx stops the
-// parse workers at their next fragment and inserts nothing.
+// applyWindow is how many fragments ApplyFragments parses before it stores
+// them. A window's parsed documents are all a coordinator over remote
+// shards holds of a load at once. At 500, a shard's share of a window fits
+// one insert frame (store.FrameChunk) at the default 4 shards, so a window
+// is one call per store and shard, while the coordinator holds a quarter
+// of the default 2 000-fragment load.
+const applyWindow = 500
+
+// ApplyFragments parses frags with a pool of workers (0 = one per
+// schedulable CPU) and inserts the results into both text namespaces, one
+// window of applyWindow fragments at a time: a window is parsed, then
+// inserted into each store, before the next is parsed. Each shard sees its
+// documents in fragment order, so every document gets the id serial
+// inserts would. It returns the instance and entity counts inserted. Safe
+// for concurrent use with queries; calls are internally serialized per
+// store shard. Cancelling ctx before the first window's insert stops the
+// parse workers at their next fragment and inserts nothing; a cancellation
+// after it no longer stops the parse, so on local stores, which ignore ctx,
+// the whole batch lands.
 func (t *Tamer) ApplyFragments(ctx context.Context, frags []datagen.Fragment, workers int) (instances, entities int, err error) {
 	if len(frags) == 0 {
 		return 0, 0, nil
@@ -38,32 +52,45 @@ func (t *Tamer) ApplyFragments(ctx context.Context, frags []datagen.Fragment, wo
 		}
 		t.storesIndexed.Store(true)
 	}
-	results, err := t.parseFragments(ctx, frags, workers)
-	if err != nil {
-		return 0, 0, err
+	// Bump the generation once, after the last insert — or after a failed
+	// one, which may have stored part of its window — so an HTTP response
+	// cached during the batch is keyed to the pre-batch generation and the
+	// first query after this return recomputes.
+	inserted := false
+	defer func() {
+		if inserted {
+			t.dataGen.Add(1)
+		}
+	}()
+	results := make([]parsed, min(len(frags), applyWindow))
+	var instanceDocs, entityDocs []*store.Doc
+	parseCtx := ctx
+	for lo := 0; lo < len(frags); lo += applyWindow {
+		window := frags[lo:min(lo+applyWindow, len(frags))]
+		results = results[:len(window)]
+		if err := t.parseFragments(parseCtx, window, results, workers); err != nil {
+			return 0, 0, err
+		}
+		instanceDocs, entityDocs = instanceDocs[:0], entityDocs[:0]
+		for _, r := range results {
+			instanceDocs = append(instanceDocs, r.instance)
+			entityDocs = append(entityDocs, r.entities...)
+		}
+		inserted = true
+		// The batch's first insert has begun: from here on a cancellation
+		// must not leave a local batch half stored (the live ingester's WAL
+		// replay relies on all or nothing), so the parse ignores it.
+		parseCtx = context.WithoutCancel(ctx)
+		if err := t.Instances.InsertManyCtx(ctx, instanceDocs); err != nil {
+			return 0, 0, err
+		}
+		if err := t.Entities.InsertManyCtx(ctx, entityDocs); err != nil {
+			return 0, 0, err
+		}
+		instances += len(instanceDocs)
+		entities += len(entityDocs)
 	}
-	for _, r := range results {
-		entities += len(r.entities)
-	}
-	// Each store takes its documents as one batch, in fragment order, which
-	// gives every document the id serial inserts would.
-	instanceDocs := make([]*store.Doc, 0, len(results))
-	entityDocs := make([]*store.Doc, 0, entities)
-	for _, r := range results {
-		instanceDocs = append(instanceDocs, r.instance)
-		entityDocs = append(entityDocs, r.entities...)
-	}
-	if err := t.Instances.InsertManyCtx(ctx, instanceDocs); err != nil {
-		return 0, 0, err
-	}
-	if err := t.Entities.InsertManyCtx(ctx, entityDocs); err != nil {
-		return 0, 0, err
-	}
-	// Bump the generation only after every insert landed, so an HTTP
-	// response cached during the batch is keyed to the pre-batch generation
-	// and the first query after this return recomputes.
-	t.dataGen.Add(1)
-	return len(results), entities, nil
+	return instances, entities, nil
 }
 
 // ApplyRecords folds a batch of structured records from the named source

@@ -85,9 +85,9 @@ func (l LocalShard) CreateTextIndex(_ context.Context, path string) error {
 // Sharded is a collection distributed over N shards by a hash of the shard
 // key path. Each shard is an independent backend — an in-process Collection
 // or a remote proxy — as in the paper's distributed deployment; the router
-// fans reads out to all shards concurrently and merges results in shard
-// order, so a query pays for the slowest shard rather than the sum of all
-// of them. Sharded is safe for concurrent use.
+// fans reads and batch writes out to all shards concurrently and merges
+// results in shard order, so an operation pays for the slowest shard rather
+// than the sum of all of them. Sharded is safe for concurrent use.
 type Sharded struct {
 	ns       string
 	keyPath  string
@@ -192,10 +192,11 @@ func (s *Sharded) InsertCtx(ctx context.Context, d *Doc) (shard int, id int64, e
 }
 
 // InsertManyCtx routes docs to their shards and hands each shard its share
-// in one backend call, shard by shard. A shard sees its documents in the
-// order they have in docs, so every document gets the id InsertCtx calls in
-// that order would have given it. An error stops the load: shards before
-// the failing one hold their share, later ones none of theirs.
+// in one backend call, every shard at once (see fanOut). A shard sees its
+// documents in the order they have in docs, so every document gets the id
+// InsertCtx calls in that order would have given it. A failing shard stops
+// no other: each of them is asked for its whole share, and the error
+// returned is the first in shard order.
 func (s *Sharded) InsertManyCtx(ctx context.Context, docs []*Doc) error {
 	if len(s.backends) == 1 {
 		_, err := s.backends[0].Insert(ctx, docs...)
@@ -216,15 +217,13 @@ func (s *Sharded) InsertManyCtx(ctx context.Context, docs []*Doc) error {
 		i := s.shardFor(d)
 		shares[i] = append(shares[i], d)
 	}
-	for i, share := range shares {
-		if len(share) == 0 {
-			continue
+	return s.fanOut(func(i int, b ShardBackend) error {
+		if len(shares[i]) == 0 {
+			return nil
 		}
-		if _, err := s.backends[i].Insert(ctx, share...); err != nil {
-			return err
-		}
-	}
-	return nil
+		_, err := b.Insert(ctx, shares[i]...)
+		return err
+	})
 }
 
 // EnsureIndex creates the index on every shard.
@@ -232,19 +231,17 @@ func (s *Sharded) EnsureIndex(name, path string, kind IndexKind) {
 	_ = s.EnsureIndexCtx(context.Background(), name, path, kind)
 }
 
-// EnsureIndexCtx creates the index on every shard, propagating failures.
+// EnsureIndexCtx creates the index on every shard at once, propagating
+// failures.
 func (s *Sharded) EnsureIndexCtx(ctx context.Context, name, path string, kind IndexKind) error {
-	for _, b := range s.backends {
-		// Local shards build synchronously and ignore ctx; checking between
-		// shards is what lets a cancelled restore stop mid-rebuild.
+	return s.fanOut(func(_ int, b ShardBackend) error {
+		// Local shards build synchronously and ignore ctx; checking before
+		// each shard is what lets a cancelled restore stop mid-rebuild.
 		if err := ctx.Err(); err != nil {
 			return dterr.FromContext(err)
 		}
-		if err := b.CreateIndex(ctx, name, path, kind); err != nil {
-			return err
-		}
-	}
-	return nil
+		return b.CreateIndex(ctx, name, path, kind)
+	})
 }
 
 // EnsureTextIndex creates the inverted text index over path on every shard.
@@ -253,31 +250,30 @@ func (s *Sharded) EnsureTextIndex(path string) {
 }
 
 // EnsureTextIndexCtx creates the inverted text index over path on every
-// shard, propagating failures.
+// shard at once, propagating failures.
 func (s *Sharded) EnsureTextIndexCtx(ctx context.Context, path string) error {
-	for _, b := range s.backends {
+	return s.fanOut(func(_ int, b ShardBackend) error {
 		if err := ctx.Err(); err != nil {
 			return dterr.FromContext(err)
 		}
-		if err := b.CreateTextIndex(ctx, path); err != nil {
-			return err
-		}
-	}
-	return nil
+		return b.CreateTextIndex(ctx, path)
+	})
 }
 
-// fanOut runs fn once per shard, concurrently when parallelism can
-// actually overlap the work (more than one shard and more than one
-// schedulable CPU), and returns after every call completed. The first
-// error in shard order is returned.
+// fanOut runs fn once per shard — reads and writes alike — concurrently
+// when parallelism can actually overlap the work (more than one shard and
+// more than one schedulable CPU), and returns after every call completed:
+// a failing call stops no other. The first error in shard order is
+// returned.
 func (s *Sharded) fanOut(fn func(i int, b ShardBackend) error) error {
 	if len(s.backends) == 1 || runtime.GOMAXPROCS(0) == 1 {
+		var first error
 		for i, b := range s.backends {
-			if err := fn(i, b); err != nil {
-				return err
+			if err := fn(i, b); err != nil && first == nil {
+				first = err
 			}
 		}
-		return nil
+		return first
 	}
 	errs := make([]error, len(s.backends))
 	var wg sync.WaitGroup

@@ -2,12 +2,16 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/dterr"
 )
 
 // TestShardForStability pins the routing function: the inlined FNV-1a loop
@@ -181,5 +185,88 @@ func TestShardedFanOutEquivalence(t *testing.T) {
 	}
 	if got, err := s.DistinctCtx(ctx, "type"); err != nil || !reflect.DeepEqual(got, serialDistinct) {
 		t.Errorf("Distinct = %v, %v, want %v", got, err, serialDistinct)
+	}
+}
+
+// failingShard is a shard whose inserts store nothing and fail with err. It
+// keeps what it was asked to store.
+type failingShard struct {
+	LocalShard
+	err   error
+	asked *[]*Doc
+}
+
+func (f failingShard) Insert(_ context.Context, docs ...*Doc) ([]int64, error) {
+	*f.asked = append(*f.asked, docs...)
+	return nil, f.err
+}
+
+// TestInsertManyFailingShardSparesTheOthers pins the batch write's contract
+// with two of four shards failing, whether the shards are loaded at once or
+// one after another (GOMAXPROCS=1): every shard is asked for its whole
+// share, in batch order, so each healthy one holds it; and the error
+// returned is the first failing shard's, with its dterr code.
+func TestInsertManyFailingShardSparesTheOthers(t *testing.T) {
+	ctx := context.Background()
+	const shards = 4
+	docs := make([]*Doc, 200)
+	want := make([][]*Doc, shards)
+	for i := range docs {
+		name := fmt.Sprintf("doc-%03d", i%150)
+		docs[i] = entityDoc(name, "T", int64(i))
+		h := fnv.New32a()
+		h.Write([]byte(name))
+		want[int(h.Sum32())%shards] = append(want[int(h.Sum32())%shards], docs[i])
+	}
+	fails := map[int]dterr.Code{1: dterr.CodeBusy, 3: dterr.CodeUnavailable}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		backends := make([]ShardBackend, shards)
+		asked := make([][]*Doc, shards)
+		for i := range backends {
+			local := LocalShard{Coll: NewCollection("dt.fail", 0)}
+			backends[i] = local
+			if code, ok := fails[i]; ok {
+				backends[i] = failingShard{LocalShard: local, err: dterr.Newf(code, "shard %d is down", i), asked: &asked[i]}
+			}
+		}
+		s, err := NewShardedBackends("dt.fail", "name", backends)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.InsertManyCtx(ctx, docs)
+		runtime.GOMAXPROCS(prev)
+		if !errors.Is(err, dterr.ErrBusy) || dterr.CodeOf(err) != dterr.CodeBusy {
+			t.Errorf("GOMAXPROCS=%d: InsertManyCtx = %v, want shard 1's busy error", procs, err)
+		}
+		for i := range backends {
+			got := asked[i]
+			if coll := s.Shard(i); coll != nil {
+				_, got = members(coll)
+			}
+			if !slices.Equal(got, want[i]) {
+				t.Errorf("GOMAXPROCS=%d: shard %d got %d documents of its share of %d, or in another order", procs, i, len(got), len(want[i]))
+			}
+		}
+	}
+}
+
+// TestEnsureIndexCancelledTouchesNoShard: every shard checks the context
+// before it builds, so a cancelled index creation builds nothing anywhere.
+func TestEnsureIndexCancelledTouchesNoShard(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := NewSharded("dt.ix", "name", 4, 0)
+	s.Insert(entityDoc("Matilda", "Movie", 1))
+	if err := s.EnsureIndexCtx(ctx, "type_1", "type", HashIndex); !errors.Is(err, dterr.ErrCanceled) {
+		t.Errorf("EnsureIndexCtx = %v, want canceled", err)
+	}
+	if err := s.EnsureTextIndexCtx(ctx, "name"); !errors.Is(err, dterr.ErrCanceled) {
+		t.Errorf("EnsureTextIndexCtx = %v, want canceled", err)
+	}
+	for i := 0; i < s.NumShards(); i++ {
+		if c := s.Shard(i); len(c.indexes) != 0 || len(c.text) != 0 {
+			t.Errorf("shard %d built %d indexes and %d text indexes", i, len(c.indexes), len(c.text))
+		}
 	}
 }
