@@ -8,7 +8,9 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"net"
+	"slices"
 	"testing"
 
 	"repro/internal/store"
@@ -16,8 +18,9 @@ import (
 
 // TestQueryRoundTripAllocBudget: a projected ten-document page over a
 // reused connection allocates what the query and its result need — the
-// node's decoded request and query, the page it matches, the coordinator's
-// response frame — and no copy of either frame.
+// node's decoded request and query, read with no filter document between
+// bytes and filter, the page it matches, the coordinator's response frame —
+// and no copy of either frame.
 func TestQueryRoundTripAllocBudget(t *testing.T) {
 	node := NewNode("n")
 	key := ShardKey(NSEntities, 0)
@@ -48,7 +51,31 @@ func TestQueryRoundTripAllocBudget(t *testing.T) {
 	}
 	n := testing.AllocsPerRun(200, roundTrip)
 	t.Logf("a query round trip allocates %.1f times", n)
-	if n > 33 {
-		t.Errorf("a query round trip allocates %.1f times, budget 33", n)
+	if n > 25 {
+		t.Errorf("a query round trip allocates %.1f times, budget 25", n)
+	}
+}
+
+// TestPagedFindBuildsOnlyItsPage: a find at offset 40, limit 10 over four
+// remote shards asks each for its first 50 matches, and each ships them,
+// but the router builds only the 10 documents it returns; the 190 it only
+// checks cost nothing. Decoding all 200 would cost about 1 000 more.
+func TestPagedFindBuildsOnlyItsPage(t *testing.T) {
+	fx := newWindowFixture([]int{60, 60, 60, 60})
+	s := fx.router(t, nil)
+	q := store.Query{Filter: store.EqStr("type", "Movie"), Offset: 40, Limit: 10}
+	var res store.Result
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if res, err = s.QueryCtx(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want, _ := fx.want(40, 10); !slices.Equal(uidList(t, res.Docs), want) {
+		t.Fatalf("page %v, model %v", uidList(t, res.Docs), want)
+	}
+	t.Logf("a paged find over four shards allocates %.0f times", allocs)
+	if allocs > 300 {
+		t.Errorf("a paged find over four shards allocates %.0f times, budget 300", allocs)
 	}
 }

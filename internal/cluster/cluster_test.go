@@ -364,10 +364,14 @@ func TestReadYourWrites(t *testing.T) {
 	}
 }
 
-// findAll is the unbounded query against one shard backend.
+// findAll is the unbounded query against one shard backend, whose window
+// may arrive encoded.
 func findAll(ctx context.Context, b store.ShardBackend, f store.Filter) ([]*store.Doc, error) {
 	res, err := b.Query(ctx, store.Query{Filter: f, Limit: store.NoLimit})
-	return res.Docs, err
+	if err != nil {
+		return nil, err
+	}
+	return res.Window()
 }
 
 // countAll is the count-only query against one shard backend.

@@ -208,7 +208,11 @@ func (n *Node) handleWrite(req *Request, h *hostedShard, out respFrame) error {
 	switch req.Op {
 	case OpInsert:
 		// The list is decoded whole first: a malformed one stores nothing.
-		docs, err := DecodeDocList(req.Body)
+		list, err := store.ReadDocList(req.Body)
+		if err != nil {
+			return dterr.Wrap(dterr.CodeInvalidArgument, err)
+		}
+		docs, err := list.AppendWindow(make([]*store.Doc, 0, list.Len()), 0, list.Len())
 		if err != nil {
 			return dterr.Wrap(dterr.CodeInvalidArgument, err)
 		}

@@ -10,20 +10,24 @@
 // A filtered read is one frame each way, OpQuery: the request carries the
 // filter with an offset and a limit, the response the window's documents
 // and the shard's exact match total — or only the total (limit 0), or the
-// shard's plan for the filter (explain). The router asks every shard for
-// its first offset+limit matches, so a page view moves pages, not shards.
-// A query may also list the top-level fields its caller reads; the node
-// then encodes only those, straight from the stored documents, so a page
-// moves fields, not documents. And it may name a group-by path; the
-// response then carries each key at that path with its count, so a ranking
-// moves keys, not matches.
+// shard's plan for the filter (explain). The filter travels as a document
+// of the store codec, written straight from the store.Filter and read
+// straight back into one (store.PutFilter, store.ReadFilter), so neither
+// side builds the document. The router asks every shard for its first
+// offset+limit matches, so a page view moves pages, not shards. A query may
+// also list the top-level fields its caller reads; the node then encodes
+// only those, straight from the stored documents, so a page moves fields,
+// not documents. And it may name a group-by path; the response then
+// carries each key at that path with its count, so a ranking moves keys,
+// not matches.
 //
 // An insert is a frame per shard, not per document: OpInsert's body is a
-// document list in the codec query responses use, cut into chunks of about
-// store.FrameChunk (256 KiB), and a node decodes the whole list before it
-// stores the first document. A chunk is that size so that an insert frame
-// fits the node's reused request buffer, like a read's, and so that a
-// coordinator loading four shards at once holds about 1 MiB of frames.
+// document list in the codec query responses use (store.DocList reads
+// both), cut into chunks of about store.FrameChunk (256 KiB), and a node
+// decodes the whole list before it stores the first document. A chunk is
+// that size so that an insert frame fits the node's reused request buffer,
+// like a read's, and so that a coordinator loading four shards at once
+// holds about 1 MiB of frames.
 //
 // A read's bytes are buffered once on each side of the wire. A node reads
 // each request frame into its connection's request buffer and encodes the
@@ -32,11 +36,13 @@
 // CRC. A request's body aliases the request buffer, so a handler that keeps
 // it past the request copies it. The coordinator writes a request's header
 // and its already-encoded body under one CRC without joining them, and
-// reads each response into storage of its exact size, because the decoded
-// Response outlives the pooled connection. Both node buffers are
-// store.FrameBuf storage: one that grew past store.FrameChunk (256 KiB) for
-// a large frame is dropped after it, so an idle connection holds at most
-// that much each way.
+// reads each response into storage of its exact size, which outlives the
+// pooled connection: a query reply's document list stays encoded in it
+// (store.Result.Encoded aliases the frame) until the router cuts its window
+// and builds only the documents the window keeps, copying their strings
+// out of the frame. Both node buffers are store.FrameBuf storage: one that
+// grew past store.FrameChunk (256 KiB) for a large frame is dropped after
+// it, so an idle connection holds at most that much each way.
 package cluster
 
 import (
@@ -244,119 +250,6 @@ func DecodeResponse(data []byte) (*Response, error) {
 // ShardKey names one hosted shard on the wire.
 func ShardKey(ns string, index int) string { return fmt.Sprintf("%s/%d", ns, index) }
 
-// --- filter codec -----------------------------------------------------
-//
-// Filters cross the wire as documents through the store codec, so the
-// wire protocol adds no second serialization format: a Cond becomes
-// {t: "cond", op, path, value, set}, combinators nest recursively.
-
-// DecodeFilter decodes a filter document as filterDoc builds it.
-func DecodeFilter(data []byte) (store.Filter, error) {
-	d, err := store.DecodeDoc(data)
-	if err != nil {
-		return nil, dterr.Wrap(dterr.CodeInvalidArgument, err)
-	}
-	return docFilter(d)
-}
-
-func filterDoc(f store.Filter) (*store.Doc, error) {
-	switch v := f.(type) {
-	case nil:
-		return store.NewDoc().Set("t", store.Str("nil")), nil
-	case store.Cond:
-		d := store.NewDoc().
-			Set("t", store.Str("cond")).
-			Set("op", store.Num(int64(v.Op))).
-			Set("path", store.Str(v.Path)).
-			Set("value", store.Scalar(v.Value))
-		if len(v.Set) > 0 {
-			set := make([]store.DocValue, len(v.Set))
-			for i, s := range v.Set {
-				set[i] = store.Scalar(s)
-			}
-			d.Set("set", store.List(set...))
-		}
-		return d, nil
-	case store.And:
-		return combinatorDoc("and", v)
-	case store.Or:
-		return combinatorDoc("or", v)
-	case store.Not:
-		kid, err := filterDoc(v.Inner)
-		if err != nil {
-			return nil, err
-		}
-		return store.NewDoc().Set("t", store.Str("not")).Set("kid", store.Nested(kid)), nil
-	case store.All:
-		return store.NewDoc().Set("t", store.Str("all")), nil
-	default:
-		return nil, dterr.Newf(dterr.CodeInvalidArgument, "cluster: unsupported filter type %T", f)
-	}
-}
-
-func combinatorDoc(t string, kids []store.Filter) (*store.Doc, error) {
-	vs := make([]store.DocValue, len(kids))
-	for i, kid := range kids {
-		kd, err := filterDoc(kid)
-		if err != nil {
-			return nil, err
-		}
-		vs[i] = store.Nested(kd)
-	}
-	return store.NewDoc().Set("t", store.Str(t)).Set("kids", store.List(vs...)), nil
-}
-
-func docFilter(d *store.Doc) (store.Filter, error) {
-	switch t := d.PathString("t"); t {
-	case "nil":
-		return nil, nil
-	case "all":
-		return store.All{}, nil
-	case "cond":
-		opv, _ := d.Path("op")
-		op, _ := opv.Scalar().AsInt()
-		c := store.Cond{Path: d.PathString("path"), Op: store.Op(op)}
-		if v, ok := d.Path("value"); ok {
-			c.Value = v.Scalar()
-		}
-		if set, ok := d.Path("set"); ok && set.IsList() {
-			for _, e := range set.List() {
-				c.Set = append(c.Set, e.Scalar())
-			}
-		}
-		return c, nil
-	case "and", "or":
-		kidsV, _ := d.Path("kids")
-		var kids []store.Filter
-		for _, e := range kidsV.List() {
-			if e.Doc() == nil {
-				return nil, dterr.New(dterr.CodeInvalidArgument, "cluster: combinator child is not a document")
-			}
-			kid, err := docFilter(e.Doc())
-			if err != nil {
-				return nil, err
-			}
-			kids = append(kids, kid)
-		}
-		if t == "and" {
-			return store.And(kids), nil
-		}
-		return store.Or(kids), nil
-	case "not":
-		kidV, ok := d.Path("kid")
-		if !ok || kidV.Doc() == nil {
-			return nil, dterr.New(dterr.CodeInvalidArgument, "cluster: not-filter missing child")
-		}
-		kid, err := docFilter(kidV.Doc())
-		if err != nil {
-			return nil, err
-		}
-		return store.Not{Inner: kid}, nil
-	default:
-		return nil, dterr.Newf(dterr.CodeInvalidArgument, "cluster: unknown filter tag %q", t)
-	}
-}
-
 // --- op payload codecs ------------------------------------------------
 
 // EncodeIDDoc packs (id, doc) — the update request body and the
@@ -406,10 +299,6 @@ const (
 // when queryRank is set, then the filter document. An unranked query's
 // body has no trace of the rank.
 func EncodeQuery(q store.Query) ([]byte, error) {
-	fd, err := filterDoc(q.Filter)
-	if err != nil {
-		return nil, err
-	}
 	var buf bytes.Buffer
 	var flags byte
 	if q.Explain {
@@ -439,7 +328,9 @@ func EncodeQuery(q store.Query) ([]byte, error) {
 			putVarint(&buf, int64(t.Weight))
 		}
 	}
-	store.PutDoc(&buf, fd)
+	if err := store.PutFilter(&buf, q.Filter); err != nil {
+		return nil, err
+	}
 	return buf.Bytes(), nil
 }
 
@@ -491,7 +382,7 @@ func DecodeQuery(data []byte) (store.Query, error) {
 			return store.Query{}, err
 		}
 	}
-	filter, err := DecodeFilter(data[len(data)-rd.Len():])
+	filter, err := store.ReadFilter(data[len(data)-rd.Len():])
 	if err != nil {
 		return store.Query{}, err
 	}
@@ -559,7 +450,9 @@ func putResult(buf *bytes.Buffer, res store.Result, q store.Query) {
 	putDocList(buf, res.Docs, q.Fields)
 }
 
-// DecodeResult unpacks the putResult body of a reply to q.
+// DecodeResult unpacks the putResult body of a reply to q. The window's
+// documents stay encoded, aliasing data, in Result.Encoded: the router
+// builds only those it keeps.
 func DecodeResult(data []byte, q store.Query) (store.Result, error) {
 	rd := bytes.NewReader(data)
 	total, err := binary.ReadUvarint(rd)
@@ -583,8 +476,10 @@ func DecodeResult(data []byte, q store.Query) (store.Result, error) {
 			return store.Result{}, err
 		}
 	}
-	res.Docs, err = DecodeDocList(data[len(data)-rd.Len():])
-	return res, err
+	if res.Encoded, err = store.ReadDocList(data[len(data)-rd.Len():]); err != nil {
+		return store.Result{}, err
+	}
+	return res, nil
 }
 
 // getGroups reads the group section of a query result.
@@ -627,41 +522,6 @@ func putDocList(buf *bytes.Buffer, docs []*store.Doc, fields []string) {
 		store.PutDocFields(&one, d, fields)
 		store.PutBytes(buf, one.Bytes())
 	}
-}
-
-// DecodeDocList unpacks putDocList's list through one reader. Nothing past
-// the list may remain, and no document may run over or short of its length.
-func DecodeDocList(data []byte) ([]*store.Doc, error) {
-	rd := bytes.NewReader(data)
-	n, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: doc list count")
-	}
-	if n > uint64(rd.Len()) {
-		return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc list count %d exceeds remaining bytes", n)
-	}
-	docs := make([]*store.Doc, 0, n)
-	var prev *store.Doc
-	for i := uint64(0); i < n; i++ {
-		size, err := binary.ReadUvarint(rd)
-		if err != nil || size > uint64(rd.Len()) {
-			return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc %d length", i)
-		}
-		end := rd.Len() - int(size)
-		d, err := store.GetDoc(rd, prev)
-		if err != nil {
-			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: doc %d", i)
-		}
-		if rd.Len() != end {
-			return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc %d is not the %d bytes its length says", i, size)
-		}
-		docs = append(docs, d)
-		prev = d
-	}
-	if rd.Len() != 0 {
-		return nil, dterr.Newf(dterr.CodeInternal, "cluster: %d bytes after the doc list", rd.Len())
-	}
-	return docs, nil
 }
 
 // EncodeIDs packs an insert response body: a count, then each id.

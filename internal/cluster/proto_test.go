@@ -132,7 +132,7 @@ func TestFilterRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
 		}
-		back, err := DecodeFilter(data)
+		back, err := store.ReadFilter(data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
@@ -348,32 +348,47 @@ func TestQueryFrameRoundTrip(t *testing.T) {
 		store.NewDoc().Set("attributes", store.Nested(store.NewDoc().Set("award_winning", store.Str("true")))),
 	}
 	res, err := DecodeResult(encodeResult(store.Result{Docs: docs, Total: 6137}, store.Query{}), store.Query{})
-	if err != nil || res.Total != 6137 || len(res.Docs) != 2 || res.Docs[1].PathString("attributes.award_winning") != "true" {
-		t.Fatalf("result round trip: %+v, %v", res, err)
+	got := window(t, res, err)
+	if res.Total != 6137 || len(got) != 2 || got[1].PathString("attributes.award_winning") != "true" {
+		t.Fatalf("result round trip: %+v, %v", res, got)
 	}
 	// A field list cuts every document down to the listed fields it has, in
 	// its own order, and leaves the stored documents alone.
 	projected := store.Query{Fields: []string{"tags", "gone", "name", "tags"}}
 	res, err = DecodeResult(encodeResult(store.Result{Docs: docs, Total: 2}, projected), projected)
-	if err != nil || len(res.Docs) != 2 || !slices.Equal(docNames(res.Docs[0]), []string{"name", "tags"}) || res.Docs[1].Len() != 0 {
-		t.Fatalf("projected round trip: %v, %v", res.Docs, err)
+	got = window(t, res, err)
+	if len(got) != 2 || !slices.Equal(docNames(got[0]), []string{"name", "tags"}) || got[1].Len() != 0 {
+		t.Fatalf("projected round trip: %v", got)
 	}
-	if tags, _ := res.Docs[0].Get("tags"); len(tags.List()) != 2 || docs[0].Len() != 2 || docs[1].Len() != 1 {
+	if tags, _ := got[0].Get("tags"); len(tags.List()) != 2 || docs[0].Len() != 2 || docs[1].Len() != 1 {
 		t.Fatalf("projected list field %v; stored documents now %v", tags, docs)
 	}
 	// A grouped reply carries its groups in order before the window.
 	grouped := store.Query{GroupBy: "name", Limit: 1}
 	groups := []store.Group{{Key: "Matilda", Count: 4}, {Key: "", Count: 1}, {Key: "7", Count: math.MaxInt64}}
 	res, err = DecodeResult(encodeResult(store.Result{Docs: docs[:1], Total: 9, Groups: groups}, grouped), grouped)
-	if err != nil || res.Total != 9 || !slices.Equal(res.Groups, groups) || len(res.Docs) != 1 {
+	if got = window(t, res, err); res.Total != 9 || !slices.Equal(res.Groups, groups) || len(got) != 1 {
 		t.Fatalf("grouped round trip: %+v, %v", res, err)
 	}
 	plan := store.Explain{AccessPath: "index", IndexName: "type_1", IndexKind: "hash", Reason: "point lookup on type"}
 	explain := store.Query{Explain: true, GroupBy: "name"}
 	res, err = DecodeResult(encodeResult(store.Result{Plan: plan, Groups: groups}, explain), explain)
-	if err != nil || res.Plan != plan || res.Docs != nil || res.Groups != nil {
+	if err != nil || res.Plan != plan || res.Docs != nil || res.Encoded != nil || res.Groups != nil {
 		t.Fatalf("plan round trip: %+v, %v", res, err)
 	}
+}
+
+// window is the documents of a decoded reply, read through Result.Window.
+func window(t testing.TB, res store.Result, err error) []*store.Doc {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	docs, err := res.Window()
+	if err != nil {
+		t.Fatalf("window: %v", err)
+	}
+	return docs
 }
 
 // rankBody is a ranked query body with a nil filter whose rank section is
@@ -473,8 +488,9 @@ func TestProjectedDecodeBudget(t *testing.T) {
 		t.Fatalf("projected body is %d bytes of the whole documents' %d", len(body), len(whole))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if res, err := DecodeResult(body, store.Query{}); err != nil || len(res.Docs) != n || res.Docs[n-1].Len() != 1 {
-			t.Fatalf("decode: %d docs, %v", len(res.Docs), err)
+		res, err := DecodeResult(body, store.Query{})
+		if got := window(t, res, err); len(got) != n || got[n-1].Len() != 1 {
+			t.Fatalf("decode: %d docs", len(got))
 		}
 	})
 	if perDoc := allocs / n; perDoc > 3.05 { // the list itself and its reader are the .05
@@ -527,25 +543,6 @@ func inCond(path string, vs ...record.Value) store.Cond {
 	return store.Cond{Path: path, Op: store.OpIn, Set: vs}
 }
 
-// encodeFilter serializes a filter as a query frame carries it; nil
-// (match-all) is encodable.
-func encodeFilter(f store.Filter) ([]byte, error) {
-	d, err := filterDoc(f)
-	if err != nil {
-		return nil, err
-	}
-	return store.EncodeDoc(d), nil
-}
-
-func mustFilter(t testing.TB, f store.Filter) []byte {
-	t.Helper()
-	b, err := encodeFilter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // FuzzDecodeQuery: a query request body either fails to decode or decodes
 // to a query the shard can run — offset not negative, limit not below
 // NoLimit — that re-encodes to itself.
@@ -581,7 +578,8 @@ func FuzzDecodeQuery(f *testing.F) {
 
 // FuzzDecodeResult: a query response body never panics the decoder of any
 // reply shape nor yields more documents or groups than it has bytes, or a
-// negative count.
+// negative count; a reply's window stays encoded until it is read, and
+// reads whole or fails.
 func FuzzDecodeResult(f *testing.F) {
 	for _, seed := range resultFrameSeeds() {
 		f.Add(seed)
@@ -592,24 +590,39 @@ func FuzzDecodeResult(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if len(res.Docs)+len(res.Groups) > len(data) || res.Total < 0 {
-				t.Fatalf("%d docs, %d groups, total %d from %d bytes", len(res.Docs), len(res.Groups), res.Total, len(data))
+			if res.Encoded == nil || res.Docs != nil {
+				t.Fatalf("a reply's window decoded as %v, encoded %v", res.Docs, res.Encoded)
+			}
+			if res.Encoded.Len()+len(res.Groups) > len(data) || res.Total < 0 {
+				t.Fatalf("%d docs, %d groups, total %d from %d bytes", res.Encoded.Len(), len(res.Groups), res.Total, len(data))
 			}
 			for _, g := range res.Groups {
 				if g.Count < 0 {
 					t.Fatalf("group %q counts %d", g.Key, g.Count)
 				}
 			}
+			if docs, err := res.Window(); err == nil && len(docs) != res.Encoded.Len() {
+				t.Fatalf("a window of %d read %d documents", res.Encoded.Len(), len(docs))
+			}
 		}
 		_, _ = DecodeResult(data, store.Query{Explain: true})
 		// The same bytes as an insert body: a list either decodes whole and
 		// re-encodes to itself, or stores nothing.
-		if docs, err := DecodeDocList(data); err == nil {
-			if back, err := DecodeDocList(encodeDocList(docs)); err != nil || len(back) != len(docs) {
+		if docs, err := decodeDocList(data); err == nil {
+			if back, err := decodeDocList(encodeDocList(docs)); err != nil || !reflect.DeepEqual(back, docs) {
 				t.Fatalf("doc list of %d does not survive a round trip: %d, %v", len(docs), len(back), err)
 			}
 		}
 	})
+}
+
+// decodeDocList reads a whole document list, as a node reads an insert body.
+func decodeDocList(data []byte) ([]*store.Doc, error) {
+	list, err := store.ReadDocList(data)
+	if err != nil {
+		return nil, err
+	}
+	return list.AppendWindow(nil, 0, list.Len())
 }
 
 // resultFrameSeeds are the response bodies FuzzDecodeResult starts from: a
@@ -634,13 +647,4 @@ func resultFrameSeeds() [][]byte {
 		counted, counted[:len(counted)-2], grouped, grouped[:len(grouped)/2],
 		{0x01, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00}, // a count past MaxInt64
 	}
-}
-
-func FuzzDecodeFilter(f *testing.F) {
-	seed, _ := encodeFilter(store.And{store.EqStr("type", "Movie"), store.Not{Inner: store.Exists("gone")}})
-	f.Add(seed)
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeFilter(data) // must not panic
-	})
 }

@@ -71,3 +71,38 @@ func TestInsertManyAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestDocListCheckAllocatesNothing: reading a list of 100 documents of
+// every value kind with an empty window checks each of them and builds
+// none, so it allocates nothing beyond its reader; a window of ten builds
+// those ten only.
+func TestDocListCheckAllocatesNothing(t *testing.T) {
+	var docs []*Doc
+	for len(docs) < 100 {
+		docs = append(docs, listDocs()...)
+	}
+	list, err := ReadDocList(encodeDocList(docs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]*Doc, 0, 10)
+	check := testing.AllocsPerRun(50, func() {
+		if _, err := list.AppendWindow(dst, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	page := testing.AllocsPerRun(50, func() {
+		if _, err := list.AppendWindow(dst, 40, 50); err != nil {
+			t.Fatal(err)
+		}
+	})
+	whole := testing.AllocsPerRun(50, func() {
+		if _, err := list.AppendWindow(nil, 0, 100); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("checking 100 documents allocates %.0f times, building 10 %.0f, building all %.0f", check, page, whole)
+	if check > 1 || page-check > (whole-check)/5 {
+		t.Errorf("checking 100 documents allocates %.0f times (budget 1), building 10 of them %.0f, all %.0f", check, page, whole)
+	}
+}

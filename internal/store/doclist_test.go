@@ -1,0 +1,147 @@
+package store
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/dterr"
+	"repro/internal/record"
+)
+
+// refDecodeDocList is the document list reader the cluster wire had before
+// a list could be read a window at a time: every document built, through
+// one reader, nothing past the list, no document over or short of its
+// length.
+func refDecodeDocList(data []byte) ([]*Doc, error) {
+	rd := bytes.NewReader(data)
+	n, err := binary.ReadUvarint(rd)
+	if err != nil {
+		return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: doc list count")
+	}
+	if n > uint64(rd.Len()) {
+		return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc list count %d exceeds remaining bytes", n)
+	}
+	docs := make([]*Doc, 0, n)
+	var prev *Doc
+	for i := uint64(0); i < n; i++ {
+		size, err := binary.ReadUvarint(rd)
+		if err != nil || size > uint64(rd.Len()) {
+			return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc %d length", i)
+		}
+		end := rd.Len() - int(size)
+		d, err := walkDoc(rd, prev, true)
+		if err != nil {
+			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: doc %d", i)
+		}
+		if rd.Len() != end {
+			return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc %d is not the %d bytes its length says", i, size)
+		}
+		docs = append(docs, d)
+		prev = d
+	}
+	if rd.Len() != 0 {
+		return nil, dterr.Newf(dterr.CodeInternal, "cluster: %d bytes after the doc list", rd.Len())
+	}
+	return docs, nil
+}
+
+// encodeDocList writes docs as the cluster wire's document list.
+func encodeDocList(docs []*Doc) []byte {
+	var buf bytes.Buffer
+	PutUvarint(&buf, uint64(len(docs)))
+	for _, d := range docs {
+		PutBytes(&buf, EncodeDoc(d))
+	}
+	return buf.Bytes()
+}
+
+// listDocs are documents holding every kind of value the codec writes.
+func listDocs() []*Doc {
+	inner := NewDoc().Set("award_winning", Str("true")).Set("gross", Scalar(record.Float(960998.5)))
+	return []*Doc{
+		NewDoc().Set("name", Str("Matilda")).Set("tags", List(Str("a"), Num(2), Nested(inner))),
+		NewDoc(),
+		NewDoc().Set("name", Str("The Walking Dead")).Set("attributes", Nested(inner)).Set("n", Num(math.MinInt64)),
+		NewDoc().Set("name", Str("")).Set("on", Scalar(record.Bool(true))).Set("none", Scalar(record.Null)),
+		NewDoc().Set("when", Scalar(record.Time(time.Date(2013, 6, 9, 20, 30, 1, 500, time.UTC)))).Set("name", Str("Jersey Boys")),
+	}
+}
+
+// docListSeeds are lists the window fuzz starts from: whole, torn, with a
+// byte after them, with a length that lies, with a malformed document in
+// the middle, and empty.
+func docListSeeds() [][]byte {
+	good := encodeDocList(listDocs())
+	lied := slices.Clone(good)
+	lied[1]++ // the first document's length runs into the second
+	docs := listDocs()
+	var bad bytes.Buffer
+	PutUvarint(&bad, uint64(len(docs)))
+	for i, d := range docs {
+		enc := EncodeDoc(d)
+		if i == 2 {
+			name, _ := d.Field(0)
+			enc[2+len(name)] ^= 0x40 // the third document's first value has no tag
+		}
+		PutBytes(&bad, enc)
+	}
+	return [][]byte{good, good[:len(good)/2], append(slices.Clone(good), 0), lied, bad.Bytes(), {0}, {}, {0xff}}
+}
+
+// FuzzDocListWindowMatchesReference: for any bytes and any window [from,
+// to) of the list they say they hold, AppendWindow fails exactly when the
+// reference, reading the whole list, fails, and otherwise appends the
+// reference's documents [from:to] and nothing else.
+func FuzzDocListWindowMatchesReference(f *testing.F) {
+	for _, seed := range docListSeeds() {
+		f.Add(seed, uint16(0), uint16(math.MaxUint16))
+		f.Add(seed, uint16(1), uint16(3))
+		f.Add(seed, uint16(4), uint16(4))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, a, b uint16) {
+		want, wantErr := refDecodeDocList(data)
+		list, err := ReadDocList(data)
+		if err != nil {
+			if wantErr == nil {
+				t.Fatalf("list count refused (%v), reference read %d documents", err, len(want))
+			}
+			return
+		}
+		n := list.Len()
+		from, to := int(a)%(n+1), int(b)%(n+1)
+		if from > to {
+			from, to = to, from
+		}
+		head := NewDoc().Set("already", Str("there"))
+		got, err := list.AppendWindow([]*Doc{head}, from, to)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("window [%d, %d) of %d: %v, reference %v", from, to, n, err, wantErr)
+		}
+		if err != nil {
+			if dterr.CodeOf(err) != dterr.CodeInternal {
+				t.Fatalf("window [%d, %d) of %d: %v, want an internal error", from, to, n, err)
+			}
+			return
+		}
+		if got[0] != head || !reflect.DeepEqual(got[1:], want[from:to]) {
+			t.Fatalf("window [%d, %d) of %d: %v, reference %v", from, to, n, got, want[from:to])
+		}
+	})
+}
+
+// TestDocListSeedsFailAsNamed: of the seeds, the whole list and the empty
+// one read; every other is refused by the reference, the window fuzz's
+// premise that a window of it must fail too.
+func TestDocListSeedsFailAsNamed(t *testing.T) {
+	for i, seed := range docListSeeds() {
+		_, err := refDecodeDocList(seed)
+		if wantOK := i == 0 || i == 5; (err == nil) != wantOK {
+			t.Errorf("seed %d: %v", i, err)
+		}
+	}
+}

@@ -18,10 +18,15 @@
 // limit, and the exact match total. A Collection answers it with at most
 // the window's documents — from an index's posting lists when one covers
 // the filter's condition, else by testing every document without collecting
-// the ones outside the window — and a Sharded router asks each shard for
-// its first offset+limit matches and cuts the window from their
-// concatenation. Limit 0 is the count, NoLimit the whole list, Explain the
-// plan. Matching a document allocates nothing.
+// the ones outside the window. A Sharded router asks each shard for its
+// first offset+limit matches and cuts the window from their concatenation.
+// A remote shard's list reaches the router still encoded (Result.Encoded, a
+// DocList), and the router goes over each list once: it builds the
+// documents that fall in the window and only checks the others, building
+// nothing for them, so a page over four shards builds a page, not four, yet
+// a malformed document anywhere in a reply still fails the query. Limit 0
+// is the count, NoLimit the whole list, Explain the plan. Matching a
+// document allocates nothing.
 //
 // A Rank makes the same op a relevance ranking — a show's text feed, the
 // paper's Table V. The window then comes best first: a collection scores

@@ -51,6 +51,10 @@ const NoLimit = -1
 type Result struct {
 	// Docs is the requested window of the matches.
 	Docs []*Doc
+	// Encoded, when set, holds the window in place of Docs, as the list a
+	// remote shard sent and not yet decoded, so that a router builds only
+	// the documents it keeps. Window reads either.
+	Encoded *DocList
 	// Total is how many documents match, whatever the window.
 	Total int64
 	// Plan is the access path, set in Explain mode only.
@@ -59,6 +63,33 @@ type Result struct {
 	// the place of its first match in the shard's order. A match whose value
 	// there is absent, null, a list or a document counts under no key.
 	Groups []Group
+}
+
+// Window returns the window's documents: Docs, or every document of
+// Encoded, built.
+func (r Result) Window() ([]*Doc, error) {
+	if r.Encoded == nil {
+		return r.Docs, nil
+	}
+	return r.Encoded.AppendWindow(make([]*Doc, 0, r.Encoded.Len()), 0, r.Encoded.Len())
+}
+
+// held is how many documents the window holds.
+func (r Result) held() int {
+	if r.Encoded == nil {
+		return len(r.Docs)
+	}
+	return r.Encoded.Len()
+}
+
+// appendWindow appends the window's documents [from, to) to dst. An encoded
+// window is read whole, so that a malformed document outside [from, to)
+// still fails it.
+func (r Result) appendWindow(dst []*Doc, from, to int) ([]*Doc, error) {
+	if r.Encoded == nil {
+		return append(dst, r.Docs[from:to]...), nil
+	}
+	return r.Encoded.AppendWindow(dst, from, to)
 }
 
 // Group is one key of a grouped query and the number of matches holding it.

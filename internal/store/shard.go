@@ -29,7 +29,8 @@ type ShardBackend interface {
 	Delete(ctx context.Context, id int64) (bool, error)
 	// Query answers q against the shard: a window of the matching
 	// documents in the shard's order, their exact total and group counts,
-	// or the plan.
+	// or the plan. A backend may answer with the window still encoded, in
+	// Result.Encoded instead of Result.Docs; Result.Window reads either.
 	Query(ctx context.Context, q Query) (Result, error)
 	// Stats returns the shard's storage statistics.
 	Stats(ctx context.Context) (Stats, error)
@@ -297,13 +298,15 @@ func (s *Sharded) fanOut(fn func(i int, b ShardBackend) error) error {
 // shard 0's matches, then shard 1's, and so on, so each shard is asked for
 // its first Offset+Limit matches and its total — one call per shard, never
 // more than that many documents each — and the window is cut from their
-// concatenation; groups are added up in the same order. A ranked query asks
+// concatenation, building from an encoded list only the documents the
+// window keeps; groups are added up in the same order. A ranked query asks
 // each shard for its best Offset+Limit instead, and the window is cut from
-// them ranked again, which a shard's documents can be only if they hold the
-// rank's path: a ranked query whose Fields leave it out is refused. Under
-// WithPartialReads, unreachable shards are recorded and count as empty
-// instead of failing the query. Explain asks shard 0, since all shards
-// share one index layout.
+// them ranked again — every one built, to be scored — which a shard's
+// documents can be only if they hold the rank's path: a ranked query whose
+// Fields leave it out is refused. Under WithPartialReads, unreachable
+// shards are recorded and count as empty instead of failing the query; a
+// malformed reply is no unreachable shard and fails it. Explain asks shard
+// 0, since all shards share one index layout.
 func (s *Sharded) QueryCtx(ctx context.Context, q Query) (Result, error) {
 	if q.Rank != nil {
 		if err := q.Rank.check(q.Fields); err != nil {
@@ -331,7 +334,7 @@ func (s *Sharded) QueryCtx(ctx context.Context, q Query) (Result, error) {
 	held := 0
 	for _, p := range parts {
 		out.Total += p.Total
-		held += len(p.Docs)
+		held += p.held()
 	}
 	if q.GroupBy != "" {
 		out.Groups = mergeGroups(parts)
@@ -341,7 +344,11 @@ func (s *Sharded) QueryCtx(ctx context.Context, q Query) (Result, error) {
 		// in score, length and text keeps the sharded order.
 		top := topK{rank: q.Rank, k: q.end()}
 		for _, p := range parts {
-			for _, d := range p.Docs {
+			docs, err := p.Window()
+			if err != nil {
+				return Result{}, err
+			}
+			for _, d := range docs {
 				top.add(d)
 			}
 		}
@@ -355,15 +362,23 @@ func (s *Sharded) QueryCtx(ctx context.Context, q Query) (Result, error) {
 	out.Docs = make([]*Doc, 0, room)
 	skip := int64(q.Offset)
 	for _, p := range parts {
+		// Every list is read, the ones the window misses too, so that a
+		// malformed reply fails the query wherever it lies.
+		from, to := 0, 0
 		if skip >= p.Total {
 			skip -= p.Total
-			continue
+		} else {
+			// A shard holds at least skip documents unless it broke the
+			// contract; trust its list, not its total.
+			n := p.held()
+			from = int(min(skip, int64(n)))
+			to = from + min(n-from, room-len(out.Docs))
+			skip = 0
 		}
-		// A shard holds at least skip documents unless it broke the
-		// contract; trust its slice, not its total.
-		docs := p.Docs[min(skip, int64(len(p.Docs))):]
-		skip = 0
-		out.Docs = append(out.Docs, docs[:min(len(docs), room-len(out.Docs))]...)
+		var err error
+		if out.Docs, err = p.appendWindow(out.Docs, from, to); err != nil {
+			return Result{}, err
+		}
 	}
 	return out, nil
 }
