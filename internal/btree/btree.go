@@ -1,8 +1,9 @@
 // Package btree implements an in-memory B-tree keyed by strings with int64
 // payloads. It is the ordered-index substrate for the document store's
 // secondary indexes: duplicate keys are allowed (entries order by key, then
-// id), range scans iterate in key order, and deletion rebalances so the tree
-// stays within B-tree height bounds.
+// id), range scans iterate in key order, and an insert splits full nodes on
+// its way down so the tree stays within B-tree height bounds. Entries are
+// never removed: the store only appends.
 package btree
 
 import "strings"
@@ -52,7 +53,6 @@ func NewDegree(degree int) *Tree {
 func (t *Tree) Len() int { return t.length }
 
 func (t *Tree) maxItems() int { return 2*t.degree - 1 }
-func (t *Tree) minItems() int { return t.degree - 1 }
 
 // Insert adds entry e. Duplicate (key, id) pairs are stored once; inserting
 // an existing pair is a no-op and returns false.
@@ -137,110 +137,6 @@ func (n *node) insert(e Entry, maxItems int) bool {
 		}
 	}
 	return n.children[i].insert(e, maxItems)
-}
-
-// Delete removes the (key, id) pair, reporting whether it was present.
-func (t *Tree) Delete(key string, id int64) bool {
-	if t.root == nil {
-		return false
-	}
-	deleted := t.root.remove(Entry{Key: key, ID: id}, t.minItems())
-	if len(t.root.items) == 0 && len(t.root.children) > 0 {
-		t.root = t.root.children[0]
-	}
-	if t.length > 0 && deleted {
-		t.length--
-	}
-	if t.length == 0 {
-		t.root = nil
-	}
-	return deleted
-}
-
-func (n *node) remove(e Entry, minItems int) bool {
-	i, found := find(n.items, e)
-	if len(n.children) == 0 {
-		if !found {
-			return false
-		}
-		n.items = append(n.items[:i], n.items[i+1:]...)
-		return true
-	}
-	if found {
-		// Replace with predecessor from the left subtree, then delete the
-		// predecessor from that subtree.
-		child := n.growChildIfNeeded(i, minItems)
-		i, found = find(n.items, e)
-		if !found {
-			return child.remove(e, minItems)
-		}
-		pred := n.children[i].max()
-		n.items[i] = pred
-		return n.children[i].remove(pred, minItems)
-	}
-	child := n.growChildIfNeeded(i, minItems)
-	return child.remove(e, minItems)
-}
-
-// growChildIfNeeded ensures children[i] has more than minItems entries before
-// descent, borrowing from a sibling or merging. It returns the child to
-// descend into (which may have changed after a merge).
-func (n *node) growChildIfNeeded(i int, minItems int) *node {
-	if i > len(n.children)-1 {
-		i = len(n.children) - 1
-	}
-	child := n.children[i]
-	if len(child.items) > minItems {
-		return child
-	}
-	// Borrow from left sibling.
-	if i > 0 && len(n.children[i-1].items) > minItems {
-		left := n.children[i-1]
-		child.items = append(child.items, Entry{})
-		copy(child.items[1:], child.items)
-		child.items[0] = n.items[i-1]
-		n.items[i-1] = left.items[len(left.items)-1]
-		left.items = left.items[:len(left.items)-1]
-		if len(left.children) > 0 {
-			moved := left.children[len(left.children)-1]
-			left.children = left.children[:len(left.children)-1]
-			child.children = append(child.children, nil)
-			copy(child.children[1:], child.children)
-			child.children[0] = moved
-		}
-		return child
-	}
-	// Borrow from right sibling.
-	if i < len(n.children)-1 && len(n.children[i+1].items) > minItems {
-		right := n.children[i+1]
-		child.items = append(child.items, n.items[i])
-		n.items[i] = right.items[0]
-		right.items = append(right.items[:0], right.items[1:]...)
-		if len(right.children) > 0 {
-			child.children = append(child.children, right.children[0])
-			right.children = append(right.children[:0], right.children[1:]...)
-		}
-		return child
-	}
-	// Merge with a sibling.
-	if i >= len(n.children)-1 {
-		i--
-		child = n.children[i]
-	}
-	right := n.children[i+1]
-	child.items = append(child.items, n.items[i])
-	child.items = append(child.items, right.items...)
-	child.children = append(child.children, right.children...)
-	n.items = append(n.items[:i], n.items[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
-	return child
-}
-
-func (n *node) max() Entry {
-	for len(n.children) > 0 {
-		n = n.children[len(n.children)-1]
-	}
-	return n.items[len(n.items)-1]
 }
 
 // AscendRange visits entries with ge <= key < lt in order until fn returns

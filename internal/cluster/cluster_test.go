@@ -196,17 +196,10 @@ func TestFollowerReplication(t *testing.T) {
 	if err != nil || len(ids) != 2 {
 		t.Fatalf("insert: ids %v, %v", ids, err)
 	}
-	id1, id2 := ids[0], ids[1]
 	if err := fol.PullOnce(); err != nil {
 		t.Fatalf("pull: %v", err)
 	}
-	// Mutate further: update one, delete one, insert one.
-	if ok, err := shard.Update(ctx, id1, store.NewDoc().Set("name", store.Str("a")).Set("n", store.Num(10))); err != nil || !ok {
-		t.Fatalf("update: %v %v", ok, err)
-	}
-	if ok, err := shard.Delete(ctx, id2); err != nil || !ok {
-		t.Fatalf("delete: %v %v", ok, err)
-	}
+	// Insert further: the follower catches up from where it was.
 	if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("c")).Set("n", store.Num(3))); err != nil {
 		t.Fatal(err)
 	}
@@ -216,16 +209,10 @@ func TestFollowerReplication(t *testing.T) {
 
 	// The follower must now answer reads identically to the primary.
 	fShard := NewRemoteShard(NSEntities, 0, Loopback{Node: follower}, nil)
-	for name, want := range map[string]int64{"a": 10, "b": -1, "c": 3} {
+	for name, want := range map[string]int64{"a": 1, "b": 2, "c": 3} {
 		docs, err := findAll(ctx, fShard, store.EqStr("name", name))
 		if err != nil {
 			t.Fatalf("find %s: %v", name, err)
-		}
-		if want < 0 {
-			if len(docs) != 0 {
-				t.Errorf("deleted %q still on follower", name)
-			}
-			continue
 		}
 		if len(docs) != 1 {
 			t.Fatalf("find %s: %d docs", name, len(docs))
@@ -236,8 +223,40 @@ func TestFollowerReplication(t *testing.T) {
 			}
 		}
 	}
-	if n, err := countAll(ctx, fShard); err != nil || n != 2 {
-		t.Fatalf("follower count = %d, %v; want 2", n, err)
+	if n, err := countAll(ctx, fShard); err != nil || n != 3 {
+		t.Fatalf("follower count = %d, %v; want 3", n, err)
+	}
+}
+
+// TestRetiredEventKindsFailAPull: a feed holding an update (kind 2) or a
+// delete (kind 3), which only an older primary could ship, fails the
+// follower's pull with an error that names the kind, and the follower
+// applies nothing past the event before it.
+func TestRetiredEventKindsFailAPull(t *testing.T) {
+	ctx := context.Background()
+	for kind, name := range map[byte]string{2: "update", 3: "delete"} {
+		primary := NewNode("p")
+		hostAll(primary, 1)
+		follower := newFollowerNode("f")
+		hostAll(follower, 1)
+		fol := NewFollower(follower, Loopback{Node: primary}, time.Hour)
+		shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, nil)
+		ids, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("a")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := primary.shard(ShardKey(NSEntities, 0))
+		h.mu.Lock()
+		h.gen++
+		h.events = append(h.events, repEvent{seq: h.gen, kind: kind, payload: EncodeIDDoc(ids[0], store.NewDoc().Set("name", store.Str("b")))})
+		h.mu.Unlock()
+		err = fol.PullOnce()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("kind %d (%s)", kind, name)) {
+			t.Errorf("pulling a feed with kind %d: %v, want an error naming %q", kind, err, name)
+		}
+		if coll, gen := follower.shard(ShardKey(NSEntities, 0)).view(); coll.Count() != 1 || gen != 1 {
+			t.Errorf("after the refused kind %d the follower holds %d documents at generation %d, want 1 at 1", kind, coll.Count(), gen)
+		}
 	}
 }
 
@@ -397,6 +416,28 @@ func TestFollowerWriteRejected(t *testing.T) {
 	_, err := shard.Insert(context.Background(), store.NewDoc().Set("name", store.Str("x")))
 	if !errors.Is(err, dterr.ErrUnavailable) {
 		t.Fatalf("write to follower = %v, want unavailable", err)
+	}
+}
+
+// TestRetiredOpsRefused: codes 3 and 4, the retired update and delete, are
+// invalid arguments on a primary and on a read-only follower alike, with
+// or without a read fence the shard has not reached, and store nothing.
+func TestRetiredOpsRefused(t *testing.T) {
+	key := ShardKey(NSEntities, 0)
+	body := EncodeIDDoc(1, store.NewDoc().Set("name", store.Str("x")))
+	for _, node := range []*Node{NewNode("p"), newFollowerNode("f")} {
+		hostAll(node, 1)
+		for _, op := range []byte{3, 4} {
+			for _, minGen := range []uint64{0, 99} {
+				resp := loopbackCall(t, node, &Request{Op: op, Shard: key, MinGen: minGen, Body: body})
+				if !errors.Is(resp.Err, dterr.ErrInvalidArgument) {
+					t.Errorf("node %s, op %d, fence %d: %v, want invalid_argument", node.Name(), op, minGen, resp.Err)
+				}
+			}
+		}
+		if coll, gen := node.shard(key).view(); coll.Count() != 0 || gen != 0 {
+			t.Errorf("node %s holds %d documents at generation %d after the refused ops", node.Name(), coll.Count(), gen)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -72,21 +73,16 @@ func writeShardCheckpoint(c *store.Collection, cpDir string) error {
 }
 
 // applyEvent applies one replication event to a collection — the shared
-// apply path of follower replication and node-local WAL recovery.
+// apply path of follower replication and node-local WAL recovery. A
+// retired kind, an update or a delete, is refused by name.
 func applyEvent(c *store.Collection, kind byte, payload []byte) error {
 	switch kind {
-	case EvInsert, EvUpdate:
+	case EvInsert:
 		id, d, err := DecodeIDDoc(payload)
 		if err != nil {
 			return err
 		}
 		return c.ApplyReplay(id, d)
-	case EvDelete:
-		id, _, err := DecodeIDDoc(payload)
-		if err != nil {
-			return err
-		}
-		c.Delete(id)
 	case EvCreateIndex:
 		name, path, k, err := DecodeCreateIndex(payload)
 		if err != nil {
@@ -99,6 +95,10 @@ func applyEvent(c *store.Collection, kind byte, payload []byte) error {
 			return err
 		}
 		c.EnsureTextIndex(p)
+	case 2:
+		return errors.New("cluster: replication event kind 2 (update) is retired: the store only appends")
+	case 3:
+		return errors.New("cluster: replication event kind 3 (delete) is retired: the store only appends")
 	default:
 		return fmt.Errorf("cluster: unknown replication event kind %d", kind)
 	}

@@ -3,10 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,34 +18,31 @@ import (
 )
 
 // seedDurableNode drives a mixed write workload through the wire protocol:
-// inserts, an update, a delete, and index creates on the entity shard,
-// plus inserts on the instance shard so both namespaces carry state.
+// inserts, index creates, then inserts the new indexes file on the entity
+// shard, plus inserts on the instance shard so both namespaces carry state.
 func seedDurableNode(t *testing.T, node *Node) {
 	t.Helper()
 	ctx := context.Background()
 	ent := NewRemoteShard(NSEntities, 0, Loopback{Node: node}, nil)
 	inst := NewRemoteShard(NSInstances, 0, Loopback{Node: node}, nil)
-	ids := make([]int64, 0, 5)
-	for i := 0; i < 5; i++ {
-		id, err := ent.Insert(ctx, store.NewDoc().
+	insert := func(i int) {
+		if _, err := ent.Insert(ctx, store.NewDoc().
 			Set("name", store.Str(fmt.Sprintf("e%d", i))).
-			Set("n", store.Num(int64(i))))
-		if err != nil {
+			Set("n", store.Num(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id...)
 	}
-	if ok, err := ent.Update(ctx, ids[1], store.NewDoc().Set("name", store.Str("e1")).Set("n", store.Num(100))); err != nil || !ok {
-		t.Fatalf("update: %v %v", ok, err)
-	}
-	if ok, err := ent.Delete(ctx, ids[4]); err != nil || !ok {
-		t.Fatalf("delete: %v %v", ok, err)
+	for i := 0; i < 5; i++ {
+		insert(i)
 	}
 	if err := ent.CreateIndex(ctx, "by_name", "name", store.BTreeIndex); err != nil {
 		t.Fatal(err)
 	}
 	if err := ent.CreateTextIndex(ctx, "name"); err != nil {
 		t.Fatal(err)
+	}
+	for i := 5; i < 7; i++ {
+		insert(i)
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := inst.Insert(ctx, store.NewDoc().
@@ -54,20 +53,20 @@ func seedDurableNode(t *testing.T, node *Node) {
 }
 
 // assertDurableState checks the recovered node serves the workload
-// seedDurableNode wrote: counts, generations, index sets, and the mutated
-// document contents.
+// seedDurableNode wrote: counts, generations, index sets, and document
+// contents found through the recovered index.
 func assertDurableState(t *testing.T, node *Node) {
 	t.Helper()
 	ctx := context.Background()
 	ent := NewRemoteShard(NSEntities, 0, Loopback{Node: node}, nil)
 	inst := NewRemoteShard(NSInstances, 0, Loopback{Node: node}, nil)
-	if n, err := countAll(ctx, ent); err != nil || n != 4 {
-		t.Fatalf("entity count = %d, %v; want 4", n, err)
+	if n, err := countAll(ctx, ent); err != nil || n != 7 {
+		t.Fatalf("entity count = %d, %v; want 7", n, err)
 	}
 	if n, err := countAll(ctx, inst); err != nil || n != 3 {
 		t.Fatalf("instance count = %d, %v; want 3", n, err)
 	}
-	// 5 inserts + update + delete + 2 index creates = generation 9.
+	// 7 inserts + 2 index creates = generation 9.
 	eh := node.shard(ShardKey(NSEntities, 0))
 	ec, gen := eh.view()
 	if gen != 9 {
@@ -76,17 +75,17 @@ func assertDurableState(t *testing.T, node *Node) {
 	if n, text := indexes(ec, "name"); n != 1 || !text {
 		t.Fatalf("recovered %d indexes and text index %v; want 1 and one on name", n, text)
 	}
-	docs, err := findAll(ctx, ent, store.EqStr("name", "e1"))
-	if err != nil || len(docs) != 1 {
-		t.Fatalf("find e1: %d docs, %v", len(docs), err)
-	}
-	if v, _ := docs[0].Path("n"); true {
-		if n, _ := v.Scalar().AsInt(); n != 100 {
-			t.Fatalf("e1 n = %d, want 100 (update lost)", n)
+	for _, i := range []int64{1, 6} {
+		name := fmt.Sprintf("e%d", i)
+		docs, err := findAll(ctx, ent, store.EqStr("name", name))
+		if err != nil || len(docs) != 1 {
+			t.Fatalf("find %s: %d docs, %v", name, len(docs), err)
 		}
-	}
-	if docs, err := findAll(ctx, ent, store.EqStr("name", "e4")); err != nil || len(docs) != 0 {
-		t.Fatalf("deleted e4 came back: %d docs, %v", len(docs), err)
+		if v, _ := docs[0].Path("n"); true {
+			if n, _ := v.Scalar().AsInt(); n != i {
+				t.Fatalf("%s n = %d, want %d", name, n, i)
+			}
+		}
 	}
 }
 
@@ -154,25 +153,127 @@ func TestDurableWALRecovery(t *testing.T) {
 }
 
 // TestApplyEventRefusesReplayBelowHighest: WAL recovery and replication
-// stop at an insert event for an id neither held nor above every id held,
-// rather than apply it out of order; in-order events still apply.
+// stop at an insert event for an id not above every id held, a held one
+// included, rather than apply it out of order or over a stored document;
+// in-order events, a jump over an id among them, still apply.
 func TestApplyEventRefusesReplayBelowHighest(t *testing.T) {
 	c := store.NewCollection(NSEntities, 0)
 	d := store.NewDoc().Set("name", store.Str("e"))
-	for _, ev := range []struct {
-		kind byte
-		id   int64
-	}{{EvInsert, 1}, {EvInsert, 3}, {EvUpdate, 1}, {EvDelete, 3}, {EvInsert, 3}} {
-		if err := applyEvent(c, ev.kind, EncodeIDDoc(ev.id, d)); err != nil {
-			t.Fatalf("event %d on id %d: %v", ev.kind, ev.id, err)
+	for _, id := range []int64{1, 3} {
+		if err := applyEvent(c, EvInsert, EncodeIDDoc(id, d)); err != nil {
+			t.Fatalf("insert event on id %d: %v", id, err)
 		}
 	}
-	if err := applyEvent(c, EvInsert, EncodeIDDoc(2, d)); err == nil {
-		t.Error("an insert event for id 2 below the highest id held was applied")
+	for _, id := range []int64{2, 1, 3, 0} {
+		if err := applyEvent(c, EvInsert, EncodeIDDoc(id, d)); err == nil {
+			t.Errorf("an insert event for id %d, not above the highest id held, was applied", id)
+		}
 	}
 	if n := c.Count(); n != 2 {
 		t.Errorf("the collection holds %d documents, want 2", n)
 	}
+}
+
+// TestApplyEventRefusesIDOnlyInsert: an insert event whose payload is the
+// 8-byte id alone — what a delete carried — holds no document, and is an
+// error, not a document-less insert.
+func TestApplyEventRefusesIDOnlyInsert(t *testing.T) {
+	c := store.NewCollection(NSEntities, 0)
+	for _, payload := range [][]byte{binary.LittleEndian.AppendUint64(nil, 1), {1, 0, 0}, nil} {
+		if err := applyEvent(c, EvInsert, payload); err == nil {
+			t.Errorf("an insert event of %d payload bytes was applied", len(payload))
+		}
+	}
+	if n := c.Count(); n != 0 {
+		t.Errorf("the collection holds %d documents, want none", n)
+	}
+}
+
+// TestRetiredEventKindsFailRecovery: a shard WAL holding an update (kind 2)
+// or a delete (kind 3), which an older build wrote, fails the node's
+// recovery with an error that names the kind.
+func TestRetiredEventKindsFailRecovery(t *testing.T) {
+	for kind, name := range map[byte]string{2: "update", 3: "delete"} {
+		root := t.TempDir()
+		key := ShardKey(NSEntities, 0)
+		lg, _, err := openShardLog(root, key, store.NewCollection(NSEntities, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := store.NewDoc().Set("name", store.Str("e"))
+		for _, ev := range []struct {
+			kind    byte
+			payload []byte
+		}{{EvInsert, EncodeIDDoc(1, d)}, {kind, EncodeIDDoc(1, d)}} {
+			if _, err := lg.Append(ev.kind, ev.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = openShardLog(root, key, store.NewCollection(NSEntities, 0))
+		if want := fmt.Sprintf("kind %d (%s)", kind, name); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("recovering a WAL holding kind %d: %v, want an error naming %q", kind, err, want)
+		}
+	}
+}
+
+// FuzzApplyEvent: no event, whatever its kind and payload, panics the
+// applier WAL recovery and a follower's pull share; only an insert and
+// the two index creations ever apply, an insert adding one document and an
+// index creation none; and a refused event leaves the collection's Count
+// and snapshot bytes as they were. The seeds are an event of each live
+// kind, one of each retired kind, an insert of a held id, an insert of an
+// id alone and an index of a kind that is neither hash nor B-tree.
+func FuzzApplyEvent(f *testing.F) {
+	doc := store.NewDoc().Set("name", store.Str("Matilda")).Set("type", store.Str("Movie"))
+	var text bytes.Buffer
+	store.PutString(&text, "name")
+	f.Add(EvInsert, EncodeIDDoc(4, doc))
+	f.Add(EvCreateIndex, EncodeCreateIndex("type_1", "type", store.HashIndex))
+	f.Add(EvCreateTextIndex, text.Bytes())
+	f.Add(byte(2), EncodeIDDoc(1, doc))
+	f.Add(byte(3), binary.LittleEndian.AppendUint64(nil, 2))
+	f.Add(EvInsert, EncodeIDDoc(2, doc))
+	f.Add(EvInsert, binary.LittleEndian.AppendUint64(nil, 4))
+	f.Add(EvCreateIndex, EncodeCreateIndex("type_1", "type", 7))
+	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
+		c := store.NewCollection(NSEntities, 256)
+		c.EnsureIndex("name_1", "name", store.BTreeIndex)
+		c.EnsureTextIndex("text")
+		for i := 0; i < 3; i++ {
+			c.Insert(store.NewDoc().Set("name", store.Str(fmt.Sprintf("Show %d", i))).Set("text", store.Str("a walk in the park")))
+		}
+		image := func() []byte {
+			var buf bytes.Buffer
+			if err := c.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		before, count := image(), c.Count()
+		err := applyEvent(c, kind, payload)
+		switch {
+		case err != nil:
+			if c.Count() != count || !bytes.Equal(image(), before) {
+				t.Fatalf("refused event %d (%v) changed the collection", kind, err)
+			}
+		case kind == EvInsert:
+			if c.Count() != count+1 {
+				t.Fatalf("an applied insert left %d documents, want %d", c.Count(), count+1)
+			}
+		case kind == EvCreateIndex || kind == EvCreateTextIndex:
+			if c.Count() != count {
+				t.Fatalf("an applied index creation left %d documents, want %d", c.Count(), count)
+			}
+		default:
+			t.Fatalf("event kind %d applied", kind)
+		}
+		if _, err := store.ReadSnapshot(bytes.NewReader(image())); err != nil {
+			t.Fatalf("after event %d the snapshot does not load: %v", kind, err)
+		}
+	})
 }
 
 // TestCreateIndexTwiceIsNoWrite: asking for an index the shard already has

@@ -221,11 +221,6 @@ func TestResponseFramesMatchReference(t *testing.T) {
 		ids = append(ids, twin.Insert(d))
 		logEvent(EvInsert, EncodeIDDoc(ids[len(ids)-1], d))
 	}
-	changed := store.NewDoc().Set("type", store.Str("Person")).Set("name", store.Str("Matilda"))
-	twin.Update(ids[0], changed)
-	logEvent(EvUpdate, EncodeIDDoc(ids[0], changed))
-	twin.Delete(ids[1])
-	logEvent(EvDelete, EncodeIDDoc(ids[1], nil))
 	createIndex := EncodeCreateIndex("type_1", "type", store.HashIndex)
 	twin.EnsureIndex("type_1", "type", store.HashIndex)
 	logEvent(EvCreateIndex, createIndex)
@@ -236,7 +231,7 @@ func TestResponseFramesMatchReference(t *testing.T) {
 	if err := log.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	const gen = 9
+	const gen = 7
 	var snapshot bytes.Buffer
 	if err := resync.WriteSnapshot(&snapshot); err != nil {
 		t.Fatal(err)
@@ -253,17 +248,23 @@ func TestResponseFramesMatchReference(t *testing.T) {
 		want *Response
 	}
 	notFound := `cluster: node "n" does not host shard "dt.nowhere/0" (not_found)`
-	busy := `cluster: node "n" shard "dt.entity/0" at generation 9, read requires 10 (busy)`
+	busy := `cluster: node "n" shard "dt.entity/0" at generation 7, read requires 8 (busy)`
+	retired := func(op byte) *Response {
+		return &Response{Err: dterr.Newf(dterr.CodeInvalidArgument, "cluster: unknown op %d (invalid_argument)", op)}
+	}
 	steps := []exchange{
 		{&Request{Op: OpPing}, &Response{}},
 		{&Request{Op: OpInsert, Shard: key, Body: encodeDocList(docs)}, &Response{Gen: 5, Body: EncodeIDs(ids)}},
-		{&Request{Op: OpUpdate, Shard: key, Body: EncodeIDDoc(ids[0], changed)}, &Response{Gen: 6, Body: []byte{1}}},
-		{&Request{Op: OpDelete, Shard: key, Body: EncodeIDDoc(ids[1], nil)}, &Response{Gen: 7, Body: []byte{1}}},
-		{&Request{Op: OpDelete, Shard: key, Body: EncodeIDDoc(99, nil)}, &Response{Gen: 7, Body: []byte{0}}},
-		{&Request{Op: OpCreateIndex, Shard: key, Body: createIndex}, &Response{Gen: 8}},
+		// Codes 3 and 4, the retired update and delete, are refused before
+		// any fence and change nothing.
+		{&Request{Op: 3, Shard: key, Body: EncodeIDDoc(ids[0], docs[1])}, retired(3)},
+		{&Request{Op: 4, Shard: key, Body: binary.LittleEndian.AppendUint64(nil, uint64(ids[1]))}, retired(4)},
+		{&Request{Op: 4, Shard: key, MinGen: 99}, retired(4)},
+		{&Request{Op: OpCreateIndex, Shard: key, Body: EncodeCreateIndex("k_1", "name", 7)}, &Response{Err: dterr.New(dterr.CodeInvalidArgument, `cluster: index "k_1": unknown kind 7 (invalid_argument)`)}},
+		{&Request{Op: OpCreateIndex, Shard: key, Body: createIndex}, &Response{Gen: 6}},
 		{&Request{Op: OpCreateTextIndex, Shard: key, Body: textPath.Bytes()}, &Response{Gen: gen}},
 		{&Request{Op: OpStats, Shard: key}, &Response{Gen: gen, Body: EncodeStats(twin.Stats())}},
-		{&Request{Op: OpInfo, Shard: key}, &Response{Gen: gen, Body: EncodeShardInfo(ShardInfo{Gen: gen, Count: 4})}},
+		{&Request{Op: OpInfo, Shard: key}, &Response{Gen: gen, Body: EncodeShardInfo(ShardInfo{Gen: gen, Count: 5})}},
 		{&Request{Op: OpPull, Shard: key, Body: []byte{0}}, &Response{Gen: gen, Body: append([]byte{PullEvents}, events.Bytes()...)}},
 		{&Request{Op: OpPull, Shard: resyncKey, Body: []byte{0}}, &Response{Gen: 2, Body: append([]byte{PullSnapshot}, snapshot.Bytes()...)}},
 		{&Request{Op: OpQuery, Shard: "dt.nowhere/0"}, &Response{Err: dterr.New(dterr.CodeNotFound, notFound)}},

@@ -74,10 +74,10 @@ func (h *hostedShard) health(now time.Time) ShardHealth {
 	return sh
 }
 
-// logLocked retains one document mutation event. Must hold h.mu, after
-// the mutation was applied and h.gen incremented.
-func (h *hostedShard) logLocked(kind byte, id int64, d *store.Doc) error {
-	return h.logRawLocked(kind, EncodeIDDoc(id, d))
+// logInsertLocked retains one document's insert event. Must hold h.mu,
+// after the insert was applied and h.gen incremented.
+func (h *hostedShard) logInsertLocked(id int64, d *store.Doc) error {
+	return h.logRawLocked(EvInsert, EncodeIDDoc(id, d))
 }
 
 // logRawLocked retains one event with an arbitrary payload and, on a
@@ -185,11 +185,13 @@ func (n *Node) handle(req *Request, out respFrame) error {
 		return dterr.Newf(dterr.CodeNotFound, "cluster: node %q does not host shard %q", n.name, req.Shard)
 	}
 	switch req.Op {
-	case OpInsert, OpUpdate, OpDelete, OpCreateIndex, OpCreateTextIndex:
+	case OpInsert, OpCreateIndex, OpCreateTextIndex:
 		if n.readOnly {
 			return dterr.Newf(dterr.CodeUnavailable, "cluster: node %q is a read-only follower", n.name)
 		}
 		return n.handleWrite(req, h, out)
+	case OpQuery, OpStats:
+		return n.handleRead(req, h, out)
 	case OpPull:
 		return n.handlePull(req, h, out)
 	case OpInfo:
@@ -197,7 +199,9 @@ func (n *Node) handle(req *Request, out respFrame) error {
 		// you" before deciding whether any generation exists to fence on.
 		return n.handleInfo(h, out)
 	default:
-		return n.handleRead(req, h, out)
+		// The retired update and delete, codes 3 and 4, land here on a
+		// primary and a follower alike, before any fence.
+		return dterr.Newf(dterr.CodeInvalidArgument, "cluster: unknown op %d", req.Op)
 	}
 }
 
@@ -224,37 +228,11 @@ func (n *Node) handleWrite(req *Request, h *hostedShard, out respFrame) error {
 		for i, d := range docs {
 			ids[i] = h.coll.Insert(d)
 			h.gen++
-			if err := h.logLocked(EvInsert, ids[i], d); err != nil {
+			if err := h.logInsertLocked(ids[i], d); err != nil {
 				return dterr.Wrap(dterr.CodeInternal, err)
 			}
 		}
 		body = EncodeIDs(ids)
-	case OpUpdate:
-		id, d, err := DecodeIDDoc(req.Body)
-		if err != nil || d == nil {
-			return fmt.Errorf("cluster: update body: %v", err)
-		}
-		ok := h.coll.Update(id, d)
-		if ok {
-			h.gen++
-			if err := h.logLocked(EvUpdate, id, d); err != nil {
-				return dterr.Wrap(dterr.CodeInternal, err)
-			}
-		}
-		body = boolBody(ok)
-	case OpDelete:
-		id, _, err := DecodeIDDoc(req.Body)
-		if err != nil {
-			return err
-		}
-		ok := h.coll.Delete(id)
-		if ok {
-			h.gen++
-			if err := h.logLocked(EvDelete, id, nil); err != nil {
-				return dterr.Wrap(dterr.CodeInternal, err)
-			}
-		}
-		body = boolBody(ok)
 	case OpCreateIndex:
 		name, path, kind, err := DecodeCreateIndex(req.Body)
 		if err != nil {
@@ -296,18 +274,15 @@ func (n *Node) handleRead(req *Request, h *hostedShard, out respFrame) error {
 		return dterr.Newf(dterr.CodeBusy,
 			"cluster: node %q shard %q at generation %d, read requires %d", n.name, req.Shard, gen, req.MinGen)
 	}
-	switch req.Op {
-	case OpQuery:
-		q, err := DecodeQuery(req.Body)
-		if err != nil {
-			return err
-		}
-		putResult(out.ok(gen), coll.Query(q), q)
-	case OpStats:
+	if req.Op == OpStats {
 		out.ok(gen).Write(EncodeStats(coll.Stats()))
-	default:
-		return dterr.Newf(dterr.CodeInvalidArgument, "cluster: unknown op %d", req.Op)
+		return nil
 	}
+	q, err := DecodeQuery(req.Body)
+	if err != nil {
+		return err
+	}
+	putResult(out.ok(gen), coll.Query(q), q)
 	return nil
 }
 
@@ -436,13 +411,6 @@ func (n *Node) Close() error {
 		}
 	}
 	return first
-}
-
-func boolBody(ok bool) []byte {
-	if ok {
-		return []byte{1}
-	}
-	return []byte{0}
 }
 
 // Serve accepts connections on ln until the listener closes, running one

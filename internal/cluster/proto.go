@@ -63,8 +63,11 @@ const (
 	// OpInsert stores a document list (putDocList) in order and answers
 	// with the ids (EncodeIDs).
 	OpInsert
-	OpUpdate
-	OpDelete
+	// Codes 3 and 4 were a document's update and delete. The store only
+	// appends, so a node answers them, like any unknown op, with
+	// invalid_argument.
+	_
+	_
 	// OpQuery is the one filtered read: a window of the matching documents,
 	// in the shard's order or best first by a rank, plus their exact total
 	// and group counts, the total alone (limit 0), or the shard's plan for
@@ -88,12 +91,13 @@ const (
 const MaxFrameLen uint32 = 64 << 20
 
 // Replication event kinds, carried as the store.EventLog kind byte when a
-// primary ships its mutation log to a follower. Payload: 8-byte little-
-// endian id, then the encoded document (insert/update only).
+// primary ships its mutation log to a follower and in a node's shard WAL.
+// An insert's payload is the 8-byte little-endian id, then the encoded
+// document (EncodeIDDoc). Kinds 2 and 3 were a document's update and
+// delete; the store only appends, so a WAL or a feed holding one fails to
+// apply, and the error names the kind (see applyEvent).
 const (
 	EvInsert byte = 1
-	EvUpdate byte = 2
-	EvDelete byte = 3
 	// Index creation replicates too, so a follower serves reads through
 	// the same access paths (and thus in the same result order) as its
 	// primary. Payloads reuse the create-index request encodings.
@@ -252,33 +256,27 @@ func ShardKey(ns string, index int) string { return fmt.Sprintf("%s/%d", ns, ind
 
 // --- op payload codecs ------------------------------------------------
 
-// EncodeIDDoc packs (id, doc) — the update request body and the
-// replication event payload.
+// EncodeIDDoc packs (id, doc) — the insert event's payload.
 func EncodeIDDoc(id int64, d *store.Doc) []byte {
 	var buf bytes.Buffer
 	var idb [8]byte
 	binary.LittleEndian.PutUint64(idb[:], uint64(id))
 	buf.Write(idb[:])
-	if d != nil {
-		store.PutDoc(&buf, d)
-	}
+	store.PutDoc(&buf, d)
 	return buf.Bytes()
 }
 
-// DecodeIDDoc unpacks EncodeIDDoc; doc is nil when absent (deletes).
+// DecodeIDDoc unpacks EncodeIDDoc. A payload must hold a document: one of
+// the id alone is refused.
 func DecodeIDDoc(data []byte) (int64, *store.Doc, error) {
-	if len(data) < 8 {
+	if len(data) <= 8 {
 		return 0, nil, dterr.Newf(dterr.CodeInternal, "cluster: id+doc payload too short (%d bytes)", len(data))
-	}
-	id := int64(binary.LittleEndian.Uint64(data[:8]))
-	if len(data) == 8 {
-		return id, nil, nil
 	}
 	d, err := store.DecodeDoc(data[8:])
 	if err != nil {
 		return 0, nil, err
 	}
-	return id, d, nil
+	return int64(binary.LittleEndian.Uint64(data[:8])), d, nil
 }
 
 // Query frame flags.
@@ -599,7 +597,8 @@ func EncodeCreateIndex(name, path string, kind store.IndexKind) []byte {
 	return buf.Bytes()
 }
 
-// DecodeCreateIndex unpacks EncodeCreateIndex.
+// DecodeCreateIndex unpacks EncodeCreateIndex, refusing a kind that is
+// neither a hash nor a B-tree index.
 func DecodeCreateIndex(data []byte) (name, path string, kind store.IndexKind, err error) {
 	rd := bytes.NewReader(data)
 	if name, err = store.GetString(rd); err != nil {
@@ -611,6 +610,9 @@ func DecodeCreateIndex(data []byte) (name, path string, kind store.IndexKind, er
 	k, err := binary.ReadUvarint(rd)
 	if err != nil {
 		return "", "", 0, dterr.Wrapf(dterr.CodeInternal, err, "cluster: index kind")
+	}
+	if k != uint64(store.HashIndex) && k != uint64(store.BTreeIndex) {
+		return "", "", 0, dterr.Newf(dterr.CodeInvalidArgument, "cluster: index %q: unknown kind %d", name, k)
 	}
 	return name, path, store.IndexKind(k), nil
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"sync/atomic"
 
 	"repro/dterr"
@@ -116,24 +115,6 @@ func (r *RemoteShard) Insert(ctx context.Context, docs ...*store.Doc) ([]int64, 
 	return ids, nil
 }
 
-// Update implements store.ShardBackend.
-func (r *RemoteShard) Update(ctx context.Context, id int64, d *store.Doc) (bool, error) {
-	resp, err := r.callPrimary(ctx, OpUpdate, EncodeIDDoc(id, d))
-	if err != nil {
-		return false, err
-	}
-	return boolFromBody(resp.Body)
-}
-
-// Delete implements store.ShardBackend.
-func (r *RemoteShard) Delete(ctx context.Context, id int64) (bool, error) {
-	resp, err := r.callPrimary(ctx, OpDelete, EncodeIDDoc(id, nil))
-	if err != nil {
-		return false, err
-	}
-	return boolFromBody(resp.Body)
-}
-
 // Query implements store.ShardBackend: one frame out, one back, carrying at
 // most the window's documents and the shard's groups.
 func (r *RemoteShard) Query(ctx context.Context, q store.Query) (store.Result, error) {
@@ -184,11 +165,4 @@ func (r *RemoteShard) Info(ctx context.Context) (ShardInfo, error) {
 		return ShardInfo{}, err
 	}
 	return DecodeShardInfo(resp.Body)
-}
-
-func boolFromBody(body []byte) (bool, error) {
-	if len(body) != 1 {
-		return false, fmt.Errorf("cluster: malformed bool response (%d bytes)", len(body))
-	}
-	return body[0] == 1, nil
 }

@@ -88,7 +88,7 @@ func TestRetryTable(t *testing.T) {
 		{"read exhausts attempts", OpQuery, 99, dterr.CodeBusy, 3, false},
 		{"unavailable is retryable", OpStats, 1, dterr.CodeUnavailable, 2, true},
 		{"write never retried", OpInsert, 99, dterr.CodeBusy, 1, false},
-		{"update never retried", OpUpdate, 99, dterr.CodeBusy, 1, false},
+		{"create index never retried", OpCreateIndex, 99, dterr.CodeBusy, 1, false},
 		{"invalid argument is terminal", OpQuery, 99, dterr.CodeInvalidArgument, 1, false},
 		{"internal is terminal", OpQuery, 99, dterr.CodeInternal, 1, false},
 	}
@@ -247,7 +247,7 @@ func TestOpCodesNamedAndClassified(t *testing.T) {
 	seen := map[string]bool{}
 	for op := 0; op <= 255; op++ {
 		name := opName(byte(op))
-		known := byte(op) >= OpPing && byte(op) <= OpInfo
+		known := byte(op) >= OpPing && byte(op) <= OpInfo && op != 3 && op != 4 // 3 and 4 are retired
 		if known == (name == "unknown") || known && seen[name] {
 			t.Errorf("op %d is labelled %q", op, name)
 		}
@@ -256,7 +256,7 @@ func TestOpCodesNamedAndClassified(t *testing.T) {
 			t.Errorf("op %d (%s): IdempotentOp = %v", op, name, IdempotentOp(byte(op)))
 		}
 	}
-	if len(opNames) != int(OpInfo) {
-		t.Errorf("%d op labels for op codes 1..%d", len(opNames), OpInfo)
+	if len(opNames) != int(OpInfo)-2 {
+		t.Errorf("%d op labels for op codes 1..%d but 3 and 4", len(opNames), OpInfo)
 	}
 }

@@ -13,9 +13,10 @@ const DefaultExtentSize int64 = 2 << 30
 
 // Collection is a single namespace of documents with secondary indexes and
 // extent-based storage accounting. It is safe for concurrent use. It is its
-// documents in ascending id order — insertion order — so a scan, the index
-// and text postings, a snapshot and a replay share one order by
-// construction (see the package comment).
+// documents in ascending id order — insertion order — and it only appends:
+// a stored document is never replaced or removed, so a scan, the index and
+// text postings, a snapshot and a replay share one order by construction
+// (see the package comment).
 type Collection struct {
 	mu sync.RWMutex
 
@@ -29,11 +30,13 @@ type Collection struct {
 	nextID int64
 	// allocated is the storage taken from extents. Extents fill one after
 	// another and space is never handed back, so it alone says how many
-	// extents there are and how full the last one is.
+	// extents there are and how full the last one is. Every stored document
+	// takes its size; an image from a build that could replace and delete
+	// documents may carry more than those it holds.
 	allocated int64
 	// dataSize is the sum of SizeBytes over the stored documents, kept in
-	// step by every mutation so Stats need not visit them. Documents must
-	// not be modified once stored.
+	// step by every insert so Stats need not visit them. Documents must not
+	// be modified once stored.
 	dataSize int64
 	indexes  map[string]*Index
 	// text holds inverted text indexes by path. They accelerate OpContains
@@ -129,78 +132,15 @@ func (c *Collection) insertLocked(doc *Doc) int64 {
 func (c *Collection) addLocked(id int64, doc *Doc) {
 	c.ids = append(c.ids, id)
 	c.docs = append(c.docs, doc)
-	c.charge(doc.SizeBytes())
+	size := doc.SizeBytes()
+	c.dataSize += size
+	c.allocated += size
 	for _, ix := range c.indexes {
 		ix.insert(id, doc)
 	}
 	for _, tx := range c.text {
 		tx.insert(id, doc)
 	}
-}
-
-// replaceLocked stores doc in place of the document at position i,
-// reindexing it. Must hold c.mu.
-func (c *Collection) replaceLocked(i int, doc *Doc) {
-	id, old := c.ids[i], c.docs[i]
-	for _, ix := range c.indexes {
-		ix.remove(id, old)
-	}
-	for _, tx := range c.text {
-		tx.remove(id, old)
-	}
-	c.docs[i] = doc
-	c.charge(doc.SizeBytes() - old.SizeBytes())
-	for _, ix := range c.indexes {
-		ix.insert(id, doc)
-	}
-	for _, tx := range c.text {
-		tx.insert(id, doc)
-	}
-}
-
-// charge records that the stored documents grew (or shrank) by n bytes.
-// Growth is taken from the extent chain, opening new extents as the current
-// one fills; extent space is never handed back, matching extent-based
-// engines. Must hold c.mu.
-func (c *Collection) charge(n int64) {
-	c.dataSize += n
-	if n > 0 {
-		c.allocated += n
-	}
-}
-
-// Update replaces the document stored under id, reindexing it. It reports
-// whether the id existed.
-func (c *Collection) Update(id int64, doc *Doc) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i, ok := c.find(id)
-	if ok {
-		c.replaceLocked(i, doc)
-	}
-	return ok
-}
-
-// Delete removes the document with the given id, reporting whether it
-// existed. The documents after it move down one place: O(n).
-func (c *Collection) Delete(id int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i, ok := c.find(id)
-	if !ok {
-		return false
-	}
-	doc := c.docs[i]
-	for _, ix := range c.indexes {
-		ix.remove(id, doc)
-	}
-	for _, tx := range c.text {
-		tx.remove(id, doc)
-	}
-	c.ids = slices.Delete(c.ids, i, i+1)
-	c.docs = slices.Delete(c.docs, i, i+1)
-	c.charge(-doc.SizeBytes())
-	return true
 }
 
 // EnsureIndex creates a secondary index named name over path if it does not

@@ -42,42 +42,39 @@ func members(c *Collection) ([]int64, []*Doc) {
 	return slices.Clone(c.ids), slices.Clone(c.docs)
 }
 
-func TestInsertGetDelete(t *testing.T) {
+func TestInsertGet(t *testing.T) {
 	c := NewCollection("dt.entity", 0)
 	id := c.Insert(entityDoc("Matilda", "Movie", 10))
 	if d, ok := get(c, id); !ok || d.PathString("name") != "Matilda" {
 		t.Fatalf("Get(%d) = %v, %v", id, d, ok)
 	}
-	if !c.Delete(id) {
-		t.Fatal("Delete returned false")
-	}
-	if _, ok := get(c, id); ok {
-		t.Fatal("document survived delete")
-	}
-	if c.Delete(id) {
-		t.Fatal("double delete returned true")
+	for _, absent := range []int64{0, id + 1} {
+		if d, ok := get(c, absent); ok {
+			t.Errorf("Get(%d) = %v of a collection holding only id %d", absent, d, id)
+		}
 	}
 }
 
-// TestReplayBelowHighestRefused: a replayed id that is neither held nor
-// above every id held is refused and changes nothing, so a scan and an
-// index still list the documents in one order; a replay that replaces a
-// held id or goes above the highest still applies.
+// TestReplayBelowHighestRefused: a replayed id that is not above every id
+// held — a held one, one in a gap a replay jumped, zero or negative — is
+// refused and changes nothing, so a scan and an index still list the
+// documents in one order; a replay above the highest applies.
 func TestReplayBelowHighestRefused(t *testing.T) {
 	doc := func(n int64) *Doc { return NewDoc().Set("k", Str("x")).Set("n", Num(n)) }
 	c := NewCollection("dt.x", 0)
 	c.EnsureIndex("k_1", "k", HashIndex)
-	for n := int64(1); n <= 6; n++ {
+	for n := int64(1); n <= 2; n++ {
 		c.Insert(doc(n))
 	}
-	c.Delete(3)
-	for _, id := range []int64{3, 0, -1} {
-		if err := c.ApplyReplay(id, doc(id)); err == nil {
-			t.Errorf("replaying id %d, neither held nor above the highest held, was accepted", id)
+	for n := int64(4); n <= 6; n++ {
+		if err := c.ApplyReplay(n, doc(n)); err != nil {
+			t.Fatalf("replaying id %d above the highest: %v", n, err)
 		}
 	}
-	if err := c.ApplyReplay(5, doc(50)); err != nil {
-		t.Errorf("replacing held id 5: %v", err)
+	for _, id := range []int64{3, 5, 6, 0, -1} {
+		if err := c.ApplyReplay(id, doc(10*id)); err == nil {
+			t.Errorf("replaying id %d, not above the highest held, was accepted", id)
+		}
 	}
 	if err := c.ApplyReplay(9, doc(9)); err != nil {
 		t.Errorf("replaying id 9 above the highest: %v", err)
@@ -96,26 +93,8 @@ func TestReplayBelowHighestRefused(t *testing.T) {
 		t.Fatalf("plan %+v, want the hash index", ex)
 	}
 	scan, indexed := numbers(find(c, Exists("k"))), numbers(find(c, EqStr("k", "x")))
-	if want := "1 2 4 50 6 9 10"; scan != want || indexed != want {
+	if want := "1 2 4 5 6 9 10"; scan != want || indexed != want {
 		t.Errorf("scan lists %q, the index %q, want %q for both", scan, indexed, want)
-	}
-}
-
-func TestUpdateReindexes(t *testing.T) {
-	c := NewCollection("dt.entity", 0)
-	c.EnsureIndex("name_1", "name", HashIndex)
-	id := c.Insert(entityDoc("Old", "Movie", 1))
-	if !c.Update(id, entityDoc("New", "Movie", 2)) {
-		t.Fatal("Update returned false")
-	}
-	if ids := c.indexes["name_1"].ids("Old"); len(ids) != 0 {
-		t.Errorf("stale index entry: %v", ids)
-	}
-	if ids := c.indexes["name_1"].ids("New"); len(ids) != 1 || ids[0] != id {
-		t.Errorf("missing index entry: %v", ids)
-	}
-	if c.Update(999, entityDoc("X", "Y", 0)) {
-		t.Error("Update of missing id returned true")
 	}
 }
 

@@ -5,14 +5,18 @@
 // Tables I and II.
 //
 // A collection is its documents in ascending id order, two slices side by
-// side: ids and documents. Ids are handed out ascending, so an insert
-// appends and a delete splices; a replayed document — a follower's or a WAL
-// recovery's — replaces one held or goes above every id held, and a
+// side: ids and documents. It only appends — the curator's batch load and
+// streaming ingest both add documents, and fusion reconciles conflicting
+// values when it reads them, so nothing replaces or removes a stored one.
+// Ids are handed out ascending, so an insert appends; a replayed document —
+// a follower's or a WAL recovery's — goes above every id held, and a
 // snapshot lists its documents ascending, which its reader checks. A scan,
 // every hash and B-tree posting list, the text postings and a snapshot
-// therefore list documents in one order by construction. A document is
-// found by id at its offset from the first id, searching back over as many
-// places as ids are missing.
+// therefore list documents in one order by construction, and an index only
+// ever appends an id to a posting list. A document is found by id at its
+// offset from the first id, searching back over as many places as ids are
+// missing: a replay may jump ids, and an image an older build wrote may
+// lack the ones it deleted.
 //
 // Everything that reads by filter is one op, Query: a filter, an offset, a
 // limit, and the exact match total. A Collection answers it with at most

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/btree"
 	"repro/internal/record"
@@ -76,83 +75,53 @@ func indexKey(v DocValue) (string, bool) {
 	return v.Scalar().Str(), true
 }
 
-// insertSorted adds id to the ascending, duplicate-free ids, reporting
-// whether it was new. Fresh ids are the largest, so the common case is an
-// append.
-func insertSorted(ids []int64, id int64) ([]int64, bool) {
-	if n := len(ids); n == 0 || ids[n-1] < id {
-		return append(ids, id), true
-	}
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if ids[i] == id {
+// appendID adds id to the ascending, duplicate-free ids unless it already
+// ends them, reporting whether it was new. An index is only ever given an
+// id at least as high as every id it holds — inserts, a backfill, a
+// snapshot load and a replay all go in ascending id order — so the id is
+// either the last one (a list repeating an element) or above it.
+func appendID(ids []int64, id int64) ([]int64, bool) {
+	if n := len(ids); n > 0 && ids[n-1] == id {
 		return ids, false
 	}
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids, true
+	return append(ids, id), true
 }
 
-// removeSorted deletes id from the ascending ids, reporting whether it was
-// there.
-func removeSorted(ids []int64, id int64) ([]int64, bool) {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i == len(ids) || ids[i] != id {
-		return ids, false
-	}
-	return append(ids[:i], ids[i+1:]...), true
-}
-
-// update adds (delta = +1) or removes (delta = -1) the entries document d
-// contributes under id: one for a scalar path, one per scalar element for a
-// list path.
-func (ix *Index) update(id int64, d *Doc, delta int64) {
+// insert adds the entries document d contributes under id: one for a
+// scalar path, one per distinct scalar element for a list path.
+func (ix *Index) insert(id int64, d *Doc) {
 	v, ok := d.Path(ix.Path)
 	if !ok {
 		return
 	}
 	if !v.IsList() {
 		if key, ok := indexKey(v); ok {
-			ix.updateKey(key, id, delta)
+			ix.insertKey(key, id)
 		}
 		return
 	}
 	for _, e := range v.List() {
-		if key, ok := indexKey(e); ok && ix.updateKey(key, id, delta) {
-			ix.listEntries += delta
+		if key, ok := indexKey(e); ok && ix.insertKey(key, id) {
+			ix.listEntries++
 		}
 	}
 }
 
-// updateKey adds or removes the single entry (key, id), reporting whether
-// the index changed.
-func (ix *Index) updateKey(key string, id int64, delta int64) bool {
-	var changed bool
-	switch {
-	case ix.Kind == BTreeIndex && delta > 0:
-		changed = ix.tree.Insert(key, id)
-	case ix.Kind == BTreeIndex:
-		changed = ix.tree.Delete(key, id)
-	case delta > 0:
-		ix.hash[key], changed = insertSorted(ix.hash[key], id)
-	default:
-		var ids []int64
-		if ids, changed = removeSorted(ix.hash[key], id); len(ids) == 0 {
-			delete(ix.hash, key)
-		} else {
-			ix.hash[key] = ids
-		}
+// insertKey adds the single entry (key, id), reporting whether the index
+// changed.
+func (ix *Index) insertKey(key string, id int64) bool {
+	var added bool
+	if ix.Kind == BTreeIndex {
+		added = ix.tree.Insert(key, id)
+	} else {
+		ix.hash[key], added = appendID(ix.hash[key], id)
 	}
-	if changed {
-		ix.entries += delta
-		ix.keyBytes += delta * int64(len(key))
+	if added {
+		ix.entries++
+		ix.keyBytes += int64(len(key))
 	}
-	return changed
+	return added
 }
-
-func (ix *Index) insert(id int64, d *Doc) { ix.update(id, d, +1) }
-
-func (ix *Index) remove(id int64, d *Doc) { ix.update(id, d, -1) }
 
 // ids returns the ascending ids of documents whose indexed value equals
 // key. For a hash index it is the posting list itself: valid only under the

@@ -139,7 +139,7 @@ func ReadSnapshot(r io.Reader) (*Collection, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("store: snapshot continues past its %d documents (%v)", count, err)
 	}
-	c.allocated = allocated // what the writer's extents held, deleted documents' space included
+	c.allocated = allocated // what the writer's extents held (see Collection.allocated)
 	return c, nil
 }
 
@@ -201,26 +201,20 @@ func decodeSnapshotHeader(data []byte) (c *Collection, allocated int64, count ui
 	return c, int64(used), count, nil
 }
 
-// ApplyReplay inserts-or-replaces a document under a specific id — the
-// operation a replication follower and a shard's WAL recovery apply for
-// insert and update events, preserving the primary's id assignment so reads
-// against either replica return the same documents. A new id must be above
-// every id held, as the primary handed it out: an absent id below the
-// highest is refused, which keeps the collection in id order and a crafted
-// log from paying a splice per event.
+// ApplyReplay stores a document under a specific id — the operation a
+// replication follower and a shard's WAL recovery apply for an insert
+// event, preserving the primary's id assignment so reads against either
+// replica return the same documents. The id must be above every id held,
+// as the primary handed it out: any other, a held one included, is
+// refused, which keeps the collection in id order and append-only.
 func (c *Collection) ApplyReplay(id int64, doc *Doc) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.find(id)
-	switch {
-	case ok:
-		c.replaceLocked(i, doc)
-	case id <= 0 || i < len(c.ids):
-		return fmt.Errorf("store: replayed id %d is neither held nor positive and above every id held", id)
-	default:
-		c.addLocked(id, doc)
-		c.nextID = max(c.nextID, id+1)
+	if n := len(c.ids); id <= 0 || n > 0 && id <= c.ids[n-1] {
+		return fmt.Errorf("store: replayed id %d is not positive and above every id held", id)
 	}
+	c.addLocked(id, doc)
+	c.nextID = max(c.nextID, id+1)
 	return nil
 }
 

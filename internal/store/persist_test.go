@@ -128,9 +128,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	c := NewCollection("dt.test", 4096)
 	var ids []int64
 	for i := 0; i < 50; i++ {
-		ids = append(ids, c.Insert(entityDoc(fmt.Sprintf("E%03d", i), "Movie", int64(i))))
+		d := entityDoc(fmt.Sprintf("E%03d", i), "Movie", int64(i))
+		if i == 10 {
+			// A replay that jumps an id leaves it missing.
+			if err := c.ApplyReplay(ids[9]+2, d); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, ids[9]+2)
+			continue
+		}
+		ids = append(ids, c.Insert(d))
 	}
-	c.Delete(ids[10])
 
 	var buf bytes.Buffer
 	if err := c.WriteSnapshot(&buf); err != nil {
@@ -143,11 +151,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if loaded.NS() != "dt.test" {
 		t.Errorf("ns = %q", loaded.NS())
 	}
-	if loaded.Count() != 49 {
+	if loaded.Count() != 50 {
 		t.Errorf("count = %d", loaded.Count())
 	}
-	if _, ok := get(loaded, ids[10]); ok {
-		t.Error("deleted doc resurrected")
+	if d, ok := get(loaded, ids[9]+1); ok {
+		t.Errorf("the jumped id %d holds %v", ids[9]+1, d)
 	}
 	d, ok := get(loaded, ids[20])
 	if !ok || d.PathString("name") != "E020" {

@@ -134,24 +134,28 @@ func TestShardedQueryTrustsDocsNotTotals(t *testing.T) {
 	}
 }
 
-// TestHashPostingsStayInIDOrder: an update re-files a document under its new
-// key at its id's place, so index-served results keep the scan's order.
+// TestHashPostingsStayInIDOrder: a posting list is its documents in id
+// order however they reached it — a backfill, an insert, a replay past a
+// gap — so index-served results keep the scan's order.
 func TestHashPostingsStayInIDOrder(t *testing.T) {
 	c := NewCollection("dt.entity", 0)
-	c.EnsureIndex("type_1", "type", HashIndex)
-	var ids []int64
-	for i := 0; i < 6; i++ {
-		ids = append(ids, c.Insert(entityDoc(fmt.Sprintf("E%d", i), "Person", 0)))
+	typ := func(i int) string { return []string{"Person", "Movie"}[i%3%2] }
+	for i := 0; i < 4; i++ {
+		c.Insert(entityDoc(fmt.Sprintf("E%d", i), typ(i), 0))
 	}
-	for _, i := range []int{4, 1, 3} {
-		c.Update(ids[i], entityDoc(fmt.Sprintf("E%d", i), "Movie", 0))
+	c.EnsureIndex("type_1", "type", HashIndex)
+	for i := 4; i < 6; i++ {
+		c.Insert(entityDoc(fmt.Sprintf("E%d", i), typ(i), 0))
+	}
+	if err := c.ApplyReplay(9, NewDoc().Set("name", Str("E9")).Set("type", List(Str("Movie"), Str("Movie")))); err != nil {
+		t.Fatal(err)
 	}
 	var got []string
 	for _, d := range find(c, EqStr("type", "Movie")) {
 		got = append(got, d.PathString("name"))
 	}
-	if want := []string{"E1", "E3", "E4"}; !slices.Equal(got, want) {
-		t.Fatalf("index order after updates = %v, want %v", got, want)
+	if want := []string{"E1", "E4", "E9"}; !slices.Equal(got, want) {
+		t.Fatalf("index order = %v, want %v", got, want)
 	}
 }
 
@@ -171,16 +175,9 @@ func TestDistinctIndexAndFallback(t *testing.T) {
 	}
 	// A list is not a scalar value, so the count skips it, but its elements
 	// are index keys: the index now over-counts "a" and must not be read.
-	listed := c.Insert(NewDoc().Set("tags", List(Str("a"), Str("b"))))
+	c.Insert(NewDoc().Set("tags", List(Str("a"), Str("b"))))
 	if got := c.Query(Query{GroupBy: "tags"}).Groups; !slices.Equal(got, want) {
 		t.Fatalf("group count with a list-valued doc = %v, want %v", got, want)
-	}
-	c.Delete(listed)
-	if ix := c.indexes["tags_1"]; ix.listEntries != 0 {
-		t.Fatalf("listEntries = %d after the list-valued doc left", ix.listEntries)
-	}
-	if got := c.Query(Query{GroupBy: "tags"}).Groups; !slices.Equal(got, want) {
-		t.Fatalf("group count after delete = %v, want %v", got, want)
 	}
 }
 

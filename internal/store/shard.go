@@ -15,7 +15,8 @@ import (
 // the router treats them uniformly, which is what lets one Sharded hold a
 // mix of local and remote shards. Every method takes a context and may
 // fail — for local shards the context is ignored and the error is always
-// nil.
+// nil. A shard only appends: its writes are inserts and index creation,
+// and nothing replaces or removes a stored document.
 type ShardBackend interface {
 	// NS returns the backend's namespace, which must match the router's.
 	NS() string
@@ -23,10 +24,6 @@ type ShardBackend interface {
 	// ids one call per document would have assigned. A failed call may have
 	// stored a leading part of the list.
 	Insert(ctx context.Context, docs ...*Doc) ([]int64, error)
-	// Update replaces the document under id, reporting whether it existed.
-	Update(ctx context.Context, id int64, d *Doc) (bool, error)
-	// Delete removes the document under id, reporting whether it existed.
-	Delete(ctx context.Context, id int64) (bool, error)
 	// Query answers q against the shard: a window of the matching
 	// documents in the shard's order, their exact total and group counts,
 	// or the plan. A backend may answer with the window still encoded, in
@@ -51,16 +48,6 @@ func (l LocalShard) NS() string { return l.Coll.NS() }
 // Insert implements ShardBackend.
 func (l LocalShard) Insert(_ context.Context, docs ...*Doc) ([]int64, error) {
 	return l.Coll.InsertMany(docs), nil
-}
-
-// Update implements ShardBackend.
-func (l LocalShard) Update(_ context.Context, id int64, d *Doc) (bool, error) {
-	return l.Coll.Update(id, d), nil
-}
-
-// Delete implements ShardBackend.
-func (l LocalShard) Delete(_ context.Context, id int64) (bool, error) {
-	return l.Coll.Delete(id), nil
 }
 
 // Query implements ShardBackend.

@@ -89,20 +89,7 @@ func (tx *TextIndex) insert(id int64, d *Doc) {
 			ids = new([]int64)
 			tx.postings[string(tok)] = ids
 		}
-		*ids, _ = insertSorted(*ids, id)
-	}
-}
-
-func (tx *TextIndex) remove(id int64, d *Doc) {
-	for _, sp := range tx.docTokens(d) {
-		tok := tx.lower[sp.lo:sp.hi]
-		ids := tx.postings[string(tok)]
-		if ids == nil {
-			continue
-		}
-		if *ids, _ = removeSorted(*ids, id); len(*ids) == 0 {
-			delete(tx.postings, string(tok))
-		}
+		*ids, _ = appendID(*ids, id)
 	}
 }
 

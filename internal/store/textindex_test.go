@@ -82,28 +82,29 @@ func TestTextIndexScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestTextIndexMaintenance checks Update and Delete keep postings in step
-// with the documents.
+// TestTextIndexMaintenance checks inserts and replays keep postings in
+// step with the documents, each list in id order.
 func TestTextIndexMaintenance(t *testing.T) {
 	c := NewCollection("dt.maint", 0)
 	c.EnsureTextIndex("text")
-	id := c.Insert(textDoc("a", "original needle text"))
+	c.Insert(textDoc("a", "original needle text"))
 	if n := count(c, Contains("text", "needle")); n != 1 {
 		t.Fatalf("after insert: %d matches", n)
 	}
-	c.Update(id, textDoc("a", "replacement haystack text"))
-	if n := count(c, Contains("text", "needle")); n != 0 {
-		t.Errorf("after update: stale match count %d", n)
+	c.Insert(textDoc("b", "a haystack text"))
+	if err := c.ApplyReplay(5, textDoc("c", "needle needle in the haystack")); err != nil {
+		t.Fatal(err)
 	}
-	if n := count(c, Contains("text", "haystack")); n != 1 {
-		t.Errorf("after update: %d haystack matches", n)
+	if n := count(c, Contains("text", "needle")); n != 2 {
+		t.Errorf("after a replay: %d needle matches, want 2", n)
 	}
-	c.Delete(id)
-	if n := count(c, Contains("text", "haystack")); n != 0 {
-		t.Errorf("after delete: %d matches", n)
+	if n := count(c, Contains("text", "haystack")); n != 2 {
+		t.Errorf("after a replay: %d haystack matches, want 2", n)
 	}
-	if n := len(c.text["text"].postings); n != 0 {
-		t.Errorf("postings not empty after delete: %d tokens", n)
+	for tok, want := range map[string][]int64{"needle": {1, 5}, "haystack": {2, 5}, "text": {1, 2}, "original": {1}} {
+		if got := *c.text["text"].postings[tok]; !slices.Equal(got, want) {
+			t.Errorf("token %q lists ids %v, want %v", tok, got, want)
+		}
 	}
 }
 
@@ -217,16 +218,16 @@ func FuzzDocTokensMatchesReference(f *testing.F) {
 	})
 }
 
-// TestTextIndexReindexAllocs: re-indexing a document whose tokens another
-// document still holds — an update that keeps its text — is lookups into
-// known tokens and appends within the lists' capacity.
+// TestTextIndexReindexAllocs: indexing again the document that ends every
+// list it is in — what a list repeating an element does — is lookups into
+// known tokens and nothing more.
 func TestTextIndexReindexAllocs(t *testing.T) {
 	tx := newTextIndex("text")
 	d := textDoc("k", textCorpus[0]+" "+textCorpus[7])
 	tx.insert(1, d)
 	tx.insert(2, d)
-	if n := testing.AllocsPerRun(100, func() { tx.remove(2, d); tx.insert(2, d) }); n != 0 {
-		t.Errorf("remove then insert allocates %.0f times, budget 0", n)
+	if n := testing.AllocsPerRun(100, func() { tx.insert(2, d) }); n != 0 {
+		t.Errorf("indexing the last document again allocates %.0f times, budget 0", n)
 	}
 	for tok, ids := range tx.postings {
 		if !slices.Equal(*ids, []int64{1, 2}) {
