@@ -303,7 +303,7 @@ func TestClusterTwoNodeEndToEnd(t *testing.T) {
 	addrA, addrB := waitAddr(t, aPort), waitAddr(t, bPort)
 
 	// The replica assumes node-a's identity (same shard set) and pulls
-	// its replication feed.
+	// node-a's images.
 	folCmd := startProc(t, bin, "-config", boot, "-name", "node-a",
 		"-follow", "-primary", addrA, "-addr", "127.0.0.1:0",
 		"-port-file", fPort, "-pull-interval", "5ms")

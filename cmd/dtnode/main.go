@@ -10,7 +10,8 @@
 // test harnesses can generate the final cluster.json after the fact.
 //
 // With -follow the node runs as a read replica: it serves reads only and
-// continuously pulls the replication feed from -primary, so coordinators
+// continuously pulls from -primary its shards' images above the last id it
+// holds (index layout and the documents it lacks), so coordinators
 // can spread snapshot reads across replicas while a generation fence
 // preserves read-your-writes:
 //
@@ -24,8 +25,9 @@
 // breaker counters) on a separate HTTP listener; -pprof additionally
 // mounts net/http/pprof there.
 //
-// With -data-dir the node is durable: every replicated mutation is
-// appended to a per-shard CRC-framed WAL before it is acknowledged, a
+// With -data-dir the node is durable: every mutation — a write on a
+// primary, what a pull applies on a replica — is appended to a per-shard
+// CRC-framed WAL before it is acknowledged, a
 // clean shutdown (SIGINT/SIGTERM) checkpoints each shard (one snapshot
 // file — documents, extent size and index layout — committed by one
 // rename, WAL truncated: the store.Log protocol the live ingester shares),

@@ -43,14 +43,14 @@ var Allowlist = map[string]string{
 	// replay diverge from the acknowledged history.
 	"repro/internal/cluster.(*Node).handleWrite": "WAL append under h.mu IS the ack ordering contract",
 
-	// Replication and recovery paths that replay or stream the WAL while
-	// holding h.mu for the same reason: the events handed out (or applied)
-	// must be a prefix of the acknowledged history, never an interleaving.
-	"repro/internal/cluster.(*Node).handlePull":       "events or shard image handed out under h.mu must match h.gen",
+	// Replication and recovery paths that write or apply an image, or replay
+	// the WAL, under h.mu for the same reason: what is handed out (or
+	// applied) must be a prefix of the acknowledged history.
+	"repro/internal/cluster.(*Node).handlePull":       "shard image handed out under h.mu must match h.gen",
 	"repro/internal/cluster.(*Node).handleInfo":       "seq/kind snapshot under h.mu pairs with the WAL state it describes",
 	"repro/internal/cluster.(*Node).EnableDurability": "recovery replay under h.mu precedes any concurrent write",
 	"repro/internal/cluster.(*Node).Checkpoint":       "checkpoint under h.mu captures a consistent store+seq pair",
-	"repro/internal/cluster.(*Follower).pullShard":    "replica apply under h.mu mirrors the leader's ack ordering",
+	"repro/internal/cluster.(*hostedShard).applyPull": "replica apply and its WAL appends under h.mu mirror the primary's ack ordering",
 
 	// The one durable log's ack path: l.mu serializes append, flush and
 	// (optional) fsync so the sequence number Append returns is durable

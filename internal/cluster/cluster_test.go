@@ -228,41 +228,9 @@ func TestFollowerReplication(t *testing.T) {
 	}
 }
 
-// TestRetiredEventKindsFailAPull: a feed holding an update (kind 2) or a
-// delete (kind 3), which only an older primary could ship, fails the
-// follower's pull with an error that names the kind, and the follower
-// applies nothing past the event before it.
-func TestRetiredEventKindsFailAPull(t *testing.T) {
-	ctx := context.Background()
-	for kind, name := range map[byte]string{2: "update", 3: "delete"} {
-		primary := NewNode("p")
-		hostAll(primary, 1)
-		follower := newFollowerNode("f")
-		hostAll(follower, 1)
-		fol := NewFollower(follower, Loopback{Node: primary}, time.Hour)
-		shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, nil)
-		ids, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("a")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := primary.shard(ShardKey(NSEntities, 0))
-		h.mu.Lock()
-		h.gen++
-		h.events = append(h.events, repEvent{seq: h.gen, kind: kind, payload: EncodeIDDoc(ids[0], store.NewDoc().Set("name", store.Str("b")))})
-		h.mu.Unlock()
-		err = fol.PullOnce()
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("kind %d (%s)", kind, name)) {
-			t.Errorf("pulling a feed with kind %d: %v, want an error naming %q", kind, err, name)
-		}
-		if coll, gen := follower.shard(ShardKey(NSEntities, 0)).view(); coll.Count() != 1 || gen != 1 {
-			t.Errorf("after the refused kind %d the follower holds %d documents at generation %d, want 1 at 1", kind, coll.Count(), gen)
-		}
-	}
-}
-
-// TestFollowerIndexReplication checks that index creation travels the
-// replication feed: a follower must serve indexed lookups through the
-// same access path as its primary, so result order stays identical.
+// TestFollowerIndexReplication checks that index creation travels a pull:
+// a follower must serve indexed lookups through the same access path as
+// its primary, so result order stays identical.
 func TestFollowerIndexReplication(t *testing.T) {
 	primary := NewNode("p")
 	hostAll(primary, 1)
@@ -322,13 +290,11 @@ func TestFollowerIndexReplication(t *testing.T) {
 	}
 }
 
-// TestFollowerSnapshotResync forces the retained event window to trim and
-// checks the follower falls back to a full snapshot transfer.
+// TestFollowerSnapshotResync: a follower that holds nothing pulls its
+// primary's whole image, however many writes the primary took before it.
 func TestFollowerSnapshotResync(t *testing.T) {
 	primary := NewNode("p")
 	primary.AddShard(ShardKey(NSEntities, 0), store.NewCollection(NSEntities, 0))
-	h := primary.shard(ShardKey(NSEntities, 0))
-	// Seed past the retention window directly, then trim as the node would.
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, nil)
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
@@ -336,9 +302,6 @@ func TestFollowerSnapshotResync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h.mu.Lock()
-	h.events = h.events[8:] // pretend events 1..8 were trimmed
-	h.mu.Unlock()
 
 	follower := newFollowerNode("f")
 	follower.AddShard(ShardKey(NSEntities, 0), store.NewCollection(NSEntities, 0))
@@ -353,6 +316,54 @@ func TestFollowerSnapshotResync(t *testing.T) {
 	fh := follower.shard(ShardKey(NSEntities, 0))
 	if _, gen := fh.view(); gen != 10 {
 		t.Fatalf("follower generation = %d, want 10", gen)
+	}
+}
+
+// TestFollowerAheadOfPrimaryRefusesThePull: a memory-only primary that
+// restarts empty and takes one write is at generation 1, while its
+// follower still holds the three documents of the primary's first life.
+// The pull would not land the follower on its primary's generation, so the
+// follower refuses it, naming both, keeps what it held, and reports itself
+// unhealthy, which turns its /healthz degraded.
+func TestFollowerAheadOfPrimaryRefusesThePull(t *testing.T) {
+	ctx := context.Background()
+	key := ShardKey(NSEntities, 0)
+	primary := NewNode("p")
+	hostAll(primary, 1)
+	follower := newFollowerNode("f")
+	hostAll(follower, 1)
+	at := &Loopback{Node: primary}
+	fol := NewFollower(follower, at, time.Hour)
+	follower.SetReplicaProbe(fol.Status)
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := NewRemoteShard(NSEntities, 0, at, nil).Insert(ctx, store.NewDoc().Set("name", store.Str(name))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fol.PullOnce(); err != nil {
+		t.Fatalf("pull: %v", err)
+	}
+
+	at.Node = NewNode("p") // the primary restarts with nothing
+	hostAll(at.Node, 1)
+	if _, err := NewRemoteShard(NSEntities, 0, at, nil).Insert(ctx, store.NewDoc().Set("name", store.Str("new"))); err != nil {
+		t.Fatal(err)
+	}
+	err := fol.PullOnce()
+	if err == nil || !strings.Contains(err.Error(), "generation 3") || !strings.Contains(err.Error(), "primary is at 1") {
+		t.Fatalf("pulling from a primary behind the follower: %v, want an error naming generations 3 and 1", err)
+	}
+	if coll, gen := follower.shard(key).view(); coll.Count() != 3 || gen != 3 {
+		t.Errorf("after the refused pull the follower holds %d documents at generation %d, want 3 at 3", coll.Count(), gen)
+	}
+	if st := fol.Status(); st.Healthy || !strings.Contains(st.LastError, "primary is at 1") {
+		t.Errorf("follower status %+v, want unhealthy with the refusal", st)
+	}
+	if rd := follower.Readiness(); rd.Status != "degraded" || rd.Ready {
+		t.Errorf("follower readiness %q (ready %v), want degraded", rd.Status, rd.Ready)
+	}
+	if code, _ := get(t, follower.HealthHandler(), "/healthz"); code != http.StatusServiceUnavailable {
+		t.Errorf("follower /healthz answered %d, want 503", code)
 	}
 }
 
@@ -424,7 +435,7 @@ func TestFollowerWriteRejected(t *testing.T) {
 // or without a read fence the shard has not reached, and store nothing.
 func TestRetiredOpsRefused(t *testing.T) {
 	key := ShardKey(NSEntities, 0)
-	body := EncodeIDDoc(1, store.NewDoc().Set("name", store.Str("x")))
+	body := store.EncodeIDDoc(1, store.NewDoc().Set("name", store.Str("x")))
 	for _, node := range []*Node{NewNode("p"), newFollowerNode("f")} {
 		hostAll(node, 1)
 		for _, op := range []byte{3, 4} {

@@ -15,12 +15,12 @@ import (
 // directory — the same WAL + checkpoint-by-rename protocol the live
 // ingester uses — whose checkpoints hold the shard's snapshot (documents,
 // extent size and index layout in one image) and whose WAL holds every
-// replicated mutation since. WAL sequence numbers ARE shard generations, so
-// "the WAL replayed through seq G" and "the shard is at generation G" are
-// the same statement — the replication feed, the read-your-writes fence,
-// and on-disk recovery all count the same counter, and the checkpoint fence
-// is the generation the checkpoint captured. Appends are flushed, not fsynced: state survives a
-// process kill, matching the live WAL's default durability.
+// mutation since, a write or a pull's. WAL sequence numbers ARE shard
+// generations, so "the WAL replayed through seq G" and "the shard is at
+// generation G" are the same statement — a follower's pull, the read fence
+// and recovery all count the same counter, and the checkpoint fence is the
+// generation the checkpoint captured. Appends are flushed, not fsynced:
+// state survives a process kill, like the live WAL's by default.
 
 const shardSnapName = "shard.snap"
 
@@ -62,7 +62,7 @@ func writeShardCheckpoint(c *store.Collection, cpDir string) error {
 	if err != nil {
 		return err
 	}
-	err = c.WriteSnapshot(f)
+	err = c.WriteSnapshot(f, 0)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -72,13 +72,26 @@ func writeShardCheckpoint(c *store.Collection, cpDir string) error {
 	return nil
 }
 
-// applyEvent applies one replication event to a collection — the shared
-// apply path of follower replication and node-local WAL recovery. A
-// retired kind, an update or a delete, is refused by name.
+// ensureIndex creates ix in c and returns the WAL event a primary logs for
+// its creation.
+func ensureIndex(c *store.Collection, ix store.IndexSpec) (kind byte, payload []byte) {
+	if ix.Text {
+		c.EnsureTextIndex(ix.Path)
+		var buf bytes.Buffer
+		store.PutString(&buf, ix.Path)
+		return EvCreateTextIndex, buf.Bytes()
+	}
+	c.EnsureIndex(ix.Name, ix.Path, ix.Kind)
+	return EvCreateIndex, EncodeCreateIndex(ix.Name, ix.Path, ix.Kind)
+}
+
+// applyEvent applies one shard WAL event to a collection, as a node's
+// recovery replays it. A retired kind, an update or a delete, is refused
+// by name.
 func applyEvent(c *store.Collection, kind byte, payload []byte) error {
 	switch kind {
 	case EvInsert:
-		id, d, err := DecodeIDDoc(payload)
+		id, d, err := store.DecodeIDDoc(payload)
 		if err != nil {
 			return err
 		}

@@ -160,12 +160,12 @@ func TestApplyEventRefusesReplayBelowHighest(t *testing.T) {
 	c := store.NewCollection(NSEntities, 0)
 	d := store.NewDoc().Set("name", store.Str("e"))
 	for _, id := range []int64{1, 3} {
-		if err := applyEvent(c, EvInsert, EncodeIDDoc(id, d)); err != nil {
+		if err := applyEvent(c, EvInsert, store.EncodeIDDoc(id, d)); err != nil {
 			t.Fatalf("insert event on id %d: %v", id, err)
 		}
 	}
 	for _, id := range []int64{2, 1, 3, 0} {
-		if err := applyEvent(c, EvInsert, EncodeIDDoc(id, d)); err == nil {
+		if err := applyEvent(c, EvInsert, store.EncodeIDDoc(id, d)); err == nil {
 			t.Errorf("an insert event for id %d, not above the highest id held, was applied", id)
 		}
 	}
@@ -204,7 +204,7 @@ func TestRetiredEventKindsFailRecovery(t *testing.T) {
 		for _, ev := range []struct {
 			kind    byte
 			payload []byte
-		}{{EvInsert, EncodeIDDoc(1, d)}, {kind, EncodeIDDoc(1, d)}} {
+		}{{EvInsert, store.EncodeIDDoc(1, d)}, {kind, store.EncodeIDDoc(1, d)}} {
 			if _, err := lg.Append(ev.kind, ev.payload); err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +220,7 @@ func TestRetiredEventKindsFailRecovery(t *testing.T) {
 }
 
 // FuzzApplyEvent: no event, whatever its kind and payload, panics the
-// applier WAL recovery and a follower's pull share; only an insert and
+// applier of WAL recovery; only an insert and
 // the two index creations ever apply, an insert adding one document and an
 // index creation none; and a refused event leaves the collection's Count
 // and snapshot bytes as they were. The seeds are an event of each live
@@ -230,12 +230,12 @@ func FuzzApplyEvent(f *testing.F) {
 	doc := store.NewDoc().Set("name", store.Str("Matilda")).Set("type", store.Str("Movie"))
 	var text bytes.Buffer
 	store.PutString(&text, "name")
-	f.Add(EvInsert, EncodeIDDoc(4, doc))
+	f.Add(EvInsert, store.EncodeIDDoc(4, doc))
 	f.Add(EvCreateIndex, EncodeCreateIndex("type_1", "type", store.HashIndex))
 	f.Add(EvCreateTextIndex, text.Bytes())
-	f.Add(byte(2), EncodeIDDoc(1, doc))
+	f.Add(byte(2), store.EncodeIDDoc(1, doc))
 	f.Add(byte(3), binary.LittleEndian.AppendUint64(nil, 2))
-	f.Add(EvInsert, EncodeIDDoc(2, doc))
+	f.Add(EvInsert, store.EncodeIDDoc(2, doc))
 	f.Add(EvInsert, binary.LittleEndian.AppendUint64(nil, 4))
 	f.Add(EvCreateIndex, EncodeCreateIndex("type_1", "type", 7))
 	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
@@ -247,7 +247,7 @@ func FuzzApplyEvent(f *testing.F) {
 		}
 		image := func() []byte {
 			var buf bytes.Buffer
-			if err := c.WriteSnapshot(&buf); err != nil {
+			if err := c.WriteSnapshot(&buf, 0); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()
@@ -277,9 +277,9 @@ func FuzzApplyEvent(f *testing.F) {
 }
 
 // TestCreateIndexTwiceIsNoWrite: asking for an index the shard already has
-// is not a write. The generation, the replication log and the WAL stay
-// where the first request left them, so a coordinator that ensures its
-// indexes again pushes no real event out of the retained window.
+// is not a write. The generation and the WAL stay where the first request
+// left them, so a coordinator that ensures its indexes again adds no
+// generation a follower would have to pull.
 func TestCreateIndexTwiceIsNoWrite(t *testing.T) {
 	node := NewNode("ix")
 	hostAll(node, 1)
@@ -290,7 +290,7 @@ func TestCreateIndexTwiceIsNoWrite(t *testing.T) {
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: node}, nil)
 	h := node.shard(ShardKey(NSEntities, 0))
 	ctx := context.Background()
-	var after [2][3]uint64 // per round: generation, retained events, next WAL sequence
+	var after [2][2]uint64 // per round: generation, next WAL sequence
 	for round := range after {
 		if err := shard.CreateIndex(ctx, "type_1", "type", store.HashIndex); err != nil {
 			t.Fatal(err)
@@ -299,11 +299,11 @@ func TestCreateIndexTwiceIsNoWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.mu.Lock()
-		after[round] = [3]uint64{h.gen, uint64(len(h.events)), h.dur.NextSeq()}
+		after[round] = [2]uint64{h.gen, h.dur.NextSeq()}
 		h.mu.Unlock()
 	}
-	if after[0] != [3]uint64{2, 2, 3} || after[1] != after[0] {
-		t.Errorf("generation, events, next WAL seq: %v after the first ensure, %v after the second; want [2 2 3] both times", after[0], after[1])
+	if after[0] != [2]uint64{2, 3} || after[1] != after[0] {
+		t.Errorf("generation, next WAL seq: %v after the first ensure, %v after the second; want [2 3] both times", after[0], after[1])
 	}
 }
 
@@ -389,11 +389,11 @@ func TestWarmProbe(t *testing.T) {
 	}
 }
 
-// TestFollowerResyncPreservesIndexes forces a snapshot resync (the
-// retained event window no longer reaches the follower) and checks the
-// rebuilt replica is its primary's shard: the same secondary and text
-// indexes and the same extent size, because the resync ships the shard's
-// image.
+// TestFollowerResyncPreservesIndexes pulls a primary's shard into a
+// follower that holds nothing and checks the replica is its primary's
+// shard: the same secondary and text indexes and the same extent size,
+// though the follower's collection was built with another, because the
+// pull ships the shard's image.
 func TestFollowerResyncPreservesIndexes(t *testing.T) {
 	primary := NewNode("p")
 	primary.AddShard(ShardKey(NSEntities, 0), store.NewCollection(NSEntities, 64))
@@ -413,9 +413,6 @@ func TestFollowerResyncPreservesIndexes(t *testing.T) {
 		}
 	}
 	h := primary.shard(ShardKey(NSEntities, 0))
-	h.mu.Lock()
-	h.events = h.events[8:] // trim past the index-create events
-	h.mu.Unlock()
 
 	follower := newFollowerNode("f")
 	follower.AddShard(ShardKey(NSEntities, 0), store.NewCollection(NSEntities, 0))
@@ -452,7 +449,7 @@ func TestFollowerResyncPreservesIndexes(t *testing.T) {
 func snapshotOf(t *testing.T, c *store.Collection) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := c.WriteSnapshot(&buf); err != nil {
+	if err := c.WriteSnapshot(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

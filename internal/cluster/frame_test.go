@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,44 +198,27 @@ func walkingDocs(n int) []*store.Doc {
 // twin collection, given the same operations, says is due.
 func TestResponseFramesMatchReference(t *testing.T) {
 	node := NewNode("n")
-	key, resyncKey := ShardKey(NSEntities, 0), ShardKey(NSEntities, 1)
+	key := ShardKey(NSEntities, 0)
 	node.AddShard(key, store.NewCollection(NSEntities, 0))
-	resync := store.NewCollection(NSEntities, 0)
-	resync.Insert(store.NewDoc().Set("name", store.Str("behind")))
-	node.AddShard(resyncKey, resync)
-	node.shard(resyncKey).gen = 2 // a generation no retained event reaches: a pull resyncs
 	twin := store.NewCollection(NSEntities, 0)
-	var events bytes.Buffer
-	log, err := store.NewEventLogAt(&events, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logEvent := func(kind byte, payload []byte) {
-		if _, err := log.Append(kind, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	docs := walkingDocs(5)
 	var ids []int64
 	for _, d := range docs {
 		ids = append(ids, twin.Insert(d))
-		logEvent(EvInsert, EncodeIDDoc(ids[len(ids)-1], d))
 	}
 	createIndex := EncodeCreateIndex("type_1", "type", store.HashIndex)
 	twin.EnsureIndex("type_1", "type", store.HashIndex)
-	logEvent(EvCreateIndex, createIndex)
 	var textPath bytes.Buffer
 	store.PutString(&textPath, "name")
 	twin.EnsureTextIndex("name")
-	logEvent(EvCreateTextIndex, textPath.Bytes())
-	if err := log.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	const gen = 7
-	var snapshot bytes.Buffer
-	if err := resync.WriteSnapshot(&snapshot); err != nil {
-		t.Fatal(err)
+	image := func(above int64) []byte {
+		var buf bytes.Buffer
+		if err := twin.WriteSnapshot(&buf, above); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
 	queries := []store.Query{
 		{Limit: store.NoLimit},
@@ -257,7 +241,7 @@ func TestResponseFramesMatchReference(t *testing.T) {
 		{&Request{Op: OpInsert, Shard: key, Body: encodeDocList(docs)}, &Response{Gen: 5, Body: EncodeIDs(ids)}},
 		// Codes 3 and 4, the retired update and delete, are refused before
 		// any fence and change nothing.
-		{&Request{Op: 3, Shard: key, Body: EncodeIDDoc(ids[0], docs[1])}, retired(3)},
+		{&Request{Op: 3, Shard: key, Body: store.EncodeIDDoc(ids[0], docs[1])}, retired(3)},
 		{&Request{Op: 4, Shard: key, Body: binary.LittleEndian.AppendUint64(nil, uint64(ids[1]))}, retired(4)},
 		{&Request{Op: 4, Shard: key, MinGen: 99}, retired(4)},
 		{&Request{Op: OpCreateIndex, Shard: key, Body: EncodeCreateIndex("k_1", "name", 7)}, &Response{Err: dterr.New(dterr.CodeInvalidArgument, `cluster: index "k_1": unknown kind 7 (invalid_argument)`)}},
@@ -265,8 +249,11 @@ func TestResponseFramesMatchReference(t *testing.T) {
 		{&Request{Op: OpCreateTextIndex, Shard: key, Body: textPath.Bytes()}, &Response{Gen: gen}},
 		{&Request{Op: OpStats, Shard: key}, &Response{Gen: gen, Body: EncodeStats(twin.Stats())}},
 		{&Request{Op: OpInfo, Shard: key}, &Response{Gen: gen, Body: EncodeShardInfo(ShardInfo{Gen: gen, Count: 5})}},
-		{&Request{Op: OpPull, Shard: key, Body: []byte{0}}, &Response{Gen: gen, Body: append([]byte{PullEvents}, events.Bytes()...)}},
-		{&Request{Op: OpPull, Shard: resyncKey, Body: []byte{0}}, &Response{Gen: 2, Body: append([]byte{PullSnapshot}, snapshot.Bytes()...)}},
+		// A pull answers with the image above the id it names: the whole
+		// shard above 0, the layout and the last two documents above the
+		// third's id.
+		{&Request{Op: OpPull, Shard: key, Body: []byte{0}}, &Response{Gen: gen, Body: image(0)}},
+		{&Request{Op: OpPull, Shard: key, Body: binary.AppendUvarint(nil, uint64(ids[2]))}, &Response{Gen: gen, Body: image(ids[2])}},
 		{&Request{Op: OpQuery, Shard: "dt.nowhere/0"}, &Response{Err: dterr.New(dterr.CodeNotFound, notFound)}},
 		{&Request{Op: OpQuery, Shard: key, MinGen: gen + 1}, &Response{Err: dterr.New(dterr.CodeBusy, busy)}},
 		{&Request{Op: OpQuery, Shard: key, Body: []byte{0xff}}, &Response{Err: dterr.New(dterr.CodeInvalidArgument, "cluster: unknown query flags 0xff (invalid_argument)")}},
@@ -291,10 +278,9 @@ func TestResponseFramesMatchReference(t *testing.T) {
 }
 
 // TestRequestBufferNotAliased: a node reads every request of a connection
-// into one buffer, so a handler that keeps a request body keeps a copy. A
-// create-index body retained without one would be overwritten by the
-// longer queries that follow it, and the replication feed would ship their
-// bytes as the index event.
+// into one buffer, which the longer queries after a create-index request
+// overwrite. The index the request created still carries its own name and
+// path when a follower pulls the layout after them.
 func TestRequestBufferNotAliased(t *testing.T) {
 	node := NewNode("n")
 	key := ShardKey(NSEntities, 0)
@@ -324,21 +310,12 @@ func TestRequestBufferNotAliased(t *testing.T) {
 	for i := range 3 {
 		call(uint64(3+i), OpQuery, longQuery(len(createIndex)+10*i))
 	}
-	pulled := call(6, OpPull, []byte{0})
-	if pulled.Body[0] != PullEvents {
-		t.Fatalf("pull flag %d", pulled.Body[0])
-	}
-	var payloads [][]byte
-	if _, err := store.ReplayEventLog(bytes.NewReader(pulled.Body[1:]), 0, func(_ uint64, kind byte, payload []byte) error {
-		if kind == EvCreateIndex {
-			payloads = append(payloads, bytes.Clone(payload))
-		}
-		return nil
-	}); err != nil {
+	img, err := store.ReadImage(bytes.NewReader(call(6, OpPull, []byte{0}).Body), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(payloads) != 1 || !bytes.Equal(payloads[0], createIndex) {
-		t.Fatalf("the create-index event ships %q, want %q", payloads, createIndex)
+	if want := []store.IndexSpec{{Name: "name_1", Path: "name", Kind: store.BTreeIndex}}; !slices.Equal(img.Layout, want) {
+		t.Fatalf("the pulled layout is %+v, want %+v", img.Layout, want)
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fuse"
 	"repro/internal/record"
@@ -22,8 +24,15 @@ import (
 // strings.Split and strings.ToLower, a rescan for every aggregate — takes
 // the same seeded random inserts and index creations as
 // four routers: one local shard (a Collection behind the router), four
-// local shards, one RemoteShard over a loopback node, and four of them.
-// After every op each router must agree with the reference.
+// local shards, one RemoteShard over a loopback node, and four of them
+// whose node has a follower. After every op each router must agree with
+// the reference.
+//
+// The follower pulls at seeded random steps, between the op and the reads.
+// A read goes to the follower first, fenced at the generation its shard's
+// last answer carried, and falls back to the primary while the follower
+// lags, so each read is answered by whichever holds what the reference
+// holds — and each of the two must have answered some.
 //
 // Both halves of what the wire carries are drawn at random too. Some
 // inserts reach the routers as one batch of several documents, which must
@@ -199,6 +208,27 @@ type modelTarget struct {
 	remote bool
 	// twin has the target's shard count and takes one insert per document.
 	twin *store.Sharded
+	// follower, when set, replicates the target's node, and reads counts
+	// the reads the follower answered and those it left to the primary.
+	follower *Follower
+	reads    *answering
+}
+
+// answering counts the calls through it that a node answered, and those
+// it refused.
+type answering struct {
+	Transport
+	answered, refused atomic.Int64
+}
+
+func (a *answering) Call(ctx context.Context, req *Request) (*Response, error) {
+	resp, err := a.Transport.Call(ctx, req)
+	if err == nil && resp.Err == nil {
+		a.answered.Add(1)
+	} else {
+		a.refused.Add(1)
+	}
+	return resp, err
 }
 
 func modelTargets(t *testing.T) []*modelTarget {
@@ -216,11 +246,28 @@ func modelTargets(t *testing.T) []*modelTarget {
 		}
 		return s
 	}
+	replica := func(shards int) *modelTarget {
+		primary, follower := NewNode("model"), newFollowerNode("model-f")
+		tg := &modelTarget{name: fmt.Sprintf("replica/%d", shards), remote: true,
+			follower: NewFollower(follower, Loopback{Node: primary}, time.Hour),
+			reads:    &answering{Transport: Loopback{Node: follower}}}
+		backends := make([]store.ShardBackend, shards)
+		for i := range backends {
+			primary.AddShard(ShardKey(NSEntities, i), store.NewCollection(NSEntities, 0))
+			follower.AddShard(ShardKey(NSEntities, i), store.NewCollection(NSEntities, 0))
+			backends[i] = NewRemoteShard(NSEntities, i, Loopback{Node: primary}, tg.reads)
+		}
+		var err error
+		if tg.s, err = store.NewShardedBackends(NSEntities, "name", backends); err != nil {
+			t.Fatal(err)
+		}
+		return tg
+	}
 	targets := []*modelTarget{
 		{name: "collection", s: store.NewSharded(NSEntities, "name", 1, 0), single: true},
 		{name: "sharded/4", s: store.NewSharded(NSEntities, "name", 4, 0)},
 		{name: "remote/1", s: remote(1), single: true, remote: true},
-		{name: "remote/4", s: remote(4), remote: true},
+		replica(4),
 	}
 	for _, tg := range targets {
 		tg.loc = map[int64][2]int64{}
@@ -430,6 +477,7 @@ func TestReadPathAgainstModel(t *testing.T) {
 func runModel(t *testing.T, seed int64, steps int) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
+	pulls := rand.New(rand.NewSource(-seed)) // apart from rng, so the ops stay what they were
 	ref := &refStore{docs: map[int64]*store.Doc{}}
 	targets := modelTargets(t)
 	nextUID := int64(1)
@@ -486,6 +534,12 @@ func runModel(t *testing.T, seed int64, steps int) {
 				} else {
 					must(tg.s.EnsureIndexCtx(ctx, ix.name, ix.path, ix.kind))
 				}
+			}
+		}
+
+		for _, tg := range targets {
+			if tg.follower != nil && pulls.Intn(3) == 0 {
+				must(tg.follower.PullOnce())
 			}
 		}
 
@@ -589,6 +643,12 @@ func runModel(t *testing.T, seed int64, steps int) {
 			if p != plans[0] {
 				t.Fatalf("step %d filter %+v: %s plans %+v, %s plans %+v", step, f, targets[i].name, p, targets[0].name, plans[0])
 			}
+		}
+	}
+	for _, tg := range targets {
+		if tg.reads != nil && (tg.reads.answered.Load() == 0 || tg.reads.refused.Load() == 0) {
+			t.Errorf("%s: the follower answered %d reads and left %d to the primary; want some of each",
+				tg.name, tg.reads.answered.Load(), tg.reads.refused.Load())
 		}
 	}
 }

@@ -19,32 +19,15 @@ import (
 	"repro/internal/store"
 )
 
-// maxRepLog bounds the in-memory replication log per hosted shard. A
-// follower further behind than the retained window resyncs with a full
-// snapshot instead of incremental events.
-const maxRepLog = 16384
-
-// repEvent is one retained mutation, ready to ship inside a
-// store.EventLog frame.
-type repEvent struct {
-	seq     uint64
-	kind    byte
-	payload []byte
-}
-
-// hostedShard is one shard served by a node: the collection, its mutation
-// generation, and the retained replication log. gen counts mutations;
-// every write increments it, and the assigned value doubles as the
-// replication sequence number, so "follower applied seq G" and "follower
-// is current through generation G" are the same statement. When the node
-// runs with a data directory, dur mirrors every retained event to a
-// node-local store.Log under the same sequence numbers.
+// hostedShard is one shard served by a node: the collection and its
+// generation, which counts mutations — one document's insert, one index's
+// creation — on a primary and a follower alike. On a durable node, dur
+// logs every mutation under its generation as sequence number.
 type hostedShard struct {
-	mu     sync.Mutex
-	coll   *store.Collection
-	gen    uint64
-	events []repEvent
-	dur    *store.Log // nil when the node runs without -data-dir
+	mu   sync.Mutex
+	coll *store.Collection
+	gen  uint64
+	dur  *store.Log // nil when the node runs without -data-dir
 }
 
 // view returns the collection and generation under one lock acquisition.
@@ -74,45 +57,20 @@ func (h *hostedShard) health(now time.Time) ShardHealth {
 	return sh
 }
 
-// logInsertLocked retains one document's insert event. Must hold h.mu,
-// after the insert was applied and h.gen incremented.
-func (h *hostedShard) logInsertLocked(id int64, d *store.Doc) error {
-	return h.logRawLocked(EvInsert, EncodeIDDoc(id, d))
-}
-
-// logRawLocked retains one event with an arbitrary payload and, on a
-// durable node, appends it to the shard WAL before the caller
-// acknowledges the write. Must hold h.mu, after the mutation was applied
-// and h.gen incremented. An error means the event is applied in memory
-// but not durable; the caller must withhold the success response.
-func (h *hostedShard) logRawLocked(kind byte, payload []byte) error {
-	h.events = append(h.events, repEvent{seq: h.gen, kind: kind, payload: payload})
-	if len(h.events) > maxRepLog {
-		h.events = h.events[len(h.events)-maxRepLog:]
+// logLocked appends the mutation that took the shard to h.gen to the shard
+// WAL of a durable node, under sequence number h.gen: a gap means the
+// shard and its WAL diverged, which is corruption. An error means the
+// mutation is applied but not durable; the caller must not acknowledge it.
+// The payload is written before logLocked returns. Must hold h.mu.
+func (h *hostedShard) logLocked(kind byte, payload []byte) error {
+	if h.dur == nil {
+		return nil
 	}
-	if h.dur != nil {
-		return h.appendDurable(h.gen, kind, payload)
-	}
-	return nil
-}
-
-// appendDurable logs one mutation event at sequence seq. seq must be the
-// log's next sequence number — generations increment by one per mutation,
-// so any gap means the in-memory shard and its WAL diverged, which is
-// corruption, not a recoverable state. Must hold h.mu.
-func (h *hostedShard) appendDurable(seq uint64, kind byte, payload []byte) error {
-	if next := h.dur.NextSeq(); next != seq {
-		return fmt.Errorf("cluster: shard wal at seq %d, event has seq %d", next, seq)
+	if next := h.dur.NextSeq(); next != h.gen {
+		return fmt.Errorf("cluster: shard wal at seq %d, event has seq %d", next, h.gen)
 	}
 	_, err := h.dur.Append(kind, payload)
 	return err
-}
-
-// checkpointLocked persists the shard at its current generation and
-// truncates its WAL to continue from there. Must hold h.mu.
-func (h *hostedShard) checkpointLocked() error {
-	coll := h.coll
-	return h.dur.Checkpoint(h.gen, func(cpDir string) error { return writeShardCheckpoint(coll, cpDir) })
 }
 
 // Node hosts shards and serves the wire protocol over them. One process
@@ -220,15 +178,18 @@ func (n *Node) handleWrite(req *Request, h *hostedShard, out respFrame) error {
 		if err != nil {
 			return dterr.Wrap(dterr.CodeInvalidArgument, err)
 		}
-		// Replication and the shard WAL keep one event, and one generation,
-		// per document, and a document is logged before the next is stored:
-		// a failing WAL leaves at most one document applied but not durable,
+		// The shard WAL keeps one event, and the shard one generation, per
+		// document, and a document is logged before the next is stored: a
+		// failing WAL leaves at most one document applied but not durable,
 		// as it does for any other write.
 		ids := make([]int64, len(docs))
 		for i, d := range docs {
 			ids[i] = h.coll.Insert(d)
 			h.gen++
-			if err := h.logInsertLocked(ids[i], d); err != nil {
+			if h.dur == nil {
+				continue // a memory-only node encodes nothing
+			}
+			if err := h.logLocked(EvInsert, store.EncodeIDDoc(ids[i], d)); err != nil {
 				return dterr.Wrap(dterr.CodeInternal, err)
 			}
 		}
@@ -239,12 +200,10 @@ func (n *Node) handleWrite(req *Request, h *hostedShard, out respFrame) error {
 			return err
 		}
 		// An index that already exists is not a write: it takes no
-		// generation, no replication slot and no WAL event. The event keeps
-		// its own copy of the body, which lies in the connection's request
-		// buffer.
+		// generation and no WAL event.
 		if h.coll.EnsureIndex(name, path, kind) {
 			h.gen++
-			if err := h.logRawLocked(EvCreateIndex, bytes.Clone(req.Body)); err != nil {
+			if err := h.logLocked(EvCreateIndex, req.Body); err != nil {
 				return dterr.Wrap(dterr.CodeInternal, err)
 			}
 		}
@@ -256,7 +215,7 @@ func (n *Node) handleWrite(req *Request, h *hostedShard, out respFrame) error {
 		}
 		if h.coll.EnsureTextIndex(path) {
 			h.gen++
-			if err := h.logRawLocked(EvCreateTextIndex, bytes.Clone(req.Body)); err != nil {
+			if err := h.logLocked(EvCreateTextIndex, req.Body); err != nil {
 				return dterr.Wrap(dterr.CodeInternal, err)
 			}
 		}
@@ -286,47 +245,16 @@ func (n *Node) handleRead(req *Request, h *hostedShard, out respFrame) error {
 	return nil
 }
 
-// handlePull serves the replication feed: events after the follower's
-// sequence number, or a full snapshot when the retained log no longer
-// reaches back that far.
+// handlePull answers a follower with the shard's image above the id the
+// body names, written under h.mu so that image and generation agree.
 func (n *Node) handlePull(req *Request, h *hostedShard, out respFrame) error {
-	rd := bytes.NewReader(req.Body)
-	afterSeq, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return err
+	above, k := binary.Uvarint(req.Body)
+	if k <= 0 || k != len(req.Body) {
+		return dterr.New(dterr.CodeInvalidArgument, "cluster: a pull body is one id, a uvarint")
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	buf := out.ok(h.gen)
-	oldest := h.gen + 1
-	if len(h.events) > 0 {
-		oldest = h.events[0].seq
-	}
-	if afterSeq+1 < oldest {
-		// The follower is behind the retained window: full resync with the
-		// shard's image, which carries its extent size and index layout, so
-		// the rebuilt replica serves reads through the same access paths as
-		// its primary.
-		buf.WriteByte(PullSnapshot)
-		if err := h.coll.WriteSnapshot(buf); err != nil {
-			return dterr.Wrap(dterr.CodeInternal, err)
-		}
-		return nil
-	}
-	buf.WriteByte(PullEvents)
-	log, err := store.NewEventLogAt(buf, afterSeq+1)
-	if err != nil {
-		return dterr.Wrap(dterr.CodeInternal, err)
-	}
-	for _, ev := range h.events {
-		if ev.seq <= afterSeq {
-			continue
-		}
-		if _, err := log.Append(ev.kind, ev.payload); err != nil {
-			return dterr.Wrap(dterr.CodeInternal, err)
-		}
-	}
-	if err := log.Flush(); err != nil {
+	if err := h.coll.WriteSnapshot(out.ok(h.gen), int64(above)); err != nil {
 		return dterr.Wrap(dterr.CodeInternal, err)
 	}
 	return nil
@@ -381,7 +309,8 @@ func (n *Node) Checkpoint() error {
 		if h.dur == nil {
 			err = dterr.New(dterr.CodeUnavailable, "cluster: node has no data directory")
 		} else {
-			err = h.checkpointLocked()
+			coll := h.coll
+			err = h.dur.Checkpoint(h.gen, func(cpDir string) error { return writeShardCheckpoint(coll, cpDir) })
 		}
 		h.mu.Unlock()
 		if err != nil {
@@ -552,9 +481,9 @@ func (n *Node) HealthHandler() http.Handler {
 	})
 }
 
-// Follower pulls the replication feed of a primary node into a local
-// (read-only) node at a fixed interval, keeping each hosted shard's
-// applied generation in step with the primary's mutation generation.
+// Follower pulls, at a fixed interval, each shard's image above the last
+// id its local (read-only) node holds from a primary node, keeping each
+// hosted shard's generation in step with the primary's.
 type Follower struct {
 	node     *Node
 	primary  Transport
@@ -656,68 +585,61 @@ func (f *Follower) pullShard(key string) error {
 	if h == nil {
 		return dterr.Newf(dterr.CodeNotFound, "cluster: follower does not host %q", key)
 	}
-	_, after := h.view()
+	coll, _ := h.view()
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultCallTimeout)
 	defer cancel()
-	var body bytes.Buffer
-	store.PutUvarint(&body, after)
-	resp, err := f.primary.Call(ctx, &Request{Op: OpPull, Shard: key, Body: body.Bytes()})
+	resp, err := f.primary.Call(ctx, &Request{Op: OpPull, Shard: key, Body: binary.AppendUvarint(nil, uint64(coll.LastID()))})
 	if err != nil {
 		return err
 	}
 	if resp.Err != nil {
 		return resp.Err
 	}
-	if len(resp.Body) == 0 {
-		return dterr.New(dterr.CodeInternal, "cluster: empty pull response")
+	if err := h.applyPull(resp.Gen, resp.Body); err != nil {
+		return dterr.Wrapf(dterr.CodeInternal, err, "cluster: pull %s", key)
 	}
-	switch resp.Body[0] {
-	case PullSnapshot:
-		// The image carries the primary's extent size and index layout, so
-		// the rebuilt collection serves reads through every secondary and
-		// text index its primary has.
-		fresh, err := store.ReadSnapshot(bytes.NewReader(resp.Body[1:]))
-		if err != nil {
-			return dterr.Wrap(dterr.CodeInternal, err)
-		}
-		h.mu.Lock()
-		h.coll = fresh
-		h.gen = resp.Gen
-		var derr error
-		if h.dur != nil {
-			// The resync jumped the generation; a checkpoint re-anchors the
-			// shard WAL at the new position.
-			derr = h.checkpointLocked()
-		}
-		h.mu.Unlock()
-		if derr != nil {
-			return dterr.Wrap(dterr.CodeInternal, derr)
-		}
-		return nil
-	case PullEvents:
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		stats, err := store.ReplayEventLog(bytes.NewReader(resp.Body[1:]), after,
-			func(seq uint64, kind byte, payload []byte) error {
-				if err := applyEvent(h.coll, kind, payload); err != nil {
-					return err
-				}
-				if h.dur != nil {
-					if err := h.appendDurable(seq, kind, payload); err != nil {
-						return err
-					}
-				}
-				h.gen = seq
-				return nil
-			})
-		if err != nil {
-			return dterr.Wrap(dterr.CodeInternal, err)
-		}
-		if stats.Truncated {
-			return dterr.New(dterr.CodeInternal, "cluster: torn replication feed")
-		}
-		return nil
-	default:
-		return dterr.Newf(dterr.CodeInternal, "cluster: unknown pull flag %d", resp.Body[0])
+	return nil
+}
+
+// applyPull applies body, the primary's image above the follower's highest
+// id, at the primary's generation gen. The image is decoded whole first,
+// and it must land the shard on gen — its generation, plus the indexes the
+// layout adds, plus the documents — or nothing is applied: a follower
+// ahead of its primary says so. Indexes go in first, then documents, each
+// logged on a durable follower as the WAL event a primary logs for it, a
+// document as the frame it came in. A follower that holds nothing takes
+// its primary's extent size too.
+func (h *hostedShard) applyPull(gen uint64, body []byte) error {
+	coll, _ := h.view()
+	img, err := store.ReadImage(bytes.NewReader(body), coll.LastID())
+	if err != nil {
+		return err
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if coll = h.coll; h.gen == 0 {
+		coll = store.NewCollection(coll.NS(), img.ExtentSize)
+	}
+	added := coll.MissingIndexes(img.Layout)
+	if lands := h.gen + uint64(len(added)+len(img.Docs)); lands != gen {
+		return fmt.Errorf("cluster: follower at generation %d would land at %d, its primary is at %d", h.gen, lands, gen)
+	}
+	h.coll = coll
+	for _, ix := range added {
+		kind, payload := ensureIndex(coll, ix)
+		h.gen++
+		if err := h.logLocked(kind, payload); err != nil {
+			return err
+		}
+	}
+	for _, d := range img.Docs {
+		if err := coll.ApplyReplay(d.ID, d.Doc); err != nil {
+			return err
+		}
+		h.gen++
+		if err := h.logLocked(EvInsert, d.Frame); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -2,8 +2,9 @@
 // binary wire protocol over TCP reusing the store codec and CRC framing, a
 // RemoteShard client implementing store.ShardBackend, a coordinator that
 // assembles routers over remote shards from a static cluster.json
-// membership table, and primary→follower replication of shard mutations
-// for replicated snapshot reads with a read-your-writes generation check.
+// membership table, and primary→follower replication — a follower pulls
+// its primary's shard image above the last id it holds — for replicated
+// snapshot reads with a read-your-writes generation check.
 // An in-process loopback transport exercises the full codec without
 // sockets, which is how most of the test suite runs.
 //
@@ -76,6 +77,8 @@ const (
 	OpStats
 	OpCreateIndex
 	OpCreateTextIndex
+	// OpPull's body is the follower's highest id (a uvarint, 0 when empty),
+	// its answer the shard's image above it (Collection.WriteSnapshot).
 	OpPull
 	// OpInfo probes a shard without the read fence: the response carries
 	// the shard's generation and document count, letting a coordinator
@@ -86,35 +89,23 @@ const (
 
 // MaxFrameLen bounds a wire frame so a corrupt or hostile length header
 // cannot make the reader allocate an arbitrary buffer. The largest frame is
-// an OpPull resync, which ships a follower the whole shard; 64 MB is ~30x
-// the scaled-down deployment's whole corpus.
+// the OpPull answer to a follower that holds nothing, which ships it the
+// whole shard; 64 MB is ~30x the scaled-down deployment's whole corpus.
 const MaxFrameLen uint32 = 64 << 20
 
-// Replication event kinds, carried as the store.EventLog kind byte when a
-// primary ships its mutation log to a follower and in a node's shard WAL.
-// An insert's payload is the 8-byte little-endian id, then the encoded
-// document (EncodeIDDoc). Kinds 2 and 3 were a document's update and
-// delete; the store only appends, so a WAL or a feed holding one fails to
-// apply, and the error names the kind (see applyEvent).
+// Shard WAL event kinds, carried as the store.EventLog kind byte of a
+// node's shard WAL. An insert's payload is the 8-byte little-endian id,
+// then the encoded document (store.EncodeIDDoc) — byte for byte a
+// snapshot's document frame, which a durable follower logs as it arrived. Kinds 2 and
+// 3 were a document's update and delete; the store only appends, so a WAL
+// holding one fails to apply, and the error names the kind (see
+// applyEvent).
 const (
 	EvInsert byte = 1
-	// Index creation replicates too, so a follower serves reads through
-	// the same access paths (and thus in the same result order) as its
-	// primary. Payloads reuse the create-index request encodings.
+	// Index creations are logged too. Payloads reuse the create-index
+	// request encodings.
 	EvCreateIndex     byte = 4
 	EvCreateTextIndex byte = 5
-)
-
-// Pull response flags: the first body byte of an OpPull response says
-// whether the rest is an incremental event log or a full shard snapshot
-// (the resync path when the primary has trimmed past the follower's
-// position). A snapshot body is the flag, then the primary collection's
-// image as Collection.WriteSnapshot writes it — the same image a
-// checkpoint holds, carrying the extent size and index layout — which the
-// follower loads with store.ReadSnapshot.
-const (
-	PullEvents   byte = 0
-	PullSnapshot byte = 1
 )
 
 // Request is one wire request. Body is the op-specific payload, already
@@ -255,29 +246,6 @@ func DecodeResponse(data []byte) (*Response, error) {
 func ShardKey(ns string, index int) string { return fmt.Sprintf("%s/%d", ns, index) }
 
 // --- op payload codecs ------------------------------------------------
-
-// EncodeIDDoc packs (id, doc) — the insert event's payload.
-func EncodeIDDoc(id int64, d *store.Doc) []byte {
-	var buf bytes.Buffer
-	var idb [8]byte
-	binary.LittleEndian.PutUint64(idb[:], uint64(id))
-	buf.Write(idb[:])
-	store.PutDoc(&buf, d)
-	return buf.Bytes()
-}
-
-// DecodeIDDoc unpacks EncodeIDDoc. A payload must hold a document: one of
-// the id alone is refused.
-func DecodeIDDoc(data []byte) (int64, *store.Doc, error) {
-	if len(data) <= 8 {
-		return 0, nil, dterr.Newf(dterr.CodeInternal, "cluster: id+doc payload too short (%d bytes)", len(data))
-	}
-	d, err := store.DecodeDoc(data[8:])
-	if err != nil {
-		return 0, nil, err
-	}
-	return int64(binary.LittleEndian.Uint64(data[:8])), d, nil
-}
 
 // Query frame flags.
 const (

@@ -151,7 +151,7 @@ func TestFilterRoundTrip(t *testing.T) {
 
 func TestIDDocRoundTrip(t *testing.T) {
 	d := store.NewDoc().Set("k", store.Str("v"))
-	id, back, err := DecodeIDDoc(EncodeIDDoc(-5, d))
+	id, back, err := store.DecodeIDDoc(store.EncodeIDDoc(-5, d))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestIDDocRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: id=%d doc=%v", id, back)
 	}
 	// The id alone, as a delete carried it, is no payload any more.
-	if id, back, err = DecodeIDDoc(binary.LittleEndian.AppendUint64(nil, 8)); err == nil {
+	if id, back, err = store.DecodeIDDoc(binary.LittleEndian.AppendUint64(nil, 8)); err == nil {
 		t.Fatalf("an id-only payload decoded to id=%d doc=%v", id, back)
 	}
 }

@@ -130,9 +130,9 @@ func (r *RemoteShard) Query(ctx context.Context, q store.Query) (store.Result, e
 }
 
 // Stats implements store.ShardBackend. Stats go to the primary: a
-// follower rebuilt from a snapshot resync carries the primary's indexes
-// but not its extent history, so only the primary's extent accounting is
-// authoritative.
+// follower carries the primary's indexes and documents, but not extents
+// an older build's deletes left behind, so only the primary's extent
+// accounting is authoritative.
 func (r *RemoteShard) Stats(ctx context.Context) (store.Stats, error) {
 	resp, err := r.callPrimary(ctx, OpStats, nil)
 	if err != nil {

@@ -21,7 +21,7 @@ func shardSnapshots(t *testing.T, colls map[string]*store.Collection) map[string
 	out := make(map[string][]byte, len(colls))
 	for key, c := range colls {
 		var b bytes.Buffer
-		if err := c.WriteSnapshot(&b); err != nil {
+		if err := c.WriteSnapshot(&b, 0); err != nil {
 			t.Fatal(err)
 		}
 		out[key] = b.Bytes()

@@ -52,7 +52,7 @@ func saveSharded(ctx context.Context, dir, prefix string, s *store.Sharded) erro
 		if err != nil {
 			return fmt.Errorf("core: creating %s: %w", path, err)
 		}
-		if err := coll.WriteSnapshot(f); err != nil {
+		if err := coll.WriteSnapshot(f, 0); err != nil {
 			f.Close()
 			return fmt.Errorf("core: writing %s: %w", path, err)
 		}

@@ -179,6 +179,38 @@ func (c *Collection) EnsureTextIndex(path string) bool {
 	return true
 }
 
+// IndexSpec is one index of a collection's layout: the secondary index
+// Name over Path of kind Kind, or, with Text set, the text index over Path.
+type IndexSpec struct {
+	Name, Path string
+	Kind       IndexKind
+	Text       bool
+}
+
+// MissingIndexes returns the indexes of layout that EnsureIndex and
+// EnsureTextIndex would create: each secondary index whose name, and each
+// text index whose path, the collection lacks.
+func (c *Collection) MissingIndexes(layout []IndexSpec) []IndexSpec {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return slices.DeleteFunc(slices.Clone(layout), func(ix IndexSpec) bool {
+		if ix.Text {
+			return c.text[ix.Path] != nil
+		}
+		return c.indexes[ix.Name] != nil
+	})
+}
+
+// LastID returns the highest id held, 0 when the collection is empty.
+func (c *Collection) LastID() int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if n := len(c.ids); n > 0 {
+		return c.ids[n-1]
+	}
+	return 0
+}
+
 // Stats returns the storage statistics of the collection in the shape of the
 // paper's Tables I and II.
 func (c *Collection) Stats() Stats {

@@ -160,10 +160,9 @@ func (l *Log) Recovered() EventReplayStats { return l.recovered }
 // Checkpoint commits the owner's state as of fence and truncates the WAL
 // to continue at fence+1. The caller guarantees that write captures every
 // event up to fence and that no Append or other Checkpoint runs
-// concurrently (Stats and NextSeq may). fence is normally NextSeq()-1; an
-// owner whose state jumped ahead of its log (a replica resynced from a
-// snapshot) passes the new position to re-anchor the log there. When write
-// fails nothing is committed and the WAL is untouched.
+// concurrently (Stats and NextSeq may). fence is the last sequence number
+// write captures: NextSeq()-1 for an owner that logs its every change.
+// When write fails nothing is committed and the WAL is untouched.
 func (l *Log) Checkpoint(fence uint64, write func(cpDir string) error) error {
 	for _, step := range l.checkpointSteps(fence, write) {
 		if err := step(); err != nil {

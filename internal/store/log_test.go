@@ -443,7 +443,7 @@ func TestLogCollectionOwner(t *testing.T) {
 				return err
 			}
 			defer f.Close()
-			return c.WriteSnapshot(f)
+			return c.WriteSnapshot(f, 0)
 		}
 	}
 	open := func() (*Log, *Collection) {

@@ -11,6 +11,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"sort"
 )
 
 // Persistence formats: a collection is checkpointed to a snapshot stream,
@@ -26,7 +27,7 @@ const (
 
 // A snapshot is the one image of a collection: what a checkpoint writes,
 // what a restore and a dtnode recovery read, and what a primary ships to a
-// follower that fell out of its replication window.
+// follower, above the highest id the follower holds.
 //
 //	magic   "DTSNAP2\n"
 //	header  one frame: namespace, extent size, bytes taken from extents,
@@ -36,29 +37,32 @@ const (
 //	        then its encoding
 //
 // Indexes travel as layout, not contents: the reader rebuilds them over the
-// documents it loads.
+// documents it loads. An image above an id has the whole header and only
+// the documents above that id.
 
-// WriteSnapshot serializes the collection. Every frame — header, then each
-// document — is assembled in one reused buffer, so a checkpoint allocates
-// the same few buffers whatever the collection holds.
-func (c *Collection) WriteSnapshot(w io.Writer) error {
+// WriteSnapshot serializes the collection's image above id above; a
+// checkpoint passes 0. Every frame — header, then each document — is
+// assembled in one reused buffer, so a checkpoint allocates the same few
+// buffers whatever the collection holds.
+func (c *Collection) WriteSnapshot(w io.Writer, above int64) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
 	}
+	first := sort.Search(len(c.ids), func(i int) bool { return c.ids[i] > above })
 	var frame bytes.Buffer
 	var reserved [4 + 8]byte // a frame's length, filled in by sealFrame, and a document's id
 	frame.Write(reserved[:4])
-	c.putHeaderLocked(&frame)
+	c.putHeaderLocked(&frame, len(c.docs)-first)
 	sealFrame(&frame, 0)
 	if _, err := bw.Write(frame.Bytes()); err != nil {
 		return err
 	}
-	for i, d := range c.docs {
+	for i, d := range c.docs[first:] {
 		frame.Reset()
-		binary.LittleEndian.PutUint64(reserved[4:], uint64(c.ids[i]))
+		binary.LittleEndian.PutUint64(reserved[4:], uint64(c.ids[first+i]))
 		frame.Write(reserved[:])
 		PutDoc(&frame, d)
 		sealFrame(&frame, 0)
@@ -69,13 +73,14 @@ func (c *Collection) WriteSnapshot(w io.Writer) error {
 	return bw.Flush()
 }
 
-// putHeaderLocked appends the snapshot header's payload. Must hold c.mu.
-func (c *Collection) putHeaderLocked(buf *bytes.Buffer) {
+// putHeaderLocked appends the payload of the header of an image that
+// carries count documents. Must hold c.mu.
+func (c *Collection) putHeaderLocked(buf *bytes.Buffer, count int) {
 	PutString(buf, c.ns)
 	PutUvarint(buf, uint64(c.extentSize))
 	PutUvarint(buf, uint64(c.allocated))
 	PutUvarint(buf, uint64(c.nextID))
-	PutUvarint(buf, uint64(len(c.docs)))
+	PutUvarint(buf, uint64(count))
 	names := slices.Sorted(maps.Keys(c.indexes))
 	PutUvarint(buf, uint64(len(names)))
 	for _, name := range names {
@@ -99,106 +104,162 @@ func (c *Collection) putHeaderLocked(buf *bytes.Buffer) {
 // header's id space or not above the one before it, and anything after the
 // last document.
 func ReadSnapshot(r io.Reader) (*Collection, error) {
+	c, _, err := readImage(r, 0, func(c *Collection, id int64, doc *Doc, _ []byte) { c.addLocked(id, doc) })
+	return c, err
+}
+
+// Image is a snapshot image decoded whole, as a follower decodes a pull:
+// the writer's extent size and index layout, and the documents, each with
+// its frame's payload (EncodeIDDoc's bytes).
+type Image struct {
+	ExtentSize int64
+	Layout     []IndexSpec
+	Docs       []ImageDoc
+}
+
+// ImageDoc is one document of an Image.
+type ImageDoc struct {
+	ID    int64
+	Doc   *Doc
+	Frame []byte
+}
+
+// ReadImage decodes a snapshot image, refusing what ReadSnapshot refuses
+// and a document at or below id above.
+func ReadImage(r io.Reader, above int64) (*Image, error) {
+	img := &Image{}
+	c, layout, err := readImage(r, above, func(_ *Collection, id int64, doc *Doc, frame []byte) {
+		img.Docs = append(img.Docs, ImageDoc{ID: id, Doc: doc, Frame: frame})
+	})
+	if err != nil {
+		return nil, err
+	}
+	img.ExtentSize, img.Layout = c.extentSize, layout
+	return img, nil
+}
+
+// readImage reads a snapshot image: the empty collection its header
+// describes, with the header's extent usage (see Collection.allocated) and
+// index layout, and each document above id above, handed to each.
+func readImage(r io.Reader, above int64, each func(c *Collection, id int64, doc *Doc, frame []byte)) (*Collection, []IndexSpec, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("store: reading snapshot magic: %w", err)
+		return nil, nil, fmt.Errorf("store: reading snapshot magic: %w", err)
 	}
 	if string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("store: bad snapshot magic %q", magic)
+		return nil, nil, fmt.Errorf("store: bad snapshot magic %q", magic)
 	}
 	hdr, err := readFrame(br)
 	if err != nil {
-		return nil, fmt.Errorf("store: reading snapshot header: %w", err)
+		return nil, nil, fmt.Errorf("store: reading snapshot header: %w", err)
 	}
-	c, allocated, count, err := decodeSnapshotHeader(hdr)
+	c, layout, allocated, count, err := decodeSnapshotHeader(hdr)
 	if err != nil {
-		return nil, fmt.Errorf("store: snapshot header: %w", err)
+		return nil, nil, fmt.Errorf("store: snapshot header: %w", err)
 	}
+	last := max(above, 0)
 	for i := uint64(0); i < count; i++ {
 		frame, err := readFrame(br)
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		if err != nil {
-			return nil, fmt.Errorf("store: reading doc %d: %w", i, err)
+			return nil, nil, fmt.Errorf("store: reading doc %d: %w", i, err)
 		}
-		if len(frame) < 8 {
-			return nil, fmt.Errorf("store: doc %d: frame of %d bytes holds no id", i, len(frame))
-		}
-		id := int64(binary.LittleEndian.Uint64(frame))
-		if n := len(c.ids); id <= 0 || id >= c.nextID || n > 0 && id <= c.ids[n-1] {
-			return nil, fmt.Errorf("store: doc %d: id %d is outside [1, %d) or not above the one before it", i, id, c.nextID)
-		}
-		doc, err := DecodeDoc(frame[8:])
+		id, doc, err := DecodeIDDoc(frame)
 		if err != nil {
-			return nil, fmt.Errorf("store: decoding doc %d: %w", i, err)
+			return nil, nil, fmt.Errorf("store: decoding doc %d: %w", i, err)
 		}
-		c.addLocked(id, doc)
+		if id <= last || id >= c.nextID {
+			return nil, nil, fmt.Errorf("store: doc %d: id %d is not in (%d, %d)", i, id, last, c.nextID)
+		}
+		each(c, id, doc, frame)
+		last = id
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("store: snapshot continues past its %d documents (%v)", count, err)
+		return nil, nil, fmt.Errorf("store: snapshot continues past its %d documents (%v)", count, err)
 	}
-	c.allocated = allocated // what the writer's extents held (see Collection.allocated)
-	return c, nil
+	c.allocated = allocated
+	return c, layout, nil
 }
 
 // decodeSnapshotHeader builds the empty collection a snapshot header
-// describes, its indexes created and empty, and returns it with the bytes
-// its extents held and the count of documents to follow.
-func decodeSnapshotHeader(data []byte) (c *Collection, allocated int64, count uint64, err error) {
+// describes, its indexes created and empty, and returns it with its layout,
+// the bytes its extents held and the count of documents to follow.
+func decodeSnapshotHeader(data []byte) (c *Collection, layout []IndexSpec, allocated int64, count uint64, err error) {
 	rd := bytes.NewReader(data)
 	ns, err := GetString(rd)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("namespace: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("namespace: %w", err)
 	}
 	var extentSize, used, nextID uint64
 	for _, field := range []*uint64{&extentSize, &used, &nextID, &count} {
 		if *field, err = binary.ReadUvarint(rd); err != nil {
-			return nil, 0, 0, err
+			return nil, nil, 0, 0, err
 		}
 	}
 	if extentSize == 0 || extentSize > math.MaxInt64 || used > math.MaxInt64 || nextID == 0 || nextID > math.MaxInt64 {
-		return nil, 0, 0, fmt.Errorf("extent size %d, allocated %d, next id %d out of range", extentSize, used, nextID)
+		return nil, nil, 0, 0, fmt.Errorf("extent size %d, allocated %d, next id %d out of range", extentSize, used, nextID)
 	}
 	c = NewCollection(ns, int64(extentSize))
 	c.nextID = int64(nextID)
 	n, err := binary.ReadUvarint(rd)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("index count: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("index count: %w", err)
 	}
 	for i := uint64(0); i < n; i++ {
 		name, err1 := GetString(rd)
 		path, err2 := GetString(rd)
 		kind, err3 := binary.ReadUvarint(rd)
 		if err := errors.Join(err1, err2, err3); err != nil {
-			return nil, 0, 0, fmt.Errorf("index %d: %w", i, err)
+			return nil, nil, 0, 0, fmt.Errorf("index %d: %w", i, err)
 		}
 		if kind != uint64(HashIndex) && kind != uint64(BTreeIndex) {
-			return nil, 0, 0, fmt.Errorf("index %q: unknown kind %d", name, kind)
+			return nil, nil, 0, 0, fmt.Errorf("index %q: unknown kind %d", name, kind)
 		}
 		if _, dup := c.indexes[name]; dup {
-			return nil, 0, 0, fmt.Errorf("index %q listed twice", name)
+			return nil, nil, 0, 0, fmt.Errorf("index %q listed twice", name)
 		}
 		c.indexes[name] = newIndex(name, path, IndexKind(kind))
+		layout = append(layout, IndexSpec{Name: name, Path: path, Kind: IndexKind(kind)})
 	}
 	if n, err = binary.ReadUvarint(rd); err != nil {
-		return nil, 0, 0, fmt.Errorf("text index count: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("text index count: %w", err)
 	}
 	for i := uint64(0); i < n; i++ {
 		path, err := GetString(rd)
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("text index %d: %w", i, err)
+			return nil, nil, 0, 0, fmt.Errorf("text index %d: %w", i, err)
 		}
 		if _, dup := c.text[path]; dup {
-			return nil, 0, 0, fmt.Errorf("text index %q listed twice", path)
+			return nil, nil, 0, 0, fmt.Errorf("text index %q listed twice", path)
 		}
 		c.text[path] = newTextIndex(path)
+		layout = append(layout, IndexSpec{Path: path, Text: true})
 	}
 	if rd.Len() != 0 {
-		return nil, 0, 0, fmt.Errorf("%d bytes after the index layout", rd.Len())
+		return nil, nil, 0, 0, fmt.Errorf("%d bytes after the index layout", rd.Len())
 	}
-	return c, int64(used), count, nil
+	return c, layout, int64(used), count, nil
+}
+
+// EncodeIDDoc is a snapshot document frame's payload: id's 8 bytes, then
+// d's encoding. A shard WAL's insert event carries the same bytes.
+func EncodeIDDoc(id int64, d *Doc) []byte {
+	buf := bytes.NewBuffer(binary.LittleEndian.AppendUint64(nil, uint64(id)))
+	PutDoc(buf, d)
+	return buf.Bytes()
+}
+
+// DecodeIDDoc reads what EncodeIDDoc wrote. The id alone holds no
+// document and is refused.
+func DecodeIDDoc(data []byte) (int64, *Doc, error) {
+	if len(data) < 8 {
+		return 0, nil, fmt.Errorf("store: %d bytes hold no id", len(data))
+	}
+	d, err := DecodeDoc(data[8:])
+	return int64(binary.LittleEndian.Uint64(data)), d, err
 }
 
 // ApplyReplay stores a document under a specific id — the operation a
@@ -232,8 +293,8 @@ func readLogMagic(br *bufio.Reader) (ok, truncated bool) {
 // EventLog is an append-only log of application-defined events in CRC
 // frames, so torn tails are detected. Each event carries a monotonically
 // increasing sequence number, letting a recovery replay skip events already
-// covered by a checkpoint. Log's write-ahead file and the cluster
-// replication feed are both EventLogs.
+// covered by a checkpoint. It is the format of Log's write-ahead file, a
+// dtnode shard's among them.
 type EventLog struct {
 	w       *bufio.Writer
 	closer  io.Closer

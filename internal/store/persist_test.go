@@ -141,7 +141,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := c.WriteSnapshot(&buf); err != nil {
+	if err := c.WriteSnapshot(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadSnapshot(&buf)
@@ -184,7 +184,7 @@ func TestWriteSnapshotAllocBudget(t *testing.T) {
 		}
 		c.Insert(richDoc())
 		allocs := testing.AllocsPerRun(5, func() {
-			if err := c.WriteSnapshot(io.Discard); err != nil {
+			if err := c.WriteSnapshot(io.Discard, 0); err != nil {
 				t.Fatal(err)
 			}
 		})

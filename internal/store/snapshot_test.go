@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -41,7 +42,7 @@ func layoutFixture() *Collection {
 func snapshotBytes(t testing.TB, c *Collection) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := c.WriteSnapshot(&buf); err != nil {
+	if err := c.WriteSnapshot(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -98,6 +99,55 @@ func TestSnapshotCarriesLayout(t *testing.T) {
 	}
 	if got, want := back.Insert(NewDoc()), c.Insert(NewDoc()); got != want {
 		t.Errorf("next insert gets id %d, want %d", got, want)
+	}
+}
+
+// TestImageAboveAnID: the image above an id is the whole header — the
+// extent size and the index layout among it — and the documents above that
+// id, each with the frame it came in: its 8-byte id, then its encoding.
+// Above 0 it is the whole snapshot, and above the last id the layout alone.
+// Read above an id it carries, it is refused.
+func TestImageAboveAnID(t *testing.T) {
+	c := layoutFixture()
+	ids, docs := members(c)
+	layout := []IndexSpec{
+		{Name: "name_1", Path: "name", Kind: BTreeIndex},
+		{Name: "type_1", Path: "type", Kind: HashIndex},
+		{Path: "name", Text: true},
+	}
+	for _, above := range []int64{0, 1, ids[3] - 1, ids[3], ids[40], ids[len(ids)-1] - 1, ids[len(ids)-1], math.MaxInt64} {
+		var buf bytes.Buffer
+		if err := c.WriteSnapshot(&buf, above); err != nil {
+			t.Fatal(err)
+		}
+		img, err := ReadImage(bytes.NewReader(buf.Bytes()), above)
+		if err != nil {
+			t.Fatalf("above %d: %v", above, err)
+		}
+		if len(img.Docs) > 0 {
+			if _, err := ReadImage(bytes.NewReader(buf.Bytes()), img.Docs[0].ID); err == nil {
+				t.Errorf("above %d: read above id %d, the image's first, it was not refused", above, img.Docs[0].ID)
+			}
+		}
+		if img.ExtentSize != 4096 || !slices.Equal(img.Layout, layout) {
+			t.Errorf("above %d: extent size %d, layout %+v; want 4096, %+v", above, img.ExtentSize, img.Layout, layout)
+		}
+		first, _ := slices.BinarySearch(ids, above+1)
+		if above == math.MaxInt64 {
+			first = len(ids)
+		}
+		if len(img.Docs) != len(ids)-first {
+			t.Fatalf("above %d: %d documents, want %d", above, len(img.Docs), len(ids)-first)
+		}
+		for i, d := range img.Docs {
+			want := binary.LittleEndian.AppendUint64(nil, uint64(ids[first+i]))
+			if d.ID != ids[first+i] || !bytes.Equal(d.Frame, append(want, EncodeDoc(docs[first+i])...)) || fmt.Sprint(d.Doc) != fmt.Sprint(docs[first+i]) {
+				t.Fatalf("above %d: document %d is id %d, frame %x", above, i, d.ID, d.Frame)
+			}
+		}
+		if above == 0 && !bytes.Equal(buf.Bytes(), snapshotBytes(t, c)) {
+			t.Error("the image above 0 is not the snapshot")
+		}
 	}
 }
 
@@ -243,8 +293,10 @@ func TestLongFrameRoundTrip(t *testing.T) {
 }
 
 // FuzzReadSnapshot: no input panics the reader or costs more than a bounded
-// multiple of its size, and whatever loads writes an image that loads to a
-// collection writing the same image with the same Stats. The seeds are the
+// multiple of its size, ReadImage refuses what it refuses and reads the
+// same documents and layout from the rest, and whatever loads writes an
+// image that loads to a collection writing the same image with the same
+// Stats. The seeds are the
 // files under testdata/fuzz/FuzzReadSnapshot, one of them the image of a
 // layoutFixture with updated and deleted documents, which an older build
 // wrote, and seed-08 a two-document image with its ids descending.
@@ -255,8 +307,15 @@ func FuzzReadSnapshot(f *testing.F) {
 		if grew := allocDuring(func() { c, err = ReadSnapshot(bytes.NewReader(data)) }); grew > allocBound(len(data)) {
 			t.Fatalf("%d input bytes allocated %d bytes", len(data), grew)
 		}
+		img, ierr := ReadImage(bytes.NewReader(data), 0)
+		if (ierr == nil) != (err == nil) {
+			t.Fatalf("ReadSnapshot says %v, ReadImage %v", err, ierr)
+		}
 		if err != nil {
 			return
+		}
+		if ids, _ := members(c); len(img.Docs) != len(ids) || len(img.Layout) != len(c.indexes)+len(c.text) || len(c.MissingIndexes(img.Layout)) != 0 {
+			t.Fatalf("ReadImage read %d documents and layout %+v; ReadSnapshot %d and %v", len(img.Docs), img.Layout, len(ids), layoutOf(c))
 		}
 		image := snapshotBytes(t, c)
 		back, err := ReadSnapshot(bytes.NewReader(image))
