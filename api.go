@@ -134,10 +134,9 @@ func WithLiveFsync() Option { return func(o *options) { o.liveCfg.Fsync = true }
 // with -data-dir that recovered state from their local WAL/checkpoints —
 // Open skips the batch ingest and only rebuilds the coordinator-local
 // derived state (schema, registry, fused view), so a coordinator restart
-// never re-applies the corpus. The nodes own their durability: checkpoints
-// (SaveStoresCtx, live checkpoints) hold only the coordinator's own state
-// and ask the nodes for nothing, and a memory-only node that restarts
-// comes back empty.
+// never re-applies the corpus. The nodes own their durability: a live
+// checkpoint holds only the coordinator's own state and asks the nodes for
+// nothing, and a memory-only node that restarts comes back empty.
 func WithCluster(path string) Option { return func(o *options) { o.clusterPath = path } }
 
 // WithClusterConfig is WithCluster for an already-parsed configuration —
@@ -242,22 +241,6 @@ func Open(ctx context.Context, opts ...Option) (*Tamer, error) {
 		tm.ing = ing
 	}
 	return tm, nil
-}
-
-// SaveStoresCtx checkpoints both sharded text namespaces into dir,
-// atomically: an earlier checkpoint in dir stays the one LoadStores reads
-// until the new one is complete. It stops between shard files once ctx is
-// done. In cluster mode the remote shards are not written: their nodes
-// own them.
-func (t *Tamer) SaveStoresCtx(ctx context.Context, dir string) error {
-	return t.core.SaveStoresCtx(ctx, dir)
-}
-
-// LoadStores replaces both text namespaces with the checkpoint
-// SaveStoresCtx committed in dir, under ctx; each shard's snapshot brings
-// its extent size and indexes.
-func (t *Tamer) LoadStores(ctx context.Context, dir string) error {
-	return t.core.LoadStores(ctx, dir)
 }
 
 // Close stops the live ingester (draining and checkpointing) when one is

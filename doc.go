@@ -30,7 +30,7 @@
 //     log, applied by a batching worker pool, and recovered after a
 //     crash by replaying the WAL over the last checkpoint — the one
 //     durable-log protocol (internal/store.Log) that also backs dtnode
-//     shards and SaveStoresCtx;
+//     shards, and the one way a pipeline is persisted and recovered;
 //   - a versioned HTTP surface (internal/serve, /v1 with a uniform
 //     response envelope and pagination) and a Go client SDK for it
 //     (repro/client). Handler wraps the routes in production middleware:

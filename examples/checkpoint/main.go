@@ -1,8 +1,10 @@
-// Checkpoint demonstrates the durability layer: run the pipeline,
-// checkpoint both sharded namespaces to disk, recover them into a second
-// pipeline, and show that queries agree — plus write-ahead-log recovery
-// with a torn-tail write, on the same store.Log primitive that backs the
-// checkpoint, the live ingester and the cluster nodes.
+// Checkpoint demonstrates the durability layer: open a live pipeline,
+// ingest into it, close it — which checkpoints the stores and the fused
+// view's members — reopen it from the same directory, and check that the
+// reopened pipeline answers every read as the first one did; plus
+// write-ahead-log recovery with a torn-tail write, on the same store.Log
+// primitive that backs the live ingester and the cluster nodes. It exits
+// non-zero when the reopened pipeline's reads differ.
 package main
 
 import (
@@ -11,10 +13,14 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 
 	datatamer "repro"
+	"repro/internal/record"
 	"repro/internal/store"
 )
+
+const show = "Midnight Harbor"
 
 func main() {
 	log.SetFlags(0)
@@ -25,43 +31,53 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// Run, then checkpoint: one snapshot per shard — documents, extent size
-	// and index layout — in an epoch directory, committed by renaming
-	// checkpoint.meta into place.
+	// Run, ingest, then Close: the checkpoint holds one snapshot per shard —
+	// documents, extent size and index layout — and the fused view's
+	// members in an epoch directory, committed by renaming checkpoint.meta
+	// into place.
 	ctx := context.Background()
-	tamer, err := datatamer.Open(ctx, datatamer.WithFragments(500), datatamer.WithSources(5), datatamer.WithSeed(3))
+	liveDir := filepath.Join(dir, "live")
+	open := func() *datatamer.Tamer {
+		tamer, err := datatamer.Open(ctx, datatamer.WithFragments(500), datatamer.WithSources(5),
+			datatamer.WithSeed(3), datatamer.WithLive(liveDir))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return tamer
+	}
+	tamer := open()
+	err = tamer.IngestText(ctx, []datatamer.Fragment{{URL: "http://feeds.example.com/reviews/1",
+		Text: show + " an award-winning import from London, grossed 412,765, or 88 percent of the maximum."}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	snapDir := filepath.Join(dir, "stores")
-	if err := tamer.SaveStoresCtx(ctx, snapDir); err != nil {
+	rec := record.New()
+	rec.Set("SHOW_NAME", record.String(show))
+	rec.Set("THEATER", record.String("Lyceum Theatre"))
+	rec.Set("CHEAPEST_PRICE", record.Int(19))
+	if err := tamer.IngestRecords(ctx, "ticketing_feed", []*datatamer.Record{rec}); err != nil {
 		log.Fatal(err)
 	}
-	before := tamer.EntityStats()
-	fmt.Printf("checkpointed %d instances / %d entities to %s\n",
-		tamer.InstanceStats().Count, before.Count, snapDir)
+	if err := tamer.Flush(ctx); err != nil {
+		log.Fatal(err)
+	}
+	want := reads(ctx, tamer)
+	if err := tamer.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("checkpointed %d instances / %d entities and %d fused records to %s\n",
+		tamer.InstanceStats().Count, tamer.EntityStats().Count, len(tamer.FusedRecords()), liveDir)
 
-	// Recover into a second, smaller pipeline: LoadStores replaces its
-	// stores wholesale.
-	recovered, err := datatamer.Open(ctx, datatamer.WithFragments(50), datatamer.WithSources(5), datatamer.WithSeed(4))
-	if err != nil {
-		log.Fatal(err)
+	// Reopen from the same directory: Open loads the checkpoint instead of
+	// re-ingesting the batch web text, and the stores come back with their
+	// indexes.
+	recovered := open()
+	defer recovered.Close()
+	got := reads(ctx, recovered)
+	if got != want {
+		log.Fatalf("the reopened pipeline reads\n%s\nthe original read\n%s", got, want)
 	}
-	if err := recovered.LoadStores(ctx, snapDir); err != nil {
-		log.Fatal(err)
-	}
-	after := recovered.EntityStats()
-	fmt.Printf("recovered  %d instances / %d entities (indexes from the snapshots: %d)\n",
-		recovered.InstanceStats().Count, after.Count, after.NIndexes)
-
-	top, err := recovered.TopDiscussed(ctx, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("top discussed shows from the recovered store:")
-	for i, d := range top {
-		fmt.Printf("  %d. %s (%d mentions)\n", i+1, d.Name, d.Mentions)
-	}
+	fmt.Printf("reopened: every read agrees with the original pipeline's:\n%s", got)
 
 	// WAL recovery with a torn tail: only complete frames replay. The owner
 	// here is a bare collection whose events are whole documents.
@@ -105,4 +121,31 @@ func main() {
 	rep := lg.Recovered()
 	fmt.Printf("wal replay after torn write: %d events applied, truncated=%v, count=%d\n",
 		rep.Applied, rep.Truncated, coll.Count())
+}
+
+// reads renders what a reader of the pipeline sees: both stores' stats, the
+// entity types, the most discussed and cheapest shows, and the ingested
+// show's fused record.
+func reads(ctx context.Context, tamer *datatamer.Tamer) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "  instances %+v\n  entities  %+v\n", tamer.InstanceStats(), tamer.EntityStats())
+	types, err := tamer.TypeCounts(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	top, err := tamer.TopDiscussed(ctx, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cheapest, err := tamer.CheapestShows(ctx, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fused, err := tamer.QueryFused(ctx, show)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintf(&b, "  types     %v\n  top       %v\n  cheapest  %v\n%s", types, top, cheapest,
+		datatamer.FormatKV(fused, nil))
+	return b.String()
 }

@@ -48,20 +48,17 @@ func main() {
 		expert.NewSimulated("intern", 0.65, nil, 13),
 	)
 	for _, m := range review {
-		pool.Submit(expert.Task{
+		res, err := pool.ProcessWithEscalation(expert.Task{
 			Kind:     expert.TaskSchemaMatch,
 			Domain:   "schema",
 			Question: fmt.Sprintf("does %q map to %q?", m.Attr.Name, m.Best().Target),
 			Options:  []string{m.Best().Target, "(new attribute)"},
 			Truth:    m.Best().Target, // simulation ground truth
-		})
-	}
-	decisions, err := pool.ProcessAll()
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i, d := range decisions {
-		m := review[i]
+		}, expert.EscalationPolicy{MaxRounds: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
+		d := res.Decision
 		fmt.Printf("expert decision: %-20s -> %-20s (confidence %.2f, %d votes)\n",
 			m.Attr.Name, d.Answer, d.Confidence, len(d.Responses))
 		if target, ok := global.Attribute(d.Answer); ok {

@@ -2,10 +2,8 @@ package datatamer
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -302,52 +300,74 @@ func TestOpenWithLiveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadStoresInvalidatesResponseCache: restoring a checkpoint replaces
-// the stores under a running handler, so the next read must be recomputed
-// from them — neither a cached body nor a 304 for the pre-restore ETag.
-func TestLoadStoresInvalidatesResponseCache(t *testing.T) {
+// TestOpenWithLiveReopenServesTheSameReads: a live pipeline persists and
+// recovers only through its own directory. After a text and a records batch
+// and a Close, an Open with the same options over the same directory must
+// serve every /v1 read byte for byte as the closed pipeline did — the
+// stores from their snapshots and the fused view from its members.
+func TestOpenWithLiveReopenServesTheSameReads(t *testing.T) {
 	ctx := context.Background()
-	saved, err := Open(ctx, WithFragments(120), WithSources(3), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	if err := saved.SaveStoresCtx(ctx, dir); err != nil {
-		t.Fatal(err)
+	open := func() *Tamer {
+		tm, err := Open(ctx, WithFragments(150), WithSources(3), WithShards(2), WithSeed(8), WithLive(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tm
 	}
-	tm, err := Open(ctx, WithFragments(200), WithSources(3), WithSeed(5))
+	urls := []string{
+		"/v1/show?name=Matilda",
+		"/v1/show?name=Silver+Comet",
+		"/v1/top?limit=5",
+		"/v1/cheapest?limit=5",
+		"/v1/types",
+		"/v1/find?q=type%20%3D%20Movie&limit=3",
+		"/v1/stats",
+	}
+	read := func(tm *Tamer) map[string]string {
+		h := tm.Handler()
+		bodies := make(map[string]string, len(urls))
+		for _, u := range urls {
+			code, body := httpGet(t, h, u)
+			if code != http.StatusOK {
+				t.Fatalf("GET %s = %d: %s", u, code, body)
+			}
+			bodies[u] = body
+		}
+		return bodies
+	}
+
+	tm := open()
+	err := tm.IngestText(ctx, []Fragment{
+		{URL: "http://x/1", Text: "Silver Comet an award-winning revival, grossed 300,000 this week."},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := tm.Handler()
-	stats := func(hdr map[string]string) (*httptest.ResponseRecorder, int64) {
-		req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
-		for k, v := range hdr {
-			req.Header.Set(k, v)
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		var body struct {
-			Data map[string]Stats `json:"data"`
-		}
-		_ = json.Unmarshal(rec.Body.Bytes(), &body)
-		return rec, body.Data["instance"].Count
-	}
-	if _, n := stats(nil); n != 200 {
-		t.Fatalf("before the restore /v1/stats counts %d instances, want 200", n)
-	}
-	before, _ := stats(nil)
-	if before.Header().Get("X-Cache") != "HIT" {
-		t.Fatalf("second GET X-Cache = %q, want HIT", before.Header().Get("X-Cache"))
-	}
-	if err := tm.LoadStores(ctx, dir); err != nil {
+	rec := record.New()
+	rec.Set("SHOW_NAME", record.String("Silver Comet"))
+	rec.Set("THEATER", record.String("Imperial"))
+	rec.Set("CHEAPEST_PRICE", record.Int(37))
+	if err := tm.IngestRecords(ctx, "facade_feed", []*Record{rec}); err != nil {
 		t.Fatal(err)
 	}
-	after, n := stats(nil)
-	if after.Header().Get("X-Cache") == "HIT" || n != 120 {
-		t.Errorf("after the restore: X-Cache %q, %d instances; want a fresh body counting 120", after.Header().Get("X-Cache"), n)
+	if err := tm.Flush(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if rec, _ := stats(map[string]string{"If-None-Match": before.Header().Get("ETag")}); rec.Code == http.StatusNotModified {
-		t.Error("the pre-restore ETag still revalidates")
+	want := read(tm)
+	if err := tm.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := open()
+	defer reopened.Close()
+	got := read(reopened)
+	for _, u := range urls {
+		if got[u] != want[u] {
+			t.Errorf("GET %s after the reopen:\n%s\nbefore the close:\n%s", u, got[u], want[u])
+		}
+	}
+	if st, err := reopened.LiveStats(); err != nil || st.ReplayApplied != 0 {
+		t.Errorf("reopen after a clean close replayed %+v (%v), want nothing", st, err)
 	}
 }

@@ -469,8 +469,13 @@ func TestReadPathAgainstModel(t *testing.T) {
 	if testing.Short() {
 		steps = 80
 	}
+	// Each seed builds its own targets and rngs, so the seeds run side by
+	// side.
 	for seed := int64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runModel(t, seed, steps) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			runModel(t, seed, steps)
+		})
 	}
 }
 

@@ -10,22 +10,16 @@ import (
 	"repro/internal/store"
 )
 
-// Store persistence: checkpoint the two text namespaces to a directory and
-// recover them later — the operational side of the "scalable architecture"
-// (the paper's deployment relied on the storage engine's own durability;
-// ours is part of the reproduction). The directory protocol (epoch
-// directories committed by one meta rename) is store.Log's; this file only
-// supplies the callbacks that write and read one epoch directory. Only the
-// shards this process holds are written: a remote shard belongs to its
-// node, which persists it or not on its own (dtnode -data-dir), so a
-// checkpoint neither writes nor asks anything for it.
-
-// SaveStoresCtx checkpoints both namespaces into dir, atomically: the
-// previous checkpoint in dir stays the one LoadStores reads until the new
-// one is complete. See SnapshotStores for what is written.
-func (t *Tamer) SaveStoresCtx(ctx context.Context, dir string) error {
-	return store.SaveCheckpoint(dir, func(cpDir string) error { return t.SnapshotStores(ctx, cpDir) })
-}
+// Store persistence: the two text namespaces as the files of one checkpoint
+// directory — the operational side of the "scalable architecture" (the
+// paper's deployment relied on the storage engine's own durability; ours is
+// part of the reproduction). The directory protocol (epoch directories
+// committed by one meta rename) is store.Log's, and the live ingester owns
+// the log; this file only writes and reads the store snapshots inside one
+// epoch directory. Only the shards this process holds are written: a
+// remote shard belongs to its node, which persists it or not on its own
+// (dtnode -data-dir), so a checkpoint neither writes nor asks anything for
+// it.
 
 // SnapshotStores writes one snapshot file per shard of both namespaces
 // into cpDir, a checkpoint directory handed out by a store.Log:
@@ -61,12 +55,6 @@ func saveSharded(ctx context.Context, dir, prefix string, s *store.Sharded) erro
 		}
 	}
 	return nil
-}
-
-// LoadStores recovers both namespaces from the checkpoint SaveStoresCtx
-// committed in dir. See RestoreStores.
-func (t *Tamer) LoadStores(ctx context.Context, dir string) error {
-	return store.LoadCheckpoint(dir, func(cpDir string) error { return t.RestoreStores(ctx, cpDir) })
 }
 
 // RestoreStores reads the snapshots SnapshotStores wrote into cpDir into

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/store"
 )
 
 func TestSaveLoadStores(t *testing.T) {
@@ -23,12 +21,11 @@ func TestSaveLoadStores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := tm.SaveStoresCtx(context.Background(), dir); err != nil {
+	if err := tm.SnapshotStores(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
-	// 3 shards per namespace → 6 snapshot files, in the one committed
-	// checkpoint directory.
-	files, err := filepath.Glob(filepath.Join(dir, "*", "*.snap"))
+	// 3 shards per namespace → 6 snapshot files.
+	files, err := filepath.Glob(filepath.Join(dir, "*.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +39,17 @@ func TestSaveLoadStores(t *testing.T) {
 	// index first.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := fresh.LoadStores(cancelled, dir); !errors.Is(err, context.Canceled) {
-		t.Fatalf("LoadStores under a cancelled ctx = %v, want context.Canceled", err)
+	if err := fresh.RestoreStores(cancelled, dir); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RestoreStores under a cancelled ctx = %v, want context.Canceled", err)
 	}
-	if err := fresh.LoadStores(context.Background(), dir); err != nil {
+	// The restore moves the data generation, so no response cached before
+	// it is served after it.
+	gen := fresh.DataGeneration()
+	if err := fresh.RestoreStores(context.Background(), dir); err != nil {
 		t.Fatal(err)
+	}
+	if got := fresh.DataGeneration(); got <= gen {
+		t.Errorf("data generation after the restore = %d, was %d", got, gen)
 	}
 	gotInst := fresh.InstanceStats()
 	gotEnt := fresh.EntityStats()
@@ -75,39 +78,25 @@ func TestSaveLoadStores(t *testing.T) {
 	}
 }
 
-func TestLoadStoresMissingDir(t *testing.T) {
+func TestRestoreStoresMissingDir(t *testing.T) {
 	tm := New(Config{Fragments: 10, FTSources: 1, Seed: 1})
-	if err := tm.LoadStores(context.Background(), filepath.Join(os.TempDir(), "does-not-exist-dtamer")); err == nil {
-		t.Error("loading from a missing directory should fail")
+	if err := tm.RestoreStores(context.Background(), filepath.Join(os.TempDir(), "does-not-exist-dtamer")); err == nil {
+		t.Error("restoring from a missing directory should fail")
 	}
 }
 
-// TestSaveStoresCtxCancelled: SaveStoresCtx honours its context between
+// TestSnapshotStoresCancelled: SnapshotStores honours its context between
 // shard files — /v1/flush?checkpoint=1 carries a request context all the
-// way to the store save — and a cancelled save commits nothing.
-func TestSaveStoresCtxCancelled(t *testing.T) {
+// way to the store snapshot — so a cancelled snapshot writes no file.
+func TestSnapshotStoresCancelled(t *testing.T) {
 	tm := New(Config{Fragments: 10, FTSources: 1, Seed: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dir := t.TempDir()
-	if err := tm.SaveStoresCtx(ctx, dir); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SaveStoresCtx with cancelled ctx = %v, want context.Canceled", err)
+	if err := tm.SnapshotStores(ctx, dir); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SnapshotStores with cancelled ctx = %v, want context.Canceled", err)
 	}
-	if store.HasCheckpoint(dir) {
-		t.Error("a cancelled SaveStoresCtx committed a checkpoint")
-	}
-}
-
-func TestSaveStoresCreatesDir(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "nested", "snapdir")
-	tm := New(Config{Fragments: 20, FTSources: 1, Shards: 2, Seed: 2})
-	if err := tm.IngestWebText(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := tm.SaveStoresCtx(context.Background(), dir); err != nil {
-		t.Fatal(err)
-	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "*", "entity-0.snap")); len(files) != 1 {
-		t.Errorf("snapshot missing: %v", files)
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
+		t.Errorf("a cancelled SnapshotStores wrote %v", files)
 	}
 }

@@ -39,9 +39,9 @@ type EscalationResult struct {
 	Escalated bool
 }
 
-// ProcessWithEscalation answers one task, escalating to a wider panel while
-// confidence stays below the policy floor. Unlike ProcessAll it operates on
-// a single task so callers can act per decision.
+// ProcessWithEscalation answers one task: the RedundancyK most skilled
+// experts for its domain vote, and while the confidence stays below the
+// policy floor a wider panel votes again. MaxRounds: 1 asks one panel once.
 func (p *Pool) ProcessWithEscalation(t Task, policy EscalationPolicy) (EscalationResult, error) {
 	if len(p.experts) == 0 {
 		return EscalationResult{}, fmt.Errorf("expert: pool has no experts")

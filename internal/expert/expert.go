@@ -38,7 +38,6 @@ func (k TaskKind) String() string {
 
 // Task is one question for the expert pool.
 type Task struct {
-	ID       int
 	Kind     TaskKind
 	Domain   string   // routing key, e.g. "broadway", "schema"
 	Question string   // human-readable question

@@ -1,6 +1,7 @@
 package expert
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -82,25 +83,42 @@ func TestAggregateEmptyAndZeroConfidence(t *testing.T) {
 	}
 }
 
+// oneRound asks a single panel, no escalation.
+var oneRound = EscalationPolicy{MaxRounds: 1}
+
 func TestPoolRoutingPrefersSkill(t *testing.T) {
 	guru := NewSimulated("guru", 0.5, map[string]float64{"broadway": 0.99}, 1)
 	novice := NewSimulated("novice", 0.5, map[string]float64{"broadway": 0.55}, 2)
 	other := NewSimulated("other", 0.5, map[string]float64{"broadway": 0.60}, 3)
 	p := NewPool(guru, novice, other)
 	p.RedundancyK = 2
-	p.Submit(Task{Kind: TaskSchemaMatch, Domain: "broadway", Question: "venue == theater?", Options: []string{"yes", "no"}, Truth: "yes"})
-	decisions, err := p.ProcessAll()
+	res, err := p.ProcessWithEscalation(Task{Kind: TaskSchemaMatch, Domain: "broadway", Question: "venue == theater?", Options: []string{"yes", "no"}, Truth: "yes"}, oneRound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decisions) != 1 {
-		t.Fatalf("decisions = %d", len(decisions))
+	if res.Rounds != 1 || len(res.Decision.Responses) != 2 {
+		t.Fatalf("one round of two experts answered %+v", res)
 	}
 	if p.Asked("guru") != 1 || p.Asked("other") != 1 || p.Asked("novice") != 0 {
 		t.Errorf("routing: guru=%d other=%d novice=%d", p.Asked("guru"), p.Asked("other"), p.Asked("novice"))
 	}
-	if len(p.pending) != 0 {
-		t.Error("queue not drained")
+}
+
+// TestPoolRoutingBreaksTiesByLoad: among equally skilled experts the
+// least-loaded answers first, then the first by name.
+func TestPoolRoutingBreaksTiesByLoad(t *testing.T) {
+	p := NewPool(NewSimulated("c", 0.8, nil, 1), NewSimulated("a", 0.8, nil, 2), NewSimulated("b", 0.8, nil, 3))
+	p.RedundancyK = 1
+	var order []string
+	for range 4 {
+		res, err := p.ProcessWithEscalation(Task{Domain: "d", Truth: "yes", Options: []string{"yes", "no"}}, oneRound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order = append(order, res.Decision.Responses[0].Expert)
+	}
+	if want := []string{"a", "b", "c", "a"}; !slices.Equal(order, want) {
+		t.Errorf("answered by %v, want %v", order, want)
 	}
 }
 
@@ -112,16 +130,13 @@ func TestPoolHighSkillMajorityUsuallyRight(t *testing.T) {
 	}
 	p := NewPool(experts...)
 	const n = 200
-	for i := 0; i < n; i++ {
-		p.Submit(Task{Kind: TaskDedupPair, Domain: "d", Truth: "match", Options: []string{"match", "distinct"}})
-	}
-	decisions, err := p.ProcessAll()
-	if err != nil {
-		t.Fatal(err)
-	}
 	right := 0
-	for _, d := range decisions {
-		if d.Answer == "match" {
+	for i := 0; i < n; i++ {
+		res, err := p.ProcessWithEscalation(Task{Kind: TaskDedupPair, Domain: "d", Truth: "match", Options: []string{"match", "distinct"}}, oneRound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Decision.Answer == "match" {
 			right++
 		}
 	}
@@ -133,8 +148,7 @@ func TestPoolHighSkillMajorityUsuallyRight(t *testing.T) {
 
 func TestPoolNoExperts(t *testing.T) {
 	p := NewPool()
-	p.Submit(Task{})
-	if _, err := p.ProcessAll(); err == nil {
+	if _, err := p.ProcessWithEscalation(Task{}, oneRound); err == nil {
 		t.Error("expected error with no experts")
 	}
 }

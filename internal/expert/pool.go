@@ -1,16 +1,11 @@
 package expert
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Pool routes tasks to experts and tracks workload. The zero value is not
 // usable; call NewPool.
 type Pool struct {
 	experts []Expert
-	nextID  int
-	pending []Task
 	asked   map[string]int // questions per expert
 	// RedundancyK is how many experts answer each task (default 3).
 	RedundancyK int
@@ -23,14 +18,6 @@ func NewPool(experts ...Expert) *Pool {
 
 // Experts returns the pool members.
 func (p *Pool) Experts() []Expert { return p.experts }
-
-// Submit enqueues a task and returns its assigned id.
-func (p *Pool) Submit(t Task) int {
-	p.nextID++
-	t.ID = p.nextID
-	p.pending = append(p.pending, t)
-	return t.ID
-}
 
 // route returns the k most skilled experts for a domain, breaking ties by
 // current workload (least-loaded first) then name.
@@ -51,32 +38,6 @@ func (p *Pool) route(domain string, k int) []Expert {
 		k = len(sorted)
 	}
 	return sorted[:k]
-}
-
-// ProcessAll drains the queue: each task is routed to RedundancyK experts
-// and aggregated. It returns the decisions in task order.
-func (p *Pool) ProcessAll() ([]Decision, error) {
-	if len(p.experts) == 0 {
-		return nil, fmt.Errorf("expert: pool has no experts")
-	}
-	k := p.RedundancyK
-	if k <= 0 {
-		k = 3
-	}
-	var out []Decision
-	for _, t := range p.pending {
-		chosen := p.route(t.Domain, k)
-		responses := make([]Response, 0, len(chosen))
-		weights := make([]float64, 0, len(chosen))
-		for _, e := range chosen {
-			responses = append(responses, e.Answer(t))
-			weights = append(weights, e.Skill(t.Domain))
-			p.asked[e.Name()]++
-		}
-		out = append(out, Aggregate(responses, weights))
-	}
-	p.pending = nil
-	return out, nil
 }
 
 // Asked reports how many questions the named expert has answered.

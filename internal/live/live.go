@@ -141,7 +141,9 @@ type Ingester struct {
 // Open starts an ingester over t, recovering any state left in cfg.Dir: it
 // loads the last checkpoint (when present), replays the WAL tail over it,
 // re-checkpoints the recovered state, and begins a fresh WAL. The pipeline
-// t should have completed its batch Run (or LoadStores) first.
+// t should have completed its batch Run first — or, when cfg.Dir holds a
+// checkpoint, only its ImportFTables stage: the checkpoint replaces the
+// stores and the fused view's members.
 //
 // ctx bounds both the recovery work and the ingester's lifetime: cancelling
 // it after Open returns stops the applier — events already queued are left
@@ -178,7 +180,19 @@ func open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
 		t.RestoreFused(members)
 		return nil
 	}
-	apply := func(_ uint64, kind byte, payload []byte) error { return ing.applyReplayed(kind, payload) }
+	// A replayed event applies as a batch of one. One that cannot be decoded
+	// or is poison is counted and skipped rather than failing the open: one
+	// bad event must not make every later startup fail.
+	apply := func(_ uint64, kind byte, payload []byte) error {
+		ev, err := decodeEvent(kind, payload)
+		if err != nil {
+			ing.replayErrors++
+			return nil
+		}
+		poison, err := ing.applyEvents([]event{ev})
+		ing.replayErrors += len(poison)
+		return err
+	}
 	var err error
 	ing.log, err = store.OpenLog(cfg.Dir, cfg.Fsync, load, apply, ing.checkpointWriter(ctx))
 	if err != nil {
@@ -200,47 +214,6 @@ func open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
 func (ing *Ingester) start() {
 	ing.applier.Add(1)
 	go ing.applyLoop()
-}
-
-// applyReplayed applies one recovered WAL event synchronously during Open.
-// A poisoned event — undecodable, or rejected by the apply hooks — is
-// counted and skipped rather than returned, mirroring the live path (which
-// records the error and keeps going): one bad event must not make every
-// subsequent startup fail.
-func (ing *Ingester) applyReplayed(kind byte, payload []byte) error {
-	switch kind {
-	case evText:
-		frags, err := decodeText(payload)
-		if err != nil {
-			ing.replayErrors++
-			return nil
-		}
-		ni, ne, err := ing.tamer.ApplyFragments(ing.openCtx, frags, 0)
-		if err != nil {
-			// Cancellation mid-recovery aborts Open itself; surface it.
-			return err
-		}
-		ing.instances.Add(int64(ni))
-		ing.entities.Add(int64(ne))
-		ing.fragments.Add(int64(len(frags)))
-	case evRecords:
-		source, recs, err := decodeRecords(payload)
-		if err != nil {
-			ing.replayErrors++
-			return nil
-		}
-		if _, err := ing.tamer.ApplyRecords(ing.openCtx, source, recs); err != nil {
-			if cerr := ing.openCtx.Err(); cerr != nil {
-				return dterr.FromContext(cerr)
-			}
-			ing.replayErrors++
-			return nil
-		}
-		ing.records.Add(int64(len(recs)))
-	default:
-		ing.replayErrors++
-	}
-	return nil
 }
 
 // IngestText durably logs a batch of web-text fragments and queues them
@@ -383,53 +356,33 @@ func (ing *Ingester) applyLoop() {
 	}
 }
 
-// applyBatch pushes one batch through the incremental pipeline: all text
-// fragments in one parse-pool pass, record batches in log order, then one
-// fused-view refresh.
+// applyBatch pushes one batch through applyEvents, then refreshes the fused
+// view once if any record event applied.
 func (ing *Ingester) applyBatch(batch []event) {
 	start := time.Now()
-	var frags []Fragment
+	poison, err := ing.applyEvents(batch)
+	if len(poison) > 0 {
+		ing.mu.Lock()
+		ing.applyErr = poison[len(poison)-1]
+		ing.mu.Unlock()
+		ing.applyErrors.Add(int64(len(poison)))
+	}
+	if err != nil {
+		// The events stay in the WAL for the next Open. Abort before this
+		// batch is unaccounted below, so a Flush waiter woken by that
+		// cannot read pending==0 and report a clean flush for writes
+		// that were never applied.
+		ing.abort(err)
+	}
+	var bytes int64
+	recordEvents := 0
 	for _, ev := range batch {
-		if ev.kind == evText {
-			frags = append(frags, ev.frags...)
+		bytes += int64(ev.size)
+		if ev.kind == evRecords {
+			recordEvents++
 		}
 	}
-	if len(frags) > 0 {
-		ni, ne, err := ing.tamer.ApplyFragments(ing.openCtx, frags, 0)
-		if err != nil {
-			// The events stay in the WAL for the next Open. Abort before this
-			// batch is unaccounted below, so a Flush waiter woken by that
-			// cannot read pending==0 and report a clean flush for writes
-			// that were never applied.
-			ing.abort(dterr.FromContext(err))
-		} else {
-			ing.instances.Add(int64(ni))
-			ing.entities.Add(int64(ne))
-			ing.fragments.Add(int64(len(frags)))
-		}
-	}
-	gotRecords := false
-	for _, ev := range batch {
-		if ev.kind != evRecords {
-			continue
-		}
-		if _, err := ing.tamer.ApplyRecords(ing.openCtx, ev.source, ev.recs); err != nil {
-			if cerr := ing.openCtx.Err(); cerr != nil {
-				ing.abort(dterr.FromContext(cerr))
-				continue
-			}
-			// Poison event: it would fail identically on every retry and on
-			// replay, so drop it and count it rather than wedging the queue.
-			ing.mu.Lock()
-			ing.applyErr = err
-			ing.mu.Unlock()
-			ing.applyErrors.Add(1)
-			continue
-		}
-		gotRecords = true
-		ing.records.Add(int64(len(ev.recs)))
-	}
-	if gotRecords {
+	if err == nil && recordEvents > len(poison) {
 		if _, err := ing.tamer.RefreshFused(ing.openCtx); err == nil {
 			ing.refreshes.Add(1)
 		}
@@ -438,15 +391,50 @@ func (ing *Ingester) applyBatch(batch []event) {
 	ing.batches.Add(1)
 	ing.batchNanos.Add(elapsed)
 	ing.lastBatchNanos.Store(elapsed)
-	var bytes int64
-	for _, ev := range batch {
-		bytes += int64(ev.size)
-	}
 	ing.mu.Lock()
 	ing.pending -= len(batch)
 	ing.queuedBytes -= bytes
 	ing.cond.Broadcast()
 	ing.mu.Unlock()
+}
+
+// applyEvents applies evs through the incremental pipeline, the applier's
+// batches and the replayed WAL events alike: the text of every event in
+// one parse-pool pass, then the record events in log order. A failed text
+// apply, or the open context ending, is returned as fatal at once. A
+// record event that fails otherwise is poison — it would fail identically
+// on every retry and on replay — and comes back in poison for the caller
+// to count, so it is dropped rather than wedging the queue.
+func (ing *Ingester) applyEvents(evs []event) (poison []error, err error) {
+	var frags []Fragment
+	for _, ev := range evs {
+		if ev.kind == evText {
+			frags = append(frags, ev.frags...)
+		}
+	}
+	if len(frags) > 0 {
+		ni, ne, err := ing.tamer.ApplyFragments(ing.openCtx, frags, 0)
+		if err != nil {
+			return nil, dterr.FromContext(err)
+		}
+		ing.instances.Add(int64(ni))
+		ing.entities.Add(int64(ne))
+		ing.fragments.Add(int64(len(frags)))
+	}
+	for _, ev := range evs {
+		if ev.kind != evRecords {
+			continue
+		}
+		if _, err := ing.tamer.ApplyRecords(ing.openCtx, ev.source, ev.recs); err != nil {
+			if cerr := ing.openCtx.Err(); cerr != nil {
+				return poison, dterr.FromContext(cerr)
+			}
+			poison = append(poison, err)
+			continue
+		}
+		ing.records.Add(int64(len(ev.recs)))
+	}
+	return poison, nil
 }
 
 // abort is abortLocked for a caller not holding ing.mu.

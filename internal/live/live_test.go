@@ -359,6 +359,53 @@ func TestPoisonWALEventDoesNotBrickRecovery(t *testing.T) {
 	}
 }
 
+// TestPoisonRecordEventCountedLiveAndOnReplay: a record event whose apply
+// fails deterministically (here an empty source, which IngestRecords
+// refuses but a WAL can still hold) is poison on both paths that share
+// applyEvents. The applier counts it in ApplyErrors and LastError and keeps
+// going; a replay of the same WAL counts it in ReplayErrors. The good
+// record event beside it applies both times.
+func TestPoisonRecordEventCountedLiveAndOnReplay(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	ing1, err := open(ctx, liveTamer(t), Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := []*record.Record{showRecord("Nowhere", 1)}
+	ing1.ingestMu.Lock()
+	err = ing1.enqueueLocked(ctx, event{kind: evRecords, recs: poison}, encodeRecords("", poison))
+	ing1.ingestMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ing1.IngestRecords(ctx, "live_src", []*record.Record{showRecord("Phoenix Rising", 75)}); err != nil {
+		t.Fatal(err)
+	}
+	ing1.start()
+	if err := ing1.Flush(ctx); err != nil {
+		t.Fatalf("flush after a poison record event = %v, want nil", err)
+	}
+	st := ing1.Stats()
+	if st.ApplyErrors != 1 || !strings.Contains(st.LastError, "empty source") || st.Records != 1 || st.Closed {
+		t.Errorf("live stats after a poison record event = %+v", st)
+	}
+	// Crash: no Close, so the WAL still holds both events.
+
+	tm2 := liveTamer(t)
+	ing2, err := Open(ctx, tm2, Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("a poison record event failed recovery: %v", err)
+	}
+	defer ing2.Close()
+	if st := ing2.Stats(); st.ReplayErrors != 1 || st.ReplayApplied != 2 || st.Records != 1 {
+		t.Errorf("replay stats = %+v, want 1 error of 2 applied and 1 record", st)
+	}
+	if hits := fuse.NewShowIndex(tm2.FusedRecords(), "SHOW_NAME").Lookup("Phoenix Rising"); len(hits) != 1 {
+		t.Errorf("the good record beside the poison: %d fused hits, want 1", len(hits))
+	}
+}
+
 func TestCheckpointCommitIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	tm := liveTamer(t)

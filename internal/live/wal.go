@@ -23,6 +23,21 @@ const (
 // read as members; it has no members.snap, so Open refuses it.
 const membersName = "members.snap"
 
+// decodeEvent decodes one WAL event into the event the applier queues.
+func decodeEvent(kind byte, payload []byte) (event, error) {
+	ev := event{kind: kind, size: len(payload)}
+	var err error
+	switch kind {
+	case evText:
+		ev.frags, err = decodeText(payload)
+	case evRecords:
+		ev.source, ev.recs, err = decodeRecords(payload)
+	default:
+		err = fmt.Errorf("live: unknown event kind %d", kind)
+	}
+	return ev, err
+}
+
 // encodeText serializes a fragment batch: count, then (url, text) pairs.
 func encodeText(frags []datagen.Fragment) []byte {
 	var buf bytes.Buffer

@@ -197,38 +197,6 @@ func (l *Log) Close() error {
 	return l.log.Close()
 }
 
-// SaveCheckpoint commits write's output as the next checkpoint of dir —
-// for owners that persist whole-state snapshots and log nothing in between
-// (the WAL it leaves is empty). The previous checkpoint stays authoritative
-// until the meta rename.
-func SaveCheckpoint(dir string, write func(cpDir string) error) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: creating log dir: %w", err)
-	}
-	l := &Log{dir: dir}
-	if _, err := l.readMeta(); err != nil {
-		return err
-	}
-	if err := l.Checkpoint(l.fence, write); err != nil {
-		return err
-	}
-	return l.log.Close()
-}
-
-// LoadCheckpoint hands the committed epoch directory of dir to load. A
-// directory without a committed checkpoint is an error.
-func LoadCheckpoint(dir string, load func(cpDir string) error) error {
-	l := &Log{dir: dir}
-	ok, err := l.readMeta()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("store: no committed checkpoint in %s", dir)
-	}
-	return load(l.epochDir(l.epoch))
-}
-
 // HasCheckpoint reports whether dir holds a committed checkpoint, i.e.
 // whether OpenLog will call load and replace the owner's current state —
 // callers use it to skip building state a recovery would discard.

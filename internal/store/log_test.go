@@ -417,9 +417,6 @@ func TestLogCorruptMetaIsLoud(t *testing.T) {
 		if HasCheckpoint(dir) {
 			t.Errorf("%s: HasCheckpoint trusts a corrupt meta", what)
 		}
-		if err := LoadCheckpoint(dir, r.load); err == nil {
-			t.Errorf("%s: LoadCheckpoint succeeded", what)
-		}
 	}
 	for i := range meta {
 		flipped := slices.Clone(meta)
@@ -519,31 +516,36 @@ func TestLogCollectionOwner(t *testing.T) {
 	}
 }
 
-// TestSaveLoadCheckpoint covers the WAL-less pair SaveStoresCtx is built
-// on: the second save supersedes the first only at its commit.
+// TestSaveLoadCheckpoint: OpenLog makes its directory on demand, a
+// checkpoint supersedes the previous one only at its commit — after a
+// failed one the next open loads the previous checkpoint and replays the
+// WAL over it — and one epoch directory is left.
 func TestSaveLoadCheckpoint(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "made-on-demand")
+	dir := filepath.Join(t.TempDir(), "made", "on-demand")
 	if HasCheckpoint(dir) {
 		t.Error("HasCheckpoint on a missing dir")
 	}
-	o := &seqOwner{t: t, events: []string{"one"}}
-	if err := SaveCheckpoint(dir, o.write); err != nil {
+	o := &seqOwner{t: t}
+	l, err := o.open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	o.events = []string{"one", "two"}
+	o.appendN(l, 1)
+	o.checkpoint(l)
+	o.appendN(l, 1)
 	boom := errors.New("boom")
-	if err := SaveCheckpoint(dir, func(string) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("failed save = %v", err)
+	if err := l.Checkpoint(l.NextSeq()-1, func(string) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("failed checkpoint = %v", err)
 	}
+	crash(l)
 	r := &seqOwner{t: t}
-	if err := LoadCheckpoint(dir, r.load); err != nil || !slices.Equal(r.events, []string{"one"}) {
-		t.Fatalf("after a failed save: %q, %v — want the first checkpoint", r.events, err)
-	}
-	if err := SaveCheckpoint(dir, o.write); err != nil {
+	rl, err := r.open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadCheckpoint(dir, r.load); err != nil || !slices.Equal(r.events, o.events) {
-		t.Fatalf("after the second save: %q, %v", r.events, err)
+	defer rl.Close()
+	if !slices.Equal(r.events, o.events) || rl.Recovered().Applied != 1 {
+		t.Fatalf("after a failed checkpoint: %q (replay %+v), want %q over the first checkpoint", r.events, rl.Recovered(), o.events)
 	}
 	if entries, _ := filepath.Glob(filepath.Join(dir, logEpochPrefix+"*")); len(entries) != 1 {
 		t.Errorf("epoch dirs: %v", entries)

@@ -299,9 +299,9 @@ type EventLog struct {
 	w       *bufio.Writer
 	closer  io.Closer
 	nextSeq uint64
-	// head holds a frame's length, sequence number and kind, then its CRC:
-	// the bytes Append writes around the payload.
-	head [4 + binary.MaxVarintLen64 + 1]byte
+	// head holds a frame's sequence number and kind, the bytes Append
+	// writes before the payload.
+	head [binary.MaxVarintLen64 + 1]byte
 }
 
 // NewEventLog starts a fresh event log on w, writing the header immediately.
@@ -330,22 +330,12 @@ func NewEventLogAt(w io.Writer, nextSeq uint64) (*EventLog, error) {
 func (l *EventLog) NextSeq() uint64 { return l.nextSeq }
 
 // Append writes one event frame (seq, kind, payload) and returns its
-// sequence number. The event is durable only after Flush. The frame is the
-// one writeFrame makes of seq, kind and payload, written in place: the
-// payload is neither copied nor framed in a buffer of its own.
+// sequence number. The event is durable only after Flush. The frame's head
+// is seq and kind; WriteFrameParts writes the payload where it lies.
 func (l *EventLog) Append(kind byte, payload []byte) (uint64, error) {
 	seq := l.nextSeq
-	head := binary.AppendUvarint(l.head[:4], seq)
-	head = append(head, kind)
-	binary.LittleEndian.PutUint32(head, uint32(len(head)-4+len(payload)))
-	crc := crc32.Update(crc32.ChecksumIEEE(head[4:]), crc32.IEEETable, payload)
-	if _, err := l.w.Write(head); err != nil {
-		return 0, err
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		return 0, err
-	}
-	if _, err := l.w.Write(binary.LittleEndian.AppendUint32(l.head[:0], crc)); err != nil {
+	head := append(binary.AppendUvarint(l.head[:0], seq), kind)
+	if err := WriteFrameParts(l.w, head, payload); err != nil {
 		return 0, err
 	}
 	l.nextSeq++
@@ -427,8 +417,13 @@ func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payloa
 
 // WriteFrameParts writes the frame WriteFrame writes for head followed by
 // body, without joining them: body is written where it lies, under the one
-// CRC of the two.
+// CRC of the two. The length, head and CRC are appended to w's free buffer,
+// flushed first when it is too short, so a head that fits the buffer
+// allocates nothing.
 func WriteFrameParts(w *bufio.Writer, head, body []byte) error {
+	if err := reserve(w, 4+len(head)); err != nil {
+		return err
+	}
 	b := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(len(head)+len(body)))
 	b = append(b, head...)
 	if _, err := w.Write(b); err != nil {
@@ -437,9 +432,20 @@ func WriteFrameParts(w *bufio.Writer, head, body []byte) error {
 	if _, err := w.Write(body); err != nil {
 		return err
 	}
+	if err := reserve(w, 4); err != nil {
+		return err
+	}
 	crc := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, body)
 	_, err := w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), crc))
 	return err
+}
+
+// reserve flushes w when its free buffer is shorter than n bytes.
+func reserve(w *bufio.Writer, n int) error {
+	if w.Available() < n {
+		return w.Flush()
+	}
+	return nil
 }
 
 // ReadFrame reads one CRC-protected frame written by WriteFrame. io.EOF at

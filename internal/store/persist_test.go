@@ -277,6 +277,39 @@ func TestEventLogAppendFrames(t *testing.T) {
 	}
 }
 
+// TestEventLogAppendAcrossBufferFills: a frame whose length and head, or
+// whose CRC, meets a nearly full write buffer — where WriteFrameParts
+// flushes before it appends — is still the frame writeFrame makes. The
+// first frame leaves free bytes of bufio's 4096-byte default buffer
+// (frame overhead: 4 length, 1 seq, 1 kind, 4 CRC); the second, two head
+// bytes and one payload byte, then meets it.
+func TestEventLogAppendAcrossBufferFills(t *testing.T) {
+	for free := range 12 {
+		var buf bytes.Buffer
+		l, err := NewEventLog(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bytes.NewBufferString(eventMagic)
+		payloads := [][]byte{bytes.Repeat([]byte{1}, 4096-len(eventMagic)-10-free), {2}}
+		for i, payload := range payloads {
+			if _, err := l.Append(3, payload); err != nil {
+				t.Fatal(err)
+			}
+			frame := append([]byte{byte(i + 1), 3}, payload...)
+			if err := writeFrame(want, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+			t.Errorf("%d bytes free: log bytes differ from the writeFrame frames", free)
+		}
+	}
+}
+
 func TestSnapshotBadMagic(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader([]byte("NOTASNAP"))); err == nil {
 		t.Error("bad magic should fail")
