@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -369,5 +370,72 @@ func TestOpenWithLiveReopenServesTheSameReads(t *testing.T) {
 	}
 	if st, err := reopened.LiveStats(); err != nil || st.ReplayApplied != 0 {
 		t.Errorf("reopen after a clean close replayed %+v (%v), want nothing", st, err)
+	}
+}
+
+// TestETagFromBeforeARestartDoesNotValidate: an ETag names a body at one
+// data generation, and a reopened live pipeline starts above every
+// generation the closed one served. A show read before a record was
+// ingested, whose ETag the client still holds after a Close and an Open of
+// the same directory, must come back 200 with the body that holds the
+// record, not 304.
+func TestETagFromBeforeARestartDoesNotValidate(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	open := func() *Tamer {
+		tm, err := Open(ctx, WithFragments(150), WithSources(3), WithShards(2), WithSeed(8), WithLive(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tm
+	}
+	const show = "/v1/show?name=Silver+Comet"
+	get := func(tm *Tamer, etag string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("GET", show, nil)
+		if etag != "" {
+			req.Header.Set("If-None-Match", etag)
+		}
+		rec := httptest.NewRecorder()
+		tm.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+	ingest := func(tm *Tamer, source, theater string) {
+		rec := record.New()
+		rec.Set("SHOW_NAME", record.String("Silver Comet"))
+		rec.Set("THEATER", record.String(theater))
+		if err := tm.IngestRecords(ctx, source, []*Record{rec}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tm.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tm := open()
+	ingest(tm, "facade_feed", "Imperial")
+	before := get(tm, "")
+	etag := before.Header().Get("ETag")
+	if before.Code != http.StatusOK || etag == "" {
+		t.Fatalf("first read: %d, ETag %q", before.Code, etag)
+	}
+	if again := get(tm, etag); again.Code != http.StatusNotModified {
+		t.Fatalf("the same pipeline answered its own ETag %d, want 304", again.Code)
+	}
+	ingest(tm, "second_feed", "Majestic Theatre")
+	if err := tm.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := open()
+	defer reopened.Close()
+	after := get(reopened, etag)
+	if after.Code != http.StatusOK {
+		t.Fatalf("the reopened pipeline answered the closed one's ETag %s with %d, want 200", etag, after.Code)
+	}
+	if after.Body.String() == before.Body.String() || after.Header().Get("ETag") == etag {
+		t.Fatalf("the body after the restart is the one before it, ETag %s", after.Header().Get("ETag"))
+	}
+	if fresh := get(reopened, ""); fresh.Body.String() != after.Body.String() {
+		t.Fatalf("a conditional read served %s, a plain one %s", after.Body, fresh.Body)
 	}
 }

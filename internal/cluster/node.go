@@ -607,8 +607,8 @@ func (f *Follower) pullShard(key string) error {
 // layout adds, plus the documents — or nothing is applied: a follower
 // ahead of its primary says so. Indexes go in first, then documents, each
 // logged on a durable follower as the WAL event a primary logs for it, a
-// document as the frame it came in. A follower that holds nothing takes
-// its primary's extent size too.
+// document as EncodeIDDoc's frame of its bytes. A follower that holds
+// nothing takes its primary's extent size too.
 func (h *hostedShard) applyPull(gen uint64, body []byte) error {
 	coll, _ := h.view()
 	img, err := store.ReadImage(bytes.NewReader(body), coll.LastID())
@@ -637,7 +637,10 @@ func (h *hostedShard) applyPull(gen uint64, body []byte) error {
 			return err
 		}
 		h.gen++
-		if err := h.logLocked(EvInsert, d.Frame); err != nil {
+		if h.dur == nil {
+			continue // a memory-only node encodes nothing
+		}
+		if err := h.logLocked(EvInsert, store.EncodeIDDoc(d.ID, d.Doc)); err != nil {
 			return err
 		}
 	}

@@ -535,7 +535,7 @@ func EncodeStats(st store.Stats) []byte {
 
 // DecodeStats unpacks EncodeStats.
 func DecodeStats(data []byte) (store.Stats, error) {
-	d, err := store.DecodeDoc(data)
+	d, err := store.AdoptDoc(data)
 	if err != nil {
 		return store.Stats{}, err
 	}

@@ -7,6 +7,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -170,6 +171,19 @@ func (t *Tamer) SetStores(instances, entities *store.Sharded) {
 // conservatively.
 func (t *Tamer) DataGeneration() uint64 { return t.dataGen.Load() }
 
+// RaiseGeneration moves the data generation up to floor when it is below:
+// a pipeline recovered from disk starts above every generation an earlier
+// process served over the same directory (see live.Open), so that no
+// response cached or validated then is taken for one served now.
+func (t *Tamer) RaiseGeneration(floor uint64) {
+	for {
+		gen := t.dataGen.Load()
+		if gen >= floor || t.dataGen.CompareAndSwap(gen, floor) {
+			return
+		}
+	}
+}
+
 // Stages returns the per-stage reports of the last Run, in pipeline order
 // (Fig. 1): ingest-webtext, parse-entities, import-ftables,
 // clean-consolidate.
@@ -249,16 +263,19 @@ func (t *Tamer) IngestWebText(ctx context.Context) error {
 	return nil
 }
 
-// parsed is one fragment's parse output, ready for store insertion.
+// parsed is one fragment's parse output, ready for store insertion: its
+// instance document, then its entity documents, stored documents that
+// share one copy of their bytes.
 type parsed struct {
-	instance *store.Doc
-	entities []*store.Doc
+	docs []store.Doc
 }
 
 // parseFragments runs the domain-specific parser over frags into results,
 // which has their length, with a worker pool (the parser is read-only and
-// safe for concurrent use). workers <= 0 uses one worker per schedulable
-// CPU, as the shard fan-out does, so under GOMAXPROCS=1 the load is serial.
+// safe for concurrent use). Each worker writes a fragment's documents into
+// one reused buffer (Parser.AppendDocs) and adopts them from there.
+// workers <= 0 uses one worker per schedulable CPU, as the shard fan-out
+// does, so under GOMAXPROCS=1 the load is serial.
 // Results keep fragment order so the inserts that follow stay
 // deterministic. Cancelling ctx stops every worker at its next fragment
 // boundary and the call returns the context error.
@@ -274,6 +291,7 @@ func (t *Tamer) parseFragments(ctx context.Context, frags []datagen.Fragment, re
 		workers = 1
 	}
 	done := ctx.Done()
+	errs := make([]error, workers)
 	chunk := (len(frags) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
@@ -285,27 +303,31 @@ func (t *Tamer) parseFragments(ctx context.Context, frags []datagen.Fragment, re
 			break
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
+			var buf []byte
+			var ends []int
 			for i := lo; i < hi; i++ {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				res := t.Parser.Parse(frags[i].Text)
-				results[i] = parsed{
-					instance: res.InstanceDoc(frags[i].URL),
-					entities: res.EntityDocs(frags[i].URL),
+				buf, ends = t.Parser.AppendDocs(buf[:0], ends[:0], frags[i].Text, frags[i].URL)
+				docs, err := store.AdoptDocs(buf, ends)
+				if err != nil {
+					errs[w] = dterr.Wrapf(dterr.CodeInternal, err, "core: fragment %s", frags[i].URL)
+					return
 				}
+				results[i] = parsed{docs: docs}
 			}
-		}(lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return dterr.FromContext(err)
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // indexStores creates the standard index sets: 1 index on dt.instance and

@@ -73,8 +73,10 @@ func (t *Tamer) ApplyFragments(ctx context.Context, frags []datagen.Fragment, wo
 		}
 		instanceDocs, entityDocs = instanceDocs[:0], entityDocs[:0]
 		for _, r := range results {
-			instanceDocs = append(instanceDocs, r.instance)
-			entityDocs = append(entityDocs, r.entities...)
+			instanceDocs = append(instanceDocs, &r.docs[0])
+			for k := range r.docs[1:] {
+				entityDocs = append(entityDocs, &r.docs[1+k])
+			}
 		}
 		inserted = true
 		// The batch's first insert has begun: from here on a cancellation
@@ -205,7 +207,7 @@ func (t *Tamer) refreshFusedLocked() int {
 		recs[i], keys[i] = m.rec, m.keys
 	}
 	deduper := dedup.Deduper{Blocker: fusedBlocker, Matcher: t.matcherLocked()}
-	for _, c := range deduper.RunKeyed(recs, keys) {
+	for _, c := range deduper.RunKeyed(recs, keys).Clusters {
 		members := make([]member, len(c.Members))
 		for i, idx := range c.Members {
 			members[i] = pool[idx]

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"sort"
+	"strings"
 
 	"repro/internal/ml"
 	"repro/internal/record"
@@ -104,28 +105,43 @@ type Cluster struct {
 // Run blocks, classifies candidate pairs, clusters transitively, and
 // consolidates each cluster into one record.
 func (d *Deduper) Run(records []*record.Record) []Cluster {
-	return d.RunKeyed(records, blockKeys(records, d.Blocker))
+	return d.RunKeyed(records, blockKeys(records, d.Blocker)).Clusters
+}
+
+// Consolidation is what RunKeyed returns: the clusters, and how many
+// candidate pairs it met and how many of those it scored.
+type Consolidation struct {
+	Clusters           []Cluster
+	Candidates, Scored int
 }
 
 // RunKeyed is Run for a caller that already holds the records' blocking
-// keys: keys[i] must be what d.Blocker returns for records[i].
-func (d *Deduper) RunKeyed(records []*record.Record, keys [][]string) []Cluster {
+// keys: keys[i] must be what d.Blocker returns for records[i]. A candidate
+// pair whose records are already in one cluster is not scored: joining
+// them could change no cluster, so the clusters are those of scoring every
+// pair.
+func (d *Deduper) RunKeyed(records []*record.Record, keys [][]string) Consolidation {
 	uf := NewUnionFind(len(records))
 	scores := d.Matcher.over(records)
+	var res Consolidation
 	for p := range candidatePairs(keys, d.MaxBlock) {
+		res.Candidates++
+		if uf.Find(p.I) == uf.Find(p.J) {
+			continue
+		}
+		res.Scored++
 		if scores.prob(p.I, p.J) >= d.Matcher.Threshold {
 			uf.Union(p.I, p.J)
 		}
 	}
-	var out []Cluster
 	for _, members := range uf.Clusters() {
 		recs := make([]*record.Record, len(members))
 		for i, idx := range members {
 			recs[i] = records[idx]
 		}
-		out = append(out, Cluster{Members: members, Record: Consolidate(recs)})
+		res.Clusters = append(res.Clusters, Cluster{Members: members, Record: Consolidate(recs)})
 	}
-	return out
+	return res
 }
 
 // Consolidate merges records describing one entity into a composite record:
@@ -180,16 +196,7 @@ func Consolidate(records []*record.Record) *record.Record {
 		srcs = append(srcs, s)
 	}
 	sort.Strings(srcs)
-	if len(srcs) > 0 {
-		out.Source = srcs[0]
-		if len(srcs) > 1 {
-			joined := srcs[0]
-			for _, s := range srcs[1:] {
-				joined += "+" + s
-			}
-			out.Source = joined
-		}
-	}
+	out.Source = strings.Join(srcs, "+")
 	return out
 }
 

@@ -126,8 +126,13 @@ func trainingPairs(seed int64) []dedup.LabeledPair {
 // translatedTables are the records consolidation sees: the generated
 // structured sources matched into a global schema and translated to it.
 func translatedTables(t *testing.T, seed int64) []*record.Record {
+	return translatedSources(t, seed, 20)
+}
+
+// translatedSources is translatedTables over n generated sources.
+func translatedSources(t *testing.T, seed int64, n int) []*record.Record {
 	engine, global := match.NewEngine(), schema.NewGlobal()
-	sources := datagen.GenerateFTables(datagen.FTablesConfig{Sources: 20, Seed: seed})
+	sources := datagen.GenerateFTables(datagen.FTablesConfig{Sources: n, Seed: seed})
 	for _, src := range sources {
 		rep := engine.MatchSource(schema.FromSource(src), global)
 		review, err := engine.Integrate(rep, global)

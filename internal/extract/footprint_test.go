@@ -9,12 +9,15 @@ import (
 	"repro/internal/store"
 )
 
-// The store's heap is its documents, and a document's heap is its field
-// values: a value carries its payload and nothing more. Before the compact
-// value (PR 20) the same documents cost 822 and 2 800 bytes.
+// The store's heap is its documents. The text load stores each one as its
+// codec bytes (AppendDocs, store.AdoptDocs), so a document's heap is the
+// Doc and the bytes it holds, strings included. As built field trees the
+// same kind of documents cost 438 and 1 448 bytes, not counting the strings
+// they shared with the fragment, and 822 and 2 800 before record.Value and
+// DocValue were made compact.
 const (
-	entityDocBudget   = 480   // bytes per EntityDocs document
-	instanceDocBudget = 1_550 // bytes per six-reference InstanceDoc document
+	entityDocBudget   = 262 // bytes per entity document with three attributes
+	instanceDocBudget = 868 // bytes per six-reference instance document
 )
 
 func TestValueSizes(t *testing.T) {
@@ -26,9 +29,8 @@ func TestValueSizes(t *testing.T) {
 	}
 }
 
-// heapPerDoc reports the live heap, after collection, that n calls of build
-// add, per call. The strings the documents hold are shared, so only the
-// documents' own structure is counted.
+// heapPerDoc reports the live heap, after collection, that n calls of
+// build add, per call.
 func heapPerDoc(n int, build func() []*store.Doc) float64 {
 	keep := make([][]*store.Doc, n)
 	var before, after runtime.MemStats
@@ -46,22 +48,36 @@ func heapPerDoc(n int, build func() []*store.Doc) float64 {
 func TestDocumentHeapFootprint(t *testing.T) {
 	const n = 20_000
 	const url = "http://matildathemusical.example.com"
-	entity := &Result{Entities: []Entity{{
-		Type: Movie, Name: "Matilda",
-		Attributes: []Attr{{Key: "price", Value: "$27"}, {Key: "schedule", Value: "Tues at 7pm"}},
-	}}}
-	instance := &Result{
-		Text: "Matilda at the Shubert Theatre in New York: Tim Minchin, Roald Dahl and the Broadway League.",
-		Entities: []Entity{
-			{Type: Movie, Name: "Matilda"}, {Type: Facility, Name: "Shubert Theatre"},
-			{Type: City, Name: "New York"}, {Type: Person, Name: "Tim Minchin"},
-			{Type: Person, Name: "Roald Dahl"}, {Type: Organization, Name: "Broadway League"},
-		},
+	const entityText = "Wicked tickets $27, Tues at 7pm."
+	const instanceText = "Matilda at the Shubert Theatre in New York: Tim Minchin, Roald Dahl and the Broadway League."
+	p := NewParser()
+	if e := p.Parse(entityText).Entities; len(e) != 1 || len(e[0].Attributes) != 3 {
+		t.Fatalf("entity fixture drifted: %+v", e)
 	}
-
-	perEntity := heapPerDoc(n, func() []*store.Doc { return entity.EntityDocs(url) })
-	perInstance := heapPerDoc(n, func() []*store.Doc { return []*store.Doc{instance.InstanceDoc(url)} })
-	t.Logf("heap per document: entity %.0f B (budget %d), six-reference instance %.0f B (budget %d)",
+	if e := p.Parse(instanceText).Entities; len(e) != 6 {
+		t.Fatalf("instance fixture drifted: %+v", e)
+	}
+	var buf []byte
+	var ends []int
+	// doc adopts the i'th document AppendDocs writes for text alone, as
+	// the load adopts a fragment's: its bytes copied, one Doc.
+	doc := func(text string, i int) func() []*store.Doc {
+		return func() []*store.Doc {
+			buf, ends = p.AppendDocs(buf[:0], ends[:0], text, url)
+			lo := 0
+			if i > 0 {
+				lo = ends[i-1]
+			}
+			docs, err := store.AdoptDocs(buf[lo:ends[i]], []int{ends[i] - lo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*store.Doc{&docs[0]}
+		}
+	}
+	perEntity := heapPerDoc(n, doc(entityText, 1))
+	perInstance := heapPerDoc(n, doc(instanceText, 0))
+	t.Logf("heap per stored document: entity %.0f B (budget %d), six-reference instance %.0f B (budget %d)",
 		perEntity, entityDocBudget, perInstance, instanceDocBudget)
 	if perEntity > entityDocBudget {
 		t.Errorf("an entity document holds %.0f B of heap, budget %d", perEntity, entityDocBudget)

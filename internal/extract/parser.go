@@ -35,6 +35,8 @@ type scratch struct {
 	mentions []Mention
 	order    []int  // mention indexes, sorted by entity identity
 	first    []bool // per mention: the first of its entity
+	entities []Entity
+	attrs    []Attr // the entities' shared attribute list
 }
 
 // span is the byte range [lo, hi) of one lowered string in scratch.lower.
@@ -56,6 +58,59 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func (p *Parser) Parse(text string) *Result {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
+	p.findMentions(s, text)
+	res := &Result{Text: text}
+	if len(s.mentions) > 0 {
+		res.Mentions = slices.Clone(s.mentions)
+	}
+	res.Entities, _ = p.entitiesOf(s, text, res.Mentions, nil, nil)
+	return res
+}
+
+// AppendDocs parses one text fragment crawled from sourceURL and appends
+// to dst its WEBINSTANCE document's encoding, then each WEBENTITIES
+// document's, and to ends where each of them ends: the bytes PutDoc writes
+// for InstanceDoc and for each of EntityDocs, written straight from the
+// parse's pooled scratch, with no Result and no Doc between.
+// store.AdoptDocs(dst, ends) turns them into stored documents.
+func (p *Parser) AppendDocs(dst []byte, ends []int, text, sourceURL string) ([]byte, []int) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	p.findMentions(s, text)
+	s.entities, s.attrs = p.entitiesOf(s, text, s.mentions, s.entities[:0], s.attrs[:0])
+	dst = store.AppendDocHead(dst, 3)
+	dst = store.AppendStrField(dst, "source_url", sourceURL)
+	dst = store.AppendStrField(dst, "text", text)
+	dst = store.AppendListField(dst, "entities", len(s.entities))
+	for _, e := range s.entities {
+		dst = store.AppendDocElem(dst, 2)
+		dst = store.AppendStrField(dst, "type", string(e.Type))
+		dst = store.AppendStrField(dst, "name", e.Name)
+	}
+	ends = append(ends, len(dst))
+	for _, e := range s.entities {
+		n := 3
+		if len(e.Attributes) > 0 {
+			n++
+		}
+		dst = store.AppendDocHead(dst, n)
+		dst = store.AppendStrField(dst, "type", string(e.Type))
+		dst = store.AppendStrField(dst, "name", e.Name)
+		dst = store.AppendStrField(dst, "source_url", sourceURL)
+		if len(e.Attributes) > 0 {
+			dst = store.AppendDocField(dst, "attributes", len(e.Attributes))
+			for _, a := range e.Attributes {
+				dst = store.AppendStrField(dst, a.Key, a.Value)
+			}
+		}
+		ends = append(ends, len(dst))
+	}
+	return dst, ends
+}
+
+// findMentions leaves in s.mentions every mention in text, in order of
+// position, the longer first where two start together.
+func (p *Parser) findMentions(s *scratch, text string) {
 	s.mentions = p.appendGazetteer(s, s.mentions[:0], text)
 	s.mentions = appendURLs(s.mentions, text)
 	slices.SortFunc(s.mentions, func(a, b Mention) int {
@@ -64,12 +119,6 @@ func (p *Parser) Parse(text string) *Result {
 		}
 		return cmp.Compare(b.End, a.End)
 	})
-	res := &Result{Text: text}
-	if len(s.mentions) > 0 {
-		res.Mentions = slices.Clone(s.mentions)
-	}
-	res.Entities = p.entitiesOf(s, text, res.Mentions)
-	return res
 }
 
 // appendGazetteer scans token spans longest-match-first against the
@@ -129,10 +178,11 @@ func appendURLs(dst []Mention, text string) []Mention {
 // entitiesOf folds mentions into distinct entities — one per type and
 // case-folded name, in the order of their first mention — and attaches
 // the first match of each attribute pattern (date, gross, percent, price,
-// schedule) found in the fragment.
-func (p *Parser) entitiesOf(s *scratch, text string, mentions []Mention) []Entity {
+// schedule) found in the fragment. The entities are appended to ents and
+// their attribute list to attrs, both empty, which it returns grown.
+func (p *Parser) entitiesOf(s *scratch, text string, mentions []Mention, ents []Entity, attrs []Attr) ([]Entity, []Attr) {
 	if len(mentions) == 0 {
-		return nil
+		return ents, attrs
 	}
 	s.lower, s.spans = s.lower[:0], s.spans[:0]
 	s.order = s.order[:0]
@@ -162,8 +212,7 @@ func (p *Parser) entitiesOf(s *scratch, text string, mentions []Mention) []Entit
 
 	// One key-sorted list serves every entity: award_winning sorts first, so
 	// an award-winning movie takes all of it and any other entity the rest.
-	attrs := make([]Attr, 1, 1+len(attrPatterns))
-	attrs[0] = Attr{Key: "award_winning", Value: "true"}
+	attrs = append(slices.Grow(attrs, 1+len(attrPatterns)), Attr{Key: "award_winning", Value: "true"})
 	for _, ap := range attrPatterns {
 		if start, end := find(text, 0, ap.scan); start >= 0 {
 			attrs = append(attrs, Attr{Key: ap.key, Value: text[start:end]})
@@ -171,7 +220,7 @@ func (p *Parser) entitiesOf(s *scratch, text string, mentions []Mention) []Entit
 	}
 	award, plain := attrs[:len(attrs):len(attrs)], attrs[1:len(attrs):len(attrs)]
 
-	entities := make([]Entity, 0, n)
+	ents = slices.Grow(ents, n)
 	for i, m := range mentions {
 		if !s.first[i] {
 			continue
@@ -183,14 +232,16 @@ func (p *Parser) entitiesOf(s *scratch, text string, mentions []Mention) []Entit
 		if m.Type == Movie && p.gaz.awards[string(s.low(i))] {
 			ent.Attributes = award
 		}
-		entities = append(entities, ent)
+		ents = append(ents, ent)
 	}
-	return entities
+	return ents, attrs
 }
 
 // InstanceDoc converts a parse result into the hierarchical WEBINSTANCE
 // document: the text fragment plus the nested list of entity references.
-// sourceURL identifies where the fragment was crawled from.
+// sourceURL identifies where the fragment was crawled from. The load writes
+// the same document's bytes with AppendDocs; this built form is what they
+// are checked against.
 func (r *Result) InstanceDoc(sourceURL string) *store.Doc {
 	d := store.NewDocCap(3).
 		Set("source_url", store.Str(sourceURL)).
@@ -208,7 +259,8 @@ func (r *Result) InstanceDoc(sourceURL string) *store.Doc {
 
 // EntityDocs converts a parse result into WEBENTITIES documents: one
 // hierarchical document per distinct entity with its attributes nested, in
-// key order.
+// key order. Like InstanceDoc, it is the built form AppendDocs's bytes are
+// checked against.
 func (r *Result) EntityDocs(sourceURL string) []*store.Doc {
 	out := make([]*store.Doc, 0, len(r.Entities))
 	for _, e := range r.Entities {

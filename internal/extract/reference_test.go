@@ -233,6 +233,40 @@ func CheckParseMatchesReference(t testing.TB, p *Parser, text string) {
 			t.Fatalf("Parse(%q): EntityDocs[%d] encodes to %q, reference %q", text, i, g, w)
 		}
 	}
+	CheckAppendDocsMatchesPutDoc(t, p, text, url)
+}
+
+// CheckAppendDocsMatchesPutDoc fails t unless the bytes AppendDocs writes
+// for text, behind bytes already in its buffer, are what PutDoc writes for
+// InstanceDoc and each of EntityDocs of Parse(text), each ending where it
+// says, and adopt as stored documents that read back the same.
+func CheckAppendDocsMatchesPutDoc(t testing.TB, p *Parser, text, url string) {
+	t.Helper()
+	res := p.Parse(text)
+	want := []*store.Doc{res.InstanceDoc(url)}
+	want = append(want, res.EntityDocs(url)...)
+	prefix := []byte("left by an earlier fragment")
+	buf, ends := p.AppendDocs(slices.Clone(prefix), []int{len(prefix)}, text, url)
+	if len(ends) != 1+len(want) || !bytes.Equal(buf[:len(prefix)], prefix) {
+		t.Fatalf("AppendDocs(%q) wrote %d documents, want %d", text, len(ends)-1, len(want))
+	}
+	rel := make([]int, len(want))
+	for i := range rel {
+		rel[i] = ends[1+i] - len(prefix)
+	}
+	docs, err := store.AdoptDocs(buf[len(prefix):], rel)
+	if err != nil {
+		t.Fatalf("AppendDocs(%q): %v", text, err)
+	}
+	for i, w := range want {
+		enc := store.EncodeDoc(w)
+		if g := buf[ends[i]:ends[i+1]]; !bytes.Equal(g, enc) {
+			t.Fatalf("AppendDocs(%q): document %d is %q, PutDoc writes %q", text, i, g, enc)
+		}
+		if g := store.EncodeDoc(&docs[i]); !bytes.Equal(g, enc) || docs[i].String() != w.String() {
+			t.Fatalf("AppendDocs(%q): document %d adopts as %v, want %v", text, i, &docs[i], w)
+		}
+	}
 }
 
 // parseSeeds are fragments a datagen corpus does not hold: folds, odd

@@ -202,6 +202,14 @@ func open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
 		ing.log.Close()
 		return nil, fmt.Errorf("live: refreshing fused view after replay: %w", err)
 	}
+	// An earlier process over this directory served generations from its
+	// own floor up, at most one step per event it applied, fewer than 2^32.
+	// It could change data only by applying events, and a process that
+	// applied any left a checkpoint behind it — its Close's, or the one
+	// this recovery took after replaying them — so the epoch is above
+	// that process's, and so is the floor. Without such events the
+	// directory holds what the earlier process served, at its floor.
+	t.RaiseGeneration(ing.log.Stats().Epoch << 32)
 	ing.stopAbort = context.AfterFunc(ctx, func() {
 		ing.mu.Lock()
 		ing.abortLocked(dterr.FromContext(ctx.Err()))

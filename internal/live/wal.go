@@ -130,7 +130,7 @@ func decodeRecordFrom(r *bytes.Reader) (*record.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := store.DecodeDoc(data)
+	d, err := store.AdoptDoc(data)
 	if err != nil {
 		return nil, err
 	}

@@ -73,9 +73,11 @@ func TestInsertManyAllocBudget(t *testing.T) {
 }
 
 // TestDocListCheckAllocatesNothing: reading a list of 100 documents of
-// every value kind with an empty window checks each of them and builds
-// none, so it allocates nothing beyond its reader; a window of ten builds
-// those ten only.
+// every value kind with an empty window checks each of them and adopts
+// none, so it allocates nothing beyond its reader; a window adopts its
+// documents in one copy of their bytes and one allocation of documents,
+// whether it holds ten or all of them (and all of them into a nil slice
+// grow it once).
 func TestDocListCheckAllocatesNothing(t *testing.T) {
 	var docs []*Doc
 	for len(docs) < 100 {
@@ -101,8 +103,50 @@ func TestDocListCheckAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("checking 100 documents allocates %.0f times, building 10 %.0f, building all %.0f", check, page, whole)
-	if check > 1 || page-check > (whole-check)/5 {
-		t.Errorf("checking 100 documents allocates %.0f times (budget 1), building 10 of them %.0f, all %.0f", check, page, whole)
+	t.Logf("checking 100 documents allocates %.0f times, adopting 10 %.0f, adopting all %.0f", check, page, whole)
+	if check > 1 || page-check > 2 || whole-check > 3 {
+		t.Errorf("checking 100 documents allocates %.0f times (budget 1), adopting 10 of them %.0f (budget 2 more), all %.0f (budget 3 more)", check, page, whole)
+	}
+}
+
+// TestStoredEntityReadsAllocateNothing: reading every field of a stored
+// entity document, as the text load writes one — each top-level field by
+// Field, Get and PathString, each attribute by Path, and its size — allocates
+// nothing: a string aliases the document's bytes, and the nested
+// attributes are handed out as theirs.
+func TestStoredEntityReadsAllocateNothing(t *testing.T) {
+	buf := AppendDocHead(nil, 4)
+	buf = AppendStrField(buf, "type", "Movie")
+	buf = AppendStrField(buf, "name", "Matilda")
+	buf = AppendStrField(buf, "source_url", "http://matildathemusical.example.com")
+	buf = AppendDocField(buf, "attributes", 3)
+	buf = AppendStrField(buf, "award_winning", "true")
+	buf = AppendStrField(buf, "price", "$27")
+	buf = AppendStrField(buf, "schedule", "Tues at 7pm")
+	d, err := AdoptDoc(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{"type", "name", "source_url", "attributes", "attributes.award_winning", "attributes.price", "attributes.schedule"}
+	read := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		read = 0
+		for i := 0; i < d.Len(); i++ {
+			name, v := d.Field(i)
+			got, _ := d.Get(name)
+			read += len(v.Scalar().Str()) + len(got.Scalar().Str()) + len(d.PathString(name))
+		}
+		for _, p := range paths {
+			if v, ok := d.Path(p); ok {
+				read += len(v.Scalar().Str()) + int(v.sizeBytes())
+			}
+		}
+		read += int(d.SizeBytes())
+	})
+	if read == 0 {
+		t.Fatal("nothing was read")
+	}
+	if allocs != 0 {
+		t.Errorf("reading every field of a stored entity document allocates %.0f times, want 0", allocs)
 	}
 }

@@ -18,6 +18,18 @@
 // missing: a replay may jump ids, and an image an older build wrote may
 // lack the ones it deleted.
 //
+// A document comes in two forms (see Doc). A built one is a field list,
+// what a caller gets from NewDoc and Set. A stored one is its codec
+// encoding, read in place: everything that already holds a document's
+// bytes — the text writer's output (AdoptDocs), a snapshot, a WAL event, a
+// pull image, a node's insert body and the router's window of a shard's
+// reply — adopts them, checked once, instead of decoding them into fields,
+// and the collections, local, durable and clustered, hold what they are
+// given. Index keys, the text index, filters, ranking, routing, Stats'
+// sizes, snapshots and the wire all read a stored document where it lies:
+// a string value it hands out aliases its bytes, so reading every field of
+// one allocates nothing.
+//
 // Everything that reads by filter is one op, Query: a filter, an offset, a
 // limit, and the exact match total. A Collection answers it with at most
 // the window's documents — from an index's posting lists when one covers
@@ -64,7 +76,10 @@ import (
 // DocValue is a node in a semi-structured document tree: a scalar, a nested
 // document, or a list of values. The zero DocValue is the null scalar.
 type DocValue struct {
-	// Which pointer is set tells the three apart; neither is a scalar.
+	// Which pointer is set tells the three apart; neither is a scalar. A
+	// nested document or a list read off a stored document is the sentinel
+	// storedDoc or storedList, and scalar then holds the bytes that encode
+	// it, as a string aliasing the document's.
 	scalar record.Value
 	doc    *Doc        // a nested document; nilDoc for Nested(nil)
 	list   *[]DocValue // a list, never nil for one
@@ -73,6 +88,13 @@ type DocValue struct {
 // nilDoc stands in for the nil document Nested(nil) wraps, so that the
 // value still reads as nested.
 var nilDoc = &Doc{}
+
+// storedDoc and storedList mark a nested document and a list that are the
+// bytes of a stored document (see DocValue).
+var (
+	storedDoc  = &Doc{}
+	storedList = &[]DocValue{}
+)
 
 // Scalar wraps a record.Value as a document value.
 func Scalar(v record.Value) DocValue { return DocValue{scalar: v} }
@@ -104,22 +126,73 @@ func (v DocValue) IsDoc() bool { return v.doc != nil }
 func (v DocValue) IsList() bool { return v.list != nil }
 
 // Scalar returns the scalar payload (Null for non-scalars).
-func (v DocValue) Scalar() record.Value { return v.scalar }
+func (v DocValue) Scalar() record.Value {
+	if !v.IsScalar() {
+		return record.Null
+	}
+	return v.scalar
+}
 
-// Doc returns the nested document payload, or nil.
+// Doc returns the nested document payload, or nil. A nested value read off
+// a stored document gives a stored document, allocated here.
 func (v DocValue) Doc() *Doc {
-	if v.doc == nilDoc {
+	switch v.doc {
+	case nilDoc:
 		return nil
+	case storedDoc:
+		return &Doc{raw: v.scalar.Str()}
 	}
 	return v.doc
 }
 
-// List returns the list payload, or nil.
+// List returns the list payload, or nil. A list read off a stored document
+// is built here, its elements read as the document's accessors read them.
 func (v DocValue) List() []DocValue {
-	if v.list == nil {
+	switch v.list {
+	case nil:
 		return nil
+	case storedList:
+		it := v.elems()
+		list := make([]DocValue, 0, it.left)
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			list = append(list, e)
+		}
+		return list
 	}
 	return *v.list
+}
+
+// elems iterates a list value's elements, in either form, building
+// nothing.
+type elems struct {
+	built []DocValue
+	w     walker[string]
+	left  int // stored elements not yet read
+}
+
+// elems returns the iterator over v's elements: none unless v is a list.
+func (v DocValue) elems() elems {
+	if v.list != storedList {
+		return elems{built: v.List()}
+	}
+	it := elems{w: walker[string]{b: v.scalar.Str()}}
+	n, _ := it.w.uvarint()
+	it.left = int(n)
+	return it
+}
+
+// next returns the next element; ok is false after the last.
+func (it *elems) next() (DocValue, bool) {
+	if it.left > 0 {
+		it.left--
+		return storedValue(&it.w), true
+	}
+	if len(it.built) > 0 {
+		e := it.built[0]
+		it.built = it.built[1:]
+		return e, true
+	}
+	return DocValue{}, false
 }
 
 // String renders the value compactly for debugging.
@@ -128,9 +201,10 @@ func (v DocValue) String() string {
 	case v.IsDoc():
 		return v.Doc().String()
 	case v.IsList():
-		parts := make([]string, len(v.List()))
-		for i, e := range v.List() {
-			parts[i] = e.String()
+		var parts []string
+		it := v.elems()
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			parts = append(parts, e.String())
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	default:
@@ -143,6 +217,10 @@ func (v DocValue) String() string {
 func (v DocValue) sizeBytes() int64 {
 	const scalarOverhead = 16
 	switch {
+	case v.doc == storedDoc:
+		return storedSize(&walker[string]{b: v.scalar.Str()}, tagNested)
+	case v.list == storedList:
+		return storedSize(&walker[string]{b: v.scalar.Str()}, tagList)
 	case v.IsDoc():
 		return v.Doc().SizeBytes()
 	case v.IsList():
@@ -159,11 +237,36 @@ func (v DocValue) sizeBytes() int64 {
 	}
 }
 
-// Doc is an ordered semi-structured document. Documents hold a handful of
-// fields, so lookup is a scan of the field list and there is no index to
-// build, copy or keep in step.
+// member returns the field name of the nested document v, and whether v
+// is one holding it.
+func (v DocValue) member(name string) (DocValue, bool) {
+	if v.doc == storedDoc {
+		return storedGet(v.scalar.Str(), name)
+	}
+	return v.doc.Get(name)
+}
+
+// Doc is an ordered semi-structured document, in one of two forms. A built
+// document is its field list: NewDoc and Set make one, and Set keeps
+// making one for callers that build documents. A stored document is
+// immutable codec bytes, what PutDoc writes for it, read in place: the
+// store adopts them (AdoptDoc, AdoptDocs, and every reader of snapshots,
+// WAL events and wire lists) after checking them once, so no accessor can
+// fail on them later. Get, Path, PathString, Len, Field, SizeBytes,
+// SizeBytesOf and ToRecord read both forms alike. On a stored document
+// they allocate nothing for a scalar or for a nested document or list
+// (nested values are handed out as their bytes), and a string value
+// aliases the document's bytes: it is a substring of an immutable string,
+// so it cannot change, and holding it keeps the bytes alive, as a built
+// document's strings keep theirs. DocValue.Doc and List may allocate on a
+// nested value read off a stored document. Set on a stored document turns
+// it into a built one first.
+//
+// Documents hold a handful of fields, so lookup is a scan of the fields
+// in either form and there is no index to build, copy or keep in step.
 type Doc struct {
 	fields []docField
+	raw    string // the stored form's bytes; "" for a built document
 }
 
 type docField struct {
@@ -179,6 +282,11 @@ func NewDocCap(n int) *Doc { return &Doc{fields: make([]docField, 0, n)} }
 
 // Set stores value under name, replacing any existing field in place.
 func (d *Doc) Set(name string, value DocValue) *Doc {
+	if d.raw != "" {
+		w := walker[string]{b: d.raw}
+		built, _ := w.doc(true)
+		d.fields, d.raw = built.fields, ""
+	}
 	for i := range d.fields {
 		if d.fields[i].name == name {
 			d.fields[i].value = value
@@ -198,6 +306,9 @@ func (d *Doc) Get(name string) (DocValue, bool) {
 	if d == nil {
 		return DocValue{}, false
 	}
+	if d.raw != "" {
+		return storedGet(d.raw, name)
+	}
 	for i := range d.fields {
 		if d.fields[i].name == name {
 			return d.fields[i].value, true
@@ -206,10 +317,26 @@ func (d *Doc) Get(name string) (DocValue, bool) {
 	return DocValue{}, false
 }
 
+// storedGet is Get on a stored document's bytes.
+func storedGet(raw, name string) (DocValue, bool) {
+	for c := cursorOf(raw); ; c.skip() {
+		n, _, ok := c.next()
+		if !ok {
+			return DocValue{}, false
+		}
+		if n == name {
+			return c.value(), true
+		}
+	}
+}
+
 // Len reports the number of top-level fields.
 func (d *Doc) Len() int {
-	if d == nil {
+	switch {
+	case d == nil:
 		return 0
+	case d.raw != "":
+		return cursorOf(d.raw).left
 	}
 	return len(d.fields)
 }
@@ -217,6 +344,15 @@ func (d *Doc) Len() int {
 // Field returns the name and value of the i-th top-level field, in
 // insertion order; 0 <= i < Len().
 func (d *Doc) Field(i int) (string, DocValue) {
+	if d.raw != "" {
+		c := cursorOf(d.raw)
+		for ; i > 0; i-- {
+			c.next()
+			c.skip()
+		}
+		name, _, _ := c.next()
+		return name, c.value()
+	}
 	f := &d.fields[i]
 	return f.name, f.value
 }
@@ -225,17 +361,20 @@ func (d *Doc) Field(i int) (string, DocValue) {
 // returning the value and whether the full path exists. List elements are
 // not addressable by path; a path ending at a list returns the list value.
 func (d *Doc) Path(path string) (DocValue, bool) {
-	cur := d
+	if d != nil && d.raw != "" {
+		return storedPath(d.raw, path)
+	}
+	cur := Nested(d)
 	for {
 		part, rest, nested := strings.Cut(path, ".")
-		v, ok := cur.Get(part)
+		v, ok := cur.member(part)
 		if !ok || !nested {
 			return v, ok
 		}
 		if !v.IsDoc() {
 			return DocValue{}, false
 		}
-		cur, path = v.Doc(), rest
+		cur, path = v, rest
 	}
 }
 
@@ -254,7 +393,11 @@ func (d *Doc) SizeBytes() int64 { return d.SizeBytesOf(nil) }
 
 // SizeBytesOf is SizeBytes over the projection PutDocFields writes: the
 // top-level fields named in fields, every field when the list is empty.
+// A stored document's is its built form's.
 func (d *Doc) SizeBytesOf(fields []string) int64 {
+	if d.raw != "" {
+		return storedDocSize(&walker[string]{b: d.raw}, fields)
+	}
 	var n int64 = 16 // header
 	for _, f := range d.fields {
 		if len(fields) == 0 || slices.Contains(fields, f.name) {
@@ -268,11 +411,12 @@ func (d *Doc) SizeBytesOf(fields []string) int64 {
 func (d *Doc) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, f := range d.fields {
+	for i := 0; i < d.Len(); i++ {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s: %s", f.name, f.value.String())
+		name, v := d.Field(i)
+		fmt.Fprintf(&b, "%s: %s", name, v.String())
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -292,6 +436,16 @@ func FromRecord(r *record.Record) *Doc {
 // ToRecord converts the document's scalar top-level fields into a flat
 // record, skipping nested documents and lists.
 func (d *Doc) ToRecord() *record.Record {
+	if d.raw != "" {
+		c := cursorOf(d.raw)
+		r := record.NewCap(c.left)
+		for name, _, ok := c.next(); ok; name, _, ok = c.next() {
+			if v := c.value(); v.IsScalar() {
+				r.Set(name, v.Scalar())
+			}
+		}
+		return r
+	}
 	r := record.NewCap(len(d.fields))
 	for _, f := range d.fields {
 		if f.value.IsScalar() {

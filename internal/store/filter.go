@@ -63,7 +63,8 @@ func (c Cond) Matches(d *Doc) bool {
 	}
 	// A condition on a list field matches when any element matches.
 	if v.IsList() {
-		for _, e := range v.List() {
+		it := v.elems()
+		for e, ok := it.next(); ok; e, ok = it.next() {
 			if c.matchesValue(e) {
 				return true
 			}

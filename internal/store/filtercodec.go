@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 
 	"repro/dterr"
@@ -109,10 +108,10 @@ func putCombinator(buf *bytes.Buffer, tag string, kids []Filter) error {
 // has them. Bytes that are no document fail before anything else; every
 // error is an invalid argument.
 func ReadFilter(data []byte) (Filter, error) {
-	r := bytes.NewReader(data)
-	f, bad, err := getFilter(r)
-	if err == nil && r.Len() != 0 {
-		err = fmt.Errorf("store: %d trailing bytes after document", r.Len())
+	w := &walker[[]byte]{b: data}
+	f, bad, err := getFilter(w)
+	if err == nil && w.left() != 0 {
+		err = fmt.Errorf("store: %d trailing bytes after document", w.left())
 	}
 	if err != nil {
 		return nil, dterr.Wrap(dterr.CodeInvalidArgument, err)
@@ -133,21 +132,28 @@ type filterDoc struct {
 	kidBad    error
 }
 
-// getFilter reads one filter document off r. err says the bytes are no
+// getFilter reads one filter document off w. err says the bytes are no
 // document; bad, that the document is no filter. Children are read as they
 // come, before the tag that decides whether they count may have been read,
 // so their faults wait in bad until then.
-func getFilter(r *bytes.Reader) (f Filter, bad, err error) {
+func getFilter(w *walker[[]byte]) (f Filter, bad, err error) {
 	var fd filterDoc
-	err = walkFields(r, func(_, _, size int) error {
-		field := pick(r, size, filterFieldNames...)
-		if field < 0 {
-			skip(r, size)
-		}
-		return fd.read(r, field)
-	})
+	n, err := w.count()
 	if err != nil {
 		return nil, nil, err
+	}
+	for i := 0; i < n; i++ {
+		at, size, err := w.name()
+		if err != nil {
+			return nil, nil, err
+		}
+		field := w.pick(size, filterFieldNames...)
+		if field < 0 {
+			w.i += size
+		}
+		if err := fd.read(w, field); err != nil {
+			return nil, nil, w.fieldErr(at, size, err)
+		}
 	}
 	f, bad = fd.filter()
 	return f, bad, nil
@@ -155,41 +161,41 @@ func getFilter(r *bytes.Reader) (f Filter, bad, err error) {
 
 // read reads the value of one field, an index into filterFieldNames or -1
 // for a field a filter has not.
-func (fd *filterDoc) read(r *bytes.Reader, field int) error {
+func (fd *filterDoc) read(w *walker[[]byte], field int) error {
 	var err error
 	switch field {
 	case fieldT:
-		fd.t, err = getTag(r)
+		fd.t, err = getTag(w)
 	case fieldOp:
-		fd.op, err = getScalar(r)
+		fd.op, err = getScalar(w)
 	case fieldPath:
 		var v record.Value
-		v, err = getScalar(r)
+		v, err = getScalar(w)
 		fd.path = v.Str()
 	case fieldValue:
-		fd.value, err = getScalar(r)
+		fd.value, err = getScalar(w)
 	case fieldSet:
 		fd.set = nil
 		var n int
-		if n, err = getListLen(r); n > 0 {
+		if n, err = getListLen(w); n > 0 {
 			fd.set = make([]record.Value, n)
 			for i := range fd.set {
-				if fd.set[i], err = getScalar(r); err != nil {
+				if fd.set[i], err = getScalar(w); err != nil {
 					break
 				}
 			}
 		}
 	case fieldKids:
-		fd.kids, fd.kidsBad, err = getKids(r)
+		fd.kids, fd.kidsBad, err = getKids(w)
 	case fieldKid:
 		fd.kid, fd.kidBad, fd.hasKid = nil, nil, false
-		if fd.hasKid, err = nextIs(r, tagNested); fd.hasKid {
-			fd.kid, fd.kidBad, err = getFilter(r)
+		if fd.hasKid, err = nextIs(w, tagNested); fd.hasKid {
+			fd.kid, fd.kidBad, err = getFilter(w)
 		} else if err == nil {
-			_, err = walkValue(r, false)
+			_, err = w.value(false)
 		}
 	default:
-		_, err = walkValue(r, false)
+		_, err = w.value(false)
 	}
 	return err
 }
@@ -228,14 +234,14 @@ func (fd *filterDoc) filter() (Filter, error) {
 // getKids reads a combinator's kids value: nil when it is no list, else
 // each child's filter up to the first that is no document or no filter,
 // whose fault is bad; the rest are only checked.
-func getKids(r *bytes.Reader) (kids []Filter, bad, err error) {
-	n, err := getListLen(r)
+func getKids(w *walker[[]byte]) (kids []Filter, bad, err error) {
+	n, err := getListLen(w)
 	if n > 0 {
 		kids = make([]Filter, 0, n)
 	}
 	for i := 0; i < n && err == nil; i++ {
 		var doc bool
-		if doc, err = nextIs(r, tagNested); err != nil {
+		if doc, err = nextIs(w, tagNested); err != nil {
 			break
 		}
 		switch {
@@ -243,12 +249,12 @@ func getKids(r *bytes.Reader) (kids []Filter, bad, err error) {
 			if bad == nil {
 				bad = dterr.New(dterr.CodeInvalidArgument, "store: combinator child is not a document")
 			}
-			_, err = walkValue(r, false)
+			_, err = w.value(false)
 		case bad != nil:
-			_, err = walkDoc(r, nil, false)
+			_, err = w.doc(false)
 		default:
 			var kid Filter
-			if kid, bad, err = getFilter(r); bad == nil {
+			if kid, bad, err = getFilter(w); bad == nil {
 				kids = append(kids, kid)
 			}
 		}
@@ -261,52 +267,51 @@ func getKids(r *bytes.Reader) (kids []Filter, bad, err error) {
 
 // getScalar reads one document value as DocValue.Scalar reads it: the
 // scalar itself, or null for a document or a list, which is only checked.
-func getScalar(r *bytes.Reader) (record.Value, error) {
-	scalar, err := nextIs(r, tagScalar)
+func getScalar(w *walker[[]byte]) (record.Value, error) {
+	scalar, err := nextIs(w, tagScalar)
 	if err != nil {
 		return record.Null, err
 	}
 	if scalar {
-		return walkScalar(r, true)
+		return w.scalar(true)
 	}
-	_, err = walkValue(r, false)
+	_, err = w.value(false)
 	return record.Null, err
 }
 
 // getTag reads the t field's value as PathString renders it: a known tag
 // as the package's string, copying nothing.
-func getTag(r *bytes.Reader) (string, error) {
-	var head [2]byte
-	if n, _ := r.ReadAt(head[:], offset(r)); n == 2 && head == [2]byte{tagScalar, kindString} {
-		skip(r, 2)
-		size, err := getLen(r)
+func getTag(w *walker[[]byte]) (string, error) {
+	if w.left() >= 2 && w.b[w.i] == tagScalar && w.b[w.i+1] == kindString {
+		w.i += 2
+		size, err := w.length()
 		if err != nil {
 			return "", err
 		}
-		if i := pick(r, size, filterTags...); i >= 0 {
+		if i := w.pick(size, filterTags...); i >= 0 {
 			return filterTags[i], nil
 		}
-		return readString(r, size), nil
+		return w.str(size), nil
 	}
-	v, err := getScalar(r)
+	v, err := getScalar(w)
 	return v.Str(), err
 }
 
 // getListLen reads a value that is a list up to its elements and returns
 // their count, or checks a value that is none and returns 0.
-func getListLen(r *bytes.Reader) (int, error) {
-	list, err := nextIs(r, tagList)
+func getListLen(w *walker[[]byte]) (int, error) {
+	list, err := nextIs(w, tagList)
 	if err != nil || !list {
 		if err == nil {
-			_, err = walkValue(r, false)
+			_, err = w.value(false)
 		}
 		return 0, err
 	}
-	n, err := binary.ReadUvarint(r)
+	n, err := w.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if n > uint64(r.Len()) {
+	if n > uint64(w.left()) {
 		return 0, fmt.Errorf("list length %d exceeds remaining bytes", n)
 	}
 	return int(n), nil
@@ -314,14 +319,27 @@ func getListLen(r *bytes.Reader) (int, error) {
 
 // nextIs reports whether the next value's tag is tag, consuming the tag
 // when it is and leaving it to be read otherwise.
-func nextIs(r *bytes.Reader, tag byte) (bool, error) {
-	b, err := r.ReadByte()
+func nextIs(w *walker[[]byte], tag byte) (bool, error) {
+	b, err := w.readByte()
 	if err != nil {
 		return false, err
 	}
 	if b != tag {
-		_ = r.UnreadByte()
+		w.i--
 		return false, nil
 	}
 	return true, nil
+}
+
+// pick reports which of known the n bytes next in w spell, -1 for none, and
+// consumes them when one does, copying nothing. w holds n bytes.
+func (w *walker[B]) pick(n int, known ...string) int {
+	next := w.b[w.i : w.i+n]
+	for i, k := range known {
+		if string(next) == k {
+			w.i += n
+			return i
+		}
+	}
+	return -1
 }

@@ -100,7 +100,8 @@ func (ix *Index) insert(id int64, d *Doc) {
 		}
 		return
 	}
-	for _, e := range v.List() {
+	it := v.elems()
+	for e, ok := it.next(); ok; e, ok = it.next() {
 		if key, ok := indexKey(e); ok && ix.insertKey(key, id) {
 			ix.listEntries++
 		}

@@ -67,6 +67,7 @@ type LogStats struct {
 	WALEvents    int64 // appended since the WAL was last truncated
 	NextSeq      uint64
 	Fence        uint64    // highest sequence number the committed checkpoint covers
+	Epoch        uint64    // the committed checkpoint's; every checkpoint raises it, 0 before the first
 	CheckpointAt time.Time // zero until a checkpoint has committed
 }
 
@@ -151,7 +152,7 @@ func (l *Log) Stats() LogStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return LogStats{WALSizeBytes: l.size, WALEvents: l.events, NextSeq: l.log.NextSeq(),
-		Fence: l.fence, CheckpointAt: l.cpAt}
+		Fence: l.fence, Epoch: l.epoch, CheckpointAt: l.cpAt}
 }
 
 // Recovered reports what OpenLog replayed from the WAL.

@@ -104,13 +104,12 @@ func (c *Collection) putHeaderLocked(buf *bytes.Buffer, count int) {
 // header's id space or not above the one before it, and anything after the
 // last document.
 func ReadSnapshot(r io.Reader) (*Collection, error) {
-	c, _, err := readImage(r, 0, func(c *Collection, id int64, doc *Doc, _ []byte) { c.addLocked(id, doc) })
+	c, _, err := readImage(r, 0, func(c *Collection, id int64, doc *Doc) { c.addLocked(id, doc) })
 	return c, err
 }
 
 // Image is a snapshot image decoded whole, as a follower decodes a pull:
-// the writer's extent size and index layout, and the documents, each with
-// its frame's payload (EncodeIDDoc's bytes).
+// the writer's extent size and index layout, and the documents.
 type Image struct {
 	ExtentSize int64
 	Layout     []IndexSpec
@@ -119,17 +118,16 @@ type Image struct {
 
 // ImageDoc is one document of an Image.
 type ImageDoc struct {
-	ID    int64
-	Doc   *Doc
-	Frame []byte
+	ID  int64
+	Doc *Doc
 }
 
 // ReadImage decodes a snapshot image, refusing what ReadSnapshot refuses
 // and a document at or below id above.
 func ReadImage(r io.Reader, above int64) (*Image, error) {
 	img := &Image{}
-	c, layout, err := readImage(r, above, func(_ *Collection, id int64, doc *Doc, frame []byte) {
-		img.Docs = append(img.Docs, ImageDoc{ID: id, Doc: doc, Frame: frame})
+	c, layout, err := readImage(r, above, func(_ *Collection, id int64, doc *Doc) {
+		img.Docs = append(img.Docs, ImageDoc{ID: id, Doc: doc})
 	})
 	if err != nil {
 		return nil, err
@@ -140,8 +138,10 @@ func ReadImage(r io.Reader, above int64) (*Image, error) {
 
 // readImage reads a snapshot image: the empty collection its header
 // describes, with the header's extent usage (see Collection.allocated) and
-// index layout, and each document above id above, handed to each.
-func readImage(r io.Reader, above int64, each func(c *Collection, id int64, doc *Doc, frame []byte)) (*Collection, []IndexSpec, error) {
+// index layout, and each document above id above, handed to each. Every
+// document frame is read into one reused buffer, out of which the document
+// is adopted.
+func readImage(r io.Reader, above int64, each func(c *Collection, id int64, doc *Doc)) (*Collection, []IndexSpec, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -159,8 +159,9 @@ func readImage(r io.Reader, above int64, each func(c *Collection, id int64, doc 
 		return nil, nil, fmt.Errorf("store: snapshot header: %w", err)
 	}
 	last := max(above, 0)
+	var buf []byte
 	for i := uint64(0); i < count; i++ {
-		frame, err := readFrame(br)
+		frame, err := readFrameMax(br, 0, buf)
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -174,8 +175,8 @@ func readImage(r io.Reader, above int64, each func(c *Collection, id int64, doc 
 		if id <= last || id >= c.nextID {
 			return nil, nil, fmt.Errorf("store: doc %d: id %d is not in (%d, %d)", i, id, last, c.nextID)
 		}
-		each(c, id, doc, frame)
-		last = id
+		each(c, id, doc)
+		last, buf = id, frame[:0]
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, nil, fmt.Errorf("store: snapshot continues past its %d documents (%v)", count, err)
@@ -252,13 +253,13 @@ func EncodeIDDoc(id int64, d *Doc) []byte {
 	return buf.Bytes()
 }
 
-// DecodeIDDoc reads what EncodeIDDoc wrote. The id alone holds no
-// document and is refused.
+// DecodeIDDoc reads what EncodeIDDoc wrote, adopting the document
+// (AdoptDoc). The id alone holds no document and is refused.
 func DecodeIDDoc(data []byte) (int64, *Doc, error) {
 	if len(data) < 8 {
 		return 0, nil, fmt.Errorf("store: %d bytes hold no id", len(data))
 	}
-	d, err := DecodeDoc(data[8:])
+	d, err := AdoptDoc(data[8:])
 	return int64(binary.LittleEndian.Uint64(data)), d, err
 }
 

@@ -141,8 +141,9 @@ func TestImageAboveAnID(t *testing.T) {
 		}
 		for i, d := range img.Docs {
 			want := binary.LittleEndian.AppendUint64(nil, uint64(ids[first+i]))
-			if d.ID != ids[first+i] || !bytes.Equal(d.Frame, append(want, EncodeDoc(docs[first+i])...)) || fmt.Sprint(d.Doc) != fmt.Sprint(docs[first+i]) {
-				t.Fatalf("above %d: document %d is id %d, frame %x", above, i, d.ID, d.Frame)
+			frame := EncodeIDDoc(d.ID, d.Doc)
+			if d.ID != ids[first+i] || !bytes.Equal(frame, append(want, EncodeDoc(docs[first+i])...)) || fmt.Sprint(d.Doc) != fmt.Sprint(docs[first+i]) {
+				t.Fatalf("above %d: document %d is id %d, frame %x", above, i, d.ID, frame)
 			}
 		}
 		if above == 0 && !bytes.Equal(buf.Bytes(), snapshotBytes(t, c)) {

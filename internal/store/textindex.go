@@ -57,7 +57,8 @@ func (tx *TextIndex) docTokens(d *Doc) []span {
 		return nil
 	}
 	if v.IsList() {
-		for _, e := range v.List() {
+		it := v.elems()
+		for e, ok := it.next(); ok; e, ok = it.next() {
 			if e.IsScalar() && !e.Scalar().IsNull() {
 				tx.collect(e.Scalar().Str())
 			}
