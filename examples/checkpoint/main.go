@@ -86,7 +86,7 @@ func main() {
 	load := func(cpDir string) error { return nil } // the demo checkpoints an empty collection
 	write := func(cpDir string) error { return nil }
 	apply := func(_ uint64, _ byte, payload []byte) error {
-		doc, err := store.DecodeDoc(payload)
+		doc, err := store.AdoptDoc(payload)
 		if err == nil {
 			coll.Insert(doc)
 		}
@@ -96,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	doc := store.EncodeDoc(store.NewDoc().Set("name", store.Str("Matilda")).Set("type", store.Str("Movie")))
+	doc := store.EncodeDoc(store.NewDoc(store.F("name", store.Str("Matilda")), store.F("type", store.Str("Movie"))))
 	for i := 0; i < 2; i++ {
 		if _, err := lg.Append(1, doc); err != nil {
 			log.Fatal(err)

@@ -154,9 +154,9 @@ func TestLoopbackConcurrentReads(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				d := store.NewDoc().
-					Set("name", store.Str(fmt.Sprintf("ent-%d-%d", w, i))).
-					Set("type", store.Str("Movie"))
+				d := store.NewDoc(
+					store.F("name", store.Str(fmt.Sprintf("ent-%d-%d", w, i))),
+					store.F("type", store.Str("Movie")))
 				if _, _, err := entities.InsertCtx(ctx, d); err != nil {
 					t.Errorf("insert: %v", err)
 					return
@@ -191,8 +191,8 @@ func TestFollowerReplication(t *testing.T) {
 
 	// One frame carries both documents; the follower still sees two events.
 	ids, err := shard.Insert(ctx,
-		store.NewDoc().Set("name", store.Str("a")).Set("n", store.Num(1)),
-		store.NewDoc().Set("name", store.Str("b")).Set("n", store.Num(2)))
+		store.NewDoc(store.F("name", store.Str("a")), store.F("n", store.Num(1))),
+		store.NewDoc(store.F("name", store.Str("b")), store.F("n", store.Num(2))))
 	if err != nil || len(ids) != 2 {
 		t.Fatalf("insert: ids %v, %v", ids, err)
 	}
@@ -200,7 +200,7 @@ func TestFollowerReplication(t *testing.T) {
 		t.Fatalf("pull: %v", err)
 	}
 	// Insert further: the follower catches up from where it was.
-	if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("c")).Set("n", store.Num(3))); err != nil {
+	if _, err := shard.Insert(ctx, store.NewDoc(store.F("name", store.Str("c")), store.F("n", store.Num(3)))); err != nil {
 		t.Fatal(err)
 	}
 	if err := fol.PullOnce(); err != nil {
@@ -244,7 +244,7 @@ func TestFollowerIndexReplication(t *testing.T) {
 	// a btree, bucket order for a hash) is observably different from
 	// insertion order.
 	for _, name := range []string{"zeta", "mid", "alpha"} {
-		if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str(name)).Set("body", store.Str("text about "+name))); err != nil {
+		if _, err := shard.Insert(ctx, store.NewDoc(store.F("name", store.Str(name)), store.F("body", store.Str("text about "+name)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,7 +298,7 @@ func TestFollowerSnapshotResync(t *testing.T) {
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, nil)
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str(fmt.Sprintf("e%d", i)))); err != nil {
+		if _, err := shard.Insert(ctx, store.NewDoc(store.F("name", store.Str(fmt.Sprintf("e%d", i))))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,7 +336,7 @@ func TestFollowerAheadOfPrimaryRefusesThePull(t *testing.T) {
 	fol := NewFollower(follower, at, time.Hour)
 	follower.SetReplicaProbe(fol.Status)
 	for _, name := range []string{"a", "b", "c"} {
-		if _, err := NewRemoteShard(NSEntities, 0, at, nil).Insert(ctx, store.NewDoc().Set("name", store.Str(name))); err != nil {
+		if _, err := NewRemoteShard(NSEntities, 0, at, nil).Insert(ctx, store.NewDoc(store.F("name", store.Str(name)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,7 +346,7 @@ func TestFollowerAheadOfPrimaryRefusesThePull(t *testing.T) {
 
 	at.Node = NewNode("p") // the primary restarts with nothing
 	hostAll(at.Node, 1)
-	if _, err := NewRemoteShard(NSEntities, 0, at, nil).Insert(ctx, store.NewDoc().Set("name", store.Str("new"))); err != nil {
+	if _, err := NewRemoteShard(NSEntities, 0, at, nil).Insert(ctx, store.NewDoc(store.F("name", store.Str("new")))); err != nil {
 		t.Fatal(err)
 	}
 	err := fol.PullOnce()
@@ -377,7 +377,7 @@ func TestReadYourWrites(t *testing.T) {
 	hostAll(follower, 1) // never pulled: permanently at generation 0
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, Loopback{Node: follower})
 	ctx := context.Background()
-	if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("fresh"))); err != nil {
+	if _, err := shard.Insert(ctx, store.NewDoc(store.F("name", store.Str("fresh")))); err != nil {
 		t.Fatal(err)
 	}
 	docs, err := findAll(ctx, shard, store.EqStr("name", "fresh"))
@@ -424,7 +424,7 @@ func TestFollowerWriteRejected(t *testing.T) {
 	follower := newFollowerNode("f")
 	hostAll(follower, 1)
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: follower}, nil)
-	_, err := shard.Insert(context.Background(), store.NewDoc().Set("name", store.Str("x")))
+	_, err := shard.Insert(context.Background(), store.NewDoc(store.F("name", store.Str("x"))))
 	if !errors.Is(err, dterr.ErrUnavailable) {
 		t.Fatalf("write to follower = %v, want unavailable", err)
 	}
@@ -435,7 +435,7 @@ func TestFollowerWriteRejected(t *testing.T) {
 // or without a read fence the shard has not reached, and store nothing.
 func TestRetiredOpsRefused(t *testing.T) {
 	key := ShardKey(NSEntities, 0)
-	body := store.EncodeIDDoc(1, store.NewDoc().Set("name", store.Str("x")))
+	body := store.EncodeIDDoc(1, store.NewDoc(store.F("name", store.Str("x"))))
 	for _, node := range []*Node{NewNode("p"), newFollowerNode("f")} {
 		hostAll(node, 1)
 		for _, op := range []byte{3, 4} {
@@ -479,9 +479,9 @@ func TestTCPTransport(t *testing.T) {
 	shard := NewRemoteShard(NSEntities, 0, tr, nil)
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
-		if _, err := shard.Insert(ctx, store.NewDoc().
-			Set("name", store.Str(fmt.Sprintf("sock-%d", i))).
-			Set("type", store.Str("Movie"))); err != nil {
+		if _, err := shard.Insert(ctx, store.NewDoc(
+			store.F("name", store.Str(fmt.Sprintf("sock-%d", i))),
+			store.F("type", store.Str("Movie")))); err != nil {
 			t.Fatalf("insert over tcp: %v", err)
 		}
 	}
@@ -530,7 +530,7 @@ func TestFollowerDownFallsBack(t *testing.T) {
 	defer dead.Close()
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, dead)
 	ctx := context.Background()
-	if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("x"))); err != nil {
+	if _, err := shard.Insert(ctx, store.NewDoc(store.F("name", store.Str("x")))); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := countAll(ctx, shard); err != nil || n != 1 {
@@ -576,7 +576,7 @@ func TestHealthHandler(t *testing.T) {
 	node := NewNode("hz")
 	hostAll(node, 1)
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: node}, nil)
-	if _, err := shard.Insert(context.Background(), store.NewDoc().Set("name", store.Str("x"))); err != nil {
+	if _, err := shard.Insert(context.Background(), store.NewDoc(store.F("name", store.Str("x")))); err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()

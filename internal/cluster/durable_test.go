@@ -26,9 +26,9 @@ func seedDurableNode(t *testing.T, node *Node) {
 	ent := NewRemoteShard(NSEntities, 0, Loopback{Node: node}, nil)
 	inst := NewRemoteShard(NSInstances, 0, Loopback{Node: node}, nil)
 	insert := func(i int) {
-		if _, err := ent.Insert(ctx, store.NewDoc().
-			Set("name", store.Str(fmt.Sprintf("e%d", i))).
-			Set("n", store.Num(int64(i)))); err != nil {
+		if _, err := ent.Insert(ctx, store.NewDoc(
+			store.F("name", store.Str(fmt.Sprintf("e%d", i))),
+			store.F("n", store.Num(int64(i))))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,8 +45,8 @@ func seedDurableNode(t *testing.T, node *Node) {
 		insert(i)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := inst.Insert(ctx, store.NewDoc().
-			Set("source_url", store.Str(fmt.Sprintf("http://s/%d", i)))); err != nil {
+		if _, err := inst.Insert(ctx, store.NewDoc(
+			store.F("source_url", store.Str(fmt.Sprintf("http://s/%d", i))))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestDurableWALRecovery(t *testing.T) {
 		t.Fatal("no committed checkpoint after recovery")
 	}
 	ent := NewRemoteShard(NSEntities, 0, Loopback{Node: revived}, nil)
-	if _, err := ent.Insert(context.Background(), store.NewDoc().Set("name", store.Str("post"))); err != nil {
+	if _, err := ent.Insert(context.Background(), store.NewDoc(store.F("name", store.Str("post")))); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 	if _, gen := revived.shard(ShardKey(NSEntities, 0)).view(); gen != 10 {
@@ -158,7 +158,7 @@ func TestDurableWALRecovery(t *testing.T) {
 // in-order events, a jump over an id among them, still apply.
 func TestApplyEventRefusesReplayBelowHighest(t *testing.T) {
 	c := store.NewCollection(NSEntities, 0)
-	d := store.NewDoc().Set("name", store.Str("e"))
+	d := store.NewDoc(store.F("name", store.Str("e")))
 	for _, id := range []int64{1, 3} {
 		if err := applyEvent(c, EvInsert, store.EncodeIDDoc(id, d)); err != nil {
 			t.Fatalf("insert event on id %d: %v", id, err)
@@ -200,7 +200,7 @@ func TestRetiredEventKindsFailRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := store.NewDoc().Set("name", store.Str("e"))
+		d := store.NewDoc(store.F("name", store.Str("e")))
 		for _, ev := range []struct {
 			kind    byte
 			payload []byte
@@ -227,7 +227,7 @@ func TestRetiredEventKindsFailRecovery(t *testing.T) {
 // kind, one of each retired kind, an insert of a held id, an insert of an
 // id alone and an index of a kind that is neither hash nor B-tree.
 func FuzzApplyEvent(f *testing.F) {
-	doc := store.NewDoc().Set("name", store.Str("Matilda")).Set("type", store.Str("Movie"))
+	doc := store.NewDoc(store.F("name", store.Str("Matilda")), store.F("type", store.Str("Movie")))
 	var text bytes.Buffer
 	store.PutString(&text, "name")
 	f.Add(EvInsert, store.EncodeIDDoc(4, doc))
@@ -243,7 +243,7 @@ func FuzzApplyEvent(f *testing.F) {
 		c.EnsureIndex("name_1", "name", store.BTreeIndex)
 		c.EnsureTextIndex("text")
 		for i := 0; i < 3; i++ {
-			c.Insert(store.NewDoc().Set("name", store.Str(fmt.Sprintf("Show %d", i))).Set("text", store.Str("a walk in the park")))
+			c.Insert(store.NewDoc(store.F("name", store.Str(fmt.Sprintf("Show %d", i))), store.F("text", store.Str("a walk in the park"))))
 		}
 		image := func() []byte {
 			var buf bytes.Buffer
@@ -324,7 +324,7 @@ func TestCheckpointOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("x"))); err != nil {
+	if _, err := shard.Insert(ctx, store.NewDoc(store.F("name", store.Str("x")))); err != nil {
 		t.Fatal(err)
 	}
 	if err := node.Checkpoint(); err != nil {
@@ -381,7 +381,7 @@ func TestWarmProbe(t *testing.T) {
 	mixed := NewNode("m")
 	hostAll(mixed, shards)
 	rs := NewRemoteShard(NSEntities, 0, Loopback{Node: mixed}, nil)
-	if _, err := rs.Insert(ctx, store.NewDoc().Set("name", store.Str("only"))); err != nil {
+	if _, err := rs.Insert(ctx, store.NewDoc(store.F("name", store.Str("only")))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := buildCluster(mixed).Warm(ctx); err == nil {
@@ -406,9 +406,9 @@ func TestFollowerResyncPreservesIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := shard.Insert(ctx, store.NewDoc().
-			Set("name", store.Str(fmt.Sprintf("e%d", i))).
-			Set("body", store.Str("text "+fmt.Sprint(i)))); err != nil {
+		if _, err := shard.Insert(ctx, store.NewDoc(
+			store.F("name", store.Str(fmt.Sprintf("e%d", i))),
+			store.F("body", store.Str("text "+fmt.Sprint(i))))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -516,7 +516,7 @@ func TestStalePoolRetryAfterRestart(t *testing.T) {
 	ctx := context.Background()
 	// Populate the pool: sequential calls reuse one pooled connection.
 	for i := 0; i < 3; i++ {
-		if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str(fmt.Sprintf("x%d", i)))); err != nil {
+		if _, err := shard.Insert(ctx, store.NewDoc(store.F("name", store.Str(fmt.Sprintf("x%d", i))))); err != nil {
 			t.Fatalf("seed insert: %v", err)
 		}
 	}

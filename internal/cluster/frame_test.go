@@ -187,7 +187,7 @@ func TestRequestFramesMatchReference(t *testing.T) {
 func walkingDocs(n int) []*store.Doc {
 	docs := make([]*store.Doc, n)
 	for i := range docs {
-		docs[i] = store.NewDoc().Set("type", store.Str("Movie")).Set("name", store.Str("The Walking Dead, part "+strings.Repeat("x", i%7)))
+		docs[i] = store.NewDoc(store.F("type", store.Str("Movie")), store.F("name", store.Str("The Walking Dead, part "+strings.Repeat("x", i%7))))
 	}
 	return docs
 }

@@ -55,7 +55,7 @@ type refStore struct {
 
 // cloneDoc is a deep copy of d, through the codec.
 func cloneDoc(d *store.Doc) *store.Doc {
-	c, err := store.DecodeDoc(store.EncodeDoc(d))
+	c, err := store.AdoptDoc(store.EncodeDoc(d))
 	if err != nil {
 		panic(err)
 	}
@@ -72,7 +72,7 @@ func (r *refStore) put(uid int64, d *store.Doc) {
 func refPath(d *store.Doc, path string) (store.DocValue, bool) {
 	parts := strings.Split(path, ".")
 	for i, part := range parts {
-		v, ok := d.Get(part)
+		v, ok := field(d, part)
 		if !ok {
 			return store.DocValue{}, false
 		}
@@ -83,6 +83,16 @@ func refPath(d *store.Doc, path string) (store.DocValue, bool) {
 			return store.DocValue{}, false
 		}
 		d = v.Doc()
+	}
+	return store.DocValue{}, false
+}
+
+// field is the value of d's top-level field name, found by Field.
+func field(d *store.Doc, name string) (store.DocValue, bool) {
+	for i := range d.Len() {
+		if n, v := d.Field(i); n == name {
+			return v, true
+		}
 	}
 	return store.DocValue{}, false
 }
@@ -116,7 +126,14 @@ func refMatches(f store.Filter, d *store.Doc) bool {
 		}
 		vals := []store.DocValue{v}
 		if v.IsList() {
-			vals = v.List()
+			vals = vals[:0]
+			for it := v.Elems(); ; {
+				e, ok := it.Next()
+				if !ok {
+					break
+				}
+				vals = append(vals, e)
+			}
 		}
 		for _, e := range vals {
 			if !e.IsScalar() {
@@ -301,30 +318,30 @@ var (
 )
 
 func modelDoc(rng *rand.Rand, uid int64) *store.Doc {
-	d := store.NewDoc().Set("uid", store.Num(uid)).Set("type", store.Str(modelTypes[rng.Intn(len(modelTypes))]))
+	fields := []store.Field{store.F("uid", store.Num(uid)), store.F("type", store.Str(modelTypes[rng.Intn(len(modelTypes))]))}
 	if rng.Intn(10) > 0 {
-		d.Set("name", store.Str(modelNames[rng.Intn(len(modelNames))]))
+		fields = append(fields, store.F("name", store.Str(modelNames[rng.Intn(len(modelNames))])))
 	}
 	if rng.Intn(3) > 0 {
-		attrs := store.NewDoc().Set("award_winning", store.Str([]string{"true", "false"}[rng.Intn(2)]))
+		attrs := []store.Field{store.F("award_winning", store.Str([]string{"true", "false"}[rng.Intn(2)]))}
 		if rng.Intn(2) == 0 {
-			attrs.Set("price", store.Num(int64(rng.Intn(90))))
+			attrs = append(attrs, store.F("price", store.Num(int64(rng.Intn(90)))))
 		}
-		d.Set("attributes", store.Nested(attrs))
+		fields = append(fields, store.F("attributes", store.Nested(store.NewDoc(attrs...))))
 	}
 	// tags is absent, a scalar, or a list: a list keeps an unfiltered group
 	// count off tags_1.
 	switch rng.Intn(4) {
 	case 1:
-		d.Set("tags", store.Str(modelTags[rng.Intn(len(modelTags))]))
+		fields = append(fields, store.F("tags", store.Str(modelTags[rng.Intn(len(modelTags))])))
 	case 2:
-		d.Set("tags", store.List(store.Str(modelTags[rng.Intn(len(modelTags))]), store.Str(modelTags[rng.Intn(len(modelTags))])))
+		fields = append(fields, store.F("tags", store.List(store.Str(modelTags[rng.Intn(len(modelTags))]), store.Str(modelTags[rng.Intn(len(modelTags))]))))
 	}
 	words := make([]string, 2+rng.Intn(5))
 	for i := range words {
 		words[i] = modelWords[rng.Intn(len(modelWords))]
 	}
-	return d.Set("text", store.Str(strings.Join(words, " ")+"."))
+	return store.NewDoc(append(fields, store.F("text", store.Str(strings.Join(words, " ")+".")))...)
 }
 
 func modelFilter(rng *rand.Rand) store.Filter {
@@ -367,7 +384,7 @@ func uidsOf(t *testing.T, docs []*store.Doc) []int64 {
 	t.Helper()
 	out := make([]int64, len(docs))
 	for i, d := range docs {
-		v, ok := d.Get("uid")
+		v, ok := d.Path("uid")
 		uid, isInt := v.Scalar().AsInt()
 		if !ok || !isInt {
 			t.Fatalf("result document without uid: %v", d)
@@ -453,11 +470,10 @@ func checkProjection(t *testing.T, at string, tg *modelTarget, ref *refStore, q 
 				continue
 			}
 			listed++
-			gv, _ := d.Get(name)
-			wv, _ := want.Get(name)
-			// Values compare as their encodings: a stored document's
-			// nested value is its bytes, a built one's is a tree.
-			if !bytes.Equal(store.EncodeDoc(store.NewDoc().Set(name, gv)), store.EncodeDoc(store.NewDoc().Set(name, wv))) {
+			gv, _ := d.Path(name)
+			wv, _ := want.Path(name)
+			// Values compare as their encodings.
+			if !bytes.Equal(store.EncodeDoc(store.NewDoc(store.F(name, gv))), store.EncodeDoc(store.NewDoc(store.F(name, wv)))) {
 				t.Fatalf("%s fields %v: uid %d has %s = %v, the reference %v", at, q.Fields, uids[i], name, gv, wv)
 			}
 		}

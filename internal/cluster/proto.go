@@ -521,15 +521,15 @@ func DecodeIDs(data []byte) ([]int64, error) {
 
 // EncodeStats packs shard stats as a document through the store codec.
 func EncodeStats(st store.Stats) []byte {
-	d := store.NewDoc().
-		Set("ns", store.Str(st.NS)).
-		Set("count", store.Num(st.Count)).
-		Set("numExtents", store.Num(int64(st.NumExtents))).
-		Set("nindexes", store.Num(int64(st.NIndexes))).
-		Set("lastExtentSize", store.Num(st.LastExtentSize)).
-		Set("totalIndexSize", store.Num(st.TotalIndexSize)).
-		Set("dataSize", store.Num(st.DataSize)).
-		Set("avgObjSize", store.Num(st.AvgObjSize))
+	d := store.NewDoc(
+		store.F("ns", store.Str(st.NS)),
+		store.F("count", store.Num(st.Count)),
+		store.F("numExtents", store.Num(int64(st.NumExtents))),
+		store.F("nindexes", store.Num(int64(st.NIndexes))),
+		store.F("lastExtentSize", store.Num(st.LastExtentSize)),
+		store.F("totalIndexSize", store.Num(st.TotalIndexSize)),
+		store.F("dataSize", store.Num(st.DataSize)),
+		store.F("avgObjSize", store.Num(st.AvgObjSize)))
 	return store.EncodeDoc(d)
 }
 

@@ -19,7 +19,7 @@ func pullPrimary(grow func(c *store.Collection)) *store.Collection {
 	c.EnsureIndex("name_1", "name", store.BTreeIndex)
 	c.EnsureTextIndex("text")
 	for i := 0; i < 3; i++ {
-		c.Insert(store.NewDoc().Set("name", store.Str(fmt.Sprintf("Show %d", i))).Set("text", store.Str("a walk in the park")))
+		c.Insert(store.NewDoc(store.F("name", store.Str(fmt.Sprintf("Show %d", i))), store.F("text", store.Str("a walk in the park"))))
 	}
 	if grow != nil {
 		grow(c)
@@ -47,10 +47,10 @@ func imageAbove(t testing.TB, c *store.Collection, above int64) []byte {
 // and starts at an id the follower holds.
 func FuzzApplyPull(f *testing.F) {
 	withIndex := pullPrimary(func(c *store.Collection) { c.EnsureIndex("type_1", "type", store.HashIndex) })
-	withDoc := pullPrimary(func(c *store.Collection) { c.Insert(store.NewDoc().Set("name", store.Str("Matilda"))) })
+	withDoc := pullPrimary(func(c *store.Collection) { c.Insert(store.NewDoc(store.F("name", store.Str("Matilda")))) })
 	withBoth := pullPrimary(func(c *store.Collection) {
 		c.EnsureIndex("type_1", "type", store.HashIndex)
-		c.Insert(store.NewDoc().Set("name", store.Str("Matilda")))
+		c.Insert(store.NewDoc(store.F("name", store.Str("Matilda"))))
 	})
 	whole, tail := imageAbove(f, pullPrimary(nil), 0), imageAbove(f, withDoc, 3)
 	f.Add(uint64(5), imageAbove(f, pullPrimary(nil), 3))
@@ -93,7 +93,7 @@ func TestDurableFollowerCrashAtEveryByte(t *testing.T) {
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, nil)
 	insert := func(names ...string) {
 		for _, name := range names {
-			if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str(name))); err != nil {
+			if _, err := shard.Insert(ctx, store.NewDoc(store.F("name", store.Str(name)))); err != nil {
 				t.Fatal(err)
 			}
 		}

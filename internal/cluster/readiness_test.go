@@ -25,7 +25,7 @@ func TestReadiness(t *testing.T) {
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: node}, nil)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := shard.Insert(ctx, store.NewDoc().Set("name", store.Str("x"))); err != nil {
+		if _, err := shard.Insert(ctx, store.NewDoc(store.F("name", store.Str("x")))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,13 +28,13 @@ func newWindowFixture(matches []int) *windowFixture {
 		var uids []int64
 		for j := 0; j < n; j++ {
 			if j%3 == 1 {
-				coll.Insert(store.NewDoc().Set("type", store.Str("Person")).Set("uid", store.Num(-1)))
+				coll.Insert(store.NewDoc(store.F("type", store.Str("Person")), store.F("uid", store.Num(-1))))
 			}
 			uid := int64(1000*i + j)
-			coll.Insert(store.NewDoc().
-				Set("type", store.Str("Movie")).
-				Set("name", store.Str(fmt.Sprintf("The Walking Dead, part %d", uid))).
-				Set("uid", store.Num(uid)))
+			coll.Insert(store.NewDoc(
+				store.F("type", store.Str("Movie")),
+				store.F("name", store.Str(fmt.Sprintf("The Walking Dead, part %d", uid))),
+				store.F("uid", store.Num(uid))))
 			uids = append(uids, uid)
 		}
 		fx.node.AddShard(ShardKey(NSEntities, i), coll)
@@ -81,7 +81,7 @@ func uidList(t testing.TB, docs []*store.Doc) []int64 {
 	t.Helper()
 	uids := make([]int64, len(docs))
 	for i, d := range docs {
-		v, _ := d.Get("uid")
+		v, _ := d.Path("uid")
 		uids[i], _ = v.Scalar().AsInt()
 	}
 	return uids

@@ -68,9 +68,9 @@ func TestPagedFindMovesThePageOverTheWire(t *testing.T) {
 		coll := store.NewCollection(NSEntities, 0)
 		coll.EnsureIndex("type_1", "type", store.HashIndex)
 		for j := 0; j < perShard; j++ {
-			coll.Insert(store.NewDoc().
-				Set("type", store.Str("Movie")).
-				Set("name", store.Str(fmt.Sprintf("The Walking Dead, part %d of shard %d", j, i))))
+			coll.Insert(store.NewDoc(
+				store.F("type", store.Str("Movie")),
+				store.F("name", store.Str(fmt.Sprintf("The Walking Dead, part %d of shard %d", j, i)))))
 		}
 		node.AddShard(ShardKey(NSEntities, i), coll)
 		backends[i] = NewRemoteShard(NSEntities, i, tr, nil)
@@ -137,9 +137,9 @@ func TestInsertFramesFitTheChunk(t *testing.T) {
 	tr := &countingTransport{Transport: Loopback{Node: node}}
 	docs := make([]*store.Doc, 10)
 	for i := range docs {
-		docs[i] = store.NewDoc().
-			Set("source_url", store.Str(fmt.Sprintf("http://feeds.example/%d", i))).
-			Set("text", store.Str(strings.Repeat("Matilda grossed 960,998 this week. ", 3000)))
+		docs[i] = store.NewDoc(
+			store.F("source_url", store.Str(fmt.Sprintf("http://feeds.example/%d", i))),
+			store.F("text", store.Str(strings.Repeat("Matilda grossed 960,998 this week. ", 3000))))
 	}
 	perFrame := int(store.FrameChunk / docs[0].SizeBytes())
 	ids, err := NewRemoteShard(NSInstances, 0, tr, nil).Insert(context.Background(), docs...)
@@ -190,15 +190,15 @@ func TestWireCarriesBatchesAndFields(t *testing.T) {
 		}
 		refs := make([]store.DocValue, 12)
 		for j := range refs {
-			refs[j] = store.Nested(store.NewDoc().
-				Set("type", store.Str("Movie")).
-				Set("name", store.Str(fmt.Sprintf("entity %d of fragment %d", j, i))).
-				Set("offset", store.Num(int64(j))))
+			refs[j] = store.Nested(store.NewDoc(
+				store.F("type", store.Str("Movie")),
+				store.F("name", store.Str(fmt.Sprintf("entity %d of fragment %d", j, i))),
+				store.F("offset", store.Num(int64(j)))))
 		}
-		docs[i] = store.NewDoc().
-			Set("source_url", store.Str(fmt.Sprintf("http://feeds.example/%d", i))).
-			Set("text", store.Str(text)).
-			Set("entities", store.List(refs...))
+		docs[i] = store.NewDoc(
+			store.F("source_url", store.Str(fmt.Sprintf("http://feeds.example/%d", i))),
+			store.F("text", store.Str(text)),
+			store.F("entities", store.List(refs...)))
 		footprint += docs[i].SizeBytes()
 	}
 	ctx := context.Background()
@@ -245,15 +245,15 @@ func TestTopDiscussedMovesKeysNotMatches(t *testing.T) {
 	const shards, perShard = 4, 1000
 	nodes := []*countingTransport{{Transport: Loopback{Node: NewNode("a")}}, {Transport: Loopback{Node: NewNode("b")}}}
 	backends := make([]store.ShardBackend, shards)
-	award := store.Nested(store.NewDoc().Set("award_winning", store.Str("true")))
+	award := store.Nested(store.NewDoc(store.F("award_winning", store.Str("true"))))
 	for i := range backends {
 		coll := store.NewCollection(NSEntities, 0)
 		coll.EnsureIndex("type_1", "type", store.HashIndex)
 		for j := 0; j < perShard; j++ {
-			coll.Insert(store.NewDoc().
-				Set("type", store.Str("Movie")).
-				Set("name", store.Str(fmt.Sprintf("The Walking Dead, season %d", j%10))).
-				Set("attributes", award))
+			coll.Insert(store.NewDoc(
+				store.F("type", store.Str("Movie")),
+				store.F("name", store.Str(fmt.Sprintf("The Walking Dead, season %d", j%10))),
+				store.F("attributes", award)))
 		}
 		tr := nodes[i%len(nodes)]
 		tr.Transport.(Loopback).Node.AddShard(ShardKey(NSEntities, i), coll)

@@ -37,7 +37,7 @@ func roundTrip(t *testing.T, recs []*record.Record) []*record.Record {
 	for i, r := range recs {
 		var buf bytes.Buffer
 		store.PutRecord(&buf, r)
-		d, err := store.DecodeDoc(buf.Bytes())
+		d, err := store.AdoptDoc(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

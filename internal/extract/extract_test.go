@@ -173,7 +173,13 @@ func TestInstanceAndEntityDocs(t *testing.T) {
 		t.Errorf("source_url = %q", inst.PathString("source_url"))
 	}
 	ents, ok := inst.Path("entities")
-	if !ok || !ents.IsList() || len(ents.List()) < 2 {
+	n := 0
+	for it := ents.Elems(); ; n++ {
+		if _, more := it.Next(); !more {
+			break
+		}
+	}
+	if !ok || !ents.IsList() || n < 2 {
 		t.Fatalf("entities list = %v, %v", ents, ok)
 	}
 	docs := res.EntityDocs("http://example.com/1")

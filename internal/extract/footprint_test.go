@@ -24,8 +24,8 @@ func TestValueSizes(t *testing.T) {
 	if n := unsafe.Sizeof(record.Value{}); n > 32 {
 		t.Errorf("record.Value is %d bytes, budget 32", n)
 	}
-	if n := unsafe.Sizeof(store.DocValue{}); n > 48 {
-		t.Errorf("store.DocValue is %d bytes, budget 48", n)
+	if n := unsafe.Sizeof(store.DocValue{}); n > 40 {
+		t.Errorf("store.DocValue is %d bytes, budget 40", n)
 	}
 }
 

@@ -240,42 +240,41 @@ func (p *Parser) entitiesOf(s *scratch, text string, mentions []Mention, ents []
 // InstanceDoc converts a parse result into the hierarchical WEBINSTANCE
 // document: the text fragment plus the nested list of entity references.
 // sourceURL identifies where the fragment was crawled from. The load writes
-// the same document's bytes with AppendDocs; this built form is what they
-// are checked against.
+// the same document's bytes with AppendDocs; this reference document is
+// what they are checked against.
 func (r *Result) InstanceDoc(sourceURL string) *store.Doc {
-	d := store.NewDocCap(3).
-		Set("source_url", store.Str(sourceURL)).
-		Set("text", store.Str(r.Text))
 	ents := make([]store.DocValue, 0, len(r.Entities))
 	for _, e := range r.Entities {
-		ed := store.NewDocCap(2).
-			Set("type", store.Str(string(e.Type))).
-			Set("name", store.Str(e.Name))
-		ents = append(ents, store.Nested(ed))
+		ents = append(ents, store.Nested(store.NewDoc(
+			store.F("type", store.Str(string(e.Type))),
+			store.F("name", store.Str(e.Name)))))
 	}
-	d.Set("entities", store.List(ents...))
-	return d
+	return store.NewDoc(
+		store.F("source_url", store.Str(sourceURL)),
+		store.F("text", store.Str(r.Text)),
+		store.F("entities", store.List(ents...)))
 }
 
 // EntityDocs converts a parse result into WEBENTITIES documents: one
 // hierarchical document per distinct entity with its attributes nested, in
-// key order. Like InstanceDoc, it is the built form AppendDocs's bytes are
-// checked against.
+// key order. Like InstanceDoc, it is the reference document AppendDocs's
+// bytes are checked against.
 func (r *Result) EntityDocs(sourceURL string) []*store.Doc {
 	out := make([]*store.Doc, 0, len(r.Entities))
 	for _, e := range r.Entities {
-		d := store.NewDocCap(4).
-			Set("type", store.Str(string(e.Type))).
-			Set("name", store.Str(e.Name)).
-			Set("source_url", store.Str(sourceURL))
-		if len(e.Attributes) > 0 {
-			ad := store.NewDocCap(len(e.Attributes))
-			for _, a := range e.Attributes {
-				ad.Set(a.Key, store.Str(a.Value))
-			}
-			d.Set("attributes", store.Nested(ad))
+		fields := []store.Field{
+			store.F("type", store.Str(string(e.Type))),
+			store.F("name", store.Str(e.Name)),
+			store.F("source_url", store.Str(sourceURL)),
 		}
-		out = append(out, d)
+		if len(e.Attributes) > 0 {
+			attrs := make([]store.Field, len(e.Attributes))
+			for i, a := range e.Attributes {
+				attrs[i] = store.F(a.Key, store.Str(a.Value))
+			}
+			fields = append(fields, store.F("attributes", store.Nested(store.NewDoc(attrs...))))
+		}
+		out = append(out, store.NewDoc(fields...))
 	}
 	return out
 }

@@ -21,7 +21,7 @@ func TestParseMatchesReference(t *testing.T) {
 
 // TestAppendDocsMatchesPutDoc: for every fragment of the corpora the
 // pipeline ingests, the text writer's bytes are what PutDoc writes for the
-// built documents, InstanceDoc and EntityDocs.
+// reference documents, InstanceDoc and EntityDocs.
 func TestAppendDocsMatchesPutDoc(t *testing.T) {
 	p := extract.NewParser()
 	for seed := int64(1); seed <= 3; seed++ {

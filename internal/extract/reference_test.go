@@ -160,40 +160,39 @@ func (p *refParser) entitiesOf(text string, mentions []Mention) []refEntity {
 }
 
 func (r *refResult) InstanceDoc(sourceURL string) *store.Doc {
-	d := store.NewDocCap(3).
-		Set("source_url", store.Str(sourceURL)).
-		Set("text", store.Str(r.Text))
 	ents := make([]store.DocValue, 0, len(r.Entities))
 	for _, e := range r.Entities {
-		ed := store.NewDocCap(2).
-			Set("type", store.Str(string(e.Type))).
-			Set("name", store.Str(e.Name))
-		ents = append(ents, store.Nested(ed))
+		ents = append(ents, store.Nested(store.NewDoc(
+			store.F("type", store.Str(string(e.Type))),
+			store.F("name", store.Str(e.Name)))))
 	}
-	d.Set("entities", store.List(ents...))
-	return d
+	return store.NewDoc(
+		store.F("source_url", store.Str(sourceURL)),
+		store.F("text", store.Str(r.Text)),
+		store.F("entities", store.List(ents...)))
 }
 
 func (r *refResult) EntityDocs(sourceURL string) []*store.Doc {
 	out := make([]*store.Doc, 0, len(r.Entities))
 	for _, e := range r.Entities {
-		d := store.NewDocCap(4).
-			Set("type", store.Str(string(e.Type))).
-			Set("name", store.Str(e.Name)).
-			Set("source_url", store.Str(sourceURL))
+		fields := []store.Field{
+			store.F("type", store.Str(string(e.Type))),
+			store.F("name", store.Str(e.Name)),
+			store.F("source_url", store.Str(sourceURL)),
+		}
 		if len(e.Attributes) > 0 {
-			ad := store.NewDocCap(len(e.Attributes))
 			keys := make([]string, 0, len(e.Attributes))
 			for k := range e.Attributes {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys)
-			for _, k := range keys {
-				ad.Set(k, store.Str(e.Attributes[k]))
+			attrs := make([]store.Field, len(keys))
+			for i, k := range keys {
+				attrs[i] = store.F(k, store.Str(e.Attributes[k]))
 			}
-			d.Set("attributes", store.Nested(ad))
+			fields = append(fields, store.F("attributes", store.Nested(store.NewDoc(attrs...))))
 		}
-		out = append(out, d)
+		out = append(out, store.NewDoc(fields...))
 	}
 	return out
 }

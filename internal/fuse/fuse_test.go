@@ -17,16 +17,16 @@ func buildStores(t *testing.T) *Engine {
 	entities := store.NewSharded("dt.entity", "name", 2, 0)
 
 	addInstance := func(url, text string) {
-		instances.Insert(store.NewDoc().
-			Set("source_url", store.Str(url)).
-			Set("text", store.Str(text)))
+		instances.Insert(store.NewDoc(
+			store.F("source_url", store.Str(url)),
+			store.F("text", store.Str(text))))
 	}
 	addEntity := func(typ, name string, award bool) {
-		d := store.NewDoc().Set("type", store.Str(typ)).Set("name", store.Str(name))
+		fields := []store.Field{store.F("type", store.Str(typ)), store.F("name", store.Str(name))}
 		if award {
-			d.Set("attributes", store.Nested(store.NewDoc().Set("award_winning", store.Str("true"))))
+			fields = append(fields, store.F("attributes", store.Nested(store.NewDoc(store.F("award_winning", store.Str("true"))))))
 		}
-		entities.Insert(d)
+		entities.Insert(store.NewDoc(fields...))
 	}
 
 	addInstance("u1", "Matilda an award-winning import from London grossed 960,998.")
@@ -96,7 +96,7 @@ func TestTextFeedsKeepsTheBestOfASort(t *testing.T) {
 		text := "Matilda" + strings.Repeat(" grossed", i%3) + strings.Repeat(" and Matilda", i%2) +
 			strings.Repeat(" filler", i%5) + []string{"", " a", " b"}[i%7%3]
 		texts = append(texts, text)
-		instances.Insert(store.NewDoc().Set("source_url", store.Str(strings.Repeat("u", i+1))).Set("text", store.Str(text)))
+		instances.Insert(store.NewDoc(store.F("source_url", store.Str(strings.Repeat("u", i+1))), store.F("text", store.Str(text))))
 	}
 	e := &Engine{Instances: instances}
 	ctx := context.Background()

@@ -54,10 +54,11 @@ func TestWriteJSONAllocBudget(t *testing.T) {
 func TestWriteFindPageAllocBudget(t *testing.T) {
 	docs := make([]*store.Doc, 10)
 	for i := range docs {
-		docs[i] = store.NewDoc().Set("type", store.Str("Movie")).
-			Set("name", store.Str(fmt.Sprintf("The Walking Dead, part %d", i))).
-			Set("uid", store.Num(int64(1000+i))).
-			Set("entity", store.Nested(store.NewDoc().Set("x", store.Num(1))))
+		docs[i] = store.NewDoc(
+			store.F("type", store.Str("Movie")),
+			store.F("name", store.Str(fmt.Sprintf("The Walking Dead, part %d", i))),
+			store.F("uid", store.Num(int64(1000+i))),
+			store.F("entity", store.Nested(store.NewDoc(store.F("x", store.Num(1))))))
 	}
 	w := discardWriter{h: http.Header{}}
 	write := func() {

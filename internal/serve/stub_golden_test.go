@@ -89,11 +89,14 @@ func stubShow() (web, fused *record.Record) {
 
 func stubDocs() []*store.Doc {
 	docs := []*store.Doc{
-		store.NewDoc().Set("type", store.Str("Movie")).Set("name", store.Str(awkward)).
-			Set("entity", store.Nested(store.NewDoc().Set("x", store.Num(1)))).
-			Set("tags", store.List(store.Str("a"))).Set("uid", store.Num(7)),
+		store.NewDoc(
+			store.F("type", store.Str("Movie")),
+			store.F("name", store.Str(awkward)),
+			store.F("entity", store.Nested(store.NewDoc(store.F("x", store.Num(1))))),
+			store.F("tags", store.List(store.Str("a"))),
+			store.F("uid", store.Num(7))),
 		store.NewDoc(),
-		store.NewDoc().Set("price", store.Scalar(record.Float(1e21))).Set("on", store.Scalar(record.Bool(false))),
+		store.NewDoc(store.F("price", store.Scalar(record.Float(1e21))), store.F("on", store.Scalar(record.Bool(false)))),
 	}
 	return docs
 }

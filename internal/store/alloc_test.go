@@ -45,9 +45,11 @@ func TestInsertManyAllocBudget(t *testing.T) {
 	strs := make([]*Doc, 1000)
 	nums := make([]*Doc, 1000)
 	for i := range strs {
-		strs[i] = NewDoc().Set("name", Str(fmt.Sprintf("Show %d", i))).Set("type", Str("Movie"))
-		nums[i] = NewDoc().Set("name", Str(fmt.Sprintf("Show %d", i))).
-			Set("seats", Num(int64(1000+i))).Set("stars", Scalar(record.Float(float64(i)/7)))
+		strs[i] = NewDoc(F("name", Str(fmt.Sprintf("Show %d", i))), F("type", Str("Movie")))
+		nums[i] = NewDoc(
+			F("name", Str(fmt.Sprintf("Show %d", i))),
+			F("seats", Num(int64(1000+i))),
+			F("stars", Scalar(record.Float(float64(i)/7))))
 	}
 	for _, c := range []struct {
 		name string
@@ -133,12 +135,12 @@ func TestStoredEntityReadsAllocateNothing(t *testing.T) {
 		read = 0
 		for i := 0; i < d.Len(); i++ {
 			name, v := d.Field(i)
-			got, _ := d.Get(name)
+			got, _ := d.Path(name)
 			read += len(v.Scalar().Str()) + len(got.Scalar().Str()) + len(d.PathString(name))
 		}
 		for _, p := range paths {
 			if v, ok := d.Path(p); ok {
-				read += len(v.Scalar().Str()) + int(v.sizeBytes())
+				read += len(v.Scalar().Str()) + int(d.SizeBytesOf([]string{p}))
 			}
 		}
 		read += int(d.SizeBytes())

@@ -17,7 +17,7 @@ import (
 
 // Binary document codec: a compact, self-describing encoding used by the
 // persistence layer (snapshots and journals) and the cluster wire, and the
-// form a stored document keeps (see Doc). The format is length-prefixed
+// one form a document keeps (see Doc). The format is length-prefixed
 // throughout so readers can skip or validate frames.
 //
 //	value  := kind(1) payload
@@ -39,30 +39,15 @@ const (
 	kindTime   byte = 5
 )
 
-// EncodeDoc serializes a document.
-func EncodeDoc(d *Doc) []byte {
-	var buf bytes.Buffer
-	PutDoc(&buf, d)
-	return buf.Bytes()
-}
+// EncodeDoc returns a copy of the document's encoding.
+func EncodeDoc(d *Doc) []byte { return []byte(d.raw) }
 
 // PutDoc appends the document's encoding to buf — EncodeDoc for a caller
-// packing many documents into one buffer. A stored document's encoding is
-// its bytes, copied as they are.
-func PutDoc(buf *bytes.Buffer, d *Doc) {
-	if d.raw != "" {
-		buf.WriteString(d.raw)
-		return
-	}
-	PutUvarint(buf, uint64(len(d.fields)))
-	for _, f := range d.fields {
-		PutString(buf, f.name)
-		writeDocValue(buf, f.value)
-	}
-}
+// packing many documents into one buffer.
+func PutDoc(buf *bytes.Buffer, d *Doc) { buf.WriteString(d.raw) }
 
-// PutRecord appends what PutDoc writes for FromRecord(r), without building
-// the document.
+// PutRecord appends what PutDoc writes for the one-level document of r's
+// fields, without building the document.
 func PutRecord(buf *bytes.Buffer, r *record.Record) {
 	PutUvarint(buf, uint64(r.Len()))
 	for _, f := range r.Fields() {
@@ -74,109 +59,78 @@ func PutRecord(buf *bytes.Buffer, r *record.Record) {
 
 // PutDocFields appends the encoding of d cut down to the top-level fields
 // named in fields, in d's order — what PutDoc writes for the projected
-// document, without building it. Listed fields d lacks are skipped; an empty
-// list is every field. A stored document's fields are copied as the byte
-// ranges that encode them.
+// document, without building it: the fields are copied as the byte ranges
+// that encode them. Listed fields d lacks are skipped; an empty list is
+// every field.
 func PutDocFields(buf *bytes.Buffer, d *Doc, fields []string) {
 	if len(fields) == 0 {
 		PutDoc(buf, d)
 		return
 	}
-	if d.raw != "" {
-		n := 0
-		for c := cursorOf(d.raw); ; c.skip() {
-			name, _, ok := c.next()
-			if !ok {
-				break
-			}
-			if slices.Contains(fields, name) {
-				n++
-			}
-		}
-		PutUvarint(buf, uint64(n))
-		for c := cursorOf(d.raw); ; {
-			name, at, ok := c.next()
-			if !ok {
-				return
-			}
-			c.skip()
-			if slices.Contains(fields, name) {
-				buf.WriteString(d.raw[at:c.w.i])
-			}
-		}
-	}
 	n := 0
-	for _, f := range d.fields {
-		if slices.Contains(fields, f.name) {
+	for c := cursorOf(d.raw); ; c.skip() {
+		name, _, ok := c.next()
+		if !ok {
+			break
+		}
+		if slices.Contains(fields, name) {
 			n++
 		}
 	}
 	PutUvarint(buf, uint64(n))
-	for _, f := range d.fields {
-		if slices.Contains(fields, f.name) {
-			PutString(buf, f.name)
-			writeDocValue(buf, f.value)
+	for c := cursorOf(d.raw); ; {
+		name, at, ok := c.next()
+		if !ok {
+			return
+		}
+		c.skip()
+		if slices.Contains(fields, name) {
+			buf.WriteString(d.raw[at:c.w.i])
 		}
 	}
 }
 
-func writeDocValue(buf *bytes.Buffer, v DocValue) {
-	switch {
-	case v.doc == storedDoc:
-		buf.WriteByte(tagNested)
-		buf.WriteString(v.scalar.Str())
-	case v.list == storedList:
-		buf.WriteByte(tagList)
-		buf.WriteString(v.scalar.Str())
-	case v.IsDoc():
-		buf.WriteByte(tagNested)
-		PutDoc(buf, v.Doc())
-	case v.IsList():
-		buf.WriteByte(tagList)
-		PutUvarint(buf, uint64(len(v.List())))
-		for _, e := range v.List() {
-			writeDocValue(buf, e)
-		}
-	default:
-		buf.WriteByte(tagScalar)
-		writeScalar(buf, v.Scalar())
+// appendDocValue appends v's tag and payload: a scalar encoded, a nested
+// document or a list as the bytes it holds.
+func appendDocValue(dst []byte, v DocValue) []byte {
+	dst = append(dst, v.tag)
+	if v.IsScalar() {
+		return appendScalar(dst, v.scalar)
 	}
+	return append(dst, v.scalar.Str()...)
 }
 
+// writeScalar appends v's kind and payload to buf.
 func writeScalar(buf *bytes.Buffer, v record.Value) {
-	switch v.Kind() {
-	case record.KindNull:
-		buf.WriteByte(kindNull)
-	case record.KindString:
+	if v.Kind() == record.KindString {
 		buf.WriteByte(kindString)
 		PutString(buf, v.Str())
-	case record.KindInt:
-		buf.WriteByte(kindInt)
-		i, _ := v.AsInt()
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(i))
-		buf.Write(b[:])
-	case record.KindFloat:
-		buf.WriteByte(kindFloat)
-		f, _ := v.AsFloat()
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		buf.Write(b[:])
-	case record.KindBool:
-		buf.WriteByte(kindBool)
-		bv, _ := v.AsBool()
-		if bv {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
-		}
-	case record.KindTime:
-		buf.WriteByte(kindTime)
-		t, _ := v.AsTime()
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(t.UnixNano()))
-		buf.Write(b[:])
+		return
 	}
+	var tmp [9]byte
+	buf.Write(appendScalar(tmp[:0], v))
+}
+
+func appendScalar(dst []byte, v record.Value) []byte {
+	switch v.Kind() {
+	case record.KindString:
+		return appendString(append(dst, kindString), v.Str())
+	case record.KindInt:
+		i, _ := v.AsInt()
+		return binary.LittleEndian.AppendUint64(append(dst, kindInt), uint64(i))
+	case record.KindFloat:
+		f, _ := v.AsFloat()
+		return binary.LittleEndian.AppendUint64(append(dst, kindFloat), math.Float64bits(f))
+	case record.KindBool:
+		if b, _ := v.AsBool(); b {
+			return append(dst, kindBool, 1)
+		}
+		return append(dst, kindBool, 0)
+	case record.KindTime:
+		t, _ := v.AsTime()
+		return binary.LittleEndian.AppendUint64(append(dst, kindTime), uint64(t.UnixNano()))
+	}
+	return append(dst, kindNull)
 }
 
 // AppendDocHead, AppendStrField, AppendDocField, AppendListField and
@@ -233,89 +187,59 @@ func PutBytes(buf *bytes.Buffer, p []byte) {
 	buf.Write(p)
 }
 
-// DecodeDoc deserializes a document encoded by EncodeDoc into the built
-// form, every string copied out of data.
-func DecodeDoc(data []byte) (*Doc, error) {
-	w := walker[[]byte]{b: data}
-	d, err := w.doc(true)
-	if err != nil {
-		return nil, err
-	}
-	if w.left() != 0 {
-		return nil, fmt.Errorf("store: %d trailing bytes after document", w.left())
-	}
-	return d, nil
-}
+// errNotCanonical refuses document bytes that are well formed but not what
+// PutDoc writes for what they hold.
+var errNotCanonical = errors.New("store: document bytes not as PutDoc writes them: a repeated field name, a varint in a longer form than needed or a bool byte above 1")
 
-// AdoptDoc returns the stored document data encodes. It refuses what
-// DecodeDoc refuses, with the same errors, and keeps a copy of data, so
-// data may be reused. Bytes that are not what PutDoc writes for the
-// document they encode — a field name repeated in one document, a count or
-// length in a longer form than needed, a bool byte other than 0 or 1 —
-// are stored as PutDoc's encoding of what DecodeDoc builds from them.
+// AdoptDoc returns the document data encodes, keeping a copy of data, so
+// data may be reused. It refuses bytes that are no document, that hold
+// bytes after it, or that are not what PutDoc writes for it.
 func AdoptDoc(data []byte) (*Doc, error) {
-	odd, err := checkDoc(data)
-	if err != nil {
+	if err := checkDoc(data); err != nil {
 		return nil, err
 	}
-	return &Doc{raw: storedBytes(data, odd)}, nil
+	return &Doc{raw: string(data)}, nil
 }
 
-// AdoptDocs returns the stored documents data holds back to back, the i'th
-// ending at ends[i], each checked as AdoptDoc checks it. The documents
-// share one copy of data and are allocated together: a writer that encodes
-// a batch of documents adopts them in two allocations.
+// AdoptDocs returns the documents data holds back to back, the i'th ending
+// at ends[i], each checked as AdoptDoc checks it. The documents share one
+// copy of data and are allocated together: a writer that encodes a batch of
+// documents adopts them in two allocations.
 func AdoptDocs(data []byte, ends []int) ([]Doc, error) {
-	start, anyOdd := 0, false
+	start := 0
 	for i, end := range ends {
 		if end < start || end > len(data) {
 			return nil, fmt.Errorf("store: document %d ends at %d, outside [%d, %d]", i, end, start, len(data))
 		}
-		odd, err := checkDoc(data[start:end])
-		if err != nil {
+		if err := checkDoc(data[start:end]); err != nil {
 			return nil, fmt.Errorf("store: document %d: %w", i, err)
 		}
-		anyOdd = anyOdd || odd
 		start = end
 	}
 	docs := make([]Doc, len(ends))
 	all := string(data[:start])
 	start = 0
 	for i, end := range ends {
-		// Only a writer other than PutDoc makes odd bytes, rare enough to
-		// re-encode every document they come with.
 		docs[i].raw = all[start:end]
-		if anyOdd {
-			docs[i].raw = storedBytes(data[start:end], true)
-		}
 		start = end
 	}
 	return docs, nil
 }
 
-// checkDoc checks that data is one document and nothing after it, and
-// reports whether the bytes are odd: not what PutDoc writes for it.
-func checkDoc(data []byte) (odd bool, err error) {
-	w := walker[[]byte]{b: data, strict: true}
-	if _, err := w.doc(false); err != nil {
-		return false, err
+// checkDoc checks that data is one document as PutDoc writes it and nothing
+// after it.
+func checkDoc(data []byte) error {
+	w := walker[[]byte]{b: data}
+	if err := w.doc(); err != nil {
+		return err
 	}
 	if w.left() != 0 {
-		return false, fmt.Errorf("store: %d trailing bytes after document", w.left())
+		return fmt.Errorf("store: %d trailing bytes after document", w.left())
 	}
-	return w.odd, nil
-}
-
-// storedBytes is the stored form of the checked document data: a copy of
-// it, or, when it is odd, the encoding of what DecodeDoc builds from it.
-func storedBytes(data []byte, odd bool) string {
-	if !odd {
-		return string(data)
+	if w.odd {
+		return errNotCanonical
 	}
-	d, _ := DecodeDoc(data)
-	var buf bytes.Buffer
-	PutDoc(&buf, d)
-	return buf.String()
+	return nil
 }
 
 // DocList is a document list as the cluster wire carries it — a count,
@@ -353,7 +277,7 @@ func (l *DocList) Len() int { return l.n }
 // follow the last one.
 func (l *DocList) AppendWindow(dst []*Doc, from, to int) ([]*Doc, error) {
 	w := walker[[]byte]{b: l.data}
-	lo, hi, odd := 0, 0, false
+	lo, hi := 0, 0
 	for i := 0; i < l.n; i++ {
 		if i == from {
 			lo = w.i
@@ -363,16 +287,18 @@ func (l *DocList) AppendWindow(dst []*Doc, from, to int) ([]*Doc, error) {
 			return nil, dterr.Newf(dterr.CodeInternal, "store: doc %d length", i)
 		}
 		end := w.i + int(size)
-		in := from <= i && i < to
-		w.strict, w.odd = in, false
-		if _, err := w.doc(false); err != nil {
+		w.odd = false
+		if err := w.doc(); err != nil {
 			return nil, dterr.Wrapf(dterr.CodeInternal, err, "store: doc %d", i)
 		}
 		if w.i != end {
 			return nil, dterr.Newf(dterr.CodeInternal, "store: doc %d is not the %d bytes its length says", i, size)
 		}
-		if in {
-			hi, odd = end, odd || w.odd
+		if w.odd {
+			return nil, dterr.Wrapf(dterr.CodeInternal, errNotCanonical, "store: doc %d", i)
+		}
+		if i < to {
+			hi = end
 		}
 	}
 	if w.left() != 0 {
@@ -389,30 +315,28 @@ func (l *DocList) AppendWindow(dst []*Doc, from, to int) ([]*Doc, error) {
 	for k := range docs {
 		size, _ := ws.uvarint()
 		docs[k].raw = ws.str(int(size))
-		if odd {
-			docs[k].raw = storedBytes(l.data[lo+ws.i-int(size):lo+ws.i], true)
-		}
 		dst = append(dst, &docs[k])
 	}
 	return dst, nil
 }
 
 // bytestr is what document bytes come as: a []byte off disk or the wire,
-// or the string a stored document holds.
+// or the string a document holds.
 type bytestr interface{ ~[]byte | ~string }
 
 // walker is the one reader of the document grammar, over bytes off disk or
-// the wire and over a stored document's string alike. It reads b from
-// offset i. A string it builds is copied out of a []byte and aliases a
-// string.
+// the wire and over a document's string alike. It reads b from offset i. A
+// string it reads is copied out of a []byte and aliases a string. doc,
+// value and list check bytes not yet checked; skip and the accessors read
+// bytes that were.
 type walker[B bytestr] struct {
 	b B
 	i int
 	// odd is set once the walk has met bytes that are not what PutDoc
 	// writes for what they hold: a count or length in a longer form than
-	// needed, a bool byte other than 0 or 1, or, when strict is set, a field
-	// name repeated in one document.
-	strict, odd bool
+	// needed, a bool byte other than 0 or 1, or a field name repeated in
+	// one document.
+	odd bool
 }
 
 var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
@@ -526,52 +450,34 @@ func (w *walker[B]) fieldErr(at, size int, err error) error {
 	return fmt.Errorf("store: reading field %q: %w", string(w.b[at:at+size]), err)
 }
 
-// doc reads one document off w. Without build it only checks the bytes a
-// document would be read from, with the same errors, and returns nil: a
+// doc checks one document off w: it fails on bytes that are no document
+// and marks the walk odd on a document PutDoc would not write. A
 // well-formed document costs no allocation.
-func (w *walker[B]) doc(build bool) (*Doc, error) {
+func (w *walker[B]) doc() error {
 	n, err := w.count()
 	if err != nil {
-		return nil, err
-	}
-	var d *Doc
-	if build {
-		// The count is not yet backed by fields read, so it sizes the
-		// document only up to a bound.
-		d = NewDocCap(min(n, 64))
+		return err
 	}
 	first := w.i
 	for i := 0; i < n; i++ {
 		field := w.i
 		at, size, err := w.name()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if w.strict {
-			w.noteName(first, field, at, size)
+		w.noteName(first, field, at, size)
+		w.i += size
+		if err := w.value(); err != nil {
+			return w.fieldErr(at, size, err)
 		}
-		if !build {
-			w.i += size
-			if _, err := w.value(false); err != nil {
-				return nil, w.fieldErr(at, size, err)
-			}
-			continue
-		}
-		name := w.str(size)
-		v, err := w.value(true)
-		if err != nil {
-			return nil, w.fieldErr(at, size, err)
-		}
-		d.Set(name, v)
 	}
-	return d, nil
+	return nil
 }
 
 // noteName marks the walk odd when the name of size bytes at at repeats
 // the name of a field before it in its document, whose fields run from
 // first up to field, where the named one starts. It reads those fields
-// again, bytes already checked, and compares each name, as DecodeDoc's Set
-// compares a name with the fields set before it.
+// again, bytes already checked, and compares each name.
 func (w *walker[B]) noteName(first, field, at, size int) {
 	name := w.b[at : at+size]
 	r := walker[B]{b: w.b, i: first}
@@ -582,65 +488,68 @@ func (w *walker[B]) noteName(first, field, at, size int) {
 			return
 		}
 		r.i += int(n)
-		_, _ = r.value(false)
+		r.skip()
 	}
 }
 
-// value reads one document value off w, or with build unset only checks
-// it and returns the zero value.
-func (w *walker[B]) value(build bool) (DocValue, error) {
+// value checks one document value off w.
+func (w *walker[B]) value() error {
 	tag, err := w.readByte()
 	if err != nil {
-		return DocValue{}, err
+		return err
 	}
 	switch tag {
 	case tagScalar:
-		v, err := w.scalar(build)
-		return Scalar(v), err
+		_, err := w.scalar(false)
+		return err
 	case tagNested:
-		d, err := w.doc(build)
-		if err != nil || !build {
-			return DocValue{}, err
-		}
-		return Nested(d), nil
+		return w.doc()
 	case tagList:
-		return w.list(build)
+		return w.list()
 	default:
-		return DocValue{}, fmt.Errorf("unknown docvalue tag %d", tag)
+		return fmt.Errorf("unknown docvalue tag %d", tag)
 	}
 }
 
-// list reads a list value after its tag.
-func (w *walker[B]) list(build bool) (DocValue, error) {
+// list checks a list value after its tag.
+func (w *walker[B]) list() error {
 	n, err := w.uvarint()
 	if err != nil {
-		return DocValue{}, err
+		return err
 	}
 	if n > uint64(w.left()) {
-		return DocValue{}, fmt.Errorf("list length %d exceeds remaining bytes", n)
-	}
-	var list []DocValue
-	if build {
-		list = make([]DocValue, 0, n)
+		return fmt.Errorf("list length %d exceeds remaining bytes", n)
 	}
 	for i := uint64(0); i < n; i++ {
-		e, err := w.value(build)
-		if err != nil {
-			return DocValue{}, err
-		}
-		if build {
-			list = append(list, e)
+		if err := w.value(); err != nil {
+			return err
 		}
 	}
-	if !build {
-		return DocValue{}, nil
-	}
-	return List(list...), nil
+	return nil
 }
 
-// scalar reads one scalar off w, or with build unset only checks it and
+// skip passes over the value next in w, bytes already checked, reading no
+// more of it than it must to find its end.
+func (w *walker[B]) skip() {
+	switch tag, _ := w.readByte(); tag {
+	case tagScalar:
+		_, _ = w.scalar(false)
+	case tagNested:
+		for n, _ := w.uvarint(); n > 0; n-- {
+			k, _ := w.uvarint()
+			w.i += int(k)
+			w.skip()
+		}
+	default:
+		for n, _ := w.uvarint(); n > 0; n-- {
+			w.skip()
+		}
+	}
+}
+
+// scalar reads one scalar off w, or with decode unset only checks it and
 // returns Null.
-func (w *walker[B]) scalar(build bool) (record.Value, error) {
+func (w *walker[B]) scalar(decode bool) (record.Value, error) {
 	kind, err := w.readByte()
 	if err != nil {
 		return record.Null, err
@@ -650,14 +559,14 @@ func (w *walker[B]) scalar(build bool) (record.Value, error) {
 		return record.Null, nil
 	case kindString:
 		n, err := w.length()
-		if err != nil || !build {
+		if err != nil || !decode {
 			w.i += n
 			return record.Null, err
 		}
 		return record.String(w.str(n)), nil
 	case kindInt, kindFloat, kindTime:
 		b, err := w.get8()
-		if err != nil || !build {
+		if err != nil || !decode {
 			return record.Null, err
 		}
 		switch kind {
@@ -675,7 +584,7 @@ func (w *walker[B]) scalar(build bool) (record.Value, error) {
 		if bv > 1 {
 			w.odd = true
 		}
-		if !build {
+		if !decode {
 			return record.Null, nil
 		}
 		return record.Bool(bv != 0), nil
@@ -684,28 +593,21 @@ func (w *walker[B]) scalar(build bool) (record.Value, error) {
 	}
 }
 
-// storedValue reads the value at w, in bytes a stored document holds, as
-// the document's accessors hand it out: a scalar decoded, a string
-// aliasing the bytes, and a nested document or a list as the bytes that
-// encode it (see storedDoc). The bytes were checked when they were
-// adopted.
+// storedValue reads the value at w, in a document's checked bytes, as the
+// document's accessors hand it out: a scalar decoded, a string aliasing the
+// bytes, and a nested document or a list as the bytes that encode it.
 func storedValue(w *walker[string]) DocValue {
-	tag, _ := w.readByte()
 	at := w.i
-	switch tag {
-	case tagScalar:
+	if w.b[at] == tagScalar {
+		w.i++
 		v, _ := w.scalar(true)
 		return Scalar(v)
-	case tagNested:
-		_, _ = w.doc(false)
-		return DocValue{scalar: record.String(w.b[at:w.i]), doc: storedDoc}
-	default:
-		_, _ = w.list(false)
-		return DocValue{scalar: record.String(w.b[at:w.i]), list: storedList}
 	}
+	w.skip()
+	return DocValue{scalar: record.String(w.b[at+1 : w.i]), tag: w.b[at]}
 }
 
-// cursor walks the fields of a stored document's bytes in order.
+// cursor walks the fields of a document's bytes in order.
 type cursor struct {
 	w    walker[string]
 	left int // fields not yet read
@@ -734,42 +636,17 @@ func (c *cursor) next() (name string, at int, ok bool) {
 func (c *cursor) value() DocValue { return storedValue(&c.w) }
 
 // skip passes over the value of the field next read.
-func (c *cursor) skip() { _, _ = c.w.value(false) }
+func (c *cursor) skip() { c.w.skip() }
 
-// storedPath is Path on a stored document's bytes: it goes down into a
-// nested document where it lies, reading no more of it than it passes.
-func storedPath(raw, path string) (DocValue, bool) {
-	c := cursorOf(raw)
-	for {
-		part, rest, nested := strings.Cut(path, ".")
-		for {
-			name, _, ok := c.next()
-			if !ok {
-				return DocValue{}, false
-			}
-			if name == part {
-				break
-			}
-			c.skip()
-		}
-		if !nested {
-			return c.value(), true
-		}
-		if tag, _ := c.w.readByte(); tag != tagNested {
-			return DocValue{}, false
-		}
-		n, _ := c.w.uvarint()
-		c.left, path = int(n), rest
-	}
-}
-
-// storedSize is DocValue.sizeBytes of the value, in a stored document's
-// bytes, whose tag is tag and whose payload is next in w.
+// storedSize is the footprint SizeBytes estimates for the value, in a
+// document's bytes, whose tag is tag and whose payload is next in w: a
+// scalar's (scalarSize), a nested document's, or 8 bytes and a list's
+// elements'.
 func storedSize(w *walker[string], tag byte) int64 {
 	switch tag {
 	case tagScalar:
 		v, _ := w.scalar(true)
-		return Scalar(v).sizeBytes()
+		return scalarSize(v)
 	case tagNested:
 		return storedDocSize(w, nil)
 	}
@@ -782,8 +659,8 @@ func storedSize(w *walker[string], tag byte) int64 {
 	return size
 }
 
-// storedDocSize is SizeBytesOf(fields) of the document, in a stored
-// document's bytes, next in w.
+// storedDocSize is SizeBytesOf(fields) of the document, in a document's
+// bytes, next in w.
 func storedDocSize(w *walker[string], fields []string) int64 {
 	n, _ := w.uvarint()
 	var size int64 = 16 // header
@@ -794,7 +671,7 @@ func storedDocSize(w *walker[string], fields []string) int64 {
 			t, _ := w.readByte()
 			size += int64(len(name)) + 2 + storedSize(w, t)
 		} else {
-			_, _ = w.value(false)
+			w.skip()
 		}
 	}
 	return size

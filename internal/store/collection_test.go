@@ -12,10 +12,10 @@ import (
 )
 
 func entityDoc(name, typ string, mentions int64) *Doc {
-	return NewDoc().
-		Set("name", Str(name)).
-		Set("type", Str(typ)).
-		Set("mentions", Num(mentions))
+	return NewDoc(
+		F("name", Str(name)),
+		F("type", Str(typ)),
+		F("mentions", Num(mentions)))
 }
 
 // Tests read a collection through its one read op, Query, or its fields.
@@ -60,7 +60,7 @@ func TestInsertGet(t *testing.T) {
 // refused and changes nothing, so a scan and an index still list the
 // documents in one order; a replay above the highest applies.
 func TestReplayBelowHighestRefused(t *testing.T) {
-	doc := func(n int64) *Doc { return NewDoc().Set("k", Str("x")).Set("n", Num(n)) }
+	doc := func(n int64) *Doc { return NewDoc(F("k", Str("x")), F("n", Num(n))) }
 	c := NewCollection("dt.x", 0)
 	c.EnsureIndex("k_1", "k", HashIndex)
 	for n := int64(1); n <= 2; n++ {
@@ -186,8 +186,8 @@ func TestBTreeIndexPrefixAndList(t *testing.T) {
 	// Index over list elements.
 	c2 := NewCollection("dt.tagged", 0)
 	c2.EnsureIndex("tags_1", "tags", HashIndex)
-	c2.Insert(NewDoc().Set("tags", List(Str("a"), Str("b"))))
-	c2.Insert(NewDoc().Set("tags", List(Str("b"))))
+	c2.Insert(NewDoc(F("tags", List(Str("a"), Str("b")))))
+	c2.Insert(NewDoc(F("tags", List(Str("b")))))
 	if got := len(find(c2, EqStr("tags", "b"))); got != 2 {
 		t.Errorf("list index lookup = %d", got)
 	}

@@ -13,10 +13,11 @@ import (
 )
 
 // refDecodeDocList is the document list reader the cluster wire had before
-// a list could be read a window at a time: every document built, through
-// one reader, nothing past the list, no document over or short of its
-// length.
-func refDecodeDocList(data []byte) ([]*Doc, error) {
+// a list could be read a window at a time, over the reference reader: every
+// document read whole, nothing past the list, no document over or short of
+// its length, and none that the reference refuses. It returns each
+// document's bytes.
+func refDecodeDocList(data []byte) ([][]byte, error) {
 	rd := bytes.NewReader(data)
 	n, err := binary.ReadUvarint(rd)
 	if err != nil {
@@ -25,23 +26,18 @@ func refDecodeDocList(data []byte) ([]*Doc, error) {
 	if n > uint64(rd.Len()) {
 		return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc list count %d exceeds remaining bytes", n)
 	}
-	docs := make([]*Doc, 0, n)
+	docs := make([][]byte, 0, n)
 	for i := uint64(0); i < n; i++ {
 		size, err := binary.ReadUvarint(rd)
 		if err != nil || size > uint64(rd.Len()) {
 			return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc %d length", i)
 		}
-		end := rd.Len() - int(size)
-		w := walker[[]byte]{b: data, i: len(data) - rd.Len()}
-		d, err := w.doc(true)
-		if err != nil {
+		doc := make([]byte, size)
+		_, _ = rd.Read(doc)
+		if _, err := refDoc(doc); err != nil {
 			return nil, dterr.Wrapf(dterr.CodeInternal, err, "cluster: doc %d", i)
 		}
-		rd.Reset(data[w.i:])
-		if rd.Len() != end {
-			return nil, dterr.Newf(dterr.CodeInternal, "cluster: doc %d is not the %d bytes its length says", i, size)
-		}
-		docs = append(docs, d)
+		docs = append(docs, doc)
 	}
 	if rd.Len() != 0 {
 		return nil, dterr.Newf(dterr.CodeInternal, "cluster: %d bytes after the doc list", rd.Len())
@@ -49,10 +45,9 @@ func refDecodeDocList(data []byte) ([]*Doc, error) {
 	return docs, nil
 }
 
-// sameEncodings reports whether got and want hold the same documents, in
-// either form: the same encodings, which a stored document's bytes are.
-func sameEncodings(got, want []*Doc) bool {
-	return slices.EqualFunc(got, want, func(a, b *Doc) bool { return bytes.Equal(EncodeDoc(a), EncodeDoc(b)) })
+// sameEncodings reports whether got's documents encode to want's bytes.
+func sameEncodings(got []*Doc, want [][]byte) bool {
+	return slices.EqualFunc(got, want, func(d *Doc, b []byte) bool { return bytes.Equal(EncodeDoc(d), b) })
 }
 
 // encodeDocList writes docs as the cluster wire's document list.
@@ -67,19 +62,20 @@ func encodeDocList(docs []*Doc) []byte {
 
 // listDocs are documents holding every kind of value the codec writes.
 func listDocs() []*Doc {
-	inner := NewDoc().Set("award_winning", Str("true")).Set("gross", Scalar(record.Float(960998.5)))
+	inner := NewDoc(F("award_winning", Str("true")), F("gross", Scalar(record.Float(960998.5))))
 	return []*Doc{
-		NewDoc().Set("name", Str("Matilda")).Set("tags", List(Str("a"), Num(2), Nested(inner))),
+		NewDoc(F("name", Str("Matilda")), F("tags", List(Str("a"), Num(2), Nested(inner)))),
 		NewDoc(),
-		NewDoc().Set("name", Str("The Walking Dead")).Set("attributes", Nested(inner)).Set("n", Num(math.MinInt64)),
-		NewDoc().Set("name", Str("")).Set("on", Scalar(record.Bool(true))).Set("none", Scalar(record.Null)),
-		NewDoc().Set("when", Scalar(record.Time(time.Date(2013, 6, 9, 20, 30, 1, 500, time.UTC)))).Set("name", Str("Jersey Boys")),
+		NewDoc(F("name", Str("The Walking Dead")), F("attributes", Nested(inner)), F("n", Num(math.MinInt64))),
+		NewDoc(F("name", Str("")), F("on", Scalar(record.Bool(true))), F("none", Scalar(record.Null))),
+		NewDoc(F("when", Scalar(record.Time(time.Date(2013, 6, 9, 20, 30, 1, 500, time.UTC)))), F("name", Str("Jersey Boys"))),
 	}
 }
 
 // docListSeeds are lists the window fuzz starts from: whole, torn, with a
 // byte after them, with a length that lies, with a malformed document in
-// the middle, and empty.
+// the middle, empty, and ending in a document that repeats a nested name,
+// which PutDoc never writes.
 func docListSeeds() [][]byte {
 	good := encodeDocList(listDocs())
 	lied := slices.Clone(good)
@@ -95,7 +91,13 @@ func docListSeeds() [][]byte {
 		}
 		PutBytes(&bad, enc)
 	}
-	return [][]byte{good, good[:len(good)/2], append(slices.Clone(good), 0), lied, bad.Bytes(), {0}, {}, {0xff}}
+	var repeated bytes.Buffer
+	PutUvarint(&repeated, uint64(len(docs)+1))
+	for _, d := range docs {
+		PutBytes(&repeated, EncodeDoc(d))
+	}
+	PutBytes(&repeated, wideDoc(3, "f0", 1))
+	return [][]byte{good, good[:len(good)/2], append(slices.Clone(good), 0), lied, bad.Bytes(), {0}, {}, {0xff}, repeated.Bytes()}
 }
 
 // FuzzDocListWindowMatchesReference: for any bytes and any window [from,
@@ -122,7 +124,7 @@ func FuzzDocListWindowMatchesReference(f *testing.F) {
 		if from > to {
 			from, to = to, from
 		}
-		head := NewDoc().Set("already", Str("there"))
+		head := NewDoc(F("already", Str("there")))
 		got, err := list.AppendWindow([]*Doc{head}, from, to)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("window [%d, %d) of %d: %v, reference %v", from, to, n, err, wantErr)

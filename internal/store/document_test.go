@@ -5,17 +5,16 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"repro/internal/record"
 )
 
 func TestDocSetGetPath(t *testing.T) {
-	inner := NewDoc().Set("name", Str("Matilda")).Set("type", Str("Movie"))
-	d := NewDoc().
-		Set("entity", Nested(inner)).
-		Set("score", Scalar(record.Float(0.9))).
-		Set("tags", List(Str("award"), Str("broadway")))
+	inner := NewDoc(F("name", Str("Matilda")), F("type", Str("Movie")))
+	d := NewDoc(
+		F("entity", Nested(inner)),
+		F("score", Scalar(record.Float(0.9))),
+		F("tags", List(Str("award"), Str("broadway"))))
 
 	if got := d.PathString("entity.name"); got != "Matilda" {
 		t.Errorf("PathString(entity.name) = %q", got)
@@ -27,26 +26,36 @@ func TestDocSetGetPath(t *testing.T) {
 		t.Error("path through scalar should fail")
 	}
 	v, ok := d.Path("tags")
-	if !ok || !v.IsList() || len(v.List()) != 2 {
+	if !ok || !v.IsList() || elemCount(v) != 2 {
 		t.Errorf("tags path = %v, %v", v, ok)
 	}
 }
 
-func TestDocSetReplace(t *testing.T) {
-	d := NewDoc().Set("a", Num(1)).Set("a", Num(2))
-	if d.Len() != 1 {
-		t.Fatalf("Len = %d", d.Len())
+// elemCount counts a list value's elements.
+func elemCount(v DocValue) int {
+	n := 0
+	for it := v.Elems(); ; n++ {
+		if _, ok := it.Next(); !ok {
+			return n
+		}
 	}
-	if got := d.PathString("a"); got != "2" {
-		t.Errorf("a = %q", got)
+}
+
+// fromRecord is the one-level document of r's fields: the reference
+// PutRecord is checked against.
+func fromRecord(r *record.Record) *Doc {
+	fields := make([]Field, r.Len())
+	for i, f := range r.Fields() {
+		fields[i] = F(f.Name, Scalar(f.Value))
 	}
+	return NewDoc(fields...)
 }
 
 func TestDocRecordRoundTrip(t *testing.T) {
 	r := record.New()
 	r.Set("show", record.String("Wicked"))
 	r.Set("price", record.Float(99.5))
-	d := FromRecord(r)
+	d := fromRecord(r)
 	back := d.ToRecord()
 	if !slices.Equal(back.Fields(), r.Fields()) {
 		t.Errorf("round trip: %v != %v", r, back)
@@ -54,7 +63,7 @@ func TestDocRecordRoundTrip(t *testing.T) {
 }
 
 func TestDocToRecordSkipsNested(t *testing.T) {
-	d := NewDoc().Set("a", Num(1)).Set("b", Nested(NewDoc()))
+	d := NewDoc(F("a", Num(1)), F("b", Nested(NewDoc())))
 	r := d.ToRecord()
 	if r.Len() != 1 || !r.Has("a") {
 		t.Errorf("ToRecord = %v", r)
@@ -62,8 +71,8 @@ func TestDocToRecordSkipsNested(t *testing.T) {
 }
 
 func TestSizeBytesMonotonic(t *testing.T) {
-	small := NewDoc().Set("a", Str("x"))
-	big := NewDoc().Set("a", Str("x")).Set("b", Str("a much longer value here"))
+	small := NewDoc(F("a", Str("x")))
+	big := NewDoc(F("a", Str("x")), F("b", Str("a much longer value here")))
 	if small.SizeBytes() >= big.SizeBytes() {
 		t.Errorf("size not monotonic: %d >= %d", small.SizeBytes(), big.SizeBytes())
 	}
@@ -80,7 +89,7 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 		}
 		r := record.New()
 		r.Set(key, record.String(val))
-		return slices.Equal(FromRecord(r).ToRecord().Fields(), r.Fields())
+		return slices.Equal(fromRecord(r).ToRecord().Fields(), r.Fields())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -88,14 +97,14 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 }
 
 func TestDocString(t *testing.T) {
-	d := NewDoc().Set("a", Num(1)).Set("b", List(Str("x")))
+	d := NewDoc(F("a", Num(1)), F("b", List(Str("x"))))
 	if got := d.String(); got != "{a: 1, b: [x]}" {
 		t.Errorf("String = %q", got)
 	}
 }
 
 // docModel is what a Doc must behave as: a map for lookup beside a slice for
-// order. A Doc holds neither; it scans its field list.
+// order. A Doc holds neither; it scans its bytes.
 type docModel struct {
 	order  []string
 	values map[string]DocValue
@@ -108,58 +117,57 @@ func (m *docModel) set(name string, v DocValue) {
 	m.values[name] = v
 }
 
+// doc builds the model's document.
+func (m *docModel) doc() *Doc {
+	fields := make([]Field, len(m.order))
+	for i, name := range m.order {
+		fields[i] = F(name, m.values[name])
+	}
+	return NewDoc(fields...)
+}
+
 func checkDocAgainstModel(t *testing.T, d *Doc, m *docModel, names []string) {
 	t.Helper()
-	if got := docNames(d); len(got) != len(m.order) {
+	if got := docNames(d); !slices.Equal(got, m.order) {
 		t.Fatalf("names = %v, model %v", got, m.order)
 	}
-	for i, name := range docNames(d) {
-		if name != m.order[i] {
-			t.Fatalf("names = %v, model %v", docNames(d), m.order)
-		}
-	}
 	for _, name := range names {
-		got, ok := d.Get(name)
 		want, wantOK := m.values[name]
-		if ok != wantOK || got.String() != want.String() {
-			t.Fatalf("Get(%q) = %v, %v; model %v, %v", name, got, ok, want, wantOK)
-		}
 		if p, pok := d.Path(name); pok != wantOK || p.String() != want.String() {
 			t.Fatalf("Path(%q) = %v, %v; model %v, %v", name, p, pok, want, wantOK)
 		}
 	}
 }
 
+// TestDocMatchesMapAndOrderModel: a document built from fields holds them
+// in their order, reads each by name, and is a copy: its codec copy is
+// equal to it, and neither moves when the fields it was built from are set
+// again.
 func TestDocMatchesMapAndOrderModel(t *testing.T) {
 	names := []string{"type", "name", "source_url", "attributes", "text", "entities", "price", ""}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		d, m := NewDoc(), &docModel{values: map[string]DocValue{}}
-		if seed%2 == 0 {
-			d = NewDocCap(rng.Intn(6))
-		}
+		m := &docModel{values: map[string]DocValue{}}
+		d := m.doc()
 		for step := 0; step < 200; step++ {
 			switch op := rng.Intn(10); {
 			case op < 6: // set: a new field goes last, a known one keeps its place
 				name, v := names[rng.Intn(len(names))], Num(int64(step))
 				if rng.Intn(4) == 0 {
-					v = Nested(NewDoc().Set("k", Num(int64(step))))
+					v = Nested(NewDoc(F("k", Num(int64(step)))))
 				}
-				d.Set(name, v)
 				m.set(name, v)
+				d = m.doc()
 			case op < 8: // codec copy: equal now, and unaffected by what follows
-				c, err := DecodeDoc(EncodeDoc(d))
+				c, err := AdoptDoc(EncodeDoc(d))
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkDocAgainstModel(t, c, m, names)
 				before := c.String()
 				name := names[rng.Intn(len(names))]
-				d.Set(name, Str("after the clone"))
-				m.set(name, Str("after the clone"))
-				if nested, ok := d.Get("attributes"); ok && nested.IsDoc() {
-					nested.Doc().Set("k", Str("deep write")) // the model shares the nested document
-				}
+				m.set(name, Str("after the copy"))
+				d = m.doc()
 				if got := c.String(); got != before {
 					t.Fatalf("copy moved with its original: %s, was %s", got, before)
 				}
@@ -172,42 +180,38 @@ func TestDocMatchesMapAndOrderModel(t *testing.T) {
 			}
 			checkDocAgainstModel(t, d, m, names)
 		}
-		round, err := DecodeDoc(EncodeDoc(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkDocAgainstModel(t, round, m, names)
 	}
 	var none *Doc
-	if _, ok := none.Get("name"); ok || none.Len() != 0 {
+	if _, ok := none.Path("name"); ok || none.Len() != 0 {
 		t.Error("a nil document holds nothing")
 	}
 	if _, ok := none.Path("a.b"); ok {
 		t.Error("a path into a nil document resolves nothing")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a name given twice did not panic")
+		}
+	}()
+	NewDoc(F("a", Num(1)), F("b", Num(2)), F("a", Num(3)))
 }
 
-// The allocation budget of building a document: the Doc, and its field list
-// grown twice. The map a Doc used to carry cost three more.
-func TestDocSetAllocations(t *testing.T) {
+// The allocation budget of building a document: the Doc and its bytes. The
+// fields are encoded on the stack and copied once; a field list cost two
+// more.
+func TestNewDocAllocations(t *testing.T) {
 	n := testing.AllocsPerRun(100, func() {
-		NewDoc().Set("type", Str("Movie")).Set("name", Str("Matilda")).Set("source_url", Str("u")).
-			Set("text", Str("t")).Set("price", Num(27))
+		NewDoc(F("type", Str("Movie")), F("name", Str("Matilda")), F("source_url", Str("u")),
+			F("text", Str("t")), F("price", Num(27)))
 	})
-	if n > 4 {
-		t.Errorf("NewDoc and five Sets allocate %v times, want at most 4", n)
+	if n > 2 {
+		t.Errorf("NewDoc of five fields allocates %v times, want at most 2", n)
 	}
 }
 
-// A field is its name and a DocValue: one 64-byte slot in a document.
-func TestDocFieldSize(t *testing.T) {
-	if n := unsafe.Sizeof(docField{}); n > 64 {
-		t.Errorf("docField is %d bytes, budget 64", n)
-	}
-}
-
-// The pointer that is set decides the kind, so the nil nested document and
-// the empty list still read as what they were built as.
+// The tag tells the three kinds apart, so the empty document and the empty
+// list still read as what they were built as, and a nested document or a
+// list reads as the null scalar.
 func TestDocValueKindFromPointers(t *testing.T) {
 	cases := []struct {
 		v                DocValue
@@ -225,15 +229,25 @@ func TestDocValueKindFromPointers(t *testing.T) {
 			t.Errorf("%#v: IsScalar %v IsDoc %v IsList %v", c.v, c.v.IsScalar(), c.v.IsDoc(), c.v.IsList())
 		}
 	}
-	if Nested(nil).Doc() != nil {
-		t.Error("Nested(nil).Doc() is not nil")
+	if d := Nested(nil).Doc(); d == nil || d.Len() != 0 || d.raw != NewDoc().raw {
+		t.Errorf("Nested(nil).Doc() is %v, not the empty document", d)
 	}
-	if !(DocValue{}).Scalar().IsNull() || !Nested(NewDoc()).Scalar().IsNull() {
-		t.Error("the zero value and a nested document must read as the null scalar")
+	if !(DocValue{}).Scalar().IsNull() || !Nested(NewDoc()).Scalar().IsNull() || !List(Num(1)).Scalar().IsNull() {
+		t.Error("the zero value, a nested document and a list must read as the null scalar")
 	}
 }
 
-// docNames lists d's top-level field names in insertion order.
+// field is the value of d's top-level field name, found by Field.
+func field(d *Doc, name string) (DocValue, bool) {
+	for i := range d.Len() {
+		if n, v := d.Field(i); n == name {
+			return v, true
+		}
+	}
+	return DocValue{}, false
+}
+
+// docNames lists d's top-level field names in order.
 func docNames(d *Doc) []string {
 	names := make([]string, d.Len())
 	for i := range names {

@@ -63,8 +63,8 @@ func (c Cond) Matches(d *Doc) bool {
 	}
 	// A condition on a list field matches when any element matches.
 	if v.IsList() {
-		it := v.elems()
-		for e, ok := it.next(); ok; e, ok = it.next() {
+		it := v.Elems()
+		for e, ok := it.Next(); ok; e, ok = it.Next() {
 			if c.matchesValue(e) {
 				return true
 			}

@@ -101,17 +101,21 @@ func putCombinator(buf *bytes.Buffer, tag string, kids []Filter) error {
 }
 
 // ReadFilter reads the filter whose document data holds, and nothing after
-// it. It reads the document as DecodeDoc followed by the filter's reading
-// of its fields would: fields in any order, the last of a repeated field
-// winning, unknown fields checked and ignored, a document or list where a
-// scalar belongs read as null, and the children read only for the tag that
-// has them. Bytes that are no document fail before anything else; every
-// error is an invalid argument.
+// it. It reads the document as AdoptDoc followed by the filter's reading of
+// its fields would: fields in any order, unknown fields checked and
+// ignored, a document or list where a scalar belongs read as null, and the
+// children read only for the tag that has them. Bytes that are no document,
+// or not what PutDoc writes (see AdoptDoc), fail before anything else;
+// every error is an invalid argument.
 func ReadFilter(data []byte) (Filter, error) {
 	w := &walker[[]byte]{b: data}
 	f, bad, err := getFilter(w)
-	if err == nil && w.left() != 0 {
+	switch {
+	case err != nil:
+	case w.left() != 0:
 		err = fmt.Errorf("store: %d trailing bytes after document", w.left())
+	case w.odd:
+		err = errNotCanonical
 	}
 	if err != nil {
 		return nil, dterr.Wrap(dterr.CodeInvalidArgument, err)
@@ -119,8 +123,7 @@ func ReadFilter(data []byte) (Filter, error) {
 	return f, bad
 }
 
-// filterDoc is what a filter document's fields say, each the last of its
-// name read.
+// filterDoc is what a filter document's fields say.
 type filterDoc struct {
 	t, path   string
 	op, value record.Value
@@ -142,11 +145,14 @@ func getFilter(w *walker[[]byte]) (f Filter, bad, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	first := w.i
 	for i := 0; i < n; i++ {
+		start := w.i
 		at, size, err := w.name()
 		if err != nil {
 			return nil, nil, err
 		}
+		w.noteName(first, start, at, size)
 		field := w.pick(size, filterFieldNames...)
 		if field < 0 {
 			w.i += size
@@ -175,7 +181,6 @@ func (fd *filterDoc) read(w *walker[[]byte], field int) error {
 	case fieldValue:
 		fd.value, err = getScalar(w)
 	case fieldSet:
-		fd.set = nil
 		var n int
 		if n, err = getListLen(w); n > 0 {
 			fd.set = make([]record.Value, n)
@@ -188,14 +193,13 @@ func (fd *filterDoc) read(w *walker[[]byte], field int) error {
 	case fieldKids:
 		fd.kids, fd.kidsBad, err = getKids(w)
 	case fieldKid:
-		fd.kid, fd.kidBad, fd.hasKid = nil, nil, false
 		if fd.hasKid, err = nextIs(w, tagNested); fd.hasKid {
 			fd.kid, fd.kidBad, err = getFilter(w)
 		} else if err == nil {
-			_, err = w.value(false)
+			err = w.value()
 		}
 	default:
-		_, err = w.value(false)
+		err = w.value()
 	}
 	return err
 }
@@ -249,9 +253,9 @@ func getKids(w *walker[[]byte]) (kids []Filter, bad, err error) {
 			if bad == nil {
 				bad = dterr.New(dterr.CodeInvalidArgument, "store: combinator child is not a document")
 			}
-			_, err = w.value(false)
+			err = w.value()
 		case bad != nil:
-			_, err = w.doc(false)
+			err = w.doc()
 		default:
 			var kid Filter
 			if kid, bad, err = getFilter(w); bad == nil {
@@ -275,7 +279,7 @@ func getScalar(w *walker[[]byte]) (record.Value, error) {
 	if scalar {
 		return w.scalar(true)
 	}
-	_, err = w.value(false)
+	err = w.value()
 	return record.Null, err
 }
 
@@ -303,7 +307,7 @@ func getListLen(w *walker[[]byte]) (int, error) {
 	list, err := nextIs(w, tagList)
 	if err != nil || !list {
 		if err == nil {
-			_, err = w.value(false)
+			err = w.value()
 		}
 		return 0, err
 	}

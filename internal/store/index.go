@@ -100,8 +100,8 @@ func (ix *Index) insert(id int64, d *Doc) {
 		}
 		return
 	}
-	it := v.elems()
-	for e, ok := it.next(); ok; e, ok = it.next() {
+	it := v.Elems()
+	for e, ok := it.Next(); ok; e, ok = it.Next() {
 		if key, ok := indexKey(e); ok && ix.insertKey(key, id) {
 			ix.listEntries++
 		}

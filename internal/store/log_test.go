@@ -455,7 +455,7 @@ func TestLogCollectionOwner(t *testing.T) {
 			return err
 		}
 		apply := func(seq uint64, kind byte, payload []byte) error {
-			d, err := DecodeDoc(payload)
+			d, err := AdoptDoc(payload)
 			if err != nil {
 				return err
 			}
@@ -471,7 +471,7 @@ func TestLogCollectionOwner(t *testing.T) {
 		return l, c
 	}
 	put := func(l *Log, c *Collection, id int64, name string) {
-		d := entityDoc(name, "Movie", id).Set("id", Num(id))
+		d := NewDoc(F("name", Str(name)), F("type", Str("Movie")), F("mentions", Num(id)), F("id", Num(id)))
 		if err := c.ApplyReplay(id, d); err != nil {
 			t.Fatal(err)
 		}

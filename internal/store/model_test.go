@@ -85,18 +85,18 @@ func modelDoc(a, b byte) *Doc {
 	if a/5%2 == 1 {
 		name += " II"
 	}
-	d := NewDoc().Set("name", Str(name))
+	fields := []Field{F("name", Str(name))}
 	switch b % 5 {
 	case 3:
 	case 4:
-		d.Set("type", List(Str(types[a%3]), Str(types[(a+1)%3])))
+		fields = append(fields, F("type", List(Str(types[a%3]), Str(types[(a+1)%3]))))
 	default:
-		d.Set("type", Str(types[b%5]))
+		fields = append(fields, F("type", Str(types[b%5])))
 	}
 	if text := texts[b/5%4]; text != "" {
-		d.Set("text", Str(text))
+		fields = append(fields, F("text", Str(text)))
 	}
-	return d.Set("mentions", Num(int64(a)))
+	return NewDoc(append(fields, F("mentions", Num(int64(a))))...)
 }
 
 // FuzzCollectionMatchesModel: any sequence of Insert, InsertMany,

@@ -147,7 +147,7 @@ func TestHashPostingsStayInIDOrder(t *testing.T) {
 	for i := 4; i < 6; i++ {
 		c.Insert(entityDoc(fmt.Sprintf("E%d", i), typ(i), 0))
 	}
-	if err := c.ApplyReplay(9, NewDoc().Set("name", Str("E9")).Set("type", List(Str("Movie"), Str("Movie")))); err != nil {
+	if err := c.ApplyReplay(9, NewDoc(F("name", Str("E9")), F("type", List(Str("Movie"), Str("Movie"))))); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
@@ -165,17 +165,17 @@ func TestHashPostingsStayInIDOrder(t *testing.T) {
 func TestDistinctIndexAndFallback(t *testing.T) {
 	c := NewCollection("dt.entity", 0)
 	c.EnsureIndex("tags_1", "tags", HashIndex)
-	c.Insert(NewDoc().Set("tags", Str("a")))
-	c.Insert(NewDoc().Set("tags", Str("a")))
-	c.Insert(NewDoc().Set("tags", Num(7)))
-	c.Insert(NewDoc().Set("other", Str("x")))
+	c.Insert(NewDoc(F("tags", Str("a"))))
+	c.Insert(NewDoc(F("tags", Str("a"))))
+	c.Insert(NewDoc(F("tags", Num(7))))
+	c.Insert(NewDoc(F("other", Str("x"))))
 	want := []Group{{"a", 2}, {"7", 1}}
 	if got := c.Query(Query{GroupBy: "tags"}).Groups; !slices.Equal(got, want) {
 		t.Fatalf("index-served group count = %v, want %v", got, want)
 	}
 	// A list is not a scalar value, so the count skips it, but its elements
 	// are index keys: the index now over-counts "a" and must not be read.
-	c.Insert(NewDoc().Set("tags", List(Str("a"), Str("b"))))
+	c.Insert(NewDoc(F("tags", List(Str("a"), Str("b")))))
 	if got := c.Query(Query{GroupBy: "tags"}).Groups; !slices.Equal(got, want) {
 		t.Fatalf("group count with a list-valued doc = %v, want %v", got, want)
 	}
@@ -188,7 +188,7 @@ func TestDocPathMatchesSplitWalk(t *testing.T) {
 		cur := d
 		parts := strings.Split(path, ".")
 		for i, part := range parts {
-			v, ok := cur.Get(part)
+			v, ok := field(cur, part)
 			if !ok {
 				return DocValue{}, false
 			}
@@ -202,10 +202,10 @@ func TestDocPathMatchesSplitWalk(t *testing.T) {
 		}
 		return DocValue{}, false
 	}
-	d := NewDoc().
-		Set("a", Nested(NewDoc().Set("b", Nested(NewDoc().Set("c", Num(1)))).Set("", Str("empty name")))).
-		Set("s", Str("scalar")).
-		Set("", Nested(NewDoc().Set("x", Num(2))))
+	d := NewDoc(
+		F("a", Nested(NewDoc(F("b", Nested(NewDoc(F("c", Num(1))))), F("", Str("empty name"))))),
+		F("s", Str("scalar")),
+		F("", Nested(NewDoc(F("x", Num(2))))))
 	for _, path := range []string{"", ".", "a", "a.", "a.b", "a.b.c", "a.b.c.d", "a..b", ".x", "..", "s", "s.t", "missing", "a.missing", "a.b."} {
 		got, gotOK := d.Path(path)
 		want, wantOK := splitWalk(d, path)
@@ -218,9 +218,9 @@ func TestDocPathMatchesSplitWalk(t *testing.T) {
 // ---- allocation budgets -------------------------------------------------
 
 func TestMatchAllocBudget(t *testing.T) {
-	d := NewDoc().
-		Set("name", Str("The Walking Dead")).
-		Set("attributes", Nested(NewDoc().Set("award_winning", Str("true"))))
+	d := NewDoc(
+		F("name", Str("The Walking Dead")),
+		F("attributes", Nested(NewDoc(F("award_winning", Str("true"))))))
 	nested := EqStr("attributes.award_winning", "true")
 	hit, miss := Contains("name", "WALKING d"), Contains("name", "matilda")
 	var ok bool

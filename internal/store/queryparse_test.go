@@ -73,9 +73,9 @@ func TestParseFilterBoolean(t *testing.T) {
 }
 
 func TestParseFilterQuotedAndDotted(t *testing.T) {
-	d := NewDoc().
-		Set("name", Str("The Walking Dead")).
-		Set("attributes", Nested(NewDoc().Set("award winning", Str("true"))))
+	d := NewDoc(
+		F("name", Str("The Walking Dead")),
+		F("attributes", Nested(NewDoc(F("award winning", Str("true"))))))
 	f := parseOrFail(t, `name = "The Walking Dead"`)
 	if !f.Matches(d) {
 		t.Error("quoted value failed")

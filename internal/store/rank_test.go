@@ -109,7 +109,7 @@ func rankReference(r *Rank, docs []*Doc, offset, limit int) []*Doc {
 // feedDoc is a fragment numbered n, so that documents with one text stay
 // apart.
 func feedDoc(n int, text string) *Doc {
-	return NewDoc().Set("source_url", Str(fmt.Sprintf("u%d", n))).Set("text", Str(text)).Set("n", Num(int64(n)))
+	return NewDoc(F("source_url", Str(fmt.Sprintf("u%d", n))), F("text", Str(text)), F("n", Num(int64(n))))
 }
 
 // sameDocs reports whether got and want are the same documents in the same

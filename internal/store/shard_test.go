@@ -25,14 +25,14 @@ func TestShardForStability(t *testing.T) {
 			h := fnv.New32a()
 			h.Write([]byte(key))
 			want := int(h.Sum32()) % shards
-			if got := s.shardFor(NewDoc().Set("name", Str(key))); got != want {
+			if got := s.shardFor(NewDoc(F("name", Str(key)))); got != want {
 				t.Fatalf("shards=%d key=%q: shardFor = %d, want %d", shards, key, got, want)
 			}
 		}
 	}
 	// Missing shard keys route to shard 0.
 	s := NewSharded("dt.pin", "name", 4, 0)
-	if got := s.shardFor(NewDoc().Set("other", Str("x"))); got != 0 {
+	if got := s.shardFor(NewDoc(F("other", Str("x")))); got != 0 {
 		t.Errorf("missing key routed to shard %d", got)
 	}
 }

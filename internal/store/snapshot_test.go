@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/record"
 )
@@ -158,7 +159,7 @@ func TestImageAboveAnID(t *testing.T) {
 func TestSnapshotRefusesMalformed(t *testing.T) {
 	base := NewCollection("dt.x", 0)
 	base.EnsureIndex("a_1", "a", HashIndex)
-	base.Insert(NewDoc().Set("a", Num(1)))
+	base.Insert(NewDoc(F("a", Num(1))))
 	good := snapshotBytes(t, base)
 	if _, err := ReadSnapshot(bytes.NewReader(good)); err != nil {
 		t.Fatal(err)
@@ -195,7 +196,7 @@ func TestSnapshotRefusesMalformed(t *testing.T) {
 		var reserved [4 + 8]byte
 		binary.LittleEndian.PutUint64(reserved[4:], uint64(id))
 		b.Write(reserved[:])
-		PutDoc(&b, NewDoc().Set("a", Num(id)))
+		PutDoc(&b, NewDoc(F("a", Num(id))))
 		sealFrame(&b, 0)
 		return b.Bytes()
 	}
@@ -388,3 +389,33 @@ func FuzzReplayEventLog(f *testing.F) {
 // documents and rebuilt indexes outweigh their encoding, never a length a
 // header merely claims.
 func allocBound(n int) uint64 { return FrameChunk + 1<<20 + 4096*uint64(n) }
+
+// TestZonedTimeSizesSurviveSnapshot: a document is its encoding from the
+// moment it is built, so a zoned time reads back as its UTC instant at
+// once, and a collection holding one sizes it alike before a snapshot and
+// after it is read back.
+func TestZonedTimeSizesSurviveSnapshot(t *testing.T) {
+	zoned := time.Date(2013, 3, 4, 19, 30, 15, 250_000_000, time.FixedZone("", -5*3600))
+	d := NewDoc(F("name", Str("Matilda")), F("opened", Scalar(record.Time(zoned))))
+	if v, _ := d.Path("opened"); v.Scalar() != record.Time(zoned.UTC()) {
+		t.Fatalf("opened reads %v, want the UTC instant %v", v, zoned.UTC())
+	}
+	c := NewCollection("dt.zoned", 0)
+	c.Insert(d)
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, after := c.Stats(), loaded.Stats()
+	if before.DataSize != after.DataSize || before.AvgObjSize != after.AvgObjSize {
+		t.Errorf("stats before the snapshot %+v, after %+v", before, after)
+	}
+	_, docs := members(loaded)
+	if len(docs) != 1 || docs[0].SizeBytes() != d.SizeBytes() {
+		t.Errorf("read back as %v, sized %d; built sized %d", docs, docs[0].SizeBytes(), d.SizeBytes())
+	}
+}

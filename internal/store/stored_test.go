@@ -2,17 +2,233 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
+
+	"repro/internal/record"
 )
 
+// refValue is a document value as the reference reader reads it: a tree,
+// a nested document's fields and a list's elements built out.
+type refValue struct {
+	tag    byte
+	scalar record.Value
+	fields []refField // a nested document's
+	elems  []refValue // a list's
+}
+
+type refField struct {
+	name  string
+	value refValue
+}
+
+// refReader is the reference reader of the document grammar: a tree built
+// over a bytes.Reader with binary.ReadUvarint, sharing no code with the
+// walker. It accepts only what PutDoc writes, refusing a varint in a longer
+// form than needed, a bool byte above 1 and a name repeated in one
+// document.
+type refReader struct{ rd *bytes.Reader }
+
+// refDoc reads data as one document and nothing after it.
+func refDoc(data []byte) ([]refField, error) {
+	r := refReader{bytes.NewReader(data)}
+	fields, err := r.doc()
+	if err == nil && r.rd.Len() != 0 {
+		err = fmt.Errorf("%d trailing bytes", r.rd.Len())
+	}
+	return fields, err
+}
+
+func (r refReader) uvarint() (uint64, error) {
+	before := r.rd.Len()
+	x, err := binary.ReadUvarint(r.rd)
+	if err == nil && before-r.rd.Len() != len(binary.AppendUvarint(nil, x)) {
+		err = errors.New("a varint in a longer form than needed")
+	}
+	return x, err
+}
+
+// size reads a count or a length, which the bytes left must cover.
+func (r refReader) size() (int, error) {
+	n, err := r.uvarint()
+	if err == nil && n > uint64(r.rd.Len()) {
+		err = fmt.Errorf("size %d exceeds the %d bytes left", n, r.rd.Len())
+	}
+	return int(n), err
+}
+
+func (r refReader) str() (string, error) {
+	n, err := r.size()
+	if err != nil {
+		return "", err
+	}
+	b := make([]byte, n)
+	_, err = io.ReadFull(r.rd, b)
+	return string(b), err
+}
+
+func (r refReader) doc() ([]refField, error) {
+	n, err := r.size()
+	if err != nil {
+		return nil, err
+	}
+	var fields []refField
+	for range n {
+		name, err := r.str()
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range fields {
+			if f.name == name {
+				return nil, fmt.Errorf("field %q repeated", name)
+			}
+		}
+		v, err := r.value()
+		if err != nil {
+			return nil, err
+		}
+		fields = append(fields, refField{name, v})
+	}
+	return fields, nil
+}
+
+func (r refReader) value() (refValue, error) {
+	tag, err := r.rd.ReadByte()
+	if err != nil {
+		return refValue{}, err
+	}
+	v := refValue{tag: tag}
+	switch tag {
+	case 0:
+		v.scalar, err = r.scalar()
+	case 1:
+		v.fields, err = r.doc()
+	case 2:
+		var n int
+		n, err = r.size()
+		for ; err == nil && n > 0; n-- {
+			var e refValue
+			if e, err = r.value(); err == nil {
+				v.elems = append(v.elems, e)
+			}
+		}
+	default:
+		err = fmt.Errorf("tag %d", tag)
+	}
+	return v, err
+}
+
+func (r refReader) scalar() (record.Value, error) {
+	kind, err := r.rd.ReadByte()
+	if err != nil {
+		return record.Null, err
+	}
+	switch kind {
+	case 0:
+		return record.Null, nil
+	case 1:
+		s, err := r.str()
+		return record.String(s), err
+	case 2, 3, 5:
+		var b [8]byte
+		if _, err := io.ReadFull(r.rd, b[:]); err != nil {
+			return record.Null, err
+		}
+		x := binary.LittleEndian.Uint64(b[:])
+		switch kind {
+		case 2:
+			return record.Int(int64(x)), nil
+		case 3:
+			return record.Float(math.Float64frombits(x)), nil
+		}
+		return record.Time(time.Unix(0, int64(x)).UTC()), nil
+	case 4:
+		b, err := r.rd.ReadByte()
+		if err == nil && b > 1 {
+			err = fmt.Errorf("bool byte %d", b)
+		}
+		return record.Bool(b == 1), err
+	}
+	return record.Null, fmt.Errorf("kind %d", kind)
+}
+
+// refSize is the size the store estimates for the fields named in names,
+// every field when names is empty: 16 bytes of header, and per field its
+// name, 2 bytes and its value's size — a scalar 16 bytes and its rendering,
+// a list 8 bytes and its elements'.
+func refSize(fields []refField, names []string) int64 {
+	var n int64 = 16
+	for _, f := range fields {
+		if len(names) == 0 || slices.Contains(names, f.name) {
+			n += int64(len(f.name)) + 2 + f.value.size()
+		}
+	}
+	return n
+}
+
+func (v refValue) size() int64 {
+	switch v.tag {
+	case 0:
+		return 16 + int64(len(v.scalar.Str()))
+	case 1:
+		return refSize(v.fields, nil)
+	}
+	var n int64 = 8
+	for _, e := range v.elems {
+		n += e.size()
+	}
+	return n
+}
+
+// String renders v as DocValue.String renders what it encodes.
+func (v refValue) String() string {
+	var parts []string
+	switch v.tag {
+	case 0:
+		return v.scalar.String()
+	case 1:
+		for _, f := range v.fields {
+			parts = append(parts, f.name+": "+f.value.String())
+		}
+		return "{" + strings.Join(parts, ", ") + "}"
+	}
+	for _, e := range v.elems {
+		parts = append(parts, e.String())
+	}
+	return "[" + strings.Join(parts, ", ") + "]"
+}
+
+// path resolves a dotted path in fields as Doc.Path does: each part the
+// field of that name, every part but the last a nested document.
+func refPath(fields []refField, path string) (refValue, bool) {
+	for {
+		part, rest, nested := strings.Cut(path, ".")
+		i := slices.IndexFunc(fields, func(f refField) bool { return f.name == part })
+		switch {
+		case i < 0:
+			return refValue{}, false
+		case !nested:
+			return fields[i].value, true
+		case fields[i].value.tag != 1:
+			return refValue{}, false
+		}
+		fields, path = fields[i].value.fields, rest
+	}
+}
+
 // storedSeeds are document bytes the stored-form fuzz starts from: every
-// value kind, torn and trailing variants, and odd bytes DecodeDoc accepts
-// but PutDoc never writes — a repeated field name, a count in a longer
-// form than needed, a bool byte of 2.
+// value kind, torn and trailing variants, and bytes PutDoc never writes,
+// which adoption refuses — a repeated field name, a count in a longer form
+// than needed, a bool byte of 2.
 func storedSeeds() [][]byte {
 	golden := EncodeDoc(codecFixture())
 	rich := EncodeDoc(richDoc())
@@ -27,181 +243,153 @@ func storedSeeds() [][]byte {
 	for _, d := range listDocs() {
 		seeds = append(seeds, EncodeDoc(d))
 	}
-	return append(seeds, EncodeDoc(wideDoc(20, "", 0)), EncodeDoc(wideDoc(20, "f0", 1)))
+	return append(seeds, wideDoc(20, "", 0), wideDoc(20, "f0", 1))
 }
 
-// wideDoc is a document of n string fields f0, f1, ..., the middle one
-// holding a nested document of the same names; with repeat set, the last
-// field of the outer document (at depth 0) or of the nested one (at depth
-// 1) is named repeat instead. Its fields are laid out by hand, because Set
-// would not repeat a name.
-func wideDoc(n int, repeat string, depth int) *Doc {
-	fields := func(nested *Doc, repeat string) *Doc {
-		d := NewDoc()
+// wideDoc encodes a document of n string fields f0, f1, ..., the middle
+// one holding a nested document of the same names; with repeat set, the
+// last field of the outer document (at depth 0) or of the nested one (at
+// depth 1) is named repeat instead. It writes the bytes piece by piece,
+// because NewDoc does not repeat a name.
+func wideDoc(n int, repeat string, depth int) []byte {
+	var fields func(b []byte, level int) []byte
+	fields = func(b []byte, level int) []byte {
 		for i := 0; i < n; i++ {
-			f := docField{name: fmt.Sprint("f", i), value: Str(fmt.Sprint("v", i))}
-			if i == n-1 && repeat != "" {
-				f.name = repeat
+			name := fmt.Sprint("f", i)
+			if i == n-1 && level == depth && repeat != "" {
+				name = repeat
 			}
-			if i == n/2 && nested != nil {
-				f.value = Nested(nested)
+			if i == n/2 && level == 0 {
+				b = fields(AppendDocField(b, name, n), 1)
+			} else {
+				b = AppendStrField(b, name, fmt.Sprint("v", i))
 			}
-			d.fields = append(d.fields, f)
 		}
-		return d
+		return b
 	}
-	if depth == 1 {
-		return fields(fields(nil, repeat), "")
+	return fields(AppendDocHead(nil, n), 0)
+}
+
+// checkAdoptMatchesReference fails t unless adopting data fails exactly
+// when the reference reader refuses it and, once adopted, the document
+// reads the reference's tree through every accessor and encodes to data
+// itself.
+func checkAdoptMatchesReference(t *testing.T, data []byte) {
+	want, werr := refDoc(data)
+	d, err := AdoptDoc(data)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("%x: AdoptDoc says %v, the reference %v", data, err, werr)
 	}
-	return fields(fields(nil, ""), repeat)
+	if err != nil {
+		return
+	}
+	if got := EncodeDoc(d); !bytes.Equal(got, data) {
+		t.Fatalf("%x: adopted, it encodes to %x", data, got)
+	}
+	matchesRef(t, "", d, want)
 }
 
 // FuzzStoredDocMatchesDecoded: for any bytes, adopting them fails exactly
-// when DecodeDoc does, with its error; once adopted, every accessor of the
-// stored document reads what the same accessor reads on the decoded,
-// built one, and the stored document re-encodes to the built one's
-// encoding — to the input bytes themselves unless they are odd (see
-// AdoptDoc).
+// when the reference reader refuses them; once adopted, every accessor of
+// the document, at every depth, reads the tree the reference decodes, and
+// the document's encoding is the input.
 func FuzzStoredDocMatchesDecoded(f *testing.F) {
 	for _, seed := range storedSeeds() {
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		built, berr := DecodeDoc(data)
-		stored, serr := AdoptDoc(data)
-		if fmt.Sprint(berr) != fmt.Sprint(serr) {
-			t.Fatalf("%x: DecodeDoc says %v, AdoptDoc %v", data, berr, serr)
-		}
-		if berr != nil {
-			return
-		}
-		if stored.raw == "" {
-			t.Fatalf("%x: adopted document is not stored", data)
-		}
-		enc := EncodeDoc(built)
-		if got := EncodeDoc(stored); !bytes.Equal(got, enc) {
-			t.Fatalf("%x: stored re-encodes to %x, built to %x", data, got, enc)
-		}
-		odd, _ := checkDoc(data)
-		if !odd && !bytes.Equal(enc, data) {
-			t.Fatalf("%x: not odd, yet re-encodes to %x", data, enc)
-		}
-		sameDoc(t, "", built, stored)
-		// What was adopted is adopted again as it is.
-		again, err := AdoptDoc(EncodeDoc(stored))
-		if err != nil || again.raw != stored.raw {
-			t.Fatalf("%x: re-adopting gives %v, %v", data, again, err)
-		}
-	})
+	f.Fuzz(checkAdoptMatchesReference)
 }
 
-// sameDoc fails t unless every accessor of got reads what it reads on
-// want, at every depth: Len, Field, Get, Path, PathString, SizeBytes,
+// matchesRef fails t unless every accessor of d reads the reference's
+// fields, at every depth: Len, Field, Path, PathString, SizeBytes,
 // SizeBytesOf, ToRecord and String, and each nested document and list
-// through DocValue.Doc, List and the iterator the store reads lists with.
-func sameDoc(t *testing.T, at string, want, got *Doc) {
+// through DocValue.Doc and Elems.
+func matchesRef(t *testing.T, at string, d *Doc, want []refField) {
 	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: Len %d, want %d", at, got.Len(), want.Len())
+	if d.Len() != len(want) {
+		t.Fatalf("%s: Len %d, want %d", at, d.Len(), len(want))
 	}
-	if got.SizeBytes() != want.SizeBytes() {
-		t.Fatalf("%s: SizeBytes %d, want %d", at, got.SizeBytes(), want.SizeBytes())
+	if got, w := d.SizeBytes(), refSize(want, nil); got != w {
+		t.Fatalf("%s: SizeBytes %d, want %d", at, got, w)
 	}
-	if got.String() != want.String() {
-		t.Fatalf("%s: String %s, want %s", at, got, want)
+	if got, w := d.String(), (refValue{tag: 1, fields: want}).String(); got != w {
+		t.Fatalf("%s: String %s, want %s", at, got, w)
 	}
-	if g, w := got.ToRecord().Fields(), want.ToRecord().Fields(); !slices.Equal(g, w) {
-		t.Fatalf("%s: ToRecord %v, want %v", at, g, w)
-	}
+	rec := record.New()
 	names := []string{"", "absent"}
-	for i := 0; i < want.Len(); i++ {
-		wn, wv := want.Field(i)
-		gn, gv := got.Field(i)
-		if gn != wn {
-			t.Fatalf("%s: field %d is %q, want %q", at, i, gn, wn)
+	for i, f := range want {
+		name, v := d.Field(i)
+		if name != f.name {
+			t.Fatalf("%s: field %d is %q, want %q", at, i, name, f.name)
 		}
-		sameValue(t, at+"."+wn, wv, gv)
-		names = append(names, wn)
-		if gs, ws := got.SizeBytesOf([]string{wn, "absent"}), want.SizeBytesOf([]string{wn, "absent"}); gs != ws {
-			t.Fatalf("%s: SizeBytesOf(%q) %d, want %d", at, wn, gs, ws)
+		valueMatchesRef(t, at+"."+name, v, f.value)
+		if got, w := d.SizeBytesOf([]string{name, "absent"}), refSize(want, []string{name}); got != w {
+			t.Fatalf("%s: SizeBytesOf(%q) %d, want %d", at, name, got, w)
 		}
-		if wv.IsDoc() {
-			for j := 0; j < wv.Doc().Len(); j++ {
-				sub, _ := wv.Doc().Field(j)
-				names = append(names, wn+"."+sub, wn+"."+sub+".absent")
-			}
+		if f.value.tag == 0 {
+			rec.Set(name, f.value.scalar)
+		}
+		names = append(names, name)
+		for _, sub := range f.value.fields {
+			names = append(names, name+"."+sub.name, name+"."+sub.name+".absent")
 		}
 	}
-	for _, name := range names {
-		wv, wok := want.Get(name)
-		gv, gok := got.Get(name)
-		if gok != wok {
-			t.Fatalf("%s: Get(%q) found %v, want %v", at, name, gok, wok)
+	if got, w := d.ToRecord().Fields(), rec.Fields(); !slices.Equal(got, w) {
+		t.Fatalf("%s: ToRecord %v, want %v", at, got, w)
+	}
+	for _, path := range names {
+		v, ok := d.Path(path)
+		w, wok := refPath(want, path)
+		if ok != wok {
+			t.Fatalf("%s: Path(%q) found %v, want %v", at, path, ok, wok)
 		}
-		if wok {
-			sameValue(t, at+" Get "+name, wv, gv)
+		if ok {
+			valueMatchesRef(t, at+" Path "+path, v, w)
 		}
-		wv, wok = want.Path(name)
-		gv, gok = got.Path(name)
-		if gok != wok {
-			t.Fatalf("%s: Path(%q) found %v, want %v", at, name, gok, wok)
+		ws := ""
+		if wok && w.tag == 0 {
+			ws = w.scalar.Str()
 		}
-		if wok {
-			sameValue(t, at+" Path "+name, wv, gv)
-		}
-		if g, w := got.PathString(name), want.PathString(name); g != w {
-			t.Fatalf("%s: PathString(%q) %q, want %q", at, name, g, w)
+		if got := d.PathString(path); got != ws {
+			t.Fatalf("%s: PathString(%q) %q, want %q", at, path, got, ws)
 		}
 	}
 }
 
-// sameValue fails t unless got reads as want does.
-func sameValue(t *testing.T, at string, want, got DocValue) {
+// valueMatchesRef fails t unless v reads as the reference's value.
+func valueMatchesRef(t *testing.T, at string, v DocValue, want refValue) {
 	t.Helper()
-	if got.IsScalar() != want.IsScalar() || got.IsDoc() != want.IsDoc() || got.IsList() != want.IsList() {
-		t.Fatalf("%s: %v is not the same kind of value as %v", at, got, want)
+	if v.IsScalar() != (want.tag == 0) || v.IsDoc() != (want.tag == 1) || v.IsList() != (want.tag == 2) {
+		t.Fatalf("%s: %v is not the same kind of value as %v", at, v, want)
 	}
-	if g, w := got.Scalar(), want.Scalar(); g != w {
-		t.Fatalf("%s: scalar %#v, want %#v", at, g, w)
+	if got := v.Scalar(); got != want.scalar {
+		t.Fatalf("%s: scalar %#v, want %#v", at, got, want.scalar)
 	}
-	if got.sizeBytes() != want.sizeBytes() {
-		t.Fatalf("%s: size %d, want %d", at, got.sizeBytes(), want.sizeBytes())
+	if got, w := v.String(), want.String(); got != w {
+		t.Fatalf("%s: String %s, want %s", at, got, w)
 	}
-	switch {
-	case want.IsDoc():
-		sameDoc(t, at, want.Doc(), got.Doc())
-	case want.IsList():
-		wl, gl := want.List(), got.List()
-		if len(gl) != len(wl) {
-			t.Fatalf("%s: list of %d, want %d", at, len(gl), len(wl))
-		}
-		it := got.elems()
-		for i := range wl {
-			sameValue(t, fmt.Sprintf("%s[%d]", at, i), wl[i], gl[i])
-			e, ok := it.next()
+	switch want.tag {
+	case 1:
+		matchesRef(t, at, v.Doc(), want.fields)
+	case 2:
+		it := v.Elems()
+		for i, w := range want.elems {
+			e, ok := it.Next()
 			if !ok {
-				t.Fatalf("%s: the iterator ends at %d of %d", at, i, len(wl))
+				t.Fatalf("%s: the iterator ends at %d of %d", at, i, len(want.elems))
 			}
-			sameValue(t, fmt.Sprintf("%s[%d] iterated", at, i), wl[i], e)
+			valueMatchesRef(t, fmt.Sprintf("%s[%d]", at, i), e, w)
 		}
-		if _, ok := it.next(); ok {
-			t.Fatalf("%s: the iterator runs past %d", at, len(wl))
+		if _, ok := it.Next(); ok {
+			t.Fatalf("%s: the iterator runs past %d", at, len(want.elems))
 		}
-	}
-}
-
-// TestStoredDocSetBuilds: Set on a stored document turns it into a built
-// one holding the same fields, with the new one set.
-func TestStoredDocSetBuilds(t *testing.T) {
-	want := richDoc()
-	d, err := AdoptDoc(EncodeDoc(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Set("added", Num(7))
-	want.Set("added", Num(7))
-	if d.raw != "" || !bytes.Equal(EncodeDoc(d), EncodeDoc(want)) {
-		t.Fatalf("after Set: %v, want %v", d, want)
+	default:
+		if v.Doc() != nil {
+			t.Fatalf("%s: a %v gives a document", at, v)
+		}
+		if elemCount(v) != 0 {
+			t.Fatalf("%s: a %v gives elements", at, v)
+		}
 	}
 }
 
@@ -221,20 +409,22 @@ func TestAdoptDocsSharesOneCopy(t *testing.T) {
 	}
 	clear(buf)
 	for i := range got {
-		sameDoc(t, fmt.Sprint("doc ", i), docs[i], &got[i])
+		if got[i].raw != docs[i].raw {
+			t.Errorf("doc %d adopted as %v, want %v", i, &got[i], docs[i])
+		}
 	}
 	if _, err := AdoptDocs(buf[:ends[0]-1], ends[:1]); err == nil {
 		t.Error("an end past the bytes was not refused")
 	}
 }
 
-// TestWideDocIsAdoptedAsItIs: a document is odd only for bytes PutDoc
-// never writes, however many fields it has. A wide one, whose nested
+// TestWideDocIsAdoptedAsItIs: however many fields a document has, it is
+// refused only for bytes PutDoc never writes. A wide one, whose nested
 // document repeats its parent's names, keeps its bytes and shares its
 // batch's copy; a repeat of the first name in the last field, at either
-// depth, is re-encoded without it.
+// depth, is refused by AdoptDoc, AdoptDocs and a DocList window alike.
 func TestWideDocIsAdoptedAsItIs(t *testing.T) {
-	narrow, wide := EncodeDoc(listDocs()[0]), EncodeDoc(wideDoc(20, "", 0))
+	narrow, wide := EncodeDoc(listDocs()[0]), wideDoc(20, "", 0)
 	buf := slices.Concat(narrow, wide, narrow)
 	ends := []int{len(narrow), len(narrow) + len(wide), len(buf)}
 	docs, err := AdoptDocs(buf, ends)
@@ -248,14 +438,24 @@ func TestWideDocIsAdoptedAsItIs(t *testing.T) {
 		t.Error("a wide document does not share its batch's copy")
 	}
 	for depth := range 2 {
-		data := EncodeDoc(wideDoc(20, "f0", depth))
-		got, err := AdoptDoc(data)
+		data := wideDoc(20, "f0", depth)
+		if _, err := AdoptDoc(data); !errors.Is(err, errNotCanonical) {
+			t.Errorf("a name repeated at depth %d: AdoptDoc says %v", depth, err)
+		}
+		buf := slices.Concat(narrow, data)
+		if _, err := AdoptDocs(buf, []int{len(narrow), len(buf)}); !errors.Is(err, errNotCanonical) {
+			t.Errorf("a name repeated at depth %d: AdoptDocs says %v", depth, err)
+		}
+		var list bytes.Buffer
+		PutUvarint(&list, 2)
+		PutBytes(&list, data)
+		PutBytes(&list, narrow)
+		l, err := ReadDocList(list.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		built, _ := DecodeDoc(data)
-		if got.raw == string(data) || got.raw != string(EncodeDoc(built)) {
-			t.Errorf("a name repeated at depth %d was not re-encoded away", depth)
+		if _, err := l.AppendWindow(nil, 1, 2); !errors.Is(err, errNotCanonical) {
+			t.Errorf("a name repeated at depth %d outside the window: AppendWindow says %v", depth, err)
 		}
 	}
 }

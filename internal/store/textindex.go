@@ -57,8 +57,8 @@ func (tx *TextIndex) docTokens(d *Doc) []span {
 		return nil
 	}
 	if v.IsList() {
-		it := v.elems()
-		for e, ok := it.next(); ok; e, ok = it.next() {
+		it := v.Elems()
+		for e, ok := it.Next(); ok; e, ok = it.Next() {
 			if e.IsScalar() && !e.Scalar().IsNull() {
 				tx.collect(e.Scalar().Str())
 			}

@@ -11,7 +11,7 @@ import (
 )
 
 func textDoc(key, text string) *Doc {
-	return NewDoc().Set("key", Str(key)).Set("text", Str(text))
+	return NewDoc(F("key", Str(key)), F("text", Str(text)))
 }
 
 var textCorpus = []string{
@@ -164,7 +164,11 @@ func docTokensReference(d *Doc, path string) []string {
 		}
 	}
 	if v.IsList() {
-		for _, e := range v.List() {
+		for it := v.Elems(); ; {
+			e, ok := it.Next()
+			if !ok {
+				break
+			}
 			if e.IsScalar() && !e.Scalar().IsNull() {
 				collect(e.Scalar().Str())
 			}
@@ -195,7 +199,7 @@ func checkDocTokens(t *testing.T, tx *TextIndex, d *Doc) {
 func TestDocTokensMatchSetReference(t *testing.T) {
 	tx := newTextIndex("text")
 	texts := append(slices.Clone(textCorpus), "Ærø ÆRØ ærø", "İstanbul ISTANBUL", "")
-	docs := []*Doc{NewDoc(), NewDoc().Set("text", Num(42)), NewDoc().Set("text", List(Str("Wicked WICKED"), Num(7), Str("wicked once")))}
+	docs := []*Doc{NewDoc(), NewDoc(F("text", Num(42))), NewDoc(F("text", List(Str("Wicked WICKED"), Num(7), Str("wicked once"))))}
 	for _, text := range texts {
 		docs = append(docs, textDoc("k", text))
 	}
@@ -213,7 +217,7 @@ func FuzzDocTokensMatchesReference(f *testing.F) {
 	f.Add("Ærø ÆRØ ærø", "İstanbul ISTANBUL")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		tx := newTextIndex("text")
-		checkDocTokens(t, tx, NewDoc().Set("text", List(Str(a), Str(b))))
+		checkDocTokens(t, tx, NewDoc(F("text", List(Str(a), Str(b)))))
 		checkDocTokens(t, tx, textDoc("k", a))
 	})
 }
