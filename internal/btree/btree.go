@@ -1,89 +1,69 @@
-// Package btree implements an in-memory B-tree keyed by strings with int64
-// payloads. It is the ordered-index substrate for the document store's
-// secondary indexes: duplicate keys are allowed (entries order by key, then
-// id), range scans iterate in key order, and an insert splits full nodes on
-// its way down so the tree stays within B-tree height bounds. Entries are
-// never removed: the store only appends.
+// Package btree implements an in-memory B-tree that maps each distinct
+// string key to one value, in key order. It is the ordered-index substrate
+// for the document store's B-tree indexes, whose value per key is the key's
+// posting list: a prefix scan visits keys in order, a lookup finds a key's
+// value in place, and an insert splits full nodes on its way down so the
+// tree stays within B-tree height bounds. Keys are never removed: the store
+// only appends.
 package btree
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
-// DefaultDegree is the branching degree used by New.
-const DefaultDegree = 32
-
-// Entry is a single (key, id) pair stored in the tree.
-type Entry struct {
-	Key string
-	ID  int64
+// Map is a B-tree from string keys to values of type V. The zero value is
+// not usable; call New. An empty map is an empty root.
+type Map[V any] struct {
+	root     *node[V]
+	maxItems int
 }
 
-func less(a, b Entry) bool {
-	if c := strings.Compare(a.Key, b.Key); c != 0 {
-		return c < 0
+type item[V any] struct {
+	key string
+	val V
+}
+
+type node[V any] struct {
+	items    []item[V]
+	children []*node[V]
+}
+
+// New returns an empty map whose nodes hold at most 2*degree-1 keys; a
+// degree below 2 counts as 2.
+func New[V any](degree int) *Map[V] {
+	return &Map[V]{root: &node[V]{}, maxItems: 2*max(degree, 2) - 1}
+}
+
+// Upsert returns key's value, first adding key with the zero value when the
+// map does not hold it. The pointer is valid until the next Upsert.
+func (m *Map[V]) Upsert(key string) *V {
+	if len(m.root.items) >= m.maxItems {
+		mid, second := m.root.split(m.maxItems / 2)
+		m.root = &node[V]{items: []item[V]{mid}, children: []*node[V]{m.root, second}}
 	}
-	return a.ID < b.ID
+	return m.root.upsert(key, m.maxItems)
 }
 
-// Tree is a B-tree of Entries. The zero value is not usable; call New or
-// NewDegree.
-type Tree struct {
-	root   *node
-	degree int
-	length int
-}
-
-type node struct {
-	items    []Entry
-	children []*node
-}
-
-// New returns an empty tree with the default degree.
-func New() *Tree { return NewDegree(DefaultDegree) }
-
-// NewDegree returns an empty tree whose nodes hold at most 2*degree-1
-// entries. Degree must be at least 2.
-func NewDegree(degree int) *Tree {
-	if degree < 2 {
-		degree = 2
-	}
-	return &Tree{degree: degree}
-}
-
-// Len reports the number of entries in the tree.
-func (t *Tree) Len() int { return t.length }
-
-func (t *Tree) maxItems() int { return 2*t.degree - 1 }
-
-// Insert adds entry e. Duplicate (key, id) pairs are stored once; inserting
-// an existing pair is a no-op and returns false.
-func (t *Tree) Insert(key string, id int64) bool {
-	e := Entry{Key: key, ID: id}
-	if t.root == nil {
-		t.root = &node{items: []Entry{e}}
-		t.length = 1
-		return true
-	}
-	if len(t.root.items) >= t.maxItems() {
-		mid, second := t.root.split(t.maxItems() / 2)
-		oldRoot := t.root
-		t.root = &node{
-			items:    []Entry{mid},
-			children: []*node{oldRoot, second},
+// Get returns key's value, the zero value when the map does not hold key.
+func (m *Map[V]) Get(key string) (v V) {
+	for n := m.root; ; {
+		i, found := find(n.items, key)
+		switch {
+		case found:
+			return n.items[i].val
+		case len(n.children) == 0:
+			return v
 		}
+		n = n.children[i]
 	}
-	if t.root.insert(e, t.maxItems()) {
-		t.length++
-		return true
-	}
-	return false
 }
 
-// split divides n at index i, returning the promoted entry and the new right
+// split divides n at index i, returning the promoted item and the new right
 // sibling.
-func (n *node) split(i int) (Entry, *node) {
+func (n *node[V]) split(i int) (item[V], *node[V]) {
 	mid := n.items[i]
-	right := &node{}
-	right.items = append(right.items, n.items[i+1:]...)
+	right := &node[V]{items: append([]item[V](nil), n.items[i+1:]...)}
 	n.items = n.items[:i]
 	if len(n.children) > 0 {
 		right.children = append(right.children, n.children[i+1:]...)
@@ -92,118 +72,64 @@ func (n *node) split(i int) (Entry, *node) {
 	return mid, right
 }
 
-// find locates e in items, returning its index and whether it was found; the
-// index is the child to descend into when not found.
-func find(items []Entry, e Entry) (int, bool) {
+// find locates key in items, returning its index and whether it was found;
+// the index is the child to descend into when not found.
+func find[V any](items []item[V], key string) (int, bool) {
 	lo, hi := 0, len(items)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if less(items[mid], e) {
+		if items[mid].key < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(items) && !less(e, items[lo]) {
-		return lo, true
-	}
-	return lo, false
+	return lo, lo < len(items) && items[lo].key == key
 }
 
-func (n *node) insert(e Entry, maxItems int) bool {
-	i, found := find(n.items, e)
+// upsert finds or adds key below n, which has room for one more item.
+func (n *node[V]) upsert(key string, maxItems int) *V {
+	i, found := find(n.items, key)
 	if found {
-		return false
+		return &n.items[i].val
 	}
 	if len(n.children) == 0 {
-		n.items = append(n.items, Entry{})
-		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = e
-		return true
+		n.items = slices.Insert(n.items, i, item[V]{key: key})
+		return &n.items[i].val
 	}
 	if len(n.children[i].items) >= maxItems {
 		mid, right := n.children[i].split(maxItems / 2)
-		n.items = append(n.items, Entry{})
-		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = mid
-		n.children = append(n.children, nil)
-		copy(n.children[i+2:], n.children[i+1:])
-		n.children[i+1] = right
+		n.items = slices.Insert(n.items, i, mid)
+		n.children = slices.Insert(n.children, i+1, right)
 		switch {
-		case less(mid, e):
+		case mid.key == key:
+			return &n.items[i].val
+		case mid.key < key:
 			i++
-		case !less(e, mid):
-			return false // e == promoted entry
 		}
 	}
-	return n.children[i].insert(e, maxItems)
+	return n.children[i].upsert(key, maxItems)
 }
 
-// AscendRange visits entries with ge <= key < lt in order until fn returns
-// false. An empty lt means no upper bound.
-func (t *Tree) AscendRange(ge, lt string, fn func(Entry) bool) {
-	t.root.ascendRange(ge, lt, fn)
+// AscendPrefix visits the keys that begin with prefix and their values, in
+// key order, until fn returns false.
+func (m *Map[V]) AscendPrefix(prefix string, fn func(key string, v *V) bool) {
+	m.root.ascend(prefix, func(key string, v *V) bool {
+		return strings.HasPrefix(key, prefix) && fn(key, v)
+	})
 }
 
-func (n *node) ascendRange(ge, lt string, fn func(Entry) bool) bool {
-	if n == nil {
-		return true
-	}
-	start, _ := find(n.items, Entry{Key: ge, ID: -1 << 62})
+// ascend visits the keys from ge on and their values, in key order, until
+// fn returns false, and reports whether fn never did.
+func (n *node[V]) ascend(ge string, fn func(string, *V) bool) bool {
+	start, _ := find(n.items, ge)
 	for i := start; i < len(n.items); i++ {
-		if len(n.children) > 0 && !n.children[i].ascendRange(ge, lt, fn) {
+		if len(n.children) > 0 && !n.children[i].ascend(ge, fn) {
 			return false
 		}
-		item := n.items[i]
-		if item.Key >= ge {
-			if lt != "" && item.Key >= lt {
-				return false
-			}
-			if !fn(item) {
-				return false
-			}
-		}
-	}
-	if len(n.children) > 0 {
-		return n.children[len(n.children)-1].ascendRange(ge, lt, fn)
-	}
-	return true
-}
-
-// Lookup returns all ids stored under key, in ascending id order.
-func (t *Tree) Lookup(key string) []int64 {
-	var ids []int64
-	t.AscendRange(key, "", func(e Entry) bool {
-		if e.Key != key {
+		if !fn(n.items[i].key, &n.items[i].val) {
 			return false
 		}
-		ids = append(ids, e.ID)
-		return true
-	})
-	return ids
-}
-
-// AscendPrefix visits entries whose key begins with prefix, in order.
-func (t *Tree) AscendPrefix(prefix string, fn func(Entry) bool) {
-	t.root.ascendRange(prefix, "", func(e Entry) bool {
-		if !strings.HasPrefix(e.Key, prefix) {
-			return false
-		}
-		return fn(e)
-	})
-}
-
-// Height reports the height of the tree (0 when empty).
-//
-//lint:dtlint-allow deadcheck TestMinMaxHeight: invariant
-func (t *Tree) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if len(n.children) == 0 {
-			break
-		}
-		n = n.children[0]
 	}
-	return h
+	return len(n.children) == 0 || n.children[len(n.children)-1].ascend(ge, fn)
 }

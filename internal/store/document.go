@@ -11,12 +11,13 @@
 // Ids are handed out ascending, so an insert appends; a replayed document —
 // a follower's or a WAL recovery's — goes above every id held, and a
 // snapshot lists its documents ascending, which its reader checks. A scan,
-// every hash and B-tree posting list, the text postings and a snapshot
-// therefore list documents in one order by construction, and an index only
-// ever appends an id to a posting list. A document is found by id at its
-// offset from the first id, searching back over as many places as ids are
-// missing: a replay may jump ids, and an image an older build wrote may
-// lack the ones it deleted.
+// every posting list and a snapshot therefore list documents in one order
+// by construction, and an index only ever appends an id to a posting list.
+// Every index keeps one posting list per key (a hash index in a Go map, a
+// B-tree index in key order, the text index per token) and no other form
+// of ids. A document is found by id at its offset from the first id,
+// searching back over as many places as ids are missing: a replay may jump
+// ids, and an image an older build wrote may lack the ones it deleted.
 //
 // A document is its codec encoding, in one form (see Doc): NewDoc encodes
 // the fields it is given once, and everything that already holds a
@@ -34,15 +35,17 @@
 // limit, and the exact match total. A Collection answers it with at most
 // the window's documents — from an index's posting lists when one covers
 // the filter's condition, else by testing every document without collecting
-// the ones outside the window. A Sharded router asks each shard for its
-// first offset+limit matches and cuts the window from their concatenation.
-// A remote shard's list reaches the router still encoded (Result.Encoded, a
-// DocList), and the router goes over each list once: it adopts the
-// documents that fall in the window and only checks the others, copying
-// nothing for them, so a page over four shards copies a page, not four, yet
-// a malformed document anywhere in a reply still fails the query. Limit 0
-// is the count, NoLimit the whole list, Explain the plan. Matching a
-// document allocates nothing.
+// the ones outside the window. An index key is a value's rendering, so
+// where the index holds, or the condition asks for, a value that is not a
+// string, each candidate is checked: the string "27" is not the number 27.
+// A Sharded router asks each shard for its first offset+limit matches and
+// cuts the window from their concatenation. A remote shard's list reaches
+// the router still encoded (Result.Encoded, a DocList), and the router
+// goes over each list once: it adopts the documents that fall in the window
+// and only checks the others, copying nothing for them, so a page over four
+// shards copies a page, not four, yet a malformed document anywhere in a
+// reply still fails the query. Limit 0 is the count, NoLimit the whole
+// list, Explain the plan. Matching a document allocates nothing.
 //
 // A Rank makes the same op a relevance ranking — a show's text feed, the
 // paper's Table V. The window then comes best first: a collection scores
@@ -58,7 +61,7 @@
 // scalar value at a path, keys in the order of their first match, merged
 // across shards in shard order — Table III's type distribution (Distinct)
 // and Table IV's mention ranking. Unfiltered, it reads posting-list lengths
-// off a hash index over the path, as long as that index holds no
+// off an index over the path, as long as that index holds no
 // list-element keys (a list is no scalar value, yet its elements are
 // indexed, so the lengths would over-count); otherwise it visits the
 // matches under the read lock. Stats reads a data-size counter every

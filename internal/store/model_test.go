@@ -75,17 +75,21 @@ func (m *collectionModel) query(q Query) Result {
 }
 
 // modelDoc is a small document drawn from two bytes: a name (two of them
-// share the prefix "Ma"), a type that is a string, absent or a list, a text
-// that may mention Matilda, and a number.
+// share the prefix "Ma", and one is the string "1984" or the number that
+// renders like it), a type that is a string, absent or a list, a text that
+// may mention Matilda, and a number.
 func modelDoc(a, b byte) *Doc {
-	names := []string{"Matilda", "Wicked", "Once", "Mamma Mia", "Annie"}
+	names := []string{"Matilda", "Wicked", "Once", "Mamma Mia", "Annie", "1984"}
 	types := []string{"Movie", "Person", "Company"}
 	texts := []string{"Matilda grossed a million.", "The award-winning show runs. Matilda!", "A walk in the park", ""}
-	name := names[a%5]
-	if a/5%2 == 1 {
-		name += " II"
+	name := Str(names[a%6])
+	switch {
+	case a%6 == 5 && a/6%2 == 1:
+		name = Num(1984)
+	case a/6%2 == 1:
+		name = Str(names[a%6] + " II")
 	}
-	fields := []Field{F("name", Str(name))}
+	fields := []Field{F("name", name)}
 	switch b % 5 {
 	case 3:
 	case 4:
@@ -101,9 +105,9 @@ func modelDoc(a, b byte) *Doc {
 
 // FuzzCollectionMatchesModel: any sequence of Insert, InsertMany,
 // ApplyReplay and index creation leaves a collection that answers every
-// query — by scan, hash index, B-tree prefix and text index, in any window,
-// grouped or not — as a plain id-sorted list filtered by Filter.Matches
-// does, with the same Count and data size, and whose snapshot loads back to
+// query — by scan, hash index, B-tree point, set and prefix lookup and text
+// index, in any window, grouped by a path an index counts or not — as a
+// plain id-sorted list filtered by Filter.Matches does, with the same Count and data size, and whose snapshot loads back to
 // the same documents under the same ids. A replay is refused exactly when
 // its id is not above every id held, a held one included; one that jumps
 // ids leaves gaps for lookups by id to search over. Each three input bytes
@@ -178,6 +182,11 @@ func checkAgainstModel(t *testing.T, c *Collection, m *collectionModel) {
 		EqStr("type", "Movie"),
 		Cond{Path: "type", Op: OpIn, Set: []record.Value{record.String("Company"), record.String("Movie")}},
 		Cond{Path: "name", Op: OpPrefix, Value: record.String("Ma")},
+		EqStr("name", "Wicked II"),
+		EqStr("name", "1984"),
+		Eq("name", record.Int(1984)),
+		Cond{Path: "name", Op: OpIn, Set: []record.Value{record.String("Once"), record.Int(1984), record.String("Annie II")}},
+		Cond{Path: "name", Op: OpIn, Set: []record.Value{record.String("Annie"), record.String("1984")}},
 		Contains("text", "matilda"),
 		Contains("text", "show runs"),
 		And{EqStr("type", "Person"), Cond{Path: "mentions", Op: OpGt, Value: record.Int(100)}},
@@ -185,7 +194,7 @@ func checkAgainstModel(t *testing.T, c *Collection, m *collectionModel) {
 	windows := [][2]int{{0, NoLimit}, {0, 0}, {0, 1}, {1, 2}, {2, 3}, {3, NoLimit}}
 	for _, f := range filters {
 		for _, w := range windows {
-			for _, groupBy := range []string{"", "type"} {
+			for _, groupBy := range []string{"", "type", "name"} {
 				q := Query{Filter: f, Offset: w[0], Limit: w[1], GroupBy: groupBy}
 				got, want := c.Query(q), m.query(q)
 				if got.Total != want.Total || !slices.Equal(got.Docs, want.Docs) || !slices.Equal(got.Groups, want.Groups) {

@@ -3,8 +3,6 @@ package store
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/btree"
 )
 
 // Query is the one read a shard answers: the documents matching Filter, in
@@ -127,7 +125,7 @@ type Explain struct {
 // serves and that index. The zero access is a scan.
 type access struct {
 	cond Cond
-	ix   *Index     // holds exactly the ids matching cond (Eq, In, Prefix)
+	ix   *Index     // holds the ids matching cond (Eq, In, Prefix), more unless ix.exact(cond)
 	tx   *TextIndex // holds a superset of the ids matching cond (Contains)
 	// residual says the filter asks for more than cond, so every candidate
 	// is checked against the whole filter.
@@ -271,7 +269,7 @@ func addRun[T any](p *page, run []T, doc func(T) *Doc) {
 	if p.limit >= 0 {
 		hi = lo + min(hi-lo, p.limit-len(p.out))
 	}
-	if hi > lo {
+	if p.out == nil && hi > lo {
 		p.out = make([]*Doc, 0, hi-lo)
 	}
 	for _, x := range run[lo:hi] {
@@ -283,14 +281,15 @@ func addRun[T any](p *page, run []T, doc func(T) *Doc) {
 // Query answers q. An index serves the filter's condition when one covers
 // it (see plan): the total then comes from posting-list lengths and only
 // the window's documents are touched, unless residual conditions, a text
-// index's candidate superset or a group count need each candidate visited.
+// index's candidate superset, a key shared by values of different kinds or
+// a group count need each candidate visited.
 // Otherwise every document is tested in the collection's order; matches
 // outside the window are counted, not collected. Results are in ascending
 // id order — the collection's order, insertion order — except a prefix
 // scan's, which follow the B-tree's keys. A ranked query scores every match
 // and returns the best of the window in rank order (see Rank). An
-// unfiltered group count reads its groups off a hash index over the path
-// when one holds a single entry per document (see countingIndex).
+// unfiltered group count reads its groups off an index over the path when
+// one holds a single entry per document (see countingIndex).
 func (c *Collection) Query(q Query) Result {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -302,7 +301,7 @@ func (c *Collection) Query(q Query) Result {
 	if q.Rank != nil && q.Limit != 0 {
 		p.top = topK{rank: q.Rank, k: q.end()}
 	}
-	if a.ix == nil || a.residual {
+	if a.ix == nil || a.residual || !a.ix.exact(a.cond) {
 		p.verify = q.Filter
 	}
 	if q.GroupBy != "" && q.Filter == nil {
@@ -317,14 +316,15 @@ func (c *Collection) Query(q Query) Result {
 	case a.ix == nil:
 		addRun(&p, c.docs, same)
 	case a.cond.Op == OpPrefix:
-		a.ix.tree.AscendPrefix(a.cond.Value.Str(), func(e btree.Entry) bool {
-			p.add(c.doc(e.ID))
+		// The plan serves a prefix only from a B-tree index.
+		a.ix.keys.(treeKeys).AscendPrefix(a.cond.Value.Str(), func(_ string, list *postings) bool {
+			addRun(&p, list.ids(), c.doc)
 			return true
 		})
 	case a.cond.Op == OpIn:
 		addRun(&p, a.ix.idsIn(a.cond.Set), c.doc)
 	default:
-		addRun(&p, a.ix.ids(a.cond.Value.Str()), c.doc)
+		addRun(&p, a.ix.keys.get(a.cond.Value.Str()).ids(), c.doc)
 	}
 	if p.top.rank != nil {
 		p.out = p.top.window(q.Offset)
@@ -332,11 +332,11 @@ func (c *Collection) Query(q Query) Result {
 	return Result{Docs: p.out, Total: p.total, Groups: p.groups}
 }
 
-// countingIndex returns a hash index over path whose posting-list lengths
+// countingIndex returns an index over path whose posting-list lengths
 // count the documents by their value there, or nil. Must hold c.mu.
 func (c *Collection) countingIndex(path string) *Index {
 	for _, ix := range c.indexes {
-		if ix.Kind == HashIndex && ix.Path == path && ix.listEntries == 0 {
+		if ix.Path == path && ix.listEntries == 0 {
 			return ix
 		}
 	}

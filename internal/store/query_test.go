@@ -181,6 +181,57 @@ func TestDistinctIndexAndFallback(t *testing.T) {
 	}
 }
 
+// TestIndexAnswersWhatAScanAnswers: a key is the rendering of a value, so the
+// string "27" and the number 27 share one, as do "true" and true and "2.5"
+// and 2.5. Eq and In answer the same over an index of either kind as over
+// none, whatever kinds are asked for and held — strings only too, where a
+// string asked for is answered off the posting list unchecked.
+func TestIndexAnswersWhatAScanAnswers(t *testing.T) {
+	mixed := []record.Value{
+		record.String("27"), record.Int(27), record.String("true"), record.Bool(true),
+		record.String("2.5"), record.Float(2.5), record.String("x"),
+	}
+	strs := []record.Value{record.String("27"), record.String("true"), record.String("x")}
+	build := func(held []record.Value, indexed bool, kind IndexKind) *Collection {
+		c := NewCollection("dt.entity", 0)
+		if indexed {
+			c.EnsureIndex("v_1", "v", kind)
+		}
+		for i, v := range held {
+			c.Insert(NewDoc(F("n", Num(int64(i))), F("v", Scalar(v))))
+		}
+		return c
+	}
+	numbers := func(docs []*Doc) []string {
+		var out []string
+		for _, d := range docs {
+			out = append(out, d.PathString("n"))
+		}
+		return out
+	}
+	var filters []Filter
+	for _, v := range mixed {
+		filters = append(filters, Eq("v", v), Cond{Path: "v", Op: OpIn, Set: []record.Value{v, record.String("x")}})
+	}
+	filters = append(filters, Cond{Path: "v", Op: OpIn, Set: []record.Value{record.Int(27), record.String("true")}})
+	for _, held := range [][]record.Value{mixed, strs} {
+		scan := build(held, false, HashIndex)
+		for _, kind := range []IndexKind{HashIndex, BTreeIndex} {
+			c := build(held, true, kind)
+			for _, f := range filters {
+				if ex := explain(c, f); ex.AccessPath != "index" {
+					t.Fatalf("%+v over a %v index: plan %+v", f, kind, ex)
+				}
+				got, want := c.Query(Query{Filter: f, Limit: NoLimit}), scan.Query(Query{Filter: f, Limit: NoLimit})
+				if got.Total != want.Total || !slices.Equal(numbers(got.Docs), numbers(want.Docs)) {
+					t.Errorf("%+v over %d values, %v index: %d matches %v, a scan finds %d %v",
+						f, len(held), kind, got.Total, numbers(got.Docs), want.Total, numbers(want.Docs))
+				}
+			}
+		}
+	}
+}
+
 // TestDocPathMatchesSplitWalk compares Path with the strings.Split walk it
 // replaced.
 func TestDocPathMatchesSplitWalk(t *testing.T) {
@@ -285,10 +336,16 @@ func TestGroupCountAllocatesForTheGroups(t *testing.T) {
 }
 
 // TestPagedQueryAllocatesForThePage: a page of ten out of a 10 000-id posting
-// list costs the page, not the list.
+// list costs the page, not the list, whichever kind of index holds it.
 func TestPagedQueryAllocatesForThePage(t *testing.T) {
+	for _, kind := range []IndexKind{HashIndex, BTreeIndex} {
+		t.Run(kind.String(), func(t *testing.T) { pagedQueryAllocatesForThePage(t, kind) })
+	}
+}
+
+func pagedQueryAllocatesForThePage(t *testing.T, kind IndexKind) {
 	c := NewCollection("dt.entity", 0)
-	c.EnsureIndex("type_1", "type", HashIndex)
+	c.EnsureIndex("type_1", "type", kind)
 	for i := 0; i < 10000; i++ {
 		c.Insert(entityDoc("E", "Movie", 0))
 	}

@@ -18,7 +18,9 @@ import (
 //	op     := "=" | "!=" | ">" | ">=" | "<" | "<=" | "~" (contains) | "^" (prefix)
 //
 // Paths are dotted identifiers (entity.name); values are bare words,
-// numbers, or single/double-quoted strings. Keywords are case-insensitive.
+// numbers, or single/double-quoted strings. A bare value takes the kind it
+// reads as (record.Infer: 1984 is a number, true a bool); a quoted one is a
+// string. Keywords are case-insensitive.
 //
 //	type = Movie AND attributes.award_winning = true
 //	name ~ walking OR name ^ "The "
@@ -29,26 +31,32 @@ func ParseFilter(input string) (Filter, error) {
 		return nil, err
 	}
 	if !p.eof() {
-		return nil, fmt.Errorf("store: unexpected %q after expression", p.peek())
+		return nil, fmt.Errorf("store: unexpected %q after expression", p.peek().text)
 	}
 	return f, nil
 }
 
 type filterParser struct {
-	tokens []string
+	tokens []token
 	pos    int
+}
+
+// token is one lexed token; a quoted string's text is without its quotes.
+type token struct {
+	text   string
+	quoted bool
 }
 
 func (p *filterParser) eof() bool { return p.pos >= len(p.tokens) }
 
-func (p *filterParser) peek() string {
+func (p *filterParser) peek() token {
 	if p.eof() {
-		return ""
+		return token{}
 	}
 	return p.tokens[p.pos]
 }
 
-func (p *filterParser) next() string {
+func (p *filterParser) next() token {
 	tok := p.peek()
 	p.pos++
 	return tok
@@ -60,7 +68,7 @@ func (p *filterParser) parseOr() (Filter, error) {
 		return nil, err
 	}
 	terms := Or{left}
-	for strings.EqualFold(p.peek(), "or") {
+	for strings.EqualFold(p.peek().text, "or") {
 		p.next()
 		right, err := p.parseAnd()
 		if err != nil {
@@ -80,7 +88,7 @@ func (p *filterParser) parseAnd() (Filter, error) {
 		return nil, err
 	}
 	terms := And{left}
-	for strings.EqualFold(p.peek(), "and") {
+	for strings.EqualFold(p.peek().text, "and") {
 		p.next()
 		right, err := p.parseTerm()
 		if err != nil {
@@ -98,20 +106,20 @@ func (p *filterParser) parseTerm() (Filter, error) {
 	switch {
 	case p.eof():
 		return nil, fmt.Errorf("store: unexpected end of filter expression")
-	case strings.EqualFold(p.peek(), "not"):
+	case strings.EqualFold(p.peek().text, "not"):
 		p.next()
 		inner, err := p.parseTerm()
 		if err != nil {
 			return nil, err
 		}
 		return Not{Inner: inner}, nil
-	case p.peek() == "(":
+	case p.peek().text == "(":
 		p.next()
 		inner, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
-		if p.next() != ")" {
+		if p.next().text != ")" {
 			return nil, fmt.Errorf("store: missing closing parenthesis")
 		}
 		return inner, nil
@@ -121,11 +129,11 @@ func (p *filterParser) parseTerm() (Filter, error) {
 }
 
 func (p *filterParser) parseCond() (Filter, error) {
-	path := p.next()
+	path := p.next().text
 	if path == "" || isOperator(path) || path == ")" {
 		return nil, fmt.Errorf("store: expected field path, got %q", path)
 	}
-	opTok := p.next()
+	opTok := p.next().text
 	if strings.EqualFold(opTok, "exists") {
 		return Exists(path), nil
 	}
@@ -151,10 +159,14 @@ func (p *filterParser) parseCond() (Filter, error) {
 		return nil, fmt.Errorf("store: unknown operator %q", opTok)
 	}
 	val := p.next()
-	if val == "" {
+	if val.text == "" {
 		return nil, fmt.Errorf("store: missing value for %s %s", path, opTok)
 	}
-	return Cond{Path: path, Op: op, Value: record.Infer(val)}, nil
+	v := record.String(val.text)
+	if !val.quoted {
+		v = record.Infer(val.text)
+	}
+	return Cond{Path: path, Op: op, Value: v}, nil
 }
 
 func isOperator(tok string) bool {
@@ -166,9 +178,9 @@ func isOperator(tok string) bool {
 }
 
 // lexFilter splits the expression into tokens: parens, operators, quoted
-// strings (quotes stripped), and bare words.
-func lexFilter(input string) []string {
-	var tokens []string
+// strings (quotes stripped, the token marked quoted), and bare words.
+func lexFilter(input string) []token {
+	var tokens []token
 	i := 0
 	runes := []rune(input)
 	for i < len(runes) {
@@ -177,7 +189,7 @@ func lexFilter(input string) []string {
 		case unicode.IsSpace(r):
 			i++
 		case r == '(' || r == ')':
-			tokens = append(tokens, string(r))
+			tokens = append(tokens, token{text: string(r)})
 			i++
 		case r == '"' || r == '\'':
 			quote := r
@@ -185,14 +197,14 @@ func lexFilter(input string) []string {
 			for j < len(runes) && runes[j] != quote {
 				j++
 			}
-			tokens = append(tokens, string(runes[i+1:min(j, len(runes))]))
+			tokens = append(tokens, token{text: string(runes[i+1 : min(j, len(runes))]), quoted: true})
 			i = j + 1
 		case strings.ContainsRune("=!<>~^", r):
 			j := i + 1
 			if j < len(runes) && runes[j] == '=' {
 				j++
 			}
-			tokens = append(tokens, string(runes[i:j]))
+			tokens = append(tokens, token{text: string(runes[i:j])})
 			i = j
 		default:
 			j := i
@@ -200,7 +212,7 @@ func lexFilter(input string) []string {
 				!strings.ContainsRune("()=!<>~^\"'", runes[j]) {
 				j++
 			}
-			tokens = append(tokens, string(runes[i:j]))
+			tokens = append(tokens, token{text: string(runes[i:j])})
 			i = j
 		}
 	}

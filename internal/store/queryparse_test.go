@@ -3,6 +3,8 @@ package store
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/record"
 )
 
 func parseOrFail(t *testing.T, expr string) Filter {
@@ -83,6 +85,34 @@ func TestParseFilterQuotedAndDotted(t *testing.T) {
 	f = parseOrFail(t, `name = 'The Walking Dead'`)
 	if !f.Matches(d) {
 		t.Error("single-quoted value failed")
+	}
+}
+
+// TestParseFilterQuotedIsString: a quoted value is the string it spells,
+// whatever it would read as bare.
+func TestParseFilterQuotedIsString(t *testing.T) {
+	cases := []struct {
+		expr string
+		want record.Value
+	}{
+		{`name = "1984"`, record.String("1984")},
+		{`name = '1984'`, record.String("1984")},
+		{`name = 1984`, record.Int(1984)},
+		{`x = "true"`, record.String("true")},
+		{`x = true`, record.Bool(true)},
+		{`x = "2.5"`, record.String("2.5")},
+		{`x = "2013-05-01"`, record.String("2013-05-01")},
+		{`name ^ "The "`, record.String("The ")},
+	}
+	for _, c := range cases {
+		cond, ok := parseOrFail(t, c.expr).(Cond)
+		if !ok || cond.Value.Kind() != c.want.Kind() || !cond.Value.Equal(c.want) {
+			t.Errorf("%s parses to %+v, want the value %v of kind %v", c.expr, cond, c.want, c.want.Kind())
+		}
+	}
+	book := NewDoc(F("name", Str("1984")))
+	if !parseOrFail(t, `name = "1984"`).Matches(book) || parseOrFail(t, `name = 1984`).Matches(book) {
+		t.Error(`the string "1984" must match name = "1984" and not name = 1984`)
 	}
 }
 

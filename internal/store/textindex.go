@@ -15,21 +15,21 @@ import (
 // deployment precomputes inverted structures for serve-time fusion queries:
 // the index yields a candidate superset cheaply, and the caller verifies
 // each candidate with the real substring predicate, so indexed and scanned
-// query paths return identical results. Posting lists are kept in ascending
-// id order.
+// query paths return identical results. Each token holds one posting list,
+// as each key of a hash or B-tree index does.
 //
 // Synchronization rides on the owning Collection's lock: mutations happen
 // under the write lock, Candidates under the read lock.
 type TextIndex struct {
 	Path string
 
-	// postings maps a token to its ids, each id at most once. The list sits
-	// behind a pointer so that adding an id to a known token is a lookup,
-	// which converts the token bytes without copying them, not a store,
-	// which would copy them into a new key.
-	postings map[string]*[]int64
+	// tokens maps a token to its postings. They sit behind a pointer so
+	// that adding an id to a known token is a lookup, which converts the
+	// token bytes without copying them, not a store, which would copy them
+	// into a new key.
+	tokens map[string]*postings
 
-	// Scratch docTokens reuses, guarded like postings: the tokens of one
+	// Scratch docTokens reuses, guarded like tokens: the tokens of one
 	// value, the lowered bytes of all of them, and one span of lower per
 	// token.
 	toks  []textutil.Token
@@ -41,7 +41,7 @@ type TextIndex struct {
 type span struct{ lo, hi int }
 
 func newTextIndex(path string) *TextIndex {
-	return &TextIndex{Path: path, postings: make(map[string]*[]int64)}
+	return &TextIndex{Path: path, tokens: make(map[string]*postings)}
 }
 
 // Name identifies the index in plans and diagnostics.
@@ -85,12 +85,12 @@ func (tx *TextIndex) collect(s string) {
 func (tx *TextIndex) insert(id int64, d *Doc) {
 	for _, sp := range tx.docTokens(d) {
 		tok := tx.lower[sp.lo:sp.hi]
-		ids := tx.postings[string(tok)]
-		if ids == nil {
-			ids = new([]int64)
-			tx.postings[string(tok)] = ids
+		p := tx.tokens[string(tok)]
+		if p == nil {
+			p = new(postings)
+			tx.tokens[string(tok)] = p
 		}
-		*ids, _ = appendID(*ids, id)
+		p.add(id)
 	}
 }
 
@@ -128,8 +128,8 @@ func (tx *TextIndex) Candidates(substr string) ([]int64, bool) {
 	var result []int64
 	for i := 1; i < last; i++ {
 		var ids []int64
-		if list := tx.postings[terms[i]]; list != nil {
-			ids = *list
+		if p := tx.tokens[terms[i]]; p != nil {
+			ids = p.ids()
 		}
 		if i > 1 {
 			ids = intersectSorted(result, ids)
@@ -163,16 +163,16 @@ func (tx *TextIndex) Candidates(substr string) ([]int64, bool) {
 // contains term: the one matching token's own list, or a sorted merge.
 func (tx *TextIndex) sweep(term string) []int64 {
 	var first, merged []int64
-	for tok, list := range tx.postings {
+	for tok, p := range tx.tokens {
 		switch {
 		case !strings.Contains(tok, term):
 		case first == nil:
-			first = *list
+			first = p.ids()
 		default:
 			if merged == nil {
 				merged = append(merged, first...)
 			}
-			merged = append(merged, *list...)
+			merged = append(merged, p.ids()...)
 		}
 	}
 	if merged == nil {
@@ -186,13 +186,13 @@ func (tx *TextIndex) sweep(term string) []int64 {
 // token containing term lists.
 func (tx *TextIndex) confirm(ids []int64, term string) []int64 {
 	keep := make([]bool, len(ids))
-	for tok, list := range tx.postings {
+	for tok, p := range tx.tokens {
 		if !strings.Contains(tok, term) {
 			continue
 		}
 		for i, id := range ids {
 			if !keep[i] {
-				_, keep[i] = slices.BinarySearch(*list, id)
+				_, keep[i] = slices.BinarySearch(p.ids(), id)
 			}
 		}
 	}

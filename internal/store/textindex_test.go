@@ -102,7 +102,7 @@ func TestTextIndexMaintenance(t *testing.T) {
 		t.Errorf("after a replay: %d haystack matches, want 2", n)
 	}
 	for tok, want := range map[string][]int64{"needle": {1, 5}, "haystack": {2, 5}, "text": {1, 2}, "original": {1}} {
-		if got := *c.text["text"].postings[tok]; !slices.Equal(got, want) {
+		if got := c.text["text"].tokens[tok].ids(); !slices.Equal(got, want) {
 			t.Errorf("token %q lists ids %v, want %v", tok, got, want)
 		}
 	}
@@ -233,9 +233,9 @@ func TestTextIndexReindexAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { tx.insert(2, d) }); n != 0 {
 		t.Errorf("indexing the last document again allocates %.0f times, budget 0", n)
 	}
-	for tok, ids := range tx.postings {
-		if !slices.Equal(*ids, []int64{1, 2}) {
-			t.Errorf("token %q lists ids %v, want [1 2]", tok, *ids)
+	for tok, p := range tx.tokens {
+		if !slices.Equal(p.ids(), []int64{1, 2}) {
+			t.Errorf("token %q lists ids %v, want [1 2]", tok, p.ids())
 		}
 	}
 }
