@@ -13,11 +13,12 @@ import (
 )
 
 // TestRankedQueryAllocBudget: the best of 1 000 matching fragments costs
-// what an unranked one-document page costs — four allocations, the text
-// index's candidate lookup and the page — plus the kept hit and one to
-// spare, whatever the number of matches and sentences scored. A ranking that copied the
-// matches out, or split a text into a slice of sentences, would pay per
-// match.
+// what an unranked one-document page costs — three allocations, the needle
+// lowered for the plan and for the lookup, and the page — plus the kept hit
+// and two to spare (4 measured; 5 while the lookup split the needle into a
+// slice of terms), whatever the number of matches and sentences scored. A
+// ranking that copied the matches out, or split a text into a slice of
+// sentences, would pay per match.
 func TestRankedQueryAllocBudget(t *testing.T) {
 	c := NewCollection("dt.instance", 0)
 	c.EnsureTextIndex("text")
@@ -30,6 +31,7 @@ func TestRankedQueryAllocBudget(t *testing.T) {
 	if res.Total != 1000 || len(res.Docs) != 1 {
 		t.Fatalf("ranked query: %d docs of %d", len(res.Docs), res.Total)
 	}
+	t.Logf("the best of 1 000 matches allocates %.0f times", allocs)
 	if allocs > 6 {
 		t.Errorf("the best of 1 000 matches allocates %.0f times, budget 6", allocs)
 	}
@@ -40,25 +42,55 @@ func TestRankedQueryAllocBudget(t *testing.T) {
 // growth of each of the collection's two slices — whatever the batch's
 // length. Bookkeeping per document, such as a map entry, would pay per
 // document; so would measuring a number's size by rendering it to a string,
-// which the numbers variant pins.
+// which the numbers variant pins. Into a collection holding dt.entity's
+// eight indexes, the batch pays for the indexes' growth — map tables, B-tree
+// nodes, the posting lists of its 165 keys, and the one resolver of their
+// paths — and not per document: every document is walked once for all
+// eight paths, in scratch the collection keeps. 489 allocations are
+// measured (972 while posting lists were []int64); one more a document
+// would be 1 000 more.
 func TestInsertManyAllocBudget(t *testing.T) {
 	strs := make([]*Doc, 1000)
 	nums := make([]*Doc, 1000)
+	entities := make([]*Doc, 1000)
 	for i := range strs {
 		strs[i] = NewDoc(F("name", Str(fmt.Sprintf("Show %d", i))), F("type", Str("Movie")))
 		nums[i] = NewDoc(
 			F("name", Str(fmt.Sprintf("Show %d", i))),
 			F("seats", Num(int64(1000+i))),
 			F("stars", Scalar(record.Float(float64(i)/7))))
+		entities[i] = NewDoc(
+			F("type", Str([]string{"Movie", "Person", "Company"}[i%3])),
+			F("name", Str(fmt.Sprintf("Show %d", i%100))),
+			F("source_url", Str(fmt.Sprintf("http://s%d.example.com", i%20))),
+			F("attributes", Nested(NewDoc(
+				F("price", Str(fmt.Sprintf("$%d", i%40))),
+				F("schedule", Str("Tues at 7pm")),
+				F("award_winning", Str("true"))))))
+	}
+	entityIndexes := func(c *Collection) {
+		c.EnsureIndex("name_1", "name", BTreeIndex)
+		for _, path := range []string{"type", "source_url", "attributes.price", "attributes.gross", "attributes.date", "attributes.schedule", "attributes.award_winning"} {
+			c.EnsureIndex(path+"_1", path, HashIndex)
+		}
 	}
 	for _, c := range []struct {
-		name string
-		docs []*Doc
-	}{{"strings", strs}, {"numbers", nums}} {
+		name    string
+		docs    []*Doc
+		indexes func(*Collection)
+		budget  float64
+	}{
+		{"strings", strs, nil, 3},
+		{"numbers", nums, nil, 3},
+		{"entity indexes", entities, entityIndexes, 500},
+	} {
 		const runs = 20
 		colls := make([]*Collection, runs+1) // AllocsPerRun runs once more to warm up
 		for i := range colls {
 			colls[i] = NewCollection("dt.instance", 0)
+			if c.indexes != nil {
+				c.indexes(colls[i])
+			}
 		}
 		next := 0
 		allocs := testing.AllocsPerRun(runs, func() {
@@ -68,8 +100,9 @@ func TestInsertManyAllocBudget(t *testing.T) {
 		if n := colls[runs].Count(); n != 1000 {
 			t.Fatalf("%s: the last collection holds %d documents", c.name, n)
 		}
-		if allocs > 3 {
-			t.Errorf("%s: inserting 1 000 documents allocates %.0f times, budget 3", c.name, allocs)
+		t.Logf("%s: inserting 1 000 documents allocates %.0f times", c.name, allocs)
+		if allocs > c.budget {
+			t.Errorf("%s: inserting 1 000 documents allocates %.0f times, budget %.0f", c.name, allocs, c.budget)
 		}
 	}
 }

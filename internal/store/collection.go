@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -43,6 +44,9 @@ type Collection struct {
 	// filters but are not part of the secondary-index set reported in Stats
 	// (nindexes keeps the paper's Table I/II shape).
 	text map[string]*TextIndex
+	// paths resolves every indexed path of a document being added in one
+	// walk over its bytes.
+	paths indexPaths
 }
 
 // NewCollection creates an empty collection for namespace ns with the given
@@ -135,11 +139,103 @@ func (c *Collection) addLocked(id int64, doc *Doc) {
 	size := doc.SizeBytes()
 	c.dataSize += size
 	c.allocated += size
+	if len(c.indexes)+len(c.text) == 0 {
+		return
+	}
+	if c.paths.indexes != len(c.indexes)+len(c.text) {
+		c.paths.build(c)
+	}
+	c.paths.resolve(doc)
 	for _, ix := range c.indexes {
-		ix.insert(id, doc)
+		ix.insert(id, c.paths.vals[ix.slot])
 	}
 	for _, tx := range c.text {
-		tx.insert(id, doc)
+		tx.insert(id, c.paths.vals[tx.slot])
+	}
+}
+
+// indexPaths resolves every path a collection indexes in one walk over a
+// document's bytes, going down into a nested document only where an
+// indexed path does, so that a document added to a collection of eight
+// indexes is read once, not eight times from its first byte. It is built
+// for a set of indexes, each of which it gives the slot of its path, and
+// its scratch is used under the collection's write lock.
+type indexPaths struct {
+	indexes int // how many indexes and text indexes it was built for
+	root    []pathNode
+	// vals is the value at each slot's path in the document last resolved,
+	// null where it holds none: neither kind of index takes an entry for a
+	// null.
+	vals []DocValue
+}
+
+// pathNode is one segment of the indexed paths: a field name, the slot of
+// the path ending at it (-1 when none does), and the segments below it.
+type pathNode struct {
+	name string
+	slot int
+	kids []pathNode
+}
+
+// build makes ip resolve the paths of c's indexes, setting each index's
+// slot. Indexes are only ever added, so a count tells when to build again.
+func (ip *indexPaths) build(c *Collection) {
+	*ip = indexPaths{indexes: len(c.indexes) + len(c.text)}
+	for _, ix := range c.indexes {
+		ix.slot = ip.add(ix.Path)
+	}
+	for _, tx := range c.text {
+		tx.slot = ip.add(tx.Path)
+	}
+}
+
+// add adds a dotted path, split as Doc.Path splits it, and returns its
+// slot.
+func (ip *indexPaths) add(path string) int {
+	nodes := &ip.root
+	for {
+		part, rest, nested := strings.Cut(path, ".")
+		i := slices.IndexFunc(*nodes, func(n pathNode) bool { return n.name == part })
+		if i < 0 {
+			i = len(*nodes)
+			*nodes = append(*nodes, pathNode{name: part, slot: -1})
+		}
+		n := &(*nodes)[i]
+		if !nested {
+			if n.slot < 0 {
+				n.slot = len(ip.vals)
+				ip.vals = append(ip.vals, DocValue{})
+			}
+			return n.slot
+		}
+		nodes, path = &n.kids, rest
+	}
+}
+
+// resolve finds the value at every path in d, what Doc.Path finds.
+func (ip *indexPaths) resolve(d *Doc) {
+	clear(ip.vals)
+	ip.walk(cursorOf(d.raw), ip.root)
+}
+
+// walk reads the fields c is at, a document's, against nodes.
+func (ip *indexPaths) walk(c cursor, nodes []pathNode) {
+	for name, _, ok := c.next(); ok; name, _, ok = c.next() {
+		i := 0
+		for i < len(nodes) && nodes[i].name != name {
+			i++
+		}
+		if i == len(nodes) {
+			c.skip()
+			continue
+		}
+		n, v := &nodes[i], c.value()
+		if n.slot >= 0 {
+			ip.vals[n.slot] = v
+		}
+		if len(n.kids) > 0 && v.IsDoc() {
+			ip.walk(cursorOf(v.scalar.Str()), n.kids)
+		}
 	}
 }
 
@@ -154,7 +250,9 @@ func (c *Collection) EnsureIndex(name, path string, kind IndexKind) bool {
 	}
 	ix := newIndex(name, path, kind)
 	for i, d := range c.docs {
-		ix.insert(c.ids[i], d)
+		if v, ok := d.Path(path); ok {
+			ix.insert(c.ids[i], v)
+		}
 	}
 	c.indexes[name] = ix
 	return true
@@ -173,7 +271,9 @@ func (c *Collection) EnsureTextIndex(path string) bool {
 	}
 	tx := newTextIndex(path)
 	for i, d := range c.docs {
-		tx.insert(c.ids[i], d)
+		if v, ok := d.Path(path); ok {
+			tx.insert(c.ids[i], v)
+		}
 	}
 	c.text[path] = tx
 	return true

@@ -303,3 +303,40 @@ func TestShardedRoutingAndStats(t *testing.T) {
 		t.Errorf("sharded distinct = %v, %v", counts, err)
 	}
 }
+
+// TestIndexPathsMatchDocPath: the one walk that resolves every indexed path
+// of a document being added finds at each path what Doc.Path finds there —
+// empty segments, a path through a scalar or a list, two paths sharing a
+// prefix and one ending where another goes on — and nothing (a null) where
+// Doc.Path finds nothing.
+func TestIndexPathsMatchDocPath(t *testing.T) {
+	paths := []string{"", ".", "a", "a.", "a.b", "a.b.c", "a.b.c.d", "a..b", ".x", "..", "s", "s.t", "l", "l.x", "missing", "a.missing", "a.b."}
+	docs := []*Doc{
+		NewDoc(),
+		NewDoc(
+			F("a", Nested(NewDoc(F("b", Nested(NewDoc(F("c", Num(1))))), F("", Str("empty name"))))),
+			F("s", Str("scalar")),
+			F("l", List(Str("x"), Nested(NewDoc(F("x", Num(3)))))),
+			F("", Nested(NewDoc(F("x", Num(2)))))),
+		NewDoc(F("s", Num(7)), F("a", Str("not a document"))),
+		NewDoc(F("", Str("top")), F("a", Nested(NewDoc(F("b", List(Num(1), Num(2))))))),
+	}
+	c := NewCollection("dt.x", 0)
+	for i, path := range paths {
+		c.EnsureIndex(fmt.Sprint(i), path, HashIndex)
+	}
+	c.EnsureTextIndex("s")
+	c.paths.build(c)
+	for _, d := range docs {
+		c.paths.resolve(d)
+		for _, ix := range c.indexes {
+			want, _ := d.Path(ix.Path)
+			if got := c.paths.vals[ix.slot]; got != want {
+				t.Errorf("%v at %q: the walk finds %v, Doc.Path %v", d, ix.Path, got, want)
+			}
+		}
+		if got, want := c.paths.vals[c.text["s"].slot], c.paths.vals[c.indexes["10"].slot]; got != want {
+			t.Errorf("%v: the text index's path resolves to %v, the index's on the same path to %v", d, got, want)
+		}
+	}
+}

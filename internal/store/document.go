@@ -15,7 +15,12 @@
 // by construction, and an index only ever appends an id to a posting list.
 // Every index keeps one posting list per key (a hash index in a Go map, a
 // B-tree index in key order, the text index per token) and no other form
-// of ids. A document is found by id at its offset from the first id,
+// of ids: the ids as varint gaps with the highest inline, so that a key of
+// one id is that id alone, in 24 bytes. No read copies a list out: a query
+// decodes the ids its window keeps, and candidates merged from several
+// lists are written into a pooled scratch. A document being added is
+// walked once for all of its collection's indexed paths, whatever their
+// number. A document is found by id at its offset from the first id,
 // searching back over as many places as ids are missing: a replay may jump
 // ids, and an image an older build wrote may lack the ones it deleted.
 //
@@ -38,6 +43,10 @@
 // the ones outside the window. An index key is a value's rendering, so
 // where the index holds, or the condition asks for, a value that is not a
 // string, each candidate is checked: the string "27" is not the number 27.
+// Equal numbers may render apart (the integer 1000000, the float 1e+06), so
+// over an index holding values other than strings a number asked for is
+// looked up under the rendering of every number equal to it, or, where
+// those cannot be listed, the filter is a scan.
 // A Sharded router asks each shard for its first offset+limit matches and
 // cuts the window from their concatenation. A remote shard's list reaches
 // the router still encoded (Result.Encoded, a DocList), and the router

@@ -75,8 +75,9 @@ func (m *collectionModel) query(q Query) Result {
 }
 
 // modelDoc is a small document drawn from two bytes: a name (two of them
-// share the prefix "Ma", and one is the string "1984" or the number that
-// renders like it), a type that is a string, absent or a list, a text that
+// share the prefix "Ma", and one is the string "1984", the number that
+// renders like it, or the integer 1000000 or the float 1e+06, which are equal
+// and render apart), a type that is a string, absent or a list, a text that
 // may mention Matilda, and a number.
 func modelDoc(a, b byte) *Doc {
 	names := []string{"Matilda", "Wicked", "Once", "Mamma Mia", "Annie", "1984"}
@@ -84,8 +85,12 @@ func modelDoc(a, b byte) *Doc {
 	texts := []string{"Matilda grossed a million.", "The award-winning show runs. Matilda!", "A walk in the park", ""}
 	name := Str(names[a%6])
 	switch {
-	case a%6 == 5 && a/6%2 == 1:
+	case a%6 == 5 && a/6%4 == 1:
 		name = Num(1984)
+	case a%6 == 5 && a/6%4 == 2:
+		name = Num(1000000)
+	case a%6 == 5 && a/6%4 == 3:
+		name = Scalar(record.Float(1e6))
 	case a/6%2 == 1:
 		name = Str(names[a%6] + " II")
 	}
@@ -123,6 +128,10 @@ func FuzzCollectionMatchesModel(f *testing.F) {
 	build = append(build, 3, 0, 0, 3, 0, 1, 3, 0, 2, 2, 4, 0, 2, 83, 9, 2, 5, 20, 2, 200, 1, 2, 90, 0, 0, 1, 2)
 	f.Add(cycle)
 	f.Add(build)
+	// The integer 1000000 and the float 1e+06 under name_1, indexed
+	// before and after they are inserted.
+	f.Add([]byte{0, 23, 0, 0, 17, 1, 3, 0, 1, 0, 17, 2, 0, 23, 5})
+	f.Add([]byte{3, 0, 1, 0, 17, 0, 1, 23, 0, 0, 23, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = data[:min(len(data), 600)]
 		c := NewCollection("dt.x", 256)
@@ -185,6 +194,9 @@ func checkAgainstModel(t *testing.T, c *Collection, m *collectionModel) {
 		EqStr("name", "Wicked II"),
 		EqStr("name", "1984"),
 		Eq("name", record.Int(1984)),
+		Eq("name", record.Int(1000000)),
+		Eq("name", record.Float(1e6)),
+		Cond{Path: "name", Op: OpIn, Set: []record.Value{record.Float(1e6), record.String("Once")}},
 		Cond{Path: "name", Op: OpIn, Set: []record.Value{record.String("Once"), record.Int(1984), record.String("Annie II")}},
 		Cond{Path: "name", Op: OpIn, Set: []record.Value{record.String("Annie"), record.String("1984")}},
 		Contains("text", "matilda"),

@@ -3,6 +3,8 @@ package store
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Query is the one read a shard answers: the documents matching Filter, in
@@ -159,7 +161,7 @@ func (c *Collection) plan(f Filter) access {
 func (c *Collection) condAccess(cond Cond) access {
 	switch cond.Op {
 	case OpEq, OpIn:
-		if ix := c.indexFor(cond.Path, false); ix != nil {
+		if ix := c.indexFor(cond.Path, false); ix != nil && ix.serves(cond) {
 			return access{cond: cond, ix: ix}
 		}
 	case OpPrefix:
@@ -251,31 +253,126 @@ func (p *page) group(d *Doc) {
 	p.groups = append(p.groups, Group{Key: key, Count: 1})
 }
 
-// same is a scan's lookup: its candidates are the documents themselves.
-func same(d *Doc) *Doc { return d }
+// proven reports whether a run of candidates can be counted by its length:
+// none must be checked, grouped or ranked.
+func (p *page) proven() bool { return p.verify == nil && p.groupBy == "" && p.top.rank == nil }
 
-// addRun takes a run of candidates, doc giving each one's document. Unless
-// each must be checked, grouped or ranked, the run is proven: it is counted
-// by its length and only the part the window covers is looked up.
-func addRun[T any](p *page, run []T, doc func(T) *Doc) {
-	if p.verify != nil || p.groupBy != "" || p.top.rank != nil {
-		for _, x := range run {
-			p.add(doc(x))
-		}
-		return
-	}
-	lo := int(min(max(int64(p.offset)-p.total, 0), int64(len(run))))
-	hi := len(run)
+// window returns the part [lo, hi) of a proven run of n candidates that the
+// window covers, making room for it in the page.
+func (p *page) window(n int) (lo, hi int) {
+	lo = int(min(max(int64(p.offset)-p.total, 0), int64(n)))
+	hi = n
 	if p.limit >= 0 {
 		hi = lo + min(hi-lo, p.limit-len(p.out))
 	}
 	if p.out == nil && hi > lo {
 		p.out = make([]*Doc, 0, hi-lo)
 	}
-	for _, x := range run[lo:hi] {
-		p.out = append(p.out, doc(x))
+	return lo, hi
+}
+
+// addDocs takes a scan's candidates, the documents themselves. A proven
+// run is counted by its length and only the part the window covers is
+// kept.
+func addDocs(p *page, docs []*Doc) {
+	if !p.proven() {
+		for _, d := range docs {
+			p.add(d)
+		}
+		return
 	}
-	p.total += int64(len(run))
+	lo, hi := p.window(len(docs))
+	p.out = append(p.out, docs[lo:hi]...)
+	p.total += int64(len(docs))
+}
+
+// addList takes the candidates a posting list holds, doc giving each id's
+// document. A proven list is counted by its length, and only the ids the
+// window covers are decoded past the ones it skips and looked up. Each
+// candidate of a list that is not is visited, the page first taking room
+// for as much of the window as the list could fill.
+func addList(p *page, list postings, doc func(int64) *Doc) {
+	it, n := list.iter(), list.len()
+	if !p.proven() {
+		if p.top.rank == nil {
+			p.window(n)
+		}
+		for id, ok := it.next(); ok; id, ok = it.next() {
+			p.add(doc(id))
+		}
+		return
+	}
+	lo, hi := p.window(n)
+	if hi > lo {
+		it.skip(lo)
+		for range hi - lo {
+			id, _ := it.next()
+			p.out = append(p.out, doc(id))
+		}
+	}
+	p.total += int64(n)
+}
+
+// scratch is one query's working memory for candidates merged from more
+// posting lists than one: the keys looked up, the lists gathered, and two
+// buffers that results are written into in turn, so that one can be read
+// while the next is written. A query takes it from scratchPool and puts it
+// back when done, so a query that merges allocates nothing once the buffers
+// have grown.
+type scratch struct {
+	keys []string
+	one  postings // the one list gathered that holds ids, until a second does
+	ids  []int64  // the ids of every list gathered, once a second holds any
+	keep []bool
+	enc  [2][]byte
+	next int // the buffer of enc the next result goes to
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// reset begins gathering lists for a union.
+func (sc *scratch) reset() { sc.one, sc.ids = postings{}, sc.ids[:0] }
+
+// gather adds list to the union.
+func (sc *scratch) gather(list postings) {
+	switch {
+	case list.empty():
+	case sc.one.empty():
+		sc.one = list
+	default:
+		if len(sc.ids) == 0 {
+			sc.ids = sc.one.appendTo(sc.ids)
+		}
+		sc.ids = list.appendTo(sc.ids)
+	}
+}
+
+// union returns the ids of the lists gathered since reset, ascending and
+// each once: the one list that holds any as it is, else their merge,
+// written into the next buffer.
+func (sc *scratch) union() postings {
+	if len(sc.ids) == 0 {
+		return sc.one
+	}
+	slices.Sort(sc.ids)
+	out := sc.result()
+	for _, id := range slices.Compact(sc.ids) {
+		out.add(id)
+	}
+	return sc.done(out)
+}
+
+// result returns an empty list that writes into the next buffer; done
+// keeps what the list grew the buffer to and turns to the other one.
+func (sc *scratch) result() (p postings) {
+	p.setBytes(sc.enc[sc.next][:0])
+	return p
+}
+
+func (sc *scratch) done(p postings) postings {
+	sc.enc[sc.next] = p.bytes()[:0]
+	sc.next ^= 1
+	return p
 }
 
 // Query answers q. An index serves the filter's condition when one covers
@@ -289,7 +386,9 @@ func addRun[T any](p *page, run []T, doc func(T) *Doc) {
 // scan's, which follow the B-tree's keys. A ranked query scores every match
 // and returns the best of the window in rank order (see Rank). An
 // unfiltered group count reads its groups off an index over the path when
-// one holds a single entry per document (see countingIndex).
+// one holds a single entry per document (see countingIndex). Candidates
+// merged from several posting lists go through a pooled scratch, so no
+// query keeps a list of ids.
 func (c *Collection) Query(q Query) Result {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -310,21 +409,24 @@ func (c *Collection) Query(q Query) Result {
 		}
 	}
 	switch {
-	case a.tx != nil:
-		ids, _ := a.tx.Candidates(a.cond.Value.Str())
-		addRun(&p, ids, c.doc)
-	case a.ix == nil:
-		addRun(&p, c.docs, same)
+	case a.ix == nil && a.tx == nil:
+		addDocs(&p, c.docs)
 	case a.cond.Op == OpPrefix:
 		// The plan serves a prefix only from a B-tree index.
 		a.ix.keys.(treeKeys).AscendPrefix(a.cond.Value.Str(), func(_ string, list *postings) bool {
-			addRun(&p, list.ids(), c.doc)
+			addList(&p, *list, c.doc)
 			return true
 		})
-	case a.cond.Op == OpIn:
-		addRun(&p, a.ix.idsIn(a.cond.Set), c.doc)
+	case a.cond.Op == OpEq && !a.ix.byNumber(a.cond.Value):
+		addList(&p, a.ix.keys.get(a.cond.Value.Str()), c.doc)
 	default:
-		addRun(&p, a.ix.keys.get(a.cond.Value.Str()).ids(), c.doc)
+		sc := scratchPool.Get().(*scratch)
+		if a.tx != nil {
+			addList(&p, a.tx.candidates(a.cond.Value.Str(), sc), c.doc)
+		} else {
+			addList(&p, a.ix.idsIn(a.cond, sc), c.doc)
+		}
+		scratchPool.Put(sc)
 	}
 	if p.top.rank != nil {
 		p.out = p.top.window(q.Offset)
@@ -373,6 +475,9 @@ func (c *Collection) scanReason(f Filter) string {
 	case Cond:
 		switch f.Op {
 		case OpEq, OpIn:
+			if c.indexFor(f.Path, false) != nil {
+				return "the index on " + f.Path + " cannot list every key of a value equal to one asked for"
+			}
 			return "no index on " + f.Path
 		case OpPrefix:
 			return "prefix scan needs a btree index on " + f.Path

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/record"
 )
@@ -232,6 +233,71 @@ func TestIndexAnswersWhatAScanAnswers(t *testing.T) {
 	}
 }
 
+// TestIndexFindsEveryEqualValue: record.Compare equates numbers whatever
+// their kind, while an index key is a rendering, so the float 1e+06 and the
+// integer 1000000 lie under different keys, as do 0 and -0, and a NaN
+// equals every number. An Eq or In asking for a number, over an index of
+// either kind holding numbers, finds what a scan finds, both ways round:
+// through the index where the keys of the equal numbers can be listed, by a
+// scan where they cannot (NaN, and 2^60, which integers of many renderings
+// round to). So does one asking for a time in another zone than the held
+// one's, which it equals and renders otherwise: by a scan.
+func TestIndexFindsEveryEqualValue(t *testing.T) {
+	noon := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
+	held := []record.Value{
+		record.Float(1e6), record.Int(1000000), record.String("1000000"), record.Float(math.Copysign(0, -1)),
+		record.Int(0), record.Float(2.5), record.Int(1 << 60), record.Int(1<<60 + 1), record.Time(noon),
+	}
+	asks := []struct {
+		f       Filter
+		indexed bool
+	}{
+		{Eq("v", record.Int(1000000)), true},
+		{Eq("v", record.Float(1e6)), true},
+		{Eq("v", record.Int(0)), true},
+		{Eq("v", record.Float(0)), true},
+		{Eq("v", record.Float(2.5)), true},
+		{Cond{Path: "v", Op: OpIn, Set: []record.Value{record.String("x"), record.Float(1e6)}}, true},
+		{Cond{Path: "v", Op: OpIn, Set: []record.Value{record.Int(1000000), record.Int(0)}}, true},
+		{Eq("v", record.Int(1<<60)), false},
+		{Eq("v", record.Float(math.NaN())), false},
+		{Eq("v", record.Time(noon.In(time.FixedZone("UTC+2", 2*3600)))), false},
+	}
+	numbers := func(docs []*Doc) []string {
+		var out []string
+		for _, d := range docs {
+			out = append(out, d.PathString("n"))
+		}
+		return out
+	}
+	for _, values := range [][]record.Value{held, append(slices.Clone(held), record.Float(math.NaN()))} {
+		build := func(indexed bool, kind IndexKind) *Collection {
+			c := NewCollection("dt.entity", 0)
+			if indexed {
+				c.EnsureIndex("v_1", "v", kind)
+			}
+			for i, v := range values {
+				c.Insert(NewDoc(F("n", Num(int64(i))), F("v", Scalar(v))))
+			}
+			return c
+		}
+		scan := build(false, HashIndex)
+		for _, kind := range []IndexKind{HashIndex, BTreeIndex} {
+			c := build(true, kind)
+			for _, a := range asks {
+				if ex := explain(c, a.f); (ex.AccessPath == "index") != a.indexed {
+					t.Errorf("%+v over a %v index: plan %+v", a.f, kind, ex)
+				}
+				got, want := c.Query(Query{Filter: a.f, Limit: NoLimit}), scan.Query(Query{Filter: a.f, Limit: NoLimit})
+				if got.Total != want.Total || !slices.Equal(numbers(got.Docs), numbers(want.Docs)) {
+					t.Errorf("%+v over %d values, %v index: %d matches %v, a scan finds %d %v",
+						a.f, len(values), kind, got.Total, numbers(got.Docs), want.Total, numbers(want.Docs))
+				}
+			}
+		}
+	}
+}
+
 // TestDocPathMatchesSplitWalk compares Path with the strings.Split walk it
 // replaced.
 func TestDocPathMatchesSplitWalk(t *testing.T) {
@@ -336,20 +402,32 @@ func TestGroupCountAllocatesForTheGroups(t *testing.T) {
 }
 
 // TestPagedQueryAllocatesForThePage: a page of ten out of a 10 000-id posting
-// list costs the page, not the list, whichever kind of index holds it.
+// list costs the page, not the list, whichever kind of index holds it; so
+// does a page of a text index's Contains over a token of 1 000 ids, whose
+// candidates are each checked and none copied out. (The needle is lower
+// case: lowering one costs a copy of it, outside the lists.)
 func TestPagedQueryAllocatesForThePage(t *testing.T) {
 	for _, kind := range []IndexKind{HashIndex, BTreeIndex} {
-		t.Run(kind.String(), func(t *testing.T) { pagedQueryAllocatesForThePage(t, kind) })
+		t.Run(kind.String(), func(t *testing.T) {
+			c := NewCollection("dt.entity", 0)
+			c.EnsureIndex("type_1", "type", kind)
+			for i := 0; i < 10000; i++ {
+				c.Insert(entityDoc("E", "Movie", 0))
+			}
+			pagedQueryAllocatesForThePage(t, c, Query{Filter: EqStr("type", "Movie"), Offset: 5000, Limit: 10}, 10000)
+		})
 	}
+	t.Run("text", func(t *testing.T) {
+		c := NewCollection("dt.instance", 0)
+		c.EnsureTextIndex("text")
+		for i := 0; i < 1000; i++ {
+			c.Insert(feedDoc(i, fmt.Sprintf("Fragment %d names Matilda, who grossed %d.", i, 1000+i%37)))
+		}
+		pagedQueryAllocatesForThePage(t, c, Query{Filter: Contains("text", "matilda"), Offset: 500, Limit: 10}, 1000)
+	})
 }
 
-func pagedQueryAllocatesForThePage(t *testing.T, kind IndexKind) {
-	c := NewCollection("dt.entity", 0)
-	c.EnsureIndex("type_1", "type", kind)
-	for i := 0; i < 10000; i++ {
-		c.Insert(entityDoc("E", "Movie", 0))
-	}
-	q := Query{Filter: EqStr("type", "Movie"), Offset: 5000, Limit: 10}
+func pagedQueryAllocatesForThePage(t *testing.T, c *Collection, q Query, matches int64) {
 	var res Result
 	perRun := func(n int, q Query) (allocs float64, bytes uint64) {
 		allocs = testing.AllocsPerRun(n, func() { res = c.Query(q) })
@@ -362,14 +440,14 @@ func pagedQueryAllocatesForThePage(t *testing.T, kind IndexKind) {
 		return allocs, (after.TotalAlloc - before.TotalAlloc) / uint64(n)
 	}
 	allocs, bytes := perRun(50, q)
-	if res.Total != 10000 || len(res.Docs) != 10 {
+	if res.Total != matches || len(res.Docs) != 10 {
 		t.Fatalf("page = %d docs of %d", len(res.Docs), res.Total)
 	}
 	if allocs > 1 || bytes > 1024 {
-		t.Errorf("limit=10 over 10 000 matches: %.0f allocs, %d B per query (budget: 1 alloc, the page)", allocs, bytes)
+		t.Errorf("limit=10 over %d matches: %.0f allocs, %d B per query (budget: 1 alloc, the page)", matches, allocs, bytes)
 	}
 	q.Limit = 0
-	if allocs, _ := perRun(50, q); allocs != 0 || res.Total != 10000 {
-		t.Errorf("count-only over 10 000 matches: %.0f allocs (budget 0), total %d", allocs, res.Total)
+	if allocs, _ := perRun(50, q); allocs != 0 || res.Total != matches {
+		t.Errorf("count-only over %d matches: %.0f allocs (budget 0), total %d", matches, allocs, res.Total)
 	}
 }

@@ -16,18 +16,22 @@ import (
 // the index yields a candidate superset cheaply, and the caller verifies
 // each candidate with the real substring predicate, so indexed and scanned
 // query paths return identical results. Each token holds one posting list,
-// as each key of a hash or B-tree index does.
+// as each key of a hash or B-tree index does; a query reads the lists where
+// they lie and writes what it merges or intersects into its own scratch.
 //
 // Synchronization rides on the owning Collection's lock: mutations happen
-// under the write lock, Candidates under the read lock.
+// under the write lock, candidates under the read lock.
 type TextIndex struct {
 	Path string
 
 	// tokens maps a token to its postings. They sit behind a pointer so
 	// that adding an id to a known token is a lookup, which converts the
 	// token bytes without copying them, not a store, which would copy them
-	// into a new key.
+	// into a new key: every add changes the list's inline highest id, so a
+	// list held by value would be stored back each time.
 	tokens map[string]*postings
+	// slot is the place of Path in its collection's indexPaths.
+	slot int
 
 	// Scratch docTokens reuses, guarded like tokens: the tokens of one
 	// value, the lowered bytes of all of them, and one span of lower per
@@ -47,15 +51,12 @@ func newTextIndex(path string) *TextIndex {
 // Name identifies the index in plans and diagnostics.
 func (tx *TextIndex) Name() string { return tx.Path + "_text" }
 
-// docTokens extracts the sorted unique lowercased tokens of the document's
-// indexed path (list paths index each element's tokens) as spans of
-// tx.lower. Both are the index's scratch, valid until the next call.
-func (tx *TextIndex) docTokens(d *Doc) []span {
+// docTokens extracts the sorted unique lowercased tokens of v, the value a
+// document holds at the indexed path (a list's elements are each
+// tokenized), as spans of tx.lower. Both are the index's scratch, valid
+// until the next call.
+func (tx *TextIndex) docTokens(v DocValue) []span {
 	tx.lower, tx.spans = tx.lower[:0], tx.spans[:0]
-	v, ok := d.Path(tx.Path)
-	if !ok {
-		return nil
-	}
 	if v.IsList() {
 		it := v.Elems()
 		for e, ok := it.Next(); ok; e, ok = it.Next() {
@@ -82,8 +83,10 @@ func (tx *TextIndex) collect(s string) {
 	}
 }
 
-func (tx *TextIndex) insert(id int64, d *Doc) {
-	for _, sp := range tx.docTokens(d) {
+// insert adds id under the tokens of v, the value its document holds at
+// the indexed path.
+func (tx *TextIndex) insert(id int64, v DocValue) {
+	for _, sp := range tx.docTokens(v) {
 		tok := tx.lower[sp.lo:sp.hi]
 		p := tx.tokens[string(tok)]
 		if p == nil {
@@ -94,11 +97,10 @@ func (tx *TextIndex) insert(id int64, d *Doc) {
 	}
 }
 
-// Candidates returns a superset of the ids of documents whose indexed text
-// contains substr case-insensitively, in id (insertion) order. ok is false
-// when the index cannot bound the query — substr is empty or carries
-// characters outside letters, digits, and spaces — and the caller must fall
-// back to a scan.
+// candidates returns a superset of the ids of documents whose indexed text
+// contains substr case-insensitively, in id (insertion) order: one token's
+// posting list as it is stored, or a list written into sc. The index must
+// bound substr (CanBound); a query it cannot bound is a scan.
 //
 // Why the superset holds: every space-separated term of the query consists
 // solely of letters and digits, so any occurrence of it in a document lies
@@ -112,114 +114,113 @@ func (tx *TextIndex) insert(id int64, d *Doc) {
 // per-term sets are intersected; the result still covers every match.
 // Ids are assigned in insertion order, so the ascending result matches the
 // scan path's result order exactly.
-func (tx *TextIndex) Candidates(substr string) ([]int64, bool) {
-	low := strings.ToLower(substr)
-	if !canBound(low) {
-		return nil, false
+func (tx *TextIndex) candidates(substr string, sc *scratch) postings {
+	terms := sc.keys[:0]
+	for term := range strings.FieldsSeq(strings.ToLower(substr)) {
+		terms = append(terms, term)
 	}
-	terms := strings.Fields(low)
+	sc.keys = terms
 
 	// Interior terms are exact posting lists, so they narrow first; an edge
 	// term then only has to confirm the survivors instead of merging every
 	// token that contains it. Posting lists are ascending, so lists
-	// intersect in one pass. A list may be returned as it is: the caller
-	// holds the collection lock and must not modify it.
+	// intersect in one pass.
 	last := len(terms) - 1
-	var result []int64
+	var result postings
 	for i := 1; i < last; i++ {
-		var ids []int64
+		var list postings
 		if p := tx.tokens[terms[i]]; p != nil {
-			ids = p.ids()
+			list = *p
 		}
 		if i > 1 {
-			ids = intersectSorted(result, ids)
+			list = sc.intersect(result, list)
 		}
-		if result = ids; len(result) == 0 {
-			return nil, true
+		if result = list; result.empty() {
+			return result
 		}
 	}
 	// The longer edge term, likely the rarer, goes first: with no interior
 	// term it is the one whose tokens get merged.
-	edges := []int{0, last}
-	if last == 0 {
-		edges = edges[:1]
-	} else if len(terms[last]) > len(terms[0]) {
+	edges := [2]int{0, last}
+	if len(terms[last]) > len(terms[0]) {
 		edges[0], edges[1] = last, 0
 	}
-	for _, i := range edges {
-		if result == nil {
-			result = tx.sweep(terms[i])
+	for n, i := range edges[:min(len(terms), 2)] {
+		if n == 0 && last < 2 { // no interior term has narrowed the result
+			result = tx.sweep(terms[i], sc)
 		} else {
-			result = tx.confirm(result, terms[i])
+			result = tx.confirm(result, terms[i], sc)
 		}
-		if len(result) == 0 {
-			return nil, true
+		if result.empty() {
+			return result
 		}
 	}
-	return result, true
+	return result
 }
 
 // sweep returns the ascending ids of documents holding a token that
-// contains term: the one matching token's own list, or a sorted merge.
-func (tx *TextIndex) sweep(term string) []int64 {
-	var first, merged []int64
+// contains term: the one matching token's own list, or the union of all
+// of them.
+func (tx *TextIndex) sweep(term string, sc *scratch) postings {
+	sc.reset()
 	for tok, p := range tx.tokens {
-		switch {
-		case !strings.Contains(tok, term):
-		case first == nil:
-			first = p.ids()
-		default:
-			if merged == nil {
-				merged = append(merged, first...)
-			}
-			merged = append(merged, p.ids()...)
+		if strings.Contains(tok, term) {
+			sc.gather(*p)
 		}
 	}
-	if merged == nil {
-		return first
-	}
-	slices.Sort(merged)
-	return slices.Compact(merged)
+	return sc.union()
 }
 
-// confirm returns, in a new slice, those of the ascending ids that some
-// token containing term lists.
-func (tx *TextIndex) confirm(ids []int64, term string) []int64 {
-	keep := make([]bool, len(ids))
+// confirm returns those of the ids that some token containing term lists,
+// written into sc. Each such token's list is walked beside the ids, as far
+// as the highest of them.
+func (tx *TextIndex) confirm(ids postings, term string, sc *scratch) postings {
+	sc.ids = ids.appendTo(sc.ids[:0])
+	keep := slices.Grow(sc.keep[:0], len(sc.ids))[:len(sc.ids)]
+	clear(keep)
+	sc.keep = keep
 	for tok, p := range tx.tokens {
 		if !strings.Contains(tok, term) {
 			continue
 		}
-		for i, id := range ids {
-			if !keep[i] {
-				_, keep[i] = slices.BinarySearch(p.ids(), id)
+		it, i := p.iter(), 0
+		for id, ok := it.next(); ok && i < len(sc.ids); id, ok = it.next() {
+			for i < len(sc.ids) && sc.ids[i] < id {
+				i++
+			}
+			if i < len(sc.ids) && sc.ids[i] == id {
+				keep[i] = true
 			}
 		}
 	}
-	out := make([]int64, 0, len(ids))
-	for i, id := range ids {
+	out := sc.result()
+	for i, id := range sc.ids {
 		if keep[i] {
-			out = append(out, id)
+			out.add(id)
 		}
 	}
-	return out
+	return sc.done(out)
 }
 
-// intersectSorted returns the ids present in both ascending lists, in a new
-// slice.
-func intersectSorted(a, b []int64) []int64 {
-	var out []int64
-	for len(a) > 0 && len(b) > 0 {
+// intersect returns the ids both ascending lists hold, written into sc.
+func (sc *scratch) intersect(a, b postings) postings {
+	out := sc.result()
+	ia, ib := a.iter(), b.iter()
+	x, okA := ia.next()
+	y, okB := ib.next()
+	for okA && okB {
 		switch {
-		case a[0] < b[0]:
-			a = a[1:]
-		case a[0] > b[0]:
-			b = b[1:]
+		case x < y:
+			x, okA = ia.next()
+		case x > y:
+			y, okB = ib.next()
 		default:
-			out, a, b = append(out, a[0]), a[1:], b[1:]
+			out.add(x)
+			x, okA = ia.next()
+			y, okB = ib.next()
 		}
 	}
-	return out
+	return sc.done(out)
 }
 
 // CanBound reports whether the index can serve substr at all — the purely
