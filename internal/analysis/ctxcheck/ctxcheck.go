@@ -39,7 +39,7 @@ var Allowlist = map[string]string{
 	// Stats serves the facade's InstanceStats and EntityStats.
 	"repro/internal/store.(*Sharded).Insert":          "legacy wrapper over InsertCtx",
 	"repro/internal/store.(*Sharded).EnsureIndex":     "legacy wrapper over EnsureIndexCtx",
-	"repro/internal/store.(*Sharded).EnsureTextIndex": "legacy wrapper over EnsureTextIndexCtx",
+	"repro/internal/store.(*Sharded).EnsureTextIndex": "legacy wrapper over EnsureIndexCtx with a text index's spec",
 	"repro/internal/store.(*Sharded).Stats":           "legacy wrapper over StatsCtx",
 
 	// Lifecycle paths that own their work rather than serving a caller:

@@ -47,7 +47,6 @@ var Allowlist = map[string]string{
 	// the WAL, under h.mu for the same reason: what is handed out (or
 	// applied) must be a prefix of the acknowledged history.
 	"repro/internal/cluster.(*Node).handlePull":       "shard image handed out under h.mu must match h.gen",
-	"repro/internal/cluster.(*Node).handleInfo":       "seq/kind snapshot under h.mu pairs with the WAL state it describes",
 	"repro/internal/cluster.(*Node).EnableDurability": "recovery replay under h.mu precedes any concurrent write",
 	"repro/internal/cluster.(*Node).Checkpoint":       "checkpoint under h.mu captures a consistent store+seq pair",
 	"repro/internal/cluster.(*hostedShard).applyPull": "replica apply and its WAL appends under h.mu mirror the primary's ack ordering",

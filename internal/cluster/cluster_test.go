@@ -248,11 +248,10 @@ func TestFollowerIndexReplication(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := shard.CreateIndex(ctx, "by_name", "name", store.BTreeIndex); err != nil {
-		t.Fatalf("create index: %v", err)
-	}
-	if err := shard.CreateTextIndex(ctx, "body"); err != nil {
-		t.Fatalf("create text index: %v", err)
+	for _, ix := range []store.IndexSpec{{Name: "by_name", Path: "name", Kind: store.BTreeIndex}, {Path: "body", Kind: store.TextIndex}} {
+		if err := shard.CreateIndex(ctx, ix); err != nil {
+			t.Fatalf("create index %+v: %v", ix, err)
+		}
 	}
 	if err := fol.PullOnce(); err != nil {
 		t.Fatalf("pull: %v", err)
@@ -430,15 +429,16 @@ func TestFollowerWriteRejected(t *testing.T) {
 	}
 }
 
-// TestRetiredOpsRefused: codes 3 and 4, the retired update and delete, are
-// invalid arguments on a primary and on a read-only follower alike, with
-// or without a read fence the shard has not reached, and store nothing.
+// TestRetiredOpsRefused: the retired codes — 3 and 4, update and delete; 8,
+// a text index's creation; 10, the warm probe — are invalid arguments on a
+// primary and on a read-only follower alike, with or without a read fence
+// the shard has not reached, and change nothing.
 func TestRetiredOpsRefused(t *testing.T) {
 	key := ShardKey(NSEntities, 0)
 	body := store.EncodeIDDoc(1, store.NewDoc(store.F("name", store.Str("x"))))
 	for _, node := range []*Node{NewNode("p"), newFollowerNode("f")} {
 		hostAll(node, 1)
-		for _, op := range []byte{3, 4} {
+		for _, op := range []byte{3, 4, 8, 10} {
 			for _, minGen := range []uint64{0, 99} {
 				resp := loopbackCall(t, node, &Request{Op: op, Shard: key, MinGen: minGen, Body: body})
 				if !errors.Is(resp.Err, dterr.ErrInvalidArgument) {

@@ -199,7 +199,9 @@ func Connect(cfg *Config, timeout time.Duration) (*Cluster, error) {
 // Warm probes every shard of both namespaces and reports whether the
 // cluster already holds data — i.e. the nodes recovered state from their
 // node-local WAL/checkpoints and the coordinator must not re-run batch
-// ingest against them. Warm means every shard's generation is positive
+// ingest against them. The probe is an OpStats to the shard's primary,
+// whose reply, like every reply, carries the shard's generation. Warm
+// means every shard's generation is positive
 // (any batch run bumps every shard at least once while building indexes);
 // all-zero generations mean a cold cluster. A mix is unsafe either way —
 // re-ingesting would duplicate the warm shards' documents — so it is an
@@ -212,12 +214,12 @@ func (c *Cluster) Warm(ctx context.Context) (bool, error) {
 			if !ok {
 				continue
 			}
-			info, err := rs.Info(ctx)
+			resp, err := rs.callPrimary(ctx, OpStats, nil)
 			if err != nil {
 				return false, dterr.Wrapf(dterr.CodeOf(err), err, "cluster: probing %s shard %d", s.NS(), i)
 			}
 			total++
-			if info.Gen > 0 {
+			if resp.Gen > 0 {
 				warmShards++
 			}
 		}

@@ -72,22 +72,10 @@ func writeShardCheckpoint(c *store.Collection, cpDir string) error {
 	return nil
 }
 
-// ensureIndex creates ix in c and returns the WAL event a primary logs for
-// its creation.
-func ensureIndex(c *store.Collection, ix store.IndexSpec) (kind byte, payload []byte) {
-	if ix.Text {
-		c.EnsureTextIndex(ix.Path)
-		var buf bytes.Buffer
-		store.PutString(&buf, ix.Path)
-		return EvCreateTextIndex, buf.Bytes()
-	}
-	c.EnsureIndex(ix.Name, ix.Path, ix.Kind)
-	return EvCreateIndex, EncodeCreateIndex(ix.Name, ix.Path, ix.Kind)
-}
-
 // applyEvent applies one shard WAL event to a collection, as a node's
 // recovery replays it. A retired kind, an update or a delete, is refused
-// by name.
+// by name; a text index's creation as an older build logged it, kind 5,
+// is applied.
 func applyEvent(c *store.Collection, kind byte, payload []byte) error {
 	switch kind {
 	case EvInsert:
@@ -97,17 +85,17 @@ func applyEvent(c *store.Collection, kind byte, payload []byte) error {
 		}
 		return c.ApplyReplay(id, d)
 	case EvCreateIndex:
-		name, path, k, err := DecodeCreateIndex(payload)
+		ix, err := store.GetIndexSpec(bytes.NewReader(payload))
 		if err != nil {
 			return err
 		}
-		c.EnsureIndex(name, path, k)
-	case EvCreateTextIndex:
-		p, err := store.GetString(bytes.NewReader(payload))
+		c.EnsureIndex(ix)
+	case 5:
+		path, err := store.GetString(bytes.NewReader(payload))
 		if err != nil {
 			return err
 		}
-		c.EnsureTextIndex(p)
+		c.EnsureIndex(store.IndexSpec{Path: path, Kind: store.TextIndex})
 	case 2:
 		return errors.New("cluster: replication event kind 2 (update) is retired: the store only appends")
 	case 3:

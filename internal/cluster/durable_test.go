@@ -35,11 +35,10 @@ func seedDurableNode(t *testing.T, node *Node) {
 	for i := 0; i < 5; i++ {
 		insert(i)
 	}
-	if err := ent.CreateIndex(ctx, "by_name", "name", store.BTreeIndex); err != nil {
-		t.Fatal(err)
-	}
-	if err := ent.CreateTextIndex(ctx, "name"); err != nil {
-		t.Fatal(err)
+	for _, ix := range []store.IndexSpec{{Name: "by_name", Path: "name", Kind: store.BTreeIndex}, {Path: "name", Kind: store.TextIndex}} {
+		if err := ent.CreateIndex(ctx, ix); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 5; i < 7; i++ {
 		insert(i)
@@ -219,29 +218,73 @@ func TestRetiredEventKindsFailRecovery(t *testing.T) {
 	}
 }
 
+// TestOldTextIndexEventRecovers: a shard WAL in which an older build logged
+// a text index's creation as kind 5, its path alone, recovers the index,
+// and a Contains over its path is served by it.
+func TestOldTextIndexEventRecovers(t *testing.T) {
+	root := t.TempDir()
+	key := ShardKey(NSEntities, 0)
+	lg, _, err := openShardLog(root, key, store.NewCollection(NSEntities, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var path bytes.Buffer
+	store.PutString(&path, "name")
+	d := store.NewDoc(store.F("name", store.Str("The Walking Dead")))
+	for _, ev := range []struct {
+		kind    byte
+		payload []byte
+	}{{EvInsert, store.EncodeIDDoc(1, d)}, {5, path.Bytes()}} {
+		if _, err := lg.Append(ev.kind, ev.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lg, coll, err := openShardLog(root, key, store.NewCollection(NSEntities, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	if missing := coll.MissingIndexes([]store.IndexSpec{{Path: "name", Kind: store.TextIndex}}); len(missing) != 0 {
+		t.Fatalf("the recovered shard lacks %+v", missing)
+	}
+	q := store.Query{Filter: store.Contains("name", "WALKING"), Limit: store.NoLimit}
+	if res := coll.Query(q); res.Total != 1 {
+		t.Errorf("Contains found %d documents, want 1", res.Total)
+	}
+	q.Explain = true
+	if plan := coll.Query(q).Plan; plan.IndexKind != "text" {
+		t.Errorf("Contains planned as %+v, want the text index", plan)
+	}
+}
+
 // FuzzApplyEvent: no event, whatever its kind and payload, panics the
-// applier of WAL recovery; only an insert and
-// the two index creations ever apply, an insert adding one document and an
-// index creation none; and a refused event leaves the collection's Count
-// and snapshot bytes as they were. The seeds are an event of each live
-// kind, one of each retired kind, an insert of a held id, an insert of an
-// id alone and an index of a kind that is neither hash nor B-tree.
+// applier of WAL recovery; only an insert and an index creation — kind 4,
+// or kind 5, a text index's as an older build logged it — ever apply, an
+// insert adding one document and an index creation none; and a refused
+// event leaves the collection's Count and snapshot bytes as they were. The
+// seeds are an event of each kind that applies, one of each retired kind,
+// an insert of a held id, an insert of an id alone, an index of a kind that
+// is no kind, and a text index's spec under kind 4.
 func FuzzApplyEvent(f *testing.F) {
 	doc := store.NewDoc(store.F("name", store.Str("Matilda")), store.F("type", store.Str("Movie")))
 	var text bytes.Buffer
 	store.PutString(&text, "name")
 	f.Add(EvInsert, store.EncodeIDDoc(4, doc))
-	f.Add(EvCreateIndex, EncodeCreateIndex("type_1", "type", store.HashIndex))
-	f.Add(EvCreateTextIndex, text.Bytes())
+	f.Add(EvCreateIndex, specBody(store.IndexSpec{Name: "type_1", Path: "type", Kind: store.HashIndex}))
+	f.Add(byte(5), text.Bytes()) // a text index's creation as an older build logged it
 	f.Add(byte(2), store.EncodeIDDoc(1, doc))
 	f.Add(byte(3), binary.LittleEndian.AppendUint64(nil, 2))
 	f.Add(EvInsert, store.EncodeIDDoc(2, doc))
 	f.Add(EvInsert, binary.LittleEndian.AppendUint64(nil, 4))
-	f.Add(EvCreateIndex, EncodeCreateIndex("type_1", "type", 7))
+	f.Add(EvCreateIndex, specBody(store.IndexSpec{Name: "type_1", Path: "type", Kind: 7}))
+	f.Add(EvCreateIndex, specBody(store.IndexSpec{Path: "type", Kind: store.TextIndex}))
 	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
 		c := store.NewCollection(NSEntities, 256)
-		c.EnsureIndex("name_1", "name", store.BTreeIndex)
-		c.EnsureTextIndex("text")
+		c.EnsureIndex(store.IndexSpec{Name: "name_1", Path: "name", Kind: store.BTreeIndex})
+		c.EnsureIndex(store.IndexSpec{Path: "text", Kind: store.TextIndex})
 		for i := 0; i < 3; i++ {
 			c.Insert(store.NewDoc(store.F("name", store.Str(fmt.Sprintf("Show %d", i))), store.F("text", store.Str("a walk in the park"))))
 		}
@@ -263,7 +306,7 @@ func FuzzApplyEvent(f *testing.F) {
 			if c.Count() != count+1 {
 				t.Fatalf("an applied insert left %d documents, want %d", c.Count(), count+1)
 			}
-		case kind == EvCreateIndex || kind == EvCreateTextIndex:
+		case kind == EvCreateIndex || kind == 5:
 			if c.Count() != count {
 				t.Fatalf("an applied index creation left %d documents, want %d", c.Count(), count)
 			}
@@ -292,11 +335,10 @@ func TestCreateIndexTwiceIsNoWrite(t *testing.T) {
 	ctx := context.Background()
 	var after [2][2]uint64 // per round: generation, next WAL sequence
 	for round := range after {
-		if err := shard.CreateIndex(ctx, "type_1", "type", store.HashIndex); err != nil {
-			t.Fatal(err)
-		}
-		if err := shard.CreateTextIndex(ctx, "name"); err != nil {
-			t.Fatal(err)
+		for _, ix := range []store.IndexSpec{{Name: "type_1", Path: "type", Kind: store.HashIndex}, {Path: "name", Kind: store.TextIndex}} {
+			if err := shard.CreateIndex(ctx, ix); err != nil {
+				t.Fatal(err)
+			}
 		}
 		h.mu.Lock()
 		after[round] = [2]uint64{h.gen, h.dur.NextSeq()}
@@ -368,7 +410,7 @@ func TestWarmProbe(t *testing.T) {
 	for _, ns := range []string{NSInstances, NSEntities} {
 		for idx := 0; idx < shards; idx++ {
 			rs := NewRemoteShard(ns, idx, Loopback{Node: node}, nil)
-			if err := rs.CreateIndex(ctx, "probe", "name", store.HashIndex); err != nil {
+			if err := rs.CreateIndex(ctx, store.IndexSpec{Name: "probe", Path: "name", Kind: store.HashIndex}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -399,11 +441,10 @@ func TestFollowerResyncPreservesIndexes(t *testing.T) {
 	primary.AddShard(ShardKey(NSEntities, 0), store.NewCollection(NSEntities, 64))
 	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: primary}, nil)
 	ctx := context.Background()
-	if err := shard.CreateIndex(ctx, "by_name", "name", store.BTreeIndex); err != nil {
-		t.Fatal(err)
-	}
-	if err := shard.CreateTextIndex(ctx, "body"); err != nil {
-		t.Fatal(err)
+	for _, ix := range []store.IndexSpec{{Name: "by_name", Path: "name", Kind: store.BTreeIndex}, {Path: "body", Kind: store.TextIndex}} {
+		if err := shard.CreateIndex(ctx, ix); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 8; i++ {
 		if _, err := shard.Insert(ctx, store.NewDoc(

@@ -207,11 +207,10 @@ func TestResponseFramesMatchReference(t *testing.T) {
 	for _, d := range docs {
 		ids = append(ids, twin.Insert(d))
 	}
-	createIndex := EncodeCreateIndex("type_1", "type", store.HashIndex)
-	twin.EnsureIndex("type_1", "type", store.HashIndex)
-	var textPath bytes.Buffer
-	store.PutString(&textPath, "name")
-	twin.EnsureTextIndex("name")
+	hash := store.IndexSpec{Name: "type_1", Path: "type", Kind: store.HashIndex}
+	text := store.IndexSpec{Path: "name", Kind: store.TextIndex}
+	twin.EnsureIndex(hash)
+	twin.EnsureIndex(text)
 	const gen = 7
 	image := func(above int64) []byte {
 		var buf bytes.Buffer
@@ -239,16 +238,19 @@ func TestResponseFramesMatchReference(t *testing.T) {
 	steps := []exchange{
 		{&Request{Op: OpPing}, &Response{}},
 		{&Request{Op: OpInsert, Shard: key, Body: encodeDocList(docs)}, &Response{Gen: 5, Body: EncodeIDs(ids)}},
-		// Codes 3 and 4, the retired update and delete, are refused before
-		// any fence and change nothing.
+		// The retired codes — 3 and 4, the update and delete; 8, a text
+		// index's creation; 10, the warm probe — are refused before any
+		// fence and change nothing.
 		{&Request{Op: 3, Shard: key, Body: store.EncodeIDDoc(ids[0], docs[1])}, retired(3)},
 		{&Request{Op: 4, Shard: key, Body: binary.LittleEndian.AppendUint64(nil, uint64(ids[1]))}, retired(4)},
 		{&Request{Op: 4, Shard: key, MinGen: 99}, retired(4)},
-		{&Request{Op: OpCreateIndex, Shard: key, Body: EncodeCreateIndex("k_1", "name", 7)}, &Response{Err: dterr.New(dterr.CodeInvalidArgument, `cluster: index "k_1": unknown kind 7 (invalid_argument)`)}},
-		{&Request{Op: OpCreateIndex, Shard: key, Body: createIndex}, &Response{Gen: 6}},
-		{&Request{Op: OpCreateTextIndex, Shard: key, Body: textPath.Bytes()}, &Response{Gen: gen}},
+		{&Request{Op: 8, Shard: key, Body: specBody(text)}, retired(8)},
+		{&Request{Op: 10, Shard: key, MinGen: 99}, retired(10)},
+		{&Request{Op: OpCreateIndex, Shard: key, Body: specBody(store.IndexSpec{Name: "k_1", Path: "name", Kind: 7})}, &Response{Err: dterr.New(dterr.CodeInvalidArgument, `cluster: index "k_1": unknown kind 7 (invalid_argument)`)}},
+		{&Request{Op: OpCreateIndex, Shard: key, Body: specBody(store.IndexSpec{Name: "k_1", Path: "name", Kind: store.TextIndex})}, &Response{Err: dterr.New(dterr.CodeInvalidArgument, `cluster: text index "k_1" over "name": a text index has no name (invalid_argument)`)}},
+		{&Request{Op: OpCreateIndex, Shard: key, Body: specBody(hash)}, &Response{Gen: 6}},
+		{&Request{Op: OpCreateIndex, Shard: key, Body: specBody(text)}, &Response{Gen: gen}},
 		{&Request{Op: OpStats, Shard: key}, &Response{Gen: gen, Body: EncodeStats(twin.Stats())}},
-		{&Request{Op: OpInfo, Shard: key}, &Response{Gen: gen, Body: EncodeShardInfo(ShardInfo{Gen: gen, Count: 5})}},
 		// A pull answers with the image above the id it names: the whole
 		// shard above 0, the layout and the last two documents above the
 		// third's id.
@@ -304,7 +306,7 @@ func TestRequestBufferNotAliased(t *testing.T) {
 	longQuery := func(n int) []byte {
 		return mustQuery(t, store.Query{Filter: store.Contains("name", strings.Repeat("q", n)), Limit: 1})
 	}
-	createIndex := EncodeCreateIndex("name_1", "name", store.BTreeIndex)
+	createIndex := specBody(store.IndexSpec{Name: "name_1", Path: "name", Kind: store.BTreeIndex})
 	call(1, OpQuery, longQuery(400)) // the buffer grows to this frame and is kept
 	call(2, OpCreateIndex, createIndex)
 	for i := range 3 {

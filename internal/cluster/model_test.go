@@ -304,16 +304,13 @@ var (
 	modelWords   = []string{"grossed", "award-winning", "walking", "dead", "the", "Matilda", "O'Brien", "Boys", "musical", "WALKING"}
 	modelTags    = []string{"a", "b", "c"}
 	groupPaths   = []string{"type", "tags", "attributes.award_winning", "name"}
-	modelIndexes = []struct {
-		name, path string
-		kind       store.IndexKind
-	}{
-		{"type_1", "type", store.HashIndex},
-		{"name_1", "name", store.BTreeIndex},
-		{"tags_1", "tags", store.HashIndex},
-		{"award_1", "attributes.award_winning", store.HashIndex},
-		{"name_text", "name", -1}, // -1: inverted text index
-		{"text_text", "text", -1},
+	modelIndexes = []store.IndexSpec{
+		{Name: "type_1", Path: "type", Kind: store.HashIndex},
+		{Name: "name_1", Path: "name", Kind: store.BTreeIndex},
+		{Name: "tags_1", Path: "tags", Kind: store.HashIndex},
+		{Name: "award_1", Path: "attributes.award_winning", Kind: store.HashIndex},
+		{Path: "name", Kind: store.TextIndex},
+		{Path: "text", Kind: store.TextIndex},
 	}
 )
 
@@ -516,7 +513,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 			// From half way on tags_1 exists whatever the draws, so the
 			// list-valued tags path is grouped both with and without it.
 			for _, tg := range targets {
-				must(tg.s.EnsureIndexCtx(ctx, "tags_1", "tags", store.HashIndex))
+				must(tg.s.EnsureIndexCtx(ctx, modelIndexes[2]))
 			}
 		}
 		// One mutation, applied to the reference and to every router.
@@ -553,11 +550,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 		default:
 			ix := modelIndexes[rng.Intn(len(modelIndexes))]
 			for _, tg := range targets {
-				if ix.kind < 0 {
-					must(tg.s.EnsureTextIndexCtx(ctx, ix.path))
-				} else {
-					must(tg.s.EnsureIndexCtx(ctx, ix.name, ix.path, ix.kind))
-				}
+				must(tg.s.EnsureIndexCtx(ctx, ix))
 			}
 		}
 

@@ -143,7 +143,7 @@ func (n *Node) handle(req *Request, out respFrame) error {
 		return dterr.Newf(dterr.CodeNotFound, "cluster: node %q does not host shard %q", n.name, req.Shard)
 	}
 	switch req.Op {
-	case OpInsert, OpCreateIndex, OpCreateTextIndex:
+	case OpInsert, OpCreateIndex:
 		if n.readOnly {
 			return dterr.Newf(dterr.CodeUnavailable, "cluster: node %q is a read-only follower", n.name)
 		}
@@ -152,13 +152,10 @@ func (n *Node) handle(req *Request, out respFrame) error {
 		return n.handleRead(req, h, out)
 	case OpPull:
 		return n.handlePull(req, h, out)
-	case OpInfo:
-		// Probes bypass the read fence: a coordinator asks "how warm are
-		// you" before deciding whether any generation exists to fence on.
-		return n.handleInfo(h, out)
 	default:
-		// The retired update and delete, codes 3 and 4, land here on a
-		// primary and a follower alike, before any fence.
+		// The retired codes — 3 and 4, update and delete; 8, a text
+		// index's creation; 10, the warm probe — land here on a primary and
+		// a follower alike, before any fence.
 		return dterr.Newf(dterr.CodeInvalidArgument, "cluster: unknown op %d", req.Op)
 	}
 }
@@ -195,27 +192,15 @@ func (n *Node) handleWrite(req *Request, h *hostedShard, out respFrame) error {
 		}
 		body = EncodeIDs(ids)
 	case OpCreateIndex:
-		name, path, kind, err := DecodeCreateIndex(req.Body)
+		ix, err := store.GetIndexSpec(bytes.NewReader(req.Body))
 		if err != nil {
-			return err
+			return dterr.Newf(dterr.CodeInvalidArgument, "cluster: %v", err)
 		}
 		// An index that already exists is not a write: it takes no
 		// generation and no WAL event.
-		if h.coll.EnsureIndex(name, path, kind) {
+		if h.coll.EnsureIndex(ix) {
 			h.gen++
 			if err := h.logLocked(EvCreateIndex, req.Body); err != nil {
-				return dterr.Wrap(dterr.CodeInternal, err)
-			}
-		}
-	case OpCreateTextIndex:
-		rd := bytes.NewReader(req.Body)
-		path, err := store.GetString(rd)
-		if err != nil {
-			return err
-		}
-		if h.coll.EnsureTextIndex(path) {
-			h.gen++
-			if err := h.logLocked(EvCreateTextIndex, req.Body); err != nil {
 				return dterr.Wrap(dterr.CodeInternal, err)
 			}
 		}
@@ -257,15 +242,6 @@ func (n *Node) handlePull(req *Request, h *hostedShard, out respFrame) error {
 	if err := h.coll.WriteSnapshot(out.ok(h.gen), int64(above)); err != nil {
 		return dterr.Wrap(dterr.CodeInternal, err)
 	}
-	return nil
-}
-
-// handleInfo serves the warm-probe: generation and document count, with no
-// read fence applied.
-func (n *Node) handleInfo(h *hostedShard, out respFrame) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out.ok(h.gen).Write(EncodeShardInfo(ShardInfo{Gen: h.gen, Count: h.coll.Count()}))
 	return nil
 }
 
@@ -625,10 +601,13 @@ func (h *hostedShard) applyPull(gen uint64, body []byte) error {
 		return fmt.Errorf("cluster: follower at generation %d would land at %d, its primary is at %d", h.gen, lands, gen)
 	}
 	h.coll = coll
+	var spec bytes.Buffer
 	for _, ix := range added {
-		kind, payload := ensureIndex(coll, ix)
+		coll.EnsureIndex(ix)
 		h.gen++
-		if err := h.logLocked(kind, payload); err != nil {
+		spec.Reset()
+		store.PutIndexSpec(&spec, ix)
+		if err := h.logLocked(EvCreateIndex, spec.Bytes()); err != nil {
 			return err
 		}
 	}

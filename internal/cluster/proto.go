@@ -30,6 +30,13 @@
 // like a read's, and so that a coordinator loading four shards at once
 // holds about 1 MiB of frames.
 //
+// An index is one spec on every layer (store.IndexSpec: name, path, kind,
+// a text index being a kind): OpCreateIndex carries it in the bytes a
+// snapshot header holds for an index (store.PutIndexSpec), and a node
+// logs the same bytes as its WAL event. A coordinator learns whether a
+// node is warm from the generation every response carries, here that of
+// an OpStats sent to the primary.
+//
 // A read's bytes are buffered once on each side of the wire. A node reads
 // each request frame into its connection's request buffer and encodes the
 // response — header, then the result straight from the stored documents —
@@ -74,17 +81,20 @@ const (
 	// and group counts, the total alone (limit 0), or the shard's plan for
 	// the filter (explain). See EncodeQuery and putResult.
 	OpQuery
+	// OpStats answers the shard's storage statistics (EncodeStats).
 	OpStats
+	// OpCreateIndex's body is an index spec (store.PutIndexSpec), a text
+	// index's among them; an index the shard already has is no write.
 	OpCreateIndex
-	OpCreateTextIndex
+	// Code 8 was a text index's creation, now an OpCreateIndex of kind
+	// store.TextIndex; a node answers it with invalid_argument.
+	_
 	// OpPull's body is the follower's highest id (a uvarint, 0 when empty),
 	// its answer the shard's image above it (Collection.WriteSnapshot).
 	OpPull
-	// OpInfo probes a shard without the read fence: the response carries
-	// the shard's generation and document count, letting a coordinator
-	// decide whether nodes are warm (recovered from their local
-	// WAL/checkpoint) before re-running batch ingest.
-	OpInfo
+	// Code 10, the last, was a probe of a shard's generation and count;
+	// every response carries the generation (Response.Gen), so Cluster.Warm
+	// sends OpStats instead, and a node answers 10 with invalid_argument.
 )
 
 // MaxFrameLen bounds a wire frame so a corrupt or hostile length header
@@ -96,16 +106,15 @@ const MaxFrameLen uint32 = 64 << 20
 // Shard WAL event kinds, carried as the store.EventLog kind byte of a
 // node's shard WAL. An insert's payload is the 8-byte little-endian id,
 // then the encoded document (store.EncodeIDDoc) — byte for byte a
-// snapshot's document frame, which a durable follower logs as it arrived. Kinds 2 and
-// 3 were a document's update and delete; the store only appends, so a WAL
-// holding one fails to apply, and the error names the kind (see
-// applyEvent).
+// snapshot's document frame, which a durable follower logs as it arrived.
+// An index creation's payload is its spec, the OpCreateIndex body. Kinds 2
+// and 3 were a document's update and delete; the store only appends, so a
+// WAL holding one fails to apply, and the error names the kind. Kind 5 was
+// a text index's creation, its path alone; a node writes it no more, and
+// still replays it (see applyEvent).
 const (
-	EvInsert byte = 1
-	// Index creations are logged too. Payloads reuse the create-index
-	// request encodings.
-	EvCreateIndex     byte = 4
-	EvCreateTextIndex byte = 5
+	EvInsert      byte = 1
+	EvCreateIndex byte = 4
 )
 
 // Request is one wire request. Body is the op-specific payload, already
@@ -554,63 +563,4 @@ func DecodeStats(data []byte) (store.Stats, error) {
 		DataSize:       num("dataSize"),
 		AvgObjSize:     num("avgObjSize"),
 	}, nil
-}
-
-// EncodeCreateIndex packs a create-index request body.
-func EncodeCreateIndex(name, path string, kind store.IndexKind) []byte {
-	var buf bytes.Buffer
-	store.PutString(&buf, name)
-	store.PutString(&buf, path)
-	store.PutUvarint(&buf, uint64(kind))
-	return buf.Bytes()
-}
-
-// DecodeCreateIndex unpacks EncodeCreateIndex, refusing a kind that is
-// neither a hash nor a B-tree index.
-func DecodeCreateIndex(data []byte) (name, path string, kind store.IndexKind, err error) {
-	rd := bytes.NewReader(data)
-	if name, err = store.GetString(rd); err != nil {
-		return "", "", 0, dterr.Wrapf(dterr.CodeInternal, err, "cluster: index name")
-	}
-	if path, err = store.GetString(rd); err != nil {
-		return "", "", 0, dterr.Wrapf(dterr.CodeInternal, err, "cluster: index path")
-	}
-	k, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return "", "", 0, dterr.Wrapf(dterr.CodeInternal, err, "cluster: index kind")
-	}
-	if k != uint64(store.HashIndex) && k != uint64(store.BTreeIndex) {
-		return "", "", 0, dterr.Newf(dterr.CodeInvalidArgument, "cluster: index %q: unknown kind %d", name, k)
-	}
-	return name, path, store.IndexKind(k), nil
-}
-
-// ShardInfo is the decoded OpInfo response body.
-type ShardInfo struct {
-	// Gen is the shard's mutation generation (also in Response.Gen).
-	Gen uint64
-	// Count is the live document count.
-	Count int64
-}
-
-// EncodeShardInfo packs an OpInfo response body.
-func EncodeShardInfo(info ShardInfo) []byte {
-	var buf bytes.Buffer
-	store.PutUvarint(&buf, info.Gen)
-	store.PutUvarint(&buf, uint64(info.Count))
-	return buf.Bytes()
-}
-
-// DecodeShardInfo unpacks EncodeShardInfo.
-func DecodeShardInfo(data []byte) (ShardInfo, error) {
-	rd := bytes.NewReader(data)
-	gen, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return ShardInfo{}, dterr.Wrapf(dterr.CodeInternal, err, "cluster: info gen")
-	}
-	count, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return ShardInfo{}, dterr.Wrapf(dterr.CodeInternal, err, "cluster: info count")
-	}
-	return ShardInfo{Gen: gen, Count: int64(count)}, nil
 }

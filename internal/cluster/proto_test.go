@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -176,13 +177,42 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 }
 
+// specBody is an index spec's encoding: an OpCreateIndex body and an
+// EvCreateIndex payload.
+func specBody(ix store.IndexSpec) []byte {
+	var buf bytes.Buffer
+	store.PutIndexSpec(&buf, ix)
+	return buf.Bytes()
+}
+
+// TestCreateIndexRoundTrip: a spec of each kind crosses the wire as an
+// OpCreateIndex body and creates that index on the node, as its image's
+// layout shows.
 func TestCreateIndexRoundTrip(t *testing.T) {
-	name, path, kind, err := DecodeCreateIndex(EncodeCreateIndex("name_1", "name", store.HashIndex))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	node := NewNode("n")
+	hostAll(node, 1)
+	shard := NewRemoteShard(NSEntities, 0, Loopback{Node: node}, nil)
+	specs := []store.IndexSpec{
+		{Name: "name_1", Path: "name", Kind: store.BTreeIndex},
+		{Name: "type_1", Path: "type", Kind: store.HashIndex},
+		{Path: "text", Kind: store.TextIndex},
 	}
-	if name != "name_1" || path != "name" || kind != store.HashIndex {
-		t.Fatalf("round trip mismatch: %q %q %v", name, path, kind)
+	for _, ix := range specs {
+		if err := shard.CreateIndex(context.Background(), ix); err != nil {
+			t.Fatalf("create %+v: %v", ix, err)
+		}
+	}
+	var image bytes.Buffer
+	coll, gen := node.shard(ShardKey(NSEntities, 0)).view()
+	if err := coll.WriteSnapshot(&image, 0); err != nil {
+		t.Fatal(err)
+	}
+	img, err := store.ReadImage(&image, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(img.Layout, specs) || gen != uint64(len(specs)) {
+		t.Fatalf("layout %+v at generation %d, want %+v at %d", img.Layout, gen, specs, len(specs))
 	}
 }
 

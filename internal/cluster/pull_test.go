@@ -16,8 +16,8 @@ import (
 // and a text index over three documents, then whatever grow adds.
 func pullPrimary(grow func(c *store.Collection)) *store.Collection {
 	c := store.NewCollection(NSEntities, 256)
-	c.EnsureIndex("name_1", "name", store.BTreeIndex)
-	c.EnsureTextIndex("text")
+	c.EnsureIndex(store.IndexSpec{Name: "name_1", Path: "name", Kind: store.BTreeIndex})
+	c.EnsureIndex(store.IndexSpec{Path: "text", Kind: store.TextIndex})
 	for i := 0; i < 3; i++ {
 		c.Insert(store.NewDoc(store.F("name", store.Str(fmt.Sprintf("Show %d", i))), store.F("text", store.Str("a walk in the park"))))
 	}
@@ -46,10 +46,12 @@ func imageAbove(t testing.TB, c *store.Collection, above int64) []byte {
 // image, an image with the wrong generation, and one that adds an index
 // and starts at an id the follower holds.
 func FuzzApplyPull(f *testing.F) {
-	withIndex := pullPrimary(func(c *store.Collection) { c.EnsureIndex("type_1", "type", store.HashIndex) })
+	withIndex := pullPrimary(func(c *store.Collection) {
+		c.EnsureIndex(store.IndexSpec{Name: "type_1", Path: "type", Kind: store.HashIndex})
+	})
 	withDoc := pullPrimary(func(c *store.Collection) { c.Insert(store.NewDoc(store.F("name", store.Str("Matilda")))) })
 	withBoth := pullPrimary(func(c *store.Collection) {
-		c.EnsureIndex("type_1", "type", store.HashIndex)
+		c.EnsureIndex(store.IndexSpec{Name: "type_1", Path: "type", Kind: store.HashIndex})
 		c.Insert(store.NewDoc(store.F("name", store.Str("Matilda"))))
 	})
 	whole, tail := imageAbove(f, pullPrimary(nil), 0), imageAbove(f, withDoc, 3)
@@ -123,7 +125,7 @@ func TestDurableFollowerCrashAtEveryByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := shard.CreateIndex(ctx, "by_name", "name", store.BTreeIndex); err != nil {
+	if err := shard.CreateIndex(ctx, store.IndexSpec{Name: "by_name", Path: "name", Kind: store.BTreeIndex}); err != nil {
 		t.Fatal(err)
 	}
 	insert("c", "d", "e")

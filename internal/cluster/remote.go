@@ -142,27 +142,9 @@ func (r *RemoteShard) Stats(ctx context.Context) (store.Stats, error) {
 }
 
 // CreateIndex implements store.ShardBackend.
-func (r *RemoteShard) CreateIndex(ctx context.Context, name, path string, kind store.IndexKind) error {
-	_, err := r.callPrimary(ctx, OpCreateIndex, EncodeCreateIndex(name, path, kind))
+func (r *RemoteShard) CreateIndex(ctx context.Context, ix store.IndexSpec) error {
+	var body bytes.Buffer
+	store.PutIndexSpec(&body, ix)
+	_, err := r.callPrimary(ctx, OpCreateIndex, body.Bytes())
 	return err
-}
-
-// CreateTextIndex implements store.ShardBackend.
-func (r *RemoteShard) CreateTextIndex(ctx context.Context, path string) error {
-	var buf bytes.Buffer
-	store.PutString(&buf, path)
-	_, err := r.callPrimary(ctx, OpCreateTextIndex, buf.Bytes())
-	return err
-}
-
-// Info probes the primary's shard state — generation, document count,
-// index manifest — without the read fence. Coordinators use it to detect
-// warm nodes (recovered from their node-local WAL/checkpoint) before
-// deciding whether to re-run batch ingest.
-func (r *RemoteShard) Info(ctx context.Context) (ShardInfo, error) {
-	resp, err := r.callPrimary(ctx, OpInfo, nil)
-	if err != nil {
-		return ShardInfo{}, err
-	}
-	return DecodeShardInfo(resp.Body)
 }

@@ -100,7 +100,7 @@ func attemptCtx(ctx context.Context, attemptsLeft int) (context.Context, context
 // never retried — a duplicated insert is data corruption, not resilience.
 func IdempotentOp(op byte) bool {
 	switch op {
-	case OpPing, OpQuery, OpStats, OpPull, OpInfo:
+	case OpPing, OpQuery, OpStats, OpPull:
 		return true
 	}
 	return false

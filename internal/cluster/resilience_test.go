@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -240,14 +241,16 @@ func TestBreakerFailsFast(t *testing.T) {
 }
 
 // TestOpCodesNamedAndClassified guards the op numbering: every code from
-// OpPing to OpInfo has a metric label of its own, nothing outside that
-// range has one, and exactly the reads and probes are retried.
+// OpPing to OpPull but the retired 3, 4 and 8 has a metric label of its
+// own, nothing else has one (10, the last code once, is retired too), and
+// exactly the reads and the ping are retried.
 func TestOpCodesNamedAndClassified(t *testing.T) {
-	idempotent := map[string]bool{"ping": true, "query": true, "stats": true, "pull": true, "info": true}
+	inUse := []byte{OpPing, OpInsert, OpQuery, OpStats, OpCreateIndex, OpPull}
+	idempotent := map[string]bool{"ping": true, "query": true, "stats": true, "pull": true}
 	seen := map[string]bool{}
 	for op := 0; op <= 255; op++ {
 		name := opName(byte(op))
-		known := byte(op) >= OpPing && byte(op) <= OpInfo && op != 3 && op != 4 // 3 and 4 are retired
+		known := slices.Contains(inUse, byte(op))
 		if known == (name == "unknown") || known && seen[name] {
 			t.Errorf("op %d is labelled %q", op, name)
 		}
@@ -256,7 +259,10 @@ func TestOpCodesNamedAndClassified(t *testing.T) {
 			t.Errorf("op %d (%s): IdempotentOp = %v", op, name, IdempotentOp(byte(op)))
 		}
 	}
-	if len(opNames) != int(OpInfo)-2 {
-		t.Errorf("%d op labels for op codes 1..%d but 3 and 4", len(opNames), OpInfo)
+	if want := []byte{1, 2, 5, 6, 7, 9}; !slices.Equal(inUse, want) {
+		t.Errorf("op codes in use %v, want %v", inUse, want)
+	}
+	if len(opNames) != len(inUse) {
+		t.Errorf("%d op labels for the %d op codes in use", len(opNames), len(inUse))
 	}
 }

@@ -30,8 +30,7 @@ var (
 // opNames maps wire op codes to their metric labels.
 var opNames = map[byte]string{
 	OpPing: "ping", OpInsert: "insert", OpQuery: "query", OpStats: "stats",
-	OpCreateIndex: "create_index", OpCreateTextIndex: "create_text_index",
-	OpPull: "pull", OpInfo: "info",
+	OpCreateIndex: "create_index", OpPull: "pull",
 }
 
 func opName(op byte) string {

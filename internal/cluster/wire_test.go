@@ -66,7 +66,7 @@ func TestPagedFindMovesThePageOverTheWire(t *testing.T) {
 	}()
 	for i := range backends {
 		coll := store.NewCollection(NSEntities, 0)
-		coll.EnsureIndex("type_1", "type", store.HashIndex)
+		coll.EnsureIndex(store.IndexSpec{Name: "type_1", Path: "type", Kind: store.HashIndex})
 		for j := 0; j < perShard; j++ {
 			coll.Insert(store.NewDoc(
 				store.F("type", store.Str("Movie")),
@@ -167,7 +167,7 @@ func TestWireCarriesBatchesAndFields(t *testing.T) {
 	backends := make([]store.ShardBackend, shards)
 	for i := range backends {
 		coll := store.NewCollection(NSInstances, 0)
-		coll.EnsureTextIndex("text")
+		coll.EnsureIndex(store.IndexSpec{Path: "text", Kind: store.TextIndex})
 		node.AddShard(ShardKey(NSInstances, i), coll)
 		backends[i] = NewRemoteShard(NSInstances, i, tr, nil)
 	}
@@ -248,7 +248,7 @@ func TestTopDiscussedMovesKeysNotMatches(t *testing.T) {
 	award := store.Nested(store.NewDoc(store.F("award_winning", store.Str("true"))))
 	for i := range backends {
 		coll := store.NewCollection(NSEntities, 0)
-		coll.EnsureIndex("type_1", "type", store.HashIndex)
+		coll.EnsureIndex(store.IndexSpec{Name: "type_1", Path: "type", Kind: store.HashIndex})
 		for j := 0; j < perShard; j++ {
 			coll.Insert(store.NewDoc(
 				store.F("type", store.Str("Movie")),

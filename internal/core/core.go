@@ -336,28 +336,29 @@ func (t *Tamer) parseFragments(ctx context.Context, frags []datagen.Fragment, re
 // (TextFeeds and friends). The text index is an accelerator outside the
 // secondary-index set, so the Table I/II nindexes counts are unchanged.
 func (t *Tamer) indexStores(ctx context.Context) error {
-	if err := t.Instances.EnsureIndexCtx(ctx, "source_url_1", "source_url", store.HashIndex); err != nil {
-		return err
-	}
-	if err := t.Instances.EnsureTextIndexCtx(ctx, "text"); err != nil {
-		return err
-	}
-	entityIndexes := []struct {
-		name, path string
-		kind       store.IndexKind
+	for _, set := range []struct {
+		s       *store.Sharded
+		indexes []store.IndexSpec
 	}{
-		{"name_1", "name", store.BTreeIndex},
-		{"type_1", "type", store.HashIndex},
-		{"source_url_1", "source_url", store.HashIndex},
-		{"price_1", "attributes.price", store.HashIndex},
-		{"gross_1", "attributes.gross", store.HashIndex},
-		{"date_1", "attributes.date", store.HashIndex},
-		{"schedule_1", "attributes.schedule", store.HashIndex},
-		{"award_1", "attributes.award_winning", store.HashIndex},
-	}
-	for _, ix := range entityIndexes {
-		if err := t.Entities.EnsureIndexCtx(ctx, ix.name, ix.path, ix.kind); err != nil {
-			return err
+		{t.Instances, []store.IndexSpec{
+			{Name: "source_url_1", Path: "source_url", Kind: store.HashIndex},
+			{Path: "text", Kind: store.TextIndex},
+		}},
+		{t.Entities, []store.IndexSpec{
+			{Name: "name_1", Path: "name", Kind: store.BTreeIndex},
+			{Name: "type_1", Path: "type", Kind: store.HashIndex},
+			{Name: "source_url_1", Path: "source_url", Kind: store.HashIndex},
+			{Name: "price_1", Path: "attributes.price", Kind: store.HashIndex},
+			{Name: "gross_1", Path: "attributes.gross", Kind: store.HashIndex},
+			{Name: "date_1", Path: "attributes.date", Kind: store.HashIndex},
+			{Name: "schedule_1", Path: "attributes.schedule", Kind: store.HashIndex},
+			{Name: "award_1", Path: "attributes.award_winning", Kind: store.HashIndex},
+		}},
+	} {
+		for _, ix := range set.indexes {
+			if err := set.s.EnsureIndexCtx(ctx, ix); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

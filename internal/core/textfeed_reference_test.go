@@ -156,14 +156,14 @@ func TestTextFeedsMatchCoordinatorRanking(t *testing.T) {
 		}
 		ns := tm.Instances.NS()
 		whole := store.NewCollection(ns, 0)
-		whole.EnsureTextIndex("text")
+		whole.EnsureIndex(store.IndexSpec{Path: "text", Kind: store.TextIndex})
 		node := cluster.NewNode("feeds")
 		backends := make([]store.ShardBackend, tm.Instances.NumShards())
 		for i := range backends {
 			docs := tm.Instances.Shard(i).Query(store.Query{Limit: store.NoLimit}).Docs
 			whole.InsertMany(docs)
 			coll := store.NewCollection(ns, 0)
-			coll.EnsureTextIndex("text")
+			coll.EnsureIndex(store.IndexSpec{Path: "text", Kind: store.TextIndex})
 			coll.InsertMany(docs)
 			node.AddShard(cluster.ShardKey(ns, i), coll)
 			backends[i] = cluster.NewRemoteShard(ns, i, cluster.Loopback{Node: node}, nil)

@@ -43,7 +43,7 @@ type Collection struct {
 	// text holds inverted text indexes by path. They accelerate OpContains
 	// filters but are not part of the secondary-index set reported in Stats
 	// (nindexes keeps the paper's Table I/II shape).
-	text map[string]*TextIndex
+	text map[string]*textIndex
 	// paths resolves every indexed path of a document being added in one
 	// walk over its bytes.
 	paths indexPaths
@@ -60,7 +60,7 @@ func NewCollection(ns string, extentSize int64) *Collection {
 		ns:         ns,
 		extentSize: extentSize,
 		indexes:    make(map[string]*Index),
-		text:       make(map[string]*TextIndex),
+		text:       make(map[string]*textIndex),
 		nextID:     1,
 	}
 }
@@ -239,66 +239,57 @@ func (ip *indexPaths) walk(c cursor, nodes []pathNode) {
 	}
 }
 
-// EnsureIndex creates a secondary index named name over path if it does not
-// already exist, backfilling existing documents. It reports whether it
-// created one: false means the collection is unchanged.
-func (c *Collection) EnsureIndex(name, path string, kind IndexKind) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.indexes[name]; ok {
-		return false
-	}
-	ix := newIndex(name, path, kind)
-	for i, d := range c.docs {
-		if v, ok := d.Path(path); ok {
-			ix.insert(c.ids[i], v)
-		}
-	}
-	c.indexes[name] = ix
-	return true
-}
-
-// EnsureTextIndex creates the inverted text index over path if it does not
-// already exist, backfilling existing documents, and reports whether it
-// created one. The index accelerates case-insensitive substring
-// (OpContains) filters on that path; queries it cannot prove equivalent to
-// a scan fall back to scanning, so results never change.
-func (c *Collection) EnsureTextIndex(path string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.text[path]; ok {
-		return false
-	}
-	tx := newTextIndex(path)
-	for i, d := range c.docs {
-		if v, ok := d.Path(path); ok {
-			tx.insert(c.ids[i], v)
-		}
-	}
-	c.text[path] = tx
-	return true
-}
-
 // IndexSpec is one index of a collection's layout: the secondary index
-// Name over Path of kind Kind, or, with Text set, the text index over Path.
+// Name over Path of kind Kind, or, of kind TextIndex, the text index over
+// Path, which has no name.
 type IndexSpec struct {
 	Name, Path string
 	Kind       IndexKind
-	Text       bool
 }
 
-// MissingIndexes returns the indexes of layout that EnsureIndex and
-// EnsureTextIndex would create: each secondary index whose name, and each
-// text index whose path, the collection lacks.
+// EnsureIndex creates the index ix if the collection lacks it — a
+// secondary index by its name, a text index by its path — backfilling
+// existing documents. It reports whether it created one: false means the
+// collection is unchanged. A text index accelerates case-insensitive
+// substring (OpContains) filters on its path; queries it cannot prove
+// equivalent to a scan fall back to scanning, so results never change.
+func (c *Collection) EnsureIndex(ix IndexSpec) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.hasIndexLocked(ix) {
+		return false
+	}
+	var insert func(id int64, v DocValue)
+	if ix.Kind == TextIndex {
+		tx := newTextIndex(ix.Path)
+		c.text[ix.Path], insert = tx, tx.insert
+	} else {
+		x := newIndex(ix.Name, ix.Path, ix.Kind)
+		c.indexes[ix.Name], insert = x, x.insert
+	}
+	for i, d := range c.docs {
+		if v, ok := d.Path(ix.Path); ok {
+			insert(c.ids[i], v)
+		}
+	}
+	return true
+}
+
+// hasIndexLocked reports whether the collection holds an index under ix's
+// key: its path for a text index, else its name. Must hold c.mu.
+func (c *Collection) hasIndexLocked(ix IndexSpec) bool {
+	if ix.Kind == TextIndex {
+		return c.text[ix.Path] != nil
+	}
+	return c.indexes[ix.Name] != nil
+}
+
+// MissingIndexes returns the indexes of layout that EnsureIndex would
+// create.
 func (c *Collection) MissingIndexes(layout []IndexSpec) []IndexSpec {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return slices.DeleteFunc(slices.Clone(layout), func(ix IndexSpec) bool {
-		if ix.Text {
-			return c.text[ix.Path] != nil
-		}
-		return c.indexes[ix.Name] != nil
-	})
+	return slices.DeleteFunc(slices.Clone(layout), c.hasIndexLocked)
 }
 
 // LastID returns the highest id held, 0 when the collection is empty.

@@ -62,7 +62,7 @@ func TestInsertGet(t *testing.T) {
 func TestReplayBelowHighestRefused(t *testing.T) {
 	doc := func(n int64) *Doc { return NewDoc(F("k", Str("x")), F("n", Num(n))) }
 	c := NewCollection("dt.x", 0)
-	c.EnsureIndex("k_1", "k", HashIndex)
+	c.EnsureIndex(IndexSpec{Name: "k_1", Path: "k", Kind: HashIndex})
 	for n := int64(1); n <= 2; n++ {
 		c.Insert(doc(n))
 	}
@@ -149,7 +149,7 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 	for _, kind := range []IndexKind{HashIndex, BTreeIndex} {
 		c := build()
 		scan := find(c, EqStr("name", "E007"))
-		c.EnsureIndex("name_1", "name", kind)
+		c.EnsureIndex(IndexSpec{Name: "name_1", Path: "name", Kind: kind})
 		if ex := explain(c, EqStr("name", "E007")); ex.IndexKind != kind.String() {
 			t.Fatalf("plan with a %s index = %+v", kind, ex)
 		}
@@ -160,7 +160,7 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 	}
 	// And-filter should also use the index then refine.
 	c := build()
-	c.EnsureIndex("name_1", "name", HashIndex)
+	c.EnsureIndex(IndexSpec{Name: "name_1", Path: "name", Kind: HashIndex})
 	and := And{EqStr("name", "E007"), EqStr("type", "T2")}
 	want := 0
 	for _, d := range find(c, All{}) {
@@ -175,7 +175,7 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 
 func TestBTreeIndexPrefixAndList(t *testing.T) {
 	c := NewCollection("dt.entity", 0)
-	c.EnsureIndex("name_btree", "name", BTreeIndex)
+	c.EnsureIndex(IndexSpec{Name: "name_btree", Path: "name", Kind: BTreeIndex})
 	c.Insert(entityDoc("The Walking Dead", "Movie", 1))
 	c.Insert(entityDoc("The Wolverine", "Movie", 2))
 	c.Insert(entityDoc("Goodfellas", "Movie", 3))
@@ -185,7 +185,7 @@ func TestBTreeIndexPrefixAndList(t *testing.T) {
 
 	// Index over list elements.
 	c2 := NewCollection("dt.tagged", 0)
-	c2.EnsureIndex("tags_1", "tags", HashIndex)
+	c2.EnsureIndex(IndexSpec{Name: "tags_1", Path: "tags", Kind: HashIndex})
 	c2.Insert(NewDoc(F("tags", List(Str("a"), Str("b")))))
 	c2.Insert(NewDoc(F("tags", List(Str("b")))))
 	if got := len(find(c2, EqStr("tags", "b"))); got != 2 {
@@ -253,7 +253,7 @@ func TestDistinct(t *testing.T) {
 
 func TestConcurrentInsertAndRead(t *testing.T) {
 	c := NewCollection("dt.entity", 0)
-	c.EnsureIndex("name_1", "name", HashIndex)
+	c.EnsureIndex(IndexSpec{Name: "name_1", Path: "name", Kind: HashIndex})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -323,9 +323,9 @@ func TestIndexPathsMatchDocPath(t *testing.T) {
 	}
 	c := NewCollection("dt.x", 0)
 	for i, path := range paths {
-		c.EnsureIndex(fmt.Sprint(i), path, HashIndex)
+		c.EnsureIndex(IndexSpec{Name: fmt.Sprint(i), Path: path, Kind: HashIndex})
 	}
-	c.EnsureTextIndex("s")
+	c.EnsureIndex(IndexSpec{Path: "s", Kind: TextIndex})
 	c.paths.build(c)
 	for _, d := range docs {
 		c.paths.resolve(d)

@@ -58,9 +58,9 @@ func TestIndexHeapFootprint(t *testing.T) {
 			build()
 			return float64(int64(liveHeap())-int64(before)) / float64(n)
 		}
-		hash := perEntry(func() { c.EnsureIndex("k_hash", "k", HashIndex) })
-		btree := perEntry(func() { c.EnsureIndex("k_btree", "k", BTreeIndex) })
-		text := perEntry(func() { c.EnsureTextIndex("k") })
+		hash := perEntry(func() { c.EnsureIndex(IndexSpec{Name: "k_hash", Path: "k", Kind: HashIndex}) })
+		btree := perEntry(func() { c.EnsureIndex(IndexSpec{Name: "k_btree", Path: "k", Kind: BTreeIndex}) })
+		text := perEntry(func() { c.EnsureIndex(IndexSpec{Path: "k", Kind: TextIndex}) })
 		runtime.KeepAlive(c)
 		t.Logf("%d keys × %d ids: hash %.2f B, btree %.2f B, text %.2f B per entry", sh.keys, sh.ids, hash, btree, text)
 		if hash > sh.hash {

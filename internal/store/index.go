@@ -13,14 +13,18 @@ import (
 	"repro/internal/record"
 )
 
-// IndexKind selects the physical structure backing a secondary index.
+// IndexKind selects the physical structure backing an index.
 type IndexKind int
 
 // Supported index kinds. Hash indexes serve point lookups; B-tree indexes
-// additionally serve range and prefix scans.
+// additionally serve range and prefix scans. A text index is the inverted
+// index over a text path that serves case-insensitive substring
+// (OpContains) filters; it is keyed by its path, carries no name, and is
+// not one of the secondary indexes Stats counts.
 const (
 	HashIndex IndexKind = iota
 	BTreeIndex
+	TextIndex
 )
 
 // String returns the kind name.
@@ -30,6 +34,8 @@ func (k IndexKind) String() string {
 		return "hash"
 	case BTreeIndex:
 		return "btree"
+	case TextIndex:
+		return "text"
 	default:
 		return fmt.Sprintf("indexkind(%d)", int(k))
 	}

@@ -467,7 +467,7 @@ func TestLogCollectionOwner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.EnsureIndex("name_1", "name", HashIndex)
+		c.EnsureIndex(IndexSpec{Name: "name_1", Path: "name", Kind: HashIndex})
 		return l, c
 	}
 	put := func(l *Log, c *Collection, id int64, name string) {

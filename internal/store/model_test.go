@@ -169,12 +169,12 @@ func FuzzCollectionMatchesModel(f *testing.F) {
 			case 3:
 				switch b % 3 {
 				case 0:
-					c.EnsureIndex("type_1", "type", HashIndex)
+					c.EnsureIndex(IndexSpec{Name: "type_1", Path: "type", Kind: HashIndex})
 				case 1:
-					c.EnsureIndex("name_1", "name", BTreeIndex)
+					c.EnsureIndex(IndexSpec{Name: "name_1", Path: "name", Kind: BTreeIndex})
 					m.btree = true
 				case 2:
-					c.EnsureTextIndex("text")
+					c.EnsureIndex(IndexSpec{Path: "text", Kind: TextIndex})
 				}
 			}
 		}

@@ -32,7 +32,8 @@ const (
 //	magic   "DTSNAP2\n"
 //	header  one frame: namespace, extent size, bytes taken from extents,
 //	        next id, document count, then the index layout — each secondary
-//	        index's name, path and kind, then each text index's path
+//	        index's spec (PutIndexSpec: name, path, kind), then each text
+//	        index's path
 //	docs    one frame per document, in ascending id order: its 8-byte id,
 //	        then its encoding
 //
@@ -85,9 +86,7 @@ func (c *Collection) putHeaderLocked(buf *bytes.Buffer, count int) {
 	PutUvarint(buf, uint64(len(names)))
 	for _, name := range names {
 		ix := c.indexes[name]
-		PutString(buf, ix.Name)
-		PutString(buf, ix.Path)
-		PutUvarint(buf, uint64(ix.Kind))
+		PutIndexSpec(buf, IndexSpec{Name: ix.Name, Path: ix.Path, Kind: ix.Kind})
 	}
 	paths := slices.Sorted(maps.Keys(c.text))
 	PutUvarint(buf, uint64(len(paths)))
@@ -210,20 +209,17 @@ func decodeSnapshotHeader(data []byte) (c *Collection, layout []IndexSpec, alloc
 		return nil, nil, 0, 0, fmt.Errorf("index count: %w", err)
 	}
 	for i := uint64(0); i < n; i++ {
-		name, err1 := GetString(rd)
-		path, err2 := GetString(rd)
-		kind, err3 := binary.ReadUvarint(rd)
-		if err := errors.Join(err1, err2, err3); err != nil {
+		ix, err := GetIndexSpec(rd)
+		switch {
+		case err != nil:
 			return nil, nil, 0, 0, fmt.Errorf("index %d: %w", i, err)
+		case ix.Kind == TextIndex:
+			return nil, nil, 0, 0, fmt.Errorf("index %d: a text index among the secondary ones", i)
+		case c.indexes[ix.Name] != nil:
+			return nil, nil, 0, 0, fmt.Errorf("index %q listed twice", ix.Name)
 		}
-		if kind != uint64(HashIndex) && kind != uint64(BTreeIndex) {
-			return nil, nil, 0, 0, fmt.Errorf("index %q: unknown kind %d", name, kind)
-		}
-		if _, dup := c.indexes[name]; dup {
-			return nil, nil, 0, 0, fmt.Errorf("index %q listed twice", name)
-		}
-		c.indexes[name] = newIndex(name, path, IndexKind(kind))
-		layout = append(layout, IndexSpec{Name: name, Path: path, Kind: IndexKind(kind)})
+		c.indexes[ix.Name] = newIndex(ix.Name, ix.Path, ix.Kind)
+		layout = append(layout, ix)
 	}
 	if n, err = binary.ReadUvarint(rd); err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("text index count: %w", err)
@@ -237,12 +233,40 @@ func decodeSnapshotHeader(data []byte) (c *Collection, layout []IndexSpec, alloc
 			return nil, nil, 0, 0, fmt.Errorf("text index %q listed twice", path)
 		}
 		c.text[path] = newTextIndex(path)
-		layout = append(layout, IndexSpec{Path: path, Text: true})
+		layout = append(layout, IndexSpec{Path: path, Kind: TextIndex})
 	}
 	if rd.Len() != 0 {
 		return nil, nil, 0, 0, fmt.Errorf("%d bytes after the index layout", rd.Len())
 	}
 	return c, layout, int64(used), count, nil
+}
+
+// PutIndexSpec appends ix's encoding: its name, path and kind, the bytes a
+// snapshot header holds for each secondary index. A create-index request
+// and a shard WAL's index event carry the same bytes, a text index's with
+// an empty name.
+func PutIndexSpec(buf *bytes.Buffer, ix IndexSpec) {
+	PutString(buf, ix.Name)
+	PutString(buf, ix.Path)
+	PutUvarint(buf, uint64(ix.Kind))
+}
+
+// GetIndexSpec reads what PutIndexSpec wrote, refusing an unknown kind and
+// a text index with a name.
+func GetIndexSpec(r *bytes.Reader) (IndexSpec, error) {
+	name, err1 := GetString(r)
+	path, err2 := GetString(r)
+	kind, err3 := binary.ReadUvarint(r)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return IndexSpec{}, err
+	}
+	switch {
+	case kind > uint64(TextIndex):
+		return IndexSpec{}, fmt.Errorf("index %q: unknown kind %d", name, kind)
+	case kind == uint64(TextIndex) && name != "":
+		return IndexSpec{}, fmt.Errorf("text index %q over %q: a text index has no name", name, path)
+	}
+	return IndexSpec{Name: name, Path: path, Kind: IndexKind(kind)}, nil
 }
 
 // EncodeIDDoc is a snapshot document frame's payload: id's 8 bytes, then

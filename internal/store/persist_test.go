@@ -156,9 +156,49 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("nextID not restored: %d", newID)
 	}
 	// Indexes can still be added after load.
-	loaded.EnsureIndex("name_1", "name", HashIndex)
+	loaded.EnsureIndex(IndexSpec{Name: "name_1", Path: "name", Kind: HashIndex})
 	if got := len(find(loaded, EqStr("name", "E020"))); got != 1 {
 		t.Errorf("indexed find after load = %d", got)
+	}
+}
+
+// TestIndexSpecCodec: the one encoding of an index spec — a snapshot
+// header's per index, a create-index request's body, a shard WAL's index
+// event — reads back what it wrote for every kind, and refuses an unknown
+// kind, a text index with a name, and every truncation.
+func TestIndexSpecCodec(t *testing.T) {
+	enc := func(ix IndexSpec) []byte {
+		var buf bytes.Buffer
+		PutIndexSpec(&buf, ix)
+		return buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name    string
+		ix      IndexSpec
+		refused string // "" when it reads back
+	}{
+		{"hash", IndexSpec{Name: "type_1", Path: "type", Kind: HashIndex}, ""},
+		{"btree", IndexSpec{Name: "name_1", Path: "name", Kind: BTreeIndex}, ""},
+		{"text", IndexSpec{Path: "text", Kind: TextIndex}, ""},
+		{"unnamed hash", IndexSpec{Path: "type", Kind: HashIndex}, ""},
+		{"unknown kind", IndexSpec{Name: "k_1", Path: "k", Kind: TextIndex + 1}, `index "k_1": unknown kind 3`},
+		{"named text", IndexSpec{Name: "text_1", Path: "text", Kind: TextIndex}, "a text index has no name"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := enc(tc.ix)
+			got, err := GetIndexSpec(bytes.NewReader(data))
+			switch {
+			case tc.refused == "" && (err != nil || got != tc.ix):
+				t.Fatalf("read back %+v, %v; want %+v", got, err, tc.ix)
+			case tc.refused != "" && (err == nil || !strings.Contains(err.Error(), tc.refused)):
+				t.Fatalf("read %+v, %v; want an error saying %q", got, err, tc.refused)
+			}
+			for n := range len(data) {
+				if got, err := GetIndexSpec(bytes.NewReader(data[:n])); err == nil {
+					t.Errorf("%d of %d bytes read as %+v", n, len(data), got)
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
+
+	"repro/internal/textutil"
 )
 
 // Query is the one read a shard answers: the documents matching Filter, in
@@ -128,7 +131,10 @@ type Explain struct {
 type access struct {
 	cond Cond
 	ix   *Index     // holds the ids matching cond (Eq, In, Prefix), more unless ix.exact(cond)
-	tx   *TextIndex // holds a superset of the ids matching cond (Contains)
+	tx   *textIndex // holds a superset of the ids matching cond (Contains)
+	// needle is a Contains condition's value lowered, once for both the
+	// plan and the text index's lookup. It aliases the query's scratch.
+	needle string
 	// residual says the filter asks for more than cond, so every candidate
 	// is checked against the whole filter.
 	residual bool
@@ -138,14 +144,14 @@ func (a access) indexed() bool { return a.ix != nil || a.tx != nil }
 
 // plan picks the access path: an index covering the filter's condition, or
 // covering the first conjunct of an And that has one. Must hold c.mu.
-func (c *Collection) plan(f Filter) access {
+func (c *Collection) plan(f Filter, sc *scratch) access {
 	switch f := f.(type) {
 	case Cond:
-		return c.condAccess(f)
+		return c.condAccess(f, sc)
 	case And:
 		for _, child := range f {
 			if cond, ok := child.(Cond); ok {
-				if a := c.condAccess(cond); a.indexed() {
+				if a := c.condAccess(cond, sc); a.indexed() {
 					a.residual = true
 					return a
 				}
@@ -157,8 +163,8 @@ func (c *Collection) plan(f Filter) access {
 
 // condAccess finds the index serving one condition: hash or B-tree for Eq
 // and In, B-tree for Prefix, the inverted text index for a Contains whose
-// needle it can bound.
-func (c *Collection) condAccess(cond Cond) access {
+// needle it can bound. A Contains needle is lowered into sc.
+func (c *Collection) condAccess(cond Cond, sc *scratch) access {
 	switch cond.Op {
 	case OpEq, OpIn:
 		if ix := c.indexFor(cond.Path, false); ix != nil && ix.serves(cond) {
@@ -169,8 +175,11 @@ func (c *Collection) condAccess(cond Cond) access {
 			return access{cond: cond, ix: ix}
 		}
 	case OpContains:
-		if tx := c.text[cond.Path]; tx != nil && tx.CanBound(cond.Value.Str()) {
-			return access{cond: cond, tx: tx}
+		if tx := c.text[cond.Path]; tx != nil {
+			sc.lower = textutil.AppendLower(sc.lower[:0], cond.Value.Str())
+			if needle := unsafe.String(unsafe.SliceData(sc.lower), len(sc.lower)); canBound(needle) {
+				return access{cond: cond, tx: tx, needle: needle}
+			}
 		}
 	}
 	return access{}
@@ -313,19 +322,20 @@ func addList(p *page, list postings, doc func(int64) *Doc) {
 	p.total += int64(n)
 }
 
-// scratch is one query's working memory for candidates merged from more
-// posting lists than one: the keys looked up, the lists gathered, and two
-// buffers that results are written into in turn, so that one can be read
-// while the next is written. A query takes it from scratchPool and puts it
-// back when done, so a query that merges allocates nothing once the buffers
-// have grown.
+// scratch is one query's working memory: its Contains needle lowered, and,
+// for candidates merged from more posting lists than one, the keys looked
+// up, the lists gathered, and two buffers that results are written into in
+// turn, so that one can be read while the next is written. A query takes
+// it from scratchPool and puts it back when done, so a query that lowers or
+// merges allocates nothing once the buffers have grown.
 type scratch struct {
-	keys []string
-	one  postings // the one list gathered that holds ids, until a second does
-	ids  []int64  // the ids of every list gathered, once a second holds any
-	keep []bool
-	enc  [2][]byte
-	next int // the buffer of enc the next result goes to
+	lower []byte
+	keys  []string
+	one   postings // the one list gathered that holds ids, until a second does
+	ids   []int64  // the ids of every list gathered, once a second holds any
+	keep  []bool
+	enc   [2][]byte
+	next  int // the buffer of enc the next result goes to
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -392,7 +402,9 @@ func (sc *scratch) done(p postings) postings {
 func (c *Collection) Query(q Query) Result {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	a := c.plan(q.Filter)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	a := c.plan(q.Filter, sc)
 	if q.Explain {
 		return Result{Plan: c.explain(q.Filter, a)}
 	}
@@ -419,14 +431,10 @@ func (c *Collection) Query(q Query) Result {
 		})
 	case a.cond.Op == OpEq && !a.ix.byNumber(a.cond.Value):
 		addList(&p, a.ix.keys.get(a.cond.Value.Str()), c.doc)
+	case a.tx != nil:
+		addList(&p, a.tx.candidates(a.needle, sc), c.doc)
 	default:
-		sc := scratchPool.Get().(*scratch)
-		if a.tx != nil {
-			addList(&p, a.tx.candidates(a.cond.Value.Str(), sc), c.doc)
-		} else {
-			addList(&p, a.ix.idsIn(a.cond, sc), c.doc)
-		}
-		scratchPool.Put(sc)
+		addList(&p, a.ix.idsIn(a.cond, sc), c.doc)
 	}
 	if p.top.rank != nil {
 		p.out = p.top.window(q.Offset)
@@ -451,7 +459,7 @@ func (c *Collection) explain(f Filter, a access) Explain {
 	switch {
 	case a.tx != nil:
 		ex = Explain{
-			AccessPath: "index", IndexName: a.tx.Name(), IndexKind: "text",
+			AccessPath: "index", IndexName: a.tx.Name(), IndexKind: TextIndex.String(),
 			Reason: fmt.Sprintf("inverted-text candidates on %s, verified by substring match", a.cond.Path),
 		}
 	case a.ix != nil:

@@ -28,9 +28,9 @@ func paginate(docs []*Doc, offset, limit int) []*Doc {
 // access path over them.
 func queryCollection() *Collection {
 	c := NewCollection("dt.entity", 0)
-	c.EnsureIndex("type_1", "type", HashIndex)
-	c.EnsureIndex("name_1", "name", BTreeIndex)
-	c.EnsureTextIndex("name")
+	c.EnsureIndex(IndexSpec{Name: "type_1", Path: "type", Kind: HashIndex})
+	c.EnsureIndex(IndexSpec{Name: "name_1", Path: "name", Kind: BTreeIndex})
+	c.EnsureIndex(IndexSpec{Path: "name", Kind: TextIndex})
 	types := []string{"Movie", "Person", "Company", "City"}
 	for i := 0; i < 40; i++ {
 		c.Insert(entityDoc(fmt.Sprintf("The Walking Show %02d", i), types[i%4], int64(i)))
@@ -144,7 +144,7 @@ func TestHashPostingsStayInIDOrder(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Insert(entityDoc(fmt.Sprintf("E%d", i), typ(i), 0))
 	}
-	c.EnsureIndex("type_1", "type", HashIndex)
+	c.EnsureIndex(IndexSpec{Name: "type_1", Path: "type", Kind: HashIndex})
 	for i := 4; i < 6; i++ {
 		c.Insert(entityDoc(fmt.Sprintf("E%d", i), typ(i), 0))
 	}
@@ -165,7 +165,7 @@ func TestHashPostingsStayInIDOrder(t *testing.T) {
 // come in the order of their first document.
 func TestDistinctIndexAndFallback(t *testing.T) {
 	c := NewCollection("dt.entity", 0)
-	c.EnsureIndex("tags_1", "tags", HashIndex)
+	c.EnsureIndex(IndexSpec{Name: "tags_1", Path: "tags", Kind: HashIndex})
 	c.Insert(NewDoc(F("tags", Str("a"))))
 	c.Insert(NewDoc(F("tags", Str("a"))))
 	c.Insert(NewDoc(F("tags", Num(7))))
@@ -196,7 +196,7 @@ func TestIndexAnswersWhatAScanAnswers(t *testing.T) {
 	build := func(held []record.Value, indexed bool, kind IndexKind) *Collection {
 		c := NewCollection("dt.entity", 0)
 		if indexed {
-			c.EnsureIndex("v_1", "v", kind)
+			c.EnsureIndex(IndexSpec{Name: "v_1", Path: "v", Kind: kind})
 		}
 		for i, v := range held {
 			c.Insert(NewDoc(F("n", Num(int64(i))), F("v", Scalar(v))))
@@ -274,7 +274,7 @@ func TestIndexFindsEveryEqualValue(t *testing.T) {
 		build := func(indexed bool, kind IndexKind) *Collection {
 			c := NewCollection("dt.entity", 0)
 			if indexed {
-				c.EnsureIndex("v_1", "v", kind)
+				c.EnsureIndex(IndexSpec{Name: "v_1", Path: "v", Kind: kind})
 			}
 			for i, v := range values {
 				c.Insert(NewDoc(F("n", Num(int64(i))), F("v", Scalar(v))))
@@ -377,7 +377,7 @@ func TestGroupCountAllocatesForTheGroups(t *testing.T) {
 	}
 	allocs := func(matches int, f Filter) float64 {
 		c := NewCollection("dt.entity", 0)
-		c.EnsureIndex("type_1", "type", HashIndex)
+		c.EnsureIndex(IndexSpec{Name: "type_1", Path: "type", Kind: HashIndex})
 		for i := 0; i < 2*matches; i++ {
 			typ := []string{"Movie", "Person"}[i%2]
 			if _, scan := f.(Cond); scan && typ == "Person" {
@@ -404,13 +404,13 @@ func TestGroupCountAllocatesForTheGroups(t *testing.T) {
 // TestPagedQueryAllocatesForThePage: a page of ten out of a 10 000-id posting
 // list costs the page, not the list, whichever kind of index holds it; so
 // does a page of a text index's Contains over a token of 1 000 ids, whose
-// candidates are each checked and none copied out. (The needle is lower
-// case: lowering one costs a copy of it, outside the lists.)
+// candidates are each checked and none copied out. The needle has upper
+// case: it is lowered into the query's pooled scratch, not a new string.
 func TestPagedQueryAllocatesForThePage(t *testing.T) {
 	for _, kind := range []IndexKind{HashIndex, BTreeIndex} {
 		t.Run(kind.String(), func(t *testing.T) {
 			c := NewCollection("dt.entity", 0)
-			c.EnsureIndex("type_1", "type", kind)
+			c.EnsureIndex(IndexSpec{Name: "type_1", Path: "type", Kind: kind})
 			for i := 0; i < 10000; i++ {
 				c.Insert(entityDoc("E", "Movie", 0))
 			}
@@ -419,11 +419,11 @@ func TestPagedQueryAllocatesForThePage(t *testing.T) {
 	}
 	t.Run("text", func(t *testing.T) {
 		c := NewCollection("dt.instance", 0)
-		c.EnsureTextIndex("text")
+		c.EnsureIndex(IndexSpec{Path: "text", Kind: TextIndex})
 		for i := 0; i < 1000; i++ {
 			c.Insert(feedDoc(i, fmt.Sprintf("Fragment %d names Matilda, who grossed %d.", i, 1000+i%37)))
 		}
-		pagedQueryAllocatesForThePage(t, c, Query{Filter: Contains("text", "matilda"), Offset: 500, Limit: 10}, 1000)
+		pagedQueryAllocatesForThePage(t, c, Query{Filter: Contains("text", "Matilda"), Offset: 500, Limit: 10}, 1000)
 	})
 }
 

@@ -161,8 +161,8 @@ func TestParseFilterAgainstCollection(t *testing.T) {
 
 func TestExplainFilter(t *testing.T) {
 	c := NewCollection("dt.entity", 0)
-	c.EnsureIndex("type_1", "type", HashIndex)
-	c.EnsureIndex("name_1", "name", BTreeIndex)
+	c.EnsureIndex(IndexSpec{Name: "type_1", Path: "type", Kind: HashIndex})
+	c.EnsureIndex(IndexSpec{Name: "name_1", Path: "name", Kind: BTreeIndex})
 	c.Insert(entityDoc("A", "Movie", 1))
 
 	ex := explain(c, parseOrFail(t, `type = Movie`))
@@ -196,9 +196,9 @@ func TestExplainFilter(t *testing.T) {
 // files under testdata/fuzz/FuzzParseFilter.
 func FuzzParseFilter(f *testing.F) {
 	c := NewCollection("dt.entity", 0)
-	c.EnsureIndex("type_1", "type", HashIndex)
-	c.EnsureIndex("name_1", "name", BTreeIndex)
-	c.EnsureTextIndex("name")
+	c.EnsureIndex(IndexSpec{Name: "type_1", Path: "type", Kind: HashIndex})
+	c.EnsureIndex(IndexSpec{Name: "name_1", Path: "name", Kind: BTreeIndex})
+	c.EnsureIndex(IndexSpec{Path: "name", Kind: TextIndex})
 	d := entityDoc("The Walking Dead", "Movie", 42)
 	c.Insert(d)
 	f.Fuzz(func(t *testing.T, expr string) {

@@ -133,7 +133,7 @@ func sameDocs(got, want []*Doc) bool {
 func checkRanked(t *testing.T, texts []string, f Filter, r *Rank, windows [][2]int) {
 	t.Helper()
 	coll := NewCollection("dt.instance", 0)
-	coll.EnsureTextIndex("text")
+	coll.EnsureIndex(IndexSpec{Path: "text", Kind: TextIndex})
 	sharded := NewSharded("dt.instance", "source_url", 3, 0)
 	sharded.EnsureTextIndex("text")
 	for i, text := range texts {

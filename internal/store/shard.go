@@ -31,10 +31,8 @@ type ShardBackend interface {
 	Query(ctx context.Context, q Query) (Result, error)
 	// Stats returns the shard's storage statistics.
 	Stats(ctx context.Context) (Stats, error)
-	// CreateIndex ensures a secondary index named name over path.
-	CreateIndex(ctx context.Context, name, path string, kind IndexKind) error
-	// CreateTextIndex ensures an inverted text index over path.
-	CreateTextIndex(ctx context.Context, path string) error
+	// CreateIndex ensures the index ix (Collection.EnsureIndex).
+	CreateIndex(ctx context.Context, ix IndexSpec) error
 }
 
 // LocalShard adapts an in-process *Collection to the ShardBackend
@@ -59,14 +57,8 @@ func (l LocalShard) Query(_ context.Context, q Query) (Result, error) {
 func (l LocalShard) Stats(_ context.Context) (Stats, error) { return l.Coll.Stats(), nil }
 
 // CreateIndex implements ShardBackend.
-func (l LocalShard) CreateIndex(_ context.Context, name, path string, kind IndexKind) error {
-	l.Coll.EnsureIndex(name, path, kind)
-	return nil
-}
-
-// CreateTextIndex implements ShardBackend.
-func (l LocalShard) CreateTextIndex(_ context.Context, path string) error {
-	l.Coll.EnsureTextIndex(path)
+func (l LocalShard) CreateIndex(_ context.Context, ix IndexSpec) error {
+	l.Coll.EnsureIndex(ix)
 	return nil
 }
 
@@ -214,37 +206,26 @@ func (s *Sharded) InsertManyCtx(ctx context.Context, docs []*Doc) error {
 	})
 }
 
-// EnsureIndex creates the index on every shard.
+// EnsureIndex creates the secondary index name over path on every shard.
 func (s *Sharded) EnsureIndex(name, path string, kind IndexKind) {
-	_ = s.EnsureIndexCtx(context.Background(), name, path, kind)
+	_ = s.EnsureIndexCtx(context.Background(), IndexSpec{Name: name, Path: path, Kind: kind})
 }
 
-// EnsureIndexCtx creates the index on every shard at once, propagating
+// EnsureTextIndex creates the text index over path on every shard.
+func (s *Sharded) EnsureTextIndex(path string) {
+	_ = s.EnsureIndexCtx(context.Background(), IndexSpec{Path: path, Kind: TextIndex})
+}
+
+// EnsureIndexCtx creates the index ix on every shard at once, propagating
 // failures.
-func (s *Sharded) EnsureIndexCtx(ctx context.Context, name, path string, kind IndexKind) error {
+func (s *Sharded) EnsureIndexCtx(ctx context.Context, ix IndexSpec) error {
 	return s.fanOut(func(_ int, b ShardBackend) error {
 		// Local shards build synchronously and ignore ctx; checking before
 		// each shard is what lets a cancelled restore stop mid-rebuild.
 		if err := ctx.Err(); err != nil {
 			return dterr.FromContext(err)
 		}
-		return b.CreateIndex(ctx, name, path, kind)
-	})
-}
-
-// EnsureTextIndex creates the inverted text index over path on every shard.
-func (s *Sharded) EnsureTextIndex(path string) {
-	_ = s.EnsureTextIndexCtx(context.Background(), path)
-}
-
-// EnsureTextIndexCtx creates the inverted text index over path on every
-// shard at once, propagating failures.
-func (s *Sharded) EnsureTextIndexCtx(ctx context.Context, path string) error {
-	return s.fanOut(func(_ int, b ShardBackend) error {
-		if err := ctx.Err(); err != nil {
-			return dterr.FromContext(err)
-		}
-		return b.CreateTextIndex(ctx, path)
+		return b.CreateIndex(ctx, ix)
 	})
 }
 

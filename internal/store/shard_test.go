@@ -250,11 +250,10 @@ func TestEnsureIndexCancelledTouchesNoShard(t *testing.T) {
 	cancel()
 	s := NewSharded("dt.ix", "name", 4, 0)
 	s.Insert(entityDoc("Matilda", "Movie", 1))
-	if err := s.EnsureIndexCtx(ctx, "type_1", "type", HashIndex); !errors.Is(err, dterr.ErrCanceled) {
-		t.Errorf("EnsureIndexCtx = %v, want canceled", err)
-	}
-	if err := s.EnsureTextIndexCtx(ctx, "name"); !errors.Is(err, dterr.ErrCanceled) {
-		t.Errorf("EnsureTextIndexCtx = %v, want canceled", err)
+	for _, ix := range []IndexSpec{{Name: "type_1", Path: "type", Kind: HashIndex}, {Path: "name", Kind: TextIndex}} {
+		if err := s.EnsureIndexCtx(ctx, ix); !errors.Is(err, dterr.ErrCanceled) {
+			t.Errorf("EnsureIndexCtx(%+v) = %v, want canceled", ix, err)
+		}
 	}
 	for i := 0; i < s.NumShards(); i++ {
 		if c := s.Shard(i); len(c.indexes) != 0 || len(c.text) != 0 {

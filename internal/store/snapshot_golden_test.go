@@ -33,9 +33,9 @@ const zonedInsertBytes = 5
 func snapshotGoldenExpected(t *testing.T) *Collection {
 	t.Helper()
 	c := NewCollection("dt.entity", 4096)
-	c.EnsureIndex("type_1", "type", HashIndex)
-	c.EnsureIndex("name_1", "name", BTreeIndex)
-	c.EnsureTextIndex("name")
+	c.EnsureIndex(IndexSpec{Name: "type_1", Path: "type", Kind: HashIndex})
+	c.EnsureIndex(IndexSpec{Name: "name_1", Path: "name", Kind: BTreeIndex})
+	c.EnsureIndex(IndexSpec{Path: "name", Kind: TextIndex})
 	var allocated int64
 	for i := 0; i < 12; i++ {
 		typ := []string{"Movie", "Person", "Company"}[i%3]

@@ -20,9 +20,9 @@ import (
 // everything a snapshot must carry besides documents.
 func layoutFixture() *Collection {
 	c := NewCollection("dt.entity", 4096)
-	c.EnsureIndex("type_1", "type", HashIndex)
-	c.EnsureIndex("name_1", "name", BTreeIndex)
-	c.EnsureTextIndex("name")
+	c.EnsureIndex(IndexSpec{Name: "type_1", Path: "type", Kind: HashIndex})
+	c.EnsureIndex(IndexSpec{Name: "name_1", Path: "name", Kind: BTreeIndex})
+	c.EnsureIndex(IndexSpec{Path: "name", Kind: TextIndex})
 	var id int64
 	for i := 0; i < 60; i++ {
 		typ := []string{"Movie", "Person", "Company"}[i%3]
@@ -114,7 +114,7 @@ func TestImageAboveAnID(t *testing.T) {
 	layout := []IndexSpec{
 		{Name: "name_1", Path: "name", Kind: BTreeIndex},
 		{Name: "type_1", Path: "type", Kind: HashIndex},
-		{Path: "name", Text: true},
+		{Path: "name", Kind: TextIndex},
 	}
 	for _, above := range []int64{0, 1, ids[3] - 1, ids[3], ids[40], ids[len(ids)-1] - 1, ids[len(ids)-1], math.MaxInt64} {
 		var buf bytes.Buffer
@@ -158,7 +158,7 @@ func TestImageAboveAnID(t *testing.T) {
 // last document are errors, never a silently different collection.
 func TestSnapshotRefusesMalformed(t *testing.T) {
 	base := NewCollection("dt.x", 0)
-	base.EnsureIndex("a_1", "a", HashIndex)
+	base.EnsureIndex(IndexSpec{Name: "a_1", Path: "a", Kind: HashIndex})
 	base.Insert(NewDoc(F("a", Num(1))))
 	good := snapshotBytes(t, base)
 	if _, err := ReadSnapshot(bytes.NewReader(good)); err != nil {
@@ -206,6 +206,7 @@ func TestSnapshotRefusesMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"old format":         append([]byte("DTSNAP1\n"), good[len(snapshotMagic):]...),
 		"unknown kind":       header(layout(1, 0, [3]any{"a_1", "a", 7})),
+		"text as secondary":  header(layout(1, 0, [3]any{"", "a", 2})),
 		"index twice":        header(layout(1, 0, [3]any{"a_1", "a", 0}, [3]any{"a_1", "b", 1})),
 		"zero next id":       header(layout(0, 0)),
 		"short layout":       header(func(b *bytes.Buffer) { layout(1, 0)(b); b.Truncate(b.Len() - 1) }),

@@ -468,7 +468,7 @@ func TestStoredReadsDuringInsert(t *testing.T) {
 	s := NewSharded("dt.entity", "name", 3, 0)
 	s.EnsureIndex("type_1", "type", HashIndex)
 	s.EnsureIndex("price_1", "attributes.price", HashIndex)
-	if err := s.EnsureTextIndexCtx(t.Context(), "text"); err != nil {
+	if err := s.EnsureIndexCtx(t.Context(), IndexSpec{Path: "text", Kind: TextIndex}); err != nil {
 		t.Fatal(err)
 	}
 	window := func(w int) []*Doc {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/textutil"
 )
 
-// TextIndex is an inverted index over a text path: lowercased tokens map to
+// textIndex is an inverted index over a text path: lowercased tokens map to
 // the ids of documents whose text contains them. It accelerates
 // case-insensitive substring (OpContains) filters the way the paper's
 // deployment precomputes inverted structures for serve-time fusion queries:
@@ -21,7 +21,7 @@ import (
 //
 // Synchronization rides on the owning Collection's lock: mutations happen
 // under the write lock, candidates under the read lock.
-type TextIndex struct {
+type textIndex struct {
 	Path string
 
 	// tokens maps a token to its postings. They sit behind a pointer so
@@ -41,21 +41,21 @@ type TextIndex struct {
 	spans []span
 }
 
-// span is the byte range [lo, hi) of one token in TextIndex.lower.
+// span is the byte range [lo, hi) of one token in textIndex.lower.
 type span struct{ lo, hi int }
 
-func newTextIndex(path string) *TextIndex {
-	return &TextIndex{Path: path, tokens: make(map[string]*postings)}
+func newTextIndex(path string) *textIndex {
+	return &textIndex{Path: path, tokens: make(map[string]*postings)}
 }
 
 // Name identifies the index in plans and diagnostics.
-func (tx *TextIndex) Name() string { return tx.Path + "_text" }
+func (tx *textIndex) Name() string { return tx.Path + "_text" }
 
 // docTokens extracts the sorted unique lowercased tokens of v, the value a
 // document holds at the indexed path (a list's elements are each
 // tokenized), as spans of tx.lower. Both are the index's scratch, valid
 // until the next call.
-func (tx *TextIndex) docTokens(v DocValue) []span {
+func (tx *textIndex) docTokens(v DocValue) []span {
 	tx.lower, tx.spans = tx.lower[:0], tx.spans[:0]
 	if v.IsList() {
 		it := v.Elems()
@@ -74,7 +74,7 @@ func (tx *TextIndex) docTokens(v DocValue) []span {
 }
 
 // collect appends the lowered tokens of s to the scratch.
-func (tx *TextIndex) collect(s string) {
+func (tx *textIndex) collect(s string) {
 	tx.toks = textutil.AppendTokens(tx.toks[:0], s)
 	for _, t := range tx.toks {
 		lo := len(tx.lower)
@@ -85,7 +85,7 @@ func (tx *TextIndex) collect(s string) {
 
 // insert adds id under the tokens of v, the value its document holds at
 // the indexed path.
-func (tx *TextIndex) insert(id int64, v DocValue) {
+func (tx *textIndex) insert(id int64, v DocValue) {
 	for _, sp := range tx.docTokens(v) {
 		tok := tx.lower[sp.lo:sp.hi]
 		p := tx.tokens[string(tok)]
@@ -98,9 +98,10 @@ func (tx *TextIndex) insert(id int64, v DocValue) {
 }
 
 // candidates returns a superset of the ids of documents whose indexed text
-// contains substr case-insensitively, in id (insertion) order: one token's
-// posting list as it is stored, or a list written into sc. The index must
-// bound substr (CanBound); a query it cannot bound is a scan.
+// contains low, a lowered needle, case-insensitively, in id (insertion)
+// order: one token's posting list as it is stored, or a list written into
+// sc. The index must bound low (canBound); a query it cannot bound is a
+// scan.
 //
 // Why the superset holds: every space-separated term of the query consists
 // solely of letters and digits, so any occurrence of it in a document lies
@@ -114,9 +115,9 @@ func (tx *TextIndex) insert(id int64, v DocValue) {
 // per-term sets are intersected; the result still covers every match.
 // Ids are assigned in insertion order, so the ascending result matches the
 // scan path's result order exactly.
-func (tx *TextIndex) candidates(substr string, sc *scratch) postings {
+func (tx *textIndex) candidates(low string, sc *scratch) postings {
 	terms := sc.keys[:0]
-	for term := range strings.FieldsSeq(strings.ToLower(substr)) {
+	for term := range strings.FieldsSeq(low) {
 		terms = append(terms, term)
 	}
 	sc.keys = terms
@@ -161,7 +162,7 @@ func (tx *TextIndex) candidates(substr string, sc *scratch) postings {
 // sweep returns the ascending ids of documents holding a token that
 // contains term: the one matching token's own list, or the union of all
 // of them.
-func (tx *TextIndex) sweep(term string, sc *scratch) postings {
+func (tx *textIndex) sweep(term string, sc *scratch) postings {
 	sc.reset()
 	for tok, p := range tx.tokens {
 		if strings.Contains(tok, term) {
@@ -174,7 +175,7 @@ func (tx *TextIndex) sweep(term string, sc *scratch) postings {
 // confirm returns those of the ids that some token containing term lists,
 // written into sc. Each such token's list is walked beside the ids, as far
 // as the highest of them.
-func (tx *TextIndex) confirm(ids postings, term string, sc *scratch) postings {
+func (tx *textIndex) confirm(ids postings, term string, sc *scratch) postings {
 	sc.ids = ids.appendTo(sc.ids[:0])
 	keep := slices.Grow(sc.keep[:0], len(sc.ids))[:len(sc.ids)]
 	clear(keep)
@@ -223,14 +224,9 @@ func (sc *scratch) intersect(a, b postings) postings {
 	return sc.done(out)
 }
 
-// CanBound reports whether the index can serve substr at all — the purely
-// lexical half of Candidates, cheap enough for query planning.
-func (tx *TextIndex) CanBound(substr string) bool {
-	return canBound(strings.ToLower(substr))
-}
-
-// canBound checks the lowercased query is non-blank and made only of
-// letters, digits, and spaces — the precondition of the superset argument.
+// canBound reports whether a text index can serve the lowered needle low
+// at all: it is non-blank and made only of letters, digits, and spaces —
+// the precondition of the superset argument in candidates.
 func canBound(low string) bool {
 	if strings.TrimSpace(low) == "" {
 		return false

@@ -39,7 +39,7 @@ func buildTextCollections() (indexed, plain *Collection) {
 		indexed.Insert(d)
 		plain.Insert(d)
 	}
-	indexed.EnsureTextIndex("text")
+	indexed.EnsureIndex(IndexSpec{Path: "text", Kind: TextIndex})
 	return indexed, plain
 }
 
@@ -86,7 +86,7 @@ func TestTextIndexScanEquivalence(t *testing.T) {
 // step with the documents, each list in id order.
 func TestTextIndexMaintenance(t *testing.T) {
 	c := NewCollection("dt.maint", 0)
-	c.EnsureTextIndex("text")
+	c.EnsureIndex(IndexSpec{Path: "text", Kind: TextIndex})
 	c.Insert(textDoc("a", "original needle text"))
 	if n := count(c, Contains("text", "needle")); n != 1 {
 		t.Fatalf("after insert: %d matches", n)
@@ -182,7 +182,7 @@ func docTokensReference(d *Doc, path string) []string {
 
 // checkDocTokens compares the tokens docTokens finds in d's value at the
 // index's path (none when d lacks it) with the reference.
-func checkDocTokens(t *testing.T, tx *TextIndex, d *Doc) {
+func checkDocTokens(t *testing.T, tx *textIndex, d *Doc) {
 	t.Helper()
 	var got []string
 	v, _ := d.Path(tx.Path)
