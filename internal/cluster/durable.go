@@ -85,6 +85,9 @@ func applyEvent(c *store.Collection, kind byte, payload []byte) error {
 		}
 		return c.ApplyReplay(id, d)
 	case EvCreateIndex:
+		// Bytes after the spec are not refused here, as handleWrite now
+		// refuses them: an older build logged such a body whole, and its
+		// WAL must still recover.
 		ix, err := store.GetIndexSpec(bytes.NewReader(payload))
 		if err != nil {
 			return err

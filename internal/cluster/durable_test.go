@@ -260,6 +260,41 @@ func TestOldTextIndexEventRecovers(t *testing.T) {
 	}
 }
 
+// TestCreateIndexRefusesTrailingBytes: an OpCreateIndex body holding bytes
+// after its spec is refused as invalid_argument, and a durable node then
+// has taken no generation, built no index and logged no event: a node
+// recovered from its directory has none either.
+func TestCreateIndexRefusesTrailingBytes(t *testing.T) {
+	dir := t.TempDir()
+	key := ShardKey(NSEntities, 0)
+	node := NewNode("n")
+	hostAll(node, 1)
+	if err := node.EnableDurability(dir); err != nil {
+		t.Fatal(err)
+	}
+	spec := store.IndexSpec{Name: "type_1", Path: "type", Kind: store.HashIndex}
+	var body bytes.Buffer
+	store.PutIndexSpec(&body, spec)
+	body.Write([]byte{0xde, 0xad})
+	resp := loopbackCall(t, node, &Request{Op: OpCreateIndex, Shard: key, Body: body.Bytes()})
+	if resp.Err == nil || !errors.Is(resp.Err, dterr.ErrInvalidArgument) {
+		t.Fatalf("create with trailing bytes: %v, want invalid_argument", resp.Err)
+	}
+	if coll, gen := node.shard(key).view(); gen != 0 || len(coll.MissingIndexes([]store.IndexSpec{spec})) != 1 {
+		t.Fatalf("after the refused create: generation %d, missing %v", gen, coll.MissingIndexes([]store.IndexSpec{spec}))
+	}
+	// No Close: what the WAL holds is what a crash would leave.
+	revived := NewNode("r")
+	hostAll(revived, 1)
+	if err := revived.EnableDurability(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer revived.Close()
+	if coll, gen := revived.shard(key).view(); gen != 0 || len(coll.MissingIndexes([]store.IndexSpec{spec})) != 1 {
+		t.Fatalf("recovered shard at generation %d holds the refused index", gen)
+	}
+}
+
 // FuzzApplyEvent: no event, whatever its kind and payload, panics the
 // applier of WAL recovery; only an insert and an index creation — kind 4,
 // or kind 5, a text index's as an older build logged it — ever apply, an

@@ -192,7 +192,13 @@ func (n *Node) handleWrite(req *Request, h *hostedShard, out respFrame) error {
 		}
 		body = EncodeIDs(ids)
 	case OpCreateIndex:
-		ix, err := store.GetIndexSpec(bytes.NewReader(req.Body))
+		rd := bytes.NewReader(req.Body)
+		ix, err := store.GetIndexSpec(rd)
+		if err == nil && rd.Len() > 0 {
+			// The body is logged as it came: bytes past the spec would ride
+			// into the WAL unread.
+			err = fmt.Errorf("%d bytes after the index spec", rd.Len())
+		}
 		if err != nil {
 			return dterr.Newf(dterr.CodeInvalidArgument, "cluster: %v", err)
 		}

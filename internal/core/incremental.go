@@ -173,17 +173,22 @@ func (t *Tamer) RefreshFused(ctx context.Context) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, dterr.FromContext(err)
 	}
-	return t.refreshFusedLocked(), nil
+	n, _ := t.refreshFusedLocked()
+	return n, nil
 }
 
 // refreshFusedLocked re-consolidates the pending members together with
 // every cluster one of them shares a blocking key with, in position order.
 // That is exact: whether two members match depends on the two alone, so no
-// other cluster can gain or lose a member. Must hold t.mu.
-func (t *Tamer) refreshFusedLocked() int {
+// other cluster can gain or lose a member. Within the pool, only pairs with
+// a pending member are scored: two members of one cluster start joined, and
+// two members of different clusters were scored, and failed to match, when
+// the later of them arrived. It returns how many pending members it folded
+// in, and the pool's consolidation. Must hold t.mu.
+func (t *Tamer) refreshFusedLocked() (int, dedup.Consolidation) {
 	n := len(t.pending)
 	if n == 0 {
-		return 0
+		return 0, dedup.Consolidation{}
 	}
 	dirty := make(map[string]bool, n)
 	for _, m := range t.pending {
@@ -192,10 +197,14 @@ func (t *Tamer) refreshFusedLocked() int {
 		}
 	}
 	pool := t.pending
+	clusterAt := map[int]int{} // a pooled cluster member's position → its cluster
 	clusters := make([]fusedCluster, 0, len(t.view.clusters)+n)
-	for _, c := range t.view.clusters {
+	for ci, c := range t.view.clusters {
 		if c.sharesKey(dirty) {
 			pool = append(pool, c.members...)
+			for _, m := range c.members {
+				clusterAt[m.pos] = ci
+			}
 		} else {
 			clusters = append(clusters, c)
 		}
@@ -203,11 +212,16 @@ func (t *Tamer) refreshFusedLocked() int {
 	slices.SortFunc(pool, byPosition)
 	recs := make([]*record.Record, len(pool))
 	keys := make([][]string, len(pool))
+	prior := make([]int, len(pool))
 	for i, m := range pool {
-		recs[i], keys[i] = m.rec, m.keys
+		recs[i], keys[i], prior[i] = m.rec, m.keys, -1
+		if ci, ok := clusterAt[m.pos]; ok {
+			prior[i] = ci
+		}
 	}
 	deduper := dedup.Deduper{Blocker: fusedBlocker, Matcher: t.matcherLocked()}
-	for _, c := range deduper.RunKeyed(recs, keys).Clusters {
+	res := deduper.RunKeyed(recs, keys, prior)
+	for _, c := range res.Clusters {
 		members := make([]member, len(c.Members))
 		for i, idx := range c.Members {
 			members[i] = pool[idx]
@@ -219,7 +233,7 @@ func (t *Tamer) refreshFusedLocked() int {
 	// aggregate caches.
 	t.view = newFusedView(clusters)
 	t.pending = nil
-	return n
+	return n, res
 }
 
 // FusedDirty reports whether members are awaiting consolidation into the

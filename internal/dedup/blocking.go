@@ -41,7 +41,8 @@ func PrefixBlocker(attr string, n int) BlockKeyFunc {
 	}
 }
 
-// Pair is a candidate record pair, by index, with I < J.
+// Pair is a candidate pair, by index, with I < J; in RunKeyed, I == J
+// pairs a group of interchangeable records with itself.
 type Pair struct{ I, J int }
 
 // CandidatePairs builds the deduplicated candidate pairs induced by the
@@ -49,7 +50,7 @@ type Pair struct{ I, J int }
 // no cap), the standard guard at web scale. See candidatePairs for the order.
 func CandidatePairs(records []*record.Record, key BlockKeyFunc, maxBlock int) []Pair {
 	var pairs []Pair
-	for p := range candidatePairs(blockKeys(records, key), maxBlock) {
+	for p := range candidatePairs(blockKeys(records, key), nil, maxBlock, nil) {
 		pairs = append(pairs, p)
 	}
 	return pairs
@@ -64,17 +65,21 @@ func blockKeys(records []*record.Record, key BlockKeyFunc) [][]string {
 	return keys
 }
 
-// candidatePairs yields each pair of records that share a blocking key once,
+// candidatePairs yields each pair of items that share a blocking key once,
 // with no set of pairs seen: blocks are visited in key order, and a pair is
-// yielded in the first kept block the two records share. keys[i] are record
-// i's keys; a key a record lists twice counts once. A block of more than
-// maxBlock records is skipped (0 keeps every block).
-func candidatePairs(keys [][]string, maxBlock int) iter.Seq[Pair] {
+// yielded in the first kept block the two items share. keys[i] are item i's
+// keys; a key an item lists twice counts once. Item i stands for size[i]
+// records (one each when size is nil): a block of more than maxBlock
+// records is skipped (0 keeps every block), and an item of two or more is
+// paired with itself, in its first kept block. When pending is not nil,
+// only pairs with a pending side are yielded.
+func candidatePairs(keys [][]string, size []int, maxBlock int, pending []bool) iter.Seq[Pair] {
+	keep := func(i, j int) bool { return pending == nil || pending[i] || pending[j] }
 	return func(yield func(Pair) bool) {
 		blocks := map[string][]int{}
 		for i, ks := range keys {
 			for _, k := range ks {
-				// A record's indices enter a block in order, so a repeat is last.
+				// An item's indices enter a block in order, so a repeat is last.
 				if ids := blocks[k]; len(ids) == 0 || ids[len(ids)-1] != i {
 					blocks[k] = append(ids, i)
 				}
@@ -82,12 +87,19 @@ func candidatePairs(keys [][]string, maxBlock int) iter.Seq[Pair] {
 		}
 		kept := make([]string, 0, len(blocks))
 		for k, ids := range blocks {
-			if maxBlock <= 0 || len(ids) <= maxBlock {
+			records := len(ids)
+			if size != nil {
+				records = 0
+				for _, i := range ids {
+					records += size[i]
+				}
+			}
+			if maxBlock <= 0 || records <= maxBlock {
 				kept = append(kept, k)
 			}
 		}
 		sort.Strings(kept)
-		// Each record's kept blocks by rank, ascending: record i's are
+		// Each item's kept blocks by rank, ascending: item i's are
 		// ranks[start[i]:start[i+1]].
 		start := make([]int, len(keys)+1)
 		for _, k := range kept {
@@ -108,11 +120,14 @@ func candidatePairs(keys [][]string, maxBlock int) iter.Seq[Pair] {
 		}
 		for rank, k := range kept {
 			ids := blocks[k]
-			for a := 0; a < len(ids); a++ {
-				ra := ranks[start[ids[a]]:start[ids[a]+1]]
-				for b := a + 1; b < len(ids); b++ {
-					if firstShared(ra, ranks[start[ids[b]]:start[ids[b]+1]]) == rank &&
-						!yield(Pair{I: ids[a], J: ids[b]}) {
+			for a, i := range ids {
+				ri := ranks[start[i]:start[i+1]]
+				if size != nil && size[i] > 1 && ri[0] == rank && keep(i, i) && !yield(Pair{I: i, J: i}) {
+					return
+				}
+				for _, j := range ids[a+1:] {
+					if keep(i, j) && firstShared(ri, ranks[start[j]:start[j+1]]) == rank &&
+						!yield(Pair{I: i, J: j}) {
 						return
 					}
 				}

@@ -66,26 +66,30 @@ func (m *Matcher) Match(a, b *record.Record) bool {
 	return m.Prob(a, b) >= m.Threshold
 }
 
-// pairScorer scores pairs of one record slice by index: every record is
-// profiled once, and every pair is scored from two profiles into one reused
-// vector. It lives for one Run and is not for concurrent use.
+// pairScorer scores pairs of one record slice by index: a record is
+// profiled the first time a pair needs it, and every pair is scored from two
+// profiles into one reused vector. It lives for one Run and is not for
+// concurrent use.
 type pairScorer struct {
-	sc       *scorer
-	profiles []recordProfile
+	pr       profiler
+	records  []*record.Record
+	profiles []recordProfile // nil until built: a built profile is never nil
 	vec      pairVector
 }
 
 func (m *Matcher) over(records []*record.Record) *pairScorer {
-	ps := &pairScorer{sc: m.scorer(), profiles: make([]recordProfile, len(records))}
-	pr := profiler{sc: ps.sc}
-	for i, r := range records {
-		ps.profiles[i] = pr.profile(r)
+	return &pairScorer{pr: profiler{sc: m.scorer()}, records: records, profiles: make([]recordProfile, len(records))}
+}
+
+func (ps *pairScorer) profile(i int) recordProfile {
+	if ps.profiles[i] == nil {
+		ps.profiles[i] = ps.pr.profile(ps.records[i])
 	}
-	return ps
+	return ps.profiles[i]
 }
 
 func (ps *pairScorer) prob(i, j int) float64 {
-	return ps.sc.prob(ps.profiles[i], ps.profiles[j], &ps.vec)
+	return ps.pr.sc.prob(ps.profile(i), ps.profile(j), &ps.vec)
 }
 
 // Deduper runs end-to-end entity consolidation.
@@ -105,33 +109,84 @@ type Cluster struct {
 // Run blocks, classifies candidate pairs, clusters transitively, and
 // consolidates each cluster into one record.
 func (d *Deduper) Run(records []*record.Record) []Cluster {
-	return d.RunKeyed(records, blockKeys(records, d.Blocker)).Clusters
+	return d.RunKeyed(records, blockKeys(records, d.Blocker), nil).Clusters
 }
 
 // Consolidation is what RunKeyed returns: the clusters, and how many
-// candidate pairs it met and how many of those it scored.
+// candidate pairs of groups of interchangeable records it met (a group
+// against itself included) and how many of those it scored.
 type Consolidation struct {
 	Clusters           []Cluster
 	Candidates, Scored int
 }
 
 // RunKeyed is Run for a caller that already holds the records' blocking
-// keys: keys[i] must be what d.Blocker returns for records[i]. A candidate
-// pair whose records are already in one cluster is not scored: joining
-// them could change no cluster, so the clusters are those of scoring every
-// pair.
-func (d *Deduper) RunKeyed(records []*record.Record, keys [][]string) Consolidation {
+// keys: keys[i] must be what d.Blocker returns for records[i].
+//
+// It scores distinct values, not records. Records whose profiles read equal
+// values and whose key lists are equal are interchangeable (groupRecords):
+// a pair's probability is a function of its two profiles, and whether it
+// is a candidate a function of its two key lists, so one score stands for
+// every record pair of two groups, and one for the pairs inside a group. A
+// group that matches itself or another group is joined whole; one that
+// matches nothing leaves its records apart. A candidate pair of two groups
+// already joined whole into one cluster is not scored: joining them could
+// change no cluster.
+//
+// prior, when not nil, gives each record's cluster from an earlier run
+// over the records it saw (any id of zero or more), or -1 for a record
+// that run did not see. Records of one prior cluster start joined, and
+// only pairs with a new record are scored: two prior records in different
+// clusters were scored, and failed to match, when the later of them
+// arrived. That holds while no block the earlier run kept has grown past
+// MaxBlock.
+func (d *Deduper) RunKeyed(records []*record.Record, keys [][]string, prior []int) Consolidation {
+	g := groupRecords(d.Matcher.scorer(), records, keys)
+	n := len(g.first)
+	groupKeys := make([][]string, n)
+	reps := make([]*record.Record, n)
+	// joined[id]: every record of group id is, or will end, in one cluster.
+	joined := make([]bool, n)
+	for id, i := range g.first {
+		groupKeys[id], reps[id] = keys[i], records[i]
+		joined[id] = g.size[id] == 1 || prior != nil && prior[i] >= 0
+	}
 	uf := NewUnionFind(len(records))
-	scores := d.Matcher.over(records)
+	var pending []bool
+	if prior != nil {
+		pending = make([]bool, n)
+		firstOf := map[int]int{} // a prior cluster's first record
+		for i, c := range prior {
+			id := g.of[i]
+			if c != prior[g.first[id]] {
+				joined[id] = false
+			}
+			if c < 0 {
+				pending[id] = true
+			} else if f, ok := firstOf[c]; ok {
+				uf.Union(f, i)
+			} else {
+				firstOf[c] = i
+			}
+		}
+	}
+	scores := d.Matcher.over(reps)
 	var res Consolidation
-	for p := range candidatePairs(keys, d.MaxBlock) {
+	for p := range candidatePairs(groupKeys, g.size, d.MaxBlock, pending) {
 		res.Candidates++
-		if uf.Find(p.I) == uf.Find(p.J) {
+		a, b := g.first[p.I], g.first[p.J]
+		if joined[p.I] && joined[p.J] && uf.Find(a) == uf.Find(b) {
 			continue
 		}
 		res.Scored++
 		if scores.prob(p.I, p.J) >= d.Matcher.Threshold {
-			uf.Union(p.I, p.J)
+			uf.Union(a, b)
+			joined[p.I], joined[p.J] = true, true
+		}
+	}
+	for i, id := range g.of {
+		if joined[id] {
+			uf.Union(i, g.first[id])
 		}
 	}
 	for _, members := range uf.Clusters() {
@@ -158,21 +213,28 @@ func Consolidate(records []*record.Record) *record.Record {
 	// Gather values per normalized attribute, keeping first-seen display name.
 	type valueInfo struct {
 		display string
-		raw     []string
+		raw     map[string]int // each distinct non-null value, by Str, and its count
 	}
 	attrs := map[string]*valueInfo{}
+	spelled := map[string]*valueInfo{} // by name as spelled, normalized once
 	var order []string
 	for _, r := range records {
 		for _, f := range r.Fields() {
-			key := record.NormalizeName(f.Name)
-			vi, ok := attrs[key]
+			vi, ok := spelled[f.Name]
 			if !ok {
-				vi = &valueInfo{display: f.Name}
-				attrs[key] = vi
-				order = append(order, key)
+				key := record.NormalizeName(f.Name)
+				if vi, ok = attrs[key]; !ok {
+					vi = &valueInfo{display: f.Name}
+					attrs[key] = vi
+					order = append(order, key)
+				}
+				spelled[f.Name] = vi
 			}
 			if !f.Value.IsNull() {
-				vi.raw = append(vi.raw, f.Value.Str())
+				if vi.raw == nil {
+					vi.raw = map[string]int{}
+				}
+				vi.raw[f.Value.Str()]++
 			}
 		}
 	}
@@ -188,8 +250,7 @@ func Consolidate(records []*record.Record) *record.Record {
 		if len(vi.raw) == 0 {
 			continue
 		}
-		best := pickValue(vi.raw)
-		out.Set(vi.display, record.Infer(best))
+		out.Set(vi.display, record.Infer(pickValue(vi.raw)))
 	}
 	srcs := make([]string, 0, len(sources))
 	for s := range sources {
@@ -200,36 +261,37 @@ func Consolidate(records []*record.Record) *record.Record {
 	return out
 }
 
-// pickValue selects the consolidated value: majority by normalized form,
-// ties to the longest raw string, then lexicographic for determinism.
-func pickValue(raw []string) string {
-	counts := map[string]int{}
-	bestRaw := map[string]string{}
-	for _, v := range raw {
-		n := textutil.Normalize(v)
-		counts[n]++
-		cur, ok := bestRaw[n]
-		if !ok || len(v) > len(cur) || (len(v) == len(cur) && v < cur) {
-			bestRaw[n] = v
+// pickValue selects the consolidated value from each distinct raw value
+// and how many records hold it: majority by normalized form, ties to the
+// longest raw string, then lexicographic for determinism. Each raw value is
+// normalized once, and the order is total, so map order cannot show.
+func pickValue(raw map[string]int) string {
+	if len(raw) == 1 {
+		for v := range raw {
+			return v
 		}
 	}
-	type cand struct {
-		norm  string
+	type form struct {
 		count int
+		best  string // the longest raw value of this form, the least of equals
 	}
-	cands := make([]cand, 0, len(counts))
-	for n, c := range counts {
-		cands = append(cands, cand{norm: n, count: c})
+	forms := make(map[string]form, len(raw))
+	for v, c := range raw {
+		n := textutil.Normalize(v)
+		f, ok := forms[n]
+		f.count += c
+		if !ok || len(v) > len(f.best) || (len(v) == len(f.best) && v < f.best) {
+			f.best = v
+		}
+		forms[n] = f
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].count != cands[j].count {
-			return cands[i].count > cands[j].count
+	var win form
+	var winNorm string
+	for n, f := range forms {
+		if f.count > win.count || f.count == win.count &&
+			(len(f.best) > len(win.best) || len(f.best) == len(win.best) && n < winNorm) {
+			win, winNorm = f, n
 		}
-		li, lj := len(bestRaw[cands[i].norm]), len(bestRaw[cands[j].norm])
-		if li != lj {
-			return li > lj
-		}
-		return cands[i].norm < cands[j].norm
-	})
-	return bestRaw[cands[0].norm]
+	}
+	return win.best
 }

@@ -3,6 +3,7 @@ package dedup
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -39,6 +40,16 @@ func TestUnionFindBasics(t *testing.T) {
 	}
 	if len(clusters[0]) != 3 {
 		t.Errorf("first cluster = %v", clusters[0])
+	}
+}
+
+// TestUnionFindClustersBySmallestMember: the sets come out by their
+// smallest member even when a union makes a larger index the root.
+func TestUnionFindClustersBySmallestMember(t *testing.T) {
+	uf := NewUnionFind(4)
+	uf.Union(3, 0) // equal ranks: 3 becomes the root
+	if got, want := uf.Clusters(), [][]int{{0, 3}, {1}, {2}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("clusters %v, want %v", got, want)
 	}
 }
 

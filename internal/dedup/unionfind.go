@@ -2,12 +2,15 @@
 // blocking, candidate-pair generation, learned match classification over
 // similarity features, transitive clustering, and record consolidation.
 //
-// Pairs are scored from profiles, not from strings. A Deduper's Run
-// profiles every record once per featurized attribute —
-// the normalized value, its runes, trigram and token sets, its numeric
-// reading and the classifier's rows for its features (features.go) — and
-// scores each candidate pair from two profiles into one reused vector.
-// Profiles live in the Run's pairScorer and die with it: nothing is cached
+// Pairs are scored from profiles, not from strings, and records are scored
+// as groups of interchangeable ones (group.go): records whose featurized
+// values and blocking keys are equal. A Deduper's Run profiles one record
+// of a group, the first time a pair needs it, once per featurized
+// attribute — the normalized value, its runes, trigram and token sets, its
+// numeric reading and the classifier's rows for its features (features.go)
+// — and scores each candidate pair of groups from two profiles into one
+// reused vector. Profiles live in the Run's pairScorer and die with it:
+// nothing is cached
 // across Runs or on the records, so there is nothing to invalidate when a
 // record changes. Featurizer.Features and Matcher.Prob/Match are the same
 // scorer run over two profiles built for the one call.
@@ -59,18 +62,19 @@ func (uf *UnionFind) Union(x, y int) bool {
 }
 
 // Clusters returns the sets as sorted index slices, ordered by smallest
-// member.
+// member, whatever order the unions came in.
 func (uf *UnionFind) Clusters() [][]int {
-	groups := map[int][]int{}
+	slot := map[int]int{} // a root's set in out
+	out := [][]int{}
 	for i := range uf.parent {
 		r := uf.Find(i)
-		groups[r] = append(groups[r], i)
-	}
-	out := make([][]int, 0, len(groups))
-	for i := range uf.parent {
-		if uf.Find(i) == i {
-			out = append(out, groups[i])
+		k, ok := slot[r]
+		if !ok {
+			k = len(out)
+			slot[r] = k
+			out = append(out, nil)
 		}
+		out[k] = append(out[k], i)
 	}
 	return out
 }
