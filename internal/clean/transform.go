@@ -3,6 +3,7 @@ package clean
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/record"
 )
@@ -26,8 +27,17 @@ type CurrencyConvert struct {
 // Name implements Transform.
 func (c CurrencyConvert) Name() string { return fmt.Sprintf("currency:%s->%s", c.From, c.To) }
 
-// Apply implements Transform.
+// maxScreened bounds the money strings CurrencyConvert.Apply screens
+// without parsing: their amount has too few digits to overflow a float64,
+// so a string moneyRe matches parses.
+const maxScreened = 300
+
+// Apply implements Transform. A string that cannot be money in From is left
+// as it is without being parsed, so a string out of scope allocates nothing.
 func (c CurrencyConvert) Apply(v record.Value) (record.Value, error) {
+	if s := v.Str(); v.Kind() == record.KindString && len(s) <= maxScreened && !mayBeIn(s, c.From) && moneyRe.MatchString(s) {
+		return v, nil
+	}
 	m, err := ParseMoney(v.Str())
 	if err != nil {
 		return v, err
@@ -49,7 +59,7 @@ func (DateTransform) Name() string { return "date-iso" }
 func (DateTransform) Apply(v record.Value) (record.Value, error) {
 	if v.Kind() == record.KindTime {
 		t, _ := v.AsTime()
-		return record.String(t.Format("2006-01-02")), nil
+		return record.String(t.Format(isoDate)), nil
 	}
 	iso, err := NormalizeDate(v.Str())
 	if err != nil {
@@ -77,10 +87,33 @@ func (NullStandardize) Apply(v record.Value) (record.Value, error) {
 	if v.Kind() != record.KindString {
 		return v, nil
 	}
-	if nullSpellings[strings.ToLower(strings.TrimSpace(v.Str()))] {
+	if isNullSpelling(strings.TrimSpace(v.Str())) {
 		return record.Null, nil
 	}
 	return v, nil
+}
+
+// isNullSpelling reports whether nullSpellings holds s lower-cased. An ASCII
+// s is lower-cased on the stack, and one longer than every spelling not at
+// all: lower-casing ASCII keeps its length.
+func isNullSpelling(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return nullSpellings[strings.ToLower(s)]
+		}
+	}
+	var buf [len("unknown")]byte
+	if len(s) > len(buf) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return nullSpellings[string(buf[:len(s)])]
 }
 
 // WhitespaceTransform collapses whitespace in string values.
@@ -116,9 +149,10 @@ type Cleaner struct {
 }
 
 // Apply runs every matching rule over the record in place and reports what
-// changed.
+// changed. ByRule is nil when nothing was rewritten, so a record that is
+// already clean costs no allocation.
 func (c *Cleaner) Apply(r *record.Record) Report {
-	rep := Report{ByRule: map[string]int{}}
+	var rep Report
 	for _, rule := range c.Rules {
 		v, ok := r.Get(rule.Attr)
 		if !ok || v.IsNull() {
@@ -129,13 +163,26 @@ func (c *Cleaner) Apply(r *record.Record) Report {
 			rep.Errors++
 			continue
 		}
-		if !nv.Equal(v) || nv.Str() != v.Str() {
+		if !nv.Equal(v) || !sameStr(nv, v) {
 			r.Set(rule.Attr, nv)
 			rep.Applied++
+			if rep.ByRule == nil {
+				rep.ByRule = map[string]int{}
+			}
 			rep.ByRule[rule.Transform.Name()]++
 		}
 	}
 	return rep
+}
+
+// sameStr reports whether a.Str() == b.Str(), rendering a value that is not
+// a string on the stack.
+func sameStr(a, b record.Value) bool {
+	if a.Kind() == record.KindString && b.Kind() == record.KindString {
+		return a.Str() == b.Str()
+	}
+	var ab, bb [64]byte
+	return string(a.AppendStr(ab[:0])) == string(b.AppendStr(bb[:0]))
 }
 
 // ApplyAll cleans a batch, merging reports.

@@ -465,16 +465,13 @@ func (t *Tamer) trainDedupMatcher() *dedup.Matcher {
 	})
 	fz := dedup.Featurizer{Attrs: []string{"name", "SHOW_NAME", "city"}}
 	// Pair records use "name"; fused records use "SHOW_NAME" — train on a
-	// featurizer that reads either.
-	prepared := make([]dedup.LabeledPair, len(pairs))
-	for i, p := range pairs {
-		a := p.A.Clone()
-		b := p.B.Clone()
-		a.Rename("name", "SHOW_NAME")
-		b.Rename("name", "SHOW_NAME")
-		prepared[i] = dedup.LabeledPair{A: a, B: b, Match: p.Match}
+	// featurizer that reads either. The pairs are this call's own, so they
+	// are renamed where they are.
+	for _, p := range pairs {
+		p.A.Rename("name", "SHOW_NAME")
+		p.B.Rename("name", "SHOW_NAME")
 	}
-	return dedup.TrainMatcher(prepared, fz, ml.NaiveBayesTrainer(5))
+	return dedup.TrainMatcher(pairs, fz, ml.NaiveBayesTrainer(5))
 }
 
 // TypeCount is one row of the Table III aggregation.

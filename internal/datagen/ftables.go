@@ -272,17 +272,35 @@ func GenerateFTables(cfg FTablesConfig) []*ingest.Source {
 		if si == 0 {
 			recs = append(recs, matildaRow(concepts, attrNames))
 		}
+		distinct := namesDistinct(attrNames)
 		for len(recs) < rows {
 			f := facts[srcRng.Intn(len(facts))]
 			r := record.NewCap(len(concepts))
 			for i, ci := range concepts {
-				r.Set(attrNames[i], ftConcepts[ci].render(f, srcRng))
+				if v := ftConcepts[ci].render(f, srcRng); distinct {
+					r.Append(attrNames[i], v)
+				} else {
+					r.Set(attrNames[i], v)
+				}
 			}
 			recs = append(recs, r)
 		}
 		out = append(out, ingest.NewSource(name, recs))
 	}
 	return out
+}
+
+// namesDistinct reports whether no two of names normalize alike, so that a
+// record of them can be built by appending, without Set's scan.
+func namesDistinct(names []string) bool {
+	for i := range names {
+		for j := range i {
+			if record.NameEqual(names[i], names[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // chooseConcepts picks 5-20 concept indices; the show concept (index 0) is

@@ -24,6 +24,34 @@ import (
 	"repro/internal/textutil"
 )
 
+// oracleJaroWinkler is Jaro-Winkler of two strings on a fresh Scratch.
+func oracleJaroWinkler(a, b string) float64 {
+	var s similarity.Scratch
+	return s.JaroWinkler([]rune(a), []rune(b))
+}
+
+// oracleJaccard is the Jaccard coefficient of two token lists as sets,
+// built as maps; two empty sets are identical (1).
+func oracleJaccard(a, b []string) float64 {
+	sa, sb := map[string]bool{}, map[string]bool{}
+	for _, t := range a {
+		sa[t] = true
+	}
+	for _, t := range b {
+		sb[t] = true
+	}
+	if len(sa) == 0 && len(sb) == 0 {
+		return 1
+	}
+	inter := 0
+	for t := range sa {
+		if sb[t] {
+			inter++
+		}
+	}
+	return float64(inter) / float64(len(sa)+len(sb)-inter)
+}
+
 func oracleFeatures(attrs []string, a, b *record.Record) ml.Features {
 	if len(attrs) == 0 {
 		attrs = oracleUnionAttrs(a, b)
@@ -43,9 +71,9 @@ func oracleFeatures(attrs []string, a, b *record.Record) ml.Features {
 			exact++
 		}
 		key := record.NormalizeName(attr)
-		out["jw:"+key] = similarity.JaroWinkler(sa, sb)
+		out["jw:"+key] = oracleJaroWinkler(sa, sb)
 		out["tri:"+key] = oracleTrigramSim(sa, sb)
-		out["tok:"+key] = similarity.JaccardStrings(textutil.ContentWords(sa), textutil.ContentWords(sb))
+		out["tok:"+key] = oracleJaccard(textutil.ContentWords(sa), textutil.ContentWords(sb))
 		if fa, aok := va.AsFloat(); aok {
 			if fb, bok := vb.AsFloat(); bok {
 				out["num:"+key] = oracleCloseness(fa, fb)

@@ -2,7 +2,6 @@ package match
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/schema"
@@ -105,23 +104,24 @@ func (e *Engine) topK() int {
 
 // MatchSource scores every attribute of a source schema against every
 // attribute of the global schema, classifying each by the threshold policy.
+// Each attribute keeps its top K suggestions in a slice of K slots as the
+// scores arrive, in the order of a stable sort of all of them by descending
+// score and then ascending target.
 func (e *Engine) MatchSource(ss *schema.SourceSchema, g *schema.Global) *Report {
 	rep := &Report{Source: ss.Source}
+	if len(ss.Attrs) > 0 {
+		rep.Matches = make([]AttrMatch, 0, len(ss.Attrs))
+	}
 	m := e.matcher()
+	targets := g.Attributes()
+	k := min(e.topK(), len(targets))
 	for _, attr := range ss.Attrs {
 		am := AttrMatch{Attr: attr}
-		for _, target := range g.Attributes() {
-			score := m.Score(attr, target)
-			am.Suggestions = append(am.Suggestions, Suggestion{Target: target.Name, Score: score})
+		if k > 0 {
+			am.Suggestions = make([]Suggestion, 0, k)
 		}
-		sort.SliceStable(am.Suggestions, func(i, j int) bool {
-			if am.Suggestions[i].Score != am.Suggestions[j].Score {
-				return am.Suggestions[i].Score > am.Suggestions[j].Score
-			}
-			return am.Suggestions[i].Target < am.Suggestions[j].Target
-		})
-		if len(am.Suggestions) > e.topK() {
-			am.Suggestions = am.Suggestions[:e.topK()]
+		for _, target := range targets {
+			am.Suggestions = keepTop(am.Suggestions, Suggestion{Target: target.Name, Score: m.Score(attr, target)})
 		}
 		best := am.Best()
 		switch {
@@ -138,6 +138,34 @@ func (e *Engine) MatchSource(ss *schema.SourceSchema, g *schema.Global) *Report 
 		rep.Matches = append(rep.Matches, am)
 	}
 	return rep
+}
+
+// keepTop inserts s into top, a slice of at most cap(top) suggestions in
+// order, after every suggestion it does not rank above, dropping the last
+// one when top is full.
+func keepTop(top []Suggestion, s Suggestion) []Suggestion {
+	i := len(top)
+	for i > 0 && ranksAbove(s, top[i-1]) {
+		i--
+	}
+	if i == cap(top) {
+		return top
+	}
+	if len(top) < cap(top) {
+		top = append(top, Suggestion{})
+	}
+	copy(top[i+1:], top[i:])
+	top[i] = s
+	return top
+}
+
+// ranksAbove reports whether a comes before b: a higher score, or an equal
+// score and a smaller target.
+func ranksAbove(a, b Suggestion) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Target < b.Target
 }
 
 // Integrate applies a report: accepted matches map onto their targets,

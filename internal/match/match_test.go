@@ -9,7 +9,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/record"
 	"repro/internal/schema"
-	"repro/internal/similarity"
 	"repro/internal/textutil"
 )
 
@@ -283,7 +282,7 @@ func referenceValueScore(src, dst *schema.Attribute) float64 {
 		}
 		return lo, hi, n > 0 && n*2 >= len(vals)
 	}
-	set := similarity.JaccardStrings(normalizeAll(src.Samples), normalizeAll(dst.Samples))
+	set := jaccardStrings(normalizeAll(src.Samples), normalizeAll(dst.Samples))
 	amin, amax, aok := numericRange(src.Samples)
 	bmin, bmax, bok := numericRange(dst.Samples)
 	if !aok || !bok {
@@ -298,6 +297,28 @@ func referenceValueScore(src, dst *schema.Attribute) float64 {
 		}
 	}
 	return math.Max(rng, set)
+}
+
+// jaccardStrings is |A ∩ B| / |A ∪ B| over two lists as sets, built as maps;
+// two empty sets are identical (1).
+func jaccardStrings(a, b []string) float64 {
+	sa, sb := map[string]bool{}, map[string]bool{}
+	for _, t := range a {
+		sa[t] = true
+	}
+	for _, t := range b {
+		sb[t] = true
+	}
+	if len(sa) == 0 && len(sb) == 0 {
+		return 1
+	}
+	inter := 0
+	for t := range sa {
+		if sb[t] {
+			inter++
+		}
+	}
+	return float64(inter) / float64(len(sa)+len(sb)-inter)
 }
 
 // Every source attribute against every global attribute while twenty
@@ -337,5 +358,21 @@ func TestValueMatcherWarmScoreAllocatesNothing(t *testing.T) {
 	ValueMatcher{}.Score(a, b) // derives both signatures
 	if n := testing.AllocsPerRun(100, func() { ValueMatcher{}.Score(a, b) }); n != 0 {
 		t.Errorf("Score over warm signatures allocates %v times, want 0", n)
+	}
+}
+
+func TestNameMatcherWarmScoreAllocatesNothing(t *testing.T) {
+	m := NewNameMatcher()
+	for _, pair := range [][2]string{
+		{"Ticket Price", "CHEAPEST_PRICE"}, // canonical tokens shared
+		{"Théâtre", "THEATER"},             // runes past ASCII
+		{"box-office.phone", "TELEPHONE"},  // synonym of one token only
+		{"Show Name", "SHOW_NAME"},         // equal normalized names
+	} {
+		a, b := attr(pair[0], record.KindString), attr(pair[1], record.KindString)
+		m.Score(a, b) // derives both name profiles
+		if n := testing.AllocsPerRun(100, func() { m.Score(a, b) }); n != 0 {
+			t.Errorf("Score(%q, %q) over warm profiles allocates %v times, want 0", pair[0], pair[1], n)
+		}
 	}
 }

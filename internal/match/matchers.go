@@ -6,10 +6,12 @@
 //
 // The value matchers read an attribute's samples through its value signature
 // (schema.Attribute.Signature: normalized sample set and numeric range),
-// which the attribute memoizes and derives again only once its
-// Samples have grown. Scoring a source attribute against the global schema
-// therefore parses and normalizes each side once, not once per pair; this
-// package keeps no cache of its own.
+// which the attribute memoizes and derives again only once its Samples have
+// grown, and the name matcher reads its name through its name profile
+// (schema.Attribute.NameProfile: normalized name, its runes and tokens),
+// derived again only once its Name has changed. Scoring a source attribute
+// against the global schema therefore parses, normalizes and tokenizes each
+// side once, not once per pair; this package keeps no cache of its own.
 package match
 
 import (
@@ -17,7 +19,6 @@ import (
 	"repro/internal/schema"
 	"repro/internal/similarity"
 	"repro/internal/synonym"
-	"repro/internal/textutil"
 )
 
 // Matcher scores the similarity of two attribute profiles in [0, 1].
@@ -41,20 +42,22 @@ func NewNameMatcher() *NameMatcher { return &NameMatcher{Dict: synonym.Default()
 // Name implements Matcher.
 func (*NameMatcher) Name() string { return "name" }
 
-// Score implements Matcher.
+// Score implements Matcher. It reads both attributes' name profiles
+// (schema.Attribute.NameProfile), canonicalizes their tokens in stack
+// buffers and runs Jaro-Winkler on the profiles' runes, so a warm pair
+// allocates nothing.
 func (m *NameMatcher) Score(src, dst *schema.Attribute) float64 {
-	a := record.NormalizeName(src.Name)
-	b := record.NormalizeName(dst.Name)
-	if a == b {
+	a, b := src.NameProfile(), dst.NameProfile()
+	if a.Norm == b.Norm {
 		return 1
 	}
-	if m.Dict != nil && m.Dict.AreSynonyms(a, b) {
+	if m.Dict != nil && m.Dict.AreSynonyms(a.Norm, b.Norm) {
 		return 0.95
 	}
-	at := nameTokens(a, m.Dict)
-	bt := nameTokens(b, m.Dict)
-	tok := similarity.JaccardStrings(at, bt)
-	jw := similarity.JaroWinkler(a, b)
+	var abuf, bbuf [8]string
+	tok := similarity.JaccardSorted(canonicalTokens(abuf[:0], a.Tokens, m.Dict), canonicalTokens(bbuf[:0], b.Tokens, m.Dict))
+	var scratch similarity.Scratch // used only past 64 runes
+	jw := scratch.JaroWinkler(a.Runes, b.Runes)
 	score := 0.6*tok + 0.4*jw
 	if score > 1 {
 		score = 1
@@ -62,19 +65,16 @@ func (m *NameMatcher) Score(src, dst *schema.Attribute) float64 {
 	return score
 }
 
-// nameTokens splits an attribute name into canonicalized tokens.
-func nameTokens(name string, dict *synonym.Dict) []string {
-	var buf [8]textutil.Token
-	tokens := textutil.AppendTokens(buf[:0], name)
-	out := make([]string, len(tokens))
-	for i, t := range tokens {
-		w := t.Text
+// canonicalTokens appends a name's tokens, canonicalized by dict when it is
+// not nil, to dst as a similarity.SortedSet.
+func canonicalTokens(dst, tokens []string, dict *synonym.Dict) []string {
+	for _, w := range tokens {
 		if dict != nil {
 			w = dict.Canonical(w)
 		}
-		out[i] = w
+		dst = append(dst, w)
 	}
-	return out
+	return similarity.SortedSet(dst)
 }
 
 // TypeMatcher scores attribute type compatibility.

@@ -134,3 +134,13 @@ func TestInferOfTextAllocatesNothing(t *testing.T) {
 		t.Errorf(`ParseNumber("225 W. 44th St") allocates %v times, want 0`, n)
 	}
 }
+
+// A date pays for no error of a layout before its own: layoutFits skips the
+// layouts its length and separators rule out.
+func TestParseTimeOfADateAllocatesNothing(t *testing.T) {
+	for _, s := range []string{"2013-03-04", "3/4/2013", "Mar 4, 2013", "4 Mar 2013", "2013-03-04 19:30:00"} {
+		if n := testing.AllocsPerRun(100, func() { ParseTime(s) }); n != 0 {
+			t.Errorf("ParseTime(%q) allocates %v times, want 0", s, n)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 package record
 
-// NormalizeName and nameEqual against the NormalizeName body they replaced:
+// NormalizeName and NameEqual against the NormalizeName body they replaced:
 // lower-case the whole name, trim it, then rebuild it rune by rune.
 
 import (
@@ -35,8 +35,8 @@ func checkNameAgainstReference(t *testing.T, a, b string) {
 	if got := NormalizeName(a); got != ra {
 		t.Errorf("NormalizeName(%q) = %q, reference %q", a, got, ra)
 	}
-	if got, want := nameEqual(a, b), ra == rb; got != want {
-		t.Errorf("nameEqual(%q, %q) = %v, reference %q vs %q", a, b, got, ra, rb)
+	if got, want := NameEqual(a, b), ra == rb; got != want {
+		t.Errorf("NameEqual(%q, %q) = %v, reference %q vs %q", a, b, got, ra, rb)
 	}
 }
 

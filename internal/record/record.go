@@ -118,9 +118,9 @@ func (sc *nameScanner) next() rune {
 	return -1
 }
 
-// nameEqual reports whether NormalizeName(a) == NormalizeName(b), without
+// NameEqual reports whether NormalizeName(a) == NormalizeName(b), without
 // allocating.
-func nameEqual(a, b string) bool {
+func NameEqual(a, b string) bool {
 	if a == b {
 		return true
 	}
@@ -153,7 +153,7 @@ func (r *Record) Fields() []Field { return r.fields }
 // -1.
 func (r *Record) find(name string) int {
 	for i := range r.fields {
-		if nameEqual(r.fields[i].Name, name) {
+		if NameEqual(r.fields[i].Name, name) {
 			return i
 		}
 	}
@@ -167,6 +167,13 @@ func (r *Record) Set(name string, value Value) {
 		r.fields[i] = Field{Name: name, Value: value}
 		return
 	}
+	r.fields = append(r.fields, Field{Name: name, Value: value})
+}
+
+// Append adds a field at the end without looking for one whose name
+// normalizes like name: the caller guarantees there is none, and Set is what
+// to call otherwise.
+func (r *Record) Append(name string, value Value) {
 	r.fields = append(r.fields, Field{Name: name, Value: value})
 }
 

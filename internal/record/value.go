@@ -363,11 +363,39 @@ func ParseTime(s string) (time.Time, error) {
 		return time.Time{}, ErrUnrecognizedTime
 	}
 	for _, layout := range timeLayouts {
+		if !layoutFits(layout, s) {
+			continue
+		}
 		if t, err := time.Parse(layout, s); err == nil {
 			return t, nil
 		}
 	}
 	return time.Time{}, ErrUnrecognizedTime
+}
+
+// layoutFits reports whether s, which timeShape accepted (so it has at least
+// 8 bytes), could parse under layout, judging by the bytes the layout's
+// first fields fix: a year is four bytes and a month number or a day one or
+// two digits, each followed by its literal separator, and a month name
+// starts with a letter. A date-and-time layout needs its separator after the
+// ten bytes of its date. It is false only where time.Parse fails, so the
+// first layout that parses still decides, and an ISO date or a US date no
+// longer pays for the errors of the layouts before its own.
+func layoutFits(layout, s string) bool {
+	switch layout {
+	case time.RFC3339:
+		return s[4] == '-' && len(s) > len("2006-01-02") && s[10] == 'T'
+	case "2006-01-02 15:04:05":
+		return s[4] == '-' && len(s) > len("2006-01-02") && s[10] == ' '
+	case "2006-01-02":
+		return s[4] == '-'
+	case "1/2/2006", "01/02/2006":
+		return s[1] == '/' || s[2] == '/'
+	case "2 Jan 2006":
+		return s[1] == ' ' || s[2] == ' '
+	default: // a month name first
+		return !isDigit(s[0])
+	}
 }
 
 // timeShape reports whether s could match one of timeLayouts, judging by its

@@ -23,10 +23,46 @@ type Attribute struct {
 	Samples []string // up to sampleCap distinct sample values
 	Sources []string // sources that mapped into this attribute
 
-	sig *ValueSignature // memo of Signature, valid while Samples has not grown
+	sig  *ValueSignature // memo of Signature, valid while Samples has not grown
+	prof *NameProfile    // memo of NameProfile, valid while Name is unchanged
 }
 
 const sampleCap = 64
+
+// NameProfile is what the name matcher reads from an attribute's Name,
+// derived once per attribute instead of once per attribute pair.
+type NameProfile struct {
+	from string // the Name the profile was derived from
+
+	// Norm is record.NormalizeName(Name) and Runes its runes.
+	Norm  string
+	Runes []rune
+	// Tokens are Norm's textutil tokens as they stand, before any synonym
+	// dictionary canonicalizes them.
+	Tokens []string
+}
+
+// newNameProfile profiles name, whose record.NormalizeName is norm.
+func newNameProfile(name, norm string) *NameProfile {
+	var buf [8]textutil.Token
+	tokens := textutil.AppendTokens(buf[:0], norm)
+	p := &NameProfile{from: name, Norm: norm, Runes: []rune(norm), Tokens: make([]string, len(tokens))}
+	for i, t := range tokens {
+		p.Tokens[i] = t.Text
+	}
+	return p
+}
+
+// NameProfile returns the profile of the attribute's name. FromSource and
+// AddAttribute build it with the attribute; an attribute built by hand
+// derives it on first use, and any attribute again only once its Name is no
+// longer the one the profile came from. The memo follows Signature's rules.
+func (a *Attribute) NameProfile() *NameProfile {
+	if a.prof == nil || a.prof.from != a.Name {
+		a.prof = newNameProfile(a.Name, record.NormalizeName(a.Name))
+	}
+	return a.prof
+}
 
 // ValueSignature is what the value matchers read from an attribute's
 // Samples, derived once per attribute instead of once per attribute pair.
@@ -82,16 +118,13 @@ type SourceSchema struct {
 // per normalized field name, in first-seen order under its first spelling,
 // with the kind of the majority of its non-null values (string when it has
 // none or on a tie with strings) and up to sampleCap distinct samples in
-// record order. It reads each field of each record once.
+// record order. It reads each field of each record once; a sample is checked
+// against the at most sampleCap kept so far.
 func FromSource(s *ingest.Source) *SourceSchema {
-	type profile struct {
-		kinds [record.KindTime + 1]int
-		seen  map[string]bool
-	}
 	ss := &SourceSchema{Source: s.Name}
-	var profiles []profile     // parallel to ss.Attrs
-	byKey := map[string]int{}  // normalized name -> attribute
-	byName := map[string]int{} // field name as spelled -> attribute
+	var kinds [][record.KindTime + 1]int // parallel to ss.Attrs
+	byKey := map[string]int{}            // normalized name -> attribute
+	byName := map[string]int{}           // field name as spelled -> attribute
 	for _, r := range s.Records {
 		for _, f := range r.Fields() {
 			i, ok := byName[f.Name]
@@ -100,19 +133,18 @@ func FromSource(s *ingest.Source) *SourceSchema {
 				if i, ok = byKey[key]; !ok {
 					i = len(ss.Attrs)
 					byKey[key] = i
-					ss.Attrs = append(ss.Attrs, &Attribute{Name: f.Name, Sources: []string{s.Name}})
-					profiles = append(profiles, profile{seen: map[string]bool{}})
+					ss.Attrs = append(ss.Attrs, &Attribute{Name: f.Name, Sources: []string{s.Name}, prof: newNameProfile(f.Name, key)})
+					kinds = append(kinds, [record.KindTime + 1]int{})
 				}
 				byName[f.Name] = i
 			}
 			if f.Value.IsNull() {
 				continue
 			}
-			p, attr := &profiles[i], ss.Attrs[i]
-			p.kinds[f.Value.Kind()]++
+			attr := ss.Attrs[i]
+			kinds[i][f.Value.Kind()]++
 			if len(attr.Samples) < sampleCap {
-				if sv := f.Value.Str(); !p.seen[sv] {
-					p.seen[sv] = true
+				if sv := f.Value.Str(); !slices.Contains(attr.Samples, sv) {
 					attr.Samples = append(attr.Samples, sv)
 				}
 			}
@@ -121,7 +153,7 @@ func FromSource(s *ingest.Source) *SourceSchema {
 	for i, attr := range ss.Attrs {
 		attr.Kind = record.KindString
 		for k, best := record.KindString, 0; k <= record.KindTime; k++ {
-			if n := profiles[i].kinds[k]; n > best {
+			if n := kinds[i][k]; n > best {
 				attr.Kind, best = k, n
 			}
 		}
@@ -167,7 +199,7 @@ func (g *Global) Attribute(name string) (*Attribute, bool) {
 // "add to the global schema" action of Fig. 2. It returns the existing
 // attribute when the name is already present.
 func (g *Global) AddAttribute(src *Attribute, source string) *Attribute {
-	key := record.NormalizeName(src.Name)
+	key := src.NameProfile().Norm
 	if a, ok := g.byName[key]; ok {
 		g.mergeInto(a, src, source)
 		return a
@@ -178,42 +210,43 @@ func (g *Global) AddAttribute(src *Attribute, source string) *Attribute {
 		Samples: append([]string(nil), src.Samples...),
 		Sources: []string{source},
 	}
+	a.NameProfile() // profiled with the attribute, not by its first match
 	g.byName[key] = a
 	g.attrs = append(g.attrs, a)
-	g.recordMapping(source, src.Name, a.Name)
+	g.recordMapping(source, key, a.Name)
 	return a
 }
 
 // MapAttribute records that a source attribute matches an existing global
 // attribute, merging its value evidence.
 func (g *Global) MapAttribute(src *Attribute, source string, global *Attribute) error {
-	if _, ok := g.byName[record.NormalizeName(global.Name)]; !ok {
+	if _, ok := g.byName[global.NameProfile().Norm]; !ok {
 		return fmt.Errorf("schema: global attribute %q not in schema", global.Name)
 	}
 	g.mergeInto(global, src, source)
-	g.recordMapping(source, src.Name, global.Name)
+	g.recordMapping(source, src.NameProfile().Norm, global.Name)
 	return nil
 }
 
-// recordMapping records that the source's attribute attr maps onto the
-// global attribute global, unless it already does: a live server accepts
-// the same mapping again with every batch, and the first acceptance is the
-// record.
+// recordMapping records that the source's attribute of normalized name attr
+// maps onto the global attribute global, unless it already does: a live
+// server accepts the same mapping again with every batch, and the first
+// acceptance is the record.
 func (g *Global) recordMapping(source, attr, global string) {
-	key := sourceAttr{source, record.NormalizeName(attr)}
+	key := sourceAttr{source, attr}
 	if !slices.Contains(g.mapped[key], global) {
 		g.mapped[key] = append(g.mapped[key], global)
 	}
 }
 
+// mergeInto adds src's samples dst does not hold, while dst holds fewer than
+// sampleCap, and source to dst's sources.
 func (g *Global) mergeInto(dst, src *Attribute, source string) {
-	seen := map[string]bool{}
-	for _, s := range dst.Samples {
-		seen[s] = true
-	}
 	for _, s := range src.Samples {
-		if !seen[s] && len(dst.Samples) < sampleCap {
-			seen[s] = true
+		if len(dst.Samples) >= sampleCap {
+			break
+		}
+		if !slices.Contains(dst.Samples, s) {
 			dst.Samples = append(dst.Samples, s)
 		}
 	}
@@ -234,41 +267,91 @@ func (g *Global) mappingFor(key sourceAttr) (string, bool) {
 
 // Translate rewrites a record's field names into global attribute names
 // using the recorded mappings for its source. Unmapped fields keep their
-// original names.
+// original names. Where two fields land on names that normalize alike (two
+// source fields mapped to one global attribute, say), the record keeps the
+// first one's position with the later one's name and value, as Set does.
 func (g *Global) Translate(r *record.Record) *record.Record {
-	return g.translate(r, nil)
+	var p columnPlan
+	p.resolve(g, r)
+	return p.translate(r)
 }
 
-// TranslateAll is Translate over a batch of records. It resolves each
-// distinct field name of a source once for the whole batch.
+// TranslateAll is Translate over a batch of records. It resolves a column
+// plan once for each run of records that spell the same fields in the same
+// order under the same source (the records of a generated source are one
+// such run) and appends each record's fields under the plan's targets,
+// scanning the record built so far only for a target that collides.
 func (g *Global) TranslateAll(recs []*record.Record) []*record.Record {
-	resolved := map[sourceAttr]string{}
 	out := make([]*record.Record, len(recs))
+	var p columnPlan
 	for i, r := range recs {
-		out[i] = g.translate(r, resolved)
+		if !p.fits(r) {
+			p.resolve(g, r)
+		}
+		out[i] = p.translate(r)
 	}
 	return out
 }
 
-// translate is Translate remembering, in resolved when it is not nil, the
-// target of each field name as spelled (not normalized) under its source.
-func (g *Global) translate(r *record.Record, resolved map[sourceAttr]string) *record.Record {
+// columnPlan translates the records of one source that spell fields as
+// names, in that order: field i is renamed targets[i], and collides[i]
+// marks a target that normalizes like another field's.
+type columnPlan struct {
+	source   string
+	names    []string
+	targets  []string
+	collides []bool
+}
+
+// fits reports whether the plan was resolved for r's source and field names.
+// The zero plan fits the records of no fields and no source.
+func (p *columnPlan) fits(r *record.Record) bool {
+	fields := r.Fields()
+	if r.Source != p.source || len(fields) != len(p.names) {
+		return false
+	}
+	for i, f := range fields {
+		if f.Name != p.names[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// resolve makes the plan r's, reusing the plan's slices. A field's target is
+// the global attribute of its source's mapping in force, or its own name.
+func (p *columnPlan) resolve(g *Global, r *record.Record) {
+	p.source = r.Source
+	p.names, p.targets, p.collides = p.names[:0], p.targets[:0], p.collides[:0]
+	for i, f := range r.Fields() {
+		target, collides := f.Name, false
+		if global, ok := g.mappingFor(sourceAttr{r.Source, record.NormalizeName(f.Name)}); ok {
+			target = global
+		}
+		for j := range i {
+			if record.NameEqual(p.targets[j], target) {
+				p.collides[j], collides = true, true
+			}
+		}
+		p.names = append(p.names, f.Name)
+		p.targets = append(p.targets, target)
+		p.collides = append(p.collides, collides)
+	}
+}
+
+// translate builds r under the plan, which must fit it. A field whose target
+// collides goes through Set, which finds the earlier field of that name;
+// every other one is appended.
+func (p *columnPlan) translate(r *record.Record) *record.Record {
 	out := record.NewCap(r.Len())
 	out.Source = r.Source
 	out.ID = r.ID
-	for _, f := range r.Fields() {
-		raw := sourceAttr{r.Source, f.Name}
-		name, ok := resolved[raw]
-		if !ok {
-			name = f.Name
-			if global, ok := g.mappingFor(sourceAttr{r.Source, record.NormalizeName(f.Name)}); ok {
-				name = global
-			}
-			if resolved != nil {
-				resolved[raw] = name
-			}
+	for i, f := range r.Fields() {
+		if p.collides[i] {
+			out.Set(p.targets[i], f.Value)
+		} else {
+			out.Append(p.targets[i], f.Value)
 		}
-		out.Set(name, f.Value)
 	}
 	return out
 }

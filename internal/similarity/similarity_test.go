@@ -23,6 +23,48 @@ func jaro(a, b string) float64 {
 	return s.Jaro([]rune(a), []rune(b))
 }
 
+func jaroWinkler(a, b string) float64 {
+	var s Scratch
+	return s.JaroWinkler([]rune(a), []rune(b))
+}
+
+// jaccardStrings is |A ∩ B| / |A ∪ B| over the token sets as two maps, the
+// reference JaccardSorted is checked against. Two empty sets are identical (1).
+func jaccardStrings(a, b []string) float64 {
+	sa, sb := toSet(a), toSet(b)
+	if len(sa) == 0 && len(sb) == 0 {
+		return 1
+	}
+	inter := intersectionSize(sa, sb)
+	union := len(sa) + len(sb) - inter
+	if union == 0 {
+		return 1
+	}
+	return float64(inter) / float64(union)
+}
+
+// toSet builds a set from a token slice.
+func toSet(tokens []string) map[string]bool {
+	set := make(map[string]bool, len(tokens))
+	for _, t := range tokens {
+		set[t] = true
+	}
+	return set
+}
+
+func intersectionSize(a, b map[string]bool) int {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	n := 0
+	for t := range a {
+		if b[t] {
+			n++
+		}
+	}
+	return n
+}
+
 func trigramSim(a, b string) float64 {
 	ra, rb := []rune(strings.ToLower(a)), []rune(strings.ToLower(b))
 	var s Scratch
@@ -68,13 +110,13 @@ func TestJaro(t *testing.T) {
 }
 
 func TestJaroWinkler(t *testing.T) {
-	if got := JaroWinkler("martha", "marhta"); math.Abs(got-0.9611) > 0.001 {
+	if got := jaroWinkler("martha", "marhta"); math.Abs(got-0.9611) > 0.001 {
 		t.Errorf("JW(martha,marhta) = %f", got)
 	}
 	// Prefix boost: JW >= Jaro always.
 	pairs := [][2]string{{"show", "show_name"}, {"price", "prices"}, {"theater", "theatre"}}
 	for _, p := range pairs {
-		if JaroWinkler(p[0], p[1]) < jaro(p[0], p[1]) {
+		if jaroWinkler(p[0], p[1]) < jaro(p[0], p[1]) {
 			t.Errorf("JW < Jaro for %v", p)
 		}
 	}
@@ -83,13 +125,13 @@ func TestJaroWinkler(t *testing.T) {
 func TestSetCoefficients(t *testing.T) {
 	a := []string{"broadway", "show", "schedule"}
 	b := []string{"show", "schedule", "price"}
-	if got := JaccardStrings(a, b); math.Abs(got-0.5) > 1e-9 {
+	if got := jaccardStrings(a, b); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("Jaccard = %f", got)
 	}
-	if JaccardStrings(nil, nil) != 1 {
+	if jaccardStrings(nil, nil) != 1 {
 		t.Error("empty/empty should be 1")
 	}
-	if JaccardStrings([]string{"a"}, nil) != 0 {
+	if jaccardStrings([]string{"a"}, nil) != 0 {
 		t.Error("jaccard with empty should be 0")
 	}
 }
@@ -112,7 +154,7 @@ func TestTrigramSim(t *testing.T) {
 var simFuncs = map[string]func(a, b string) float64{
 	"LevenshteinSim": levenshteinSim,
 	"Jaro":           jaro,
-	"JaroWinkler":    JaroWinkler,
+	"JaroWinkler":    jaroWinkler,
 	"TrigramSim":     trigramSim,
 }
 
@@ -165,7 +207,7 @@ func TestQuickLevenshteinTriangle(t *testing.T) {
 func BenchmarkJaroWinkler(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		JaroWinkler("the walking dead", "the wolverine")
+		jaroWinkler("the walking dead", "the wolverine")
 	}
 }
 

@@ -5,10 +5,13 @@
 // All similarity functions return values in [0, 1] where 1 means identical.
 package similarity
 
+import "math/bits"
+
 // Scratch is the working memory of the rune-slice measures, so a caller
 // scoring many pairs allocates it once. The zero value is ready to use; a
-// Scratch must not be shared between goroutines. JaroWinkler is the one
-// string wrapper: it converts once and uses a Scratch of its own.
+// Scratch must not be shared between goroutines. Jaro and JaroWinkler use
+// it only past 64 runes a side: a zero Scratch of a caller's own scores
+// shorter slices without allocating.
 type Scratch struct {
 	flags []bool // Jaro match flags of both sides
 	rows  []int  // the two Levenshtein rows
@@ -65,6 +68,9 @@ func (s *Scratch) Jaro(ra, rb []rune) float64 {
 	if window < 0 {
 		window = 0
 	}
+	if la <= 64 && lb <= 64 {
+		return jaroBits(ra, rb, window)
+	}
 	if cap(s.flags) < la+lb {
 		s.flags = make([]bool, la+lb)
 	}
@@ -106,14 +112,58 @@ func (s *Scratch) Jaro(ra, rb []rune) float64 {
 	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
 }
 
-// JaroWinkler boosts Jaro similarity for strings sharing a common prefix of
-// up to 4 runes, with the standard scaling factor 0.1.
-func JaroWinkler(a, b string) float64 {
-	var s Scratch
-	return s.JaroWinkler([]rune(a), []rune(b))
+// jaroBits is Jaro's matching and transposition count over two nonempty
+// slices of at most 64 runes, with the match flags of each side as the bits
+// of one word: rune i of ra matches the first unmatched rune of rb equal to
+// it within the window, the lowest bit of one mask, as the flag loop finds
+// it. It reads no Scratch, so it allocates nothing.
+func jaroBits(ra, rb []rune, window int) float64 {
+	var ascii [128]uint64 // positions in rb of each ASCII rune
+	for j, r := range rb {
+		if r >= 0 && r < 128 {
+			ascii[r] |= 1 << j
+		}
+	}
+	var matchA, matchB uint64
+	matches := 0
+	for i, r := range ra {
+		lo, hi := max2(0, i-window), min2(len(rb)-1, i+window)
+		if hi < lo {
+			continue
+		}
+		var eq uint64
+		if r >= 0 && r < 128 {
+			eq = ascii[r]
+		} else {
+			for j := lo; j <= hi; j++ {
+				if rb[j] == r {
+					eq |= 1 << j
+				}
+			}
+		}
+		if cand := eq &^ matchB & (^uint64(0) >> (63 - hi)) >> lo << lo; cand != 0 {
+			matchA |= 1 << i
+			matchB |= cand & -cand
+			matches++
+		}
+	}
+	if matches == 0 {
+		return 0
+	}
+	transpositions := 0
+	for a, b := matchA, matchB; a != 0; a, b = a&(a-1), b&(b-1) {
+		if ra[bits.TrailingZeros64(a)] != rb[bits.TrailingZeros64(b)] {
+			transpositions++
+		}
+	}
+	m := float64(matches)
+	t := float64(transpositions) / 2
+	return (m/float64(len(ra)) + m/float64(len(rb)) + (m-t)/m) / 3
 }
 
-// JaroWinkler is the Jaro-Winkler similarity of two rune slices.
+// JaroWinkler is the Jaro-Winkler similarity of two rune slices: Jaro
+// boosted for a common prefix of up to 4 runes, with the standard scaling
+// factor 0.1.
 func (s *Scratch) JaroWinkler(ra, rb []rune) float64 {
 	j := s.Jaro(ra, rb)
 	prefix := 0

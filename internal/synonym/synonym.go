@@ -55,6 +55,22 @@ func (d *Dict) AddGroup(terms ...string) {
 	}
 }
 
+// root returns the representative of a normalized term's set and whether
+// the term is known, adding nothing for an unknown one. A term that is its
+// own root, or whose parent is, costs one or two lookups; a longer path is
+// compressed by find.
+func (d *Dict) root(t string) (string, bool) {
+	p, ok := d.parent[t]
+	switch {
+	case !ok:
+		return t, false
+	case p == t || d.parent[p] == p:
+		return p, true
+	default:
+		return d.find(t), true
+	}
+}
+
 // AreSynonyms reports whether a and b are in the same synonym set. A term is
 // always a synonym of itself.
 func (d *Dict) AreSynonyms(a, b string) bool {
@@ -62,24 +78,19 @@ func (d *Dict) AreSynonyms(a, b string) bool {
 	if na == nb {
 		return true
 	}
-	// Avoid mutating state for unseen terms.
-	if _, ok := d.parent[na]; !ok {
+	ra, ok := d.root(na)
+	if !ok {
 		return false
 	}
-	if _, ok := d.parent[nb]; !ok {
-		return false
-	}
-	return d.find(na) == d.find(nb)
+	rb, ok := d.root(nb)
+	return ok && ra == rb
 }
 
 // Canonical returns the representative of the term's synonym set (the term
 // itself when unknown).
 func (d *Dict) Canonical(t string) string {
-	nt := norm(t)
-	if _, ok := d.parent[nt]; !ok {
-		return nt
-	}
-	return d.find(nt)
+	r, _ := d.root(norm(t))
+	return r
 }
 
 // Len reports the number of known terms.
