@@ -49,12 +49,10 @@ func main() {
 	)
 	for _, m := range review {
 		res, err := pool.ProcessWithEscalation(expert.Task{
-			Kind:     expert.TaskSchemaMatch,
-			Domain:   "schema",
-			Question: fmt.Sprintf("does %q map to %q?", m.Attr.Name, m.Best().Target),
-			Options:  []string{m.Best().Target, "(new attribute)"},
-			Truth:    m.Best().Target, // simulation ground truth
-		}, expert.EscalationPolicy{MaxRounds: 1})
+			Domain:  "schema",
+			Options: []string{m.Best().Target, "(new attribute)"},
+			Truth:   m.Best().Target, // simulation ground truth
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

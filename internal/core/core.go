@@ -393,15 +393,13 @@ func (t *Tamer) resolveWithExperts(ctx context.Context, source string, review []
 			return dterr.FromContext(err)
 		}
 		task := expert.Task{
-			Kind:     expert.TaskSchemaMatch,
-			Domain:   "schema",
-			Question: fmt.Sprintf("does %s.%s map to %s?", source, m.Attr.Name, m.Best().Target),
-			Options:  []string{m.Best().Target, newAttr},
+			Domain:  "schema",
+			Options: []string{m.Best().Target, newAttr},
 			// The simulation treats the matcher's best suggestion as ground
 			// truth when its score clears the midpoint of the review band.
 			Truth: simulatedTruth(m, t.Matcher, newAttr),
 		}
-		res, err := t.Experts.ProcessWithEscalation(task, expert.EscalationPolicy{})
+		res, err := t.Experts.ProcessWithEscalation(task)
 		if err != nil {
 			return fmt.Errorf("core: expert sourcing: %w", err)
 		}

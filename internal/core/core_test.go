@@ -224,9 +224,28 @@ func TestFusedRecordsConsolidated(t *testing.T) {
 		t.Errorf("no consolidation: %d fused vs %d raw", len(fusedRecs), raw)
 	}
 	// Matilda present exactly once.
-	matildas := fuse.NewShowIndex(fusedRecs, "SHOW_NAME").Lookup("Matilda")
+	matildas := tm.fusedSnapshot().lookup("Matilda")
 	if len(matildas) != 1 {
 		t.Errorf("matilda consolidated records = %d", len(matildas))
+	}
+}
+
+// TestFusedViewLookupNormalized: a view finds a show's records under any
+// spelling that normalizes alike, and only those.
+func TestFusedViewLookupNormalized(t *testing.T) {
+	var clusters []fusedCluster
+	for i, show := range []string{"Matilda", "The  MATILDA", "Wicked", "matilda"} {
+		r := record.New()
+		r.Set("SHOW_NAME", record.String(show))
+		clusters = append(clusters, fusedCluster{members: []member{{rec: r, pos: i}}, record: r, show: show})
+	}
+	v := newFusedView(clusters)
+	got := v.lookup(" MATILDA ")
+	if len(got) != 2 || got[0].GetString("SHOW_NAME") != "Matilda" || got[1].GetString("SHOW_NAME") != "matilda" {
+		t.Errorf("lookup = %v, want Matilda then matilda", got)
+	}
+	if got := v.lookup("Cats"); len(got) != 0 {
+		t.Errorf("lookup of an absent show = %v", got)
 	}
 }
 

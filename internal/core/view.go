@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fuse"
 	"repro/internal/record"
+	"repro/internal/textutil"
 )
 
 // member is one structured record the fused view is consolidated from:
@@ -55,7 +56,9 @@ func (c *fusedCluster) sharesKey(keys map[string]bool) bool {
 type fusedView struct {
 	clusters []fusedCluster   // by SHOW_NAME, then by first member's position
 	records  []*record.Record // the clusters' records, in the same order
-	byShow   *fuse.ShowIndex
+	// byShow holds the records by textutil.Normalize(SHOW_NAME), each key's
+	// in view order.
+	byShow map[string][]*record.Record
 
 	cheapOnce sync.Once
 	cheapAll  []fuse.PricedShow // full ranking; Cheapest slices per k
@@ -73,20 +76,23 @@ func newFusedView(clusters []fusedCluster) *fusedView {
 		}
 		return byPosition(a.members[0], b.members[0])
 	})
-	recs := make([]*record.Record, len(clusters))
-	for i, c := range clusters {
-		recs[i] = c.record
-	}
-	return &fusedView{
+	v := &fusedView{
 		clusters: clusters,
-		records:  recs,
-		byShow:   fuse.NewShowIndex(recs, "SHOW_NAME"),
+		records:  make([]*record.Record, len(clusters)),
+		byShow:   make(map[string][]*record.Record, len(clusters)),
 	}
+	for i, c := range clusters {
+		v.records[i] = c.record
+		key := textutil.Normalize(c.show)
+		v.byShow[key] = append(v.byShow[key], c.record)
+	}
+	return v
 }
 
-// lookup returns the consolidated records for the show via the hash index.
+// lookup returns the consolidated records whose SHOW_NAME normalizes like
+// show's, in view order.
 func (v *fusedView) lookup(show string) []*record.Record {
-	return v.byShow.Lookup(show)
+	return v.byShow[textutil.Normalize(show)]
 }
 
 // cheapest returns the k cheapest shows (k <= 0: all), computing the full

@@ -31,15 +31,14 @@ type WebTextConfig struct {
 	Seed int64
 	// Gazetteer supplies entity surface forms (DefaultGazetteer when nil).
 	Gazetteer *extract.Gazetteer
-	// MovieShare is the fraction of entity mentions that are movies/shows.
-	// The paper's general crawl has Movie at ~0.18% (Table III); the demo
-	// needs a Broadway-enriched corpus for the Table IV ranking to be
-	// statistically stable at 1/1000 scale, so the default is 0.10. Set it
-	// to 0.0018 to match the paper's Table III position for Movie exactly
-	// (requires a large -fragments for a stable Table IV). The other 14
-	// types always keep the paper's relative proportions.
-	MovieShare float64
 }
+
+// movieShare is the fraction of entity mentions that are movies/shows. The
+// paper's general crawl has Movie at ~0.18% (Table III); the demo needs a
+// Broadway-enriched corpus for the Table IV ranking to be statistically
+// stable at 1/1000 scale. The other 14 types keep the paper's relative
+// proportions.
+const movieShare = 0.10
 
 // discussionWeights ranks the Table IV shows: earlier entries are mentioned
 // more, so mention-count ranking reproduces the paper's top-10 order.
@@ -59,11 +58,8 @@ func GenerateWebText(cfg WebTextConfig) []Fragment {
 	if gaz == nil {
 		gaz = extract.DefaultGazetteer()
 	}
-	if cfg.MovieShare <= 0 {
-		cfg.MovieShare = 0.10
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := newCorpusGen(rng, gaz, cfg.MovieShare)
+	g := newCorpusGen(rng, gaz)
 
 	out := make([]Fragment, 0, cfg.Fragments)
 	out = append(out, Fragment{
@@ -89,7 +85,7 @@ type corpusGen struct {
 	shows []string  // Table IV-weighted show pool
 }
 
-func newCorpusGen(rng *rand.Rand, gaz *extract.Gazetteer, movieShare float64) *corpusGen {
+func newCorpusGen(rng *rand.Rand, gaz *extract.Gazetteer) *corpusGen {
 	g := &corpusGen{rng: rng, gaz: gaz, shows: weightedShows(gaz)}
 	// Build the mention-type distribution: Movie is pinned to movieShare,
 	// every other type keeps its paper proportion of the remainder.

@@ -5,31 +5,15 @@ import "fmt"
 // Escalation: low-confidence decisions are re-asked with a wider expert
 // panel before being accepted — the guard Data Tamer applies before letting
 // crowd answers mutate the global schema.
-
-// EscalationPolicy controls when and how a decision escalates.
-type EscalationPolicy struct {
-	// MinConfidence is the vote-share floor below which a decision
-	// escalates (default 0.7).
-	MinConfidence float64
-	// EscalatedK is the panel size on the second round (default: all
-	// experts).
-	EscalatedK int
-	// MaxRounds bounds the number of escalation rounds (default 2).
-	MaxRounds int
-}
-
-func (p EscalationPolicy) withDefaults(poolSize int) EscalationPolicy {
-	if p.MinConfidence == 0 {
-		p.MinConfidence = 0.7
-	}
-	if p.EscalatedK <= 0 {
-		p.EscalatedK = poolSize
-	}
-	if p.MaxRounds <= 0 {
-		p.MaxRounds = 2
-	}
-	return p
-}
+const (
+	// panelSize is how many experts answer a task's first round.
+	panelSize = 3
+	// minConfidence is the vote-share floor below which a decision
+	// escalates; the second round asks every expert of the pool.
+	minConfidence = 0.7
+	// maxRounds bounds the rounds a task is asked in.
+	maxRounds = 2
+)
 
 // EscalationResult records how a task resolved under escalation.
 type EscalationResult struct {
@@ -39,20 +23,16 @@ type EscalationResult struct {
 	Escalated bool
 }
 
-// ProcessWithEscalation answers one task: the RedundancyK most skilled
-// experts for its domain vote, and while the confidence stays below the
-// policy floor a wider panel votes again. MaxRounds: 1 asks one panel once.
-func (p *Pool) ProcessWithEscalation(t Task, policy EscalationPolicy) (EscalationResult, error) {
+// ProcessWithEscalation answers one task: the three most skilled experts
+// for its domain vote, and when the winning answer's share of the vote is
+// below 0.7 the whole pool votes again.
+func (p *Pool) ProcessWithEscalation(t Task) (EscalationResult, error) {
 	if len(p.experts) == 0 {
 		return EscalationResult{}, fmt.Errorf("expert: pool has no experts")
 	}
-	policy = policy.withDefaults(len(p.experts))
-	k := p.RedundancyK
-	if k <= 0 {
-		k = 3
-	}
+	k := panelSize
 	var res EscalationResult
-	for round := 1; round <= policy.MaxRounds; round++ {
+	for round := 1; round <= maxRounds; round++ {
 		res.Rounds = round
 		panel := p.route(t.Domain, k)
 		responses := make([]Response, 0, len(panel))
@@ -63,12 +43,12 @@ func (p *Pool) ProcessWithEscalation(t Task, policy EscalationPolicy) (Escalatio
 			p.asked[e.Name()]++
 		}
 		res.Decision = Aggregate(responses, weights)
-		if res.Decision.Confidence >= policy.MinConfidence {
+		if res.Decision.Confidence >= minConfidence {
 			break
 		}
-		if round < policy.MaxRounds {
+		if round < maxRounds {
 			res.Escalated = true
-			k = policy.EscalatedK
+			k = len(p.experts)
 		}
 	}
 	return res, nil

@@ -11,14 +11,10 @@ func TestEscalationLowConfidenceWidensPanel(t *testing.T) {
 		NewSimulated("s1", 0.52, nil, 24),
 		NewSimulated("s2", 0.52, nil, 25),
 	)
-	pool.RedundancyK = 3
 	escalated := 0
 	const n = 100
 	for i := 0; i < n; i++ {
-		res, err := pool.ProcessWithEscalation(
-			Task{Domain: "d", Truth: "yes", Options: []string{"yes", "no"}},
-			EscalationPolicy{MinConfidence: 0.9},
-		)
+		res, err := pool.ProcessWithEscalation(Task{Domain: "d", Truth: "yes", Options: []string{"yes", "no"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +26,7 @@ func TestEscalationLowConfidenceWidensPanel(t *testing.T) {
 		}
 	}
 	if escalated == 0 {
-		t.Error("no task escalated despite noisy experts and a 0.9 floor")
+		t.Error("no task escalated despite noisy experts")
 	}
 }
 
@@ -40,10 +36,7 @@ func TestEscalationConfidentFirstRound(t *testing.T) {
 		NewSimulated("b", 0.99, nil, 32),
 		NewSimulated("c", 0.99, nil, 33),
 	)
-	res, err := pool.ProcessWithEscalation(
-		Task{Domain: "d", Truth: "yes", Options: []string{"yes", "no"}},
-		EscalationPolicy{MinConfidence: 0.7},
-	)
+	res, err := pool.ProcessWithEscalation(Task{Domain: "d", Truth: "yes", Options: []string{"yes", "no"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +50,7 @@ func TestEscalationConfidentFirstRound(t *testing.T) {
 
 func TestEscalationEmptyPool(t *testing.T) {
 	pool := NewPool()
-	if _, err := pool.ProcessWithEscalation(Task{}, EscalationPolicy{}); err == nil {
+	if _, err := pool.ProcessWithEscalation(Task{}); err == nil {
 		t.Error("expected error with no experts")
 	}
 }

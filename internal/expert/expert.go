@@ -7,41 +7,14 @@
 package expert
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 )
 
-// TaskKind classifies what a task asks.
-type TaskKind int
-
-// Task kinds raised by the pipeline.
-const (
-	TaskSchemaMatch TaskKind = iota
-	TaskDedupPair
-	TaskCleanValue
-)
-
-// String names the kind.
-func (k TaskKind) String() string {
-	switch k {
-	case TaskSchemaMatch:
-		return "schema-match"
-	case TaskDedupPair:
-		return "dedup-pair"
-	case TaskCleanValue:
-		return "clean-value"
-	default:
-		return fmt.Sprintf("taskkind(%d)", int(k))
-	}
-}
-
 // Task is one question for the expert pool.
 type Task struct {
-	Kind     TaskKind
-	Domain   string   // routing key, e.g. "broadway", "schema"
-	Question string   // human-readable question
-	Options  []string // candidate answers (first is the system's suggestion)
+	Domain  string   // routing key, e.g. "broadway", "schema"
+	Options []string // candidate answers (first is the system's suggestion)
 	// Truth is the hidden correct answer used by simulated experts; a real
 	// deployment would not carry it.
 	Truth string

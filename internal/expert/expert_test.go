@@ -83,24 +83,21 @@ func TestAggregateEmptyAndZeroConfidence(t *testing.T) {
 	}
 }
 
-// oneRound asks a single panel, no escalation.
-var oneRound = EscalationPolicy{MaxRounds: 1}
-
 func TestPoolRoutingPrefersSkill(t *testing.T) {
 	guru := NewSimulated("guru", 0.5, map[string]float64{"broadway": 0.99}, 1)
 	novice := NewSimulated("novice", 0.5, map[string]float64{"broadway": 0.55}, 2)
-	other := NewSimulated("other", 0.5, map[string]float64{"broadway": 0.60}, 3)
-	p := NewPool(guru, novice, other)
-	p.RedundancyK = 2
-	res, err := p.ProcessWithEscalation(Task{Kind: TaskSchemaMatch, Domain: "broadway", Question: "venue == theater?", Options: []string{"yes", "no"}, Truth: "yes"}, oneRound)
+	other := NewSimulated("other", 0.5, map[string]float64{"broadway": 0.97}, 3)
+	third := NewSimulated("third", 0.5, map[string]float64{"broadway": 0.98}, 4)
+	p := NewPool(guru, novice, other, third)
+	res, err := p.ProcessWithEscalation(Task{Domain: "broadway", Options: []string{"yes", "no"}, Truth: "yes"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 1 || len(res.Decision.Responses) != 2 {
-		t.Fatalf("one round of two experts answered %+v", res)
+	if res.Rounds != 1 || len(res.Decision.Responses) != panelSize {
+		t.Fatalf("one round of %d experts answered %+v", panelSize, res)
 	}
-	if p.Asked("guru") != 1 || p.Asked("other") != 1 || p.Asked("novice") != 0 {
-		t.Errorf("routing: guru=%d other=%d novice=%d", p.Asked("guru"), p.Asked("other"), p.Asked("novice"))
+	if p.Asked("guru") != 1 || p.Asked("third") != 1 || p.Asked("other") != 1 || p.Asked("novice") != 0 {
+		t.Errorf("routing: guru=%d third=%d other=%d novice=%d", p.Asked("guru"), p.Asked("third"), p.Asked("other"), p.Asked("novice"))
 	}
 }
 
@@ -108,14 +105,11 @@ func TestPoolRoutingPrefersSkill(t *testing.T) {
 // least-loaded answers first, then the first by name.
 func TestPoolRoutingBreaksTiesByLoad(t *testing.T) {
 	p := NewPool(NewSimulated("c", 0.8, nil, 1), NewSimulated("a", 0.8, nil, 2), NewSimulated("b", 0.8, nil, 3))
-	p.RedundancyK = 1
 	var order []string
 	for range 4 {
-		res, err := p.ProcessWithEscalation(Task{Domain: "d", Truth: "yes", Options: []string{"yes", "no"}}, oneRound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		order = append(order, res.Decision.Responses[0].Expert)
+		e := p.route("d", 1)[0]
+		p.asked[e.Name()]++
+		order = append(order, e.Name())
 	}
 	if want := []string{"a", "b", "c", "a"}; !slices.Equal(order, want) {
 		t.Errorf("answered by %v, want %v", order, want)
@@ -132,7 +126,7 @@ func TestPoolHighSkillMajorityUsuallyRight(t *testing.T) {
 	const n = 200
 	right := 0
 	for i := 0; i < n; i++ {
-		res, err := p.ProcessWithEscalation(Task{Kind: TaskDedupPair, Domain: "d", Truth: "match", Options: []string{"match", "distinct"}}, oneRound)
+		res, err := p.ProcessWithEscalation(Task{Domain: "d", Truth: "match", Options: []string{"match", "distinct"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,13 +142,7 @@ func TestPoolHighSkillMajorityUsuallyRight(t *testing.T) {
 
 func TestPoolNoExperts(t *testing.T) {
 	p := NewPool()
-	if _, err := p.ProcessWithEscalation(Task{}, oneRound); err == nil {
+	if _, err := p.ProcessWithEscalation(Task{}); err == nil {
 		t.Error("expected error with no experts")
-	}
-}
-
-func TestTaskKindString(t *testing.T) {
-	if TaskSchemaMatch.String() != "schema-match" || TaskDedupPair.String() != "dedup-pair" || TaskCleanValue.String() != "clean-value" {
-		t.Error("kind names wrong")
 	}
 }

@@ -7,13 +7,11 @@ import "sort"
 type Pool struct {
 	experts []Expert
 	asked   map[string]int // questions per expert
-	// RedundancyK is how many experts answer each task (default 3).
-	RedundancyK int
 }
 
 // NewPool returns a pool over the given experts.
 func NewPool(experts ...Expert) *Pool {
-	return &Pool{experts: experts, asked: make(map[string]int), RedundancyK: 3}
+	return &Pool{experts: experts, asked: make(map[string]int)}
 }
 
 // Experts returns the pool members.

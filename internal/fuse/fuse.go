@@ -173,32 +173,6 @@ func Enrich(webText *record.Record, structured *record.Record) *record.Record {
 	return out
 }
 
-// ShowIndex is a hash index over one attribute of a record set, keyed by
-// the normalized attribute value. Built once per fused-view snapshot, it
-// turns a per-query O(n) renormalizing scan into a single map probe. A ShowIndex is immutable after NewShowIndex
-// and safe for concurrent readers.
-type ShowIndex struct {
-	attr  string
-	byKey map[string][]*record.Record
-}
-
-// NewShowIndex indexes records by the normalized value of attr, preserving
-// record order within each key.
-func NewShowIndex(records []*record.Record, attr string) *ShowIndex {
-	ix := &ShowIndex{attr: attr, byKey: make(map[string][]*record.Record, len(records))}
-	for _, r := range records {
-		key := textutil.Normalize(r.GetString(attr))
-		ix.byKey[key] = append(ix.byKey[key], r)
-	}
-	return ix
-}
-
-// Lookup returns the records whose indexed attribute normalizes equal to
-// value, in the order they were indexed.
-func (ix *ShowIndex) Lookup(value string) []*record.Record {
-	return ix.byKey[textutil.Normalize(value)]
-}
-
 // FormatKV renders a record in the paper's Table V/VI style: one attribute
 // per row, preferred attributes first, values quoted.
 func FormatKV(r *record.Record, preferred []string) string {

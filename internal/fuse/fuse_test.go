@@ -188,19 +188,6 @@ func TestEnrichNilStructured(t *testing.T) {
 	}
 }
 
-func TestLookupNormalized(t *testing.T) {
-	r1 := record.New()
-	r1.Set("SHOW_NAME", record.String("Matilda"))
-	r2 := record.New()
-	r2.Set("SHOW_NAME", record.String("The  MATILDA")) // normalization is lower+space collapse
-	r3 := record.New()
-	r3.Set("SHOW_NAME", record.String("Wicked"))
-	got := NewShowIndex([]*record.Record{r1, r2, r3}, "SHOW_NAME").Lookup("matilda")
-	if len(got) != 1 || got[0] != r1 {
-		t.Errorf("lookup = %d records", len(got))
-	}
-}
-
 func TestFormatKVOrderAndQuoting(t *testing.T) {
 	r := record.New()
 	r.Set("TEXT_FEED", record.String("some text"))

@@ -17,9 +17,9 @@ import (
 	"repro/dterr"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/fuse"
 	"repro/internal/record"
 	"repro/internal/store"
+	"repro/internal/textutil"
 )
 
 // liveTamer builds and batch-runs a small pipeline.
@@ -72,7 +72,7 @@ func TestIngestTextAndRecordsReflectedInQueries(t *testing.T) {
 	if got := tm.InstanceStats().Count; got != base+10 {
 		t.Errorf("instance count = %d, want %d", got, base+10)
 	}
-	if hits := fuse.NewShowIndex(tm.FusedRecords(), "SHOW_NAME").Lookup("Zanzibar Nights"); len(hits) != 1 {
+	if hits := fusedWith(tm.FusedRecords(), "Zanzibar Nights"); len(hits) != 1 {
 		t.Fatalf("fused lookup = %d records, want 1", len(hits))
 	} else if hits[0].GetString("THEATER") != "Imperial" {
 		t.Errorf("fused record = %v", hits[0])
@@ -137,7 +137,7 @@ func TestConcurrentIngestUnderRace(t *testing.T) {
 	if got := tm.InstanceStats().Count; got != base+writers*perWriter {
 		t.Errorf("instance count = %d, want %d", got, base+writers*perWriter)
 	}
-	if hits := fuse.NewShowIndex(tm.FusedRecords(), "SHOW_NAME").Lookup(shows[2]); len(hits) != 1 {
+	if hits := fusedWith(tm.FusedRecords(), shows[2]); len(hits) != 1 {
 		t.Errorf("fused lookup after concurrent ingest = %d", len(hits))
 	}
 }
@@ -175,7 +175,7 @@ func TestCrashRecoveryReplaysAcknowledgedWrites(t *testing.T) {
 		// tm2 must have everything that was acknowledged.
 		t.Errorf("recovered instance count = %d, want >= %d", got, want)
 	}
-	if hits := fuse.NewShowIndex(tm2.FusedRecords(), "SHOW_NAME").Lookup("Phoenix Rising"); len(hits) != 1 {
+	if hits := fusedWith(tm2.FusedRecords(), "Phoenix Rising"); len(hits) != 1 {
 		t.Errorf("fused record lost in crash: %d hits", len(hits))
 	}
 }
@@ -401,7 +401,7 @@ func TestPoisonRecordEventCountedLiveAndOnReplay(t *testing.T) {
 	if st := ing2.Stats(); st.ReplayErrors != 1 || st.ReplayApplied != 2 || st.Records != 1 {
 		t.Errorf("replay stats = %+v, want 1 error of 2 applied and 1 record", st)
 	}
-	if hits := fuse.NewShowIndex(tm2.FusedRecords(), "SHOW_NAME").Lookup("Phoenix Rising"); len(hits) != 1 {
+	if hits := fusedWith(tm2.FusedRecords(), "Phoenix Rising"); len(hits) != 1 {
 		t.Errorf("the good record beside the poison: %d fused hits, want 1", len(hits))
 	}
 }
@@ -917,7 +917,19 @@ func TestRestoredMembersVoteAsSources(t *testing.T) {
 	if !bytes.Equal(encodeRecords("", got), encodeRecords("", want)) {
 		t.Errorf("fused view after a restart (%d records) differs from the uninterrupted one (%d)", len(got), len(want))
 	}
-	if hits := fuse.NewShowIndex(got, "SHOW_NAME").Lookup("Matilda"); len(hits) != 1 || hits[0].GetString("THEATER") != datagen.MatildaFacts.Theater {
+	if hits := fusedWith(got, "Matilda"); len(hits) != 1 || hits[0].GetString("THEATER") != datagen.MatildaFacts.Theater {
 		t.Errorf("Matilda after a restart and one live record: %v", hits)
 	}
+}
+
+// fusedWith returns the fused records whose SHOW_NAME normalizes like show,
+// as the fused view's lookup matches them.
+func fusedWith(recs []*record.Record, show string) []*record.Record {
+	var out []*record.Record
+	for _, r := range recs {
+		if textutil.Normalize(r.GetString("SHOW_NAME")) == textutil.Normalize(show) {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -74,9 +74,10 @@ type Engine struct {
 	// NewThreshold is the score below which an attribute is considered to
 	// have no counterpart. Default 0.45.
 	NewThreshold float64
-	// TopK bounds the suggestion list length. Default 3.
-	TopK int
 }
+
+// TopK bounds an attribute's suggestion list.
+const TopK = 3
 
 // NewEngine returns an engine with default policy.
 func NewEngine() *Engine {
@@ -84,7 +85,6 @@ func NewEngine() *Engine {
 		Matcher:         DefaultComposite(),
 		AcceptThreshold: 0.75,
 		NewThreshold:    0.45,
-		TopK:            3,
 	}
 }
 
@@ -93,13 +93,6 @@ func (e *Engine) matcher() Matcher {
 		return DefaultComposite()
 	}
 	return e.Matcher
-}
-
-func (e *Engine) topK() int {
-	if e.TopK <= 0 {
-		return 3
-	}
-	return e.TopK
 }
 
 // MatchSource scores every attribute of a source schema against every
@@ -114,7 +107,7 @@ func (e *Engine) MatchSource(ss *schema.SourceSchema, g *schema.Global) *Report 
 	}
 	m := e.matcher()
 	targets := g.Attributes()
-	k := min(e.topK(), len(targets))
+	k := min(TopK, len(targets))
 	for _, attr := range ss.Attrs {
 		am := AttrMatch{Attr: attr}
 		if k > 0 {

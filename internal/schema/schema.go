@@ -196,24 +196,26 @@ func (g *Global) Attribute(name string) (*Attribute, bool) {
 }
 
 // AddAttribute creates a new global attribute from a source attribute — the
-// "add to the global schema" action of Fig. 2. It returns the existing
-// attribute when the name is already present.
+// "add to the global schema" action of Fig. 2 — named by the upper case of
+// the source attribute's normalized name. When an attribute of that name is
+// already present it maps the source attribute onto it instead.
 func (g *Global) AddAttribute(src *Attribute, source string) *Attribute {
-	key := src.NameProfile().Norm
-	if a, ok := g.byName[key]; ok {
+	srcKey := src.NameProfile().Norm
+	name := strings.ToUpper(srcKey)
+	if a, ok := g.byName[record.NormalizeName(name)]; ok {
 		g.mergeInto(a, src, source)
+		g.recordMapping(source, srcKey, a.Name)
 		return a
 	}
 	a := &Attribute{
-		Name:    strings.ToUpper(key),
+		Name:    name,
 		Kind:    src.Kind,
 		Samples: append([]string(nil), src.Samples...),
 		Sources: []string{source},
 	}
-	a.NameProfile() // profiled with the attribute, not by its first match
-	g.byName[key] = a
+	g.byName[a.NameProfile().Norm] = a // profiled with the attribute, not by its first match
 	g.attrs = append(g.attrs, a)
-	g.recordMapping(source, key, a.Name)
+	g.recordMapping(source, srcKey, a.Name)
 	return a
 }
 

@@ -306,3 +306,38 @@ func TestSignatureFollowsSamples(t *testing.T) {
 		t.Error("3 numbers of 7 samples is not a numeric majority")
 	}
 }
+
+// TestAddAttributeNamesEachConceptOnce: a key whose upper case normalizes
+// to another key ("ſhow" upper-cases to "SHOW", which normalizes to "show")
+// names one attribute, found by that name, whichever spelling comes first.
+func TestAddAttributeNamesEachConceptOnce(t *testing.T) {
+	for _, order := range [][2]string{{"ſhow", "show"}, {"show", "ſhow"}} {
+		g := NewGlobal()
+		a := g.AddAttribute(&Attribute{Name: order[0], Samples: []string{"Matilda"}}, "ft1")
+		if a.Name != "SHOW" {
+			t.Fatalf("%v: global name = %q, want SHOW", order, a.Name)
+		}
+		if got, ok := g.Attribute(a.Name); !ok || got != a {
+			t.Errorf("%v: Attribute(%q) does not find the attribute of that name", order, a.Name)
+		}
+		if got := g.AddAttribute(&Attribute{Name: order[1], Samples: []string{"Wicked"}}, "ft2"); got != a || g.Len() != 1 {
+			t.Errorf("%v: the second spelling made attribute %q; %d attributes", order, got.Name, g.Len())
+		}
+		if err := g.MapAttribute(&Attribute{Name: "Show"}, "ft3", a); err != nil {
+			t.Errorf("%v: %v", order, err)
+		}
+		// Both sources' fields land on the one attribute.
+		for _, src := range []string{"ft1", "ft2"} {
+			name := order[0]
+			if src == "ft2" {
+				name = order[1]
+			}
+			r := record.New()
+			r.Set(name, record.String("Matilda"))
+			r.Source = src
+			if got := g.Translate(r).Fields()[0].Name; !record.NameEqual(got, a.Name) {
+				t.Errorf("%v: %s's %q translates to %q, not to %s", order, src, name, got, a.Name)
+			}
+		}
+	}
+}
