@@ -29,14 +29,16 @@ func (c CurrencyConvert) Name() string { return fmt.Sprintf("currency:%s->%s", c
 
 // maxScreened bounds the money strings CurrencyConvert.Apply screens
 // without parsing: their amount has too few digits to overflow a float64,
-// so a string moneyRe matches parses.
+// so a string scanMoney reads parses.
 const maxScreened = 300
 
 // Apply implements Transform. A string that cannot be money in From is left
 // as it is without being parsed, so a string out of scope allocates nothing.
 func (c CurrencyConvert) Apply(v record.Value) (record.Value, error) {
-	if s := v.Str(); v.Kind() == record.KindString && len(s) <= maxScreened && !mayBeIn(s, c.From) && moneyRe.MatchString(s) {
-		return v, nil
+	if s := v.Str(); v.Kind() == record.KindString && len(s) <= maxScreened && !mayBeIn(s, c.From) {
+		if _, ok := scanMoney(s); ok {
+			return v, nil
+		}
 	}
 	m, err := ParseMoney(v.Str())
 	if err != nil {

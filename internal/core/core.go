@@ -456,11 +456,7 @@ func (t *Tamer) matcherLocked() *dedup.Matcher {
 // trainDedupMatcher fits the ML match classifier on generated labeled pairs
 // — the Section IV classifier, trained once per pipeline.
 func (t *Tamer) trainDedupMatcher() *dedup.Matcher {
-	pairs := datagen.GeneratePairs(datagen.PairsConfig{
-		Type: extract.Movie,
-		N:    600,
-		Seed: t.cfg.Seed + 17,
-	})
+	pairs := datagen.GeneratePairs(t.pairsConfig(extract.Movie, 600, t.cfg.Seed+17))
 	fz := dedup.Featurizer{Attrs: []string{"name", "SHOW_NAME", "city"}}
 	// Pair records use "name"; fused records use "SHOW_NAME" — train on a
 	// featurizer that reads either. The pairs are this call's own, so they
@@ -470,6 +466,12 @@ func (t *Tamer) trainDedupMatcher() *dedup.Matcher {
 		p.B.Rename("name", "SHOW_NAME")
 	}
 	return dedup.TrainMatcher(pairs, fz, ml.NaiveBayesTrainer(5))
+}
+
+// pairsConfig generates labeled pairs from the parser's gazetteer, which no
+// one changes once it is built, rather than from a second default one.
+func (t *Tamer) pairsConfig(typ extract.Type, n int, seed int64) datagen.PairsConfig {
+	return datagen.PairsConfig{Type: typ, N: n, Seed: seed, Gazetteer: t.Parser.Gazetteer()}
 }
 
 // TypeCount is one row of the Table III aggregation.
@@ -625,7 +627,7 @@ func (t *Tamer) ClassifierCV(ctx context.Context, typ extract.Type, n int) (ml.C
 	if err := ctx.Err(); err != nil {
 		return ml.CVResult{}, dterr.FromContext(err)
 	}
-	pairs := datagen.GeneratePairs(datagen.PairsConfig{Type: typ, N: n, Seed: t.cfg.Seed + int64(len(typ))})
+	pairs := datagen.GeneratePairs(t.pairsConfig(typ, n, t.cfg.Seed+int64(len(typ))))
 	fz := dedup.Featurizer{Attrs: []string{"name", "city"}}
 	examples := make([]ml.Example, len(pairs))
 	for i, p := range pairs {

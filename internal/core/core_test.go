@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -280,6 +281,32 @@ func TestClassifierCVPaperBand(t *testing.T) {
 	}
 	if res.MeanPrecision() < 0.80 || res.MeanRecall() < 0.80 {
 		t.Errorf("classifier below band: %s", res)
+	}
+}
+
+// The labeled pairs drawn from the parser's gazetteer, after the pipeline
+// has parsed with it, are the pairs a fresh default gazetteer gives, drawn
+// either first or second: the training pairs and each type's
+// cross-validation pairs, at seeds 1 to 3.
+func TestPairsFromTheParsersGazetteerMatchTheDefault(t *testing.T) {
+	tm := sharedTamer(t)
+	for seed := int64(1); seed <= 3; seed++ {
+		configs := []datagen.PairsConfig{tm.pairsConfig(extract.Movie, 600, seed+17)}
+		for _, typ := range datagen.PairTypes {
+			configs = append(configs, tm.pairsConfig(typ, 400, seed+int64(len(typ))))
+		}
+		for _, cfg := range configs {
+			shared := datagen.GeneratePairs(cfg)
+			fresh := cfg
+			fresh.Gazetteer = nil
+			def := datagen.GeneratePairs(fresh)
+			if len(shared) == 0 || !reflect.DeepEqual(shared, def) {
+				t.Fatalf("%s pairs at seed %d: %d from the parser's gazetteer differ from %d of a default one", cfg.Type, cfg.Seed, len(shared), len(def))
+			}
+			if again := datagen.GeneratePairs(cfg); !reflect.DeepEqual(again, def) {
+				t.Fatalf("%s pairs at seed %d: the parser's gazetteer gives other pairs after a default one drew", cfg.Type, cfg.Seed)
+			}
+		}
 	}
 }
 

@@ -18,16 +18,31 @@ type LabeledPair struct {
 // TrainMatcher fits the match classifier from labeled pairs using the given
 // trainer (naive Bayes over discretized similarity features by default when
 // trainer is nil — the configuration behind the paper's 89/90 result).
+//
+// It trains the way RunKeyed scores: each distinct value is profiled once,
+// each pair is scored from two reused profiles into one reused vector, and
+// the vector goes to the trainer as (row, value) cells of an ml.Table whose
+// rows the scorer resolved per attribute, not per pair.
 func TrainMatcher(pairs []LabeledPair, fz Featurizer, trainer ml.Trainer) *Matcher {
 	if trainer == nil {
 		trainer = ml.NaiveBayesTrainer(5)
 	}
-	examples := make([]ml.Example, len(pairs))
-	features := newScorer(fz, nil)
-	for i, p := range pairs {
-		examples[i] = ml.Example{Features: features.features(p.A, p.B), Label: p.Match}
+	var table ml.Table
+	pr := profiler{sc: bindScorer(fz, nil, nil, &table), memo: &valueMemo{profiles: map[string]valueProfile{}}}
+	if n := len(pr.sc.attrs); n > 0 {
+		table.Grow(len(pairs), len(pairs)*(featKinds*n+2))
 	}
-	m := &Matcher{Model: trainer(examples), Featurizer: fz, Threshold: 0.5}
+	var pa, pb recordProfile
+	var v pairVector
+	for _, p := range pairs {
+		pa, pb = pr.profileInto(pa, p.A), pr.profileInto(pb, p.B)
+		pr.sc.score(pa, pb, &v)
+		for i, row := range v.rows {
+			table.Set(row, v.vals[i])
+		}
+		table.End(p.Match)
+	}
+	m := &Matcher{Model: trainer.TrainTable(&table), Featurizer: fz, Threshold: 0.5}
 	m.sc = newScorer(fz, m.Model)
 	return m
 }

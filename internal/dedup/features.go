@@ -47,14 +47,21 @@ type attrRows [featKinds]int32
 // scorer is a Featurizer bound to a model: the attribute keys and the model
 // row of every feature, resolved once. It is immutable, so one scorer serves
 // concurrent callers; what changes per call lives in the profiles and the
-// pairVector the caller owns.
+// pairVector the caller owns. A scorer bound to a training table instead
+// resolves rows in the table, and is not for concurrent use.
 type scorer struct {
 	attrs []scorerAttr // Featurizer.Attrs, repeats of one key folded
 	total int          // len(Featurizer.Attrs)
 	model ml.Classifier
 	index ml.Indexed // model, when it implements ml.Indexed
+	rows  rowNamer   // index or a training table; nil leaves every row 0
 
 	sharedRow, exactRow int32
+}
+
+// rowNamer resolves a feature name, prefix + key, to its row.
+type rowNamer interface {
+	Row(name string) int32
 }
 
 type scorerAttr struct {
@@ -65,8 +72,15 @@ type scorerAttr struct {
 }
 
 func newScorer(f Featurizer, model ml.Classifier) *scorer {
-	sc := &scorer{model: model, total: len(f.Attrs)}
-	sc.index, _ = model.(ml.Indexed)
+	index, _ := model.(ml.Indexed)
+	if index == nil {
+		return bindScorer(f, model, nil, nil)
+	}
+	return bindScorer(f, model, index, index)
+}
+
+func bindScorer(f Featurizer, model ml.Classifier, index ml.Indexed, rows rowNamer) *scorer {
+	sc := &scorer{model: model, index: index, rows: rows, total: len(f.Attrs)}
 	for _, attr := range f.Attrs {
 		key := record.NormalizeName(attr)
 		if i := slices.IndexFunc(sc.attrs, func(a scorerAttr) bool { return a.key == key }); i >= 0 {
@@ -75,16 +89,16 @@ func newScorer(f Featurizer, model ml.Classifier) *scorer {
 		}
 		sc.attrs = append(sc.attrs, scorerAttr{name: attr, key: key, weight: 1, rows: sc.rowsOf(key)})
 	}
-	if sc.index != nil {
-		sc.sharedRow, sc.exactRow = sc.index.Row(featShared), sc.index.Row(featExact)
+	if sc.rows != nil {
+		sc.sharedRow, sc.exactRow = sc.rows.Row(featShared), sc.rows.Row(featExact)
 	}
 	return sc
 }
 
 func (sc *scorer) rowsOf(key string) (rows attrRows) {
-	if sc.index != nil {
+	if sc.rows != nil {
 		for k, prefix := range featPrefix {
-			rows[k] = sc.index.Row(prefix + key)
+			rows[k] = sc.rows.Row(prefix + key)
 		}
 	}
 	return rows
@@ -124,10 +138,36 @@ type recordProfile []attrProfile
 
 // profiler builds the profiles of one Run or one wrapper call. It is not for
 // concurrent use: with no Featurizer.Attrs it remembers the key and model
-// rows of each field name it has met, as spelled.
+// rows of each field name it has met, as spelled; with a memo it profiles
+// each distinct value once.
 type profiler struct {
 	sc    *scorer
 	names map[string]profiledName
+	memo  *valueMemo
+}
+
+// valueMemo holds the profile of each value met, keyed by what
+// profileValue reads of it: its Kind and Str.
+type valueMemo struct {
+	profiles map[string]valueProfile
+	key      []byte // Kind, then Str
+}
+
+func (m *valueMemo) profile(v record.Value) valueProfile {
+	m.key = v.AppendStr(append(m.key[:0], byte(v.Kind())))
+	p, ok := m.profiles[string(m.key)]
+	if !ok {
+		p = profileValue(v)
+		m.profiles[string(m.key)] = p
+	}
+	return p
+}
+
+func (pr *profiler) value(v record.Value) valueProfile {
+	if pr.memo != nil {
+		return pr.memo.profile(v)
+	}
+	return profileValue(v)
 }
 
 // profiledName is what a profiler resolves once per field name.
@@ -136,19 +176,25 @@ type profiledName struct {
 	rows attrRows
 }
 
+// profile builds a new profile, never nil, even of a record with no fields.
 func (pr *profiler) profile(r *record.Record) recordProfile {
+	return pr.profileInto(recordProfile{}, r)
+}
+
+// profileInto is profile into p's storage.
+func (pr *profiler) profileInto(p recordProfile, r *record.Record) recordProfile {
 	sc := pr.sc
 	if sc.total > 0 {
-		p := make(recordProfile, len(sc.attrs))
+		p = slices.Grow(p[:0], len(sc.attrs))[:len(sc.attrs)]
 		for i, attr := range sc.attrs {
 			p[i] = attrProfile{key: attr.key, rows: attr.rows}
 			if v, ok := r.Get(attr.name); ok && !v.IsNull() {
-				p[i].set, p[i].valueProfile = true, profileValue(v)
+				p[i].set, p[i].valueProfile = true, pr.value(v)
 			}
 		}
 		return p
 	}
-	p := make(recordProfile, 0, r.Len())
+	p = slices.Grow(p[:0], r.Len())
 	for _, f := range r.Fields() {
 		n, ok := pr.names[f.Name]
 		if !ok {
@@ -161,7 +207,7 @@ func (pr *profiler) profile(r *record.Record) recordProfile {
 		}
 		ap := attrProfile{key: n.key, rows: n.rows}
 		if !f.Value.IsNull() {
-			ap.set, ap.valueProfile = true, profileValue(f.Value)
+			ap.set, ap.valueProfile = true, pr.value(f.Value)
 		}
 		p = append(p, ap)
 	}

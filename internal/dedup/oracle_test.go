@@ -129,13 +129,29 @@ type oracleMatcher struct {
 func trainOracle(pairs []dedup.LabeledPair, attrs []string) oracleMatcher {
 	examples := make([]ml.Example, len(pairs))
 	for i, p := range pairs {
-		examples[i] = ml.Example{Features: ml.Discretize(oracleFeatures(attrs, p.A, p.B), 5), Label: p.Match}
+		examples[i] = ml.Example{Features: oracleDiscretize(oracleFeatures(attrs, p.A, p.B), 5), Label: p.Match}
 	}
 	return oracleMatcher{attrs: attrs, model: ml.TrainNaiveBayes(examples)}
 }
 
 func (o oracleMatcher) prob(features ml.Features) float64 {
-	return o.model.PredictProb(ml.Discretize(features, 5))
+	return o.model.PredictProb(oracleDiscretize(features, 5))
+}
+
+// oracleDiscretize is ml.Discretize as it was: each value bucketed into
+// bins over [0,1], as a presence feature like "jw:name=3of5".
+func oracleDiscretize(f ml.Features, bins int) ml.Features {
+	out := make(ml.Features, len(f))
+	for name, v := range f {
+		b := 0
+		if v > 0 {
+			if b = int(v * float64(bins)); b >= bins {
+				b = bins - 1
+			}
+		}
+		out[name+"="+string(rune('0'+b))+"of"+string(rune('0'+bins))] = 1
+	}
+	return out
 }
 
 // trainingPairs are the 600 pairs core trains the Section IV classifier on,

@@ -77,7 +77,7 @@ func CrossValidate(train Trainer, examples []Example, k int, seed int64) CVResul
 				trainSet = append(trainSet, ex)
 			}
 		}
-		model := train(trainSet)
+		model := train.Train(trainSet)
 		conf := Evaluate(model, testSet)
 		res.Folds = append(res.Folds, conf)
 		res.Pooled.Add(conf)

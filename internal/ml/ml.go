@@ -4,8 +4,6 @@
 // metrics.
 package ml
 
-import "sort"
-
 // Features is a sparse feature vector keyed by feature name.
 type Features map[string]float64
 
@@ -25,8 +23,12 @@ type Classifier interface {
 // Predict applies the standard 0.5 threshold.
 func Predict(c Classifier, f Features) bool { return c.PredictProb(f) >= 0.5 }
 
-// Trainer builds a classifier from examples.
-type Trainer func(examples []Example) Classifier
+// Trainer builds a classifier from labeled examples, given as feature maps
+// or as a Table; the same examples either way give the same classifier.
+type Trainer interface {
+	Train(examples []Example) Classifier
+	TrainTable(t *Table) Classifier
+}
 
 // Indexed is a Classifier that can also score a vector whose feature names
 // were resolved to model rows ahead of time, so that a caller scoring many
@@ -41,49 +43,17 @@ type Indexed interface {
 	PredictRows(rows []int32, vals []float64) float64
 }
 
-// featureNames returns the sorted feature names present in the examples,
-// for deterministic iteration.
-func featureNames(examples []Example) []string {
-	seen := map[string]bool{}
-	for _, ex := range examples {
-		for name := range ex.Features {
-			seen[name] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for name := range seen {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Discretize buckets each feature value into bins over [0,1], emitting
-// presence features like "sim:name=3of5". Values outside [0,1] clamp.
-// It is how continuous similarity features feed the multinomial NB model.
-func Discretize(f Features, bins int) Features {
-	if bins < 2 {
-		bins = 2
-	}
-	out := make(Features, len(f))
-	for name, v := range f {
-		out[binName(name, binOf(v, bins), bins)] = 1
-	}
-	return out
-}
-
 // binOf is the bin of v among bins equal bins over [0,1]; values outside,
-// and NaN, clamp.
+// NaN and the infinities included, clamp. (A value of 1 or more is not
+// multiplied out: past 2^63 the product has no int.)
 func binOf(v float64, bins int) int {
 	if !(v > 0) {
 		return 0
 	}
-	if b := int(v * float64(bins)); b < bins {
-		return b
+	if v < 1 {
+		if b := int(v * float64(bins)); b < bins {
+			return b
+		}
 	}
 	return bins - 1
-}
-
-func binName(name string, b, bins int) string {
-	return name + "=" + string(rune('0'+b)) + "of" + string(rune('0'+bins))
 }

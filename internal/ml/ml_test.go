@@ -242,7 +242,7 @@ func TestBinnedNaiveBayesMatchesDiscretizedModel(t *testing.T) {
 		prepared[i] = Example{Features: Discretize(ex.Features, bins), Label: ex.Label}
 	}
 	reference := TrainNaiveBayes(prepared)
-	model, ok := NaiveBayesTrainer(bins)(examples).(Indexed)
+	model, ok := NaiveBayesTrainer(bins).Train(examples).(Indexed)
 	if !ok {
 		t.Fatal("NaiveBayesTrainer(5) is not Indexed")
 	}
@@ -270,5 +270,26 @@ func TestBinnedNaiveBayesMatchesDiscretizedModel(t *testing.T) {
 		if a, b := model.PredictProb(f), model.PredictProb(f); a != b {
 			t.Fatalf("PredictProb is not repeatable: %v then %v", a, b)
 		}
+	}
+}
+
+// Every value has a bin, the ones whose product with bins has no int
+// included, so a model scores any value it is given.
+func TestBinOfClampsEveryValue(t *testing.T) {
+	model := NaiveBayesTrainer(5).Train(syntheticLinear(50, 0, 1)).(Indexed)
+	for bins := 2; bins <= 9; bins++ {
+		for _, v := range []float64{math.Inf(1), math.MaxFloat64, 1e19, 1, 1.5} {
+			if b := binOf(v, bins); b != bins-1 {
+				t.Errorf("binOf(%v, %d) = %d, want %d", v, bins, b, bins-1)
+			}
+		}
+		for _, v := range []float64{math.Inf(-1), math.NaN(), -1e19, 0} {
+			if b := binOf(v, bins); b != 0 {
+				t.Errorf("binOf(%v, %d) = %d, want 0", v, bins, b)
+			}
+		}
+	}
+	if p := model.PredictRows([]int32{model.Row("f1")}, []float64{math.Inf(1)}); !(p >= 0 && p <= 1) {
+		t.Errorf("PredictRows of +Inf = %v", p)
 	}
 }

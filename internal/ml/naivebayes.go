@@ -1,10 +1,13 @@
 package ml
 
-import "math"
+import (
+	"math"
+	"slices"
+	"strings"
+)
 
 // NaiveBayes is a multinomial naive Bayes binary classifier with Laplace
-// smoothing. Feature values act as occurrence counts; use Discretize to
-// feed it presence features.
+// smoothing. Feature values act as occurrence counts.
 type NaiveBayes struct {
 	logPriorPos, logPriorNeg float64
 	likePos, likeNeg         map[string]float64 // log P(feature|class)
@@ -102,21 +105,43 @@ func probFromLogs(lp, ln float64) float64 {
 	}
 }
 
-// NaiveBayesTrainer adapts TrainNaiveBayes to the Trainer type. With bins > 0
-// every feature value is discretized into that many bins over [0,1] (see
-// Discretize) and the model is an Indexed table; 0 trains on raw features.
+// NaiveBayesTrainer returns the naive Bayes Trainer. With bins > 0 every
+// feature value is put in one of that many equal bins over [0,1] (at least
+// two; values outside, and NaN, clamp), each (feature, bin) counts as one
+// occurrence, and the model is an Indexed table; 0 trains TrainNaiveBayes
+// on the raw features.
 func NaiveBayesTrainer(bins int) Trainer {
-	return func(examples []Example) Classifier {
-		if bins > 0 {
-			return trainBinnedNB(examples, bins)
-		}
-		return TrainNaiveBayes(examples)
+	switch {
+	case bins <= 0:
+		bins = 0
+	case bins < 2:
+		bins = 2
 	}
+	return nbTrainer{bins: bins}
 }
 
-// binnedNB is naive Bayes over Discretize'd features with feature x bin
-// resolved into a table at train time: prediction builds no "name=3of5"
-// string and no map, and sums in a fixed order.
+type nbTrainer struct{ bins int }
+
+// Train implements Trainer: a binned model resolves the names to rows and
+// counts the table.
+func (tr nbTrainer) Train(examples []Example) Classifier {
+	if tr.bins == 0 {
+		return TrainNaiveBayes(examples)
+	}
+	return trainBinnedNB(tableOf(examples), tr.bins)
+}
+
+// TrainTable implements Trainer.
+func (tr nbTrainer) TrainTable(t *Table) Classifier {
+	if tr.bins == 0 {
+		return TrainNaiveBayes(t.examples())
+	}
+	return trainBinnedNB(t, tr.bins)
+}
+
+// binnedNB is naive Bayes over binned features with feature x bin resolved
+// into a table: prediction builds no name and no map, and sums in a fixed
+// order.
 type binnedNB struct {
 	bins               int
 	names              []string // features seen in training, sorted
@@ -126,33 +151,64 @@ type binnedNB struct {
 	defPos, defNeg     float64   // the same for a feature never seen, in any bin
 }
 
-func trainBinnedNB(examples []Example, bins int) *binnedNB {
-	if bins < 2 {
-		bins = 2 // as Discretize does
+// trainBinnedNB fits the multinomial model TrainNaiveBayes fits to the
+// examples with each (feature, bin) as one occurrence, by counting the
+// cells of each (row, bin, class). Counts are sums of ones, exact in any
+// order. A (feature, bin) never seen has count zero, and its smoothed
+// log-likelihood is the default's.
+func trainBinnedNB(t *Table, bins int) *binnedNB {
+	cells := len(t.names) * bins
+	count := make([]float64, 2*cells) // negatives, then positives
+	var n, tot [2]float64
+	for i, end := range t.ends {
+		c := 0
+		if t.labels[i] {
+			c = 1
+		}
+		n[c]++
+		for k := t.start(i); k < end; k++ {
+			count[c*cells+int(t.rows[k])*bins+binOf(t.vals[k], bins)]++
+			tot[c]++
+		}
 	}
-	prepared := make([]Example, len(examples))
-	for i, ex := range examples {
-		prepared[i] = Example{Features: Discretize(ex.Features, bins), Label: ex.Label}
+	// The vocabulary is every (feature, bin) seen; the features are those
+	// with one seen, sorted.
+	var vocab float64
+	var seen []int32
+	for r := range t.names {
+		used := false
+		for k := r * bins; k < (r+1)*bins; k++ {
+			if count[k] > 0 || count[cells+k] > 0 {
+				vocab++
+				used = true
+			}
+		}
+		if used {
+			seen = append(seen, int32(r))
+		}
 	}
-	nb := TrainNaiveBayes(prepared)
+	slices.SortFunc(seen, func(a, b int32) int { return strings.Compare(t.names[a], t.names[b]) })
+	if vocab == 0 {
+		vocab = 1
+	}
+	total := n[0] + n[1]
+	if total == 0 {
+		total = 1
+	}
 	m := &binnedNB{
 		bins:     bins,
-		names:    featureNames(examples),
-		priorPos: nb.logPriorPos, priorNeg: nb.logPriorNeg,
-		defPos: nb.defaultPos, defNeg: nb.defaultNeg,
+		names:    make([]string, len(seen)),
+		row:      make(map[string]int32, len(seen)),
+		priorPos: math.Log((n[1] + 1) / (total + 2)), priorNeg: math.Log((n[0] + 1) / (total + 2)),
+		defPos: math.Log(1 / (tot[1] + vocab)), defNeg: math.Log(1 / (tot[0] + vocab)),
+		pos: make([]float64, 0, len(seen)*bins), neg: make([]float64, 0, len(seen)*bins),
 	}
-	m.row = make(map[string]int32, len(m.names))
-	for i, name := range m.names {
-		m.row[name] = int32(i)
-		for b := 0; b < bins; b++ {
-			key := binName(name, b, bins)
-			lp, ok := nb.likePos[key]
-			ln := nb.likeNeg[key]
-			if !ok {
-				lp, ln = nb.defaultPos, nb.defaultNeg
-			}
-			m.pos = append(m.pos, lp)
-			m.neg = append(m.neg, ln)
+	for i, r := range seen {
+		m.names[i] = t.names[r]
+		m.row[m.names[i]] = int32(i)
+		for k := int(r) * bins; k < int(r+1)*bins; k++ {
+			m.pos = append(m.pos, math.Log((count[cells+k]+1)/(tot[1]+vocab)))
+			m.neg = append(m.neg, math.Log((count[k]+1)/(tot[0]+vocab)))
 		}
 	}
 	return m
