@@ -7,6 +7,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -42,16 +43,26 @@ func main() {
 	fmt.Printf("wrote webtext.tsv and %d source CSVs to %s\n", len(srcs), *out)
 }
 
+// writeWebText writes the corpus as the generator streams it, one window
+// at a time, so the command holds a window of it, not the corpus.
 func writeWebText(dir string, fragments int, seed int64) error {
 	f, err := os.Create(filepath.Join(dir, "webtext.tsv"))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	for _, frag := range datagen.GenerateWebText(datagen.WebTextConfig{Fragments: fragments, Seed: seed}) {
-		if _, err := fmt.Fprintf(f, "%s\t%s\n", frag.URL, frag.Text); err != nil {
-			return err
+	w := bufio.NewWriter(f)
+	corpus := datagen.NewWebText(datagen.WebTextConfig{Fragments: fragments, Seed: seed})
+	for win := corpus.Next(500); len(win) > 0; win = corpus.Next(500) {
+		for _, frag := range win {
+			w.WriteString(frag.URL)
+			w.WriteByte('\t')
+			w.WriteString(frag.Text)
+			w.WriteByte('\n')
 		}
+	}
+	if err := w.Flush(); err != nil {
+		return err
 	}
 	return f.Sync()
 }

@@ -243,22 +243,22 @@ func (t *Tamer) Run(ctx context.Context) error {
 	return structured
 }
 
-// IngestWebText generates the corpus, runs the domain-specific parser, and
-// loads both text namespaces with their index sets (1 index on instances,
-// 8 on entities — the nindexes of Tables I and II).
+// IngestWebText streams the corpus through the domain-specific parser into
+// both text namespaces with their index sets (1 index on instances, 8 on
+// entities — the nindexes of Tables I and II), generating one window at a
+// time: the load holds a window of the corpus, never the whole.
 func (t *Tamer) IngestWebText(ctx context.Context) error {
 	start := time.Now()
-	frags := datagen.GenerateWebText(datagen.WebTextConfig{
+	corpus := datagen.NewWebText(datagen.WebTextConfig{
 		Fragments: t.cfg.Fragments,
 		Seed:      t.cfg.Seed,
 		Gazetteer: t.Parser.Gazetteer(),
 	})
-
-	_, entities, err := t.ApplyFragments(ctx, frags, 0)
+	instances, entities, err := t.applyWindows(ctx, func() []datagen.Fragment { return corpus.Next(applyWindow) }, 0)
 	if err != nil {
 		return err
 	}
-	t.stage("ingest-webtext", len(frags), start)
+	t.stage("ingest-webtext", instances, start)
 	t.stage("parse-entities", entities, start)
 	return nil
 }
@@ -628,10 +628,6 @@ func (t *Tamer) ClassifierCV(ctx context.Context, typ extract.Type, n int) (ml.C
 		return ml.CVResult{}, dterr.FromContext(err)
 	}
 	pairs := datagen.GeneratePairs(t.pairsConfig(typ, n, t.cfg.Seed+int64(len(typ))))
-	fz := dedup.Featurizer{Attrs: []string{"name", "city"}}
-	examples := make([]ml.Example, len(pairs))
-	for i, p := range pairs {
-		examples[i] = ml.Example{Features: fz.Features(p.A, p.B), Label: p.Match}
-	}
-	return ml.CrossValidate(ml.NaiveBayesTrainer(5), examples, 10, t.cfg.Seed), nil
+	table := dedup.FeatureTable(pairs, dedup.Featurizer{Attrs: []string{"name", "city"}})
+	return ml.CrossValidateTable(ml.NaiveBayesTrainer(5), table, 10, t.cfg.Seed), nil
 }

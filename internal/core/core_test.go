@@ -10,9 +10,11 @@ import (
 
 	"repro/dterr"
 	"repro/internal/datagen"
+	"repro/internal/dedup"
 	"repro/internal/extract"
 	"repro/internal/fuse"
 	"repro/internal/match"
+	"repro/internal/ml"
 	"repro/internal/record"
 )
 
@@ -281,6 +283,31 @@ func TestClassifierCVPaperBand(t *testing.T) {
 	}
 	if res.MeanPrecision() < 0.80 || res.MeanRecall() < 0.80 {
 		t.Errorf("classifier below band: %s", res)
+	}
+}
+
+// TestClassifierCVMatchesFeatureMaps: cross-validating on the pairs'
+// feature table gives each fold the confusion matrix the former body gave,
+// which featurized every pair into a map and split the maps per fold, for
+// every pair type at seeds 1 and 2.
+func TestClassifierCVMatchesFeatureMaps(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		tm := New(Config{Seed: seed})
+		for _, typ := range datagen.PairTypes {
+			got, err := tm.ClassifierCV(context.Background(), typ, 600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs := datagen.GeneratePairs(tm.pairsConfig(typ, 600, seed+int64(len(typ))))
+			fz := dedup.Featurizer{Attrs: []string{"name", "city"}}
+			examples := make([]ml.Example, len(pairs))
+			for i, p := range pairs {
+				examples[i] = ml.Example{Features: fz.Features(p.A, p.B), Label: p.Match}
+			}
+			if want := ml.CrossValidate(ml.NaiveBayesTrainer(5), examples, 10, seed); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d, %s: %v\nwant %v", seed, typ, got, want)
+			}
+		}
 	}
 }
 

@@ -31,17 +31,28 @@ const applyWindow = 500
 
 // ApplyFragments parses frags with a pool of workers (0 = one per
 // schedulable CPU) and inserts the results into both text namespaces, one
-// window of applyWindow fragments at a time: a window is parsed, then
-// inserted into each store, before the next is parsed. Each shard sees its
-// documents in fragment order, so every document gets the id serial
-// inserts would. It returns the instance and entity counts inserted. Safe
-// for concurrent use with queries; calls are internally serialized per
-// store shard. Cancelling ctx before the first window's insert stops the
-// parse workers at their next fragment and inserts nothing; a cancellation
-// after it no longer stops the parse, so on local stores, which ignore ctx,
-// the whole batch lands.
+// window of applyWindow fragments at a time (applyWindows). It returns the
+// instance and entity counts inserted. Safe for concurrent use with
+// queries; calls are internally serialized per store shard.
 func (t *Tamer) ApplyFragments(ctx context.Context, frags []datagen.Fragment, workers int) (instances, entities int, err error) {
-	if len(frags) == 0 {
+	return t.applyWindows(ctx, func() []datagen.Fragment {
+		window := frags[:min(applyWindow, len(frags))]
+		frags = frags[len(window):]
+		return window
+	}, workers)
+}
+
+// applyWindows loads the windows next returns until it returns none: a
+// window is parsed, then inserted into each store, before the next is
+// taken, so a caller that generates its windows never holds more than one.
+// Each shard sees its documents in fragment order, so every document gets
+// the id serial inserts would. Cancelling ctx before the first window's
+// insert stops the parse workers at their next fragment and inserts
+// nothing; a cancellation after it no longer stops the parse, so on local
+// stores, which ignore ctx, the whole batch lands.
+func (t *Tamer) applyWindows(ctx context.Context, next func() []datagen.Fragment, workers int) (instances, entities int, err error) {
+	window := next()
+	if len(window) == 0 {
 		return 0, 0, nil
 	}
 	// Once per store set, not per batch: on remote shards every ensure is a
@@ -62,12 +73,11 @@ func (t *Tamer) ApplyFragments(ctx context.Context, frags []datagen.Fragment, wo
 			t.dataGen.Add(1)
 		}
 	}()
-	results := make([]parsed, min(len(frags), applyWindow))
+	var results []parsed
 	var instanceDocs, entityDocs []*store.Doc
 	parseCtx := ctx
-	for lo := 0; lo < len(frags); lo += applyWindow {
-		window := frags[lo:min(lo+applyWindow, len(frags))]
-		results = results[:len(window)]
+	for ; len(window) > 0; window = next() {
+		results = slices.Grow(results[:0], len(window))[:len(window)]
 		if err := t.parseFragments(parseCtx, window, results, workers); err != nil {
 			return 0, 0, err
 		}

@@ -129,6 +129,40 @@ func TestWindowedLoadMatchesSerialInserts(t *testing.T) {
 	}
 }
 
+// TestStreamedIngestMatchesMaterializedLoad: IngestWebText, which takes
+// its windows from the generator as it writes them, stores the shards a
+// load of the whole generated corpus through ApplyFragments stores, byte
+// for byte, at corpus sizes around the window's, with one generation bump
+// and the ingest stage counting every fragment.
+func TestStreamedIngestMatchesMaterializedLoad(t *testing.T) {
+	ctx := context.Background()
+	for _, fragments := range []int{1, applyWindow - 1, applyWindow, applyWindow + 1, 2*applyWindow + 203} {
+		cfg := Config{Shards: 4, Seed: 5, Fragments: fragments}
+		ref := New(cfg)
+		frags := datagen.GenerateWebText(datagen.WebTextConfig{Fragments: fragments, Seed: cfg.Seed, Gazetteer: ref.Parser.Gazetteer()})
+		if _, _, err := ref.ApplyFragments(ctx, frags, 0); err != nil {
+			t.Fatal(err)
+		}
+		streamed := New(cfg)
+		gen := streamed.DataGeneration()
+		if err := streamed.IngestWebText(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := streamed.DataGeneration(); got != gen+1 {
+			t.Errorf("F = %d: the ingest moved the generation from %d to %d, want one bump", fragments, gen, got)
+		}
+		if st := streamed.Stages(); len(st) == 0 || st[0].Stage != "ingest-webtext" || st[0].Items != fragments {
+			t.Errorf("F = %d: stages %+v, want ingest-webtext of %d items first", fragments, st, fragments)
+		}
+		want, got := shardSnapshots(t, localShards(ref)), shardSnapshots(t, localShards(streamed))
+		for key, w := range want {
+			if !bytes.Equal(got[key], w) {
+				t.Errorf("F = %d: shard %s differs from the materialized load (%d B snapshot, want %d B)", fragments, key, len(got[key]), len(w))
+			}
+		}
+	}
+}
+
 // tables renders what the paper's Tables I–VI print of tm, for comparing
 // two pipelines.
 func tables(t *testing.T, tm *Tamer) string {

@@ -7,8 +7,8 @@
 package datagen
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"repro/internal/extract"
@@ -51,42 +51,106 @@ func discussionWeights() map[string]int {
 	return w
 }
 
-// GenerateWebText produces the synthetic corpus. The first fragment is
-// always the paper's Matilda feed, so Tables V-VI reproduce verbatim.
+// GenerateWebText produces the synthetic corpus whole: the fragments of a
+// WebText stream, read to the end. The first fragment is always the
+// paper's Matilda feed, so Tables V-VI reproduce verbatim.
 func GenerateWebText(cfg WebTextConfig) []Fragment {
+	w := NewWebText(cfg)
+	out := make([]Fragment, 0, max(cfg.Fragments, 1))
+	for win := w.Next(generateWindow); len(win) > 0; win = w.Next(generateWindow) {
+		out = append(out, win...)
+	}
+	return out
+}
+
+// generateWindow is how many fragments GenerateWebText takes from its
+// stream at a time, and so how many share one string.
+const generateWindow = 512
+
+// WebText streams the synthetic corpus a window at a time, so a loader
+// holds one window of it, not the corpus. Fragment i is the same whatever
+// the windows: every random draw is made in corpus order.
+type WebText struct {
+	g     *corpusGen
+	next  int // index of the next fragment
+	total int // fragments in the corpus: the Matilda feed at least
+	// buf holds the window being written, URL then text for each
+	// fragment, and ends where each of them ends in it; out is the
+	// window's fragments. All three are reused from window to window.
+	buf  []byte
+	ends []int
+	out  []Fragment
+}
+
+// NewWebText starts the corpus cfg describes.
+func NewWebText(cfg WebTextConfig) *WebText {
 	gaz := cfg.Gazetteer
 	if gaz == nil {
 		gaz = extract.DefaultGazetteer()
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := newCorpusGen(rng, gaz)
-
-	out := make([]Fragment, 0, cfg.Fragments)
-	out = append(out, Fragment{
-		URL:  "http://feeds.example.com/broadway/0",
-		Text: MatildaFeed,
-	})
-	for i := 1; i < cfg.Fragments; i++ {
-		out = append(out, Fragment{
-			URL:  fmt.Sprintf("http://feeds.example.com/%s/%d", g.section(), i),
-			Text: g.fragment(),
-		})
-	}
-	return out
+	return &WebText{g: newCorpusGen(rng, gaz), total: max(cfg.Fragments, 1)}
 }
 
+// Next returns the corpus's next n fragments, fewer at its end and none
+// past it. The window's URLs and texts share one string, built once; the
+// slice itself is reused by the next call.
+func (w *WebText) Next(n int) []Fragment {
+	n = min(n, w.total-w.next)
+	if cap(w.out) < n { // the first window, or one longer than any before
+		w.buf = make([]byte, 0, n*fragmentBytes)
+		w.ends = make([]int, 0, 2*n)
+		w.out = make([]Fragment, 0, n)
+	}
+	w.buf, w.ends = w.buf[:0], w.ends[:0]
+	for range max(n, 0) {
+		if w.next == 0 {
+			w.buf = append(w.buf, "http://feeds.example.com/broadway/0"...)
+			w.ends = append(w.ends, len(w.buf))
+			w.buf = append(w.buf, MatildaFeed...)
+		} else {
+			w.buf = append(w.buf, "http://feeds.example.com/"...)
+			w.buf = append(w.buf, w.g.section()...)
+			w.buf = append(w.buf, '/')
+			w.buf = strconv.AppendInt(w.buf, int64(w.next), 10)
+			w.ends = append(w.ends, len(w.buf))
+			w.buf = w.g.appendFragment(w.buf)
+		}
+		w.ends = append(w.ends, len(w.buf))
+		w.next++
+	}
+	s := string(w.buf)
+	w.out = w.out[:0]
+	for i := 0; i < len(w.ends); i += 2 {
+		lo := 0
+		if i > 0 {
+			lo = w.ends[i-1]
+		}
+		w.out = append(w.out, Fragment{URL: s[lo:w.ends[i]], Text: s[w.ends[i]:w.ends[i+1]]})
+	}
+	return w.out
+}
+
+// fragmentBytes is the room a window's buffer starts with per fragment. A
+// generated URL and text take 255 bytes on average (seeds 1 to 3), so a
+// window of a few hundred fragments fits with room to spare and the buffer
+// is not regrown.
+const fragmentBytes = 320
+
 // corpusGen draws typed entity mentions from the Table III distribution and
-// wraps them in sentence frames.
+// wraps them in sentence frames, appending the text it writes.
 type corpusGen struct {
 	rng   *rand.Rand
-	gaz   *extract.Gazetteer
 	types []extract.Type
 	cum   []float64 // cumulative type shares, aligned with types
-	shows []string  // Table IV-weighted show pool
+	// names holds, aligned with types, the display-cased names a mention
+	// of the type draws from: the Table IV-weighted show pool for Movie,
+	// the gazetteer's names for the rest (none for URL).
+	names [][]string
 }
 
 func newCorpusGen(rng *rand.Rand, gaz *extract.Gazetteer) *corpusGen {
-	g := &corpusGen{rng: rng, gaz: gaz, shows: weightedShows(gaz)}
+	g := &corpusGen{rng: rng}
 	// Build the mention-type distribution: Movie is pinned to movieShare,
 	// every other type keeps its paper proportion of the remainder.
 	var otherTotal float64
@@ -101,151 +165,222 @@ func newCorpusGen(rng *rand.Rand, gaz *extract.Gazetteer) *corpusGen {
 		if typ != extract.Movie {
 			share = (1 - movieShare) * float64(extract.PaperTypeCounts[typ]) / otherTotal
 		}
+		var names []string
+		switch typ {
+		case extract.URL:
+		case extract.Movie:
+			names = weightedShows(gaz.Names(typ))
+		default:
+			names = displayNames(gaz.Names(typ))
+		}
 		cum += share
 		g.types = append(g.types, typ)
 		g.cum = append(g.cum, cum)
+		g.names = append(g.names, names)
 	}
 	return g
 }
 
-// weightedShows expands the movie list so Table IV shows appear with their
-// ranking weights; non-award shows appear with weight 1.
-func weightedShows(gaz *extract.Gazetteer) []string {
+// displayNames renders each gazetteer name in display case, once.
+func displayNames(names []string) []string {
+	out := make([]string, len(names))
+	for i, name := range names {
+		out[i] = titleWords(name)
+	}
+	return out
+}
+
+// weightedShows expands the movie list, in display case, so Table IV
+// shows appear with their ranking weights; non-award shows appear with
+// weight 1.
+func weightedShows(names []string) []string {
 	weights := discussionWeights()
 	var out []string
-	for _, name := range gaz.Names(extract.Movie) {
-		w := weights[name]
-		if w == 0 {
-			w = 1
-		}
-		for i := 0; i < w; i++ {
-			out = append(out, name)
+	for _, name := range names {
+		w, display := max(weights[name], 1), titleWords(name)
+		for range w {
+			out = append(out, display)
 		}
 	}
 	return out
 }
 
-// drawType samples a mention type from the Table III distribution.
-func (g *corpusGen) drawType() extract.Type {
+// drawType samples a mention type from the Table III distribution and
+// returns its place in g.types.
+func (g *corpusGen) drawType() int {
 	x := g.rng.Float64()
 	for i, c := range g.cum {
 		if x <= c {
-			return g.types[i]
+			return i
 		}
 	}
-	return g.types[len(g.types)-1]
+	return len(g.types) - 1
 }
 
-// mention renders a surface form for a drawn type.
-func (g *corpusGen) mention(typ extract.Type) string {
-	switch typ {
-	case extract.URL:
-		return fmt.Sprintf("http://www%d.example.com/a/%d", g.rng.Intn(9), g.rng.Intn(100000))
-	case extract.Movie:
-		return titleWords(g.shows[g.rng.Intn(len(g.shows))])
+// mention is a drawn surface form: a name, or a URL given by its two
+// numbers.
+type mention struct {
+	name       string
+	host, page int
+	isURL      bool
+}
+
+// mention draws a surface form for the type at place i of g.types. A
+// movie is drawn from its pool however small; a type with no names is
+// "something".
+func (g *corpusGen) mention(i int) mention {
+	names := g.names[i]
+	switch {
+	case g.types[i] == extract.URL:
+		host := g.rng.Intn(9)
+		return mention{host: host, page: g.rng.Intn(100000), isURL: true}
+	case g.types[i] == extract.Movie || len(names) > 0:
+		return mention{name: names[g.rng.Intn(len(names))]}
 	default:
-		names := g.gaz.Names(typ)
-		if len(names) == 0 {
-			return "something"
-		}
-		return titleWords(names[g.rng.Intn(len(names))])
+		return mention{name: "something"}
 	}
 }
 
-func (g *corpusGen) section() string {
-	sections := []string{"broadway", "news", "blogs", "twitter", "business", "health"}
-	return sections[g.rng.Intn(len(sections))]
+func (m mention) appendTo(b []byte) []byte {
+	if !m.isURL {
+		return append(b, m.name...)
+	}
+	b = append(b, "http://www"...)
+	b = strconv.AppendInt(b, int64(m.host), 10)
+	b = append(b, ".example.com/a/"...)
+	return strconv.AppendInt(b, int64(m.page), 10)
 }
 
-func (g *corpusGen) money() string {
-	return fmt.Sprintf("%d,%03d", 100+g.rng.Intn(900), g.rng.Intn(1000))
+var (
+	sections = []string{"broadway", "news", "blogs", "twitter", "business", "health"}
+	weekdays = []string{"Tues", "Wed", "Thurs", "Fri", "Sat", "Sun"}
+)
+
+func (g *corpusGen) section() string { return sections[g.rng.Intn(len(sections))] }
+
+// appendInt appends the draw base+Intn(n).
+func (g *corpusGen) appendInt(b []byte, base, n int) []byte {
+	return strconv.AppendInt(b, int64(base+g.rng.Intn(n)), 10)
 }
 
-func (g *corpusGen) price() string { return fmt.Sprintf("$%d", 20+g.rng.Intn(180)) }
-
-func (g *corpusGen) date() string {
-	return fmt.Sprintf("%d/%d/201%d", 1+g.rng.Intn(12), 1+g.rng.Intn(28), 2+g.rng.Intn(3))
+// appendMoney appends a gross such as 659,391.
+func (g *corpusGen) appendMoney(b []byte) []byte {
+	b = g.appendInt(b, 100, 900)
+	b = append(b, ',')
+	low := g.rng.Intn(1000)
+	if low < 100 {
+		b = append(b, '0')
+	}
+	if low < 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(low), 10)
 }
 
-func (g *corpusGen) percent() string { return fmt.Sprintf("%d percent", 50+g.rng.Intn(50)) }
-
-func (g *corpusGen) weekday() string {
-	days := []string{"Tues", "Wed", "Thurs", "Fri", "Sat", "Sun"}
-	return days[g.rng.Intn(len(days))]
+func (g *corpusGen) appendPrice(b []byte) []byte {
+	return g.appendInt(append(b, '$'), 20, 180)
 }
 
-// fragment builds 1-3 sentences; each sentence carries 3-5 typed mentions
-// drawn from the distribution, so fragments average close to the paper's
-// ~9.8 entities per instance.
-func (g *corpusGen) fragment() string {
+func (g *corpusGen) appendDate(b []byte) []byte {
+	b = append(g.appendInt(b, 1, 12), '/')
+	b = append(g.appendInt(b, 1, 28), "/201"...)
+	return g.appendInt(b, 2, 3)
+}
+
+func (g *corpusGen) appendPercent(b []byte) []byte {
+	return append(g.appendInt(b, 50, 50), " percent"...)
+}
+
+// appendFragment appends 1-3 sentences; each sentence carries 3-5 typed
+// mentions drawn from the distribution, so fragments average close to the
+// paper's ~9.8 entities per instance.
+func (g *corpusGen) appendFragment(b []byte) []byte {
 	n := 1 + g.rng.Intn(3)
-	sents := make([]string, n)
-	for i := range sents {
-		sents[i] = g.sentence()
+	for i := range n {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = g.appendSentence(b)
 	}
-	return strings.Join(sents, " ")
+	return b
 }
 
-func (g *corpusGen) sentence() string {
-	k := 3 + g.rng.Intn(3)
-	types := make([]extract.Type, k)
-	names := make([]string, k)
-	for i := range names {
-		types[i] = g.drawType()
-		names[i] = g.mention(types[i])
+func (g *corpusGen) appendSentence(b []byte) []byte {
+	var drawn [5]mention
+	ms := drawn[:3+g.rng.Intn(3)]
+	lead := 0
+	for i := range ms {
+		t := g.drawType()
+		if i == 0 {
+			lead = t
+		}
+		ms[i] = g.mention(t)
 	}
 	// Show-discussion frames when the lead mention is a movie — these carry
 	// the box-office patterns the attribute extractor feeds on.
-	if types[0] == extract.Movie {
-		return g.showSentence(names)
+	if g.types[lead] == extract.Movie {
+		return g.appendShowSentence(b, ms)
 	}
-	return g.genericSentence(names)
+	return g.appendGenericSentence(b, ms)
 }
 
-// showSentence frames a movie-led mention list with financial detail.
-func (g *corpusGen) showSentence(names []string) string {
-	rest := glue(names[1:])
+// appendShowSentence frames a movie-led mention list with financial detail.
+func (g *corpusGen) appendShowSentence(b []byte, ms []mention) []byte {
 	switch g.rng.Intn(4) {
 	case 0:
-		return fmt.Sprintf("%s, an award-winning import, grossed %s, or %s of the maximum; coverage also noted %s.",
-			names[0], g.money(), g.percent(), rest)
+		b = append(ms[0].appendTo(b), ", an award-winning import, grossed "...)
+		b = append(g.appendMoney(b), ", or "...)
+		b = append(g.appendPercent(b), " of the maximum; coverage also noted "...)
+		return append(appendGlue(b, ms[1:]), '.')
 	case 1:
-		return fmt.Sprintf("Tickets for %s start at %s from %s onward, according to %s.",
-			names[0], g.price(), g.date(), rest)
+		b = append(ms[0].appendTo(append(b, "Tickets for "...)), " start at "...)
+		b = append(g.appendPrice(b), " from "...)
+		b = append(g.appendDate(b), " onward, according to "...)
+		return append(appendGlue(b, ms[1:]), '.')
 	case 2:
-		return fmt.Sprintf("%s runs %s at 7pm and Sat at 2pm, drawing mentions of %s.",
-			names[0], g.weekday(), rest)
+		b = append(ms[0].appendTo(b), " runs "...)
+		b = append(b, weekdays[g.rng.Intn(len(weekdays))]...)
+		b = append(b, " at 7pm and Sat at 2pm, drawing mentions of "...)
+		return append(appendGlue(b, ms[1:]), '.')
 	default:
-		return fmt.Sprintf("%s grossed %s this week as %s made headlines.",
-			names[0], g.money(), rest)
+		b = append(ms[0].appendTo(b), " grossed "...)
+		b = append(g.appendMoney(b), " this week as "...)
+		return append(appendGlue(b, ms[1:]), " made headlines."...)
 	}
 }
 
-// genericSentence frames an arbitrary mention list.
-func (g *corpusGen) genericSentence(names []string) string {
-	rest := glue(names[1:])
-	switch g.rng.Intn(4) {
-	case 0:
-		return fmt.Sprintf("%s drew attention in coverage that also mentioned %s.", names[0], rest)
-	case 1:
-		return fmt.Sprintf("Reports about %s circulated alongside %s.", names[0], rest)
-	case 2:
-		return fmt.Sprintf("Analysts linked %s with %s this week.", names[0], rest)
-	default:
-		return fmt.Sprintf("%s featured in weekend roundups together with %s.", names[0], rest)
-	}
+// genericFrames are the frames of an arbitrary mention list: the text
+// before the lead mention, between it and the rest, and after the rest.
+var genericFrames = [4][3]string{
+	{"", " drew attention in coverage that also mentioned ", "."},
+	{"Reports about ", " circulated alongside ", "."},
+	{"Analysts linked ", " with ", " this week."},
+	{"", " featured in weekend roundups together with ", "."},
 }
 
-// glue joins names into "a, b and c".
-func glue(names []string) string {
-	switch len(names) {
-	case 0:
-		return "other topics"
-	case 1:
-		return names[0]
-	default:
-		return strings.Join(names[:len(names)-1], ", ") + " and " + names[len(names)-1]
+// appendGenericSentence frames an arbitrary mention list.
+func (g *corpusGen) appendGenericSentence(b []byte, ms []mention) []byte {
+	f := &genericFrames[g.rng.Intn(len(genericFrames))]
+	b = append(ms[0].appendTo(append(b, f[0]...)), f[1]...)
+	return append(appendGlue(b, ms[1:]), f[2]...)
+}
+
+// appendGlue appends the mentions as "a, b and c".
+func appendGlue(b []byte, ms []mention) []byte {
+	if len(ms) == 0 {
+		return append(b, "other topics"...)
 	}
+	for i, m := range ms {
+		switch {
+		case i == 0:
+		case i == len(ms)-1:
+			b = append(b, " and "...)
+		default:
+			b = append(b, ", "...)
+		}
+		b = m.appendTo(b)
+	}
+	return b
 }
 
 // titleWords renders a gazetteer (lower-cased) phrase in display case so the

@@ -17,18 +17,25 @@ type LabeledPair struct {
 
 // TrainMatcher fits the match classifier from labeled pairs using the given
 // trainer (naive Bayes over discretized similarity features by default when
-// trainer is nil — the configuration behind the paper's 89/90 result).
-//
-// It trains the way RunKeyed scores: each distinct value is profiled once,
-// each pair is scored from two reused profiles into one reused vector, and
-// the vector goes to the trainer as (row, value) cells of an ml.Table whose
-// rows the scorer resolved per attribute, not per pair.
+// trainer is nil — the configuration behind the paper's 89/90 result), on
+// the pairs' FeatureTable.
 func TrainMatcher(pairs []LabeledPair, fz Featurizer, trainer ml.Trainer) *Matcher {
 	if trainer == nil {
 		trainer = ml.NaiveBayesTrainer(5)
 	}
-	var table ml.Table
-	pr := profiler{sc: bindScorer(fz, nil, nil, &table), memo: &valueMemo{profiles: map[string]valueProfile{}}}
+	m := &Matcher{Model: trainer.TrainTable(FeatureTable(pairs, fz)), Featurizer: fz, Threshold: 0.5}
+	m.sc = newScorer(fz, m.Model)
+	return m
+}
+
+// FeatureTable featurizes labeled pairs the way RunKeyed scores: each
+// distinct value is profiled once, each pair is scored from two reused
+// profiles into one reused vector, and the vector becomes one example's
+// (row, value) cells of an ml.Table whose rows the scorer resolved per
+// attribute, not per pair.
+func FeatureTable(pairs []LabeledPair, fz Featurizer) *ml.Table {
+	table := &ml.Table{}
+	pr := profiler{sc: bindScorer(fz, nil, nil, table), memo: &valueMemo{profiles: map[string]valueProfile{}}}
 	if n := len(pr.sc.attrs); n > 0 {
 		table.Grow(len(pairs), len(pairs)*(featKinds*n+2))
 	}
@@ -42,9 +49,7 @@ func TrainMatcher(pairs []LabeledPair, fz Featurizer, trainer ml.Trainer) *Match
 		}
 		table.End(p.Match)
 	}
-	m := &Matcher{Model: trainer.TrainTable(&table), Featurizer: fz, Threshold: 0.5}
-	m.sc = newScorer(fz, m.Model)
-	return m
+	return table
 }
 
 // Matcher classifies whether two records describe the same entity. Model

@@ -62,25 +62,64 @@ func KFoldIndices(n, k int, seed int64) [][]int {
 // CrossValidate runs k-fold cross-validation: for each fold it trains on the
 // remaining folds and evaluates on the held-out fold.
 func CrossValidate(train Trainer, examples []Example, k int, seed int64) CVResult {
-	folds := KFoldIndices(len(examples), k, seed)
+	return CrossValidateTable(train, tableOf(examples), k, seed)
+}
+
+// CrossValidateTable is CrossValidate over the examples of a table, folded
+// by row: a fold's training set is the other folds' cells, copied into one
+// table reused from fold to fold, and a binned model scores the held-out
+// examples by row, building no map.
+func CrossValidateTable(train Trainer, t *Table, k int, seed int64) CVResult {
+	held := make([]bool, len(t.ends))
+	rest := Table{names: t.names, row: t.row}
 	var res CVResult
-	for i := range folds {
-		holdout := map[int]bool{}
-		for _, idx := range folds[i] {
-			holdout[idx] = true
+	for _, fold := range KFoldIndices(len(t.ends), k, seed) {
+		clear(held)
+		for _, i := range fold {
+			held[i] = true
 		}
-		var trainSet, testSet []Example
-		for idx, ex := range examples {
-			if holdout[idx] {
-				testSet = append(testSet, ex)
-			} else {
-				trainSet = append(trainSet, ex)
+		rest.rows, rest.vals, rest.ends, rest.labels = rest.rows[:0], rest.vals[:0], rest.ends[:0], rest.labels[:0]
+		for i := range t.ends {
+			if !held[i] {
+				rest.rows = append(rest.rows, t.rows[t.start(i):t.ends[i]]...)
+				rest.vals = append(rest.vals, t.vals[t.start(i):t.ends[i]]...)
+				rest.End(t.labels[i])
 			}
 		}
-		model := train.Train(trainSet)
-		conf := Evaluate(model, testSet)
+		conf := evaluateRows(train.TrainTable(&rest), t, fold)
 		res.Folds = append(res.Folds, conf)
 		res.Pooled.Add(conf)
 	}
 	return res
+}
+
+// evaluateRows is Evaluate over the examples of t at the given rows.
+func evaluateRows(c Classifier, t *Table, rows []int) Confusion {
+	m, ok := c.(*binnedNB)
+	if !ok {
+		examples := make([]Example, len(rows))
+		for k, i := range rows {
+			examples[k] = Example{Features: t.features(i), Label: t.labels[i]}
+		}
+		return Evaluate(c, examples)
+	}
+	modelRow := make([]int32, len(t.names))
+	for r, name := range t.names {
+		modelRow[r] = m.Row(name)
+	}
+	var conf Confusion
+	var known []cell
+	for _, i := range rows {
+		known = known[:0]
+		unseen := 0
+		for k := t.start(i); k < t.ends[i]; k++ {
+			if r := modelRow[t.rows[k]]; r >= 0 {
+				known = append(known, cell{r, t.vals[k]})
+			} else {
+				unseen++
+			}
+		}
+		conf.Observe(m.predictCells(known, unseen) >= 0.5, t.labels[i])
+	}
+	return conf
 }

@@ -81,11 +81,16 @@ func tableOf(examples []Example) *Table {
 func (t *Table) examples() []Example {
 	out := make([]Example, len(t.ends))
 	for i := range out {
-		f := Features{}
-		for k := t.start(i); k < t.ends[i]; k++ {
-			f[t.names[t.rows[k]]] = t.vals[k]
-		}
-		out[i] = Example{Features: f, Label: t.labels[i]}
+		out[i] = Example{Features: t.features(i), Label: t.labels[i]}
 	}
 	return out
+}
+
+// features is example i as a feature map.
+func (t *Table) features(i int) Features {
+	f := make(Features, t.ends[i]-t.start(i))
+	for k := t.start(i); k < t.ends[i]; k++ {
+		f[t.names[t.rows[k]]] = t.vals[k]
+	}
+	return f
 }

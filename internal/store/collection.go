@@ -2,10 +2,24 @@ package store
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"strings"
 	"sync"
 )
+
+// chunkLen is how many documents, and their ids, one chunk of a collection
+// holds (16 KiB of them). A collection takes a new chunk when its last is
+// full and never moves what it holds, where a slice grown by append copies
+// all of it at every regrowth and leaves up to half of its room unused.
+const chunkLen = 1024
+
+// chunk holds chunkLen stored documents and their ids, position by
+// position.
+type chunk struct {
+	ids  [chunkLen]int64
+	docs [chunkLen]*Doc
+}
 
 // DefaultExtentSize mirrors the 2 GB extents of the paper's deployment.
 // Scaled-down runs configure smaller extents so the extent arithmetic in
@@ -24,10 +38,11 @@ type Collection struct {
 	ns         string
 	extentSize int64
 
-	// ids and docs are the stored documents and their ids, position by
-	// position, ids strictly ascending. nextID is above every id held.
-	ids    []int64
-	docs   []*Doc
+	// chunks hold the n stored documents and their ids, position i in
+	// chunks[i/chunkLen] at i%chunkLen, ids strictly ascending. nextID is
+	// above every id held.
+	chunks []*chunk
+	n      int
 	nextID int64
 	// allocated is the storage taken from extents. Extents fill one after
 	// another and space is never handed back, so it alone says how many
@@ -65,31 +80,57 @@ func NewCollection(ns string, extentSize int64) *Collection {
 	}
 }
 
+// idAt and docAt return the id and the document at position i < c.n.
+// Must hold c.mu.
+func (c *Collection) idAt(i int) int64 { return c.chunks[i/chunkLen].ids[i%chunkLen] }
+func (c *Collection) docAt(i int) *Doc { return c.chunks[i/chunkLen].docs[i%chunkLen] }
+
+// from yields the ids and documents held from position i on, in order.
+// Must hold c.mu.
+func (c *Collection) from(i int) iter.Seq2[int64, *Doc] {
+	return func(yield func(int64, *Doc) bool) {
+		for ; i < c.n; i++ {
+			ch := c.chunks[i/chunkLen]
+			if !yield(ch.ids[i%chunkLen], ch.docs[i%chunkLen]) {
+				return
+			}
+		}
+	}
+}
+
 // find returns the position of id in the collection and whether it is held
 // there; for an absent id, the position it would take. Ids ascend strictly,
-// so id can sit no higher than id-ids[0] and no lower than that less the
+// so id can sit no higher than id-first and no lower than that less the
 // ids missing between the first and the last: with none missing the
 // position is known outright, else a binary search covers the gap. Must
 // hold c.mu.
 func (c *Collection) find(id int64) (int, bool) {
-	n := len(c.ids)
+	n := c.n
 	switch {
-	case n == 0 || id < c.ids[0]:
+	case n == 0 || id < c.idAt(0):
 		return 0, false
-	case id > c.ids[n-1]:
+	case id > c.idAt(n-1):
 		return n, false
 	}
-	missing := c.ids[n-1] - c.ids[0] - int64(n-1)
-	lo, hi := max(id-c.ids[0]-missing, 0), min(id-c.ids[0], int64(n-1))
-	i, ok := slices.BinarySearch(c.ids[lo:hi+1], id)
-	return int(lo) + i, ok
+	first := c.idAt(0)
+	missing := c.idAt(n-1) - first - int64(n-1)
+	lo, hi := int(max(id-first-missing, 0)), int(min(id-first, int64(n-1)))+1
+	for lo < hi { // the first position in [lo, hi) whose id is not below id
+		mid := int(uint(lo+hi) >> 1)
+		if c.idAt(mid) < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, c.idAt(lo) == id
 }
 
 // doc returns the document stored under id, which an index listed, so it
 // is held. Must hold c.mu.
 func (c *Collection) doc(id int64) *Doc {
 	i, _ := c.find(id)
-	return c.docs[i]
+	return c.docAt(i)
 }
 
 // NS returns the collection's namespace ("db.collection").
@@ -99,7 +140,7 @@ func (c *Collection) NS() string { return c.ns }
 func (c *Collection) Count() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return int64(len(c.docs))
+	return int64(c.n)
 }
 
 // Insert stores doc and returns its assigned id.
@@ -115,8 +156,6 @@ func (c *Collection) InsertMany(docs []*Doc) []int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ids := make([]int64, len(docs))
-	c.ids = slices.Grow(c.ids, len(docs))
-	c.docs = slices.Grow(c.docs, len(docs))
 	for i, d := range docs {
 		ids[i] = c.insertLocked(d)
 	}
@@ -134,8 +173,12 @@ func (c *Collection) insertLocked(doc *Doc) int64 {
 // addLocked stores doc under id, which is above every id held, and indexes
 // it. Must hold c.mu.
 func (c *Collection) addLocked(id int64, doc *Doc) {
-	c.ids = append(c.ids, id)
-	c.docs = append(c.docs, doc)
+	if c.n%chunkLen == 0 {
+		c.chunks = append(c.chunks, new(chunk))
+	}
+	ch := c.chunks[c.n/chunkLen]
+	ch.ids[c.n%chunkLen], ch.docs[c.n%chunkLen] = id, doc
+	c.n++
 	size := doc.SizeBytes()
 	c.dataSize += size
 	c.allocated += size
@@ -267,9 +310,9 @@ func (c *Collection) EnsureIndex(ix IndexSpec) bool {
 		x := newIndex(ix.Name, ix.Path, ix.Kind)
 		c.indexes[ix.Name], insert = x, x.insert
 	}
-	for i, d := range c.docs {
+	for id, d := range c.from(0) {
 		if v, ok := d.Path(ix.Path); ok {
-			insert(c.ids[i], v)
+			insert(id, v)
 		}
 	}
 	return true
@@ -296,8 +339,8 @@ func (c *Collection) MissingIndexes(layout []IndexSpec) []IndexSpec {
 func (c *Collection) LastID() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if n := len(c.ids); n > 0 {
-		return c.ids[n-1]
+	if c.n > 0 {
+		return c.idAt(c.n - 1)
 	}
 	return 0
 }
@@ -318,12 +361,12 @@ func (c *Collection) Stats() Stats {
 		last = c.extentSize // the last extent is exactly full
 	}
 	avg := int64(0)
-	if len(c.docs) > 0 {
-		avg = c.dataSize / int64(len(c.docs))
+	if c.n > 0 {
+		avg = c.dataSize / int64(c.n)
 	}
 	return Stats{
 		NS:             c.ns,
-		Count:          int64(len(c.docs)),
+		Count:          int64(c.n),
 		NumExtents:     int(extents),
 		NIndexes:       len(c.indexes),
 		LastExtentSize: last,

@@ -32,14 +32,17 @@ func explain(c *Collection, f Filter) Explain { return c.Query(Query{Filter: f, 
 // get is the document stored under id.
 func get(c *Collection, id int64) (*Doc, bool) {
 	if i, ok := c.find(id); ok {
-		return c.docs[i], true
+		return c.docAt(i), true
 	}
 	return nil, false
 }
 
 // members are the ids and their documents in id order.
-func members(c *Collection) ([]int64, []*Doc) {
-	return slices.Clone(c.ids), slices.Clone(c.docs)
+func members(c *Collection) (ids []int64, docs []*Doc) {
+	for id, d := range c.from(0) {
+		ids, docs = append(ids, id), append(docs, d)
+	}
+	return ids, docs
 }
 
 func TestInsertGet(t *testing.T) {

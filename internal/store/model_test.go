@@ -182,6 +182,48 @@ func FuzzCollectionMatchesModel(f *testing.F) {
 	})
 }
 
+// TestCollectionAcrossChunksMatchesModel fills a collection past two
+// chunks, by inserts and by replays that jump ids on either side of a
+// chunk's end, and checks it against the model: every id found or not as
+// the model finds it, pages that straddle a chunk's end, and the snapshot.
+func TestCollectionAcrossChunksMatchesModel(t *testing.T) {
+	c, m := NewCollection("dt.model", 0), &collectionModel{next: 1}
+	c.EnsureIndex(IndexSpec{Name: "name_1", Path: "name", Kind: BTreeIndex})
+	m.btree = true
+	for i := 0; m.next <= 2*chunkLen+40; i++ {
+		d := modelDoc(byte(i), byte(i/7))
+		if len(m.ids)%chunkLen == chunkLen-1 || len(m.ids)%chunkLen == 1 {
+			id := m.next + int64(1+i%3)
+			if err := c.ApplyReplay(id, d); err != nil {
+				t.Fatal(err)
+			}
+			m.add(id, d)
+			continue
+		}
+		if id := c.Insert(d); id != m.next {
+			t.Fatalf("Insert gave id %d, want %d", id, m.next)
+		}
+		m.add(m.next, d)
+	}
+	if len(m.ids) <= 2*chunkLen || len(c.chunks) != 3 {
+		t.Fatalf("%d documents in %d chunks, want more than %d in 3", len(m.ids), len(c.chunks), 2*chunkLen)
+	}
+	for id := int64(0); id <= m.next+1; id++ {
+		wantAt, wantHeld := m.find(id)
+		at, held := c.find(id)
+		if held != wantHeld || held && at != wantAt {
+			t.Fatalf("find(%d) = %d, %v; want %d, %v", id, at, held, wantAt, wantHeld)
+		}
+	}
+	for _, w := range [][2]int{{chunkLen - 2, 5}, {2*chunkLen - 1, 2}, {chunkLen, NoLimit}} {
+		q := Query{Offset: w[0], Limit: w[1]}
+		if got, want := c.Query(q), m.query(q); got.Total != want.Total || !slices.Equal(got.Docs, want.Docs) {
+			t.Fatalf("%+v: %d matches %v, want %d matches %v", q, got.Total, got.Docs, want.Total, want.Docs)
+		}
+	}
+	checkAgainstModel(t, c, m)
+}
+
 // checkAgainstModel compares c with m on every access path and window, and
 // c's snapshot with m's documents.
 func checkAgainstModel(t *testing.T, c *Collection, m *collectionModel) {

@@ -52,18 +52,18 @@ func (c *Collection) WriteSnapshot(w io.Writer, above int64) error {
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
 	}
-	first := sort.Search(len(c.ids), func(i int) bool { return c.ids[i] > above })
+	first := sort.Search(c.n, func(i int) bool { return c.idAt(i) > above })
 	var frame bytes.Buffer
 	var reserved [4 + 8]byte // a frame's length, filled in by sealFrame, and a document's id
 	frame.Write(reserved[:4])
-	c.putHeaderLocked(&frame, len(c.docs)-first)
+	c.putHeaderLocked(&frame, c.n-first)
 	sealFrame(&frame, 0)
 	if _, err := bw.Write(frame.Bytes()); err != nil {
 		return err
 	}
-	for i, d := range c.docs[first:] {
+	for id, d := range c.from(first) {
 		frame.Reset()
-		binary.LittleEndian.PutUint64(reserved[4:], uint64(c.ids[first+i]))
+		binary.LittleEndian.PutUint64(reserved[4:], uint64(id))
 		frame.Write(reserved[:])
 		PutDoc(&frame, d)
 		sealFrame(&frame, 0)
@@ -296,7 +296,7 @@ func DecodeIDDoc(data []byte) (int64, *Doc, error) {
 func (c *Collection) ApplyReplay(id int64, doc *Doc) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.ids); id <= 0 || n > 0 && id <= c.ids[n-1] {
+	if id <= 0 || c.n > 0 && id <= c.idAt(c.n-1) {
 		return fmt.Errorf("store: replayed id %d is not positive and above every id held", id)
 	}
 	c.addLocked(id, doc)

@@ -280,19 +280,21 @@ func (p *page) window(n int) (lo, hi int) {
 	return lo, hi
 }
 
-// addDocs takes a scan's candidates, the documents themselves. A proven
+// addDocs takes a scan's candidates, every document c holds. A proven
 // run is counted by its length and only the part the window covers is
 // kept.
-func addDocs(p *page, docs []*Doc) {
+func addDocs(p *page, c *Collection) {
 	if !p.proven() {
-		for _, d := range docs {
+		for _, d := range c.from(0) {
 			p.add(d)
 		}
 		return
 	}
-	lo, hi := p.window(len(docs))
-	p.out = append(p.out, docs[lo:hi]...)
-	p.total += int64(len(docs))
+	lo, hi := p.window(c.n)
+	for i := lo; i < hi; i++ {
+		p.out = append(p.out, c.docAt(i))
+	}
+	p.total += int64(c.n)
 }
 
 // addList takes the candidates a posting list holds, doc giving each id's
@@ -422,7 +424,7 @@ func (c *Collection) Query(q Query) Result {
 	}
 	switch {
 	case a.ix == nil && a.tx == nil:
-		addDocs(&p, c.docs)
+		addDocs(&p, c)
 	case a.cond.Op == OpPrefix:
 		// The plan serves a prefix only from a B-tree index.
 		a.ix.keys.(treeKeys).AscendPrefix(a.cond.Value.Str(), func(_ string, list *postings) bool {

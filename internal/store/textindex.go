@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"slices"
 	"strings"
 	"unicode"
@@ -51,10 +50,12 @@ func newTextIndex(path string) *textIndex {
 // Name identifies the index in plans and diagnostics.
 func (tx *textIndex) Name() string { return tx.Path + "_text" }
 
-// docTokens extracts the sorted unique lowercased tokens of v, the value a
-// document holds at the indexed path (a list's elements are each
-// tokenized), as spans of tx.lower. Both are the index's scratch, valid
-// until the next call.
+// docTokens extracts the lowercased tokens of v, the value a document
+// holds at the indexed path (a list's elements are each tokenized), in
+// text order with repeats, as spans of tx.lower. Both are the index's
+// scratch, valid until the next call. A repeat costs insert one lookup,
+// which postings.add turns away: cheaper than sorting the spans to drop
+// it (BenchmarkTextIndexInsert).
 func (tx *textIndex) docTokens(v DocValue) []span {
 	tx.lower, tx.spans = tx.lower[:0], tx.spans[:0]
 	if v.IsList() {
@@ -67,9 +68,6 @@ func (tx *textIndex) docTokens(v DocValue) []span {
 	} else if v.IsScalar() && !v.Scalar().IsNull() {
 		tx.collect(v.Scalar().Str())
 	}
-	low := tx.lower
-	slices.SortFunc(tx.spans, func(a, b span) int { return bytes.Compare(low[a.lo:a.hi], low[b.lo:b.hi]) })
-	tx.spans = slices.CompactFunc(tx.spans, func(a, b span) bool { return bytes.Equal(low[a.lo:a.hi], low[b.lo:b.hi]) })
 	return tx.spans
 }
 
@@ -84,7 +82,8 @@ func (tx *textIndex) collect(s string) {
 }
 
 // insert adds id under the tokens of v, the value its document holds at
-// the indexed path.
+// the indexed path, once under each: a token's list ends in id after its
+// first occurrence, so add turns the repeats away.
 func (tx *textIndex) insert(id int64, v DocValue) {
 	for _, sp := range tx.docTokens(v) {
 		tok := tx.lower[sp.lo:sp.hi]

@@ -181,7 +181,9 @@ func docTokensReference(d *Doc, path string) []string {
 }
 
 // checkDocTokens compares the tokens docTokens finds in d's value at the
-// index's path (none when d lacks it) with the reference.
+// index's path (none when d lacks it), sorted and compacted, with the
+// reference; and the index d's value gives tx with the one the reference
+// tokens give, id by id.
 func checkDocTokens(t *testing.T, tx *textIndex, d *Doc) {
 	t.Helper()
 	var got []string
@@ -189,15 +191,44 @@ func checkDocTokens(t *testing.T, tx *textIndex, d *Doc) {
 	for _, sp := range tx.docTokens(v) {
 		got = append(got, string(tx.lower[sp.lo:sp.hi]))
 	}
-	if want := docTokensReference(d, tx.Path); !slices.Equal(got, want) {
+	slices.Sort(got)
+	want := docTokensReference(d, tx.Path)
+	if got = slices.Compact(got); !slices.Equal(got, want) {
 		t.Fatalf("docTokens(%v) = %q, reference %q", d, got, want)
+	}
+	ref := map[string][]int64{}
+	for tok, p := range tx.tokens {
+		ref[tok] = p.ids()
+	}
+	id := tx.lastID() + 1
+	tx.insert(id, v)
+	for _, tok := range want {
+		ref[tok] = append(ref[tok], id)
+	}
+	if len(tx.tokens) != len(ref) {
+		t.Fatalf("after indexing %v the index holds %d tokens, the reference %d", d, len(tx.tokens), len(ref))
+	}
+	for tok, p := range tx.tokens {
+		if !slices.Equal(p.ids(), ref[tok]) {
+			t.Fatalf("after indexing %v token %q lists %v, the reference %v", d, tok, p.ids(), ref[tok])
+		}
 	}
 }
 
-// TestDocTokensMatchSetReference checks the sorted, compacted token spans
-// against the reference: every token lowercased, each once, sorted. One
-// index serves every document, so each call also reuses the last one's
-// scratch.
+// lastID is the highest id the index lists, 0 when it lists none.
+func (tx *textIndex) lastID() int64 {
+	var last int64
+	for _, p := range tx.tokens {
+		last = max(last, p.last)
+	}
+	return last
+}
+
+// TestDocTokensMatchSetReference checks the token spans against the
+// reference: every token lowercased, each once when sorted and compacted,
+// and an index of the documents that lists each id under each of its
+// tokens once. One index serves every document, so each call also reuses
+// the last one's scratch.
 func TestDocTokensMatchSetReference(t *testing.T) {
 	tx := newTextIndex("text")
 	texts := append(slices.Clone(textCorpus), "Ærø ÆRØ ærø", "İstanbul ISTANBUL", "")
