@@ -53,7 +53,7 @@ func writeWebText(dir string, fragments int, seed int64) error {
 	defer f.Close()
 	w := bufio.NewWriter(f)
 	corpus := datagen.NewWebText(datagen.WebTextConfig{Fragments: fragments, Seed: seed})
-	for win := corpus.Next(500); len(win) > 0; win = corpus.Next(500) {
+	for win := corpus.Next(datagen.Window); len(win) > 0; win = corpus.Next(datagen.Window) {
 		for _, frag := range win {
 			w.WriteString(frag.URL)
 			w.WriteByte('\t')

@@ -22,12 +22,13 @@ import (
 // re-consolidated on the next refresh or fused query.
 
 // applyWindow is how many fragments ApplyFragments parses before it stores
-// them. A window's parsed documents are all a coordinator over remote
-// shards holds of a load at once. At 500, a shard's share of a window fits
-// one insert frame (store.FrameChunk) at the default 4 shards, so a window
-// is one call per store and shard, while the coordinator holds a quarter
-// of the default 2 000-fragment load.
-const applyWindow = 500
+// them, the window the text load takes from its stream (datagen.Window).
+// A window's parsed documents are all a coordinator over remote shards
+// holds of a load at once. At 500, a shard's share of a window fits one
+// insert frame (store.FrameChunk) at the default 4 shards, so a window is
+// one call per store and shard, while the coordinator holds a quarter of
+// the default 2 000-fragment load.
+const applyWindow = datagen.Window
 
 // ApplyFragments parses frags with a pool of workers (0 = one per
 // schedulable CPU) and inserts the results into both text namespaces, one

@@ -57,15 +57,16 @@ func discussionWeights() map[string]int {
 func GenerateWebText(cfg WebTextConfig) []Fragment {
 	w := NewWebText(cfg)
 	out := make([]Fragment, 0, max(cfg.Fragments, 1))
-	for win := w.Next(generateWindow); len(win) > 0; win = w.Next(generateWindow) {
+	for win := w.Next(Window); len(win) > 0; win = w.Next(Window) {
 		out = append(out, win...)
 	}
 	return out
 }
 
-// generateWindow is how many fragments GenerateWebText takes from its
-// stream at a time, and so how many share one string.
-const generateWindow = 512
+// Window is how many fragments a reader takes from a WebText stream at a
+// time, and so how many share one string: GenerateWebText, cmd/dtgen and
+// the core text load all read windows of this size.
+const Window = 500
 
 // WebText streams the synthetic corpus a window at a time, so a loader
 // holds one window of it, not the corpus. Fragment i is the same whatever

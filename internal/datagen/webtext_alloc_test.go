@@ -12,9 +12,9 @@ import "testing"
 func TestWebTextNextAllocBudget(t *testing.T) {
 	w := NewWebText(WebTextConfig{Fragments: 1 << 20, Seed: 1})
 	for range 20 {
-		w.Next(500)
+		w.Next(Window)
 	}
-	if n := testing.AllocsPerRun(50, func() { w.Next(500) }); n > 1 {
-		t.Errorf("a window of 500 fragments allocates %.2f times, budget 1", n)
+	if n := testing.AllocsPerRun(50, func() { w.Next(Window) }); n > 1 {
+		t.Errorf("a window of %d fragments allocates %.2f times, budget 1", Window, n)
 	}
 }

@@ -67,8 +67,7 @@ func CrossValidate(train Trainer, examples []Example, k int, seed int64) CVResul
 
 // CrossValidateTable is CrossValidate over the examples of a table, folded
 // by row: a fold's training set is the other folds' cells, copied into one
-// table reused from fold to fold, and a binned model scores the held-out
-// examples by row, building no map.
+// table reused from fold to fold.
 func CrossValidateTable(train Trainer, t *Table, k int, seed int64) CVResult {
 	held := make([]bool, len(t.ends))
 	rest := Table{names: t.names, row: t.row}
@@ -95,31 +94,9 @@ func CrossValidateTable(train Trainer, t *Table, k int, seed int64) CVResult {
 
 // evaluateRows is Evaluate over the examples of t at the given rows.
 func evaluateRows(c Classifier, t *Table, rows []int) Confusion {
-	m, ok := c.(*binnedNB)
-	if !ok {
-		examples := make([]Example, len(rows))
-		for k, i := range rows {
-			examples[k] = Example{Features: t.features(i), Label: t.labels[i]}
-		}
-		return Evaluate(c, examples)
+	examples := make([]Example, len(rows))
+	for k, i := range rows {
+		examples[k] = Example{Features: t.features(i), Label: t.labels[i]}
 	}
-	modelRow := make([]int32, len(t.names))
-	for r, name := range t.names {
-		modelRow[r] = m.Row(name)
-	}
-	var conf Confusion
-	var known []cell
-	for _, i := range rows {
-		known = known[:0]
-		unseen := 0
-		for k := t.start(i); k < t.ends[i]; k++ {
-			if r := modelRow[t.rows[k]]; r >= 0 {
-				known = append(known, cell{r, t.vals[k]})
-			} else {
-				unseen++
-			}
-		}
-		conf.Observe(m.predictCells(known, unseen) >= 0.5, t.labels[i])
-	}
-	return conf
+	return Evaluate(c, examples)
 }

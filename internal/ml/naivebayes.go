@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"strings"
@@ -240,26 +239,6 @@ func (m *binnedNB) PredictProb(f Features) float64 {
 	}
 	unseen := float64(len(f) - known)
 	return probFromLogs(lp+unseen*m.defPos, ln+unseen*m.defNeg)
-}
-
-// cell is one feature of an example, given by its model row.
-type cell struct {
-	row int32
-	val float64
-}
-
-// predictCells is PredictProb of an example given by the cells of the
-// features the model knows, which it sorts into model order, and the
-// number of features it never saw: the same sums in the same order.
-func (m *binnedNB) predictCells(known []cell, unseen int) float64 {
-	slices.SortFunc(known, func(a, b cell) int { return cmp.Compare(a.row, b.row) })
-	lp, ln := m.priorPos, m.priorNeg
-	for _, c := range known {
-		pos, neg := m.term(c.row, c.val)
-		lp += pos
-		ln += neg
-	}
-	return probFromLogs(lp+float64(unseen)*m.defPos, ln+float64(unseen)*m.defNeg)
 }
 
 // Row implements Indexed.
